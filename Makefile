@@ -24,7 +24,8 @@ race:
 # RouterWindow covers the serving tier's scatter-gather path,
 # UteloadSmoke is one full load-generator run against a router fleet,
 # SchedHotLoop pins the simulator's per-event cost, and SweepCell runs
-# one scenario-sweep cell through the whole pipeline.
+# scenario-sweep cells through the whole pipeline (its wide case fails
+# when frame-start pseudo-intervals swamp the merged file).
 bench-smoke:
 	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|ServeWindow|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|SweepCell|^BenchmarkIngest$$' -benchtime 1x .
 

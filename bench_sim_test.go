@@ -80,30 +80,47 @@ func BenchmarkSchedHotLoop(b *testing.B) {
 // BenchmarkSweepCell runs one full sweep cell end to end: simulate,
 // convert, merge, and reduce to the comparison-table metrics. This is
 // the unit the utesweep driver fans out over a policy × workload grid.
+// The wide case is the ledger's 216x4x4 machine: 864 threads with open
+// states, so a frame prologue alone fills FrameBytes (at 128 nodes it
+// does not). It fails outright when frame-start pseudo-intervals swamp
+// the merged file again: before frames were sized by their regular
+// records this cell merged 19.0 records per raw event, now 1.6.
 func BenchmarkSweepCell(b *testing.B) {
 	grid := sweep.Grid{
 		Policies:  []string{"fifo"},
 		Scenarios: []sweep.Scenario{{Name: "imbalance", Params: workload.Params{"iters": 4}}},
 	}
-	opts := sweep.Options{
-		Nodes: 8, CPUsPerNode: 2, TasksPerNode: 1,
-		Seed: 7, Parallel: 1,
-	}
-	b.ReportAllocs()
-	var events int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sweep.Run(grid, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Cells) != 1 || res.Cells[0].RawEvents == 0 {
-			b.Fatal("sweep cell produced no events")
-		}
-		events += res.Cells[0].RawEvents
-	}
-	b.StopTimer()
-	if events > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/rawevent")
+	for _, c := range []struct {
+		name string
+		opts sweep.Options
+	}{
+		{"small", sweep.Options{Nodes: 8, CPUsPerNode: 2, TasksPerNode: 1, Seed: 7, Parallel: 1}},
+		{"wide", sweep.Options{Nodes: 216, CPUsPerNode: 4, TasksPerNode: 4, Seed: 7, Parallel: 1}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var events, records, pseudo int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := sweep.Run(grid, c.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Cells) != 1 || res.Cells[0].RawEvents == 0 {
+					b.Fatal("sweep cell produced no events")
+				}
+				events += res.Cells[0].RawEvents
+				records += res.Cells[0].Records
+				pseudo += res.Cells[0].Pseudo
+			}
+			b.StopTimer()
+			perEvent := float64(records) / float64(events)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/rawevent")
+			b.ReportMetric(perEvent, "records/rawevent")
+			b.ReportMetric(100*float64(pseudo)/float64(records), "pseudo%")
+			if perEvent > 2.5 {
+				b.Fatalf("%.1f merged records per raw event (limit 2.5): frame prologues dominate the merged file", perEvent)
+			}
+		})
 	}
 }

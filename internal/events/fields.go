@@ -40,7 +40,10 @@ var CommonFields = []string{
 	FieldType, FieldBebits, FieldStart, FieldDura, FieldCPU, FieldNode, FieldThread,
 }
 
-var extraFields = map[Type][]string{
+// extraFields and vectorField are dense tables indexed by Type (sparse
+// array literals, sized by their largest key): both are consulted on
+// every interval-record encode and decode.
+var extraFields = [...][]string{
 	EvRunning:     {},
 	EvGlobalClock: {FieldGlobal},
 	EvMarkerState: {FieldMarker, FieldAddr, FieldEndAddr},
@@ -73,7 +76,12 @@ var extraFields = map[Type][]string{
 // of state type t (nil for unknown types). All extra fields are unsigned
 // 64-bit scalars in the standard profile. The slice is shared; callers
 // must not modify it.
-func ExtraFields(t Type) []string { return extraFields[t] }
+func ExtraFields(t Type) []string {
+	if int(t) < len(extraFields) {
+		return extraFields[t]
+	}
+	return nil
+}
 
 // Vector field names. A state type may additionally carry one trailing
 // vector field of unsigned 64-bit elements (the self-defining format
@@ -86,16 +94,21 @@ const (
 	FieldRecvEnvs = "recvEnvs"
 )
 
-var vectorField = map[Type]string{
+var vectorField = [...]string{
 	EvMPIWaitall: FieldRecvEnvs,
 }
 
 // VectorField returns the name of t's trailing vector field, or "".
-func VectorField(t Type) string { return vectorField[t] }
+func VectorField(t Type) string {
+	if int(t) < len(vectorField) {
+		return vectorField[t]
+	}
+	return ""
+}
 
 // HasField reports whether state type t carries the named extra field.
 func HasField(t Type, name string) bool {
-	for _, f := range extraFields[t] {
+	for _, f := range ExtraFields(t) {
 		if f == name {
 			return true
 		}

@@ -16,6 +16,7 @@ import (
 	"tracefw/internal/ingest"
 	"tracefw/internal/interval"
 	"tracefw/internal/merge"
+	"tracefw/internal/testutil"
 	"tracefw/internal/trace"
 	"tracefw/internal/workload"
 	"tracefw/internal/xrand"
@@ -175,9 +176,15 @@ func TestIngestSingleBatchPerNode(t *testing.T) {
 // that force backpressure) yields a final file byte-identical to the
 // batch convert→merge pipeline over the same raw traces.
 func TestIngestMatchesBatchPipeline(t *testing.T) {
+	var runs [][][]byte
 	for seed := uint64(1); seed <= 4; seed++ {
-		nodes := 2 + int(seed%2)
-		raws := genRaws(t, seed, nodes, 40)
+		runs = append(runs, genRaws(t, seed, 2+int(seed%2), 40))
+	}
+	// A wide machine: the open set alone overflows FrameBytes, so
+	// frames are sized by their regular records.
+	runs = append(runs, testutil.RunWorkload(t, testutil.WideShape, testutil.NestedWork(4)))
+	for i, raws := range runs {
+		seed, nodes := uint64(i+1), len(raws)
 		wopts := interval.WriterOptions{FrameBytes: 2048, FramesPerDir: 2}
 		want := referenceMerge(t, raws, wopts)
 

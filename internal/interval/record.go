@@ -81,17 +81,18 @@ func (r Record) String() string {
 
 // AppendFramed appends payload with its length prefix.
 func AppendFramed(dst, payload []byte) []byte {
-	if len(payload) > 0xffff {
-		panic(fmt.Sprintf("interval: record payload %d bytes exceeds format limit", len(payload)))
+	return append(appendFrameLen(dst, len(payload)), payload...)
+}
+
+// appendFrameLen appends the length prefix of an n-byte payload.
+func appendFrameLen(dst []byte, n int) []byte {
+	if n > 0xffff {
+		panic(fmt.Sprintf("interval: record payload %d bytes exceeds format limit", n))
 	}
-	if len(payload) > 0 && len(payload) <= 255 {
-		dst = append(dst, byte(len(payload)))
-	} else {
-		var b [2]byte
-		binary.LittleEndian.PutUint16(b[:], uint16(len(payload)))
-		dst = append(dst, 0, b[0], b[1])
+	if n > 0 && n <= 255 {
+		return append(dst, byte(n))
 	}
-	return append(dst, payload...)
+	return append(dst, 0, byte(n), byte(n>>8))
 }
 
 // NextFramed splits the first length-prefixed record payload from b,
@@ -144,17 +145,23 @@ func (r *Record) AppendPayload(dst []byte) []byte {
 	return dst
 }
 
-// Append appends r with its length prefix.
+// Append appends r with its length prefix, encoding straight into dst.
 func (r *Record) Append(dst []byte) []byte {
-	return AppendFramed(dst, r.AppendPayload(nil))
+	return r.AppendPayload(appendFrameLen(dst, r.payloadSize()))
 }
 
-// EncodedSize returns the framed size of r.
-func (r *Record) EncodedSize() int {
+// payloadSize returns the length of what AppendPayload appends.
+func (r *Record) payloadSize() int {
 	n := profile.CommonSize + 8*len(r.Extra)
 	if events.VectorField(r.Type) != "" {
 		n += 2 + 8*len(r.Vec)
 	}
+	return n
+}
+
+// EncodedSize returns the framed size of r.
+func (r *Record) EncodedSize() int {
+	n := r.payloadSize()
 	if n > 0 && n <= 255 {
 		return 1 + n
 	}

@@ -118,12 +118,18 @@ func dirChecksum(count uint32, start, end clock.Time, records uint64, entries []
 
 // WriterOptions tunes frame construction.
 type WriterOptions struct {
-	// FrameBytes closes a frame once its records reach this size
-	// (default 64 KiB). "The frame size is chosen so that the display of
-	// a single frame is quick" (paper §4). The threshold is measured on
-	// the fixed-width accumulation encoding, so frame boundaries (and
-	// with them record-to-frame assignment) are identical across header
-	// versions; v4 frames are typically much smaller on disk.
+	// FrameBytes closes a frame once its regular records — everything
+	// but the FramePrologue records the frame opens with — reach this
+	// size (default 64 KiB). "The frame size is chosen so that the
+	// display of a single frame is quick" (paper §4). A frame also stays
+	// open until its regular records match its prologue in both count
+	// and bytes, so prologue records are at most half of any file (plus
+	// the last frame's prologue) however many states are open at once;
+	// without a FramePrologue the rule is simply "records reach
+	// FrameBytes". The threshold is measured on the fixed-width
+	// accumulation encoding, so frame boundaries (and with them
+	// record-to-frame assignment) are identical across header versions;
+	// v4 frames are typically much smaller on disk.
 	FrameBytes int
 	// FramesPerDir is the number of frame entries per directory
 	// (default 32).
@@ -135,7 +141,9 @@ type WriterOptions struct {
 	// receive its first record; the returned records are placed at the
 	// beginning of the frame. The merge utility uses this to plant the
 	// zero-duration continuation pseudo-intervals that represent the
-	// nested outer states at the start of each frame (paper §3.3).
+	// nested outer states at the start of each frame (paper §3.3). The
+	// writer encodes the records before returning to its caller and
+	// keeps no reference, so the callback may reuse the slice.
 	FramePrologue func() []Record
 	// OnSeal, if set, is invoked after every directory flush — the point
 	// at which the frames of that directory have reached the underlying
@@ -202,6 +210,10 @@ type Writer struct {
 	enc          v4EncState
 	closed       bool
 	err          error
+	// prologueBytes/prologueRecords measure the FramePrologue records
+	// at the head of the open frame.
+	prologueBytes   int
+	prologueRecords uint32
 	// framePB/groupPB are the pooled backing buffers behind frame and
 	// groupBytes, returned to the pool on Close.
 	framePB *[]byte
@@ -295,20 +307,33 @@ func (w *Writer) Add(r *Record) error {
 
 	w.prologue()
 	w.frame = r.Append(w.frame)
+	return w.appended(r.Start, end)
+}
+
+// appended accounts the record just encoded into the open frame and
+// closes the frame (and, when the directory group is complete, flushes
+// it) once the frame is full.
+func (w *Writer) appended(start, end clock.Time) error {
 	w.frameMeta.records++
-	if r.Start < w.frameMeta.start {
-		w.frameMeta.start = r.Start
+	if start < w.frameMeta.start {
+		w.frameMeta.start = start
 	}
 	if end > w.frameMeta.end {
 		w.frameMeta.end = end
 	}
-	if len(w.frame) >= w.opts.frameBytes() {
-		if err := w.closeFrame(); err != nil {
-			return err
-		}
-		if len(w.group) >= w.opts.framesPerDir() {
-			return w.flushGroup(false)
-		}
+	// The one frame-full rule: the frame's regular records have reached
+	// FrameBytes and are no fewer and no smaller than the frame's own
+	// prologue. See WriterOptions.FrameBytes.
+	regular := len(w.frame) - w.prologueBytes
+	if regular < w.opts.frameBytes() || regular < w.prologueBytes ||
+		w.frameMeta.records < 2*w.prologueRecords {
+		return nil
+	}
+	if err := w.closeFrame(); err != nil {
+		return err
+	}
+	if len(w.group) >= w.opts.framesPerDir() {
+		return w.flushGroup(false)
 	}
 	return nil
 }
@@ -331,6 +356,7 @@ func (w *Writer) prologue() {
 			w.frameMeta.end = e
 		}
 	}
+	w.prologueBytes, w.prologueRecords = len(w.frame), w.frameMeta.records
 }
 
 // AddPayload appends a pre-encoded record payload with the given time
@@ -346,22 +372,7 @@ func (w *Writer) AddPayload(payload []byte, start, end clock.Time) error {
 	w.lastEnd = end
 	w.anyRecord = true
 	w.frame = AppendFramed(w.frame, payload)
-	w.frameMeta.records++
-	if start < w.frameMeta.start {
-		w.frameMeta.start = start
-	}
-	if end > w.frameMeta.end {
-		w.frameMeta.end = end
-	}
-	if len(w.frame) >= w.opts.frameBytes() {
-		if err := w.closeFrame(); err != nil {
-			return err
-		}
-		if len(w.group) >= w.opts.framesPerDir() {
-			return w.flushGroup(false)
-		}
-	}
-	return nil
+	return w.appended(start, end)
 }
 
 // closeFrame seals the accumulated frame into the pending directory
@@ -392,6 +403,7 @@ func (w *Writer) closeFrame() error {
 	}
 	w.group = append(w.group, w.frameMeta)
 	w.frame = w.frame[:0]
+	w.prologueBytes, w.prologueRecords = 0, 0
 	w.frameMeta = emptyFrameMeta()
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -191,24 +192,50 @@ func (s *stream) Advance() error {
 	}
 }
 
-// openKey identifies a thread across the whole machine.
-type openKey struct {
-	node, thread uint16
-}
+// threadKey orders threads across the whole machine by (node, thread),
+// the order of the union header's thread table and of the pseudo-
+// intervals within a frame prologue.
+func threadKey(node, thread uint16) uint32 { return uint32(node)<<16 | uint32(thread) }
 
 // tracker reconstructs, from the merged record stream, which states are
 // open on every thread, to generate the frame-start pseudo-intervals.
+// Open stacks live in a dense table parallel to keys, which starts as
+// the union header's (already sorted) thread table, so a prologue is
+// one in-order walk with nothing to collect or sort per frame.
 type tracker struct {
-	open map[openKey][]interval.Record // innermost last
+	keys    []uint32            // ascending threadKey per slot
+	open    [][]interval.Record // per slot, innermost last
+	scratch []interval.Record   // the last prologue, reused
 }
 
-func newTracker() *tracker { return &tracker{open: make(map[openKey][]interval.Record)} }
+func newTracker(threads []interval.ThreadEntry) *tracker {
+	t := &tracker{keys: make([]uint32, 0, len(threads))}
+	for _, te := range threads {
+		// The table is sorted; a thread listed twice keeps one slot.
+		if k := threadKey(te.Node, te.LTID); len(t.keys) == 0 || k > t.keys[len(t.keys)-1] {
+			t.keys = append(t.keys, k)
+		}
+	}
+	t.open = make([][]interval.Record, len(t.keys))
+	return t
+}
+
+// slot returns the table index of k, inserting a slot in key order for
+// a thread the header does not list (uteconvert lists every thread it
+// saw, but the format does not require it of other producers).
+func (t *tracker) slot(k uint32) int {
+	i, listed := slices.BinarySearch(t.keys, k)
+	if !listed {
+		t.keys = slices.Insert(t.keys, i, k)
+		t.open = slices.Insert(t.open, i, nil)
+	}
+	return i
+}
 
 func (t *tracker) observe(r *interval.Record) {
 	if r.Type == events.EvGlobalClock {
 		return
 	}
-	k := openKey{r.Node, r.Thread}
 	switch r.Bebits {
 	case profile.Begin:
 		// Deep-copy the variable-length payloads: read-ahead sources
@@ -218,12 +245,14 @@ func (t *tracker) observe(r *interval.Record) {
 		cp := *r
 		cp.Extra = append([]uint64(nil), r.Extra...)
 		cp.Vec = append([]uint64(nil), r.Vec...)
-		t.open[k] = append(t.open[k], cp)
+		i := t.slot(threadKey(r.Node, r.Thread))
+		t.open[i] = append(t.open[i], cp)
 	case profile.End:
-		stack := t.open[k]
+		s := t.slot(threadKey(r.Node, r.Thread))
+		stack := t.open[s]
 		for i := len(stack) - 1; i >= 0; i-- {
 			if stack[i].Type == r.Type {
-				t.open[k] = append(stack[:i], stack[i+1:]...)
+				t.open[s] = append(stack[:i], stack[i+1:]...)
 				return
 			}
 		}
@@ -231,30 +260,20 @@ func (t *tracker) observe(r *interval.Record) {
 }
 
 // pseudos returns zero-duration continuation records for every open
-// state, stamped at, ordered (node, thread, outer→inner).
+// state, stamped at, ordered (node, thread, outer→inner). The slice is
+// reused by the next call.
 func (t *tracker) pseudos(at clock.Time) []interval.Record {
-	keys := make([]openKey, 0, len(t.open))
-	for k, stack := range t.open {
-		if len(stack) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].node != keys[j].node {
-			return keys[i].node < keys[j].node
-		}
-		return keys[i].thread < keys[j].thread
-	})
-	var out []interval.Record
-	for _, k := range keys {
-		for _, st := range t.open[k] {
-			pr := st
+	out := t.scratch[:0]
+	for _, stack := range t.open {
+		for i := range stack {
+			pr := stack[i]
 			pr.Bebits = profile.Continuation
 			pr.Start = at
 			pr.Dura = 0
 			out = append(out, pr)
 		}
 	}
+	t.scratch = out
 	return out
 }
 
@@ -307,7 +326,7 @@ func Merge(files []*interval.File, dst io.WriteSeeker, opts Options) (*Result, e
 		return nil, err
 	}
 
-	ms := &mergeState{res: res, trk: newTracker()}
+	ms := &mergeState{res: res, trk: newTracker(hdr.Threads)}
 	w, err := interval.NewWriter(dst, hdr, ms.writerOptions(opts))
 	if err != nil {
 		return nil, err

@@ -111,6 +111,11 @@ type Cell struct {
 	// PeakConcurrency is the peak number of simultaneously busy lanes.
 	PeakConcurrency int64 `json:"peak_concurrency"`
 
+	// Pseudo counts the frame-start pseudo-intervals among Records.
+	// Deterministic, but kept out of JSON and TSV: their columns are a
+	// parsed surface.
+	Pseudo int64 `json:"-"`
+
 	// Wall-clock throughput of the cell on the host machine. Excluded
 	// from JSON and TSV: not deterministic.
 	WallSeconds   float64 `json:"-"`
@@ -239,7 +244,7 @@ func runCell(sc Scenario, polName string, opts Options) (Cell, error) {
 	if err != nil {
 		return Cell{}, err
 	}
-	cell.Records = mres.Records
+	cell.Records, cell.Pseudo = mres.Records, mres.Pseudo
 	merged, err := interval.ReadHeader(sb)
 	if err != nil {
 		return Cell{}, err

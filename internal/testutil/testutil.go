@@ -111,3 +111,26 @@ func Pipeline(t testing.TB, sh Shape, mopts merge.Options, main func(*mpisim.Pro
 	files := ConvertRun(t, raws, interval.WriterOptions{})
 	return MergeRun(t, files, mopts)
 }
+
+// WideShape is a machine whose open set alone overflows a 4 KiB frame:
+// 208 threads, each holding Running plus one or two marker states (and
+// usually an MPI call) open at any instant of NestedWork.
+var WideShape = Shape{Nodes: 26, TasksPerNode: 8, CPUs: 2, Seed: 5}
+
+// NestedWork keeps nested marker states open on every thread around
+// iters rounds of rank-skewed compute, a ring exchange and a collective.
+func NestedWork(iters int) func(*mpisim.Proc) {
+	return func(p *mpisim.Proc) {
+		outer, inner := p.DefineMarker("outer"), p.DefineMarker("inner")
+		next, prev := (p.Rank()+1)%p.Size(), (p.Rank()+p.Size()-1)%p.Size()
+		p.MarkerBegin(outer)
+		for i := 0; i < iters; i++ {
+			p.MarkerBegin(inner)
+			p.Compute(clock.Time(1+p.Rank()%7) * 50 * clock.Microsecond)
+			p.Sendrecv(next, int32(i), 256, int32(prev), int32(i))
+			p.MarkerEnd(inner)
+			p.Allreduce(64)
+		}
+		p.MarkerEnd(outer)
+	}
+}

@@ -18,7 +18,9 @@ type Options struct {
 	// Prefix is the trace file name prefix; node n writes Prefix.n.
 	Prefix string
 	// BufferSize is the in-memory trace buffer size in bytes before a
-	// flush to the file. Zero selects a default of 1 MiB.
+	// flush to the file. Zero selects a default of 1 MiB. The buffer
+	// grows on demand up to this size, so a node that cuts few records
+	// never pays for the whole of it.
 	BufferSize int
 	// Enabled selects which event classes are traced.
 	Enabled events.Mask
@@ -85,7 +87,7 @@ func NewFacility(opts Options, node, ncpus int, w io.Writer) (*Facility, error) 
 		node:    node,
 		ncpus:   ncpus,
 		w:       w,
-		buf:     make([]byte, 0, opts.bufferSize()),
+		buf:     make([]byte, 0, min(opts.bufferSize(), 4<<10)),
 		started: !opts.DelayStart,
 		seqno:   make(map[[2]int32]uint64),
 	}
@@ -160,7 +162,7 @@ func (f *Facility) Cut(r *Record) {
 		f.cut++
 		return
 	}
-	if len(f.buf)+r.EncodedSize() > cap(f.buf) {
+	if len(f.buf)+r.EncodedSize() > f.opts.bufferSize() {
 		f.flushLocked()
 	}
 	f.buf = r.Encode(f.buf)

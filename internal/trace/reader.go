@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,17 +23,19 @@ type FileInfo struct {
 type Reader struct {
 	Info FileInfo
 
-	r      *bufio.Reader
+	r      io.Reader
 	closer io.Closer
-	// staging buffer for one record
-	hdr [recHeaderSize]byte
-	buf []byte
+	buf    []byte // staging buffer for one record's byte image
 }
 
 // NewReader parses the raw trace header from r and returns a record
-// iterator.
+// iterator. An in-memory source (*bytes.Reader) is read directly;
+// anything else goes through a 64 KiB read buffer.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := r
+	if _, inMemory := r.(*bytes.Reader); !inMemory {
+		br = bufio.NewReaderSize(r, 1<<16)
+	}
 	var hdr [rawHeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading raw header: %w", err)
@@ -70,45 +73,44 @@ func OpenFile(name string) (*Reader, error) {
 
 // Next returns the next record, or io.EOF after the last one.
 func (rd *Reader) Next() (Record, error) {
-	if _, err := io.ReadFull(rd.r, rd.hdr[:]); err != nil {
+	// Assemble the record's contiguous byte image in the reused staging
+	// buffer and hand it to Decode (which copies what it keeps), so the
+	// two code paths cannot diverge.
+	img, err := rd.fill(0, recHeaderSize)
+	if err != nil {
 		if err == io.EOF {
 			return Record{}, io.EOF
 		}
 		return Record{}, fmt.Errorf("trace: reading record header: %w", err)
 	}
-	hook := binary.LittleEndian.Uint32(rd.hdr[0:])
-	nargs := int(hook & 0xfff)
-	rest := 8 * nargs
+	hook := binary.LittleEndian.Uint32(img)
+	rest := 8 * int(hook&0xfff)
 	hasStr := hook&strBit != 0
 	if hasStr {
 		rest += 2
 	}
-	if cap(rd.buf) < rest {
-		rd.buf = make([]byte, rest, rest+256)
-	}
-	rd.buf = rd.buf[:rest]
-	if _, err := io.ReadFull(rd.r, rd.buf); err != nil {
+	if img, err = rd.fill(len(img), rest); err != nil {
 		return Record{}, fmt.Errorf("trace: reading record body: %w", err)
 	}
-	var strBytes []byte
 	if hasStr {
-		sl := int(binary.LittleEndian.Uint16(rd.buf[rest-2:]))
-		strBytes = make([]byte, sl)
-		if _, err := io.ReadFull(rd.r, strBytes); err != nil {
+		sl := int(binary.LittleEndian.Uint16(img[len(img)-2:]))
+		if img, err = rd.fill(len(img), sl); err != nil {
 			return Record{}, fmt.Errorf("trace: reading string payload: %w", err)
 		}
 	}
-	// Reassemble a contiguous byte image and use Decode so the two code
-	// paths cannot diverge.
-	full := make([]byte, 0, recHeaderSize+rest+len(strBytes))
-	full = append(full, rd.hdr[:]...)
-	full = append(full, rd.buf...)
-	full = append(full, strBytes...)
-	rec, _, err := Decode(full)
-	if err != nil {
-		return Record{}, err
+	rec, _, err := Decode(img)
+	return rec, err
+}
+
+// fill reads n more bytes after the first have bytes of the staging
+// buffer and returns the have+n byte image.
+func (rd *Reader) fill(have, n int) ([]byte, error) {
+	if cap(rd.buf) < have+n {
+		rd.buf = append(make([]byte, 0, have+n+256), rd.buf[:have]...)
 	}
-	return rec, nil
+	rd.buf = rd.buf[:have+n]
+	_, err := io.ReadFull(rd.r, rd.buf[have:])
+	return rd.buf, err
 }
 
 // ReadAll drains the reader, returning every remaining record.
