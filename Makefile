@@ -26,8 +26,11 @@ race:
 # SchedHotLoop pins the simulator's per-event cost, and SweepCell runs
 # scenario-sweep cells through the whole pipeline (its wide case fails
 # when frame-start pseudo-intervals swamp the merged file).
+# StatsColumnar's columnar-cold/-warm cases live in the root package; its
+# scalar baseline sits beside the test-only oracle in internal/stats.
 bench-smoke:
 	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|ServeWindow|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|SweepCell|^BenchmarkIngest$$' -benchtime 1x .
+	$(GO) test -run xxx -bench 'StatsColumnar' -benchtime 1x ./internal/stats
 
 # A short fuzz of every target, one at a time (the fuzz engine allows a
 # single -fuzz pattern per invocation): catches regressions the checked-in
@@ -48,3 +51,4 @@ fuzz-smoke:
 # BENCH_ingest.json and BENCH_sim.json).
 bench:
 	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|MergeLoserTreeVsLinear|MergeReadAhead|IntervalWriterThroughput|IntervalScan|IntervalEncodeV4|StatsWindow|StatsParallel|StatsColumnar|RouterWindow|RouterScaling|SchedHotLoop|SweepCell|^BenchmarkIngest$$' .
+	$(GO) test -run xxx -bench 'StatsColumnar' ./internal/stats

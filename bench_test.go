@@ -104,7 +104,7 @@ func convertedFiles(b *testing.B, raws [][]byte) []*interval.File {
 	}
 	files := make([]*interval.File, len(outs))
 	for i, sb := range outs {
-		if files[i], err = interval.ReadHeader(sb); err != nil {
+		if files[i], err = interval.NewFile(sb); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -404,7 +404,7 @@ func BenchmarkSeekFrameDirsVsScan(b *testing.B) {
 	if _, err := merge.Merge(files, sb, merge.Options{Writer: interval.WriterOptions{FrameBytes: 16 << 10}}); err != nil {
 		b.Fatal(err)
 	}
-	mf, err := interval.ReadHeader(sb)
+	mf, err := interval.NewFile(sb)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -656,7 +656,7 @@ func BenchmarkIntervalScanThroughput(b *testing.B) {
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
-	f, err := interval.ReadHeader(sb)
+	f, err := interval.NewFile(sb)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -700,7 +700,7 @@ func BenchmarkIntervalScanInto(b *testing.B) {
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
-	f, err := interval.ReadHeader(sb)
+	f, err := interval.NewFile(sb)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -783,7 +783,7 @@ func BenchmarkIntervalScanV4(b *testing.B) {
 	recs := benchIntervalRecords(n)
 	for _, v := range []uint32{3, 4} {
 		b.Run(fmt.Sprintf("v%d", v), func(b *testing.B) {
-			f, err := interval.ReadHeader(writeBenchInterval(b, v, recs))
+			f, err := interval.NewFile(writeBenchInterval(b, v, recs))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -817,7 +817,7 @@ func windowBenchFile(b *testing.B) *interval.File {
 	if _, err := merge.Merge(files, sb, merge.Options{Writer: interval.WriterOptions{FrameBytes: 8 << 10}}); err != nil {
 		b.Fatal(err)
 	}
-	mf, err := interval.ReadHeader(sb)
+	mf, err := interval.NewFile(sb)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -884,51 +884,48 @@ func BenchmarkStatsParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkStatsColumnar is the columnar-engine headline: the same
-// multi-table program through the record-at-a-time evaluator (scalar),
-// through the vectorized kernels decoding v4 frames straight into
-// columnar batches (columnar-cold), and through the kernels fed from a
-// decoded-record cache hook the way the trace service runs them
-// (columnar-warm). Outputs are byte-identical across all three
-// (asserted by internal/stats tests); only the evaluation cost differs.
+// BenchmarkStatsColumnar is the columnar-engine headline: one
+// multi-table program through the vectorized kernels decoding v4 frames
+// straight into pooled batches (columnar-cold), and through the kernels
+// handed cached batches by a frame-decode hook the way the trace service
+// runs them (columnar-warm: no read, no decode, no copy). The scalar
+// baseline over the same trace and program sits beside the oracle it
+// measures: BenchmarkStatsColumnar/scalar in internal/stats.
 func BenchmarkStatsColumnar(b *testing.B) {
 	mf := windowBenchFile(b)
 	prog := `table name=busy x=("state", state) y=("t", dura, sum) y=("n", dura, count)
 table name=bynode x=("node", node) x=("bin", bin(start, 50)) y=("t", dura, sum)
 table name=sends condition=(msgSizeSent > 0) x=("node", node) y=("bytes", msgSizeSent, sum)`
-	run := func(b *testing.B, eng stats.Engine) {
+	run := func(b *testing.B) {
 		runtime.GC()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tables, err := stats.GenerateOpts(prog, []*interval.File{mf}, stats.Options{Parallel: 1, Engine: eng})
+			tables, err := stats.GenerateOpts(prog, []*interval.File{mf}, stats.Options{Parallel: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(tables[0].Rows) == 0 {
-				b.Fatal("empty table")
+			if len(tables[0].Rows) == 0 || !tables[0].Columnar {
+				b.Fatal("empty table, or the kernels did not run")
 			}
 		}
 	}
-	b.Run("scalar", func(b *testing.B) { run(b, stats.EngineScalar) })
-	b.Run("columnar-cold", func(b *testing.B) { run(b, stats.EngineColumnar) })
+	b.Run("columnar-cold", run)
 	b.Run("columnar-warm", func(b *testing.B) {
 		fes, err := mf.Frames()
 		if err != nil {
 			b.Fatal(err)
 		}
-		cache := make(map[int64][]interval.Record, len(fes))
+		cache := make(map[int64]*interval.Batch, len(fes))
 		for _, fe := range fes {
-			recs, err := mf.DecodeFrameDirect(fe)
-			if err != nil {
+			if cache[fe.Offset], err = mf.ReadFrameBatch(fe); err != nil {
 				b.Fatal(err)
 			}
-			cache[fe.Offset] = recs
 		}
-		mf.SetFrameDecoder(func(_ *interval.File, fe interval.FrameEntry) ([]interval.Record, error) {
+		mf.SetFrameDecoder(func(_ *interval.File, fe interval.FrameEntry) (*interval.Batch, error) {
 			return cache[fe.Offset], nil
 		})
 		defer mf.SetFrameDecoder(nil)
-		run(b, stats.EngineColumnar)
+		run(b)
 	})
 }
 

@@ -374,11 +374,15 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"utemerge", []string{"-o", filepath.Join(dir, "out.ute"), missing}, 1},
 		{"utemerge", []string{"-o", filepath.Join(dir, "out.ute"), garbage}, 1},
 		{"utemerge", []string{"-j", "-2", "-o", filepath.Join(dir, "out.ute"), good}, 2},
+		// Retired knobs are unknown flags, not silently accepted.
+		{"utemerge", []string{"-columnar", "-o", filepath.Join(dir, "out.ute"), good}, 2},
 
 		{"utestats", nil, 2},
 		{"utestats", []string{missing}, 1},
 		{"utestats", []string{garbage}, 1},
 		{"utestats", []string{"-j", "-1", good}, 2},
+		{"utestats", []string{"-engine", "x", good}, 2},
+		{"utestats", []string{"-engine", "scalar", good}, 2},
 		{"utestats", []string{"-window", "2:1", good}, 1},
 		{"utestats", []string{"-window", "NaN:1", good}, 1},
 		{"utestats", []string{"-window", "abc", good}, 1},

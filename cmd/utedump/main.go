@@ -160,13 +160,13 @@ func dumpInterval(path string, limit int, frames bool, jobs int, window string) 
 		mopts.Window, mopts.Lo, mopts.Hi = true, lo, hi
 	}
 	n := 0
-	err = interval.MapFrames(f, mopts,
-		func(_ interval.FrameEntry, recs []interval.Record) ([]interval.Record, error) {
-			return recs, nil
+	err = interval.MapFrames([]*interval.File{f}, mopts,
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*interval.Batch, error) {
+			return b, nil
 		},
-		func(_ interval.FrameEntry, recs []interval.Record) error {
-			for ri := range recs {
-				r := &recs[ri]
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) error {
+			for ri := 0; ri < b.N; ri++ {
+				r := b.Row(ri)
 				if mopts.Window && (r.End() < mopts.Lo || r.Start > mopts.Hi) {
 					continue
 				}

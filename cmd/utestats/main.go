@@ -46,7 +46,6 @@ func main() {
 		window   = flag.String("window", "", "restrict tables to records overlapping lo:hi (seconds)")
 		verbose  = flag.Bool("v", false, "report per-table engine and excluded-record counts on stderr")
 		timeRes  = flag.Bool("timeresolved", false, "generate the time-resolved metric tables (-bins buckets) instead of a program")
-		engine   = flag.String("engine", "auto", "table evaluator: auto, scalar, or columnar")
 		summary  = flag.String("summary", "auto", "with -timeresolved, the summary engine: auto, pyramid, or scan")
 	)
 	flag.Parse()
@@ -86,16 +85,6 @@ func main() {
 	}
 	var err error
 	opts := stats.Options{Parallel: *jobs}
-	switch *engine {
-	case "auto":
-	case "scalar":
-		opts.Engine = stats.EngineScalar
-	case "columnar":
-		opts.Engine = stats.EngineColumnar
-	default:
-		fmt.Fprintf(os.Stderr, "utestats: -engine must be auto, scalar, or columnar, got %q\n", *engine)
-		os.Exit(2)
-	}
 	if opts.Summary, err = interval.ParseSummaryEngine(*summary); err != nil {
 		fatal(err)
 	}

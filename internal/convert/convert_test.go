@@ -57,7 +57,7 @@ func convertAll(t *testing.T, raws [][]byte) ([]*interval.File, []*Result) {
 	}
 	files := make([]*interval.File, len(outs))
 	for i, sb := range outs {
-		f, err := interval.ReadHeader(sb)
+		f, err := interval.NewFile(sb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -619,7 +619,7 @@ func TestTolerantConvertOfWrappedTrace(t *testing.T) {
 	}
 	// The outputs are structurally valid end-time-ordered interval files.
 	for i, sb := range outs {
-		f, err := interval.ReadHeader(sb)
+		f, err := interval.NewFile(sb)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -114,11 +114,11 @@ func TestConvertAllMarkerTablesIdentical(t *testing.T) {
 	}
 	for i := range outs {
 		node := nodes - 1 - i
-		got, err := interval.ReadHeader(outs[i])
+		got, err := interval.NewFile(outs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := interval.ReadHeader(interval.NewSeekBufferFrom(want[node]))
+		ref, err := interval.NewFile(interval.NewSeekBufferFrom(want[node]))
 		if err != nil {
 			t.Fatal(err)
 		}

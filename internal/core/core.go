@@ -200,7 +200,7 @@ func Execute(cfg Config, main func(*mpisim.Proc)) (*Run, error) {
 		}
 		run.ConvertResults = results
 		for _, sb := range outs {
-			f, err := interval.ReadHeader(sb)
+			f, err := interval.NewFile(sb)
 			if err != nil {
 				return nil, err
 			}
@@ -229,7 +229,7 @@ func Execute(cfg Config, main func(*mpisim.Proc)) (*Run, error) {
 			return nil, err
 		}
 		mergedRS = sb
-		if run.Merged, err = interval.ReadHeader(mergedRS); err != nil {
+		if run.Merged, err = interval.NewFile(mergedRS); err != nil {
 			return nil, err
 		}
 	}

@@ -162,7 +162,7 @@ func checkCrash(t *testing.T, o *refOracle, img []byte, seal *interval.SealInfo,
 			t.Fatalf("%s: panicked: %v", label, r)
 		}
 	}()
-	f, err := interval.ReadHeader(interval.NewSeekBufferFrom(img))
+	f, err := interval.NewFile(interval.NewSeekBufferFrom(img))
 	if err != nil {
 		if seal != nil {
 			t.Fatalf("%s: header unreadable despite a seal at %d: %v", label, seal.Size, err)
@@ -416,15 +416,17 @@ func TestIngestCrashDifferential(t *testing.T) {
 			if err := os.WriteFile(p, img, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, sv, err := interval.OpenSalvage(p); err != nil {
+			var sv interval.SalvageResult
+			if sf, err := interval.Open(p, interval.WithSalvage(&sv)); err != nil {
 				if sealAt(h) != nil {
-					t.Fatalf("horizon %d: OpenSalvage failed despite sealed data: %v", h, err)
+					t.Fatalf("horizon %d: salvage open failed despite sealed data: %v", h, err)
 				}
 			} else {
+				sf.Close()
 				for _, fe := range sv.Frames {
 					i, ok := byOffsetIndex(o, fe.Offset)
 					if !ok || o.frames[i] != fe {
-						t.Fatalf("horizon %d: OpenSalvage invented frame %+v", h, fe)
+						t.Fatalf("horizon %d: salvage open invented frame %+v", h, fe)
 					}
 				}
 			}

@@ -125,7 +125,7 @@ func FuzzIngestBatch(f *testing.F) {
 		cut := int(cut16) % (len(data) + 1)
 		werr, out := ingestOne(t, dir, data, cut)
 		if werr == nil {
-			fl, err := interval.ReadHeader(interval.NewSeekBufferFrom(out))
+			fl, err := interval.NewFile(interval.NewSeekBufferFrom(out))
 			if err != nil {
 				t.Fatalf("accepted ingest produced an unopenable file: %v", err)
 			}
@@ -198,7 +198,7 @@ func TestIngestFuzzCorpusSeedsValid(t *testing.T) {
 			if werr != nil {
 				t.Fatalf("seed %s no longer ingests: %v", e.Name(), werr)
 			}
-			fl, err := interval.ReadHeader(interval.NewSeekBufferFrom(out))
+			fl, err := interval.NewFile(interval.NewSeekBufferFrom(out))
 			if err != nil {
 				t.Fatalf("seed %s: output does not open: %v", e.Name(), err)
 			}

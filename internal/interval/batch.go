@@ -8,9 +8,11 @@ package interval
 // skips per-record materialization entirely — no Record structs, no
 // per-record Extra/Vec slice headers — and because every column is a
 // plain reusable slice, a pooled batch decodes with zero allocations
-// once its columns have grown to frame size. The stats kernel compiler
-// (internal/stats) and the SLOG builder consume batches through
-// MapFilesBatches.
+// once its columns have grown to frame size. A Batch is the only
+// frame-level decoded representation: the map-reduce engine (MapFrames),
+// the frame-decode hook and the caches behind it, hook-fed scanners and
+// the summary planner's edge decodes all hand out batches, and
+// record-at-a-time consumers read them through Row.
 
 import (
 	"encoding/binary"
@@ -24,9 +26,13 @@ import (
 // Batch is one frame of records in columnar form. Row i's scalar extras
 // are Extras[ExtraOff[i]:ExtraOff[i+1]] and its vector elements
 // Vecs[VecOff[i]:VecOff[i+1]]; both offset columns hold N+1 entries so
-// the slicing needs no per-row length column. All columns are reused
-// across decodes — a batch obtained from MapFilesBatches is valid only
-// for the duration of the map callback.
+// the slicing needs no per-row length column.
+//
+// Every batch a reader hands out — to a MapFrames callback, from
+// FrameBatch, from a FrameDecoder — is read-only: it may be shared with
+// concurrent readers (a serving cache) or recycled by the engine. How
+// long it stays valid depends on where it came from; MapFrames and
+// FrameBatch state their contracts.
 type Batch struct {
 	N      int
 	Start  []clock.Time
@@ -64,19 +70,23 @@ func (b *Batch) reset() {
 // End returns row i's end time, the file sort key.
 func (b *Batch) End(i int) clock.Time { return b.Start[i] + b.Dura[i] }
 
-// ExtraRow returns row i's scalar extras (aliasing the batch).
+// ExtraRow returns row i's scalar extras, aliasing the batch and
+// capacity-clamped so an append can never reach the next row.
 func (b *Batch) ExtraRow(i int) []uint64 {
-	return b.Extras[b.ExtraOff[i]:b.ExtraOff[i+1]]
+	lo, hi := b.ExtraOff[i], b.ExtraOff[i+1]
+	return b.Extras[lo:hi:hi]
 }
 
-// VecRow returns row i's vector elements (aliasing the batch).
+// VecRow returns row i's vector elements, aliasing the batch and
+// capacity-clamped like ExtraRow.
 func (b *Batch) VecRow(i int) []uint64 {
-	return b.Vecs[b.VecOff[i]:b.VecOff[i+1]]
+	lo, hi := b.VecOff[i], b.VecOff[i+1]
+	return b.Vecs[lo:hi:hi]
 }
 
 // Row materializes row i as a Record whose Extra and Vec alias the
-// batch's backing columns: read-only, and valid only until the batch is
-// reset or reused. Use RowCopy for a record that must outlive the batch.
+// batch's backing columns: read-only, and valid exactly as long as the
+// batch is. Use RowCopy for a record that must outlive the batch.
 func (b *Batch) Row(i int) Record {
 	r := Record{
 		Type:   b.Type[i],
@@ -143,19 +153,42 @@ func (b *Batch) closeRow() {
 	b.VecOff = append(b.VecOff, uint32(len(b.Vecs)))
 }
 
-// FromRecords fills the batch from already-decoded records — the path
-// taken when a frame-decode hook (the daemon's decoded-frame cache)
-// already holds the frame's records, so a warm query never touches the
-// encoded bytes.
-func (b *Batch) FromRecords(recs []Record) {
-	b.reset()
-	for i := range recs {
-		r := &recs[i]
-		b.pushCommon(r.Type, r.Bebits, r.Start, r.Dura, r.CPU, r.Node, r.Thread)
-		b.Extras = append(b.Extras, r.Extra...)
-		b.Vecs = append(b.Vecs, r.Vec...)
-		b.closeRow()
+// Clone returns a right-sized deep copy: every column's capacity equals
+// its length and no decode scratch is carried over, so the copy's
+// Footprint is exactly what it keeps resident. Caches store clones of
+// pooled decode batches.
+func (b *Batch) Clone() *Batch {
+	return &Batch{
+		N:        b.N,
+		Start:    cloneExact(b.Start),
+		Dura:     cloneExact(b.Dura),
+		Type:     cloneExact(b.Type),
+		Bebits:   cloneExact(b.Bebits),
+		CPU:      cloneExact(b.CPU),
+		Node:     cloneExact(b.Node),
+		Thread:   cloneExact(b.Thread),
+		ExtraOff: cloneExact(b.ExtraOff),
+		Extras:   cloneExact(b.Extras),
+		VecOff:   cloneExact(b.VecOff),
+		Vecs:     cloneExact(b.Vecs),
 	}
+}
+
+// cloneExact copies s into a slice whose capacity is len(s) (append and
+// slices.Clone round capacity up to an allocator size class).
+func cloneExact[T any](s []T) []T {
+	c := make([]T, len(s))
+	copy(c, s)
+	return c
+}
+
+// Footprint returns the bytes the batch's columns keep resident: the sum
+// of column capacities times element size. It is exact for a Clone.
+func (b *Batch) Footprint() int64 {
+	return int64(cap(b.Start)+cap(b.Dura)+cap(b.Extras)+cap(b.Vecs))*8 +
+		int64(cap(b.ExtraOff)+cap(b.VecOff))*4 +
+		int64(cap(b.Type)+cap(b.CPU)+cap(b.Node)+cap(b.Thread))*2 +
+		int64(cap(b.Bebits))
 }
 
 // Decode fills the batch from a frame's raw (checksum-verified) payload
@@ -322,39 +355,49 @@ func (b *Batch) decodeV4() error {
 	return nil
 }
 
-// DecodeFrameBatch fills b with fe's records: from the frame-decode
-// hook's cached records when one is installed, otherwise by reading and
-// columnar-decoding the frame payload directly.
-func (f *File) DecodeFrameBatch(fe FrameEntry, b *Batch) error {
+// FrameBatch returns fe's records as a shared read-only batch: from the
+// frame-decode hook when one is installed (a cache hit costs no read and
+// no decode), otherwise freshly decoded by ReadFrameBatch. The batch is
+// never recycled, so it — and any Row taken from it — stays valid for as
+// long as the caller holds it.
+func (f *File) FrameBatch(fe FrameEntry) (*Batch, error) {
 	if f.hook != nil {
-		recs, err := f.hook(f, fe)
-		if err != nil {
-			return err
-		}
-		b.FromRecords(recs)
-		return nil
+		return f.hook(f, fe)
 	}
-	pb := getBuf()
-	buf, err := f.decodeFrameBatchDirect(fe, b, *pb)
-	if buf != nil {
-		*pb = buf[:0]
-	}
-	putBuf(pb)
-	return err
+	return f.ReadFrameBatch(fe)
 }
 
-// decodeFrameBatchDirect reads fe (positioned when supported) into buf
-// and columnar-decodes it into b, returning the possibly grown buffer
-// for reuse.
-func (f *File) decodeFrameBatchDirect(fe FrameEntry, b *Batch, buf []byte) ([]byte, error) {
+// ReadFrameBatch reads and decodes fe into a new right-sized batch,
+// bypassing the frame-decode hook — it is the miss path a FrameDecoder
+// itself must use. The decode runs in pooled scratch; only the exact
+// copy is allocated.
+func (f *File) ReadFrameBatch(fe FrameEntry) (*Batch, error) {
+	b := batchPool.Get().(*Batch)
+	defer batchPool.Put(b)
+	if err := f.DecodeFrameBatch(fe, b); err != nil {
+		return nil, err
+	}
+	return b.Clone(), nil
+}
+
+// DecodeFrameBatch reads fe and columnar-decodes it into the caller's
+// batch, reusing its column capacity and ignoring any frame-decode hook.
+// The read is positioned (never moving the file's seek offset) whenever
+// the underlying reader supports it, so concurrent calls are safe on
+// such files.
+func (f *File) DecodeFrameBatch(fe FrameEntry, b *Batch) error {
+	pb := getBuf()
+	defer putBuf(pb)
+	var buf []byte
 	var err error
 	if f.ra != nil {
-		buf, err = f.ReadFrameAt(fe, buf)
+		buf, err = f.ReadFrameAt(fe, *pb)
 	} else {
-		buf, err = f.readFrameInto(fe, buf)
+		buf, err = f.readFrameInto(fe, *pb)
 	}
 	if err != nil {
-		return buf, err
+		return err
 	}
-	return buf, b.Decode(f.Header.HeaderVersion, fe, buf)
+	*pb = buf[:0]
+	return b.Decode(f.Header.HeaderVersion, fe, buf)
 }

@@ -2,6 +2,7 @@ package interval
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -16,6 +17,12 @@ import (
 // widths, and the trailing vector of Waitall — across enough records to
 // force multiple frames and directories.
 func writeMixedFile(t *testing.T, seed uint64, n int, hdrVersion uint32) (*SeekBuffer, []Record) {
+	t.Helper()
+	return writeMixedFileFrames(t, seed, n, hdrVersion, 512)
+}
+
+// writeMixedFileFrames is writeMixedFile with an explicit frame size.
+func writeMixedFileFrames(t *testing.T, seed uint64, n int, hdrVersion uint32, frameBytes int) (*SeekBuffer, []Record) {
 	t.Helper()
 	rng := xrand.New(seed)
 	recs := make([]Record, n)
@@ -52,7 +59,7 @@ func writeMixedFile(t *testing.T, seed uint64, n int, hdrVersion uint32) (*SeekB
 	hdr := testHeader()
 	hdr.HeaderVersion = hdrVersion
 	sb := NewSeekBuffer()
-	w, err := NewWriter(sb, hdr, WriterOptions{FrameBytes: 512, FramesPerDir: 4})
+	w, err := NewWriter(sb, hdr, WriterOptions{FrameBytes: frameBytes, FramesPerDir: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +72,15 @@ func writeMixedFile(t *testing.T, seed uint64, n int, hdrVersion uint32) (*SeekB
 		t.Fatal(err)
 	}
 	return sb, recs
+}
+
+// batchRecords copies every row of b out as a self-contained record.
+func batchRecords(b *Batch) []Record {
+	recs := make([]Record, b.N)
+	for i := range recs {
+		recs[i] = b.RowCopy(i)
+	}
+	return recs
 }
 
 func eqRecord(a, b Record) bool {
@@ -89,9 +105,11 @@ func eqRecord(a, b Record) bool {
 }
 
 // TestBatchMatchesRecordDecode decodes every frame of every header
-// version both ways — record materialization and columnar batch — and
-// compares row by row, reusing one Batch throughout so stale column
-// contents from previous frames would be caught.
+// version both ways — the reference record decoder (FrameRecords) and
+// the columnar batch — and compares row by row, reusing one Batch
+// throughout so stale column contents from previous frames would be
+// caught. The shared right-sized batch (FrameBatch) must carry the same
+// rows with no spare capacity, and its Footprint must be exact.
 func TestBatchMatchesRecordDecode(t *testing.T) {
 	for v := uint32(1); v <= CurrentHeaderVersion; v++ {
 		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
@@ -110,12 +128,20 @@ func TestBatchMatchesRecordDecode(t *testing.T) {
 			var b Batch
 			total := 0
 			for _, fe := range fes {
-				recs, err := f.DecodeFrame(fe)
+				recs, err := f.FrameRecords(fe)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := f.DecodeFrameBatch(fe, &b); err != nil {
 					t.Fatal(err)
+				}
+				shared, err := f.FrameBatch(fe)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkRightSized(t, shared)
+				if !reflect.DeepEqual(batchRecords(shared), batchRecords(&b)) {
+					t.Fatalf("frame at %d: FrameBatch rows differ from DecodeFrameBatch rows", fe.Offset)
 				}
 				if b.N != len(recs) {
 					t.Fatalf("frame at %d: batch N=%d, records=%d", fe.Offset, b.N, len(recs))
@@ -168,10 +194,33 @@ func TestBatchEncodedRowSize(t *testing.T) {
 	}
 }
 
-// TestMapFilesBatchesOrdering verifies the batch engine delivers frames
-// in the same order and with the same contents as MapFilesFrames, at
-// several worker counts.
-func TestMapFilesBatchesOrdering(t *testing.T) {
+// checkRightSized asserts the shared-batch invariants: every column's
+// capacity equals its length, and Footprint is the exact byte sum.
+func checkRightSized(t *testing.T, b *Batch) {
+	t.Helper()
+	n := b.N
+	want := int64(n)*(8+8+2+1+2+2+2) + int64(n+1)*(4+4) + int64(len(b.Extras)+len(b.Vecs))*8
+	if got := b.Footprint(); got != want {
+		t.Fatalf("Footprint = %d, want %d (%d rows, %d extras, %d vecs)", got, want, n, len(b.Extras), len(b.Vecs))
+	}
+	for name, c := range map[string][2]int{
+		"Start": {len(b.Start), cap(b.Start)}, "Dura": {len(b.Dura), cap(b.Dura)},
+		"Type": {len(b.Type), cap(b.Type)}, "Bebits": {len(b.Bebits), cap(b.Bebits)},
+		"CPU": {len(b.CPU), cap(b.CPU)}, "Node": {len(b.Node), cap(b.Node)},
+		"Thread": {len(b.Thread), cap(b.Thread)}, "ExtraOff": {len(b.ExtraOff), cap(b.ExtraOff)},
+		"Extras": {len(b.Extras), cap(b.Extras)}, "VecOff": {len(b.VecOff), cap(b.VecOff)},
+		"Vecs": {len(b.Vecs), cap(b.Vecs)},
+	} {
+		if c[0] != c[1] {
+			t.Fatalf("column %s: len %d, cap %d — shared batches must be right-sized", name, c[0], c[1])
+		}
+	}
+}
+
+// TestMapFramesOrdering verifies the engine delivers frames of several
+// files in (file, frame) order with the contents the reference record
+// decoder produces, at several worker counts.
+func TestMapFramesOrdering(t *testing.T) {
 	sb, _ := writeMixedFile(t, 7, 300, CurrentHeaderVersion)
 	sb2, _ := writeMixedFile(t, 8, 150, CurrentHeaderVersion)
 	var files []*File
@@ -182,60 +231,58 @@ func TestMapFilesBatchesOrdering(t *testing.T) {
 		}
 		files = append(files, f)
 	}
-	render := func(parallel int, batched bool) string {
-		var out []string
-		add := func(file int, fe FrameEntry, sum uint64, n int) {
-			out = append(out, fmt.Sprintf("%d/%d: n=%d sum=%d", file, fe.Offset, n, sum))
-		}
-		var err error
-		if batched {
-			err = MapFilesBatches(files, MapOptions{Parallel: parallel},
-				func(file int, fe FrameEntry, b *Batch) (uint64, error) {
-					var sum uint64
-					for i := 0; i < b.N; i++ {
-						sum += uint64(b.Start[i]) + uint64(b.Type[i])
-						for _, e := range b.ExtraRow(i) {
-							sum += e
-						}
-						for _, v := range b.VecRow(i) {
-							sum += v
-						}
-					}
-					return sum, nil
-				},
-				func(file int, fe FrameEntry, sum uint64) error {
-					add(file, fe, sum, 0)
-					return nil
-				})
-		} else {
-			err = MapFilesFrames(files, MapOptions{Parallel: parallel},
-				func(file int, fe FrameEntry, recs []Record) (uint64, error) {
-					var sum uint64
-					for _, r := range recs {
-						sum += uint64(r.Start) + uint64(r.Type)
-						for _, e := range r.Extra {
-							sum += e
-						}
-						for _, v := range r.Vec {
-							sum += v
-						}
-					}
-					return sum, nil
-				},
-				func(file int, fe FrameEntry, sum uint64) error {
-					add(file, fe, sum, 0)
-					return nil
-				})
-		}
+	line := func(file int, fe FrameEntry, sum uint64) string {
+		return fmt.Sprintf("%d/%d: sum=%d", file, fe.Offset, sum)
+	}
+	var want []string
+	for fi, f := range files {
+		fes, err := f.Frames()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprint(out)
+		for _, fe := range fes {
+			recs, err := f.FrameRecords(fe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum uint64
+			for _, r := range recs {
+				sum += uint64(r.Start) + uint64(r.Type)
+				for _, e := range r.Extra {
+					sum += e
+				}
+				for _, v := range r.Vec {
+					sum += v
+				}
+			}
+			want = append(want, line(fi, fe, sum))
+		}
 	}
-	want := render(1, false)
 	for _, par := range []int{1, 2, 8} {
-		if got := render(par, true); got != want {
-			t.Fatalf("batched -j%d order/content differs:\n%s\nwant:\n%s", par, got, want)
+		var got []string
+		err := MapFrames(files, MapOptions{Parallel: par},
+			func(_ int, _ FrameEntry, b *Batch) (uint64, error) {
+				var sum uint64
+				for i := 0; i < b.N; i++ {
+					sum += uint64(b.Start[i]) + uint64(b.Type[i])
+					for _, e := range b.ExtraRow(i) {
+						sum += e
+					}
+					for _, v := range b.VecRow(i) {
+						sum += v
+					}
+				}
+				return sum, nil
+			},
+			func(file int, fe FrameEntry, sum uint64) error {
+				got = append(got, line(file, fe, sum))
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("-j%d order/content differs:\n%s\nwant:\n%s", par, got, want)
 		}
 	}
 }

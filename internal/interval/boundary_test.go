@@ -140,9 +140,9 @@ func TestMapFramesContextCancelled(t *testing.T) {
 	f := openFile(t, sb)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := MapFrames(f, MapOptions{Context: ctx},
-		func(_ FrameEntry, recs []Record) ([]Record, error) { return recs, nil },
-		func(_ FrameEntry, _ []Record) error { return nil })
+	err := MapFrames([]*File{f}, MapOptions{Context: ctx},
+		func(_ int, _ FrameEntry, b *Batch) (int, error) { return b.N, nil },
+		func(_ int, _ FrameEntry, _ int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("MapFrames under cancelled context: %v, want context.Canceled", err)
 	}
@@ -155,9 +155,9 @@ func TestMapFramesContextMidFlight(t *testing.T) {
 	f := openFile(t, sb)
 	ctx, cancel := context.WithCancel(context.Background())
 	frames := 0
-	err := MapFrames(f, MapOptions{Context: ctx, Parallel: 2},
-		func(_ FrameEntry, recs []Record) ([]Record, error) { return recs, nil },
-		func(_ FrameEntry, _ []Record) error {
+	err := MapFrames([]*File{f}, MapOptions{Context: ctx, Parallel: 2},
+		func(_ int, _ FrameEntry, b *Batch) (int, error) { return b.N, nil },
+		func(_ int, _ FrameEntry, _ int) error {
 			frames++
 			if frames == 2 {
 				cancel()

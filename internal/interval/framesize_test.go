@@ -53,7 +53,7 @@ func writeFile(t *testing.T, opts interval.WriterOptions, recs []interval.Record
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := interval.ReadHeader(sb)
+	f, err := interval.NewFile(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFrameBoundariesWithoutPrologueUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := interval.ReadHeader(outs[0])
+	f, err := interval.NewFile(outs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ import (
 const fuzzInputCap = 512 << 10
 
 func fuzzOpen(data []byte) (*interval.File, bool) {
-	f, err := interval.ReadHeader(interval.NewSeekBufferFrom(data))
+	f, err := interval.NewFile(interval.NewSeekBufferFrom(data))
 	return f, err == nil
 }
 
@@ -140,7 +140,7 @@ func FuzzSalvage(f *testing.F) {
 		if _, err := interval.Repair(fl, sv, out, interval.WriterOptions{}); err != nil {
 			t.Fatalf("repair of salvage result failed: %v", err)
 		}
-		rf, err := interval.ReadHeader(interval.NewSeekBufferFrom(out.Bytes()))
+		rf, err := interval.NewFile(interval.NewSeekBufferFrom(out.Bytes()))
 		if err != nil {
 			t.Fatalf("repaired file does not open: %v", err)
 		}

@@ -1,0 +1,110 @@
+package interval
+
+import (
+	"errors"
+	"io"
+	"reflect"
+	"testing"
+)
+
+// hookFed opens sb with a frame-decode hook answering from a map filled
+// on first use through ReadFrameBatch — the shape of a serving cache
+// without eviction.
+func hookFed(t *testing.T, sb *SeekBuffer) (*File, map[int64]*Batch) {
+	t.Helper()
+	f := openFile(t, sb)
+	cache := map[int64]*Batch{}
+	f.SetFrameDecoder(func(f *File, fe FrameEntry) (*Batch, error) {
+		if b, ok := cache[fe.Offset]; ok {
+			return b, nil
+		}
+		b, err := f.ReadFrameBatch(fe)
+		if err == nil {
+			cache[fe.Offset] = b
+		}
+		return b, err
+	})
+	return f, cache
+}
+
+// TestHookBatchesAreShared: over a hook-fed file the engine hands mapFn
+// the hook's own *Batch — no copy, no rebuild — so a warm run reads no
+// frame and its allocation count does not grow with the record count;
+// FrameBatch and the scanner serve the same batches.
+func TestHookBatchesAreShared(t *testing.T) {
+	type run struct {
+		frames, records int
+		allocs          float64
+	}
+	var runs []run
+	// Ten times the records in frames ten times the size: about the same
+	// number of frames, so a per-record cost would show as 10× allocs.
+	for _, sz := range []struct{ n, frameBytes int }{{600, 512}, {6000, 5120}} {
+		sb, _ := writeMixedFileFrames(t, 31, sz.n, CurrentHeaderVersion, sz.frameBytes)
+		f, cache := hookFed(t, sb)
+		pointers := func() []*Batch {
+			var got []*Batch
+			err := MapFrames([]*File{f}, MapOptions{Parallel: 1},
+				func(_ int, _ FrameEntry, b *Batch) (*Batch, error) { return b, nil },
+				func(_ int, _ FrameEntry, b *Batch) error { got = append(got, b); return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		cold := pointers()
+		decoded := f.DecodedFrames()
+		if decoded != int64(len(cold)) || len(cold) != len(cache) {
+			t.Fatalf("cold run: %d frames mapped, %d decoded, %d cached", len(cold), decoded, len(cache))
+		}
+		warm := pointers()
+		fes, err := f.Frames()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, fe := range fes {
+			if warm[i] != cache[fe.Offset] || warm[i] != cold[i] {
+				t.Fatalf("frame %d: warm run mapped %p, the hook holds %p", i, warm[i], cache[fe.Offset])
+			}
+			if b, err := f.FrameBatch(fe); err != nil || b != cache[fe.Offset] {
+				t.Fatalf("frame %d: FrameBatch = %p, %v; the hook holds %p", i, b, err, cache[fe.Offset])
+			}
+			checkRightSized(t, warm[i])
+		}
+		// The scanner's hook branch walks the same batches row by row.
+		var scanned []Record
+		sc := f.Scan()
+		for {
+			r, err := sc.NextRecord()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			scanned = append(scanned, r)
+		}
+		if !reflect.DeepEqual(scanned, scanAll(t, sb)) {
+			t.Fatal("hook-fed scan differs from a direct scan")
+		}
+		if got := f.DecodedFrames(); got != decoded {
+			t.Fatalf("warm paths read %d more frames", got-decoded)
+		}
+		r := run{frames: len(fes), records: sz.n}
+		if !raceEnabled {
+			r.allocs = testing.AllocsPerRun(5, func() { pointers() })
+		}
+		runs = append(runs, r)
+	}
+	if raceEnabled {
+		return
+	}
+	small, big := runs[0], runs[1]
+	ceiling := float64(4*max(small.frames, big.frames) + 32)
+	if small.allocs > ceiling || big.allocs > ceiling {
+		t.Fatalf("warm run allocations %v (%d records, %d frames) and %v (%d records, %d frames) exceed the per-frame ceiling %v",
+			small.allocs, small.records, small.frames, big.allocs, big.records, big.frames, ceiling)
+	}
+	t.Logf("warm allocs: %v over %d frames / %d records; %v over %d frames / %d records",
+		small.allocs, small.frames, small.records, big.allocs, big.frames, big.records)
+}

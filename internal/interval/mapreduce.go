@@ -17,8 +17,7 @@ import (
 // a parallel run reduces in exactly the sequence a sequential scan
 // would — the byte-identity guarantee every consumer builds on.
 
-// MapOptions selects frames and sets the worker count for MapFrames /
-// MapFilesFrames.
+// MapOptions selects frames and sets the worker count for MapFrames.
 type MapOptions struct {
 	// Parallel is the worker count; <= 0 means GOMAXPROCS. Frames are
 	// decoded concurrently only when every file supports positioned
@@ -48,29 +47,32 @@ func selectFrames(f *File, opts MapOptions) ([]FrameEntry, error) {
 	return f.Frames()
 }
 
-// MapFrames runs mapFn over every selected frame of f, decoding frames
-// concurrently, and calls reduceFn with the mapped values in frame
-// order. See MapFilesFrames for the full contract.
-func MapFrames[T any](f *File, opts MapOptions, mapFn func(fe FrameEntry, recs []Record) (T, error), reduceFn func(fe FrameEntry, v T) error) error {
-	return MapFilesFrames([]*File{f}, opts,
-		func(_ int, fe FrameEntry, recs []Record) (T, error) { return mapFn(fe, recs) },
-		func(_ int, fe FrameEntry, v T) error { return reduceFn(fe, v) })
-}
+// batchPool recycles decode batches across MapFrames workers and runs;
+// a recycled batch's columns keep their capacity, so steady-state
+// columnar decode allocates nothing.
+var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
-// MapFilesFrames runs mapFn over every selected frame of every file —
-// all files' frames feed one worker pool, so small files do not idle
+// MapFrames runs mapFn over every selected frame of every file — all
+// files' frames feed one worker pool, so small files do not idle
 // workers — and calls reduceFn with the mapped values in (file, frame)
 // order, the same order a sequential scan of the files one after
 // another would produce. mapFn runs concurrently and must not touch
 // shared state; reduceFn runs on one goroutine at a time in
-// deterministic order and may keep state. The records passed to mapFn
-// are freshly decoded per frame and may be retained.
+// deterministic order and may keep state.
+//
+// Each frame arrives as a Batch: the file's frame-decode hook's shared
+// batch when a hook is installed (a cache hit is handed over as is — no
+// read, no copy), otherwise a pooled batch filled straight from the
+// frame encoding. Either way the batch is read-only and valid until the
+// frame's reduceFn returns: mapFn may return it, or Rows aliasing it, as
+// its value for reduceFn to read, but anything kept longer must be
+// copied out (Batch.RowCopy).
 //
 // At most Workers(Parallel, frames) frames are in flight, so memory
 // stays bounded no matter how large the files are. On error the engine
 // stops issuing frames and returns the lowest-ordered failure; the
 // reducer may have consumed an arbitrary prefix.
-func MapFilesFrames[T any](files []*File, opts MapOptions, mapFn func(file int, fe FrameEntry, recs []Record) (T, error), reduceFn func(file int, fe FrameEntry, v T) error) error {
+func MapFrames[T any](files []*File, opts MapOptions, mapFn func(file int, fe FrameEntry, b *Batch) (T, error), reduceFn func(file int, fe FrameEntry, v T) error) error {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -108,79 +110,17 @@ func MapFilesFrames[T any](files []*File, opts MapOptions, mapFn func(file int, 
 			return err
 		}
 		j := jobs[i]
-		pb := getBuf()
-		recs, buf, err := decodeFrame(files[j.file], j.fe, *pb)
-		if buf != nil {
-			*pb = buf[:0]
+		f := files[j.file]
+		var b *Batch
+		var err error
+		if f.hook != nil {
+			b, err = f.hook(f, j.fe)
+		} else {
+			b = batchPool.Get().(*Batch)
+			defer batchPool.Put(b)
+			err = f.DecodeFrameBatch(j.fe, b)
 		}
-		putBuf(pb)
 		if err != nil {
-			red.Abort()
-			return err
-		}
-		v, err := mapFn(j.file, j.fe, recs)
-		if err != nil {
-			red.Abort()
-			return err
-		}
-		return red.Reduce(i, func() error { return reduceFn(j.file, j.fe, v) })
-	})
-}
-
-// batchPool recycles Batches across MapFilesBatches workers and runs;
-// a recycled batch's columns keep their capacity, so steady-state
-// columnar decode allocates nothing.
-var batchPool = sync.Pool{New: func() any { return new(Batch) }}
-
-// MapFilesBatches is MapFilesFrames with columnar frame decode: mapFn
-// receives each selected frame as a Batch filled straight from the
-// compact frame encoding (or built from the frame-decode hook's cached
-// records when one is installed), skipping per-record materialization.
-// Batches are pooled — the one passed to mapFn is valid only for the
-// duration of the call and must not be retained; anything that outlives
-// the call must be copied out (Batch.RowCopy). Ordering, concurrency,
-// and error semantics match MapFilesFrames exactly.
-func MapFilesBatches[T any](files []*File, opts MapOptions, mapFn func(file int, fe FrameEntry, b *Batch) (T, error), reduceFn func(file int, fe FrameEntry, v T) error) error {
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	type job struct {
-		file int
-		fe   FrameEntry
-	}
-	var jobs []job
-	for fi, f := range files {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		fes, err := selectFrames(f, opts)
-		if err != nil {
-			return err
-		}
-		for _, fe := range fes {
-			jobs = append(jobs, job{fi, fe})
-		}
-	}
-	p := par.Workers(opts.Parallel, len(jobs))
-	if p > 1 {
-		for _, f := range files {
-			if !f.ConcurrentReads() {
-				p = 1
-				break
-			}
-		}
-	}
-	red := par.NewOrderedReducer()
-	return par.Do(len(jobs), p, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			red.Abort()
-			return err
-		}
-		j := jobs[i]
-		b := batchPool.Get().(*Batch)
-		defer batchPool.Put(b)
-		if err := files[j.file].DecodeFrameBatch(j.fe, b); err != nil {
 			red.Abort()
 			return err
 		}
@@ -191,32 +131,6 @@ func MapFilesBatches[T any](files []*File, opts MapOptions, mapFn func(file int,
 		}
 		return red.Reduce(i, func() error { return reduceFn(j.file, j.fe, v) })
 	})
-}
-
-// decodeFrame produces one frame's records: through the file's
-// frame-decode hook when one is installed (serving layers cache decoded
-// frames there), otherwise by reading and decoding directly. Direct
-// reads are positioned whenever the reader supports it — they never
-// move the file's seek offset, so concurrent engine runs over one File
-// are safe — with a seek-based fallback for plain readers. The returned
-// records do not alias buf, which is handed back (possibly grown) for
-// reuse.
-func decodeFrame(f *File, fe FrameEntry, buf []byte) ([]Record, []byte, error) {
-	if f.hook != nil {
-		recs, err := f.hook(f, fe)
-		return recs, buf, err
-	}
-	var err error
-	if f.ra != nil {
-		buf, err = f.ReadFrameAt(fe, buf)
-	} else {
-		buf, err = f.readFrameInto(fe, buf)
-	}
-	if err != nil {
-		return nil, buf, err
-	}
-	recs, err := decodeFrameRecords(f.Header.HeaderVersion, fe, buf)
-	return recs, buf, err
 }
 
 // The ordered reduction itself lives in par.OrderedReducer — the shard

@@ -2,9 +2,9 @@ package interval
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
-	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -20,10 +20,10 @@ func writeTempFile(t *testing.T, sb *SeekBuffer) string {
 	return p
 }
 
-// TestOpenMatchesDeprecatedWrappers pins the migration contract: the
-// unified Open/NewFile and the deprecated ReadHeader/OpenSalvage
-// wrappers see exactly the same file.
-func TestOpenMatchesDeprecatedWrappers(t *testing.T) {
+// TestOpenMatchesNewFile pins the entry-point contract: Open (a path)
+// and NewFile (a reader) see exactly the same file, and a salvage pass
+// over an undamaged file recovers every frame and reports no damage.
+func TestOpenMatchesNewFile(t *testing.T) {
 	sb, recs := writeRandomFile(t, 11, 400, CurrentHeaderVersion)
 	p := writeTempFile(t, sb)
 
@@ -32,7 +32,7 @@ func TestOpenMatchesDeprecatedWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f1.Close()
-	f2, err := ReadHeader(NewSeekBufferFrom(sb.Bytes()))
+	f2, err := NewFile(NewSeekBufferFrom(sb.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,26 +45,24 @@ func TestOpenMatchesDeprecatedWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(all1, all2) || len(all1) != len(recs) {
-		t.Fatalf("Open and ReadHeader scans disagree (%d vs %d records)", len(all1), len(all2))
+		t.Fatalf("Open and NewFile scans disagree (%d vs %d records)", len(all1), len(all2))
 	}
 
-	f3, res, err := OpenSalvage(p)
+	var res SalvageResult
+	f3, err := Open(p, WithSalvage(&res))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f3.Close()
-	var res2 SalvageResult
-	f4, err := Open(p, WithSalvage(&res2))
+	fes, err := f1.Frames()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f4.Close()
-	if res.Report.Clean() != res2.Report.Clean() || len(res.Frames) != len(res2.Frames) {
-		t.Fatalf("OpenSalvage and Open(WithSalvage) disagree: %d vs %d frames",
-			len(res.Frames), len(res2.Frames))
+	if len(res.Frames) != len(fes) {
+		t.Fatalf("Open(WithSalvage) recovered %d frames, the file has %d", len(res.Frames), len(fes))
 	}
-	if !res2.Report.Clean() {
-		t.Fatalf("salvage of an undamaged file reports damage: %+v", res2.Report)
+	if !res.Report.Clean() {
+		t.Fatalf("salvage of an undamaged file reports damage: %+v", res.Report)
 	}
 }
 
@@ -89,7 +87,7 @@ func TestWithVerifyChecksums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.DecodeFrame(frames[0]); err == nil {
+	if _, err := f.FrameBatch(frames[0]); err == nil {
 		t.Fatal("default open decoded a frame with a bad payload checksum")
 	}
 
@@ -97,12 +95,12 @@ func TestWithVerifyChecksums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := f2.DecodeFrame(frames[0])
+	b, err := f2.FrameBatch(frames[0])
 	if err != nil {
 		t.Fatalf("WithVerifyChecksums(false) still fails the read: %v", err)
 	}
-	if len(recs) != int(frames[0].Records) {
-		t.Fatalf("got %d records, frame claims %d", len(recs), frames[0].Records)
+	if b.N != int(frames[0].Records) {
+		t.Fatalf("got %d records, frame claims %d", b.N, frames[0].Records)
 	}
 
 	// The option must not bend salvage: its own checksum pass still
@@ -152,8 +150,8 @@ func TestCloseIdempotent(t *testing.T) {
 	if _, err := f.ReadFrameAt(frames[0], nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ReadFrameAt after Close: %v, want ErrClosed", err)
 	}
-	if _, err := f.DecodeFrameDirect(frames[0]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("DecodeFrameDirect after Close: %v, want ErrClosed", err)
+	if _, err := f.ReadFrameBatch(frames[0]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ReadFrameBatch after Close: %v, want ErrClosed", err)
 	}
 	if _, err := f.Scan().All(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Scan after Close: %v, want ErrClosed", err)

@@ -81,7 +81,7 @@ type File struct {
 	// set from WithVerifyChecksums at open, default true. Salvage does
 	// not consult it.
 	verifySums bool
-	// hook, when non-nil, intercepts frame decodes (DecodeFrame, the
+	// hook, when non-nil, intercepts frame decodes (FrameBatch, the
 	// map-reduce engine, scanners): serving layers use it to answer from
 	// a decoded-frame cache. Set it before the File is shared between
 	// goroutines.
@@ -105,12 +105,13 @@ type File struct {
 // can recognize the condition.
 var ErrClosed = errors.New("interval: file already closed")
 
-// FrameDecoder supplies the decoded records of a frame, typically from
-// a cache shared between readers of the same file. A decoder's miss
-// path must call DecodeFrameDirect (never DecodeFrame, which would
-// recurse). Records handed out by a decoder are shared: callers must
-// treat them, including their Extra/Vec slices, as read-only.
-type FrameDecoder func(f *File, fe FrameEntry) ([]Record, error)
+// FrameDecoder supplies a frame's decoded batch, typically from a cache
+// shared between readers of the same file. A decoder's miss path must
+// call ReadFrameBatch (never FrameBatch, which would recurse). Batches
+// handed out by a decoder are shared and must never be recycled:
+// callers treat them, and every Row aliasing them, as read-only, and
+// may hold them past eviction.
+type FrameDecoder func(f *File, fe FrameEntry) (*Batch, error)
 
 // SetFrameDecoder installs (or, with nil, removes) the frame-decode
 // hook. It must be called before the File is used from multiple
@@ -570,48 +571,11 @@ func (f *File) FrameRecords(fe FrameEntry) ([]Record, error) {
 	return decodeFrameRecords(f.Header.HeaderVersion, fe, buf)
 }
 
-// DecodeFrame returns fe's decoded records through the frame-decode
-// hook when one is installed (a cache hit costs no read and no decode),
-// falling back to DecodeFrameDirect. The result may be shared with
-// other callers and must be treated as read-only.
-func (f *File) DecodeFrame(fe FrameEntry) ([]Record, error) {
-	if f.hook != nil {
-		return f.hook(f, fe)
-	}
-	return f.DecodeFrameDirect(fe)
-}
-
-// DecodeFrameDirect reads and decodes fe, bypassing the frame-decode
-// hook — it is the miss path a FrameDecoder itself must use. The read
-// is positioned (never moving the file's seek offset) whenever the
-// underlying reader supports it, so concurrent calls are safe on such
-// files.
-func (f *File) DecodeFrameDirect(fe FrameEntry) ([]Record, error) {
-	pb := getBuf()
-	var buf []byte
-	var err error
-	if f.ra != nil {
-		buf, err = f.ReadFrameAt(fe, *pb)
-	} else {
-		buf, err = f.readFrameInto(fe, *pb)
-	}
-	if buf != nil {
-		*pb = buf[:0]
-	}
-	if err != nil {
-		putBuf(pb)
-		return nil, err
-	}
-	recs, err := decodeFrameRecords(f.Header.HeaderVersion, fe, buf)
-	putBuf(pb)
-	return recs, err
-}
-
 // decodeFrameRecords decodes a frame's already-read (and
 // checksum-verified) payload and cross-checks the record count claimed
 // by the directory entry. Extra/Vec slices come from one arena, so a
 // frame costs O(1) allocations instead of one per record; the records
-// own their blocks and may be retained (the MapFrames contract).
+// own their blocks and may be retained.
 func decodeFrameRecords(version uint32, fe FrameEntry, buf []byte) ([]Record, error) {
 	var cur frameCursor
 	if err := cur.init(version, buf); err != nil {
@@ -749,10 +713,10 @@ type Scanner struct {
 	// per frame, not per record, so a cancelled long scan stops within
 	// one frame's worth of records.
 	ctx context.Context
-	// recs/recIdx serve frames obtained from the file's frame-decode
-	// hook (cached, already-decoded records); buf stays empty then.
-	recs   []Record
-	recIdx int
+	// batch/row serve frames obtained from the file's frame-decode hook
+	// (a shared, already-decoded batch); buf stays empty then.
+	batch *Batch
+	row   int
 	// frameBuf is the pooled backing buffer the current frame was read
 	// into; it is returned to the pool once the scan terminates.
 	frameBuf *[]byte
@@ -869,7 +833,7 @@ func (s *Scanner) ensure() error {
 	if s.err != nil {
 		return s.err
 	}
-	for len(s.buf) == 0 && s.recIdx >= len(s.recs) {
+	for len(s.buf) == 0 && !s.hookRow() {
 		if err := s.advanceFrame(); err != nil {
 			s.err = err
 			s.release()
@@ -878,6 +842,9 @@ func (s *Scanner) ensure() error {
 	}
 	return nil
 }
+
+// hookRow reports whether a hook-fed frame still has an unread row.
+func (s *Scanner) hookRow() bool { return s.batch != nil && s.row < s.batch.N }
 
 // fail records a mid-frame decode error; the scanner is sticky after it.
 func (s *Scanner) fail(err error) error {
@@ -895,11 +862,12 @@ func (s *Scanner) Next() ([]byte, error) {
 	if err := s.ensure(); err != nil {
 		return nil, err
 	}
-	if s.recIdx < len(s.recs) {
+	if s.hookRow() {
 		// Hook-decoded frame: synthesize the fixed-width payload from
-		// the cached record, exactly as the v4 path does.
-		s.pbuf = s.recs[s.recIdx].AppendPayload(s.pbuf[:0])
-		s.recIdx++
+		// the shared batch's row, exactly as the v4 path does.
+		r := s.batch.Row(s.row)
+		s.row++
+		s.pbuf = r.AppendPayload(s.pbuf[:0])
 		return s.pbuf, nil
 	}
 	if s.f.Header.HeaderVersion >= 4 {
@@ -928,11 +896,11 @@ func (s *Scanner) NextRecord() (Record, error) {
 	if err := s.ensure(); err != nil {
 		return r, err
 	}
-	if s.recIdx < len(s.recs) {
-		// Hook-decoded frame: the record (and its Extra/Vec slices) is
-		// shared with the cache — callers must not mutate it.
-		r = s.recs[s.recIdx]
-		s.recIdx++
+	if s.hookRow() {
+		// Hook-decoded frame: the record's Extra/Vec slices alias the
+		// shared batch — callers must not mutate them.
+		r = s.batch.Row(s.row)
+		s.row++
 		return r, nil
 	}
 	if s.f.Header.HeaderVersion >= 4 {
@@ -963,11 +931,11 @@ func (s *Scanner) NextRecordInto(r *Record) error {
 	if err := s.ensure(); err != nil {
 		return err
 	}
-	if s.recIdx < len(s.recs) {
-		// Hook-decoded frame: *r's slices alias the shared cached
-		// record; consumers must copy before mutating.
-		*r = s.recs[s.recIdx]
-		s.recIdx++
+	if s.hookRow() {
+		// Hook-decoded frame: *r's slices alias the shared batch;
+		// consumers must copy before mutating.
+		*r = s.batch.Row(s.row)
+		s.row++
 		return nil
 	}
 	if s.f.Header.HeaderVersion >= 4 {
@@ -1025,7 +993,7 @@ func (s *Scanner) All() ([]Record, error) {
 }
 
 func (s *Scanner) advanceFrame() error {
-	s.recs, s.recIdx = nil, 0
+	s.batch, s.row = nil, 0
 	for {
 		if s.dir == nil {
 			if s.started {
@@ -1051,14 +1019,14 @@ func (s *Scanner) advanceFrame() error {
 				}
 			}
 			if s.f.hook != nil {
-				recs, err := s.f.hook(s.f, fe)
+				b, err := s.f.hook(s.f, fe)
 				if err != nil {
 					return err
 				}
-				if len(recs) == 0 {
+				if b.N == 0 {
 					continue
 				}
-				s.recs, s.recIdx = recs, 0
+				s.batch = b
 				return nil
 			}
 			if s.frameBuf == nil {

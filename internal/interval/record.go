@@ -13,10 +13,7 @@
 // points, configured by functional options: WithVerifyChecksums
 // controls the per-frame payload checksum pass, WithSalvage opens in
 // best-effort recovery mode and reports what was recovered through its
-// sink. The historical entry points remain as thin deprecated wrappers
-// — ReadHeader(r) is NewFile(r) with no options, and OpenSalvage(path)
-// is Open(path, WithSalvage(&res)) — so existing callers migrate
-// mechanically or not at all.
+// sink.
 //
 // A File may be shared by concurrent readers when ConcurrentReads
 // reports true (the underlying reader implements io.ReaderAt); Preload

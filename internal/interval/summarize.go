@@ -472,8 +472,8 @@ func (f *File) resolveRemainders(a *summaryAcc, rems []remSpan, o WindowSummaryO
 		return 0, nil
 	}
 	type frameRef struct {
-		fe   FrameEntry
-		recs []Record
+		fe FrameEntry
+		b  *Batch
 	}
 	frames := map[int64]*frameRef{}
 	order := []int64{}
@@ -511,22 +511,21 @@ func (f *File) resolveRemainders(a *summaryAcc, rems []remSpan, o WindowSummaryO
 			}
 		}
 		fr := frames[off]
-		recs, err := f.DecodeFrame(fr.fe)
-		if err != nil {
+		if fr.b, err = f.FrameBatch(fr.fe); err != nil {
 			return 0, err
 		}
-		fr.recs = recs
 	}
 	var evs []summaryEvent
 	for i, rs := range rems {
 		evs = evs[:0]
 		for _, off := range spanFrames[i] {
-			for ri := range frames[off].recs {
-				r := &frames[off].recs[ri]
-				if r.Dura < 0 {
+			b := frames[off].b
+			for ri := 0; ri < b.N; ri++ {
+				typ, dura := b.Type[ri], b.Dura[ri]
+				if dura < 0 {
 					continue
 				}
-				s, e := r.Start, r.Start+r.Dura
+				s, e := b.Start[ri], b.Start[ri]+dura
 				if s >= rs.r0 && s < rs.r1 {
 					a.bins[rs.bin].Records++
 				}
@@ -534,18 +533,18 @@ func (f *File) resolveRemainders(a *summaryAcc, rems []remSpan, o WindowSummaryO
 				if cs >= ce {
 					continue
 				}
-				busy := busyType(r.Type)
+				busy := busyType(typ)
 				lo, hi := max(cs, rs.r0), min(ce, rs.r1)
 				if lo < hi {
-					a.addBusy(rs.bin, r.Type, hi-lo)
+					a.addBusy(rs.bin, typ, hi-lo)
 					if busy {
-						a.addLane(rs.bin, Lane{Node: r.Node, CPU: r.CPU}, hi-lo)
+						a.addLane(rs.bin, Lane{Node: b.Node[ri], CPU: b.CPU[ri]}, hi-lo)
 					}
 				}
 				if busy && ce > rs.r0 && cs < rs.r1 {
 					evs = append(evs, summaryEvent{cs, +1}, summaryEvent{ce, -1})
 					if o.TopK > 0 && lo < hi {
-						a.tops = append(a.tops, TopInterval{Start: s, Dura: r.Dura, Type: r.Type, Node: r.Node, CPU: r.CPU, Thread: r.Thread})
+						a.tops = append(a.tops, TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[ri], CPU: b.CPU[ri], Thread: b.Thread[ri]})
 					}
 				}
 			}

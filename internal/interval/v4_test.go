@@ -125,9 +125,9 @@ func TestCrossVersionRoundTrip(t *testing.T) {
 			}
 			// MapFrames must agree with the sequential scan.
 			var mapped []Record
-			err := MapFrames(openFile(t, sb), MapOptions{Parallel: 2},
-				func(fe FrameEntry, recs []Record) ([]Record, error) { return recs, nil },
-				func(fe FrameEntry, recs []Record) error { mapped = append(mapped, recs...); return nil })
+			err := MapFrames([]*File{openFile(t, sb)}, MapOptions{Parallel: 2},
+				func(_ int, _ FrameEntry, b *Batch) ([]Record, error) { return batchRecords(b), nil },
+				func(_ int, _ FrameEntry, recs []Record) error { mapped = append(mapped, recs...); return nil })
 			if err != nil {
 				t.Fatalf("seed %d v%d: MapFrames: %v", seed, v, err)
 			}
@@ -263,7 +263,7 @@ func TestV4SalvageRejectsUndecodableFrame(t *testing.T) {
 	dsum := dirChecksum(uint32(len(d.Entries)), d.Start, d.End, uint64(d.Records), entRaw)
 	binary.LittleEndian.PutUint32(data[d.Offset+48:], dsum)
 
-	cf, err := ReadHeader(NewSeekBufferFrom(data))
+	cf, err := NewFile(NewSeekBufferFrom(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestV4SalvageRejectsUndecodableFrame(t *testing.T) {
 	if _, err := Repair(cf, sv, out, WriterOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	rf, err := ReadHeader(NewSeekBufferFrom(out.Bytes()))
+	rf, err := NewFile(NewSeekBufferFrom(out.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func validFile(t *testing.T, n int) *SeekBuffer {
 
 func TestValidateCleanFile(t *testing.T) {
 	sb := validFile(t, 500)
-	f, err := ReadHeader(sb)
+	f, err := NewFile(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestValidateCleanFile(t *testing.T) {
 
 func TestValidateWithoutProfile(t *testing.T) {
 	sb := validFile(t, 50)
-	f, _ := ReadHeader(sb)
+	f, _ := NewFile(sb)
 	if _, err := f.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestValidateWithoutProfile(t *testing.T) {
 
 func TestValidateWrongProfileVersion(t *testing.T) {
 	sb := validFile(t, 10)
-	f, _ := ReadHeader(sb)
+	f, _ := NewFile(sb)
 	p := profile.New(0xbad)
 	if _, err := f.Validate(p); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("wrong version accepted: %v", err)
@@ -45,14 +45,14 @@ func TestValidateWrongProfileVersion(t *testing.T) {
 }
 
 // corruptAt flips one byte at off and reports whether the file still
-// passes ReadHeader + Validate.
+// passes NewFile + Validate.
 func corruptAt(t *testing.T, base []byte, off int) bool {
 	t.Helper()
 	mut := append([]byte(nil), base...)
 	mut[off] ^= 0xff
 	sb := NewSeekBuffer()
 	sb.Write(mut)
-	f, err := ReadHeader(sb)
+	f, err := NewFile(sb)
 	if err != nil {
 		return false
 	}
@@ -63,7 +63,7 @@ func corruptAt(t *testing.T, base []byte, off int) bool {
 func TestValidateDetectsStructuralCorruption(t *testing.T) {
 	sb := validFile(t, 300)
 	base := append([]byte(nil), sb.Bytes()...)
-	f, err := ReadHeader(sb)
+	f, err := NewFile(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestValidateDetectsTruncation(t *testing.T) {
 	for _, cut := range []int{len(base) - 1, len(base) / 2, len(base) / 4} {
 		tr := NewSeekBuffer()
 		tr.Write(base[:cut])
-		f, err := ReadHeader(tr)
+		f, err := NewFile(tr)
 		if err != nil {
 			continue
 		}
@@ -123,7 +123,7 @@ func TestValidateDetectsBadMagic(t *testing.T) {
 	b[0] ^= 0xff
 	tr := NewSeekBuffer()
 	tr.Write(b)
-	if _, err := ReadHeader(tr); err == nil {
+	if _, err := NewFile(tr); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }

@@ -56,7 +56,7 @@ func writeRandomFile(t *testing.T, seed uint64, n int, hdrVersion uint32) (*Seek
 
 func openFile(t *testing.T, sb *SeekBuffer) *File {
 	t.Helper()
-	f, err := ReadHeader(NewSeekBufferFrom(sb.Bytes()))
+	f, err := NewFile(NewSeekBufferFrom(sb.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,15 +384,13 @@ func TestMapFramesMatchesScan(t *testing.T) {
 		f := openFile(t, sb)
 		var gotOrder []int64
 		var gotRecs []Record
-		err := MapFrames(f, MapOptions{Parallel: workers},
-			func(fe FrameEntry, recs []Record) ([]Record, error) {
-				out := make([]Record, len(recs))
-				copy(out, recs)
-				return out, nil
-			},
-			func(fe FrameEntry, recs []Record) error {
+		err := MapFrames([]*File{f}, MapOptions{Parallel: workers},
+			func(_ int, _ FrameEntry, b *Batch) (*Batch, error) { return b, nil },
+			func(_ int, fe FrameEntry, b *Batch) error {
+				// The batch is valid through this reduce call; the rows
+				// outlive it, so they are copied out.
 				gotOrder = append(gotOrder, fe.Offset)
-				gotRecs = append(gotRecs, recs...)
+				gotRecs = append(gotRecs, batchRecords(b)...)
 				return nil
 			})
 		if err != nil {
@@ -433,9 +431,9 @@ func TestMapFramesWindowDecodeCount(t *testing.T) {
 
 	f := openFile(t, sb)
 	var seen int
-	err = MapFrames(f, MapOptions{Parallel: 4, Window: true, Lo: lo, Hi: hi},
-		func(fe FrameEntry, recs []Record) (int, error) { return len(recs), nil },
-		func(fe FrameEntry, n int) error { seen += n; return nil })
+	err = MapFrames([]*File{f}, MapOptions{Parallel: 4, Window: true, Lo: lo, Hi: hi},
+		func(_ int, _ FrameEntry, b *Batch) (int, error) { return b.N, nil },
+		func(_ int, _ FrameEntry, n int) error { seen += n; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,19 +456,19 @@ func TestMapFramesErrors(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		f := openFile(t, sb)
 		i := 0
-		err := MapFrames(f, MapOptions{Parallel: workers},
-			func(fe FrameEntry, recs []Record) (struct{}, error) {
+		err := MapFrames([]*File{f}, MapOptions{Parallel: workers},
+			func(_ int, fe FrameEntry, _ *Batch) (struct{}, error) {
 				return struct{}{}, fmt.Errorf("map boom at %d", fe.Offset)
 			},
-			func(fe FrameEntry, _ struct{}) error { return nil })
+			func(_ int, _ FrameEntry, _ struct{}) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), "map boom") {
 			t.Fatalf("j=%d: map error lost: %v", workers, err)
 		}
 
 		f = openFile(t, sb)
-		err = MapFrames(f, MapOptions{Parallel: workers},
-			func(fe FrameEntry, recs []Record) (struct{}, error) { return struct{}{}, nil },
-			func(fe FrameEntry, _ struct{}) error {
+		err = MapFrames([]*File{f}, MapOptions{Parallel: workers},
+			func(_ int, _ FrameEntry, _ *Batch) (struct{}, error) { return struct{}{}, nil },
+			func(_ int, _ FrameEntry, _ struct{}) error {
 				i++
 				if i == 2 {
 					return fmt.Errorf("reduce boom")
@@ -521,7 +519,7 @@ func TestCorruptDirectoryRejected(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		cf, err := ReadHeader(corrupt(base, tc.edit))
+		cf, err := NewFile(corrupt(base, tc.edit))
 		if err != nil {
 			continue // rejected at header time is fine too
 		}
@@ -533,7 +531,7 @@ func TestCorruptDirectoryRejected(t *testing.T) {
 	// Truncations anywhere in the directory area must error, not hang or
 	// succeed partially.
 	for cut := len(base) - 1; cut > len(base)-200; cut -= 7 {
-		cf, err := ReadHeader(NewSeekBufferFrom(base[:cut]))
+		cf, err := NewFile(NewSeekBufferFrom(base[:cut]))
 		if err != nil {
 			continue
 		}
@@ -551,7 +549,7 @@ func TestDirAggregateMismatchCaughtByValidate(t *testing.T) {
 	f := openFile(t, sb)
 	dirOff := f.FirstDir
 	for _, field := range []int64{24, 32, 40} { // dirStart, dirEnd, dirRecords
-		cf, err := ReadHeader(corrupt(base, func(b []byte) {
+		cf, err := NewFile(corrupt(base, func(b []byte) {
 			binary.LittleEndian.PutUint64(b[dirOff+field:], 1<<40)
 		}))
 		if err != nil {
@@ -576,7 +574,7 @@ func TestWriterRejectsUnknownVersion(t *testing.T) {
 	// The header version field sits at byte 12 (after magic and profile
 	// version).
 	binary.LittleEndian.PutUint32(b[12:], CurrentHeaderVersion+5)
-	if _, err := ReadHeader(NewSeekBufferFrom(b)); err == nil {
+	if _, err := NewFile(NewSeekBufferFrom(b)); err == nil {
 		t.Fatal("reader accepted a future header version")
 	}
 }

@@ -49,7 +49,7 @@ func synthFile(t *testing.T, rng *xrand.Rand, node, stream, n int) (*interval.Fi
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := interval.ReadHeader(sb)
+	f, err := interval.NewFile(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestMergeIsSortedPermutation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		mf, err := interval.ReadHeader(sb)
+		mf, err := interval.NewFile(sb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestMergeStreamsStableTieBreak(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		f, err := interval.ReadHeader(sb)
+		f, err := interval.NewFile(sb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestMergeStreamsStableTieBreak(t *testing.T) {
 	if _, err := merge.Merge(files, sb, merge.Options{Estimator: merge.EstimatorNone, NoPseudo: true}); err != nil {
 		t.Fatal(err)
 	}
-	mf, _ := interval.ReadHeader(sb)
+	mf, _ := interval.NewFile(sb)
 	recs, _ := mf.Scan().All()
 	for i, r := range recs {
 		if int(r.CPU) != i%3 {

@@ -183,13 +183,13 @@ func BuildDiagram(mf *interval.File, kind ViewKind, opts Options) (*Diagram, err
 	if opts.T1 > opts.T0 && !(opts.Connected && kind == ThreadActivity) {
 		mopts.Window, mopts.Lo, mopts.Hi = true, t0, t1
 	}
-	err := interval.MapFrames(mf, mopts,
-		func(_ interval.FrameEntry, recs []interval.Record) ([]interval.Record, error) {
-			return recs, nil
+	err := interval.MapFrames([]*interval.File{mf}, mopts,
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*interval.Batch, error) {
+			return b, nil
 		},
-		func(_ interval.FrameEntry, recs []interval.Record) error {
-			for ri := range recs {
-				r := recs[ri]
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) error {
+			for ri := 0; ri < b.N; ri++ {
+				r := b.Row(ri)
 				if r.Type == events.EvGlobalClock {
 					continue
 				}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -180,8 +181,8 @@ func differentialQueries(id string) []string {
 		p + "/stats?format=json&bins=4",
 		p + "/stats?timeresolved=1&bins=6",
 		p + "/stats?timeresolved=1&bins=6&window=0.1:",
-		p + "/stats?engine=columnar&bins=4",
-		p + "/stats?engine=scalar&bins=4",
+		// A program the kernel compiler rejects: the scalar fallback.
+		p + "/stats?format=json&expr=" + url.QueryEscape(`table name=m x=("m", markername) y=("n", dura, count)`),
 		p + "/records",
 		p + "/records?count=1",
 		p + "/records?limit=25&offset=10",
@@ -207,7 +208,7 @@ func differentialQueries(id string) []string {
 		p + "/records?window=zzz",
 		p + "/records?frames=9:1",
 		p + "/records?frames=bogus",
-		p + "/stats?engine=nope",
+		p + "/stats?bins=0",
 		p + "/stats?window=junk",
 		p + "/preview.svg?view=bogus",
 	}

@@ -30,12 +30,6 @@ type Options struct {
 	// serialization) runs in the engine's deterministic frame-order
 	// reduce.
 	Parallel int
-	// Columnar feeds pass 1 from columnar batches: the preview
-	// accumulates straight from the start/duration/type columns and only
-	// the records the arrow matcher inspects (p2p completions) are
-	// materialized. Output is byte-identical to the record-fed build;
-	// pass 2 (serialization) always consumes records.
-	Columnar bool
 }
 
 func (o Options) frameBytes() int {
@@ -152,8 +146,7 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 	// partial matrices merged in any order equal the sequential result
 	// exactly. It runs in the concurrent map; everything order-sensitive
 	// (arrow matching, frame partitioning) runs in the frame-order
-	// reduce, expressed once as a per-record step shared by the
-	// record-fed and batch-fed variants below.
+	// reduce, as a per-record step.
 	mopts := interval.MapOptions{Parallel: opts.Parallel}
 	var idx int64
 	step := func(start, end clock.Time, size int, mr *interval.Record) {
@@ -191,99 +184,60 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 		}
 		return d
 	}
-	if opts.Columnar {
-		// Batch-fed pass 1: the preview reads the type/start/duration
-		// columns in place; only matcher-relevant completions are
-		// materialized (RowCopy), tagged with their row so the reduce
-		// replays them at exactly the position the record-fed pass would.
-		type p1cols struct {
-			dur        [][]clock.Time
-			count      []int64
-			start, end []clock.Time
-			size       []int
-			mrow       []int32
-			mrecs      []interval.Record
-		}
-		err = interval.MapFilesBatches([]*interval.File{mf}, mopts,
-			func(_ int, _ interval.FrameEntry, b *interval.Batch) (*p1cols, error) {
-				pp := &p1cols{
-					dur:   newBins(),
-					count: make([]int64, len(events.StateTypes)),
-					start: make([]clock.Time, 0, b.N),
-					end:   make([]clock.Time, 0, b.N),
-					size:  make([]int, 0, b.N),
-				}
-				scratch := &Preview{TStart: tStart, TEnd: tEnd, Dur: pp.dur}
-				for i := 0; i < b.N; i++ {
-					s, e := b.Start[i], b.End(i)
-					pp.start = append(pp.start, s)
-					pp.end = append(pp.end, e)
-					pp.size = append(pp.size, b.EncodedRowSize(i))
-					typ := b.Type[i]
-					if si, ok := sidx[typ]; ok {
-						if b.Bebits[i] == profile.Begin || b.Bebits[i] == profile.Complete {
-							pp.count[si]++
-						}
-						allocate(scratch, si, s, e, bins)
-					}
-					if (b.Bebits[i] == profile.Complete || b.Bebits[i] == profile.End) && matcherType(typ) {
-						pp.mrow = append(pp.mrow, int32(i))
-						pp.mrecs = append(pp.mrecs, b.RowCopy(i))
-					}
-				}
-				return pp, nil
-			},
-			func(_ int, _ interval.FrameEntry, pp *p1cols) error {
-				mergePreview(pp.dur, pp.count)
-				mi := 0
-				for i := range pp.start {
-					var mr *interval.Record
-					if mi < len(pp.mrow) && int(pp.mrow[mi]) == i {
-						mr = &pp.mrecs[mi]
-						mi++
-					}
-					step(pp.start[i], pp.end[i], pp.size[i], mr)
-				}
-				return nil
-			})
-	} else {
-		type p1partial struct {
-			dur   [][]clock.Time
-			count []int64
-			recs  []interval.Record
-		}
-		err = interval.MapFrames(mf, mopts,
-			func(_ interval.FrameEntry, recs []interval.Record) (*p1partial, error) {
-				pp := &p1partial{
-					dur:   newBins(),
-					count: make([]int64, len(events.StateTypes)),
-					recs:  recs,
-				}
-				scratch := &Preview{TStart: tStart, TEnd: tEnd, Dur: pp.dur}
-				for ri := range recs {
-					r := &recs[ri]
-					if si, ok := sidx[r.Type]; ok {
-						if r.Bebits == profile.Begin || r.Bebits == profile.Complete {
-							pp.count[si]++
-						}
-						allocate(scratch, si, r.Start, r.End(), bins)
-					}
-				}
-				return pp, nil
-			},
-			func(_ interval.FrameEntry, pp *p1partial) error {
-				mergePreview(pp.dur, pp.count)
-				for ri := range pp.recs {
-					r := &pp.recs[ri]
-					var mr *interval.Record
-					if r.Bebits == profile.Complete || r.Bebits == profile.End {
-						mr = r
-					}
-					step(r.Start, r.End(), r.EncodedSize(), mr)
-				}
-				return nil
-			})
+	// The preview reads the type/start/duration columns in place; only
+	// matcher-relevant completions are materialized (RowCopy — the
+	// matcher keeps unmatched sends), tagged with their row so the reduce
+	// replays them at exactly the position a record-at-a-time pass would.
+	type p1cols struct {
+		dur        [][]clock.Time
+		count      []int64
+		start, end []clock.Time
+		size       []int
+		mrow       []int32
+		mrecs      []interval.Record
 	}
+	err = interval.MapFrames([]*interval.File{mf}, mopts,
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*p1cols, error) {
+			pp := &p1cols{
+				dur:   newBins(),
+				count: make([]int64, len(events.StateTypes)),
+				start: make([]clock.Time, 0, b.N),
+				end:   make([]clock.Time, 0, b.N),
+				size:  make([]int, 0, b.N),
+			}
+			scratch := &Preview{TStart: tStart, TEnd: tEnd, Dur: pp.dur}
+			for i := 0; i < b.N; i++ {
+				s, e := b.Start[i], b.End(i)
+				pp.start = append(pp.start, s)
+				pp.end = append(pp.end, e)
+				pp.size = append(pp.size, b.EncodedRowSize(i))
+				typ := b.Type[i]
+				if si, ok := sidx[typ]; ok {
+					if b.Bebits[i] == profile.Begin || b.Bebits[i] == profile.Complete {
+						pp.count[si]++
+					}
+					allocate(scratch, si, s, e, bins)
+				}
+				if (b.Bebits[i] == profile.Complete || b.Bebits[i] == profile.End) && matcherType(typ) {
+					pp.mrow = append(pp.mrow, int32(i))
+					pp.mrecs = append(pp.mrecs, b.RowCopy(i))
+				}
+			}
+			return pp, nil
+		},
+		func(_ int, _ interval.FrameEntry, pp *p1cols) error {
+			mergePreview(pp.dur, pp.count)
+			mi := 0
+			for i := range pp.start {
+				var mr *interval.Record
+				if mi < len(pp.mrow) && int(pp.mrow[mi]) == i {
+					mr = &pp.mrecs[mi]
+					mi++
+				}
+				step(pp.start[i], pp.end[i], pp.size[i], mr)
+			}
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -357,19 +311,18 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 		return nil
 	}
 	// Pass 2's map stage only decodes (concurrently); the serialization
-	// itself consumes records in frame order inside the reduce. Engine
-	// records are freshly decoded per frame, so retaining them across
-	// SLOG frame boundaries in frameRecs is safe.
-	err = interval.MapFrames(mf, mopts,
-		func(_ interval.FrameEntry, recs []interval.Record) ([]interval.Record, error) {
-			return recs, nil
+	// itself consumes rows in frame order inside the reduce. SLOG frames
+	// span interval frames and the tracker keeps open states, so every
+	// row is copied out of its batch (RowCopy) before it is retained.
+	err = interval.MapFrames([]*interval.File{mf}, mopts,
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*interval.Batch, error) {
+			return b, nil
 		},
-		func(_ interval.FrameEntry, recs []interval.Record) error {
-			for ri := range recs {
-				r := recs[ri]
-				frameRecs = append(frameRecs, r)
-				lastEnd = r.End()
-				if part.add(r.EncodedSize()) {
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) error {
+			for ri := 0; ri < b.N; ri++ {
+				frameRecs = append(frameRecs, b.RowCopy(ri))
+				lastEnd = b.End(ri)
+				if part.add(b.EncodedRowSize(ri)) {
 					if err := flush(); err != nil {
 						return err
 					}
@@ -417,8 +370,8 @@ func allocate(p *Preview, si int, start, end clock.Time, bins int) {
 }
 
 // matcherType reports whether the arrow matcher inspects records of
-// this type (the types m.observe switches on). The batch-fed pass 1
-// only materializes records of these types.
+// this type (the types m.observe switches on). Pass 1 only
+// materializes records of these types.
 func matcherType(t events.Type) bool {
 	switch t {
 	case events.EvMPISend, events.EvMPIIsend, events.EvMPISendrecv,

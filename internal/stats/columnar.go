@@ -1,10 +1,7 @@
 package stats
 
-// The columnar generation path: frames decode into pooled
-// interval.Batch columns (never materializing records), compiled
-// kernels evaluate whole frames at a time, and per-frame partial groups
-// merge in frame order — the same reduce the scalar path uses, so float
-// summation order and therefore TSV bytes are identical.
+// The columnar evaluation path: compiled kernels evaluate a whole
+// frame's batch columns at a time, never materializing records.
 
 import (
 	"sync"
@@ -13,58 +10,36 @@ import (
 	"tracefw/internal/interval"
 )
 
-func generateColumnar(prog *compiledProgram, specs []*TableSpec, files []*interval.File, opts Options, tStart, tEnd clock.Time) ([]*Table, error) {
-	groups := make([]map[string]*group, len(specs))
-	for i := range groups {
-		groups[i] = make(map[string]*group)
-	}
-	skipped := make([]int64, len(specs))
-
+func (prog *compiledProgram) columnarFrame(opts Options, tStart, tEnd clock.Time) frameEval {
 	// One executor per worker, pooled: its kernel scratch buffers grow
 	// to the largest frame once and are reused for every frame after.
 	pool := sync.Pool{New: func() any { return prog.newExec(tStart, tEnd) }}
-
-	mopts := interval.MapOptions{Parallel: opts.Parallel, Window: opts.Window, Lo: opts.Lo, Hi: opts.Hi, Context: opts.Context}
-	err := interval.MapFilesBatches(files, mopts,
-		func(_ int, fe interval.FrameEntry, b *interval.Batch) (*specPartial, error) {
-			x := pool.Get().(*kexec)
-			defer pool.Put(x)
-			x.bind(b)
-			// Batch-level pruning from directory aggregates: a frame that
-			// lies fully inside the window (or any frame when unwindowed)
-			// selects every row, so no per-row bitmap test is needed.
-			// Fully-outside frames were never selected by the engine.
-			sel := x.mbuf(prog.selSlot)
-			if opts.Window && !(fe.Start >= opts.Lo && fe.End <= opts.Hi) {
-				maskZero(sel)
-				for i := 0; i < b.N; i++ {
-					if b.Start[i]+b.Dura[i] >= opts.Lo && b.Start[i] <= opts.Hi {
-						sel[i>>6] |= 1 << uint(i&63)
-					}
+	return func(_ int, fe interval.FrameEntry, b *interval.Batch, sp *specPartial) error {
+		x := pool.Get().(*kexec)
+		defer pool.Put(x)
+		x.bind(b)
+		// Batch-level pruning from directory aggregates: a frame that
+		// lies fully inside the window (or any frame when unwindowed)
+		// selects every row, so no per-row bitmap test is needed.
+		// Fully-outside frames were never selected by the engine.
+		sel := x.mbuf(prog.selSlot)
+		if opts.Window && !(fe.Start >= opts.Lo && fe.End <= opts.Hi) {
+			maskZero(sel)
+			for i := 0; i < b.N; i++ {
+				if b.Start[i]+b.Dura[i] >= opts.Lo && b.Start[i] <= opts.Hi {
+					sel[i>>6] |= 1 << uint(i&63)
 				}
-			} else {
-				maskOnes(sel, b.N)
 			}
-			sp := &specPartial{pg: make([]map[string]*group, len(specs)), skipped: make([]int64, len(specs))}
-			for si, ct := range prog.tables {
-				sp.pg[si] = make(map[string]*group)
-				sk, err := ct.run(x, sel, sp.pg[si])
-				if err != nil {
-					return nil, err
-				}
-				sp.skipped[si] = sk
+		} else {
+			maskOnes(sel, b.N)
+		}
+		for si, ct := range prog.tables {
+			sk, err := ct.run(x, sel, sp.pg[si])
+			if err != nil {
+				return err
 			}
-			return sp, nil
-		},
-		func(_ int, _ interval.FrameEntry, sp *specPartial) error {
-			for si := range specs {
-				mergeGroups(groups[si], sp.pg[si])
-				skipped[si] += sp.skipped[si]
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
+			sp.skipped[si] = sk
+		}
+		return nil
 	}
-	return buildTables(specs, groups, skipped, true), nil
 }

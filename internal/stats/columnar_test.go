@@ -1,9 +1,13 @@
 package stats_test
 
-// Differential tests for the columnar engine: every program that the
+// Differential tests for the columnar kernels: every program that the
 // kernel compiler accepts must produce byte-identical TSV (and identical
 // Skipped counts) to the record-at-a-time evaluator, on fixture files at
-// every header version the format has shipped.
+// every header version the format has shipped. The production entry
+// points pick the kernels whenever a program is lowerable; the scalar
+// evaluator is reached directly through stats.GenerateSpecsScalar
+// (export_test.go), so the oracle never depends on what the compiler
+// accepts.
 
 import (
 	"fmt"
@@ -70,30 +74,52 @@ func renderTables(tables []*stats.Table) string {
 	return b.String()
 }
 
-// runBoth evaluates one program under both engines and reports the
-// outputs and errors.
-func runBoth(program string, files []*interval.File, opts stats.Options) (scalar, columnar string, serr, cerr error) {
-	o := opts
-	o.Engine = stats.EngineScalar
-	st, serr := stats.GenerateOpts(program, files, o)
-	o.Engine = stats.EngineColumnar
-	ct, cerr := stats.GenerateOpts(program, files, o)
-	return renderTables(st), renderTables(ct), serr, cerr
+// generateScalar runs program on the scalar oracle.
+func generateScalar(program string, files []*interval.File, opts stats.Options) ([]*stats.Table, error) {
+	specs, err := stats.Parse(program)
+	if err != nil {
+		return nil, err
+	}
+	return stats.GenerateSpecsScalar(specs, files, opts)
 }
 
-// diffProgram asserts the two engines agree on program: same
-// error-or-not outcome, and byte-identical rendering on success.
+// allColumnar reports whether the kernels produced every table.
+func allColumnar(tables []*stats.Table) bool {
+	for _, tb := range tables {
+		if !tb.Columnar {
+			return false
+		}
+	}
+	return true
+}
+
+// runBoth evaluates one program on the scalar oracle and through the
+// production entry point, and reports the outputs, the errors, and
+// whether production answered with the columnar kernels.
+func runBoth(program string, files []*interval.File, opts stats.Options) (scalar, columnar string, serr, cerr error, kernels bool) {
+	st, serr := generateScalar(program, files, opts)
+	ct, cerr := stats.GenerateOpts(program, files, opts)
+	return renderTables(st), renderTables(ct), serr, cerr, cerr == nil && allColumnar(ct)
+}
+
+// diffProgram asserts the two evaluators agree on program: same
+// error-or-not outcome, and byte-identical rendering on success — and
+// that a program which runs at all ran on the kernels, so the
+// comparison is never the oracle against itself.
 func diffProgram(t *testing.T, program string, files []*interval.File, opts stats.Options) {
 	t.Helper()
 	if _, err := stats.Parse(program); err != nil {
 		t.Fatalf("program %q does not parse (vacuous comparison): %v", program, err)
 	}
-	s, c, serr, cerr := runBoth(program, files, opts)
+	s, c, serr, cerr, kernels := runBoth(program, files, opts)
 	if (serr == nil) != (cerr == nil) {
 		t.Fatalf("engines disagree on error for %q:\n  scalar:   %v\n  columnar: %v", program, serr, cerr)
 	}
 	if serr != nil {
 		return
+	}
+	if !kernels {
+		t.Fatalf("program %q fell back to the scalar evaluator (vacuous comparison)", program)
 	}
 	if s != c {
 		t.Fatalf("engines diverge for %q:\n--- scalar ---\n%s--- columnar ---\n%s", program, s, c)
@@ -106,9 +132,9 @@ func TestColumnarPredefinedAllVersions(t *testing.T) {
 	for v := uint32(1); v <= interval.CurrentHeaderVersion; v++ {
 		f := fixtures[v]
 		diffProgram(t, program, []*interval.File{f}, stats.Options{})
-		// The columnar engine must actually have run (predefined tables
+		// The columnar kernels must actually have run (predefined tables
 		// are fully lowerable) and report so.
-		tables, err := stats.GenerateOpts(program, []*interval.File{f}, stats.Options{Engine: stats.EngineColumnar})
+		tables, err := stats.GenerateOpts(program, []*interval.File{f}, stats.Options{})
 		if err != nil {
 			t.Fatalf("v%d: columnar: %v", v, err)
 		}
@@ -193,7 +219,14 @@ func TestColumnarRuntimeErrorMessages(t *testing.T) {
 		{`table name=fs y=("n", floor(msgSizeSent), sum)`, "stats: floor() needs a number"},
 		{`table name=as y=("n", abs(msgSizeRecv), sum)`, "stats: abs() needs a number"},
 	} {
-		_, _, serr, cerr := runBoth(tc.program, files, stats.Options{})
+		specs, err := stats.Parse(tc.program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.Lowerable(specs[0]) {
+			t.Fatalf("%q is not lowerable: the kernels' error path would go untested", tc.program)
+		}
+		_, _, serr, cerr, _ := runBoth(tc.program, files, stats.Options{})
 		if serr == nil || cerr == nil {
 			t.Fatalf("%q: expected both engines to fail, scalar=%v columnar=%v", tc.program, serr, cerr)
 		}
@@ -247,21 +280,26 @@ func TestColumnarSkippedCountSurfaced(t *testing.T) {
 	if want == 0 {
 		t.Fatal("fixture has no records lacking msgSizeSent; test is vacuous")
 	}
-	for _, eng := range []stats.Engine{stats.EngineScalar, stats.EngineColumnar} {
-		tables, err := stats.GenerateOpts(program, files, stats.Options{Engine: eng})
+	for name, gen := range map[string]func(string, []*interval.File, stats.Options) ([]*stats.Table, error){
+		"scalar": generateScalar, "columnar": stats.GenerateOpts,
+	} {
+		tables, err := gen(program, files, stats.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if tables[0].Columnar != (name == "columnar") {
+			t.Fatalf("%s run reports Columnar=%v", name, tables[0].Columnar)
+		}
 		if tables[0].Skipped != want {
-			t.Fatalf("engine %v: Skipped = %d, want %d", eng, tables[0].Skipped, want)
+			t.Fatalf("%s: Skipped = %d, want %d", name, tables[0].Skipped, want)
 		}
 	}
 }
 
 // TestColumnarFallback pins the compiler's refusal list: markername
 // needs the marker dictionary and string-valued records, so programs
-// using it are not lowerable. EngineColumnar must fail loudly,
-// EngineAuto must silently produce the scalar engine's exact output.
+// using it are not lowerable. Generation must silently fall back and
+// produce the scalar oracle's exact output.
 func TestColumnarFallback(t *testing.T) {
 	mf := mergedFile(t)
 	files := []*interval.File{mf}
@@ -277,17 +315,11 @@ func TestColumnarFallback(t *testing.T) {
 		}
 	}
 
-	if _, err := stats.GenerateOpts(program, files, stats.Options{Engine: stats.EngineColumnar}); err == nil {
-		t.Fatal("EngineColumnar accepted an unlowerable program")
-	} else if !strings.Contains(err.Error(), "not lowerable") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-
 	auto, err := stats.GenerateOpts(program, files, stats.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := stats.GenerateOpts(program, files, stats.Options{Engine: stats.EngineScalar})
+	scalar, err := generateScalar(program, files, stats.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +329,7 @@ func TestColumnarFallback(t *testing.T) {
 		}
 	}
 	if renderTables(auto) != renderTables(scalar) {
-		t.Fatal("auto fallback output differs from explicit scalar engine")
+		t.Fatal("fallback output differs from the scalar oracle")
 	}
 
 	// One lowerable spec plus one unlowerable spec: compilation is
@@ -322,11 +354,11 @@ func TestLowerableCoverage(t *testing.T) {
 		{`table name=a y=("n", dura, count)`, true},
 		{`table name=a condition=(state == "Running") x=("b", bin(start, 4)) x=("n", node) y=("n", floor(dura), sum)`, true},
 		{`table name=a x=("x", markername) y=("n", dura, count)`, false},
-		{`table name=a condition=(state == 1) y=("n", dura, count)`, false},    // kind mismatch
-		{`table name=a y=("n", -state, count)`, false},                         // unary minus on string
-		{`table name=a x=("x", bin(state, 4)) y=("n", dura, count)`, false},         // bin on string
-		{`table name=a y=("n", floor(state), sum)`, false},                     // floor on string
-		{`table name=a y=("n", nosuchfn(dura), sum)`, false},                   // unknown function
+		{`table name=a condition=(state == 1) y=("n", dura, count)`, false}, // kind mismatch
+		{`table name=a y=("n", -state, count)`, false},                      // unary minus on string
+		{`table name=a x=("x", bin(state, 4)) y=("n", dura, count)`, false}, // bin on string
+		{`table name=a y=("n", floor(state), sum)`, false},                  // floor on string
+		{`table name=a y=("n", nosuchfn(dura), sum)`, false},                // unknown function
 		{`table name=a condition=(markername == "x") y=("n", dura, count)`, false},
 	} {
 		specs, err := stats.Parse(tc.program)

@@ -6,7 +6,6 @@ package stats_test
 // and whenever both engines run they must agree byte-for-byte.
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -98,18 +97,16 @@ func FuzzCompile(f *testing.F) {
 			t.Skip(err)
 		}
 		files := []*interval.File{mf}
-		st, sErr := stats.GenerateSpecsOpts(specs, files, stats.Options{Engine: stats.EngineScalar})
-		ct, cErr := stats.GenerateSpecsOpts(specs, files, stats.Options{Engine: stats.EngineColumnar})
-		if cErr != nil && strings.Contains(cErr.Error(), "not lowerable") {
-			// Compiler refusal: the auto engine must still agree with scalar.
-			at, aErr := stats.GenerateSpecsOpts(specs, files, stats.Options{})
-			if (aErr == nil) != (sErr == nil) {
-				t.Fatalf("auto/scalar disagree on error: %v vs %v", aErr, sErr)
-			}
-			if aErr == nil && renderTables(at) != renderTables(st) {
-				t.Fatal("auto fallback output differs from scalar")
-			}
-			return
+		lowerable := true
+		for _, spec := range specs {
+			lowerable = lowerable && stats.Lowerable(spec)
+		}
+		st, sErr := stats.GenerateSpecsScalar(specs, files, stats.Options{})
+		ct, cErr := stats.GenerateSpecsOpts(specs, files, stats.Options{})
+		if cErr == nil && allColumnar(ct) != lowerable {
+			// The kernels run exactly when the compiler accepts the whole
+			// program; a refusal must fall back, never fail.
+			t.Fatalf("lowerable=%v but columnar=%v for %q", lowerable, allColumnar(ct), program)
 		}
 		if (sErr == nil) != (cErr == nil) {
 			t.Fatalf("engines disagree on error for %q:\n  scalar:   %v\n  columnar: %v", program, sErr, cErr)

@@ -22,9 +22,10 @@ type Table struct {
 	// expression referenced a field their state type does not carry
 	// (the errSkip path) — previously these vanished silently.
 	Skipped int64
-	// Columnar reports which engine produced the table: true for the
-	// vectorized kernels over columnar batches, false for the
-	// record-at-a-time evaluator. Output is byte-identical either way.
+	// Columnar reports which evaluator produced the table: true for the
+	// vectorized kernels, false when the program was not lowerable and
+	// the record-at-a-time evaluator ran instead. Output is byte-identical
+	// either way.
 	Columnar bool
 	// Engine reports which data path answered a time-resolved table:
 	// "pyramid" for the summary-pyramid fast path, "scan" for the
@@ -50,21 +51,6 @@ type group struct {
 	y []cell
 }
 
-// Engine selects how tables are evaluated.
-type Engine int
-
-const (
-	// EngineAuto compiles the program to vectorized kernels over
-	// columnar batches when every expression is lowerable, falling back
-	// to the record-at-a-time evaluator otherwise. The default.
-	EngineAuto Engine = iota
-	// EngineScalar forces the record-at-a-time evaluator.
-	EngineScalar
-	// EngineColumnar requires the columnar kernels; generation fails if
-	// any expression cannot be lowered.
-	EngineColumnar
-)
-
 // Options tunes table generation.
 type Options struct {
 	// Parallel is the frame-decode worker count handed to the interval
@@ -84,8 +70,6 @@ type Options struct {
 	// (checked per frame by the map-reduce engine). The trace query
 	// service sets it to the request context; CLIs leave it nil.
 	Context context.Context
-	// Engine picks the evaluator; see the Engine constants.
-	Engine Engine
 	// Summary picks the data path for time-resolved tables:
 	// SummaryAuto uses the file's summary pyramid when one is attached
 	// and usable (single file, non-degenerate window), falling back to
@@ -114,36 +98,17 @@ func GenerateSpecs(specs []*TableSpec, files []*interval.File) ([]*Table, error)
 }
 
 // GenerateSpecsOpts runs parsed table specs over the interval files on
-// the per-frame map-reduce engine: frames decode and evaluate
-// concurrently into partial group maps, which merge into the global
-// groups in frame order. The Engine option picks between the
-// record-at-a-time evaluator and the vectorized kernels over columnar
-// batches; both produce byte-identical tables on the expressions the
+// the per-frame map-reduce engine: frames arrive as columnar batches and
+// evaluate concurrently into partial group maps, which merge into the
+// global groups in frame order. Programs the kernel compiler accepts run
+// as vectorized kernels over the batch columns; any other program
+// (markername, lazily raised type errors) runs on the record-at-a-time
+// evaluator over the same batches' rows, which is also the differential
+// tests' oracle. Both produce byte-identical tables on every program the
 // compiler accepts.
 func GenerateSpecsOpts(specs []*TableSpec, files []*interval.File, opts Options) ([]*Table, error) {
-	tStart, tEnd, err := runBounds(files)
-	if err != nil {
-		return nil, err
-	}
-	columnar := false
-	var prog *compiledProgram
-	switch opts.Engine {
-	case EngineScalar:
-	case EngineColumnar:
-		p, ok := compileProgram(specs)
-		if !ok {
-			return nil, fmt.Errorf("stats: program is not lowerable to columnar kernels")
-		}
-		prog, columnar = p, true
-	default:
-		if p, ok := compileProgram(specs); ok {
-			prog, columnar = p, true
-		}
-	}
-	if columnar {
-		return generateColumnar(prog, specs, files, opts, tStart, tEnd)
-	}
-	return generateScalar(specs, files, opts, tStart, tEnd)
+	prog, _ := compileProgram(specs)
+	return generate(prog, specs, files, opts)
 }
 
 // runBounds computes overall run bounds over all inputs, for bin().
@@ -175,40 +140,36 @@ type specPartial struct {
 	skipped []int64
 }
 
-func generateScalar(specs []*TableSpec, files []*interval.File, opts Options, tStart, tEnd clock.Time) ([]*Table, error) {
+// generate evaluates specs frame by frame: with the compiled kernels
+// when prog is non-nil, with the record-at-a-time evaluator otherwise.
+// Everything around the per-frame evaluation — frame selection, the
+// frame-order merge of partial groups, table finalization — is shared,
+// so float summation order and therefore TSV bytes are identical.
+func generate(prog *compiledProgram, specs []*TableSpec, files []*interval.File, opts Options) ([]*Table, error) {
+	tStart, tEnd, err := runBounds(files)
+	if err != nil {
+		return nil, err
+	}
 	groups := make([]map[string]*group, len(specs))
 	for i := range groups {
 		groups[i] = make(map[string]*group)
 	}
 	skipped := make([]int64, len(specs))
 
+	var evalFrame frameEval
+	if prog != nil {
+		evalFrame = prog.columnarFrame(opts, tStart, tEnd)
+	} else {
+		evalFrame = scalarFrame(specs, files, opts, tStart, tEnd)
+	}
 	mopts := interval.MapOptions{Parallel: opts.Parallel, Window: opts.Window, Lo: opts.Lo, Hi: opts.Hi, Context: opts.Context}
-	err := interval.MapFilesFrames(files, mopts,
-		func(file int, _ interval.FrameEntry, recs []interval.Record) (*specPartial, error) {
-			ctx := &evalCtx{markers: files[file].Header.Markers, tStart: tStart, tEnd: tEnd}
+	err = interval.MapFrames(files, mopts,
+		func(file int, fe interval.FrameEntry, b *interval.Batch) (*specPartial, error) {
 			sp := &specPartial{pg: make([]map[string]*group, len(specs)), skipped: make([]int64, len(specs))}
 			for i := range sp.pg {
 				sp.pg[i] = make(map[string]*group)
 			}
-			for ri := range recs {
-				rec := &recs[ri]
-				if opts.Window && (rec.End() < opts.Lo || rec.Start > opts.Hi) {
-					// Filter at the record level so the result does not
-					// depend on how records happened to be framed.
-					continue
-				}
-				ctx.rec = rec
-				for si, spec := range specs {
-					skip, err := accumulate(spec, ctx, sp.pg[si])
-					if err != nil {
-						return nil, err
-					}
-					if skip {
-						sp.skipped[si]++
-					}
-				}
-			}
-			return sp, nil
+			return sp, evalFrame(file, fe, b, sp)
 		},
 		func(_ int, _ interval.FrameEntry, sp *specPartial) error {
 			for si := range specs {
@@ -220,11 +181,42 @@ func generateScalar(specs []*TableSpec, files []*interval.File, opts Options, tS
 	if err != nil {
 		return nil, err
 	}
-	return buildTables(specs, groups, skipped, false), nil
+	return buildTables(specs, groups, skipped, prog != nil), nil
 }
 
-// buildTables finalizes merged groups into sorted tables; shared by
-// both engines so the output path is literally the same code.
+// frameEval folds one frame's batch into sp; it runs concurrently, one
+// call per frame.
+type frameEval func(file int, fe interval.FrameEntry, b *interval.Batch, sp *specPartial) error
+
+// scalarFrame is the record-at-a-time evaluator: each batch row is
+// materialized (aliasing the read-only batch) and walked through the
+// expression trees.
+func scalarFrame(specs []*TableSpec, files []*interval.File, opts Options, tStart, tEnd clock.Time) frameEval {
+	return func(file int, _ interval.FrameEntry, b *interval.Batch, sp *specPartial) error {
+		var rec interval.Record
+		ctx := &evalCtx{rec: &rec, markers: files[file].Header.Markers, tStart: tStart, tEnd: tEnd}
+		for ri := 0; ri < b.N; ri++ {
+			if opts.Window && (b.End(ri) < opts.Lo || b.Start[ri] > opts.Hi) {
+				// Filter at the record level so the result does not
+				// depend on how records happened to be framed.
+				continue
+			}
+			rec = b.Row(ri)
+			for si, spec := range specs {
+				skip, err := accumulate(spec, ctx, sp.pg[si])
+				if err != nil {
+					return err
+				}
+				if skip {
+					sp.skipped[si]++
+				}
+			}
+		}
+		return nil
+	}
+}
+
+// buildTables finalizes merged groups into sorted tables.
 func buildTables(specs []*TableSpec, groups []map[string]*group, skipped []int64, columnar bool) []*Table {
 	tables := make([]*Table, len(specs))
 	for si, spec := range specs {

@@ -56,7 +56,7 @@ func TimeResolved(files []*interval.File, bins int, opts Options) ([]*Table, err
 
 	agg := &trAgg{bins: bins, busy: map[trBusyKey]clock.Time{}, lane: map[trLaneKey]clock.Time{}}
 	mopts := interval.MapOptions{Parallel: opts.Parallel, Window: opts.Window, Lo: opts.Lo, Hi: opts.Hi, Context: opts.Context}
-	err = interval.MapFilesBatches(files, mopts,
+	err = interval.MapFrames(files, mopts,
 		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*trAgg, error) {
 			p := &trAgg{bins: bins, busy: map[trBusyKey]clock.Time{}, lane: map[trLaneKey]clock.Time{}}
 			for i := 0; i < b.N; i++ {

@@ -233,7 +233,7 @@ func runCell(sc Scenario, polName string, opts Options) (Cell, error) {
 	}
 	files := make([]*interval.File, len(outs))
 	for i, sb := range outs {
-		if files[i], err = interval.ReadHeader(sb); err != nil {
+		if files[i], err = interval.NewFile(sb); err != nil {
 			return Cell{}, err
 		}
 	}
@@ -245,7 +245,7 @@ func runCell(sc Scenario, polName string, opts Options) (Cell, error) {
 		return Cell{}, err
 	}
 	cell.Records, cell.Pseudo = mres.Records, mres.Pseudo
-	merged, err := interval.ReadHeader(sb)
+	merged, err := interval.NewFile(sb)
 	if err != nil {
 		return Cell{}, err
 	}

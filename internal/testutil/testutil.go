@@ -80,7 +80,7 @@ func ConvertRun(t testing.TB, raws [][]byte, wopts interval.WriterOptions) []*in
 	}
 	files := make([]*interval.File, len(outs))
 	for i, sb := range outs {
-		f, err := interval.ReadHeader(sb)
+		f, err := interval.NewFile(sb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func MergeRun(t testing.TB, files []*interval.File, opts merge.Options) (*interv
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf, err := interval.ReadHeader(sb)
+	mf, err := interval.NewFile(sb)
 	if err != nil {
 		t.Fatal(err)
 	}

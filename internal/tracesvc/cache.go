@@ -22,12 +22,14 @@ type frameKey struct {
 	off  int64
 }
 
-// FrameCache is a sharded LRU cache of decoded frames, keyed by
-// (file, frame offset) and bounded by an approximate byte budget.
-// Concurrent requests for the same missing frame are collapsed into a
-// single decode (singleflight); everyone else blocks on the winner.
-// Cached record slices are shared with every caller: they are read-only
-// by contract (the same contract interval.FrameDecoder states).
+// FrameCache is a sharded LRU cache of decoded frames — columnar
+// batches, the one decoded representation every consumer reads — keyed
+// by (file, frame offset) and bounded by a byte budget. Concurrent
+// requests for the same missing frame are collapsed into a single
+// decode (singleflight); everyone else blocks on the winner. Cached
+// batches are shared with every caller and read-only by contract (the
+// same contract interval.FrameDecoder states); eviction only drops the
+// cache's reference, so a batch a request still holds stays valid.
 type FrameCache struct {
 	shards      []cacheShard
 	shardBudget int64
@@ -52,7 +54,7 @@ type cacheShard struct {
 
 type cacheEntry struct {
 	key        frameKey
-	recs       []interval.Record
+	batch      *interval.Batch
 	size       int64
 	prev, next *cacheEntry
 	// ready closes when the decode finished; err is set before ready
@@ -65,9 +67,10 @@ type cacheEntry struct {
 }
 
 // NewFrameCache builds a cache with the given total byte budget spread
-// over nShards shards (both floored to sane minimums). The budget is
-// approximate: it counts decoded record payloads, not allocator
-// overhead.
+// over nShards shards (both floored to sane minimums). The budget
+// counts each resident batch's exact column footprint
+// (interval.Batch.Footprint); load functions return right-sized batches,
+// so nothing uncounted rides along.
 func NewFrameCache(budgetBytes int64, nShards int) *FrameCache {
 	if nShards < 1 {
 		nShards = 1
@@ -96,11 +99,11 @@ func (c *FrameCache) shard(k frameKey) *cacheShard {
 	return &c.shards[h%uint64(len(c.shards))]
 }
 
-// Get returns the cached records for key (file, off), or runs load
+// Get returns the cached batch for key (file, off), or runs load
 // exactly once — however many callers ask concurrently — and caches its
 // result. A failed load is not cached; every waiter sees the error and
 // the next Get retries.
-func (c *FrameCache) Get(file uint64, off int64, load func() ([]interval.Record, error)) ([]interval.Record, error) {
+func (c *FrameCache) Get(file uint64, off int64, load func() (*interval.Batch, error)) (*interval.Batch, error) {
 	k := frameKey{file, off}
 	sh := c.shard(k)
 
@@ -112,7 +115,7 @@ func (c *FrameCache) Get(file uint64, off int64, load func() ([]interval.Record,
 			sh.moveToFront(e)
 			sh.mu.Unlock()
 			c.hits.Add(1)
-			return e.recs, e.err
+			return e.batch, e.err
 		default:
 		}
 		// Another goroutine is decoding this frame right now: wait for
@@ -120,15 +123,15 @@ func (c *FrameCache) Get(file uint64, off int64, load func() ([]interval.Record,
 		sh.mu.Unlock()
 		<-e.ready
 		c.hits.Add(1)
-		return e.recs, e.err
+		return e.batch, e.err
 	}
 	e := &cacheEntry{key: k, ready: make(chan struct{})}
 	sh.entries[k] = e
 	sh.mu.Unlock()
 	c.misses.Add(1)
 
-	recs, err := load()
-	e.recs, e.err = recs, err
+	b, err := load()
+	e.batch, e.err = b, err
 
 	sh.mu.Lock()
 	if err != nil {
@@ -138,7 +141,7 @@ func (c *FrameCache) Get(file uint64, off int64, load func() ([]interval.Record,
 			delete(sh.entries, k)
 		}
 	} else if sh.entries[k] == e {
-		e.size = recordsBytes(recs)
+		e.size = b.Footprint()
 		sh.linkFront(e)
 		sh.bytes += e.size
 		c.bytes.Add(e.size)
@@ -147,7 +150,7 @@ func (c *FrameCache) Get(file uint64, off int64, load func() ([]interval.Record,
 	}
 	sh.mu.Unlock()
 	close(e.ready)
-	return recs, err
+	return b, err
 }
 
 // evictLocked drops least-recently-used entries until the shard is back
@@ -259,16 +262,4 @@ func (sh *cacheShard) moveToFront(e *cacheEntry) {
 	}
 	sh.unlink(e)
 	sh.linkFront(e)
-}
-
-// recordsBytes estimates the resident size of a decoded frame: the
-// record structs plus their Extra/Vec payloads. It is a budget measure,
-// not an exact allocator accounting.
-func recordsBytes(recs []interval.Record) int64 {
-	const recordSize = 96 // struct fields + two slice headers, rounded up
-	n := int64(len(recs)) * recordSize
-	for i := range recs {
-		n += int64(len(recs[i].Extra)+len(recs[i].Vec)) * 8
-	}
-	return n
 }

@@ -86,7 +86,7 @@ func (m *metrics) writePrometheus(w io.Writer, cache CacheStats, tracesOpen int6
 	fmt.Fprintf(w, "tracesvc_cache_misses_total %d\n", cache.Misses)
 	promtext.Header(w, "tracesvc_cache_evictions_total", "counter", "Frames evicted to stay under the byte budget.")
 	fmt.Fprintf(w, "tracesvc_cache_evictions_total %d\n", cache.Evictions)
-	promtext.Header(w, "tracesvc_cache_bytes_resident", "gauge", "Approximate bytes of decoded records resident in the cache.")
+	promtext.Header(w, "tracesvc_cache_bytes_resident", "gauge", "Bytes of decoded frame batches resident in the cache (exact column footprint).")
 	fmt.Fprintf(w, "tracesvc_cache_bytes_resident %d\n", cache.Bytes)
 	promtext.Header(w, "tracesvc_cache_frames_resident", "gauge", "Decoded frames resident in the cache.")
 	fmt.Fprintf(w, "tracesvc_cache_frames_resident %d\n", cache.Entries)

@@ -147,11 +147,11 @@ func buildTrace(id, path string, num uint64, f *interval.File, cache *FrameCache
 		recs:     recs,
 	}
 	// The hook makes every frame decode — map-reduce engine, scanners,
-	// DecodeFrame — hit the shared cache. Installed before the trace is
+	// FrameBatch — hit the shared cache. Installed before the trace is
 	// published, never changed after, as SetFrameDecoder requires.
-	f.SetFrameDecoder(func(f *interval.File, fe interval.FrameEntry) ([]interval.Record, error) {
-		return cache.Get(num, fe.Offset, func() ([]interval.Record, error) {
-			return f.DecodeFrameDirect(fe)
+	f.SetFrameDecoder(func(f *interval.File, fe interval.FrameEntry) (*interval.Batch, error) {
+		return cache.Get(num, fe.Offset, func() (*interval.Batch, error) {
+			return f.ReadFrameBatch(fe)
 		})
 	})
 	return t, nil

@@ -354,12 +354,11 @@ func parseWindow(r *http.Request) (lo, hi clock.Time, ok bool, err error) {
 // TSV body is byte-identical to what `utestats [-e expr] [-bins N]
 // [-window lo:hi] <path>` prints on stdout: utestats's exact output
 // loop over the exact tables the library generates. Extra query
-// parameters: engine=auto|scalar|columnar picks the evaluator,
-// timeresolved=1 computes the three time-resolved metric tables over
+// parameters: timeresolved=1 computes the three time-resolved metric tables over
 // ?bins buckets instead of running a program,
 // summary=auto|pyramid|scan picks the summary engine those tables are
-// answered by, and format=json wraps each table with its engine flags
-// and excluded-record count.
+// answered by, and format=json wraps each table with its evaluator
+// flag, summary engine, and excluded-record count.
 func (s *Service) handleStats(r *http.Request) (*response, error) {
 	t, err := s.trace(r)
 	if err != nil {
@@ -373,15 +372,6 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 		}
 	}
 	opts := stats.Options{Context: r.Context()}
-	switch q.Get("engine") {
-	case "", "auto":
-	case "scalar":
-		opts.Engine = stats.EngineScalar
-	case "columnar":
-		opts.Engine = stats.EngineColumnar
-	default:
-		return nil, badRequest("bad engine %q", q.Get("engine"))
-	}
 	if opts.Summary, err = interval.ParseSummaryEngine(q.Get("summary")); err != nil {
 		return nil, badRequest("%v", err)
 	}
@@ -494,20 +484,21 @@ func (s *Service) handleRecords(r *http.Request) (*response, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		recs, err := t.file.DecodeFrame(fe)
+		b, err := t.file.FrameBatch(fe)
 		if err != nil {
 			return nil, err
 		}
-		for i := range recs {
-			rec := &recs[i]
-			if windowed && (rec.End() < lo || rec.Start > hi) {
+		for i := 0; i < b.N; i++ {
+			if windowed && (b.End(i) < lo || b.Start[i] > hi) {
 				continue
 			}
 			n := total
 			total++
-			if countOnly || n < offset || n >= offset+limit {
+			// n-offset, not offset+limit: the sum overflows for a huge limit.
+			if countOnly || n < offset || n-offset >= limit {
 				continue
 			}
+			rec := b.Row(i)
 			out = append(out, RecordJSON{
 				Type:    rec.Type.Name(),
 				Bebits:  rec.Bebits.String(),

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -175,6 +176,22 @@ func TestServiceCRUD(t *testing.T) {
 	w = do(t, s, "GET", "/v1/traces/"+id+"/records?count=1", "")
 	if !strings.Contains(w.Body.String(), `"count": 300`) {
 		t.Fatalf("count mode: %s", w.Body)
+	}
+	// Page edges, including a limit so large that offset+limit wraps.
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"offset=0&limit=1", 1},
+		{"offset=299&limit=100", 1},
+		{"offset=300&limit=100", 0},
+		{"offset=1&limit=9223372036854775807", 299},
+		{"offset=9223372036854775807&limit=9223372036854775807", 0},
+	} {
+		page := recordsPage(t, s, "/v1/traces/"+id+"/records?"+tc.query)
+		if page.Total != 300 || len(page.Records) != tc.want {
+			t.Fatalf("records?%s: total %d, %d records on the page, want 300 and %d", tc.query, page.Total, len(page.Records), tc.want)
+		}
 	}
 
 	if w = do(t, s, "DELETE", "/v1/traces/"+id, ""); w.Code != http.StatusNoContent {
@@ -547,25 +564,26 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestStatsEngineAndJSON covers the stats endpoint's engine selection,
-// JSON format, time-resolved tables, and the stats counters on /metrics.
+// TestStatsEngineAndJSON covers the stats endpoint's evaluator choice
+// (the compiler's, never the client's), JSON format, time-resolved
+// tables, and the stats counters on /metrics.
 func TestStatsEngineAndJSON(t *testing.T) {
 	s := tracesvc.New(tracesvc.Config{})
 	defer s.Close()
 	path := writeTrace(t, t.TempDir(), 400)
 	id := openTrace(t, s, path)
 
-	// Engine selection: scalar and columnar answers are byte-identical.
-	base := do(t, s, "GET", "/v1/traces/"+id+"/stats?engine=scalar", "")
-	col := do(t, s, "GET", "/v1/traces/"+id+"/stats?engine=columnar", "")
-	if base.Code != 200 || col.Code != 200 {
-		t.Fatalf("engine stats: %d / %d", base.Code, col.Code)
+	// engine= is not a parameter: whatever it says, the answer is the
+	// default one.
+	base := do(t, s, "GET", "/v1/traces/"+id+"/stats", "")
+	if base.Code != 200 {
+		t.Fatalf("stats: %d %s", base.Code, base.Body)
 	}
-	if base.Body.String() != col.Body.String() {
-		t.Fatal("scalar and columnar endpoint bodies differ")
-	}
-	if w := do(t, s, "GET", "/v1/traces/"+id+"/stats?engine=nope", ""); w.Code != 400 {
-		t.Fatalf("bad engine: %d", w.Code)
+	for _, e := range []string{"scalar", "columnar", "nope"} {
+		w := do(t, s, "GET", "/v1/traces/"+id+"/stats?engine="+e, "")
+		if w.Code != 200 || w.Body.String() != base.Body.String() {
+			t.Fatalf("engine=%s is not ignored: %d", e, w.Code)
+		}
 	}
 
 	// JSON format carries the engine flag and the excluded-record count.
@@ -610,8 +628,20 @@ func TestStatsEngineAndJSON(t *testing.T) {
 		t.Fatalf("timeresolved with expr: %d", w.Code)
 	}
 
-	// The engine counters moved: the engine=scalar request above counts
-	// scalar tables, everything else counts columnar ones.
+	// A program the kernel compiler rejects (markername) falls back to
+	// the record-at-a-time evaluator and says so.
+	w = do(t, s, "GET", "/v1/traces/"+id+"/stats?format=json&expr="+
+		url.QueryEscape(`table name=m x=("m", markername) y=("n", dura, count)`), "")
+	got.Tables = nil
+	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || w.Code != 200 {
+		t.Fatalf("fallback stats: %d %v %s", w.Code, err, w.Body)
+	}
+	if len(got.Tables) != 1 || got.Tables[0].Columnar {
+		t.Fatalf("unlowerable program not reported as scalar: %+v", got)
+	}
+
+	// The engine counters moved: the markername request above counts a
+	// scalar table, everything else counts columnar ones.
 	body := do(t, s, "GET", "/metrics", "").Body.String()
 	for _, want := range []string{
 		"tracesvc_stats_tables_columnar_total ",

@@ -223,7 +223,7 @@ func TestParallelPipelineMatchesSynchronous(t *testing.T) {
 			files := make([]*interval.File, len(outs))
 			for i, sb := range outs {
 				convOuts = append(convOuts, sb.Bytes())
-				if files[i], err = interval.ReadHeader(sb); err != nil {
+				if files[i], err = interval.NewFile(sb); err != nil {
 					t.Fatal(err)
 				}
 			}
