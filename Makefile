@@ -26,8 +26,11 @@ race:
 # SchedHotLoop pins the simulator's per-event cost, and SweepCell runs
 # scenario-sweep cells through the whole pipeline (its wide case fails
 # when frame-start pseudo-intervals swamp the merged file).
-# StatsColumnar's columnar-cold/-warm cases live in the root package; its
-# scalar baseline sits beside the test-only oracle in internal/stats.
+# StatsColumnar's columnar-cold/-warm and predefined-sppm cases live in
+# the root package and fail when a run allocates more than a fixed
+# number of objects per record (the stats path must not allocate per
+# record or per group per frame); its scalar baseline sits beside the
+# test-only oracle in internal/stats.
 bench-smoke:
 	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|ServeWindow|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|SweepCell|^BenchmarkIngest$$' -benchtime 1x .
 	$(GO) test -run xxx -bench 'StatsColumnar' -benchtime 1x ./internal/stats

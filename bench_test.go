@@ -48,6 +48,12 @@ func stormRaws(b *testing.B, iters int) [][]byte {
 // stormRawsN generates the storm workload over a configurable node
 // count (for the parallel convert/merge benchmarks).
 func stormRawsN(b *testing.B, nodes, iters int) [][]byte {
+	return simRaws(b, nodes, 4, 2, 99, workload.Storm{Iters: iters, Threads: 3}.Main())
+}
+
+// simRaws runs main on every task of a simulated machine and returns
+// the per-node raw traces.
+func simRaws(b *testing.B, nodes, cpus, tasksPerNode int, seed uint64, main func(*mpisim.Proc)) [][]byte {
 	b.Helper()
 	bufs := make([]*bytes.Buffer, nodes)
 	writers := make([]io.Writer, nodes)
@@ -57,15 +63,15 @@ func stormRawsN(b *testing.B, nodes, iters int) [][]byte {
 	}
 	w, err := mpisim.New(mpisim.Config{
 		Cluster: cluster.Config{
-			Nodes: nodes, CPUsPerNode: 4, Seed: 99,
+			Nodes: nodes, CPUsPerNode: cpus, Seed: seed,
 			TraceOpts: trace.Options{Enabled: events.MaskAll},
 		},
-		TasksPerNode: 2,
+		TasksPerNode: tasksPerNode,
 	}, writers)
 	if err != nil {
 		b.Fatal(err)
 	}
-	w.Start(workload.Storm{Iters: iters, Threads: 3}.Main())
+	w.Start(main)
 	if _, err := w.Run(); err != nil {
 		b.Fatal(err)
 	}
@@ -891,42 +897,99 @@ func BenchmarkStatsParallel(b *testing.B) {
 // runs them (columnar-warm: no read, no decode, no copy). The scalar
 // baseline over the same trace and program sits beside the oracle it
 // measures: BenchmarkStatsColumnar/scalar in internal/stats.
+// predefined-sppm is what the ledger's read-side workloads spend their
+// time in — the predefined tables over the 4×8 sPPM trace — and carries
+// the deterministic half of that claim: it fails when a run allocates
+// more than statsAllocsPerRecord, which any per-record or
+// per-group-per-frame allocation in the group-by does many times over
+// (timing stays the ledger's job).
 func BenchmarkStatsColumnar(b *testing.B) {
-	mf := windowBenchFile(b)
-	prog := `table name=busy x=("state", state) y=("t", dura, sum) y=("n", dura, count)
-table name=bynode x=("node", node) x=("bin", bin(start, 50)) y=("t", dura, sum)
-table name=sends condition=(msgSizeSent > 0) x=("node", node) y=("bytes", msgSizeSent, sum)`
-	run := func(b *testing.B) {
-		runtime.GC()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tables, err := stats.GenerateOpts(prog, []*interval.File{mf}, stats.Options{Parallel: 1})
+	const statsAllocsPerRecord = 0.05
+	bench := func(mf *interval.File, prog string) func(b *testing.B) {
+		return func(b *testing.B) {
+			_, _, records, err := mf.Stats()
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(tables[0].Rows) == 0 || !tables[0].Columnar {
-				b.Fatal("empty table, or the kernels did not run")
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tables, err := stats.GenerateOpts(prog, []*interval.File{mf}, stats.Options{Parallel: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(tables[0].Rows) == 0 || !tables[0].Columnar {
+					b.Fatal("empty table, or the kernels did not run")
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			work := float64(b.N) * float64(records)
+			allocs := float64(after.Mallocs-before.Mallocs) / work
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/work, "ns/record")
+			b.ReportMetric(allocs, "allocs/record")
+			if allocs > statsAllocsPerRecord {
+				b.Fatalf("%.3f allocs/record, ceiling %v: the stats path allocates per record", allocs, statsAllocsPerRecord)
 			}
 		}
 	}
-	b.Run("columnar-cold", run)
-	b.Run("columnar-warm", func(b *testing.B) {
-		fes, err := mf.Frames()
-		if err != nil {
-			b.Fatal(err)
-		}
-		cache := make(map[int64]*interval.Batch, len(fes))
-		for _, fe := range fes {
-			if cache[fe.Offset], err = mf.ReadFrameBatch(fe); err != nil {
+	// warm serves every frame from a decoded-batch cache for the length
+	// of run.
+	warm := func(mf *interval.File, run func(b *testing.B)) func(b *testing.B) {
+		return func(b *testing.B) {
+			fes, err := mf.Frames()
+			if err != nil {
 				b.Fatal(err)
 			}
+			cache := make(map[int64]*interval.Batch, len(fes))
+			for _, fe := range fes {
+				if cache[fe.Offset], err = mf.ReadFrameBatch(fe); err != nil {
+					b.Fatal(err)
+				}
+			}
+			mf.SetFrameDecoder(func(_ *interval.File, fe interval.FrameEntry) (*interval.Batch, error) {
+				return cache[fe.Offset], nil
+			})
+			defer mf.SetFrameDecoder(nil)
+			run(b)
 		}
-		mf.SetFrameDecoder(func(_ *interval.File, fe interval.FrameEntry) (*interval.Batch, error) {
-			return cache[fe.Offset], nil
-		})
-		defer mf.SetFrameDecoder(nil)
-		run(b)
+	}
+
+	stormFile := windowBenchFile(b)
+	storm := bench(stormFile, `table name=busy x=("state", state) y=("t", dura, sum) y=("n", dura, count)
+table name=bynode x=("node", node) x=("bin", bin(start, 50)) y=("t", dura, sum)
+table name=sends condition=(msgSizeSent > 0) x=("node", node) y=("bytes", msgSizeSent, sum)`)
+	b.Run("columnar-cold", storm)
+	b.Run("columnar-warm", warm(stormFile, storm))
+	b.Run("predefined-sppm", func(b *testing.B) {
+		mf := sppmBenchFile(b)
+		sppm := bench(mf, stats.Predefined(50))
+		b.Run("cold", sppm)
+		b.Run("warm", warm(mf, sppm))
 	})
+}
+
+// sppmBenchFile is the ledger's pipeline_sppm_4x8 trace built in
+// process: sPPM, 4000 iterations, 4 nodes × 1 task × 8 CPUs, converted
+// and merged with the tools' default options.
+func sppmBenchFile(b *testing.B) *interval.File {
+	b.Helper()
+	main, err := workload.Build("sppm", workload.Params{"iters": 4000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	raws := simRaws(b, 4, 8, 1, 12, main)
+	sb := interval.NewSeekBuffer()
+	if _, err := merge.Merge(convertedFiles(b, raws), sb, merge.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	mf, err := interval.NewFile(sb)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return mf
 }
 
 // --- trace query service (utetraced's serving layer) -------------------

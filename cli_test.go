@@ -386,6 +386,8 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"utestats", []string{"-window", "2:1", good}, 1},
 		{"utestats", []string{"-window", "NaN:1", good}, 1},
 		{"utestats", []string{"-window", "abc", good}, 1},
+		{"utestats", []string{"-timeresolved", "-bins", "2000000000", good}, 2},
+		{"utestats", []string{"-bins", "65537", good}, 2},
 
 		{"utedump", nil, 2},
 		{"utedump", []string{missing}, 1},

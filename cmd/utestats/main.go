@@ -57,6 +57,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "utestats: -j must be >= 0")
 		os.Exit(2)
 	}
+	if *bins > stats.MaxBins {
+		fmt.Fprintf(os.Stderr, "utestats: -bins must be at most %d\n", stats.MaxBins)
+		os.Exit(2)
+	}
 	program := *exprSrc
 	if *fileSrc != "" {
 		b, err := os.ReadFile(*fileSrc)

@@ -112,7 +112,10 @@ func (e Edge) String() string {
 	return "edge?"
 }
 
-var names = map[Type]string{
+// names is a dense table indexed by Type (a sparse array literal sized
+// by its largest key, like extraFields): Name is called per record by
+// the statistics kernels, the /records encoder and the renderers.
+var names = [...]string{
 	EvRunning:      "Running",
 	EvMarkerState:  "Marker",
 	EvDispatch:     "Dispatch",
@@ -147,8 +150,8 @@ var names = map[Type]string{
 
 // Name returns the canonical name of t, or a hex form for unknown types.
 func (t Type) Name() string {
-	if n, ok := names[t]; ok {
-		return n
+	if int(t) < len(names) && names[t] != "" {
+		return names[t]
 	}
 	return "Type(0x" + hex4(uint16(t)) + ")"
 }

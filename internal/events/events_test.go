@@ -31,6 +31,52 @@ func TestNames(t *testing.T) {
 	if got := Type(0xbeef).Name(); got != "Type(0xbeef)" {
 		t.Errorf("unknown type name = %q", got)
 	}
+	// Every one of the 65 536 codes names exactly as the map the dense
+	// table replaced did.
+	for c := 0; c <= 0xffff; c++ {
+		ty := Type(c)
+		want, ok := nameMap[ty]
+		if !ok {
+			want = "Type(0x" + hex4(uint16(c)) + ")"
+		}
+		if got := ty.Name(); got != want {
+			t.Fatalf("Type(%#04x).Name() = %q, want %q", c, got, want)
+		}
+	}
+}
+
+// nameMap is the map Type.Name consulted before the dense table.
+var nameMap = map[Type]string{
+	EvRunning:      "Running",
+	EvMarkerState:  "Marker",
+	EvDispatch:     "Dispatch",
+	EvUndispatch:   "Undispatch",
+	EvThreadInfo:   "ThreadInfo",
+	EvGlobalClock:  "GlobalClock",
+	EvMPISend:      "MPI_Send",
+	EvMPIRecv:      "MPI_Recv",
+	EvMPIIsend:     "MPI_Isend",
+	EvMPIIrecv:     "MPI_Irecv",
+	EvMPIWait:      "MPI_Wait",
+	EvMPIWaitall:   "MPI_Waitall",
+	EvMPISendrecv:  "MPI_Sendrecv",
+	EvMPIBarrier:   "MPI_Barrier",
+	EvMPIBcast:     "MPI_Bcast",
+	EvMPIReduce:    "MPI_Reduce",
+	EvMPIAllreduce: "MPI_Allreduce",
+	EvMPIAlltoall:  "MPI_Alltoall",
+	EvMPIGather:    "MPI_Gather",
+	EvMPIScatter:   "MPI_Scatter",
+	EvMPIAllgather: "MPI_Allgather",
+	EvMPIScan:      "MPI_Scan",
+	EvMPIRedScat:   "MPI_Reduce_scatter",
+	EvMPISsend:     "MPI_Ssend",
+	EvMarkerDefine: "MarkerDefine",
+	EvMarkerBegin:  "MarkerBegin",
+	EvMarkerEnd:    "MarkerEnd",
+	EvIORead:       "IO_Read",
+	EvIOWrite:      "IO_Write",
+	EvPageMiss:     "PageMiss",
 }
 
 func TestAllMPITypesNamed(t *testing.T) {

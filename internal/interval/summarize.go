@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 
 	"tracefw/internal/clock"
@@ -140,14 +141,28 @@ func binBound(lo clock.Time, span int64, bins, i int) clock.Time {
 	return lo + clock.Time((span/int64(bins))*int64(i)+(span%int64(bins))*int64(i)/int64(bins))
 }
 
+// ScaleBin returns off*bins/span clamped to [0, bins-1], for span > 0
+// and bins >= 1: the first guess at the bin holding an offset into the
+// span, shared with the stats bucket ruler. The product is taken in 128
+// bits — in 64 it overflows once bins times the span in nanoseconds
+// passes 2^63, a 33 s run at 3·10^8 bins.
+func ScaleBin(off, span int64, bins int) int {
+	if off <= 0 {
+		return 0
+	}
+	if off >= span {
+		return bins - 1
+	}
+	hi, lo := bits.Mul64(uint64(off), uint64(bins))
+	q, _ := bits.Div64(hi, lo, uint64(span)) // off < span, so q < bins: no overflow
+	return int(q)
+}
+
 func binOf(lo clock.Time, span int64, bins int, t clock.Time) int {
 	if span <= 0 {
 		return 0
 	}
-	i := int(int64(t-lo) * int64(bins) / span)
-	if i >= bins {
-		i = bins - 1
-	}
+	i := ScaleBin(int64(t-lo), span, bins)
 	for i > 0 && t < binBound(lo, span, bins, i) {
 		i--
 	}

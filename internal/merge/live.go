@@ -157,13 +157,13 @@ func (s *LiveSource) Advance() error {
 			s.cond.Broadcast()
 			return nil
 		}
-		if s.err != nil {
+		if s.err != nil || s.sendClosed {
+			// Nothing more can arrive. The session that owns this source
+			// outlives it (it stays listed for status queries), so the
+			// queue's backing array is released here, not with the source.
 			s.done = true
+			s.queue = nil
 			return s.err
-		}
-		if s.sendClosed {
-			s.done = true
-			return nil
 		}
 		s.cond.Wait()
 	}

@@ -3,6 +3,7 @@ package merge_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -254,4 +255,37 @@ func TestLiveSourceCloseSemantics(t *testing.T) {
 	if _, done := s.CurrentEnd(); !done {
 		t.Fatal("closed empty source not done")
 	}
+
+	// A drained source gives its queue back: ingest sessions stay listed
+	// after they finish and hold their sources, so a queue that lived as
+	// long as its source would pin ~0.4 MB per node per session forever.
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	const n, depth = 64, 4096
+	finished := make([]*merge.LiveSource, n)
+	for i := range finished {
+		src := merge.NewLiveSource(depth)
+		for j := 0; j < depth; j++ {
+			r.Start = clock.Time(j)
+			if err := src.Push(&r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src.CloseSend()
+		for done := false; !done; _, done = src.CurrentEnd() {
+			if err := src.Advance(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		finished[i] = src
+	}
+	if grew := int64(heap()) - int64(before); grew > 4<<20 {
+		t.Fatalf("%d finished sources still hold %d KiB", n, grew>>10)
+	}
+	runtime.KeepAlive(finished)
 }

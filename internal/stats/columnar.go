@@ -1,45 +1,360 @@
 package stats
 
 // The columnar evaluation path: compiled kernels evaluate a whole
-// frame's batch columns at a time, never materializing records.
+// frame's batch columns at a time, never materializing records, and a
+// dictionary-coded group-by folds the selected rows into groups keyed
+// by fixed-width words — no text is formatted, hashed or compared per
+// row. Group text keys and []Value row headers exist once per distinct
+// group, built at finalization, where they still order the table.
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/interval"
 )
 
-func (prog *compiledProgram) columnarFrame(opts Options, tStart, tEnd clock.Time) frameEval {
-	// One executor per worker, pooled: its kernel scratch buffers grow
-	// to the largest frame once and are reused for every frame after.
-	pool := sync.Pool{New: func() any { return prog.newExec(tStart, tEnd) }}
-	return func(_ int, fe interval.FrameEntry, b *interval.Batch, sp *specPartial) error {
-		x := pool.Get().(*kexec)
-		defer pool.Put(x)
-		x.bind(b)
-		// Batch-level pruning from directory aggregates: a frame that
-		// lies fully inside the window (or any frame when unwindowed)
-		// selects every row, so no per-row bitmap test is needed.
-		// Fully-outside frames were never selected by the engine.
-		sel := x.mbuf(prog.selSlot)
-		if opts.Window && !(fe.Start >= opts.Lo && fe.End <= opts.Hi) {
-			maskZero(sel)
-			for i := 0; i < b.N; i++ {
-				if b.Start[i]+b.Dura[i] >= opts.Lo && b.Start[i] <= opts.Hi {
-					sel[i>>6] |= 1 << uint(i&63)
-				}
+// runColumnar evaluates the compiled program over every selected frame
+// and returns the merged groups per table, in the text-keyed form
+// buildTables finalizes, plus the per-table errSkip counts. A worker's
+// executor carries its frame's partial groups to the frame-order reduce
+// and is recycled after it, so a run allocates for its distinct groups,
+// not per frame.
+func (prog *compiledProgram) runColumnar(files []*interval.File, mopts interval.MapOptions, tStart, tEnd clock.Time) ([]map[string]*group, []int64, error) {
+	var markers *markerDict
+	if prog.sl.markers {
+		markers = newMarkerDict(files)
+	}
+	// One executor per worker, pooled: its kernel scratch buffers and
+	// group tables grow to the largest frame once and are reused for
+	// every frame after.
+	pool := sync.Pool{New: func() any { return prog.newExec(tStart, tEnd, markers) }}
+	total := prog.newGroupTables()
+	skipped := make([]int64, len(prog.tables))
+	err := interval.MapFrames(files, mopts,
+		func(file int, fe interval.FrameEntry, b *interval.Batch) (*kexec, error) {
+			x := pool.Get().(*kexec)
+			if err := prog.evalFrame(x, mopts, file, fe, b); err != nil {
+				pool.Put(x)
+				return nil, err
+			}
+			return x, nil
+		},
+		func(_ int, _ interval.FrameEntry, x *kexec) error {
+			for i := range total {
+				total[i].merge(&x.groups[i])
+				skipped[i] += x.skipped[i]
+			}
+			pool.Put(x)
+			return nil
+		})
+	if err != nil {
+		return nil, nil, err
+	}
+	groups := make([]map[string]*group, len(prog.tables))
+	for i, ct := range prog.tables {
+		groups[i] = total[i].textKeyed(ct.xcol, markers)
+	}
+	return groups, skipped, nil
+}
+
+// evalFrame folds one frame's batch into x's per-table partial groups.
+func (prog *compiledProgram) evalFrame(x *kexec, mopts interval.MapOptions, file int, fe interval.FrameEntry, b *interval.Batch) error {
+	x.bind(file, b)
+	// Batch-level pruning from directory aggregates: a frame that
+	// lies fully inside the window (or any frame when unwindowed)
+	// selects every row, so no per-row bitmap test is needed.
+	// Fully-outside frames were never selected by the engine.
+	sel := x.mbuf(prog.selSlot)
+	if mopts.Window && !(fe.Start >= mopts.Lo && fe.End <= mopts.Hi) {
+		maskZero(sel)
+		for i := 0; i < b.N; i++ {
+			if b.Start[i]+b.Dura[i] >= mopts.Lo && b.Start[i] <= mopts.Hi {
+				sel[i>>6] |= 1 << uint(i&63)
+			}
+		}
+	} else {
+		maskOnes(sel, b.N)
+	}
+	for si, ct := range prog.tables {
+		x.groups[si].reset()
+		sk, err := ct.run(x, sel, &x.groups[si])
+		if err != nil {
+			return err
+		}
+		x.skipped[si] = sk
+	}
+	return nil
+}
+
+// markerDict is markername's dictionary. Marker ids are per file, so
+// their names are interned to program-global codes: group keys from
+// different input files agree exactly when the names do. Built once per
+// run and read-only after.
+type markerDict struct {
+	names []string            // code → name; code 0 is "", what an id its table lacks names
+	codes []map[uint64]uint32 // per input file: marker id → code
+}
+
+func newMarkerDict(files []*interval.File) *markerDict {
+	md := &markerDict{names: []string{""}, codes: make([]map[uint64]uint32, len(files))}
+	byName := map[string]uint32{"": 0}
+	for fi, f := range files {
+		codes := make(map[uint64]uint32, len(f.Header.Markers))
+		for id, name := range f.Header.Markers {
+			c, ok := byName[name]
+			if !ok {
+				c = uint32(len(md.names))
+				byName[name] = c
+				md.names = append(md.names, name)
+			}
+			codes[id] = c
+		}
+		md.codes[fi] = codes
+	}
+	return md
+}
+
+// groupTable is a group-by over fixed-width keys: every group is nx key
+// words and ny accumulator cells in two flat slabs, found through an
+// open-addressing index with a last-key memo in front of it. Groups
+// keep insertion order. The same type holds one frame's partial groups
+// (reset per frame, capacity kept) and a run's merged groups.
+type groupTable struct {
+	nx, ny int
+	n      int
+	keys   []uint64 // n*nx
+	cells  []cell   // n*ny
+	idx    []int32  // group+1 per slot, 0 empty; len is a power of two
+	last   int      // the group the previous find returned
+}
+
+func (t *groupTable) reset() {
+	t.n = 0
+	t.keys = t.keys[:0]
+	t.cells = t.cells[:0]
+	clear(t.idx)
+}
+
+func (t *groupTable) key(g int) []uint64 { return t.keys[g*t.nx : (g+1)*t.nx] }
+func (t *groupTable) row(g int) []cell   { return t.cells[g*t.ny : (g+1)*t.ny] }
+
+func hashWords(key []uint64) uint64 {
+	h := uint64(len(key))
+	for _, w := range key {
+		h = (bits.RotateLeft64(h, 5) ^ w) * 0x9e3779b97f4a7c15
+	}
+	// Finalize (murmur3's fmix64): float keys keep their entropy in the
+	// high bits, the index masks the low ones.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+func wordsEqual(a, b []uint64) bool {
+	for i, w := range a {
+		if b[i] != w {
+			return false
+		}
+	}
+	return true
+}
+
+// find returns key's group, adding it with identity cells if absent.
+func (t *groupTable) find(key []uint64) int {
+	if t.n > 0 && wordsEqual(key, t.key(t.last)) {
+		return t.last
+	}
+	if 2*(t.n+1) > len(t.idx) {
+		t.grow()
+	}
+	mask := uint64(len(t.idx) - 1)
+	for s := hashWords(key) & mask; ; s = (s + 1) & mask {
+		e := t.idx[s]
+		if e == 0 {
+			t.idx[s] = int32(t.n + 1)
+			t.keys = append(t.keys, key...)
+			for i := 0; i < t.ny; i++ {
+				t.cells = append(t.cells, cell{min: math.Inf(1), max: math.Inf(-1)})
+			}
+			t.last = t.n
+			t.n++
+			return t.last
+		}
+		if g := int(e - 1); wordsEqual(key, t.key(g)) {
+			t.last = g
+			return g
+		}
+	}
+}
+
+// grow doubles the index and re-inserts every group.
+func (t *groupTable) grow() {
+	t.idx = make([]int32, max(16, 2*len(t.idx)))
+	mask := uint64(len(t.idx) - 1)
+	for g := 0; g < t.n; g++ {
+		s := hashWords(t.key(g)) & mask
+		for t.idx[s] != 0 {
+			s = (s + 1) & mask
+		}
+		t.idx[s] = int32(g + 1)
+	}
+}
+
+// merge folds one frame's partial groups into the running totals. Each
+// key's cells combine commutatively except for the float sum, whose
+// order is fixed by the reducer's frame ordering.
+func (t *groupTable) merge(src *groupTable) {
+	for g := 0; g < src.n; g++ {
+		n := t.n
+		d := t.row(t.find(src.key(g)))
+		if t.n > n {
+			copy(d, src.row(g))
+			continue
+		}
+		mergeCells(d, src.row(g))
+	}
+}
+
+// Group-key words. A number's word is its float64 bits, with every NaN
+// folded to one — a bijection with the %g text the scalar evaluator keys
+// on, -0 and +0 distinct included. A coded column's word is its code; a
+// string constant contributes the same word to every group.
+const nanWord = 0x7ff8000000000001
+
+func (x *kexec) keyWord(r *kres, i int) uint64 {
+	if r.str {
+		if r.konst {
+			return 0
+		}
+		return uint64(x.codeAt(r, i))
+	}
+	v := r.fAt(i)
+	if v != v {
+		return nanWord
+	}
+	return math.Float64bits(v)
+}
+
+// textKeyed rebuilds, once per distinct group, what the scalar
+// evaluator builds per record: the []Value row header and the text key
+// that orders rows whose x values compare equal.
+func (t *groupTable) textKeyed(cols []xcol, markers *markerDict) map[string]*group {
+	out := make(map[string]*group, t.n)
+	for g := 0; g < t.n; g++ {
+		xs := make([]Value, t.nx)
+		for xi, w := range t.key(g) {
+			switch c := cols[xi]; {
+			case !c.str:
+				xs[xi] = num(math.Float64frombits(w))
+			case c.konst:
+				xs[xi] = str(c.cs)
+			default:
+				xs[xi] = str(codeName(c.kind, uint32(w), markers))
+			}
+		}
+		grp := &group{x: xs, y: t.row(g)}
+		k := groupKey(xs)
+		// Two groups share a text key only when NULs inside marker names
+		// make the text ambiguous; the scalar evaluator cannot tell them
+		// apart either.
+		if d := out[k]; d != nil {
+			mergeCells(d.y, grp.y)
+			continue
+		}
+		out[k] = grp
+	}
+	return out
+}
+
+// run accumulates one frame's selected rows into the table's partial
+// groups, returning how many selected records were excluded by skip
+// bitmaps (the columnar errSkip count). Row iteration is in record
+// order, so float accumulation order matches a sequential scan exactly.
+func (ct *compiledTable) run(x *kexec, sel []uint64, gt *groupTable) (int64, error) {
+	mask := x.mbuf(ct.maskSlot)
+	copy(mask, sel)
+	var skipped int64
+	if ct.cond != nil {
+		res, err := ct.cond.eval(x, mask)
+		if err != nil {
+			return skipped, fmt.Errorf("table %q: %w", ct.spec.Name, err)
+		}
+		if res.skip != nil {
+			skipped += popAnd(mask, res.skip)
+			andNotIn(mask, res.skip)
+		}
+		if res.konst {
+			if !(&res).truthAt(0) {
+				return skipped, nil
 			}
 		} else {
-			maskOnes(sel, b.N)
-		}
-		for si, ct := range prog.tables {
-			sk, err := ct.run(x, sel, sp.pg[si])
-			if err != nil {
-				return err
+			for w := 0; w < x.nw; w++ {
+				mask[w] &= truthWord(&res, w, x.n)
 			}
-			sp.skipped[si] = sk
 		}
-		return nil
+		if !maskAny(mask) {
+			return skipped, nil
+		}
 	}
+	for xi, k := range ct.x {
+		res, err := k.eval(x, mask)
+		if err != nil {
+			return skipped, fmt.Errorf("table %q: %w", ct.spec.Name, err)
+		}
+		if res.skip != nil {
+			skipped += popAnd(mask, res.skip)
+			andNotIn(mask, res.skip)
+			if !maskAny(mask) {
+				return skipped, nil
+			}
+		}
+		x.xres[xi] = res
+	}
+	for yi, k := range ct.y {
+		res, err := k.eval(x, mask)
+		if err != nil {
+			return skipped, fmt.Errorf("table %q: %w", ct.spec.Name, err)
+		}
+		if res.skip != nil {
+			skipped += popAnd(mask, res.skip)
+			andNotIn(mask, res.skip)
+			if !maskAny(mask) {
+				return skipped, nil
+			}
+		}
+		if k.isStr() && maskAny(mask) {
+			return skipped, fmt.Errorf("table %q: y expression %q produced a string", ct.spec.Name, ct.spec.Y[yi].Label)
+		}
+		x.yres[yi] = res
+	}
+	key := x.key[:len(ct.x)]
+	for w := 0; w < x.nw; w++ {
+		m := mask[w]
+		for m != 0 {
+			i := w<<6 + bits.TrailingZeros64(m)
+			m &= m - 1
+			for xi := range key {
+				key[xi] = x.keyWord(&x.xres[xi], i)
+			}
+			cells := gt.row(gt.find(key))
+			for yi := range cells {
+				v := (&x.yres[yi]).fAt(i)
+				c := &cells[yi]
+				c.sum += v
+				c.n++
+				if v < c.min {
+					c.min = v
+				}
+				if v > c.max {
+					c.max = v
+				}
+			}
+		}
+	}
+	return skipped, nil
 }

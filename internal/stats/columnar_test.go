@@ -16,7 +16,9 @@ import (
 	"testing"
 
 	"tracefw/internal/clock"
+	"tracefw/internal/events"
 	"tracefw/internal/interval"
+	"tracefw/internal/profile"
 	"tracefw/internal/stats"
 )
 
@@ -151,7 +153,7 @@ func TestColumnarPredefinedAllVersions(t *testing.T) {
 // all arithmetic and comparison ops, short-circuit logic over skipping
 // operands, bin/floor/abs, grouping on mixed key kinds, and the
 // division/modulo and floor-needs-a-number runtime errors.
-var differentialPrograms = []string{
+var differentialPrograms = []string{ // (big is 1e200, spelled out: the lexer has no exponents)
 	`table name=count y=("n", dura, count)`,
 	`table name=bynode x=("x", node) y=("t", dura, sum) y=("n", dura, count)`,
 	`table name=bycpu x=("n", node) x=("c", cpu) y=("avg", dura, avg) y=("max", dura, max) y=("min", dura, min)`,
@@ -185,6 +187,27 @@ var differentialPrograms = []string{
 	`table name=typegrp x=("x", type) y=("n", dura, count)`,
 	`table name=skipx x=("x", msgSizeSent) y=("n", dura, count)`,
 	`table name=skipy y=("bytes", msgSizeRecv, sum) y=("n", msgSizeRecv, count)`,
+	// Coded group keys: -0 against +0 (two groups that both print "0"),
+	// values straddling Text's 1e15 and 1e21 boundaries, infinities and
+	// NaNs (one group whatever the payload), constant x columns, wide
+	// keys, coded columns compared with each other, and x columns that
+	// skip.
+	`table name=zeros x=("z", (cpu - 1) * 0) y=("n", dura, count) y=("t", dura, sum)`,
+	`table name=e15 x=("x", (node + 1) * 500000000000000) x=("y", (cpu + 1) * 1000000000000000) y=("n", dura, count)`,
+	`table name=e21 x=("x", (node + 1) * 500000000000000 * 1000000) x=("y", 0 - (cpu + 1) * 1000000000000000 * 1000000) y=("n", dura, count)`,
+	`table name=infnan x=("inf", (node * 2 - 1) * ` + big + ` * ` + big + `) x=("nan", (node + 1) * ` + big + ` * ` + big + ` - (cpu + 1) * ` + big + ` * ` + big + `) y=("n", dura, count)`,
+	`table name=constx x=("c", 7) y=("n", dura, count)`,
+	`table name=constsx x=("c", "lit") x=("n", node) x=("d", "") y=("n", dura, count)`,
+	`table name=wide x=("n", node) x=("c", cpu) x=("t", thread) x=("s", state) x=("b", bebits) x=("ty", type) x=("ic", iscall) y=("t", dura, sum) y=("n", dura, count)`,
+	`table name=codedeq condition=(state == bebits) y=("n", dura, count)`,
+	`table name=codedlt condition=(state < state) y=("n", dura, count)`,
+	`table name=codedord x=("lt", state < bebits) x=("ge", bebits >= state) x=("le", state <= state) y=("n", dura, count)`,
+	`table name=constleftcmp x=("a", "MPI_Recv" < state) x=("b", "begin" != bebits) x=("c", "x" == "x") y=("n", dura, count)`,
+	`table name=strtruth condition=(state && !bebits || "") x=("t", !state) y=("n", dura, count)`,
+	`table name=skipxs x=("s", state) x=("p", peer) x=("z", msgSizeRecv) y=("n", dura, count)`,
+	`table name=marks x=("m", markername) y=("n", dura, count) y=("t", dura, sum)`,
+	`table name=markcond condition=(markername == "Phase A" || markername < state) x=("m", markername) x=("s", state) y=("n", dura, count)`,
+	`table name=marktruth condition=(!markername) y=("n", dura, count)`,
 	`table name=multi1 y=("n", dura, count)
 table name=multi2 x=("x", node) y=("t", dura, sum)
 table name=multi3 condition=(msgSizeSent > 0) x=("x", peer) y=("b", msgSizeSent, avg)`,
@@ -198,12 +221,78 @@ table name=multi3 condition=(msgSizeSent > 0) x=("x", peer) y=("b", msgSizeSent,
 	`table name=binzero x=("x", bin(start, 0)) y=("n", dura, count)`,
 }
 
+var big = "1" + strings.Repeat("0", 200)
+
+// codedFixtures builds two small files the pipeline cannot produce:
+// different marker tables (one name under two ids, one id under two
+// names, an id neither table holds), event types no profile names, and
+// bebits values past Complete.
+func codedFixtures(t *testing.T) []*interval.File {
+	t.Helper()
+	hdr := mergedFile(t).Header
+	var files []*interval.File
+	for fi, markers := range []map[uint64]string{
+		{1: "alpha", 2: "beta", 3: "Phase A"},
+		{1: "beta", 2: "gamma", 4: "alpha", 5: ""},
+	} {
+		hdr.Markers = markers
+		var recs []interval.Record
+		for i := 0; i < 400; i++ {
+			r := interval.Record{
+				Bebits: profile.Bebits(i % 4),
+				Start:  clock.Time(5*i+fi) * clock.Millisecond,
+				Dura:   clock.Time(1+i%5) * clock.Millisecond,
+				CPU:    uint16(i % 2),
+				Node:   uint16(fi),
+				Thread: uint16(i % 3),
+			}
+			switch i % 5 {
+			case 0:
+				r.Type = events.EvRunning
+			case 1:
+				r.Type = events.EvMarkerState
+				r.Extra = []uint64{uint64(1 + i%6), uint64(i), uint64(i + 1)}
+			case 2:
+				r.Type = events.Type(0x0700 + i%3) // unknown to every table
+			case 3:
+				r.Type = events.EvMPISend
+				r.Extra = []uint64{uint64(i % 2), uint64(i), uint64(10 * i), uint64(i), 1, 0}
+			default:
+				r.Type = events.EvMarkerState
+				r.Bebits = profile.Bebits(4 + i%3) // "bebits?"
+				r.Extra = []uint64{2, 0, 0}
+			}
+			recs = append(recs, r)
+		}
+		files = append(files, reencode(t, hdr, recs, interval.CurrentHeaderVersion))
+	}
+	return files
+}
+
 func TestColumnarDifferentialExpressions(t *testing.T) {
 	fixtures := versionFixtures(t)
-	for _, v := range []uint32{1, interval.CurrentHeaderVersion} {
-		files := []*interval.File{fixtures[v]}
+	coded := codedFixtures(t)
+	for _, files := range [][]*interval.File{
+		{fixtures[1]},
+		{fixtures[interval.CurrentHeaderVersion]},
+		coded,
+		{coded[1], fixtures[interval.CurrentHeaderVersion], coded[0]},
+	} {
 		for _, program := range differentialPrograms {
 			diffProgram(t, program, files, stats.Options{})
+			diffProgram(t, program, files, stats.Options{Parallel: 4})
+		}
+	}
+	// The coded fixtures are not vacuous: marker names group across the
+	// two files' tables, and the odd types and bebits reach the output.
+	tables, err := stats.GenerateOpts(`table name=m x=("m", markername) x=("b", bebits) y=("n", dura, count)
+table name=s x=("s", state) y=("n", dura, count)`, coded, stats.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"beta\tbebits?", "gamma\t", "\tbegin\t", "Type(0x0701)"} {
+		if !strings.Contains(renderTables(tables), want) {
+			t.Fatalf("coded fixture output lacks %q:\n%s", want, renderTables(tables))
 		}
 	}
 }
@@ -261,6 +350,68 @@ func TestColumnarWindowedDifferential(t *testing.T) {
 	}
 }
 
+// TestColumnarAllocsPerGroup guards the group-by's allocation shape: a
+// warm whole run over hook-supplied batches (what the trace service's
+// cache hands over) allocates for its distinct groups — their text keys
+// and row headers at finalization — plus the engine's per-frame
+// bookkeeping, never per group per frame.
+func TestColumnarAllocsPerGroup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops executors at random under the race detector")
+	}
+	f := versionFixtures(t)[interval.CurrentHeaderVersion]
+	recs, err := f.Scan().All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same records 200 times over, each copy shifted past the last:
+	// the groups stay the same few dozen while the frames multiply.
+	span := recs[len(recs)-1].End() + 1
+	var long []interval.Record
+	for rep := 0; rep < 200; rep++ {
+		for _, r := range recs {
+			r.Start += clock.Time(rep) * span
+			long = append(long, r)
+		}
+	}
+	f = reencode(t, f.Header, long, interval.CurrentHeaderVersion)
+	fes, err := f.Frames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := make(map[int64]*interval.Batch, len(fes))
+	for _, fe := range fes {
+		if cache[fe.Offset], err = f.ReadFrameBatch(fe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.SetFrameDecoder(func(_ *interval.File, fe interval.FrameEntry) (*interval.Batch, error) {
+		return cache[fe.Offset], nil
+	})
+	specs, err := stats.Parse(stats.Predefined(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		tables, err := stats.GenerateSpecsOpts(specs, []*interval.File{f}, stats.Options{Parallel: 1})
+		if err != nil || !allColumnar(tables) {
+			t.Fatalf("err=%v columnar=%v", err, allColumnar(tables))
+		}
+		groups = 0
+		for _, tb := range tables {
+			groups += len(tb.Rows)
+		}
+	})
+	if len(fes) < 4*groups {
+		t.Fatalf("%d frames against %d groups: the bound below would not tell per-frame growth apart", len(fes), groups)
+	}
+	if limit := float64(16*groups + 4*len(fes) + 512); allocs > limit {
+		t.Fatalf("%.0f allocs for %d groups over %d frames (limit %.0f): the group-by allocates per frame", allocs, groups, len(fes), limit)
+	}
+	t.Logf("%.0f allocs, %d groups, %d frames", allocs, groups, len(fes))
+}
+
 func TestColumnarSkippedCountSurfaced(t *testing.T) {
 	mf := mergedFile(t)
 	files := []*interval.File{mf}
@@ -296,14 +447,14 @@ func TestColumnarSkippedCountSurfaced(t *testing.T) {
 	}
 }
 
-// TestColumnarFallback pins the compiler's refusal list: markername
-// needs the marker dictionary and string-valued records, so programs
-// using it are not lowerable. Generation must silently fall back and
-// produce the scalar oracle's exact output.
+// TestColumnarFallback pins the compiler's refusal list: string
+// concatenation builds strings no dictionary holds, so programs using
+// it are not lowerable. Generation must silently fall back and produce
+// the scalar oracle's exact output.
 func TestColumnarFallback(t *testing.T) {
 	mf := mergedFile(t)
 	files := []*interval.File{mf}
-	program := `table name=marks x=("x", markername) y=("n", dura, count)`
+	program := `table name=cat x=("x", state + "!") y=("n", dura, count)`
 
 	specs, err := stats.Parse(program)
 	if err != nil {
@@ -353,13 +504,15 @@ func TestLowerableCoverage(t *testing.T) {
 	}{
 		{`table name=a y=("n", dura, count)`, true},
 		{`table name=a condition=(state == "Running") x=("b", bin(start, 4)) x=("n", node) y=("n", floor(dura), sum)`, true},
-		{`table name=a x=("x", markername) y=("n", dura, count)`, false},
+		{`table name=a x=("x", markername) y=("n", dura, count)`, true},
+		{`table name=a x=("x", state + "!") y=("n", dura, count)`, false},   // string concatenation
 		{`table name=a condition=(state == 1) y=("n", dura, count)`, false}, // kind mismatch
 		{`table name=a y=("n", -state, count)`, false},                      // unary minus on string
 		{`table name=a x=("x", bin(state, 4)) y=("n", dura, count)`, false}, // bin on string
 		{`table name=a y=("n", floor(state), sum)`, false},                  // floor on string
 		{`table name=a y=("n", nosuchfn(dura), sum)`, false},                // unknown function
-		{`table name=a condition=(markername == "x") y=("n", dura, count)`, false},
+		{`table name=a condition=(markername == "x") y=("n", dura, count)`, true},
+		{`table name=a condition=(markername == 1) y=("n", dura, count)`, false},
 	} {
 		specs, err := stats.Parse(tc.program)
 		if err != nil {

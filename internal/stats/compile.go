@@ -21,44 +21,65 @@ package stats
 //     selection — so composing them through nested operators is
 //     deterministic.
 //
-// Anything the compiler cannot prove equivalent (markername, string
-// concatenation, mixed string/number arithmetic, unknown functions,
-// wrong arities) is not lowered: compileProgram reports failure and the
-// caller falls back to the scalar evaluator, preserving that path's
-// exact runtime behavior including its lazily raised errors.
+// String-valued expressions never materialize strings: the three string
+// leaves (state, bebits, markername) are coded columns — a small integer
+// per row plus a dictionary consulted once per distinct code — and the
+// kernels that consume them (comparison, truthiness, the group-by in
+// columnar.go) work on the codes.
+//
+// Anything the compiler cannot prove equivalent (string concatenation,
+// mixed string/number arithmetic, unknown functions, wrong arities) is
+// not lowered: compileProgram reports failure and the caller falls back
+// to the scalar evaluator, preserving that path's exact runtime
+// behavior including its lazily raised errors.
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strconv"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
 	"tracefw/internal/interval"
+	"tracefw/internal/profile"
 )
 
 // kslots hands out scratch-buffer indices during compilation. Every
 // kernel node owns fixed slots into the executor's buffer tables, so
 // evaluation never allocates once the buffers have grown to frame size.
-type kslots struct{ nf, ns, nm int }
+type kslots struct {
+	nf, nu, nm, nt int
+	markers        bool // some expression reads markername
+}
 
-func (s *kslots) f() int   { s.nf++; return s.nf - 1 }
-func (s *kslots) str() int { s.ns++; return s.ns - 1 }
-func (s *kslots) m() int   { s.nm++; return s.nm - 1 }
+func (s *kslots) f() int  { s.nf++; return s.nf - 1 }
+func (s *kslots) u() int  { s.nu++; return s.nu - 1 }
+func (s *kslots) m() int  { s.nm++; return s.nm - 1 }
+func (s *kslots) tt() int { s.nt++; return s.nt - 1 }
 
-// kres is one kernel's result for a frame: a constant, or a value
-// column, plus an optional skip bitmap marking rows that lack a
-// referenced field (the vectorized errSkip). Values at skipped rows are
-// undefined. Skip bitmaps cover all rows of the frame, not just
-// selected ones; consumers intersect with their selection.
+// codeKind names the dictionary a coded column's codes index.
+type codeKind uint8
+
+const (
+	ckState  codeKind = iota // codes are the batch's Type column; names are Type.Name
+	ckBebits                 // codes are the batch's Bebits column; names are Bebits.String
+	ckMarker                 // codes are program-global marker-name ids (markerDict)
+)
+
+// kres is one kernel's result for a frame: a constant, a float column,
+// or (str && !konst) a coded column of the given kind, plus an optional
+// skip bitmap marking rows that lack a referenced field (the vectorized
+// errSkip). Values at skipped rows are undefined (codes stay valid
+// dictionary indices). Skip bitmaps cover all rows of the frame, not
+// just selected ones; consumers intersect with their selection.
 type kres struct {
 	konst bool
 	str   bool
+	kind  codeKind
 	cf    float64
 	cs    string
 	f     []float64
-	s     []string
+	mk    []uint32 // ckMarker codes; state and bebits read the batch's own columns
 	skip  []uint64
 }
 
@@ -69,19 +90,9 @@ func (r *kres) fAt(i int) float64 {
 	return r.f[i]
 }
 
-func (r *kres) sAt(i int) string {
-	if r.konst {
-		return r.cs
-	}
-	return r.s[i]
-}
-
-func (r *kres) truthAt(i int) bool {
-	if r.str {
-		return r.sAt(i) != ""
-	}
-	return r.fAt(i) != 0
-}
+// truthAt is a numeric result's truthiness; string-valued operands reach
+// the logical kernels through kTruth.
+func (r *kres) truthAt(i int) bool { return r.fAt(i) != 0 }
 
 // kernel is one compiled expression node.
 type kernel interface {
@@ -94,36 +105,55 @@ type kernel interface {
 	eval(x *kexec, sel []uint64) (kres, error)
 }
 
-// kexec is the per-worker execution state: the bound batch and the
-// scratch buffer tables the compiled kernels index into. One kexec is
-// reused across frames (sync.Pool), so steady-state evaluation does not
-// allocate.
+// kexec is the per-worker execution state: the bound batch, the scratch
+// buffer tables the compiled kernels index into, and the frame's partial
+// groups. One kexec is reused across frames (sync.Pool), so steady-state
+// evaluation does not allocate.
 type kexec struct {
-	n, nw  int // rows, bitmap words
-	b      *interval.Batch
-	tStart clock.Time
-	tEnd   clock.Time
-	f      [][]float64
-	s      [][]string
-	m      [][]uint64
-	xres   []kres
-	yres   []kres
-	key    []byte
+	n, nw   int // rows, bitmap words
+	b       *interval.Batch
+	file    int
+	markers *markerDict
+	tStart  clock.Time
+	tEnd    clock.Time
+	f       [][]float64
+	u       [][]uint32
+	m       [][]uint64
+	tt      [][]uint8 // per-code verdict tables; dictionaries never change, so they outlive frames
+	xres    []kres
+	yres    []kres
+	key     []uint64
+	groups  []groupTable // per table: the bound frame's partial groups
+	skipped []int64      // per table: the bound frame's errSkip count
 }
 
-func (p *compiledProgram) newExec(tStart, tEnd clock.Time) *kexec {
+func (p *compiledProgram) newExec(tStart, tEnd clock.Time, markers *markerDict) *kexec {
 	return &kexec{
-		tStart: tStart, tEnd: tEnd,
-		f:    make([][]float64, p.sl.nf),
-		s:    make([][]string, p.sl.ns),
-		m:    make([][]uint64, p.sl.nm),
-		xres: make([]kres, p.maxX),
-		yres: make([]kres, p.maxY),
+		tStart: tStart, tEnd: tEnd, markers: markers,
+		f:       make([][]float64, p.sl.nf),
+		u:       make([][]uint32, p.sl.nu),
+		m:       make([][]uint64, p.sl.nm),
+		tt:      make([][]uint8, p.sl.nt),
+		xres:    make([]kres, p.maxX),
+		yres:    make([]kres, p.maxY),
+		key:     make([]uint64, p.maxX),
+		groups:  p.newGroupTables(),
+		skipped: make([]int64, len(p.tables)),
 	}
 }
 
+// newGroupTables returns one empty group table per spec.
+func (p *compiledProgram) newGroupTables() []groupTable {
+	gts := make([]groupTable, len(p.tables))
+	for i, ct := range p.tables {
+		gts[i] = groupTable{nx: len(ct.x), ny: len(ct.y)}
+	}
+	return gts
+}
+
 // bind points the executor at a frame's batch.
-func (x *kexec) bind(b *interval.Batch) {
+func (x *kexec) bind(file int, b *interval.Batch) {
+	x.file = file
 	x.b = b
 	x.n = b.N
 	x.nw = (b.N + 63) >> 6
@@ -138,11 +168,11 @@ func (x *kexec) fbuf(slot int) []float64 {
 	return s[:x.n]
 }
 
-func (x *kexec) sbuf(slot int) []string {
-	s := x.s[slot]
+func (x *kexec) ubuf(slot int) []uint32 {
+	s := x.u[slot]
 	if cap(s) < x.n {
-		s = make([]string, x.n)
-		x.s[slot] = s
+		s = make([]uint32, x.n)
+		x.u[slot] = s
 	}
 	return s[:x.n]
 }
@@ -240,15 +270,6 @@ func truthWord(r *kres, w, n int) uint64 {
 		lim = 64
 	}
 	var tm uint64
-	if r.str {
-		s := r.s[base:]
-		for j := 0; j < lim; j++ {
-			if s[j] != "" {
-				tm |= 1 << uint(j)
-			}
-		}
-		return tm
-	}
 	f := r.f[base:]
 	for j := 0; j < lim; j++ {
 		if f[j] != 0 {
@@ -336,49 +357,129 @@ func (k kField) eval(x *kexec, _ []uint64) (kres, error) {
 	return kres{f: out}, nil
 }
 
-// String built-in field codes.
-const (
-	fcState = iota
-	fcBebits
-)
-
-type kFieldStr struct{ code, slot int }
+// kFieldStr is a string built-in as a coded column: state is the
+// batch's Type column, bebits its Bebits column. Nothing is computed
+// per row; consumers read the column through codeAt.
+type kFieldStr struct{ kind codeKind }
 
 func (kFieldStr) isStr() bool { return true }
-func (k kFieldStr) eval(x *kexec, _ []uint64) (kres, error) {
-	out := x.sbuf(k.slot)
-	b := x.b
-	if k.code == fcBebits {
-		for i := range out {
-			out[i] = b.Bebits[i].String()
-		}
-		return kres{str: true, s: out}, nil
+func (k kFieldStr) eval(*kexec, []uint64) (kres, error) {
+	return kres{str: true, kind: k.kind}, nil
+}
+
+// codeAt returns row i's code in a coded column. Bebits values past
+// Complete all render "bebits?", so they share one code: within a kind,
+// distinct codes always have distinct names.
+func (x *kexec) codeAt(r *kres, i int) uint32 {
+	switch r.kind {
+	case ckState:
+		return uint32(x.b.Type[i])
+	case ckBebits:
+		return min(uint32(x.b.Bebits[i]), uint32(profile.Complete)+1)
 	}
-	// state: memoize the last type's name — frames are dominated by a
-	// handful of types, and Type.Name allocates for unknown codes.
-	var lastT events.Type
-	lastName := ""
-	have := false
-	for i := range out {
-		t := b.Type[i]
-		if !have || t != lastT {
-			lastT, lastName, have = t, t.Name(), true
-		}
-		out[i] = lastName
+	return r.mk[i]
+}
+
+// codeName is the dictionary: the string a code of the given kind
+// stands for. Only marker codes need md.
+func codeName(kind codeKind, c uint32, md *markerDict) string {
+	switch kind {
+	case ckState:
+		return events.Type(c).Name()
+	case ckBebits:
+		return profile.Bebits(c).String()
 	}
-	return kres{str: true, s: out}, nil
+	return md.names[c]
+}
+
+// codePred is a predicate over a coded column's names: name op c, or
+// name != "" (truthiness) when op is empty.
+type codePred struct{ op, c string }
+
+func (p codePred) of(name string) bool {
+	if p.op == "" {
+		return name != ""
+	}
+	return cmpStr(p.op, name, p.c) != 0
+}
+
+// codeVerdicts writes pred's 0/1 verdict on every row of a coded column
+// into out. The predicate runs once per distinct code: the slot's table
+// remembers verdicts (0 unknown, 1 false, 2 true) for the executor's
+// lifetime, and rows are answered by lookup.
+func (x *kexec) codeVerdicts(out []float64, r *kres, ttSlot int, pred codePred) {
+	switch r.kind {
+	case ckState:
+		x.tt[ttSlot] = lookupVerdicts(out, x.b.Type, r.kind, x.markers, x.tt[ttSlot], pred)
+	case ckBebits:
+		x.tt[ttSlot] = lookupVerdicts(out, x.b.Bebits, r.kind, x.markers, x.tt[ttSlot], pred)
+	default:
+		x.tt[ttSlot] = lookupVerdicts(out, r.mk, r.kind, x.markers, x.tt[ttSlot], pred)
+	}
+}
+
+func lookupVerdicts[C ~uint8 | ~uint16 | ~uint32](out []float64, col []C, kind codeKind, md *markerDict, tt []uint8, pred codePred) []uint8 {
+	for i, c := range col[:len(out)] {
+		if int(c) >= len(tt) {
+			tt = append(tt, make([]uint8, int(c)+1-len(tt))...)
+		}
+		v := tt[c]
+		if v == 0 {
+			v = 1
+			if pred.of(codeName(kind, uint32(c), md)) {
+				v = 2
+			}
+			tt[c] = v
+		}
+		out[i] = float64(v - 1)
+	}
+	return tt
+}
+
+// kTruth is a string operand's truthiness (non-empty) as a 0/1 column.
+// Lowering wraps every string-valued condition and logical operand in
+// it, so the logical kernels only ever see numbers.
+type kTruth struct {
+	x            kernel
+	slot, ttSlot int
+}
+
+func (kTruth) isStr() bool { return false }
+func (k kTruth) eval(x *kexec, sel []uint64) (kres, error) {
+	r, err := k.x.eval(x, sel)
+	if err != nil {
+		return kres{}, err
+	}
+	if r.konst {
+		return kres{konst: true, cf: b2f(r.cs != "")}, nil
+	}
+	out := x.fbuf(k.slot)
+	x.codeVerdicts(out, &r, k.ttSlot, codePred{})
+	return kres{f: out, skip: r.skip}, nil
 }
 
 // kExtra loads a per-type extra field, producing skip bits for rows
-// whose type does not carry it — the vectorized errSkip.
+// whose type does not carry it — the vectorized errSkip. With marker
+// set it is markername: the field is the marker id, and the result is
+// the coded column of the names the file's marker table gives those ids
+// (slot then indexes the uint32 buffers).
 type kExtra struct {
 	name           string
+	marker         bool
 	slot, skipSlot int
 }
 
-func (kExtra) isStr() bool { return false }
+func (k kExtra) isStr() bool { return k.marker }
 func (k kExtra) eval(x *kexec, _ []uint64) (kres, error) {
-	out := x.fbuf(k.slot)
+	var out []float64
+	var mk []uint32
+	var codes map[uint64]uint32
+	if k.marker {
+		mk = x.ubuf(k.slot)
+		codes = x.markers.codes[x.file]
+	} else {
+		out = x.fbuf(k.slot)
+	}
 	b := x.b
 	var skip []uint64
 	var lastT events.Type
@@ -392,8 +493,16 @@ func (k kExtra) eval(x *kexec, _ []uint64) (kres, error) {
 		}
 		off := b.ExtraOff[i]
 		if lastIdx >= 0 && uint32(lastIdx) < b.ExtraOff[i+1]-off {
-			out[i] = float64(b.Extras[off+uint32(lastIdx)])
+			v := b.Extras[off+uint32(lastIdx)]
+			if k.marker {
+				mk[i] = codes[v] // an id the table lacks names "", code 0
+			} else {
+				out[i] = float64(v)
+			}
 		} else {
+			if k.marker {
+				mk[i] = 0
+			}
 			if skip == nil {
 				skip = x.mbuf(k.skipSlot)
 				maskZero(skip)
@@ -401,7 +510,7 @@ func (k kExtra) eval(x *kexec, _ []uint64) (kres, error) {
 			skip[i>>6] |= 1 << uint(i&63)
 		}
 	}
-	return kres{f: out, skip: skip}, nil
+	return kres{str: k.marker, kind: ckMarker, f: out, mk: mk, skip: skip}, nil
 }
 
 func extraIndex(t events.Type, name string) int {
@@ -451,14 +560,8 @@ func (k kNot) eval(x *kexec, sel []uint64) (kres, error) {
 		return kres{konst: true, cf: b2f(!(&r).truthAt(0))}, nil
 	}
 	out := x.fbuf(k.slot)
-	if r.str {
-		for i := range out {
-			out[i] = b2f(r.s[i] == "")
-		}
-	} else {
-		for i := range out {
-			out[i] = b2f(r.f[i] == 0)
-		}
+	for i := range out {
+		out[i] = b2f(r.f[i] == 0)
 	}
 	return kres{f: out, skip: r.skip}, nil
 }
@@ -614,11 +717,14 @@ func divErr(op string) error {
 	return fmt.Errorf("stats: modulo by zero")
 }
 
-// kCmpStr compares two string-typed operands.
+// kCmpStr compares two string-typed operands by their codes. Against a
+// constant the comparison is a per-code verdict table; between two coded
+// columns the verdict is recomputed only when the pair of codes changes
+// from one row to the next.
 type kCmpStr struct {
-	op                                    string
-	l, r                                  kernel
-	slot, lslot, rslot, skipSlot, selSlot int
+	op                              string
+	l, r                            kernel
+	slot, ttSlot, skipSlot, selSlot int
 }
 
 func (kCmpStr) isStr() bool { return false }
@@ -636,48 +742,40 @@ func (k kCmpStr) eval(x *kexec, sel []uint64) (kres, error) {
 	if rl.konst && rr.konst {
 		return kres{konst: true, cf: cmpStr(k.op, rl.cs, rr.cs)}, nil
 	}
-	ls := rl.s
-	if rl.konst {
-		ls = x.sbuf(k.lslot)
-		for i := range ls {
-			ls[i] = rl.cs
-		}
-	}
-	rs := rr.s
-	if rr.konst {
-		rs = x.sbuf(k.rslot)
-		for i := range rs {
-			rs[i] = rr.cs
-		}
-	}
 	out := x.fbuf(k.slot)
-	switch k.op {
-	case "==":
+	switch {
+	case rr.konst:
+		x.codeVerdicts(out, &rl, k.ttSlot, codePred{k.op, rr.cs})
+	case rl.konst:
+		x.codeVerdicts(out, &rr, k.ttSlot, codePred{flipCmp(k.op), rl.cs})
+	default:
+		var lastL, lastR uint32
+		var last float64
 		for i := range out {
-			out[i] = b2f(ls[i] == rs[i])
-		}
-	case "!=":
-		for i := range out {
-			out[i] = b2f(ls[i] != rs[i])
-		}
-	case "<":
-		for i := range out {
-			out[i] = b2f(ls[i] < rs[i])
-		}
-	case "<=":
-		for i := range out {
-			out[i] = b2f(ls[i] <= rs[i])
-		}
-	case ">":
-		for i := range out {
-			out[i] = b2f(ls[i] > rs[i])
-		}
-	case ">=":
-		for i := range out {
-			out[i] = b2f(ls[i] >= rs[i])
+			lc, rc := x.codeAt(&rl, i), x.codeAt(&rr, i)
+			if i == 0 || lc != lastL || rc != lastR {
+				lastL, lastR = lc, rc
+				last = cmpStr(k.op, codeName(rl.kind, lc, x.markers), codeName(rr.kind, rc, x.markers))
+			}
+			out[i] = last
 		}
 	}
 	return kres{f: out, skip: skip}, nil
+}
+
+// flipCmp mirrors a comparison operator: l op r == r flipCmp(op) l.
+func flipCmp(op string) string {
+	switch op {
+	case "<":
+		return ">"
+	case "<=":
+		return ">="
+	case ">":
+		return "<"
+	case ">=":
+		return "<="
+	}
+	return op
 }
 
 func cmpStr(op string, l, r string) float64 {
@@ -732,14 +830,8 @@ func (k kLogic) eval(x *kexec, sel []uint64) (kres, error) {
 			return kres{konst: true, cf: b2f((&rr).truthAt(0))}, nil
 		}
 		out := x.fbuf(k.slot)
-		if rr.str {
-			for i := range out {
-				out[i] = b2f(rr.s[i] != "")
-			}
-		} else {
-			for i := range out {
-				out[i] = b2f(rr.f[i] != 0)
-			}
+		for i := range out {
+			out[i] = b2f(rr.f[i] != 0)
 		}
 		return kres{f: out, skip: rr.skip}, nil
 	}
@@ -938,7 +1030,18 @@ type compiledTable struct {
 	spec     *TableSpec
 	cond     kernel
 	x, y     []kernel
-	maskSlot int // working row mask during accumulation
+	xcol     []xcol // how each x column's group-key word decodes
+	maskSlot int    // working row mask during accumulation
+}
+
+// xcol describes one x column's group-key words: the bits of a float64,
+// or (str) a code of the given kind — or nothing at all for a string
+// constant, whose one value is cs. String-valued kernels are leaves, so
+// this is known at compile time.
+type xcol struct {
+	str, konst bool
+	kind       codeKind
+	cs         string
 }
 
 // compiledProgram is a whole program lowered to kernels, plus the
@@ -979,7 +1082,7 @@ func compileSpec(spec *TableSpec, sl *kslots) (*compiledTable, bool) {
 		if !ok {
 			return nil, false
 		}
-		ct.cond = k
+		ct.cond = truthy(k, sl)
 	}
 	for _, ax := range spec.X {
 		k, ok := lowerExpr(ax.Expr, sl)
@@ -987,6 +1090,16 @@ func compileSpec(spec *TableSpec, sl *kslots) (*compiledTable, bool) {
 			return nil, false
 		}
 		ct.x = append(ct.x, k)
+		var xc xcol
+		switch k := k.(type) {
+		case kConstStr:
+			xc = xcol{str: true, konst: true, cs: k.v}
+		case kFieldStr:
+			xc = xcol{str: true, kind: k.kind}
+		case kExtra:
+			xc = xcol{str: k.marker, kind: ckMarker}
+		}
+		ct.xcol = append(ct.xcol, xc)
 	}
 	for _, ay := range spec.Y {
 		k, ok := lowerExpr(ay.Expr, sl)
@@ -1007,12 +1120,20 @@ func Lowerable(spec *TableSpec) bool {
 	return ok
 }
 
+// truthy adapts a kernel for a consumer that wants its truthiness.
+func truthy(k kernel, sl *kslots) kernel {
+	if k.isStr() {
+		return kTruth{k, sl.f(), sl.tt()}
+	}
+	return k
+}
+
 // lowerExpr lowers one expression node, or reports that it (or a
 // subexpression) is outside the lowerable subset. The subset is chosen
 // so that lowered code provably matches the scalar evaluator; anything
 // whose scalar behavior is a lazily raised type error (string
-// arithmetic, mixed comparisons, unknown functions, bad arities,
-// markername's marker-table lookup) stays on the scalar path.
+// arithmetic, mixed comparisons, unknown functions, bad arities) stays
+// on the scalar path.
 func lowerExpr(e expr, sl *kslots) (kernel, bool) {
 	switch n := e.(type) {
 	case numLit:
@@ -1038,13 +1159,14 @@ func lowerExpr(e expr, sl *kslots) (kernel, bool) {
 		case "iscall":
 			return kField{fcIsCall, sl.f()}, true
 		case "state":
-			return kFieldStr{fcState, sl.str()}, true
+			return kFieldStr{ckState}, true
 		case events.FieldBebits:
-			return kFieldStr{fcBebits, sl.str()}, true
+			return kFieldStr{ckBebits}, true
 		case "markername":
-			return nil, false
+			sl.markers = true
+			return kExtra{events.FieldMarker, true, sl.u(), sl.m()}, true
 		}
-		return kExtra{n.name, sl.f(), sl.m()}, true
+		return kExtra{n.name, false, sl.f(), sl.m()}, true
 	case unary:
 		c, ok := lowerExpr(n.x, sl)
 		if !ok {
@@ -1057,7 +1179,7 @@ func lowerExpr(e expr, sl *kslots) (kernel, bool) {
 			}
 			return kNeg{c, sl.f()}, true
 		case "!":
-			return kNot{c, sl.f()}, true
+			return kNot{truthy(c, sl), sl.f()}, true
 		}
 		return nil, false
 	case binary:
@@ -1070,7 +1192,7 @@ func lowerExpr(e expr, sl *kslots) (kernel, bool) {
 			return nil, false
 		}
 		if n.op == "&&" || n.op == "||" {
-			return kLogic{n.op == "&&", l, r, sl.f(), sl.m(), sl.m(), sl.m()}, true
+			return kLogic{n.op == "&&", truthy(l, sl), truthy(r, sl), sl.f(), sl.m(), sl.m(), sl.m()}, true
 		}
 		if l.isStr() != r.isStr() {
 			return nil, false
@@ -1078,7 +1200,7 @@ func lowerExpr(e expr, sl *kslots) (kernel, bool) {
 		if l.isStr() {
 			switch n.op {
 			case "==", "!=", "<", "<=", ">", ">=":
-				return kCmpStr{n.op, l, r, sl.f(), sl.str(), sl.str(), sl.m(), sl.m()}, true
+				return kCmpStr{n.op, l, r, sl.f(), sl.tt(), sl.m(), sl.m()}, true
 			}
 			return nil, false
 		}
@@ -1115,119 +1237,4 @@ func lowerExpr(e expr, sl *kslots) (kernel, bool) {
 		return nil, false
 	}
 	return nil, false
-}
-
-// run accumulates one frame's selected rows into the table's partial
-// groups, returning how many selected records were excluded by skip
-// bitmaps (the columnar errSkip count). Row iteration is in record
-// order, so float accumulation order matches a sequential scan exactly.
-func (ct *compiledTable) run(x *kexec, sel []uint64, pg map[string]*group) (int64, error) {
-	mask := x.mbuf(ct.maskSlot)
-	copy(mask, sel)
-	var skipped int64
-	if ct.cond != nil {
-		res, err := ct.cond.eval(x, mask)
-		if err != nil {
-			return skipped, fmt.Errorf("table %q: %w", ct.spec.Name, err)
-		}
-		if res.skip != nil {
-			skipped += popAnd(mask, res.skip)
-			andNotIn(mask, res.skip)
-		}
-		if res.konst {
-			if !(&res).truthAt(0) {
-				return skipped, nil
-			}
-		} else {
-			for w := 0; w < x.nw; w++ {
-				mask[w] &= truthWord(&res, w, x.n)
-			}
-		}
-		if !maskAny(mask) {
-			return skipped, nil
-		}
-	}
-	for xi, k := range ct.x {
-		res, err := k.eval(x, mask)
-		if err != nil {
-			return skipped, fmt.Errorf("table %q: %w", ct.spec.Name, err)
-		}
-		if res.skip != nil {
-			skipped += popAnd(mask, res.skip)
-			andNotIn(mask, res.skip)
-			if !maskAny(mask) {
-				return skipped, nil
-			}
-		}
-		x.xres[xi] = res
-	}
-	for yi, k := range ct.y {
-		res, err := k.eval(x, mask)
-		if err != nil {
-			return skipped, fmt.Errorf("table %q: %w", ct.spec.Name, err)
-		}
-		if res.skip != nil {
-			skipped += popAnd(mask, res.skip)
-			andNotIn(mask, res.skip)
-			if !maskAny(mask) {
-				return skipped, nil
-			}
-		}
-		if k.isStr() && maskAny(mask) {
-			return skipped, fmt.Errorf("table %q: y expression %q produced a string", ct.spec.Name, ct.spec.Y[yi].Label)
-		}
-		x.yres[yi] = res
-	}
-	nx, ny := len(ct.x), len(ct.y)
-	for w := 0; w < x.nw; w++ {
-		m := mask[w]
-		for m != 0 {
-			i := w<<6 + bits.TrailingZeros64(m)
-			m &= m - 1
-			key := x.key[:0]
-			for xi := 0; xi < nx; xi++ {
-				res := &x.xres[xi]
-				if res.str {
-					key = append(key, 's')
-					key = append(key, res.sAt(i)...)
-				} else {
-					key = append(key, 'n')
-					key = strconv.AppendFloat(key, res.fAt(i), 'g', -1, 64)
-				}
-				key = append(key, 0)
-			}
-			x.key = key
-			g := pg[string(key)]
-			if g == nil {
-				xs := make([]Value, nx)
-				for xi := 0; xi < nx; xi++ {
-					res := &x.xres[xi]
-					if res.str {
-						xs[xi] = str(res.sAt(i))
-					} else {
-						xs[xi] = num(res.fAt(i))
-					}
-				}
-				g = &group{x: xs, y: make([]cell, ny)}
-				for yi := range g.y {
-					g.y[yi].min = math.Inf(1)
-					g.y[yi].max = math.Inf(-1)
-				}
-				pg[string(key)] = g
-			}
-			for yi := 0; yi < ny; yi++ {
-				v := (&x.yres[yi]).fAt(i)
-				c := &g.y[yi]
-				c.sum += v
-				c.n++
-				if v < c.min {
-					c.min = v
-				}
-				if v > c.max {
-					c.max = v
-				}
-			}
-		}
-	}
-	return skipped, nil
 }

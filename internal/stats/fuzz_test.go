@@ -51,10 +51,15 @@ func fuzzFixture() (*interval.File, error) {
 				Node:   uint16(i % 2),
 				Thread: uint16(i % 2),
 			}
-			switch i % 3 {
-			case 0:
+			switch {
+			case i%12 == 11:
+				// Marker states, so markername groups real codes: id 1 is in
+				// the table, ids 0 and 2 are not.
+				r.Type = events.EvMarkerState
+				r.Extra = []uint64{uint64(i % 3), uint64(i), uint64(i + 1)}
+			case i%3 == 0:
 				r.Type = events.EvRunning
-			case 1:
+			case i%3 == 1:
 				r.Type = events.EvMPISend
 				r.Extra = []uint64{uint64(1 - i%2), uint64(i), uint64(100 * i), uint64(i + 1), 1, 0}
 			default:
@@ -81,6 +86,7 @@ func FuzzCompile(f *testing.F) {
 	f.Add(`table name=t x=("b", bin(start, 8)) y=("t", dura / (dura + 1), avg)`)
 	f.Add(`table name=t condition=(msgSizeSent > 0 && peer == 1) y=("b", msgSizeSent, sum)`)
 	f.Add(`table name=t x=("m", markername) y=("n", dura, count)`)
+	f.Add(`table name=t condition=(markername < state || !markername) x=("m", markername) x=("b", bebits) y=("n", dura, count)`)
 	f.Add(`table name=t y=("n", floor(msgSizeSent), sum)`)
 	f.Add(`table name=t y=("r", dura % 0, max)`)
 	f.Add(stats.Predefined(4))

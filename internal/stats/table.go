@@ -99,12 +99,12 @@ func GenerateSpecs(specs []*TableSpec, files []*interval.File) ([]*Table, error)
 
 // GenerateSpecsOpts runs parsed table specs over the interval files on
 // the per-frame map-reduce engine: frames arrive as columnar batches and
-// evaluate concurrently into partial group maps, which merge into the
+// evaluate concurrently into partial groups, which merge into the
 // global groups in frame order. Programs the kernel compiler accepts run
 // as vectorized kernels over the batch columns; any other program
-// (markername, lazily raised type errors) runs on the record-at-a-time
-// evaluator over the same batches' rows, which is also the differential
-// tests' oracle. Both produce byte-identical tables on every program the
+// (lazily raised type errors) runs on the record-at-a-time evaluator
+// over the same batches' rows, which is also the differential tests'
+// oracle. Both produce byte-identical tables on every program the
 // compiler accepts.
 func GenerateSpecsOpts(specs []*TableSpec, files []*interval.File, opts Options) ([]*Table, error) {
 	prog, _ := compileProgram(specs)
@@ -133,43 +133,75 @@ func runBounds(files []*interval.File) (tStart, tEnd clock.Time, err error) {
 	return tStart, tEnd, nil
 }
 
-// specPartial is one frame's contribution: partial groups per spec plus
-// the per-spec count of records excluded by errSkip.
-type specPartial struct {
-	pg      []map[string]*group
-	skipped []int64
-}
-
 // generate evaluates specs frame by frame: with the compiled kernels
 // when prog is non-nil, with the record-at-a-time evaluator otherwise.
-// Everything around the per-frame evaluation — frame selection, the
-// frame-order merge of partial groups, table finalization — is shared,
-// so float summation order and therefore TSV bytes are identical.
+// Each evaluator keeps its own group representation (fixed-width coded
+// keys against per-record text keys); frame selection, the frame-order
+// merge of per-frame partials, and table finalization from text-keyed
+// groups are shared, so float summation order and therefore TSV bytes
+// are identical.
 func generate(prog *compiledProgram, specs []*TableSpec, files []*interval.File, opts Options) ([]*Table, error) {
 	tStart, tEnd, err := runBounds(files)
 	if err != nil {
 		return nil, err
 	}
+	mopts := interval.MapOptions{Parallel: opts.Parallel, Window: opts.Window, Lo: opts.Lo, Hi: opts.Hi, Context: opts.Context}
+	var groups []map[string]*group
+	var skipped []int64
+	if prog != nil {
+		groups, skipped, err = prog.runColumnar(files, mopts, tStart, tEnd)
+	} else {
+		groups, skipped, err = runScalar(specs, files, mopts, tStart, tEnd)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return buildTables(specs, groups, skipped, prog != nil), nil
+}
+
+// specPartial is one frame's contribution on the scalar evaluator:
+// partial groups per spec plus the per-spec count of records excluded by
+// errSkip.
+type specPartial struct {
+	pg      []map[string]*group
+	skipped []int64
+}
+
+// runScalar is the record-at-a-time evaluator: each batch row is
+// materialized (aliasing the read-only batch) and walked through the
+// expression trees.
+func runScalar(specs []*TableSpec, files []*interval.File, mopts interval.MapOptions, tStart, tEnd clock.Time) ([]map[string]*group, []int64, error) {
 	groups := make([]map[string]*group, len(specs))
 	for i := range groups {
 		groups[i] = make(map[string]*group)
 	}
 	skipped := make([]int64, len(specs))
-
-	var evalFrame frameEval
-	if prog != nil {
-		evalFrame = prog.columnarFrame(opts, tStart, tEnd)
-	} else {
-		evalFrame = scalarFrame(specs, files, opts, tStart, tEnd)
-	}
-	mopts := interval.MapOptions{Parallel: opts.Parallel, Window: opts.Window, Lo: opts.Lo, Hi: opts.Hi, Context: opts.Context}
-	err = interval.MapFrames(files, mopts,
-		func(file int, fe interval.FrameEntry, b *interval.Batch) (*specPartial, error) {
+	err := interval.MapFrames(files, mopts,
+		func(file int, _ interval.FrameEntry, b *interval.Batch) (*specPartial, error) {
 			sp := &specPartial{pg: make([]map[string]*group, len(specs)), skipped: make([]int64, len(specs))}
 			for i := range sp.pg {
 				sp.pg[i] = make(map[string]*group)
 			}
-			return sp, evalFrame(file, fe, b, sp)
+			var rec interval.Record
+			ctx := &evalCtx{rec: &rec, markers: files[file].Header.Markers, tStart: tStart, tEnd: tEnd}
+			for ri := 0; ri < b.N; ri++ {
+				if mopts.Window && (b.End(ri) < mopts.Lo || b.Start[ri] > mopts.Hi) {
+					// Filter at the record level so the result does not
+					// depend on how records happened to be framed.
+					continue
+				}
+				rec = b.Row(ri)
+				for si, spec := range specs {
+					skip, err := accumulate(spec, ctx, sp.pg[si])
+					if err != nil {
+						return nil, err
+					}
+					if skip {
+						sp.skipped[si]++
+					}
+				}
+			}
+			return sp, nil
 		},
 		func(_ int, _ interval.FrameEntry, sp *specPartial) error {
 			for si := range specs {
@@ -178,42 +210,7 @@ func generate(prog *compiledProgram, specs []*TableSpec, files []*interval.File,
 			}
 			return nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	return buildTables(specs, groups, skipped, prog != nil), nil
-}
-
-// frameEval folds one frame's batch into sp; it runs concurrently, one
-// call per frame.
-type frameEval func(file int, fe interval.FrameEntry, b *interval.Batch, sp *specPartial) error
-
-// scalarFrame is the record-at-a-time evaluator: each batch row is
-// materialized (aliasing the read-only batch) and walked through the
-// expression trees.
-func scalarFrame(specs []*TableSpec, files []*interval.File, opts Options, tStart, tEnd clock.Time) frameEval {
-	return func(file int, _ interval.FrameEntry, b *interval.Batch, sp *specPartial) error {
-		var rec interval.Record
-		ctx := &evalCtx{rec: &rec, markers: files[file].Header.Markers, tStart: tStart, tEnd: tEnd}
-		for ri := 0; ri < b.N; ri++ {
-			if opts.Window && (b.End(ri) < opts.Lo || b.Start[ri] > opts.Hi) {
-				// Filter at the record level so the result does not
-				// depend on how records happened to be framed.
-				continue
-			}
-			rec = b.Row(ri)
-			for si, spec := range specs {
-				skip, err := accumulate(spec, ctx, sp.pg[si])
-				if err != nil {
-					return err
-				}
-				if skip {
-					sp.skipped[si]++
-				}
-			}
-		}
-		return nil
-	}
+	return groups, skipped, err
 }
 
 // buildTables finalizes merged groups into sorted tables.
@@ -257,16 +254,20 @@ func mergeGroups(dst, src map[string]*group) {
 			dst[k] = g
 			continue
 		}
-		for i := range g.y {
-			c, s := &d.y[i], &g.y[i]
-			c.sum += s.sum
-			c.n += s.n
-			if s.min < c.min {
-				c.min = s.min
-			}
-			if s.max > c.max {
-				c.max = s.max
-			}
+		mergeCells(d.y, g.y)
+	}
+}
+
+func mergeCells(dst, src []cell) {
+	for i := range src {
+		c, s := &dst[i], &src[i]
+		c.sum += s.sum
+		c.n += s.n
+		if s.min < c.min {
+			c.min = s.min
+		}
+		if s.max > c.max {
+			c.max = s.max
 		}
 	}
 }

@@ -23,8 +23,8 @@ import (
 // with the window when opts.Window is set. Frames outside the window
 // are pruned from the directory aggregates and never decoded.
 func TimeResolved(files []*interval.File, bins int, opts Options) ([]*Table, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: time-resolved tables need at least 1 bin, got %d", bins)
+	if bins < 1 || bins > MaxBins {
+		return nil, fmt.Errorf("stats: time-resolved tables take 1 to %d bins, got %d", MaxBins, bins)
 	}
 	t0, t1, err := runBounds(files)
 	if err != nil {
@@ -136,6 +136,12 @@ func timeResolvedPyramid(f *interval.File, bins int, br bucketRuler, opts Option
 	return tabs, nil
 }
 
+// MaxBins is the most time bins a statistics request may ask for:
+// per-bin state is allocated up front, so the count a caller names has
+// to be bounded by something other than the caller. utestats and the
+// trace service's /stats reject larger values outright.
+const MaxBins = 1 << 16
+
 // bucketRuler maps times to buckets with exact integer boundaries:
 // bound(i) = lo + (span/bins)*i + (span%bins)*i/bins, so bound(0) = lo,
 // bound(bins) = hi, and consecutive widths differ by at most one
@@ -154,10 +160,7 @@ func (br bucketRuler) bucketOf(t clock.Time) int {
 	if br.span <= 0 {
 		return 0
 	}
-	i := int(int64(t-br.lo) * int64(br.bins) / br.span)
-	if i >= br.bins {
-		i = br.bins - 1
-	}
+	i := interval.ScaleBin(int64(t-br.lo), br.span, br.bins)
 	for i > 0 && t < br.bound(i) {
 		i--
 	}

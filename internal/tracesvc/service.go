@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -350,6 +351,21 @@ func parseWindow(r *http.Request) (lo, hi clock.Time, ok bool, err error) {
 	return lo, hi, true, nil
 }
 
+// parseBins reads ?bins=N, def when absent. Per-bin state is allocated
+// before any record is read, so N is capped at stats.MaxBins: one GET
+// cannot ask for gigabytes.
+func parseBins(q url.Values, def int) (int, error) {
+	bs := q.Get("bins")
+	if bs == "" {
+		return def, nil
+	}
+	bins, err := strconv.Atoi(bs)
+	if err != nil || bins < 1 || bins > stats.MaxBins {
+		return 0, badRequest("bad bins %q (1 to %d)", bs, stats.MaxBins)
+	}
+	return bins, nil
+}
+
 // handleStats runs a statistics program over the trace. The default
 // TSV body is byte-identical to what `utestats [-e expr] [-bins N]
 // [-window lo:hi] <path>` prints on stdout: utestats's exact output
@@ -365,11 +381,9 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 		return nil, err
 	}
 	q := r.URL.Query()
-	bins := s.cfg.DefaultBins
-	if bs := q.Get("bins"); bs != "" {
-		if bins, err = strconv.Atoi(bs); err != nil || bins < 1 {
-			return nil, badRequest("bad bins %q", bs)
-		}
+	bins, err := parseBins(q, s.cfg.DefaultBins)
+	if err != nil {
+		return nil, err
 	}
 	opts := stats.Options{Context: r.Context()}
 	if opts.Summary, err = interval.ParseSummaryEngine(q.Get("summary")); err != nil {
@@ -577,11 +591,9 @@ func (s *Service) handlePreview(r *http.Request) (*response, error) {
 		if err != nil {
 			return nil, badRequest("%v", err)
 		}
-		bins := 0
-		if bs := q.Get("bins"); bs != "" {
-			if bins, err = strconv.Atoi(bs); err != nil || bins < 1 {
-				return nil, badRequest("bad bins %q", bs)
-			}
+		bins, err := parseBins(q, 0)
+		if err != nil {
+			return nil, err
 		}
 		popts := render.PreviewOptions{Bins: bins, Engine: eng, Context: r.Context()}
 		if windowed {

@@ -194,6 +194,24 @@ func TestServiceCRUD(t *testing.T) {
 		}
 	}
 
+	// Bin-count edges: per-bin state is allocated up front, so a count
+	// past the ceiling is refused before it can ask for gigabytes; the
+	// ceiling itself is served.
+	for _, tc := range []struct {
+		url  string
+		code int
+	}{
+		{"/stats?timeresolved=1&bins=2000000000", 400},
+		{fmt.Sprintf("/stats?bins=%d", stats.MaxBins+1), 400},
+		{"/preview.svg?view=preview&bins=2000000000", 400},
+		{fmt.Sprintf("/stats?timeresolved=1&summary=scan&bins=%d", stats.MaxBins), 200},
+		{fmt.Sprintf("/stats?bins=%d", stats.MaxBins), 200},
+	} {
+		if w = do(t, s, "GET", "/v1/traces/"+id+tc.url, ""); w.Code != tc.code {
+			t.Fatalf("GET %s: %d, want %d: %.200s", tc.url, w.Code, tc.code, w.Body)
+		}
+	}
+
 	if w = do(t, s, "DELETE", "/v1/traces/"+id, ""); w.Code != http.StatusNoContent {
 		t.Fatalf("delete: %d", w.Code)
 	}
@@ -628,10 +646,24 @@ func TestStatsEngineAndJSON(t *testing.T) {
 		t.Fatalf("timeresolved with expr: %d", w.Code)
 	}
 
-	// A program the kernel compiler rejects (markername) falls back to
-	// the record-at-a-time evaluator and says so.
+	// markername runs on the kernels too: the scalar counter stays 0.
 	w = do(t, s, "GET", "/v1/traces/"+id+"/stats?format=json&expr="+
 		url.QueryEscape(`table name=m x=("m", markername) y=("n", dura, count)`), "")
+	got.Tables = nil
+	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || w.Code != 200 {
+		t.Fatalf("markername stats: %d %v %s", w.Code, err, w.Body)
+	}
+	if len(got.Tables) != 1 || !got.Tables[0].Columnar {
+		t.Fatalf("markername program not reported as columnar: %+v", got)
+	}
+	if body := do(t, s, "GET", "/metrics", "").Body.String(); !strings.Contains(body, "tracesvc_stats_tables_scalar_total 0\n") {
+		t.Fatalf("scalar counter moved for lowerable programs:\n%s", body)
+	}
+
+	// A program the kernel compiler rejects (string concatenation) falls
+	// back to the record-at-a-time evaluator and says so.
+	w = do(t, s, "GET", "/v1/traces/"+id+"/stats?format=json&expr="+
+		url.QueryEscape(`table name=c x=("c", state + "!") y=("n", dura, count)`), "")
 	got.Tables = nil
 	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || w.Code != 200 {
 		t.Fatalf("fallback stats: %d %v %s", w.Code, err, w.Body)
@@ -640,8 +672,8 @@ func TestStatsEngineAndJSON(t *testing.T) {
 		t.Fatalf("unlowerable program not reported as scalar: %+v", got)
 	}
 
-	// The engine counters moved: the markername request above counts a
-	// scalar table, everything else counts columnar ones.
+	// The engine counters moved: the concatenation request above counts
+	// a scalar table, everything else counts columnar ones.
 	body := do(t, s, "GET", "/metrics", "").Body.String()
 	for _, want := range []string{
 		"tracesvc_stats_tables_columnar_total ",
