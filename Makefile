@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench-smoke bench fuzz-smoke
+.PHONY: ci vet build test race bench-smoke bench fuzz-smoke ledger ledger-smoke
 
-ci: vet build test race bench-smoke fuzz-smoke
+ci: vet build test race bench-smoke fuzz-smoke ledger-smoke
 
 vet:
 	$(GO) vet ./...
@@ -53,5 +53,20 @@ fuzz-smoke:
 # numbers are recorded in BENCH_pipeline.json, BENCH_stats.json,
 # BENCH_ingest.json and BENCH_sim.json).
 bench:
-	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|MergeLoserTreeVsLinear|MergeReadAhead|IntervalWriterThroughput|IntervalScan|IntervalEncodeV4|StatsWindow|StatsParallel|StatsColumnar|RouterWindow|RouterScaling|SchedHotLoop|SweepCell|^BenchmarkIngest$$' .
+	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|MergeLoserTreeVsLinear|IntervalWriterThroughput|IntervalScan|IntervalEncodeV4|StatsWindow|StatsParallel|StatsColumnar|RouterWindow|RouterScaling|SchedHotLoop|SweepCell|^BenchmarkIngest$$' .
 	$(GO) test -run xxx -bench 'StatsColumnar' ./internal/stats
+
+# The benchmark ledger (utebench/, declared in BENCHMARK.json): a
+# black-box harness in its own module that builds ./cmd/... and drives
+# the real commands and daemons. `ledger` is the four workloads at the
+# benchmark's own run length; `ledger-smoke` is the harness's own tests
+# at toy sizes (~25 s) — every flag and endpoint the ledger uses still
+# answers — and is part of `ci` (-count=1: the test cache cannot see
+# that the commands the harness builds and runs have changed).
+ledger:
+	for w in pipeline_sppm_4x8 sweep_wide_216x4 serve_zoom_warm ingest_live_2x4; do \
+		bash utebench/run.sh --workload $$w || exit 1; \
+	done
+
+ledger-smoke:
+	cd utebench && $(GO) test -count=1 ./...

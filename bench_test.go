@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -589,31 +590,6 @@ func BenchmarkConvertParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeReadAhead compares the synchronous merge against the
-// read-ahead pipeline over a 4-node run. The read-ahead variant moves
-// frame decode off the merge goroutine; its benefit requires spare
-// cores.
-func BenchmarkMergeReadAhead(b *testing.B) {
-	raws := stormRawsN(b, 4, 2000)
-	for _, variant := range []struct {
-		name  string
-		width int
-	}{{"sync", 1}, {"readahead", 4}} {
-		b.Run(variant.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				files := convertedFiles(b, raws)
-				runtime.GC()
-				b.StartTimer()
-				sb := interval.NewSeekBuffer()
-				if _, err := merge.Merge(files, sb, merge.Options{Parallel: variant.width}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkIntervalWriterThroughput measures raw record encode+frame
 // throughput of the interval writer (records/op reported via ns/record).
 func BenchmarkIntervalWriterThroughput(b *testing.B) {
@@ -1059,25 +1035,47 @@ func BenchmarkServeWindowCached(b *testing.B) {
 
 // --- summary-pyramid preview (the O(pixels) pan/zoom path) -------------
 
-// servePreviewBench registers a trace whose .pyr sidecar exists on disk
-// (so Open attaches it) and returns a preview URL builder for a window
-// aligned to base-cell boundaries with bins dividing the cell span —
-// the geometry under which the pyramid engine needs zero frame decodes.
-func servePreviewBench(b *testing.B, n int) (*tracesvc.Service, *tracesvc.Trace, func(engine string) string) {
+// pyramidTrace writes an n-record trace with its .pyr sidecar beside it
+// (so Open attaches it) and, as bare, a hard link to the same trace
+// with no sidecar — what is attached being the only thing that selects
+// the summary engine.
+func pyramidTrace(b *testing.B, n int) (path, bare string, p *interval.Pyramid) {
 	b.Helper()
-	path := filepath.Join(b.TempDir(), "bench.ute")
+	dir := b.TempDir()
+	path, bare = filepath.Join(dir, "bench.ute"), filepath.Join(dir, "bare.ute")
 	writeIntervalFile(b, path, interval.CurrentHeaderVersion, n)
-	if _, err := interval.BuildPyramidSidecar(path, interval.PyramidOptions{}); err != nil {
+	// The default 4096 base cells would outweigh a trace this small.
+	sb, err := interval.BuildPyramidSidecar(path, interval.PyramidOptions{BaseCells: 1024})
+	if err != nil {
 		b.Fatal(err)
+	}
+	if sb.Declined() {
+		b.Fatalf("sidecar (%d bytes) outweighs the trace (%d bytes)", sb.Bytes, sb.TraceBytes)
+	}
+	if err := os.Link(path, bare); err != nil {
+		b.Fatal(err)
+	}
+	return path, bare, sb.Pyramid
+}
+
+// servePreviewBench registers a trace with its sidecar (engine
+// "pyramid") or without (engine "scan") and returns a preview URL for a
+// window aligned to base-cell boundaries with bins dividing the cell
+// span — the geometry under which the pyramid engine needs zero frame
+// decodes.
+func servePreviewBench(b *testing.B, n int, engine string) (*tracesvc.Service, *tracesvc.Trace, string) {
+	b.Helper()
+	path, bare, p := pyramidTrace(b, n)
+	if engine == "scan" {
+		path = bare
 	}
 	svc := tracesvc.New(tracesvc.Config{})
 	tr, err := svc.Registry().Open(path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := tr.File().Pyramid()
-	if p == nil || len(p.Levels) == 0 {
-		b.Fatal("no pyramid attached")
+	if (tr.File().Pyramid() != nil) != (engine == "pyramid") || len(p.Levels) == 0 {
+		b.Fatalf("engine %s: pyramid attached: %v", engine, tr.File().Pyramid() != nil)
 	}
 	base := p.Levels[0]
 	bins := 16
@@ -1094,11 +1092,7 @@ func servePreviewBench(b *testing.B, n int) (*tracesvc.Service, *tracesvc.Trace,
 	if plo, phi, err := clock.ParseWindow(window); err != nil || plo != lo || phi != hi {
 		b.Fatalf("window %q round-trips to [%v .. %v], want [%v .. %v]", window, plo, phi, lo, hi)
 	}
-	urlFor := func(engine string) string {
-		return fmt.Sprintf("/v1/traces/%s/preview.svg?view=preview&bins=%d&window=%s&engine=%s",
-			tr.ID, bins, window, engine)
-	}
-	return svc, tr, urlFor
+	return svc, tr, fmt.Sprintf("/v1/traces/%s/preview.svg?view=preview&bins=%d&window=%s", tr.ID, bins, window)
 }
 
 // BenchmarkServePreview compares the preview endpoint's engines on the
@@ -1108,9 +1102,8 @@ func servePreviewBench(b *testing.B, n int) (*tracesvc.Service, *tracesvc.Trace,
 // decodes a single frame, cache or no cache.
 func BenchmarkServePreview(b *testing.B) {
 	run := func(b *testing.B, engine string, flush, wantZero bool) {
-		svc, tr, urlFor := servePreviewBench(b, 20000)
+		svc, tr, url := servePreviewBench(b, 20000, engine)
 		defer svc.Close()
-		url := urlFor(engine)
 		serveOnce(b, svc, url)
 		if flush {
 			svc.Cache().Flush()
@@ -1142,16 +1135,16 @@ func BenchmarkServePreview(b *testing.B) {
 // pyramid engine pays only the O(1) edge-remainder decodes per window
 // while the scan engine re-decodes everything it overlaps.
 func BenchmarkPreviewZoom(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "bench.ute")
-	writeIntervalFile(b, path, interval.CurrentHeaderVersion, 20000)
-	if _, err := interval.BuildPyramidSidecar(path, interval.PyramidOptions{}); err != nil {
-		b.Fatal(err)
+	path, bare, _ := pyramidTrace(b, 20000)
+	open := func(path string) *interval.File {
+		f, err := interval.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { f.Close() })
+		return f
 	}
-	mf, err := interval.Open(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer mf.Close()
+	mf, bf := open(path), open(bare)
 	fs, fe, _, err := mf.Stats()
 	if err != nil {
 		b.Fatal(err)
@@ -1162,25 +1155,26 @@ func BenchmarkPreviewZoom(b *testing.B) {
 		half := (fe - fs) >> uint(z+1)
 		windows = append(windows, [2]clock.Time{mid - half, mid + half})
 	}
-	run := func(b *testing.B, eng interval.SummaryEngine) {
+	run := func(b *testing.B, mf *interval.File, engine string) {
 		runtime.GC()
 		b.ResetTimer()
 		frames := 0
 		for i := 0; i < b.N; i++ {
 			for _, w := range windows {
-				res, err := render.BuildPreview(mf, render.PreviewOptions{
-					Bins: 64, T0: w[0], T1: w[1], Engine: eng,
-				})
+				res, err := render.BuildPreview(mf, render.PreviewOptions{Bins: 64, T0: w[0], T1: w[1]})
 				if err != nil {
 					b.Fatal(err)
+				}
+				if res.Engine != engine {
+					b.Fatalf("preview answered by %s, want %s", res.Engine, engine)
 				}
 				frames += res.FramesDecoded
 			}
 		}
 		b.ReportMetric(float64(frames)/float64(b.N), "frames/op")
 	}
-	b.Run("pyramid", func(b *testing.B) { run(b, interval.SummaryPyramid) })
-	b.Run("scan", func(b *testing.B) { run(b, interval.SummaryScan) })
+	b.Run("pyramid", func(b *testing.B) { run(b, mf, "pyramid") })
+	b.Run("scan", func(b *testing.B) { run(b, bf, "scan") })
 }
 
 // --- streaming ingest (the live write path) ----------------------------

@@ -8,12 +8,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -77,16 +80,27 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatal("profile.ute missing")
 	}
 
-	// utemerge with SLOG and the summary-pyramid sidecar.
+	// utemerge with SLOG and -pyramid. A sidecar would be a hundred
+	// times this 2 KB trace, so it is declined: one line with both sizes,
+	// exit 0, nothing written (TestCLIPyramidSidecar covers a trace that
+	// gets one).
 	merged := filepath.Join(dir, "merged.ute")
 	slogPath := filepath.Join(dir, "trace.slog")
 	out = runCmd(t, bin, "utemerge", "-o", merged, "-slog", slogPath, "-pyramid",
 		filepath.Join(dir, "trace.0.ute"), filepath.Join(dir, "trace.1.ute"))
-	if !strings.Contains(out, "ratio") || !strings.Contains(out, "slog") || !strings.Contains(out, "pyramid") {
+	if !strings.Contains(out, "ratio") || !strings.Contains(out, "slog") {
 		t.Fatalf("utemerge output: %s", out)
 	}
-	if _, err := os.Stat(merged + ".pyr"); err != nil {
-		t.Fatal("utemerge -pyramid wrote no sidecar")
+	st, err := os.Stat(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(fmt.Sprintf(`(?m)^utemerge: pyramid not written: the sidecar \(\d+ bytes\) would outweigh the trace \(%d bytes\)`, st.Size())).MatchString(out) ||
+		strings.Count(out, "pyramid") != 1 {
+		t.Fatalf("utemerge -pyramid on a tiny trace: %s", out)
+	}
+	if _, err := os.Stat(merged + ".pyr"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a declined sidecar is on disk (stat: %v)", err)
 	}
 
 	// utestats: predefined tables to stdout, then the paper's example.
@@ -126,19 +140,11 @@ func TestCLIPipeline(t *testing.T) {
 	if !strings.Contains(out, "preview:") {
 		t.Fatalf("preview output:\n%s", out)
 	}
-	// uteview -preview straight from the merged file: the auto engine
-	// answers from the sidecar, -engine scan forces the frame decode,
-	// and the rendering must not depend on which one ran.
-	pvPyr := runCmd(t, bin, "uteview", "-merged", merged, "-preview", "-v", "-ascii")
-	if !strings.Contains(pvPyr, "preview answered by pyramid engine") || !strings.Contains(pvPyr, "preview:") {
-		t.Fatalf("merged preview output:\n%s", pvPyr)
-	}
-	pvScan := runCmd(t, bin, "uteview", "-merged", merged, "-preview", "-engine", "scan", "-v", "-ascii")
-	if !strings.Contains(pvScan, "preview answered by scan engine") {
-		t.Fatalf("merged preview scan output:\n%s", pvScan)
-	}
-	if stripDiag(pvPyr) != stripDiag(pvScan) {
-		t.Fatalf("preview differs between engines:\n--- pyramid:\n%s\n--- scan:\n%s", pvPyr, pvScan)
+	// uteview -preview straight from the merged file; with no sidecar
+	// the scan answers.
+	out = runCmd(t, bin, "uteview", "-merged", merged, "-preview", "-v", "-ascii")
+	if !strings.Contains(out, "preview answered by scan engine") || !strings.Contains(out, "preview:") {
+		t.Fatalf("merged preview output:\n%s", out)
 	}
 
 	out = runCmd(t, bin, "uteview", "-slog", slogPath, "-frame-at", "0.01")
@@ -177,7 +183,7 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	// utedump on every format.
-	for _, f := range []string{"raw.0", "profile.ute", "merged.ute", "trace.slog", "merged.ute.pyr"} {
+	for _, f := range []string{"raw.0", "profile.ute", "merged.ute", "trace.slog"} {
 		out = runCmd(t, bin, "utedump", "-n", "3", filepath.Join(dir, f))
 		if len(out) == 0 {
 			t.Fatalf("utedump %s produced nothing", f)
@@ -191,9 +197,112 @@ func TestCLIPipeline(t *testing.T) {
 	if !strings.Contains(out, "valid (") {
 		t.Fatalf("utedump -validate output:\n%s", out)
 	}
-	out = runCmd(t, bin, "utedump", merged+".pyr")
+}
+
+// TestCLIPyramidSidecar drives the sidecar's surface on a trace large
+// enough to get one: utemerge -pyramid writes it, the same trace with
+// and without it (a hard link under another name) prints the same
+// preview and the same time-resolved tables while -v names the engine
+// that answered, utedump reads it, and utecheck cross-validates,
+// reports damage without failing, and repairs it.
+func TestCLIPyramidSidecar(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	bin := buildCmds(t)
+	dir := t.TempDir()
+	runCmd(t, bin, "tracegen", "-out", dir, "-workload", "sppm", "-nodes", "2", "-cpus", "4", "-iters", "3000", "-seed", "5")
+	runCmd(t, bin, "uteconvert", "-out-dir", dir, filepath.Join(dir, "raw.0"), filepath.Join(dir, "raw.1"))
+	merged, bare := filepath.Join(dir, "merged.ute"), filepath.Join(dir, "bare.ute")
+	out := runCmd(t, bin, "utemerge", "-o", merged, "-pyramid",
+		filepath.Join(dir, "trace.0.ute"), filepath.Join(dir, "trace.1.ute"))
+	if !strings.Contains(out, "utemerge: pyramid "+merged+".pyr (") {
+		t.Fatalf("utemerge -pyramid output: %s", out)
+	}
+	pyr := merged + ".pyr"
+	if _, err := os.Stat(pyr); err != nil {
+		t.Fatal("utemerge -pyramid wrote no sidecar")
+	}
+	if err := os.Link(merged, bare); err != nil {
+		t.Fatal(err)
+	}
+
+	// The rendering must not depend on which engine ran.
+	for _, args := range [][]string{{"-bins", "50"}, {"-bins", "512", "-window", "3.5:12.25"}} {
+		pv := func(path, engine string) string {
+			out := runCmd(t, bin, "uteview", append([]string{"-merged", path, "-preview", "-v", "-ascii"}, args...)...)
+			if !strings.Contains(out, "preview answered by "+engine+" engine") || !strings.Contains(out, "preview:") {
+				t.Fatalf("uteview -preview %v on %s, want the %s engine:\n%s", args, path, engine, out)
+			}
+			return stripDiag(out)
+		}
+		if p, s := pv(merged, "pyramid"), pv(bare, "scan"); p != s {
+			t.Fatalf("preview %v differs between engines:\n--- pyramid:\n%s\n--- scan:\n%s", args, p, s)
+		}
+	}
+	for _, args := range [][]string{{"-bins", "64"}, {"-j", "2", "-bins", "7", "-window", "3.5:12.25"}} {
+		tr := func(path, engine string) string {
+			cmd := exec.Command(filepath.Join(bin, "utestats"), append(append([]string{"-timeresolved", "-v"}, args...), path)...)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("utestats -timeresolved %v %s: %v\n%s", args, path, err, stderr.String())
+			}
+			if n := strings.Count(stderr.String(), " summary="+engine+" "); n != 3 {
+				t.Fatalf("utestats -v %v on %s names the %s engine %d times, want 3:\n%s", args, path, engine, n, stderr.String())
+			}
+			return stdout.String()
+		}
+		if p, s := tr(merged, "pyramid"), tr(bare, "scan"); p != s || !strings.Contains(p, "# table tr_concurrency") {
+			t.Fatalf("time-resolved tables %v differ between engines:\n--- pyramid:\n%s\n--- scan:\n%s", args, p, s)
+		}
+	}
+
+	if out := runCmd(t, bin, "utedump", "-n", "3", pyr); len(out) == 0 {
+		t.Fatal("utedump -n 3 of the sidecar produced nothing")
+	}
+	out = runCmd(t, bin, "utedump", pyr)
 	if !strings.Contains(out, "pyramid: base width") || !strings.Contains(out, "level  0") {
 		t.Fatalf("utedump pyramid output:\n%s", out)
+	}
+
+	// Sidecar lifecycle under utecheck: a plain check cross-validates
+	// it, a corrupted sidecar is reported as damaged without changing
+	// the exit code, -repair-pyramid heals it, and builds a missing one.
+	out = runCmd(t, bin, "utecheck", merged)
+	if !strings.Contains(out, "pyramid ok (") {
+		t.Fatalf("utecheck on a fresh sidecar: %s", out)
+	}
+	pd, err := os.ReadFile(pyr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := append([]byte(nil), pd...)
+	pd[len(pd)-1] ^= 0xff
+	if err := os.WriteFile(pyr, pd, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out = runCmd(t, bin, "utecheck", merged) // still exits 0: the sidecar is advisory
+	if !strings.Contains(out, "valid (") || !strings.Contains(out, "pyramid damaged") {
+		t.Fatalf("utecheck on corrupted sidecar: %s", out)
+	}
+	out = runCmd(t, bin, "utecheck", "-repair-pyramid", merged)
+	if !strings.Contains(out, "pyramid rebuilt (was:") {
+		t.Fatalf("utecheck -repair-pyramid (damaged sidecar): %s", out)
+	}
+	if err := os.Remove(pyr); err != nil {
+		t.Fatal(err)
+	}
+	out = runCmd(t, bin, "utecheck", "-repair-pyramid", merged)
+	if !strings.Contains(out, "pyramid rebuilt") {
+		t.Fatalf("utecheck -repair-pyramid (absent sidecar): %s", out)
+	}
+	out = runCmd(t, bin, "utecheck", merged)
+	if !strings.Contains(out, "pyramid ok (") {
+		t.Fatalf("utecheck after healing sidecar: %s", out)
+	}
+	if healed, err := os.ReadFile(pyr); err != nil || !bytes.Equal(healed, pristine) {
+		t.Fatalf("the rebuilt sidecar is not the one utemerge wrote (err=%v)", err)
 	}
 }
 
@@ -383,6 +492,8 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"utestats", []string{"-j", "-1", good}, 2},
 		{"utestats", []string{"-engine", "x", good}, 2},
 		{"utestats", []string{"-engine", "scalar", good}, 2},
+		{"utestats", []string{"-timeresolved", "-summary", "x", good}, 2},
+		{"utestats", []string{"-timeresolved", "-summary", "scan", good}, 2},
 		{"utestats", []string{"-window", "2:1", good}, 1},
 		{"utestats", []string{"-window", "NaN:1", good}, 1},
 		{"utestats", []string{"-window", "abc", good}, 1},
@@ -401,6 +512,8 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"uteview", []string{"-merged", garbage}, 1},
 		{"uteview", []string{"-j", "-1", "-merged", good}, 2},
 		{"uteview", []string{"-t0", "2", "-t1", "1", "-merged", good}, 2},
+		{"uteview", []string{"-merged", good, "-preview", "-engine", "x"}, 2},
+		{"uteview", []string{"-merged", good, "-preview", "-engine", "scan"}, 2},
 		{"uteview", []string{"-window", "2:1", "-merged", good, "-ascii"}, 1},
 
 		{"utecheck", nil, 3},
@@ -574,38 +687,43 @@ func TestCLICheckRepair(t *testing.T) {
 		t.Fatalf("utecheck on repaired file: %s", out)
 	}
 
-	// Pyramid sidecar lifecycle: -repair-pyramid builds the missing
-	// sidecar, a plain check cross-validates it, a corrupted sidecar is
-	// reported as damaged without changing the exit code, and another
-	// -repair-pyramid heals it.
-	out = runCmd(t, bin, "utecheck", "-repair-pyramid", pristine)
-	if !strings.Contains(out, "pyramid rebuilt") {
-		t.Fatalf("utecheck -repair-pyramid (absent sidecar): %s", out)
-	}
-	out = runCmd(t, bin, "utecheck", pristine)
-	if !strings.Contains(out, "pyramid ok (") {
-		t.Fatalf("utecheck after pyramid rebuild: %s", out)
-	}
+	// A declined sidecar is a healthy trace (TestCLIPyramidSidecar has
+	// the lifecycle of one that is written): a sidecar would outweigh
+	// this 200-record trace, so a plain check says nothing about one,
+	// and -repair-pyramid — as often as it is run — says why there is
+	// none, exits 0, and writes nothing.
 	pyr := pristine + ".pyr"
-	pd, err := os.ReadFile(pyr)
-	if err != nil {
+	declined := regexp.MustCompile(fmt.Sprintf(`valid \(.*; no pyramid: a sidecar \(\d+ bytes\) would outweigh the trace \(%d bytes\)`, len(data)))
+	for i := 0; i < 2; i++ {
+		out = runCmd(t, bin, "utecheck", "-repair-pyramid", pristine)
+		if !declined.MatchString(out) || strings.Contains(out, "rerun") {
+			t.Fatalf("utecheck -repair-pyramid on a trace too small for a sidecar: %s", out)
+		}
+		if _, err := os.Stat(pyr); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("a declined sidecar is on disk (stat: %v)", err)
+		}
+		out = runCmd(t, bin, "utecheck", pristine)
+		if !strings.Contains(out, "valid (") || strings.Contains(out, "pyramid") {
+			t.Fatalf("utecheck on a trace with no sidecar: %s", out)
+		}
+	}
+	// A sidecar found on disk that outweighs its trace is what every
+	// reader skips by its size alone: reported as ignored, not as damage
+	// to repair, and removed by a rebuild that is declined again.
+	if err := os.WriteFile(pyr, make([]byte, len(data)+1), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	pd[len(pd)-1] ^= 0xff
-	if err := os.WriteFile(pyr, pd, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out = runCmd(t, bin, "utecheck", pristine) // still exits 0: the sidecar is advisory
-	if !strings.Contains(out, "valid (") || !strings.Contains(out, "pyramid damaged") {
-		t.Fatalf("utecheck on corrupted sidecar: %s", out)
-	}
-	out = runCmd(t, bin, "utecheck", "-repair-pyramid", pristine)
-	if !strings.Contains(out, "pyramid rebuilt (was:") {
-		t.Fatalf("utecheck -repair-pyramid (damaged sidecar): %s", out)
 	}
 	out = runCmd(t, bin, "utecheck", pristine)
-	if !strings.Contains(out, "pyramid ok (") {
-		t.Fatalf("utecheck after healing sidecar: %s", out)
+	if !strings.Contains(out, "valid (") || strings.Contains(out, "rerun") ||
+		!strings.Contains(out, fmt.Sprintf("pyramid ignored: the sidecar (%d bytes) outweighs the trace (%d bytes)", len(data)+1, len(data))) {
+		t.Fatalf("utecheck on an oversized sidecar: %s", out)
+	}
+	out = runCmd(t, bin, "utecheck", "-repair-pyramid", pristine)
+	if !declined.MatchString(out) {
+		t.Fatalf("utecheck -repair-pyramid on an oversized sidecar: %s", out)
+	}
+	if _, err := os.Stat(pyr); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the oversized sidecar survived a declined rebuild (stat: %v)", err)
 	}
 }
 

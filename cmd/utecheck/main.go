@@ -14,7 +14,10 @@
 // recompute. Sidecar problems are reported but never change the exit
 // code — the sidecar is advisory and every reader falls back to the
 // scan engine — and -repair-pyramid rebuilds a missing, stale, damaged,
-// or diverging sidecar from the frames.
+// or diverging sidecar from the frames. A trace whose sidecar would
+// outweigh it has none, and is healthy so: a rebuild that the size rule
+// declines writes nothing, and a sidecar on disk that outweighs its
+// trace is reported as ignored, which is what every reader does with it.
 //
 // The exit code is machine-readable:
 //
@@ -51,7 +54,7 @@ type report struct {
 // pyramidJSON reports the summary-pyramid sidecar check.
 type pyramidJSON struct {
 	Path         string `json:"path"`
-	Status       string `json:"status"` // ok, absent, damaged, mismatch, rebuilt
+	Status       string `json:"status"` // ok, absent, ignored, declined, damaged, mismatch, rebuilt
 	Detail       string `json:"detail,omitempty"`
 	CellsChecked int    `json:"cellsChecked,omitempty"`
 }
@@ -152,12 +155,21 @@ func repair(rep *report, f *interval.File, sv *interval.SalvageResult, out strin
 func checkPyramid(f *interval.File, path string, rebuild bool, rep *report, jsonOut bool) *pyramidJSON {
 	pp := interval.PyramidPath(path)
 	pj := &pyramidJSON{Path: pp}
-	if _, err := os.Stat(pp); err != nil {
+	st, err := os.Stat(pp)
+	if err != nil {
 		if !rebuild {
 			return nil
 		}
 		pj.Status = "absent"
 		rebuildPyramid(pj, path, rep, jsonOut)
+		return pj
+	}
+	if interval.SidecarOutweighs(st.Size(), f.Size) {
+		pj.Status = "ignored"
+		pj.Detail = fmt.Sprintf("the sidecar (%d bytes) outweighs the trace (%d bytes)", st.Size(), f.Size)
+		if rebuild {
+			rebuildPyramid(pj, path, rep, jsonOut)
+		}
 		return pj
 	}
 	p, err := interval.LoadPyramid(pp, f)
@@ -182,12 +194,18 @@ func checkPyramid(f *interval.File, path string, rebuild bool, rep *report, json
 }
 
 // rebuildPyramid drops the old sidecar state and rebuilds it from the
-// frames, keeping the detail that explains why.
+// frames, keeping the detail that explains why — unless the size rule
+// declines the new sidecar, which leaves the trace with none.
 func rebuildPyramid(pj *pyramidJSON, path string, rep *report, jsonOut bool) {
-	if _, err := interval.BuildPyramidSidecar(path, interval.PyramidOptions{}); err != nil {
+	b, err := interval.BuildPyramidSidecar(path, interval.PyramidOptions{})
+	if err != nil {
 		fatal(rep, jsonOut, fmt.Errorf("rebuild pyramid %s: %w", pj.Path, err))
 	}
 	pj.Status = "rebuilt"
+	if b.Declined() {
+		pj.Status = "declined"
+		pj.Detail = fmt.Sprintf("a sidecar (%d bytes) would outweigh the trace (%d bytes)", b.Bytes, b.TraceBytes)
+	}
 }
 
 func pyramidNote(rep *report) string {
@@ -197,6 +215,10 @@ func pyramidNote(rep *report) string {
 		return ""
 	case pj.Status == "ok":
 		return fmt.Sprintf("; pyramid ok (%d cells checked)", pj.CellsChecked)
+	case pj.Status == "ignored":
+		return fmt.Sprintf("; pyramid ignored: %s", pj.Detail)
+	case pj.Status == "declined":
+		return fmt.Sprintf("; no pyramid: %s", pj.Detail)
 	case pj.Status == "rebuilt" && pj.Detail == "":
 		return "; pyramid rebuilt"
 	case pj.Status == "rebuilt":

@@ -6,11 +6,12 @@
 // at frame starts. With -slog it additionally writes the SLOG file for
 // the viewer (the paper's slogmerge).
 //
-// At pipeline width -j above 1 (default: GOMAXPROCS) every input gets a
-// read-ahead decode goroutine feeding the merge through a bounded
-// channel, so the balanced tree never stalls on frame decode; -j 1
-// selects the fully synchronous path. Both produce byte-identical
-// output.
+// The merge itself is one synchronous pass; -j (default: GOMAXPROCS)
+// is the width of what runs beside it — clock-pair extraction across the
+// inputs and the SLOG build. Output is byte-identical at every width.
+//
+// -pyramid builds the merged file's summary sidecar unless it would
+// outweigh the trace, which is reported and is not an error.
 //
 // Usage:
 //
@@ -41,8 +42,8 @@ func main() {
 		noPseudo   = flag.Bool("no-pseudo", false, "do not plant frame-start pseudo-intervals")
 		linear     = flag.Bool("linear", false, "use a linear scan instead of the balanced tree (ablation)")
 		frameBytes = flag.Int("frame-bytes", 0, "target frame payload size (0 = 64 KiB)")
-		jobs       = flag.Int("j", 0, "pipeline width: read-ahead decode when above 1 (0 = GOMAXPROCS, 1 = synchronous)")
-		pyramid    = flag.Bool("pyramid", false, "also build the merged file's summary-pyramid sidecar (<out>.pyr)")
+		jobs       = flag.Int("j", 0, "clock-pair extraction and SLOG build workers (0 = GOMAXPROCS)")
+		pyramid    = flag.Bool("pyramid", false, "also build the merged file's summary-pyramid sidecar (<out>.pyr), unless it would outweigh the trace")
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -78,16 +79,21 @@ func main() {
 			i, res.Anchors[i].Global, res.Anchors[i].Local, r)
 	}
 	if *pyramid {
-		p, err := interval.BuildPyramidSidecar(*out, interval.PyramidOptions{})
+		sb, err := interval.BuildPyramidSidecar(*out, interval.PyramidOptions{})
 		if err != nil {
 			fatal(err)
 		}
-		cells := 0
-		for _, lv := range p.Levels {
-			cells += len(lv.Cells)
+		if sb.Declined() {
+			fmt.Printf("utemerge: pyramid not written: the sidecar (%d bytes) would outweigh the trace (%d bytes); queries scan\n",
+				sb.Bytes, sb.TraceBytes)
+		} else {
+			p, cells := sb.Pyramid, 0
+			for _, lv := range p.Levels {
+				cells += len(lv.Cells)
+			}
+			fmt.Printf("utemerge: pyramid %s (%d levels, %d cells, base width %v)\n",
+				interval.PyramidPath(*out), len(p.Levels), cells, p.BaseWidth)
 		}
-		fmt.Printf("utemerge: pyramid %s (%d levels, %d cells, base width %v)\n",
-			interval.PyramidPath(*out), len(p.Levels), cells, p.BaseWidth)
 	}
 	if *slogOut != "" {
 		mf, err := interval.Open(*out)

@@ -46,7 +46,6 @@ func main() {
 		window   = flag.String("window", "", "restrict tables to records overlapping lo:hi (seconds)")
 		verbose  = flag.Bool("v", false, "report per-table engine and excluded-record counts on stderr")
 		timeRes  = flag.Bool("timeresolved", false, "generate the time-resolved metric tables (-bins buckets) instead of a program")
-		summary  = flag.String("summary", "auto", "with -timeresolved, the summary engine: auto, pyramid, or scan")
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -89,9 +88,6 @@ func main() {
 	}
 	var err error
 	opts := stats.Options{Parallel: *jobs}
-	if opts.Summary, err = interval.ParseSummaryEngine(*summary); err != nil {
-		fatal(err)
-	}
 	if *window != "" {
 		lo, hi, err := clock.ParseWindow(*window)
 		if err != nil {

@@ -39,7 +39,6 @@ func main() {
 		out        = flag.String("o", "", "output SVG path (default stdout)")
 		preview    = flag.Bool("preview", false, "render the preview histogram instead of a diagram (from -slog, or computed from -merged)")
 		bins       = flag.Int("bins", 0, "preview bins when computing from -merged (0 = default)")
-		engineName = flag.String("engine", "auto", "summary engine for -preview from -merged: auto, pyramid, or scan")
 		verbose    = flag.Bool("v", false, "report which engine answered and what it cost (stderr)")
 		frameAt    = flag.Float64("frame-at", -1, "print the SLOG frame containing this time (seconds)")
 		arrows     = flag.Bool("arrows", false, "overlay message arrows from the SLOG file")
@@ -125,11 +124,7 @@ func main() {
 	defer mf.Close()
 
 	if *preview {
-		engine, err := interval.ParseSummaryEngine(*engineName)
-		if err != nil {
-			fatal(err)
-		}
-		popts := render.PreviewOptions{Bins: *bins, Engine: engine}
+		popts := render.PreviewOptions{Bins: *bins}
 		popts.T0, popts.T1 = clock.FromSeconds(*t0), clock.FromSeconds(*t1)
 		if *window != "" {
 			popts.T0, popts.T1 = resolveWindow(mf, *window)

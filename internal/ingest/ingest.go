@@ -65,9 +65,6 @@ type Config struct {
 	// Writer is the default frame sizing for live traces; a begin
 	// request may override FrameBytes/FramesPerDir per trace.
 	Writer interval.WriterOptions
-	// NoPseudo and Linear pass through to the live merge (ablations).
-	NoPseudo bool
-	Linear   bool
 	// Create opens a live trace's file for writing; nil means
 	// os.Create. The crash harness injects fault writers here.
 	Create func(path string) (SinkFile, error)

@@ -327,11 +327,7 @@ func (s *Session) barrier() error {
 	for i, n := range s.nodes {
 		sources[i] = n.src
 	}
-	live, err := merge.NewLive(file, hdrs, sources, merge.Options{
-		Writer:   wopts,
-		NoPseudo: s.mgr.cfg.NoPseudo,
-		Linear:   s.mgr.cfg.Linear,
-	})
+	live, err := merge.NewLive(file, hdrs, sources, merge.Options{Writer: wopts})
 	if err != nil {
 		file.Close()
 		s.mu.Unlock()

@@ -17,7 +17,8 @@ package interval
 // <trace>.pyr, is bound to the trace by a source signature over the
 // frame directory, and every load error — missing file, bad magic, CRC
 // mismatch, stale signature — silently degrades to the scan engine.
-// Nothing in the pyramid can prevent opening or scanning the trace.
+// Nothing in the pyramid can prevent opening or scanning the trace, and
+// a trace may legitimately have none (SidecarOutweighs).
 //
 // Cell summary semantics (the exactness contract the differential
 // suite enforces; see SummarizeWindow):
@@ -546,12 +547,20 @@ func DecodePyramid(data []byte) (*Pyramid, error) {
 	return p, nil
 }
 
-// WritePyramidFile writes the sidecar atomically (temp file + rename),
-// so a crash mid-write leaves either the old sidecar or none — never a
-// torn one that readers would have to distrust.
-func WritePyramidFile(path string, p *Pyramid) error {
+// SidecarOutweighs is the size rule, the one predicate the build and
+// the open side share: a sidecar larger than its trace is neither
+// written nor read. Attaching a sidecar costs at least reading and
+// checking its own bytes; the scan it would replace reads at most the
+// trace's. (Per-lane cells grow with lanes × cells, not with records, so
+// a wide, short trace can have a sidecar several times its own size.)
+func SidecarOutweighs(sidecarBytes, traceBytes int64) bool { return sidecarBytes > traceBytes }
+
+// writeSidecar writes the encoded sidecar atomically (temp file +
+// rename), so a crash mid-write leaves either the old sidecar or none —
+// never a torn one that readers would have to distrust.
+func writeSidecar(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, p.Encode(), 0o644); err != nil {
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -583,13 +592,7 @@ func LoadPyramid(path string, f *File) (*Pyramid, error) {
 	return p, nil
 }
 
-// AttachPyramid installs (or, with nil, removes) the summary pyramid
-// consulted by SummarizeWindow's auto and pyramid engines. Like
-// SetFrameDecoder it must be called before the File is shared between
-// goroutines; the field is read without synchronization.
-func (f *File) AttachPyramid(p *Pyramid) { f.pyr = p }
-
-// Pyramid returns the attached summary pyramid, or nil.
+// Pyramid returns the summary pyramid Open attached, or nil.
 func (f *File) Pyramid() *Pyramid { return f.pyr }
 
 // floorDivTime is floor division of a time by a positive power-of-two

@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
 	"sort"
 
 	"tracefw/internal/clock"
@@ -33,8 +35,7 @@ type PyramidOptions struct {
 
 // busyType reports whether a record type counts as a busy interval for
 // lane time, concurrency, and top-k: everything except the synthetic
-// Running background state and clock records. This mirrors the
-// exclusions of stats.TimeResolved.
+// Running background state and clock records.
 func busyType(t events.Type) bool {
 	return t != events.EvRunning && t != events.EvGlobalClock
 }
@@ -304,11 +305,24 @@ func mergeLaneBusy(a, b []LaneBusy) []LaneBusy {
 	return out
 }
 
+// SidecarBuild reports what BuildPyramidSidecar built and how it
+// measured against the trace.
+type SidecarBuild struct {
+	Pyramid *Pyramid
+	// Bytes is the sidecar's serialized size, TraceBytes the trace's.
+	Bytes, TraceBytes int64
+}
+
+// Declined reports that the size rule kept the sidecar off the disk.
+func (b *SidecarBuild) Declined() bool { return SidecarOutweighs(b.Bytes, b.TraceBytes) }
+
 // BuildPyramidSidecar opens the trace at tracePath, builds its pyramid,
-// and writes the sidecar next to it (atomic temp + rename). It is the
-// seal-time and backfill entry point used by utemerge, uteconvert, and
-// utecheck -repair-pyramid.
-func BuildPyramidSidecar(tracePath string, opts PyramidOptions) (*Pyramid, error) {
+// and writes the sidecar next to it (atomic temp + rename) — unless the
+// sidecar would outweigh the trace, in which case nothing is written
+// and a sidecar left by an earlier build is removed. It is the seal-time
+// and backfill entry point used by utemerge and utecheck
+// -repair-pyramid.
+func BuildPyramidSidecar(tracePath string, opts PyramidOptions) (*SidecarBuild, error) {
 	f, err := Open(tracePath, WithPyramid(false))
 	if err != nil {
 		return nil, err
@@ -318,8 +332,13 @@ func BuildPyramidSidecar(tracePath string, opts PyramidOptions) (*Pyramid, error
 	if err != nil {
 		return nil, err
 	}
-	if err := WritePyramidFile(PyramidPath(tracePath), p); err != nil {
-		return nil, err
+	data := p.Encode()
+	b := &SidecarBuild{Pyramid: p, Bytes: int64(len(data)), TraceBytes: f.Size}
+	if b.Declined() {
+		if err := os.Remove(PyramidPath(tracePath)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
+		}
+		return b, nil
 	}
-	return p, nil
+	return b, writeSidecar(PyramidPath(tracePath), data)
 }

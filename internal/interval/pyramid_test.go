@@ -67,14 +67,53 @@ func writePyrFile(t *testing.T, seed uint64, n int, hdrVersion uint32) (*SeekBuf
 	return sb, recs
 }
 
-func buildAttached(t *testing.T, f *File, opts PyramidOptions) *Pyramid {
+// openPair writes the trace in sb to disk, builds its sidecar, and
+// opens it twice: with the sidecar attached and without. What is
+// attached is the only thing that selects SummarizeWindow's engine, so
+// the pair is how every differential case gets both answers. A fixture
+// whose sidecar the size rule declines is a broken fixture (shrink
+// BaseCells), not a reason to bypass the rule.
+func openPair(t *testing.T, sb *SeekBuffer, opts PyramidOptions) (with, without *File) {
 	t.Helper()
-	p, err := BuildPyramid(f, opts)
+	path := filepath.Join(t.TempDir(), "trace.ute")
+	if err := os.WriteFile(path, sb.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := BuildPyramidSidecar(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.AttachPyramid(p)
-	return p
+	if b.Declined() {
+		t.Fatalf("fixture sidecar (%d bytes) outweighs its trace (%d bytes)", b.Bytes, b.TraceBytes)
+	}
+	open := func(o ...Option) *File {
+		f, err := Open(path, o...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+	with, without = open(), open(WithPyramid(false))
+	if with.Pyramid() == nil || without.Pyramid() != nil {
+		t.Fatalf("sidecar attachment: with=%v without=%v", with.Pyramid() != nil, without.Pyramid() != nil)
+	}
+	return with, without
+}
+
+// summarize runs SummarizeWindow on one file and requires the named
+// engine to have answered, so a silent fallback cannot pass as a
+// pyramid answer.
+func summarize(t *testing.T, label string, f *File, o WindowSummaryOptions, engine string) *WindowSummary {
+	t.Helper()
+	ws, err := SummarizeWindow([]*File{f}, o)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if ws.Engine != engine {
+		t.Fatalf("%s: answered by %q, want %q", label, ws.Engine, engine)
+	}
+	return ws
 }
 
 // stripMeta zeroes the fields the two engines legitimately differ on.
@@ -161,8 +200,7 @@ func TestSummarizeDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("v%d", hv), func(t *testing.T) {
 			for _, seed := range []uint64{1, 7, 42} {
 				sb, _ := writePyrFile(t, seed, 1500, hv)
-				f := openFile(t, sb)
-				buildAttached(t, f, PyramidOptions{BaseCells: 128, TopK: 8})
+				f, bare := openPair(t, sb, PyramidOptions{BaseCells: 128, TopK: 8})
 				first, last, _, err := f.Stats()
 				if err != nil {
 					t.Fatal(err)
@@ -183,34 +221,12 @@ func TestSummarizeDifferential(t *testing.T) {
 				for _, win := range windows {
 					for _, bins := range []int{1, 3, 7, 64, 250} {
 						label := fmt.Sprintf("v%d/seed%d/%s/bins%d", hv, seed, win.name, bins)
-						scan, err := f.SummarizeWindow(WindowSummaryOptions{
-							Bins: bins, Lo: win.lo, Hi: win.hi, Engine: SummaryScan, TopK: 5,
-						})
-						if err != nil {
-							t.Fatalf("%s: scan: %v", label, err)
-						}
-						pyr, err := f.SummarizeWindow(WindowSummaryOptions{
-							Bins: bins, Lo: win.lo, Hi: win.hi, Engine: SummaryPyramid, TopK: 5,
-						})
-						if err != nil {
-							t.Fatalf("%s: pyramid: %v", label, err)
-						}
-						if pyr.Engine != "pyramid" || scan.Engine != "scan" {
-							t.Fatalf("%s: engines %q/%q", label, pyr.Engine, scan.Engine)
-						}
-						assertSummariesEqual(t, label, pyr, scan)
-
-						// Auto must agree with both on a usable window.
-						auto, err := f.SummarizeWindow(WindowSummaryOptions{
-							Bins: bins, Lo: win.lo, Hi: win.hi, TopK: 5,
-						})
-						if err != nil {
-							t.Fatalf("%s: auto: %v", label, err)
-						}
-						if auto.Engine != "pyramid" {
-							t.Fatalf("%s: auto picked %q", label, auto.Engine)
-						}
-						assertSummariesEqual(t, label+"/auto", auto, scan)
+						o := WindowSummaryOptions{Bins: bins, Lo: win.lo, Hi: win.hi, TopK: 5}
+						scan := summarize(t, label, bare, o, "scan")
+						assertSummariesEqual(t, label, summarize(t, label, f, o, "pyramid"), scan)
+						// The scan is the same summary at any width.
+						o.Parallel = 4
+						assertSummariesEqual(t, label+"/j4", summarize(t, label, bare, o, "scan"), scan)
 					}
 				}
 			}
@@ -224,8 +240,8 @@ func TestSummarizeDifferential(t *testing.T) {
 // answers byte-identically.
 func TestSummarizeAlignedDecodesNoFrames(t *testing.T) {
 	sb, _ := writePyrFile(t, 5, 2500, CurrentHeaderVersion)
-	f := openFile(t, sb)
-	p := buildAttached(t, f, PyramidOptions{BaseCells: 512, TopK: 8})
+	f, bare := openPair(t, sb, PyramidOptions{BaseCells: 128, TopK: 8})
+	p := f.Pyramid()
 	first, last, _, err := f.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -235,14 +251,9 @@ func TestSummarizeAlignedDecodesNoFrames(t *testing.T) {
 		lo := clock.Time(floorDivTime(first, w)) * w
 		per := (clock.Time(floorDivTime(last, w))*w + w - lo) / (clock.Time(bins) * w)
 		hi := lo + clock.Time(bins)*w*(per+1)
-		scan, err := f.SummarizeWindow(WindowSummaryOptions{Bins: bins, Lo: lo, Hi: hi, Engine: SummaryScan, TopK: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pyr, err := f.SummarizeWindow(WindowSummaryOptions{Bins: bins, Lo: lo, Hi: hi, Engine: SummaryPyramid, TopK: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
+		o := WindowSummaryOptions{Bins: bins, Lo: lo, Hi: hi, TopK: 3}
+		scan := summarize(t, "aligned", bare, o, "scan")
+		pyr := summarize(t, "aligned", f, o, "pyramid")
 		if pyr.FramesDecoded != 0 {
 			t.Fatalf("bins=%d: aligned window decoded %d frames, want 0", bins, pyr.FramesDecoded)
 		}
@@ -258,78 +269,115 @@ func TestSummarizeAlignedDecodesNoFrames(t *testing.T) {
 
 func TestSummarizeDegenerateWindowFallsBack(t *testing.T) {
 	sb, _ := writePyrFile(t, 9, 400, CurrentHeaderVersion)
-	f := openFile(t, sb)
-	buildAttached(t, f, PyramidOptions{BaseCells: 64, TopK: 4})
-	first, _, _, err := f.Stats()
+	f, bare := openPair(t, sb, PyramidOptions{BaseCells: 32, TopK: 4})
+	first, last, _, err := f.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Window narrower than the bin count: some buckets are empty and
-	// their boundary semantics are not reproducible from ranges.
-	o := WindowSummaryOptions{Bins: 50, Lo: first, Hi: first + 10, TopK: 2}
-	auto, err := f.SummarizeWindow(o)
-	if err != nil {
-		t.Fatal(err)
+	// Windows the partition cannot reproduce — narrower than the bin
+	// count (some buckets are empty and their boundary semantics depend
+	// on event positions), zero-span — are the scan's even with a
+	// pyramid attached, and the answer is the sidecar-less file's. A
+	// window beyond the run is an ordinary one: the pyramid answers it,
+	// emptily.
+	for _, tc := range []struct {
+		name   string
+		o      WindowSummaryOptions
+		engine string
+	}{
+		{"span<bins", WindowSummaryOptions{Bins: 50, Lo: first, Hi: first + 10, TopK: 2}, "scan"},
+		{"zero-span", WindowSummaryOptions{Bins: 1, Lo: first + 5, Hi: first + 5}, "scan"},
+		{"zero-span-many-bins", WindowSummaryOptions{Bins: 7, Lo: first + 5, Hi: first + 5, TopK: 2}, "scan"},
+		{"beyond-run", WindowSummaryOptions{Bins: 4, Lo: last + 1000, Hi: last + 5000, TopK: 2}, "pyramid"},
+	} {
+		got := summarize(t, tc.name, f, tc.o, tc.engine)
+		if len(got.Bins) != tc.o.Bins {
+			t.Fatalf("%s: got %d bins, want %d", tc.name, len(got.Bins), tc.o.Bins)
+		}
+		assertSummariesEqual(t, tc.name, got, summarize(t, tc.name, bare, tc.o, "scan"))
 	}
-	if auto.Engine != "scan" {
-		t.Fatalf("degenerate window answered by %q, want scan fallback", auto.Engine)
-	}
-	o.Engine = SummaryPyramid
-	if _, err := f.SummarizeWindow(o); err == nil {
-		t.Fatal("forced pyramid engine accepted a degenerate window")
-	}
-	// Zero-span window, one bin: still answerable by scan.
-	zero, err := f.SummarizeWindow(WindowSummaryOptions{Bins: 1, Lo: first + 5, Hi: first + 5, Engine: SummaryScan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(zero.Bins) != 1 {
-		t.Fatalf("zero-span window got %d bins", len(zero.Bins))
+	beyond := summarize(t, "beyond-run", bare, WindowSummaryOptions{Bins: 4, Lo: last + 1000, Hi: last + 5000}, "scan")
+	for i, b := range beyond.Bins {
+		if b.Records != 0 || b.PeakConc != 0 || b.BusyByType != nil || b.BusyByLane != nil {
+			t.Fatalf("beyond-run bin %d is not empty: %+v", i, b)
+		}
 	}
 }
 
 func TestSummarizeValidation(t *testing.T) {
-	sb, _ := writePyrFile(t, 2, 100, CurrentHeaderVersion)
-	f := openFile(t, sb)
-	if _, err := f.SummarizeWindow(WindowSummaryOptions{Bins: 0, Lo: 0, Hi: 10}); err == nil {
-		t.Fatal("accepted 0 bins")
+	sb, _ := writePyrFile(t, 2, 300, CurrentHeaderVersion)
+	f, _ := openPair(t, sb, PyramidOptions{BaseCells: 16, TopK: 4})
+	for _, files := range [][]*File{{f}, {f, f}} {
+		if _, err := SummarizeWindow(files, WindowSummaryOptions{Bins: 0, Lo: 0, Hi: 10}); err == nil {
+			t.Fatal("accepted 0 bins")
+		}
+		if _, err := SummarizeWindow(files, WindowSummaryOptions{Bins: 1, Lo: 10, Hi: 0}); err == nil {
+			t.Fatal("accepted inverted window")
+		}
+		if _, err := SummarizeWindow(files, WindowSummaryOptions{Bins: 1, Lo: 0, Hi: 10, TopK: -1}); err == nil {
+			t.Fatal("accepted negative top-k")
+		}
 	}
-	if _, err := f.SummarizeWindow(WindowSummaryOptions{Bins: 1, Lo: 10, Hi: 0}); err == nil {
-		t.Fatal("accepted inverted window")
-	}
-	if _, err := f.SummarizeWindow(WindowSummaryOptions{Bins: 1, Lo: 0, Hi: 10, TopK: -1}); err == nil {
-		t.Fatal("accepted negative top-k")
-	}
-	if _, err := f.SummarizeWindow(WindowSummaryOptions{Bins: 1, Lo: 0, Hi: 10, Engine: SummaryPyramid}); err == nil {
-		t.Fatal("forced pyramid engine answered with no pyramid attached")
-	}
-	p := buildAttached(t, f, PyramidOptions{TopK: 4})
-	if _, err := f.SummarizeWindow(WindowSummaryOptions{Bins: 1, Lo: 0, Hi: 1 << 20, Engine: SummaryPyramid, TopK: p.TopK + 1}); err == nil {
-		t.Fatal("forced pyramid engine accepted top-k beyond the stored k")
-	}
-	ws, err := f.SummarizeWindow(WindowSummaryOptions{Bins: 1, Lo: 0, Hi: 1 << 20, TopK: p.TopK + 1})
+	// A top-k the stored cells cannot answer is the scan's.
+	k := f.Pyramid().TopK
+	summarize(t, "stored k", f, WindowSummaryOptions{Bins: 1, Lo: 0, Hi: 1 << 20, TopK: k}, "pyramid")
+	summarize(t, "k+1", f, WindowSummaryOptions{Bins: 1, Lo: 0, Hi: 1 << 20, TopK: k + 1}, "scan")
+}
+
+// TestSummarizeFileList: the scan takes the file list MapFrames takes —
+// the pyramid answers one file only — and a list is summarized as the
+// union of its records: the same trace twice doubles every sum and
+// count and, concurrency being a property of the merged event set,
+// every peak.
+func TestSummarizeFileList(t *testing.T) {
+	sb, _ := writePyrFile(t, 6, 900, CurrentHeaderVersion)
+	f, bare := openPair(t, sb, PyramidOptions{BaseCells: 64, TopK: 4})
+	first, last, _, err := f.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws.Engine != "scan" {
-		t.Fatalf("auto engine %q for over-long top-k, want scan", ws.Engine)
+	o := WindowSummaryOptions{Bins: 9, Lo: first + 3, Hi: last - 7}
+	one := summarize(t, "one", bare, o, "scan")
+	for _, par := range []int{1, 4} {
+		o.Parallel = par
+		two, err := SummarizeWindow([]*File{f, f}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if two.Engine != "scan" || two.FramesDecoded != 2*one.FramesDecoded {
+			t.Fatalf("two files: engine %q, %d frames (one file: %d)", two.Engine, two.FramesDecoded, one.FramesDecoded)
+		}
+		if !reflect.DeepEqual(two.Lanes, one.Lanes) {
+			t.Fatalf("two files: lanes %v, one file %v", two.Lanes, one.Lanes)
+		}
+		for i, b := range one.Bins {
+			want := BinSummary{Start: b.Start, Records: 2 * b.Records, PeakConc: 2 * b.PeakConc}
+			for ty, v := range b.BusyByType {
+				if want.BusyByType == nil {
+					want.BusyByType = map[events.Type]clock.Time{}
+				}
+				want.BusyByType[ty] = 2 * v
+			}
+			for l, v := range b.BusyByLane {
+				if want.BusyByLane == nil {
+					want.BusyByLane = map[Lane]clock.Time{}
+				}
+				want.BusyByLane[l] = 2 * v
+			}
+			if !reflect.DeepEqual(two.Bins[i], want) {
+				t.Fatalf("j%d bin %d:\n got %+v\nwant %+v", par, i, two.Bins[i], want)
+			}
+		}
 	}
 }
 
 func TestPyramidEmptyFile(t *testing.T) {
 	sb := writeTestFile(t, 0, WriterOptions{})
-	f := openFile(t, sb)
-	p := buildAttached(t, f, PyramidOptions{})
-	if len(p.Levels) != 0 {
+	f, _ := openPair(t, sb, PyramidOptions{})
+	if p := f.Pyramid(); len(p.Levels) != 0 {
 		t.Fatalf("empty file built %d levels", len(p.Levels))
 	}
-	ws, err := f.SummarizeWindow(WindowSummaryOptions{Bins: 4, Lo: 0, Hi: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws.Engine != "scan" {
-		t.Fatalf("empty pyramid answered %q, want scan fallback", ws.Engine)
-	}
+	summarize(t, "empty pyramid", f, WindowSummaryOptions{Bins: 4, Lo: 0, Hi: 100}, "scan")
 }
 
 // writeTraceOnDisk materializes a generated trace as a real file so the
@@ -448,17 +496,19 @@ func checkDamagedSidecar(t *testing.T, path string, sidecar []byte, label string
 	if err != nil {
 		t.Fatal(err)
 	}
+	bare, err := Open(path, WithPyramid(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
 	span := last - first
 	for _, bins := range []int{1, 16} {
-		auto, err := f.SummarizeWindow(WindowSummaryOptions{Bins: bins, Lo: first + span/5, Hi: last - span/5, TopK: 3})
+		o := WindowSummaryOptions{Bins: bins, Lo: first + span/5, Hi: last - span/5, TopK: 3}
+		got, err := SummarizeWindow([]*File{f}, o)
 		if err != nil {
-			t.Fatalf("%s: auto query failed: %v", label, err)
+			t.Fatalf("%s: query failed: %v", label, err)
 		}
-		scan, err := f.SummarizeWindow(WindowSummaryOptions{Bins: bins, Lo: first + span/5, Hi: last - span/5, Engine: SummaryScan, TopK: 3})
-		if err != nil {
-			t.Fatalf("%s: scan query failed: %v", label, err)
-		}
-		assertSummariesEqual(t, label, auto, scan)
+		assertSummariesEqual(t, label, got, summarize(t, label, bare, o, "scan"))
 	}
 }
 
@@ -473,10 +523,7 @@ func TestSummarizeScanRecordCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := f.SummarizeWindow(WindowSummaryOptions{Bins: 9, Lo: first, Hi: last, Engine: SummaryScan})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := summarize(t, "counts", f, WindowSummaryOptions{Bins: 9, Lo: first, Hi: last}, "scan")
 	var want int64
 	for i := range recs {
 		if s := recs[i].Start; s >= first && s < last {
@@ -489,5 +536,23 @@ func TestSummarizeScanRecordCounts(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("scan counted %d records in window, raw records say %d", got, want)
+	}
+}
+
+// TestScaleBinNoOverflow: the bin guess must not overflow anywhere below
+// the largest bin count a statistics request may name (65536): offsets
+// near a span of 2^62 ns times that many bins pass 2^63 many times over.
+func TestScaleBinNoOverflow(t *testing.T) {
+	const span, bins = int64(1) << 62, 1 << 16
+	for _, tc := range []struct {
+		off  int64
+		want int
+	}{
+		{-5, 0}, {0, 0}, {span / 2, bins / 2}, {span - 1, bins - 1}, {span, bins - 1},
+		{span/bins*12345 + 7, 12345},
+	} {
+		if got := scaleBin(tc.off, span, bins); got != tc.want {
+			t.Fatalf("scaleBin(%d, 2^62, %d) = %d, want %d", tc.off, bins, got, tc.want)
+		}
 	}
 }

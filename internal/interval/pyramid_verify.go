@@ -27,20 +27,15 @@ type VerifyPyramidOptions struct {
 }
 
 // VerifyPyramid cross-validates p against f's frames on a sample of
-// base cells and returns how many cells it checked. The file's
-// attached pyramid is temporarily replaced by p and restored before
-// returning. An error means the stored summaries diverge from a frame
-// recompute (or the frames could not be read) — callers should treat
-// the sidecar as damaged and rebuild it.
+// base cells and returns how many cells it checked. An error means the
+// stored summaries diverge from a frame recompute (or the frames could
+// not be read) — callers should treat the sidecar as damaged and
+// rebuild it.
 func (f *File) VerifyPyramid(p *Pyramid, opts VerifyPyramidOptions) (int, error) {
 	maxCells := opts.MaxCells
 	if maxCells <= 0 {
 		maxCells = 16
 	}
-	old := f.Pyramid()
-	f.AttachPyramid(p)
-	defer f.AttachPyramid(old)
-
 	if len(p.Levels) == 0 {
 		return 0, nil
 	}
@@ -53,7 +48,7 @@ func (f *File) VerifyPyramid(p *Pyramid, opts VerifyPyramidOptions) (int, error)
 	for i := 0; i < len(base.Cells); i += step {
 		c := base.First + int64(i)
 		lo := clock.Time(c) * base.Width
-		if err := f.compareCellWindow(lo, lo+base.Width, p.TopK, opts.Context); err != nil {
+		if err := f.compareCellWindow(p, lo, lo+base.Width, opts.Context); err != nil {
 			return checked, fmt.Errorf("interval: pyramid cell %d [%v .. %v): %w", c, lo, lo+base.Width, err)
 		}
 		checked++
@@ -63,19 +58,20 @@ func (f *File) VerifyPyramid(p *Pyramid, opts VerifyPyramidOptions) (int, error)
 
 // compareCellWindow summarizes one cell-aligned window on both engines
 // and compares everything but the engine metadata.
-func (f *File) compareCellWindow(lo, hi clock.Time, topK int, ctx context.Context) error {
-	var got [2]*WindowSummary
-	for ei, eng := range []SummaryEngine{SummaryPyramid, SummaryScan} {
-		ws, err := f.SummarizeWindow(WindowSummaryOptions{
-			Bins: 1, Lo: lo, Hi: hi, Engine: eng, TopK: topK, Context: ctx,
-		})
-		if err != nil {
-			return err
-		}
-		ws.Engine, ws.CellsUsed, ws.FramesDecoded = "", 0, 0
-		got[ei] = ws
+func (f *File) compareCellWindow(p *Pyramid, lo, hi clock.Time, ctx context.Context) error {
+	o := WindowSummaryOptions{Bins: 1, Lo: lo, Hi: hi, TopK: p.TopK, Context: ctx}
+	pyr, err := summarizePyramid(f, p, o)
+	if err != nil {
+		return err
 	}
-	if !reflect.DeepEqual(got[0], got[1]) {
+	scan, err := summarizeScan([]*File{f}, o)
+	if err != nil {
+		return err
+	}
+	for _, ws := range []*WindowSummary{pyr, scan} {
+		ws.Engine, ws.CellsUsed, ws.FramesDecoded = "", 0, 0
+	}
+	if !reflect.DeepEqual(pyr, scan) {
 		return fmt.Errorf("stored cells disagree with frame recompute")
 	}
 	return nil

@@ -18,7 +18,7 @@ func TestVerifyPyramidOK(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	p := buildAttached(t, f, PyramidOptions{BaseCells: 64, TopK: 4})
+	p := mustBuild(t, f, PyramidOptions{BaseCells: 64, TopK: 4})
 
 	n, err := f.VerifyPyramid(p, VerifyPyramidOptions{})
 	if err != nil {
@@ -27,8 +27,8 @@ func TestVerifyPyramidOK(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no cells checked")
 	}
-	if f.Pyramid() != p {
-		t.Fatal("attached pyramid not restored")
+	if f.Pyramid() != nil {
+		t.Fatal("verifying a pyramid attached it")
 	}
 	// A tighter sample bound checks fewer cells but still some.
 	n2, err := f.VerifyPyramid(p, VerifyPyramidOptions{MaxCells: 3})
@@ -47,7 +47,7 @@ func TestVerifyPyramidCatchesDoctoredCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	p := buildAttached(t, f, PyramidOptions{BaseCells: 64, TopK: 4})
+	p := mustBuild(t, f, PyramidOptions{BaseCells: 64, TopK: 4})
 
 	// Doctor the first base cell — sampling always visits index 0.
 	if len(p.Levels) == 0 || len(p.Levels[0].Cells) == 0 {
@@ -79,9 +79,18 @@ func TestVerifyPyramidEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	p := buildAttached(t, f, PyramidOptions{})
+	p := mustBuild(t, f, PyramidOptions{})
 	n, err := f.VerifyPyramid(p, VerifyPyramidOptions{})
 	if err != nil || n != 0 {
 		t.Fatalf("empty pyramid: %d cells, %v", n, err)
 	}
+}
+
+func mustBuild(t *testing.T, f *File, opts PyramidOptions) *Pyramid {
+	t.Helper()
+	p, err := BuildPyramid(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

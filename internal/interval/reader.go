@@ -94,9 +94,8 @@ type File struct {
 	// decoded counts frame payload reads; tests use it to assert that
 	// window queries touch only the frames overlapping the window.
 	decoded atomic.Int64
-	// pyr is the attached summary pyramid (AttachPyramid, or the
-	// sidecar auto-load in Open); nil means SummarizeWindow always
-	// scans. Set before the File is shared between goroutines.
+	// pyr is the summary pyramid Open loaded from the sidecar; nil means
+	// SummarizeWindow always scans.
 	pyr *Pyramid
 }
 

@@ -175,7 +175,7 @@ func DecodePayload(payload []byte) (Record, error) {
 
 // DecodePayloadInto parses a standard-profile record payload into *r,
 // reusing r's Extra and Vec capacity when possible, so hot decode loops
-// (the Scanner, the merge read-ahead stage) avoid one allocation per
+// (the Scanner, the merge sources) avoid one allocation per
 // record. Zero-length Extra/Vec are set to nil, matching DecodePayload.
 func DecodePayloadInto(payload []byte, r *Record) error {
 	return decodePayload(payload, r, nil)

@@ -2,16 +2,22 @@ package interval
 
 // SummarizeWindow answers a binned window query — per-bin busy time by
 // type and by lane, start counts, peak concurrency, plus a window-wide
-// top-k and lane list — from either of two engines that are proven
-// byte-identical on every input:
+// top-k and lane list. It is the only implementation of that reduction
+// (the statistics tables and the preview are formatters over it) and it
+// has two engines, proven byte-identical on every input:
 //
-//   - scan: decode every frame overlapping the window and accumulate,
-//     the reference implementation (O(records in window)).
+//   - scan: decode every frame overlapping the window through MapFrames
+//     and accumulate (O(records in window)); answers any file list.
 //   - pyramid: partition every bin into maximal aligned pyramid cells
 //     plus at most two sub-base-width edge remainders, answer the
 //     aligned interior from cell summaries, and decode frames only for
 //     the remainders (O(bins) cells; zero frame decodes when the
-//     window and bin bounds land on base-cell boundaries).
+//     window and bin bounds land on base-cell boundaries); answers one
+//     file with a pyramid attached.
+//
+// Nobody picks between them: the pyramid answers whenever it can, and a
+// pyramid that would cost more to load than the scan it replaces is
+// never built or attached (SidecarOutweighs).
 //
 // Identity argument, in brief: busy overlap and start counts are
 // additive over any partition of a bin; the peak concurrency of a bin
@@ -21,59 +27,19 @@ package interval
 // frames for remainders; and a distinct interval in the window's top-k
 // must be in the top-k of every cell it overlaps. Degenerate bins
 // (window span < bin count) have boundary semantics the partition
-// cannot reproduce, so the pyramid engine refuses them and auto falls
-// back to scan.
+// cannot reproduce, so they are the scan's.
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"math/bits"
+	"slices"
 	"sort"
+	"sync"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
 )
-
-// SummaryEngine selects how SummarizeWindow answers.
-type SummaryEngine int
-
-const (
-	// SummaryAuto answers from the pyramid when one is attached and
-	// applicable, silently falling back to the scan engine otherwise.
-	// The default.
-	SummaryAuto SummaryEngine = iota
-	// SummaryPyramid requires the pyramid; the query fails when no
-	// usable pyramid is attached.
-	SummaryPyramid
-	// SummaryScan forces the frame-scan reference engine.
-	SummaryScan
-)
-
-func (e SummaryEngine) String() string {
-	switch e {
-	case SummaryPyramid:
-		return "pyramid"
-	case SummaryScan:
-		return "scan"
-	default:
-		return "auto"
-	}
-}
-
-// ParseSummaryEngine maps the CLI/HTTP engine names.
-func ParseSummaryEngine(s string) (SummaryEngine, error) {
-	switch s {
-	case "", "auto":
-		return SummaryAuto, nil
-	case "pyramid":
-		return SummaryPyramid, nil
-	case "scan":
-		return SummaryScan, nil
-	}
-	return SummaryAuto, fmt.Errorf("interval: unknown summary engine %q (auto, pyramid, scan)", s)
-}
 
 // WindowSummaryOptions configures SummarizeWindow.
 type WindowSummaryOptions struct {
@@ -83,19 +49,22 @@ type WindowSummaryOptions struct {
 	// effective coverage is the half-open [Lo, Hi). Hi < Lo is an
 	// error; callers clamp to run bounds first.
 	Lo, Hi clock.Time
-	// Engine picks the evaluator; see the SummaryEngine constants.
-	Engine SummaryEngine
 	// TopK asks for the window's k longest distinct busy intervals;
 	// 0 disables the top list. The pyramid engine can only answer
 	// TopK up to the pyramid's stored per-cell k.
 	TopK int
+	// Parallel is the scan engine's worker count, as MapOptions.Parallel.
+	// The summary is identical at every value.
+	Parallel int
 	// Context, when non-nil, aborts the query between frames.
 	Context context.Context
 }
 
 // BinSummary is one time bucket of a window summary. The maps hold
-// only strictly positive entries, so two summaries are comparable with
-// reflect.DeepEqual.
+// only strictly positive entries — plus, in a window narrower than its
+// bin count, a zero BusyByType entry for every zero-width bucket an
+// interval of that type reaches across (the busy table prints those as
+// rows) — so two summaries are comparable with reflect.DeepEqual.
 type BinSummary struct {
 	// Start is the bucket's left bound.
 	Start clock.Time
@@ -132,21 +101,32 @@ type WindowSummary struct {
 	FramesDecoded int
 }
 
-// binBound mirrors the stats bucket ruler exactly: bound(i) = lo +
-// (span/bins)*i + (span%bins)*i/bins, giving bound(0) = lo,
-// bound(bins) = hi, and widths within one nanosecond of each other.
-// The two copies must stay identical; the stats differential suite
-// compares their outputs byte for byte.
-func binBound(lo clock.Time, span int64, bins, i int) clock.Time {
-	return lo + clock.Time((span/int64(bins))*int64(i)+(span%int64(bins))*int64(i)/int64(bins))
+// binGrid is the bin ruler — the one definition of where a window's
+// bins begin and end: bounds[i] = lo + (span/bins)*i + (span%bins)*i/bins,
+// so bounds[0] = lo, bounds[bins] = hi, and widths are within one
+// nanosecond of each other. Bins are half-open [bounds[i], bounds[i+1]).
+type binGrid struct {
+	lo, hi clock.Time
+	span   int64
+	bounds []clock.Time
 }
 
-// ScaleBin returns off*bins/span clamped to [0, bins-1], for span > 0
+func newBinGrid(lo, hi clock.Time, bins int) *binGrid {
+	g := &binGrid{lo: lo, hi: hi, span: int64(hi - lo), bounds: make([]clock.Time, bins+1)}
+	q, r := g.span/int64(bins), g.span%int64(bins)
+	for i := range g.bounds {
+		g.bounds[i] = lo + clock.Time(q*int64(i)+r*int64(i)/int64(bins))
+	}
+	return g
+}
+
+func (g *binGrid) bins() int { return len(g.bounds) - 1 }
+
+// scaleBin returns off*bins/span clamped to [0, bins-1], for span > 0
 // and bins >= 1: the first guess at the bin holding an offset into the
-// span, shared with the stats bucket ruler. The product is taken in 128
-// bits — in 64 it overflows once bins times the span in nanoseconds
-// passes 2^63, a 33 s run at 3·10^8 bins.
-func ScaleBin(off, span int64, bins int) int {
+// span. The product is taken in 128 bits — in 64 it overflows once bins
+// times the span in nanoseconds passes 2^63, a 33 s run at 3·10^8 bins.
+func scaleBin(off, span int64, bins int) int {
 	if off <= 0 {
 		return 0
 	}
@@ -158,23 +138,27 @@ func ScaleBin(off, span int64, bins int) int {
 	return int(q)
 }
 
-func binOf(lo clock.Time, span int64, bins int, t clock.Time) int {
-	if span <= 0 {
+// binOf returns the bin holding t, clamped to the grid.
+func (g *binGrid) binOf(t clock.Time) int {
+	if g.span <= 0 {
 		return 0
 	}
-	i := ScaleBin(int64(t-lo), span, bins)
-	for i > 0 && t < binBound(lo, span, bins, i) {
+	i := scaleBin(int64(t-g.lo), g.span, g.bins())
+	for i > 0 && t < g.bounds[i] {
 		i--
 	}
-	for i < bins-1 && t >= binBound(lo, span, bins, i+1) {
+	for i < g.bins()-1 && t >= g.bounds[i+1] {
 		i++
 	}
 	return i
 }
 
-// SummarizeWindow computes the window summary; see the package comment
-// above for engine selection and the exactness contract.
-func (f *File) SummarizeWindow(o WindowSummaryOptions) (*WindowSummary, error) {
+// SummarizeWindow computes the window summary over files (the list
+// MapFrames takes) and is the only place an engine is chosen: a single
+// file whose attached pyramid can answer o is answered from it, anything
+// else by the scan. WindowSummary.Engine reports the choice; see the
+// package comment above for the exactness contract.
+func SummarizeWindow(files []*File, o WindowSummaryOptions) (*WindowSummary, error) {
 	if o.Bins < 1 {
 		return nil, fmt.Errorf("interval: summarize needs at least 1 bin, got %d", o.Bins)
 	}
@@ -184,205 +168,285 @@ func (f *File) SummarizeWindow(o WindowSummaryOptions) (*WindowSummary, error) {
 	if o.TopK < 0 {
 		return nil, fmt.Errorf("interval: summarize top-k %d is negative", o.TopK)
 	}
-	switch o.Engine {
-	case SummaryScan:
-		return f.summarizeScan(o)
-	case SummaryPyramid:
-		if reason := f.pyramidUsable(o); reason != "" {
-			return nil, fmt.Errorf("interval: pyramid engine unavailable: %s", reason)
+	if len(files) == 1 && files[0].pyr.usable(o) {
+		return summarizePyramid(files[0], files[0].pyr, o)
+	}
+	return summarizeScan(files, o)
+}
+
+// usable reports whether the pyramid engine can answer o. Degenerate
+// windows (span < bins means some buckets are empty; their boundary
+// semantics depend on event positions, not ranges) and over-long top-k
+// requests are the scan's.
+func (p *Pyramid) usable(o WindowSummaryOptions) bool {
+	return p != nil && len(p.Levels) > 0 && int64(o.Hi-o.Lo) >= int64(o.Bins) && o.TopK <= p.TopK
+}
+
+// binAcc holds a window's per-bin integer sums: what a scan worker
+// accumulates its frames into, and the total either engine finishes
+// from. Every field merges by addition, concatenation or set union, so
+// the order and grouping in which frames reach an accumulator cannot
+// show in the summary.
+type binAcc struct {
+	records []int64
+	byType  map[events.Type][]clock.Time // one row of bins per type
+	byLane  map[uint32][]clock.Time      // one row of bins per Lane.key()
+	// across is the set of (type, zero-width bin) pairs an interval
+	// reached across without overlap; only a window narrower than its bin
+	// count has such bins.
+	across map[typeBin]struct{}
+	// starts/ends are the clipped endpoints of every busy interval, for
+	// the scan engine's concurrency sweep.
+	starts, ends []clock.Time
+	tops         []TopInterval
+}
+
+type typeBin struct {
+	typ events.Type
+	bin int
+}
+
+func newBinAcc(bins int) *binAcc {
+	return &binAcc{
+		records: make([]int64, bins),
+		byType:  map[events.Type][]clock.Time{},
+		byLane:  map[uint32][]clock.Time{},
+		across:  map[typeBin]struct{}{},
+	}
+}
+
+func (a *binAcc) typeRow(t events.Type) []clock.Time {
+	row := a.byType[t]
+	if row == nil {
+		row = make([]clock.Time, len(a.records))
+		a.byType[t] = row
+	}
+	return row
+}
+
+func (a *binAcc) laneRow(key uint32) []clock.Time {
+	row := a.byLane[key]
+	if row == nil {
+		row = make([]clock.Time, len(a.records))
+		a.byLane[key] = row
+	}
+	return row
+}
+
+// addTop offers one top-k candidate, compacting the list when it grows.
+func (a *binAcc) addTop(ti TopInterval, k int) {
+	a.tops = append(a.tops, ti)
+	if len(a.tops) >= 4*k {
+		a.tops = mergeTop(a.tops, k)
+	}
+}
+
+// addBatch applies every record of one frame: its start count, its busy
+// overlap with each bin it crosses, its clipped endpoints and its top
+// candidacy.
+func (a *binAcc) addBatch(b *Batch, g *binGrid, topK int) {
+	for i := 0; i < b.N; i++ {
+		dura := b.Dura[i]
+		if dura < 0 {
+			continue
 		}
-		return f.summarizePyramid(o)
-	default:
-		if f.pyramidUsable(o) == "" {
-			return f.summarizePyramid(o)
+		s, e := b.Start[i], b.Start[i]+dura
+		if s >= g.lo && s < g.hi {
+			a.records[g.binOf(s)]++
 		}
-		return f.summarizeScan(o)
-	}
-}
-
-// pyramidUsable reports why the pyramid engine cannot answer o, or ""
-// when it can. Degenerate windows (span < bins means some buckets are
-// empty; their boundary semantics depend on event positions, not
-// ranges) and over-long top-k requests fall back to scan.
-func (f *File) pyramidUsable(o WindowSummaryOptions) string {
-	p := f.pyr
-	if p == nil {
-		return "no pyramid attached"
-	}
-	if len(p.Levels) == 0 {
-		return "pyramid is empty"
-	}
-	if int64(o.Hi-o.Lo) < int64(o.Bins) {
-		return "window narrower than bin count"
-	}
-	if o.TopK > p.TopK {
-		return fmt.Sprintf("top-k %d exceeds pyramid's %d", o.TopK, p.TopK)
-	}
-	return ""
-}
-
-// summaryAcc accumulates one window summary under construction.
-type summaryAcc struct {
-	lo, hi clock.Time
-	span   int64
-	bins   []BinSummary
-	tops   []TopInterval
-}
-
-func newSummaryAcc(o WindowSummaryOptions) *summaryAcc {
-	a := &summaryAcc{lo: o.Lo, hi: o.Hi, span: int64(o.Hi - o.Lo), bins: make([]BinSummary, o.Bins)}
-	for i := range a.bins {
-		a.bins[i].Start = binBound(o.Lo, a.span, o.Bins, i)
-	}
-	return a
-}
-
-func (a *summaryAcc) addBusy(bi int, typ events.Type, v clock.Time) {
-	b := &a.bins[bi]
-	if b.BusyByType == nil {
-		b.BusyByType = map[events.Type]clock.Time{}
-	}
-	b.BusyByType[typ] += v
-}
-
-func (a *summaryAcc) addLane(bi int, lane Lane, v clock.Time) {
-	b := &a.bins[bi]
-	if b.BusyByLane == nil {
-		b.BusyByLane = map[Lane]clock.Time{}
-	}
-	b.BusyByLane[lane] += v
-}
-
-// finish derives the window-wide lane list and top-k.
-func (a *summaryAcc) finish(o WindowSummaryOptions) *WindowSummary {
-	laneSet := map[Lane]bool{}
-	for i := range a.bins {
-		for l := range a.bins[i].BusyByLane {
-			laneSet[l] = true
+		cs, ce := max(s, g.lo), min(e, g.hi)
+		if cs >= ce {
+			continue
+		}
+		typ := b.Type[i]
+		trow := a.typeRow(typ)
+		var lrow []clock.Time
+		if busyType(typ) {
+			lrow = a.laneRow(Lane{Node: b.Node[i], CPU: b.CPU[i]}.key())
+			a.starts, a.ends = append(a.starts, cs), append(a.ends, ce)
+			if topK > 0 {
+				a.addTop(TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[i], CPU: b.CPU[i], Thread: b.Thread[i]}, topK)
+			}
+		}
+		for bi := g.binOf(cs); bi < g.bins() && g.bounds[bi] < ce; bi++ {
+			ov := min(ce, g.bounds[bi+1]) - max(cs, g.bounds[bi])
+			if ov == 0 {
+				a.across[typeBin{typ, bi}] = struct{}{}
+				continue
+			}
+			trow[bi] += ov
+			if lrow != nil {
+				lrow[bi] += ov
+			}
 		}
 	}
-	lanes := make([]Lane, 0, len(laneSet))
-	for l := range laneSet {
-		lanes = append(lanes, l)
-	}
-	sort.Slice(lanes, func(i, j int) bool { return lanes[i].key() < lanes[j].key() })
-	return &WindowSummary{
-		Lo: a.lo, Hi: a.hi,
-		Bins:  a.bins,
-		Lanes: lanes,
-		Top:   mergeTop(a.tops, o.TopK),
-	}
 }
 
-// summaryEvent is one endpoint of a clipped busy interval.
-type summaryEvent struct {
-	t clock.Time
-	d int
-}
-
-func sortSummaryEvents(evs []summaryEvent) {
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].t != evs[j].t {
-			return evs[i].t < evs[j].t
+// merge adds b into a.
+func (a *binAcc) merge(b *binAcc) {
+	for i, n := range b.records {
+		a.records[i] += n
+	}
+	for t, row := range b.byType {
+		dst := a.typeRow(t)
+		for i, v := range row {
+			dst[i] += v
 		}
-		return evs[i].d < evs[j].d
-	})
+	}
+	for l, row := range b.byLane {
+		dst := a.laneRow(l)
+		for i, v := range row {
+			dst[i] += v
+		}
+	}
+	for k := range b.across {
+		a.across[k] = struct{}{}
+	}
+	a.starts, a.ends = append(a.starts, b.starts...), append(a.ends, b.ends...)
+	a.tops = append(a.tops, b.tops...)
 }
 
-// summarizeScan is the reference engine: decode every frame
-// overlapping the window and accumulate per-record. Its concurrency
-// loop is a copy of the stats sweep so the two stay byte-identical.
-func (f *File) summarizeScan(o WindowSummaryOptions) (*WindowSummary, error) {
-	a := newSummaryAcc(o)
-	t0, t1 := o.Lo, o.Hi
-	// Count the frames this query materializes from metadata, so the
-	// number is deterministic even when a shared cache absorbs decodes.
-	wfes, err := f.FramesInWindow(t0, t1)
+// finish turns the sums into the public summary: positive entries and
+// the zero-width bins reached across, the window-wide lane list, and
+// the top-k.
+func (a *binAcc) finish(g *binGrid, peaks []int, topK int) *WindowSummary {
+	ws := &WindowSummary{Lo: g.lo, Hi: g.hi, Bins: make([]BinSummary, g.bins()), Top: mergeTop(a.tops, topK)}
+	for bi := range ws.Bins {
+		ws.Bins[bi] = BinSummary{Start: g.bounds[bi], Records: a.records[bi], PeakConc: peaks[bi]}
+	}
+	setType := func(bi int, t events.Type, v clock.Time) {
+		b := &ws.Bins[bi]
+		if b.BusyByType == nil {
+			b.BusyByType = map[events.Type]clock.Time{}
+		}
+		b.BusyByType[t] = v
+	}
+	for t, row := range a.byType {
+		for bi, v := range row {
+			if v > 0 {
+				setType(bi, t, v)
+			}
+		}
+	}
+	for k := range a.across {
+		setType(k.bin, k.typ, 0)
+	}
+	for key, row := range a.byLane {
+		lane, any := Lane{Node: uint16(key >> 16), CPU: uint16(key)}, false
+		for bi, v := range row {
+			if v > 0 {
+				b := &ws.Bins[bi]
+				if b.BusyByLane == nil {
+					b.BusyByLane = map[Lane]clock.Time{}
+				}
+				b.BusyByLane[lane] = v
+				any = true
+			}
+		}
+		if any {
+			ws.Lanes = append(ws.Lanes, lane)
+		}
+	}
+	sort.Slice(ws.Lanes, func(i, j int) bool { return ws.Lanes[i].key() < ws.Lanes[j].key() })
+	return ws
+}
+
+// summarizeScan is the scan engine: every frame overlapping the window
+// goes through MapFrames — parallel at o.Parallel, cancellable, fed from
+// the files' frame-decode hooks — into whichever accumulator is idle;
+// the accumulators are then added up and swept once for concurrency.
+// (One accumulator per concurrent map call rather than per frame: a
+// frame's partial would be lanes × bins words to clear and add for a
+// handful of bins touched, and integer sums do not care how they are
+// grouped.)
+func summarizeScan(files []*File, o WindowSummaryOptions) (*WindowSummary, error) {
+	g := newBinGrid(o.Lo, o.Hi, o.Bins)
+	// accs holds every accumulator not inside a map call; however many
+	// calls MapFrames runs at once, one that finds it empty makes another.
+	var mu sync.Mutex
+	var accs []*binAcc
+	frames := 0
+	err := MapFrames(files, MapOptions{Parallel: o.Parallel, Window: true, Lo: o.Lo, Hi: o.Hi, Context: o.Context},
+		func(_ int, _ FrameEntry, b *Batch) (struct{}, error) {
+			var a *binAcc
+			mu.Lock()
+			if n := len(accs); n > 0 {
+				a, accs = accs[n-1], accs[:n-1]
+			}
+			mu.Unlock()
+			if a == nil {
+				a = newBinAcc(o.Bins)
+			}
+			a.addBatch(b, g, o.TopK)
+			mu.Lock()
+			accs = append(accs, a)
+			mu.Unlock()
+			return struct{}{}, nil
+		},
+		func(int, FrameEntry, struct{}) error {
+			// Counted from the selection, so the number does not depend
+			// on how many decodes a shared cache absorbed.
+			frames++
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	nFrames := len(wfes)
-	var evs []summaryEvent
-	sc := f.ScanWindow(t0, t1)
-	if o.Context != nil {
-		sc.SetContext(o.Context)
-	}
-	var r Record
-	for {
-		if err := sc.NextRecordInto(&r); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, err
-		}
-		a.addRecord(&r, o)
-		if s, e := max(r.Start, t0), min(r.Start+r.Dura, t1); s < e && busyType(r.Type) {
-			evs = append(evs, summaryEvent{s, +1}, summaryEvent{e, -1})
+	total := newBinAcc(o.Bins)
+	if len(accs) > 0 {
+		total = accs[0]
+		for _, a := range accs[1:] {
+			total.merge(a)
 		}
 	}
-	sortSummaryEvents(evs)
-	a.sweepBins(evs)
-	ws := a.finish(o)
+	ws := total.finish(g, sweepPeaks(g, total.starts, total.ends), o.TopK)
 	ws.Engine = "scan"
-	ws.FramesDecoded = nFrames
+	ws.FramesDecoded = frames
 	return ws, nil
 }
 
-// addRecord applies one record's count, busy, and top contributions to
-// the whole window.
-func (a *summaryAcc) addRecord(r *Record, o WindowSummaryOptions) {
-	if r.Dura < 0 {
-		return
-	}
-	s, e := r.Start, r.Start+r.Dura
-	if s >= a.lo && s < a.hi {
-		a.bins[binOf(a.lo, a.span, o.Bins, s)].Records++
-	}
-	cs, ce := max(s, a.lo), min(e, a.hi)
-	if cs >= ce {
-		return
-	}
-	busy := busyType(r.Type)
-	lane := Lane{Node: r.Node, CPU: r.CPU}
-	for bi := binOf(a.lo, a.span, o.Bins, cs); bi < o.Bins && binBound(a.lo, a.span, o.Bins, bi) < ce; bi++ {
-		ov := min(ce, binBound(a.lo, a.span, o.Bins, bi+1)) - max(cs, binBound(a.lo, a.span, o.Bins, bi))
-		a.addBusy(bi, r.Type, ov)
-		if busy {
-			a.addLane(bi, lane, ov)
+// sweepPeaks returns each bin's peak concurrency from the endpoints of
+// every clipped busy interval: the number open on entry holds until the
+// bin's first event, all events at one instant apply together (intervals
+// are half-open, so an end and a start at the same time do not overlap),
+// and the last bin is closed on the right.
+func sweepPeaks(g *binGrid, starts, ends []clock.Time) []int {
+	slices.Sort(starts)
+	slices.Sort(ends)
+	// next is the earliest unconsumed endpoint.
+	si, ei := 0, 0
+	next := func() (clock.Time, bool) {
+		switch {
+		case si < len(starts) && (ei >= len(ends) || starts[si] <= ends[ei]):
+			return starts[si], true
+		case ei < len(ends):
+			return ends[ei], true
 		}
+		return 0, false
 	}
-	if busy && o.TopK > 0 {
-		a.tops = append(a.tops, TopInterval{Start: s, Dura: r.Dura, Type: r.Type, Node: r.Node, CPU: r.CPU, Thread: r.Thread})
-		if len(a.tops) >= 4*o.TopK {
-			a.tops = mergeTop(a.tops, o.TopK)
-		}
-	}
-}
-
-// sweepBins fills PeakConc from a sorted global event list — the exact
-// loop of the stats concurrency table, entry semantics included.
-func (a *summaryAcc) sweepBins(evs []summaryEvent) {
-	bins := len(a.bins)
-	cur, ei := 0, 0
-	for bi := 0; bi < bins; bi++ {
-		hi := binBound(a.lo, a.span, bins, bi+1)
-		if bi == bins-1 {
-			hi = binBound(a.lo, a.span, bins, bins) + 1 // last bucket closed on the right
+	peaks := make([]int, g.bins())
+	cur := 0
+	for bi := range peaks {
+		hi := g.bounds[bi+1]
+		if bi == len(peaks)-1 {
+			hi++
 		}
 		p := -1
-		if ei >= len(evs) || evs[ei].t > binBound(a.lo, a.span, bins, bi) {
+		if at, ok := next(); !ok || at > g.bounds[bi] {
 			p = cur
 		}
-		for ei < len(evs) && evs[ei].t < hi {
-			at := evs[ei].t
-			for ei < len(evs) && evs[ei].t == at {
-				cur += evs[ei].d
-				ei++
+		for at, ok := next(); ok && at < hi; at, ok = next() {
+			for ; si < len(starts) && starts[si] == at; si++ {
+				cur++
+			}
+			for ; ei < len(ends) && ends[ei] == at; ei++ {
+				cur--
 			}
 			p = max(p, cur)
 		}
-		a.bins[bi].PeakConc = max(p, 0)
+		peaks[bi] = max(p, 0)
 	}
+	return peaks
 }
 
 // remSpan is one sub-base-width edge remainder of a bin.
@@ -393,22 +457,21 @@ type remSpan struct {
 
 // summarizePyramid is the O(bins) engine; see the package comment for
 // the partition and the identity argument.
-func (f *File) summarizePyramid(o WindowSummaryOptions) (*WindowSummary, error) {
-	p := f.pyr
-	a := newSummaryAcc(o)
+func summarizePyramid(f *File, p *Pyramid, o WindowSummaryOptions) (*WindowSummary, error) {
+	g := newBinGrid(o.Lo, o.Hi, o.Bins)
+	a := newBinAcc(o.Bins)
+	peaks := make([]int, o.Bins)
 	w := int64(p.BaseWidth)
 	cellsUsed := 0
 	var rems []remSpan
-	for bi := 0; bi < o.Bins; bi++ {
-		b0 := a.bins[bi].Start
-		b1 := binBound(a.lo, a.span, o.Bins, bi+1)
+	for bi := range peaks {
+		b0, b1 := g.bounds[bi], g.bounds[bi+1]
 		// Align the interior to the base grid: ia rounds b0 up, ib
 		// rounds b1 down.
 		ia := clock.Time(floorDivTime(b0+clock.Time(w-1), p.BaseWidth) * w)
 		ib := clock.Time(floorDivTime(b1, p.BaseWidth) * w)
 		if ia >= ib {
 			rems = append(rems, remSpan{bin: bi, r0: b0, r1: b1})
-			a.bins[bi].PeakConc = -1
 			continue
 		}
 		if b0 < ia {
@@ -417,44 +480,30 @@ func (f *File) summarizePyramid(o WindowSummaryOptions) (*WindowSummary, error) 
 		if ib < b1 {
 			rems = append(rems, remSpan{bin: bi, r0: ib, r1: b1})
 		}
-		pk := -1
-		x := ia
-		for x < ib {
+		for x := ia; x < ib; {
 			lvl, idx := p.coarsestCell(x, ib)
 			cellsUsed++
 			if c := p.Levels[lvl].Cell(idx); c != nil {
-				a.bins[bi].Records += c.Records
-				pk = max(pk, c.MaxConc)
+				a.records[bi] += c.Records
+				peaks[bi] = max(peaks[bi], c.MaxConc)
 				for _, tb := range c.ByType {
-					a.addBusy(bi, tb.Type, tb.Busy)
+					a.typeRow(tb.Type)[bi] += tb.Busy
 				}
 				for _, lb := range c.ByLane {
-					a.addLane(bi, lb.Lane, lb.Busy)
+					a.laneRow(lb.Lane.key())[bi] += lb.Busy
 				}
-				if o.TopK > 0 && len(c.Top) > 0 {
+				if o.TopK > 0 {
 					a.tops = append(a.tops, c.Top...)
 				}
-			} else {
-				pk = max(pk, 0)
 			}
 			x += p.Levels[lvl].Width
 		}
-		a.bins[bi].PeakConc = pk
 	}
-	framesDecoded, err := f.resolveRemainders(a, rems, o)
+	framesDecoded, err := f.resolveRemainders(a, peaks, rems, g, o)
 	if err != nil {
 		return nil, err
 	}
-	// Bins whose peak never got a contribution (possible only when the
-	// whole bin was remainders that found no events) floor at zero,
-	// matching the scan sweep's final clamp.
-	for i := range a.bins {
-		a.bins[i].PeakConc = max(a.bins[i].PeakConc, 0)
-	}
-	if o.TopK > 0 {
-		a.tops = mergeTop(a.tops, o.TopK)
-	}
-	ws := a.finish(o)
+	ws := a.finish(g, peaks, o.TopK)
 	ws.Engine = "pyramid"
 	ws.CellsUsed = cellsUsed
 	ws.FramesDecoded = framesDecoded
@@ -482,7 +531,7 @@ func (p *Pyramid) coarsestCell(x, limit clock.Time) (level int, idx int64) {
 // frame-decode hook, so a serving cache absorbs repeats), its records
 // are clipped to the window, and counts, busy overlap, top candidates,
 // and a local concurrency sweep are applied per span.
-func (f *File) resolveRemainders(a *summaryAcc, rems []remSpan, o WindowSummaryOptions) (int, error) {
+func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *binGrid, o WindowSummaryOptions) (int, error) {
 	if len(rems) == 0 {
 		return 0, nil
 	}
@@ -530,7 +579,13 @@ func (f *File) resolveRemainders(a *summaryAcc, rems []remSpan, o WindowSummaryO
 			return 0, err
 		}
 	}
-	var evs []summaryEvent
+	// ev is one endpoint of a clipped busy interval; ends sort before
+	// starts at equal times (intervals are half-open).
+	type ev struct {
+		t clock.Time
+		d int
+	}
+	var evs []ev
 	for i, rs := range rems {
 		evs = evs[:0]
 		for _, off := range spanFrames[i] {
@@ -542,22 +597,22 @@ func (f *File) resolveRemainders(a *summaryAcc, rems []remSpan, o WindowSummaryO
 				}
 				s, e := b.Start[ri], b.Start[ri]+dura
 				if s >= rs.r0 && s < rs.r1 {
-					a.bins[rs.bin].Records++
+					a.records[rs.bin]++
 				}
-				cs, ce := max(s, a.lo), min(e, a.hi)
+				cs, ce := max(s, g.lo), min(e, g.hi)
 				if cs >= ce {
 					continue
 				}
 				busy := busyType(typ)
 				lo, hi := max(cs, rs.r0), min(ce, rs.r1)
 				if lo < hi {
-					a.addBusy(rs.bin, typ, hi-lo)
+					a.typeRow(typ)[rs.bin] += hi - lo
 					if busy {
-						a.addLane(rs.bin, Lane{Node: b.Node[ri], CPU: b.CPU[ri]}, hi-lo)
+						a.laneRow(Lane{Node: b.Node[ri], CPU: b.CPU[ri]}.key())[rs.bin] += hi - lo
 					}
 				}
 				if busy && ce > rs.r0 && cs < rs.r1 {
-					evs = append(evs, summaryEvent{cs, +1}, summaryEvent{ce, -1})
+					evs = append(evs, ev{cs, +1}, ev{ce, -1})
 					if o.TopK > 0 && lo < hi {
 						a.tops = append(a.tops, TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[ri], CPU: b.CPU[ri], Thread: b.Thread[ri]})
 					}
@@ -566,7 +621,12 @@ func (f *File) resolveRemainders(a *summaryAcc, rems []remSpan, o WindowSummaryO
 		}
 		// Local sweep: entry concurrency at r0 (all events at or before
 		// it net out to the covering count), then the peak inside.
-		sortSummaryEvents(evs)
+		sort.Slice(evs, func(i, j int) bool {
+			if evs[i].t != evs[j].t {
+				return evs[i].t < evs[j].t
+			}
+			return evs[i].d < evs[j].d
+		})
 		cur, ei := 0, 0
 		for ei < len(evs) && evs[ei].t <= rs.r0 {
 			cur += evs[ei].d
@@ -578,7 +638,7 @@ func (f *File) resolveRemainders(a *summaryAcc, rems []remSpan, o WindowSummaryO
 			ei++
 			pk = max(pk, cur)
 		}
-		a.bins[rs.bin].PeakConc = max(a.bins[rs.bin].PeakConc, pk)
+		peaks[rs.bin] = max(peaks[rs.bin], pk)
 	}
 	return len(order), nil
 }

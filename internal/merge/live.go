@@ -173,7 +173,7 @@ func (s *LiveSource) Advance() error {
 // the merged header immediately; Run blocks draining the sources and
 // seals the file. Options.Estimator and OutlierTol are ignored — the
 // ingest pipeline adjusts timestamps before pushing — as is
-// Options.Parallel (each source already has its own producer).
+// Options.Parallel (there are no clock pairs to extract).
 type Live struct {
 	w       *interval.Writer
 	ms      *mergeState

@@ -14,10 +14,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -80,11 +78,9 @@ type Options struct {
 	// Linear replaces the loser tree with a linear minimum scan
 	// (ablation for the paper's balanced-tree design choice).
 	Linear bool
-	// Parallel sets the pipeline width: 0 means GOMAXPROCS. At widths
-	// above 1, clock-pair extraction fans out over a worker pool and
-	// every input gets a read-ahead decode goroutine; Parallel == 1
-	// selects the fully synchronous path (ablation). Both paths emit
-	// byte-identical output.
+	// Parallel is the worker count of the clock-pair extraction over
+	// the inputs: 0 means GOMAXPROCS. The merge itself is one
+	// synchronous pass; output is byte-identical at every value.
 	Parallel int
 }
 
@@ -141,8 +137,8 @@ func adjusterFor(pairs []clock.Pair, opts Options) (clock.Adjuster, float64) {
 }
 
 // recordSource is a source whose current record the merge loop can
-// read; implemented by the synchronous stream and the read-ahead
-// stream.
+// read; implemented by the batch merge's stream and the live merge's
+// LiveSource.
 type recordSource interface {
 	source
 	Current() *interval.Record
@@ -238,15 +234,8 @@ func (t *tracker) observe(r *interval.Record) {
 	}
 	switch r.Bebits {
 	case profile.Begin:
-		// Deep-copy the variable-length payloads: read-ahead sources
-		// recycle their batch slots, so r.Extra/r.Vec may be rewritten
-		// by a producer long before this open state is replayed as a
-		// pseudo-interval.
-		cp := *r
-		cp.Extra = append([]uint64(nil), r.Extra...)
-		cp.Vec = append([]uint64(nil), r.Vec...)
 		i := t.slot(threadKey(r.Node, r.Thread))
-		t.open[i] = append(t.open[i], cp)
+		t.open[i] = append(t.open[i], *r)
 	case profile.End:
 		s := t.slot(threadKey(r.Node, r.Thread))
 		stack := t.open[s]
@@ -283,10 +272,6 @@ func Merge(files []*interval.File, dst io.WriteSeeker, opts Options) (*Result, e
 		return nil, fmt.Errorf("merge: no input files")
 	}
 	res := &Result{Inputs: len(files)}
-	width := opts.Parallel
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
 
 	// Per-input clock adjustment. The pair-extraction scans are
 	// independent, so they fan out over the worker pool; adjusters are
@@ -332,24 +317,9 @@ func Merge(files []*interval.File, dst io.WriteSeeker, opts Options) (*Result, e
 		return nil, err
 	}
 
-	// Input sources: read-ahead decode pipelines at width > 1, plain
-	// synchronous streams at width 1. Producers are shut down (quit,
-	// then drained via wg) on every return path.
 	srcs := make([]recordSource, len(files))
-	if width > 1 {
-		quit := make(chan struct{})
-		var wg sync.WaitGroup
-		defer func() {
-			close(quit)
-			wg.Wait()
-		}()
-		for i, f := range files {
-			srcs[i] = startReadAhead(f.Scan(), adjs[i], opts.KeepClockRecords, quit, &wg)
-		}
-	} else {
-		for i, f := range files {
-			srcs[i] = &stream{sc: f.Scan(), adj: adjs[i], keepClock: opts.KeepClockRecords}
-		}
+	for i, f := range files {
+		srcs[i] = &stream{sc: f.Scan(), adj: adjs[i], keepClock: opts.KeepClockRecords}
 	}
 	if err := ms.run(w, srcs, opts.Linear); err != nil {
 		return nil, err

@@ -1,9 +1,8 @@
 package merge_test
 
 // Edge-case coverage for the k-way merge: inputs that tie on every key
-// and inputs damaged mid-frame. Zero-source, single-source, and the
-// parallel/sequential byte-identity sweep live in merge_test.go and
-// readahead_test.go.
+// and inputs damaged mid-frame. Zero-source and single-source merges
+// live in merge_test.go.
 
 import (
 	"bytes"
@@ -111,8 +110,8 @@ func TestMergeAllEqualEndTimes(t *testing.T) {
 }
 
 // TestMergeTruncatedMidFrame: an input cut off inside a frame must fail
-// the merge with an error — sequentially and in the read-ahead pipeline —
-// and never panic or produce output passing for complete.
+// the merge with an error — at any width — and never panic or produce
+// output passing for complete.
 func TestMergeTruncatedMidFrame(t *testing.T) {
 	whole := tieFile(t, 0, 40)
 	pf, err := interval.NewFile(interval.NewSeekBufferFrom(whole))

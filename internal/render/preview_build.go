@@ -27,8 +27,6 @@ type PreviewOptions struct {
 	Bins int
 	// T0/T1 select the window; T1 <= T0 selects the whole run.
 	T0, T1 clock.Time
-	// Engine picks the summary evaluator (auto/pyramid/scan).
-	Engine interval.SummaryEngine
 	// Context, when non-nil, aborts construction between frames.
 	Context context.Context
 }
@@ -64,11 +62,10 @@ func BuildPreview(mf *interval.File, opts PreviewOptions) (*PreviewResult, error
 			t1 = t0 + 1 // degenerate runs still get a well-formed axis
 		}
 	}
-	ws, err := mf.SummarizeWindow(interval.WindowSummaryOptions{
+	ws, err := interval.SummarizeWindow([]*interval.File{mf}, interval.WindowSummaryOptions{
 		Bins:    bins,
 		Lo:      t0,
 		Hi:      t1,
-		Engine:  opts.Engine,
 		Context: opts.Context,
 	})
 	if err != nil {

@@ -1,9 +1,10 @@
 package render_test
 
 // Differential and regression tests for BuildPreview (the merged-file
-// preview path) and the empty-window placeholders: the pyramid and scan
-// engines must render byte-identical documents, and a window that
-// overlaps no records must produce the placeholder note, never an
+// preview path) and the empty-window placeholders: the same trace opened
+// with and without its sidecar must render byte-identical documents —
+// each reporting the engine expected to have answered — and a window
+// that overlaps no records must produce the placeholder note, never an
 // axis-only or full-run document.
 
 import (
@@ -12,23 +13,44 @@ import (
 
 	"tracefw/internal/clock"
 	"tracefw/internal/interval"
+	"tracefw/internal/merge"
+	"tracefw/internal/mpisim"
 	"tracefw/internal/render"
 	"tracefw/internal/slog"
+	"tracefw/internal/testutil"
 )
 
-func pyramidMerged(t *testing.T) *interval.File {
+// pyramidPair is a trace on disk, opened with its sidecar and without:
+// merged's machine running its workload ten times over, so that a
+// 128-cell sidecar weighs less than the trace.
+func pyramidPair(t *testing.T) (with, without *interval.File) {
 	t.Helper()
-	mf := merged(t)
-	p, err := interval.BuildPyramid(mf, interval.PyramidOptions{BaseCells: 128, TopK: 8})
+	raws := testutil.RunWorkload(t, shape, func(p *mpisim.Proc) {
+		for i := 0; i < 10; i++ {
+			sppmish(p)
+		}
+	})
+	files := testutil.ConvertRun(t, raws, interval.WriterOptions{})
+	path := testutil.MergeToDisk(t, files, merge.Options{Writer: interval.WriterOptions{FrameBytes: 2048}})
+	return testutil.OpenSidecarPair(t, path, interval.PyramidOptions{BaseCells: 128, TopK: 8})
+}
+
+// preview builds a preview and requires the named engine to have
+// answered it.
+func preview(t *testing.T, mf *interval.File, opts render.PreviewOptions, engine string) *render.PreviewResult {
+	t.Helper()
+	res, err := render.BuildPreview(mf, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf.AttachPyramid(p)
-	return mf
+	if res.Engine != engine {
+		t.Fatalf("preview answered by %q, want %q", res.Engine, engine)
+	}
+	return res
 }
 
 func TestBuildPreviewDifferential(t *testing.T) {
-	mf := pyramidMerged(t)
+	mf, bare := pyramidPair(t)
 	t0, t1, _, err := mf.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -47,22 +69,13 @@ func TestBuildPreviewDifferential(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := render.PreviewOptions{Bins: tc.bins, T0: tc.lo, T1: tc.hi}
-			pyrOpts, scanOpts := opts, opts
-			pyrOpts.Engine = interval.SummaryPyramid
-			scanOpts.Engine = interval.SummaryScan
-			pyr, err := render.BuildPreview(mf, pyrOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scan, err := render.BuildPreview(mf, scanOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pyr.Engine != "pyramid" || scan.Engine != "scan" {
-				t.Fatalf("engines %q/%q", pyr.Engine, scan.Engine)
-			}
+			pyr := preview(t, mf, opts, "pyramid")
+			scan := preview(t, bare, opts, "scan")
 			if pyr.CellsUsed == 0 {
 				t.Fatal("pyramid engine consulted no cells")
+			}
+			if scan.CellsUsed != 0 || scan.FramesDecoded == 0 {
+				t.Fatalf("scan engine reports %d cells, %d frames", scan.CellsUsed, scan.FramesDecoded)
 			}
 			if got, want := render.PreviewSVG(pyr.Preview), render.PreviewSVG(scan.Preview); got != want {
 				t.Errorf("SVG differs between engines")
@@ -70,30 +83,12 @@ func TestBuildPreviewDifferential(t *testing.T) {
 			if got, want := render.PreviewASCII(pyr.Preview, 60), render.PreviewASCII(scan.Preview, 60); got != want {
 				t.Errorf("ASCII differs between engines:\npyramid:\n%s\nscan:\n%s", got, want)
 			}
-			// Auto must agree too (and pick the pyramid on this file).
-			auto, err := render.BuildPreview(mf, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if auto.Engine != "pyramid" {
-				t.Fatalf("auto answered with %q", auto.Engine)
-			}
-			if render.PreviewSVG(auto.Preview) != render.PreviewSVG(scan.Preview) {
-				t.Error("auto SVG differs from scan")
-			}
 		})
 	}
 }
 
 func TestBuildPreviewWithoutPyramidScans(t *testing.T) {
-	mf := merged(t)
-	res, err := render.BuildPreview(mf, render.PreviewOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Engine != "scan" {
-		t.Fatalf("auto with no pyramid answered %q", res.Engine)
-	}
+	res := preview(t, merged(t), render.PreviewOptions{}, "scan")
 	if res.FramesDecoded == 0 {
 		t.Fatal("scan decoded no frames")
 	}
@@ -107,18 +102,13 @@ func TestBuildPreviewWithoutPyramidScans(t *testing.T) {
 // placeholder note — not an axis-only document and (the old bug) not
 // the full run after inverted clamping.
 func TestBuildPreviewEmptyWindow(t *testing.T) {
-	mf := pyramidMerged(t)
+	mf, bare := pyramidPair(t)
 	_, t1, _, err := mf.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []interval.SummaryEngine{interval.SummaryAuto, interval.SummaryScan} {
-		res, err := render.BuildPreview(mf, render.PreviewOptions{
-			T0: t1 + clock.Second, T1: t1 + 2*clock.Second, Engine: eng,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for eng, f := range map[string]*interval.File{"pyramid": mf, "scan": bare} {
+		res := preview(t, f, render.PreviewOptions{T0: t1 + clock.Second, T1: t1 + 2*clock.Second}, eng)
 		svg := render.PreviewSVG(res.Preview)
 		if !strings.Contains(svg, "no data in window") {
 			t.Fatalf("engine %v: placeholder missing:\n%s", eng, svg)

@@ -27,12 +27,14 @@ type Table struct {
 	// the record-at-a-time evaluator ran instead. Output is byte-identical
 	// either way.
 	Columnar bool
-	// Engine reports which data path answered a time-resolved table:
-	// "pyramid" for the summary-pyramid fast path, "scan" for the
-	// frame-decode path. Empty for spec-driven tables. Output is
-	// byte-identical either way; the field is observability only (it is
-	// not part of TSV).
-	Engine string `json:",omitempty"`
+	// Engine reports which summary engine answered a time-resolved
+	// table ("pyramid" or "scan", interval.SummarizeWindow's choice) and
+	// CellsUsed/FramesDecoded what it consulted. Zero for spec-driven
+	// tables. Output is byte-identical either way; the fields are
+	// observability only (they are not part of TSV).
+	Engine        string `json:",omitempty"`
+	CellsUsed     int    `json:",omitempty"`
+	FramesDecoded int    `json:",omitempty"`
 }
 
 // Row is one table row: the x tuple and the aggregated y values.
@@ -70,12 +72,6 @@ type Options struct {
 	// (checked per frame by the map-reduce engine). The trace query
 	// service sets it to the request context; CLIs leave it nil.
 	Context context.Context
-	// Summary picks the data path for time-resolved tables:
-	// SummaryAuto uses the file's summary pyramid when one is attached
-	// and usable (single file, non-degenerate window), falling back to
-	// the frame-decode path; SummaryPyramid requires it; SummaryScan
-	// forces frame decodes. Spec-driven tables ignore this field.
-	Summary interval.SummaryEngine
 }
 
 // Generate runs every table of the program over the interval files.

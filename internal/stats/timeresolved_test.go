@@ -201,18 +201,4 @@ func TestTimeResolvedValidation(t *testing.T) {
 	if _, err := stats.TimeResolved([]*interval.File{mf}, stats.MaxBins+1, stats.Options{}); err == nil {
 		t.Fatal("bins past MaxBins accepted")
 	}
-	// The bin guess must not overflow anywhere below the ceiling: offsets
-	// near a span of 2^62 ns times MaxBins bins pass 2^63 many times over.
-	const span = int64(1) << 62
-	for _, tc := range []struct {
-		off  int64
-		want int
-	}{
-		{-5, 0}, {0, 0}, {span / 2, stats.MaxBins / 2}, {span - 1, stats.MaxBins - 1}, {span, stats.MaxBins - 1},
-		{span/stats.MaxBins*12345 + 7, 12345},
-	} {
-		if got := interval.ScaleBin(tc.off, span, stats.MaxBins); got != tc.want {
-			t.Fatalf("ScaleBin(%d, 2^62, MaxBins) = %d, want %d", tc.off, got, tc.want)
-		}
-	}
 }

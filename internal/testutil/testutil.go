@@ -8,6 +8,8 @@ package testutil
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"tracefw/internal/clock"
@@ -102,6 +104,55 @@ func MergeRun(t testing.TB, files []*interval.File, opts merge.Options) (*interv
 		t.Fatal(err)
 	}
 	return mf, res
+}
+
+// MergeToDisk merges interval files into a trace file under t.TempDir()
+// and returns its path — for the behaviour that only a real path has: the
+// summary sidecar beside it.
+func MergeToDisk(t testing.TB, files []*interval.File, opts merge.Options) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "merged.ute")
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := merge.Merge(files, out, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// OpenSidecarPair builds the summary sidecar of the trace at path and
+// opens the trace twice, with the sidecar attached and without. Nothing
+// but what is attached selects the engine a window summary is answered
+// by, so the pair is how a differential test gets both answers. A
+// fixture whose sidecar the size rule declines is a broken fixture
+// (shrink BaseCells); nothing here bypasses the rule.
+func OpenSidecarPair(t testing.TB, path string, opts interval.PyramidOptions) (with, without *interval.File) {
+	t.Helper()
+	b, err := interval.BuildPyramidSidecar(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Declined() {
+		t.Fatalf("fixture sidecar (%d bytes) outweighs its trace (%d bytes)", b.Bytes, b.TraceBytes)
+	}
+	open := func(o ...interval.Option) *interval.File {
+		f, err := interval.Open(path, o...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+	with, without = open(), open(interval.WithPyramid(false))
+	if with.Pyramid() == nil || without.Pyramid() != nil {
+		t.Fatalf("sidecar attached: with=%v without=%v", with.Pyramid() != nil, without.Pyramid() != nil)
+	}
+	return with, without
 }
 
 // Pipeline runs workload → convert → merge and returns the merged file.

@@ -371,10 +371,10 @@ func parseBins(q url.Values, def int) (int, error) {
 // [-window lo:hi] <path>` prints on stdout: utestats's exact output
 // loop over the exact tables the library generates. Extra query
 // parameters: timeresolved=1 computes the three time-resolved metric tables over
-// ?bins buckets instead of running a program,
-// summary=auto|pyramid|scan picks the summary engine those tables are
-// answered by, and format=json wraps each table with its evaluator
-// flag, summary engine, and excluded-record count.
+// ?bins buckets instead of running a program (nobody picks the summary
+// engine that answers them: summary= is ignored, as engine= is), and
+// format=json wraps each table with its evaluator flag, the summary
+// engine that answered, and excluded-record count.
 func (s *Service) handleStats(r *http.Request) (*response, error) {
 	t, err := s.trace(r)
 	if err != nil {
@@ -386,9 +386,6 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 		return nil, err
 	}
 	opts := stats.Options{Context: r.Context()}
-	if opts.Summary, err = interval.ParseSummaryEngine(q.Get("summary")); err != nil {
-		return nil, badRequest("%v", err)
-	}
 	if lo, hi, ok, err := parseWindow(r); err != nil {
 		return nil, err
 	} else if ok {
@@ -401,7 +398,7 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 		}
 		tables, err = stats.TimeResolved([]*interval.File{t.file}, bins, opts)
 		if err == nil && len(tables) > 0 {
-			s.met.observeSummary(tables[0].Engine, 0, 0)
+			s.met.observeSummary(tables[0].Engine, tables[0].CellsUsed, tables[0].FramesDecoded)
 		}
 	} else {
 		program := q.Get("expr")
@@ -557,7 +554,7 @@ func parseFrameRange(s string, n int) (lo, hi int, ok bool) {
 
 // handlePreview renders a time-space diagram of the trace, or — with
 // view=preview — the histogram preview computed by the summary query
-// planner (?bins=N, ?engine=auto|pyramid|scan). The SVG is
+// planner (?bins=N; an engine= parameter is ignored). The SVG is
 // byte-identical to `uteview -merged <path>` with the same flags: the
 // same parse, the same open-ended-window resolution, the same build.
 func (s *Service) handlePreview(r *http.Request) (*response, error) {
@@ -587,15 +584,11 @@ func (s *Service) handlePreview(r *http.Request) (*response, error) {
 		}
 	}
 	if q.Get("view") == "preview" {
-		eng, err := interval.ParseSummaryEngine(q.Get("engine"))
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
 		bins, err := parseBins(q, 0)
 		if err != nil {
 			return nil, err
 		}
-		popts := render.PreviewOptions{Bins: bins, Engine: eng, Context: r.Context()}
+		popts := render.PreviewOptions{Bins: bins, Context: r.Context()}
 		if windowed {
 			popts.T0, popts.T1 = lo, hi
 		}

@@ -204,7 +204,7 @@ func TestServiceCRUD(t *testing.T) {
 		{"/stats?timeresolved=1&bins=2000000000", 400},
 		{fmt.Sprintf("/stats?bins=%d", stats.MaxBins+1), 400},
 		{"/preview.svg?view=preview&bins=2000000000", 400},
-		{fmt.Sprintf("/stats?timeresolved=1&summary=scan&bins=%d", stats.MaxBins), 200},
+		{fmt.Sprintf("/stats?timeresolved=1&bins=%d", stats.MaxBins), 200},
 		{fmt.Sprintf("/stats?bins=%d", stats.MaxBins), 200},
 	} {
 		if w = do(t, s, "GET", "/v1/traces/"+id+tc.url, ""); w.Code != tc.code {

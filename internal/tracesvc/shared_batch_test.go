@@ -97,8 +97,8 @@ func TestSharedBatchesUnderEviction(t *testing.T) {
 		"/stats?bins=8",
 		"/stats?window=0.2:1.4&bins=8",
 		"/stats?expr=" + "table+name%3Dm+x%3D%28%22m%22%2C+markername%29+y%3D%28%22n%22%2C+dura%2C+count%29",
-		"/stats?timeresolved=1&bins=16&summary=scan",
-		"/preview.svg?view=preview&bins=32&engine=scan",
+		"/stats?timeresolved=1&bins=16",
+		"/preview.svg?view=preview&bins=32",
 		"/preview.svg?window=0.5:0.6",
 		"/records?window=0.3:1.2&offset=100&limit=500",
 		"/records?count=1",

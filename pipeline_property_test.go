@@ -184,8 +184,8 @@ func checkPipelineInvariants(t *testing.T, seed uint64, run *core.Run) {
 }
 
 // TestParallelPipelineMatchesSynchronous: over random workloads with
-// drifting clocks, the parallel pipeline (worker-pool convert, read-ahead
-// merge sources) emits convert outputs and a merged record stream
+// drifting clocks, the parallel pipeline (worker-pool convert, merge at
+// width 4) emits convert outputs and a merged record stream
 // byte-identical to the fully synchronous pipeline, across estimators
 // and clock-record retention.
 func TestParallelPipelineMatchesSynchronous(t *testing.T) {
