@@ -143,6 +143,7 @@ func benchSlogmergePerEvent(b *testing.B, iters int) {
 	raws := stormRaws(b, iters)
 	nev := rawEventCount(b, raws)
 	runtime.GC() // drop the generator's garbage; measure the utility
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -96,7 +96,9 @@ func main() {
 		}
 	}
 	if *slogOut != "" {
-		mf, err := interval.Open(*out)
+		// The SLOG build reads frames, never summaries: attaching the
+		// sidecar -pyramid wrote a moment ago would parse it for nothing.
+		mf, err := interval.Open(*out, interval.WithPyramid(false))
 		if err != nil {
 			fatal(err)
 		}

@@ -540,6 +540,11 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 		if len(extra) > 16 {
 			extra = extra[:16]
 		}
+		if events.VectorField(events.Type(ty)) != "" {
+			// A vector type's payload is only decodable with exactly its
+			// declared extras; TestVectorRecordRoundTrip covers those.
+			return true
+		}
 		r := Record{
 			Type: events.Type(ty), Bebits: profile.Bebits(bb % 4),
 			Start: clock.Time(start), Dura: clock.Time(dura),

@@ -45,12 +45,13 @@ package interval
 //     the merge of its cells' top-k lists plus edge decodes.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math/bits"
 	"os"
-	"sort"
+	"slices"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -105,26 +106,60 @@ type TopInterval struct {
 	Thread uint16
 }
 
-// topLess is the canonical top-k order: longest first, then earliest,
+// topCmp is the canonical top-k order: longest first, then earliest,
 // then the identifying fields. It is a strict total order on distinct
 // tuples, which makes every top-k list deterministic.
-func topLess(a, b TopInterval) bool {
-	if a.Dura != b.Dura {
-		return a.Dura > b.Dura
+func topCmp(a, b TopInterval) int {
+	switch {
+	case a.Dura != b.Dura:
+		return cmp.Compare(b.Dura, a.Dura)
+	case a.Start != b.Start:
+		return cmp.Compare(a.Start, b.Start)
+	case a.Type != b.Type:
+		return cmp.Compare(a.Type, b.Type)
+	case a.Node != b.Node:
+		return cmp.Compare(a.Node, b.Node)
+	case a.CPU != b.CPU:
+		return cmp.Compare(a.CPU, b.CPU)
 	}
-	if a.Start != b.Start {
-		return a.Start < b.Start
+	return cmp.Compare(a.Thread, b.Thread)
+}
+
+// topList is a canonical top-k list under construction: at every moment
+// the distinct top-k, in topCmp order, of the candidates offered so far.
+// Once it holds k entries its last one is a floor — a candidate that does
+// not beat it cannot be in the top-k of any superset — so most candidates
+// cost one comparison and are never stored, and the rest one sorted
+// insert: no candidate buffer, no sort.
+type topList []TopInterval
+
+// add offers one candidate; k must be at least 1 and the same on every
+// call.
+func (l *topList) add(ti TopInterval, k int) {
+	n := len(*l)
+	if n == k && topCmp(ti, (*l)[n-1]) >= 0 {
+		return
 	}
-	if a.Type != b.Type {
-		return a.Type < b.Type
+	at, dup := slices.BinarySearchFunc(*l, ti, topCmp)
+	if dup {
+		return
 	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
+	if *l == nil {
+		*l = make(topList, 0, k)
 	}
-	if a.CPU != b.CPU {
-		return a.CPU < b.CPU
+	if n == k {
+		*l = (*l)[:n-1]
 	}
-	return a.Thread < b.Thread
+	*l = slices.Insert(*l, at, ti)
+}
+
+// addAll offers every entry of tis: merging the top-k lists of subsets
+// loses nothing, since an entry outside a subset's top-k is outside the
+// whole set's.
+func (l *topList) addAll(tis []TopInterval, k int) {
+	for _, ti := range tis {
+		l.add(ti, k)
+	}
 }
 
 // PyramidCell is one time cell's summary. Zero value = empty cell.
@@ -452,7 +487,7 @@ func (c *pyrCursor) decodeCell(out *PyramidCell, topK int, cellLo, cellHi clock.
 		if ti.Start >= cellHi || ti.Start+ti.Dura <= cellLo || ti.Start > ti.Start+ti.Dura {
 			return fmt.Errorf("interval: pyramid top entry does not overlap its cell")
 		}
-		if i > 0 && !topLess(out.Top[i-1], ti) {
+		if i > 0 && topCmp(out.Top[i-1], ti) >= 0 {
 			return fmt.Errorf("interval: pyramid top entries out of order")
 		}
 		out.Top = append(out.Top, ti)
@@ -604,24 +639,4 @@ func floorDivTime(t clock.Time, w clock.Time) int64 {
 		q--
 	}
 	return q
-}
-
-// mergeTop merges candidate top intervals into the canonical distinct
-// top-k list: sort by topLess, drop duplicate tuples, truncate to k.
-func mergeTop(cands []TopInterval, k int) []TopInterval {
-	if len(cands) == 0 || k == 0 {
-		return nil
-	}
-	sort.Slice(cands, func(i, j int) bool { return topLess(cands[i], cands[j]) })
-	out := cands[:0]
-	for i, ti := range cands {
-		if i > 0 && ti == out[len(out)-1] {
-			continue
-		}
-		out = append(out, ti)
-		if len(out) == k {
-			break
-		}
-	}
-	return out[:len(out):len(out)]
 }

@@ -1,20 +1,23 @@
 package interval
 
-// Pyramid construction: one sequential pass over the file accumulates
-// the base level (busy histograms, start counts, top-k candidates, and
-// a global concurrency event sweep), and every higher level folds pairs
-// of children. All accumulation is integer nanoseconds, so the result
-// is a pure function of the record set — the property the differential
-// suite and utecheck's cell recomputation rely on.
+// Pyramid construction: one pass over the file's frames, as batches,
+// accumulates the base level (busy histograms, start counts, top-k
+// candidates, and the endpoints of a global concurrency sweep), and every
+// higher level folds pairs of children. All accumulation is integer
+// nanoseconds, so the result is a pure function of the record set — the
+// property the differential suite and utecheck's cell recomputation rely
+// on. The pass reads each batch's columns in place and keeps nothing of
+// a batch but values (endpoints, TopInterval tuples), so it holds to
+// MapFrames' batch-lifetime contract with no copies.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
-	"sort"
+	"slices"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -40,49 +43,44 @@ func busyType(t events.Type) bool {
 	return t != events.EvRunning && t != events.EvGlobalClock
 }
 
-// pyrAcc is one cell's accumulation state during a build.
+// pyrAcc is one cell's accumulation state during a build. A cell sees a
+// handful of types, so byType is the cell's own unsorted list, searched
+// linearly; lanes can run to hundreds per cell on a wide machine, where a
+// dense row per cell would dwarf the trace, so byLane stays a map.
 type pyrAcc struct {
 	records int64
-	maxConc int
-	byType  map[events.Type]clock.Time
+	byType  []TypeBusy
 	byLane  map[uint32]clock.Time
-	top     []TopInterval
+	top     topList
 }
 
-func (a *pyrAcc) addTop(ti TopInterval, k int) {
-	a.top = append(a.top, ti)
-	// Bound the candidate list: compaction keeps at most k distinct
-	// entries, and a merge of tops-of-subsets loses nothing (an entry
-	// outside a subset's top-k is outside the whole set's top-k).
-	if len(a.top) >= 4*k {
-		a.top = mergeTop(a.top, k)
+func (a *pyrAcc) addType(t events.Type, ov clock.Time) {
+	for i := range a.byType {
+		if a.byType[i].Type == t {
+			a.byType[i].Busy += ov
+			return
+		}
 	}
+	a.byType = append(a.byType, TypeBusy{Type: t, Busy: ov})
 }
 
 // seal converts accumulation state into the canonical cell form.
-func (a *pyrAcc) seal(k int) PyramidCell {
-	c := PyramidCell{Records: a.records, MaxConc: a.maxConc}
-	if len(a.byType) > 0 {
-		c.ByType = make([]TypeBusy, 0, len(a.byType))
-		for t, v := range a.byType {
-			c.ByType = append(c.ByType, TypeBusy{Type: t, Busy: v})
-		}
-		sort.Slice(c.ByType, func(i, j int) bool { return c.ByType[i].Type < c.ByType[j].Type })
-	}
+func (a *pyrAcc) seal(maxConc int) PyramidCell {
+	c := PyramidCell{Records: a.records, MaxConc: maxConc, ByType: a.byType, Top: a.top}
+	slices.SortFunc(c.ByType, func(x, y TypeBusy) int { return cmp.Compare(x.Type, y.Type) })
 	if len(a.byLane) > 0 {
 		c.ByLane = make([]LaneBusy, 0, len(a.byLane))
 		for lk, v := range a.byLane {
 			c.ByLane = append(c.ByLane, LaneBusy{Lane: Lane{Node: uint16(lk >> 16), CPU: uint16(lk)}, Busy: v})
 		}
-		sort.Slice(c.ByLane, func(i, j int) bool { return c.ByLane[i].Lane.key() < c.ByLane[j].Lane.key() })
+		slices.SortFunc(c.ByLane, func(x, y LaneBusy) int { return cmp.Compare(x.Lane.key(), y.Lane.key()) })
 	}
-	c.Top = mergeTop(a.top, k)
 	return c
 }
 
 // BuildPyramid computes the summary pyramid of f from its frames. The
-// file is scanned once; the pyramid is bound to the file's current
-// frame directory through its signature.
+// file is read once; the pyramid is bound to the file's current frame
+// directory through its signature.
 func BuildPyramid(f *File, opts PyramidOptions) (*Pyramid, error) {
 	baseCells := opts.BaseCells
 	if baseCells <= 0 {
@@ -120,93 +118,70 @@ func BuildPyramid(f *File, opts PyramidOptions) (*Pyramid, error) {
 		return nil, fmt.Errorf("interval: pyramid base range [%d,%d] is inconsistent", firstCell, lastCell)
 	}
 	accs := make([]pyrAcc, count)
-	type ev struct {
-		t clock.Time
-		d int
-	}
-	var evs []ev
+	// The endpoints of every busy interval, for the concurrency sweep; the
+	// directory's record count bounds both.
+	starts := make([]clock.Time, 0, nrec)
+	ends := make([]clock.Time, 0, nrec)
 
-	sc := f.Scan()
-	if opts.Context != nil {
-		sc.SetContext(opts.Context)
-	}
-	var r Record
-	for {
-		if err := sc.NextRecordInto(&r); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, err
-		}
-		if r.Dura < 0 {
-			// A negative duration cannot come from the writer; skip the
-			// record entirely, exactly as every clipped consumer does.
-			continue
-		}
-		s, e := r.Start, r.Start+r.Dura
-		if ci := floorDivTime(s, w) - firstCell; ci >= 0 && ci < count {
-			accs[ci].records++
-		}
-		if e <= s {
-			continue
-		}
-		busy := busyType(r.Type)
-		if busy {
-			evs = append(evs, ev{s, +1}, ev{e, -1})
-		}
-		lane := uint32(r.Node)<<16 | uint32(r.CPU)
-		ti := TopInterval{Start: s, Dura: r.Dura, Type: r.Type, Node: r.Node, CPU: r.CPU, Thread: r.Thread}
-		lo, hi := floorDivTime(s, w), floorDivTime(e-1, w)
-		for ci := lo; ci <= hi; ci++ {
-			idx := ci - firstCell
-			if idx < 0 || idx >= count {
-				continue
-			}
-			a := &accs[idx]
-			cLo := clock.Time(ci) * w
-			ov := min(e, cLo+w) - max(s, cLo)
-			if a.byType == nil {
-				a.byType = map[events.Type]clock.Time{}
-			}
-			a.byType[r.Type] += ov
-			if busy {
-				if a.byLane == nil {
-					a.byLane = map[uint32]clock.Time{}
+	// One worker: the accumulation is the work, and it is sequential.
+	err = MapFrames([]*File{f}, MapOptions{Parallel: 1, Context: opts.Context},
+		func(_ int, _ FrameEntry, b *Batch) (*Batch, error) { return b, nil },
+		func(_ int, _ FrameEntry, b *Batch) error {
+			for i := 0; i < b.N; i++ {
+				dura := b.Dura[i]
+				if dura < 0 {
+					// A negative duration cannot come from the writer; skip the
+					// record entirely, exactly as every clipped consumer does.
+					continue
 				}
-				a.byLane[lane] += ov
-				a.addTop(ti, topK)
+				s, e := b.Start[i], b.Start[i]+dura
+				lo := floorDivTime(s, w)
+				if ci := lo - firstCell; ci >= 0 && ci < count {
+					accs[ci].records++
+				}
+				if e <= s {
+					continue
+				}
+				typ := b.Type[i]
+				busy := busyType(typ)
+				if busy {
+					starts, ends = append(starts, s), append(ends, e)
+				}
+				lane := Lane{Node: b.Node[i], CPU: b.CPU[i]}.key()
+				ti := TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[i], CPU: b.CPU[i], Thread: b.Thread[i]}
+				hi := floorDivTime(e-1, w)
+				for ci := max(lo, firstCell); ci <= min(hi, lastCell); ci++ {
+					a := &accs[ci-firstCell]
+					cLo := clock.Time(ci) * w
+					ov := min(e, cLo+w) - max(s, cLo)
+					a.addType(typ, ov)
+					if busy {
+						if a.byLane == nil {
+							a.byLane = map[uint32]clock.Time{}
+						}
+						a.byLane[lane] += ov
+						a.top.add(ti, topK)
+					}
+				}
 			}
-		}
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 
-	// Peak concurrency per base cell from the global event sweep; ends
-	// sort before starts at equal times (intervals are half-open).
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].t != evs[j].t {
-			return evs[i].t < evs[j].t
-		}
-		return evs[i].d < evs[j].d
-	})
-	cur, ei := 0, 0
-	for idx := int64(0); idx < count; idx++ {
-		cLo := clock.Time(firstCell+idx) * w
-		cHi := cLo + w
-		for ei < len(evs) && evs[ei].t <= cLo {
-			cur += evs[ei].d
-			ei++
-		}
-		pk := cur
-		for ei < len(evs) && evs[ei].t < cHi {
-			cur += evs[ei].d
-			ei++
-			pk = max(pk, cur)
-		}
-		accs[idx].maxConc = pk
+	// Peak concurrency per base cell from the global endpoint sweep. Every
+	// endpoint lies below the last edge, so the sweep closing its last bin
+	// on the right changes nothing here.
+	edges := make([]clock.Time, count+1)
+	for i := range edges {
+		edges[i] = clock.Time(firstCell+int64(i)) * w
 	}
+	peaks := sweepPeaks(edges, starts, ends)
 
 	base := PyramidLevel{Width: w, First: firstCell, Cells: make([]PyramidCell, count)}
 	for i := range accs {
-		base.Cells[i] = accs[i].seal(topK)
+		base.Cells[i] = accs[i].seal(peaks[i])
 	}
 	p.Levels = []PyramidLevel{base}
 	for len(p.Levels[len(p.Levels)-1].Cells) > 1 && len(p.Levels) < pyrMaxLevels {
@@ -247,7 +222,10 @@ func mergeCells(a, b *PyramidCell, topK int) PyramidCell {
 	c := PyramidCell{Records: a.Records + b.Records, MaxConc: max(a.MaxConc, b.MaxConc)}
 	c.ByType = mergeTypeBusy(a.ByType, b.ByType)
 	c.ByLane = mergeLaneBusy(a.ByLane, b.ByLane)
-	c.Top = mergeTop(append(append([]TopInterval{}, a.Top...), b.Top...), topK)
+	var top topList
+	top.addAll(a.Top, topK)
+	top.addAll(b.Top, topK)
+	c.Top = top
 	return c
 }
 

@@ -198,7 +198,7 @@ type binAcc struct {
 	// starts/ends are the clipped endpoints of every busy interval, for
 	// the scan engine's concurrency sweep.
 	starts, ends []clock.Time
-	tops         []TopInterval
+	tops         topList
 }
 
 type typeBin struct {
@@ -233,14 +233,6 @@ func (a *binAcc) laneRow(key uint32) []clock.Time {
 	return row
 }
 
-// addTop offers one top-k candidate, compacting the list when it grows.
-func (a *binAcc) addTop(ti TopInterval, k int) {
-	a.tops = append(a.tops, ti)
-	if len(a.tops) >= 4*k {
-		a.tops = mergeTop(a.tops, k)
-	}
-}
-
 // addBatch applies every record of one frame: its start count, its busy
 // overlap with each bin it crosses, its clipped endpoints and its top
 // candidacy.
@@ -265,7 +257,7 @@ func (a *binAcc) addBatch(b *Batch, g *binGrid, topK int) {
 			lrow = a.laneRow(Lane{Node: b.Node[i], CPU: b.CPU[i]}.key())
 			a.starts, a.ends = append(a.starts, cs), append(a.ends, ce)
 			if topK > 0 {
-				a.addTop(TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[i], CPU: b.CPU[i], Thread: b.Thread[i]}, topK)
+				a.tops.add(TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[i], CPU: b.CPU[i], Thread: b.Thread[i]}, topK)
 			}
 		}
 		for bi := g.binOf(cs); bi < g.bins() && g.bounds[bi] < ce; bi++ {
@@ -283,7 +275,7 @@ func (a *binAcc) addBatch(b *Batch, g *binGrid, topK int) {
 }
 
 // merge adds b into a.
-func (a *binAcc) merge(b *binAcc) {
+func (a *binAcc) merge(b *binAcc, topK int) {
 	for i, n := range b.records {
 		a.records[i] += n
 	}
@@ -303,14 +295,14 @@ func (a *binAcc) merge(b *binAcc) {
 		a.across[k] = struct{}{}
 	}
 	a.starts, a.ends = append(a.starts, b.starts...), append(a.ends, b.ends...)
-	a.tops = append(a.tops, b.tops...)
+	a.tops.addAll(b.tops, topK)
 }
 
 // finish turns the sums into the public summary: positive entries and
 // the zero-width bins reached across, the window-wide lane list, and
 // the top-k.
-func (a *binAcc) finish(g *binGrid, peaks []int, topK int) *WindowSummary {
-	ws := &WindowSummary{Lo: g.lo, Hi: g.hi, Bins: make([]BinSummary, g.bins()), Top: mergeTop(a.tops, topK)}
+func (a *binAcc) finish(g *binGrid, peaks []int) *WindowSummary {
+	ws := &WindowSummary{Lo: g.lo, Hi: g.hi, Bins: make([]BinSummary, g.bins()), Top: a.tops}
 	for bi := range ws.Bins {
 		ws.Bins[bi] = BinSummary{Start: g.bounds[bi], Records: a.records[bi], PeakConc: peaks[bi]}
 	}
@@ -396,21 +388,24 @@ func summarizeScan(files []*File, o WindowSummaryOptions) (*WindowSummary, error
 	if len(accs) > 0 {
 		total = accs[0]
 		for _, a := range accs[1:] {
-			total.merge(a)
+			total.merge(a, o.TopK)
 		}
 	}
-	ws := total.finish(g, sweepPeaks(g, total.starts, total.ends), o.TopK)
+	ws := total.finish(g, sweepPeaks(g.bounds, total.starts, total.ends))
 	ws.Engine = "scan"
 	ws.FramesDecoded = frames
 	return ws, nil
 }
 
-// sweepPeaks returns each bin's peak concurrency from the endpoints of
-// every clipped busy interval: the number open on entry holds until the
-// bin's first event, all events at one instant apply together (intervals
-// are half-open, so an end and a start at the same time do not overlap),
-// and the last bin is closed on the right.
-func sweepPeaks(g *binGrid, starts, ends []clock.Time) []int {
+// sweepPeaks returns the peak concurrency in each bin [bounds[i],
+// bounds[i+1]) from the endpoints of every busy interval (sorted here, in
+// place): the number open on entry holds until the bin's first event, all
+// events at one instant apply together (intervals are half-open, so an
+// end and a start at the same time do not overlap), and the last bin is
+// closed on the right. The scan engine and the pyramid build both sweep
+// through here, so a cell's MaxConc and a cell-aligned bin's PeakConc are
+// the same number by construction.
+func sweepPeaks(bounds, starts, ends []clock.Time) []int {
 	slices.Sort(starts)
 	slices.Sort(ends)
 	// next is the earliest unconsumed endpoint.
@@ -424,15 +419,15 @@ func sweepPeaks(g *binGrid, starts, ends []clock.Time) []int {
 		}
 		return 0, false
 	}
-	peaks := make([]int, g.bins())
+	peaks := make([]int, len(bounds)-1)
 	cur := 0
 	for bi := range peaks {
-		hi := g.bounds[bi+1]
+		hi := bounds[bi+1]
 		if bi == len(peaks)-1 {
 			hi++
 		}
 		p := -1
-		if at, ok := next(); !ok || at > g.bounds[bi] {
+		if at, ok := next(); !ok || at > bounds[bi] {
 			p = cur
 		}
 		for at, ok := next(); ok && at < hi; at, ok = next() {
@@ -493,7 +488,7 @@ func summarizePyramid(f *File, p *Pyramid, o WindowSummaryOptions) (*WindowSumma
 					a.laneRow(lb.Lane.key())[bi] += lb.Busy
 				}
 				if o.TopK > 0 {
-					a.tops = append(a.tops, c.Top...)
+					a.tops.addAll(c.Top, o.TopK)
 				}
 			}
 			x += p.Levels[lvl].Width
@@ -503,7 +498,7 @@ func summarizePyramid(f *File, p *Pyramid, o WindowSummaryOptions) (*WindowSumma
 	if err != nil {
 		return nil, err
 	}
-	ws := a.finish(g, peaks, o.TopK)
+	ws := a.finish(g, peaks)
 	ws.Engine = "pyramid"
 	ws.CellsUsed = cellsUsed
 	ws.FramesDecoded = framesDecoded
@@ -614,7 +609,7 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *binG
 				if busy && ce > rs.r0 && cs < rs.r1 {
 					evs = append(evs, ev{cs, +1}, ev{ce, -1})
 					if o.TopK > 0 && lo < hi {
-						a.tops = append(a.tops, TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[ri], CPU: b.CPU[ri], Thread: b.Thread[ri]})
+						a.tops.add(TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[ri], CPU: b.CPU[ri], Thread: b.Thread[ri]}, o.TopK)
 					}
 				}
 			}

@@ -445,7 +445,9 @@ func MergeFiles(paths []string, outPath string, opts Options) (*Result, error) {
 		}
 	}()
 	for _, p := range paths {
-		f, err := interval.Open(p)
+		// Inputs are read frame by frame; a sidecar beside one would only
+		// be parsed and dropped.
+		f, err := interval.Open(p, interval.WithPyramid(false))
 		if err != nil {
 			return nil, err
 		}

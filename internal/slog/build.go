@@ -1,9 +1,11 @@
 package slog
 
 import (
-	"fmt"
+	"cmp"
+	"errors"
 	"io"
-	"sort"
+	"slices"
+	"sync"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -59,17 +61,14 @@ type BuildResult struct {
 type partitioner struct {
 	limit int
 	size  int
-	n     int
 }
 
 // add accounts one record of encoded size sz; it returns true when the
 // record CLOSES the current frame (the record still belongs to it).
 func (p *partitioner) add(sz int) bool {
 	p.size += sz
-	p.n++
 	if p.size >= p.limit {
 		p.size = 0
-		p.n = 0
 		return true
 	}
 	return false
@@ -100,7 +99,38 @@ func (t taskTable) of(r *interval.Record) int32 {
 	return -1
 }
 
+// frameInfo is what pass 1 learns about one SLOG frame: the index of its
+// last record, its time bounds, and how many arrows had been matched when
+// it closed. An arrow belongs to the frame open when its receive
+// completed, so frame f's own arrows are the contiguous run
+// arrows[frames[f-1].arrowEnd:frames[f].arrowEnd].
+type frameInfo struct {
+	lastIdx  int64
+	lo, hi   clock.Time
+	arrowEnd int
+}
+
+// p1part is one pass-1 map result: the frame's batch (valid until the
+// frame's reduce returns, which is all the reduce needs), the rows the
+// arrow matcher must see, and a preview partial. Parts are recycled
+// through a free list, and a recycled part keeps summing into the same
+// preview matrix — integer sums do not care how frames are grouped — so
+// the partials are added up once, after the run.
+type p1part struct {
+	b     *interval.Batch
+	mrow  []int32
+	dur   [][]clock.Time
+	count []int64
+}
+
 // Build converts a merged interval file into an SLOG file.
+//
+// Both passes run off interval.Batch columns under MapFrames'
+// batch-lifetime contract (a batch is valid until its frame's reduce
+// returns): nothing is copied out of a batch except the Begin rows the
+// open-state tracker retains across frames and the send halves the arrow
+// matcher waits on. The file is written one frame at a time, each frame
+// encoded into one reused buffer and handed to ws in a single Write.
 func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, error) {
 	tStart, tEnd, _, err := mf.Stats()
 	if err != nil {
@@ -110,230 +140,210 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 		tEnd = tStart + 1
 	}
 	bins := opts.bins()
+	nstates := len(events.StateTypes)
 	sidx := stateIndex()
+	bounds := binBounds(tStart, tEnd, bins)
+	newBins := func() [][]clock.Time {
+		flat := make([]clock.Time, nstates*bins)
+		d := make([][]clock.Time, nstates)
+		for i := range d {
+			d[i] = flat[i*bins : (i+1)*bins : (i+1)*bins]
+		}
+		return d
+	}
 	prev := &Preview{
 		TStart: tStart,
 		TEnd:   tEnd,
 		States: events.StateTypes,
-		Dur:    make([][]clock.Time, len(events.StateTypes)),
-		Count:  make([]int64, len(events.StateTypes)),
-	}
-	for i := range prev.Dur {
-		prev.Dur[i] = make([]clock.Time, bins)
+		Dur:    newBins(),
+		Count:  make([]int64, nstates),
 	}
 
 	// --- Pass 1: frame boundaries, preview accumulation, arrow matching.
+	//
+	// The preview's proportional bin allocation sums integer durations —
+	// associative, so partial matrices merged in any order equal the
+	// sequential result exactly. It runs in the concurrent map; everything
+	// order-sensitive (arrow matching, frame partitioning) runs in the
+	// frame-order reduce, reading the batch in place.
 	part := &partitioner{limit: opts.frameBytes()}
-	type frameInfo struct {
-		firstIdx, lastIdx int64
-		lo, hi            clock.Time
-	}
 	var frames []frameInfo
-	newInfo := func(first int64) frameInfo {
-		return frameInfo{firstIdx: first, lastIdx: -1, lo: clock.Time(1<<63 - 1), hi: clock.Time(-1 << 63)}
-	}
-	cur := newInfo(0)
-	var arrows []Arrow
-	arrowFrame := map[int]int{} // arrow index -> recv frame index (filled pass 1)
+	openInfo := frameInfo{lastIdx: -1, lo: clock.Time(1<<63 - 1), hi: clock.Time(-1 << 63)}
+	cur := openInfo
 	m := &matcher{
 		tasks: newTaskTable(mf.Header.Threads),
-		sends: map[arrowKey]interval.Record{},
+		sends: map[arrowKey]sendHalf{},
 		recvs: map[arrowKey]recvHalf{},
 	}
-
-	// The preview's proportional bin allocation is the per-record O(bins)
-	// hot loop, and it sums integer durations — associative, so per-frame
-	// partial matrices merged in any order equal the sequential result
-	// exactly. It runs in the concurrent map; everything order-sensitive
-	// (arrow matching, frame partitioning) runs in the frame-order
-	// reduce, as a per-record step.
 	mopts := interval.MapOptions{Parallel: opts.Parallel}
 	var idx int64
-	step := func(start, end clock.Time, size int, mr *interval.Record) {
-		// Arrow matching on final pieces of p2p and wait operations.
-		if mr != nil {
-			m.observe(mr, &arrows, arrowFrame, len(frames))
-		}
-		if start < cur.lo {
-			cur.lo = start
-		}
-		if end > cur.hi {
-			cur.hi = end
-		}
-		closes := part.add(size)
-		cur.lastIdx = idx
-		if closes {
-			frames = append(frames, cur)
-			cur = newInfo(idx + 1)
-		}
-		idx++
-	}
-	mergePreview := func(dur [][]clock.Time, count []int64) {
-		for si := range prev.Dur {
-			dst, src := prev.Dur[si], dur[si]
-			for b := range dst {
-				dst[b] += src[b]
-			}
-			prev.Count[si] += count[si]
-		}
-	}
-	newBins := func() [][]clock.Time {
-		d := make([][]clock.Time, len(events.StateTypes))
-		for i := range d {
-			d[i] = make([]clock.Time, bins)
-		}
-		return d
-	}
-	// The preview reads the type/start/duration columns in place; only
-	// matcher-relevant completions are materialized (RowCopy — the
-	// matcher keeps unmatched sends), tagged with their row so the reduce
-	// replays them at exactly the position a record-at-a-time pass would.
-	type p1cols struct {
-		dur        [][]clock.Time
-		count      []int64
-		start, end []clock.Time
-		size       []int
-		mrow       []int32
-		mrecs      []interval.Record
-	}
+	// idle holds every part not between its map and its reduce — all of
+	// them, once the run is over.
+	var mu sync.Mutex
+	var idle []*p1part
 	err = interval.MapFrames([]*interval.File{mf}, mopts,
-		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*p1cols, error) {
-			pp := &p1cols{
-				dur:   newBins(),
-				count: make([]int64, len(events.StateTypes)),
-				start: make([]clock.Time, 0, b.N),
-				end:   make([]clock.Time, 0, b.N),
-				size:  make([]int, 0, b.N),
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*p1part, error) {
+			var pp *p1part
+			mu.Lock()
+			if n := len(idle); n > 0 {
+				pp, idle = idle[n-1], idle[:n-1]
 			}
-			scratch := &Preview{TStart: tStart, TEnd: tEnd, Dur: pp.dur}
+			mu.Unlock()
+			if pp == nil {
+				pp = &p1part{dur: newBins(), count: make([]int64, nstates)}
+			}
+			pp.b, pp.mrow = b, pp.mrow[:0]
 			for i := 0; i < b.N; i++ {
-				s, e := b.Start[i], b.End(i)
-				pp.start = append(pp.start, s)
-				pp.end = append(pp.end, e)
-				pp.size = append(pp.size, b.EncodedRowSize(i))
-				typ := b.Type[i]
-				if si, ok := sidx[typ]; ok {
-					if b.Bebits[i] == profile.Begin || b.Bebits[i] == profile.Complete {
+				typ, be := b.Type[i], b.Bebits[i]
+				if si := sidx.of(typ); si >= 0 {
+					if be == profile.Begin || be == profile.Complete {
 						pp.count[si]++
 					}
-					allocate(scratch, si, s, e, bins)
+					allocate(pp.dur[si], bounds, b.Start[i], b.End(i))
 				}
-				if (b.Bebits[i] == profile.Complete || b.Bebits[i] == profile.End) && matcherType(typ) {
+				if (be == profile.Complete || be == profile.End) && matcherType(typ) {
 					pp.mrow = append(pp.mrow, int32(i))
-					pp.mrecs = append(pp.mrecs, b.RowCopy(i))
 				}
 			}
 			return pp, nil
 		},
-		func(_ int, _ interval.FrameEntry, pp *p1cols) error {
-			mergePreview(pp.dur, pp.count)
-			mi := 0
-			for i := range pp.start {
-				var mr *interval.Record
+		func(_ int, _ interval.FrameEntry, pp *p1part) error {
+			b, mi := pp.b, 0
+			for i := 0; i < b.N; i++ {
+				// Arrow matching on final pieces of p2p and wait
+				// operations, at exactly the position a record-at-a-time
+				// pass would see them.
 				if mi < len(pp.mrow) && int(pp.mrow[mi]) == i {
-					mr = &pp.mrecs[mi]
+					r := b.Row(i)
+					m.observe(&r)
 					mi++
 				}
-				step(pp.start[i], pp.end[i], pp.size[i], mr)
+				cur.lo = min(cur.lo, b.Start[i])
+				cur.hi = max(cur.hi, b.End(i))
+				cur.lastIdx = idx
+				if part.add(b.EncodedRowSize(i)) {
+					cur.arrowEnd = len(m.arrows)
+					frames = append(frames, cur)
+					cur = openInfo
+				}
+				idx++
 			}
+			pp.b = nil
+			mu.Lock()
+			idle = append(idle, pp)
+			mu.Unlock()
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	if cur.lastIdx >= cur.firstIdx {
+	if cur.lastIdx >= 0 {
+		cur.arrowEnd = len(m.arrows)
 		frames = append(frames, cur)
 	}
-	total := idx
-
-	res := &BuildResult{Frames: len(frames), Records: total, Arrows: int64(len(arrows))}
-
-	// Assign arrows to frames: the original goes to the frame where its
-	// receive completed (recorded during pass 1); crossing pseudo copies
-	// go to every earlier frame the arrow spans in time. Frame hi bounds
-	// are nondecreasing (records arrive end-time ordered), so the
-	// backward scan per arrow stops as soon as a frame ends before the
-	// send — total work is proportional to the copies produced.
-	ownArrows := make([][]int, len(frames))
-	crossArrows := make([][]int, len(frames))
-	for ai := range arrows {
-		rf := arrowFrame[ai]
-		ownArrows[rf] = append(ownArrows[rf], ai)
-		if opts.NoCrossingCopies {
-			continue
-		}
-		for f := rf - 1; f >= 0; f-- {
-			if frames[f].hi <= arrows[ai].SendTime {
-				break
+	for _, pp := range idle {
+		for si := range prev.Dur {
+			dst, src := prev.Dur[si], pp.dur[si]
+			for b := range dst {
+				dst[b] += src[b]
 			}
-			if arrows[ai].RecvTime > frames[f].lo {
-				crossArrows[f] = append(crossArrows[f], ai)
-			}
+			prev.Count[si] += pp.count[si]
 		}
 	}
+	arrows := m.arrows
+	res := &BuildResult{Frames: len(frames), Records: idx, Arrows: int64(len(arrows))}
 
-	// --- Pass 2: serialize.
+	// Crossing pseudo copies go to every frame before an arrow's own that
+	// the arrow spans in time. Frame hi bounds are nondecreasing (records
+	// arrive end-time ordered), so the backward scan per arrow stops as
+	// soon as a frame ends before the send — total work is proportional to
+	// the copies produced. Two sweeps of the same scan, count then fill,
+	// lay the copies out as one flat list with per-frame offsets:
+	// crossing[crossOff[f]:crossOff[f+1]] is frame f's, in arrow order.
+	crossOff := make([]int, len(frames)+1)
+	var crossing []int32
+	if !opts.NoCrossingCopies {
+		eachCrossing := func(visit func(f, ai int)) {
+			rf := 0
+			for ai := range arrows {
+				for frames[rf].arrowEnd <= ai {
+					rf++
+				}
+				for f := rf - 1; f >= 0; f-- {
+					if frames[f].hi <= arrows[ai].SendTime {
+						break
+					}
+					if arrows[ai].RecvTime > frames[f].lo {
+						visit(f, ai)
+					}
+				}
+			}
+		}
+		eachCrossing(func(f, _ int) { crossOff[f+1]++ })
+		for f := range frames {
+			crossOff[f+1] += crossOff[f]
+		}
+		crossing = make([]int32, crossOff[len(frames)])
+		fill := append([]int(nil), crossOff[:len(frames)]...)
+		eachCrossing(func(f, ai int) {
+			crossing[fill[f]] = int32(ai)
+			fill[f]++
+		})
+	}
+
+	// --- Pass 2: serialize. The map stage only decodes (concurrently);
+	// the reduce encodes each row straight from its batch into the open
+	// frame's buffer. A frame's pseudo-intervals are written when it
+	// opens — the tracker has seen every earlier record by then, which is
+	// all they depend on — its interval records as they stream by, and its
+	// arrows when it closes.
 	w, err := newWriter(ws, mf, prev, len(frames))
 	if err != nil {
 		return nil, err
 	}
-	part = &partitioner{limit: opts.frameBytes()}
-	trk := newTracker()
+	trk := &tracker{}
 	fi := 0
-	var frameRecs []interval.Record
-	var lastEnd clock.Time = tStart
+	idx = 0
 	frameStartStamp := tStart
-	flush := func() error {
-		if len(frameRecs) == 0 {
-			return nil
-		}
-		// Pseudo intervals: enclosing open states at the frame start.
-		pseudo := trk.pseudosBefore(frameRecs, frameStartStamp)
-		// Arrows: originals landing in this frame; crossing copies.
-		var own, crossing []Arrow
-		for _, ai := range ownArrows[fi] {
-			own = append(own, arrows[ai])
-		}
-		for _, ai := range crossArrows[fi] {
-			crossing = append(crossing, arrows[ai])
-		}
-		res.Pseudo += int64(len(pseudo) + len(crossing))
-		if err := w.writeFrame(frameRecs, pseudo, own, crossing); err != nil {
-			return err
-		}
-		// Update tracker with the frame's records for the next frame.
-		for i := range frameRecs {
-			trk.observe(&frameRecs[i])
-		}
-		frameRecs = frameRecs[:0]
-		fi++
-		frameStartStamp = lastEnd
-		return nil
-	}
-	// Pass 2's map stage only decodes (concurrently); the serialization
-	// itself consumes rows in frame order inside the reduce. SLOG frames
-	// span interval frames and the tracker keeps open states, so every
-	// row is copied out of its batch (RowCopy) before it is retained.
 	err = interval.MapFrames([]*interval.File{mf}, mopts,
 		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*interval.Batch, error) {
 			return b, nil
 		},
 		func(_ int, _ interval.FrameEntry, b *interval.Batch) error {
 			for ri := 0; ri < b.N; ri++ {
-				frameRecs = append(frameRecs, b.RowCopy(ri))
-				lastEnd = b.End(ri)
-				if part.add(b.EncodedRowSize(ri)) {
-					if err := flush(); err != nil {
+				if fi >= len(frames) {
+					return errFrameCount
+				}
+				if !w.open {
+					res.Pseudo += int64(w.openFrame(trk, frameStartStamp))
+				}
+				r := b.Row(ri)
+				w.addInterval(&r)
+				switch {
+				case r.Type == events.EvGlobalClock:
+				case r.Bebits == profile.Begin:
+					trk.begin(b.RowCopy(ri))
+				case r.Bebits == profile.End:
+					trk.end(&r)
+				}
+				if idx == frames[fi].lastIdx {
+					firstArrow := 0
+					if fi > 0 {
+						firstArrow = frames[fi-1].arrowEnd
+					}
+					cross := crossing[crossOff[fi]:crossOff[fi+1]]
+					res.Pseudo += int64(len(cross))
+					if err := w.closeFrame(arrows, firstArrow, frames[fi].arrowEnd, cross); err != nil {
 						return err
 					}
+					fi++
+					frameStartStamp = r.End()
 				}
+				idx++
 			}
 			return nil
 		})
 	if err != nil {
-		return nil, err
-	}
-	if err := flush(); err != nil {
 		return nil, err
 	}
 	if err := w.finish(); err != nil {
@@ -342,36 +352,50 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 	return res, nil
 }
 
-// allocate distributes an interval's duration proportionally across the
-// preview bins it overlaps.
-func allocate(p *Preview, si int, start, end clock.Time, bins int) {
+// binBounds returns the preview's bins+1 bin edges. The edges are a
+// float product truncated to nanoseconds; every consumer reads them from
+// here so they agree to the bit.
+func binBounds(tStart, tEnd clock.Time, bins int) []clock.Time {
+	binDur := float64(tEnd-tStart) / float64(bins)
+	bounds := make([]clock.Time, bins+1)
+	for b := range bounds {
+		bounds[b] = tStart + clock.Time(binDur*float64(b))
+	}
+	return bounds
+}
+
+// allocate distributes the interval [start, end) proportionally across
+// the preview bins it overlaps, adding to one state's row. The walk
+// starts at the interval's own first bin, so a short interval late in the
+// run does not pay for the bins before it.
+func allocate(row, bounds []clock.Time, start, end clock.Time) {
 	if end <= start {
 		return
 	}
-	span := p.TEnd - p.TStart
-	if span <= 0 {
-		return
+	bins := len(row)
+	// First bin whose upper edge is past start: a proportional guess,
+	// corrected against the edges.
+	b := 0
+	if span := bounds[bins] - bounds[0]; start > bounds[0] && span > 0 {
+		b = min(int(float64(start-bounds[0])/float64(span)*float64(bins)), bins-1)
 	}
-	binDur := float64(span) / float64(bins)
-	for b := 0; b < bins; b++ {
-		lo := p.TStart + clock.Time(binDur*float64(b))
-		hi := p.TStart + clock.Time(binDur*float64(b+1))
-		if hi <= start {
-			continue
-		}
-		if lo >= end {
-			break
-		}
-		olo, ohi := maxT(lo, start), minT(hi, end)
+	for b > 0 && bounds[b] > start {
+		b--
+	}
+	for b < bins && bounds[b+1] <= start {
+		b++
+	}
+	for ; b < bins && bounds[b] < end; b++ {
+		olo, ohi := max(bounds[b], start), min(bounds[b+1], end)
 		if ohi > olo {
-			p.Dur[si][b] += ohi - olo
+			row[b] += ohi - olo
 		}
 	}
 }
 
 // matcherType reports whether the arrow matcher inspects records of
-// this type (the types m.observe switches on). Pass 1 only
-// materializes records of these types.
+// this type (the types m.observe switches on). Pass 1 only shows it
+// records of these types.
 func matcherType(t events.Type) bool {
 	switch t {
 	case events.EvMPISend, events.EvMPIIsend, events.EvMPISendrecv,
@@ -379,6 +403,16 @@ func matcherType(t events.Type) bool {
 		return true
 	}
 	return false
+}
+
+// sendHalf is a send record waiting for its receive completion: the
+// fields an arrow takes from the send side, and nothing else of the
+// record.
+type sendHalf struct {
+	start        clock.Time
+	node, thread uint16
+	bytes        uint64
+	tag          uint32
 }
 
 // recvHalf is a receive completion waiting for its send record.
@@ -390,180 +424,136 @@ type recvHalf struct {
 // matcher pairs send records with receive completions by (source task,
 // destination task, sequence number). Receive completions come from
 // blocking MPI_Recv records, from MPI_Wait records carrying the matched
-// envelope of an Irecv, and from the receive half of MPI_Sendrecv.
+// envelope of an Irecv, and from the receive half of MPI_Sendrecv. It
+// keeps nothing of a record it is shown beyond a sendHalf or recvHalf, so
+// callers may hand it rows aliasing a batch.
 type matcher struct {
-	tasks taskTable
-	sends map[arrowKey]interval.Record
-	recvs map[arrowKey]recvHalf
+	tasks  taskTable
+	sends  map[arrowKey]sendHalf
+	recvs  map[arrowKey]recvHalf
+	arrows []Arrow // in the order their later half was observed
 }
 
-func (m *matcher) observe(r *interval.Record, arrows *[]Arrow, arrowFrame map[int]int, curFrame int) {
+func (m *matcher) observe(r *interval.Record) {
 	switch r.Type {
 	case events.EvMPISend, events.EvMPIIsend, events.EvMPISendrecv:
 		seq, _ := r.Field(events.FieldSeqno)
 		if seq != 0 {
 			dst, _ := r.Field(events.FieldPeer)
-			m.send(r, int32(dst), seq, arrows, arrowFrame, curFrame)
+			m.send(r, int32(dst), seq)
 		}
 		if r.Type == events.EvMPISendrecv {
 			rseq, _ := r.Field(events.FieldRecvSeqno)
 			if rseq != 0 {
 				src, _ := r.Field(events.FieldRecvPeer)
-				m.recv(r, int32(src), rseq, arrows, arrowFrame, curFrame)
+				m.recv(r, int32(src), rseq)
 			}
 		}
 	case events.EvMPIRecv, events.EvMPIIrecv:
 		seq, _ := r.Field(events.FieldSeqno)
 		if seq != 0 {
 			src, _ := r.Field(events.FieldPeer)
-			m.recv(r, int32(src), seq, arrows, arrowFrame, curFrame)
+			m.recv(r, int32(src), seq)
 		}
 	case events.EvMPIWait:
 		seq, _ := r.Field(events.FieldRecvSeqno)
 		if seq != 0 {
 			src, _ := r.Field(events.FieldRecvPeer)
-			m.recv(r, int32(src), seq, arrows, arrowFrame, curFrame)
+			m.recv(r, int32(src), seq)
 		}
 	case events.EvMPIWaitall:
 		// The vector field holds (peer, seqno, bytes) envelope triples,
 		// one per completed receive request.
 		for i := 0; i+2 < len(r.Vec); i += 3 {
 			if r.Vec[i+1] != 0 {
-				m.recv(r, int32(uint32(r.Vec[i])), r.Vec[i+1], arrows, arrowFrame, curFrame)
+				m.recv(r, int32(uint32(r.Vec[i])), r.Vec[i+1])
 			}
 		}
 	}
 }
 
-func (m *matcher) send(r *interval.Record, dstTask int32, seq uint64, arrows *[]Arrow, arrowFrame map[int]int, curFrame int) {
+func (m *matcher) send(r *interval.Record, dstTask int32, seq uint64) {
 	k := arrowKey{srcTask: m.tasks.of(r), dstTask: dstTask, seqno: seq}
 	if k.srcTask < 0 {
 		return
 	}
+	bytes, _ := r.Field(events.FieldMsgSizeSent)
+	tag, _ := r.Field(events.FieldTag)
+	sh := sendHalf{start: r.Start, node: r.Node, thread: r.Thread, bytes: bytes, tag: uint32(tag)}
 	if rh, ok := m.recvs[k]; ok {
 		delete(m.recvs, k)
-		bytes, _ := r.Field(events.FieldMsgSizeSent)
-		tag, _ := r.Field(events.FieldTag)
-		m.emit(arrows, arrowFrame, curFrame, Arrow{
-			SendTime: r.Start, RecvTime: rh.end,
-			SrcNode: r.Node, SrcThread: r.Thread,
-			DstNode: rh.node, DstThread: rh.thread,
-			Bytes: bytes, Tag: uint32(tag), Seqno: seq,
-		})
+		m.emit(sh, rh, seq)
 		return
 	}
-	m.sends[k] = *r
+	m.sends[k] = sh
 }
 
-func (m *matcher) recv(r *interval.Record, srcTask int32, seq uint64, arrows *[]Arrow, arrowFrame map[int]int, curFrame int) {
+func (m *matcher) recv(r *interval.Record, srcTask int32, seq uint64) {
 	k := arrowKey{srcTask: srcTask, dstTask: m.tasks.of(r), seqno: seq}
 	if k.dstTask < 0 {
 		return
 	}
-	if sr, ok := m.sends[k]; ok {
+	rh := recvHalf{end: r.End(), node: r.Node, thread: r.Thread}
+	if sh, ok := m.sends[k]; ok {
 		delete(m.sends, k)
-		bytes, _ := sr.Field(events.FieldMsgSizeSent)
-		tag, _ := sr.Field(events.FieldTag)
-		m.emit(arrows, arrowFrame, curFrame, Arrow{
-			SendTime: sr.Start, RecvTime: r.End(),
-			SrcNode: sr.Node, SrcThread: sr.Thread,
-			DstNode: r.Node, DstThread: r.Thread,
-			Bytes: bytes, Tag: uint32(tag), Seqno: seq,
-		})
+		m.emit(sh, rh, seq)
 		return
 	}
-	m.recvs[k] = recvHalf{end: r.End(), node: r.Node, thread: r.Thread}
+	m.recvs[k] = rh
 }
 
-func (m *matcher) emit(arrows *[]Arrow, arrowFrame map[int]int, curFrame int, a Arrow) {
-	*arrows = append(*arrows, a)
-	arrowFrame[len(*arrows)-1] = curFrame
-}
-
-// tracker mirrors merge's open-state reconstruction.
-type tracker struct {
-	open map[[2]uint16][]interval.Record
-}
-
-func newTracker() *tracker { return &tracker{open: make(map[[2]uint16][]interval.Record)} }
-
-func (t *tracker) observe(r *interval.Record) {
-	if r.Type == events.EvGlobalClock {
-		return
-	}
-	k := [2]uint16{r.Node, r.Thread}
-	switch r.Bebits {
-	case profile.Begin:
-		t.open[k] = append(t.open[k], *r)
-	case profile.End:
-		stack := t.open[k]
-		for i := len(stack) - 1; i >= 0; i-- {
-			if stack[i].Type == r.Type {
-				t.open[k] = append(stack[:i], stack[i+1:]...)
-				return
-			}
-		}
-	}
-}
-
-// pseudosBefore returns zero-duration continuations for the states open
-// at the frame start.
-func (t *tracker) pseudosBefore(_ []interval.Record, at clock.Time) []interval.Record {
-	keys := make([][2]uint16, 0, len(t.open))
-	for k, stack := range t.open {
-		if len(stack) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
+func (m *matcher) emit(sh sendHalf, rh recvHalf, seq uint64) {
+	m.arrows = append(m.arrows, Arrow{
+		SendTime: sh.start, RecvTime: rh.end,
+		SrcNode: sh.node, SrcThread: sh.thread,
+		DstNode: rh.node, DstThread: rh.thread,
+		Bytes: sh.bytes, Tag: sh.tag, Seqno: seq,
 	})
-	var out []interval.Record
-	for _, k := range keys {
-		for _, st := range t.open[k] {
-			pr := st
-			pr.Bebits = profile.Continuation
-			pr.Start = at
-			pr.Dura = 0
-			out = append(out, pr)
-		}
-	}
-	return out
 }
 
-func frameBounds(recs, pseudo []interval.Record) (clock.Time, clock.Time) {
-	lo, hi := recs[0].Start, recs[0].End()
-	for _, r := range recs {
-		if r.Start < lo {
-			lo = r.Start
-		}
-		if r.End() > hi {
-			hi = r.End()
-		}
-	}
-	for _, r := range pseudo {
-		if r.Start < lo {
-			lo = r.Start
-		}
-	}
-	return lo, hi
+// tracker mirrors merge's open-state reconstruction: per thread, the
+// stack of Begin records not yet ended. threads is sorted by (node,
+// thread) and only ever grows, so the frame-start pseudo-intervals come
+// out in that order without a per-frame sort.
+type tracker struct {
+	threads []openStack
 }
 
-func maxT(a, b clock.Time) clock.Time {
-	if a > b {
-		return a
-	}
-	return b
+type openStack struct {
+	key  uint32 // node<<16 | thread
+	recs []interval.Record
 }
 
-func minT(a, b clock.Time) clock.Time {
-	if a < b {
-		return a
-	}
-	return b
+// find returns where r's thread is, or would be inserted, in t.threads.
+func (t *tracker) find(r *interval.Record) (int, bool) {
+	k := uint32(r.Node)<<16 | uint32(r.Thread)
+	return slices.BinarySearchFunc(t.threads, k, func(s openStack, k uint32) int { return cmp.Compare(s.key, k) })
 }
 
-var errTooManyFrames = fmt.Errorf("slog: frame count mismatch between passes")
+// begin retains r, which must own its Extra and Vec (Batch.RowCopy): it
+// stays open, and is re-emitted at every frame start, until its End.
+func (t *tracker) begin(r interval.Record) {
+	at, ok := t.find(&r)
+	if !ok {
+		t.threads = slices.Insert(t.threads, at, openStack{key: uint32(r.Node)<<16 | uint32(r.Thread)})
+	}
+	t.threads[at].recs = append(t.threads[at].recs, r)
+}
+
+// end closes the innermost open state of r's type on r's thread; r may
+// alias a batch.
+func (t *tracker) end(r *interval.Record) {
+	at, ok := t.find(r)
+	if !ok {
+		return
+	}
+	st := &t.threads[at]
+	for i := len(st.recs) - 1; i >= 0; i-- {
+		if st.recs[i].Type == r.Type {
+			st.recs = slices.Delete(st.recs, i, i+1)
+			return
+		}
+	}
+}
+
+var errFrameCount = errors.New("slog: the frames written differ from the frame count the header declares")

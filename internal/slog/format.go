@@ -12,6 +12,7 @@ package slog
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -44,8 +45,13 @@ type Arrow struct {
 	Seqno     uint64
 }
 
-func (a *Arrow) append(dst []byte) []byte {
-	var b [arrowPayloadSize]byte
+// appendArrow appends one frame record holding a: kind, payload length,
+// payload.
+func appendArrow(dst []byte, kind byte, a *Arrow) []byte {
+	var rec [3 + arrowPayloadSize]byte
+	rec[0] = kind
+	binary.LittleEndian.PutUint16(rec[1:], arrowPayloadSize)
+	b := rec[3:]
 	binary.LittleEndian.PutUint64(b[0:], uint64(a.SendTime))
 	binary.LittleEndian.PutUint64(b[8:], uint64(a.RecvTime))
 	binary.LittleEndian.PutUint16(b[16:], a.SrcNode)
@@ -55,7 +61,7 @@ func (a *Arrow) append(dst []byte) []byte {
 	binary.LittleEndian.PutUint64(b[24:], a.Bytes)
 	binary.LittleEndian.PutUint32(b[32:], a.Tag)
 	binary.LittleEndian.PutUint64(b[36:], a.Seqno)
-	return append(dst, b[:]...)
+	return append(dst, rec[:]...)
 }
 
 func decodeArrow(b []byte) (Arrow, error) {
@@ -114,11 +120,25 @@ func (p *Preview) BinBounds(b int) (clock.Time, clock.Time) {
 	return lo, hi
 }
 
-// stateIndex maps the fixed state-type list to preview rows.
-func stateIndex() map[events.Type]int {
-	m := make(map[events.Type]int, len(events.StateTypes))
-	for i, ty := range events.StateTypes {
-		m[ty] = i
+// stateTable maps a record type to its preview row, -1 for types the
+// preview does not chart: a dense table over the type codes, consulted
+// once per record.
+type stateTable []int8
+
+func stateIndex() stateTable {
+	t := make(stateTable, slices.Max(events.StateTypes)+1)
+	for i := range t {
+		t[i] = -1
 	}
-	return m
+	for i, ty := range events.StateTypes {
+		t[ty] = int8(i)
+	}
+	return t
+}
+
+func (t stateTable) of(ty events.Type) int {
+	if int(ty) < len(t) {
+		return int(t[ty])
+	}
+	return -1
 }

@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
 	"tracefw/internal/interval"
+	"tracefw/internal/profile"
 )
 
 // File header layout (fixed part):
@@ -30,6 +31,13 @@ type writer struct {
 	prev    *Preview
 	index   []FrameEntry
 	nframes int
+
+	// The frame being assembled: buf holds its encoding so far (record
+	// count placeholder first), reused from frame to frame.
+	buf    []byte
+	open   bool
+	n      int // records in buf
+	lo, hi clock.Time
 }
 
 func newWriter(ws io.WriteSeeker, mf *interval.File, prev *Preview, nframes int) (*writer, error) {
@@ -58,7 +66,7 @@ func newWriter(ws io.WriteSeeker, mf *interval.File, prev *Preview, nframes int)
 	for id := range mf.Header.Markers {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		s := mf.Header.Markers[id]
 		b = appendU64(b, id)
@@ -72,45 +80,80 @@ func newWriter(ws io.WriteSeeker, mf *interval.File, prev *Preview, nframes int)
 	return w, nil
 }
 
-func (w *writer) writeFrame(recs, pseudo []interval.Record, own, crossing []Arrow) error {
-	var b []byte
-	n := len(recs) + len(pseudo) + len(own) + len(crossing)
-	b = appendU32(b, uint32(n))
-	emit := func(kind byte, payload []byte) {
-		b = append(b, kind)
-		b = appendU16(b, uint16(len(payload)))
-		b = append(b, payload...)
+// appendRecord appends one frame record: kind, payload length, payload.
+func appendRecord(b []byte, kind byte, r *interval.Record) []byte {
+	b = append(b, kind, 0, 0)
+	at := len(b)
+	b = r.AppendPayload(b)
+	binary.LittleEndian.PutUint16(b[at-2:], uint16(len(b)-at))
+	return b
+}
+
+// openFrame starts a frame with its pseudo-intervals: a zero-duration
+// continuation at the frame start for every state trk holds open, in
+// (node, thread) order, outermost first. It returns how many it wrote.
+func (w *writer) openFrame(trk *tracker, at clock.Time) int {
+	w.buf = append(w.buf[:0], 0, 0, 0, 0) // record count, patched at close
+	w.open, w.n = true, 0
+	for ti := range trk.threads {
+		st := &trk.threads[ti]
+		for i := range st.recs {
+			pr := st.recs[i]
+			pr.Bebits = profile.Continuation
+			pr.Start = at
+			pr.Dura = 0
+			w.buf = appendRecord(w.buf, kindPseudo, &pr)
+			w.n++
+		}
 	}
-	lo, hi := frameBounds(recs, pseudo)
-	for i := range pseudo {
-		emit(kindPseudo, pseudo[i].AppendPayload(nil))
+	// The frame's bounds span its interval records, stretched down to the
+	// frame start when pseudo-intervals sit there.
+	w.lo, w.hi = clock.Time(1<<63-1), clock.Time(-1<<63)
+	if w.n > 0 {
+		w.lo = at
 	}
-	for i := range recs {
-		emit(kindInterval, recs[i].AppendPayload(nil))
+	return w.n
+}
+
+// addInterval appends one interval record to the open frame; r may alias
+// a batch.
+func (w *writer) addInterval(r *interval.Record) {
+	w.buf = appendRecord(w.buf, kindInterval, r)
+	w.n++
+	w.lo = min(w.lo, r.Start)
+	w.hi = max(w.hi, r.End())
+}
+
+// closeFrame completes the open frame with its arrows — the originals
+// arrows[first:end], then the crossing copies arrows[i] for i in
+// crossing — writes it in one call, and indexes it.
+func (w *writer) closeFrame(arrows []Arrow, first, end int, crossing []int32) error {
+	for i := first; i < end; i++ {
+		w.buf = appendArrow(w.buf, kindArrow, &arrows[i])
 	}
-	for i := range own {
-		emit(kindArrow, own[i].append(nil))
+	for _, i := range crossing {
+		w.buf = appendArrow(w.buf, kindPseudoArrow, &arrows[i])
 	}
-	for i := range crossing {
-		emit(kindPseudoArrow, crossing[i].append(nil))
-	}
-	if _, err := w.ws.Write(b); err != nil {
+	w.n += end - first + len(crossing)
+	binary.LittleEndian.PutUint32(w.buf, uint32(w.n))
+	if _, err := w.ws.Write(w.buf); err != nil {
 		return err
 	}
 	w.index = append(w.index, FrameEntry{
 		Offset:  w.off,
-		Bytes:   uint32(len(b)),
-		Records: uint32(n),
-		Start:   lo,
-		End:     hi,
+		Bytes:   uint32(len(w.buf)),
+		Records: uint32(w.n),
+		Start:   w.lo,
+		End:     w.hi,
 	})
-	w.off += int64(len(b))
+	w.off += int64(len(w.buf))
+	w.open = false
 	return nil
 }
 
 func (w *writer) finish() error {
-	if len(w.index) != w.nframes {
-		return errTooManyFrames
+	if w.open || len(w.index) != w.nframes {
+		return errFrameCount
 	}
 	tail := w.off
 	var b []byte

@@ -18,25 +18,8 @@ import (
 
 var shape = testutil.Shape{Nodes: 2, TasksPerNode: 1, CPUs: 2, Seed: 5}
 
-// phased is a workload with a marked long phase and steady messaging —
-// enough structure for preview and arrow assertions.
-func phased(p *mpisim.Proc) {
-	peer := 1 - p.Rank()
-	m := p.DefineMarker("Main Phase")
-	p.MarkerBegin(m)
-	for i := 0; i < 60; i++ {
-		p.Compute(clock.Millisecond)
-		if p.Rank() == 0 {
-			p.Send(peer, int32(i), 1024)
-			p.Recv(int32(peer), int32(i))
-		} else {
-			p.Recv(int32(peer), int32(i))
-			p.Send(peer, int32(i), 1024)
-		}
-	}
-	p.MarkerEnd(m)
-	p.Barrier()
-}
+// phased is the workload most assertions here run on.
+var phased = testutil.PhasedWork
 
 func buildSlog(t *testing.T, opts slog.Options, work func(*mpisim.Proc)) (*slog.File, *slog.BuildResult) {
 	t.Helper()
@@ -300,16 +283,7 @@ func stateIdx(states []events.Type, ty events.Type) int {
 func TestWaitallEnvelopesProduceArrows(t *testing.T) {
 	// Halo exchange completed exclusively through Waitall: the arrows
 	// must still match via the Waitall records' vector envelopes.
-	work := func(p *mpisim.Proc) {
-		peer := 1 - p.Rank()
-		for i := 0; i < 15; i++ {
-			rr := p.Irecv(int32(peer), int32(i))
-			sr := p.Isend(peer, int32(i), 2048)
-			p.Compute(clock.Millisecond)
-			p.Waitall(rr, sr)
-		}
-		p.Barrier()
-	}
+	work := testutil.WaitallWork
 	f, res := buildSlog(t, slog.Options{FrameBytes: 4096}, work)
 	// 15 messages in each direction.
 	if res.Arrows != 30 {
@@ -346,42 +320,51 @@ func TestBuildParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestColumnarBuildByteIdentical pins the batch-fed build, now the only
-// one, to the bytes the retired record-fed build produced: the SHA-256
-// of each SLOG file was recorded from the record-fed pass 1 at the
-// commit that removed it. Checked at several worker counts and with a
-// Waitall-heavy workload so the vector envelopes flow through RowCopy.
-func TestColumnarBuildByteIdentical(t *testing.T) {
-	// Halo exchange completed through Waitall: the vector envelopes must
-	// survive RowCopy for the arrows to match.
-	waitallWork := func(p *mpisim.Proc) {
-		peer := 1 - p.Rank()
-		for i := 0; i < 15; i++ {
-			rr := p.Irecv(int32(peer), int32(i))
-			sr := p.Isend(peer, int32(i), 2048)
-			p.Compute(clock.Millisecond)
-			p.Waitall(rr, sr)
-		}
-		p.Barrier()
+// TestBuildHashPinned pins the build's bytes: the SHA-256 of each SLOG
+// file was recorded from the build it replaced — phased and waitall from
+// the record-at-a-time pass 1, nested and wide from the build that
+// buffered every frame as records — so a rewrite of the builder cannot
+// move a byte unnoticed. Checked at several worker counts; the Waitall
+// workload carries vector envelopes to the matcher, the nested ones keep
+// Begin/End pairs open across frames, and on the wide shape the open set
+// alone outweighs a frame.
+func TestBuildHashPinned(t *testing.T) {
+	type pin struct {
+		frameBytes, size int
+		sha              string
 	}
 	for _, tc := range []struct {
-		name string
-		work func(*mpisim.Proc)
-		size int
-		sha  string
+		name  string
+		shape testutil.Shape
+		work  func(*mpisim.Proc)
+		pins  []pin
 	}{
-		{"phased", phased, 61201, "283a1ec675e1e73b07eaa72b034e7ecf0a276a6f0a39d93e3f3c63cfffdc469f"},
-		{"waitall", waitallWork, 21339, "81850cc57c450e6710cf16dfd91b765c43b8bf12fb6dd3f6544f4067a1b343b9"},
+		{"phased", shape, phased, []pin{
+			{2048, 61201, "283a1ec675e1e73b07eaa72b034e7ecf0a276a6f0a39d93e3f3c63cfffdc469f"},
+		}},
+		{"waitall", shape, testutil.WaitallWork, []pin{
+			{2048, 21339, "81850cc57c450e6710cf16dfd91b765c43b8bf12fb6dd3f6544f4067a1b343b9"},
+		}},
+		{"nested", shape, testutil.NestedWork(40), []pin{
+			{1024, 61979, "32bd8419a7dfff623e12903da90928c34a8486b6116dbcb2bd6c4e6be73fddf2"},
+			{2048, 56881, "54cec85899cfb856ab9002fc934f8e99a32235c79f98e89f6a395d247dea4260"},
+		}},
+		{"wide", testutil.WideShape, testutil.NestedWork(6), []pin{
+			{1024, 23304016, "29edb25ee8fcb39ecc0ad9b6972de6ae806ece4b249a42664bf9641703d72aa2"},
+			{2048, 12181696, "2955ed6aca0c7be87b65ce001092dfd15064a6013ba5154fec94291af2713081"},
+		}},
 	} {
-		mf, _ := testutil.Pipeline(t, shape, merge.Options{}, tc.work)
-		for _, par := range []int{0, 1, 4} {
-			sb := interval.NewSeekBuffer()
-			if _, err := slog.Build(mf, sb, slog.Options{FrameBytes: 2048, Parallel: par}); err != nil {
-				t.Fatal(err)
-			}
-			if got := fmt.Sprintf("%x", sha256.Sum256(sb.Bytes())); len(sb.Bytes()) != tc.size || got != tc.sha {
-				t.Fatalf("%s build (parallel=%d): %d bytes, sha256 %s; the record-fed build wrote %d bytes, sha256 %s",
-					tc.name, par, len(sb.Bytes()), got, tc.size, tc.sha)
+		mf, _ := testutil.Pipeline(t, tc.shape, merge.Options{}, tc.work)
+		for _, pn := range tc.pins {
+			for _, par := range []int{0, 1, 4} {
+				sb := interval.NewSeekBuffer()
+				if _, err := slog.Build(mf, sb, slog.Options{FrameBytes: pn.frameBytes, Parallel: par}); err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256(sb.Bytes())); len(sb.Bytes()) != pn.size || got != pn.sha {
+					t.Errorf("%s build (frame bytes %d, parallel=%d): %d bytes, sha256 %s; pinned %d bytes, sha256 %s",
+						tc.name, pn.frameBytes, par, len(sb.Bytes()), got, pn.size, pn.sha)
+				}
 			}
 		}
 	}

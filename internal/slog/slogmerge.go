@@ -34,7 +34,9 @@ func SlogmergeFiles(paths []string, outPath string, mopts merge.Options, sopts O
 		}
 	}()
 	for _, p := range paths {
-		f, err := interval.Open(p)
+		// Merge inputs are read frame by frame; a sidecar beside one
+		// would only be parsed and dropped.
+		f, err := interval.Open(p, interval.WithPyramid(false))
 		if err != nil {
 			return nil, nil, err
 		}

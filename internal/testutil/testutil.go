@@ -185,3 +185,37 @@ func NestedWork(iters int) func(*mpisim.Proc) {
 		p.MarkerEnd(outer)
 	}
 }
+
+// PhasedWork is a two-rank workload with a marked long phase and steady
+// blocking messaging — enough structure for preview, arrow and open-state
+// assertions.
+func PhasedWork(p *mpisim.Proc) {
+	peer := 1 - p.Rank()
+	m := p.DefineMarker("Main Phase")
+	p.MarkerBegin(m)
+	for i := 0; i < 60; i++ {
+		p.Compute(clock.Millisecond)
+		if p.Rank() == 0 {
+			p.Send(peer, int32(i), 1024)
+			p.Recv(int32(peer), int32(i))
+		} else {
+			p.Recv(int32(peer), int32(i))
+			p.Send(peer, int32(i), 1024)
+		}
+	}
+	p.MarkerEnd(m)
+	p.Barrier()
+}
+
+// WaitallWork is a two-rank halo exchange completed exclusively through
+// Waitall, so every receive envelope travels in a record's vector field.
+func WaitallWork(p *mpisim.Proc) {
+	peer := 1 - p.Rank()
+	for i := 0; i < 15; i++ {
+		rr := p.Irecv(int32(peer), int32(i))
+		sr := p.Isend(peer, int32(i), 2048)
+		p.Compute(clock.Millisecond)
+		p.Waitall(rr, sr)
+	}
+	p.Barrier()
+}
