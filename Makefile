@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench-smoke bench fuzz-smoke ledger ledger-smoke
+.PHONY: ci vet build test race bench-smoke fuzz-smoke ledger ledger-smoke
 
 ci: vet build test race bench-smoke fuzz-smoke ledger-smoke
 
@@ -19,8 +19,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration of the convert and stats benchmarks as a smoke test:
-# catches benchmark bit-rot without paying for a full measurement run.
+# One iteration of the convert, stats and frame-codec benchmarks as a
+# smoke test: catches benchmark bit-rot without paying for a measurement
+# run (measurements are the ledger's job: `make ledger`).
 # RouterWindow covers the serving tier's scatter-gather path,
 # UteloadSmoke is one full load-generator run against a router fleet,
 # SchedHotLoop pins the simulator's per-event cost, and SweepCell runs
@@ -32,7 +33,7 @@ race:
 # record or per group per frame); its scalar baseline sits beside the
 # test-only oracle in internal/stats.
 bench-smoke:
-	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|ServeWindow|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|SweepCell|^BenchmarkIngest$$' -benchtime 1x .
+	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|IntervalWriterThroughput|ServeWindow|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|SweepCell|^BenchmarkIngest$$' -benchtime 1x .
 	$(GO) test -run xxx -bench 'StatsColumnar' -benchtime 1x ./internal/stats
 
 # A short fuzz of every target, one at a time (the fuzz engine allows a
@@ -48,13 +49,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzParseWindow$$' -fuzztime $(FUZZTIME) ./internal/clock
 	$(GO) test -run xxx -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run xxx -fuzz '^FuzzIngestBatch$$' -fuzztime $(FUZZTIME) ./internal/ingest
-
-# Full measurement run over the pipeline and analysis benchmarks (slow;
-# numbers are recorded in BENCH_pipeline.json, BENCH_stats.json,
-# BENCH_ingest.json and BENCH_sim.json).
-bench:
-	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|MergeLoserTreeVsLinear|IntervalWriterThroughput|IntervalScan|IntervalEncodeV4|StatsWindow|StatsParallel|StatsColumnar|RouterWindow|RouterScaling|SchedHotLoop|SweepCell|^BenchmarkIngest$$' .
-	$(GO) test -run xxx -bench 'StatsColumnar' ./internal/stats
 
 # The benchmark ledger (utebench/, declared in BENCHMARK.json): a
 # black-box harness in its own module that builds ./cmd/... and drives

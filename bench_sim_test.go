@@ -6,8 +6,8 @@ package tracefw
 // right. BenchmarkSchedHotLoop pins the per-event cost and allocation
 // behavior across node counts (allocs per event must stay flat as the
 // machine grows); BenchmarkSweepCell runs one full sweep cell —
-// generate → convert → merge → stats — at a small size. Numbers are
-// recorded in BENCH_sim.json.
+// generate → convert → merge → stats — at a small size; the ledger times
+// a full-size cell (sweep.cell_ms).
 
 import (
 	"fmt"

@@ -662,47 +662,6 @@ func BenchmarkIntervalScanThroughput(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/record")
 }
 
-// BenchmarkIntervalScanInto measures the allocation-free decode path
-// (NextRecordInto with a reused scratch record) against the same file as
-// BenchmarkIntervalScanThroughput.
-func BenchmarkIntervalScanInto(b *testing.B) {
-	sb := interval.NewSeekBuffer()
-	hdr := interval.Header{ProfileVersion: profile.StdVersion, Markers: map[uint64]string{}}
-	w, err := interval.NewWriter(sb, hdr, interval.WriterOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 100000
-	rec := interval.Record{Type: events.EvMPISend, Bebits: profile.Complete, Dura: 10, Extra: []uint64{1, 2, 3, 4, 5, 6}}
-	for i := 0; i < n; i++ {
-		rec.Start = clock.Time(i)
-		if err := w.Add(&rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-	f, err := interval.NewFile(sb)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc := f.Scan()
-		var r interval.Record
-		count := 0
-		for sc.NextRecordInto(&r) == nil {
-			count++
-		}
-		if count != n {
-			b.Fatalf("scanned %d records", count)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/record")
-}
-
 // --- header v4 compact encoding ------------------------------------------
 
 // benchIntervalRecords builds the record mix the v3/v4 comparison
@@ -759,7 +718,7 @@ func BenchmarkIntervalEncodeV4(b *testing.B) {
 }
 
 // BenchmarkIntervalScanV4 compares sequential decode throughput
-// (NextRecordInto) over the same records at v3 and v4 — the acceptance
+// (Scanner.NextRecord) over the same records at v3 and v4 — the acceptance
 // bar for the compact encoding is scan speed no worse than v3.
 func BenchmarkIntervalScanV4(b *testing.B) {
 	const n = 100000
@@ -774,9 +733,8 @@ func BenchmarkIntervalScanV4(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sc := f.Scan()
-				var r interval.Record
 				count := 0
-				for sc.NextRecordInto(&r) == nil {
+				for _, err := sc.NextRecord(); err == nil; _, err = sc.NextRecord() {
 					count++
 				}
 				if count != n {

@@ -17,7 +17,7 @@
 //
 //	utemerge [-o merged.ute] [-slog trace.slog] [-pyramid]
 //	         [-estimator rms|lastpair|piecewise|none]
-//	         [-outlier-tol T] [-keep-clock] [-no-pseudo] [-linear] [-j N]
+//	         [-outlier-tol T] [-keep-clock] [-frame-bytes N] [-j N]
 //	         trace.0.ute trace.1.ute ...
 package main
 
@@ -39,8 +39,6 @@ func main() {
 		estimator  = flag.String("estimator", "rms", "clock ratio estimator: rms, lastpair, piecewise, none")
 		outlierTol = flag.Float64("outlier-tol", 1e-3, "clock-pair outlier tolerance (0 disables filtering)")
 		keepClock  = flag.Bool("keep-clock", false, "keep adjusted global-clock records in the output")
-		noPseudo   = flag.Bool("no-pseudo", false, "do not plant frame-start pseudo-intervals")
-		linear     = flag.Bool("linear", false, "use a linear scan instead of the balanced tree (ablation)")
 		frameBytes = flag.Int("frame-bytes", 0, "target frame payload size (0 = 64 KiB)")
 		jobs       = flag.Int("j", 0, "clock-pair extraction and SLOG build workers (0 = GOMAXPROCS)")
 		pyramid    = flag.Bool("pyramid", false, "also build the merged file's summary-pyramid sidecar (<out>.pyr), unless it would outweigh the trace")
@@ -63,8 +61,6 @@ func main() {
 		Estimator:        est,
 		OutlierTol:       *outlierTol,
 		KeepClockRecords: *keepClock,
-		NoPseudo:         *noPseudo,
-		Linear:           *linear,
 		Parallel:         *jobs,
 	}
 	start := time.Now()

@@ -9,13 +9,13 @@ package interval
 // per-record Extra/Vec slice headers — and because every column is a
 // plain reusable slice, a pooled batch decodes with zero allocations
 // once its columns have grown to frame size. A Batch is the only
-// frame-level decoded representation: the map-reduce engine (MapFrames),
-// the frame-decode hook and the caches behind it, hook-fed scanners and
-// the summary planner's edge decodes all hand out batches, and
-// record-at-a-time consumers read them through Row.
+// in-memory form of a frame, in both directions: the Writer accumulates
+// its open frame in one and encodes from the columns, and the map-reduce
+// engine (MapFrames), the frame-decode hook and the caches behind it,
+// every Scanner and the summary planner's edge decodes all hand out
+// batches; record-at-a-time consumers read them through Row.
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"tracefw/internal/clock"
@@ -48,7 +48,7 @@ type Batch struct {
 	VecOff   []uint32
 	Vecs     []uint64
 
-	cur frameCursor // v4 dictionary scratch, reused across frames
+	dict []dictEntry // v4 decode dictionary scratch, reused across frames
 }
 
 // reset empties the batch, keeping every column's capacity.
@@ -153,6 +153,18 @@ func (b *Batch) closeRow() {
 	b.VecOff = append(b.VecOff, uint32(len(b.Vecs)))
 }
 
+// push appends r as the batch's last row, copying its extras and — for
+// types declaring a vector field, the only ones that encode one — its
+// vector elements.
+func (b *Batch) push(r *Record) {
+	b.pushCommon(r.Type, r.Bebits, r.Start, r.Dura, r.CPU, r.Node, r.Thread)
+	b.Extras = append(b.Extras, r.Extra...)
+	if events.VectorField(r.Type) != "" {
+		b.Vecs = append(b.Vecs, r.Vec...)
+	}
+	b.closeRow()
+}
+
 // Clone returns a right-sized deep copy: every column's capacity equals
 // its length and no decode scratch is carried over, so the copy's
 // Footprint is exactly what it keeps resident. Caches store clones of
@@ -192,16 +204,16 @@ func (b *Batch) Footprint() int64 {
 }
 
 // Decode fills the batch from a frame's raw (checksum-verified) payload
-// bytes, cross-checking the record count claimed by the directory entry
-// exactly as the record decoder does.
+// bytes — the compact stream from header version 4 on (decodeV4),
+// length-prefixed fixed-width records below it — and cross-checks the
+// record count claimed by the directory entry. It is the one frame
+// decoder: readers, scanners, Validate, salvage and Repair all go
+// through it, so a frame either decodes whole or not at all.
 func (b *Batch) Decode(version uint32, fe FrameEntry, buf []byte) error {
 	b.reset()
 	var err error
 	if version >= 4 {
-		if err = b.cur.init(version, buf); err != nil {
-			return err
-		}
-		err = b.decodeV4()
+		err = b.decodeV4(buf)
 	} else {
 		err = b.decodeFixed(buf)
 	}
@@ -223,136 +235,26 @@ func (b *Batch) decodeFixed(buf []byte) error {
 			return err
 		}
 		buf = buf[n:]
-		if err := b.appendPayload(payload); err != nil {
+		r, extras, vec, err := splitPayload(payload)
+		if err != nil {
 			return err
 		}
+		b.pushCommon(r.Type, r.Bebits, r.Start, r.Dura, r.CPU, r.Node, r.Thread)
+		b.Extras = appendLE64(b.Extras, extras)
+		b.Vecs = appendLE64(b.Vecs, vec)
+		b.closeRow()
 	}
 	return nil
 }
 
-// appendPayload columnar-decodes one fixed-width payload, mirroring
-// decodePayload's layout and validation.
-func (b *Batch) appendPayload(p []byte) error {
-	if len(p) < profile.CommonSize {
-		return fmt.Errorf("interval: payload %d bytes, need at least %d", len(p), profile.CommonSize)
+// appendFixed is the fixed-width frame encoder (header versions 1–3):
+// every row through Record.Append.
+func (b *Batch) appendFixed(dst []byte) []byte {
+	for i := 0; i < b.N; i++ {
+		r := b.Row(i)
+		dst = r.Append(dst)
 	}
-	typ := events.Type(binary.LittleEndian.Uint16(p[0:]))
-	b.pushCommon(typ,
-		profile.Bebits(p[2]),
-		clock.Time(binary.LittleEndian.Uint64(p[3:])),
-		clock.Time(binary.LittleEndian.Uint64(p[11:])),
-		binary.LittleEndian.Uint16(p[19:]),
-		binary.LittleEndian.Uint16(p[21:]),
-		binary.LittleEndian.Uint16(p[23:]))
-	rest := p[profile.CommonSize:]
-	if events.VectorField(typ) != "" {
-		nx := len(events.ExtraFields(typ))
-		if len(rest) < 8*nx+2 {
-			return fmt.Errorf("interval: %s record too short for %d extras + vector counter", typ.Name(), nx)
-		}
-		for i := 0; i < nx; i++ {
-			b.Extras = append(b.Extras, binary.LittleEndian.Uint64(rest[8*i:]))
-		}
-		rest = rest[8*nx:]
-		nv := int(binary.LittleEndian.Uint16(rest))
-		rest = rest[2:]
-		if len(rest) != 8*nv {
-			return fmt.Errorf("interval: vector claims %d elements, %d bytes follow", nv, len(rest))
-		}
-		for i := 0; i < nv; i++ {
-			b.Vecs = append(b.Vecs, binary.LittleEndian.Uint64(rest[8*i:]))
-		}
-		b.closeRow()
-		return nil
-	}
-	if len(rest)%8 != 0 {
-		return fmt.Errorf("interval: %d trailing bytes not a whole number of extras", len(rest))
-	}
-	for i := 0; i < len(rest)/8; i++ {
-		b.Extras = append(b.Extras, binary.LittleEndian.Uint64(rest[8*i:]))
-	}
-	b.closeRow()
-	return nil
-}
-
-// decodeV4 fills columns from the compact varint stream after cur.init
-// has consumed the dictionary and base start. Like frameCursor.next it
-// hand-inlines the one-byte varint fast path against a local slice —
-// this loop is the whole point of the columnar path, so it pays to keep
-// the per-value cost at a bounds check and a compare.
-func (b *Batch) decodeV4() error {
-	dict := b.cur.dict
-	base := b.cur.base
-	s := b.cur.buf
-	var v uint64
-	var n int
-	for len(s) > 0 {
-		// Dictionary index.
-		if s[0] < 0x80 {
-			v, s = uint64(s[0]), s[1:]
-		} else if v, n = binary.Uvarint(s); n > 0 {
-			s = s[n:]
-		} else {
-			return errVarint
-		}
-		if v >= uint64(len(dict)) {
-			return fmt.Errorf("interval: v4 record dictionary index %d out of range (%d entries)", v, len(dict))
-		}
-		d := dict[v]
-		// Start delta.
-		if len(s) != 0 && s[0] < 0x80 {
-			v, s = uint64(s[0]), s[1:]
-		} else if v, n = binary.Uvarint(s); n > 0 {
-			s = s[n:]
-		} else {
-			return errVarint
-		}
-		start := base + clock.Time(v)
-		// Duration (zigzag).
-		if len(s) != 0 && s[0] < 0x80 {
-			v, s = uint64(s[0]), s[1:]
-		} else if v, n = binary.Uvarint(s); n > 0 {
-			s = s[n:]
-		} else {
-			return errVarint
-		}
-		b.pushCommon(d.typ, d.bebits, start, clock.Time(int64(v>>1)^-int64(v&1)), d.cpu, d.node, d.thread)
-		for i := 0; i < d.nx; i++ {
-			if len(s) != 0 && s[0] < 0x80 {
-				v, s = uint64(s[0]), s[1:]
-			} else if v, n = binary.Uvarint(s); n > 0 {
-				s = s[n:]
-			} else {
-				return errVarint
-			}
-			b.Extras = append(b.Extras, v)
-		}
-		if events.VectorField(d.typ) != "" {
-			if len(s) != 0 && s[0] < 0x80 {
-				v, s = uint64(s[0]), s[1:]
-			} else if v, n = binary.Uvarint(s); n > 0 {
-				s = s[n:]
-			} else {
-				return errVarint
-			}
-			if v > uint64(len(s)) || profile.CommonSize+8*uint64(d.nx)+2+8*v > maxPayload {
-				return fmt.Errorf("interval: v4 record claims a %d-element vector", v)
-			}
-			for nv := int(v); nv > 0; nv-- {
-				if len(s) != 0 && s[0] < 0x80 {
-					v, s = uint64(s[0]), s[1:]
-				} else if v, n = binary.Uvarint(s); n > 0 {
-					s = s[n:]
-				} else {
-					return errVarint
-				}
-				b.Vecs = append(b.Vecs, v)
-			}
-		}
-		b.closeRow()
-	}
-	b.cur.buf = s
-	return nil
+	return dst
 }
 
 // FrameBatch returns fe's records as a shared read-only batch: from the

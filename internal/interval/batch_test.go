@@ -1,7 +1,9 @@
 package interval
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"sort"
 	"testing"
@@ -104,34 +106,116 @@ func eqRecord(a, b Record) bool {
 	return true
 }
 
-// TestBatchMatchesRecordDecode decodes every frame of every header
-// version both ways — the reference record decoder (FrameRecords) and
-// the columnar batch — and compares row by row, reusing one Batch
-// throughout so stale column contents from previous frames would be
-// caught. The shared right-sized batch (FrameBatch) must carry the same
-// rows with no spare capacity, and its Footprint must be exact.
+// roundTripStream builds an end-time-ordered record stream that reaches
+// every codec path: no extras, fixed extras of several widths, the
+// Waitall vector from empty to long, all four bebits, negative start
+// times and negative durations, and values needing long varints.
+func roundTripStream(rng *xrand.Rand, n int) []Record {
+	recs := make([]Record, n)
+	end := -20 * int64(clock.Millisecond)
+	for i := range recs {
+		end += rng.Int63n(int64(clock.Millisecond))
+		dura := rng.Int63n(int64(4*clock.Millisecond)) - int64(clock.Millisecond) // a quarter negative
+		r := Record{
+			Bebits: profile.Bebits(rng.Intn(4)),
+			Start:  clock.Time(end - dura),
+			Dura:   clock.Time(dura),
+			CPU:    uint16(rng.Intn(4)),
+			Node:   uint16(rng.Intn(3)),
+			Thread: uint16(rng.Intn(8)),
+		}
+		switch rng.Intn(4) {
+		case 0:
+			r.Type = events.EvRunning
+		case 1:
+			r.Type = events.EvMPISend
+			r.Extra = []uint64{rng.Uint64() >> uint(rng.Intn(64)), 7, uint64(i), 0, 1, rng.Uint64()}
+		case 2:
+			r.Type = events.EvMPIBarrier
+			r.Extra = []uint64{1, rng.Uint64() % (1 << 40)}
+		default:
+			r.Type = events.EvMPIWaitall
+			nv := rng.Intn(5)
+			if rng.Intn(50) == 0 {
+				nv = 40 // a payload past 255 bytes: the three-byte length prefix
+			}
+			r.Extra = []uint64{uint64(nv), rng.Uint64()}
+			r.Vec = make([]uint64, 3*nv)
+			for j := range r.Vec {
+				r.Vec[j] = rng.Uint64() >> uint(rng.Intn(64))
+			}
+		}
+		recs[i] = r
+	}
+	return recs
+}
+
+// TestBatchMatchesRecordDecode is the frame codec's round-trip property.
+// A random stream goes through the Writer — with a FramePrologue, as the
+// merge installs — at every header version, and everything that reads a
+// frame must return exactly the records written, in order: a reused
+// Batch (stale column contents from the previous frame would be caught),
+// the shared right-sized FrameBatch, FrameRecords, and the Scanner's
+// NextRecord and Next. There is no second decoder to compare against;
+// the written records are the oracle. Frames are sized on the
+// fixed-width measure at every version, so all four files must also
+// assign records to frames identically.
 func TestBatchMatchesRecordDecode(t *testing.T) {
+	var assignment [][]uint32
 	for v := uint32(1); v <= CurrentHeaderVersion; v++ {
 		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
-			sb, _ := writeMixedFile(t, 0xb0b0+uint64(v), 400, v)
+			stream := roundTripStream(xrand.New(0xb0b0), 600)
+			// written is what the writer was handed, prologues included: the
+			// prologue callback runs inside Add, before Add's own record.
+			var written []Record
+			lastEnd := stream[0].End()
+			hdr := testHeader()
+			hdr.HeaderVersion = v
+			sb := NewSeekBuffer()
+			w, err := NewWriter(sb, hdr, WriterOptions{FrameBytes: 700, FramesPerDir: 4,
+				FramePrologue: func() []Record {
+					ps := []Record{
+						{Type: events.EvMPIWaitall, Bebits: profile.Continuation, Start: lastEnd, Thread: 1,
+							Extra: []uint64{1, 2}, Vec: []uint64{3, 4, uint64(len(written))}},
+						{Type: events.EvMarkerState, Bebits: profile.Continuation, Start: lastEnd, Thread: 2,
+							Extra: []uint64{9, uint64(len(written)), 0}},
+					}
+					written = append(written, ps...)
+					return ps
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range stream {
+				if err := w.Add(&stream[i]); err != nil {
+					t.Fatal(err)
+				}
+				written = append(written, stream[i])
+				lastEnd = stream[i].End()
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+
 			f, err := NewFile(NewSeekBufferFrom(sb.Bytes()))
 			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Validate(nil); err != nil {
 				t.Fatal(err)
 			}
 			fes, err := f.Frames()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(fes) < 4 {
+			if len(fes) < 8 {
 				t.Fatalf("want a multi-frame file, got %d frames", len(fes))
 			}
+			counts := make([]uint32, len(fes))
 			var b Batch
-			total := 0
-			for _, fe := range fes {
-				recs, err := f.FrameRecords(fe)
-				if err != nil {
-					t.Fatal(err)
-				}
+			at := 0
+			for fi, fe := range fes {
+				counts[fi] = fe.Records
 				if err := f.DecodeFrameBatch(fe, &b); err != nil {
 					t.Fatal(err)
 				}
@@ -140,29 +224,60 @@ func TestBatchMatchesRecordDecode(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkRightSized(t, shared)
-				if !reflect.DeepEqual(batchRecords(shared), batchRecords(&b)) {
-					t.Fatalf("frame at %d: FrameBatch rows differ from DecodeFrameBatch rows", fe.Offset)
+				recs, err := f.FrameRecords(fe)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if b.N != len(recs) {
-					t.Fatalf("frame at %d: batch N=%d, records=%d", fe.Offset, b.N, len(recs))
+				if b.N != int(fe.Records) || shared.N != b.N || len(recs) != b.N || at+b.N > len(written) {
+					t.Fatalf("frame %d: entry claims %d records; batch %d, shared %d, FrameRecords %d; %d of %d written so far",
+						fi, fe.Records, b.N, shared.N, len(recs), at, len(written))
 				}
-				for i, want := range recs {
-					if got := b.Row(i); !eqRecord(got, want) {
-						t.Fatalf("frame at %d row %d: batch %+v, record %+v", fe.Offset, i, got, want)
+				for i := 0; i < b.N; i++ {
+					want := written[at+i]
+					for name, got := range map[string]Record{
+						"Row": b.Row(i), "RowCopy": b.RowCopy(i), "FrameBatch": shared.Row(i), "FrameRecords": recs[i],
+					} {
+						if !eqRecord(got, want) {
+							t.Fatalf("frame %d row %d: %s %+v, wrote %+v", fi, i, name, got, want)
+						}
 					}
-					if got := b.RowCopy(i); !eqRecord(got, want) {
-						t.Fatalf("frame at %d row %d: RowCopy %+v, record %+v", fe.Offset, i, got, want)
-					}
-					if want.End() != b.End(i) {
-						t.Fatalf("frame at %d row %d: End mismatch", fe.Offset, i)
+					if b.End(i) != want.End() {
+						t.Fatalf("frame %d row %d: End %v, wrote %v", fi, i, b.End(i), want.End())
 					}
 				}
-				total += b.N
+				at += b.N
 			}
-			if total != 400 {
-				t.Fatalf("decoded %d records, wrote 400", total)
+			if at != len(written) {
+				t.Fatalf("frames hold %d records, wrote %d", at, len(written))
+			}
+			assignment = append(assignment, counts)
+
+			scanned, err := f.Scan().All()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := f.Scan()
+			for i, want := range written {
+				if i >= len(scanned) || !eqRecord(scanned[i], want) {
+					t.Fatalf("Scanner.NextRecord %d of %d differs from the record written", i, len(scanned))
+				}
+				payload, err := sc.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := DecodePayload(payload); err != nil || !eqRecord(got, want) {
+					t.Fatalf("Scanner.Next %d: %+v (%v), wrote %+v", i, got, err, want)
+				}
+			}
+			if _, err := sc.Next(); !errors.Is(err, io.EOF) || len(scanned) != len(written) {
+				t.Fatalf("wrote %d records; after as many, Next returned %v and All had produced %d", len(written), err, len(scanned))
 			}
 		})
+	}
+	for v := 1; v < len(assignment); v++ {
+		if !reflect.DeepEqual(assignment[v], assignment[0]) {
+			t.Fatalf("v%d assigns records to frames differently from v1:\n %v\n %v", v+1, assignment[v], assignment[0])
+		}
 	}
 }
 
@@ -218,8 +333,8 @@ func checkRightSized(t *testing.T, b *Batch) {
 }
 
 // TestMapFramesOrdering verifies the engine delivers frames of several
-// files in (file, frame) order with the contents the reference record
-// decoder produces, at several worker counts.
+// files in (file, frame) order with the contents FrameRecords returns
+// frame by frame, at several worker counts.
 func TestMapFramesOrdering(t *testing.T) {
 	sb, _ := writeMixedFile(t, 7, 300, CurrentHeaderVersion)
 	sb2, _ := writeMixedFile(t, 8, 150, CurrentHeaderVersion)

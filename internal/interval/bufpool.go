@@ -2,12 +2,12 @@ package interval
 
 import "sync"
 
-// bufPool recycles the byte buffers of the hot frame paths: the
-// Scanner's frame read buffer and the Writer's frame encode, directory
-// group, and directory flush buffers. Convert and merge open many
-// short-lived writers and scanners (one per node per pass), so pooling
-// these keeps the per-file cost at a handful of allocations instead of
-// one per frame.
+// bufPool recycles the byte buffers of the hot frame paths: the frame
+// read buffer under every batch decode and the Writer's directory group
+// and directory flush buffers. Convert and merge open many short-lived
+// writers and readers (one per node per pass), so pooling these keeps
+// the per-file cost at a handful of allocations instead of one per
+// frame.
 var bufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 64<<10)

@@ -1,5 +1,5 @@
-// Frame sizing: one frame-full rule behind Add and AddPayload, measured
-// on a frame's regular records. External test package so the pinned
+// Frame sizing: one frame-full rule, measured on the fixed-width size of
+// a frame's regular records. External test package so the pinned
 // file can come out of the real converter.
 package interval_test
 
@@ -36,17 +36,16 @@ func sizedRecords(n int) []interval.Record {
 	return recs
 }
 
-// writeFile writes recs through add and reopens the result.
-func writeFile(t *testing.T, opts interval.WriterOptions, recs []interval.Record,
-	add func(*interval.Writer, *interval.Record) error) (*interval.File, []interval.FrameEntry) {
+// writeFile writes recs under hdr and opts and reopens the result.
+func writeFile(t *testing.T, hdr interval.Header, opts interval.WriterOptions, recs []interval.Record) (*interval.File, []interval.FrameEntry) {
 	t.Helper()
 	sb := interval.NewSeekBuffer()
-	w, err := interval.NewWriter(sb, interval.Header{}, opts)
+	w, err := interval.NewWriter(sb, hdr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range recs {
-		if err := add(w, &recs[i]); err != nil {
+		if err := w.Add(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,27 +63,38 @@ func writeFile(t *testing.T, opts interval.WriterOptions, recs []interval.Record
 	return f, fes
 }
 
-// frameCounts returns the record count of every frame recs fall into.
-func frameCounts(t *testing.T, opts interval.WriterOptions, recs []interval.Record,
-	add func(*interval.Writer, *interval.Record) error) []uint32 {
-	t.Helper()
-	_, fes := writeFile(t, opts, recs, add)
-	counts := make([]uint32, len(fes))
-	for i, fe := range fes {
-		counts[i] = fe.Records
-	}
-	return counts
-}
-
-func TestAddAndAddPayloadCloseFramesAlike(t *testing.T) {
+// TestFramesCloseOnFixedWidthSize: the frame-full rule is stated in
+// Record.EncodedSize whatever the writer encodes, so a frame closes with
+// the record that takes its fixed-width size to FrameBytes — at header
+// version 4, whose frames are far smaller on disk, exactly as at 3.
+func TestFramesCloseOnFixedWidthSize(t *testing.T) {
 	recs := sizedRecords(500)
 	opts := interval.WriterOptions{FrameBytes: 1000, FramesPerDir: 3}
-	byAdd := frameCounts(t, opts, recs, (*interval.Writer).Add)
-	byPayload := frameCounts(t, opts, recs, func(w *interval.Writer, r *interval.Record) error {
-		return w.AddPayload(r.AppendPayload(nil), r.Start, r.End())
-	})
-	if len(byAdd) < 10 || !reflect.DeepEqual(byAdd, byPayload) {
-		t.Fatalf("frame record counts differ:\n Add        %v\n AddPayload %v", byAdd, byPayload)
+	var want []uint32 // the rule, applied by hand
+	var n uint32
+	size := 0
+	for i := range recs {
+		n++
+		if size += recs[i].EncodedSize(); size >= opts.FrameBytes {
+			want = append(want, n)
+			n, size = 0, 0
+		}
+	}
+	if n > 0 {
+		want = append(want, n)
+	}
+	for _, v := range []uint32{3, interval.CurrentHeaderVersion} {
+		_, fes := writeFile(t, interval.Header{HeaderVersion: v}, opts, recs)
+		got := make([]uint32, len(fes))
+		for i, fe := range fes {
+			got[i] = fe.Records
+			if v < 4 && i < len(fes)-1 && int(fe.Bytes) < opts.FrameBytes {
+				t.Fatalf("v%d frame %d closed at %d bytes, under FrameBytes", v, i, fe.Bytes)
+			}
+		}
+		if len(got) < 10 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("v%d frame record counts:\n got  %v\n want %v", v, got, want)
+		}
 	}
 }
 
@@ -103,10 +113,10 @@ func TestFrameHoldsAsMuchAsItsPrologue(t *testing.T) {
 	for i := range open {
 		prologueBytes += open[i].EncodedSize()
 	}
-	f, fes := writeFile(t, interval.WriterOptions{
+	f, fes := writeFile(t, interval.Header{}, interval.WriterOptions{
 		FrameBytes:    1000,
 		FramePrologue: func() []interval.Record { return open },
-	}, sizedRecords(2000), (*interval.Writer).Add)
+	}, sizedRecords(2000))
 	if len(fes) < 5 {
 		t.Fatalf("only %d frames", len(fes))
 	}

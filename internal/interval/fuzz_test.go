@@ -70,14 +70,13 @@ func FuzzNextRecord(f *testing.F) {
 			return
 		}
 		sc := fl.Scan()
-		var rec interval.Record
 		// Every record costs at least one framed byte, so a terminating
 		// scanner returns at most Size records.
 		for steps := fl.Size + 16; ; steps-- {
 			if steps < 0 {
 				t.Fatalf("scanner did not terminate within %d records", fl.Size+16)
 			}
-			if err := sc.NextRecordInto(&rec); err != nil {
+			if _, err := sc.NextRecord(); err != nil {
 				break
 			}
 		}
@@ -99,12 +98,11 @@ func FuzzScanWindow(f *testing.F) {
 		_, _ = fl.FramesInWindow(clock.Time(lo), clock.Time(hi))
 		_, _, _ = fl.FrameContaining(clock.Time(lo))
 		sc := fl.ScanWindow(clock.Time(lo), clock.Time(hi))
-		var rec interval.Record
 		for steps := fl.Size + 16; ; steps-- {
 			if steps < 0 {
 				t.Fatalf("window scanner did not terminate within %d records", fl.Size+16)
 			}
-			if err := sc.NextRecordInto(&rec); err != nil {
+			if _, err := sc.NextRecord(); err != nil {
 				break
 			}
 		}

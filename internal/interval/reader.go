@@ -533,8 +533,8 @@ func (f *File) checkFrameSum(fe FrameEntry, buf []byte) error {
 func (f *File) ConcurrentReads() bool { return f.ra != nil }
 
 // readFrameInto loads a frame's raw record bytes into buf's backing
-// array when it is large enough, allocating otherwise. The Scanner uses
-// it to reuse one pooled buffer across all frames of a scan.
+// array when it is large enough, allocating otherwise; it is ReadFrameAt
+// for readers without positioned reads.
 func (f *File) readFrameInto(fe FrameEntry, buf []byte) ([]byte, error) {
 	if f.closed.Load() {
 		return nil, ErrClosed
@@ -561,36 +561,16 @@ func (f *File) readFrameInto(fe FrameEntry, buf []byte) ([]byte, error) {
 }
 
 // FrameRecords decodes every record of a frame with a fresh read,
-// ignoring any frame-decode hook.
+// ignoring any frame-decode hook. The records' Extra/Vec alias one
+// batch decoded for this call alone, so they may be retained.
 func (f *File) FrameRecords(fe FrameEntry) ([]Record, error) {
-	buf, err := f.ReadFrame(fe)
+	b, err := f.ReadFrameBatch(fe)
 	if err != nil {
 		return nil, err
 	}
-	return decodeFrameRecords(f.Header.HeaderVersion, fe, buf)
-}
-
-// decodeFrameRecords decodes a frame's already-read (and
-// checksum-verified) payload and cross-checks the record count claimed
-// by the directory entry. Extra/Vec slices come from one arena, so a
-// frame costs O(1) allocations instead of one per record; the records
-// own their blocks and may be retained.
-func decodeFrameRecords(version uint32, fe FrameEntry, buf []byte) ([]Record, error) {
-	var cur frameCursor
-	if err := cur.init(version, buf); err != nil {
-		return nil, err
-	}
-	recs := make([]Record, 0, fe.Records)
-	var a u64Arena
-	for len(cur.buf) > 0 {
-		var r Record
-		if err := cur.next(&r, &a); err != nil {
-			return nil, err
-		}
-		recs = append(recs, r)
-	}
-	if len(recs) != int(fe.Records) {
-		return nil, fmt.Errorf("interval: frame claims %d records, found %d", fe.Records, len(recs))
+	recs := make([]Record, b.N)
+	for i := range recs {
+		recs[i] = b.Row(i)
 	}
 	return recs, nil
 }
@@ -695,11 +675,17 @@ func (f *File) Stats() (first, last clock.Time, records int64, err error) {
 
 // Scanner iterates records sequentially across all frames and
 // directories, hiding the structure (the paper's getInterval loop).
+//
+// Every frame is obtained whole, as a Batch, through File.FrameBatch:
+// the frame-decode hook's shared batch, or one decoded for this scanner
+// alone. Neither is ever recycled, so records the scanner hands out stay
+// valid after further calls and after the scan; and a frame that fails
+// to decode fails at its first record, none of its records having been
+// produced — the frame-granular contract MapFrames consumers have.
 type Scanner struct {
 	f       *File
 	dir     *FrameDir
 	frame   int
-	buf     []byte
 	err     error
 	started bool
 	// win restricts the scan to frames overlapping [winLo, winHi];
@@ -712,26 +698,11 @@ type Scanner struct {
 	// per frame, not per record, so a cancelled long scan stops within
 	// one frame's worth of records.
 	ctx context.Context
-	// batch/row serve frames obtained from the file's frame-decode hook
-	// (a shared, already-decoded batch); buf stays empty then.
+	// batch is the current frame and row the next record to produce.
 	batch *Batch
 	row   int
-	// frameBuf is the pooled backing buffer the current frame was read
-	// into; it is returned to the pool once the scan terminates.
-	frameBuf *[]byte
-	// cur decodes the current frame on v4 files (dictionary and base
-	// start are frame-local); buf mirrors cur.buf there so the
-	// "frame exhausted" check is shared across versions.
-	cur frameCursor
-	// arena backs the Extra/Vec slices of records returned by NextRecord
-	// and All, replacing one allocation per record with one per ~4096
-	// field values. Chunks are never reused, so the records stay valid
-	// after the scan.
-	arena u64Arena
-	// scratch/pbuf serve Next on v4 files: the record is decoded into
-	// scratch and re-encoded fixed-width into pbuf.
-	scratch Record
-	pbuf    []byte
+	// pbuf holds the fixed-width payload Next last synthesized.
+	pbuf []byte
 }
 
 // Scan returns a sequential record scanner positioned before the first
@@ -771,7 +742,7 @@ func (s *Scanner) SeekTime(t clock.Time) error {
 		return s.err
 	}
 	s.err = nil
-	s.buf = nil
+	s.batch, s.row = nil, 0
 	s.started = true
 	s.dir = nil
 	v2 := s.f.Header.HeaderVersion >= 2
@@ -780,14 +751,12 @@ func (s *Scanner) SeekTime(t clock.Time) error {
 	for {
 		if seen[off] {
 			s.err = fmt.Errorf("interval: frame directory cycle at offset %d", off)
-			s.release()
 			return s.err
 		}
 		seen[off] = true
 		d, n, err := s.f.readDirHeader(off)
 		if err != nil {
 			s.err = err
-			s.release()
 			return err
 		}
 		if v2 && n > 0 && d.End < t {
@@ -800,7 +769,6 @@ func (s *Scanner) SeekTime(t clock.Time) error {
 		}
 		if err := s.f.readDirEntries(d, n); err != nil {
 			s.err = err
-			s.release()
 			return err
 		}
 		if n > 0 && d.Entries[n-1].End >= t {
@@ -826,133 +794,50 @@ func (s *Scanner) SeekTime(t clock.Time) error {
 	}
 }
 
-// ensure positions the scanner on a frame with undecoded records,
-// loading directories and frames as needed.
-func (s *Scanner) ensure() error {
+// nextRow positions the scanner on the next record, loading directories
+// and frames as needed, and returns its row in s.batch. Errors (io.EOF
+// included) are sticky.
+func (s *Scanner) nextRow() (int, error) {
 	if s.err != nil {
-		return s.err
+		return 0, s.err
 	}
-	for len(s.buf) == 0 && !s.hookRow() {
+	for s.batch == nil || s.row >= s.batch.N {
 		if err := s.advanceFrame(); err != nil {
 			s.err = err
-			s.release()
-			return err
+			return 0, err
 		}
 	}
-	return nil
-}
-
-// hookRow reports whether a hook-fed frame still has an unread row.
-func (s *Scanner) hookRow() bool { return s.batch != nil && s.row < s.batch.N }
-
-// fail records a mid-frame decode error; the scanner is sticky after it.
-func (s *Scanner) fail(err error) error {
-	s.err = err
-	s.release()
-	return err
+	s.row++
+	return s.row - 1, nil
 }
 
 // Next returns the next record's payload bytes in the fixed-width
-// encoding, or io.EOF after the last record. On v4 files the payload is
-// synthesized from the compact frame encoding, so consumers of raw
-// payload bytes see every header version identically. The returned
-// slice is valid until the following call.
+// encoding, or io.EOF after the last record. The payload is synthesized
+// from the decoded frame, so consumers of raw payload bytes see every
+// header version identically. The returned slice is valid until the
+// following call.
 func (s *Scanner) Next() ([]byte, error) {
-	if err := s.ensure(); err != nil {
+	i, err := s.nextRow()
+	if err != nil {
 		return nil, err
 	}
-	if s.hookRow() {
-		// Hook-decoded frame: synthesize the fixed-width payload from
-		// the shared batch's row, exactly as the v4 path does.
-		r := s.batch.Row(s.row)
-		s.row++
-		s.pbuf = r.AppendPayload(s.pbuf[:0])
-		return s.pbuf, nil
-	}
-	if s.f.Header.HeaderVersion >= 4 {
-		if err := s.cur.next(&s.scratch, nil); err != nil {
-			return nil, s.fail(err)
-		}
-		s.buf = s.cur.buf
-		s.pbuf = s.scratch.AppendPayload(s.pbuf[:0])
-		return s.pbuf, nil
-	}
-	payload, n, err := NextFramed(s.buf)
-	if err != nil {
-		return nil, s.fail(err)
-	}
-	s.buf = s.buf[n:]
-	return payload, nil
+	r := s.batch.Row(i)
+	s.pbuf = r.AppendPayload(s.pbuf[:0])
+	return s.pbuf, nil
 }
 
-// NextRecord decodes the next record. The record's Extra/Vec slices are
-// carved from the scanner's chunked arena: they stay valid after the
-// scan and after further NextRecord calls, they share backing chunks
-// with other records from the same scanner, and they are
-// capacity-clamped so appending to one never overwrites another.
+// NextRecord returns the next record. Its Extra/Vec slices alias the
+// frame's batch: read-only (a hook's batch is shared with other
+// readers), capacity-clamped so appending to one never overwrites
+// another, and valid for as long as the caller holds them — though one
+// retained record keeps its whole frame's extras resident, so long-lived
+// holders copy.
 func (s *Scanner) NextRecord() (Record, error) {
-	var r Record
-	if err := s.ensure(); err != nil {
-		return r, err
-	}
-	if s.hookRow() {
-		// Hook-decoded frame: the record's Extra/Vec slices alias the
-		// shared batch — callers must not mutate them.
-		r = s.batch.Row(s.row)
-		s.row++
-		return r, nil
-	}
-	if s.f.Header.HeaderVersion >= 4 {
-		if err := s.cur.next(&r, &s.arena); err != nil {
-			return Record{}, s.fail(err)
-		}
-		s.buf = s.cur.buf
-		return r, nil
-	}
-	payload, n, err := NextFramed(s.buf)
+	i, err := s.nextRow()
 	if err != nil {
-		return r, s.fail(err)
+		return Record{}, err
 	}
-	s.buf = s.buf[n:]
-	if err := decodePayload(payload, &r, &s.arena); err != nil {
-		return Record{}, s.fail(err)
-	}
-	return r, nil
-}
-
-// NextRecordInto decodes the next record into *r, reusing r's Extra and
-// Vec capacity — the decoded slices alias r's previous ones, so a
-// record must be consumed (or copied) before the next call overwrites
-// it. Hot sequential consumers (merge sources, clock-pair extraction)
-// use it to avoid one allocation per record; on v4 files the varints
-// decode straight into *r with no intermediate payload.
-func (s *Scanner) NextRecordInto(r *Record) error {
-	if err := s.ensure(); err != nil {
-		return err
-	}
-	if s.hookRow() {
-		// Hook-decoded frame: *r's slices alias the shared batch;
-		// consumers must copy before mutating.
-		*r = s.batch.Row(s.row)
-		s.row++
-		return nil
-	}
-	if s.f.Header.HeaderVersion >= 4 {
-		if err := s.cur.next(r, nil); err != nil {
-			return s.fail(err)
-		}
-		s.buf = s.cur.buf
-		return nil
-	}
-	payload, n, err := NextFramed(s.buf)
-	if err != nil {
-		return s.fail(err)
-	}
-	s.buf = s.buf[n:]
-	if err := DecodePayloadInto(payload, r); err != nil {
-		return s.fail(err)
-	}
-	return nil
+	return s.batch.Row(i), nil
 }
 
 // All drains the scanner. The result slice is sized up front from the
@@ -1017,41 +902,11 @@ func (s *Scanner) advanceFrame() error {
 					return err
 				}
 			}
-			if s.f.hook != nil {
-				b, err := s.f.hook(s.f, fe)
-				if err != nil {
-					return err
-				}
-				if b.N == 0 {
-					continue
-				}
-				s.batch = b
-				return nil
-			}
-			if s.frameBuf == nil {
-				s.frameBuf = getBuf()
-			}
-			buf, err := s.f.readFrameInto(fe, *s.frameBuf)
+			b, err := s.f.FrameBatch(fe)
 			if err != nil {
 				return err
 			}
-			*s.frameBuf = buf
-			if len(buf) == 0 {
-				continue
-			}
-			if s.f.Header.HeaderVersion >= 4 {
-				// Parse the frame-local dictionary and base start; s.buf
-				// mirrors the cursor's remaining bytes from here on.
-				if err := s.cur.init(s.f.Header.HeaderVersion, buf); err != nil {
-					return err
-				}
-				if len(s.cur.buf) == 0 {
-					continue
-				}
-				s.buf = s.cur.buf
-				return nil
-			}
-			s.buf = buf
+			s.batch = b
 			return nil
 		}
 		if s.dir.Next == 0 {
@@ -1091,16 +946,5 @@ func (s *Scanner) loadDir(off int64) error {
 		s.dir = d
 		s.frame = 0
 		return nil
-	}
-}
-
-// release returns the pooled frame buffer once the scan has terminated
-// (EOF or error; s.err is sticky, so the buffer cannot be touched
-// again).
-func (s *Scanner) release() {
-	if s.frameBuf != nil {
-		putBuf(s.frameBuf)
-		s.frameBuf = nil
-		s.buf = nil
 	}
 }

@@ -166,93 +166,61 @@ func (r *Record) EncodedSize() int {
 }
 
 // DecodePayload parses a standard-profile record payload into a fresh
-// Record.
+// Record. Zero-length Extra/Vec are nil.
 func DecodePayload(payload []byte) (Record, error) {
-	var r Record
-	err := DecodePayloadInto(payload, &r)
-	return r, err
-}
-
-// DecodePayloadInto parses a standard-profile record payload into *r,
-// reusing r's Extra and Vec capacity when possible, so hot decode loops
-// (the Scanner, the merge sources) avoid one allocation per
-// record. Zero-length Extra/Vec are set to nil, matching DecodePayload.
-func DecodePayloadInto(payload []byte, r *Record) error {
-	return decodePayload(payload, r, nil)
-}
-
-// decodePayload is DecodePayloadInto with a pluggable allocation
-// policy: a nil arena reuses r's capacity (records overwritten by the
-// next decode), a non-nil arena carves fresh capacity-clamped blocks
-// (records that escape the decode loop, one allocation per chunk).
-func decodePayload(payload []byte, r *Record, a *u64Arena) error {
-	if len(payload) < profile.CommonSize {
-		return fmt.Errorf("interval: payload %d bytes, need at least %d", len(payload), profile.CommonSize)
+	r, extras, vec, err := splitPayload(payload)
+	if err != nil {
+		return Record{}, err
 	}
-	r.Type = events.Type(binary.LittleEndian.Uint16(payload[0:]))
-	r.Bebits = profile.Bebits(payload[2])
-	r.Start = clock.Time(binary.LittleEndian.Uint64(payload[3:]))
-	r.Dura = clock.Time(binary.LittleEndian.Uint64(payload[11:]))
-	r.CPU = binary.LittleEndian.Uint16(payload[19:])
-	r.Node = binary.LittleEndian.Uint16(payload[21:])
-	r.Thread = binary.LittleEndian.Uint16(payload[23:])
-	r.Vec = nil
-	rest := payload[profile.CommonSize:]
+	if len(extras) > 0 {
+		r.Extra = appendLE64(make([]uint64, 0, len(extras)/8), extras)
+	}
+	if len(vec) > 0 {
+		r.Vec = appendLE64(make([]uint64, 0, len(vec)/8), vec)
+	}
+	return r, nil
+}
+
+// splitPayload is the fixed-width payload parser: it validates the
+// payload's layout and returns the common fields (Extra and Vec unset)
+// plus the little-endian bytes of the scalar extras and of the vector
+// elements, each a whole number of 8-byte words for appendLE64.
+func splitPayload(p []byte) (r Record, extras, vec []byte, err error) {
+	if len(p) < profile.CommonSize {
+		return r, nil, nil, fmt.Errorf("interval: payload %d bytes, need at least %d", len(p), profile.CommonSize)
+	}
+	r.Type = events.Type(binary.LittleEndian.Uint16(p[0:]))
+	r.Bebits = profile.Bebits(p[2])
+	r.Start = clock.Time(binary.LittleEndian.Uint64(p[3:]))
+	r.Dura = clock.Time(binary.LittleEndian.Uint64(p[11:]))
+	r.CPU = binary.LittleEndian.Uint16(p[19:])
+	r.Node = binary.LittleEndian.Uint16(p[21:])
+	r.Thread = binary.LittleEndian.Uint16(p[23:])
+	rest := p[profile.CommonSize:]
 	if events.VectorField(r.Type) != "" {
 		// Fixed scalar extras, then the counter-prefixed vector.
 		nx := len(events.ExtraFields(r.Type))
 		if len(rest) < 8*nx+2 {
-			return fmt.Errorf("interval: %s record too short for %d extras + vector counter", r.Type.Name(), nx)
+			return r, nil, nil, fmt.Errorf("interval: %s record too short for %d extras + vector counter", r.Type.Name(), nx)
 		}
-		r.Extra = allocU64(r.Extra, nx, a)
-		for i := range r.Extra {
-			r.Extra[i] = binary.LittleEndian.Uint64(rest[8*i:])
-		}
-		rest = rest[8*nx:]
+		extras, rest = rest[:8*nx], rest[8*nx:]
 		n := int(binary.LittleEndian.Uint16(rest))
 		rest = rest[2:]
 		if len(rest) != 8*n {
-			return fmt.Errorf("interval: vector claims %d elements, %d bytes follow", n, len(rest))
+			return r, nil, nil, fmt.Errorf("interval: vector claims %d elements, %d bytes follow", n, len(rest))
 		}
-		if n > 0 {
-			r.Vec = allocU64(nil, n, a)
-			for i := range r.Vec {
-				r.Vec[i] = binary.LittleEndian.Uint64(rest[8*i:])
-			}
-		}
-		return nil
+		return r, extras, rest, nil
 	}
 	if len(rest)%8 != 0 {
-		return fmt.Errorf("interval: %d trailing bytes not a whole number of extras", len(rest))
+		return r, nil, nil, fmt.Errorf("interval: %d trailing bytes not a whole number of extras", len(rest))
 	}
-	if len(rest) > 0 {
-		r.Extra = allocU64(r.Extra, len(rest)/8, a)
-		for i := range r.Extra {
-			r.Extra[i] = binary.LittleEndian.Uint64(rest[8*i:])
-		}
-	} else {
-		r.Extra = nil
-	}
-	return nil
+	return r, rest, nil, nil
 }
 
-// allocU64 returns an n-element slice: from the arena when one is
-// supplied, otherwise reusing b's capacity. n == 0 yields nil either
-// way, matching DecodePayload.
-func allocU64(b []uint64, n int, a *u64Arena) []uint64 {
-	if n == 0 {
-		return nil
+// appendLE64 appends the little-endian 64-bit words of b to dst.
+func appendLE64(dst []uint64, b []byte) []uint64 {
+	for ; len(b) >= 8; b = b[8:] {
+		dst = append(dst, binary.LittleEndian.Uint64(b))
 	}
-	if a != nil {
-		return a.alloc(n)
-	}
-	return growU64(b, n)
-}
-
-// growU64 returns b resized to n elements, reusing its capacity.
-func growU64(b []uint64, n int) []uint64 {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	return make([]uint64, n)
+	return dst
 }

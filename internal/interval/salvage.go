@@ -2,9 +2,9 @@ package interval
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 
 	"tracefw/internal/clock"
@@ -427,36 +427,18 @@ func (f *File) salvageFrame(fe FrameEntry) bool {
 	if f.Header.HeaderVersion >= 3 && crc32.Checksum(buf, crcTable) != fe.Sum {
 		return false
 	}
-	var cur frameCursor
-	if cur.init(f.Header.HeaderVersion, buf) != nil {
+	b := batchPool.Get().(*Batch)
+	defer batchPool.Put(b)
+	if b.Decode(f.Header.HeaderVersion, fe, buf) != nil || b.N == 0 {
 		return false
 	}
-	var (
-		n        uint32
-		lo, hi   clock.Time
-		prevEnd  clock.Time
-		anyYet   bool
-		scratchR Record
-	)
-	for len(cur.buf) > 0 {
-		if cur.next(&scratchR, nil) != nil {
+	for i := 1; i < b.N; i++ {
+		if b.End(i) < b.End(i-1) {
 			return false
 		}
-		end := scratchR.End()
-		if anyYet && end < prevEnd {
-			return false
-		}
-		prevEnd = end
-		if !anyYet || scratchR.Start < lo {
-			lo = scratchR.Start
-		}
-		if !anyYet || end > hi {
-			hi = end
-		}
-		anyYet = true
-		n++
 	}
-	return n == fe.Records && lo == fe.Start && hi == fe.End
+	// Ends are nondecreasing, so the last row carries the frame's end.
+	return slices.Min(b.Start) == fe.Start && b.End(b.N-1) == fe.End
 }
 
 // resyncDir scans forward from off for the next plausible directory
@@ -583,67 +565,37 @@ type RepairReport struct {
 
 // Repair writes the salvaged frames to dst as a fresh, fully valid
 // interval file with the same header (and header version) as the
-// source. Record content is copied exactly — verbatim payload bytes
-// below version 4, decode-and-re-encode through the compact codec on
-// v4 — while directory metadata and checksums are rebuilt by the
-// writer. Frames that would break the format's global end-time
-// ordering (possible only when salvage had to resync around damage)
-// are skipped and counted.
+// source. Every frame is decoded and its records re-added, which
+// reproduces the record content exactly at every header version, while
+// directory metadata and checksums are rebuilt by the writer. Frames
+// that would break the format's global end-time ordering (possible only
+// when salvage had to resync around damage) are skipped and counted, as
+// are frames that no longer read or decode — the file degraded between
+// salvage and repair, or a bad sector fired only now.
 func Repair(f *File, sv *SalvageResult, dst io.WriteSeeker, opts WriterOptions) (*RepairReport, error) {
 	w, err := NewWriter(dst, f.Header, opts)
 	if err != nil {
 		return nil, err
 	}
 	rep := &RepairReport{}
-	ver := f.Header.HeaderVersion
 	var lastEnd clock.Time
-	var wroteAny bool
-	var cur frameCursor
-	var scratch Record
-	var pbuf []byte
+	var b Batch
 	for _, fe := range sv.Frames {
-		buf, err := f.ReadFrame(fe)
-		if err != nil {
-			// The file degraded between salvage and repair (or a bad
-			// sector fired only now): treat like a skipped frame.
+		// Salvage verified intra-frame ordering: the frame's first record
+		// carries its minimum end time, its last the maximum.
+		if f.DecodeFrameBatch(fe, &b) != nil || b.N == 0 ||
+			(rep.RecordsWritten > 0 && b.End(0) < lastEnd) {
 			rep.FramesSkipped++
 			continue
 		}
-		// Salvage verified intra-frame ordering; the frame's first
-		// record carries its minimum end time. Decode it before writing
-		// anything so a degraded frame is skipped whole.
-		if cur.init(ver, buf) != nil || len(cur.buf) == 0 {
-			rep.FramesSkipped++
-			continue
-		}
-		if err := cur.next(&scratch, nil); err != nil {
-			rep.FramesSkipped++
-			continue
-		}
-		if wroteAny && scratch.End() < lastEnd {
-			rep.FramesSkipped++
-			continue
-		}
-		for {
-			payload := cur.payload
-			if payload == nil {
-				pbuf = scratch.AppendPayload(pbuf[:0])
-				payload = pbuf
-			}
-			end := scratch.End()
-			if err := w.AddPayload(payload, scratch.Start, end); err != nil {
+		for i := 0; i < b.N; i++ {
+			r := b.Row(i)
+			if err := w.Add(&r); err != nil {
 				return nil, err
 			}
-			lastEnd = end
-			wroteAny = true
-			rep.RecordsWritten++
-			if len(cur.buf) == 0 {
-				break
-			}
-			if err := cur.next(&scratch, nil); err != nil {
-				return nil, fmt.Errorf("interval: repair: frame at %d no longer decodes: %w", fe.Offset, err)
-			}
 		}
+		lastEnd = b.End(b.N - 1)
+		rep.RecordsWritten += int64(b.N)
 		rep.FramesWritten++
 	}
 	if err := w.Close(); err != nil {

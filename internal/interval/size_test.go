@@ -19,7 +19,8 @@ import (
 // TestPipelineV4SizeReduction runs the simulator and converter, then
 // re-encodes the converted records under header versions 3 and 4 with
 // the default frame sizes. The compact encoding must shrink the file by
-// at least 30% — the headline number recorded in BENCH_format.json.
+// at least 30% (the ledger's interval.bytes_per_record carries the
+// absolute size of what the pipeline writes).
 func TestPipelineV4SizeReduction(t *testing.T) {
 	dir := t.TempDir()
 	cfg := mpisim.Config{

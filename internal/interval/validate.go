@@ -2,7 +2,9 @@ package interval
 
 import (
 	"fmt"
+	"slices"
 
+	"tracefw/internal/clock"
 	"tracefw/internal/profile"
 )
 
@@ -66,10 +68,9 @@ func (f *File) Validate(p *profile.Profile) (*ValidationReport, error) {
 		}
 	}
 
-	lastEnd := int64(-1 << 62)
+	lastEnd := clock.Time(-1 << 62)
 	var (
-		cur  frameCursor
-		rec  Record
+		b    Batch
 		pbuf []byte
 	)
 	for _, d := range dirs {
@@ -78,60 +79,43 @@ func (f *File) Validate(p *profile.Profile) (*ValidationReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := cur.init(f.Header.HeaderVersion, buf); err != nil {
+			if err := b.Decode(f.Header.HeaderVersion, fe, buf); err != nil {
 				return nil, fmt.Errorf("interval: frame %d at %d: %w", fi, fe.Offset, err)
 			}
-			var n uint32
-			first := true
-			var lo, hi int64
-			for len(cur.buf) > 0 {
-				if err := cur.next(&rec, nil); err != nil {
-					return nil, fmt.Errorf("interval: frame %d at %d: %w", fi, fe.Offset, err)
-				}
+			for i := 0; i < b.N; i++ {
 				if p != nil {
-					// The profile describes the fixed-width layout; on v4
-					// frames check it against the synthesized payload, which
-					// is what any profile-driven consumer would see.
-					payload := cur.payload
-					if payload == nil {
-						pbuf = rec.AppendPayload(pbuf[:0])
-						payload = pbuf
-					}
+					// The profile describes the fixed-width layout: check it
+					// against the row's fixed-width payload, which is what any
+					// profile-driven consumer (Scanner.Next) sees.
+					rec := b.Row(i)
+					pbuf = rec.AppendPayload(pbuf[:0])
 					spec := p.Lookup(rec.Type, rec.Bebits)
 					if spec == nil {
 						return nil, fmt.Errorf("interval: no profile spec for %s/%s", rec.Type.Name(), rec.Bebits)
 					}
-					sz, err := spec.Size(payload)
+					sz, err := spec.Size(pbuf)
 					if err != nil {
 						return nil, err
 					}
-					if sz != len(payload) {
+					if sz != len(pbuf) {
 						return nil, fmt.Errorf("interval: %s record is %d bytes, spec says %d",
-							rec.Type.Name(), len(payload), sz)
+							rec.Type.Name(), len(pbuf), sz)
 					}
 				}
-				end := int64(rec.End())
+				end := b.End(i)
 				if end < lastEnd {
 					return nil, fmt.Errorf("interval: record end %d before previous %d", end, lastEnd)
 				}
 				lastEnd = end
-				if first || int64(rec.Start) < lo {
-					lo = int64(rec.Start)
+			}
+			if b.N > 0 {
+				lo, hi := slices.Min(b.Start), lastEnd
+				if fe.Start != lo || fe.End != hi {
+					return nil, fmt.Errorf("interval: frame bounds [%d %d], records say [%d %d]",
+						fe.Start, fe.End, lo, hi)
 				}
-				if first || end > hi {
-					hi = end
-				}
-				first = false
-				n++
 			}
-			if n != fe.Records {
-				return nil, fmt.Errorf("interval: frame claims %d records, found %d", fe.Records, n)
-			}
-			if n > 0 && (int64(fe.Start) != lo || int64(fe.End) != hi) {
-				return nil, fmt.Errorf("interval: frame bounds [%d %d], records say [%d %d]",
-					fe.Start, fe.End, lo, hi)
-			}
-			rep.Records += int64(n)
+			rep.Records += int64(b.N)
 			rep.Frames++
 		}
 	}

@@ -126,10 +126,11 @@ type WriterOptions struct {
 	// and bytes, so prologue records are at most half of any file (plus
 	// the last frame's prologue) however many states are open at once;
 	// without a FramePrologue the rule is simply "records reach
-	// FrameBytes". The threshold is measured on the fixed-width
-	// accumulation encoding, so frame boundaries (and with them
-	// record-to-frame assignment) are identical across header versions;
-	// v4 frames are typically much smaller on disk.
+	// FrameBytes". The threshold is measured on the fixed-width size
+	// (Record.EncodedSize) whatever encoding the header version writes,
+	// so frame boundaries (and with them record-to-frame assignment) are
+	// identical across header versions; v4 frames are typically much
+	// smaller on disk.
 	FrameBytes int
 	// FramesPerDir is the number of frame entries per directory
 	// (default 32).
@@ -142,8 +143,9 @@ type WriterOptions struct {
 	// beginning of the frame. The merge utility uses this to plant the
 	// zero-duration continuation pseudo-intervals that represent the
 	// nested outer states at the start of each frame (paper §3.3). The
-	// writer encodes the records before returning to its caller and
-	// keeps no reference, so the callback may reuse the slice.
+	// writer copies the records into the open frame before returning to
+	// its caller and keeps no reference, so the callback may reuse the
+	// slice.
 	FramePrologue func() []Record
 	// OnSeal, if set, is invoked after every directory flush — the point
 	// at which the frames of that directory have reached the underlying
@@ -194,10 +196,14 @@ type Writer struct {
 	ws   io.WriteSeeker
 	opts WriterOptions
 
-	off          int64 // current file offset
-	lastEnd      clock.Time
-	anyRecord    bool
-	frame        []byte
+	off       int64 // current file offset
+	lastEnd   clock.Time
+	anyRecord bool
+	// fb holds the open frame's records; closeFrame encodes straight from
+	// its columns. frameSize is the running sum of their
+	// Record.EncodedSize, the measure the frame-full rule is stated in.
+	fb           *Batch
+	frameSize    int
 	frameMeta    frameEntry
 	group        []frameEntry // closed frames of the pending directory
 	groupBytes   []byte
@@ -214,9 +220,8 @@ type Writer struct {
 	// at the head of the open frame.
 	prologueBytes   int
 	prologueRecords uint32
-	// framePB/groupPB are the pooled backing buffers behind frame and
-	// groupBytes, returned to the pool on Close.
-	framePB *[]byte
+	// groupPB is the pooled backing buffer behind groupBytes; it and fb
+	// go back to their pools on Close.
 	groupPB *[]byte
 }
 
@@ -243,8 +248,10 @@ func NewWriter(ws io.WriteSeeker, hdr Header, opts WriterOptions) (*Writer, erro
 	}
 	w := &Writer{ws: ws, opts: opts, prevDirOff: -1, patchOff: -1, version: hdr.HeaderVersion}
 	w.frameMeta = emptyFrameMeta()
-	w.framePB, w.groupPB = getBuf(), getBuf()
-	w.frame, w.groupBytes = *w.framePB, *w.groupPB
+	w.fb = batchPool.Get().(*Batch)
+	w.fb.reset()
+	w.groupPB = getBuf()
+	w.groupBytes = *w.groupPB
 
 	hb := getBuf()
 	buf := *hb
@@ -289,7 +296,9 @@ func emptyFrameMeta() frameEntry {
 }
 
 // Add appends one record. Records must arrive in ascending end-time
-// order unless the writer was opened Unordered.
+// order unless the writer was opened Unordered. A record no reader
+// would accept — its fixed-width payload over the format's 65 535-byte
+// limit — fails the writer for good, as an out-of-order one does.
 func (w *Writer) Add(r *Record) error {
 	if w.err != nil {
 		return w.err
@@ -302,99 +311,70 @@ func (w *Writer) Add(r *Record) error {
 		w.err = fmt.Errorf("interval: record end %v before previous end %v (file must be end-time ordered)", end, w.lastEnd)
 		return w.err
 	}
+	if w.opts.FramePrologue != nil && w.fb.N == 0 {
+		// The frame is about to receive its first regular record: the
+		// caller-supplied frame-opening records go in ahead of it.
+		recs := w.opts.FramePrologue()
+		for i := range recs {
+			if err := w.push(&recs[i]); err != nil {
+				return err
+			}
+		}
+		w.prologueBytes, w.prologueRecords = w.frameSize, w.frameMeta.records
+	}
+	if err := w.push(r); err != nil {
+		return err
+	}
 	w.lastEnd = end
 	w.anyRecord = true
 
-	w.prologue()
-	w.frame = r.Append(w.frame)
-	return w.appended(r.Start, end)
-}
-
-// appended accounts the record just encoded into the open frame and
-// closes the frame (and, when the directory group is complete, flushes
-// it) once the frame is full.
-func (w *Writer) appended(start, end clock.Time) error {
-	w.frameMeta.records++
-	if start < w.frameMeta.start {
-		w.frameMeta.start = start
-	}
-	if end > w.frameMeta.end {
-		w.frameMeta.end = end
-	}
 	// The one frame-full rule: the frame's regular records have reached
 	// FrameBytes and are no fewer and no smaller than the frame's own
 	// prologue. See WriterOptions.FrameBytes.
-	regular := len(w.frame) - w.prologueBytes
+	regular := w.frameSize - w.prologueBytes
 	if regular < w.opts.frameBytes() || regular < w.prologueBytes ||
 		w.frameMeta.records < 2*w.prologueRecords {
 		return nil
 	}
-	if err := w.closeFrame(); err != nil {
-		return err
-	}
+	w.closeFrame()
 	if len(w.group) >= w.opts.framesPerDir() {
 		return w.flushGroup(false)
 	}
 	return nil
 }
 
-// prologue inserts the caller-supplied frame-opening records when the
-// current frame is about to receive its first regular record.
-func (w *Writer) prologue() {
-	if w.opts.FramePrologue == nil || w.frameMeta.records != 0 {
+// push places one record in the open frame and accounts its size and
+// time bounds.
+func (w *Writer) push(r *Record) error {
+	if n := r.payloadSize(); n > maxPayload {
+		w.err = fmt.Errorf("interval: %s record payload is %d bytes, the format limit is %d", r.Type.Name(), n, maxPayload)
+		return w.err
+	}
+	w.fb.push(r)
+	w.frameSize += r.EncodedSize()
+	w.frameMeta.records++
+	if r.Start < w.frameMeta.start {
+		w.frameMeta.start = r.Start
+	}
+	if e := r.End(); e > w.frameMeta.end {
+		w.frameMeta.end = e
+	}
+	return nil
+}
+
+// closeFrame seals the open frame into the pending directory group,
+// encoding it once, straight from the columns: the compact v4 stream
+// from header version 4 on, fixed-width rows below it. The per-frame CRC
+// covers the encoded bytes.
+func (w *Writer) closeFrame() {
+	if w.fb.N == 0 {
 		return
-	}
-	recs := w.opts.FramePrologue()
-	for i := range recs {
-		r := &recs[i]
-		w.frame = r.Append(w.frame)
-		w.frameMeta.records++
-		if r.Start < w.frameMeta.start {
-			w.frameMeta.start = r.Start
-		}
-		if e := r.End(); e > w.frameMeta.end {
-			w.frameMeta.end = e
-		}
-	}
-	w.prologueBytes, w.prologueRecords = len(w.frame), w.frameMeta.records
-}
-
-// AddPayload appends a pre-encoded record payload with the given time
-// bounds; used by utilities that copy records without decoding them.
-func (w *Writer) AddPayload(payload []byte, start, end clock.Time) error {
-	if w.err != nil {
-		return w.err
-	}
-	if !w.opts.Unordered && w.anyRecord && end < w.lastEnd {
-		w.err = fmt.Errorf("interval: record end %v before previous end %v", end, w.lastEnd)
-		return w.err
-	}
-	w.lastEnd = end
-	w.anyRecord = true
-	w.frame = AppendFramed(w.frame, payload)
-	return w.appended(start, end)
-}
-
-// closeFrame seals the accumulated frame into the pending directory
-// group. Records accumulate fixed-width in w.frame regardless of
-// version (Add/AddPayload stay simple and frame boundaries stay
-// version-independent); from version 4 on the frame is transcoded into
-// the compact varint encoding as it moves into the group buffer, and
-// the per-frame CRC covers those encoded bytes.
-func (w *Writer) closeFrame() error {
-	if w.frameMeta.records == 0 {
-		return nil
 	}
 	mark := len(w.groupBytes)
 	if w.version >= 4 {
-		gb, err := encodeFrameV4(w.groupBytes, w.frame, &w.enc)
-		if err != nil {
-			w.err = fmt.Errorf("interval: encoding v4 frame: %w", err)
-			return w.err
-		}
-		w.groupBytes = gb
+		w.groupBytes = w.fb.appendV4(w.groupBytes, &w.enc)
 	} else {
-		w.groupBytes = append(w.groupBytes, w.frame...)
+		w.groupBytes = w.fb.appendFixed(w.groupBytes)
 	}
 	encoded := w.groupBytes[mark:]
 	w.frameMeta.bytes = uint32(len(encoded))
@@ -402,10 +382,9 @@ func (w *Writer) closeFrame() error {
 		w.frameMeta.sum = crc32.Checksum(encoded, crcTable)
 	}
 	w.group = append(w.group, w.frameMeta)
-	w.frame = w.frame[:0]
-	w.prologueBytes, w.prologueRecords = 0, 0
+	w.fb.reset()
+	w.frameSize, w.prologueBytes, w.prologueRecords = 0, 0, 0
 	w.frameMeta = emptyFrameMeta()
-	return nil
 }
 
 // appendDir serializes a directory header and entry table for version,
@@ -568,9 +547,7 @@ func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
 	}
-	if err := w.closeFrame(); err != nil {
-		return err
-	}
+	w.closeFrame()
 	if len(w.group) > 0 {
 		if err := w.flushGroup(true); err != nil {
 			return err
@@ -602,14 +579,13 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// releaseBufs returns the pooled frame and group buffers once the
-// writer is closed; the grown backing arrays go back to the pool for
+// releaseBufs returns the pooled frame batch and group buffer once the
+// writer is closed; the grown backing arrays go back to their pools for
 // the next writer.
 func (w *Writer) releaseBufs() {
-	if w.framePB != nil {
-		*w.framePB = w.frame[:0]
-		putBuf(w.framePB)
-		w.framePB, w.frame = nil, nil
+	if w.fb != nil {
+		batchPool.Put(w.fb)
+		w.fb = nil
 	}
 	if w.groupPB != nil {
 		*w.groupPB = w.groupBytes[:0]

@@ -93,24 +93,31 @@ type Result struct {
 	Anchors []clock.Pair // first clock pair per input
 }
 
-// ExtractPairs scans an individual interval file for its global-clock
-// pair records.
+// ExtractPairs collects an individual interval file's global-clock pair
+// records, frame by frame off the Type and Extras columns.
 func ExtractPairs(f *interval.File) ([]clock.Pair, error) {
 	var pairs []clock.Pair
-	sc := f.Scan()
-	var r interval.Record
-	for {
-		err := sc.NextRecordInto(&r)
-		if errors.Is(err, io.EOF) {
-			return pairs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if r.Type == events.EvGlobalClock && len(r.Extra) > 0 {
-			pairs = append(pairs, clock.Pair{Global: clock.Time(r.Extra[0]), Local: r.Start})
-		}
+	err := interval.MapFrames([]*interval.File{f}, interval.MapOptions{Parallel: 1},
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) ([]clock.Pair, error) {
+			var ps []clock.Pair
+			for i, t := range b.Type {
+				if t != events.EvGlobalClock {
+					continue
+				}
+				if x := b.ExtraRow(i); len(x) > 0 {
+					ps = append(ps, clock.Pair{Global: clock.Time(x[0]), Local: b.Start[i]})
+				}
+			}
+			return ps, nil
+		},
+		func(_ int, _ interval.FrameEntry, ps []clock.Pair) error {
+			pairs = append(pairs, ps...)
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
+	return pairs, nil
 }
 
 // adjusterFor builds the configured adjuster from a file's clock pairs.
@@ -163,7 +170,8 @@ func (s *stream) Current() *interval.Record { return &s.cur }
 
 func (s *stream) Advance() error {
 	for {
-		r, err := s.sc.NextRecord()
+		var err error
+		s.cur, err = s.sc.NextRecord()
 		if errors.Is(err, io.EOF) {
 			s.done = true
 			return nil
@@ -173,6 +181,7 @@ func (s *stream) Advance() error {
 			s.done = true
 			return err
 		}
+		r := &s.cur
 		if r.Type == events.EvGlobalClock && !s.keepClock {
 			continue
 		}
@@ -182,7 +191,6 @@ func (s *stream) Advance() error {
 		end := s.adj.Global(r.End())
 		r.Start = s.adj.Global(r.Start)
 		r.Dura = end - r.Start
-		s.cur = r
 		s.end = end
 		return nil
 	}
@@ -234,8 +242,12 @@ func (t *tracker) observe(r *interval.Record) {
 	}
 	switch r.Bebits {
 	case profile.Begin:
+		// The open set outlives the frame r came from: keep a copy, not a
+		// row aliasing the source's batch.
+		o := *r
+		o.Extra, o.Vec = slices.Clone(r.Extra), slices.Clone(r.Vec)
 		i := t.slot(threadKey(r.Node, r.Thread))
-		t.open[i] = append(t.open[i], *r)
+		t.open[i] = append(t.open[i], o)
 	case profile.End:
 		s := t.slot(threadKey(r.Node, r.Thread))
 		stack := t.open[s]
@@ -417,17 +429,17 @@ func (ms *mergeState) run(w *interval.Writer, srcs []recordSource, linear bool) 
 			break
 		}
 		st := srcs[i]
-		r := *st.Current()
+		r := st.Current() // valid until st advances
 		if first {
 			ms.lastEnd = r.End()
 			first = false
 		}
-		if err := w.Add(&r); err != nil {
+		if err := w.Add(r); err != nil {
 			return fmt.Errorf("merge: writing record from input %d: %w", i, err)
 		}
 		ms.res.Records++
 		ms.lastEnd = r.End()
-		ms.trk.observe(&r)
+		ms.trk.observe(r)
 		if err := st.Advance(); err != nil {
 			return fmt.Errorf("merge: input %d: %w", i, err)
 		}
