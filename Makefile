@@ -24,7 +24,10 @@ race:
 # run (measurements are the ledger's job: `make ledger`).
 # RouterWindow covers the serving tier's scatter-gather path,
 # UteloadSmoke is one full load-generator run against a router fleet,
-# SchedHotLoop pins the simulator's per-event cost, and SweepCell runs
+# SchedHotLoop pins the simulator's per-event cost, Tracegen runs whole
+# trace generations (simulator, MPI runtime, trace facility) and fails
+# above 50 bytes or 0.30 objects allocated per event, CutTraceRecord
+# fails when cutting a record allocates at all, and SweepCell runs
 # scenario-sweep cells through the whole pipeline (its wide case fails
 # when frame-start pseudo-intervals swamp the merged file).
 # StatsColumnar's columnar-cold/-warm and predefined-sppm cases live in
@@ -33,7 +36,7 @@ race:
 # record or per group per frame); its scalar baseline sits beside the
 # test-only oracle in internal/stats.
 bench-smoke:
-	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|IntervalWriterThroughput|ServeWindow|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|SweepCell|^BenchmarkIngest$$' -benchtime 1x .
+	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|IntervalWriterThroughput|ServeWindow|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|Tracegen|CutTraceRecord|SweepCell|^BenchmarkIngest$$' -benchtime 1x .
 	$(GO) test -run xxx -bench 'StatsColumnar' -benchtime 1x ./internal/stats
 
 # A short fuzz of every target, one at a time (the fuzz engine allows a

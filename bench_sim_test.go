@@ -5,17 +5,25 @@ package tracefw
 // queue, ready queues, and listener fan-out are a hot loop in their own
 // right. BenchmarkSchedHotLoop pins the per-event cost and allocation
 // behavior across node counts (allocs per event must stay flat as the
-// machine grows); BenchmarkSweepCell runs one full sweep cell —
+// machine grows); BenchmarkTracegen runs whole trace generations —
+// simulator, MPI runtime and trace facility — and holds them to an
+// allocation bar; BenchmarkSweepCell runs one full sweep cell —
 // generate → convert → merge → stats — at a small size; the ledger times
 // a full-size cell (sweep.cell_ms).
 
 import (
 	"fmt"
+	"io"
+	"runtime"
 	"testing"
 
 	"tracefw/internal/clock"
+	"tracefw/internal/cluster"
+	"tracefw/internal/events"
+	"tracefw/internal/mpisim"
 	"tracefw/internal/sched"
 	"tracefw/internal/sweep"
+	"tracefw/internal/trace"
 	"tracefw/internal/workload"
 )
 
@@ -72,6 +80,86 @@ func BenchmarkSchedHotLoop(b *testing.B) {
 			if events > 0 {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 				b.ReportMetric(float64(events)/float64(b.N), "events/op")
+			}
+		})
+	}
+}
+
+// BenchmarkTracegen is what `tracegen` does minus the files: whole
+// generations into io.Discard writers. Cutting a record is a mask test
+// and a store into the node's buffer (paper §2.1), and a blocking MPI
+// call reuses its request, so what a run allocates per event is one
+// closure per message in flight — plus, per node, a buffer at least as
+// large as everything the node cuts before its first flush. The bars
+// are about the former, so both cases run long enough to flush: sPPM
+// 4×8 is the ledger's own run (iters=4000, the default 1 MiB buffer
+// filled four times over); the 64×4×4 machine, whose nodes cut a few
+// thousand records each, gets the facility's starting 4 KiB as its
+// whole buffer and four times the default ten steps so that setting up
+// 256 threads is not the figure either. It fails above 50 bytes or
+// 0.30 objects per event (sPPM: 97.4 and 0.46 when the buffer regrew by
+// append and every blocking call allocated its handle; 30.1 and 0.21
+// now).
+const (
+	tracegenBytesPerEvent  = 50
+	tracegenAllocsPerEvent = 0.30
+)
+
+func BenchmarkTracegen(b *testing.B) {
+	for _, c := range []struct {
+		name               string
+		workload           string
+		params             workload.Params
+		nodes, cpus, tasks int
+		buffer             int // trace.Options.BufferSize
+	}{
+		{"sppm_4x8", "sppm", workload.Params{"iters": 4000}, 4, 8, 1, 0},
+		{"imbalance_64x4x4", "imbalance", workload.Params{"iters": 40}, 64, 4, 4, 4 << 10},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			main, err := workload.Build(c.workload, c.params)
+			if err != nil {
+				b.Fatal(err)
+			}
+			writers := make([]io.Writer, c.nodes)
+			for i := range writers {
+				writers[i] = io.Discard
+			}
+			var cut int64
+			var before, after runtime.MemStats
+			b.ReportAllocs()
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w, err := mpisim.New(mpisim.Config{
+					Cluster: cluster.Config{
+						Nodes: c.nodes, CPUsPerNode: c.cpus, Seed: 12,
+						TraceOpts: trace.Options{Enabled: events.MaskAll, BufferSize: c.buffer},
+					},
+					TasksPerNode: c.tasks,
+				}, writers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				w.Start(main)
+				if _, err := w.Run(); err != nil {
+					b.Fatal(err)
+				}
+				for _, f := range w.M.Facilities {
+					n, _ := f.Counts()
+					cut += n
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(cut)
+			allocs := float64(after.Mallocs-before.Mallocs) / float64(cut)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cut), "ns/event")
+			b.ReportMetric(bytes, "B/event")
+			b.ReportMetric(allocs, "allocs/event")
+			if bytes > tracegenBytesPerEvent || allocs > tracegenAllocsPerEvent {
+				b.Fatalf("%.1f B/event and %.3f allocs/event, ceilings %v and %v: cutting a record or a blocking MPI call allocates",
+					bytes, allocs, tracegenBytesPerEvent, tracegenAllocsPerEvent)
 			}
 		})
 	}

@@ -176,6 +176,13 @@ func BenchmarkCutTraceRecord(b *testing.B) {
 		rec.Time = clock.Time(i)
 		f.Cut(rec)
 	}
+	b.StopTimer()
+	// §2.1's cost model has no allocation in it: test the mask, store
+	// into the buffer, flush. (The buffer's few reallocations on its way
+	// to working size are per node, not per record, and round to zero.)
+	if n := testing.AllocsPerRun(1000, func() { f.Cut(rec) }); n > 0 {
+		b.Fatalf("%v allocs per record cut, ceiling 0", n)
+	}
 }
 
 // --- Figure 1: clock discrepancy series ---------------------------------

@@ -192,20 +192,28 @@ func NewFiles(opts ...Option) (*Machine, error) {
 		o(&cfg)
 	}
 	cfg.fill()
-	writers := make([]io.Writer, cfg.Nodes)
-	files := make([]io.Closer, 0, cfg.Nodes)
+	writers := make([]io.Writer, 0, cfg.Nodes)
+	// Whatever fails — opening a later file, or a facility's header
+	// write inside build — every file opened so far is closed.
+	closeAll := func() {
+		for _, w := range writers {
+			w.(io.Closer).Close()
+		}
+	}
 	for n := 0; n < cfg.Nodes; n++ {
 		fp, err := openCreate(cfg.TraceOpts.FileName(n))
 		if err != nil {
-			for _, c := range files {
-				c.Close()
-			}
+			closeAll()
 			return nil, err
 		}
-		writers[n] = fp
-		files = append(files, fp)
+		writers = append(writers, fp)
 	}
-	return build(cfg, writers)
+	m, err := build(cfg, writers)
+	if err != nil {
+		closeAll()
+		return nil, err
+	}
+	return m, nil
 }
 
 // Config returns the (filled-in) machine configuration.
@@ -295,14 +303,16 @@ func (m *Machine) StartClockSampling() {
 	m.Sim.At(0, tick)
 }
 
-// Run executes the simulation to completion and flushes every facility.
-// It returns the final virtual time.
+// Run executes the simulation to completion and flushes and closes
+// every facility — all of them, whichever fails. It returns the final
+// virtual time and the first error.
 func (m *Machine) Run() (clock.Time, error) {
 	end := m.Sim.Run()
+	var first error
 	for _, f := range m.Facilities {
-		if err := f.Close(); err != nil {
-			return end, err
+		if err := f.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
-	return end, nil
+	return end, first
 }

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tracefw/internal/clock"
@@ -261,4 +263,88 @@ func TestTimestampsMonotonePerNode(t *testing.T) {
 		}
 		prev = r.Time
 	}
+}
+
+// failingFile is a raw trace file whose writes fail from the failAt-th
+// on (0 = the facility's header write), counting how often it is closed.
+type failingFile struct {
+	failAt int // -1 = never
+	writes int
+	closed int
+}
+
+func (f *failingFile) Write(p []byte) (int, error) {
+	f.writes++
+	if f.failAt >= 0 && f.writes > f.failAt {
+		return 0, errors.New("disk full")
+	}
+	return len(p), nil
+}
+
+func (f *failingFile) Close() error { f.closed++; return nil }
+
+// threeFiles stands three failingFiles in for NewFiles' raw trace
+// files, node 1's failing from its failAt-th write on.
+func threeFiles(t *testing.T, failAt int) []*failingFile {
+	t.Helper()
+	files := []*failingFile{{failAt: -1}, {failAt: failAt}, {failAt: -1}}
+	saved := openCreate
+	t.Cleanup(func() { openCreate = saved })
+	next := 0
+	openCreate = func(string) (io.WriteCloser, error) {
+		if next == len(files) {
+			return nil, errors.New("too many open files")
+		}
+		next++
+		return files[next-1], nil
+	}
+	return files
+}
+
+func checkClosedOnce(t *testing.T, files []*failingFile) {
+	t.Helper()
+	for n, f := range files {
+		if f.closed != 1 {
+			t.Errorf("node %d file closed %d times, want once", n, f.closed)
+		}
+	}
+}
+
+// A flush that fails on node 1 of 3 must not leave node 2's buffer
+// unflushed and its file open.
+func TestRunClosesEveryFacilityOnError(t *testing.T) {
+	files := threeFiles(t, 1) // header succeeds, the flush at Close fails
+	m, err := NewFiles(FromConfig(baseCfg(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 3; n++ {
+		m.SpawnTraced(n, int32(n), events.ThreadMPI, func(th *sched.Thread) {
+			th.Compute(clock.Millisecond)
+		})
+	}
+	if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("Run error = %v, want node 1's flush failure", err)
+	}
+	checkClosedOnce(t, files)
+	if files[2].writes < 2 {
+		t.Fatalf("node 2 wrote %d times: its buffer was never flushed", files[2].writes)
+	}
+}
+
+// NewFiles opens every file before it builds the facilities; when a
+// header write (node 1 of 3) or a later open (a fourth node) fails,
+// none of the files already open may leak.
+func TestNewFilesClosesFilesOnError(t *testing.T) {
+	files := threeFiles(t, 0)
+	if _, err := NewFiles(FromConfig(baseCfg(3))); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("NewFiles error = %v, want node 1's header write failure", err)
+	}
+	checkClosedOnce(t, files)
+
+	files = threeFiles(t, -1)
+	if _, err := NewFiles(FromConfig(baseCfg(4))); err == nil || !strings.Contains(err.Error(), "too many open files") {
+		t.Fatalf("NewFiles error = %v, want the fourth open's failure", err)
+	}
+	checkClosedOnce(t, files)
 }

@@ -1,6 +1,10 @@
 package cluster
 
-import "os"
+import (
+	"io"
+	"os"
+)
 
-// openCreate is a seam for tests; it simply creates the named file.
-func openCreate(name string) (*os.File, error) { return os.Create(name) }
+// openCreate creates a node's raw trace file. It is a variable so that
+// a test can stand in files that fail.
+var openCreate = func(name string) (io.WriteCloser, error) { return os.Create(name) }

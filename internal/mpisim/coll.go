@@ -63,13 +63,13 @@ func (p *Proc) join(c *Comm, op events.Type, fire func(st *collState)) *Request 
 	key := collKey{comm: c.id, seq: seq}
 	st := w.colls[key]
 	if st == nil {
-		st = &collState{op: op}
+		st = &collState{op: op, waiters: make([]*Request, 0, len(c.ranks))}
 		w.colls[key] = st
 	}
 	if st.op != op {
 		panic(fmt.Sprintf("mpisim: mismatched collectives on comm %d: %s vs %s", c.id, st.op.Name(), op.Name()))
 	}
-	req := &Request{p: p}
+	req := p.newRequest()
 	st.waiters = append(st.waiters, req)
 	if len(st.waiters) == len(c.ranks) {
 		delete(w.colls, key)
@@ -120,6 +120,7 @@ func (p *Proc) runColl(c *Comm, op events.Type, bytes int) {
 		})
 	})
 	p.waitCore(req)
+	w.reqs.put(req)
 }
 
 // --- Traced collectives on a communicator ---
@@ -225,7 +226,7 @@ func (c *Comm) Split(p *Proc, color, key int) *Comm {
 	if st.op != opSplit {
 		panic(fmt.Sprintf("mpisim: mismatched collectives on comm %d: %s vs Split", c.id, st.op.Name()))
 	}
-	req := &Request{p: p}
+	req := p.newRequest()
 	st.waiters = append(st.waiters, req)
 	st.colors = append(st.colors, color)
 	st.keys = append(st.keys, key)
@@ -235,7 +236,9 @@ func (c *Comm) Split(p *Proc, color, key int) *Comm {
 		c.fireSplit(st)
 	}
 	p.waitCore(req)
-	return req.comm
+	nc := req.comm
+	w.reqs.put(req)
+	return nc
 }
 
 // fireSplit builds the new communicators deterministically — colors

@@ -15,7 +15,9 @@ type RecvInfo struct {
 
 // Request is a nonblocking-operation handle, returned by Isend/Irecv and
 // consumed by Wait/Waitall. A request belongs to the thread that created
-// it.
+// it. The blocking calls use one internally; theirs never leaves the
+// call, so it goes back to the world's free list at the exit record,
+// while a handle Isend/Irecv gave the workload is never recycled.
 type Request struct {
 	p      *Proc
 	done   bool
@@ -38,6 +40,34 @@ type message struct {
 	// rndv is the sender's request for rendezvous transfers; nil means
 	// the message was sent eagerly and its payload has fully arrived.
 	rndv *Request
+}
+
+// freeList recycles the records of operations that are over. Every
+// thread of a world runs under one Sim.Run, one at a time, so it needs
+// no lock.
+type freeList[T any] struct{ free []*T }
+
+func (f *freeList[T]) get() *T {
+	if n := len(f.free); n > 0 {
+		x := f.free[n-1]
+		f.free = f.free[:n-1]
+		return x
+	}
+	return new(T)
+}
+
+// put zeroes x and keeps it for the next get; nothing may still refer
+// to it.
+func (f *freeList[T]) put(x *T) {
+	var zero T
+	*x = zero
+	f.free = append(f.free, x)
+}
+
+func (p *Proc) newRequest() *Request {
+	r := p.task.w.reqs.get()
+	r.p = p
+	return r
 }
 
 // mailbox holds, per destination task, the arrived-but-unmatched
@@ -66,22 +96,26 @@ func (w *World) finish(r *Request) {
 // completeMatch resolves a (recv request, message) match. For eager
 // messages the receive completes immediately; for rendezvous the
 // transfer starts now and both sides complete after the bandwidth term.
+// Either way the message is over once the receive has its envelope.
 func (w *World) completeMatch(dst *Task, r *Request, m *message) {
-	fill := func() {
-		r.Info = RecvInfo{Source: m.src, Tag: m.tag, Bytes: m.bytes, Seqno: m.seqno}
-	}
 	if m.rndv == nil {
-		fill()
-		w.finish(r)
+		w.finishRecv(r, m)
 		return
 	}
 	done := w.transfer(m.srcTask, dst, m.bytes)
-	sender := m.rndv
 	w.M.Sim.After(done, func() {
-		fill()
-		w.finish(r)
+		sender := m.rndv
+		w.finishRecv(r, m)
 		w.finish(sender)
 	})
+}
+
+// finishRecv hands m's envelope to the receive request, recycles m and
+// completes the request.
+func (w *World) finishRecv(r *Request, m *message) {
+	r.Info = RecvInfo{Source: m.src, Tag: m.tag, Bytes: m.bytes, Seqno: m.seqno}
+	w.msgs.put(m)
+	w.finish(r)
 }
 
 // deliver handles an envelope arriving at dst: match a posted receive or
@@ -103,8 +137,10 @@ func (p *Proc) isendCore(dst int, tag int32, bytes int) *Request {
 	src := p.task
 	dstT := w.task(dst)
 	seqno := w.M.Facilities[src.Node].NextSeqno(src.Rank, int32(dst))
-	req := &Request{p: p, isSend: true, seqno: seqno}
-	m := &message{src: src.Rank, tag: tag, bytes: bytes, seqno: seqno, srcTask: src}
+	req := p.newRequest()
+	req.isSend, req.seqno = true, seqno
+	m := w.msgs.get()
+	*m = message{src: src.Rank, tag: tag, bytes: bytes, seqno: seqno, srcTask: src}
 	if bytes <= w.cfg.EagerThreshold {
 		// Eager: buffered locally; the send is complete at once and the
 		// payload arrives after the full alpha+beta latency.
@@ -127,7 +163,8 @@ func (p *Proc) isendCore(dst int, tag int32, bytes int) *Request {
 func (p *Proc) irecvCore(src, tag int32) *Request {
 	w := p.task.w
 	t := p.task
-	req := &Request{p: p, wantSrc: src, wantTag: tag}
+	req := p.newRequest()
+	req.wantSrc, req.wantTag = src, tag
 	for i, m := range t.mbox.arrived {
 		if match(req, m) {
 			t.mbox.arrived = append(t.mbox.arrived[:i], t.mbox.arrived[i+1:]...)
@@ -159,6 +196,7 @@ func (p *Proc) Send(dst int, tag int32, bytes int) {
 	p.waitCore(req)
 	p.exit(events.EvMPISend,
 		uint64(dst), uint64(uint32(tag)), uint64(bytes), req.seqno, 0, addrOf(events.EvMPISend))
+	p.task.w.reqs.put(req)
 }
 
 // Recv performs a blocking receive matching (src, tag), either of which
@@ -170,6 +208,7 @@ func (p *Proc) Recv(src, tag int32) RecvInfo {
 	i := req.Info
 	p.exit(events.EvMPIRecv,
 		uint64(uint32(i.Source)), uint64(uint32(i.Tag)), uint64(i.Bytes), i.Seqno, 0, addrOf(events.EvMPIRecv))
+	p.task.w.reqs.put(req)
 	return i
 }
 
@@ -182,8 +221,10 @@ func (p *Proc) Ssend(dst int, tag int32, bytes int) {
 	src := p.task
 	dstT := w.task(dst)
 	seqno := w.M.Facilities[src.Node].NextSeqno(src.Rank, int32(dst))
-	req := &Request{p: p, isSend: true, seqno: seqno}
-	m := &message{src: src.Rank, tag: tag, bytes: bytes, seqno: seqno, srcTask: src, rndv: req}
+	req := p.newRequest()
+	req.isSend, req.seqno = true, seqno
+	m := w.msgs.get()
+	*m = message{src: src.Rank, tag: tag, bytes: bytes, seqno: seqno, srcTask: src, rndv: req}
 	alpha := w.cfg.LatencyInter
 	if src.Node == dstT.Node {
 		alpha = w.cfg.LatencyIntra
@@ -192,6 +233,7 @@ func (p *Proc) Ssend(dst int, tag int32, bytes int) {
 	p.waitCore(req)
 	p.exit(events.EvMPISsend,
 		uint64(dst), uint64(uint32(tag)), uint64(bytes), seqno, 0, addrOf(events.EvMPISsend))
+	w.reqs.put(req)
 }
 
 // Isend starts a nonblocking send and returns its request.
@@ -257,6 +299,8 @@ func (p *Proc) Sendrecv(dst int, stag int32, sbytes int, src, rtag int32) RecvIn
 	p.exit(events.EvMPISendrecv,
 		uint64(dst), uint64(uint32(stag)), uint64(sbytes), uint64(i.Bytes), sreq.seqno,
 		uint64(uint32(i.Source)), i.Seqno, 0, addrOf(events.EvMPISendrecv))
+	p.task.w.reqs.put(sreq)
+	p.task.w.reqs.put(rreq)
 	return i
 }
 

@@ -85,6 +85,9 @@ type World struct {
 	tasks []*Task
 	comms []*Comm
 	colls map[collKey]*collState
+
+	reqs freeList[Request]
+	msgs freeList[message]
 }
 
 // Task is one MPI process.

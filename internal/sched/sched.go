@@ -1,19 +1,31 @@
+// iter.Pull arrived in Go 1.23 and go.mod's go line says 1.22: the
+// constraint below gives this one file the version its import needs,
+// which is what `go vet` checks. It selects nothing — there is no other
+// implementation for an older toolchain to fall back to.
+//go:build go1.23
+
 // Package sched is a deterministic discrete-event simulation of the SMP
 // nodes of an SP system: each node has a set of CPUs and a preemptive,
-// quantum-based thread scheduler. Simulated threads are goroutines that
-// execute real Go code but consume virtual time only through the
-// primitives (Compute, Sleep, Block). The scheduler emits thread
+// quantum-based thread scheduler. Simulated threads are coroutines
+// (iter.Pull) that execute real Go code but consume virtual time only
+// through the primitives (Compute, Sleep, Block): Run resumes a thread
+// with a direct switch, the thread runs until its next primitive and
+// switches straight back, so a hand-off never goes through the Go
+// scheduler's run queues and never leaves Run's processor. The
+// scheduler emits thread
 // dispatch and undispatch callbacks — the "system activities" the
 // paper's unified tracing facility records alongside MPI events — and
 // threads migrate between CPUs exactly as the paper's Figure 9 shows,
 // because a re-dispatched thread takes whatever CPU is free.
 //
 // Execution is strictly deterministic: a single virtual clock, a single
-// event queue ordered by (time, sequence), FIFO ready queues, and at
-// most one thread goroutine executing between scheduler steps. The
-// dispatch decision itself — which ready thread gets which free CPU —
-// is a pluggable Policy (see policy.go), so cluster-scale scenario
-// sweeps can compare schedulers on one machine model.
+// event queue ordered by (time, sequence), FIFO ready queues, and
+// exactly one of Run and the thread it resumed executing at any moment.
+// No thread outlives Run: whatever has not exited when Run returns or
+// panics is stopped and unwound there. The dispatch decision itself —
+// which ready thread gets which free CPU — is a pluggable Policy (see
+// policy.go), so cluster-scale scenario sweeps can compare schedulers
+// on one machine model.
 //
 // The event queue, ready queues, and slice bookkeeping are
 // allocation-free on the hot path: events are values in a hand-rolled
@@ -25,6 +37,7 @@ package sched
 
 import (
 	"fmt"
+	"iter"
 
 	"tracefw/internal/clock"
 )
@@ -195,23 +208,22 @@ func (q *threadQueue) take(i int) *Thread {
 	return t
 }
 
+// yieldKind is what a thread hands Run when it switches back: the
+// primitive it is waiting in. A thread that returns yields nothing; Run
+// sees its coroutine end.
 type yieldKind uint8
 
 const (
 	yieldCompute yieldKind = iota
 	yieldBlock
-	yieldExit
-	yieldPanic
 )
 
-type yieldMsg struct {
-	t        *Thread
-	kind     yieldKind
-	panicVal interface{}
-}
+// stopped is the panic value that unwinds a thread Run has stopped; it
+// never leaves Thread.run.
+type stopped struct{}
 
 // Thread is a simulated thread. It is created with Sim.Spawn and runs fn
-// on its own goroutine, consuming virtual time through the primitives.
+// as a coroutine of Run, consuming virtual time through the primitives.
 type Thread struct {
 	sim  *Sim
 	node *node
@@ -225,8 +237,13 @@ type Thread struct {
 	cpu     int // dispatch slot currently held, -1 if none
 	lastCPU int // affinity hint
 	remain  clock.Time
-	resume  chan struct{}
 	fn      func(*Thread)
+
+	// next resumes the coroutine until its next primitive (ok false:
+	// fn returned), stop ends it early, yieldTo is its way back to Run.
+	next    func() (yieldKind, bool)
+	stop    func()
+	yieldTo func(yieldKind) bool
 }
 
 // Sim is the machine-wide simulator: a set of SMP nodes sharing one
@@ -238,8 +255,7 @@ type Sim struct {
 	nodes    []*node
 	listener Listener
 	policy   Policy
-	yieldCh  chan yieldMsg
-	// runnables holds threads whose goroutine must be given control
+	// runnables holds threads whose coroutine must be given control
 	// (started, resumed after a completed compute, or after unblocking).
 	runnables threadQueue
 	live      int // threads not yet exited
@@ -300,7 +316,7 @@ func New(cfg Config, l Listener) *Sim {
 	if slots < 1 {
 		panic(fmt.Sprintf("sched: policy %s exposes %d slots", pol.Name(), slots))
 	}
-	s := &Sim{listener: l, policy: pol, yieldCh: make(chan yieldMsg)}
+	s := &Sim{listener: l, policy: pol}
 	for n := 0; n < cfg.Nodes; n++ {
 		s.nodes = append(s.nodes, &node{
 			id:      n,
@@ -336,30 +352,27 @@ func (s *Sim) Spawn(nodeID int, fn func(*Thread)) *Thread {
 		state:   StateNew,
 		cpu:     -1,
 		lastCPU: -1,
-		resume:  make(chan struct{}),
 		fn:      fn,
 	}
+	t.next, t.stop = iter.Pull(t.run)
 	n.threads = append(n.threads, t)
 	s.live++
 	s.listener.OnThreadStart(n.id, t.ID, s.now)
-	go t.run()
 	t.state = StateReady
 	n.readyQ.push(t)
 	s.schedule(n)
 	return t
 }
 
-func (t *Thread) run() {
-	<-t.resume
-	done := yieldMsg{t: t, kind: yieldExit}
+// run is the coroutine body. A workload panic leaves it as it is —
+// iter.Pull re-raises it from next, in Run's caller — and only the
+// unwinding of a stopped thread ends here.
+func (t *Thread) run(yield func(yieldKind) bool) {
+	t.yieldTo = yield
 	defer func() {
-		// Forward workload panics to the simulator goroutine so Run's
-		// caller sees them instead of the process dying on a goroutine
-		// nobody can recover from.
-		if r := recover(); r != nil {
-			done = yieldMsg{t: t, kind: yieldPanic, panicVal: r}
+		if r := recover(); r != nil && r != any(stopped{}) {
+			panic(r)
 		}
-		t.sim.yieldCh <- done
 	}()
 	t.fn(t)
 }
@@ -385,19 +398,23 @@ func (s *Sim) After(d clock.Time, fn func()) { s.At(s.now+d, fn) }
 
 // Run executes the simulation until no thread can make progress. It
 // returns the final virtual time. Run panics on deadlock with blocked
-// threads remaining (a bug in the workload or runtime under test).
+// threads remaining (a bug in the workload or runtime under test), and
+// a panic in a thread's fn comes out of Run. Either way no thread is
+// left behind: see stopThreads.
 func (s *Sim) Run() clock.Time {
 	if s.running {
 		panic("sched: Run reentered")
 	}
 	s.running = true
-	defer func() { s.running = false }()
+	defer func() {
+		s.running = false
+		s.stopThreads()
+	}()
 	for {
 		if s.runnables.size() > 0 {
 			t := s.runnables.take(0)
-			t.resume <- struct{}{}
-			msg := <-s.yieldCh
-			s.handleYield(msg)
+			kind, ok := t.next()
+			s.handleYield(t, kind, ok)
 			continue
 		}
 		if len(s.events) > 0 {
@@ -429,23 +446,37 @@ func (s *Sim) Run() clock.Time {
 	return s.now
 }
 
-func (s *Sim) handleYield(m yieldMsg) {
-	t := m.t
-	switch m.kind {
-	case yieldCompute:
-		// The thread holds a CPU and asked to burn t.remain of it.
-		s.startSlice(t)
-	case yieldBlock:
-		s.releaseCPU(t, ReasonBlock)
-		t.state = StateBlocked
-		s.schedule(t.node)
-	case yieldExit:
+// stopThreads ends every thread that has not exited — blocked ones
+// after a deadlock, all the others after a workload panic; none after a
+// normal return — so that no coroutine outlives Run. A stopped thread's
+// pending primitive panics with stopped{}, which unwinds fn (running its
+// deferred calls) and is recovered in Thread.run.
+func (s *Sim) stopThreads() {
+	for _, n := range s.nodes {
+		for _, t := range n.threads {
+			if t.state != StateExited {
+				t.stop()
+			}
+		}
+	}
+}
+
+// handleYield acts on what a resumed thread handed back: the primitive
+// it now waits in, or (ok false) that fn returned.
+func (s *Sim) handleYield(t *Thread, kind yieldKind, ok bool) {
+	switch {
+	case !ok:
 		s.releaseCPU(t, ReasonExit)
 		t.state = StateExited
 		s.live--
 		s.schedule(t.node)
-	case yieldPanic:
-		panic(m.panicVal)
+	case kind == yieldCompute:
+		// The thread holds a CPU and asked to burn t.remain of it.
+		s.startSlice(t)
+	case kind == yieldBlock:
+		s.releaseCPU(t, ReasonBlock)
+		t.state = StateBlocked
+		s.schedule(t.node)
 	}
 }
 
@@ -481,7 +512,7 @@ func (s *Sim) sliceDone(t *Thread, slice clock.Time) {
 		}
 		return
 	}
-	// Compute finished; let the goroutine continue on its CPU.
+	// Compute finished; let the thread continue on its CPU.
 	s.runnables.push(t)
 }
 
@@ -516,17 +547,17 @@ func (s *Sim) schedule(n *node) {
 		t.state = StateRunning
 		s.listener.OnDispatch(n.id, t.ID, slot, s.now)
 		if t.remain > 0 {
-			// Mid-compute: resume the burst without waking the goroutine.
+			// Mid-compute: resume the burst without resuming the thread.
 			s.startSlice(t)
 		} else {
-			// The goroutine is waiting inside a primitive (or has never
+			// The thread is waiting inside a primitive (or has never
 			// run); give it control.
 			s.runnables.push(t)
 		}
 	}
 }
 
-// --- Thread-side primitives (called from thread goroutines only) ---
+// --- Thread-side primitives (called from the thread's own fn only) ---
 
 // Node returns the node id the thread runs on.
 func (t *Thread) Node() int { return t.node.id }
@@ -575,8 +606,10 @@ func (t *Thread) Sleep(d clock.Time) {
 	t.Block()
 }
 
-// yield hands control to the simulator and waits to be resumed.
+// yield switches to Run and returns when Run resumes the thread; if Run
+// stopped it instead, the thread unwinds from here.
 func (t *Thread) yield(kind yieldKind) {
-	t.sim.yieldCh <- yieldMsg{t: t, kind: kind}
-	<-t.resume
+	if !t.yieldTo(kind) {
+		panic(stopped{})
+	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -316,5 +317,75 @@ func TestQuantumPreemptionOnlyWhenContended(t *testing.T) {
 		if strings.Contains(e, "r0") {
 			t.Fatalf("uncontended thread was preempted: %v", rec.evs)
 		}
+	}
+}
+
+// TestNoThreadOutlivesRun: however Run ends — normal return, deadlock
+// panic, a workload panic coming through — every thread's coroutine is
+// gone when it does, including threads that never got a CPU, and a
+// stopped thread unwinds through its deferred calls on the way out.
+func TestNoThreadOutlivesRun(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		spawn     func(s *Sim, unwound *int)
+		wantPanic string
+		unwound   int
+	}{
+		{"normal return", func(s *Sim, unwound *int) {
+			for i := 0; i < 4; i++ {
+				s.Spawn(0, func(th *Thread) {
+					defer func() { *unwound++ }()
+					th.Compute(clock.Millisecond)
+					th.Sleep(clock.Millisecond)
+				})
+			}
+		}, "", 4},
+		{"deadlock", func(s *Sim, unwound *int) {
+			for i := 0; i < 3; i++ {
+				s.Spawn(0, func(th *Thread) {
+					defer func() { *unwound++ }()
+					th.Compute(clock.Millisecond)
+					th.Block()
+				})
+			}
+		}, "deadlock", 3},
+		{"workload panic", func(s *Sim, unwound *int) {
+			// One CPU: the first thread blocks, the second panics
+			// mid-run, the third is still waiting for its first dispatch.
+			s.Spawn(0, func(th *Thread) {
+				defer func() { *unwound++ }()
+				th.Block()
+			})
+			s.Spawn(0, func(th *Thread) {
+				th.Compute(clock.Millisecond)
+				panic("workload bug")
+			})
+			s.Spawn(0, func(th *Thread) { *unwound += 100 })
+		}, "workload bug", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			s := New(Config{Nodes: 1, CPUsPerNode: 1}, nil)
+			unwound := 0
+			tc.spawn(s, &unwound)
+			func() {
+				defer func() {
+					r := recover()
+					if tc.wantPanic == "" && r != nil {
+						t.Fatalf("unexpected panic: %v", r)
+					}
+					if tc.wantPanic != "" && !strings.Contains(fmt.Sprint(r), tc.wantPanic) {
+						t.Fatalf("Run panicked with %v, want %q", r, tc.wantPanic)
+					}
+				}()
+				s.Run()
+			}()
+			if after := runtime.NumGoroutine(); after != before {
+				t.Fatalf("%d goroutines before New, %d after Run", before, after)
+			}
+			if unwound != tc.unwound {
+				t.Fatalf("%d deferred calls ran in thread bodies, want %d", unwound, tc.unwound)
+			}
+		})
 	}
 }

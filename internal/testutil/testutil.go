@@ -19,6 +19,7 @@ import (
 	"tracefw/internal/interval"
 	"tracefw/internal/merge"
 	"tracefw/internal/mpisim"
+	"tracefw/internal/sched"
 	"tracefw/internal/trace"
 )
 
@@ -28,8 +29,9 @@ type Shape struct {
 	TasksPerNode int
 	CPUs         int
 	Seed         uint64
-	Drifts       []float64 // optional explicit drifts
-	Quantum      int64     // optional scheduler quantum, ns
+	Drifts       []float64    // optional explicit drifts
+	Quantum      int64        // optional scheduler quantum, ns
+	Policy       sched.Policy // optional dispatch policy (nil = fifo)
 }
 
 // RunWorkload executes main on every task of a fresh in-memory world and
@@ -52,6 +54,7 @@ func RunWorkload(t testing.TB, sh Shape, main func(*mpisim.Proc)) [][]byte {
 			TraceOpts:   trace.Options{Enabled: events.MaskAll},
 			Drifts:      sh.Drifts,
 			Seed:        sh.Seed,
+			Policy:      sh.Policy,
 		},
 		TasksPerNode: sh.TasksPerNode,
 	}

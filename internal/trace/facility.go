@@ -19,7 +19,9 @@ type Options struct {
 	Prefix string
 	// BufferSize is the in-memory trace buffer size in bytes before a
 	// flush to the file. Zero selects a default of 1 MiB. The buffer
-	// grows on demand up to this size, so a node that cuts few records
+	// starts at 4 KiB and, whenever the next record does not fit, grows
+	// fourfold but never beyond this size: a busy node holds its full
+	// buffer after four reallocations, and a node that cuts few records
 	// never pays for the whole of it.
 	BufferSize int
 	// Enabled selects which event classes are traced.
@@ -162,11 +164,25 @@ func (f *Facility) Cut(r *Record) {
 		f.cut++
 		return
 	}
-	if len(f.buf)+r.EncodedSize() > f.opts.bufferSize() {
+	size := r.EncodedSize()
+	if len(f.buf)+size > f.opts.bufferSize() {
 		f.flushLocked()
+	}
+	if len(f.buf)+size > cap(f.buf) {
+		f.growLocked(size)
 	}
 	f.buf = r.Encode(f.buf)
 	f.cut++
+}
+
+// growLocked reallocates the trace buffer for a record of size bytes
+// that does not fit: four times the capacity, at most bufferSize (see
+// Options.BufferSize), at least what the record needs — a record larger
+// than the whole buffer is still cut, alone.
+func (f *Facility) growLocked(size int) {
+	c := min(4*cap(f.buf), f.opts.bufferSize())
+	c = max(c, len(f.buf)+size)
+	f.buf = append(make([]byte, 0, c), f.buf...)
 }
 
 // NextSeqno returns the next point-to-point message sequence number for

@@ -11,6 +11,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -51,9 +52,10 @@ func (r *Record) EncodedSize() int {
 }
 
 // Encode appends the binary form of r to dst and returns the extended
-// slice. It panics on impossible records (too many args, oversized
-// string): those are programming errors in the tracing library, not
-// runtime conditions.
+// slice: it reserves EncodedSize bytes once and stores header, args and
+// string in place. It panics on impossible records (too many args,
+// oversized string): those are programming errors in the tracing
+// library, not runtime conditions.
 func (r *Record) Encode(dst []byte) []byte {
 	if len(r.Args) > maxArgs {
 		panic(fmt.Sprintf("trace: record with %d args", len(r.Args)))
@@ -65,20 +67,20 @@ func (r *Record) Encode(dst []byte) []byte {
 	if r.Str != "" {
 		hook |= strBit
 	}
-	var buf [recHeaderSize]byte
-	binary.LittleEndian.PutUint32(buf[0:], hook)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(r.TID))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(r.Time))
-	dst = append(dst, buf[:]...)
-	var w [8]byte
-	for _, a := range r.Args {
-		binary.LittleEndian.PutUint64(w[:], a)
-		dst = append(dst, w[:]...)
+	n, size := len(dst), r.EncodedSize()
+	dst = slices.Grow(dst, size)[:n+size]
+	b := dst[n:]
+	binary.LittleEndian.PutUint32(b[0:], hook)
+	binary.LittleEndian.PutUint32(b[4:], uint32(r.TID))
+	binary.LittleEndian.PutUint64(b[8:], uint64(r.Time))
+	b = b[recHeaderSize:]
+	for i, a := range r.Args {
+		binary.LittleEndian.PutUint64(b[8*i:], a)
 	}
 	if r.Str != "" {
-		binary.LittleEndian.PutUint16(w[:2], uint16(len(r.Str)))
-		dst = append(dst, w[:2]...)
-		dst = append(dst, r.Str...)
+		b = b[8*len(r.Args):]
+		binary.LittleEndian.PutUint16(b, uint16(len(r.Str)))
+		copy(b[2:], r.Str)
 	}
 	return dst
 }

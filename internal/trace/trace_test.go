@@ -76,24 +76,52 @@ func TestDecodeConsecutive(t *testing.T) {
 	}
 }
 
+// TestQuickEncodeDecode holds Encode to its contract over the whole
+// legal range of a record — 0…maxArgs args; empty, 1-byte, 65 535-byte
+// and in-between strings: the bytes decode back to the record, there
+// are exactly EncodedSize of them, they land after whatever dst already
+// held (in place when dst has the room, the encoder indexes into the
+// reserved space rather than appending), and the two impossible records
+// still panic.
 func TestQuickEncodeDecode(t *testing.T) {
-	f := func(ty uint16, edge uint8, tid int32, tm int64, args []uint64, s string) bool {
-		if len(args) > 64 {
-			args = args[:64]
+	f := func(ty uint16, edge uint8, tid int32, tm int64, nargs, slen uint16, pick uint8, fill uint64) bool {
+		na := int(nargs) % (maxArgs + 1)
+		switch pick % 4 {
+		case 0:
+			na = 0
+		case 1:
+			na = maxArgs
 		}
-		if len(s) > 1000 {
-			s = s[:1000]
+		sl := int(slen)
+		switch pick / 4 % 4 {
+		case 0:
+			sl = 0
+		case 1:
+			sl = 1
+		case 2:
+			sl = 0xffff
+		}
+		args := make([]uint64, na)
+		for i := range args {
+			args[i] = fill + uint64(i)*0x9e3779b97f4a7c15
+		}
+		str := make([]byte, sl)
+		for i := range str {
+			str[i] = byte(fill>>(i%8*8)) + byte(i)
 		}
 		r := Record{
 			Type: events.Type(ty), Edge: events.Edge(edge % 3), TID: tid,
-			Time: clock.Time(tm), Args: args, Str: s,
+			Time: clock.Time(tm), Args: args, Str: string(str),
 		}
 		b := r.Encode(nil)
+		if len(b) != r.EncodedSize() {
+			return false
+		}
 		got, n, err := Decode(b)
 		if err != nil || n != len(b) {
 			return false
 		}
-		if len(args) == 0 && got.Args != nil && len(got.Args) != 0 {
+		if len(got.Args) != len(args) {
 			return false
 		}
 		for i := range args {
@@ -101,11 +129,39 @@ func TestQuickEncodeDecode(t *testing.T) {
 				return false
 			}
 		}
-		return got.Type == r.Type && got.Edge == r.Edge && got.TID == r.TID &&
-			got.Time == r.Time && got.Str == r.Str
+		if got.Type != r.Type || got.Edge != r.Edge || got.TID != r.TID ||
+			got.Time != r.Time || got.Str != r.Str {
+			return false
+		}
+		// Onto a non-empty dst, with and without room to spare.
+		prefix := []byte{0xa5, 0x5a, 0xa5, 0x5a, 0xa5, 0x5a, 0xa5}
+		for _, spare := range []int{0, len(b) + 3} {
+			dst := append(make([]byte, 0, len(prefix)+spare), prefix...)
+			out := r.Encode(dst)
+			if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], b) {
+				return false
+			}
+			if spare > 0 && &out[0] != &dst[0] {
+				return false // had the room, reallocated anyway
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+	for name, r := range map[string]Record{
+		"too many args":    {Args: make([]uint64, maxArgs+1)},
+		"oversized string": {Str: string(make([]byte, 0x10000))},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Encode of a record with %s did not panic", name)
+				}
+			}()
+			r.Encode(nil)
+		}()
 	}
 }
 
