@@ -24,6 +24,9 @@ race:
 # run (measurements are the ledger's job: `make ledger`).
 # RouterWindow covers the serving tier's scatter-gather path,
 # UteloadSmoke is one full load-generator run against a router fleet,
+# ConvertPerEvent fails above 64 bytes or 0.05 objects allocated per raw
+# event (the reader decodes in place, the converter owns its records),
+# Ingest fails above 1.3 objects per event on the live write path,
 # SchedHotLoop pins the simulator's per-event cost, Tracegen runs whole
 # trace generations (simulator, MPI runtime, trace facility) and fails
 # above 50 bytes or 0.30 objects allocated per event, CutTraceRecord
@@ -52,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzParseWindow$$' -fuzztime $(FUZZTIME) ./internal/clock
 	$(GO) test -run xxx -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run xxx -fuzz '^FuzzIngestBatch$$' -fuzztime $(FUZZTIME) ./internal/ingest
+	$(GO) test -run xxx -fuzz '^FuzzRawReader$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 # The benchmark ledger (utebench/, declared in BENCHMARK.json): a
 # black-box harness in its own module that builds ./cmd/... and drives

@@ -126,7 +126,7 @@ func BenchmarkTracegen(b *testing.B) {
 				writers[i] = io.Discard
 			}
 			var cut int64
-			var before, after runtime.MemStats
+			var before runtime.MemStats
 			b.ReportAllocs()
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
@@ -151,9 +151,7 @@ func BenchmarkTracegen(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(cut)
-			allocs := float64(after.Mallocs-before.Mallocs) / float64(cut)
+			bytes, allocs := allocatedSince(&before, float64(cut))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cut), "ns/event")
 			b.ReportMetric(bytes, "B/event")
 			b.ReportMetric(allocs, "allocs/event")

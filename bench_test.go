@@ -91,8 +91,9 @@ func rawEventCount(b *testing.B, raws [][]byte) int64 {
 		if err != nil {
 			b.Fatal(err)
 		}
+		var rec trace.Record
 		for {
-			if _, err := rd.Next(); errors.Is(err, io.EOF) {
+			if err := rd.NextHeader(&rec); err == io.EOF {
 				break
 			} else if err != nil {
 				b.Fatal(err)
@@ -120,10 +121,31 @@ func convertedFiles(b *testing.B, raws [][]byte) []*interval.File {
 
 // --- Table 1: utility speed -------------------------------------------
 
+// The converter's allocation bars: a conversion allocates its tables,
+// its window and its frames, never per event (the parent of the in-place
+// reader measured 165 B and 2.6 objects per event here — an Args slice
+// per record, a record per emitted piece, a state per push; now 25 B
+// and 0.002).
+const (
+	convertBytesPerEvent  = 64
+	convertAllocsPerEvent = 0.05
+)
+
+// allocatedSince returns the bytes and objects allocated since before
+// was read, each divided by n.
+func allocatedSince(before *runtime.MemStats, n float64) (bytes, objects float64) {
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / n, float64(after.Mallocs-before.Mallocs) / n
+}
+
 func benchConvertPerEvent(b *testing.B, iters int) {
 	raws := stormRaws(b, iters)
 	nev := rawEventCount(b, raws)
 	runtime.GC() // drop the generator's garbage; measure the utility
+	var before runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Parallel: 1 keeps this the sequential per-event cost of Table 1;
@@ -132,7 +154,16 @@ func benchConvertPerEvent(b *testing.B, iters int) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nev), "ns/event")
+	b.StopTimer()
+	total := float64(b.N) * float64(nev)
+	bytes, allocs := allocatedSince(&before, total)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/event")
+	b.ReportMetric(bytes, "B/event")
+	b.ReportMetric(allocs, "allocs/event")
+	if bytes > convertBytesPerEvent || allocs > convertAllocsPerEvent {
+		b.Fatalf("%.1f B/event and %.3f allocs/event, ceilings %v and %v: the reader or the converter allocates per event",
+			bytes, allocs, convertBytesPerEvent, convertAllocsPerEvent)
+	}
 }
 
 func BenchmarkConvertPerEventSmall(b *testing.B)  { benchConvertPerEvent(b, 1000) }
@@ -1191,6 +1222,9 @@ func benchIngest(b *testing.B, nodes int) {
 	dir := b.TempDir()
 	b.SetBytes(total)
 	runtime.GC()
+	var before runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m, err := ingest.NewManager(ingest.Config{Dir: dir})
@@ -1226,8 +1260,23 @@ func benchIngest(b *testing.B, nodes int) {
 			}
 		}
 	}
+	b.StopTimer()
+	_, allocs := allocatedSince(&before, float64(ev)*float64(b.N))
 	b.ReportMetric(float64(ev)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(allocs, "allocs/event")
+	if allocs > ingestAllocsPerEvent {
+		b.Fatalf("%.2f allocs/event, ceiling %v: the decoder or the streaming converter allocates per event again",
+			allocs, ingestAllocsPerEvent)
+	}
 }
+
+// ingestAllocsPerEvent is 1.5 times what a live ingest allocates per raw
+// event now that the batch decoder and the streaming converter allocate
+// nothing per event: 0.87 at one node and 0.85 at four (3.8 before), all
+// but a few per cent of it merge.LiveSource.Push cloning each queued
+// record's Extra. One-iteration smoke runs carry the session's fixed
+// cost too (a few hundred objects over a few thousand events).
+const ingestAllocsPerEvent = 1.3
 
 // BenchmarkIngest measures the streaming write path at one node (pure
 // pipeline cost, no merge contention) and at four (the live k-way merge

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -61,12 +62,16 @@ func countEventsFiles(paths []string) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		recs, err := rd.ReadAll()
+		// Counting needs no payload: step over the records by their
+		// headers instead of materializing millions of them.
+		var rec trace.Record
+		for err = rd.NextHeader(&rec); err == nil; err = rd.NextHeader(&rec) {
+			n++
+		}
 		rd.Close()
-		if err != nil {
+		if err != io.EOF {
 			return 0, err
 		}
-		n += int64(len(recs))
 	}
 	return n, nil
 }

@@ -92,9 +92,7 @@ func main() {
 		}
 	}
 	if *slogOut != "" {
-		// The SLOG build reads frames, never summaries: attaching the
-		// sidecar -pyramid wrote a moment ago would parse it for nothing.
-		mf, err := interval.Open(*out, interval.WithPyramid(false))
+		mf, err := interval.Open(*out)
 		if err != nil {
 			fatal(err)
 		}

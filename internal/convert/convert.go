@@ -9,6 +9,16 @@
 // global-clock pair records into the interval file for the merge
 // utility, and re-assigns globally unique identifiers to user marker
 // strings across all tasks.
+//
+// A conversion allocates nothing per event: the table pass steps over
+// records by their headers (payloads decoded for thread-info and marker
+// records only), the record pass loops on one trace.Record refilled in
+// place and builds every outgoing piece in one converter-owned
+// interval.Record. Two short lifetimes follow: a raw record's Args are
+// valid for the one event call that receives them, and an emitted
+// record — with its Extra and Vec, which may be those very Args — for
+// the one sink call that receives it (see converter.sink). Batch and
+// streaming conversion share the converter and the parse routine.
 package convert
 
 import (
@@ -124,9 +134,10 @@ type openState struct {
 	ty         events.Type
 	pieces     int // pieces emitted so far
 	pieceStart clock.Time
-	extra      []uint64 // known extras; zero until the closing event for MPI
-	vec        []uint64 // trailing vector field (final piece only)
-	markerID   uint64   // task-local marker id (marker states)
+	extra      []uint64  // known extras; zero until the closing event for MPI
+	vec        []uint64  // trailing vector field (final piece only)
+	markerID   uint64    // task-local marker id (marker states)
+	marker     [3]uint64 // backing of a marker state's extra
 }
 
 type threadState struct {
@@ -142,7 +153,15 @@ type converter struct {
 	// sink receives every emitted interval record in end-time order. The
 	// batch path points it at an interval.Writer's Add; the streaming
 	// path (Stream) at the ingest pipeline's adjust-and-enqueue stage.
+	// The record and its Extra and Vec are the converter's (out, scratch,
+	// a closing state's or the raw record's words), rewritten by the next
+	// event: a sink copies what it keeps before returning and may
+	// scribble on the rest (Writer.Add copies into batch columns;
+	// ingest's gate and merge.LiveSource.Push clone Extra and Vec).
 	sink     func(*interval.Record) error
+	out      interval.Record // the record being emitted
+	scratch  []uint64        // extras of a piece cut before its state closes
+	free     []*openState    // popped states, reused by open
 	markers  *MarkerRegistry
 	tolerant bool
 	threads  map[int32]*threadState
@@ -190,16 +209,25 @@ func scanTables(src io.ReadSeeker) (*tablePass, error) {
 	seenTID := map[int32]bool{}
 	definedStr := map[string]bool{}
 	var evs []markerEv
+	var rec trace.Record
 	for {
-		rec, err := rd.Next()
+		// Header-only step: of a whole trace only the few dozen
+		// thread-info and marker records have a payload this pass reads.
+		err := rd.NextHeader(&rec)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		if rec.TID >= 0 {
+		if rec.TID >= 0 && !seenTID[rec.TID] {
 			seenTID[rec.TID] = true
+		}
+		switch rec.Type {
+		case events.EvThreadInfo, events.EvMarkerDefine, events.EvMarkerBegin:
+			if err := rd.Payload(&rec); err != nil {
+				return nil, err
+			}
 		}
 		switch rec.Type {
 		case events.EvThreadInfo:
@@ -311,20 +339,8 @@ func convertRecords(src io.ReadSeeker, dst io.WriteSeeker, opts Options, tp *tab
 		return nil, err
 	}
 
-	c := &converter{
-		node:        tp.node,
-		sink:        w.Add,
-		markers:     markers,
-		tolerant:    opts.Tolerant,
-		threads:     make(map[int32]*threadState),
-		localMarker: make(map[[2]int64]uint64),
-		lastTime:    clock.Time(-1 << 62),
-		lastEmitEnd: clock.Time(-1 << 62), // local clocks may start negative
-		res:         Result{Node: tp.node},
-	}
-	for _, te := range tp.threads {
-		c.threads[int32(te.LTID)] = &threadState{tid: int32(te.LTID), task: te.Task}
-	}
+	c := newConverter(tp.node, tp.threads, markers, w.Add)
+	c.tolerant = opts.Tolerant
 
 	if _, err := src.Seek(0, io.SeekStart); err != nil {
 		return nil, err
@@ -333,8 +349,9 @@ func convertRecords(src io.ReadSeeker, dst io.WriteSeeker, opts Options, tp *tab
 	if err != nil {
 		return nil, err
 	}
+	var rec trace.Record
 	for {
-		rec, err := rd.Next()
+		err := rd.NextInto(&rec)
 		if err == io.EOF {
 			break
 		}
@@ -357,6 +374,25 @@ func convertRecords(src io.ReadSeeker, dst io.WriteSeeker, opts Options, tp *tab
 	return &c.res, nil
 }
 
+// newConverter builds the record-pass state for one node from its
+// table-pass thread table; the batch and the streaming path share it.
+func newConverter(node int, threads []interval.ThreadEntry, markers *MarkerRegistry, sink func(*interval.Record) error) *converter {
+	c := &converter{
+		node:        node,
+		sink:        sink,
+		markers:     markers,
+		threads:     make(map[int32]*threadState),
+		localMarker: make(map[[2]int64]uint64),
+		lastTime:    clock.Time(-1 << 62),
+		lastEmitEnd: clock.Time(-1 << 62), // local clocks may start negative
+		res:         Result{Node: node},
+	}
+	for _, te := range threads {
+		c.threads[int32(te.LTID)] = &threadState{tid: int32(te.LTID), task: te.Task}
+	}
+	return c
+}
+
 func (c *converter) thread(tid int32) *threadState {
 	ts := c.threads[tid]
 	if ts == nil {
@@ -366,6 +402,8 @@ func (c *converter) thread(tid int32) *threadState {
 	return ts
 }
 
+// event converts one raw record. rec and its Args are only valid for the
+// call (the in-place reader refills them): nothing may keep them past it.
 func (c *converter) event(rec *trace.Record) error {
 	now := rec.Time
 	if now > c.lastTime {
@@ -399,17 +437,13 @@ func (c *converter) event(rec *trace.Record) error {
 		if at < c.lastEmitEnd {
 			at = c.lastEmitEnd
 		}
-		return c.emit(&interval.Record{
-			Type: events.EvGlobalClock, Bebits: profile.Complete,
-			Start: at, Dura: 0, Node: uint16(c.node),
-			Extra: []uint64{rec.Args[0]},
-		})
+		return c.emit(events.EvGlobalClock, profile.Complete, at, 0, 0, 0, rec.Args[:1], nil)
 	case events.EvDispatch:
 		ts := c.thread(rec.TID)
 		ts.dispatched = true
 		ts.cpu = uint16(rec.Args[0])
 		if len(ts.stack) == 0 {
-			ts.stack = append(ts.stack, &openState{ty: events.EvRunning})
+			ts.stack = append(ts.stack, c.open(events.EvRunning, now))
 		}
 		c.top(ts).pieceStart = now
 		return nil
@@ -449,12 +483,11 @@ func (c *converter) event(rec *trace.Record) error {
 			gid = c.markers.ID(placeholderName(int64(ts.task), rec.Args[0]))
 			c.localMarker[[2]int64{int64(ts.task), int64(rec.Args[0])}] = gid
 		}
-		st := &openState{
-			ty:       events.EvMarkerState,
-			extra:    []uint64{gid, rec.Args[1], 0},
-			markerID: rec.Args[0],
-		}
-		return c.push(ts, st, now)
+		st := c.open(events.EvMarkerState, now)
+		st.marker = [3]uint64{gid, rec.Args[1], 0}
+		st.extra = st.marker[:]
+		st.markerID = rec.Args[0]
+		return c.push(ts, st)
 	case events.EvMarkerEnd:
 		ts := c.thread(rec.TID)
 		top := c.top(ts)
@@ -472,18 +505,13 @@ func (c *converter) event(rec *trace.Record) error {
 		// Point event: a zero-duration complete interval that does not
 		// split the enclosing state.
 		ts := c.thread(rec.TID)
-		return c.emit(&interval.Record{
-			Type: events.EvPageMiss, Bebits: profile.Complete,
-			Start: now, Dura: 0,
-			CPU: ts.cpu, Node: uint16(c.node), Thread: uint16(rec.TID),
-			Extra: rec.Args,
-		})
+		return c.emit(events.EvPageMiss, profile.Complete, now, 0, ts.cpu, uint16(rec.TID), rec.Args, nil)
 	}
 	if events.IsMPI(rec.Type) || events.IsIO(rec.Type) {
 		ts := c.thread(rec.TID)
 		switch rec.Edge {
 		case events.Entry:
-			return c.push(ts, &openState{ty: rec.Type}, now)
+			return c.push(ts, c.open(rec.Type, now))
 		case events.Exit:
 			top := c.top(ts)
 			if top == nil || top.ty != rec.Type {
@@ -493,6 +521,8 @@ func (c *converter) event(rec *trace.Record) error {
 				}
 				return fmt.Errorf("convert: %s exit without matching entry on thread %d at %v", rec.Type.Name(), rec.TID, now)
 			}
+			// Aliasing the caller's words is legal only because the pop
+			// below, in this same call, emits and retires the state.
 			top.extra = rec.Args
 			// Types with a trailing vector field carry it after the fixed
 			// extras in the raw record's args.
@@ -509,6 +539,26 @@ func (c *converter) event(rec *trace.Record) error {
 	return fmt.Errorf("convert: unhandled event type %s", rec.Type.Name())
 }
 
+// open returns a fresh state of type ty whose first piece starts at
+// start, off the free list when a popped one is waiting there.
+func (c *converter) open(ty events.Type, start clock.Time) *openState {
+	n := len(c.free)
+	if n == 0 {
+		return &openState{ty: ty, pieceStart: start}
+	}
+	st := c.free[n-1]
+	c.free = c.free[:n-1]
+	*st = openState{ty: ty, pieceStart: start}
+	return st
+}
+
+// drop removes the top state of ts and hands it to the free list.
+func (c *converter) drop(ts *threadState) {
+	n := len(ts.stack) - 1
+	c.free = append(c.free, ts.stack[n])
+	ts.stack = ts.stack[:n]
+}
+
 func (c *converter) top(ts *threadState) *openState {
 	if len(ts.stack) == 0 {
 		return nil
@@ -516,16 +566,17 @@ func (c *converter) top(ts *threadState) *openState {
 	return ts.stack[len(ts.stack)-1]
 }
 
-// push suspends the current top state's piece and makes st the new
-// active state.
-func (c *converter) push(ts *threadState, st *openState, now clock.Time) error {
+// push suspends the current top state's piece at st's start and makes
+// st the new active state.
+func (c *converter) push(ts *threadState, st *openState) error {
+	now := st.pieceStart
 	if !ts.dispatched {
 		if c.tolerant {
 			// Wrap mode evicted the dispatch: treat the thread as
 			// dispatched on an unknown CPU from this point.
 			ts.dispatched = true
 			if len(ts.stack) == 0 {
-				ts.stack = append(ts.stack, &openState{ty: events.EvRunning, pieceStart: now})
+				ts.stack = append(ts.stack, c.open(events.EvRunning, now))
 			}
 		} else {
 			return fmt.Errorf("convert: state %s opened on undispatched thread %d at %v", st.ty.Name(), ts.tid, now)
@@ -536,7 +587,6 @@ func (c *converter) push(ts *threadState, st *openState, now clock.Time) error {
 			return err
 		}
 	}
-	st.pieceStart = now
 	ts.stack = append(ts.stack, st)
 	return nil
 }
@@ -547,12 +597,12 @@ func (c *converter) pop(ts *threadState, now clock.Time) error {
 	if err := c.closePiece(ts, now, true); err != nil {
 		return err
 	}
-	ts.stack = ts.stack[:len(ts.stack)-1]
+	c.drop(ts)
 	if below := c.top(ts); below != nil && ts.dispatched {
 		below.pieceStart = now
 	} else if below == nil && ts.dispatched {
 		// Back to the default Running state.
-		ts.stack = append(ts.stack, &openState{ty: events.EvRunning, pieceStart: now})
+		ts.stack = append(ts.stack, c.open(events.EvRunning, now))
 	}
 	return nil
 }
@@ -576,11 +626,17 @@ func (c *converter) closePiece(ts *threadState, now clock.Time, last bool) error
 		bb = profile.Continuation
 	}
 	extra := st.extra
-	if want := len(events.ExtraFields(st.ty)); len(extra) != want {
+	if want := len(events.ExtraFields(st.ty)); len(extra) != want || !last {
 		// Pieces emitted before the closing event carry zeroed extras of
 		// the profile-declared width; sums over pieces stay correct
-		// because only the final piece carries the real values.
-		extra = make([]uint64, want)
+		// because only the final piece carries the real values. What a
+		// state knows earlier (a marker's) is copied, not lent: the sink
+		// may scribble on its record, and the state lives on.
+		if cap(c.scratch) < want {
+			c.scratch = make([]uint64, want)
+		}
+		extra = c.scratch[:want]
+		clear(extra)
 		copy(extra, st.extra)
 	}
 	var vec []uint64
@@ -588,17 +644,7 @@ func (c *converter) closePiece(ts *threadState, now clock.Time, last bool) error
 		vec = st.vec
 	}
 	st.pieces++
-	return c.emit(&interval.Record{
-		Type:   st.ty,
-		Bebits: bb,
-		Start:  st.pieceStart,
-		Dura:   now - st.pieceStart,
-		CPU:    ts.cpu,
-		Node:   uint16(c.node),
-		Thread: uint16(ts.tid),
-		Extra:  extra,
-		Vec:    vec,
-	})
+	return c.emit(st.ty, bb, st.pieceStart, now-st.pieceStart, ts.cpu, uint16(ts.tid), extra, vec)
 }
 
 // closeAll force-closes every open state of an exiting thread, top down.
@@ -610,14 +656,21 @@ func (c *converter) closeAll(ts *threadState, now clock.Time) error {
 		if err := c.closePiece(ts, now, true); err != nil {
 			return err
 		}
-		ts.stack = ts.stack[:len(ts.stack)-1]
+		c.drop(ts)
 	}
 	return nil
 }
 
-func (c *converter) emit(r *interval.Record) error {
+// emit fills c.out — field by field, so no temporary record is built and
+// copied — and hands it to the sink.
+func (c *converter) emit(ty events.Type, bb profile.Bebits, start, dura clock.Time, cpu, thread uint16, extra, vec []uint64) error {
+	r := &c.out
+	r.Type, r.Bebits = ty, bb
+	r.Start, r.Dura = start, dura
+	r.CPU, r.Node, r.Thread = cpu, uint16(c.node), thread
+	r.Extra, r.Vec = extra, vec
 	c.res.Records++
-	if e := r.End(); e > c.lastEmitEnd {
+	if e := start + dura; e > c.lastEmitEnd {
 		c.lastEmitEnd = e
 	}
 	return c.sink(r)

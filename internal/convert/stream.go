@@ -46,12 +46,14 @@ func ScanPreamble(batch []byte) (*Preamble, error) {
 }
 
 // Stream converts one node's raw events incrementally. Records emitted
-// by the conversion go to sink in end-time order (local clock). The
+// by the conversion go to sink in end-time order (local clock); each is
+// the converter's own and valid for that call only, so sink copies what
+// it keeps (see the package comment). The
 // caller must have assigned global identifiers for every preamble
 // define string (for all nodes, in node order) before the first Event —
 // the header barrier — because the registry is frozen from then on.
 type Stream struct {
-	c converter
+	c *converter
 }
 
 // NewStream builds a streaming converter from a node's preamble. The
@@ -62,26 +64,14 @@ func NewStream(pre *Preamble, markers *MarkerRegistry, sink func(*interval.Recor
 			return nil, fmt.Errorf("convert: stream for node %d: marker %q not assigned at the header barrier", pre.Node, s)
 		}
 	}
-	s := &Stream{c: converter{
-		node:        pre.Node,
-		sink:        sink,
-		markers:     markers,
-		threads:     make(map[int32]*threadState),
-		localMarker: make(map[[2]int64]uint64),
-		lastTime:    -1 << 62,
-		lastEmitEnd: -1 << 62,
-		res:         Result{Node: pre.Node},
-	}}
-	for _, te := range pre.Threads {
-		s.c.threads[int32(te.LTID)] = &threadState{tid: int32(te.LTID), task: te.Task}
-	}
-	return s, nil
+	return &Stream{c: newConverter(pre.Node, pre.Threads, markers, sink)}, nil
 }
 
-// Event converts one raw record. Beyond the batch converter's rules it
-// enforces the streaming contract: no thread and no marker string may
-// appear that the preamble (and with it the already-written header) did
-// not declare.
+// Event converts one raw record, which it does not keep: rec and its
+// Args may be reused as soon as Event returns. Beyond the batch
+// converter's rules it enforces the streaming contract: no thread and no
+// marker string may appear that the preamble (and with it the
+// already-written header) did not declare.
 func (s *Stream) Event(rec *trace.Record) error {
 	switch rec.Type {
 	case events.EvThreadInfo:
@@ -127,32 +117,55 @@ const maxRawRecord = 16 + 8*4095 + 2 + 65535
 // into raw records. Batches need not align with record boundaries; the
 // trailing partial record is buffered until the next batch arrives.
 type BatchDecoder struct {
-	rem []byte
+	rem []byte       // the partial record a batch ended in
+	rec trace.Record // the record handed to fn, refilled in place
 }
 
-// Feed appends one batch and invokes fn for every complete record now
-// available. A malformed stream — a record that stays undecodable after
-// more than the maximum encoded record size has been buffered — or an
-// fn error stops the decode and is returned.
+// Feed takes one batch and invokes fn for every complete record now
+// available, through the same parse routine the batch reader uses
+// (trace.DecodeInto). The record and its Args are the decoder's and only
+// valid for the call. Only the record straddling the batch boundary is
+// completed in the remainder buffer; every other record is decoded from
+// batch where it lies. A malformed stream — a record that stays
+// undecodable after more than the maximum encoded record size has been
+// buffered — or an fn error stops the decode and is returned.
 func (d *BatchDecoder) Feed(batch []byte, fn func(*trace.Record) error) error {
-	b := batch
-	if len(d.rem) > 0 {
-		b = append(d.rem, batch...)
-	}
-	for len(b) > 0 {
-		rec, n, err := trace.Decode(b)
-		if err != nil {
-			if len(b) > maxRawRecord {
-				return fmt.Errorf("convert: undecodable event record (%d bytes buffered): %w", len(b), err)
+	for len(d.rem) > 0 {
+		// Grow the remainder by exactly the bytes the straddling record
+		// still misses — a stage at a time, since its size is known only
+		// once its header (then its string length) is in.
+		n, _ := trace.RecordSize(d.rem)
+		if miss := n - len(d.rem); miss > 0 {
+			take := min(miss, len(batch))
+			d.rem = append(d.rem, batch[:take]...)
+			batch = batch[take:]
+			if take < miss {
+				return nil // batch used up, record still partial
 			}
-			break // truncated: wait for the next batch
+			continue
 		}
-		b = b[n:]
-		if err := fn(&rec); err != nil {
+		if _, err := trace.DecodeInto(&d.rec, d.rem); err != nil {
+			return err
+		}
+		d.rem = d.rem[:0]
+		if err := fn(&d.rec); err != nil {
 			return err
 		}
 	}
-	d.rem = append(d.rem[:0], b...)
+	for len(batch) > 0 {
+		n, err := trace.DecodeInto(&d.rec, batch)
+		if err != nil {
+			if len(batch) > maxRawRecord {
+				return fmt.Errorf("convert: undecodable event record (%d bytes buffered): %w", len(batch), err)
+			}
+			break // truncated: wait for the next batch
+		}
+		batch = batch[n:]
+		if err := fn(&d.rec); err != nil {
+			return err
+		}
+	}
+	d.rem = append(d.rem[:0], batch...)
 	return nil
 }
 

@@ -35,7 +35,8 @@ import (
 )
 
 // dictEntry is one row of a v4 frame dictionary, and doubles as the
-// writer's deduplication key (it is comparable).
+// writer's deduplication key (it is comparable, and hashes from its
+// fields packed into two words).
 type dictEntry struct {
 	typ    events.Type
 	bebits profile.Bebits
@@ -71,8 +72,53 @@ func minRecordBytes(version uint32) int64 {
 // frames so steady-state encoding allocates nothing.
 type v4EncState struct {
 	dict []dictEntry
-	keys map[dictEntry]uint32
-	idx  []uint32 // per-row dictionary index
+	// slots is the dictionary's probe table: open addressing over a
+	// power-of-two array of dictionary index+1 (0 = empty), cleared per
+	// frame and kept at most half full.
+	slots []uint32
+	idx   []uint32 // per-row dictionary index
+}
+
+// hash mixes the entry's fields, packed into two words; the multiply
+// leaves the entropy in the high bits, so they are folded down for
+// callers that mask off the low ones.
+func (d *dictEntry) hash() uint64 {
+	w0 := uint64(d.typ)<<48 | uint64(d.cpu)<<32 | uint64(d.node)<<16 | uint64(d.thread)
+	w1 := uint64(d.nx)<<8 | uint64(d.bebits)
+	h := (w0 ^ w1*0x9e3779b97f4a7c15) * 0xff51afd7ed558ccd
+	return h ^ h>>32
+}
+
+// lookup returns key's dictionary index, appending key to the
+// dictionary on first appearance.
+func (st *v4EncState) lookup(key *dictEntry) uint32 {
+	mask := uint64(len(st.slots) - 1)
+	i := key.hash() & mask
+	for ; st.slots[i] != 0; i = (i + 1) & mask {
+		if di := st.slots[i] - 1; st.dict[di] == *key {
+			return di
+		}
+	}
+	st.dict = append(st.dict, *key)
+	st.slots[i] = uint32(len(st.dict))
+	if 2*len(st.dict) > len(st.slots) {
+		st.rehash(2 * len(st.slots))
+	}
+	return uint32(len(st.dict) - 1)
+}
+
+// rehash makes the probe table size slots wide (a power of two) and
+// re-enters the dictionary.
+func (st *v4EncState) rehash(size int) {
+	st.slots = make([]uint32, size)
+	mask := uint64(size - 1)
+	for di := range st.dict {
+		i := st.dict[di].hash() & mask
+		for st.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		st.slots[i] = uint32(di + 1)
+	}
 }
 
 // appendV4 is the v4 encoder: it appends the batch's rows to dst as one
@@ -83,23 +129,18 @@ func (b *Batch) appendV4(dst []byte, st *v4EncState) []byte {
 	if b.N == 0 {
 		return dst
 	}
-	if st.keys == nil {
-		st.keys = make(map[dictEntry]uint32)
-	}
 	st.dict = st.dict[:0]
 	st.idx = st.idx[:0]
-	clear(st.keys)
+	if st.slots == nil {
+		st.rehash(64)
+	} else {
+		clear(st.slots)
+	}
 	base := b.Start[0]
 	for i := 0; i < b.N; i++ {
 		key := dictEntry{b.Type[i], b.Bebits[i], b.CPU[i], b.Node[i], b.Thread[i],
 			int(b.ExtraOff[i+1] - b.ExtraOff[i])}
-		di, ok := st.keys[key]
-		if !ok {
-			di = uint32(len(st.dict))
-			st.dict = append(st.dict, key)
-			st.keys[key] = di
-		}
-		st.idx = append(st.idx, di)
+		st.idx = append(st.idx, st.lookup(&key))
 		if b.Start[i] < base {
 			base = b.Start[i]
 		}

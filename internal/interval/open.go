@@ -48,9 +48,11 @@ func WithSalvage(sink *SalvageResult) Option {
 // WithPyramid controls the summary-pyramid sidecar auto-load (the
 // default is true): Open looks for <path>.pyr and, when it is no larger
 // than the trace (SidecarOutweighs; checked by stat, before a byte of it
-// is read), decodes, verifies, and matches the trace's frame-directory
-// signature, attaches it so SummarizeWindow can answer from summary
-// cells. The sidecar is strictly advisory — a missing, oversized,
+// is read), remembers it; the first summary that asks (File.Pyramid)
+// reads, decodes, verifies, and matches it against the trace's
+// frame-directory signature, once, so SummarizeWindow can answer from
+// summary cells — and a tool that never summarizes never pays for the
+// parse. The sidecar is strictly advisory — a missing, oversized,
 // corrupt, truncated, or stale sidecar is silently ignored and every
 // query falls back to the scan engine — so no option value can ever
 // make Open fail. NewFile never auto-loads (a bare reader has no path).
@@ -91,14 +93,11 @@ func Open(path string, opts ...Option) (*File, error) {
 		return nil, err
 	}
 	if o.pyramid {
-		// Advisory: a sidecar that outweighs the trace, or any load error
-		// (no sidecar, damage, staleness, or even unreadable frame
-		// metadata on a damaged trace) just means queries scan.
+		// Advisory: no sidecar, or one that outweighs the trace, just
+		// means queries scan. Whether it loads is Pyramid's business.
 		pp := PyramidPath(path)
 		if st, err := os.Stat(pp); err == nil && !SidecarOutweighs(st.Size(), f.Size) {
-			if p, err := LoadPyramid(pp, f); err == nil {
-				f.pyr = p
-			}
+			f.pyrPath = pp
 		}
 	}
 	return f, nil

@@ -252,7 +252,7 @@ func (f *File) Signature() (PyramidSig, error) {
 
 // Encode serializes the pyramid in the sidecar format.
 func (p *Pyramid) Encode() []byte {
-	buf := make([]byte, 0, pyrHeaderSize+len(p.Levels)*pyrLevelHeaderSize)
+	buf := make([]byte, 0, p.encodedSizeHint())
 	buf = append(buf, pyrMagic...)
 	buf = appendU32(buf, PyramidVersion)
 	buf = appendU32(buf, 0) // flags
@@ -266,18 +266,34 @@ func (p *Pyramid) Encode() []byte {
 	buf = appendU32(buf, p.Sig.DirSum)
 	buf = appendU32(buf, crc32.Checksum(buf[8:], crcTable))
 	for li := range p.Levels {
+		// Cells go straight into buf behind a reserved level header whose
+		// byte length and checksum are patched in once they are known.
 		l := &p.Levels[li]
-		var pay []byte
-		for ci := range l.Cells {
-			pay = appendCell(pay, &l.Cells[ci])
-		}
 		buf = appendU64(buf, uint64(l.First))
 		buf = appendU32(buf, uint32(len(l.Cells)))
-		buf = appendU32(buf, uint32(len(pay)))
-		buf = appendU32(buf, crc32.Checksum(pay, crcTable))
-		buf = append(buf, pay...)
+		buf = appendU64(buf, 0) // payload length, payload checksum
+		pay := len(buf)
+		for ci := range l.Cells {
+			buf = appendCell(buf, &l.Cells[ci])
+		}
+		binary.LittleEndian.PutUint32(buf[pay-8:], uint32(len(buf)-pay))
+		binary.LittleEndian.PutUint32(buf[pay-4:], crc32.Checksum(buf[pay:], crcTable))
 	}
 	return buf
+}
+
+// encodedSizeHint estimates Encode's output from item counts at typical
+// varint widths, a little high, so the buffer is allocated once; a low
+// guess only costs a regrowth.
+func (p *Pyramid) encodedSizeHint() int {
+	n := pyrHeaderSize + len(p.Levels)*pyrLevelHeaderSize
+	for li := range p.Levels {
+		for ci := range p.Levels[li].Cells {
+			c := &p.Levels[li].Cells[ci]
+			n += 8 + 5*len(c.ByType) + 5*len(c.ByLane) + 14*len(c.Top)
+		}
+	}
+	return n
 }
 
 func appendCell(dst []byte, c *PyramidCell) []byte {
@@ -605,11 +621,16 @@ func writeSidecar(path string, data []byte) error {
 	return nil
 }
 
+// readSidecar reads a sidecar's bytes; a variable so a test can count
+// how often, and when, a sidecar is touched.
+var readSidecar = os.ReadFile
+
 // LoadPyramid reads, decodes, and signature-checks the sidecar at path
 // against f. It returns an error for any defect; callers that want the
-// advisory behavior (Open) discard the error and fall back to scans.
+// advisory behavior (File.Pyramid) discard the error and fall back to
+// scans.
 func LoadPyramid(path string, f *File) (*Pyramid, error) {
-	data, err := os.ReadFile(path)
+	data, err := readSidecar(path)
 	if err != nil {
 		return nil, err
 	}
@@ -627,8 +648,19 @@ func LoadPyramid(path string, f *File) (*Pyramid, error) {
 	return p, nil
 }
 
-// Pyramid returns the summary pyramid Open attached, or nil.
-func (f *File) Pyramid() *Pyramid { return f.pyr }
+// Pyramid returns the summary pyramid of the sidecar Open found, or nil.
+// The first call loads and signature-checks it (LoadPyramid), once,
+// however many summaries arrive together; any load error — damage,
+// staleness, a File closed before anyone asked — leaves nil for good, so
+// queries scan: the sidecar is advisory.
+func (f *File) Pyramid() *Pyramid {
+	f.pyrOnce.Do(func() {
+		if f.pyrPath != "" {
+			f.pyr, _ = LoadPyramid(f.pyrPath, f)
+		}
+	})
+	return f.pyr
+}
 
 // floorDivTime is floor division of a time by a positive power-of-two
 // width, correct for negative times (so cell alignment is absolute,

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 	"sync/atomic"
 
 	"tracefw/internal/clock"
@@ -94,9 +95,12 @@ type File struct {
 	// decoded counts frame payload reads; tests use it to assert that
 	// window queries touch only the frames overlapping the window.
 	decoded atomic.Int64
-	// pyr is the summary pyramid Open loaded from the sidecar; nil means
-	// SummarizeWindow always scans.
-	pyr *Pyramid
+	// pyrPath names the sidecar Open found next to the trace and no
+	// larger than it ("" = none); pyrOnce loads it into pyr at the first
+	// Pyramid call. A nil pyr after that means SummarizeWindow scans.
+	pyrPath string
+	pyrOnce sync.Once
+	pyr     *Pyramid
 }
 
 // ErrClosed is returned by reads on a File after Close. It is distinct

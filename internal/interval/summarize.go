@@ -168,8 +168,10 @@ func SummarizeWindow(files []*File, o WindowSummaryOptions) (*WindowSummary, err
 	if o.TopK < 0 {
 		return nil, fmt.Errorf("interval: summarize top-k %d is negative", o.TopK)
 	}
-	if len(files) == 1 && files[0].pyr.usable(o) {
-		return summarizePyramid(files[0], files[0].pyr, o)
+	if len(files) == 1 {
+		if p := files[0].Pyramid(); p.usable(o) {
+			return summarizePyramid(files[0], p, o)
+		}
 	}
 	return summarizeScan(files, o)
 }
