@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench-smoke fuzz-smoke ledger ledger-smoke
+.PHONY: ci vet build test race bench-smoke fuzz-smoke ledger ledger-agree ledger-smoke loc
 
 ci: vet build test race bench-smoke fuzz-smoke ledger-smoke
 
@@ -64,10 +64,24 @@ fuzz-smoke:
 # at toy sizes (~25 s) — every flag and endpoint the ledger uses still
 # answers — and is part of `ci` (-count=1: the test cache cannot see
 # that the commands the harness builds and runs have changed).
+# `ledger-agree` is the acceptance driver's own check run locally: two
+# interleaved sets of 10 runs per workload of this checkout against
+# itself, compared under BENCHMARK.json's bounds — it says whether the
+# host is quiet enough for a parent-vs-change comparison to mean
+# anything (~30 min; not part of `ci`).
 ledger:
 	for w in pipeline_sppm_4x8 sweep_wide_216x4 serve_zoom_warm ingest_live_2x4; do \
 		bash utebench/run.sh --workload $$w || exit 1; \
 	done
 
+ledger-agree:
+	bash utebench/run.sh -agree 10
+
 ledger-smoke:
 	cd utebench && $(GO) test -count=1 ./...
+
+# The line count a simplicity PR cites as "net non-test lines": non-blank,
+# non-comment lines of the Go files under internal/ and cmd/, tests
+# excluded. Run it at the parent and at the change.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs grep -HcvE '^[[:space:]]*(//|$$)' | awk -F: '{n += $$2} END {print n}'

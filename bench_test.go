@@ -15,7 +15,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 
@@ -392,53 +391,10 @@ func sizeName(iters int) string {
 }
 
 // --- ablations -----------------------------------------------------------
-
-// BenchmarkMergeLoserTreeVsLinear compares the paper's balanced-tree
-// k-way merge against a naive linear minimum scan, with many inputs so
-// the O(log k) vs O(k) difference shows.
-func BenchmarkMergeLoserTreeVsLinear(b *testing.B) {
-	const nodes = 16
-	bufs := make([]*bytes.Buffer, nodes)
-	writers := make([]io.Writer, nodes)
-	for i := range bufs {
-		bufs[i] = &bytes.Buffer{}
-		writers[i] = bufs[i]
-	}
-	w, err := mpisim.New(mpisim.Config{
-		Cluster: cluster.Config{
-			Nodes: nodes, CPUsPerNode: 2, Seed: 5,
-			TraceOpts: trace.Options{Enabled: events.MaskAll},
-		},
-		TasksPerNode: 1,
-	}, writers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w.Start(workload.Storm{Iters: 400, Threads: 1}.Main())
-	if _, err := w.Run(); err != nil {
-		b.Fatal(err)
-	}
-	raws := make([][]byte, nodes)
-	for i, buf := range bufs {
-		raws[i] = buf.Bytes()
-	}
-	for _, variant := range []struct {
-		name   string
-		linear bool
-	}{{"losertree", false}, {"linear", true}} {
-		b.Run(variant.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				files := convertedFiles(b, raws)
-				b.StartTimer()
-				sb := interval.NewSeekBuffer()
-				if _, err := merge.Merge(files, sb, merge.Options{Linear: variant.linear}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+//
+// The merge's own (loser tree vs linear scan, pseudo-interval planting,
+// end-time ordering) are in internal/merge/bench_test.go, beside the seam
+// that reaches their other arms.
 
 // BenchmarkSeekFrameDirsVsScan compares locating a late time point via
 // the frame directories against scanning all records — the reason the
@@ -494,32 +450,6 @@ func BenchmarkSeekFrameDirsVsScan(b *testing.B) {
 	})
 }
 
-// BenchmarkMergePseudoIntervals measures the cost of the paper's §3.3
-// pseudo-interval planting.
-func BenchmarkMergePseudoIntervals(b *testing.B) {
-	raws := stormRaws(b, 4000)
-	for _, variant := range []struct {
-		name     string
-		noPseudo bool
-	}{{"with-pseudo", false}, {"no-pseudo", true}} {
-		b.Run(variant.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				files := convertedFiles(b, raws)
-				b.StartTimer()
-				sb := interval.NewSeekBuffer()
-				opts := merge.Options{
-					Writer:   interval.WriterOptions{FrameBytes: 8 << 10},
-					NoPseudo: variant.noPseudo,
-				}
-				if _, err := merge.Merge(files, sb, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEstimatorAdjustment measures timestamp adjustment throughput
 // per estimator (every record passes through Adjuster.Global twice).
 func BenchmarkEstimatorAdjustment(b *testing.B) {
@@ -537,76 +467,6 @@ func BenchmarkEstimatorAdjustment(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkEndTimeOrderingAblation quantifies the paper's end-time
-// ordering design decision (§3.1): because every input interval file is
-// already sorted by end time, the merge is a streaming k-way pass. The
-// ablation pretends the inputs were unordered and performs the naive
-// alternative — load everything, sort globally, rewrite — which costs
-// O(n log n) comparisons and peak memory proportional to the whole trace
-// instead of one record per input.
-func BenchmarkEndTimeOrderingAblation(b *testing.B) {
-	raws := stormRaws(b, 8000)
-	b.Run("streaming-merge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			files := convertedFiles(b, raws)
-			b.StartTimer()
-			sb := interval.NewSeekBuffer()
-			if _, err := merge.Merge(files, sb, merge.Options{NoPseudo: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("global-sort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			files := convertedFiles(b, raws)
-			b.StartTimer()
-			// Naive alternative: slurp every record, sort by end time,
-			// write one output file.
-			var all []interval.Record
-			for fi, f := range files {
-				pairs, err := merge.ExtractPairs(f)
-				if err != nil {
-					b.Fatal(err)
-				}
-				adj := clock.NewRatioAdjuster(pairs)
-				recs, err := f.Scan().All()
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = fi
-				for _, r := range recs {
-					if r.Type == events.EvGlobalClock {
-						continue
-					}
-					end := adj.Global(r.End())
-					r.Start = adj.Global(r.Start)
-					r.Dura = end - r.Start
-					all = append(all, r)
-				}
-			}
-			sort.SliceStable(all, func(x, y int) bool { return all[x].End() < all[y].End() })
-			sb := interval.NewSeekBuffer()
-			w, err := interval.NewWriter(sb, interval.Header{
-				ProfileVersion: files[0].Header.ProfileVersion,
-				Markers:        map[uint64]string{},
-			}, interval.WriterOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j := range all {
-				if err := w.Add(&all[j]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkConvertParallel measures the worker-pool convert over a

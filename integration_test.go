@@ -220,7 +220,6 @@ func TestDelayedTracingReducesData(t *testing.T) {
 		cfg := core.Config{
 			Nodes: 2, CPUsPerNode: 2, TasksPerNode: 1, Seed: 7,
 			DelayStart: delay,
-			OutDir:     dir,
 		}
 		w := workload.Ring{Iters: 20, Bytes: 512}
 		if !delay {

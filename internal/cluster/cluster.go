@@ -304,15 +304,17 @@ func (m *Machine) StartClockSampling() {
 }
 
 // Run executes the simulation to completion and flushes and closes
-// every facility — all of them, whichever fails. It returns the final
-// virtual time and the first error.
-func (m *Machine) Run() (clock.Time, error) {
-	end := m.Sim.Run()
-	var first error
-	for _, f := range m.Facilities {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
+// every facility — all of them, whichever fails, and also when the
+// simulation panics (a workload's panic, the deadlock report): the
+// deferred close runs and the panic goes on to the caller. It returns
+// the final virtual time and the first close error.
+func (m *Machine) Run() (end clock.Time, err error) {
+	defer func() {
+		for _, f := range m.Facilities {
+			if cerr := f.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
 		}
-	}
-	return end, first
+	}()
+	return m.Sim.Run(), nil
 }

@@ -330,6 +330,37 @@ func TestRunClosesEveryFacilityOnError(t *testing.T) {
 	if files[2].writes < 2 {
 		t.Fatalf("node 2 wrote %d times: its buffer was never flushed", files[2].writes)
 	}
+
+	// A workload that panics takes Sim.Run down with it: the panic must
+	// reach Run's caller, and every node's file must be flushed and
+	// closed on the way.
+	files = threeFiles(t, -1)
+	if m, err = NewFiles(FromConfig(baseCfg(3))); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 3; n++ {
+		m.SpawnTraced(n, int32(n), events.ThreadMPI, func(th *sched.Thread) {
+			th.Compute(clock.Millisecond)
+			if n == 1 {
+				panic("workload bug")
+			}
+		})
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "workload bug" {
+				t.Fatalf("Run panicked with %v, want the workload's panic", r)
+			}
+		}()
+		m.Run()
+		t.Fatal("Run returned from a panicking workload")
+	}()
+	checkClosedOnce(t, files)
+	for n, f := range files {
+		if f.writes < 2 {
+			t.Fatalf("node %d wrote %d times: its buffer was never flushed", n, f.writes)
+		}
+	}
 }
 
 // NewFiles opens every file before it builds the facilities; when a

@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"path/filepath"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/cluster"
@@ -70,11 +69,6 @@ type Config struct {
 	Convert interval.WriterOptions
 	Merge   merge.Options
 	Slog    slog.Options
-
-	// OutDir, when non-empty, makes Execute write every artifact to disk
-	// under this directory (raw.N, trace.N.ute, merged.ute, trace.slog,
-	// profile.ute); otherwise everything stays in memory.
-	OutDir string
 }
 
 func (c Config) clusterConfig() cluster.Config {
@@ -82,7 +76,7 @@ func (c Config) clusterConfig() cluster.Config {
 	if enabled == 0 {
 		enabled = events.MaskAll
 	}
-	cc := cluster.Config{
+	return cluster.Config{
 		Nodes:         c.Nodes,
 		CPUsPerNode:   c.CPUsPerNode,
 		Quantum:       c.Quantum,
@@ -101,10 +95,6 @@ func (c Config) clusterConfig() cluster.Config {
 			Wrap:       c.Wrap,
 		},
 	}
-	if c.OutDir != "" {
-		cc.TraceOpts.Prefix = filepath.Join(c.OutDir, "raw")
-	}
-	return cc
 }
 
 // Run holds every pipeline artifact.
@@ -114,10 +104,8 @@ type Run struct {
 	// VirtualEnd is the simulated completion time.
 	VirtualEnd clock.Time
 
-	// RawTraces holds the per-node raw trace bytes (in-memory runs).
+	// RawTraces holds the per-node raw trace bytes.
 	RawTraces [][]byte
-	// RawPaths holds the raw trace file names (file-backed runs).
-	RawPaths []string
 
 	// Intervals holds the per-node individual interval files.
 	Intervals []*interval.File
@@ -135,29 +123,41 @@ type Run struct {
 	SlogResult *slog.BuildResult
 }
 
-// Execute runs the complete pipeline for a workload.
+// Execute runs the complete pipeline for a workload, in memory.
 func Execute(cfg Config, main func(*mpisim.Proc)) (*Run, error) {
+	run, err := ExecuteMerge(cfg, main)
+	if err != nil {
+		return nil, err
+	}
+	// Stage 4: SLOG for the viewer.
+	sb := interval.NewSeekBuffer()
+	if run.SlogResult, err = slog.Build(run.Merged, sb, cfg.Slog); err != nil {
+		return nil, err
+	}
+	if run.Slog, err = slog.Read(sb); err != nil {
+		return nil, err
+	}
+	return run, nil
+}
+
+// ExecuteMerge runs the pipeline up to the merged interval file —
+// generate, convert, merge — and stops there: the Run has no SLOG file.
+// Callers that reduce the merged trace themselves (a sweep cell) use it
+// in place of Execute.
+func ExecuteMerge(cfg Config, main func(*mpisim.Proc)) (*Run, error) {
 	if cfg.Nodes <= 0 || cfg.CPUsPerNode <= 0 {
 		return nil, fmt.Errorf("core: config needs nodes and cpus")
 	}
 	run := &Run{Config: cfg}
 
 	// Stage 1: trace generation on the simulated machine.
-	mcfg := mpisim.Config{Cluster: cfg.clusterConfig(), TasksPerNode: cfg.TasksPerNode, Network: cfg.Network}
-	var world *mpisim.World
-	var bufs []*bytes.Buffer
-	var err error
-	if cfg.OutDir != "" {
-		world, err = mpisim.NewFiles(mcfg)
-	} else {
-		bufs = make([]*bytes.Buffer, cfg.Nodes)
-		writers := make([]io.Writer, cfg.Nodes)
-		for i := range bufs {
-			bufs[i] = &bytes.Buffer{}
-			writers[i] = bufs[i]
-		}
-		world, err = mpisim.New(mcfg, writers)
+	bufs := make([]*bytes.Buffer, cfg.Nodes)
+	writers := make([]io.Writer, cfg.Nodes)
+	for i := range bufs {
+		bufs[i] = &bytes.Buffer{}
+		writers[i] = bufs[i]
 	}
+	world, err := mpisim.New(mpisim.Config{Cluster: cfg.clusterConfig(), TasksPerNode: cfg.TasksPerNode, Network: cfg.Network}, writers)
 	if err != nil {
 		return nil, err
 	}
@@ -165,47 +165,25 @@ func Execute(cfg Config, main func(*mpisim.Proc)) (*Run, error) {
 	if run.VirtualEnd, err = world.Run(); err != nil {
 		return nil, err
 	}
+	run.RawTraces = make([][]byte, cfg.Nodes)
+	for i, b := range bufs {
+		run.RawTraces[i] = b.Bytes()
+	}
 
 	// Stage 2: convert raw traces to interval files.
-	reg := convert.NewMarkerRegistry()
-	copts := convert.Options{Writer: cfg.Convert, Markers: reg, Tolerant: cfg.Wrap, Parallel: cfg.Parallel}
-	if cfg.OutDir != "" {
-		for n := 0; n < cfg.Nodes; n++ {
-			run.RawPaths = append(run.RawPaths, mcfg.Cluster.TraceOpts.FileName(n))
-		}
-		outPaths := make([]string, cfg.Nodes)
-		for n := range outPaths {
-			outPaths[n] = filepath.Join(cfg.OutDir, fmt.Sprintf("trace.%d.ute", n))
-		}
-		results, err := convert.ConvertAll(run.RawPaths, outPaths, copts)
+	outs, results, err := convert.ConvertBuffers(run.RawTraces, convert.Options{
+		Writer: cfg.Convert, Markers: convert.NewMarkerRegistry(), Tolerant: cfg.Wrap, Parallel: cfg.Parallel,
+	})
+	if err != nil {
+		return nil, err
+	}
+	run.ConvertResults = results
+	for _, sb := range outs {
+		f, err := interval.NewFile(sb)
 		if err != nil {
 			return nil, err
 		}
-		run.ConvertResults = results
-		for _, p := range outPaths {
-			f, err := interval.Open(p)
-			if err != nil {
-				return nil, err
-			}
-			run.Intervals = append(run.Intervals, f)
-		}
-	} else {
-		run.RawTraces = make([][]byte, cfg.Nodes)
-		for i, b := range bufs {
-			run.RawTraces[i] = b.Bytes()
-		}
-		outs, results, err := convert.ConvertBuffers(run.RawTraces, copts)
-		if err != nil {
-			return nil, err
-		}
-		run.ConvertResults = results
-		for _, sb := range outs {
-			f, err := interval.NewFile(sb)
-			if err != nil {
-				return nil, err
-			}
-			run.Intervals = append(run.Intervals, f)
-		}
+		run.Intervals = append(run.Intervals, f)
 	}
 
 	// Stage 3: merge with clock adjustment.
@@ -214,69 +192,14 @@ func Execute(cfg Config, main func(*mpisim.Proc)) (*Run, error) {
 	if mopts.Parallel == 0 {
 		mopts.Parallel = cfg.Parallel
 	}
-	var mergedRS io.ReadSeeker
-	if cfg.OutDir != "" {
-		path := filepath.Join(cfg.OutDir, "merged.ute")
-		if run.MergeResult, err = mergeToFile(run.Intervals, path, mopts); err != nil {
-			return nil, err
-		}
-		if run.Merged, err = interval.Open(path); err != nil {
-			return nil, err
-		}
-	} else {
-		sb := interval.NewSeekBuffer()
-		if run.MergeResult, err = merge.Merge(run.Intervals, sb, mopts); err != nil {
-			return nil, err
-		}
-		mergedRS = sb
-		if run.Merged, err = interval.NewFile(mergedRS); err != nil {
-			return nil, err
-		}
+	sb := interval.NewSeekBuffer()
+	if run.MergeResult, err = merge.Merge(run.Intervals, sb, mopts); err != nil {
+		return nil, err
 	}
-
-	// Stage 4: SLOG for the viewer.
-	if cfg.OutDir != "" {
-		path := filepath.Join(cfg.OutDir, "trace.slog")
-		if run.SlogResult, err = buildSlogFile(run.Merged, path, cfg.Slog); err != nil {
-			return nil, err
-		}
-		if run.Slog, err = slog.Open(path); err != nil {
-			return nil, err
-		}
-	} else {
-		sb := interval.NewSeekBuffer()
-		if run.SlogResult, err = slog.Build(run.Merged, sb, cfg.Slog); err != nil {
-			return nil, err
-		}
-		if run.Slog, err = slog.Read(sb); err != nil {
-			return nil, err
-		}
+	if run.Merged, err = interval.NewFile(sb); err != nil {
+		return nil, err
 	}
 	return run, nil
-}
-
-func mergeToFile(files []*interval.File, path string, opts merge.Options) (*merge.Result, error) {
-	out, fp, err := createSeeker(path)
-	if err != nil {
-		return nil, err
-	}
-	res, err := merge.Merge(files, out, opts)
-	if cerr := fp.Close(); err == nil {
-		err = cerr
-	}
-	return res, err
-}
-
-func buildSlogFile(mf *interval.File, path string, opts slog.Options) (*slog.BuildResult, error) {
-	out, fp, err := createSeeker(path)
-	if err != nil {
-		return nil, err
-	}
-	res, err := slog.Build(mf, out, opts)
-	if cerr := fp.Close(); err == nil {
-		err = cerr
-	}
-	return res, err
 }
 
 // Stats runs a statistics program (empty = the predefined tables) over
@@ -315,7 +238,7 @@ func (r *Run) TotalEvents() int64 {
 	return n
 }
 
-// Close releases file handles of file-backed runs.
+// Close closes the run's interval and SLOG files.
 func (r *Run) Close() error {
 	var first error
 	for _, f := range r.Intervals {

@@ -1,8 +1,6 @@
 package core_test
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"tracefw/internal/core"
@@ -40,24 +38,6 @@ func TestExecuteInMemory(t *testing.T) {
 	}
 	if run.MergeResult.Records == 0 || run.SlogResult.Frames == 0 {
 		t.Fatalf("results: %+v %+v", run.MergeResult, run.SlogResult)
-	}
-}
-
-func TestExecuteToFiles(t *testing.T) {
-	cfg := baseConfig()
-	cfg.OutDir = t.TempDir()
-	run, err := core.Execute(cfg, workload.Ring{Iters: 5}.Main())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer run.Close()
-	for _, name := range []string{"raw.0", "raw.1", "trace.0.ute", "trace.1.ute", "merged.ute", "trace.slog"} {
-		if _, err := os.Stat(filepath.Join(cfg.OutDir, name)); err != nil {
-			t.Fatalf("missing artifact %s: %v", name, err)
-		}
-	}
-	if len(run.RawPaths) != 2 {
-		t.Fatalf("raw paths: %v", run.RawPaths)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"tracefw/internal/clock"
@@ -57,8 +58,23 @@ func FuzzOpen(f *testing.F) {
 	})
 }
 
+// drainBounded reads sc to its first error. Every record costs at least
+// one framed byte, so a terminating scanner returns at most Size records.
+func drainBounded(t *testing.T, fl *interval.File, sc *interval.Scanner) {
+	t.Helper()
+	for steps := fl.Size + 16; ; steps-- {
+		if steps < 0 {
+			t.Fatalf("scanner did not terminate within %d records", fl.Size+16)
+		}
+		if _, err := sc.NextRecord(); err != nil {
+			return
+		}
+	}
+}
+
 // FuzzNextRecord: the sequential scanner must terminate with either EOF
-// or an error on every input, in a bounded number of steps.
+// or an error on every input, in a bounded number of steps — from the
+// start and again after a seek.
 func FuzzNextRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -70,15 +86,10 @@ func FuzzNextRecord(f *testing.F) {
 			return
 		}
 		sc := fl.Scan()
-		// Every record costs at least one framed byte, so a terminating
-		// scanner returns at most Size records.
-		for steps := fl.Size + 16; ; steps-- {
-			if steps < 0 {
-				t.Fatalf("scanner did not terminate within %d records", fl.Size+16)
-			}
-			if _, err := sc.NextRecord(); err != nil {
-				break
-			}
+		drainBounded(t, fl, sc)
+		_, _, _ = fl.FrameContaining(0)
+		if sc.SeekTime(0) == nil {
+			drainBounded(t, fl, sc)
 		}
 	})
 }
@@ -97,14 +108,11 @@ func FuzzScanWindow(f *testing.F) {
 		}
 		_, _ = fl.FramesInWindow(clock.Time(lo), clock.Time(hi))
 		_, _, _ = fl.FrameContaining(clock.Time(lo))
+		_, _, _ = fl.FrameContaining(clock.Time(hi))
 		sc := fl.ScanWindow(clock.Time(lo), clock.Time(hi))
-		for steps := fl.Size + 16; ; steps-- {
-			if steps < 0 {
-				t.Fatalf("window scanner did not terminate within %d records", fl.Size+16)
-			}
-			if _, err := sc.NextRecord(); err != nil {
-				break
-			}
+		drainBounded(t, fl, sc)
+		if sc.SeekTime(clock.Time(hi)) == nil {
+			drainBounded(t, fl, sc)
 		}
 	})
 }
@@ -188,8 +196,10 @@ func FuzzPyramid(f *testing.F) {
 var regenCorpus = flag.Bool("regen-corpus", false, "regenerate the checked-in fuzz seed corpus from tracegen output")
 
 // corpusSeeds builds the canonical seed files: a real pipeline output
-// for every header version, an empty file, and a single-frame file.
-func corpusSeeds(t *testing.T) map[string][]byte {
+// for every header version, an empty file, and a single-frame file —
+// and, second, the damaged ones: the link cycles a walk must refuse
+// (interval.ChainDamages), with and without checksummed directories.
+func corpusSeeds(t *testing.T) (seeds, damaged map[string][]byte) {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := mpisim.Config{
@@ -259,6 +269,14 @@ func corpusSeeds(t *testing.T) map[string][]byte {
 	if n > 64 {
 		n = 64
 	}
+	// One frame to a directory makes the few records a long chain.
+	damaged = map[string][]byte{}
+	for _, v := range []uint32{2, interval.CurrentHeaderVersion} {
+		chain := reencode(v, recs[:n], interval.WriterOptions{FrameBytes: 128, FramesPerDir: 1})
+		for _, dmg := range interval.ChainDamages[:3] {
+			damaged[fmt.Sprintf("cycle-%s-v%d", dmg.Name, v)] = dmg.Apply(t, chain)
+		}
+	}
 	return map[string][]byte{
 		fmt.Sprintf("v%d-pipeline", interval.CurrentHeaderVersion): current,
 		"v1-small":     reencode(1, recs[:n], small),
@@ -266,7 +284,7 @@ func corpusSeeds(t *testing.T) map[string][]byte {
 		"v3-small":     reencode(3, recs[:n], small),
 		"empty":        reencode(interval.CurrentHeaderVersion, nil, interval.WriterOptions{}),
 		"single-frame": reencode(interval.CurrentHeaderVersion, recs[:4], interval.WriterOptions{}),
-	}
+	}, damaged
 }
 
 // writeCorpusEntry writes one seed in the `go test fuzz v1` encoding.
@@ -289,7 +307,15 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	if !*regenCorpus {
 		t.Skip("pass -regen-corpus to regenerate the seed corpus")
 	}
-	seeds := corpusSeeds(t)
+	seeds, damaged := corpusSeeds(t)
+	for name, data := range damaged {
+		q := "[]byte(" + strconv.Quote(string(data)) + ")"
+		writeCorpusEntry(t, "FuzzOpen", name, q)
+		writeCorpusEntry(t, "FuzzNextRecord", name, q)
+		// A window beyond any run: nothing but the end of the chain
+		// ends that scan.
+		writeCorpusEntry(t, "FuzzScanWindow", name+"-beyond", q, "int64(4611686018427387904)", "int64(4611686018427387905)")
+	}
 	for name, data := range seeds {
 		q := "[]byte(" + strconv.Quote(string(data)) + ")"
 		for _, target := range []string{"FuzzOpen", "FuzzNextRecord", "FuzzSalvage"} {
@@ -322,7 +348,8 @@ func TestRegenFuzzCorpus(t *testing.T) {
 
 // TestFuzzCorpusSeedsValid guards the checked-in corpus against rot:
 // the undamaged seeds must still open as valid interval files and cover
-// every header version the reader accepts.
+// every header version the reader accepts, and the cycle-* seeds must
+// still be files whose chain does not load.
 func TestFuzzCorpusSeedsValid(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzOpen")
 	entries, err := os.ReadDir(dir)
@@ -339,6 +366,12 @@ func TestFuzzCorpusSeedsValid(t *testing.T) {
 		fl, ok := fuzzOpen(data)
 		if !ok {
 			t.Fatalf("seed %s no longer opens", e.Name())
+		}
+		if strings.HasPrefix(e.Name(), "cycle-") {
+			if _, err := fl.Frames(); err == nil {
+				t.Fatalf("seed %s: the damaged chain loads", e.Name())
+			}
+			continue
 		}
 		if _, err := fl.Validate(nil); err != nil {
 			t.Fatalf("seed %s no longer validates: %v", e.Name(), err)

@@ -109,8 +109,9 @@ func TestSealPrefixAlwaysValid(t *testing.T) {
 	}
 }
 
-// TestLiveTailPreload proves the registry path: a preloaded live
-// snapshot answers window queries from memory, matching a full scan.
+// TestLiveTailPreload proves the registry path: a live snapshot whose
+// chain is resident (any first metadata call loads it) answers window
+// queries from memory, matching a full scan.
 func TestLiveTailPreload(t *testing.T) {
 	snaps, all, _ := writeWithSeals(t, 300, WriterOptions{FrameBytes: 512, FramesPerDir: 2})
 	sn := snaps[len(snaps)/2]
@@ -119,8 +120,8 @@ func TestLiveTailPreload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := f.Preload(); err != nil {
-		t.Fatalf("preload live tail: %v", err)
+	if _, err := f.Dirs(); err != nil {
+		t.Fatalf("loading the live tail's chain: %v", err)
 	}
 	recs, err := f.Scan().All()
 	if err != nil {
@@ -170,8 +171,8 @@ func TestLiveTailHeaderOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := f.Preload(); err != nil {
-		t.Fatal(err)
+	if dirs, err := f.Dirs(); err != nil || len(dirs) != 1 || len(dirs[0].Entries) != 0 {
+		t.Fatalf("header-only snapshot: dirs %v, err %v; want one empty directory", dirs, err)
 	}
 	recs, err := f.Scan().All()
 	if err != nil {

@@ -39,7 +39,8 @@ type MapOptions struct {
 	Context context.Context
 }
 
-// selectFrames lists the frames opts selects for one file.
+// selectFrames lists the frames opts selects for one file — the one
+// frame selection, under MapFrames and under every Scanner.
 func selectFrames(f *File, opts MapOptions) ([]FrameEntry, error) {
 	if opts.Window {
 		return f.FramesInWindow(opts.Lo, opts.Hi)

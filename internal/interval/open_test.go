@@ -196,9 +196,11 @@ func TestCloseMidScanIsErrClosed(t *testing.T) {
 	}
 }
 
-// TestPreloadedMetadataOps: after Preload, metadata operations work on
-// a closed file too (they touch no I/O) and agree with the unpreloaded
-// answers.
+// TestPreloadedMetadataOps: the first metadata call makes the directory
+// chain resident, so from then on metadata operations touch no I/O —
+// they work on a closed file too and agree with the answers given while
+// it was open. A file closed before its first metadata call has no
+// chain and says so.
 func TestPreloadedMetadataOps(t *testing.T) {
 	sb, _ := writeRandomFile(t, 15, 900, CurrentHeaderVersion)
 	f := openFile(t, sb)
@@ -210,25 +212,22 @@ func TestPreloadedMetadataOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Preload(); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if !f.Preloaded() {
-		t.Fatal("Preloaded() false after Preload")
 	}
 	framesAfter, err := f.Frames()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(framesBefore, framesAfter) {
-		t.Fatal("Preload changed the frame list")
+		t.Fatal("Close changed the frame list")
 	}
 	s1, e1, n1, err := f.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s0 != s1 || e0 != e1 || n0 != n1 {
-		t.Fatalf("Preload changed Stats: [%v %v] %d vs [%v %v] %d", s0, e0, n0, s1, e1, n1)
+		t.Fatalf("Close changed Stats: [%v %v] %d vs [%v %v] %d", s0, e0, n0, s1, e1, n1)
 	}
 	// Window metadata from the resident chain.
 	fes, err := f.FramesInWindow(s1, e1)
@@ -239,6 +238,16 @@ func TestPreloadedMetadataOps(t *testing.T) {
 		t.Fatalf("full-run window returns %d frames, file has %d", len(fes), len(framesAfter))
 	}
 	if _, ok, err := f.FrameContaining(s1); err != nil || !ok {
-		t.Fatalf("FrameContaining(start) after Preload: ok=%v err=%v", ok, err)
+		t.Fatalf("FrameContaining(start) on the resident chain: ok=%v err=%v", ok, err)
+	}
+	// Frame payloads are not resident: reading one still fails cleanly.
+	if _, err := f.Scan().NextRecord(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("scan of a closed file: %v, want ErrClosed", err)
+	}
+
+	g := openFile(t, sb)
+	g.Close()
+	if _, err := g.Frames(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("first metadata call on a closed file: %v, want ErrClosed", err)
 	}
 }

@@ -655,7 +655,7 @@ func LoadPyramid(path string, f *File) (*Pyramid, error) {
 // queries scan: the sidecar is advisory.
 func (f *File) Pyramid() *Pyramid {
 	f.pyrOnce.Do(func() {
-		if f.pyrPath != "" {
+		if f.pyrPath != "" && !f.closed.Load() {
 			f.pyr, _ = LoadPyramid(f.pyrPath, f)
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -35,17 +36,14 @@ type FrameDir struct {
 	Prev   int64 // 0 = none
 	Next   int64 // 0 = none
 	// Start/End/Records aggregate the directory's frames. Header
-	// version 2 stores them in the directory header so window queries
-	// can skip a directory without reading its entries; for version-1
-	// files they are reconstructed from the entries when the directory
-	// is read.
+	// version 2 stores them in the directory header, so a reader can
+	// pass over a directory without its entries; for version-1 files
+	// they are reconstructed from the entries when the directory is
+	// read.
 	Start   clock.Time
 	End     clock.Time
 	Records int64
 	Entries []FrameEntry
-	// sum is the stored v3 metadata checksum, verified once the entry
-	// table has been read.
-	sum uint32
 }
 
 // Overlaps reports whether the directory's frames can intersect the
@@ -87,11 +85,15 @@ type File struct {
 	// a decoded-frame cache. Set it before the File is shared between
 	// goroutines.
 	hook FrameDecoder
-	// dirs/dirAt hold the preloaded directory chain (Preload): when
-	// non-nil, every directory-metadata operation is answered from
-	// memory without touching r's seek offset.
-	dirs  []*FrameDir
-	dirAt map[int64]*FrameDir
+	// chainOnce loads the frame index (loadChain) at the first metadata
+	// call or scan: dirs is the directory chain in file order, frames
+	// every directory's entries flattened, chainErr what made the walk
+	// fail. All three are read-only afterwards, so metadata calls need
+	// no further synchronization and touch neither r nor its seek offset.
+	chainOnce sync.Once
+	dirs      []*FrameDir
+	frames    []FrameEntry
+	chainErr  error
 	// decoded counts frame payload reads; tests use it to assert that
 	// window queries touch only the frames overlapping the window.
 	decoded atomic.Int64
@@ -229,29 +231,6 @@ func (f *File) closedErr(err error) error {
 	return err
 }
 
-// Preload reads the whole directory chain once and keeps it in memory.
-// Afterwards every directory-metadata operation — Dirs, Frames,
-// FramesInWindow, FrameContaining, Stats, and scanner positioning — is
-// answered from memory without touching the underlying reader or its
-// seek offset, which (together with positioned frame reads, see
-// ConcurrentReads) makes the File safe for concurrent window queries.
-// Long-running serving layers call it at registration time.
-func (f *File) Preload() error {
-	dirs, err := f.Dirs()
-	if err != nil {
-		return err
-	}
-	at := make(map[int64]*FrameDir, len(dirs))
-	for _, d := range dirs {
-		at[d.Offset] = d
-	}
-	f.dirs, f.dirAt = dirs, at
-	return nil
-}
-
-// Preloaded reports whether the directory chain is resident in memory.
-func (f *File) Preloaded() bool { return f.dirs != nil }
-
 // MarkerString retrieves a marker string by identifier (the paper's
 // marker-table lookup routine).
 func (f *File) MarkerString(id uint64) (string, bool) {
@@ -259,53 +238,31 @@ func (f *File) MarkerString(id uint64) (string, bool) {
 	return s, ok
 }
 
-// ReadFrameDir reads the frame directory at offset (the paper's
-// readFrameDir when given FirstDir). The paper points out a user need
-// not read any directory except the first: the Prev/Next links and the
-// Scanner handle the rest.
+// ReadFrameDir reads and validates the frame directory at offset: its
+// header (entry count, links, and from header version 2 the aggregate
+// bounds), its entry table, and on version 3 the checksum over both.
+// For version-1 files the aggregates are reconstructed from the
+// entries. Only loadChain calls it on the read path; the paper's
+// readFrameDir is Dirs()[0].
 func (f *File) ReadFrameDir(offset int64) (*FrameDir, error) {
-	d, n, err := f.readDirHeader(offset)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.readDirEntries(d, n); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// readDirHeader reads only a directory's fixed header: entry count,
-// links, and (header version 2) the aggregate bounds. Window queries
-// use it to decide whether a directory's entries are worth reading at
-// all. The entry count is returned for readDirEntries; for version-1
-// files the aggregate fields stay zero until the entries are read.
-func (f *File) readDirHeader(offset int64) (*FrameDir, int, error) {
-	if f.dirAt != nil {
-		// Preloaded chain: the directory (entries included) is resident;
-		// nothing touches the reader or its seek offset.
-		if d, ok := f.dirAt[offset]; ok {
-			return d, len(d.Entries), nil
-		}
-		return nil, 0, fmt.Errorf("interval: no preloaded directory at offset %d", offset)
-	}
 	if f.closed.Load() {
-		return nil, 0, ErrClosed
+		return nil, ErrClosed
 	}
 	if f.live && offset == f.Size {
-		// Live snapshot taken before the first directory sealed (or, on
-		// a later walk, a FirstDir that still points past the sealed
-		// prefix): synthesize the empty end-of-chain directory the
-		// writer has not flushed yet.
-		return &FrameDir{Offset: offset}, 0, nil
+		// Live snapshot taken before the first directory sealed:
+		// synthesize the empty end-of-chain directory the writer has not
+		// flushed yet.
+		return &FrameDir{Offset: offset}, nil
 	}
-	hdrSize := dirHeaderSize(f.Header.HeaderVersion)
+	ver := f.Header.HeaderVersion
+	hdrSize, esz := dirHeaderSize(ver), entrySize(ver)
 	if _, err := f.r.Seek(offset, io.SeekStart); err != nil {
-		return nil, 0, f.closedErr(err)
+		return nil, f.closedErr(err)
 	}
 	var hb [dirHeaderV3Size]byte
 	h := hb[:hdrSize]
 	if _, err := io.ReadFull(f.r, h); err != nil {
-		return nil, 0, f.closedErr(fmt.Errorf("interval: reading frame directory at %d: %w", offset, err))
+		return nil, f.closedErr(fmt.Errorf("interval: reading frame directory at %d: %w", offset, err))
 	}
 	d := &FrameDir{
 		Offset: offset,
@@ -317,59 +274,31 @@ func (f *File) readDirHeader(offset int64) (*FrameDir, int, error) {
 		// has not sealed yet, so this is the end of the chain.
 		d.Next = 0
 	}
-	if f.Header.HeaderVersion >= 3 && binary.LittleEndian.Uint32(h[4:]) != dirMagic {
-		return nil, 0, fmt.Errorf("interval: directory at %d has bad magic %#x", offset, binary.LittleEndian.Uint32(h[4:]))
+	if ver >= 3 && binary.LittleEndian.Uint32(h[4:]) != dirMagic {
+		return nil, fmt.Errorf("interval: directory at %d has bad magic %#x", offset, binary.LittleEndian.Uint32(h[4:]))
 	}
 	if d.Next < 0 || d.Next > f.Size || d.Prev < 0 || d.Prev > f.Size {
-		return nil, 0, fmt.Errorf("interval: directory at %d has out-of-file links (prev %d, next %d)", offset, d.Prev, d.Next)
+		return nil, fmt.Errorf("interval: directory at %d has out-of-file links (prev %d, next %d)", offset, d.Prev, d.Next)
 	}
 	n := int(binary.LittleEndian.Uint32(h[0:]))
-	if offset+int64(hdrSize)+int64(n)*int64(entrySize(f.Header.HeaderVersion)) > f.Size {
-		return nil, 0, fmt.Errorf("interval: directory at %d claims %d entries beyond file size", offset, n)
+	if offset+int64(hdrSize)+int64(n)*int64(esz) > f.Size {
+		return nil, fmt.Errorf("interval: directory at %d claims %d entries beyond file size", offset, n)
 	}
-	if f.Header.HeaderVersion >= 2 {
+	if ver >= 2 {
 		d.Start = clock.Time(binary.LittleEndian.Uint64(h[24:]))
 		d.End = clock.Time(binary.LittleEndian.Uint64(h[32:]))
 		d.Records = int64(binary.LittleEndian.Uint64(h[40:]))
-		if d.Records < 0 || d.Records*minRecordBytes(f.Header.HeaderVersion) > f.Size {
-			return nil, 0, fmt.Errorf("interval: directory at %d claims %d records in a %d-byte file", offset, d.Records, f.Size)
+		if d.Records < 0 || d.Records*minRecordBytes(ver) > f.Size {
+			return nil, fmt.Errorf("interval: directory at %d claims %d records in a %d-byte file", offset, d.Records, f.Size)
 		}
 	}
-	if f.Header.HeaderVersion >= 3 {
-		d.sum = binary.LittleEndian.Uint32(h[48:])
-		if n == 0 && dirChecksum(0, d.Start, d.End, uint64(d.Records), nil) != d.sum {
-			return nil, 0, fmt.Errorf("interval: directory at %d fails metadata checksum", offset)
-		}
-	}
-	return d, n, nil
-}
-
-// readDirEntries reads and validates the n frame entries following a
-// directory header. For version-1 files it also reconstructs the
-// directory's aggregate bounds from the entries (the lazy path for old
-// files).
-func (f *File) readDirEntries(d *FrameDir, n int) error {
-	if n == 0 || f.dirAt != nil {
-		// Preloaded directories carry their entries already.
-		return nil
-	}
-	if f.closed.Load() {
-		return ErrClosed
-	}
-	ver := f.Header.HeaderVersion
-	esz := entrySize(ver)
-	entOff := d.Offset + int64(dirHeaderSize(ver))
-	if _, err := f.r.Seek(entOff, io.SeekStart); err != nil {
-		return err
-	}
+	// The entry table lies directly behind the header.
 	eb := make([]byte, n*esz)
 	if _, err := io.ReadFull(f.r, eb); err != nil {
-		return f.closedErr(fmt.Errorf("interval: reading %d frame entries: %w", n, err))
+		return nil, f.closedErr(fmt.Errorf("interval: reading %d frame entries: %w", n, err))
 	}
-	if ver >= 3 {
-		if dirChecksum(uint32(n), d.Start, d.End, uint64(d.Records), eb) != d.sum {
-			return fmt.Errorf("interval: directory at %d fails metadata checksum", d.Offset)
-		}
+	if ver >= 3 && dirChecksum(uint32(n), d.Start, d.End, uint64(d.Records), eb) != binary.LittleEndian.Uint32(h[48:]) {
+		return nil, fmt.Errorf("interval: directory at %d fails metadata checksum", offset)
 	}
 	d.Entries = make([]FrameEntry, 0, n)
 	for i := 0; i < n; i++ {
@@ -388,102 +317,91 @@ func (f *File) readDirEntries(d *FrameDir, n int) error {
 		// map-reduce engine, record preallocation from Records) sees
 		// only frames that can physically exist in this file.
 		if fe.Offset < 0 || fe.Offset > f.Size || int64(fe.Bytes) > f.Size || fe.Offset+int64(fe.Bytes) > f.Size {
-			return fmt.Errorf("interval: directory at %d entry %d: frame at %d (%d bytes) exceeds file size %d", d.Offset, i, fe.Offset, fe.Bytes, f.Size)
+			return nil, fmt.Errorf("interval: directory at %d entry %d: frame at %d (%d bytes) exceeds file size %d", offset, i, fe.Offset, fe.Bytes, f.Size)
 		}
 		if int64(fe.Records)*minRecordBytes(ver) > int64(fe.Bytes) {
-			return fmt.Errorf("interval: directory at %d entry %d: %d records cannot fit in %d bytes", d.Offset, i, fe.Records, fe.Bytes)
+			return nil, fmt.Errorf("interval: directory at %d entry %d: %d records cannot fit in %d bytes", offset, i, fe.Records, fe.Bytes)
 		}
-		d.Entries = append(d.Entries, fe)
-	}
-	if f.Header.HeaderVersion < 2 {
-		d.Start, d.End, d.Records = d.Entries[0].Start, d.Entries[0].End, 0
-		for _, fe := range d.Entries {
-			if fe.Start < d.Start {
+		if ver < 2 {
+			if i == 0 || fe.Start < d.Start {
 				d.Start = fe.Start
 			}
-			if fe.End > d.End {
+			if i == 0 || fe.End > d.End {
 				d.End = fe.End
 			}
 			d.Records += int64(fe.Records)
 		}
+		d.Entries = append(d.Entries, fe)
 	}
-	return nil
+	return d, nil
 }
 
-// Dirs returns every frame directory in file order. A corrupted link
-// that revisits an offset is reported as an error rather than looping.
-// After Preload the resident chain is returned directly; callers must
-// treat it as read-only.
+// loadChain follows the directory links from FirstDir to the end of the
+// chain, once per File. It is the only code that follows a Next link, so
+// the revisited-offset check lives here alone, and a damaged directory
+// anywhere in the chain fails every metadata call and every scan with
+// the same error (reading around the damage is WithSalvage's job).
+func (f *File) loadChain() error {
+	f.chainOnce.Do(func() {
+		seen := map[int64]bool{}
+		for off := f.FirstDir; ; {
+			if seen[off] {
+				f.chainErr = fmt.Errorf("interval: frame directory cycle at offset %d", off)
+				return
+			}
+			seen[off] = true
+			d, err := f.ReadFrameDir(off)
+			if err != nil {
+				f.chainErr = err
+				return
+			}
+			f.dirs = append(f.dirs, d)
+			f.frames = append(f.frames, d.Entries...)
+			if d.Next == 0 {
+				return
+			}
+			off = d.Next
+		}
+	})
+	return f.chainErr
+}
+
+// Dirs returns every frame directory in file order. The chain is
+// resident and shared: callers must treat it as read-only.
 func (f *File) Dirs() ([]*FrameDir, error) {
-	if f.dirs != nil {
-		return f.dirs, nil
-	}
-	var dirs []*FrameDir
-	seen := map[int64]bool{}
-	off := f.FirstDir
-	for {
-		if seen[off] {
-			return nil, fmt.Errorf("interval: frame directory cycle at offset %d", off)
-		}
-		seen[off] = true
-		d, err := f.ReadFrameDir(off)
-		if err != nil {
-			return nil, err
-		}
-		dirs = append(dirs, d)
-		if d.Next == 0 {
-			return dirs, nil
-		}
-		off = d.Next
-	}
-}
-
-// Frames returns every frame entry in file order.
-func (f *File) Frames() ([]FrameEntry, error) {
-	dirs, err := f.Dirs()
-	if err != nil {
+	if err := f.loadChain(); err != nil {
 		return nil, err
 	}
-	var fes []FrameEntry
-	for _, d := range dirs {
-		fes = append(fes, d.Entries...)
+	return f.dirs, nil
+}
+
+// Frames returns every frame entry in file order, read-only like Dirs.
+func (f *File) Frames() ([]FrameEntry, error) {
+	if err := f.loadChain(); err != nil {
+		return nil, err
 	}
-	return fes, nil
+	return f.frames, nil
 }
 
 // FramesInWindow returns the frame entries whose time range overlaps
-// [lo, hi], in file order, using only directory metadata. On version-2
-// files, directories whose aggregate bounds miss the window entirely
-// are skipped without even reading their entry tables.
+// [lo, hi], in file order, from directory metadata alone; a directory
+// whose aggregate bounds miss the window is passed over whole.
 func (f *File) FramesInWindow(lo, hi clock.Time) ([]FrameEntry, error) {
-	var out []FrameEntry
-	v2 := f.Header.HeaderVersion >= 2
-	seen := map[int64]bool{}
-	off := f.FirstDir
-	for {
-		if seen[off] {
-			return nil, fmt.Errorf("interval: frame directory cycle at offset %d", off)
-		}
-		seen[off] = true
-		d, n, err := f.readDirHeader(off)
-		if err != nil {
-			return nil, err
-		}
-		if !(v2 && n > 0 && !d.Overlaps(lo, hi)) {
-			if err := f.readDirEntries(d, n); err != nil {
-				return nil, err
-			}
-			for _, fe := range d.Entries {
-				if fe.End >= lo && fe.Start <= hi {
-					out = append(out, fe)
-				}
-			}
-		}
-		if d.Next == 0 {
-			return out, nil
-		}
-		off = d.Next
+	if err := f.loadChain(); err != nil {
+		return nil, err
 	}
+	var out []FrameEntry
+	for _, d := range f.dirs {
+		if !d.Overlaps(lo, hi) {
+			continue
+		}
+		for _, fe := range d.Entries {
+			if fe.End >= lo && fe.Start <= hi {
+				out = append(out, fe)
+			}
+		}
+	}
+	return out, nil
 }
 
 // ReadFrame loads a frame's raw record bytes.
@@ -579,106 +497,54 @@ func (f *File) FrameRecords(fe FrameEntry) ([]Record, error) {
 	return recs, nil
 }
 
+// searchEnd returns the index of the first frame in fes whose end time
+// is at or after t (len(fes) when there is none). Frames are end-time
+// ordered, so it is a binary search.
+func searchEnd(fes []FrameEntry, t clock.Time) int {
+	return sort.Search(len(fes), func(i int) bool { return fes[i].End >= t })
+}
+
 // FrameContaining locates the first frame whose time range covers t,
 // using only directory metadata — the fast seek the format exists for.
 // ok is false when t is after the last frame.
 func (f *File) FrameContaining(t clock.Time) (FrameEntry, bool, error) {
-	v2 := f.Header.HeaderVersion >= 2
-	off := f.FirstDir
-	for {
-		d, n, err := f.readDirHeader(off)
-		if err != nil {
-			return FrameEntry{}, false, err
-		}
-		if v2 && n > 0 && d.End < t {
-			// Aggregate bounds say every frame here ends before t: follow
-			// the next link without reading the entry table.
-			if d.Next == 0 {
-				return FrameEntry{}, false, nil
-			}
-			off = d.Next
-			continue
-		}
-		if err := f.readDirEntries(d, n); err != nil {
-			return FrameEntry{}, false, err
-		}
-		if n := len(d.Entries); n > 0 && d.Entries[n-1].End >= t {
-			// Frames are end-time ordered: binary search the first frame
-			// with End >= t inside this directory.
-			lo, hi := 0, n-1
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if d.Entries[mid].End >= t {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-			return d.Entries[lo], true, nil
-		}
-		if d.Next == 0 {
-			return FrameEntry{}, false, nil
-		}
-		off = d.Next
+	if err := f.loadChain(); err != nil {
+		return FrameEntry{}, false, err
 	}
+	i := searchEnd(f.frames, t)
+	if i == len(f.frames) {
+		return FrameEntry{}, false, nil
+	}
+	return f.frames[i], true, nil
 }
 
 // Stats aggregates frame-directory information: total elapsed time and
-// total record count (paper §2.4's aggregate routines). On version-2
-// files only the directory headers are read — the per-directory
-// aggregates answer the question without touching any entry table.
+// total record count (paper §2.4's aggregate routines), from the
+// per-directory aggregates.
 func (f *File) Stats() (first, last clock.Time, records int64, err error) {
-	if f.Header.HeaderVersion >= 2 {
-		seen := map[int64]bool{}
-		off := f.FirstDir
-		any := false
-		for {
-			if seen[off] {
-				return 0, 0, 0, fmt.Errorf("interval: frame directory cycle at offset %d", off)
-			}
-			seen[off] = true
-			d, n, derr := f.readDirHeader(off)
-			if derr != nil {
-				return 0, 0, 0, derr
-			}
-			if n > 0 {
-				if !any || d.Start < first {
-					first = d.Start
-				}
-				if d.End > last {
-					last = d.End
-				}
-				records += d.Records
-				any = true
-			}
-			if d.Next == 0 {
-				return first, last, records, nil
-			}
-			off = d.Next
-		}
-	}
-	fes, err := f.Frames()
-	if err != nil {
+	if err := f.loadChain(); err != nil {
 		return 0, 0, 0, err
 	}
-	if len(fes) == 0 {
-		return 0, 0, 0, nil
-	}
-	first = fes[0].Start
-	for _, fe := range fes {
-		if fe.Start < first {
-			first = fe.Start
+	any := false
+	for _, d := range f.dirs {
+		if len(d.Entries) == 0 {
+			continue
 		}
-		if fe.End > last {
-			last = fe.End
+		if !any || d.Start < first {
+			first = d.Start
 		}
-		records += int64(fe.Records)
+		if d.End > last {
+			last = d.End
+		}
+		records += d.Records
+		any = true
 	}
 	return first, last, records, nil
 }
 
-// Scanner iterates records sequentially across all frames and
-// directories, hiding the structure (the paper's getInterval loop).
+// Scanner iterates records sequentially across the frames it selected
+// when it was made — all of them, or a window's — hiding the structure
+// (the paper's getInterval loop).
 //
 // Every frame is obtained whole, as a Batch, through File.FrameBatch:
 // the frame-decode hook's shared batch, or one decoded for this scanner
@@ -687,16 +553,12 @@ func (f *File) Stats() (first, last clock.Time, records int64, err error) {
 // to decode fails at its first record, none of its records having been
 // produced — the frame-granular contract MapFrames consumers have.
 type Scanner struct {
-	f       *File
-	dir     *FrameDir
-	frame   int
-	err     error
-	started bool
-	// win restricts the scan to frames overlapping [winLo, winHi];
-	// version-2 directories whose aggregate bounds miss the window are
-	// skipped without reading their entry tables.
-	win          bool
-	winLo, winHi clock.Time
+	f *File
+	// frames is the selection (selectFrames) and next the index of the
+	// frame to load once the current batch is spent.
+	frames []FrameEntry
+	next   int
+	err    error
 	// ctx, when non-nil, aborts the scan between frames once it is
 	// cancelled (SetContext / ScanWindowCtx). Cancellation is checked
 	// per frame, not per record, so a cancelled long scan stops within
@@ -709,18 +571,24 @@ type Scanner struct {
 	pbuf []byte
 }
 
+// scan makes a scanner over the frames opts selects; a directory chain
+// that does not load is the scanner's sticky error.
+func (f *File) scan(opts MapOptions) *Scanner {
+	fes, err := selectFrames(f, opts)
+	return &Scanner{f: f, frames: fes, err: err, ctx: opts.Context}
+}
+
 // Scan returns a sequential record scanner positioned before the first
 // record.
-func (f *File) Scan() *Scanner { return &Scanner{f: f} }
+func (f *File) Scan() *Scanner { return f.scan(MapOptions{}) }
 
 // ScanWindow returns a scanner restricted to the frames whose time
-// range overlaps [lo, hi]. Frames (and, on version-2 files, whole
-// directories) outside the window are never decoded; records inside a
-// decoded frame are all produced, including any that spill past the
-// window edges, so callers filter records the same way they would after
-// a full scan.
+// range overlaps [lo, hi]. Frames outside the window are never decoded;
+// records inside a decoded frame are all produced, including any that
+// spill past the window edges, so callers filter records the same way
+// they would after a full scan.
 func (f *File) ScanWindow(lo, hi clock.Time) *Scanner {
-	return &Scanner{f: f, win: true, winLo: lo, winHi: hi}
+	return f.scan(MapOptions{Window: true, Lo: lo, Hi: hi})
 }
 
 // ScanWindowCtx is ScanWindow with a context: the scan fails with the
@@ -728,88 +596,46 @@ func (f *File) ScanWindow(lo, hi clock.Time) *Scanner {
 // Servers use it to honor request deadlines; batch callers pass
 // context.Background() (or just use ScanWindow).
 func (f *File) ScanWindowCtx(ctx context.Context, lo, hi clock.Time) *Scanner {
-	return &Scanner{f: f, ctx: ctx, win: true, winLo: lo, winHi: hi}
+	return f.scan(MapOptions{Window: true, Lo: lo, Hi: hi, Context: ctx})
 }
 
 // SetContext attaches a cancellation context to the scanner; see
 // ScanWindowCtx. It must be called before scanning starts.
 func (s *Scanner) SetContext(ctx context.Context) { s.ctx = ctx }
 
-// SeekTime repositions the scanner immediately before the first frame
-// whose end time is at or after t, using only directory metadata — the
-// fast seek the frame directory exists for. Scanning then proceeds to
-// the end of the file (or window). Seeking past the last frame leaves
-// the scanner at EOF. A previous io.EOF state is cleared; a real error
-// is not.
+// SeekTime repositions the scanner immediately before the first
+// selected frame whose end time is at or after t, using only directory
+// metadata — the fast seek the frame directory exists for. Scanning
+// then proceeds to the end of the file (or window). Seeking past the
+// last frame leaves the scanner at EOF. A previous io.EOF state is
+// cleared; a real error is not.
 func (s *Scanner) SeekTime(t clock.Time) error {
 	if s.err != nil && !errors.Is(s.err, io.EOF) {
 		return s.err
 	}
 	s.err = nil
 	s.batch, s.row = nil, 0
-	s.started = true
-	s.dir = nil
-	v2 := s.f.Header.HeaderVersion >= 2
-	seen := map[int64]bool{}
-	off := s.f.FirstDir
-	for {
-		if seen[off] {
-			s.err = fmt.Errorf("interval: frame directory cycle at offset %d", off)
-			return s.err
-		}
-		seen[off] = true
-		d, n, err := s.f.readDirHeader(off)
-		if err != nil {
-			s.err = err
-			return err
-		}
-		if v2 && n > 0 && d.End < t {
-			// Entire directory ends before t: skip its entry table.
-			if d.Next == 0 {
-				return nil
-			}
-			off = d.Next
-			continue
-		}
-		if err := s.f.readDirEntries(d, n); err != nil {
-			s.err = err
-			return err
-		}
-		if n > 0 && d.Entries[n-1].End >= t {
-			// Frames are end-time ordered: binary search the first frame
-			// with End >= t inside this directory.
-			lo, hi := 0, n-1
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if d.Entries[mid].End >= t {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-			s.dir = d
-			s.frame = lo
-			return nil
-		}
-		if d.Next == 0 {
-			return nil
-		}
-		off = d.Next
-	}
+	s.next = searchEnd(s.frames, t)
+	return nil
 }
 
-// nextRow positions the scanner on the next record, loading directories
-// and frames as needed, and returns its row in s.batch. Errors (io.EOF
-// included) are sticky.
+// nextRow positions the scanner on the next record, loading frames as
+// needed, and returns its row in s.batch. Errors (io.EOF included) are
+// sticky.
 func (s *Scanner) nextRow() (int, error) {
+	for s.err == nil && (s.batch == nil || s.row >= s.batch.N) {
+		s.batch, s.row = nil, 0
+		if s.next == len(s.frames) {
+			s.err = io.EOF
+		} else if s.ctx != nil && s.ctx.Err() != nil {
+			s.err = s.ctx.Err()
+		} else {
+			s.batch, s.err = s.f.FrameBatch(s.frames[s.next])
+			s.next++
+		}
+	}
 	if s.err != nil {
 		return 0, s.err
-	}
-	for s.batch == nil || s.row >= s.batch.N {
-		if err := s.advanceFrame(); err != nil {
-			s.err = err
-			return 0, err
-		}
 	}
 	s.row++
 	return s.row - 1, nil
@@ -845,29 +671,13 @@ func (s *Scanner) NextRecord() (Record, error) {
 }
 
 // All drains the scanner. The result slice is sized up front from the
-// frame directories' record counts when the scan starts at the
-// beginning of the file.
+// record counts of the frames still to be loaded.
 func (s *Scanner) All() ([]Record, error) {
-	var recs []Record
-	if !s.started && s.err == nil {
-		fes, err := s.f.Frames()
-		if s.win && err == nil {
-			kept := fes[:0:0]
-			for _, fe := range fes {
-				if fe.End >= s.winLo && fe.Start <= s.winHi {
-					kept = append(kept, fe)
-				}
-			}
-			fes = kept
-		}
-		if err == nil {
-			var total int64
-			for _, fe := range fes {
-				total += int64(fe.Records)
-			}
-			recs = make([]Record, 0, total)
-		}
+	var total int64
+	for _, fe := range s.frames[s.next:] {
+		total += int64(fe.Records)
 	}
+	recs := make([]Record, 0, total)
 	for {
 		r, err := s.NextRecord()
 		if errors.Is(err, io.EOF) {
@@ -877,78 +687,5 @@ func (s *Scanner) All() ([]Record, error) {
 			return recs, err
 		}
 		recs = append(recs, r)
-	}
-}
-
-func (s *Scanner) advanceFrame() error {
-	s.batch, s.row = nil, 0
-	for {
-		if s.dir == nil {
-			if s.started {
-				return io.EOF
-			}
-			s.started = true
-			if err := s.loadDir(s.f.FirstDir); err != nil {
-				return err
-			}
-			if s.dir == nil {
-				return io.EOF
-			}
-		}
-		if s.frame < len(s.dir.Entries) {
-			fe := s.dir.Entries[s.frame]
-			s.frame++
-			if s.win && (fe.End < s.winLo || fe.Start > s.winHi) {
-				continue
-			}
-			if s.ctx != nil {
-				if err := s.ctx.Err(); err != nil {
-					return err
-				}
-			}
-			b, err := s.f.FrameBatch(fe)
-			if err != nil {
-				return err
-			}
-			s.batch = b
-			return nil
-		}
-		if s.dir.Next == 0 {
-			return io.EOF
-		}
-		if err := s.loadDir(s.dir.Next); err != nil {
-			return err
-		}
-		if s.dir == nil {
-			return io.EOF
-		}
-	}
-}
-
-// loadDir reads the directory at off into s.dir. On window scans of
-// version-2 files, directories whose aggregate bounds miss the window
-// are skipped using only their headers; reaching the end of the chain
-// this way leaves s.dir nil (EOF).
-func (s *Scanner) loadDir(off int64) error {
-	v2 := s.f.Header.HeaderVersion >= 2
-	for {
-		d, n, err := s.f.readDirHeader(off)
-		if err != nil {
-			return err
-		}
-		if s.win && v2 && n > 0 && !d.Overlaps(s.winLo, s.winHi) {
-			if d.Next == 0 {
-				s.dir = nil
-				return nil
-			}
-			off = d.Next
-			continue
-		}
-		if err := s.f.readDirEntries(d, n); err != nil {
-			return err
-		}
-		s.dir = d
-		s.frame = 0
-		return nil
 	}
 }

@@ -16,9 +16,12 @@
 // sink.
 //
 // A File may be shared by concurrent readers when ConcurrentReads
-// reports true (the underlying reader implements io.ReaderAt); Preload
-// makes the directory chain resident so metadata operations are
-// seek-free too. Close is idempotent and safe under concurrency;
+// reports true (the underlying reader implements io.ReaderAt): frame
+// reads are positioned, and the directory chain is read once, by
+// whichever metadata call or scan comes first, and answered from memory
+// from then on. A damaged directory therefore fails every metadata call
+// and every scan with the same error; WithSalvage reads around damage.
+// Close is idempotent and safe under concurrency;
 // operations on a closed file fail with ErrClosed. Long-running callers
 // cancel work mid-scan through MapOptions.Context, ScanWindowCtx, or
 // Scanner.SetContext — cancellation is checked at frame granularity.

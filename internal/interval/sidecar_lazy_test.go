@@ -62,9 +62,6 @@ func TestSidecarLoadsOnFirstSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := f.Preload(); err != nil {
-		t.Fatal(err)
-	}
 	lo, hi, _, _ := f.Stats()
 	o := WindowSummaryOptions{Lo: lo, Hi: hi, Bins: 16}
 	before := reads.Load()

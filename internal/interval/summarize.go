@@ -539,12 +539,10 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *binG
 	frames := map[int64]*frameRef{}
 	order := []int64{}
 	spanFrames := make([][]int64, len(rems))
-	// One directory walk answers every remainder: enumerate the frames
-	// overlapping the remainders' hull once, then filter per span in
-	// memory with FramesInWindow's exact predicate (the window is
-	// closed; [r0, r1) needs End >= r0 and Start <= r1-1). A walk per
-	// remainder would re-read directory headers from disk O(bins)
-	// times and dominate deep-zoom queries.
+	// Enumerate the frames overlapping the remainders' hull once, then
+	// filter per span with FramesInWindow's exact predicate (the window
+	// is closed; [r0, r1) needs End >= r0 and Start <= r1-1): one pass
+	// over the index instead of one per remainder.
 	hullLo, hullHi := rems[0].r0, rems[0].r1
 	for _, rs := range rems[1:] {
 		hullLo, hullHi = min(hullLo, rs.r0), max(hullHi, rs.r1)

@@ -46,7 +46,7 @@ func (f *File) Validate(p *profile.Profile) (*ValidationReport, error) {
 			return nil, fmt.Errorf("interval: last directory has next %d", d.Next)
 		}
 		// Header-version-2 files store aggregate bounds in the directory
-		// header (readDirEntries reconstructs them for v1, so they are
+		// header (ReadFrameDir reconstructs them for v1, so they are
 		// self-consistent by construction there); check them against the
 		// entries they summarize.
 		if f.Header.HeaderVersion >= 2 && len(d.Entries) > 0 {

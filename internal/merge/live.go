@@ -179,7 +179,6 @@ type Live struct {
 	ms      *mergeState
 	sources []*LiveSource
 	srcs    []recordSource
-	linear  bool
 	res     Result
 }
 
@@ -196,7 +195,7 @@ func NewLive(dst io.WriteSeeker, hdrs []interval.Header, sources []*LiveSource, 
 	if err != nil {
 		return nil, err
 	}
-	l := &Live{sources: sources, linear: opts.Linear, res: Result{Inputs: len(sources)}}
+	l := &Live{sources: sources, res: Result{Inputs: len(sources)}}
 	l.ms = &mergeState{res: &l.res, trk: newTracker(hdr.Threads)}
 	w, err := interval.NewWriter(dst, hdr, l.ms.writerOptions(opts))
 	if err != nil {
@@ -220,7 +219,7 @@ func (l *Live) Writer() *interval.Writer { return l.w }
 // producers unwind, and the writer is still closed — sealing the merged
 // prefix written so far into a valid file.
 func (l *Live) Run() error {
-	err := l.ms.run(l.w, l.srcs, l.linear)
+	err := l.ms.run(l.w, l.srcs)
 	if err != nil {
 		for _, s := range l.sources {
 			s.Fail(err)

@@ -77,35 +77,17 @@ func synthStateFile(t *testing.T, rng *xrand.Rand, node, n int) *interval.File {
 }
 
 // pushFile replays one input file into a live source exactly as the
-// batch merge's stream stage would: global-clock records are dropped
-// (they fed pair extraction) and timestamps pass through the
-// EstimatorNone adjuster anchored at the first pair.
+// batch merge's stream stage would see it under EstimatorNone
+// (adjustedRecords).
 func pushFile(t *testing.T, f *interval.File, src *merge.LiveSource) {
-	pairs, err := merge.ExtractPairs(f)
-	if err != nil {
-		t.Error(err)
-		src.Fail(err)
-		return
-	}
-	adj := &clock.RatioAdjuster{R: 1}
-	if len(pairs) > 0 {
-		adj.G0, adj.L0 = pairs[0].Global, pairs[0].Local
-	}
-	recs, err := f.Scan().All()
+	recs, err := adjustedRecords(f, merge.EstimatorNone)
 	if err != nil {
 		t.Error(err)
 		src.Fail(err)
 		return
 	}
 	for i := range recs {
-		r := recs[i]
-		if r.Type == events.EvGlobalClock {
-			continue
-		}
-		end := adj.Global(r.End())
-		r.Start = adj.Global(r.Start)
-		r.Dura = end - r.Start
-		if err := src.Push(&r); err != nil {
+		if err := src.Push(&recs[i]); err != nil {
 			t.Error(err)
 			return
 		}
@@ -115,8 +97,8 @@ func pushFile(t *testing.T, f *interval.File, src *merge.LiveSource) {
 
 // TestLiveMergeByteIdentical: concurrent producers feeding LiveSources
 // yield a file byte-identical to the batch Merge of the same inputs
-// under EstimatorNone, across pseudo/linear option combinations and
-// tiny queue capacities (exercising backpressure).
+// under EstimatorNone, with and without pseudo-intervals and at tiny
+// queue capacities (exercising backpressure).
 func TestLiveMergeByteIdentical(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		k := 1 + trial%5
@@ -130,10 +112,11 @@ func TestLiveMergeByteIdentical(t *testing.T) {
 		}
 		opts := merge.Options{
 			Estimator: merge.EstimatorNone,
-			NoPseudo:  trial%4 == 1,
-			Linear:    trial%3 == 0,
 			Parallel:  1,
 			Writer:    interval.WriterOptions{FrameBytes: 512, FramesPerDir: 2},
+		}
+		if trial%4 == 1 {
+			opts = merge.NoPseudo(opts)
 		}
 
 		refOut := interval.NewSeekBuffer()
@@ -172,6 +155,21 @@ func TestLiveMergeByteIdentical(t *testing.T) {
 		}
 		if live.Result().Records != refRes.Records || live.Result().Pseudo != refRes.Pseudo {
 			t.Fatalf("trial %d: result mismatch: %+v vs %+v", trial, live.Result(), refRes)
+		}
+		if trial%4 == 1 {
+			// Without prologues both are the sorted reference, record for
+			// record.
+			lf, err := interval.NewFile(liveOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := lf.Scan().All()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encodeAll(got), encodeAll(sortReference(t, mkFiles(), merge.EstimatorNone))) {
+				t.Fatalf("trial %d: live merge differs from the sorted reference", trial)
+			}
 		}
 	}
 }

@@ -103,33 +103,6 @@ func (lt *loserTree) Fix(w int) {
 	lt.node[0] = cur
 }
 
-// linearScan is the ablation alternative to the loser tree: O(k) minimum
-// search per record.
-type linearScan struct{ srcs []source }
-
-func (ls *linearScan) Min() int {
-	best := -1
-	var bestEnd clock.Time
-	for i, s := range ls.srcs {
-		e, done := s.CurrentEnd()
-		if done {
-			continue
-		}
-		if best < 0 || e < bestEnd {
-			best, bestEnd = i, e
-		}
-	}
-	return best
-}
-
-func (ls *linearScan) Fix(int) {}
-
-// picker abstracts the two merge strategies.
-type picker interface {
-	Min() int
-	Fix(w int)
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

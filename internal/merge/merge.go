@@ -73,11 +73,10 @@ type Options struct {
 	// KeepClockRecords copies (adjusted) global-clock records into the
 	// merged file instead of dropping them.
 	KeepClockRecords bool
-	// NoPseudo disables pseudo-interval planting (ablation).
-	NoPseudo bool
-	// Linear replaces the loser tree with a linear minimum scan
-	// (ablation for the paper's balanced-tree design choice).
-	Linear bool
+	// noPseudo disables pseudo-interval planting. Only this package's
+	// tests and ablation benchmarks set it (export_test.go): they compare
+	// against the prologue-free stream.
+	noPseudo bool
 	// Parallel is the worker count of the clock-pair extraction over
 	// the inputs: 0 means GOMAXPROCS. The merge itself is one
 	// synchronous pass; output is byte-identical at every value.
@@ -333,7 +332,7 @@ func Merge(files []*interval.File, dst io.WriteSeeker, opts Options) (*Result, e
 	for i, f := range files {
 		srcs[i] = &stream{sc: f.Scan(), adj: adjs[i], keepClock: opts.KeepClockRecords}
 	}
-	if err := ms.run(w, srcs, opts.Linear); err != nil {
+	if err := ms.run(w, srcs); err != nil {
 		return nil, err
 	}
 	if err := w.Close(); err != nil {
@@ -393,7 +392,7 @@ type mergeState struct {
 // caller's writer options.
 func (ms *mergeState) writerOptions(opts Options) interval.WriterOptions {
 	wopts := opts.Writer
-	if !opts.NoPseudo {
+	if !opts.noPseudo {
 		wopts.FramePrologue = func() []interval.Record {
 			ps := ms.trk.pseudos(ms.lastEnd)
 			ms.res.Pseudo += int64(len(ps))
@@ -408,7 +407,7 @@ func (ms *mergeState) writerOptions(opts Options) interval.WriterOptions {
 // record, then repeatedly pick the smallest (end, input index) record,
 // write it, track open states, and refill. It does not close the
 // writer; callers own that.
-func (ms *mergeState) run(w *interval.Writer, srcs []recordSource, linear bool) error {
+func (ms *mergeState) run(w *interval.Writer, srcs []recordSource) error {
 	streams := make([]source, len(srcs))
 	for i, st := range srcs {
 		if err := st.Advance(); err != nil {
@@ -416,15 +415,10 @@ func (ms *mergeState) run(w *interval.Writer, srcs []recordSource, linear bool) 
 		}
 		streams[i] = st
 	}
-	var pk picker
-	if linear {
-		pk = &linearScan{srcs: streams}
-	} else {
-		pk = newLoserTree(streams)
-	}
+	lt := newLoserTree(streams)
 	first := true
 	for {
-		i := pk.Min()
+		i := lt.Min()
 		if i < 0 {
 			break
 		}
@@ -443,7 +437,7 @@ func (ms *mergeState) run(w *interval.Writer, srcs []recordSource, linear bool) 
 		if err := st.Advance(); err != nil {
 			return fmt.Errorf("merge: input %d: %w", i, err)
 		}
-		pk.Fix(i)
+		lt.Fix(i)
 	}
 	return nil
 }

@@ -50,8 +50,8 @@ func tieFile(t *testing.T, stream, n int) []byte {
 
 // TestMergeAllEqualEndTimes: when every record in every input carries
 // the same end time, the tie-break must be wholly deterministic — lowest
-// stream first, input order within a stream — and byte-identical across
-// linear/loser-tree strategies and all pipeline widths.
+// stream first, input order within a stream — byte-identical across all
+// pipeline widths and equal to the sorted reference.
 func TestMergeAllEqualEndTimes(t *testing.T) {
 	const streams, perStream = 4, 9
 	mkFiles := func() []*interval.File {
@@ -67,12 +67,8 @@ func TestMergeAllEqualEndTimes(t *testing.T) {
 	}
 
 	var ref []byte
-	for _, cfg := range []merge.Options{
-		{Estimator: merge.EstimatorNone, NoPseudo: true, Parallel: 1},
-		{Estimator: merge.EstimatorNone, NoPseudo: true, Parallel: 1, Linear: true},
-		{Estimator: merge.EstimatorNone, NoPseudo: true, Parallel: 4},
-		{Estimator: merge.EstimatorNone, NoPseudo: true, Parallel: 8, Linear: true},
-	} {
+	for _, width := range []int{1, 4, 8} {
+		cfg := merge.NoPseudo(merge.Options{Estimator: merge.EstimatorNone, Parallel: width})
 		out := interval.NewSeekBuffer()
 		res, err := merge.Merge(mkFiles(), out, cfg)
 		if err != nil {
@@ -101,6 +97,9 @@ func TestMergeAllEqualEndTimes(t *testing.T) {
 	}
 	if len(recs) != streams*perStream {
 		t.Fatalf("merged file has %d records", len(recs))
+	}
+	if !bytes.Equal(encodeAll(recs), encodeAll(sortReference(t, mkFiles(), merge.EstimatorNone))) {
+		t.Fatal("merged records differ from the sorted reference")
 	}
 	for i, r := range recs {
 		if int(r.CPU) != i/perStream || int(r.Thread) != i%perStream {
@@ -136,7 +135,7 @@ func TestMergeTruncatedMidFrame(t *testing.T) {
 	}
 	for _, par := range []int{1, 4} {
 		if _, err := merge.Merge([]*interval.File{tf}, interval.NewSeekBuffer(),
-			merge.Options{Estimator: merge.EstimatorNone, NoPseudo: true, Parallel: par}); err == nil {
+			merge.NoPseudo(merge.Options{Estimator: merge.EstimatorNone, Parallel: par})); err == nil {
 			t.Fatalf("Parallel=%d: merge of a mid-frame-truncated input succeeded", par)
 		}
 	}
@@ -151,7 +150,7 @@ func TestMergeTruncatedMidFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := merge.Merge([]*interval.File{tf2, good}, interval.NewSeekBuffer(),
-		merge.Options{Estimator: merge.EstimatorNone, NoPseudo: true}); err == nil {
+		merge.NoPseudo(merge.Options{Estimator: merge.EstimatorNone})); err == nil {
 		t.Fatal("merge with one truncated input succeeded")
 	}
 }

@@ -1,9 +1,12 @@
 package merge_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"sort"
 	"testing"
 
 	"tracefw/internal/clock"
@@ -281,16 +284,72 @@ func TestNoPseudoOption(t *testing.T) {
 		p.MarkerEnd(m)
 	})
 	files := testutil.ConvertRun(t, raws, interval.WriterOptions{})
-	_, res := testutil.MergeRun(t, files, merge.Options{
-		Writer:   interval.WriterOptions{FrameBytes: 2048},
-		NoPseudo: true,
-	})
+	_, res := testutil.MergeRun(t, files, merge.NoPseudo(merge.Options{
+		Writer: interval.WriterOptions{FrameBytes: 2048},
+	}))
 	if res.Pseudo != 0 {
 		t.Fatalf("NoPseudo planted %d pseudo records", res.Pseudo)
 	}
 }
 
-func TestLinearAndLoserTreeAgree(t *testing.T) {
+// adjustedRecords reads one input the way the merge's stream stage
+// does, without any of its code: clock records dropped (they fed pair
+// extraction), every other record's start and end passed through the
+// adjuster est builds from the file's clock pairs.
+func adjustedRecords(f *interval.File, est merge.Estimator) ([]interval.Record, error) {
+	pairs, err := merge.ExtractPairs(f)
+	if err != nil {
+		return nil, err
+	}
+	var adj clock.Adjuster
+	switch est {
+	case merge.EstimatorRMS:
+		adj = clock.NewRatioAdjuster(pairs)
+	case merge.EstimatorNone:
+		a := &clock.RatioAdjuster{R: 1}
+		if len(pairs) > 0 {
+			a.G0, a.L0 = pairs[0].Global, pairs[0].Local
+		}
+		adj = a
+	default:
+		return nil, fmt.Errorf("no reference adjuster for estimator %v", est)
+	}
+	recs, err := f.Scan().All()
+	if err != nil {
+		return nil, err
+	}
+	out := recs[:0]
+	for _, r := range recs {
+		if r.Type == events.EvGlobalClock {
+			continue
+		}
+		end := adj.Global(r.End())
+		r.Start = adj.Global(r.Start)
+		r.Dura = end - r.Start
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// sortReference is the merge's specification, sharing nothing with its
+// loop: every input's adjusted records concatenated in input order and
+// stable-sorted by end time — that is, ordered by (end, input index,
+// position in the input).
+func sortReference(t testing.TB, files []*interval.File, est merge.Estimator) []interval.Record {
+	t.Helper()
+	var all []interval.Record
+	for _, f := range files {
+		recs, err := adjustedRecords(f, est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, recs...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].End() < all[j].End() })
+	return all
+}
+
+func TestMergeMatchesSortReference(t *testing.T) {
 	sh := testutil.Shape{Nodes: 4, TasksPerNode: 2, CPUs: 2, Seed: 11}
 	work := func(p *mpisim.Proc) {
 		peer := (p.Rank() + 1) % p.Size()
@@ -302,18 +361,14 @@ func TestLinearAndLoserTreeAgree(t *testing.T) {
 		p.Barrier()
 	}
 	raws := testutil.RunWorkload(t, sh, work)
-
-	out := func(linear bool) []byte {
-		files := testutil.ConvertRun(t, raws, interval.WriterOptions{})
-		sb := interval.NewSeekBuffer()
-		if _, err := merge.Merge(files, sb, merge.Options{Linear: linear}); err != nil {
-			t.Fatal(err)
-		}
-		return sb.Bytes()
+	mf, _ := testutil.MergeRun(t, testutil.ConvertRun(t, raws, interval.WriterOptions{}), merge.NoPseudo(merge.Options{}))
+	got, err := mf.Scan().All()
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := out(false), out(true)
-	if len(a) == 0 || string(a) != string(b) {
-		t.Fatal("loser tree and linear scan merges differ")
+	want := sortReference(t, testutil.ConvertRun(t, raws, interval.WriterOptions{}), merge.EstimatorRMS)
+	if len(got) == 0 || !bytes.Equal(encodeAll(got), encodeAll(want)) {
+		t.Fatalf("merged %d records differ from the %d of the sorted reference", len(got), len(want))
 	}
 }
 

@@ -73,7 +73,7 @@ func TestMergeIsSortedPermutation(t *testing.T) {
 		sb := interval.NewSeekBuffer()
 		// EstimatorNone + no clock pairs: identity adjustment, so the
 		// merged records must equal the inputs exactly.
-		res, err := merge.Merge(files, sb, merge.Options{Estimator: merge.EstimatorNone, NoPseudo: true})
+		res, err := merge.Merge(files, sb, merge.NoPseudo(merge.Options{Estimator: merge.EstimatorNone}))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -158,7 +158,7 @@ func TestMergeStreamsStableTieBreak(t *testing.T) {
 	}
 	files := []*interval.File{mk(0), mk(1), mk(2)}
 	sb := interval.NewSeekBuffer()
-	if _, err := merge.Merge(files, sb, merge.Options{Estimator: merge.EstimatorNone, NoPseudo: true}); err != nil {
+	if _, err := merge.Merge(files, sb, merge.NoPseudo(merge.Options{Estimator: merge.EstimatorNone})); err != nil {
 		t.Fatal(err)
 	}
 	mf, _ := interval.NewFile(sb)

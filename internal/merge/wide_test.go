@@ -71,7 +71,7 @@ func TestWideTracePseudoBounded(t *testing.T) {
 	files := testutil.ConvertRun(t, raws, interval.WriterOptions{})
 	wopts := interval.WriterOptions{FrameBytes: 4096, FramesPerDir: 4}
 	mf, res := testutil.MergeRun(t, files, merge.Options{Writer: wopts, Parallel: 1})
-	plain, plainRes := testutil.MergeRun(t, files, merge.Options{Writer: wopts, Parallel: 1, NoPseudo: true})
+	plain, plainRes := testutil.MergeRun(t, files, merge.NoPseudo(merge.Options{Writer: wopts, Parallel: 1}))
 	want, err := plain.Scan().All()
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 // Package sweep runs policy × workload scenario grids through the full
-// trace pipeline: each cell simulates the configured machine under one
-// (scheduling policy, workload) pair, converts the per-node raw traces,
-// merges them with clock adjustment, and reduces the merged interval
-// file to the time-resolved summary metrics (busy time, load balance,
+// trace pipeline: each cell runs internal/core's generate → convert →
+// merge stages for one (scheduling policy, workload) pair on the
+// configured machine and reduces the merged interval file to the
+// time-resolved summary metrics (busy time, load balance,
 // peak concurrency). Cells are independent and run under internal/par,
 // and every table output is deterministic: byte-identical across reruns
 // and across -j values, because cell results are collected by grid
@@ -14,23 +14,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"tracefw/internal/clock"
-	"tracefw/internal/cluster"
-	"tracefw/internal/convert"
-	"tracefw/internal/events"
+	"tracefw/internal/core"
 	"tracefw/internal/interval"
-	"tracefw/internal/merge"
-	"tracefw/internal/mpisim"
 	"tracefw/internal/par"
 	"tracefw/internal/sched"
 	"tracefw/internal/stats"
-	"tracefw/internal/trace"
 	"tracefw/internal/workload"
 )
 
@@ -188,72 +182,31 @@ func runCell(sc Scenario, polName string, opts Options) (Cell, error) {
 	}
 	cell := Cell{Workload: sc.Label(), Policy: polName}
 
-	// Generate: one raw trace buffer per node.
-	bufs := make([]*bytes.Buffer, opts.Nodes)
-	writers := make([]io.Writer, opts.Nodes)
-	for i := range bufs {
-		bufs[i] = &bytes.Buffer{}
-		writers[i] = bufs[i]
-	}
-	world, err := mpisim.New(mpisim.Config{
-		Cluster: cluster.Config{
-			Nodes: opts.Nodes, CPUsPerNode: opts.CPUsPerNode,
-			Quantum: opts.Quantum, Policy: pol, Seed: opts.Seed,
-			TraceOpts: trace.Options{Enabled: events.MaskAll},
-			// The default 1s sampling interval quantizes VirtualEnd (the
-			// last event of a run is a clock sample); 10ms keeps the
-			// end-time deltas between policies visible.
-			ClockInterval: 10 * clock.Millisecond,
-		},
-		TasksPerNode: opts.TasksPerNode,
-	}, writers)
+	// Generate, convert and merge: the pipeline core runs for everyone.
+	// Cells parallelize across the grid, so each stage inside a cell runs
+	// sequentially (Parallel: 1).
+	run, err := core.ExecuteMerge(core.Config{
+		Nodes: opts.Nodes, CPUsPerNode: opts.CPUsPerNode, TasksPerNode: opts.TasksPerNode,
+		Quantum: opts.Quantum, Policy: pol, Seed: opts.Seed,
+		// The default 1s sampling interval quantizes VirtualEnd (the
+		// last event of a run is a clock sample); 10ms keeps the
+		// end-time deltas between policies visible.
+		ClockInterval: 10 * clock.Millisecond,
+		Parallel:      1,
+	}, main)
 	if err != nil {
 		return Cell{}, err
 	}
-	world.Start(main)
-	if cell.VirtualEnd, err = world.Run(); err != nil {
-		return Cell{}, err
+	cell.VirtualEnd, cell.RawEvents = run.VirtualEnd, run.TotalEvents()
+	for _, raw := range run.RawTraces {
+		cell.RawTraceBytes += int64(len(raw))
 	}
-	raw := make([][]byte, opts.Nodes)
-	for i, b := range bufs {
-		raw[i] = b.Bytes()
-		cell.RawTraceBytes += int64(len(raw[i]))
-	}
-
-	// Convert. Cells parallelize across the grid, so each stage inside a
-	// cell runs sequentially (Parallel: 1).
-	outs, convResults, err := convert.ConvertBuffers(raw, convert.Options{
-		Markers: convert.NewMarkerRegistry(), Parallel: 1,
-	})
-	if err != nil {
-		return Cell{}, err
-	}
-	for _, r := range convResults {
-		cell.RawEvents += r.Events
-	}
-	files := make([]*interval.File, len(outs))
-	for i, sb := range outs {
-		if files[i], err = interval.NewFile(sb); err != nil {
-			return Cell{}, err
-		}
-	}
-
-	// Merge with clock adjustment.
-	sb := interval.NewSeekBuffer()
-	mres, err := merge.Merge(files, sb, merge.Options{Parallel: 1})
-	if err != nil {
-		return Cell{}, err
-	}
-	cell.Records, cell.Pseudo = mres.Records, mres.Pseudo
-	merged, err := interval.NewFile(sb)
-	if err != nil {
-		return Cell{}, err
-	}
+	cell.Records, cell.Pseudo = run.MergeResult.Records, run.MergeResult.Pseudo
 
 	// Stats: the three time-resolved tables with a single bin are
 	// exactly the cell metrics — busy by type, lane load balance, and
 	// peak concurrency over the whole run.
-	tabs, err := stats.TimeResolved([]*interval.File{merged}, 1, stats.Options{Parallel: 1})
+	tabs, err := stats.TimeResolved([]*interval.File{run.Merged}, 1, stats.Options{Parallel: 1})
 	if err != nil {
 		return Cell{}, err
 	}

@@ -10,10 +10,11 @@ import (
 )
 
 // Trace is one registered interval file plus the metadata the serving
-// layer keeps resident: the preloaded directory chain, the flattened
-// frame list, and the whole-run bounds. The embedded *interval.File is
-// safe for concurrent window queries (Preload + positioned reads) and
-// its frame decodes go through the shared cache via the decode hook.
+// layer keeps beside it: the file's flattened frame list, the per-
+// directory split points, and the whole-run bounds. The embedded
+// *interval.File is safe for concurrent window queries (its directory
+// chain is resident from registration on, frames are positioned reads)
+// and its frame decodes go through the shared cache via the decode hook.
 type Trace struct {
 	ID   string
 	Path string
@@ -65,9 +66,8 @@ func NewRegistry(cache *FrameCache) *Registry {
 }
 
 // Open opens and registers the interval file at path: the directory
-// chain is preloaded into memory, the frame list flattened, and the
-// cache decode hook installed — all before the trace becomes visible to
-// queries. Files that cannot serve concurrent (positioned) frame reads
+// chain is read, and the cache decode hook installed, before the trace
+// becomes visible to queries. Files that cannot serve concurrent (positioned) frame reads
 // are rejected; every real file and SeekBuffer can.
 func (r *Registry) Open(path string) (*Trace, error) {
 	f, err := interval.Open(path)
@@ -100,15 +100,12 @@ func (r *Registry) register(path string, f *interval.File) (*Trace, error) {
 	return t, nil
 }
 
-// buildTrace preloads an open file and assembles the resident Trace —
-// shared by static registration and live-snapshot resolution (which
-// reuses one cache namespace across generations).
+// buildTrace assembles the resident Trace of an open file — shared by
+// static registration and live-snapshot resolution (which reuses one
+// cache namespace across generations).
 func buildTrace(id, path string, num uint64, f *interval.File, cache *FrameCache) (*Trace, error) {
 	if !f.ConcurrentReads() {
 		return nil, fmt.Errorf("tracesvc: %s: reader does not support concurrent frame reads", path)
-	}
-	if err := f.Preload(); err != nil {
-		return nil, err
 	}
 	frames, err := f.Frames()
 	if err != nil {
