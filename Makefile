@@ -3,9 +3,14 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench-smoke fuzz-smoke ledger ledger-agree ledger-smoke loc
+.PHONY: ci fmt vet build test race bench-smoke fuzz-smoke ledger ledger-agree ledger-smoke loc
 
-ci: vet build test race bench-smoke fuzz-smoke ledger-smoke
+ci: fmt vet build test race bench-smoke fuzz-smoke ledger-smoke
+
+# Formatting is part of the gate: fails, naming the files, when gofmt
+# would change any.
+fmt:
+	@out="$$(gofmt -l cmd internal examples *.go)"; test -z "$$out" || { echo "gofmt would change:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -19,11 +20,13 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
 	"tracefw/internal/interval"
 	"tracefw/internal/profile"
+	"tracefw/internal/tracesvc"
 	"tracefw/internal/xrand"
 )
 
@@ -731,6 +734,34 @@ func TestCLICheckRepair(t *testing.T) {
 // port with a preloaded trace, parse the printed listen address, query
 // the JSON and TSV endpoints over real HTTP, and shut down with SIGINT
 // expecting a clean exit.
+// stallHeaders opens a raw connection to a daemon and sends half a
+// request line, as a client that never finishes its headers would. The
+// returned check — call it after the test's well-formed requests have
+// been answered — fails unless the server has closed the connection
+// within its header timeout.
+func stallHeaders(t *testing.T, base string) (check func()) {
+	t.Helper()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	sent := time.Now()
+	if _, err := io.WriteString(conn, "GET /v1/tra"); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		t.Helper()
+		// Nothing is owed to half a request: the server may answer 4xx or
+		// just hang up, but it must hang up.
+		conn.SetReadDeadline(sent.Add(tracesvc.ReadHeaderTimeout + 5*time.Second))
+		if _, err := io.Copy(io.Discard, conn); err != nil {
+			t.Fatalf("%s kept a connection with unfinished request headers open for %v (limit %v): %v",
+				base, time.Since(sent).Round(time.Millisecond), tracesvc.ReadHeaderTimeout, err)
+		}
+	}
+}
+
 func TestCLITraceDaemon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
@@ -763,6 +794,7 @@ func TestCLITraceDaemon(t *testing.T) {
 	if base == "" {
 		t.Fatalf("no listen line; daemon output ended: %v", sc.Err())
 	}
+	stalled := stallHeaders(t, base)
 
 	get := func(path string) (int, string) {
 		resp, err := http.Get(base + path)
@@ -807,6 +839,7 @@ func TestCLITraceDaemon(t *testing.T) {
 	if code, body = get("/metrics"); code != 200 || !strings.Contains(body, "tracesvc_traces_open 1") {
 		t.Fatalf("metrics: %d %.200s", code, body)
 	}
+	stalled()
 
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
@@ -913,6 +946,7 @@ func TestCLIServingTier(t *testing.T) {
 	// this test's size, so scatter-gather actually runs.
 	router, stopRouter := start("uterouter",
 		"-addr", "127.0.0.1:0", "-backends", b0+","+b1, "-split-frames", "1", tracePath)
+	stalled := stallHeaders(t, router)
 
 	if code, body := get(router, "/healthz"); code != 200 || body != "ok\n" {
 		t.Fatalf("router healthz: %d %q", code, body)
@@ -982,6 +1016,7 @@ func TestCLIServingTier(t *testing.T) {
 		}
 	}
 
+	stalled()
 	stopRouter()
 	stop1()
 	stop0()

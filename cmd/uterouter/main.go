@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"tracefw/internal/shard"
+	"tracefw/internal/tracesvc"
 )
 
 func main() {
@@ -93,7 +94,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: rt.Handler()}
+	srv := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: tracesvc.ReadHeaderTimeout}
 	fmt.Printf("uterouter: listening on http://%s\n", ln.Addr())
 
 	done := make(chan error, 1)

@@ -109,7 +109,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: tracesvc.ReadHeaderTimeout}
 	fmt.Printf("utetraced: listening on http://%s\n", ln.Addr())
 
 	done := make(chan error, 1)

@@ -101,69 +101,9 @@ type Machine struct {
 	active int // workload threads still running
 }
 
-// Option configures machine construction, mirroring the interval.Open
-// options style: a sweep cell is an option list, and two cells diff as
-// the options that differ.
-type Option func(*Config)
-
-// FromConfig replaces the whole configuration — the escape hatch for
-// callers that already hold a Config. Options applied after it refine
-// that base.
-func FromConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
-
-// WithNodes sets the node count.
-func WithNodes(n int) Option { return func(c *Config) { c.Nodes = n } }
-
-// WithCPUs sets the physical CPUs per node.
-func WithCPUs(n int) Option { return func(c *Config) { c.CPUsPerNode = n } }
-
-// WithQuantum sets the scheduler time slice.
-func WithQuantum(q clock.Time) Option { return func(c *Config) { c.Quantum = q } }
-
-// WithAffinity sets the default policy's CPU placement rule.
-func WithAffinity(a sched.Affinity) Option { return func(c *Config) { c.Affinity = a } }
-
-// WithPolicy sets the dispatch policy (nil = the default FIFO).
-func WithPolicy(p sched.Policy) Option { return func(c *Config) { c.Policy = p } }
-
-// WithTraceOpts sets the trace facility options.
-func WithTraceOpts(o trace.Options) Option { return func(c *Config) { c.TraceOpts = o } }
-
-// WithClockInterval sets the global-clock sampling period.
-func WithClockInterval(d clock.Time) Option { return func(c *Config) { c.ClockInterval = d } }
-
-// WithDrifts sets explicit per-node clock drifts.
-func WithDrifts(d []float64) Option { return func(c *Config) { c.Drifts = d } }
-
-// WithOffsets sets explicit per-node clock offsets.
-func WithOffsets(o []clock.Time) Option { return func(c *Config) { c.Offsets = o } }
-
-// WithClockJitter sets read noise (ns) on clock-pair sampling.
-func WithClockJitter(ns float64) Option { return func(c *Config) { c.ClockJitterNS = ns } }
-
-// WithGranularity sets the local-timestamp quantization.
-func WithGranularity(g clock.Time) Option { return func(c *Config) { c.Granularity = g } }
-
-// WithOutliers sets the clock-pair de-schedule injection (probability
-// and extra delay; delay 0 keeps the 5ms default).
-func WithOutliers(prob float64, delay clock.Time) Option {
-	return func(c *Config) { c.OutlierProb, c.OutlierDelay = prob, delay }
-}
-
-// WithSeed sets the seed for every derived random quantity.
-func WithSeed(s uint64) Option { return func(c *Config) { c.Seed = s } }
-
 // New builds a machine whose trace facilities write to the given
 // writers, one per node (for tests and in-memory pipelines).
-func New(writers []io.Writer, opts ...Option) (*Machine, error) {
-	var cfg Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return build(cfg, writers)
-}
-
-func build(cfg Config, writers []io.Writer) (*Machine, error) {
+func New(writers []io.Writer, cfg Config) (*Machine, error) {
 	cfg.fill()
 	if len(writers) != cfg.Nodes {
 		return nil, fmt.Errorf("cluster: %d writers for %d nodes", len(writers), cfg.Nodes)
@@ -186,15 +126,10 @@ func build(cfg Config, writers []io.Writer) (*Machine, error) {
 
 // NewFiles builds a machine writing raw trace files named
 // TraceOpts.Prefix.<node>.
-func NewFiles(opts ...Option) (*Machine, error) {
-	var cfg Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	cfg.fill()
+func NewFiles(cfg Config) (*Machine, error) {
 	writers := make([]io.Writer, 0, cfg.Nodes)
 	// Whatever fails — opening a later file, or a facility's header
-	// write inside build — every file opened so far is closed.
+	// write inside New — every file opened so far is closed.
 	closeAll := func() {
 		for _, w := range writers {
 			w.(io.Closer).Close()
@@ -208,12 +143,11 @@ func NewFiles(opts ...Option) (*Machine, error) {
 		}
 		writers = append(writers, fp)
 	}
-	m, err := build(cfg, writers)
+	m, err := New(writers, cfg)
 	if err != nil {
 		closeAll()
-		return nil, err
 	}
-	return m, nil
+	return m, err
 }
 
 // Config returns the (filled-in) machine configuration.

@@ -22,7 +22,7 @@ func memMachine(t *testing.T, cfg Config) (*Machine, []*bytes.Buffer) {
 		bufs[i] = &bytes.Buffer{}
 		ws[i] = bufs[i]
 	}
-	m, err := New(ws, FromConfig(cfg))
+	m, err := New(ws, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestNewFilesWritesRawTraces(t *testing.T) {
 	dir := t.TempDir()
 	cfg := baseCfg(2)
 	cfg.TraceOpts.Prefix = filepath.Join(dir, "raw")
-	m, err := NewFiles(FromConfig(cfg))
+	m, err := NewFiles(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestNewFilesWritesRawTraces(t *testing.T) {
 }
 
 func TestWriterCountValidation(t *testing.T) {
-	if _, err := New([]io.Writer{&bytes.Buffer{}}, FromConfig(baseCfg(2))); err == nil {
+	if _, err := New([]io.Writer{&bytes.Buffer{}}, baseCfg(2)); err == nil {
 		t.Fatal("mismatched writer count accepted")
 	}
 }
@@ -314,7 +314,7 @@ func checkClosedOnce(t *testing.T, files []*failingFile) {
 // unflushed and its file open.
 func TestRunClosesEveryFacilityOnError(t *testing.T) {
 	files := threeFiles(t, 1) // header succeeds, the flush at Close fails
-	m, err := NewFiles(FromConfig(baseCfg(3)))
+	m, err := NewFiles(baseCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestRunClosesEveryFacilityOnError(t *testing.T) {
 	// reach Run's caller, and every node's file must be flushed and
 	// closed on the way.
 	files = threeFiles(t, -1)
-	if m, err = NewFiles(FromConfig(baseCfg(3))); err != nil {
+	if m, err = NewFiles(baseCfg(3)); err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; n < 3; n++ {
@@ -368,13 +368,13 @@ func TestRunClosesEveryFacilityOnError(t *testing.T) {
 // none of the files already open may leak.
 func TestNewFilesClosesFilesOnError(t *testing.T) {
 	files := threeFiles(t, 0)
-	if _, err := NewFiles(FromConfig(baseCfg(3))); err == nil || !strings.Contains(err.Error(), "disk full") {
+	if _, err := NewFiles(baseCfg(3)); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("NewFiles error = %v, want node 1's header write failure", err)
 	}
 	checkClosedOnce(t, files)
 
 	files = threeFiles(t, -1)
-	if _, err := NewFiles(FromConfig(baseCfg(4))); err == nil || !strings.Contains(err.Error(), "too many open files") {
+	if _, err := NewFiles(baseCfg(4)); err == nil || !strings.Contains(err.Error(), "too many open files") {
 		t.Fatalf("NewFiles error = %v, want the fourth open's failure", err)
 	}
 	checkClosedOnce(t, files)

@@ -113,8 +113,8 @@ type Options struct {
 	Parallel int
 	// headerMarkers, when non-nil, overrides the marker table written to
 	// this file's header. ConvertAll uses it to reproduce, under any
-	// worker schedule, exactly the tables a sequential node-order
-	// ConvertFile loop would have written.
+	// worker schedule, exactly the tables a sequential node-order loop
+	// of Convert calls would have written.
 	headerMarkers map[uint64]string
 }
 

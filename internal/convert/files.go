@@ -11,24 +11,6 @@ import (
 	"tracefw/internal/par"
 )
 
-// ConvertFile converts one raw trace file on disk into one interval file.
-func ConvertFile(rawPath, outPath string, opts Options) (*Result, error) {
-	src, err := os.Open(rawPath)
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	dst, err := os.Create(outPath)
-	if err != nil {
-		return nil, err
-	}
-	res, err := Convert(src, dst, opts)
-	if cerr := dst.Close(); err == nil {
-		err = cerr
-	}
-	return res, err
-}
-
 // convertMany is the deterministic parallel conversion core shared by
 // ConvertAll and ConvertBuffers. It runs in two phases around a
 // canonicalization barrier:
@@ -40,7 +22,7 @@ func ConvertFile(rawPath, outPath string, opts Options) (*Result, error) {
 //     assigned by walking the inputs in ascending node order and taking
 //     each file's defines, then its tolerant-mode placeholders, in
 //     first-seen order. This is precisely the assignment a sequential
-//     ConvertFile loop over node-sorted inputs produces, so every
+//     loop of Convert calls over node-sorted inputs produces, so every
 //     output file — header marker tables included — is byte-identical
 //     to that loop's, regardless of worker schedule or input order.
 //  3. Record pass (parallel): each input is converted with the frozen
@@ -151,7 +133,7 @@ func convertMany(
 // sharing one marker registry, so the same marker string receives the
 // same global identifier in every output file. Conversions fan out over
 // a bounded worker pool (Options.Parallel; 0 = GOMAXPROCS); the outputs
-// are byte-identical to a sequential ConvertFile loop over the same
+// are byte-identical to a sequential loop of Convert calls over the same
 // inputs sorted by node id, whatever the input order or worker count.
 func ConvertAll(rawPaths, outPaths []string, opts Options) ([]*Result, error) {
 	if len(rawPaths) != len(outPaths) {

@@ -180,15 +180,3 @@ func (d *BatchDecoder) Finish() error {
 	}
 	return nil
 }
-
-// SplitPreamble validates that a first batch opens with the raw trace
-// header and returns the records portion. It does not parse records —
-// ScanPreamble does — but gives ingest a cheap early rejection for
-// batches that cannot possibly be a preamble.
-func SplitPreamble(batch []byte) (node int, records []byte, err error) {
-	rd, err := trace.NewReader(bytes.NewReader(batch))
-	if err != nil {
-		return 0, nil, err
-	}
-	return rd.Info.Node, batch[RawHeaderSize:], nil
-}

@@ -416,12 +416,12 @@ func TestIngestCrashDifferential(t *testing.T) {
 			if err := os.WriteFile(p, img, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			var sv interval.SalvageResult
-			if sf, err := interval.Open(p, interval.WithSalvage(&sv)); err != nil {
+			if sf, err := interval.Open(p); err != nil {
 				if sealAt(h) != nil {
 					t.Fatalf("horizon %d: salvage open failed despite sealed data: %v", h, err)
 				}
 			} else {
+				sv := sf.Salvage()
 				sf.Close()
 				for _, fe := range sv.Frames {
 					i, ok := byOffsetIndex(o, fe.Offset)

@@ -389,12 +389,12 @@ func (s *Session) feedLocked(n *node, data []byte) error {
 	})
 }
 
-// emit is the converter sink: it replicates the batch merge's stream
-// stage — extract clock pairs, drop the clock records, adjust through
-// the EstimatorNone adjuster anchored at the node's first pair — and
-// pushes into the live merge. Records arriving before the first pair
-// wait in the gate (bounded); a node that never syncs its clock flushes
-// the gate unadjusted at finish.
+// emit is the converter sink: the batch merge's stream stage — extract
+// clock pairs, drop the clock records, adjust (merge.Adjust) through the
+// EstimatorNone adjuster anchored at the node's first pair — feeding the
+// live merge. Records arriving before the first pair wait in the gate
+// (bounded); a node that never syncs its clock flushes the gate
+// unadjusted at finish.
 func (s *Session) emit(n *node, r *interval.Record) error {
 	if r.Type == events.EvGlobalClock {
 		if !n.adjSet && len(r.Extra) > 0 {
@@ -428,9 +428,7 @@ func (s *Session) flushGate(n *node) error {
 }
 
 func (s *Session) push(n *node, r *interval.Record) error {
-	end := n.adj.Global(r.End())
-	r.Start = n.adj.Global(r.Start)
-	r.Dura = end - r.Start
+	merge.Adjust(n.adj, r)
 	return n.src.Push(r)
 }
 

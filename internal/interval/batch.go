@@ -86,7 +86,7 @@ func (b *Batch) VecRow(i int) []uint64 {
 
 // Row materializes row i as a Record whose Extra and Vec alias the
 // batch's backing columns: read-only, and valid exactly as long as the
-// batch is. Use RowCopy for a record that must outlive the batch.
+// batch is.
 func (b *Batch) Row(i int) Record {
 	r := Record{
 		Type:   b.Type[i],
@@ -102,19 +102,6 @@ func (b *Batch) Row(i int) Record {
 	}
 	if v := b.VecRow(i); len(v) > 0 {
 		r.Vec = v
-	}
-	return r
-}
-
-// RowCopy materializes row i as a self-contained Record with freshly
-// allocated Extra and Vec.
-func (b *Batch) RowCopy(i int) Record {
-	r := b.Row(i)
-	if len(r.Extra) > 0 {
-		r.Extra = append([]uint64(nil), r.Extra...)
-	}
-	if len(r.Vec) > 0 {
-		r.Vec = append([]uint64(nil), r.Vec...)
 	}
 	return r
 }

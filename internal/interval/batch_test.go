@@ -80,7 +80,7 @@ func writeMixedFileFrames(t *testing.T, seed uint64, n int, hdrVersion uint32, f
 func batchRecords(b *Batch) []Record {
 	recs := make([]Record, b.N)
 	for i := range recs {
-		recs[i] = b.RowCopy(i)
+		recs[i] = b.Row(i).clone()
 	}
 	return recs
 }
@@ -235,7 +235,7 @@ func TestBatchMatchesRecordDecode(t *testing.T) {
 				for i := 0; i < b.N; i++ {
 					want := written[at+i]
 					for name, got := range map[string]Record{
-						"Row": b.Row(i), "RowCopy": b.RowCopy(i), "FrameBatch": shared.Row(i), "FrameRecords": recs[i],
+						"Row": b.Row(i), "FrameBatch": shared.Row(i), "FrameRecords": recs[i],
 					} {
 						if !eqRecord(got, want) {
 							t.Fatalf("frame %d row %d: %s %+v, wrote %+v", fi, i, name, got, want)

@@ -172,11 +172,11 @@ func TestDamagedChainFailsEveryEntryPoint(t *testing.T) {
 				}
 			}
 
-			var sv SalvageResult
-			f, err := NewFile(NewSeekBufferFrom(damaged), WithSalvage(&sv))
+			f, err := NewFile(NewSeekBufferFrom(damaged))
 			if err != nil {
 				t.Fatal(err)
 			}
+			sv := f.Salvage()
 			if !reflect.DeepEqual(sv.Frames, frames) {
 				t.Fatalf("v%d/%s: salvage recovered %d frames, the pristine file has %d", version, dmg.Name, len(sv.Frames), len(frames))
 			}

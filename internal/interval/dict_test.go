@@ -61,8 +61,8 @@ func TestV4DictionaryProbeTable(t *testing.T) {
 			t.Fatalf("decoded %d rows of %d", out.N, len(recs))
 		}
 		for i := range recs {
-			if !eqRecord(out.RowCopy(i), recs[i]) {
-				t.Fatalf("row %d: %+v, want %+v", i, out.RowCopy(i), recs[i])
+			if !eqRecord(out.Row(i), recs[i]) {
+				t.Fatalf("row %d: %+v, want %+v", i, out.Row(i), recs[i])
 			}
 		}
 		if 2*len(st.dict) > len(st.slots) || len(st.slots)&(len(st.slots)-1) != 0 {

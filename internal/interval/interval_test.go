@@ -315,7 +315,7 @@ func TestEndTimeOrderEnforced(t *testing.T) {
 
 func TestUnorderedOption(t *testing.T) {
 	sb := NewSeekBuffer()
-	w, err := NewWriter(sb, testHeader(), WriterOptions{Unordered: true})
+	w, err := NewWriter(sb, testHeader(), WriterOptions{unordered: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,11 +243,11 @@ func TestSealPrefixSalvage(t *testing.T) {
 		if err := os.WriteFile(path, sn.bytes, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var res SalvageResult
-		f, err := Open(path, WithSalvage(&res))
+		f, err := Open(path)
 		if err != nil {
 			t.Fatalf("seal %d: salvage open: %v", i, err)
 		}
+		res := f.Salvage()
 		if len(res.Frames) != sn.info.Frames {
 			t.Fatalf("seal %d: salvage recovered %d frames, sealed %d", i, len(res.Frames), sn.info.Frames)
 		}

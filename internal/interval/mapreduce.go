@@ -67,7 +67,7 @@ var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 // frame encoding. Either way the batch is read-only and valid until the
 // frame's reduceFn returns: mapFn may return it, or Rows aliasing it, as
 // its value for reduceFn to read, but anything kept longer must be
-// copied out (Batch.RowCopy).
+// copied out.
 //
 // At most Workers(Parallel, frames) frames are in flight, so memory
 // stays bounded no matter how large the files are. On error the engine

@@ -14,35 +14,12 @@ import (
 type Option func(*openOptions)
 
 type openOptions struct {
-	verifySums bool
-	salvage    *SalvageResult
-	pyramid    bool
-	liveTail   int64
+	pyramid  bool
+	liveTail int64
 }
 
 func defaultOpenOptions() openOptions {
-	return openOptions{verifySums: true, pyramid: true, liveTail: -1}
-}
-
-// WithVerifyChecksums controls verification of per-frame payload
-// CRC-32C checksums on version-3+ files (the default is true). Turning
-// it off skips the checksum pass on every frame read — useful when the
-// file was just written or validated and the reread cost matters.
-// Directory metadata checksums are always verified: they are read once
-// and guard every offset the reader will trust. Salvage ignores this
-// option and always verifies payloads; its soundness bar does not bend.
-func WithVerifyChecksums(v bool) Option {
-	return func(o *openOptions) { o.verifySums = v }
-}
-
-// WithSalvage opens the file in best-effort recovery mode: after the
-// fixed header parses, a full Salvage pass runs and its result — the
-// recovered frames and the SalvageReport — is stored in *sink. Open
-// then only fails when the fixed header itself is unreadable;
-// everything after it is handled tolerantly by the salvage pass, which
-// never fails. The sink must be non-nil.
-func WithSalvage(sink *SalvageResult) Option {
-	return func(o *openOptions) { o.salvage = sink }
+	return openOptions{pyramid: true, liveTail: -1}
 }
 
 // WithPyramid controls the summary-pyramid sidecar auto-load (the
@@ -76,8 +53,9 @@ func WithLiveTail(sealedSize int64) Option {
 
 // Open opens an interval file on disk. With no options it behaves
 // exactly as the historical Open plus the advisory pyramid sidecar
-// auto-load; see WithSalvage, WithVerifyChecksums, and WithPyramid for
-// the configurable behaviors.
+// auto-load; see WithPyramid and WithLiveTail for the configurable
+// behaviors. Frame payload checksums are always verified; reading around
+// damage is File.Salvage's job.
 func Open(path string, opts ...Option) (*File, error) {
 	o := defaultOpenOptions()
 	for _, opt := range opts {
@@ -127,10 +105,6 @@ func NewFile(r io.ReadSeeker, opts ...Option) (*File, error) {
 		}
 		f.Size = o.liveTail
 		f.live = true
-	}
-	f.verifySums = o.verifySums
-	if o.salvage != nil {
-		*o.salvage = *f.Salvage()
 	}
 	return f, nil
 }

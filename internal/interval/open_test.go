@@ -48,29 +48,29 @@ func TestOpenMatchesNewFile(t *testing.T) {
 		t.Fatalf("Open and NewFile scans disagree (%d vs %d records)", len(all1), len(all2))
 	}
 
-	var res SalvageResult
-	f3, err := Open(p, WithSalvage(&res))
+	f3, err := Open(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f3.Close()
+	res := f3.Salvage()
 	fes, err := f1.Frames()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Frames) != len(fes) {
-		t.Fatalf("Open(WithSalvage) recovered %d frames, the file has %d", len(res.Frames), len(fes))
+		t.Fatalf("Salvage recovered %d frames, the file has %d", len(res.Frames), len(fes))
 	}
 	if !res.Report.Clean() {
 		t.Fatalf("salvage of an undamaged file reports damage: %+v", res.Report)
 	}
 }
 
-// TestWithVerifyChecksums flips one payload byte on a v3 file (fixed-
-// size record encoding, so the damage stays decodable) and checks that
-// the default Open rejects the frame while WithVerifyChecksums(false)
-// reads through it.
-func TestWithVerifyChecksums(t *testing.T) {
+// TestPayloadChecksumAlwaysVerified flips one payload byte on a v3 file
+// (fixed-size record encoding, so the damage stays decodable): an opened
+// file rejects the frame — no option switches the check off — and salvage
+// reports the damage.
+func TestPayloadChecksumAlwaysVerified(t *testing.T) {
 	sb, _ := writeRandomFile(t, 12, 300, 3)
 	clean := openFile(t, sb)
 	frames, err := clean.Frames()
@@ -88,29 +88,10 @@ func TestWithVerifyChecksums(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := f.FrameBatch(frames[0]); err == nil {
-		t.Fatal("default open decoded a frame with a bad payload checksum")
+		t.Fatal("open decoded a frame with a bad payload checksum")
 	}
-
-	f2, err := NewFile(NewSeekBufferFrom(damaged), WithVerifyChecksums(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := f2.FrameBatch(frames[0])
-	if err != nil {
-		t.Fatalf("WithVerifyChecksums(false) still fails the read: %v", err)
-	}
-	if b.N != int(frames[0].Records) {
-		t.Fatalf("got %d records, frame claims %d", b.N, frames[0].Records)
-	}
-
-	// The option must not bend salvage: its own checksum pass still
-	// rejects the damaged frame.
-	var res SalvageResult
-	if _, err := NewFile(NewSeekBufferFrom(damaged), WithVerifyChecksums(false), WithSalvage(&res)); err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Clean() {
-		t.Fatal("salvage missed the payload damage despite WithVerifyChecksums(false)")
+	if f.Salvage().Report.Clean() {
+		t.Fatal("salvage missed the payload damage")
 	}
 }
 

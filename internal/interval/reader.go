@@ -76,10 +76,11 @@ type File struct {
 	// a closed File fails with ErrClosed instead of an os-level error
 	// from a dead handle.
 	closed atomic.Bool
-	// verifySums gates per-frame payload checksum verification (v3+);
-	// set from WithVerifyChecksums at open, default true. Salvage does
-	// not consult it.
-	verifySums bool
+	// skipSums switches off per-frame payload checksum verification
+	// (v3+). No caller can set it: only this package's decoder-hardening
+	// tests do, to hand the decoder a damaged payload the CRC would stop.
+	// Salvage does not consult it.
+	skipSums bool
 	// hook, when non-nil, intercepts frame decodes (FrameBatch, the
 	// map-reduce engine, scanners): serving layers use it to answer from
 	// a decoded-frame cache. Set it before the File is shared between
@@ -145,7 +146,7 @@ func readFileHeader(r io.ReadSeeker) (*File, error) {
 	if string(fixed[:8]) != fileMagic {
 		return nil, fmt.Errorf("interval: bad magic %q", fixed[:8])
 	}
-	f := &File{r: r, Size: size, verifySums: true}
+	f := &File{r: r, Size: size}
 	f.Header.ProfileVersion = binary.LittleEndian.Uint32(fixed[8:])
 	f.Header.HeaderVersion = binary.LittleEndian.Uint32(fixed[12:])
 	nThreads := binary.LittleEndian.Uint32(fixed[16:])
@@ -340,7 +341,7 @@ func (f *File) ReadFrameDir(offset int64) (*FrameDir, error) {
 // chain, once per File. It is the only code that follows a Next link, so
 // the revisited-offset check lives here alone, and a damaged directory
 // anywhere in the chain fails every metadata call and every scan with
-// the same error (reading around the damage is WithSalvage's job).
+// the same error (reading around the damage is Salvage's job).
 func (f *File) loadChain() error {
 	f.chainOnce.Do(func() {
 		seen := map[int64]bool{}
@@ -440,10 +441,9 @@ func (f *File) ReadFrameAt(fe FrameEntry, buf []byte) ([]byte, error) {
 }
 
 // checkFrameSum verifies a frame's stored payload checksum on version-3
-// files; older versions store none, and WithVerifyChecksums(false)
-// skips the pass (Salvage runs its own unconditional check).
+// files; older versions store none (Salvage runs its own check).
 func (f *File) checkFrameSum(fe FrameEntry, buf []byte) error {
-	if f.verifySums && f.Header.HeaderVersion >= 3 && crc32.Checksum(buf, crcTable) != fe.Sum {
+	if !f.skipSums && f.Header.HeaderVersion >= 3 && crc32.Checksum(buf, crcTable) != fe.Sum {
 		return fmt.Errorf("interval: frame at %d fails payload checksum", fe.Offset)
 	}
 	return nil

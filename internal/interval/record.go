@@ -10,17 +10,17 @@
 // # Opening files
 //
 // Open (a path) and NewFile (an io.ReadSeeker) are the package's entry
-// points, configured by functional options: WithVerifyChecksums
-// controls the per-frame payload checksum pass, WithSalvage opens in
-// best-effort recovery mode and reports what was recovered through its
-// sink.
+// points, configured by functional options (WithPyramid, WithLiveTail).
+// Frame payload checksums are always verified; File.Salvage is the
+// best-effort recovery pass over an opened file and returns what it
+// recovered.
 //
 // A File may be shared by concurrent readers when ConcurrentReads
 // reports true (the underlying reader implements io.ReaderAt): frame
 // reads are positioned, and the directory chain is read once, by
 // whichever metadata call or scan comes first, and answered from memory
 // from then on. A damaged directory therefore fails every metadata call
-// and every scan with the same error; WithSalvage reads around damage.
+// and every scan with the same error; Salvage reads around damage.
 // Close is idempotent and safe under concurrency;
 // operations on a closed file fail with ErrClosed. Long-running callers
 // cancel work mid-scan through MapOptions.Context, ScanWindowCtx, or
@@ -30,6 +30,7 @@ package interval
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -56,6 +57,12 @@ type Record struct {
 
 // End returns the record's end time, the file's sort key.
 func (r Record) End() clock.Time { return r.Start + r.Dura }
+
+// clone returns r owning its Extra and Vec.
+func (r Record) clone() Record {
+	r.Extra, r.Vec = slices.Clone(r.Extra), slices.Clone(r.Vec)
+	return r
+}
 
 // Field returns the named extra field's value, consulting the state
 // type's field table.

@@ -135,9 +135,9 @@ type WriterOptions struct {
 	// FramesPerDir is the number of frame entries per directory
 	// (default 32).
 	FramesPerDir int
-	// Unordered disables the ascending-end-time validation (used by
-	// tests and the sort-ablation bench; production writers keep it on).
-	Unordered bool
+	// unordered disables the ascending-end-time validation. Only this
+	// package's tests set it, to write records no producer may.
+	unordered bool
 	// FramePrologue, if set, is invoked whenever a new frame is about to
 	// receive its first record; the returned records are placed at the
 	// beginning of the frame. The merge utility uses this to plant the
@@ -296,7 +296,7 @@ func emptyFrameMeta() frameEntry {
 }
 
 // Add appends one record. Records must arrive in ascending end-time
-// order unless the writer was opened Unordered. A record no reader
+// order (no caller can switch the check off). A record no reader
 // would accept — its fixed-width payload over the format's 65 535-byte
 // limit — fails the writer for good, as an out-of-order one does.
 func (w *Writer) Add(r *Record) error {
@@ -307,7 +307,7 @@ func (w *Writer) Add(r *Record) error {
 		return fmt.Errorf("interval: Add after Close")
 	}
 	end := r.End()
-	if !w.opts.Unordered && w.anyRecord && end < w.lastEnd {
+	if !w.opts.unordered && w.anyRecord && end < w.lastEnd {
 		w.err = fmt.Errorf("interval: record end %v before previous end %v (file must be end-time ordered)", end, w.lastEnd)
 		return w.err
 	}

@@ -196,7 +196,7 @@ func NewLive(dst io.WriteSeeker, hdrs []interval.Header, sources []*LiveSource, 
 		return nil, err
 	}
 	l := &Live{sources: sources, res: Result{Inputs: len(sources)}}
-	l.ms = &mergeState{res: &l.res, trk: newTracker(hdr.Threads)}
+	l.ms = &mergeState{res: &l.res, trk: interval.NewOpenStates(hdr.Threads)}
 	w, err := interval.NewWriter(dst, hdr, l.ms.writerOptions(opts))
 	if err != nil {
 		return nil, err

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"sort"
 
 	"tracefw/internal/clock"
@@ -184,97 +183,20 @@ func (s *stream) Advance() error {
 		if r.Type == events.EvGlobalClock && !s.keepClock {
 			continue
 		}
-		// Adjust start and end through the same monotone mapping and
-		// derive the duration, so independent rounding of R·S and R·D
-		// cannot make adjusted end times regress within a stream.
-		end := s.adj.Global(r.End())
-		r.Start = s.adj.Global(r.Start)
-		r.Dura = end - r.Start
-		s.end = end
+		s.end = Adjust(s.adj, r)
 		return nil
 	}
 }
 
-// threadKey orders threads across the whole machine by (node, thread),
-// the order of the union header's thread table and of the pseudo-
-// intervals within a frame prologue.
-func threadKey(node, thread uint16) uint32 { return uint32(node)<<16 | uint32(thread) }
-
-// tracker reconstructs, from the merged record stream, which states are
-// open on every thread, to generate the frame-start pseudo-intervals.
-// Open stacks live in a dense table parallel to keys, which starts as
-// the union header's (already sorted) thread table, so a prologue is
-// one in-order walk with nothing to collect or sort per frame.
-type tracker struct {
-	keys    []uint32            // ascending threadKey per slot
-	open    [][]interval.Record // per slot, innermost last
-	scratch []interval.Record   // the last prologue, reused
-}
-
-func newTracker(threads []interval.ThreadEntry) *tracker {
-	t := &tracker{keys: make([]uint32, 0, len(threads))}
-	for _, te := range threads {
-		// The table is sorted; a thread listed twice keeps one slot.
-		if k := threadKey(te.Node, te.LTID); len(t.keys) == 0 || k > t.keys[len(t.keys)-1] {
-			t.keys = append(t.keys, k)
-		}
-	}
-	t.open = make([][]interval.Record, len(t.keys))
-	return t
-}
-
-// slot returns the table index of k, inserting a slot in key order for
-// a thread the header does not list (uteconvert lists every thread it
-// saw, but the format does not require it of other producers).
-func (t *tracker) slot(k uint32) int {
-	i, listed := slices.BinarySearch(t.keys, k)
-	if !listed {
-		t.keys = slices.Insert(t.keys, i, k)
-		t.open = slices.Insert(t.open, i, nil)
-	}
-	return i
-}
-
-func (t *tracker) observe(r *interval.Record) {
-	if r.Type == events.EvGlobalClock {
-		return
-	}
-	switch r.Bebits {
-	case profile.Begin:
-		// The open set outlives the frame r came from: keep a copy, not a
-		// row aliasing the source's batch.
-		o := *r
-		o.Extra, o.Vec = slices.Clone(r.Extra), slices.Clone(r.Vec)
-		i := t.slot(threadKey(r.Node, r.Thread))
-		t.open[i] = append(t.open[i], o)
-	case profile.End:
-		s := t.slot(threadKey(r.Node, r.Thread))
-		stack := t.open[s]
-		for i := len(stack) - 1; i >= 0; i-- {
-			if stack[i].Type == r.Type {
-				t.open[s] = append(stack[:i], stack[i+1:]...)
-				return
-			}
-		}
-	}
-}
-
-// pseudos returns zero-duration continuation records for every open
-// state, stamped at, ordered (node, thread, outer→inner). The slice is
-// reused by the next call.
-func (t *tracker) pseudos(at clock.Time) []interval.Record {
-	out := t.scratch[:0]
-	for _, stack := range t.open {
-		for i := range stack {
-			pr := stack[i]
-			pr.Bebits = profile.Continuation
-			pr.Start = at
-			pr.Dura = 0
-			out = append(out, pr)
-		}
-	}
-	t.scratch = out
-	return out
+// Adjust moves r into adj's global timebase and returns its adjusted
+// end: start and end go through the same monotone mapping and the
+// duration is derived, so independent rounding of R·S and R·D cannot
+// make adjusted end times regress within a stream.
+func Adjust(adj clock.Adjuster, r *interval.Record) clock.Time {
+	end := adj.Global(r.End())
+	r.Start = adj.Global(r.Start)
+	r.Dura = end - r.Start
+	return end
 }
 
 // Merge merges the individual interval files into dst.
@@ -322,7 +244,7 @@ func Merge(files []*interval.File, dst io.WriteSeeker, opts Options) (*Result, e
 		return nil, err
 	}
 
-	ms := &mergeState{res: res, trk: newTracker(hdr.Threads)}
+	ms := &mergeState{res: res, trk: interval.NewOpenStates(hdr.Threads)}
 	w, err := interval.NewWriter(dst, hdr, ms.writerOptions(opts))
 	if err != nil {
 		return nil, err
@@ -384,7 +306,7 @@ func UnionHeader(hdrs []interval.Header) (interval.Header, error) {
 // identical pseudo-intervals and are byte-identical by construction.
 type mergeState struct {
 	res     *Result
-	trk     *tracker
+	trk     *interval.OpenStates
 	lastEnd clock.Time
 }
 
@@ -394,7 +316,7 @@ func (ms *mergeState) writerOptions(opts Options) interval.WriterOptions {
 	wopts := opts.Writer
 	if !opts.noPseudo {
 		wopts.FramePrologue = func() []interval.Record {
-			ps := ms.trk.pseudos(ms.lastEnd)
+			ps := ms.trk.Pseudos(ms.lastEnd)
 			ms.res.Pseudo += int64(len(ps))
 			ms.res.Records += int64(len(ps))
 			return ps
@@ -433,7 +355,7 @@ func (ms *mergeState) run(w *interval.Writer, srcs []recordSource) error {
 		}
 		ms.res.Records++
 		ms.lastEnd = r.End()
-		ms.trk.observe(r)
+		ms.trk.Observe(r)
 		if err := st.Advance(); err != nil {
 			return fmt.Errorf("merge: input %d: %w", i, err)
 		}

@@ -33,9 +33,6 @@ func (c *Comm) RankOf(p *Proc) int {
 	return -1
 }
 
-// WorldRank translates a communicator rank to a world rank.
-func (c *Comm) WorldRank(commRank int) int { return int(c.ranks[commRank]) }
-
 type collKey struct {
 	comm int32
 	seq  uint64

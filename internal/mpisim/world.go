@@ -113,7 +113,7 @@ type Proc struct {
 // per node).
 func New(cfg Config, writers []io.Writer) (*World, error) {
 	cfg.fill()
-	m, err := cluster.New(writers, cluster.FromConfig(cfg.Cluster))
+	m, err := cluster.New(writers, cfg.Cluster)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +124,7 @@ func New(cfg Config, writers []io.Writer) (*World, error) {
 // options prefix.
 func NewFiles(cfg Config) (*World, error) {
 	cfg.fill()
-	m, err := cluster.NewFiles(cluster.FromConfig(cfg.Cluster))
+	m, err := cluster.NewFiles(cfg.Cluster)
 	if err != nil {
 		return nil, err
 	}
@@ -179,9 +179,6 @@ func (p *Proc) Size() int { return len(p.task.w.tasks) }
 
 // Node returns the SMP node the task lives on.
 func (p *Proc) Node() int { return p.task.Node }
-
-// ThreadID returns the node-local logical thread id.
-func (p *Proc) ThreadID() int32 { return p.th.ID }
 
 // Now returns the current virtual (true) time.
 func (p *Proc) Now() clock.Time { return p.th.Now() }

@@ -48,9 +48,6 @@ func (v NodeView) ID() int { return v.n.id }
 // Slots returns the node's dispatch-slot count.
 func (v NodeView) Slots() int { return len(v.n.cpus) }
 
-// PhysCPUs returns the node's physical CPU count.
-func (v NodeView) PhysCPUs() int { return v.n.phys }
-
 // SlotFree reports whether dispatch slot i is unoccupied.
 func (v NodeView) SlotFree(i int) bool { return v.n.cpus[i] == nil }
 

@@ -1,10 +1,8 @@
 package slog
 
 import (
-	"cmp"
 	"errors"
 	"io"
-	"slices"
 	"sync"
 
 	"tracefw/internal/clock"
@@ -22,9 +20,10 @@ type Options struct {
 	// Bins is the preview bin count (default 50, matching the paper's
 	// statistics table granularity).
 	Bins int
-	// NoCrossingCopies disables pseudo copies of frame-spanning arrows
-	// (ablation; the viewer then misses arrows in middle frames).
-	NoCrossingCopies bool
+	// noCrossingCopies disables pseudo copies of frame-spanning arrows
+	// (the viewer then misses arrows in middle frames). Only this
+	// package's tests set it (export_test.go).
+	noCrossingCopies bool
 	// Parallel is the frame-decode worker count for both build passes
 	// (<= 0 means GOMAXPROCS). The output is byte-identical for every
 	// worker count: frames decode and pre-bin concurrently, while the
@@ -262,7 +261,7 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 	// crossing[crossOff[f]:crossOff[f+1]] is frame f's, in arrow order.
 	crossOff := make([]int, len(frames)+1)
 	var crossing []int32
-	if !opts.NoCrossingCopies {
+	if !opts.noCrossingCopies {
 		eachCrossing := func(visit func(f, ai int)) {
 			rf := 0
 			for ai := range arrows {
@@ -301,7 +300,7 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 	if err != nil {
 		return nil, err
 	}
-	trk := &tracker{}
+	trk := interval.NewOpenStates(mf.Header.Threads)
 	fi := 0
 	idx = 0
 	frameStartStamp := tStart
@@ -319,13 +318,7 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 				}
 				r := b.Row(ri)
 				w.addInterval(&r)
-				switch {
-				case r.Type == events.EvGlobalClock:
-				case r.Bebits == profile.Begin:
-					trk.begin(b.RowCopy(ri))
-				case r.Bebits == profile.End:
-					trk.end(&r)
-				}
+				trk.Observe(&r)
 				if idx == frames[fi].lastIdx {
 					firstArrow := 0
 					if fi > 0 {
@@ -509,51 +502,6 @@ func (m *matcher) emit(sh sendHalf, rh recvHalf, seq uint64) {
 		DstNode: rh.node, DstThread: rh.thread,
 		Bytes: sh.bytes, Tag: sh.tag, Seqno: seq,
 	})
-}
-
-// tracker mirrors merge's open-state reconstruction: per thread, the
-// stack of Begin records not yet ended. threads is sorted by (node,
-// thread) and only ever grows, so the frame-start pseudo-intervals come
-// out in that order without a per-frame sort.
-type tracker struct {
-	threads []openStack
-}
-
-type openStack struct {
-	key  uint32 // node<<16 | thread
-	recs []interval.Record
-}
-
-// find returns where r's thread is, or would be inserted, in t.threads.
-func (t *tracker) find(r *interval.Record) (int, bool) {
-	k := uint32(r.Node)<<16 | uint32(r.Thread)
-	return slices.BinarySearchFunc(t.threads, k, func(s openStack, k uint32) int { return cmp.Compare(s.key, k) })
-}
-
-// begin retains r, which must own its Extra and Vec (Batch.RowCopy): it
-// stays open, and is re-emitted at every frame start, until its End.
-func (t *tracker) begin(r interval.Record) {
-	at, ok := t.find(&r)
-	if !ok {
-		t.threads = slices.Insert(t.threads, at, openStack{key: uint32(r.Node)<<16 | uint32(r.Thread)})
-	}
-	t.threads[at].recs = append(t.threads[at].recs, r)
-}
-
-// end closes the innermost open state of r's type on r's thread; r may
-// alias a batch.
-func (t *tracker) end(r *interval.Record) {
-	at, ok := t.find(r)
-	if !ok {
-		return
-	}
-	st := &t.threads[at]
-	for i := len(st.recs) - 1; i >= 0; i-- {
-		if st.recs[i].Type == r.Type {
-			st.recs = slices.Delete(st.recs, i, i+1)
-			return
-		}
-	}
 }
 
 var errFrameCount = errors.New("slog: the frames written differ from the frame count the header declares")

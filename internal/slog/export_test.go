@@ -1,0 +1,9 @@
+package slog
+
+// NoCrossingCopies returns o with the pseudo copies of frame-spanning
+// arrows turned off — a setter for the test that checks the copies are
+// what puts a long arrow into the middle frames.
+func NoCrossingCopies(o Options) Options {
+	o.noCrossingCopies = true
+	return o
+}

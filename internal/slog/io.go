@@ -10,7 +10,6 @@ import (
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
 	"tracefw/internal/interval"
-	"tracefw/internal/profile"
 )
 
 // File header layout (fixed part):
@@ -92,20 +91,13 @@ func appendRecord(b []byte, kind byte, r *interval.Record) []byte {
 // openFrame starts a frame with its pseudo-intervals: a zero-duration
 // continuation at the frame start for every state trk holds open, in
 // (node, thread) order, outermost first. It returns how many it wrote.
-func (w *writer) openFrame(trk *tracker, at clock.Time) int {
+func (w *writer) openFrame(trk *interval.OpenStates, at clock.Time) int {
 	w.buf = append(w.buf[:0], 0, 0, 0, 0) // record count, patched at close
-	w.open, w.n = true, 0
-	for ti := range trk.threads {
-		st := &trk.threads[ti]
-		for i := range st.recs {
-			pr := st.recs[i]
-			pr.Bebits = profile.Continuation
-			pr.Start = at
-			pr.Dura = 0
-			w.buf = appendRecord(w.buf, kindPseudo, &pr)
-			w.n++
-		}
+	ps := trk.Pseudos(at)
+	for i := range ps {
+		w.buf = appendRecord(w.buf, kindPseudo, &ps[i])
 	}
+	w.open, w.n = true, len(ps)
 	// The frame's bounds span its interval records, stretched down to the
 	// frame start when pseudo-intervals sit there.
 	w.lo, w.hi = clock.Time(1<<63-1), clock.Time(-1<<63)

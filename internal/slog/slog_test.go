@@ -154,7 +154,7 @@ func TestCrossingArrowCopies(t *testing.T) {
 		t.Fatal("no crossing copies of the long arrow")
 	}
 
-	f2, _ := buildSlog(t, slog.Options{FrameBytes: 1024, NoCrossingCopies: true}, work)
+	f2, _ := buildSlog(t, slog.NoCrossingCopies(slog.Options{FrameBytes: 1024}), work)
 	for i := range f2.Index {
 		fd, _ := f2.ReadFrame(i)
 		if len(fd.Crossing) != 0 {

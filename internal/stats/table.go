@@ -88,11 +88,6 @@ func GenerateOpts(program string, files []*interval.File, opts Options) ([]*Tabl
 	return GenerateSpecsOpts(specs, files, opts)
 }
 
-// GenerateSpecs runs parsed table specs over the interval files.
-func GenerateSpecs(specs []*TableSpec, files []*interval.File) ([]*Table, error) {
-	return GenerateSpecsOpts(specs, files, Options{})
-}
-
 // GenerateSpecsOpts runs parsed table specs over the interval files on
 // the per-frame map-reduce engine: frames arrive as columnar batches and
 // evaluate concurrently into partial groups, which merge into the

@@ -1,13 +1,5 @@
 package tracesvc
 
-import (
-	"fmt"
-	"net/http"
-	"sync"
-
-	"tracefw/internal/interval"
-)
-
 // Live traces: a trace still being written by the streaming ingest
 // pipeline is registered through AddLive with a provider instead of a
 // finished file. Every query resolves the provider's latest seal
@@ -35,90 +27,3 @@ type LiveProvider interface {
 // queries with interval.ErrClosed (mapped to 503, a retry resolves the
 // fresh snapshot).
 const liveRetireRing = 8
-
-// liveEntry is one registered live trace: the provider plus the cached
-// snapshot of its newest resolved generation.
-type liveEntry struct {
-	id   string
-	num  uint64 // cache namespace, stable across seal generations
-	prov LiveProvider
-
-	mu      sync.Mutex
-	gen     uint64
-	cur     *Trace
-	retired []*interval.File
-}
-
-// AddLive registers a live trace and returns its ID. The trace becomes
-// queryable once the provider reports ready; until then queries get 503.
-func (r *Registry) AddLive(prov LiveProvider) string {
-	r.mu.Lock()
-	r.nextID++
-	e := &liveEntry{id: fmt.Sprintf("t%d", r.nextID), num: r.nextID, prov: prov}
-	r.liveByID[e.id] = e
-	r.mu.Unlock()
-	return e.id
-}
-
-// resolve returns the Trace for the provider's newest seal generation,
-// reopening a snapshot only when the generation advanced since the last
-// call. Because a finished file's WithLiveTail(final size) view is
-// identical to a plain open, a completed ingest keeps serving through
-// its last snapshot with no handover.
-func (e *liveEntry) resolve(cache *FrameCache) (*Trace, error) {
-	path, size, gen, ready := e.prov.LiveInfo()
-	if !ready {
-		// retryAfter tells clients when to poll again: the first frame
-		// group usually seals within a second of ingest starting.
-		return nil, &httpErr{code: http.StatusServiceUnavailable,
-			msg:        fmt.Sprintf("live trace %s has no sealed data yet", e.id),
-			retryAfter: 1}
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cur != nil && e.gen == gen {
-		return e.cur, nil
-	}
-	f, err := interval.Open(path, interval.WithLiveTail(size), interval.WithPyramid(false))
-	if err != nil {
-		return nil, fmt.Errorf("tracesvc: live snapshot %s@%d: %w", path, size, err)
-	}
-	t, err := buildTrace(e.id, path, e.num, f, cache)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if e.cur != nil {
-		e.retired = append(e.retired, e.cur.file)
-		if len(e.retired) > liveRetireRing {
-			e.retired[0].Close()
-			e.retired = e.retired[1:]
-		}
-	}
-	e.cur, e.gen = t, gen
-	return t, nil
-}
-
-// file returns the current snapshot's file without forcing a resolve.
-func (e *liveEntry) file() *interval.File {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cur == nil {
-		return nil
-	}
-	return e.cur.file
-}
-
-// close shuts the current snapshot and every retired one.
-func (e *liveEntry) close() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cur != nil {
-		e.cur.file.Close()
-		e.cur = nil
-	}
-	for _, f := range e.retired {
-		f.Close()
-	}
-	e.retired = nil
-}

@@ -2,201 +2,246 @@ package tracesvc
 
 import (
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/interval"
 )
 
-// Trace is one registered interval file plus the metadata the serving
-// layer keeps beside it: the file's flattened frame list, the per-
-// directory split points, and the whole-run bounds. The embedded
-// *interval.File is safe for concurrent window queries (its directory
-// chain is resident from registration on, frames are positioned reads)
-// and its frame decodes go through the shared cache via the decode hook.
+// Trace is one snapshot of a registered interval file as queries see
+// it. It keeps no metadata of its own: the frame list, the directories
+// and the run bounds are the file's resident index, which registration
+// has already proven loads. The *interval.File is safe for concurrent
+// window queries (frames are positioned reads) and its frame decodes go
+// through the shared cache via the decode hook.
 type Trace struct {
 	ID   string
 	Path string
 	// num is the cache key namespace for this registration; a reopened
 	// path gets a fresh number, so stale cache entries can never serve.
-	num    uint64
-	file   *interval.File
-	frames []interval.FrameEntry
-	dirs   int
-	// dirInfos maps each frame directory to its contiguous range in the
-	// flattened frame list plus its aggregates — the boundaries the shard
-	// router splits a huge trace at.
-	dirInfos []DirInfo
-	start    clock.Time
-	end      clock.Time
-	recs     int64
+	num  uint64
+	file *interval.File
 }
 
 // File returns the underlying interval file.
 func (t *Trace) File() *interval.File { return t.file }
 
-// Frames returns the resident frame list; callers must not modify it.
-func (t *Trace) Frames() []interval.FrameEntry { return t.frames }
+// Frames returns the file's resident frame list; callers must not
+// modify it.
+func (t *Trace) Frames() []interval.FrameEntry {
+	fes, _ := t.file.Frames() // resident since registration: cannot fail
+	return fes
+}
 
 // Bounds returns the run's first start time, last end time, and record
-// count, from directory metadata resident since registration.
-func (t *Trace) Bounds() (clock.Time, clock.Time, int64) { return t.start, t.end, t.recs }
+// count, from the resident directory metadata.
+func (t *Trace) Bounds() (clock.Time, clock.Time, int64) {
+	start, end, recs, _ := t.file.Stats() // resident, as in Frames
+	return start, end, recs
+}
 
 // Registry holds the opened traces. IDs are small and stable ("t1",
 // "t2", …) in registration order; closing a trace frees its slot but
 // never recycles the cache namespace.
 type Registry struct {
 	cache *FrameCache
+	// decoded counts the frame payloads read on behalf of every trace
+	// ever registered — the warm/cold proof counter exported via
+	// /metrics. It is bumped where a cache miss loads a frame, so closing
+	// a trace or moving a live one to its next snapshot cannot lower it.
+	decoded atomic.Int64
 
-	mu       sync.RWMutex
-	byID     map[string]*Trace
-	liveByID map[string]*liveEntry
-	nextID   uint64
+	mu     sync.RWMutex
+	byID   map[string]*entry
+	nextID uint64
+}
+
+// entry is one registered trace: the snapshot queries currently resolve
+// to and, for a live trace, the provider that says when a newer one
+// exists. A static trace is an entry with no provider, whose snapshot
+// therefore never changes.
+type entry struct {
+	id   string
+	num  uint64 // cache namespace, stable across seal generations
+	prov LiveProvider
+
+	mu      sync.Mutex
+	closed  bool
+	gen     uint64
+	cur     *Trace
+	retired []*interval.File
 }
 
 // NewRegistry builds an empty registry whose traces decode frames
 // through the given cache.
 func NewRegistry(cache *FrameCache) *Registry {
-	return &Registry{
-		cache:    cache,
-		byID:     make(map[string]*Trace),
-		liveByID: make(map[string]*liveEntry),
-	}
+	return &Registry{cache: cache, byID: make(map[string]*entry)}
+}
+
+// newEntry allocates the next ID and cache namespace. The entry is not
+// visible to queries until it is put into byID.
+func (r *Registry) newEntry(prov LiveProvider) *entry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.nextID++
+	return &entry{id: fmt.Sprintf("t%d", r.nextID), num: r.nextID, prov: prov}
 }
 
 // Open opens and registers the interval file at path: the directory
 // chain is read, and the cache decode hook installed, before the trace
-// becomes visible to queries. Files that cannot serve concurrent (positioned) frame reads
-// are rejected; every real file and SeekBuffer can.
+// becomes visible to queries. Files that cannot serve concurrent
+// (positioned) frame reads are rejected; every real file and SeekBuffer
+// can. A failed registration burns the allocated ID — IDs stay stable
+// and unrecycled either way.
 func (r *Registry) Open(path string) (*Trace, error) {
 	f, err := interval.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	t, err := r.register(path, f)
+	e := r.newEntry(nil)
+	if e.cur, err = r.snapshot(e, path, f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	r.mu.Lock()
+	r.byID[e.id] = e
+	r.mu.Unlock()
+	return e.cur, nil
+}
+
+// AddLive registers a live trace and returns its ID. The trace becomes
+// queryable once the provider reports ready; until then queries get 503.
+func (r *Registry) AddLive(prov LiveProvider) string {
+	e := r.newEntry(prov)
+	r.mu.Lock()
+	r.byID[e.id] = e
+	r.mu.Unlock()
+	return e.id
+}
+
+// snapshot makes an open file servable as e's trace: its directory
+// chain is proven to load, and every frame decode — map-reduce engine,
+// scanners, FrameBatch — is hooked into the shared cache under e's
+// namespace (installed before the trace is published, never changed
+// after, as SetFrameDecoder requires).
+func (r *Registry) snapshot(e *entry, path string, f *interval.File) (*Trace, error) {
+	if !f.ConcurrentReads() {
+		return nil, fmt.Errorf("tracesvc: %s: reader does not support concurrent frame reads", path)
+	}
+	if _, err := f.Frames(); err != nil {
+		return nil, err
+	}
+	num := e.num
+	f.SetFrameDecoder(func(f *interval.File, fe interval.FrameEntry) (*interval.Batch, error) {
+		return r.cache.Get(num, fe.Offset, func() (*interval.Batch, error) {
+			b, err := f.ReadFrameBatch(fe)
+			if err == nil {
+				r.decoded.Add(1)
+			}
+			return b, err
+		})
+	})
+	return &Trace{ID: e.id, Path: path, num: num, file: f}, nil
+}
+
+// resolve returns e's current trace. With a provider it is the snapshot
+// of the provider's newest seal generation, reopened only when the
+// generation advanced since the last call; because a finished file's
+// WithLiveTail(final size) view is identical to a plain open, a
+// completed ingest keeps serving through its last snapshot with no
+// handover.
+func (e *entry) resolve(r *Registry) (*Trace, error) {
+	var (
+		path string
+		size int64
+		gen  uint64
+	)
+	if e.prov != nil {
+		var ready bool
+		if path, size, gen, ready = e.prov.LiveInfo(); !ready {
+			// retryAfter tells clients when to poll again: the first frame
+			// group usually seals within a second of ingest starting.
+			return nil, &httpErr{code: http.StatusServiceUnavailable,
+				msg:        fmt.Sprintf("live trace %s has no sealed data yet", e.id),
+				retryAfter: 1}
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return nil, notFound(e.id)
+	}
+	if e.cur != nil && e.gen == gen {
+		return e.cur, nil
+	}
+	f, err := interval.Open(path, interval.WithLiveTail(size), interval.WithPyramid(false))
+	if err != nil {
+		return nil, fmt.Errorf("tracesvc: live snapshot %s@%d: %w", path, size, err)
+	}
+	t, err := r.snapshot(e, path, f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return t, nil
-}
-
-// register wires an already-open file into the registry (Open's tail;
-// tests use it with in-memory files). A failed registration burns the
-// allocated ID — IDs stay stable and unrecycled either way.
-func (r *Registry) register(path string, f *interval.File) (*Trace, error) {
-	r.mu.Lock()
-	r.nextID++
-	id, num := fmt.Sprintf("t%d", r.nextID), r.nextID
-	r.mu.Unlock()
-	t, err := buildTrace(id, path, num, f, r.cache)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.byID[t.ID] = t
-	r.mu.Unlock()
-	return t, nil
-}
-
-// buildTrace assembles the resident Trace of an open file — shared by
-// static registration and live-snapshot resolution (which reuses one
-// cache namespace across generations).
-func buildTrace(id, path string, num uint64, f *interval.File, cache *FrameCache) (*Trace, error) {
-	if !f.ConcurrentReads() {
-		return nil, fmt.Errorf("tracesvc: %s: reader does not support concurrent frame reads", path)
-	}
-	frames, err := f.Frames()
-	if err != nil {
-		return nil, err
-	}
-	start, end, recs, err := f.Stats()
-	if err != nil {
-		return nil, err
-	}
-	dirs, err := f.Dirs()
-	if err != nil {
-		return nil, err
-	}
-	dirInfos := make([]DirInfo, len(dirs))
-	first := 0
-	for i, d := range dirs {
-		dirInfos[i] = DirInfo{
-			FirstFrame: first,
-			Frames:     len(d.Entries),
-			Records:    d.Records,
-			StartNs:    int64(d.Start),
-			EndNs:      int64(d.End),
+	if e.cur != nil {
+		e.retired = append(e.retired, e.cur.file)
+		if len(e.retired) > liveRetireRing {
+			e.retired[0].Close()
+			e.retired = e.retired[1:]
 		}
-		first += len(d.Entries)
 	}
-	t := &Trace{
-		ID:       id,
-		Path:     path,
-		num:      num,
-		file:     f,
-		frames:   frames,
-		dirs:     len(dirs),
-		dirInfos: dirInfos,
-		start:    start,
-		end:      end,
-		recs:     recs,
-	}
-	// The hook makes every frame decode — map-reduce engine, scanners,
-	// FrameBatch — hit the shared cache. Installed before the trace is
-	// published, never changed after, as SetFrameDecoder requires.
-	f.SetFrameDecoder(func(f *interval.File, fe interval.FrameEntry) (*interval.Batch, error) {
-		return cache.Get(num, fe.Offset, func() (*interval.Batch, error) {
-			return f.ReadFrameBatch(fe)
-		})
-	})
+	e.cur, e.gen = t, gen
 	return t, nil
 }
 
-// Get looks a static trace up by ID (live traces resolve via Resolve).
-func (r *Registry) Get(id string) (*Trace, bool) {
-	r.mu.RLock()
-	t, ok := r.byID[id]
-	r.mu.RUnlock()
-	return t, ok
+// close shuts the current snapshot and every retired one; a query that
+// looked e up before it left the registry finds it gone.
+func (e *entry) close() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.closed = true
+	if e.cur != nil {
+		e.cur.file.Close()
+	}
+	for _, f := range e.retired {
+		f.Close()
+	}
+	e.retired = nil
 }
 
-// Resolve looks a trace up by ID, resolving live traces to a snapshot
-// of their newest seal generation.
+// Resolve looks a trace up by ID; a live trace resolves to a snapshot
+// of its newest seal generation.
 func (r *Registry) Resolve(id string) (*Trace, error) {
 	r.mu.RLock()
-	t, ok := r.byID[id]
-	var e *liveEntry
-	if !ok {
-		e, ok = r.liveByID[id]
-	}
+	e, ok := r.byID[id]
 	r.mu.RUnlock()
 	if !ok {
 		return nil, notFound(id)
 	}
-	if e != nil {
-		return e.resolve(r.cache)
-	}
-	return t, nil
+	return e.resolve(r)
 }
 
-// List returns the registered traces in ID (registration) order. Live
-// traces appear as their newest resolved snapshot; ones with no sealed
-// data yet (or whose resolution fails) are omitted.
-func (r *Registry) List() []*Trace {
+// entries returns the registered entries, in no particular order.
+func (r *Registry) entries() []*entry {
 	r.mu.RLock()
-	ts := make([]*Trace, 0, len(r.byID)+len(r.liveByID))
-	for _, t := range r.byID {
-		ts = append(ts, t)
+	defer r.mu.RUnlock()
+	es := make([]*entry, 0, len(r.byID))
+	for _, e := range r.byID {
+		es = append(es, e)
 	}
-	lives := make([]*liveEntry, 0, len(r.liveByID))
-	for _, e := range r.liveByID {
-		lives = append(lives, e)
-	}
-	r.mu.RUnlock()
-	for _, e := range lives {
-		if t, err := e.resolve(r.cache); err == nil {
+	return es
+}
+
+// List returns the registered traces in ID (registration) order, each
+// as Resolve would return it; ones that do not resolve (a live trace
+// with no sealed data yet) are omitted.
+func (r *Registry) List() []*Trace {
+	var ts []*Trace
+	for _, e := range r.entries() {
+		if t, err := e.resolve(r); err == nil {
 			ts = append(ts, t)
 		}
 	}
@@ -204,77 +249,33 @@ func (r *Registry) List() []*Trace {
 	return ts
 }
 
-// Len returns the number of registered traces (live ones included).
+// Len returns the number of registered traces, resolvable or not.
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.byID) + len(r.liveByID)
+	return len(r.byID)
 }
 
-// Close unregisters a trace, drops its cached frames, and closes the
-// file. In-flight queries against it fail with interval.ErrClosed —
+// Close unregisters a trace, closes its files, and drops its cached
+// frames. In-flight queries against it fail with interval.ErrClosed —
 // promptly and safely, never with a crash — which handlers map to 503.
 func (r *Registry) Close(id string) bool {
 	r.mu.Lock()
-	t, ok := r.byID[id]
-	if ok {
-		delete(r.byID, id)
-	}
-	var e *liveEntry
-	if !ok {
-		if e, ok = r.liveByID[id]; ok {
-			delete(r.liveByID, id)
-		}
-	}
+	e, ok := r.byID[id]
+	delete(r.byID, id)
 	r.mu.Unlock()
 	if !ok {
 		return false
 	}
-	if e != nil {
-		e.close()
-		r.cache.InvalidateFile(e.num)
-		return true
-	}
-	r.cache.InvalidateFile(t.num)
-	t.file.Close()
+	e.close()
+	r.cache.InvalidateFile(e.num)
 	return true
 }
 
 // CloseAll closes every registered trace (daemon shutdown), including
 // live ones that never sealed any data.
 func (r *Registry) CloseAll() {
-	r.mu.RLock()
-	ids := make([]string, 0, len(r.byID)+len(r.liveByID))
-	for id := range r.byID {
-		ids = append(ids, id)
+	for _, e := range r.entries() {
+		r.Close(e.id)
 	}
-	for id := range r.liveByID {
-		ids = append(ids, id)
-	}
-	r.mu.RUnlock()
-	for _, id := range ids {
-		r.Close(id)
-	}
-}
-
-// framesDecoded sums the frame payload reads of every registered trace
-// — the warm/cold proof counter exported via /metrics. Live traces
-// count their current snapshot without forcing a resolve.
-func (r *Registry) framesDecoded() int64 {
-	r.mu.RLock()
-	files := make([]*interval.File, 0, len(r.byID)+len(r.liveByID))
-	for _, t := range r.byID {
-		files = append(files, t.file)
-	}
-	for _, e := range r.liveByID {
-		if f := e.file(); f != nil {
-			files = append(files, f)
-		}
-	}
-	r.mu.RUnlock()
-	var n int64
-	for _, f := range files {
-		n += f.DecodedFrames()
-	}
-	return n
 }

@@ -19,6 +19,13 @@ import (
 	"tracefw/internal/stats"
 )
 
+// ReadHeaderTimeout is how long the daemons that speak this API
+// (utetraced, uterouter) give a client to finish its request headers
+// before the connection is closed, so one that never does cannot hold a
+// connection open. A constant, not a setting: no deployment needs a
+// different value, and request bodies (ingest batches) are not covered.
+const ReadHeaderTimeout = 5 * time.Second
+
 // Config tunes the service; zero values select the defaults.
 type Config struct {
 	// CacheBytes is the decoded-frame cache budget (default 256 MiB).
@@ -254,14 +261,15 @@ func (s *Service) handleWrapped(pattern, name string, fn func(r *http.Request) (
 
 func infoOf(t *Trace) TraceInfo {
 	start, end, recs := t.Bounds()
+	dirs, _ := t.file.Dirs() // resident, as in Bounds
 	return TraceInfo{
 		ID:             t.ID,
 		Path:           t.Path,
 		HeaderVersion:  t.file.Header.HeaderVersion,
 		ProfileVersion: t.file.Header.ProfileVersion,
 		Threads:        len(t.file.Header.Threads),
-		Dirs:           t.dirs,
-		Frames:         len(t.frames),
+		Dirs:           len(dirs),
+		Frames:         len(t.Frames()),
 		Records:        recs,
 		StartNs:        int64(start),
 		EndNs:          int64(end),
@@ -324,8 +332,9 @@ func (s *Service) handleFrames(r *http.Request) (*response, error) {
 	if err != nil {
 		return nil, err
 	}
-	fis := make([]FrameInfo, len(t.frames))
-	for i, fe := range t.frames {
+	frames := t.Frames()
+	fis := make([]FrameInfo, len(frames))
+	for i, fe := range frames {
 		fis[i] = FrameInfo{
 			Offset:  fe.Offset,
 			Bytes:   fe.Bytes,
@@ -334,7 +343,23 @@ func (s *Service) handleFrames(r *http.Request) (*response, error) {
 			EndNs:   int64(fe.End),
 		}
 	}
-	return jsonResponse(http.StatusOK, FrameList{Frames: fis, Dirs: t.dirInfos})
+	// Each directory's contiguous range in the flattened frame list plus
+	// its aggregates — the boundaries the shard router splits a huge
+	// trace at.
+	dirs, _ := t.file.Dirs() // resident since registration: cannot fail
+	dis := make([]DirInfo, len(dirs))
+	first := 0
+	for i, d := range dirs {
+		dis[i] = DirInfo{
+			FirstFrame: first,
+			Frames:     len(d.Entries),
+			Records:    d.Records,
+			StartNs:    int64(d.Start),
+			EndNs:      int64(d.End),
+		}
+		first += len(d.Entries)
+	}
+	return jsonResponse(http.StatusOK, FrameList{Frames: fis, Dirs: dis})
 }
 
 // parseWindow reads the optional ?window=lo:hi query parameter (seconds,
@@ -472,13 +497,13 @@ func (s *Service) handleRecords(r *http.Request) (*response, error) {
 	if err != nil {
 		return nil, err
 	}
-	frames := t.frames
+	frames := t.Frames()
 	if fr := q.Get("frames"); fr != "" {
-		flo, fhi, ok := parseFrameRange(fr, len(t.frames))
+		flo, fhi, ok := parseFrameRange(fr, len(frames))
 		if !ok {
 			return nil, badRequest("bad frames %q", fr)
 		}
-		frames = t.frames[flo:fhi]
+		frames = frames[flo:fhi]
 		s.met.rangeQueries.Add(1)
 	}
 
@@ -619,7 +644,7 @@ func (s *Service) handlePreview(r *http.Request) (*response, error) {
 
 func (s *Service) handleMetrics(*http.Request) (*response, error) {
 	var b bytes.Buffer
-	s.met.writePrometheus(&b, s.cache.Stats(), int64(s.reg.Len()), s.reg.framesDecoded())
+	s.met.writePrometheus(&b, s.cache.Stats(), int64(s.reg.Len()), s.reg.decoded.Load())
 	if s.ing != nil {
 		writeIngestMetrics(&b, s.ing.mgr.Stats())
 	}

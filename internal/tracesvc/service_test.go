@@ -30,6 +30,13 @@ import (
 // to shard.
 func writeTrace(t testing.TB, dir string, n int) string {
 	t.Helper()
+	return writeTraceSeals(t, dir, n, nil)
+}
+
+// writeTraceSeals is writeTrace reporting every directory seal to onSeal
+// (nil for none): each SealInfo.Size is a prefix a live snapshot may open.
+func writeTraceSeals(t testing.TB, dir string, n int, onSeal func(interval.SealInfo)) string {
+	t.Helper()
 	rng := xrand.New(42)
 	recs := make([]interval.Record, n)
 	end := clock.Time(0)
@@ -60,7 +67,7 @@ func writeTrace(t testing.TB, dir string, n int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := interval.NewWriter(fl, hdr, interval.WriterOptions{FrameBytes: 512, FramesPerDir: 4})
+	w, err := interval.NewWriter(fl, hdr, interval.WriterOptions{FrameBytes: 512, FramesPerDir: 4, OnSeal: onSeal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +363,7 @@ func TestWarmCacheDecodesNoFrames(t *testing.T) {
 	defer s.Close()
 	path := writeTrace(t, t.TempDir(), 500)
 	id := openTrace(t, s, path)
-	tr, _ := s.Registry().Get(id)
+	tr, _ := s.Registry().Resolve(id)
 
 	if w := do(t, s, "GET", "/v1/traces/"+id+"/records?window=0.05:0.2&count=1", ""); w.Code != 200 {
 		t.Fatalf("cold query: %d %s", w.Code, w.Body)
@@ -396,7 +403,7 @@ func TestSingleflightDecodesOnce(t *testing.T) {
 	defer s.Close()
 	path := writeTrace(t, t.TempDir(), 500)
 	id := openTrace(t, s, path)
-	tr, _ := s.Registry().Get(id)
+	tr, _ := s.Registry().Resolve(id)
 	nframes := int64(len(tr.Frames()))
 
 	var wg sync.WaitGroup

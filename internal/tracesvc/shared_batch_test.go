@@ -67,7 +67,7 @@ func TestCacheBudgetIsExact(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		s := tracesvc.New(tracesvc.Config{CacheBytes: budget, CacheShards: shards})
 		path := writeTrace(t, t.TempDir(), 4000)
-		tr, _ := s.Registry().Get(openTrace(t, s, path))
+		tr, _ := s.Registry().Resolve(openTrace(t, s, path))
 		for i := 0; i < 3; i++ {
 			if w := do(t, s, "GET", "/v1/traces/"+tr.ID+"/records?count=1", ""); w.Code != 200 {
 				t.Fatalf("scan %d: %d %s", i, w.Code, w.Body)
@@ -132,7 +132,7 @@ func TestSharedBatchesUnderEviction(t *testing.T) {
 
 	s := tracesvc.New(tracesvc.Config{CacheBytes: budget, CacheShards: 2})
 	defer s.Close()
-	tr, _ := s.Registry().Get(openTrace(t, s, path))
+	tr, _ := s.Registry().Resolve(openTrace(t, s, path))
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		for i := range urls {
