@@ -37,7 +37,10 @@ race:
 # above 50 bytes or 0.30 objects allocated per event, CutTraceRecord
 # fails when cutting a record allocates at all, and SweepCell runs
 # scenario-sweep cells through the whole pipeline (its wide case fails
-# when frame-start pseudo-intervals swamp the merged file).
+# when frame-start pseudo-intervals swamp the merged file), and
+# PreviewZoom's whole-512 rung fails when the pyramid engine allocates
+# more bytes per preview than the scan engine over the same file (it must
+# hold one edge frame at a time).
 # StatsColumnar's columnar-cold/-warm and predefined-sppm cases live in
 # the root package and fail when a run allocates more than a fixed
 # number of objects per record (the stats path must not allocate per

@@ -1032,6 +1032,41 @@ func BenchmarkPreviewZoom(b *testing.B) {
 	}
 	b.Run("pyramid", func(b *testing.B) { run(b, mf, "pyramid") })
 	b.Run("scan", func(b *testing.B) { run(b, bf, "scan") })
+	// whole-512 is the pipeline's own preview: the whole run at 512 bins,
+	// whose edges never land on cell bounds, so the pyramid engine decodes
+	// about as many frames as the scan does. It must hold one at a time:
+	// the rung fails when the pyramid engine allocates more bytes per op
+	// than the scan engine over the same file.
+	b.Run("whole-512", func(b *testing.B) {
+		mf.Pyramid() // loaded once per File; not what this rung measures
+		// preview returns the bytes allocated per op and the frames decoded
+		// over b.N whole-run previews of f.
+		preview := func(f *interval.File, engine string) (float64, int) {
+			frames := 0
+			var m0 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < b.N; i++ {
+				res, err := render.BuildPreview(f, render.PreviewOptions{Bins: 512})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Engine != engine {
+					b.Fatalf("preview answered by %s, want %s", res.Engine, engine)
+				}
+				frames += res.FramesDecoded
+			}
+			bytes, _ := allocatedSince(&m0, float64(b.N))
+			return bytes, frames
+		}
+		pyrBytes, frames := preview(mf, "pyramid")
+		scanBytes, _ := preview(bf, "scan")
+		b.ReportMetric(float64(frames)/float64(b.N), "frames/op")
+		b.ReportMetric(pyrBytes, "pyramid-B/op")
+		b.ReportMetric(scanBytes, "scan-B/op")
+		if pyrBytes > scanBytes {
+			b.Fatalf("the pyramid engine allocated %.0f bytes per op, the scan engine %.0f", pyrBytes, scanBytes)
+		}
+	})
 }
 
 // --- streaming ingest (the live write path) ----------------------------

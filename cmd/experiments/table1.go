@@ -12,7 +12,6 @@ import (
 	"tracefw/internal/cluster"
 	"tracefw/internal/convert"
 	"tracefw/internal/events"
-	"tracefw/internal/interval"
 	"tracefw/internal/merge"
 	"tracefw/internal/mpisim"
 	"tracefw/internal/slog"
@@ -104,7 +103,7 @@ func runTable1(e *env) error {
 	if _, err := convert.ConvertAll(calPaths, calOut, convert.Options{}); err != nil {
 		return err
 	}
-	if _, _, err := slog.SlogmergeFiles(calOut, filepath.Join(work, "warm.slog"),
+	if _, err := slog.MergeFiles(calOut, filepath.Join(work, "warm.ute"), filepath.Join(work, "warm.slog"), nil,
 		merge.Options{}, slog.Options{}); err != nil {
 		return err
 	}
@@ -148,24 +147,8 @@ func runTable1(e *env) error {
 		// slogmerge = merge + SLOG format conversion, fully file-to-file.
 		runtime.GC()
 		start = time.Now()
-		mergedPath := filepath.Join(dir, "merged.ute")
-		if _, err := merge.MergeFiles(outPaths, mergedPath, merge.Options{}); err != nil {
-			return err
-		}
-		mfile, err := interval.Open(mergedPath)
-		if err != nil {
-			return err
-		}
-		sfp, err := os.Create(filepath.Join(dir, "trace.slog"))
-		if err != nil {
-			return err
-		}
-		_, err = slog.Build(mfile, sfp, slog.Options{})
-		mfile.Close()
-		if cerr := sfp.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if _, err := slog.MergeFiles(outPaths, filepath.Join(dir, "merged.ute"), filepath.Join(dir, "trace.slog"), nil,
+			merge.Options{}, slog.Options{}); err != nil {
 			return err
 		}
 		mergeElapsed := time.Since(start)

@@ -13,6 +13,11 @@
 // -pyramid builds the merged file's summary sidecar unless it would
 // outweigh the trace, which is reported and is not an error.
 //
+// With -slog, whatever is built beside the merged file is built from one
+// decode of it (slog.MergeFiles): the SLOG's first pass watches the
+// merge's own frames as they are sealed, and its second pass feeds the
+// pyramid. Without it, -pyramid is the one decode (BuildPyramidSidecar).
+//
 // Usage:
 //
 //	utemerge [-o merged.ute] [-slog trace.slog] [-pyramid]
@@ -63,10 +68,30 @@ func main() {
 		KeepClockRecords: *keepClock,
 		Parallel:         *jobs,
 	}
+	var pyr *interval.PyramidOptions
+	if *pyramid {
+		pyr = &interval.PyramidOptions{}
+	}
 	start := time.Now()
-	res, err := merge.MergeFiles(flag.Args(), *out, opts)
-	if err != nil {
-		fatal(err)
+	var res *merge.Result
+	var sidecar *interval.SidecarBuild
+	var bres *slog.BuildResult
+	if *slogOut != "" {
+		mr, err := slog.MergeFiles(flag.Args(), *out, *slogOut, pyr, opts,
+			slog.Options{FrameBytes: *frameBytes, Parallel: *jobs})
+		if err != nil {
+			fatal(err)
+		}
+		res, sidecar, bres = mr.Merge, mr.Sidecar, mr.Slog
+	} else {
+		if res, err = merge.MergeFiles(flag.Args(), *out, opts); err != nil {
+			fatal(err)
+		}
+		if pyr != nil {
+			if sidecar, err = interval.BuildPyramidSidecar(*out, *pyr); err != nil {
+				fatal(err)
+			}
+		}
 	}
 	fmt.Printf("utemerge: %d inputs -> %s (%d records, %d pseudo) in %v\n",
 		res.Inputs, *out, res.Records, res.Pseudo, time.Since(start))
@@ -74,11 +99,7 @@ func main() {
 		fmt.Printf("utemerge:   input %d: anchor (G=%v, L=%v), ratio %.9f\n",
 			i, res.Anchors[i].Global, res.Anchors[i].Local, r)
 	}
-	if *pyramid {
-		sb, err := interval.BuildPyramidSidecar(*out, interval.PyramidOptions{})
-		if err != nil {
-			fatal(err)
-		}
+	if sb := sidecar; sb != nil {
 		if sb.Declined() {
 			fmt.Printf("utemerge: pyramid not written: the sidecar (%d bytes) would outweigh the trace (%d bytes); queries scan\n",
 				sb.Bytes, sb.TraceBytes)
@@ -91,23 +112,7 @@ func main() {
 				interval.PyramidPath(*out), len(p.Levels), cells, p.BaseWidth)
 		}
 	}
-	if *slogOut != "" {
-		mf, err := interval.Open(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer mf.Close()
-		fp, err := os.Create(*slogOut)
-		if err != nil {
-			fatal(err)
-		}
-		bres, err := slog.Build(mf, fp, slog.Options{FrameBytes: *frameBytes, Parallel: *jobs})
-		if cerr := fp.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
+	if bres != nil {
 		fmt.Printf("utemerge: slog %s (%d frames, %d arrows, %d pseudo records)\n",
 			*slogOut, bres.Frames, bres.Arrows, bres.Pseudo)
 	}

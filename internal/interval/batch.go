@@ -106,18 +106,32 @@ func (b *Batch) Row(i int) Record {
 	return r
 }
 
-// EncodedRowSize returns the length-prefixed fixed-width size row i
-// would have on disk, matching Record.EncodedSize without materializing
-// the record.
-func (b *Batch) EncodedRowSize(i int) int {
+// rowPayloadSize returns the length of what AppendRowPayload appends for
+// row i, matching Record.payloadSize.
+func (b *Batch) rowPayloadSize(i int) int {
 	n := profile.CommonSize + 8*int(b.ExtraOff[i+1]-b.ExtraOff[i])
 	if events.VectorField(b.Type[i]) != "" {
 		n += 2 + 8*int(b.VecOff[i+1]-b.VecOff[i])
 	}
+	return n
+}
+
+// EncodedRowSize returns the length-prefixed fixed-width size row i
+// would have on disk, matching Record.EncodedSize without materializing
+// the record.
+func (b *Batch) EncodedRowSize(i int) int {
+	n := b.rowPayloadSize(i)
 	if n <= 255 {
 		return 1 + n
 	}
 	return 3 + n
+}
+
+// AppendRowPayload appends row i's standard-profile payload (no length
+// prefix) straight from the columns: Record.AppendPayload of Row(i)
+// without building the record.
+func (b *Batch) AppendRowPayload(dst []byte, i int) []byte {
+	return appendPayload(dst, b.Type[i], b.Bebits[i], b.Start[i], b.Dura[i], b.CPU[i], b.Node[i], b.Thread[i], b.ExtraRow(i), b.VecRow(i))
 }
 
 // pushCommon appends one row's fixed-width fields; the caller appends
@@ -235,11 +249,10 @@ func (b *Batch) decodeFixed(buf []byte) error {
 }
 
 // appendFixed is the fixed-width frame encoder (header versions 1–3):
-// every row through Record.Append.
+// every row length-prefixed, encoded from the columns.
 func (b *Batch) appendFixed(dst []byte) []byte {
 	for i := 0; i < b.N; i++ {
-		r := b.Row(i)
-		dst = r.Append(dst)
+		dst = b.AppendRowPayload(appendFrameLen(dst, b.rowPayloadSize(i)), i)
 	}
 	return dst
 }

@@ -46,7 +46,7 @@ func threadKey(node, thread uint16) uint32 { return uint32(node)<<16 | uint32(th
 // producer reuses — and an End closes the innermost open state of its
 // type on its thread. Clock records and every other piece are ignored.
 func (t *OpenStates) Observe(r *Record) {
-	if r.Type == events.EvGlobalClock || (r.Bebits != profile.Begin && r.Bebits != profile.End) {
+	if !movesOpenStates(r.Type, r.Bebits) {
 		return
 	}
 	k := threadKey(r.Node, r.Thread)
@@ -69,6 +69,21 @@ func (t *OpenStates) Observe(r *Record) {
 			return
 		}
 	}
+}
+
+// ObserveRow is Observe of row i of b; it copies the row out of the
+// columns only when the row moves the tracker.
+func (t *OpenStates) ObserveRow(b *Batch, i int) {
+	if movesOpenStates(b.Type[i], b.Bebits[i]) {
+		r := b.Row(i)
+		t.Observe(&r)
+	}
+}
+
+// movesOpenStates reports whether a record opens or closes a state:
+// Begin and End pieces of anything but a clock record.
+func movesOpenStates(typ events.Type, be profile.Bebits) bool {
+	return typ != events.EvGlobalClock && (be == profile.Begin || be == profile.End)
 }
 
 // Pseudos returns a zero-duration continuation record stamped at for

@@ -78,10 +78,22 @@ func (a *pyrAcc) seal(maxConc int) PyramidCell {
 	return c
 }
 
-// BuildPyramid computes the summary pyramid of f from its frames. The
-// file is read once; the pyramid is bound to the file's current frame
-// directory through its signature.
-func BuildPyramid(f *File, opts PyramidOptions) (*Pyramid, error) {
+// PyramidBuilder accumulates a file's pyramid from its frames' batches,
+// fed one at a time in file order. BuildPyramid feeds it from its own
+// pass over the file; utemerge feeds it the batches of the SLOG build's
+// pass over the file it has just written, so one decode serves both.
+type PyramidBuilder struct {
+	p         *Pyramid
+	firstCell int64
+	accs      []pyrAcc
+	// The endpoints of every busy interval, for the concurrency sweep.
+	starts, ends []clock.Time
+}
+
+// NewPyramidBuilder fixes the pyramid's geometry and signature from f's
+// frame directory; the batches fed to Add must be f's frames, in file
+// order.
+func NewPyramidBuilder(f *File, opts PyramidOptions) (*PyramidBuilder, error) {
 	baseCells := opts.BaseCells
 	if baseCells <= 0 {
 		baseCells = 4096
@@ -101,93 +113,125 @@ func BuildPyramid(f *File, opts PyramidOptions) (*Pyramid, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pyramid{BaseWidth: 1, TopK: topK, Sig: sig}
+	pb := &PyramidBuilder{p: &Pyramid{BaseWidth: 1, TopK: topK, Sig: sig}}
 	if nrec == 0 {
-		return p, nil
+		return pb, nil
 	}
 	span := int64(last - first)
 	w := clock.Time(1)
 	for span/int64(w) >= int64(baseCells) {
 		w <<= 1
 	}
-	p.BaseWidth = w
-	firstCell := floorDivTime(first, w)
+	pb.p.BaseWidth = w
+	pb.firstCell = floorDivTime(first, w)
 	lastCell := floorDivTime(last, w)
-	count := lastCell - firstCell + 1
+	count := lastCell - pb.firstCell + 1
 	if count <= 0 || count > int64(2*baseCells)+2 {
-		return nil, fmt.Errorf("interval: pyramid base range [%d,%d] is inconsistent", firstCell, lastCell)
+		return nil, fmt.Errorf("interval: pyramid base range [%d,%d] is inconsistent", pb.firstCell, lastCell)
 	}
-	accs := make([]pyrAcc, count)
-	// The endpoints of every busy interval, for the concurrency sweep; the
-	// directory's record count bounds both.
-	starts := make([]clock.Time, 0, nrec)
-	ends := make([]clock.Time, 0, nrec)
+	pb.accs = make([]pyrAcc, count)
+	// The directory's record count bounds both endpoint lists; sized once,
+	// they never leave a half-grown copy behind for the GC, which is what
+	// keeps utemerge's high-water mark near the parent's while this build
+	// overlaps the SLOG pass.
+	pb.starts = make([]clock.Time, 0, nrec)
+	pb.ends = make([]clock.Time, 0, nrec)
+	return pb, nil
+}
 
+// Add accumulates one frame's records. It reads the batch in place and
+// keeps nothing of it but values, so the batch may be recycled as soon
+// as Add returns.
+func (pb *PyramidBuilder) Add(b *Batch) {
+	w, topK := pb.p.BaseWidth, pb.p.TopK
+	firstCell, count := pb.firstCell, int64(len(pb.accs))
+	lastCell := firstCell + count - 1
+	for i := 0; i < b.N; i++ {
+		dura := b.Dura[i]
+		if dura < 0 {
+			// A negative duration cannot come from the writer; skip the
+			// record entirely, exactly as every clipped consumer does.
+			continue
+		}
+		s, e := b.Start[i], b.Start[i]+dura
+		lo := floorDivTime(s, w)
+		if ci := lo - firstCell; ci >= 0 && ci < count {
+			pb.accs[ci].records++
+		}
+		if e <= s {
+			continue
+		}
+		typ := b.Type[i]
+		busy := busyType(typ)
+		if busy {
+			pb.starts, pb.ends = append(pb.starts, s), append(pb.ends, e)
+		}
+		lane := Lane{Node: b.Node[i], CPU: b.CPU[i]}.key()
+		ti := TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[i], CPU: b.CPU[i], Thread: b.Thread[i]}
+		hi := floorDivTime(e-1, w)
+		for ci := max(lo, firstCell); ci <= min(hi, lastCell); ci++ {
+			a := &pb.accs[ci-firstCell]
+			cLo := clock.Time(ci) * w
+			ov := min(e, cLo+w) - max(s, cLo)
+			a.addType(typ, ov)
+			if busy {
+				if a.byLane == nil {
+					a.byLane = map[uint32]clock.Time{}
+				}
+				a.byLane[lane] += ov
+				a.top.add(ti, topK)
+			}
+		}
+	}
+}
+
+// Pyramid finishes the build once every frame has been added: peak
+// concurrency from the global endpoint sweep, the base level's cells,
+// and every higher level folded from pairs of children. Call it once.
+func (pb *PyramidBuilder) Pyramid() *Pyramid {
+	p := pb.p
+	if len(pb.accs) == 0 {
+		return p
+	}
+	// Every endpoint lies below the last edge, so the sweep closing its
+	// last bin on the right changes nothing here.
+	w := p.BaseWidth
+	edges := make([]clock.Time, len(pb.accs)+1)
+	for i := range edges {
+		edges[i] = clock.Time(pb.firstCell+int64(i)) * w
+	}
+	peaks := sweepPeaks(edges, pb.starts, pb.ends)
+
+	base := PyramidLevel{Width: w, First: pb.firstCell, Cells: make([]PyramidCell, len(pb.accs))}
+	for i := range pb.accs {
+		base.Cells[i] = pb.accs[i].seal(peaks[i])
+	}
+	p.Levels = []PyramidLevel{base}
+	for len(p.Levels[len(p.Levels)-1].Cells) > 1 && len(p.Levels) < pyrMaxLevels {
+		p.Levels = append(p.Levels, foldLevel(&p.Levels[len(p.Levels)-1], p.TopK))
+	}
+	return p
+}
+
+// BuildPyramid computes the summary pyramid of f from its frames. The
+// file is read once; the pyramid is bound to the file's current frame
+// directory through its signature.
+func BuildPyramid(f *File, opts PyramidOptions) (*Pyramid, error) {
+	pb, err := NewPyramidBuilder(f, opts)
+	if err != nil {
+		return nil, err
+	}
 	// One worker: the accumulation is the work, and it is sequential.
 	err = MapFrames([]*File{f}, MapOptions{Parallel: 1, Context: opts.Context},
 		func(_ int, _ FrameEntry, b *Batch) (*Batch, error) { return b, nil },
 		func(_ int, _ FrameEntry, b *Batch) error {
-			for i := 0; i < b.N; i++ {
-				dura := b.Dura[i]
-				if dura < 0 {
-					// A negative duration cannot come from the writer; skip the
-					// record entirely, exactly as every clipped consumer does.
-					continue
-				}
-				s, e := b.Start[i], b.Start[i]+dura
-				lo := floorDivTime(s, w)
-				if ci := lo - firstCell; ci >= 0 && ci < count {
-					accs[ci].records++
-				}
-				if e <= s {
-					continue
-				}
-				typ := b.Type[i]
-				busy := busyType(typ)
-				if busy {
-					starts, ends = append(starts, s), append(ends, e)
-				}
-				lane := Lane{Node: b.Node[i], CPU: b.CPU[i]}.key()
-				ti := TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[i], CPU: b.CPU[i], Thread: b.Thread[i]}
-				hi := floorDivTime(e-1, w)
-				for ci := max(lo, firstCell); ci <= min(hi, lastCell); ci++ {
-					a := &accs[ci-firstCell]
-					cLo := clock.Time(ci) * w
-					ov := min(e, cLo+w) - max(s, cLo)
-					a.addType(typ, ov)
-					if busy {
-						if a.byLane == nil {
-							a.byLane = map[uint32]clock.Time{}
-						}
-						a.byLane[lane] += ov
-						a.top.add(ti, topK)
-					}
-				}
-			}
+			pb.Add(b)
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
-
-	// Peak concurrency per base cell from the global endpoint sweep. Every
-	// endpoint lies below the last edge, so the sweep closing its last bin
-	// on the right changes nothing here.
-	edges := make([]clock.Time, count+1)
-	for i := range edges {
-		edges[i] = clock.Time(firstCell+int64(i)) * w
-	}
-	peaks := sweepPeaks(edges, starts, ends)
-
-	base := PyramidLevel{Width: w, First: firstCell, Cells: make([]PyramidCell, count)}
-	for i := range accs {
-		base.Cells[i] = accs[i].seal(peaks[i])
-	}
-	p.Levels = []PyramidLevel{base}
-	for len(p.Levels[len(p.Levels)-1].Cells) > 1 && len(p.Levels) < pyrMaxLevels {
-		p.Levels = append(p.Levels, foldLevel(&p.Levels[len(p.Levels)-1], topK))
-	}
-	return p, nil
+	return pb.Pyramid(), nil
 }
 
 // foldLevel builds the next-coarser level: parent cell i merges
@@ -297,9 +341,10 @@ func (b *SidecarBuild) Declined() bool { return SidecarOutweighs(b.Bytes, b.Trac
 // BuildPyramidSidecar opens the trace at tracePath, builds its pyramid,
 // and writes the sidecar next to it (atomic temp + rename) — unless the
 // sidecar would outweigh the trace, in which case nothing is written
-// and a sidecar left by an earlier build is removed. It is the seal-time
-// and backfill entry point used by utemerge and utecheck
-// -repair-pyramid.
+// and a sidecar left by an earlier build is removed. utecheck
+// -repair-pyramid and utemerge without -slog call it; utemerge -slog
+// feeds a PyramidBuilder from the SLOG's pass instead and writes through
+// WritePyramidSidecar.
 func BuildPyramidSidecar(tracePath string, opts PyramidOptions) (*SidecarBuild, error) {
 	f, err := Open(tracePath, WithPyramid(false))
 	if err != nil {
@@ -310,8 +355,15 @@ func BuildPyramidSidecar(tracePath string, opts PyramidOptions) (*SidecarBuild, 
 	if err != nil {
 		return nil, err
 	}
+	return WritePyramidSidecar(tracePath, p, f.Size)
+}
+
+// WritePyramidSidecar writes p, built from the traceBytes-byte trace at
+// tracePath, as that trace's sidecar under the size rule, exactly as
+// BuildPyramidSidecar does.
+func WritePyramidSidecar(tracePath string, p *Pyramid, traceBytes int64) (*SidecarBuild, error) {
 	data := p.Encode()
-	b := &SidecarBuild{Pyramid: p, Bytes: int64(len(data)), TraceBytes: f.Size}
+	b := &SidecarBuild{Pyramid: p, Bytes: int64(len(data)), TraceBytes: traceBytes}
 	if b.Declined() {
 		if err := os.Remove(PyramidPath(tracePath)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return nil, err

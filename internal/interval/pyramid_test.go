@@ -48,6 +48,13 @@ func writePyrFile(t *testing.T, seed uint64, n int, hdrVersion uint32) (*SeekBuf
 			i++
 		}
 	}
+	return writePyrRecords(t, recs, hdrVersion), recs
+}
+
+// writePyrRecords writes recs, end-ordered in place, in writePyrFile's
+// small frames and directories.
+func writePyrRecords(t *testing.T, recs []Record, hdrVersion uint32) *SeekBuffer {
+	t.Helper()
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].End() < recs[j].End() })
 	hdr := testHeader()
 	hdr.HeaderVersion = hdrVersion
@@ -64,7 +71,7 @@ func writePyrFile(t *testing.T, seed uint64, n int, hdrVersion uint32) (*SeekBuf
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return sb, recs
+	return sb
 }
 
 // openPair writes the trace in sb to disk, builds its sidecar, and
@@ -264,6 +271,150 @@ func TestSummarizeAlignedDecodesNoFrames(t *testing.T) {
 			t.Fatalf("bins=%d: scan reference decoded no frames (test is vacuous)", bins)
 		}
 		assertSummariesEqual(t, fmt.Sprintf("aligned/bins%d", bins), pyr, scan)
+	}
+}
+
+// remainderSpans is the pyramid engine's partition of o's bins, restated
+// as an oracle: the sub-base-width edge spans it answers from frames.
+func remainderSpans(p *Pyramid, o WindowSummaryOptions) [][2]clock.Time {
+	g := newBinGrid(o.Lo, o.Hi, o.Bins)
+	w := p.BaseWidth
+	var rems [][2]clock.Time
+	for bi := 0; bi < o.Bins; bi++ {
+		b0, b1 := g.bounds[bi], g.bounds[bi+1]
+		ia := clock.Time(floorDivTime(b0+w-1, w)) * w
+		ib := clock.Time(floorDivTime(b1, w)) * w
+		if ia >= ib {
+			rems = append(rems, [2]clock.Time{b0, b1})
+			continue
+		}
+		if b0 < ia {
+			rems = append(rems, [2]clock.Time{b0, ia})
+		}
+		if ib < b1 {
+			rems = append(rems, [2]clock.Time{ib, b1})
+		}
+	}
+	return rems
+}
+
+// remainderFrames counts the frames whose directory bounds overlap at
+// least one remainder: what the pyramid engine decodes, and what it
+// decoded when it kept every such frame in memory at once.
+func remainderFrames(t *testing.T, f *File, rems [][2]clock.Time) int {
+	t.Helper()
+	fes, err := f.Frames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, fe := range fes {
+		for _, r := range rems {
+			if fe.End >= r[0] && fe.Start <= r[1]-1 {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// TestSummarizeRemainderRouting stresses the pyramid engine's edge
+// remainders, which it answers one frame at a time by routing each
+// record to the remainders it overlaps: bins narrower than the base
+// width (every bin all remainders), outer states spanning hundreds of
+// remainders, zero-duration records exactly on remainder bounds, windows
+// clipping records at Lo and Hi, a top-k that one long record enters
+// from many remainders, and all of it again through a frame-decode hook.
+// Every case must match the scan and decode exactly the frames that
+// overlap a remainder.
+func TestSummarizeRemainderRouting(t *testing.T) {
+	for hv := uint32(1); hv <= CurrentHeaderVersion; hv += CurrentHeaderVersion - 1 {
+		_, recs := writePyrFile(t, 31, 1500, hv)
+		// Outer states: busy intervals (and one Running) across nearly
+		// the whole run, on several lanes.
+		for i, typ := range []events.Type{events.EvMarkerState, events.EvMPIBarrier, events.EvIORead, events.EvRunning, events.EvMarkerState} {
+			recs = append(recs, Record{
+				Type: typ, Bebits: profile.Complete,
+				Start: clock.Time(i+1) * 173 * clock.Microsecond, Dura: 95*clock.Millisecond + clock.Time(i)*clock.Microsecond,
+				CPU: uint16(i % 4), Node: uint16(i % 2), Thread: uint16(i),
+				Extra: []uint64{1, 2, 3, 0, 0, 0},
+			})
+		}
+		opts := PyramidOptions{BaseCells: 64, TopK: 8}
+		probe, _ := openPair(t, writePyrRecords(t, recs, hv), opts)
+		p := probe.Pyramid()
+		first, last, _, err := probe.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		span, w := last-first, p.BaseWidth
+		cases := []struct {
+			name string
+			o    WindowSummaryOptions
+		}{
+			{"sub-base", WindowSummaryOptions{Bins: int(4*span/w) + 3, Lo: first, Hi: last, TopK: 8}},
+			{"hundreds", WindowSummaryOptions{Bins: 300, Lo: first, Hi: last, TopK: 8}},
+			{"mixed", WindowSummaryOptions{Bins: 13, Lo: first + 7, Hi: last - 11, TopK: 8}},
+			{"clipped", WindowSummaryOptions{Bins: 50, Lo: first + span/3 + 7, Hi: first + 2*span/3 - 11, TopK: 8}},
+			{"clipped-sub-base", WindowSummaryOptions{Bins: 64, Lo: first + span/2 + 3, Hi: first + span/2 + 3*w - 5, TopK: 3}},
+		}
+		// Zero-duration records exactly at every remainder bound of the
+		// mixed case, busy and not; the run's bounds, and so the
+		// pyramid's geometry, stay as they were.
+		for _, r := range remainderSpans(p, cases[2].o) {
+			for _, at := range r {
+				for _, typ := range []events.Type{events.EvMPISend, events.EvRunning} {
+					recs = append(recs, Record{Type: typ, Bebits: profile.Complete, Start: at, Node: 1, CPU: 2, Thread: 3, Extra: []uint64{0, 0, 0, 0, 0, 0}})
+				}
+			}
+		}
+		f, bare := openPair(t, writePyrRecords(t, recs, hv), opts)
+		if f.Pyramid().BaseWidth != w {
+			t.Fatalf("v%d: planting moved the base width %v -> %v", hv, w, f.Pyramid().BaseWidth)
+		}
+		// calls, when non-nil, counts the hook's calls.
+		check := func(label string, calls *int) {
+			for _, tc := range cases {
+				label := fmt.Sprintf("v%d/%s/%s", hv, label, tc.name)
+				rems := remainderSpans(f.Pyramid(), tc.o)
+				before := f.DecodedFrames()
+				if calls != nil {
+					before = int64(*calls)
+				}
+				pyr := summarize(t, label, f, tc.o, "pyramid")
+				if got, want := pyr.FramesDecoded, remainderFrames(t, f, rems); got != want || want == 0 {
+					t.Fatalf("%s: decoded %d frames, %d overlap a remainder", label, got, want)
+				}
+				after := f.DecodedFrames()
+				if calls != nil {
+					after = int64(*calls)
+				}
+				if after-before != int64(pyr.FramesDecoded) {
+					t.Fatalf("%s: %d frames fetched for %d reported", label, after-before, pyr.FramesDecoded)
+				}
+				scan := summarize(t, label, bare, tc.o, "scan")
+				assertSummariesEqual(t, label, pyr, scan)
+				if tc.name == "sub-base" || tc.name == "hundreds" {
+					if pyr.CellsUsed != 0 || len(rems) != tc.o.Bins {
+						t.Fatalf("%s: %d cells, %d remainders for %d bins: not all remainders", label, pyr.CellsUsed, len(rems), tc.o.Bins)
+					}
+					if pyr.FramesDecoded != scan.FramesDecoded {
+						t.Fatalf("%s: remainders tile the window but decoded %d frames of the scan's %d", label, pyr.FramesDecoded, scan.FramesDecoded)
+					}
+					if pyr.Top[0].Dura < 95*clock.Millisecond {
+						t.Fatalf("%s: top-k misses the outer states: %v", label, pyr.Top)
+					}
+				}
+			}
+		}
+		check("nohook", nil)
+		calls := 0
+		f.SetFrameDecoder(func(f *File, fe FrameEntry) (*Batch, error) {
+			calls++
+			return f.ReadFrameBatch(fe)
+		})
+		check("hook", &calls)
 	}
 }
 

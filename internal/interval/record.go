@@ -127,24 +127,30 @@ func NextFramed(b []byte) (payload []byte, n int, err error) {
 // the common fields, the scalar extras, and — for types declaring one —
 // the trailing vector field (2-byte counter plus 8-byte elements).
 func (r *Record) AppendPayload(dst []byte) []byte {
+	return appendPayload(dst, r.Type, r.Bebits, r.Start, r.Dura, r.CPU, r.Node, r.Thread, r.Extra, r.Vec)
+}
+
+// appendPayload is the one fixed-width payload encoder, under
+// Record.AppendPayload and Batch.AppendRowPayload.
+func appendPayload(dst []byte, typ events.Type, be profile.Bebits, start, dura clock.Time, cpu, node, thread uint16, extra, vec []uint64) []byte {
 	var b [profile.CommonSize]byte
-	binary.LittleEndian.PutUint16(b[0:], uint16(r.Type))
-	b[2] = uint8(r.Bebits)
-	binary.LittleEndian.PutUint64(b[3:], uint64(r.Start))
-	binary.LittleEndian.PutUint64(b[11:], uint64(r.Dura))
-	binary.LittleEndian.PutUint16(b[19:], r.CPU)
-	binary.LittleEndian.PutUint16(b[21:], r.Node)
-	binary.LittleEndian.PutUint16(b[23:], r.Thread)
+	binary.LittleEndian.PutUint16(b[0:], uint16(typ))
+	b[2] = uint8(be)
+	binary.LittleEndian.PutUint64(b[3:], uint64(start))
+	binary.LittleEndian.PutUint64(b[11:], uint64(dura))
+	binary.LittleEndian.PutUint16(b[19:], cpu)
+	binary.LittleEndian.PutUint16(b[21:], node)
+	binary.LittleEndian.PutUint16(b[23:], thread)
 	dst = append(dst, b[:]...)
 	var w [8]byte
-	for _, e := range r.Extra {
+	for _, e := range extra {
 		binary.LittleEndian.PutUint64(w[:], e)
 		dst = append(dst, w[:]...)
 	}
-	if events.VectorField(r.Type) != "" {
-		binary.LittleEndian.PutUint16(w[:2], uint16(len(r.Vec)))
+	if events.VectorField(typ) != "" {
+		binary.LittleEndian.PutUint16(w[:2], uint16(len(vec)))
 		dst = append(dst, w[:2]...)
-		for _, e := range r.Vec {
+		for _, e := range vec {
 			binary.LittleEndian.PutUint64(w[:], e)
 			dst = append(dst, w[:]...)
 		}

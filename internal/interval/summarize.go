@@ -452,6 +452,22 @@ type remSpan struct {
 	r0, r1 clock.Time
 }
 
+// remAfter returns the index of the first remainder ending after t
+// (len(rems) when none does). Remainders are disjoint and ascending, so
+// it is the first one t, or a span starting at t, can touch.
+func remAfter(rems []remSpan, t clock.Time) int {
+	lo, hi := 0, len(rems)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rems[mid].r1 > t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // summarizePyramid is the O(bins) engine; see the package comment for
 // the partition and the identity argument.
 func summarizePyramid(f *File, p *Pyramid, o WindowSummaryOptions) (*WindowSummary, error) {
@@ -523,117 +539,115 @@ func (p *Pyramid) coarsestCell(x, limit clock.Time) (level int, idx int64) {
 	return level, idx
 }
 
-// resolveRemainders answers the edge spans from frame decodes: every
-// frame overlapping a remainder is decoded once (through the file's
-// frame-decode hook, so a serving cache absorbs repeats), its records
-// are clipped to the window, and counts, busy overlap, top candidates,
-// and a local concurrency sweep are applied per span.
+// resolveRemainders answers the edge spans from frame decodes, holding
+// one frame at a time: every frame overlapping a remainder is fetched
+// once — through the file's frame-decode hook, so a serving cache absorbs
+// repeats, or else decoded into one pooled batch — and each of its
+// records, clipped to the window, goes to the remainders it overlaps:
+// start counts, busy overlap and top candidates at once. Nothing of a
+// frame outlives it but the clipped endpoints of its busy intervals, for
+// one concurrency sweep over the remainders after the last frame.
 func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *binGrid, o WindowSummaryOptions) (int, error) {
 	if len(rems) == 0 {
 		return 0, nil
 	}
-	type frameRef struct {
-		fe FrameEntry
-		b  *Batch
-	}
-	frames := map[int64]*frameRef{}
-	order := []int64{}
-	spanFrames := make([][]int64, len(rems))
-	// Enumerate the frames overlapping the remainders' hull once, then
-	// filter per span with FramesInWindow's exact predicate (the window
-	// is closed; [r0, r1) needs End >= r0 and Start <= r1-1): one pass
-	// over the index instead of one per remainder.
-	hullLo, hullHi := rems[0].r0, rems[0].r1
-	for _, rs := range rems[1:] {
-		hullLo, hullHi = min(hullLo, rs.r0), max(hullHi, rs.r1)
-	}
-	hull, err := f.FramesInWindow(hullLo, hullHi-1)
+	// The frames overlapping the remainders' hull, filtered with
+	// FramesInWindow's exact predicate per remainder (the window is
+	// closed; [r0, r1) needs End >= r0 and Start <= r1-1).
+	hull, err := f.FramesInWindow(rems[0].r0, rems[len(rems)-1].r1-1)
 	if err != nil {
 		return 0, err
 	}
-	for i, rs := range rems {
-		for _, fe := range hull {
-			if fe.End < rs.r0 || fe.Start > rs.r1-1 {
-				continue
-			}
-			if _, ok := frames[fe.Offset]; !ok {
-				frames[fe.Offset] = &frameRef{fe: fe}
-				order = append(order, fe.Offset)
-			}
-			spanFrames[i] = append(spanFrames[i], fe.Offset)
-		}
+	var pooled *Batch
+	if f.hook == nil {
+		pooled = batchPool.Get().(*Batch)
+		defer batchPool.Put(pooled)
 	}
-	for _, off := range order {
+	// The clipped endpoints of every busy interval reaching a remainder,
+	// each interval once however many it reaches.
+	var starts, ends []clock.Time
+	frames := 0
+	for _, fe := range hull {
+		// The remainders the frame overlaps are rems[lo:hi]; its records
+		// go to those alone.
+		lo, hi := remAfter(rems, fe.Start), remAfter(rems, fe.End)
+		if hi < len(rems) && rems[hi].r0 <= fe.End {
+			hi++
+		}
+		if hi <= lo {
+			continue
+		}
+		near := rems[lo:hi]
 		if o.Context != nil {
 			if err := o.Context.Err(); err != nil {
 				return 0, err
 			}
 		}
-		fr := frames[off]
-		if fr.b, err = f.FrameBatch(fr.fe); err != nil {
+		b := pooled
+		if b == nil {
+			b, err = f.hook(f, fe)
+		} else {
+			err = f.DecodeFrameBatch(fe, b)
+		}
+		if err != nil {
 			return 0, err
 		}
-	}
-	// ev is one endpoint of a clipped busy interval; ends sort before
-	// starts at equal times (intervals are half-open).
-	type ev struct {
-		t clock.Time
-		d int
-	}
-	var evs []ev
-	for i, rs := range rems {
-		evs = evs[:0]
-		for _, off := range spanFrames[i] {
-			b := frames[off].b
-			for ri := 0; ri < b.N; ri++ {
-				typ, dura := b.Type[ri], b.Dura[ri]
-				if dura < 0 {
-					continue
+		frames++
+		for ri := 0; ri < b.N; ri++ {
+			typ, dura := b.Type[ri], b.Dura[ri]
+			if dura < 0 {
+				continue
+			}
+			s, e := b.Start[ri], b.Start[ri]+dura
+			// Every remainder lies inside the window, so the one holding s
+			// (if any) is the first ending after the clipped start.
+			cs, ce := max(s, g.lo), min(e, g.hi)
+			k := remAfter(near, cs)
+			if k < len(near) && near[k].r0 <= s {
+				a.records[near[k].bin]++
+			}
+			if cs >= ce || k == len(near) || near[k].r0 >= ce {
+				continue
+			}
+			busy := busyType(typ)
+			trow := a.typeRow(typ)
+			var lrow []clock.Time
+			if busy {
+				lrow = a.laneRow(Lane{Node: b.Node[ri], CPU: b.CPU[ri]}.key())
+				starts, ends = append(starts, cs), append(ends, ce)
+				if o.TopK > 0 {
+					a.tops.add(TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[ri], CPU: b.CPU[ri], Thread: b.Thread[ri]}, o.TopK)
 				}
-				s, e := b.Start[ri], b.Start[ri]+dura
-				if s >= rs.r0 && s < rs.r1 {
-					a.records[rs.bin]++
-				}
-				cs, ce := max(s, g.lo), min(e, g.hi)
-				if cs >= ce {
-					continue
-				}
-				busy := busyType(typ)
-				lo, hi := max(cs, rs.r0), min(ce, rs.r1)
-				if lo < hi {
-					a.typeRow(typ)[rs.bin] += hi - lo
-					if busy {
-						a.laneRow(Lane{Node: b.Node[ri], CPU: b.CPU[ri]}.key())[rs.bin] += hi - lo
-					}
-				}
-				if busy && ce > rs.r0 && cs < rs.r1 {
-					evs = append(evs, ev{cs, +1}, ev{ce, -1})
-					if o.TopK > 0 && lo < hi {
-						a.tops.add(TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[ri], CPU: b.CPU[ri], Thread: b.Thread[ri]}, o.TopK)
-					}
+			}
+			for ; k < len(near) && near[k].r0 < ce; k++ {
+				rs := &near[k]
+				ov := min(ce, rs.r1) - max(cs, rs.r0)
+				trow[rs.bin] += ov
+				if busy {
+					lrow[rs.bin] += ov
 				}
 			}
 		}
-		// Local sweep: entry concurrency at r0 (all events at or before
-		// it net out to the covering count), then the peak inside.
-		sort.Slice(evs, func(i, j int) bool {
-			if evs[i].t != evs[j].t {
-				return evs[i].t < evs[j].t
-			}
-			return evs[i].d < evs[j].d
-		})
-		cur, ei := 0, 0
-		for ei < len(evs) && evs[ei].t <= rs.r0 {
-			cur += evs[ei].d
-			ei++
-		}
-		pk := cur
-		for ei < len(evs) && evs[ei].t < rs.r1 {
-			cur += evs[ei].d
-			ei++
-			pk = max(pk, cur)
-		}
-		peaks[rs.bin] = max(peaks[rs.bin], pk)
 	}
-	return len(order), nil
+	// One concurrency sweep over all the remainders: every busy interval
+	// open at an instant of a remainder reaches it, so its endpoints are
+	// here. The sweep's bins are the remainders and the gaps between them,
+	// whose peaks are dropped. What lies outside cannot raise a peak:
+	// before the first remainder there are only starts of intervals still
+	// open at it, and at the last one's end (where the sweep closes its
+	// final bin) only ends.
+	bounds := make([]clock.Time, 0, 2*len(rems))
+	remBin := make([]int, len(rems))
+	for k, rs := range rems {
+		if n := len(bounds); n == 0 || bounds[n-1] != rs.r0 {
+			bounds = append(bounds, rs.r0)
+		}
+		remBin[k] = len(bounds) - 1
+		bounds = append(bounds, rs.r1)
+	}
+	pks := sweepPeaks(bounds, starts, ends)
+	for k, rs := range rems {
+		peaks[rs.bin] = max(peaks[rs.bin], pks[remBin[k]])
+	}
+	return frames, nil
 }

@@ -155,6 +155,14 @@ type WriterOptions struct {
 	// runs on the writer's goroutine; it must not call back into the
 	// Writer.
 	OnSeal func(SealInfo)
+	// OnFrame, if set, is shown every frame as it is sealed into the
+	// pending directory, in file order, as the batch it was encoded from:
+	// its prologue records first, the same rows and columns a reader
+	// decodes from the frame. The batch is read-only and valid only during
+	// the call. utemerge's SLOG planner rides on it, so the merged file is
+	// never decoded for the SLOG's first pass. Like OnSeal it runs on the
+	// writer's goroutine and must not call back into the Writer.
+	OnFrame func(*Batch)
 }
 
 // SealInfo describes the valid file prefix after a directory seal.
@@ -382,6 +390,9 @@ func (w *Writer) closeFrame() {
 		w.frameMeta.sum = crc32.Checksum(encoded, crcTable)
 	}
 	w.group = append(w.group, w.frameMeta)
+	if w.opts.OnFrame != nil {
+		w.opts.OnFrame(w.fb)
+	}
 	w.fb.reset()
 	w.frameSize, w.prologueBytes, w.prologueRecords = 0, 0, 0
 	w.frameMeta = emptyFrameMeta()

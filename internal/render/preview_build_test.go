@@ -87,6 +87,51 @@ func TestBuildPreviewDifferential(t *testing.T) {
 	}
 }
 
+// TestBuildPreviewRemainderRouting: every bin narrower than the base
+// width, so the pyramid answers each one from frame decodes alone, over
+// a trace whose outer marker state spans every one of those remainders —
+// for the whole run and for a window clipping records at both ends. The
+// remainders tile the window, so the pyramid decodes exactly the frames
+// the scan does.
+func TestBuildPreviewRemainderRouting(t *testing.T) {
+	raws := testutil.RunWorkload(t, shape, func(p *mpisim.Proc) {
+		outer := p.DefineMarker("outer")
+		p.MarkerBegin(outer)
+		for i := 0; i < 10; i++ {
+			sppmish(p)
+		}
+		p.MarkerEnd(outer)
+	})
+	files := testutil.ConvertRun(t, raws, interval.WriterOptions{})
+	path := testutil.MergeToDisk(t, files, merge.Options{Writer: interval.WriterOptions{FrameBytes: 2048}})
+	mf, bare := testutil.OpenSidecarPair(t, path, interval.PyramidOptions{BaseCells: 128, TopK: 8})
+	t0, t1, _, err := mf.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	span, w := t1-t0, mf.Pyramid().BaseWidth
+	for _, tc := range []struct {
+		name   string
+		bins   int
+		lo, hi clock.Time
+	}{
+		{"full-512", 512, 0, 0},
+		{"clipped-100", 100, t0 + span/3 + 7, t0 + span/3 + 7 + 20*w},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := render.PreviewOptions{Bins: tc.bins, T0: tc.lo, T1: tc.hi}
+			pyr := preview(t, mf, opts, "pyramid")
+			scan := preview(t, bare, opts, "scan")
+			if pyr.CellsUsed != 0 || pyr.FramesDecoded == 0 || pyr.FramesDecoded != scan.FramesDecoded {
+				t.Fatalf("pyramid %d cells/%d frames, scan %d frames", pyr.CellsUsed, pyr.FramesDecoded, scan.FramesDecoded)
+			}
+			if got, want := render.PreviewSVG(pyr.Preview), render.PreviewSVG(scan.Preview); got != want {
+				t.Errorf("SVG differs between engines")
+			}
+		})
+	}
+}
+
 func TestBuildPreviewWithoutPyramidScans(t *testing.T) {
 	res := preview(t, merged(t), render.PreviewOptions{}, "scan")
 	if res.FramesDecoded == 0 {

@@ -109,148 +109,109 @@ type frameInfo struct {
 	arrowEnd int
 }
 
-// p1part is one pass-1 map result: the frame's batch (valid until the
-// frame's reduce returns, which is all the reduce needs), the rows the
-// arrow matcher must see, and a preview partial. Parts are recycled
-// through a free list, and a recycled part keeps summing into the same
-// preview matrix — integer sums do not care how frames are grouped — so
-// the partials are added up once, after the run.
-type p1part struct {
-	b     *interval.Batch
-	mrow  []int32
-	dur   [][]clock.Time
-	count []int64
+// Planner is the SLOG build's first pass: from the merged record stream,
+// shown to Observe one frame's batch at a time in file order, it cuts the
+// SLOG's frames and matches the message arrows. Build feeds it from its
+// own pass over the merged file; MergeFiles feeds it the merge writer's
+// frames as they are sealed (interval.WriterOptions.OnFrame), so the file
+// is never decoded for it. Either way Write is the second pass.
+type Planner struct {
+	opts   Options
+	part   partitioner
+	frames []frameInfo
+	cur    frameInfo
+	m      *matcher
+	idx    int64 // records observed
 }
 
-// Build converts a merged interval file into an SLOG file.
-//
-// Both passes run off interval.Batch columns under MapFrames'
-// batch-lifetime contract (a batch is valid until its frame's reduce
-// returns): nothing is copied out of a batch except the Begin rows the
-// open-state tracker retains across frames and the send halves the arrow
-// matcher waits on. The file is written one frame at a time, each frame
-// encoded into one reused buffer and handed to ws in a single Write.
-func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, error) {
-	tStart, tEnd, _, err := mf.Stats()
-	if err != nil {
-		return nil, err
-	}
-	if tEnd <= tStart {
-		tEnd = tStart + 1
-	}
-	bins := opts.bins()
-	nstates := len(events.StateTypes)
-	sidx := stateIndex()
-	bounds := binBounds(tStart, tEnd, bins)
-	newBins := func() [][]clock.Time {
-		flat := make([]clock.Time, nstates*bins)
-		d := make([][]clock.Time, nstates)
-		for i := range d {
-			d[i] = flat[i*bins : (i+1)*bins : (i+1)*bins]
-		}
-		return d
-	}
-	prev := &Preview{
-		TStart: tStart,
-		TEnd:   tEnd,
-		States: events.StateTypes,
-		Dur:    newBins(),
-		Count:  make([]int64, nstates),
-	}
+// openFrameInfo is the frameInfo of a frame no record has reached yet.
+var openFrameInfo = frameInfo{lastIdx: -1, lo: clock.Time(1<<63 - 1), hi: clock.Time(-1 << 63)}
 
-	// --- Pass 1: frame boundaries, preview accumulation, arrow matching.
-	//
-	// The preview's proportional bin allocation sums integer durations —
-	// associative, so partial matrices merged in any order equal the
-	// sequential result exactly. It runs in the concurrent map; everything
-	// order-sensitive (arrow matching, frame partitioning) runs in the
-	// frame-order reduce, reading the batch in place.
-	part := &partitioner{limit: opts.frameBytes()}
-	var frames []frameInfo
-	openInfo := frameInfo{lastIdx: -1, lo: clock.Time(1<<63 - 1), hi: clock.Time(-1 << 63)}
-	cur := openInfo
-	m := &matcher{
-		tasks: newTaskTable(mf.Header.Threads),
-		sends: map[arrowKey]sendHalf{},
-		recvs: map[arrowKey]recvHalf{},
-	}
-	mopts := interval.MapOptions{Parallel: opts.Parallel}
-	var idx int64
-	// idle holds every part not between its map and its reduce — all of
-	// them, once the run is over.
-	var mu sync.Mutex
-	var idle []*p1part
-	err = interval.MapFrames([]*interval.File{mf}, mopts,
-		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*p1part, error) {
-			var pp *p1part
-			mu.Lock()
-			if n := len(idle); n > 0 {
-				pp, idle = idle[n-1], idle[:n-1]
-			}
-			mu.Unlock()
-			if pp == nil {
-				pp = &p1part{dur: newBins(), count: make([]int64, nstates)}
-			}
-			pp.b, pp.mrow = b, pp.mrow[:0]
-			for i := 0; i < b.N; i++ {
-				typ, be := b.Type[i], b.Bebits[i]
-				if si := sidx.of(typ); si >= 0 {
-					if be == profile.Begin || be == profile.Complete {
-						pp.count[si]++
-					}
-					allocate(pp.dur[si], bounds, b.Start[i], b.End(i))
-				}
-				if (be == profile.Complete || be == profile.End) && matcherType(typ) {
-					pp.mrow = append(pp.mrow, int32(i))
-				}
-			}
-			return pp, nil
+// NewPlanner returns a first pass for a merged file whose thread table is
+// threads.
+func NewPlanner(threads []interval.ThreadEntry, opts Options) *Planner {
+	return &Planner{
+		opts: opts,
+		part: partitioner{limit: opts.frameBytes()},
+		cur:  openFrameInfo,
+		m: &matcher{
+			tasks: newTaskTable(threads),
+			sends: map[arrowKey]sendHalf{},
+			recvs: map[arrowKey]recvHalf{},
 		},
-		func(_ int, _ interval.FrameEntry, pp *p1part) error {
-			b, mi := pp.b, 0
-			for i := 0; i < b.N; i++ {
-				// Arrow matching on final pieces of p2p and wait
-				// operations, at exactly the position a record-at-a-time
-				// pass would see them.
-				if mi < len(pp.mrow) && int(pp.mrow[mi]) == i {
-					r := b.Row(i)
-					m.observe(&r)
-					mi++
-				}
-				cur.lo = min(cur.lo, b.Start[i])
-				cur.hi = max(cur.hi, b.End(i))
-				cur.lastIdx = idx
-				if part.add(b.EncodedRowSize(i)) {
-					cur.arrowEnd = len(m.arrows)
-					frames = append(frames, cur)
-					cur = openInfo
-				}
-				idx++
-			}
-			pp.b = nil
-			mu.Lock()
-			idle = append(idle, pp)
-			mu.Unlock()
+	}
+}
+
+// Observe accounts the next frame of the merged file. It reads the batch
+// in place — the matcher keeps only the halves it waits on — so the batch
+// may be recycled as soon as Observe returns.
+func (p *Planner) Observe(b *interval.Batch) {
+	for i := 0; i < b.N; i++ {
+		// Arrow matching on final pieces of p2p and wait operations, at
+		// exactly the position a record-at-a-time pass would see them.
+		if be := b.Bebits[i]; (be == profile.Complete || be == profile.End) && matcherType(b.Type[i]) {
+			r := b.Row(i)
+			p.m.observe(&r)
+		}
+		p.cur.lo = min(p.cur.lo, b.Start[i])
+		p.cur.hi = max(p.cur.hi, b.End(i))
+		p.cur.lastIdx = p.idx
+		if p.part.add(b.EncodedRowSize(i)) {
+			p.cur.arrowEnd = len(p.m.arrows)
+			p.frames = append(p.frames, p.cur)
+			p.cur = openFrameInfo
+		}
+		p.idx++
+	}
+}
+
+// Build converts a merged interval file into an SLOG file: a Planner fed
+// from one pass over mf, then Write.
+func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, error) {
+	p := NewPlanner(mf.Header.Threads, opts)
+	err := interval.MapFrames([]*interval.File{mf}, interval.MapOptions{Parallel: opts.Parallel},
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*interval.Batch, error) { return b, nil },
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) error {
+			p.Observe(b)
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	if cur.lastIdx >= 0 {
-		cur.arrowEnd = len(m.arrows)
-		frames = append(frames, cur)
-	}
-	for _, pp := range idle {
-		for si := range prev.Dur {
-			dst, src := prev.Dur[si], pp.dur[si]
-			for b := range dst {
-				dst[b] += src[b]
-			}
-			prev.Count[si] += pp.count[si]
-		}
+	return p.Write(mf, ws, nil)
+}
+
+// previewPart is one pass-2 map result: the frame's batch (valid until
+// the frame's reduce returns, which is all the reduce needs) and a
+// preview partial. Parts are recycled through a free list, and a recycled
+// part keeps summing into the same preview matrix — integer sums do not
+// care how frames are grouped — so the partials are added up once, after
+// the run.
+type previewPart struct {
+	b     *interval.Batch
+	dur   [][]clock.Time
+	count []int64
+}
+
+// Write is the SLOG build's second pass: one pass over mf — the merged
+// file the planner observed, whole — that accumulates the preview and
+// serializes the SLOG file into ws. tap, when non-nil, is shown every
+// batch of that pass in file order, under the same lifetime as Observe's
+// (MergeFiles hangs the pyramid builder on it). Call it once.
+//
+// The pass runs off interval.Batch columns under MapFrames'
+// batch-lifetime contract: nothing is copied out of a batch except the
+// Begin rows the open-state tracker retains across frames. The file is
+// written one frame at a time, each frame encoded into one reused buffer
+// and handed to ws in a single Write.
+func (p *Planner) Write(mf *interval.File, ws io.WriteSeeker, tap func(*interval.Batch)) (*BuildResult, error) {
+	frames, m := p.frames, p.m
+	if p.cur.lastIdx >= 0 {
+		p.cur.arrowEnd = len(m.arrows)
+		frames = append(frames, p.cur)
 	}
 	arrows := m.arrows
-	res := &BuildResult{Frames: len(frames), Records: idx, Arrows: int64(len(arrows))}
+	res := &BuildResult{Frames: len(frames), Records: p.idx, Arrows: int64(len(arrows))}
 
 	// Crossing pseudo copies go to every frame before an arrow's own that
 	// the arrow spans in time. Frame hi bounds are nondecreasing (records
@@ -261,7 +222,7 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 	// crossing[crossOff[f]:crossOff[f+1]] is frame f's, in arrow order.
 	crossOff := make([]int, len(frames)+1)
 	var crossing []int32
-	if !opts.noCrossingCopies {
+	if !p.opts.noCrossingCopies {
 		eachCrossing := func(visit func(f, ai int)) {
 			rf := 0
 			for ai := range arrows {
@@ -290,25 +251,76 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 		})
 	}
 
-	// --- Pass 2: serialize. The map stage only decodes (concurrently);
-	// the reduce encodes each row straight from its batch into the open
-	// frame's buffer. A frame's pseudo-intervals are written when it
-	// opens — the tracker has seen every earlier record by then, which is
-	// all they depend on — its interval records as they stream by, and its
-	// arrows when it closes.
+	// The preview's proportional bin allocation sums integer durations —
+	// associative, so partial matrices merged in any order equal the
+	// sequential result exactly. It runs in the concurrent map; the
+	// serialization runs in the frame-order reduce, encoding each row
+	// straight from its batch into the open frame's buffer. A frame's
+	// pseudo-intervals are written when it opens — the tracker has seen
+	// every earlier record by then, which is all they depend on — its
+	// interval records as they stream by, and its arrows when it closes.
+	tStart, tEnd, _, err := mf.Stats()
+	if err != nil {
+		return nil, err
+	}
+	if tEnd <= tStart {
+		tEnd = tStart + 1
+	}
+	bins := p.opts.bins()
+	nstates := len(events.StateTypes)
+	sidx := stateIndex()
+	bounds := binBounds(tStart, tEnd, bins)
+	newBins := func() [][]clock.Time {
+		flat := make([]clock.Time, nstates*bins)
+		d := make([][]clock.Time, nstates)
+		for i := range d {
+			d[i] = flat[i*bins : (i+1)*bins : (i+1)*bins]
+		}
+		return d
+	}
+	prev := &Preview{
+		TStart: tStart,
+		TEnd:   tEnd,
+		States: events.StateTypes,
+		Dur:    newBins(),
+		Count:  make([]int64, nstates),
+	}
 	w, err := newWriter(ws, mf, prev, len(frames))
 	if err != nil {
 		return nil, err
 	}
 	trk := interval.NewOpenStates(mf.Header.Threads)
 	fi := 0
-	idx = 0
+	var idx int64
 	frameStartStamp := tStart
-	err = interval.MapFrames([]*interval.File{mf}, mopts,
-		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*interval.Batch, error) {
-			return b, nil
+	// idle holds every part not between its map and its reduce — all of
+	// them, once the run is over.
+	var mu sync.Mutex
+	var idle []*previewPart
+	err = interval.MapFrames([]*interval.File{mf}, interval.MapOptions{Parallel: p.opts.Parallel},
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*previewPart, error) {
+			var pp *previewPart
+			mu.Lock()
+			if n := len(idle); n > 0 {
+				pp, idle = idle[n-1], idle[:n-1]
+			}
+			mu.Unlock()
+			if pp == nil {
+				pp = &previewPart{dur: newBins(), count: make([]int64, nstates)}
+			}
+			pp.b = b
+			for i := 0; i < b.N; i++ {
+				if si := sidx.of(b.Type[i]); si >= 0 {
+					if be := b.Bebits[i]; be == profile.Begin || be == profile.Complete {
+						pp.count[si]++
+					}
+					allocate(pp.dur[si], bounds, b.Start[i], b.End(i))
+				}
+			}
+			return pp, nil
 		},
-		func(_ int, _ interval.FrameEntry, b *interval.Batch) error {
+		func(_ int, _ interval.FrameEntry, pp *previewPart) error {
+			b := pp.b
 			for ri := 0; ri < b.N; ri++ {
 				if fi >= len(frames) {
 					return errFrameCount
@@ -316,9 +328,8 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 				if !w.open {
 					res.Pseudo += int64(w.openFrame(trk, frameStartStamp))
 				}
-				r := b.Row(ri)
-				w.addInterval(&r)
-				trk.Observe(&r)
+				w.addRow(b, ri)
+				trk.ObserveRow(b, ri)
 				if idx == frames[fi].lastIdx {
 					firstArrow := 0
 					if fi > 0 {
@@ -330,14 +341,30 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 						return err
 					}
 					fi++
-					frameStartStamp = r.End()
+					frameStartStamp = b.End(ri)
 				}
 				idx++
 			}
+			if tap != nil {
+				tap(b)
+			}
+			pp.b = nil
+			mu.Lock()
+			idle = append(idle, pp)
+			mu.Unlock()
 			return nil
 		})
 	if err != nil {
 		return nil, err
+	}
+	for _, pp := range idle {
+		for si := range prev.Dur {
+			dst, src := prev.Dur[si], pp.dur[si]
+			for b := range dst {
+				dst[b] += src[b]
+			}
+			prev.Count[si] += pp.count[si]
+		}
 	}
 	if err := w.finish(); err != nil {
 		return nil, err

@@ -83,7 +83,12 @@ func newWriter(ws io.WriteSeeker, mf *interval.File, prev *Preview, nframes int)
 func appendRecord(b []byte, kind byte, r *interval.Record) []byte {
 	b = append(b, kind, 0, 0)
 	at := len(b)
-	b = r.AppendPayload(b)
+	return putPayloadLen(r.AppendPayload(b), at)
+}
+
+// putPayloadLen patches the length field of the frame record whose
+// payload starts at at and runs to the end of b.
+func putPayloadLen(b []byte, at int) []byte {
 	binary.LittleEndian.PutUint16(b[at-2:], uint16(len(b)-at))
 	return b
 }
@@ -107,13 +112,15 @@ func (w *writer) openFrame(trk *interval.OpenStates, at clock.Time) int {
 	return w.n
 }
 
-// addInterval appends one interval record to the open frame; r may alias
-// a batch.
-func (w *writer) addInterval(r *interval.Record) {
-	w.buf = appendRecord(w.buf, kindInterval, r)
+// addRow appends row i of b to the open frame as an interval record,
+// encoded straight from the batch's columns.
+func (w *writer) addRow(b *interval.Batch, i int) {
+	w.buf = append(w.buf, kindInterval, 0, 0)
+	at := len(w.buf)
+	w.buf = putPayloadLen(b.AppendRowPayload(w.buf, i), at)
 	w.n++
-	w.lo = min(w.lo, r.Start)
-	w.hi = max(w.hi, r.End())
+	w.lo = min(w.lo, b.Start[i])
+	w.hi = max(w.hi, b.End(i))
 }
 
 // closeFrame completes the open frame with its arrows — the originals

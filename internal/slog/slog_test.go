@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"tracefw/internal/clock"
+	"tracefw/internal/convert"
 	"tracefw/internal/events"
 	"tracefw/internal/interval"
 	"tracefw/internal/merge"
@@ -240,6 +243,56 @@ func TestSlogmerge(t *testing.T) {
 	}
 	if len(f.Index) != bres.Frames {
 		t.Fatalf("frames %d vs %d", len(f.Index), bres.Frames)
+	}
+}
+
+// TestMergeFilesDecodesOnce: utemerge -slog reads the merged file it has
+// just written once, with or without a pyramid — the SLOG's first pass
+// rides on the merge writer's sealed frames and the pyramid on the
+// SLOG's second pass (the three builds used to decode it three times).
+func TestMergeFilesDecodesOnce(t *testing.T) {
+	outs, _, err := convert.ConvertBuffers(testutil.RunWorkload(t, shape, phased), convert.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var paths []string
+	for i, sb := range outs {
+		paths = append(paths, filepath.Join(dir, fmt.Sprintf("trace.%d.ute", i)))
+		if err := os.WriteFile(paths[i], sb.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged := filepath.Join(dir, "merged.ute")
+	for _, tc := range []struct {
+		name string
+		slog string
+		pyr  *interval.PyramidOptions
+	}{
+		{"slog+pyramid", filepath.Join(dir, "trace.slog"), &interval.PyramidOptions{BaseCells: 16}},
+		{"slog", filepath.Join(dir, "trace.slog"), nil},
+	} {
+		mr, err := slog.MergeFiles(paths, merged, tc.slog, tc.pyr,
+			merge.Options{Writer: interval.WriterOptions{FrameBytes: 1024}}, slog.Options{FrameBytes: 1024})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		mf, err := interval.Open(merged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fes, err := mf.Frames()
+		mf.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(len(fes))
+		if mr.FramesDecoded != want || len(fes) < 3 {
+			t.Fatalf("%s: decoded %d frames of the merged file's %d, want %d", tc.name, mr.FramesDecoded, len(fes), want)
+		}
+		if mr.Slog == nil || (mr.Sidecar != nil) != (tc.pyr != nil) {
+			t.Fatalf("%s: built slog %v, sidecar %v", tc.name, mr.Slog != nil, mr.Sidecar != nil)
+		}
 	}
 }
 

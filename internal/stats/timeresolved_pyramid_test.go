@@ -91,6 +91,53 @@ func TestTimeResolvedPyramidMatchesScan(t *testing.T) {
 	}
 }
 
+// TestTimeResolvedRemainderRouting: every bin narrower than the base
+// width, so the pyramid answers each one from frame decodes alone, over
+// a trace whose outer marker state spans every one of those remainders —
+// for the whole run and for a window clipping records at both ends. The
+// remainders tile the window, so the pyramid decodes exactly the frames
+// the scan does.
+func TestTimeResolvedRemainderRouting(t *testing.T) {
+	raws := testutil.RunWorkload(t, shape, func(p *mpisim.Proc) {
+		outer := p.DefineMarker("outer")
+		p.MarkerBegin(outer)
+		for i := 0; i < 20; i++ {
+			work(p)
+		}
+		p.MarkerEnd(outer)
+	})
+	files := testutil.ConvertRun(t, raws, interval.WriterOptions{})
+	path := testutil.MergeToDisk(t, files, merge.Options{Writer: interval.WriterOptions{FrameBytes: 2048}})
+	mf, bare := testutil.OpenSidecarPair(t, path, interval.PyramidOptions{BaseCells: 128, TopK: 8})
+	t0, t1, _, err := mf.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	span, w := t1-t0, mf.Pyramid().BaseWidth
+	for _, tc := range []struct {
+		name string
+		bins int
+		opts stats.Options
+	}{
+		{"full-512", 512, stats.Options{}},
+		{"clipped-100", 100, stats.Options{Window: true, Lo: t0 + span/3 + 7, Hi: t0 + span/3 + 7 + 20*w}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pyr := timeResolved(t, []*interval.File{mf}, tc.bins, tc.opts, "pyramid")
+			scan := timeResolved(t, []*interval.File{bare}, tc.bins, tc.opts, "scan")
+			for i := range pyr {
+				if got, want := pyr[i].TSV(), scan[i].TSV(); got != want {
+					t.Errorf("table %s differs between engines:\npyramid:\n%s\nscan:\n%s", pyr[i].Name, got, want)
+				}
+				if pyr[i].CellsUsed != 0 || pyr[i].FramesDecoded == 0 || pyr[i].FramesDecoded != scan[i].FramesDecoded {
+					t.Errorf("table %s plans: pyramid %d cells/%d frames, scan %d frames", pyr[i].Name,
+						pyr[i].CellsUsed, pyr[i].FramesDecoded, scan[i].FramesDecoded)
+				}
+			}
+		})
+	}
+}
+
 // TestTimeResolvedPyramidFallbacks: what the pyramid cannot answer is
 // the scan's, silently and identically — no sidecar, a degenerate
 // window, a window beyond the run, several files.

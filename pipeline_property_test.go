@@ -9,6 +9,9 @@ package tracefw
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -18,6 +21,7 @@ import (
 	"tracefw/internal/interval"
 	"tracefw/internal/merge"
 	"tracefw/internal/profile"
+	"tracefw/internal/slog"
 	"tracefw/internal/workload"
 )
 
@@ -248,6 +252,142 @@ func TestParallelPipelineMatchesSynchronous(t *testing.T) {
 			if !bytes.Equal(parMerged, seqMerged) {
 				t.Fatalf("seed %d width %d: merged output differs from synchronous run", seed, width)
 			}
+		}
+	}
+}
+
+// TestSealTimeBuildsMatchReopenedFile guards utemerge's one-decode path
+// (slog.MergeFiles), over the random-workload corpus: a SLOG planner fed
+// the merge writer's sealed batches, and the SLOG and pyramid then built
+// from one pass over the file just written, must equal slog.Build and
+// BuildPyramidSidecar over the reopened file byte for byte. The merge is
+// run at the default and a tiny frame size; its records are then sealed
+// again through a writer at every header version, so the fixed-width
+// frames (whose vector records a decoder splits by the type's field
+// table) feed the planner too.
+func TestSealTimeBuildsMatchReopenedFile(t *testing.T) {
+	shapes := []struct {
+		nodes, tpn, cpus int
+	}{
+		{1, 1, 1},
+		{2, 1, 2},
+		{2, 2, 2},
+		{3, 2, 4},
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		sh := shapes[int(seed)%len(shapes)]
+		run, err := core.Execute(core.Config{
+			Nodes:        sh.nodes,
+			CPUsPerNode:  sh.cpus,
+			TasksPerNode: sh.tpn,
+			Seed:         seed * 7,
+		}, workload.Random{Seed: seed, Steps: 25}.Main())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		raws := run.RawTraces
+		run.Close()
+		outs, _, err := convert.ConvertBuffers(raws, convert.Options{Writer: interval.WriterOptions{FrameBytes: 4096}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		var paths []string
+		for i, sb := range outs {
+			paths = append(paths, filepath.Join(dir, fmt.Sprintf("trace.%d.ute", i)))
+			if err := os.WriteFile(paths[i], sb.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pyr := interval.PyramidOptions{BaseCells: 64, TopK: 4}
+		for _, fb := range []int{0, 600} {
+			label := fmt.Sprintf("seed %d frame bytes %d", seed, fb)
+			sopts := slog.Options{FrameBytes: fb}
+			merged, slogPath := filepath.Join(dir, "merged.ute"), filepath.Join(dir, "trace.slog")
+			mr, err := slog.MergeFiles(paths, merged, slogPath, &pyr,
+				merge.Options{Writer: interval.WriterOptions{FrameBytes: fb}}, sopts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			gotSlog, err := os.ReadFile(slogPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotPyr, _ := os.ReadFile(interval.PyramidPath(merged)) // absent when declined
+			sb, err := interval.BuildPyramidSidecar(merged, pyr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantPyr, _ := os.ReadFile(interval.PyramidPath(merged))
+			if !bytes.Equal(gotPyr, wantPyr) || !bytes.Equal(mr.Sidecar.Pyramid.Encode(), sb.Pyramid.Encode()) {
+				t.Fatalf("%s: the seal-time pyramid differs from BuildPyramidSidecar's", label)
+			}
+			mf, err := interval.Open(merged, interval.WithPyramid(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSlog := interval.NewSeekBuffer()
+			if _, err := slog.Build(mf, wantSlog, sopts); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotSlog, wantSlog.Bytes()) {
+				t.Fatalf("%s: the seal-time SLOG differs from slog.Build's", label)
+			}
+
+			recs, err := mf.Scan().All()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for hv := uint32(1); hv <= interval.CurrentHeaderVersion; hv++ {
+				label := fmt.Sprintf("%s v%d", label, hv)
+				hdr := mf.Header
+				hdr.HeaderVersion = hv
+				p := slog.NewPlanner(hdr.Threads, sopts)
+				out := interval.NewSeekBuffer()
+				w, err := interval.NewWriter(out, hdr, interval.WriterOptions{FrameBytes: fb, OnFrame: p.Observe})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range recs {
+					if err := w.Add(&recs[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				sealed, err := interval.NewFile(interval.NewSeekBufferFrom(out.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pb, err := interval.NewPyramidBuilder(sealed, pyr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := interval.NewSeekBuffer()
+				if _, err := p.Write(sealed, got, pb.Add); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				reopened, err := interval.NewFile(interval.NewSeekBufferFrom(out.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := interval.NewSeekBuffer()
+				if _, err := slog.Build(reopened, want, sopts); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("%s: the seal-time SLOG differs from slog.Build's", label)
+				}
+				wantP, err := interval.BuildPyramid(reopened, pyr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(pb.Pyramid().Encode(), wantP.Encode()) {
+					t.Fatalf("%s: the seal-time pyramid differs from BuildPyramid's", label)
+				}
+			}
+			mf.Close()
 		}
 	}
 }
