@@ -41,10 +41,11 @@ race:
 # PreviewZoom's whole-512 rung fails when the pyramid engine allocates
 # more bytes per preview than the scan engine over the same file (it must
 # hold one edge frame at a time).
-# StatsColumnar's columnar-cold/-warm and predefined-sppm cases live in
-# the root package and fail when a run allocates more than a fixed
-# number of objects per record (the stats path must not allocate per
-# record or per group per frame); its scalar baseline sits beside the
+# StatsColumnar's columnar-cold/-warm, concat and predefined-sppm cases
+# live in the root package and fail when a run allocates more than a
+# fixed number of objects per record (the stats path must not allocate
+# per record or per group per frame, and a string concatenation must not
+# build a string per record); its scalar baseline sits beside the
 # test-only oracle in internal/stats.
 bench-smoke:
 	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|IntervalWriterThroughput|ServeWindow|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|Tracegen|CutTraceRecord|SweepCell|^BenchmarkIngest$$' -benchtime 1x .

@@ -679,10 +679,10 @@ func BenchmarkStatsWindow(b *testing.B) {
 	prog := `table name=c x=("node", node) y=("n", dura, count)`
 	for _, v := range []struct {
 		name string
-		opts stats.Options
+		opts interval.MapOptions
 	}{
-		{"window", stats.Options{Window: true, Lo: lo, Hi: hi, Parallel: 1}},
-		{"fullscan", stats.Options{Parallel: 1}},
+		{"window", interval.MapOptions{Window: true, Lo: lo, Hi: hi, Parallel: 1}},
+		{"fullscan", interval.MapOptions{Parallel: 1}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			runtime.GC()
@@ -711,7 +711,7 @@ func BenchmarkStatsParallel(b *testing.B) {
 			runtime.GC()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tables, err := stats.GenerateOpts(prog, []*interval.File{mf}, stats.Options{Parallel: width})
+				tables, err := stats.GenerateOpts(prog, []*interval.File{mf}, interval.MapOptions{Parallel: width})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -731,11 +731,12 @@ func BenchmarkStatsParallel(b *testing.B) {
 // baseline over the same trace and program sits beside the oracle it
 // measures: BenchmarkStatsColumnar/scalar in internal/stats.
 // predefined-sppm is what the ledger's read-side workloads spend their
-// time in — the predefined tables over the 4×8 sPPM trace — and carries
-// the deterministic half of that claim: it fails when a run allocates
-// more than statsAllocsPerRecord, which any per-record or
-// per-group-per-frame allocation in the group-by does many times over
-// (timing stays the ledger's job).
+// time in — the predefined tables over the 4×8 sPPM trace — and concat
+// groups by a string concatenation over the storm trace. Every case
+// carries the deterministic half of that claim: it fails when a run
+// allocates more than statsAllocsPerRecord, which any per-record or
+// per-group-per-frame allocation in the group-by, or a string built per
+// record, does many times over (timing stays the ledger's job).
 func BenchmarkStatsColumnar(b *testing.B) {
 	const statsAllocsPerRecord = 0.05
 	bench := func(mf *interval.File, prog string) func(b *testing.B) {
@@ -749,12 +750,12 @@ func BenchmarkStatsColumnar(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tables, err := stats.GenerateOpts(prog, []*interval.File{mf}, stats.Options{Parallel: 1})
+				tables, err := stats.GenerateOpts(prog, []*interval.File{mf}, interval.MapOptions{Parallel: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(tables[0].Rows) == 0 || !tables[0].Columnar {
-					b.Fatal("empty table, or the kernels did not run")
+				if len(tables[0].Rows) == 0 {
+					b.Fatal("empty table")
 				}
 			}
 			b.StopTimer()
@@ -796,6 +797,7 @@ table name=bynode x=("node", node) x=("bin", bin(start, 50)) y=("t", dura, sum)
 table name=sends condition=(msgSizeSent > 0) x=("node", node) y=("bytes", msgSizeSent, sum)`)
 	b.Run("columnar-cold", storm)
 	b.Run("columnar-warm", warm(stormFile, storm))
+	b.Run("concat", bench(stormFile, `table name=concat x=("s", state + bebits) y=("t", dura, sum) y=("n", dura, count)`))
 	b.Run("predefined-sppm", func(b *testing.B) {
 		mf := sppmBenchFile(b)
 		sppm := bench(mf, stats.Predefined(50))

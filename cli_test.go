@@ -502,6 +502,10 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"utestats", []string{"-window", "abc", good}, 1},
 		{"utestats", []string{"-timeresolved", "-bins", "2000000000", good}, 2},
 		{"utestats", []string{"-bins", "65537", good}, 2},
+		{"utestats", []string{"-bins", "0", good}, 2},
+		{"utestats", []string{"-bins", "-3", good}, 2},
+		{"utestats", []string{"-timeresolved", "-bins", "-3", good}, 2},
+		{"utestats", []string{"-svg", good}, 2},
 
 		{"utedump", nil, 2},
 		{"utedump", []string{missing}, 1},

@@ -44,7 +44,7 @@ func main() {
 		checkVer = flag.Bool("check-profile", false, "verify the inputs' profile version against profile.ute next to each input")
 		jobs     = flag.Int("j", 0, "frame-decode workers across all inputs (0 = GOMAXPROCS)")
 		window   = flag.String("window", "", "restrict tables to records overlapping lo:hi (seconds)")
-		verbose  = flag.Bool("v", false, "report per-table engine and excluded-record counts on stderr")
+		verbose  = flag.Bool("v", false, "report per-table summary engine and excluded-record counts on stderr")
 		timeRes  = flag.Bool("timeresolved", false, "generate the time-resolved metric tables (-bins buckets) instead of a program")
 	)
 	flag.Parse()
@@ -56,8 +56,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "utestats: -j must be >= 0")
 		os.Exit(2)
 	}
-	if *bins > stats.MaxBins {
-		fmt.Fprintf(os.Stderr, "utestats: -bins must be at most %d\n", stats.MaxBins)
+	if *bins < 1 || *bins > stats.MaxBins {
+		fmt.Fprintf(os.Stderr, "utestats: -bins must be 1 to %d\n", stats.MaxBins)
+		os.Exit(2)
+	}
+	if *svg && *outDir == "" {
+		fmt.Fprintln(os.Stderr, "utestats: -svg needs -out")
 		os.Exit(2)
 	}
 	program := *exprSrc
@@ -87,7 +91,7 @@ func main() {
 		files = append(files, f)
 	}
 	var err error
-	opts := stats.Options{Parallel: *jobs}
+	opts := interval.MapOptions{Parallel: *jobs}
 	if *window != "" {
 		lo, hi, err := clock.ParseWindow(*window)
 		if err != nil {
@@ -110,18 +114,14 @@ func main() {
 	}
 	for _, tb := range tables {
 		if *verbose {
-			eng := "scalar"
-			if tb.Columnar {
-				eng = "columnar"
-			}
 			sum := ""
 			if tb.Engine != "" {
-				// Time-resolved tables also report which summary engine
+				// Time-resolved tables report which summary engine
 				// answered them: O(bins) pyramid cells or a frame scan.
 				sum = " summary=" + tb.Engine
 			}
-			fmt.Fprintf(os.Stderr, "utestats: table %s: engine=%s%s skipped=%d rows=%d\n",
-				tb.Name, eng, sum, tb.Skipped, len(tb.Rows))
+			fmt.Fprintf(os.Stderr, "utestats: table %s:%s skipped=%d rows=%d\n",
+				tb.Name, sum, tb.Skipped, len(tb.Rows))
 		}
 		if *outDir == "" {
 			fmt.Printf("# table %s\n%s\n", tb.Name, tb.TSV())

@@ -181,8 +181,9 @@ func differentialQueries(id string) []string {
 		p + "/stats?format=json&bins=4",
 		p + "/stats?timeresolved=1&bins=6",
 		p + "/stats?timeresolved=1&bins=6&window=0.1:",
-		// A program the kernel compiler rejects: the scalar fallback.
+		// Programs coded over the run's string dictionary.
 		p + "/stats?format=json&expr=" + url.QueryEscape(`table name=m x=("m", markername) y=("n", dura, count)`),
+		p + "/stats?expr=" + url.QueryEscape(`table name=c x=("c", markername + "/" + state) y=("n", dura, count)`),
 		p + "/records",
 		p + "/records?count=1",
 		p + "/records?limit=25&offset=10",

@@ -11,27 +11,26 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 	"sync"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/interval"
 )
 
-// runColumnar evaluates the compiled program over every selected frame
-// and returns the merged groups per table, in the text-keyed form
-// buildTables finalizes, plus the per-table errSkip counts. A worker's
-// executor carries its frame's partial groups to the frame-order reduce
-// and is recycled after it, so a run allocates for its distinct groups,
-// not per frame.
-func (prog *compiledProgram) runColumnar(files []*interval.File, mopts interval.MapOptions, tStart, tEnd clock.Time) ([]map[string]*group, []int64, error) {
-	var markers *markerDict
-	if prog.sl.markers {
-		markers = newMarkerDict(files)
+// generate evaluates the compiled program over every selected frame and
+// returns the finished tables. A worker's executor carries its frame's
+// partial groups to the frame-order reduce and is recycled after it, so
+// a run allocates for its distinct groups, not per frame.
+func (prog *compiledProgram) generate(files []*interval.File, mopts interval.MapOptions, tStart, tEnd clock.Time) ([]*Table, error) {
+	var dict *strDict
+	if prog.sl.markers || prog.sl.nc > 0 {
+		dict = newStrDict(files, prog.sl.nc > 0)
 	}
 	// One executor per worker, pooled: its kernel scratch buffers and
 	// group tables grow to the largest frame once and are reused for
 	// every frame after.
-	pool := sync.Pool{New: func() any { return prog.newExec(tStart, tEnd, markers) }}
+	pool := sync.Pool{New: func() any { return prog.newExec(tStart, tEnd, dict) }}
 	total := prog.newGroupTables()
 	skipped := make([]int64, len(prog.tables))
 	err := interval.MapFrames(files, mopts,
@@ -52,13 +51,13 @@ func (prog *compiledProgram) runColumnar(files []*interval.File, mopts interval.
 			return nil
 		})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	groups := make([]map[string]*group, len(prog.tables))
+	tables := make([]*Table, len(prog.tables))
 	for i, ct := range prog.tables {
-		groups[i] = total[i].textKeyed(ct.xcol, markers)
+		tables[i] = ct.finish(&total[i], skipped[i], dict)
 	}
-	return groups, skipped, nil
+	return tables, nil
 }
 
 // evalFrame folds one frame's batch into x's per-table partial groups.
@@ -90,32 +89,55 @@ func (prog *compiledProgram) evalFrame(x *kexec, mopts interval.MapOptions, file
 	return nil
 }
 
-// markerDict is markername's dictionary. Marker ids are per file, so
-// their names are interned to program-global codes: group keys from
-// different input files agree exactly when the names do. Built once per
-// run and read-only after.
-type markerDict struct {
-	names []string            // code → name; code 0 is "", what an id its table lacks names
-	codes []map[uint64]uint32 // per input file: marker id → code
+// strDict is the run's one string dictionary: every coded string that
+// is not a state or bebits name — marker names and the concatenations
+// kConcat builds — under a run-global code, so group keys from
+// different input files and workers agree exactly when the strings do.
+// Marker ids are per file, so each file's marker table is interned by
+// name up front. Concatenations are interned as workers meet them,
+// under mu; without string + the dictionary never grows and never
+// locks. Codes never order output (finish sorts by text), so the order
+// in which workers intern cannot change a byte.
+type strDict struct {
+	mu      sync.Mutex
+	grows   bool
+	names   []string // code → string; code 0 is "", what a marker id its table lacks names
+	byName  map[string]uint32
+	markers []map[uint64]uint32 // per input file: marker id → code
 }
 
-func newMarkerDict(files []*interval.File) *markerDict {
-	md := &markerDict{names: []string{""}, codes: make([]map[uint64]uint32, len(files))}
-	byName := map[string]uint32{"": 0}
+func newStrDict(files []*interval.File, grows bool) *strDict {
+	d := &strDict{grows: grows, names: []string{""}, byName: map[string]uint32{"": 0}, markers: make([]map[uint64]uint32, len(files))}
 	for fi, f := range files {
 		codes := make(map[uint64]uint32, len(f.Header.Markers))
 		for id, name := range f.Header.Markers {
-			c, ok := byName[name]
-			if !ok {
-				c = uint32(len(md.names))
-				byName[name] = c
-				md.names = append(md.names, name)
-			}
-			codes[id] = c
+			codes[id] = d.intern(name)
 		}
-		md.codes[fi] = codes
+		d.markers[fi] = codes
 	}
-	return md
+	return d
+}
+
+// intern returns s's code, adding s if it is new.
+func (d *strDict) intern(s string) uint32 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	c, ok := d.byName[s]
+	if !ok {
+		c = uint32(len(d.names))
+		d.byName[s] = c
+		d.names = append(d.names, s)
+	}
+	return c
+}
+
+func (d *strDict) name(c uint32) string {
+	if !d.grows {
+		return d.names[c]
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.names[c]
 }
 
 // groupTable is a group-by over fixed-width keys: every group is nx key
@@ -221,8 +243,8 @@ func (t *groupTable) merge(src *groupTable) {
 }
 
 // Group-key words. A number's word is its float64 bits, with every NaN
-// folded to one — a bijection with the %g text the scalar evaluator keys
-// on, -0 and +0 distinct included. A coded column's word is its code; a
+// folded to one — a bijection with the %g text the oracle keys on, -0
+// and +0 distinct included. A coded column's word is its code; a
 // string constant contributes the same word to every group.
 const nanWord = 0x7ff8000000000001
 
@@ -240,40 +262,62 @@ func (x *kexec) keyWord(r *kres, i int) uint64 {
 	return math.Float64bits(v)
 }
 
-// textKeyed rebuilds, once per distinct group, what the scalar
-// evaluator builds per record: the []Value row header and the text key
-// that orders rows whose x values compare equal.
-func (t *groupTable) textKeyed(cols []xcol, markers *markerDict) map[string]*group {
-	out := make(map[string]*group, t.n)
-	for g := 0; g < t.n; g++ {
-		xs := make([]Value, t.nx)
-		for xi, w := range t.key(g) {
-			switch c := cols[xi]; {
+// finish turns the run's merged groups into the table. The []Value row
+// header and the text key are built here, once per distinct group: rows
+// are ordered by text key before sortRows, which decides rows whose x
+// values compare equal (-0 and +0) by that order. Two groups share a
+// text key only when NULs inside strings make the text ambiguous; the
+// scalar semantics cannot tell them apart either, so they become one
+// row, merged in insertion order.
+func (ct *compiledTable) finish(gt *groupTable, skipped int64, dict *strDict) *Table {
+	t := &Table{Name: ct.spec.Name, Skipped: skipped}
+	for _, x := range ct.spec.X {
+		t.XLabels = append(t.XLabels, x.Label)
+	}
+	for _, y := range ct.spec.Y {
+		t.YLabels = append(t.YLabels, y.Label)
+	}
+	type keyed struct {
+		text string
+		g    int
+		xs   []Value
+	}
+	ks := make([]keyed, gt.n)
+	for g := range ks {
+		xs := make([]Value, gt.nx)
+		for xi, w := range gt.key(g) {
+			switch c := ct.xcol[xi]; {
 			case !c.str:
 				xs[xi] = num(math.Float64frombits(w))
 			case c.konst:
 				xs[xi] = str(c.cs)
 			default:
-				xs[xi] = str(codeName(c.kind, uint32(w), markers))
+				xs[xi] = str(codeName(c.kind, uint32(w), dict))
 			}
 		}
-		grp := &group{x: xs, y: t.row(g)}
-		k := groupKey(xs)
-		// Two groups share a text key only when NULs inside marker names
-		// make the text ambiguous; the scalar evaluator cannot tell them
-		// apart either.
-		if d := out[k]; d != nil {
-			mergeCells(d.y, grp.y)
-			continue
-		}
-		out[k] = grp
+		ks[g] = keyed{groupKey(xs), g, xs}
 	}
-	return out
+	sort.SliceStable(ks, func(i, j int) bool { return ks[i].text < ks[j].text })
+	for i := 0; i < len(ks); {
+		cells := gt.row(ks[i].g)
+		j := i + 1
+		for ; j < len(ks) && ks[j].text == ks[i].text; j++ {
+			mergeCells(cells, gt.row(ks[j].g))
+		}
+		row := Row{X: ks[i].xs}
+		for yi, y := range ct.spec.Y {
+			row.Y = append(row.Y, finalize(y.Agg, cells[yi]))
+		}
+		t.Rows = append(t.Rows, row)
+		i = j
+	}
+	sortRows(t)
+	return t
 }
 
 // run accumulates one frame's selected rows into the table's partial
 // groups, returning how many selected records were excluded by skip
-// bitmaps (the columnar errSkip count). Row iteration is in record
+// bitmaps. Row iteration is in record
 // order, so float accumulation order matches a sequential scan exactly.
 func (ct *compiledTable) run(x *kexec, sel []uint64, gt *groupTable) (int64, error) {
 	mask := x.mbuf(ct.maskSlot)

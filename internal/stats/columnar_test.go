@@ -1,13 +1,11 @@
 package stats_test
 
-// Differential tests for the columnar kernels: every program that the
-// kernel compiler accepts must produce byte-identical TSV (and identical
-// Skipped counts) to the record-at-a-time evaluator, on fixture files at
-// every header version the format has shipped. The production entry
-// points pick the kernels whenever a program is lowerable; the scalar
-// evaluator is reached directly through stats.GenerateSpecsScalar
-// (export_test.go), so the oracle never depends on what the compiler
-// accepts.
+// Differential tests for the columnar kernels: every program that
+// parses compiles, and must produce byte-identical TSV (and identical
+// Skipped counts) to the record-at-a-time oracle, or fail where it
+// fails, on fixture files at every header version the format has
+// shipped. The oracle is test-only and reached through
+// stats.GenerateSpecsScalar (export_test.go).
 
 import (
 	"fmt"
@@ -66,8 +64,8 @@ func versionFixtures(t *testing.T) map[uint32]*interval.File {
 }
 
 // renderTables flattens generation output, including the per-table
-// engine flag and excluded-record count, so any divergence — values,
-// row order, skip accounting — fails the comparison.
+// excluded-record count, so any divergence — values, row order, skip
+// accounting — fails the comparison.
 func renderTables(tables []*stats.Table) string {
 	var b strings.Builder
 	for _, tb := range tables {
@@ -77,7 +75,7 @@ func renderTables(tables []*stats.Table) string {
 }
 
 // generateScalar runs program on the scalar oracle.
-func generateScalar(program string, files []*interval.File, opts stats.Options) ([]*stats.Table, error) {
+func generateScalar(program string, files []*interval.File, opts interval.MapOptions) ([]*stats.Table, error) {
 	specs, err := stats.Parse(program)
 	if err != nil {
 		return nil, err
@@ -85,43 +83,27 @@ func generateScalar(program string, files []*interval.File, opts stats.Options) 
 	return stats.GenerateSpecsScalar(specs, files, opts)
 }
 
-// allColumnar reports whether the kernels produced every table.
-func allColumnar(tables []*stats.Table) bool {
-	for _, tb := range tables {
-		if !tb.Columnar {
-			return false
-		}
-	}
-	return true
-}
-
 // runBoth evaluates one program on the scalar oracle and through the
-// production entry point, and reports the outputs, the errors, and
-// whether production answered with the columnar kernels.
-func runBoth(program string, files []*interval.File, opts stats.Options) (scalar, columnar string, serr, cerr error, kernels bool) {
+// production entry point, and reports the outputs and the errors.
+func runBoth(program string, files []*interval.File, opts interval.MapOptions) (scalar, columnar string, serr, cerr error) {
 	st, serr := generateScalar(program, files, opts)
 	ct, cerr := stats.GenerateOpts(program, files, opts)
-	return renderTables(st), renderTables(ct), serr, cerr, cerr == nil && allColumnar(ct)
+	return renderTables(st), renderTables(ct), serr, cerr
 }
 
 // diffProgram asserts the two evaluators agree on program: same
-// error-or-not outcome, and byte-identical rendering on success — and
-// that a program which runs at all ran on the kernels, so the
-// comparison is never the oracle against itself.
-func diffProgram(t *testing.T, program string, files []*interval.File, opts stats.Options) {
+// error-or-not outcome, and byte-identical rendering on success.
+func diffProgram(t *testing.T, program string, files []*interval.File, opts interval.MapOptions) {
 	t.Helper()
 	if _, err := stats.Parse(program); err != nil {
 		t.Fatalf("program %q does not parse (vacuous comparison): %v", program, err)
 	}
-	s, c, serr, cerr, kernels := runBoth(program, files, opts)
+	s, c, serr, cerr := runBoth(program, files, opts)
 	if (serr == nil) != (cerr == nil) {
 		t.Fatalf("engines disagree on error for %q:\n  scalar:   %v\n  columnar: %v", program, serr, cerr)
 	}
 	if serr != nil {
 		return
-	}
-	if !kernels {
-		t.Fatalf("program %q fell back to the scalar evaluator (vacuous comparison)", program)
 	}
 	if s != c {
 		t.Fatalf("engines diverge for %q:\n--- scalar ---\n%s--- columnar ---\n%s", program, s, c)
@@ -133,25 +115,15 @@ func TestColumnarPredefinedAllVersions(t *testing.T) {
 	program := stats.Predefined(16)
 	for v := uint32(1); v <= interval.CurrentHeaderVersion; v++ {
 		f := fixtures[v]
-		diffProgram(t, program, []*interval.File{f}, stats.Options{})
-		// The columnar kernels must actually have run (predefined tables
-		// are fully lowerable) and report so.
-		tables, err := stats.GenerateOpts(program, []*interval.File{f}, stats.Options{})
-		if err != nil {
-			t.Fatalf("v%d: columnar: %v", v, err)
-		}
-		for _, tb := range tables {
-			if !tb.Columnar {
-				t.Fatalf("v%d: table %q not marked columnar", v, tb.Name)
-			}
-		}
+		diffProgram(t, program, []*interval.File{f}, interval.MapOptions{})
 	}
 }
 
 // differentialPrograms exercises every kernel the compiler emits:
 // field loads (numeric and string), extras with per-type skip bitmaps,
 // all arithmetic and comparison ops, short-circuit logic over skipping
-// operands, bin/floor/abs, grouping on mixed key kinds, and the
+// operands, bin/floor/abs, string concatenation, grouping on mixed key
+// kinds, type errors that the rows reaching them raise or skip, and the
 // division/modulo and floor-needs-a-number runtime errors.
 var differentialPrograms = []string{ // (big is 1e200, spelled out: the lexer has no exponents)
 	`table name=count y=("n", dura, count)`,
@@ -211,6 +183,30 @@ var differentialPrograms = []string{ // (big is 1e200, spelled out: the lexer ha
 	`table name=multi1 y=("n", dura, count)
 table name=multi2 x=("x", node) y=("t", dura, sum)
 table name=multi3 condition=(msgSizeSent > 0) x=("x", peer) y=("b", msgSizeSent, avg)`,
+	// String concatenation: a group key (nested, over every string
+	// leaf, constant operands on either side, skipping through
+	// markername), compared with constants and with coded columns,
+	// a truth value, and constants folded.
+	`table name=catkey x=("c", state + "/" + bebits) y=("n", dura, count) y=("t", dura, sum)`,
+	`table name=catmark x=("m", markername + "/" + state) x=("b", bebits + markername) y=("n", dura, count)`,
+	`table name=catnest x=("n", ("<" + (state + "-")) + (bebits + ("-" + markername))) y=("n", dura, count)`,
+	`table name=catcmp condition=(state + bebits == "MPI_Sendbegin" || "x" + markername < state + "") x=("s", state) y=("n", dura, count)`,
+	`table name=catcoded condition=(state + "" == state && bebits + markername != markername) x=("lt", state + "" < bebits + "") y=("n", dura, count)`,
+	`table name=cattruth condition=(bebits + "" && !(markername + "")) y=("n", dura, count)`,
+	`table name=catconst x=("c", "a" + "b") x=("d", "" + "") x=("e", ("a" + "b") + state) y=("n", dura, count)`,
+	`table name=catmulti x=("a", state + "!") y=("n", dura, count)
+table name=catmulti2 x=("b", markername + state) y=("t", dura, sum)`,
+	// Type errors the rows reaching them never raise: a constant or
+	// selective short circuit, or an operand's skip.
+	`table name=shortconst condition=(0 && nosuchfn(1)) y=("n", dura, count)`,
+	`table name=shortsel condition=(msgSizeSent > 1000000000 && -state) y=("n", dura, count)`,
+	`table name=shortor condition=(cpu >= 0 || state == 1 || bin(start)) y=("n", dura, count)`,
+	`table name=shortfloor condition=(msgSizeSent > 1000000000 && floor(state) + abs() + bin(state, 2)) y=("n", dura, count)`,
+	`table name=typeskip condition=(msgSizeSent > 0 && markername - 1) y=("n", dura, count)`,
+	`table name=typeskipx condition=(state == "MPI_Send") x=("x", markername * "s") y=("n", dura, count)`,
+	// The right operand runs only where the left did not skip: without
+	// marker records this divides by zero nowhere.
+	`table name=mixskip y=("n", markername + dura / (cpu - cpu), sum)`,
 	// Runtime errors: both engines must fail (single-table programs, so
 	// the reported error is unambiguous).
 	`table name=divzero y=("r", dura / (cpu - cpu), sum)`,
@@ -219,6 +215,9 @@ table name=multi3 condition=(msgSizeSent > 0) x=("x", peer) y=("b", msgSizeSent,
 	`table name=absskip y=("n", abs(msgSizeRecv), sum)`,
 	`table name=stringy y=("s", state, sum)`,
 	`table name=binzero x=("x", bin(start, 0)) y=("n", dura, count)`,
+	`table name=caty y=("s", state + "!", sum)`,
+	`table name=mixed condition=(markername + 1) y=("n", dura, count)`,
+	`table name=negstr y=("n", -(state + ""), sum)`,
 }
 
 var big = "1" + strings.Repeat("0", 200)
@@ -279,51 +278,67 @@ func TestColumnarDifferentialExpressions(t *testing.T) {
 		{coded[1], fixtures[interval.CurrentHeaderVersion], coded[0]},
 	} {
 		for _, program := range differentialPrograms {
-			diffProgram(t, program, files, stats.Options{})
-			diffProgram(t, program, files, stats.Options{Parallel: 4})
+			diffProgram(t, program, files, interval.MapOptions{})
+			diffProgram(t, program, files, interval.MapOptions{Parallel: 4})
 		}
 	}
 	// The coded fixtures are not vacuous: marker names group across the
-	// two files' tables, and the odd types and bebits reach the output.
+	// two files' tables, concatenations over them too (one file names
+	// id 2 "beta", the other "gamma"), and the odd types and bebits
+	// reach the output.
 	tables, err := stats.GenerateOpts(`table name=m x=("m", markername) x=("b", bebits) y=("n", dura, count)
-table name=s x=("s", state) y=("n", dura, count)`, coded, stats.Options{})
+table name=s x=("s", state) y=("n", dura, count)
+table name=c x=("c", markername + "|" + bebits) y=("n", dura, count)`, coded, interval.MapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"beta\tbebits?", "gamma\t", "\tbegin\t", "Type(0x0701)"} {
+	for _, want := range []string{"beta\tbebits?", "gamma\t", "\tbegin\t", "Type(0x0701)", "\nbeta|bebits?\t", "\ngamma|bebits?\t", "\nalpha|begin\t"} {
 		if !strings.Contains(renderTables(tables), want) {
 			t.Fatalf("coded fixture output lacks %q:\n%s", want, renderTables(tables))
 		}
 	}
 }
 
-// TestColumnarRuntimeErrorMessages pins the wrapped error text on the
-// single-error programs, where both engines must report the same thing.
+// TestColumnarRuntimeErrorMessages pins the wrapped error text on
+// single-error programs, one per runtime error the language can raise,
+// where both engines must report the same thing. The coded fixtures
+// carry marker records, so markername reaches the mixed-type error too.
 func TestColumnarRuntimeErrorMessages(t *testing.T) {
-	mf := mergedFile(t)
-	files := []*interval.File{mf}
+	files := codedFixtures(t)
 	for _, tc := range []struct{ program, want string }{
 		{`table name=dz y=("r", dura / (cpu - cpu), sum)`, "stats: division by zero"},
 		{`table name=mz y=("r", node % 0, sum)`, "stats: modulo by zero"},
 		{`table name=fs y=("n", floor(msgSizeSent), sum)`, "stats: floor() needs a number"},
 		{`table name=as y=("n", abs(msgSizeRecv), sum)`, "stats: abs() needs a number"},
+		{`table name=bz x=("x", bin(start, 0)) y=("n", dura, count)`, "stats: bin() needs numeric arguments"},
+		{`table name=ns y=("n", -state, count)`, "stats: unary - on string"},
+		{`table name=mc condition=(state == 1) y=("n", dura, count)`, "stats: cannot compare string with number (==)"},
+		{`table name=ss x=("x", state - bebits) y=("n", dura, count)`, `stats: operator "-" not defined on strings`},
+		{`table name=bs x=("x", bin(state, 4)) y=("n", dura, count)`, "stats: bin() needs numeric arguments"},
+		{`table name=fst y=("n", floor(state), sum)`, "stats: floor() needs a number"},
+		{`table name=ast y=("n", abs(bebits + ""), sum)`, "stats: abs() needs a number"},
+		{`table name=uf y=("n", nosuchfn(dura), sum)`, `stats: unknown function "nosuchfn"`},
+		{`table name=ba x=("x", bin(start)) y=("n", dura, count)`, "stats: bin() takes (time, nbins)"},
+		{`table name=mp x=("x", markername + 1) y=("n", dura, count)`, "stats: cannot compare string with number (+)"},
+		{`table name=fa y=("n", floor(), sum)`, "stats: floor() takes one argument"},
+		{`table name=aa y=("n", abs(dura, 1), sum)`, "stats: abs() takes one argument"},
+		// A wrong arity or an unknown function evaluates no argument.
+		{`table name=bd x=("x", bin(dura / 0)) y=("n", dura, count)`, "stats: bin() takes (time, nbins)"},
+		{`table name=fd y=("n", floor(dura / 0, 1), sum)`, "stats: floor() takes one argument"},
+		{`table name=ud y=("n", nosuchfn(dura / 0), sum)`, `stats: unknown function "nosuchfn"`},
+		{`table name=sy y=("s", state + "!", sum)`, `y expression "s" produced a string`},
 	} {
-		specs, err := stats.Parse(tc.program)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !stats.Lowerable(specs[0]) {
-			t.Fatalf("%q is not lowerable: the kernels' error path would go untested", tc.program)
-		}
-		_, _, serr, cerr, _ := runBoth(tc.program, files, stats.Options{})
-		if serr == nil || cerr == nil {
-			t.Fatalf("%q: expected both engines to fail, scalar=%v columnar=%v", tc.program, serr, cerr)
-		}
-		if serr.Error() != cerr.Error() {
-			t.Fatalf("%q: error text differs:\n  scalar:   %v\n  columnar: %v", tc.program, serr, cerr)
-		}
-		if !strings.Contains(cerr.Error(), tc.want) {
-			t.Fatalf("%q: error %v does not mention %q", tc.program, cerr, tc.want)
+		for _, par := range []int{1, 4} {
+			_, _, serr, cerr := runBoth(tc.program, files, interval.MapOptions{Parallel: par})
+			if serr == nil || cerr == nil {
+				t.Fatalf("%q: expected both engines to fail, scalar=%v columnar=%v", tc.program, serr, cerr)
+			}
+			if serr.Error() != cerr.Error() {
+				t.Fatalf("%q: error text differs:\n  scalar:   %v\n  columnar: %v", tc.program, serr, cerr)
+			}
+			if !strings.Contains(cerr.Error(), tc.want) {
+				t.Fatalf("%q: error %v does not mention %q", tc.program, cerr, tc.want)
+			}
 		}
 	}
 }
@@ -344,7 +359,7 @@ func TestColumnarWindowedDifferential(t *testing.T) {
 		{fs + (fe-fs)/3, fs + (fe-fs)/3 + 1}, // near-degenerate
 	} {
 		for _, par := range []int{1, 4} {
-			opts := stats.Options{Parallel: par, Window: true, Lo: win[0], Hi: win[1]}
+			opts := interval.MapOptions{Parallel: par, Window: true, Lo: win[0], Hi: win[1]}
 			diffProgram(t, program, []*interval.File{f}, opts)
 		}
 	}
@@ -394,9 +409,9 @@ func TestColumnarAllocsPerGroup(t *testing.T) {
 	}
 	groups := 0
 	allocs := testing.AllocsPerRun(5, func() {
-		tables, err := stats.GenerateSpecsOpts(specs, []*interval.File{f}, stats.Options{Parallel: 1})
-		if err != nil || !allColumnar(tables) {
-			t.Fatalf("err=%v columnar=%v", err, allColumnar(tables))
+		tables, err := stats.GenerateSpecsOpts(specs, []*interval.File{f}, interval.MapOptions{Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
 		groups = 0
 		for _, tb := range tables {
@@ -431,15 +446,12 @@ func TestColumnarSkippedCountSurfaced(t *testing.T) {
 	if want == 0 {
 		t.Fatal("fixture has no records lacking msgSizeSent; test is vacuous")
 	}
-	for name, gen := range map[string]func(string, []*interval.File, stats.Options) ([]*stats.Table, error){
+	for name, gen := range map[string]func(string, []*interval.File, interval.MapOptions) ([]*stats.Table, error){
 		"scalar": generateScalar, "columnar": stats.GenerateOpts,
 	} {
-		tables, err := gen(program, files, stats.Options{})
+		tables, err := gen(program, files, interval.MapOptions{})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if tables[0].Columnar != (name == "columnar") {
-			t.Fatalf("%s run reports Columnar=%v", name, tables[0].Columnar)
 		}
 		if tables[0].Skipped != want {
 			t.Fatalf("%s: Skipped = %d, want %d", name, tables[0].Skipped, want)
@@ -447,109 +459,108 @@ func TestColumnarSkippedCountSurfaced(t *testing.T) {
 	}
 }
 
-// TestColumnarFallback pins the compiler's refusal list: string
-// concatenation builds strings no dictionary holds, so programs using
-// it are not lowerable. Generation must silently fall back and produce
-// the scalar oracle's exact output.
-func TestColumnarFallback(t *testing.T) {
-	mf := mergedFile(t)
-	files := []*interval.File{mf}
-	program := `table name=cat x=("x", state + "!") y=("n", dura, count)`
-
-	specs, err := stats.Parse(program)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range specs {
-		if stats.Lowerable(spec) {
-			t.Fatalf("spec %q unexpectedly lowerable", spec.Name)
-		}
-	}
-
-	auto, err := stats.GenerateOpts(program, files, stats.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := generateScalar(program, files, stats.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tb := range auto {
-		if tb.Columnar {
-			t.Fatalf("auto engine marked table %q columnar despite fallback", tb.Name)
-		}
-	}
-	if renderTables(auto) != renderTables(scalar) {
-		t.Fatal("fallback output differs from the scalar oracle")
-	}
-
-	// One lowerable spec plus one unlowerable spec: compilation is
-	// all-or-nothing, so the whole program falls back.
-	mixed := program + "\ntable name=ok y=(\"n\", dura, count)"
-	tables, err := stats.GenerateOpts(mixed, files, stats.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tb := range tables {
-		if tb.Columnar {
-			t.Fatalf("mixed program: table %q marked columnar", tb.Name)
+// requireOracle fails unless production answers every program exactly
+// as the oracle answers it — the same bytes, or the same error text — on
+// merged and coded input, serial and parallel. Each program is alone in
+// its table and raises at most one kind of error, so the text is
+// unambiguous.
+func requireOracle(t *testing.T, programs ...string) {
+	t.Helper()
+	coded := codedFixtures(t)
+	merged := []*interval.File{mergedFile(t)}
+	for _, program := range programs {
+		for _, files := range [][]*interval.File{merged, coded} {
+			for _, par := range []int{1, 4} {
+				s, c, serr, cerr := runBoth(program, files, interval.MapOptions{Parallel: par})
+				if fmt.Sprint(serr) != fmt.Sprint(cerr) || s != c {
+					t.Fatalf("production differs from the oracle on %q:\n  scalar:   %v\n%s  columnar: %v\n%s", program, serr, s, cerr, c)
+				}
+			}
 		}
 	}
 }
 
+// TestColumnarFallback: the programs the compiler once refused and sent
+// to a scalar fallback — string concatenation, alone or beside a spec it
+// accepted — now compile like any other and match the oracle.
+func TestColumnarFallback(t *testing.T) {
+	requireOracle(t,
+		`table name=a x=("x", state + "!") y=("n", dura, count)`,
+		`table name=a x=("x", state + "!") y=("n", dura, count)
+table name=b y=("n", dura, count)`,
+	)
+}
+
+// TestLowerableCoverage: the programs the compiler's old acceptance
+// predicate classified, accepted and refused alike, are all answered
+// exactly as the oracle answers them.
 func TestLowerableCoverage(t *testing.T) {
-	for _, tc := range []struct {
-		program string
-		want    bool
-	}{
-		{`table name=a y=("n", dura, count)`, true},
-		{`table name=a condition=(state == "Running") x=("b", bin(start, 4)) x=("n", node) y=("n", floor(dura), sum)`, true},
-		{`table name=a x=("x", markername) y=("n", dura, count)`, true},
-		{`table name=a x=("x", state + "!") y=("n", dura, count)`, false},   // string concatenation
-		{`table name=a condition=(state == 1) y=("n", dura, count)`, false}, // kind mismatch
-		{`table name=a y=("n", -state, count)`, false},                      // unary minus on string
-		{`table name=a x=("x", bin(state, 4)) y=("n", dura, count)`, false}, // bin on string
-		{`table name=a y=("n", floor(state), sum)`, false},                  // floor on string
-		{`table name=a y=("n", nosuchfn(dura), sum)`, false},                // unknown function
-		{`table name=a condition=(markername == "x") y=("n", dura, count)`, true},
-		{`table name=a condition=(markername == 1) y=("n", dura, count)`, false},
-	} {
-		specs, err := stats.Parse(tc.program)
-		if err != nil {
-			t.Fatalf("%q: parse: %v", tc.program, err)
-		}
-		if got := stats.Lowerable(specs[0]); got != tc.want {
-			t.Fatalf("Lowerable(%q) = %v, want %v", tc.program, got, tc.want)
-		}
-	}
+	requireOracle(t,
+		`table name=a y=("n", dura, count)`,
+		`table name=a condition=(state == "Running") x=("b", bin(start, 4)) x=("n", node) y=("n", floor(dura), sum)`,
+		`table name=a x=("x", markername) y=("n", dura, count)`,
+		`table name=a condition=(markername == "x") y=("n", dura, count)`,
+		`table name=a condition=(state == 1) y=("n", dura, count)`,
+		`table name=a condition=(markername == 1) y=("n", dura, count)`,
+		`table name=a y=("n", -state, count)`,
+		`table name=a x=("x", bin(state, 4)) y=("n", dura, count)`,
+		`table name=a y=("n", floor(state), sum)`,
+		`table name=a y=("n", nosuchfn(dura), sum)`,
+	)
+}
+
+// TestEveryParsedProgramCompiles: there is no fallback to hide behind,
+// so every program that parses — the language's whole surface, including
+// type errors the rows reaching them raise or skip — must be answered by
+// production exactly as the oracle answers it.
+func TestEveryParsedProgramCompiles(t *testing.T) {
+	requireOracle(t,
+		`table name=a x=("x", bin(start, bebits)) y=("n", dura, count)`,
+		`table name=a y=("n", abs(markername), sum)`,
+		`table name=a y=("n", nosuchfn(), sum)`,
+		`table name=a x=("x", bin(start)) y=("n", dura, count)`,
+		`table name=a x=("x", bin(start, 1, 2)) y=("n", dura, count)`,
+		`table name=a y=("n", floor(dura, 1), sum)`,
+		`table name=a y=("n", abs(), sum)`,
+		`table name=a x=("x", state * bebits) y=("n", dura, count)`,
+		`table name=a x=("x", "a" / "b") y=("n", dura, count)`,
+		`table name=a x=("x", "a" % state) y=("n", dura, count)`,
+		`table name=a x=("x", 1 - "a") y=("n", dura, count)`,
+		`table name=a condition=(bebits < 2) y=("n", dura, count)`,
+		`table name=a condition=(0 && nosuchfn(1)) y=("n", dura, count)`,
+		`table name=a condition=(msgSizeSent > 1000000000 && -state) y=("n", dura, count)`,
+		`table name=a condition=(msgSizeSent > 0 && markername + 1) y=("n", dura, count)`,
+		`table name=a x=("m", markername + "/" + state) y=("n", dura, count)`,
+		`table name=a condition=(state + bebits == "MPI_Sendbegin") y=("n", dura, count)`,
+		`table name=a condition=(bebits + "") x=("c", "a" + "b") y=("n", dura, count)`,
+	)
 }
 
 // Grammar-directed expression sampler for the property test below. It
-// only emits expressions inside the compiler's accepted subset — the
-// point is to compare the two engines on programs both can run — but
-// freely mixes skipping extras, short-circuit logic, and the partial
-// functions, so runtime error paths are sampled too.
+// covers the whole language: skipping extras, short-circuit logic, the
+// partial functions, string leaves and (nested) concatenation, string
+// comparison and truthiness, and — rarer, so most programs still run
+// to completion — every type error, often under a guard that keeps
+// some or all rows from reaching it.
 type exprGen struct{ r *rand.Rand }
 
+func (g *exprGen) pick(xs ...string) string { return xs[g.r.Intn(len(xs))] }
+
 func (g *exprGen) numField() string {
-	fields := []string{"start", "dura", "end", "node", "cpu", "thread", "type", "iscall",
-		"msgSizeSent", "msgSizeRecv", "peer", "tag", "comm", "seqno"}
-	return fields[g.r.Intn(len(fields))]
+	return g.pick("start", "dura", "end", "node", "cpu", "thread", "type", "iscall",
+		"msgSizeSent", "msgSizeRecv", "peer", "tag", "comm", "seqno")
 }
 
 func (g *exprGen) num(depth int) string {
 	if depth <= 0 {
-		switch g.r.Intn(3) {
-		case 0:
+		if g.r.Intn(3) == 0 {
 			return fmt.Sprintf("%d", g.r.Intn(7))
-		default:
-			return g.numField()
 		}
+		return g.numField()
 	}
-	switch g.r.Intn(8) {
+	switch g.r.Intn(12) {
 	case 0:
-		return fmt.Sprintf("(%s %s %s)", g.num(depth-1),
-			[]string{"+", "-", "*", "/", "%"}[g.r.Intn(5)], g.num(depth-1))
+		return fmt.Sprintf("(%s %s %s)", g.num(depth-1), g.pick("+", "-", "*", "/", "%"), g.num(depth-1))
 	case 1:
 		return fmt.Sprintf("(-%s)", g.num(depth-1))
 	case 2:
@@ -559,38 +570,100 @@ func (g *exprGen) num(depth int) string {
 	case 4:
 		return fmt.Sprintf("bin(%s, %d)", g.numField(), 1+g.r.Intn(16))
 	case 5:
-		return fmt.Sprintf("(%s %s %s)", g.num(depth-1),
-			[]string{"<", "<=", ">", ">=", "==", "!="}[g.r.Intn(6)], g.num(depth-1))
+		return fmt.Sprintf("(%s %s %s)", g.num(depth-1), g.pick("<", "<=", ">", ">=", "==", "!="), g.num(depth-1))
 	case 6:
-		return fmt.Sprintf("(%s %s %s)", g.num(depth-1),
-			[]string{"&&", "||"}[g.r.Intn(2)], g.num(depth-1))
+		return fmt.Sprintf("(%s %s %s)", g.num(depth-1), g.pick("&&", "||"), g.num(depth-1))
+	case 7:
+		return fmt.Sprintf("(%s %s %s)", g.str(depth-1), g.pick("<", "<=", ">", ">=", "==", "!="), g.str(depth-1))
+	case 8:
+		return fmt.Sprintf("(%s %s %s)", g.pick("!", ""), g.str(depth-1), g.pick("&&", "||")+" "+g.num(depth-1))
+	case 9:
+		if g.r.Intn(3) == 0 {
+			return g.typeErr(depth)
+		}
+		// A guard that lets few, some or no rows reach the type error.
+		return fmt.Sprintf("(%s %s %s)", g.pick("msgSizeSent > 1000000000", "peer == 1", "cpu > 0", "0", "1"), g.pick("&&", "||"), g.typeErr(depth))
 	default:
 		return g.numField()
 	}
 }
 
+// str samples a string-valued expression.
+func (g *exprGen) str(depth int) string {
+	if depth <= 0 || g.r.Intn(2) == 0 {
+		return g.pick("state", "bebits", "markername", `"x"`, `""`, `"MPI_Send"`)
+	}
+	return fmt.Sprintf("(%s + %s)", g.str(depth-1), g.str(depth-1))
+}
+
+// typeErr samples an expression the language rejects by type.
+func (g *exprGen) typeErr(depth int) string {
+	switch g.r.Intn(7) {
+	case 0:
+		op := g.pick("+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=")
+		if g.r.Intn(2) == 0 {
+			return fmt.Sprintf("(%s %s %s)", g.str(depth-1), op, g.num(depth-1))
+		}
+		return fmt.Sprintf("(%s %s %s)", g.num(depth-1), op, g.str(depth-1))
+	case 1:
+		return fmt.Sprintf("(%s %s %s)", g.str(depth-1), g.pick("-", "*", "/", "%"), g.str(depth-1))
+	case 2:
+		return fmt.Sprintf("(-%s)", g.str(depth-1))
+	case 3:
+		if g.r.Intn(2) == 0 {
+			return fmt.Sprintf("bin(%s, %d)", g.str(depth-1), 1+g.r.Intn(4))
+		}
+		return fmt.Sprintf("bin(%s, %s)", g.numField(), g.str(depth-1))
+	case 4:
+		return fmt.Sprintf("%s(%s)", g.pick("floor", "abs"), g.str(depth-1))
+	case 5:
+		return fmt.Sprintf("nosuchfn(%s)", g.num(depth-1))
+	default:
+		return g.pick("bin(start)", "bin(start, 2, 3)", "floor()", "abs(dura, 1)")
+	}
+}
+
 func (g *exprGen) cond(depth int) string {
 	if g.r.Intn(4) == 0 {
-		return fmt.Sprintf("(state %s bebits)", []string{"==", "!="}[g.r.Intn(2)])
+		return fmt.Sprintf("(%s %s %s)", g.str(depth), g.pick("==", "!="), g.str(depth))
 	}
 	return g.num(depth)
 }
 
 func TestColumnarGrammarSampledDifferential(t *testing.T) {
 	fixtures := versionFixtures(t)
-	files := []*interval.File{fixtures[1], fixtures[interval.CurrentHeaderVersion]}
+	merged := []*interval.File{fixtures[1], fixtures[interval.CurrentHeaderVersion]}
+	coded := codedFixtures(t)
 	g := &exprGen{r: rand.New(rand.NewSource(42))}
 	aggs := []string{"sum", "count", "avg", "min", "max"}
-	for i := 0; i < 80; i++ {
+	var failed, ran int
+	for i := 0; i < 200; i++ {
+		x := g.num(1)
+		if g.r.Intn(3) == 0 {
+			x = g.str(2)
+		}
+		y := g.num(2)
+		if g.r.Intn(20) == 0 {
+			y = g.str(1)
+		}
 		program := fmt.Sprintf("table name=t%d condition=(%s) x=(%q, %s) y=(%q, %s, %s)",
-			i, g.cond(2), "x", g.num(1), "v", g.num(2), aggs[g.r.Intn(len(aggs))])
-		specs, err := stats.Parse(program)
-		if err != nil {
+			i, g.cond(2), "x", x, "v", y, aggs[g.r.Intn(len(aggs))])
+		if _, err := stats.Parse(program); err != nil {
 			t.Fatalf("sampler produced unparsable program %q: %v", program, err)
 		}
-		if !stats.Lowerable(specs[0]) {
-			t.Fatalf("sampler produced unlowerable program %q", program)
+		for _, files := range [][]*interval.File{merged, coded} {
+			diffProgram(t, program, files, interval.MapOptions{})
+			if _, err := stats.GenerateOpts(program, files, interval.MapOptions{}); err != nil {
+				failed++
+			} else {
+				ran++
+			}
 		}
-		diffProgram(t, program, files, stats.Options{})
 	}
+	// Both outcomes must be well represented, or the comparison is
+	// mostly of errors (or never of one).
+	if failed < 40 || ran < 200 {
+		t.Fatalf("%d runs failed and %d succeeded: the sampler's mix is off", failed, ran)
+	}
+	t.Logf("%d runs failed, %d succeeded", failed, ran)
 }

@@ -7,33 +7,30 @@ package stats
 // buffers, with selection bitmaps standing in for the scalar
 // evaluator's lazy control flow.
 //
-// The contract is byte-identity with the record-at-a-time evaluator on
-// every expression the compiler accepts:
+// Every program that parses compiles. The contract is byte-identity
+// with the record-at-a-time semantics, which the test-only oracle
+// (oracle_test.go) implements by walking the parse tree per record:
 //
 //   - Values are computed with the same float64 operations in the same
 //     per-record order, so sums, keys, and TSV text match bit for bit.
 //   - Runtime errors (division by zero, bin() argument checks, floor()
-//     on a skip) stay lazy: a kernel raises them only for rows the
-//     scalar evaluator would actually have reached, which the selection
-//     bitmap tracks through short-circuit && / || exactly.
-//   - errSkip becomes a per-row skip bitmap. Skip bitmaps are
-//     row-static — determined by record contents alone, never by the
-//     selection — so composing them through nested operators is
-//     deterministic.
+//     on a skip, and every type error — kTypeErr) stay lazy: a kernel
+//     raises them only for rows the scalar semantics would actually
+//     reach, which the selection bitmap tracks through short-circuit
+//     && / || exactly.
+//   - A record lacking a referenced field becomes a per-row skip
+//     bitmap. Skip bitmaps are row-static — determined by record
+//     contents alone, never by the selection — so composing them
+//     through nested operators is deterministic.
 //
-// String-valued expressions never materialize strings: the three string
-// leaves (state, bebits, markername) are coded columns — a small integer
-// per row plus a dictionary consulted once per distinct code — and the
-// kernels that consume them (comparison, truthiness, the group-by in
-// columnar.go) work on the codes.
-//
-// Anything the compiler cannot prove equivalent (string concatenation,
-// mixed string/number arithmetic, unknown functions, wrong arities) is
-// not lowered: compileProgram reports failure and the caller falls back
-// to the scalar evaluator, preserving that path's exact runtime
-// behavior including its lazily raised errors.
+// String-valued expressions never materialize strings per row: the
+// string leaves (state, bebits, markername) and concatenations are coded
+// columns — a small integer per row plus a dictionary consulted once per
+// distinct code — and the kernels that consume them (comparison,
+// truthiness, the group-by in columnar.go) work on the codes.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -48,14 +45,15 @@ import (
 // kernel node owns fixed slots into the executor's buffer tables, so
 // evaluation never allocates once the buffers have grown to frame size.
 type kslots struct {
-	nf, nu, nm, nt int
-	markers        bool // some expression reads markername
+	nf, nu, nm, nt, nc int
+	markers            bool // some expression reads markername
 }
 
 func (s *kslots) f() int  { s.nf++; return s.nf - 1 }
 func (s *kslots) u() int  { s.nu++; return s.nu - 1 }
 func (s *kslots) m() int  { s.nm++; return s.nm - 1 }
 func (s *kslots) tt() int { s.nt++; return s.nt - 1 }
+func (s *kslots) c() int  { s.nc++; return s.nc - 1 }
 
 // codeKind names the dictionary a coded column's codes index.
 type codeKind uint8
@@ -63,15 +61,15 @@ type codeKind uint8
 const (
 	ckState  codeKind = iota // codes are the batch's Type column; names are Type.Name
 	ckBebits                 // codes are the batch's Bebits column; names are Bebits.String
-	ckMarker                 // codes are program-global marker-name ids (markerDict)
+	ckDict                   // codes are run-global ids in the run's string dictionary (strDict)
 )
 
 // kres is one kernel's result for a frame: a constant, a float column,
 // or (str && !konst) a coded column of the given kind, plus an optional
-// skip bitmap marking rows that lack a referenced field (the vectorized
-// errSkip). Values at skipped rows are undefined (codes stay valid
-// dictionary indices). Skip bitmaps cover all rows of the frame, not
-// just selected ones; consumers intersect with their selection.
+// skip bitmap marking rows that lack a referenced field. Values at
+// skipped rows are undefined (codes stay valid dictionary indices). Skip
+// bitmaps cover all rows of the frame, not just selected ones; consumers
+// intersect with their selection.
 type kres struct {
 	konst bool
 	str   bool
@@ -79,7 +77,7 @@ type kres struct {
 	cf    float64
 	cs    string
 	f     []float64
-	mk    []uint32 // ckMarker codes; state and bebits read the batch's own columns
+	dc    []uint32 // ckDict codes; state and bebits read the batch's own columns
 	skip  []uint64
 }
 
@@ -98,9 +96,9 @@ func (r *kres) truthAt(i int) bool { return r.fAt(i) != 0 }
 type kernel interface {
 	isStr() bool
 	// eval computes the node over the frame bound to x. sel marks the
-	// rows the scalar evaluator would reach; it gates runtime error
-	// checks and short-circuit laziness, but value columns may be
-	// computed for all rows (junk at unreached rows is harmless — those
+	// rows the oracle would reach; it gates runtime error checks and
+	// short-circuit laziness, but value columns may be computed for
+	// all rows (junk at unreached rows is harmless — those
 	// rows are never consumed).
 	eval(x *kexec, sel []uint64) (kres, error)
 }
@@ -113,27 +111,29 @@ type kexec struct {
 	n, nw   int // rows, bitmap words
 	b       *interval.Batch
 	file    int
-	markers *markerDict
+	dict    *strDict
 	tStart  clock.Time
 	tEnd    clock.Time
 	f       [][]float64
 	u       [][]uint32
 	m       [][]uint64
-	tt      [][]uint8 // per-code verdict tables; dictionaries never change, so they outlive frames
+	tt      [][]uint8           // per-code verdict tables; a code never changes its string, so they outlive frames
+	memo    []map[uint64]uint32 // per kConcat: result code by (left code, right code), for the executor's lifetime
 	xres    []kres
 	yres    []kres
 	key     []uint64
 	groups  []groupTable // per table: the bound frame's partial groups
-	skipped []int64      // per table: the bound frame's errSkip count
+	skipped []int64      // per table: the bound frame's skipped-record count
 }
 
-func (p *compiledProgram) newExec(tStart, tEnd clock.Time, markers *markerDict) *kexec {
+func (p *compiledProgram) newExec(tStart, tEnd clock.Time, dict *strDict) *kexec {
 	return &kexec{
-		tStart: tStart, tEnd: tEnd, markers: markers,
+		tStart: tStart, tEnd: tEnd, dict: dict,
 		f:       make([][]float64, p.sl.nf),
 		u:       make([][]uint32, p.sl.nu),
 		m:       make([][]uint64, p.sl.nm),
 		tt:      make([][]uint8, p.sl.nt),
+		memo:    make([]map[uint64]uint32, p.sl.nc),
 		xres:    make([]kres, p.maxX),
 		yres:    make([]kres, p.maxY),
 		key:     make([]uint64, p.maxX),
@@ -377,19 +377,19 @@ func (x *kexec) codeAt(r *kres, i int) uint32 {
 	case ckBebits:
 		return min(uint32(x.b.Bebits[i]), uint32(profile.Complete)+1)
 	}
-	return r.mk[i]
+	return r.dc[i]
 }
 
 // codeName is the dictionary: the string a code of the given kind
-// stands for. Only marker codes need md.
-func codeName(kind codeKind, c uint32, md *markerDict) string {
+// stands for. Only ckDict codes need d.
+func codeName(kind codeKind, c uint32, d *strDict) string {
 	switch kind {
 	case ckState:
 		return events.Type(c).Name()
 	case ckBebits:
 		return profile.Bebits(c).String()
 	}
-	return md.names[c]
+	return d.name(c)
 }
 
 // codePred is a predicate over a coded column's names: name op c, or
@@ -410,15 +410,15 @@ func (p codePred) of(name string) bool {
 func (x *kexec) codeVerdicts(out []float64, r *kres, ttSlot int, pred codePred) {
 	switch r.kind {
 	case ckState:
-		x.tt[ttSlot] = lookupVerdicts(out, x.b.Type, r.kind, x.markers, x.tt[ttSlot], pred)
+		x.tt[ttSlot] = lookupVerdicts(out, x.b.Type, r.kind, x.dict, x.tt[ttSlot], pred)
 	case ckBebits:
-		x.tt[ttSlot] = lookupVerdicts(out, x.b.Bebits, r.kind, x.markers, x.tt[ttSlot], pred)
+		x.tt[ttSlot] = lookupVerdicts(out, x.b.Bebits, r.kind, x.dict, x.tt[ttSlot], pred)
 	default:
-		x.tt[ttSlot] = lookupVerdicts(out, r.mk, r.kind, x.markers, x.tt[ttSlot], pred)
+		x.tt[ttSlot] = lookupVerdicts(out, r.dc, r.kind, x.dict, x.tt[ttSlot], pred)
 	}
 }
 
-func lookupVerdicts[C ~uint8 | ~uint16 | ~uint32](out []float64, col []C, kind codeKind, md *markerDict, tt []uint8, pred codePred) []uint8 {
+func lookupVerdicts[C ~uint8 | ~uint16 | ~uint32](out []float64, col []C, kind codeKind, d *strDict, tt []uint8, pred codePred) []uint8 {
 	for i, c := range col[:len(out)] {
 		if int(c) >= len(tt) {
 			tt = append(tt, make([]uint8, int(c)+1-len(tt))...)
@@ -426,7 +426,7 @@ func lookupVerdicts[C ~uint8 | ~uint16 | ~uint32](out []float64, col []C, kind c
 		v := tt[c]
 		if v == 0 {
 			v = 1
-			if pred.of(codeName(kind, uint32(c), md)) {
+			if pred.of(codeName(kind, uint32(c), d)) {
 				v = 2
 			}
 			tt[c] = v
@@ -459,10 +459,10 @@ func (k kTruth) eval(x *kexec, sel []uint64) (kres, error) {
 }
 
 // kExtra loads a per-type extra field, producing skip bits for rows
-// whose type does not carry it — the vectorized errSkip. With marker
-// set it is markername: the field is the marker id, and the result is
-// the coded column of the names the file's marker table gives those ids
-// (slot then indexes the uint32 buffers).
+// whose type does not carry it. With marker set it is markername: the
+// field is the marker id, and the result is the coded column of the
+// names the file's marker table gives those ids (slot then indexes the
+// uint32 buffers).
 type kExtra struct {
 	name           string
 	marker         bool
@@ -476,7 +476,7 @@ func (k kExtra) eval(x *kexec, _ []uint64) (kres, error) {
 	var codes map[uint64]uint32
 	if k.marker {
 		mk = x.ubuf(k.slot)
-		codes = x.markers.codes[x.file]
+		codes = x.dict.markers[x.file]
 	} else {
 		out = x.fbuf(k.slot)
 	}
@@ -510,7 +510,7 @@ func (k kExtra) eval(x *kexec, _ []uint64) (kres, error) {
 			skip[i>>6] |= 1 << uint(i&63)
 		}
 	}
-	return kres{str: k.marker, kind: ckMarker, f: out, mk: mk, skip: skip}, nil
+	return kres{str: k.marker, kind: ckDict, f: out, dc: mk, skip: skip}, nil
 }
 
 func extraIndex(t events.Type, name string) int {
@@ -570,7 +570,7 @@ func (k kNot) eval(x *kexec, sel []uint64) (kres, error) {
 
 // kArith is every strict numeric binary operator: arithmetic and
 // comparisons. Division and modulo raise their by-zero errors only for
-// selected, unskipped rows, matching the scalar evaluator's laziness.
+// selected, unskipped rows, matching the oracle's laziness.
 type kArith struct {
 	op                                    string
 	l, r                                  kernel
@@ -590,8 +590,8 @@ func (k kArith) eval(x *kexec, sel []uint64) (kres, error) {
 	}
 	skip := x.unionSkip(k.skipSlot, rl.skip, rr.skip)
 	if k.op == "/" || k.op == "%" {
-		// The scalar evaluator checks the divisor before dividing, for
-		// exactly the records it reaches: sel minus every skip.
+		// The oracle checks the divisor before dividing, for exactly
+		// the records it reaches: sel minus every skip.
 		if rr.konst {
 			if rr.cf == 0 {
 				eff := x.selMinus(k.selSlot, selR, rr.skip)
@@ -755,7 +755,7 @@ func (k kCmpStr) eval(x *kexec, sel []uint64) (kres, error) {
 			lc, rc := x.codeAt(&rl, i), x.codeAt(&rr, i)
 			if i == 0 || lc != lastL || rc != lastR {
 				lastL, lastR = lc, rc
-				last = cmpStr(k.op, codeName(rl.kind, lc, x.markers), codeName(rr.kind, rc, x.markers))
+				last = cmpStr(k.op, codeName(rl.kind, lc, x.dict), codeName(rr.kind, rc, x.dict))
 			}
 			out[i] = last
 		}
@@ -796,9 +796,108 @@ func cmpStr(op string, l, r string) float64 {
 	return 0
 }
 
+// kConcat is string +, a coded column over the run's dictionary. Each
+// distinct pair of operand codes is spelled out and interned once per
+// executor; rows are answered from the memo, and runs of one pair from
+// the last lookup. String operands never raise errors or read the
+// selection, so both see sel, and a row either operand skips is
+// skipped. Two constant operands never get here: lowering folds them.
+type kConcat struct {
+	l, r                     kernel
+	slot, memoSlot, skipSlot int
+}
+
+func (kConcat) isStr() bool { return true }
+func (k kConcat) eval(x *kexec, sel []uint64) (kres, error) {
+	rl, err := k.l.eval(x, sel)
+	if err != nil {
+		return kres{}, err
+	}
+	rr, err := k.r.eval(x, sel)
+	if err != nil {
+		return kres{}, err
+	}
+	memo := x.memo[k.memoSlot]
+	if memo == nil {
+		memo = make(map[uint64]uint32)
+		x.memo[k.memoSlot] = memo
+	}
+	out := x.ubuf(k.slot)
+	var lastKey uint64
+	var last uint32
+	for i := range out {
+		var lc, rc uint32 // a constant operand's code is 0; its text is cs
+		if !rl.konst {
+			lc = x.codeAt(&rl, i)
+		}
+		if !rr.konst {
+			rc = x.codeAt(&rr, i)
+		}
+		key := uint64(lc)<<32 | uint64(rc)
+		if i == 0 || key != lastKey {
+			c, ok := memo[key]
+			if !ok {
+				c = x.dict.intern(x.text(&rl, lc) + x.text(&rr, rc))
+				memo[key] = c
+			}
+			lastKey, last = key, c
+		}
+		out[i] = last
+	}
+	return kres{str: true, kind: ckDict, dc: out, skip: x.unionSkip(k.skipSlot, rl.skip, rr.skip)}, nil
+}
+
+// text is the string a string result holds where its code is c.
+func (x *kexec) text(r *kres, c uint32) string {
+	if r.konst {
+		return r.cs
+	}
+	return codeName(r.kind, c, x.dict)
+}
+
+// kTypeErr is an expression the language rejects with a type error:
+// mixed string and number operands, arithmetic on strings, unary - on a
+// string, bin() of a string, an unknown function or a wrong arity. Its
+// operands are evaluated as the scalar semantics do — in order, each on
+// sel minus the earlier operands' skips — so their own errors and skips
+// come first; the error fires when a selected row survives every
+// operand's skip, and the union of those skips is the result's. (floor()
+// and abs() of a string wrap one in kFloorAbs, which turns any failure
+// of its argument, skips included, into its own message.) The value
+// column is zeros: no consumer reaches a row without the error firing.
+type kTypeErr struct {
+	err                     error
+	args                    []kernel
+	slot, skipSlot, selSlot int
+}
+
+func typeErr(sl *kslots, msg string, args ...kernel) kernel {
+	return kTypeErr{errors.New(msg), args, sl.f(), sl.m(), sl.m()}
+}
+
+func (kTypeErr) isStr() bool { return false }
+func (k kTypeErr) eval(x *kexec, sel []uint64) (kres, error) {
+	var skip []uint64
+	reach := sel
+	for _, a := range k.args {
+		r, err := a.eval(x, reach)
+		if err != nil {
+			return kres{}, err
+		}
+		skip = x.unionSkip(k.skipSlot, skip, r.skip)
+		reach = x.selMinus(k.selSlot, sel, skip)
+	}
+	if maskAny(reach) {
+		return kres{}, k.err
+	}
+	out := x.fbuf(k.slot)
+	clear(out)
+	return kres{f: out, skip: skip}, nil
+}
+
 // kLogic is short-circuit && / ||: the right operand is evaluated with
-// a selection restricted to rows the scalar evaluator would evaluate it
-// for, so errors and skips on the right surface for exactly those rows.
+// a selection restricted to rows the oracle would evaluate it for, so
+// errors and skips on the right surface for exactly those rows.
 type kLogic struct {
 	and                             bool
 	l, r                            kernel
@@ -814,8 +913,8 @@ func (k kLogic) eval(x *kexec, sel []uint64) (kres, error) {
 	if rl.konst {
 		lt := (&rl).truthAt(0)
 		// A constant deciding operand short-circuits for every record:
-		// the scalar evaluator never touches the right side, so neither
-		// do we (it may contain expressions that would error or skip).
+		// the oracle never touches the right side, so neither do we (it
+		// may contain expressions that would error or skip).
 		if k.and && !lt {
 			return kres{konst: true, cf: 0}, nil
 		}
@@ -965,7 +1064,7 @@ func (k kBin) eval(x *kexec, sel []uint64) (kres, error) {
 	return kres{f: out, skip: skip}, nil
 }
 
-// binValue replicates evalCall's bin() arithmetic exactly: int
+// binValue replicates the oracle's bin() arithmetic exactly: int
 // truncation of (t - tStart) / span * n, clamped to [0, n-1].
 func binValue(tv, nv, ts, span float64) float64 {
 	if span <= 0 {
@@ -982,9 +1081,9 @@ func binValue(tv, nv, ts, span float64) float64 {
 	return float64(b)
 }
 
-// kFloorAbs is floor() / abs(). The scalar evaluator turns any child
-// failure — including errSkip — into the function's own error, so a
-// skip on a selected row is an error here, not a skip.
+// kFloorAbs is floor() / abs(). The scalar semantics turn any child
+// failure — a skip included — into the function's own error, so a skip
+// on a selected row is an error here, not a skip.
 type kFloorAbs struct {
 	floor bool
 	x     kernel
@@ -1036,8 +1135,8 @@ type compiledTable struct {
 
 // xcol describes one x column's group-key words: the bits of a float64,
 // or (str) a code of the given kind — or nothing at all for a string
-// constant, whose one value is cs. String-valued kernels are leaves, so
-// this is known at compile time.
+// constant, whose one value is cs. A string-valued kernel's kind is
+// fixed by its type, so this is known at compile time.
 type xcol struct {
 	str, konst bool
 	kind       codeKind
@@ -1053,42 +1152,26 @@ type compiledProgram struct {
 	maxX, maxY int
 }
 
-// compileProgram lowers every spec; ok is false when any expression is
-// outside the lowerable subset, in which case the caller must use the
-// scalar evaluator for the whole program.
-func compileProgram(specs []*TableSpec) (*compiledProgram, bool) {
+// compileProgram lowers every spec.
+func compileProgram(specs []*TableSpec) *compiledProgram {
 	p := &compiledProgram{}
 	p.selSlot = p.sl.m()
 	for _, spec := range specs {
-		ct, ok := compileSpec(spec, &p.sl)
-		if !ok {
-			return nil, false
-		}
+		ct := compileSpec(spec, &p.sl)
 		p.tables = append(p.tables, ct)
-		if len(ct.x) > p.maxX {
-			p.maxX = len(ct.x)
-		}
-		if len(ct.y) > p.maxY {
-			p.maxY = len(ct.y)
-		}
+		p.maxX = max(p.maxX, len(ct.x))
+		p.maxY = max(p.maxY, len(ct.y))
 	}
-	return p, true
+	return p
 }
 
-func compileSpec(spec *TableSpec, sl *kslots) (*compiledTable, bool) {
+func compileSpec(spec *TableSpec, sl *kslots) *compiledTable {
 	ct := &compiledTable{spec: spec, maskSlot: sl.m()}
 	if spec.Condition != nil {
-		k, ok := lowerExpr(spec.Condition, sl)
-		if !ok {
-			return nil, false
-		}
-		ct.cond = truthy(k, sl)
+		ct.cond = truthy(lowerExpr(spec.Condition, sl), sl)
 	}
 	for _, ax := range spec.X {
-		k, ok := lowerExpr(ax.Expr, sl)
-		if !ok {
-			return nil, false
-		}
+		k := lowerExpr(ax.Expr, sl)
 		ct.x = append(ct.x, k)
 		var xc xcol
 		switch k := k.(type) {
@@ -1097,27 +1180,16 @@ func compileSpec(spec *TableSpec, sl *kslots) (*compiledTable, bool) {
 		case kFieldStr:
 			xc = xcol{str: true, kind: k.kind}
 		case kExtra:
-			xc = xcol{str: k.marker, kind: ckMarker}
+			xc = xcol{str: k.marker, kind: ckDict}
+		case kConcat:
+			xc = xcol{str: true, kind: ckDict}
 		}
 		ct.xcol = append(ct.xcol, xc)
 	}
 	for _, ay := range spec.Y {
-		k, ok := lowerExpr(ay.Expr, sl)
-		if !ok {
-			return nil, false
-		}
-		ct.y = append(ct.y, k)
+		ct.y = append(ct.y, lowerExpr(ay.Expr, sl))
 	}
-	return ct, true
-}
-
-// Lowerable reports whether the compiler can lower every expression of
-// the spec to vectorized kernels (the columnar fast path). Unlowerable
-// specs run on the record-at-a-time evaluator.
-func Lowerable(spec *TableSpec) bool {
-	var sl kslots
-	_, ok := compileSpec(spec, &sl)
-	return ok
+	return ct
 }
 
 // truthy adapts a kernel for a consumer that wants its truthiness.
@@ -1128,113 +1200,96 @@ func truthy(k kernel, sl *kslots) kernel {
 	return k
 }
 
-// lowerExpr lowers one expression node, or reports that it (or a
-// subexpression) is outside the lowerable subset. The subset is chosen
-// so that lowered code provably matches the scalar evaluator; anything
-// whose scalar behavior is a lazily raised type error (string
-// arithmetic, mixed comparisons, unknown functions, bad arities) stays
-// on the scalar path.
-func lowerExpr(e expr, sl *kslots) (kernel, bool) {
+// lowerExpr lowers one expression node. A node the language rejects by
+// type lowers to kTypeErr with the message its evaluation raises, so
+// the error stays as lazy as the scalar semantics make it.
+func lowerExpr(e expr, sl *kslots) kernel {
 	switch n := e.(type) {
 	case numLit:
-		return kConstNum{n.v}, true
+		return kConstNum{n.v}
 	case strLit:
-		return kConstStr{n.v}, true
+		return kConstStr{n.v}
 	case fieldRef:
 		switch n.name {
 		case events.FieldStart:
-			return kField{fcStart, sl.f()}, true
+			return kField{fcStart, sl.f()}
 		case events.FieldDura, "duration":
-			return kField{fcDura, sl.f()}, true
+			return kField{fcDura, sl.f()}
 		case "end":
-			return kField{fcEnd, sl.f()}, true
+			return kField{fcEnd, sl.f()}
 		case events.FieldNode:
-			return kField{fcNode, sl.f()}, true
+			return kField{fcNode, sl.f()}
 		case events.FieldCPU, "processor":
-			return kField{fcCPU, sl.f()}, true
+			return kField{fcCPU, sl.f()}
 		case events.FieldThread:
-			return kField{fcThread, sl.f()}, true
+			return kField{fcThread, sl.f()}
 		case events.FieldType:
-			return kField{fcType, sl.f()}, true
+			return kField{fcType, sl.f()}
 		case "iscall":
-			return kField{fcIsCall, sl.f()}, true
+			return kField{fcIsCall, sl.f()}
 		case "state":
-			return kFieldStr{ckState}, true
+			return kFieldStr{ckState}
 		case events.FieldBebits:
-			return kFieldStr{ckBebits}, true
+			return kFieldStr{ckBebits}
 		case "markername":
 			sl.markers = true
-			return kExtra{events.FieldMarker, true, sl.u(), sl.m()}, true
+			return kExtra{events.FieldMarker, true, sl.u(), sl.m()}
 		}
-		return kExtra{n.name, false, sl.f(), sl.m()}, true
+		return kExtra{n.name, false, sl.f(), sl.m()}
 	case unary:
-		c, ok := lowerExpr(n.x, sl)
-		if !ok {
-			return nil, false
+		c := lowerExpr(n.x, sl)
+		switch {
+		case n.op == "!":
+			return kNot{truthy(c, sl), sl.f()}
+		case c.isStr():
+			return typeErr(sl, "stats: unary - on string", c)
 		}
-		switch n.op {
-		case "-":
-			if c.isStr() {
-				return nil, false
-			}
-			return kNeg{c, sl.f()}, true
-		case "!":
-			return kNot{truthy(c, sl), sl.f()}, true
-		}
-		return nil, false
+		return kNeg{c, sl.f()}
 	case binary:
-		l, ok := lowerExpr(n.l, sl)
-		if !ok {
-			return nil, false
-		}
-		r, ok := lowerExpr(n.r, sl)
-		if !ok {
-			return nil, false
-		}
-		if n.op == "&&" || n.op == "||" {
-			return kLogic{n.op == "&&", truthy(l, sl), truthy(r, sl), sl.f(), sl.m(), sl.m(), sl.m()}, true
-		}
-		if l.isStr() != r.isStr() {
-			return nil, false
-		}
-		if l.isStr() {
-			switch n.op {
-			case "==", "!=", "<", "<=", ">", ">=":
-				return kCmpStr{n.op, l, r, sl.f(), sl.tt(), sl.m(), sl.m()}, true
-			}
-			return nil, false
+		l, r := lowerExpr(n.l, sl), lowerExpr(n.r, sl)
+		switch {
+		case n.op == "&&" || n.op == "||":
+			return kLogic{n.op == "&&", truthy(l, sl), truthy(r, sl), sl.f(), sl.m(), sl.m(), sl.m()}
+		case l.isStr() != r.isStr():
+			return typeErr(sl, fmt.Sprintf("stats: cannot compare string with number (%s)", n.op), l, r)
+		case !l.isStr():
+			return kArith{n.op, l, r, sl.f(), sl.f(), sl.f(), sl.m(), sl.m()}
 		}
 		switch n.op {
-		case "+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=":
-			return kArith{n.op, l, r, sl.f(), sl.f(), sl.f(), sl.m(), sl.m()}, true
+		case "==", "!=", "<", "<=", ">", ">=":
+			return kCmpStr{n.op, l, r, sl.f(), sl.tt(), sl.m(), sl.m()}
+		case "+":
+			lc, lok := l.(kConstStr)
+			rc, rok := r.(kConstStr)
+			if lok && rok {
+				return kConstStr{lc.v + rc.v}
+			}
+			return kConcat{l, r, sl.u(), sl.c(), sl.m()}
 		}
-		return nil, false
+		return typeErr(sl, fmt.Sprintf("stats: operator %q not defined on strings", n.op), l, r)
 	case call:
 		switch n.fn {
 		case "bin":
 			if len(n.args) != 2 {
-				return nil, false
+				return typeErr(sl, "stats: bin() takes (time, nbins)")
 			}
-			t, ok := lowerExpr(n.args[0], sl)
-			if !ok || t.isStr() {
-				return nil, false
+			t, nb := lowerExpr(n.args[0], sl), lowerExpr(n.args[1], sl)
+			if t.isStr() || nb.isStr() {
+				return typeErr(sl, "stats: bin() needs numeric arguments", t, nb)
 			}
-			nb, ok := lowerExpr(n.args[1], sl)
-			if !ok || nb.isStr() {
-				return nil, false
-			}
-			return kBin{t, nb, sl.f(), sl.m(), sl.m()}, true
+			return kBin{t, nb, sl.f(), sl.m(), sl.m()}
 		case "floor", "abs":
 			if len(n.args) != 1 {
-				return nil, false
+				return typeErr(sl, fmt.Sprintf("stats: %s() takes one argument", n.fn))
 			}
-			c, ok := lowerExpr(n.args[0], sl)
-			if !ok || c.isStr() {
-				return nil, false
+			c := lowerExpr(n.args[0], sl)
+			if c.isStr() {
+				// kFloorAbs replaces the message with its own.
+				c = typeErr(sl, fmt.Sprintf("stats: %s() needs a number", n.fn), c)
 			}
-			return kFloorAbs{n.fn == "floor", c, sl.f()}, true
+			return kFloorAbs{n.fn == "floor", c, sl.f()}
 		}
-		return nil, false
+		return typeErr(sl, fmt.Sprintf("stats: unknown function %q", n.fn))
 	}
-	return nil, false
+	return typeErr(sl, fmt.Sprintf("stats: unknown expression node %T", e))
 }

@@ -2,11 +2,17 @@ package stats
 
 import "tracefw/internal/interval"
 
-// GenerateSpecsScalar runs specs on the record-at-a-time evaluator
-// whether or not they are lowerable. It is the oracle the differential
-// suite and FuzzCompile compare the production path against; production
-// code reaches that evaluator only as the fallback for programs the
-// kernel compiler rejects.
-func GenerateSpecsScalar(specs []*TableSpec, files []*interval.File, opts Options) ([]*Table, error) {
-	return generate(nil, specs, files, opts)
+// GenerateSpecsScalar runs specs on the record-at-a-time oracle
+// (oracle_test.go). It is what the differential suite and FuzzCompile
+// compare the kernels against; production never reaches that evaluator.
+func GenerateSpecsScalar(specs []*TableSpec, files []*interval.File, opts interval.MapOptions) ([]*Table, error) {
+	tStart, tEnd, err := runBounds(files)
+	if err != nil {
+		return nil, err
+	}
+	groups, skipped, err := runScalar(specs, files, opts, tStart, tEnd)
+	if err != nil {
+		return nil, err
+	}
+	return buildTables(specs, groups, skipped), nil
 }

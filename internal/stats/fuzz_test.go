@@ -2,8 +2,10 @@ package stats_test
 
 // FuzzCompile throws arbitrary program text at the parser, the kernel
 // compiler, and both evaluation engines over a small in-memory fixture:
-// nothing may panic, the compiler may only refuse (never mis-compile),
-// and whenever both engines run they must agree byte-for-byte.
+// nothing may panic, the compiler never refuses a program that parses
+// (compileProgram has no failure result, so every parsed program is
+// compared), both engines fail on the same programs, and wherever they
+// run they agree byte for byte.
 
 import (
 	"sync"
@@ -89,6 +91,21 @@ func FuzzCompile(f *testing.F) {
 	f.Add(`table name=t condition=(markername < state || !markername) x=("m", markername) x=("b", bebits) y=("n", dura, count)`)
 	f.Add(`table name=t y=("n", floor(msgSizeSent), sum)`)
 	f.Add(`table name=t y=("r", dura % 0, max)`)
+	f.Add(`table name=t x=("c", markername + "/" + (state + bebits)) y=("n", dura, count)`)
+	f.Add(`table name=t condition=(state + "" == "Running" && bebits + markername) x=("c", "a" + "b") y=("n", dura, count)`)
+	f.Add(`table name=t y=("s", state + "!", sum)`)
+	f.Add(`table name=t condition=(state == 1) y=("n", dura, count)`)
+	f.Add(`table name=t x=("x", markername + 1) y=("n", dura, count)`)
+	f.Add(`table name=t x=("x", state - bebits) y=("n", dura, count)`)
+	f.Add(`table name=t y=("n", -state, count)`)
+	f.Add(`table name=t x=("x", bin(state, 4)) y=("n", dura, count)`)
+	f.Add(`table name=t y=("n", floor(state), sum)`)
+	f.Add(`table name=t y=("n", abs(markername), sum)`)
+	f.Add(`table name=t y=("n", nosuchfn(dura), sum)`)
+	f.Add(`table name=t x=("x", bin(start)) y=("n", dura, count)`)
+	f.Add(`table name=t y=("n", floor(), sum)`)
+	f.Add(`table name=t condition=(msgSizeSent > 1000000000 && -state) y=("n", dura, count)`)
+	f.Add(`table name=t condition=(0 && nosuchfn(1)) y=("n", dura, count)`)
 	f.Add(stats.Predefined(4))
 	f.Fuzz(func(t *testing.T, program string) {
 		if len(program) > 4096 {
@@ -103,17 +120,8 @@ func FuzzCompile(f *testing.F) {
 			t.Skip(err)
 		}
 		files := []*interval.File{mf}
-		lowerable := true
-		for _, spec := range specs {
-			lowerable = lowerable && stats.Lowerable(spec)
-		}
-		st, sErr := stats.GenerateSpecsScalar(specs, files, stats.Options{})
-		ct, cErr := stats.GenerateSpecsOpts(specs, files, stats.Options{})
-		if cErr == nil && allColumnar(ct) != lowerable {
-			// The kernels run exactly when the compiler accepts the whole
-			// program; a refusal must fall back, never fail.
-			t.Fatalf("lowerable=%v but columnar=%v for %q", lowerable, allColumnar(ct), program)
-		}
+		st, sErr := stats.GenerateSpecsScalar(specs, files, interval.MapOptions{})
+		ct, cErr := stats.GenerateSpecsOpts(specs, files, interval.MapOptions{})
 		if (sErr == nil) != (cErr == nil) {
 			t.Fatalf("engines disagree on error for %q:\n  scalar:   %v\n  columnar: %v", program, sErr, cErr)
 		}

@@ -436,7 +436,7 @@ func TestParallelIdenticalTSV(t *testing.T) {
 	files := []*interval.File{mf, mf2}
 	program := stats.Predefined(16)
 	render := func(parallel int) string {
-		tables, err := stats.GenerateOpts(program, files, stats.Options{Parallel: parallel})
+		tables, err := stats.GenerateOpts(program, files, interval.MapOptions{Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,7 +477,7 @@ func TestWindowedCountMatchesScanOracle(t *testing.T) {
 		lo, hi := win[0], win[1]
 		tables, err := stats.GenerateOpts(`table name=c y=("n", dura, count)`,
 			[]*interval.File{mf},
-			stats.Options{Parallel: 4, Window: true, Lo: lo, Hi: hi})
+			interval.MapOptions{Parallel: 4, Window: true, Lo: lo, Hi: hi})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ import (
 // time buckets spanning the full run, or the intersection of the run
 // with the window when opts.Window is set. Each table carries the
 // summary's plan: the engine that answered and what it consulted.
-func TimeResolved(files []*interval.File, bins int, opts Options) ([]*Table, error) {
+func TimeResolved(files []*interval.File, bins int, opts interval.MapOptions) ([]*Table, error) {
 	if bins < 1 || bins > MaxBins {
 		return nil, fmt.Errorf("stats: time-resolved tables take 1 to %d bins, got %d", MaxBins, bins)
 	}
@@ -43,7 +43,6 @@ func TimeResolved(files []*interval.File, bins int, opts Options) ([]*Table, err
 	}
 	tabs := []*Table{busyTable(ws), laneTable(ws), concurrencyRows(ws)}
 	for _, t := range tabs {
-		t.Columnar = true
 		t.Engine, t.CellsUsed, t.FramesDecoded = ws.Engine, ws.CellsUsed, ws.FramesDecoded
 	}
 	return tabs, nil

@@ -39,7 +39,7 @@ func pyramidPair(t *testing.T) (with, without *interval.File) {
 // timeResolved runs TimeResolved and requires every table to report
 // the named engine, so a silent fallback cannot pass as a pyramid
 // answer.
-func timeResolved(t *testing.T, files []*interval.File, bins int, opts stats.Options, engine string) []*stats.Table {
+func timeResolved(t *testing.T, files []*interval.File, bins int, opts interval.MapOptions, engine string) []*stats.Table {
 	t.Helper()
 	tabs, err := stats.TimeResolved(files, bins, opts)
 	if err != nil {
@@ -63,14 +63,14 @@ func TestTimeResolvedPyramidMatchesScan(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		bins int
-		opts stats.Options
+		opts interval.MapOptions
 	}{
-		{"full-1", 1, stats.Options{}},
-		{"full-7", 7, stats.Options{}},
-		{"full-64", 64, stats.Options{}},
-		{"windowed", 9, stats.Options{Window: true, Lo: t0 + span/4, Hi: t0 + span/2}},
-		{"odd-window", 13, stats.Options{Window: true, Lo: t0 + 7, Hi: t1 - 13}},
-		{"overhang", 5, stats.Options{Window: true, Lo: t0 - span, Hi: t1 + span}},
+		{"full-1", 1, interval.MapOptions{}},
+		{"full-7", 7, interval.MapOptions{}},
+		{"full-64", 64, interval.MapOptions{}},
+		{"windowed", 9, interval.MapOptions{Window: true, Lo: t0 + span/4, Hi: t0 + span/2}},
+		{"odd-window", 13, interval.MapOptions{Window: true, Lo: t0 + 7, Hi: t1 - 13}},
+		{"overhang", 5, interval.MapOptions{Window: true, Lo: t0 - span, Hi: t1 + span}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pyr := timeResolved(t, []*interval.File{mf}, tc.bins, tc.opts, "pyramid")
@@ -117,10 +117,10 @@ func TestTimeResolvedRemainderRouting(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		bins int
-		opts stats.Options
+		opts interval.MapOptions
 	}{
-		{"full-512", 512, stats.Options{}},
-		{"clipped-100", 100, stats.Options{Window: true, Lo: t0 + span/3 + 7, Hi: t0 + span/3 + 7 + 20*w}},
+		{"full-512", 512, interval.MapOptions{}},
+		{"clipped-100", 100, interval.MapOptions{Window: true, Lo: t0 + span/3 + 7, Hi: t0 + span/3 + 7 + 20*w}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pyr := timeResolved(t, []*interval.File{mf}, tc.bins, tc.opts, "pyramid")
@@ -147,17 +147,17 @@ func TestTimeResolvedPyramidFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	timeResolved(t, []*interval.File{bare}, 4, stats.Options{}, "scan")
+	timeResolved(t, []*interval.File{bare}, 4, interval.MapOptions{}, "scan")
 	for _, tc := range []struct {
 		name string
 		bins int
-		opts stats.Options
+		opts interval.MapOptions
 	}{
 		// Narrower than the bin count: some buckets are empty.
-		{"span<bins", 50, stats.Options{Window: true, Lo: t0, Hi: t0 + 10}},
-		{"zero-span", 3, stats.Options{Window: true, Lo: t0 + 5, Hi: t0 + 5}},
+		{"span<bins", 50, interval.MapOptions{Window: true, Lo: t0, Hi: t0 + 10}},
+		{"zero-span", 3, interval.MapOptions{Window: true, Lo: t0 + 5, Hi: t0 + 5}},
 		// Beyond the run the clamped window is zero-span at the run's end.
-		{"beyond-run", 4, stats.Options{Window: true, Lo: t1 + clock.Second, Hi: t1 + 2*clock.Second}},
+		{"beyond-run", 4, interval.MapOptions{Window: true, Lo: t1 + clock.Second, Hi: t1 + 2*clock.Second}},
 	} {
 		got := timeResolved(t, []*interval.File{mf}, tc.bins, tc.opts, "scan")
 		want := timeResolved(t, []*interval.File{bare}, tc.bins, tc.opts, "scan")
@@ -170,13 +170,13 @@ func TestTimeResolvedPyramidFallbacks(t *testing.T) {
 	}
 	// Several files: peak concurrency is a merged-event property, so the
 	// pyramid declines even when every file has one attached.
-	timeResolved(t, []*interval.File{mf, mf}, 4, stats.Options{}, "scan")
+	timeResolved(t, []*interval.File{mf, mf}, 4, interval.MapOptions{}, "scan")
 }
 
 // pinnedTables renders TimeResolved at Parallel 1 and 4, requires the
 // two byte-equal, and compares their SHA-256 with the hash of what the
 // commit before the one-summarizer change printed for the same input.
-func pinnedTables(t *testing.T, files []*interval.File, bins int, opts stats.Options, want string) {
+func pinnedTables(t *testing.T, files []*interval.File, bins int, opts interval.MapOptions, want string) {
 	t.Helper()
 	opts.Parallel = 1
 	seq := renderTables(timeResolved(t, files, bins, opts, "scan"))
@@ -196,12 +196,12 @@ func TestTimeResolvedTwoFiles(t *testing.T) {
 	if len(files) != 2 {
 		t.Fatalf("fixture has %d per-node files, want 2", len(files))
 	}
-	pinnedTables(t, files, 16, stats.Options{}, "9b944bff0fcd59c437c1ade3d80ee3b0b1df3732767209cb3bbb5441cde3c7af")
+	pinnedTables(t, files, 16, interval.MapOptions{}, "9b944bff0fcd59c437c1ade3d80ee3b0b1df3732767209cb3bbb5441cde3c7af")
 	t0, t1, _, err := files[0].Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinnedTables(t, files, 5, stats.Options{Window: true, Lo: t0 + (t1-t0)/3, Hi: t1 - (t1-t0)/4}, "1f5b3fb433ebae44b266ac630515c2f30951c1f7bce3df566650252f9550ebfc")
+	pinnedTables(t, files, 5, interval.MapOptions{Window: true, Lo: t0 + (t1-t0)/3, Hi: t1 - (t1-t0)/4}, "1f5b3fb433ebae44b266ac630515c2f30951c1f7bce3df566650252f9550ebfc")
 }
 
 // TestTimeResolvedWide512 is the lanes × bins corner: 52 lanes whose
@@ -210,7 +210,7 @@ func TestTimeResolvedWide512(t *testing.T) {
 	raws := testutil.RunWorkload(t, testutil.WideShape, testutil.NestedWork(6))
 	files := testutil.ConvertRun(t, raws, interval.WriterOptions{})
 	mf, _ := testutil.MergeRun(t, files, merge.Options{Writer: interval.WriterOptions{FrameBytes: 4096}})
-	pinnedTables(t, []*interval.File{mf}, 512, stats.Options{}, "5438be21a4990f8e42876d072e6a05efe64b61a86f46fbc7f04fb38a3c307022")
+	pinnedTables(t, []*interval.File{mf}, 512, interval.MapOptions{}, "5438be21a4990f8e42876d072e6a05efe64b61a86f46fbc7f04fb38a3c307022")
 }
 
 // TestTimeResolvedNarrowWindow pins a window narrower than its bin
@@ -228,7 +228,7 @@ func TestTimeResolvedNarrowWindow(t *testing.T) {
 	for _, r := range recs {
 		if r.Type != events.EvRunning && r.Type != events.EvGlobalClock && r.Dura >= 1000 {
 			lo := r.Start + 100
-			pinnedTables(t, []*interval.File{mf}, 50, stats.Options{Window: true, Lo: lo, Hi: lo + 10}, "fd0d32ac12239be144ac274a934ebfbef3b23866838975285a97e84277f5b3f7")
+			pinnedTables(t, []*interval.File{mf}, 50, interval.MapOptions{Window: true, Lo: lo, Hi: lo + 10}, "fd0d32ac12239be144ac274a934ebfbef3b23866838975285a97e84277f5b3f7")
 			return
 		}
 	}
@@ -249,7 +249,7 @@ func TestTimeResolvedPyramidOracleWindows(t *testing.T) {
 		lo := t0 + span*clock.Time(wi)/16
 		hi := t1 - span*clock.Time(wi)/17
 		bins := 3 + wi*5
-		tabs := timeResolved(t, []*interval.File{mf}, bins, stats.Options{Window: true, Lo: lo, Hi: hi}, "pyramid")
+		tabs := timeResolved(t, []*interval.File{mf}, bins, interval.MapOptions{Window: true, Lo: lo, Hi: hi}, "pyramid")
 		concT := tabs[2]
 		if len(concT.Rows) != bins {
 			t.Fatalf("window %d: %d rows, want %d", wi, len(concT.Rows), bins)

@@ -36,14 +36,14 @@ func TestTimeResolvedOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		bins int
-		opts stats.Options
+		opts interval.MapOptions
 		lo   clock.Time
 		hi   clock.Time
 	}{
-		{"full-7", 7, stats.Options{}, t0, t1},
-		{"full-1", 1, stats.Options{}, t0, t1},
-		{"full-64-par", 64, stats.Options{Parallel: 4}, t0, t1},
-		{"windowed", 9, stats.Options{Window: true, Lo: t0 + (t1-t0)/4, Hi: t0 + (t1-t0)/2},
+		{"full-7", 7, interval.MapOptions{}, t0, t1},
+		{"full-1", 1, interval.MapOptions{}, t0, t1},
+		{"full-64-par", 64, interval.MapOptions{Parallel: 4}, t0, t1},
+		{"windowed", 9, interval.MapOptions{Window: true, Lo: t0 + (t1-t0)/4, Hi: t0 + (t1-t0)/2},
 			t0 + (t1-t0)/4, t0 + (t1-t0)/2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,7 +179,7 @@ func TestTimeResolvedOracle(t *testing.T) {
 func TestTimeResolvedDeterministic(t *testing.T) {
 	mf := mergedFile(t)
 	render := func(par int) string {
-		tables, err := stats.TimeResolved([]*interval.File{mf}, 32, stats.Options{Parallel: par})
+		tables, err := stats.TimeResolved([]*interval.File{mf}, 32, interval.MapOptions{Parallel: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,10 +195,10 @@ func TestTimeResolvedDeterministic(t *testing.T) {
 
 func TestTimeResolvedValidation(t *testing.T) {
 	mf := mergedFile(t)
-	if _, err := stats.TimeResolved([]*interval.File{mf}, 0, stats.Options{}); err == nil {
+	if _, err := stats.TimeResolved([]*interval.File{mf}, 0, interval.MapOptions{}); err == nil {
 		t.Fatal("bins=0 accepted")
 	}
-	if _, err := stats.TimeResolved([]*interval.File{mf}, stats.MaxBins+1, stats.Options{}); err == nil {
+	if _, err := stats.TimeResolved([]*interval.File{mf}, stats.MaxBins+1, interval.MapOptions{}); err == nil {
 		t.Fatal("bins past MaxBins accepted")
 	}
 }

@@ -206,7 +206,7 @@ func runCell(sc Scenario, polName string, opts Options) (Cell, error) {
 	// Stats: the three time-resolved tables with a single bin are
 	// exactly the cell metrics — busy by type, lane load balance, and
 	// peak concurrency over the whole run.
-	tabs, err := stats.TimeResolved([]*interval.File{run.Merged}, 1, stats.Options{Parallel: 1})
+	tabs, err := stats.TimeResolved([]*interval.File{run.Merged}, 1, interval.MapOptions{Parallel: 1})
 	if err != nil {
 		return Cell{}, err
 	}

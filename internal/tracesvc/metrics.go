@@ -21,12 +21,10 @@ import (
 type metrics struct {
 	mu        sync.Mutex
 	endpoints map[string]*endpointMetrics
-	// Stats-engine counters: tables produced by each evaluator and the
-	// running total of records excluded by the errSkip path (previously
-	// dropped silently).
-	statsColumnar promtext.Counter
-	statsScalar   promtext.Counter
-	statsSkipped  promtext.Counter
+	// Stats counters: tables produced and the running total of records
+	// excluded because an expression referenced a field they lack.
+	statsTables  promtext.Counter
+	statsSkipped promtext.Counter
 	// Summary-planner counters: queries answered from pyramid cells vs
 	// by the frame-scan fallback, plus what each cost.
 	summaryPyramid promtext.Counter
@@ -94,10 +92,8 @@ func (m *metrics) writePrometheus(w io.Writer, cache CacheStats, tracesOpen int6
 	fmt.Fprintf(w, "tracesvc_traces_open %d\n", tracesOpen)
 	promtext.Header(w, "tracesvc_frames_decoded_total", "counter", "Frame payload reads across all registered traces.")
 	fmt.Fprintf(w, "tracesvc_frames_decoded_total %d\n", framesDecoded)
-	promtext.Header(w, "tracesvc_stats_tables_columnar_total", "counter", "Statistics tables produced by the vectorized columnar engine.")
-	fmt.Fprintf(w, "tracesvc_stats_tables_columnar_total %d\n", m.statsColumnar.Value())
-	promtext.Header(w, "tracesvc_stats_tables_scalar_total", "counter", "Statistics tables produced by the record-at-a-time engine.")
-	fmt.Fprintf(w, "tracesvc_stats_tables_scalar_total %d\n", m.statsScalar.Value())
+	promtext.Header(w, "tracesvc_stats_tables_total", "counter", "Statistics tables produced.")
+	fmt.Fprintf(w, "tracesvc_stats_tables_total %d\n", m.statsTables.Value())
 	promtext.Header(w, "tracesvc_stats_records_skipped_total", "counter", "Records excluded from statistics tables because an expression referenced a field their state type does not carry.")
 	fmt.Fprintf(w, "tracesvc_stats_records_skipped_total %d\n", m.statsSkipped.Value())
 	promtext.Header(w, "tracesvc_summary_queries_total", "counter", "Summary-planner queries (previews, time-resolved tables), by answering engine.")

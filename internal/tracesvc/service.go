@@ -398,8 +398,8 @@ func parseBins(q url.Values, def int) (int, error) {
 // parameters: timeresolved=1 computes the three time-resolved metric tables over
 // ?bins buckets instead of running a program (nobody picks the summary
 // engine that answers them: summary= is ignored, as engine= is), and
-// format=json wraps each table with its evaluator flag, the summary
-// engine that answered, and excluded-record count.
+// format=json wraps each table with the summary engine that answered
+// and its excluded-record count.
 func (s *Service) handleStats(r *http.Request) (*response, error) {
 	t, err := s.trace(r)
 	if err != nil {
@@ -410,7 +410,7 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := stats.Options{Context: r.Context()}
+	opts := interval.MapOptions{Context: r.Context()}
 	if lo, hi, ok, err := parseWindow(r); err != nil {
 		return nil, err
 	} else if ok {
@@ -435,26 +435,21 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.met.statsTables.Add(int64(len(tables)))
 	for _, tb := range tables {
-		if tb.Columnar {
-			s.met.statsColumnar.Add(1)
-		} else {
-			s.met.statsScalar.Add(1)
-		}
 		s.met.statsSkipped.Add(tb.Skipped)
 	}
 	if q.Get("format") == "json" {
 		type tableJSON struct {
-			Name     string `json:"name"`
-			Columnar bool   `json:"columnar"`
-			Engine   string `json:"engine,omitempty"`
-			Skipped  int64  `json:"skipped"`
-			Rows     int    `json:"rows"`
-			TSV      string `json:"tsv"`
+			Name    string `json:"name"`
+			Engine  string `json:"engine,omitempty"`
+			Skipped int64  `json:"skipped"`
+			Rows    int    `json:"rows"`
+			TSV     string `json:"tsv"`
 		}
 		out := make([]tableJSON, len(tables))
 		for i, tb := range tables {
-			out[i] = tableJSON{Name: tb.Name, Columnar: tb.Columnar, Engine: tb.Engine, Skipped: tb.Skipped, Rows: len(tb.Rows), TSV: tb.TSV()}
+			out[i] = tableJSON{Name: tb.Name, Engine: tb.Engine, Skipped: tb.Skipped, Rows: len(tb.Rows), TSV: tb.TSV()}
 		}
 		return jsonResponse(http.StatusOK, struct {
 			Tables []tableJSON `json:"tables"`

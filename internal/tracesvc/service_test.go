@@ -240,7 +240,7 @@ func TestStatsByteIdentical(t *testing.T) {
 	path := writeTrace(t, t.TempDir(), 400)
 	id := openTrace(t, s, path)
 
-	expect := func(program string, opts stats.Options) string {
+	expect := func(program string, opts interval.MapOptions) string {
 		f, err := interval.Open(path)
 		if err != nil {
 			t.Fatal(err)
@@ -261,7 +261,7 @@ func TestStatsByteIdentical(t *testing.T) {
 	if w.Code != 200 {
 		t.Fatalf("stats: %d %s", w.Code, w.Body)
 	}
-	if want := expect(stats.Predefined(50), stats.Options{}); w.Body.String() != want {
+	if want := expect(stats.Predefined(50), interval.MapOptions{}); w.Body.String() != want {
 		t.Fatalf("predefined stats differ from utestats output:\n--- got ---\n%s\n--- want ---\n%s", w.Body, want)
 	}
 
@@ -270,7 +270,7 @@ func TestStatsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	w = do(t, s, "GET", "/v1/traces/"+id+"/stats?window=0.02:0.09&bins=10", "")
-	want := expect(stats.Predefined(10), stats.Options{Window: true, Lo: lo, Hi: hi})
+	want := expect(stats.Predefined(10), interval.MapOptions{Window: true, Lo: lo, Hi: hi})
 	if w.Body.String() != want {
 		t.Fatal("windowed stats differ from utestats output")
 	}
@@ -281,7 +281,7 @@ func TestStatsByteIdentical(t *testing.T) {
 	if w.Code != 200 {
 		t.Fatalf("expr stats: %d %s", w.Code, w.Body)
 	}
-	if want := expect(prog, stats.Options{}); w.Body.String() != want {
+	if want := expect(prog, interval.MapOptions{}); w.Body.String() != want {
 		t.Fatal("expr stats differ from utestats output")
 	}
 }
@@ -589,9 +589,10 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestStatsEngineAndJSON covers the stats endpoint's evaluator choice
-// (the compiler's, never the client's), JSON format, time-resolved
-// tables, and the stats counters on /metrics.
+// TestStatsEngineAndJSON covers the stats endpoint's JSON format,
+// time-resolved tables, programs over the string dictionary (markername
+// and concatenation), and the stats counters on /metrics. No parameter
+// picks an evaluator: there is one.
 func TestStatsEngineAndJSON(t *testing.T) {
 	s := tracesvc.New(tracesvc.Config{})
 	defer s.Close()
@@ -611,25 +612,28 @@ func TestStatsEngineAndJSON(t *testing.T) {
 		}
 	}
 
-	// JSON format carries the engine flag and the excluded-record count.
+	// JSON format carries the excluded-record count, and no evaluator
+	// flag.
 	w := do(t, s, "GET", "/v1/traces/"+id+"/stats?format=json&expr="+
 		"table+name%3Dt+y%3D%28%22n%22%2C+dura%2C+count%29", "")
 	if w.Code != 200 {
 		t.Fatalf("json stats: %d %s", w.Code, w.Body)
 	}
+	if strings.Contains(w.Body.String(), `"columnar"`) {
+		t.Fatalf("json stats still carries an evaluator flag: %s", w.Body)
+	}
 	var got struct {
 		Tables []struct {
-			Name     string `json:"name"`
-			Columnar bool   `json:"columnar"`
-			Skipped  int64  `json:"skipped"`
-			Rows     int    `json:"rows"`
-			TSV      string `json:"tsv"`
+			Name    string `json:"name"`
+			Skipped int64  `json:"skipped"`
+			Rows    int    `json:"rows"`
+			TSV     string `json:"tsv"`
 		} `json:"tables"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Tables) != 1 || got.Tables[0].Name != "t" || !got.Tables[0].Columnar || got.Tables[0].TSV == "" {
+	if len(got.Tables) != 1 || got.Tables[0].Name != "t" || got.Tables[0].TSV == "" {
 		t.Fatalf("unexpected json stats payload: %+v", got)
 	}
 
@@ -653,50 +657,33 @@ func TestStatsEngineAndJSON(t *testing.T) {
 		t.Fatalf("timeresolved with expr: %d", w.Code)
 	}
 
-	// markername runs on the kernels too: the scalar counter stays 0.
-	w = do(t, s, "GET", "/v1/traces/"+id+"/stats?format=json&expr="+
-		url.QueryEscape(`table name=m x=("m", markername) y=("n", dura, count)`), "")
-	got.Tables = nil
-	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || w.Code != 200 {
-		t.Fatalf("markername stats: %d %v %s", w.Code, err, w.Body)
-	}
-	if len(got.Tables) != 1 || !got.Tables[0].Columnar {
-		t.Fatalf("markername program not reported as columnar: %+v", got)
-	}
-	if body := do(t, s, "GET", "/metrics", "").Body.String(); !strings.Contains(body, "tracesvc_stats_tables_scalar_total 0\n") {
-		t.Fatalf("scalar counter moved for lowerable programs:\n%s", body)
-	}
-
-	// A program the kernel compiler rejects (string concatenation) falls
-	// back to the record-at-a-time evaluator and says so.
-	w = do(t, s, "GET", "/v1/traces/"+id+"/stats?format=json&expr="+
-		url.QueryEscape(`table name=c x=("c", state + "!") y=("n", dura, count)`), "")
-	got.Tables = nil
-	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || w.Code != 200 {
-		t.Fatalf("fallback stats: %d %v %s", w.Code, err, w.Body)
-	}
-	if len(got.Tables) != 1 || got.Tables[0].Columnar {
-		t.Fatalf("unlowerable program not reported as scalar: %+v", got)
+	// markername and string concatenation answer like any other program.
+	for _, prog := range []string{
+		`table name=m x=("m", markername) y=("n", dura, count)`,
+		`table name=c x=("c", state + "!") y=("n", dura, count)`,
+	} {
+		w = do(t, s, "GET", "/v1/traces/"+id+"/stats?format=json&expr="+url.QueryEscape(prog), "")
+		got.Tables = nil
+		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || w.Code != 200 {
+			t.Fatalf("%s: %d %v %s", prog, w.Code, err, w.Body)
+		}
+		if len(got.Tables) != 1 || got.Tables[0].TSV == "" {
+			t.Fatalf("%s: unexpected payload %+v", prog, got)
+		}
 	}
 
-	// The engine counters moved: the concatenation request above counts
-	// a scalar table, everything else counts columnar ones.
+	// Four predefined answers of five tables, three time-resolved ones,
+	// and three one-table programs; the 400 produced none.
 	body := do(t, s, "GET", "/metrics", "").Body.String()
 	for _, want := range []string{
-		"tracesvc_stats_tables_columnar_total ",
-		"tracesvc_stats_tables_scalar_total ",
+		"tracesvc_stats_tables_total 26\n",
 		"tracesvc_stats_records_skipped_total ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics body lacks %q:\n%s", want, body)
 		}
 	}
-	for _, never := range []string{
-		"tracesvc_stats_tables_columnar_total 0\n",
-		"tracesvc_stats_tables_scalar_total 0\n",
-	} {
-		if strings.Contains(body, never) {
-			t.Fatalf("counter never moved: %q", never)
-		}
+	if strings.Contains(body, "columnar") || strings.Contains(body, "scalar") {
+		t.Fatalf("metrics still split tables by evaluator:\n%s", body)
 	}
 }
