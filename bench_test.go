@@ -8,6 +8,7 @@ package tracefw
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -806,10 +808,10 @@ table name=sends condition=(msgSizeSent > 0) x=("node", node) y=("bytes", msgSiz
 	})
 }
 
-// sppmBenchFile is the ledger's pipeline_sppm_4x8 trace built in
+// sppmBenchTrace is the ledger's pipeline_sppm_4x8 trace built in
 // process: sPPM, 4000 iterations, 4 nodes × 1 task × 8 CPUs, converted
 // and merged with the tools' default options.
-func sppmBenchFile(b *testing.B) *interval.File {
+func sppmBenchTrace(b *testing.B) []byte {
 	b.Helper()
 	main, err := workload.Build("sppm", workload.Params{"iters": 4000})
 	if err != nil {
@@ -820,7 +822,13 @@ func sppmBenchFile(b *testing.B) *interval.File {
 	if _, err := merge.Merge(convertedFiles(b, raws), sb, merge.Options{}); err != nil {
 		b.Fatal(err)
 	}
-	mf, err := interval.NewFile(sb)
+	return sb.Bytes()
+}
+
+// sppmBenchFile is sppmBenchTrace opened in memory.
+func sppmBenchFile(b *testing.B) *interval.File {
+	b.Helper()
+	mf, err := interval.NewFile(interval.NewSeekBufferFrom(sppmBenchTrace(b)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -889,6 +897,87 @@ func BenchmarkServeWindowCached(b *testing.B) {
 	b.ReportMetric(float64(decoded)/float64(b.N), "frames/op")
 	if decoded != 0 {
 		b.Fatalf("warm queries decoded %d frames", decoded)
+	}
+}
+
+// BenchmarkServeStatsWarm is serve_zoom_warm's dominant request in
+// process: the predefined tables at 16 bins over a window of the
+// ledger's sPPM 4×8 trace, through the trace service's handler, asked
+// over and over. The first asking evaluates every frame of the window
+// and the second stores the partials of the frames wholly inside it, so
+// every timed request — the third and later — may evaluate only the
+// frames straddling the window's edges: the benchmark fails if one
+// evaluates more (its JSON form reports the count), or if a body differs
+// from the first answer.
+func BenchmarkServeStatsWarm(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "sppm.ute")
+	if err := os.WriteFile(path, sppmBenchTrace(b), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	svc := tracesvc.New(tracesvc.Config{})
+	defer svc.Close()
+	tr, err := svc.Registry().Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	start, end, _ := tr.Bounds()
+	window := fmt.Sprintf("%.9f:%.9f", (start + (end-start)*3/10).Seconds(), (start + (end-start)*6/10).Seconds())
+	lo, hi, err := clock.ParseWindow(window)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var selected, edges int
+	for _, fe := range tr.Frames() {
+		if fe.End >= lo && fe.Start <= hi {
+			selected++
+			if fe.Start < lo || fe.End > hi {
+				edges++
+			}
+		}
+	}
+	url := fmt.Sprintf("/v1/traces/%s/stats?bins=16&window=%s", tr.ID, window)
+	serve := func(url string) string {
+		w := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(w, httptest.NewRequest("GET", url, nil))
+		if w.Code != 200 {
+			b.Fatalf("GET %s: %d %s", url, w.Code, w.Body)
+		}
+		return w.Body.String()
+	}
+	first := serve(url)
+	serve(url)
+	runtime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if serve(url) != first {
+			b.Fatalf("asking %d: body differs from the first answer", i+3)
+		}
+	}
+	b.StopTimer()
+	var plan struct {
+		Tables []struct {
+			Name string `json:"name"`
+			TSV  string `json:"tsv"`
+		} `json:"tables"`
+		FramesEvaluated *int `json:"framesEvaluated"`
+	}
+	if err := json.Unmarshal([]byte(serve(url+"&format=json")), &plan); err != nil {
+		b.Fatal(err)
+	}
+	var body strings.Builder
+	for _, tb := range plan.Tables {
+		fmt.Fprintf(&body, "# table %s\n%s\n", tb.Name, tb.TSV)
+	}
+	if body.String() != first {
+		b.Fatal("the JSON form's tables differ from the first answer")
+	}
+	if plan.FramesEvaluated == nil {
+		b.Fatalf("no framesEvaluated reported: every request evaluates all %d frames of its window", selected)
+	}
+	b.ReportMetric(float64(*plan.FramesEvaluated), "evaluated/op")
+	b.ReportMetric(float64(selected), "frames/op")
+	if *plan.FramesEvaluated > edges {
+		b.Fatalf("a warm request evaluated %d of its window's %d frames; only the %d straddling its edges may be", *plan.FramesEvaluated, selected, edges)
 	}
 }
 

@@ -70,7 +70,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7464", "listen address (port 0 = pick a free port)")
 		cacheMB   = flag.Int64("cache-mb", 256, "decoded-frame cache budget, MiB")
 		shards    = flag.Int("shards", 16, "cache shard count")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-request deadline")
+		timeout   = flag.Duration("timeout", tracesvc.DefaultRequestTimeout, "per-request deadline")
 		bins      = flag.Int("bins", 50, "time bins for the predefined statistics tables")
 		ingestDir = flag.String("ingest-dir", "", "enable streaming ingest; live trace files are written here")
 		ingestMax = flag.Int64("ingest-max-batch", 8<<20, "largest accepted ingest batch, bytes")

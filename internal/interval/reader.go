@@ -86,6 +86,9 @@ type File struct {
 	// a decoded-frame cache. Set it before the File is shared between
 	// goroutines.
 	hook FrameDecoder
+	// memo, when non-nil, memoizes values derived from a frame (the stats
+	// engine's per-frame partials) in the same cache; set beside hook.
+	memo FrameMemo
 	// chainOnce loads the frame index (loadChain) at the first metadata
 	// call or scan: dirs is the directory chain in file order, frames
 	// every directory's entries flattened, chainErr what made the walk
@@ -123,6 +126,24 @@ type FrameDecoder func(f *File, fe FrameEntry) (*Batch, error)
 // hook. It must be called before the File is used from multiple
 // goroutines; the field is read without synchronization.
 func (f *File) SetFrameDecoder(h FrameDecoder) { f.hook = h }
+
+// FrameMemo memoizes a value derived from one frame's records under a
+// caller-chosen key, which must name everything the value depends on
+// besides the frame's bytes. compute(store) derives the value; store
+// says whether the memo keeps it, so compute hands back a right-sized
+// copy of size bytes when it does and may return scratch state when it
+// does not. A memo returns a kept value to every later caller with the
+// same key (reused = true), runs compute at most once at a time per key
+// (a caller waiting on another's compute gives up when ctx is done), and
+// never keeps a value whose compute failed.
+type FrameMemo func(ctx context.Context, fe FrameEntry, key string, compute func(store bool) (v any, size int64, err error)) (v any, reused bool, err error)
+
+// SetFrameMemo installs (or, with nil, removes) the frame memo, under
+// the same rule as SetFrameDecoder.
+func (f *File) SetFrameMemo(m FrameMemo) { f.memo = m }
+
+// FrameMemo returns the installed frame memo, nil when there is none.
+func (f *File) FrameMemo() FrameMemo { return f.memo }
 
 // DecodedFrames returns how many frame payloads have been read from the
 // file so far (every ReadFrame/Scanner frame load counts once).

@@ -104,6 +104,10 @@ type Router struct {
 	met      *routerMetrics
 	mux      *http.ServeMux
 	backends []*backendState
+	// timeout bounds every routed request — a backend's own deadline,
+	// tracesvc.DefaultRequestTimeout: the proxy and scatter-gather legs
+	// inherit it, and a request that outlives it is answered 504.
+	timeout time.Duration
 
 	mu     sync.RWMutex
 	traces map[string]*traceEntry
@@ -130,9 +134,10 @@ func NewRouter(cfg Config) (*Router, error) {
 			MaxIdleConnsPerHost: cfg.MaxInflight,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		mux:    http.NewServeMux(),
-		traces: make(map[string]*traceEntry),
-		stop:   make(chan struct{}),
+		mux:     http.NewServeMux(),
+		timeout: tracesvc.DefaultRequestTimeout,
+		traces:  make(map[string]*traceEntry),
+		stop:    make(chan struct{}),
 	}
 	for i, b := range cfg.Backends {
 		names[i] = b.Name
@@ -146,13 +151,13 @@ func NewRouter(cfg Config) (*Router, error) {
 	rt.met = newRouterMetrics(names, rt.ring.size())
 
 	rt.mux.HandleFunc("GET /v1/traces", rt.handleList)
-	rt.mux.HandleFunc("POST /v1/traces", rt.handleOpen)
+	rt.mux.HandleFunc("POST /v1/traces", rt.routed(rt.handleOpen))
 	rt.mux.HandleFunc("GET /v1/traces/{id}", rt.handleGet)
-	rt.mux.HandleFunc("DELETE /v1/traces/{id}", rt.handleClose)
-	rt.mux.HandleFunc("GET /v1/traces/{id}/frames", rt.handleFrames)
-	rt.mux.HandleFunc("GET /v1/traces/{id}/stats", rt.handleStats)
-	rt.mux.HandleFunc("GET /v1/traces/{id}/records", rt.handleRecords)
-	rt.mux.HandleFunc("GET /v1/traces/{id}/preview.svg", rt.handlePreview)
+	rt.mux.HandleFunc("DELETE /v1/traces/{id}", rt.routed(rt.handleClose))
+	rt.mux.HandleFunc("GET /v1/traces/{id}/frames", rt.routed(rt.handleFrames))
+	rt.mux.HandleFunc("GET /v1/traces/{id}/stats", rt.routed(rt.handleStats))
+	rt.mux.HandleFunc("GET /v1/traces/{id}/records", rt.routed(rt.handleRecords))
+	rt.mux.HandleFunc("GET /v1/traces/{id}/preview.svg", rt.routed(rt.handlePreview))
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -164,6 +169,25 @@ func NewRouter(cfg Config) (*Router, error) {
 
 // Handler returns the root handler.
 func (rt *Router) Handler() http.Handler { return rt.mux }
+
+// routed runs a handler that talks to backends under the request
+// deadline, so every leg it starts inherits it.
+func (rt *Router) routed(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), rt.timeout)
+		defer cancel()
+		h(w, r.WithContext(ctx))
+	}
+}
+
+// legsFailed is the status of a request whose backend legs failed: 504
+// once its deadline has passed, 502 otherwise.
+func legsFailed(ctx context.Context) int {
+	if ctx.Err() != nil {
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusBadGateway
+}
 
 // Start launches the background health poller.
 func (rt *Router) Start() {
@@ -339,7 +363,7 @@ func (rt *Router) open(ctx context.Context, path string) (*traceEntry, *openErro
 	}{path})
 	st, _, respBody, err := rt.doBackend(ctx, owner, "POST", "/v1/traces", body)
 	if err != nil {
-		return nil, &openError{http.StatusBadGateway, fmt.Sprintf("router: backend %s: %v", rt.backends[owner].name, err)}
+		return nil, &openError{legsFailed(ctx), fmt.Sprintf("router: backend %s: %v", rt.backends[owner].name, err)}
 	}
 	if st != http.StatusCreated {
 		return nil, &openError{st, string(bytes.TrimSuffix(respBody, []byte("\n")))}
@@ -361,7 +385,7 @@ func (rt *Router) open(ctx context.Context, path string) (*traceEntry, *openErro
 	var fl tracesvc.FrameList
 	st, _, respBody, err = rt.doBackend(ctx, owner, "GET", "/v1/traces/"+info.ID+"/frames", nil)
 	if err != nil || st != http.StatusOK || json.Unmarshal(respBody, &fl) != nil {
-		return nil, &openError{http.StatusBadGateway, "router: cannot read frame directory from owner"}
+		return nil, &openError{legsFailed(ctx), "router: cannot read frame directory from owner"}
 	}
 
 	for bi := range rt.backends {
@@ -624,7 +648,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, te *traceEntry, 
 	}
 	st, h, body, err := rt.fetch(r.Context(), rt.candidates(te, pref), localPath)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("router: backend query failed: %v", err), http.StatusBadGateway)
+		http.Error(w, fmt.Sprintf("router: backend query failed: %v", err), legsFailed(r.Context()))
 		return
 	}
 	if ct := h.Get("Content-Type"); ct != "" {
@@ -705,8 +729,9 @@ func (rt *Router) handlePreview(w http.ResponseWriter, r *http.Request) {
 // and the partial pages merge in segment (frame) order through
 // par.OrderedReducer — integer totals and record concatenation only, so
 // the merged body is byte-identical to a single node's. Any leg
-// failure aborts the merge and surfaces a clean 502; the router never
-// returns a silently truncated page.
+// failure aborts the merge and surfaces a clean 502 (504 once the
+// request deadline has passed); the router never returns a silently
+// truncated page.
 func (rt *Router) handleRecords(w http.ResponseWriter, r *http.Request) {
 	te := rt.lookupTrace(r.PathValue("id"))
 	if te == nil {
@@ -853,7 +878,7 @@ func (rt *Router) handleRecords(w http.ResponseWriter, r *http.Request) {
 		// Clean failure semantics: a lost leg is a lost query. Partial
 		// pages are never returned — a truncated "200" would be
 		// indistinguishable from a short trace.
-		http.Error(w, fmt.Sprintf("router: scatter-gather failed: %v", err), http.StatusBadGateway)
+		http.Error(w, fmt.Sprintf("router: scatter-gather failed: %v", err), legsFailed(r.Context()))
 		return
 	}
 	if countOnly {

@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -273,6 +274,16 @@ func TestRouterByteIdentity(t *testing.T) {
 	compareReplies(t, "reopen after close", post(t, f.ref.URL, "/v1/traces", body), post(t, f.routerTS.URL, "/v1/traces", body))
 }
 
+// requestPlan matches the two fields of a JSON stats body that describe
+// the request rather than the answer: how many frames it evaluated and
+// how many per-frame partials it reused. They change when a query is
+// repeated (its partials get stored, then reused); the tables may not.
+var requestPlan = regexp.MustCompile(`"(framesEvaluated|partialsReused)": \d+`)
+
+func requestPlanless(body []byte) []byte {
+	return requestPlan.ReplaceAll(body, []byte(`"$1": 0`))
+}
+
 // TestRouterByteIdentityConcurrent replays the read queries from many
 // goroutines at once — the -race proof that the scatter-gather merge
 // and the shared counters are clean under concurrent clients.
@@ -298,7 +309,7 @@ func TestRouterByteIdentityConcurrent(t *testing.T) {
 				q := queries[rng.Intn(len(queries))]
 				got := get(t, f.routerTS.URL, q)
 				ref := refs[q]
-				if got.status != ref.status || !bytes.Equal(got.body, ref.body) {
+				if got.status != ref.status || !bytes.Equal(requestPlanless(got.body), requestPlanless(ref.body)) {
 					t.Errorf("client %d: %s: diverged (status %d vs %d)", c, q, got.status, ref.status)
 					return
 				}

@@ -8,67 +8,238 @@ package stats
 // group, built at finalization, where they still order the table.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
+	"unsafe"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/interval"
 )
 
+// framePart is one frame's evaluation: per table, its partial groups and
+// the count of selected records a skip bitmap excluded.
+type framePart struct {
+	groups  []groupTable
+	skipped []int64
+}
+
+// clone copies the partials into right-sized slabs — one holding every
+// table's key words, one every table's cells — and no group index: a
+// stored partial is only ever merged, which reads it through key and row.
+func (p *framePart) clone() *framePart {
+	nk, nc := 0, 0
+	for i := range p.groups {
+		nk += len(p.groups[i].keys)
+		nc += len(p.groups[i].cells)
+	}
+	keys, cells := make([]uint64, 0, nk), make([]cell, 0, nc)
+	c := &framePart{groups: make([]groupTable, len(p.groups)), skipped: slices.Clone(p.skipped)}
+	for i, g := range p.groups {
+		k0, c0 := len(keys), len(cells)
+		keys = append(keys, g.keys...)
+		cells = append(cells, g.cells...)
+		c.groups[i] = groupTable{nx: g.nx, ny: g.ny, n: g.n, keys: keys[k0:len(keys):len(keys)], cells: cells[c0:len(cells):len(cells)]}
+	}
+	return c
+}
+
+// size is what a cloned partial holds, in bytes.
+func (p *framePart) size() int64 {
+	n := int64(len(p.groups))*int64(unsafe.Sizeof(groupTable{})) + 8*int64(len(p.skipped))
+	for i := range p.groups {
+		n += 8*int64(len(p.groups[i].keys)) + int64(unsafe.Sizeof(cell{}))*int64(len(p.groups[i].cells))
+	}
+	return n
+}
+
+// frameResult carries one frame's partials to the frame-order reduce:
+// an executor's own (x, recycled after the merge) or a stored clone.
+type frameResult struct {
+	part   *framePart
+	x      *kexec
+	reused bool // answered by the frame memo, not evaluated
+}
+
 // generate evaluates the compiled program over every selected frame and
-// returns the finished tables. A worker's executor carries its frame's
-// partial groups to the frame-order reduce and is recycled after it, so
-// a run allocates for its distinct groups, not per frame.
-func (prog *compiledProgram) generate(files []*interval.File, mopts interval.MapOptions, tStart, tEnd clock.Time) ([]*Table, error) {
+// returns the finished tables with the run's frame counts. A worker's
+// executor carries its frame's partial groups to the frame-order reduce
+// and is recycled after it, so a run allocates for its distinct groups,
+// not per frame. program is the source text a frame memo keys partials
+// by ("" consults none).
+func (prog *compiledProgram) generate(program string, files []*interval.File, mopts interval.MapOptions, tStart, tEnd clock.Time) (Run, error) {
 	var dict *strDict
 	if prog.sl.markers || prog.sl.nc > 0 {
 		dict = newStrDict(files, prog.sl.nc > 0)
 	}
-	// One executor per worker, pooled: its kernel scratch buffers and
+	// One executor per worker, recycled: its kernel scratch buffers and
 	// group tables grow to the largest frame once and are reused for
 	// every frame after.
-	pool := sync.Pool{New: func() any { return prog.newExec(tStart, tEnd, dict) }}
+	pool := execPool{new: func() *kexec { return prog.newExec(tStart, tEnd, dict) }}
+	eval := func(file int, fe interval.FrameEntry, b *interval.Batch) (*kexec, error) {
+		x := pool.get()
+		if err := prog.evalFrame(x, mopts, file, fe, b); err != nil {
+			pool.put(x)
+			return nil, err
+		}
+		return x, nil
+	}
+	keys := prog.memoKeys(program, files, tStart, tEnd, dict)
+	ctx := mopts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	total := prog.newGroupTables()
 	skipped := make([]int64, len(prog.tables))
+	var run Run
 	err := interval.MapFrames(files, mopts,
-		func(file int, fe interval.FrameEntry, b *interval.Batch) (*kexec, error) {
-			x := pool.Get().(*kexec)
-			if err := prog.evalFrame(x, mopts, file, fe, b); err != nil {
-				pool.Put(x)
-				return nil, err
+		func(file int, fe interval.FrameEntry, b *interval.Batch) (frameResult, error) {
+			// Only a frame whose every record is selected has partials
+			// that another query can reuse: an edge frame's depend on
+			// the window.
+			if keys == nil || keys[file] == "" || !wholeFrame(mopts, fe) {
+				x, err := eval(file, fe, b)
+				if err != nil {
+					return frameResult{}, err
+				}
+				return frameResult{part: &x.framePart, x: x}, nil
 			}
-			return x, nil
+			v, hit, err := files[file].FrameMemo()(ctx, fe, keys[file], func(store bool) (any, int64, error) {
+				x, err := eval(file, fe, b)
+				if err != nil {
+					return nil, 0, err
+				}
+				if !store {
+					return x, 0, nil
+				}
+				p := x.framePart.clone()
+				pool.put(x)
+				return p, p.size(), nil
+			})
+			if err != nil {
+				return frameResult{}, err
+			}
+			if x, ok := v.(*kexec); ok {
+				return frameResult{part: &x.framePart, x: x}, nil
+			}
+			return frameResult{part: v.(*framePart), reused: hit}, nil
 		},
-		func(_ int, _ interval.FrameEntry, x *kexec) error {
+		func(_ int, _ interval.FrameEntry, r frameResult) error {
 			for i := range total {
-				total[i].merge(&x.groups[i])
-				skipped[i] += x.skipped[i]
+				total[i].merge(&r.part.groups[i])
+				skipped[i] += r.part.skipped[i]
 			}
-			pool.Put(x)
+			if r.x != nil {
+				pool.put(r.x)
+			}
+			if r.reused {
+				run.PartialsReused++
+			} else {
+				run.FramesEvaluated++
+			}
 			return nil
 		})
 	if err != nil {
-		return nil, err
+		return Run{}, err
 	}
-	tables := make([]*Table, len(prog.tables))
+	run.Tables = make([]*Table, len(prog.tables))
 	for i, ct := range prog.tables {
-		tables[i] = ct.finish(&total[i], skipped[i], dict)
+		run.Tables[i] = ct.finish(&total[i], skipped[i], dict)
 	}
-	return tables, nil
+	return run, nil
+}
+
+// execPool recycles one run's executors. It holds at most one per
+// worker, and they become garbage when the run returns: a sync.Pool
+// would stay registered with the runtime, its executors' frame-sized
+// scratch buffers live, until a later collection — per request, in a
+// server.
+type execPool struct {
+	mu   sync.Mutex
+	free []*kexec
+	new  func() *kexec
+}
+
+func (p *execPool) get() *kexec {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		x := p.free[n-1]
+		p.free = p.free[:n-1]
+		return x
+	}
+	return p.new()
+}
+
+func (p *execPool) put(x *kexec) {
+	p.mu.Lock()
+	p.free = append(p.free, x)
+	p.mu.Unlock()
+}
+
+// wholeFrame reports whether a frame's every record is selected: the run
+// is unwindowed or the frame lies inside the window. Fully-outside
+// frames are never selected by the engine.
+func wholeFrame(mopts interval.MapOptions, fe interval.FrameEntry) bool {
+	return !mopts.Window || fe.Start >= mopts.Lo && fe.End <= mopts.Hi
+}
+
+// memoKeys returns, per input file, the key a frame memo stores its
+// whole frames' partials under — "" for a file with no memo — or nil
+// when the run consults none. Those partials depend on a frame's bytes
+// (the memo keys by frame) and on what the key names, each part
+// length-prefixed so no two keys run together: the program text, the
+// run bounds bin() reads (a live trace's move with every seal), and,
+// when the program codes marker names, the dictionary codes the file's
+// marker table gets.
+func (prog *compiledProgram) memoKeys(program string, files []*interval.File, tStart, tEnd clock.Time, dict *strDict) []string {
+	// A program with string + interns its concatenations in the order
+	// the workers happen to meet them, so its codes mean something only
+	// within the run that made them: it bypasses the memo.
+	if program == "" || prog.sl.nc > 0 {
+		return nil
+	}
+	keys := make([]string, len(files))
+	for fi, f := range files {
+		if f.FrameMemo() == nil {
+			continue
+		}
+		k := appendField(nil, program)
+		k = strconv.AppendInt(k, int64(tStart), 10)
+		k = append(k, ':')
+		k = strconv.AppendInt(k, int64(tEnd), 10)
+		if prog.sl.markers {
+			for _, id := range markerIDs(f.Header.Markers) {
+				k = append(k, ';')
+				k = strconv.AppendUint(k, id, 10)
+				k = append(k, '=')
+				k = strconv.AppendUint(k, uint64(dict.markers[fi][id]), 10)
+				k = appendField(append(k, '='), f.Header.Markers[id])
+			}
+		}
+		keys[fi] = string(k)
+	}
+	return keys
+}
+
+// appendField appends s behind its length.
+func appendField(k []byte, s string) []byte {
+	k = strconv.AppendInt(k, int64(len(s)), 10)
+	return append(append(k, ':'), s...)
 }
 
 // evalFrame folds one frame's batch into x's per-table partial groups.
 func (prog *compiledProgram) evalFrame(x *kexec, mopts interval.MapOptions, file int, fe interval.FrameEntry, b *interval.Batch) error {
 	x.bind(file, b)
-	// Batch-level pruning from directory aggregates: a frame that
-	// lies fully inside the window (or any frame when unwindowed)
+	// Batch-level pruning from directory aggregates: a whole frame
 	// selects every row, so no per-row bitmap test is needed.
-	// Fully-outside frames were never selected by the engine.
 	sel := x.mbuf(prog.selSlot)
-	if mopts.Window && !(fe.Start >= mopts.Lo && fe.End <= mopts.Hi) {
+	if !wholeFrame(mopts, fe) {
 		maskZero(sel)
 		for i := 0; i < b.N; i++ {
 			if b.Start[i]+b.Dura[i] >= mopts.Lo && b.Start[i] <= mopts.Hi {
@@ -94,10 +265,12 @@ func (prog *compiledProgram) evalFrame(x *kexec, mopts interval.MapOptions, file
 // kConcat builds — under a run-global code, so group keys from
 // different input files and workers agree exactly when the strings do.
 // Marker ids are per file, so each file's marker table is interned by
-// name up front. Concatenations are interned as workers meet them,
-// under mu; without string + the dictionary never grows and never
-// locks. Codes never order output (finish sorts by text), so the order
-// in which workers intern cannot change a byte.
+// name up front, files in order and each in ascending id order: the
+// codes are a function of the marker tables, the same in every run, so
+// memoized partials can carry them. Concatenations are interned as
+// workers meet them, under mu; without string + the dictionary never
+// grows and never locks. Codes never order output (finish sorts by
+// text), so the order in which workers intern cannot change a byte.
 type strDict struct {
 	mu      sync.Mutex
 	grows   bool
@@ -110,12 +283,22 @@ func newStrDict(files []*interval.File, grows bool) *strDict {
 	d := &strDict{grows: grows, names: []string{""}, byName: map[string]uint32{"": 0}, markers: make([]map[uint64]uint32, len(files))}
 	for fi, f := range files {
 		codes := make(map[uint64]uint32, len(f.Header.Markers))
-		for id, name := range f.Header.Markers {
-			codes[id] = d.intern(name)
+		for _, id := range markerIDs(f.Header.Markers) {
+			codes[id] = d.intern(f.Header.Markers[id])
 		}
 		d.markers[fi] = codes
 	}
 	return d
+}
+
+// markerIDs returns a marker table's ids in ascending order.
+func markerIDs(m map[uint64]string) []uint64 {
+	ids := make([]uint64, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // intern returns s's code, adding s if it is new.

@@ -105,40 +105,38 @@ type kernel interface {
 
 // kexec is the per-worker execution state: the bound batch, the scratch
 // buffer tables the compiled kernels index into, and the frame's partial
-// groups. One kexec is reused across frames (sync.Pool), so steady-state
+// groups. One kexec is reused across frames (execPool), so steady-state
 // evaluation does not allocate.
 type kexec struct {
-	n, nw   int // rows, bitmap words
-	b       *interval.Batch
-	file    int
-	dict    *strDict
-	tStart  clock.Time
-	tEnd    clock.Time
-	f       [][]float64
-	u       [][]uint32
-	m       [][]uint64
-	tt      [][]uint8           // per-code verdict tables; a code never changes its string, so they outlive frames
-	memo    []map[uint64]uint32 // per kConcat: result code by (left code, right code), for the executor's lifetime
-	xres    []kres
-	yres    []kres
-	key     []uint64
-	groups  []groupTable // per table: the bound frame's partial groups
-	skipped []int64      // per table: the bound frame's skipped-record count
+	n, nw     int // rows, bitmap words
+	b         *interval.Batch
+	file      int
+	dict      *strDict
+	tStart    clock.Time
+	tEnd      clock.Time
+	f         [][]float64
+	u         [][]uint32
+	m         [][]uint64
+	tt        [][]uint8           // per-code verdict tables; a code never changes its string, so they outlive frames
+	memo      []map[uint64]uint32 // per kConcat: result code by (left code, right code), for the executor's lifetime
+	xres      []kres
+	yres      []kres
+	key       []uint64
+	framePart // the bound frame's partials
 }
 
 func (p *compiledProgram) newExec(tStart, tEnd clock.Time, dict *strDict) *kexec {
 	return &kexec{
 		tStart: tStart, tEnd: tEnd, dict: dict,
-		f:       make([][]float64, p.sl.nf),
-		u:       make([][]uint32, p.sl.nu),
-		m:       make([][]uint64, p.sl.nm),
-		tt:      make([][]uint8, p.sl.nt),
-		memo:    make([]map[uint64]uint32, p.sl.nc),
-		xres:    make([]kres, p.maxX),
-		yres:    make([]kres, p.maxY),
-		key:     make([]uint64, p.maxX),
-		groups:  p.newGroupTables(),
-		skipped: make([]int64, len(p.tables)),
+		f:         make([][]float64, p.sl.nf),
+		u:         make([][]uint32, p.sl.nu),
+		m:         make([][]uint64, p.sl.nm),
+		tt:        make([][]uint8, p.sl.nt),
+		memo:      make([]map[uint64]uint32, p.sl.nc),
+		xres:      make([]kres, p.maxX),
+		yres:      make([]kres, p.maxY),
+		key:       make([]uint64, p.maxX),
+		framePart: framePart{groups: p.newGroupTables(), skipped: make([]int64, len(p.tables))},
 	}
 }
 

@@ -28,6 +28,16 @@ type Table struct {
 	FramesDecoded int    `json:",omitempty"`
 }
 
+// Run is one program run: its tables, and how many frames it evaluated
+// and how many it merged from partials a frame memo
+// (interval.File.SetFrameMemo) had stored. The counts are observability
+// only, like Table.Engine.
+type Run struct {
+	Tables          []*Table
+	FramesEvaluated int
+	PartialsReused  int
+}
+
 // Row is one table row: the x tuple and the aggregated y values.
 type Row struct {
 	X []Value
@@ -51,23 +61,38 @@ func Generate(program string, files []*interval.File) ([]*Table, error) {
 // outside it are never decoded; bin() keeps full-run bounds, so bin
 // numbers mean the same thing windowed or not.
 func GenerateOpts(program string, files []*interval.File, opts interval.MapOptions) ([]*Table, error) {
+	run, err := GenerateRun(program, files, opts)
+	return run.Tables, err
+}
+
+// GenerateRun is GenerateOpts that also reports the run's frame counts.
+func GenerateRun(program string, files []*interval.File, opts interval.MapOptions) (Run, error) {
 	specs, err := Parse(program)
 	if err != nil {
-		return nil, err
+		return Run{}, err
 	}
-	return GenerateSpecsOpts(specs, files, opts)
+	return generateSpecs(program, specs, files, opts)
 }
 
 // GenerateSpecsOpts runs parsed table specs over the interval files on
 // the per-frame map-reduce engine: frames arrive as columnar batches,
 // the compiled kernels evaluate them concurrently into partial groups,
-// and the partials merge into the global groups in frame order.
+// and the partials merge into the global groups in frame order. With no
+// program text to key them by, it consults no frame memo.
 func GenerateSpecsOpts(specs []*TableSpec, files []*interval.File, opts interval.MapOptions) ([]*Table, error) {
+	run, err := generateSpecs("", specs, files, opts)
+	return run.Tables, err
+}
+
+// generateSpecs is the one entry point under both: a whole frame's
+// partials are looked up in, and stored to, the file's frame memo under
+// the program text.
+func generateSpecs(program string, specs []*TableSpec, files []*interval.File, opts interval.MapOptions) (Run, error) {
 	tStart, tEnd, err := runBounds(files)
 	if err != nil {
-		return nil, err
+		return Run{}, err
 	}
-	return compileProgram(specs).generate(files, opts, tStart, tEnd)
+	return compileProgram(specs).generate(program, files, opts, tStart, tEnd)
 }
 
 // runBounds computes overall run bounds over all inputs, for bin().

@@ -9,17 +9,21 @@
 package tracesvc
 
 import (
+	"context"
 	"sync"
 
 	"tracefw/internal/interval"
 	"tracefw/internal/promtext"
 )
 
-// frameKey identifies one cached frame: the registry-assigned file
-// number plus the frame's byte offset (unique within a file).
+// frameKey identifies one cache entry: the registry-assigned file
+// number, the frame's byte offset (unique within a file), and — for a
+// stats partial memoized from that frame — the memo key; "" is the
+// decoded frame itself.
 type frameKey struct {
 	file uint64
 	off  int64
+	memo string
 }
 
 // FrameCache is a sharded LRU cache of decoded frames — columnar
@@ -30,6 +34,10 @@ type frameKey struct {
 // batches are shared with every caller and read-only by contract (the
 // same contract interval.FrameDecoder states); eviction only drops the
 // cache's reference, so a batch a request still holds stays valid.
+//
+// The same shards, LRU, budget and singleflight hold the stats engine's
+// per-frame partials (Memo), which only the partial counters see: the
+// decoded-frame counters count decoded frames alone.
 type FrameCache struct {
 	shards      []cacheShard
 	shardBudget int64
@@ -40,6 +48,12 @@ type FrameCache struct {
 	evictions promtext.Counter
 	bytes     promtext.Gauge
 	entries   promtext.Gauge
+	// Partial lookups answered from a stored partial, lookups that
+	// evaluated, partials stored, and the bytes memo entries are charged.
+	partHits   promtext.Counter
+	partMisses promtext.Counter
+	partStored promtext.Counter
+	partBytes  promtext.Gauge
 }
 
 type cacheShard struct {
@@ -53,18 +67,27 @@ type cacheShard struct {
 }
 
 type cacheEntry struct {
-	key        frameKey
-	batch      *interval.Batch
+	key frameKey
+	// val is the decoded *interval.Batch or the stored partial.
+	val        any
 	size       int64
 	prev, next *cacheEntry
-	// ready closes when the decode finished; err is set before ready
+	// ready closes when the load finished; err is set before ready
 	// closes and never written afterwards.
 	ready chan struct{}
 	err   error
 	// linked tracks list membership: an entry can leave the list (and
 	// the map) through invalidation while a waiter still holds it.
 	linked bool
+	// once marks a memo key evaluated once and not stored: resident
+	// with no value and no ready channel, it admits the key's next
+	// evaluation to the memo.
+	once bool
 }
+
+// memoEntryBytes is what a memo entry is charged beyond its partial: the
+// entry itself plus its key, charged by length (a client chooses it).
+const memoEntryBytes = 128
 
 // NewFrameCache builds a cache with the given total byte budget spread
 // over nShards shards (both floored to sane minimums). The budget
@@ -91,7 +114,8 @@ func NewFrameCache(budgetBytes int64, nShards int) *FrameCache {
 func (c *FrameCache) shard(k frameKey) *cacheShard {
 	// Frame offsets are distinct multiples of small sizes; fold both key
 	// halves through a 64-bit mix (splitmix64 finalizer) so shard
-	// assignment is uniform regardless of alignment.
+	// assignment is uniform regardless of alignment. A frame's partials
+	// share its shard.
 	h := k.file*0x9e3779b97f4a7c15 + uint64(k.off)
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -104,106 +128,184 @@ func (c *FrameCache) shard(k frameKey) *cacheShard {
 // result. A failed load is not cached; every waiter sees the error and
 // the next Get retries.
 func (c *FrameCache) Get(file uint64, off int64, load func() (*interval.Batch, error)) (*interval.Batch, error) {
-	k := frameKey{file, off}
+	k := frameKey{file: file, off: off}
 	sh := c.shard(k)
-
 	sh.mu.Lock()
 	if e := sh.entries[k]; e != nil {
-		select {
-		case <-e.ready:
-			// Ready entry: bump it to the front and serve.
-			sh.moveToFront(e)
-			sh.mu.Unlock()
-			c.hits.Add(1)
-			return e.batch, e.err
-		default:
-		}
-		// Another goroutine is decoding this frame right now: wait for
-		// it outside the lock. Counted as a hit — no second decode runs.
-		sh.mu.Unlock()
-		<-e.ready
+		// Ready, or another goroutine is decoding it right now: a hit
+		// either way — no second decode runs.
+		sh.await(context.Background(), e)
 		c.hits.Add(1)
-		return e.batch, e.err
+		b, _ := e.val.(*interval.Batch)
+		return b, e.err
 	}
 	e := &cacheEntry{key: k, ready: make(chan struct{})}
 	sh.entries[k] = e
 	sh.mu.Unlock()
 	c.misses.Add(1)
-
-	b, err := load()
-	e.batch, e.err = b, err
-
-	sh.mu.Lock()
-	if err != nil {
-		// Do not cache failures; drop our placeholder unless an
-		// invalidation already removed it.
-		if sh.entries[k] == e {
-			delete(sh.entries, k)
+	v, err := c.fill(sh, e, func() (any, int64, error) {
+		b, err := load()
+		if err != nil {
+			return nil, 0, err
 		}
-	} else if sh.entries[k] == e {
-		e.size = b.Footprint()
-		sh.linkFront(e)
-		sh.bytes += e.size
-		c.bytes.Add(e.size)
-		c.entries.Add(1)
+		return b, b.Footprint(), nil
+	})
+	b, _ := v.(*interval.Batch)
+	return b, err
+}
+
+// Memo is the interval.FrameMemo the registry installs for file number
+// file, over the frame at off. Admission is on the second evaluation
+// under a key: the first leaves only a once-seen record (charged
+// memoEntryBytes plus the key), so a query nobody repeats stores and
+// copies nothing; the second stores its partial, and every later lookup
+// reuses it. Concurrent lookups of a partial being stored wait for it
+// (singleflight) unless ctx ends first; the store carries on either way.
+func (c *FrameCache) Memo(ctx context.Context, file uint64, off int64, key string, compute func(store bool) (any, int64, error)) (any, bool, error) {
+	k := frameKey{file, off, key}
+	sh := c.shard(k)
+	sh.mu.Lock()
+	e := sh.entries[k]
+	if e != nil && !e.once {
+		if err := sh.await(ctx, e); err != nil {
+			return nil, false, err
+		}
+		if e.err != nil {
+			// Evaluation is deterministic: the stored-to-be partial's
+			// error is this caller's too.
+			return nil, false, e.err
+		}
+		c.partHits.Add(1)
+		return e.val, true, nil
+	}
+	c.partMisses.Add(1)
+	if e == nil {
+		e = &cacheEntry{key: k, once: true, size: memoEntryBytes + int64(len(key))}
+		sh.entries[k] = e
+		c.link(sh, e)
 		c.evictLocked(sh)
+		sh.mu.Unlock()
+		v, _, err := compute(false)
+		return v, false, err
+	}
+	c.drop(sh, e)
+	e = &cacheEntry{key: k, ready: make(chan struct{})}
+	sh.entries[k] = e
+	sh.mu.Unlock()
+	v, err := c.fill(sh, e, func() (any, int64, error) {
+		v, size, err := compute(true)
+		return v, memoEntryBytes + int64(len(key)) + size, err
+	})
+	if err == nil {
+		c.partStored.Add(1)
+	}
+	return v, false, err
+}
+
+// await returns once e's load has finished, bumping a ready entry to the
+// LRU front, or once ctx is done. Called with the shard lock held, it
+// returns with the lock released.
+func (sh *cacheShard) await(ctx context.Context, e *cacheEntry) error {
+	select {
+	case <-e.ready:
+		sh.moveToFront(e)
+		sh.mu.Unlock()
+		return nil
+	default:
+	}
+	sh.mu.Unlock()
+	select {
+	case <-e.ready:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// fill runs load for e — in the map, not yet resident, ready still open
+// — and publishes the result: a success becomes resident unless an
+// invalidation dropped e meanwhile, a failure is not cached, and every
+// waiter is released.
+func (c *FrameCache) fill(sh *cacheShard, e *cacheEntry, load func() (any, int64, error)) (any, error) {
+	v, size, err := load()
+	e.val, e.err = v, err
+	sh.mu.Lock()
+	if sh.entries[e.key] == e {
+		if err != nil {
+			delete(sh.entries, e.key)
+		} else {
+			e.size = size
+			c.link(sh, e)
+			c.evictLocked(sh)
+		}
 	}
 	sh.mu.Unlock()
 	close(e.ready)
-	return b, err
+	return v, err
+}
+
+// link makes an entry resident: at the LRU front, charged to the shard's
+// budget and its kind's gauge. The caller holds the shard lock.
+func (c *FrameCache) link(sh *cacheShard, e *cacheEntry) {
+	sh.linkFront(e)
+	c.charge(sh, e, 1)
+}
+
+// drop removes an entry from the map and, when resident, from the LRU
+// and the budget. The caller holds the shard lock.
+func (c *FrameCache) drop(sh *cacheShard, e *cacheEntry) {
+	delete(sh.entries, e.key)
+	if e.linked {
+		sh.unlink(e)
+		c.charge(sh, e, -1)
+	}
+}
+
+func (c *FrameCache) charge(sh *cacheShard, e *cacheEntry, sign int64) {
+	sh.bytes += sign * e.size
+	if e.key.memo == "" {
+		c.bytes.Add(sign * e.size)
+		c.entries.Add(sign)
+	} else {
+		c.partBytes.Add(sign * e.size)
+	}
 }
 
 // evictLocked drops least-recently-used entries until the shard is back
 // under its budget. The caller holds the shard lock.
 func (c *FrameCache) evictLocked(sh *cacheShard) {
 	for sh.bytes > c.shardBudget && sh.tail != nil {
-		victim := sh.tail
-		sh.unlink(victim)
-		delete(sh.entries, victim.key)
-		sh.bytes -= victim.size
-		c.bytes.Add(-victim.size)
-		c.entries.Add(-1)
-		c.evictions.Add(1)
+		if sh.tail.key.memo == "" {
+			c.evictions.Add(1)
+		}
+		c.drop(sh, sh.tail)
 	}
 }
 
-// InvalidateFile removes every cached frame of the given file; the
-// registry calls it when a trace is closed so a later reopen can never
-// see stale frames.
+// InvalidateFile removes every cached frame and partial of the given
+// file; the registry calls it when a trace is closed so a later reopen
+// can never see stale entries.
 func (c *FrameCache) InvalidateFile(file uint64) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		for k, e := range sh.entries {
-			if k.file != file {
-				continue
-			}
-			delete(sh.entries, k)
-			if e.linked {
-				sh.unlink(e)
-				sh.bytes -= e.size
-				c.bytes.Add(-e.size)
-				c.entries.Add(-1)
+			if k.file == file {
+				c.drop(sh, e)
 			}
 		}
 		sh.mu.Unlock()
 	}
 }
 
-// Flush empties the cache entirely (benchmarks use it to measure the
-// cold path).
+// Flush empties the cache entirely, partials included (benchmarks use
+// it to measure the cold path).
 func (c *FrameCache) Flush() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for k, e := range sh.entries {
-			delete(sh.entries, k)
-			if e.linked {
-				sh.unlink(e)
-				sh.bytes -= e.size
-				c.bytes.Add(-e.size)
-				c.entries.Add(-1)
-			}
+		for _, e := range sh.entries {
+			c.drop(sh, e)
 		}
 		sh.mu.Unlock()
 	}
@@ -213,16 +315,24 @@ func (c *FrameCache) Flush() {
 type CacheStats struct {
 	Hits, Misses, Evictions int64
 	Bytes, Entries          int64
+	// Stats partials (Memo): lookups reusing a stored partial, lookups
+	// that evaluated, partials stored, and bytes charged to memo entries.
+	PartialHits, PartialMisses, PartialsStored int64
+	PartialBytes                               int64
 }
 
 // Stats snapshots the counters (approximate under concurrency).
 func (c *FrameCache) Stats() CacheStats {
 	return CacheStats{
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Evictions: c.evictions.Value(),
-		Bytes:     c.bytes.Value(),
-		Entries:   c.entries.Value(),
+		Hits:           c.hits.Value(),
+		Misses:         c.misses.Value(),
+		Evictions:      c.evictions.Value(),
+		Bytes:          c.bytes.Value(),
+		Entries:        c.entries.Value(),
+		PartialHits:    c.partHits.Value(),
+		PartialMisses:  c.partMisses.Value(),
+		PartialsStored: c.partStored.Value(),
+		PartialBytes:   c.partBytes.Value(),
 	}
 }
 

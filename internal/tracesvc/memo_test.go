@@ -1,0 +1,561 @@
+package tracesvc_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"tracefw/internal/clock"
+	"tracefw/internal/events"
+	"tracefw/internal/interval"
+	"tracefw/internal/profile"
+	"tracefw/internal/stats"
+	"tracefw/internal/tracesvc"
+	"tracefw/internal/xrand"
+)
+
+// writeMemoTrace writes an n-record trace built to trip a per-frame
+// stats memo: a marker table (one id the records use is missing from
+// it), bebits of every kind, every fourth record zero-duration and
+// runs of records sharing an end time, so zero-duration records sit
+// exactly on frame bounds — and therefore on frame-aligned window edges.
+// onSeal (nil for none) sees every directory seal.
+func writeMemoTrace(t testing.TB, dir string, n int, onSeal func(interval.SealInfo)) string {
+	t.Helper()
+	rng := xrand.New(7)
+	recs := make([]interval.Record, n)
+	end := clock.Time(0)
+	for i := range recs {
+		if rng.Intn(3) > 0 {
+			end += clock.Time(rng.Int63n(int64(clock.Millisecond)))
+		}
+		r := interval.Record{
+			Bebits: profile.Bebits(rng.Intn(4)),
+			Start:  end,
+			CPU:    uint16(i % 4),
+			Node:   uint16(i % 2),
+			Thread: uint16(i % 3),
+		}
+		if i%4 != 0 {
+			r.Dura = clock.Time(rng.Int63n(int64(2 * clock.Millisecond)))
+			r.Start = end - r.Dura
+		}
+		if i%3 == 0 {
+			r.Type = events.EvMarkerState
+			r.Extra = []uint64{uint64(1 + rng.Intn(len(memoMarkers)+1)), 0, 0}
+		} else {
+			r.Type = events.EvMPISend
+			r.Extra = []uint64{uint64(i % 2), 7, uint64(64 * (i % 5)), 0, 0, 0}
+		}
+		recs[i] = r
+	}
+	hdr := interval.Header{
+		ProfileVersion: profile.StdVersion,
+		HeaderVersion:  interval.CurrentHeaderVersion,
+		FieldMask:      profile.MaskIndividual,
+		Threads: []interval.ThreadEntry{
+			{Task: 0, PID: 100, SysTID: 1, Node: 0, LTID: 0, Type: events.ThreadMPI},
+			{Task: 1, PID: 101, SysTID: 2, Node: 1, LTID: 0, Type: events.ThreadMPI},
+		},
+		Markers: memoMarkers,
+	}
+	path := filepath.Join(dir, "memo.ute")
+	fl, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := interval.NewWriter(fl, hdr, interval.WriterOptions{FrameBytes: 1024, FramesPerDir: 4, OnSeal: onSeal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		if err := w.Add(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// memoMarkers is the harness trace's marker table: more names than fit
+// one map bucket, so map iteration order really varies.
+var memoMarkers = map[uint64]string{1: "alpha", 2: "beta", 3: "Phase A", 4: "gamma", 5: "delta",
+	6: "epsilon", 7: "zeta", 8: "eta", 9: "theta", 10: "iota", 11: "kappa", 12: "lambda"}
+
+// memoPrograms are the harness's programs: the predefined tables and a
+// one-table program (both read the run bounds through bin(), and share
+// every other key ingredient), a marker-keyed program (its group keys
+// are dictionary codes), and a string concatenation, which bypasses the
+// memo.
+var memoPrograms = []string{
+	stats.Predefined(7),
+	`table name=n x=("node", node) x=("b", bin(start, 3)) y=("n", dura, count)`,
+	`table name=m x=("m", markername) x=("b", bin(start, 5)) y=("n", dura, count) y=("t", dura, sum)
+table name=s condition=(markername != "beta") x=("b", bebits) y=("max", dura, max) y=("min", start, min)`,
+	`table name=c x=("c", markername + "/" + state) y=("n", dura, count) y=("t", dura, sum)`,
+}
+
+// errProgram fails at run time on every frame: the 500 must repeat, and
+// nothing may be stored for it.
+const errProgram = `table name=e y=("x", dura / (cpu - cpu), sum)`
+
+// memoWindows draws the harness's windows over a snapshot: unwindowed,
+// one frame's exact bounds, frame-aligned spans, and random ones, each
+// written the way a client would and checked to survive the decimal
+// round trip, so an aligned window is really aligned.
+func memoWindows(t *testing.T, rng *xrand.Rand, frames []interval.FrameEntry) []string {
+	t.Helper()
+	first, last := frames[0].Start, frames[0].End
+	for _, fe := range frames {
+		first, last = min(first, fe.Start), max(last, fe.End)
+	}
+	ws := []string{""}
+	add := func(lo, hi clock.Time) {
+		w := fmt.Sprintf("%.9f:%.9f", lo.Seconds(), hi.Seconds())
+		if plo, phi, err := clock.ParseWindow(w); err != nil || plo != lo || phi != hi {
+			t.Fatalf("window %q round-trips to [%v .. %v], want [%v .. %v]", w, plo, phi, lo, hi)
+		}
+		ws = append(ws, w)
+	}
+	fe := frames[rng.Intn(len(frames))]
+	add(fe.Start, fe.End)
+	for k := 0; k < 3; k++ {
+		i := rng.Intn(len(frames))
+		j := i + rng.Intn(len(frames)-i)
+		add(frames[i].Start, frames[j].End)
+	}
+	for k := 0; k < 3; k++ {
+		lo := first + clock.Time(rng.Int63n(int64(last-first)))
+		add(lo, lo+clock.Time(rng.Int63n(int64(last-lo)+1)))
+	}
+	return ws
+}
+
+// expectStats is the reference answer: stats.GenerateOpts over a freshly
+// opened, hook-less file, rendered as the TSV body, identically at
+// Parallel 1 and 4. A failing program's reference is its error text.
+func expectStats(t *testing.T, open func() *interval.File, program, window string) (string, error) {
+	t.Helper()
+	var bodies [2]string
+	var errs [2]error
+	for i, par := range []int{1, 4} {
+		f := open()
+		opts := interval.MapOptions{Parallel: par}
+		if window != "" {
+			lo, hi, err := clock.ParseWindow(window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Window, opts.Lo, opts.Hi = true, lo, hi
+		}
+		tables, err := stats.GenerateOpts(program, []*interval.File{f}, opts)
+		f.Close()
+		var b bytes.Buffer
+		for _, tb := range tables {
+			fmt.Fprintf(&b, "# table %s\n%s\n", tb.Name, tb.TSV())
+		}
+		bodies[i], errs[i] = b.String(), err
+	}
+	if bodies[0] != bodies[1] || fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+		t.Fatalf("reference differs between Parallel 1 and 4 (%s, window %q)", program, window)
+	}
+	return bodies[0], errs[0]
+}
+
+// statsURL is the request for a program over a window ("" unwindowed).
+func statsURL(id, program, window, format string) string {
+	q := url.Values{"expr": {program}}
+	if window != "" {
+		q.Set("window", window)
+	}
+	if format != "" {
+		q.Set("format", format)
+	}
+	return "/v1/traces/" + id + "/stats?" + q.Encode()
+}
+
+// checkMemoRounds queries every program over every window three times —
+// an evaluation, a store, a reuse — and holds every body to the
+// reference byte for byte; the runtime-error program must answer the
+// same 500 every time and store nothing.
+func checkMemoRounds(t *testing.T, s *tracesvc.Service, id string, open func() *interval.File, windows []string) {
+	t.Helper()
+	type query struct {
+		program, window, want string
+	}
+	var qs []query
+	for _, p := range memoPrograms {
+		for _, w := range windows {
+			want, err := expectStats(t, open, p, w)
+			if err != nil {
+				t.Fatalf("reference %s over %q: %v", p, w, err)
+			}
+			qs = append(qs, query{p, w, want})
+		}
+	}
+	_, wantErr := expectStats(t, open, errProgram, windows[0])
+	if wantErr == nil {
+		t.Fatal("the runtime-error program ran clean")
+	}
+	for round := 0; round < 3; round++ {
+		for _, q := range qs {
+			w := do(t, s, "GET", statsURL(id, q.program, q.window, ""), "")
+			if w.Code != http.StatusOK || w.Body.String() != q.want {
+				t.Fatalf("round %d, window %q, program %.60q: %d, body differs from a fresh GenerateOpts\n--- got ---\n%.600s\n--- want ---\n%.600s",
+					round, q.window, q.program, w.Code, w.Body, q.want)
+			}
+		}
+		stored := s.Cache().Stats().PartialsStored
+		w := do(t, s, "GET", statsURL(id, errProgram, windows[0], ""), "")
+		if w.Code != http.StatusInternalServerError || w.Body.String() != wantErr.Error()+"\n" {
+			t.Fatalf("round %d: runtime-error program answered %d %q, want 500 %q", round, w.Code, w.Body, wantErr)
+		}
+		if got := s.Cache().Stats().PartialsStored; got != stored {
+			t.Fatalf("round %d: a failing program stored %d partials", round, got-stored)
+		}
+	}
+}
+
+type statsPlan struct {
+	FramesEvaluated *int `json:"framesEvaluated"`
+	PartialsReused  *int `json:"partialsReused"`
+}
+
+// planOf asks for the JSON form of a query and returns its plan fields.
+func planOf(t *testing.T, s *tracesvc.Service, id, program, window string) (evaluated, reused int) {
+	t.Helper()
+	w := do(t, s, "GET", statsURL(id, program, window, "json"), "")
+	var p statsPlan
+	if err := json.Unmarshal(w.Body.Bytes(), &p); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("json stats: %d %v %s", w.Code, err, w.Body)
+	}
+	if p.FramesEvaluated == nil || p.PartialsReused == nil {
+		t.Fatalf("json stats lacks framesEvaluated/partialsReused: %s", w.Body)
+	}
+	return *p.FramesEvaluated, *p.PartialsReused
+}
+
+// TestStatsMemoDifferential is the memo's differential harness: random
+// windows — frame-aligned, one frame's exact bounds, with zero-duration
+// records on their edges, and none at all — over programs that key by
+// bin(), by marker codes and by a concatenation, answered by a service
+// that memoizes per-frame partials, each body byte-identical to
+// stats.GenerateOpts on a freshly opened file, on the first, second and
+// third asking alike.
+func TestStatsMemoDifferential(t *testing.T) {
+	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
+	open := func() *interval.File {
+		f, err := interval.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	s := tracesvc.New(tracesvc.Config{})
+	defer s.Close()
+	id := openTrace(t, s, path)
+	tr, _ := s.Registry().Resolve(id)
+	frames := tr.Frames()
+	if len(frames) < 20 {
+		t.Fatalf("only %d frames", len(frames))
+	}
+	rng := xrand.New(28)
+	for trial := 0; trial < 3; trial++ {
+		checkMemoRounds(t, s, id, open, memoWindows(t, rng, frames))
+	}
+	if cs := s.Cache().Stats(); cs.PartialHits == 0 || cs.PartialsStored == 0 {
+		t.Fatalf("the memo never stored or reused a partial: %+v", cs)
+	}
+}
+
+// metricValue scrapes one sample from /metrics.
+func metricValue(t *testing.T, s *tracesvc.Service, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(do(t, s, "GET", "/metrics", "").Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics lacks %s", name)
+	return 0
+}
+
+// TestStatsMemoPlan: on a fresh service, the first two askings of a
+// query evaluate every frame (the second stores what the first only
+// saw), and every later one evaluates only the frames straddling the
+// window's edges — none at all unwindowed — while a concatenation never
+// reuses. The marker-keyed program reuses too, which needs its marker
+// codes to come out the same on every run. /metrics counts the same
+// lookups, and the decoded-frame counters still count decoded frames.
+func TestStatsMemoPlan(t *testing.T) {
+	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
+	s := tracesvc.New(tracesvc.Config{})
+	defer s.Close()
+	id := openTrace(t, s, path)
+	tr, _ := s.Registry().Resolve(id)
+	frames := tr.Frames()
+	lo, hi := frames[5].Start+1, frames[15].End-1
+	window := fmt.Sprintf("%.9f:%.9f", lo.Seconds(), hi.Seconds())
+	var edges, inside int
+	for _, fe := range frames {
+		switch {
+		case fe.End < lo || fe.Start > hi:
+		case fe.Start >= lo && fe.End <= hi:
+			inside++
+		default:
+			edges++
+		}
+	}
+	if edges == 0 || inside == 0 {
+		t.Fatalf("window %s: %d edge frames, %d inside", window, edges, inside)
+	}
+	for _, tc := range []struct {
+		program, window   string
+		selected, reusing int
+	}{
+		{memoPrograms[0], window, edges + inside, inside},
+		{memoPrograms[2], "", len(frames), len(frames)},
+		{memoPrograms[3], window, edges + inside, 0},
+	} {
+		for ask := 1; ask <= 4; ask++ {
+			wantEv, wantRe := tc.selected, 0
+			if ask > 2 {
+				wantEv, wantRe = tc.selected-tc.reusing, tc.reusing
+			}
+			if ev, re := planOf(t, s, id, tc.program, tc.window); ev != wantEv || re != wantRe {
+				t.Fatalf("asking %d of %.40q over %q: evaluated %d, reused %d; want %d and %d", ask, tc.program, tc.window, ev, re, wantEv, wantRe)
+			}
+		}
+	}
+	memoized := int64(inside + len(frames))
+	for _, m := range []struct {
+		name string
+		want int64
+	}{
+		{`tracesvc_stats_partials_total{result="hit"}`, 2 * memoized},
+		{`tracesvc_stats_partials_total{result="miss"}`, 2 * memoized},
+		{`tracesvc_stats_partials_total{result="stored"}`, memoized},
+		{"tracesvc_cache_misses_total", int64(len(frames))},
+		{"tracesvc_cache_frames_resident", int64(len(frames))},
+		{"tracesvc_frames_decoded_total", int64(len(frames))},
+	} {
+		if got := metricValue(t, s, m.name); got != m.want {
+			t.Fatalf("%s = %d, want %d", m.name, got, m.want)
+		}
+	}
+	if got := metricValue(t, s, "tracesvc_stats_partials_bytes_resident"); got <= 0 {
+		t.Fatalf("tracesvc_stats_partials_bytes_resident = %d with %d partials stored", got, memoized)
+	}
+}
+
+// TestStatsMemoLiveGenerations re-asks every query across a live
+// trace's seal generations: each generation moves the run bounds bin()
+// reads, so a partial stored under one generation must never answer
+// for the next.
+func TestStatsMemoLiveGenerations(t *testing.T) {
+	var sizes []int64
+	path := writeMemoTrace(t, t.TempDir(), 3000, func(si interval.SealInfo) {
+		if len(sizes) == 0 || si.Size > sizes[len(sizes)-1] {
+			sizes = append(sizes, si.Size)
+		}
+	})
+	if len(sizes) < 4 {
+		t.Fatalf("only %d seals", len(sizes))
+	}
+	s := tracesvc.New(tracesvc.Config{})
+	defer s.Close()
+	prov := &sealedLive{path: path}
+	id := s.Registry().AddLive(prov)
+	rng := xrand.New(29)
+	for _, size := range []int64{sizes[len(sizes)/3], sizes[len(sizes)/2], sizes[2*len(sizes)/3], sizes[len(sizes)-1]} {
+		prov.publish(size)
+		open := func() *interval.File {
+			f, err := interval.Open(path, interval.WithLiveTail(size), interval.WithPyramid(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+		tr, err := s.Registry().Resolve(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMemoRounds(t, s, id, open, memoWindows(t, rng, tr.Frames()))
+	}
+}
+
+// TestStatsMemoUnderEviction runs the harness through a cache far
+// smaller than the decoded trace: partials and frames evict one another
+// all the time, and every body still matches.
+func TestStatsMemoUnderEviction(t *testing.T) {
+	const budget = 1 << 16
+	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
+	open := func() *interval.File {
+		f, err := interval.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	s := tracesvc.New(tracesvc.Config{CacheBytes: budget, CacheShards: 1})
+	defer s.Close()
+	id := openTrace(t, s, path)
+	tr, _ := s.Registry().Resolve(id)
+	checkMemoRounds(t, s, id, open, memoWindows(t, xrand.New(30), tr.Frames()))
+	cs := s.Cache().Stats()
+	if cs.PartialsStored == 0 || cs.Evictions == 0 {
+		t.Fatalf("no partial stored or no eviction under a %d-byte budget: %+v", budget, cs)
+	}
+	if cs.Bytes+cs.PartialBytes > budget {
+		t.Fatalf("cache holds %d frame and %d partial bytes, budget %d", cs.Bytes, cs.PartialBytes, budget)
+	}
+}
+
+// settleGoroutines waits for the goroutine count to fall back to before
+// and fails with every stack when it does not within a few seconds.
+func settleGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines before, %d after:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMemoSingleflightCancel: while one caller stores a frame's partial,
+// a second caller of the same key waits for it — and, cancelled, stops
+// waiting at once, while the store completes and serves the next
+// caller. A caller whose own request ends mid-compute still stores. No
+// goroutine outlives either.
+func TestMemoSingleflightCancel(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c := tracesvc.NewFrameCache(1<<20, 1)
+	const key = "k"
+	value := func(store bool) (any, int64, error) { return "partial", 8, nil }
+	if _, reused, err := c.Memo(context.Background(), 1, 0, key, value); reused || err != nil {
+		t.Fatalf("first lookup: reused %v, %v", reused, err)
+	}
+
+	computing, release := make(chan struct{}), make(chan struct{})
+	storer, storerCancel := context.WithCancel(context.Background())
+	stored := make(chan error, 1)
+	go func() {
+		_, _, err := c.Memo(storer, 1, 0, key, func(store bool) (any, int64, error) {
+			if !store {
+				return nil, 0, errors.New("the second evaluation must store")
+			}
+			close(computing)
+			<-release
+			return value(store)
+		})
+		stored <- err
+	}()
+	<-computing
+
+	waiter, waiterCancel := context.WithCancel(context.Background())
+	waited := make(chan error, 1)
+	go func() {
+		_, _, err := c.Memo(waiter, 1, 0, key, func(bool) (any, int64, error) {
+			return nil, 0, errors.New("a waiter evaluated")
+		})
+		waited <- err
+	}()
+	// The sleep only makes it likely that the waiter is blocked when
+	// cancelled; cancelled before it blocks, it must return the same way.
+	time.Sleep(10 * time.Millisecond)
+	waiterCancel()
+	select {
+	case err := <-waited:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled waiter: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a cancelled waiter kept waiting on the partial being stored")
+	}
+
+	storerCancel()
+	close(release)
+	if err := <-stored; err != nil {
+		t.Fatalf("storer: %v", err)
+	}
+	v, reused, err := c.Memo(context.Background(), 1, 0, key, func(bool) (any, int64, error) {
+		return nil, 0, errors.New("a stored partial was evaluated again")
+	})
+	if v != "partial" || !reused || err != nil {
+		t.Fatalf("after the store: %v, reused %v, %v", v, reused, err)
+	}
+	if cs := c.Stats(); cs.PartialsStored != 1 || cs.PartialHits != 1 || cs.Hits+cs.Misses+cs.Entries != 0 {
+		t.Fatalf("counters %+v", cs)
+	}
+	settleGoroutines(t, before)
+}
+
+// TestNoGoroutineOutlivesStats: concurrent stats requests over the same
+// windows — so they meet on the same frames' partials — some cut off by
+// their own deadlines mid-run, answer either the right body or a clean
+// 504, and once the service is closed no goroutine they started is left.
+func TestNoGoroutineOutlivesStats(t *testing.T) {
+	before := runtime.NumGoroutine()
+	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
+	s := tracesvc.New(tracesvc.Config{})
+	id := openTrace(t, s, path)
+	urls := []string{
+		"/v1/traces/" + id + "/stats?bins=8",
+		"/v1/traces/" + id + "/stats?bins=8&window=0.1:0.5",
+	}
+	want := make([]string, len(urls))
+	for i, u := range urls {
+		want[i] = do(t, s, "GET", u, "").Body.String()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				u := urls[(g+i)%len(urls)]
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(g%3)*time.Duration(i)*100*time.Microsecond)
+				if g%3 == 0 {
+					ctx, cancel = context.WithCancel(context.Background())
+				}
+				w := httptest.NewRecorder()
+				s.Handler().ServeHTTP(w, httptest.NewRequest("GET", u, nil).WithContext(ctx))
+				cancel()
+				switch {
+				case w.Code == http.StatusOK && w.Body.String() == want[(g+i)%len(urls)]:
+				case w.Code == http.StatusGatewayTimeout:
+				default:
+					t.Errorf("GET %s: %d %.200s", u, w.Code, w.Body)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	s.Close()
+	settleGoroutines(t, before)
+}

@@ -96,6 +96,12 @@ func (m *metrics) writePrometheus(w io.Writer, cache CacheStats, tracesOpen int6
 	fmt.Fprintf(w, "tracesvc_stats_tables_total %d\n", m.statsTables.Value())
 	promtext.Header(w, "tracesvc_stats_records_skipped_total", "counter", "Records excluded from statistics tables because an expression referenced a field their state type does not carry.")
 	fmt.Fprintf(w, "tracesvc_stats_records_skipped_total %d\n", m.statsSkipped.Value())
+	promtext.Header(w, "tracesvc_stats_partials_total", "counter", "Per-frame stats partial lookups: reused from the memo (hit), evaluated (miss), and evaluations stored (the second under a key).")
+	fmt.Fprintf(w, "tracesvc_stats_partials_total{result=\"hit\"} %d\n", cache.PartialHits)
+	fmt.Fprintf(w, "tracesvc_stats_partials_total{result=\"miss\"} %d\n", cache.PartialMisses)
+	fmt.Fprintf(w, "tracesvc_stats_partials_total{result=\"stored\"} %d\n", cache.PartialsStored)
+	promtext.Header(w, "tracesvc_stats_partials_bytes_resident", "gauge", "Bytes of the cache budget charged to stored stats partials and once-seen memo keys.")
+	fmt.Fprintf(w, "tracesvc_stats_partials_bytes_resident %d\n", cache.PartialBytes)
 	promtext.Header(w, "tracesvc_summary_queries_total", "counter", "Summary-planner queries (previews, time-resolved tables), by answering engine.")
 	fmt.Fprintf(w, "tracesvc_summary_queries_total{engine=\"pyramid\"} %d\n", m.summaryPyramid.Value())
 	fmt.Fprintf(w, "tracesvc_summary_queries_total{engine=\"scan\"} %d\n", m.summaryScan.Value())

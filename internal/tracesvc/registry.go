@@ -1,6 +1,7 @@
 package tracesvc
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -124,9 +125,11 @@ func (r *Registry) AddLive(prov LiveProvider) string {
 
 // snapshot makes an open file servable as e's trace: its directory
 // chain is proven to load, and every frame decode — map-reduce engine,
-// scanners, FrameBatch — is hooked into the shared cache under e's
-// namespace (installed before the trace is published, never changed
-// after, as SetFrameDecoder requires).
+// scanners, FrameBatch — and every per-frame stats partial is hooked
+// into the shared cache under e's namespace (installed before the trace
+// is published, never changed after, as SetFrameDecoder requires). The
+// namespace outlives seal generations, and so may partials: a sealed
+// frame's bytes never change, and the memo key names the run bounds.
 func (r *Registry) snapshot(e *entry, path string, f *interval.File) (*Trace, error) {
 	if !f.ConcurrentReads() {
 		return nil, fmt.Errorf("tracesvc: %s: reader does not support concurrent frame reads", path)
@@ -143,6 +146,9 @@ func (r *Registry) snapshot(e *entry, path string, f *interval.File) (*Trace, er
 			}
 			return b, err
 		})
+	})
+	f.SetFrameMemo(func(ctx context.Context, fe interval.FrameEntry, key string, compute func(bool) (any, int64, error)) (any, bool, error) {
+		return r.cache.Memo(ctx, num, fe.Offset, key, compute)
 	})
 	return &Trace{ID: e.id, Path: path, num: num, file: f}, nil
 }

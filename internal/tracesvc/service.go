@@ -26,6 +26,10 @@ import (
 // different value, and request bodies (ingest batches) are not covered.
 const ReadHeaderTimeout = 5 * time.Second
 
+// DefaultRequestTimeout is the request deadline of utetraced and of the
+// router in front of it when none is configured.
+const DefaultRequestTimeout = 30 * time.Second
+
 // Config tunes the service; zero values select the defaults.
 type Config struct {
 	// CacheBytes is the decoded-frame cache budget (default 256 MiB).
@@ -49,7 +53,7 @@ func (c Config) withDefaults() Config {
 		c.CacheShards = 16
 	}
 	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
+		c.RequestTimeout = DefaultRequestTimeout
 	}
 	if c.DefaultBins <= 0 {
 		c.DefaultBins = 50
@@ -399,7 +403,8 @@ func parseBins(q url.Values, def int) (int, error) {
 // ?bins buckets instead of running a program (nobody picks the summary
 // engine that answers them: summary= is ignored, as engine= is), and
 // format=json wraps each table with the summary engine that answered
-// and its excluded-record count.
+// and its excluded-record count, and reports how many frames the program
+// evaluated and how many per-frame partials it reused from the cache.
 func (s *Service) handleStats(r *http.Request) (*response, error) {
 	t, err := s.trace(r)
 	if err != nil {
@@ -416,25 +421,26 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 	} else if ok {
 		opts.Window, opts.Lo, opts.Hi = true, lo, hi
 	}
-	var tables []*stats.Table
+	var run stats.Run
 	if q.Get("timeresolved") == "1" {
 		if q.Get("expr") != "" {
 			return nil, badRequest("timeresolved=1 does not take an expr")
 		}
-		tables, err = stats.TimeResolved([]*interval.File{t.file}, bins, opts)
-		if err == nil && len(tables) > 0 {
-			s.met.observeSummary(tables[0].Engine, tables[0].CellsUsed, tables[0].FramesDecoded)
+		run.Tables, err = stats.TimeResolved([]*interval.File{t.file}, bins, opts)
+		if err == nil && len(run.Tables) > 0 {
+			s.met.observeSummary(run.Tables[0].Engine, run.Tables[0].CellsUsed, run.Tables[0].FramesDecoded)
 		}
 	} else {
 		program := q.Get("expr")
 		if program == "" {
 			program = stats.Predefined(bins)
 		}
-		tables, err = stats.GenerateOpts(program, []*interval.File{t.file}, opts)
+		run, err = stats.GenerateRun(program, []*interval.File{t.file}, opts)
 	}
 	if err != nil {
 		return nil, err
 	}
+	tables := run.Tables
 	s.met.statsTables.Add(int64(len(tables)))
 	for _, tb := range tables {
 		s.met.statsSkipped.Add(tb.Skipped)
@@ -447,13 +453,15 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 			Rows    int    `json:"rows"`
 			TSV     string `json:"tsv"`
 		}
-		out := make([]tableJSON, len(tables))
+		body := struct {
+			Tables          []tableJSON `json:"tables"`
+			FramesEvaluated int         `json:"framesEvaluated"`
+			PartialsReused  int         `json:"partialsReused"`
+		}{Tables: make([]tableJSON, len(tables)), FramesEvaluated: run.FramesEvaluated, PartialsReused: run.PartialsReused}
 		for i, tb := range tables {
-			out[i] = tableJSON{Name: tb.Name, Engine: tb.Engine, Skipped: tb.Skipped, Rows: len(tb.Rows), TSV: tb.TSV()}
+			body.Tables[i] = tableJSON{Name: tb.Name, Engine: tb.Engine, Skipped: tb.Skipped, Rows: len(tb.Rows), TSV: tb.TSV()}
 		}
-		return jsonResponse(http.StatusOK, struct {
-			Tables []tableJSON `json:"tables"`
-		}{out})
+		return jsonResponse(http.StatusOK, body)
 	}
 	var b bytes.Buffer
 	for _, tb := range tables {
