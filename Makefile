@@ -41,6 +41,8 @@ race:
 # PreviewZoom's whole-512 rung fails when the pyramid engine allocates
 # more bytes per preview than the scan engine over the same file (it must
 # hold one edge frame at a time).
+# SlogmergePerEventSmall is utemerge -slog's merge and SLOG build
+# (slog.MergeFiles) over a small storm trace.
 # StatsColumnar's columnar-cold/-warm, concat and predefined-sppm cases
 # live in the root package and fail when a run allocates more than a
 # fixed number of objects per record (the stats path must not allocate
@@ -54,7 +56,7 @@ race:
 # are memoized), or when its body differs from the first answer; before
 # the memo every request evaluated all 63 of its window's frames.
 bench-smoke:
-	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|IntervalWriterThroughput|ServeWindow|ServeStatsWarm|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|Tracegen|CutTraceRecord|SweepCell|^BenchmarkIngest$$' -benchtime 1x .
+	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|SlogmergePerEventSmall|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|IntervalWriterThroughput|ServeWindow|ServeStatsWarm|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|Tracegen|CutTraceRecord|SweepCell|^BenchmarkIngest$$' -benchtime 1x .
 	$(GO) test -run xxx -bench 'StatsColumnar' -benchtime 1x ./internal/stats
 
 # A short fuzz of every target, one at a time (the fuzz engine allows a

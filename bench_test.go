@@ -34,6 +34,7 @@ import (
 	"tracefw/internal/sched"
 	"tracefw/internal/slog"
 	"tracefw/internal/stats"
+	"tracefw/internal/testutil"
 	"tracefw/internal/trace"
 	"tracefw/internal/tracesvc"
 	"tracefw/internal/workload"
@@ -171,19 +172,20 @@ func BenchmarkConvertPerEventSmall(b *testing.B)  { benchConvertPerEvent(b, 1000
 func BenchmarkConvertPerEventMedium(b *testing.B) { benchConvertPerEvent(b, 4000) }
 func BenchmarkConvertPerEventLarge(b *testing.B)  { benchConvertPerEvent(b, 16000) }
 
+// benchSlogmergePerEvent times the paper's slogmerge as utemerge -slog
+// runs it (slog.MergeFiles): merge the per-node files on disk and build
+// the SLOG file in the same job.
 func benchSlogmergePerEvent(b *testing.B, iters int) {
 	raws := stormRaws(b, iters)
 	nev := rawEventCount(b, raws)
+	dir := b.TempDir()
+	paths := testutil.ConvertToDisk(b, raws, interval.WriterOptions{}, dir)
+	merged, slogPath := filepath.Join(dir, "merged.ute"), filepath.Join(dir, "trace.slog")
 	runtime.GC() // drop the generator's garbage; measure the utility
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		files := convertedFiles(b, raws)
-		runtime.GC()
-		b.StartTimer()
-		dst := interval.NewSeekBuffer()
-		if _, _, err := slog.Slogmerge(files, dst, merge.Options{}, slog.Options{}); err != nil {
+		if _, err := slog.MergeFiles(paths, merged, slogPath, nil, merge.Options{}, slog.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

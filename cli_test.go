@@ -521,6 +521,11 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"uteview", []string{"-t0", "2", "-t1", "1", "-merged", good}, 2},
 		{"uteview", []string{"-merged", good, "-preview", "-engine", "x"}, 2},
 		{"uteview", []string{"-merged", good, "-preview", "-engine", "scan"}, 2},
+		{"uteview", []string{"-merged", good, "-preview", "-bins", "-1"}, 2},
+		{"uteview", []string{"-merged", good, "-preview", "-bins", "65537"}, 2},
+		{"uteview", []string{"-merged", good, "-preview", "-bins", "2000000000"}, 2},
+		// A retired knob: the predefined tables' bin count is not settable.
+		{"utetraced", []string{"-bins", "50"}, 2},
 		{"uteview", []string{"-window", "2:1", "-merged", good, "-ascii"}, 1},
 
 		{"utecheck", nil, 3},

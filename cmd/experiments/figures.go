@@ -58,7 +58,7 @@ func runFig6(e *env) error {
 		return err
 	}
 	defer run.Close()
-	tables, err := run.Stats(stats.Predefined(50))
+	tables, err := run.Stats(stats.Predefined(interval.DefaultBins))
 	if err != nil {
 		return err
 	}

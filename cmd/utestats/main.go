@@ -38,7 +38,7 @@ func main() {
 	var (
 		exprSrc  = flag.String("e", "", "inline statistics program")
 		fileSrc  = flag.String("f", "", "statistics program file")
-		bins     = flag.Int("bins", 50, "time bins for the predefined tables")
+		bins     = flag.Int("bins", interval.DefaultBins, "time bins for the predefined tables")
 		outDir   = flag.String("out", "", "write each table to DIR/<name>.tsv instead of stdout")
 		svg      = flag.Bool("svg", false, "with -out, also write viewer SVGs")
 		checkVer = flag.Bool("check-profile", false, "verify the inputs' profile version against profile.ute next to each input")

@@ -7,8 +7,7 @@
 //
 // Usage:
 //
-//	utetraced [-addr HOST:PORT] [-cache-mb N] [-shards N]
-//	          [-timeout DUR] [-bins N]
+//	utetraced [-addr HOST:PORT] [-cache-mb N] [-shards N] [-timeout DUR]
 //	          [-ingest-dir DIR] [-ingest-max-batch N] [trace.ute ...]
 //
 // Any interval files on the command line are opened before the server
@@ -71,7 +70,6 @@ func main() {
 		cacheMB   = flag.Int64("cache-mb", 256, "decoded-frame cache budget, MiB")
 		shards    = flag.Int("shards", 16, "cache shard count")
 		timeout   = flag.Duration("timeout", tracesvc.DefaultRequestTimeout, "per-request deadline")
-		bins      = flag.Int("bins", 50, "time bins for the predefined statistics tables")
 		ingestDir = flag.String("ingest-dir", "", "enable streaming ingest; live trace files are written here")
 		ingestMax = flag.Int64("ingest-max-batch", 8<<20, "largest accepted ingest batch, bytes")
 	)
@@ -85,7 +83,6 @@ func main() {
 		CacheBytes:     *cacheMB << 20,
 		CacheShards:    *shards,
 		RequestTimeout: *timeout,
-		DefaultBins:    *bins,
 	})
 	if *ingestDir != "" {
 		m, err := ingest.NewManager(ingest.Config{Dir: *ingestDir, MaxBatchBytes: *ingestMax})

@@ -22,6 +22,7 @@ import (
 	"tracefw/internal/interval"
 	"tracefw/internal/render"
 	"tracefw/internal/slog"
+	"tracefw/internal/stats"
 )
 
 func main() {
@@ -47,6 +48,10 @@ func main() {
 	flag.Parse()
 	if *jobs < 0 {
 		fmt.Fprintln(os.Stderr, "uteview: -j must be >= 0")
+		os.Exit(2)
+	}
+	if *bins < 0 || *bins > stats.MaxBins {
+		fmt.Fprintf(os.Stderr, "uteview: -bins must be 0 to %d\n", stats.MaxBins)
 		os.Exit(2)
 	}
 	if *t1 != 0 && *t1 < *t0 {

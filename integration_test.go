@@ -201,13 +201,8 @@ func TestFileBasedPipeline(t *testing.T) {
 		for _, dur := range sf.Preview.Dur[si] {
 			got += dur
 		}
-		want := perState[ty]
-		diff := got - want
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > clock.Time(len(recs)+sf.Bins) {
-			t.Fatalf("preview total for %s: %v vs %v", ty.Name(), got, want)
+		if want := perState[ty]; got != want {
+			t.Fatalf("preview total for %s: %d ns vs %d ns", ty.Name(), got, want)
 		}
 	}
 }

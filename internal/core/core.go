@@ -206,7 +206,7 @@ func ExecuteMerge(cfg Config, main func(*mpisim.Proc)) (*Run, error) {
 // the merged file.
 func (r *Run) Stats(program string) ([]*stats.Table, error) {
 	if program == "" {
-		program = stats.Predefined(50)
+		program = stats.Predefined(interval.DefaultBins)
 	}
 	return stats.Generate(program, []*interval.File{r.Merged})
 }

@@ -277,7 +277,7 @@ func TestSummarizeAlignedDecodesNoFrames(t *testing.T) {
 // remainderSpans is the pyramid engine's partition of o's bins, restated
 // as an oracle: the sub-base-width edge spans it answers from frames.
 func remainderSpans(p *Pyramid, o WindowSummaryOptions) [][2]clock.Time {
-	g := newBinGrid(o.Lo, o.Hi, o.Bins)
+	g := NewBinGrid(o.Lo, o.Hi, o.Bins)
 	w := p.BaseWidth
 	var rems [][2]clock.Time
 	for bi := 0; bi < o.Bins; bi++ {

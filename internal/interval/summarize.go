@@ -32,7 +32,6 @@ package interval
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -99,58 +98,6 @@ type WindowSummary struct {
 	// frames on the scan engine, only edge-remainder frames on the
 	// pyramid engine.
 	FramesDecoded int
-}
-
-// binGrid is the bin ruler — the one definition of where a window's
-// bins begin and end: bounds[i] = lo + (span/bins)*i + (span%bins)*i/bins,
-// so bounds[0] = lo, bounds[bins] = hi, and widths are within one
-// nanosecond of each other. Bins are half-open [bounds[i], bounds[i+1]).
-type binGrid struct {
-	lo, hi clock.Time
-	span   int64
-	bounds []clock.Time
-}
-
-func newBinGrid(lo, hi clock.Time, bins int) *binGrid {
-	g := &binGrid{lo: lo, hi: hi, span: int64(hi - lo), bounds: make([]clock.Time, bins+1)}
-	q, r := g.span/int64(bins), g.span%int64(bins)
-	for i := range g.bounds {
-		g.bounds[i] = lo + clock.Time(q*int64(i)+r*int64(i)/int64(bins))
-	}
-	return g
-}
-
-func (g *binGrid) bins() int { return len(g.bounds) - 1 }
-
-// scaleBin returns off*bins/span clamped to [0, bins-1], for span > 0
-// and bins >= 1: the first guess at the bin holding an offset into the
-// span. The product is taken in 128 bits — in 64 it overflows once bins
-// times the span in nanoseconds passes 2^63, a 33 s run at 3·10^8 bins.
-func scaleBin(off, span int64, bins int) int {
-	if off <= 0 {
-		return 0
-	}
-	if off >= span {
-		return bins - 1
-	}
-	hi, lo := bits.Mul64(uint64(off), uint64(bins))
-	q, _ := bits.Div64(hi, lo, uint64(span)) // off < span, so q < bins: no overflow
-	return int(q)
-}
-
-// binOf returns the bin holding t, clamped to the grid.
-func (g *binGrid) binOf(t clock.Time) int {
-	if g.span <= 0 {
-		return 0
-	}
-	i := scaleBin(int64(t-g.lo), g.span, g.bins())
-	for i > 0 && t < g.bounds[i] {
-		i--
-	}
-	for i < g.bins()-1 && t >= g.bounds[i+1] {
-		i++
-	}
-	return i
 }
 
 // SummarizeWindow computes the window summary over files (the list
@@ -238,7 +185,7 @@ func (a *binAcc) laneRow(key uint32) []clock.Time {
 // addBatch applies every record of one frame: its start count, its busy
 // overlap with each bin it crosses, its clipped endpoints and its top
 // candidacy.
-func (a *binAcc) addBatch(b *Batch, g *binGrid, topK int) {
+func (a *binAcc) addBatch(b *Batch, g *BinGrid, topK int) {
 	for i := 0; i < b.N; i++ {
 		dura := b.Dura[i]
 		if dura < 0 {
@@ -246,7 +193,7 @@ func (a *binAcc) addBatch(b *Batch, g *binGrid, topK int) {
 		}
 		s, e := b.Start[i], b.Start[i]+dura
 		if s >= g.lo && s < g.hi {
-			a.records[g.binOf(s)]++
+			a.records[g.BinOf(s)]++
 		}
 		cs, ce := max(s, g.lo), min(e, g.hi)
 		if cs >= ce {
@@ -262,15 +209,14 @@ func (a *binAcc) addBatch(b *Batch, g *binGrid, topK int) {
 				a.tops.add(TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[i], CPU: b.CPU[i], Thread: b.Thread[i]}, topK)
 			}
 		}
-		for bi := g.binOf(cs); bi < g.bins() && g.bounds[bi] < ce; bi++ {
-			ov := min(ce, g.bounds[bi+1]) - max(cs, g.bounds[bi])
-			if ov == 0 {
-				a.across[typeBin{typ, bi}] = struct{}{}
+		for o := g.Overlaps(cs, ce); o.Next(); {
+			if o.Dur == 0 {
+				a.across[typeBin{typ, o.Bin}] = struct{}{}
 				continue
 			}
-			trow[bi] += ov
+			trow[o.Bin] += o.Dur
 			if lrow != nil {
-				lrow[bi] += ov
+				lrow[o.Bin] += o.Dur
 			}
 		}
 	}
@@ -303,8 +249,8 @@ func (a *binAcc) merge(b *binAcc, topK int) {
 // finish turns the sums into the public summary: positive entries and
 // the zero-width bins reached across, the window-wide lane list, and
 // the top-k.
-func (a *binAcc) finish(g *binGrid, peaks []int) *WindowSummary {
-	ws := &WindowSummary{Lo: g.lo, Hi: g.hi, Bins: make([]BinSummary, g.bins()), Top: a.tops}
+func (a *binAcc) finish(g *BinGrid, peaks []int) *WindowSummary {
+	ws := &WindowSummary{Lo: g.lo, Hi: g.hi, Bins: make([]BinSummary, g.Bins()), Top: a.tops}
 	for bi := range ws.Bins {
 		ws.Bins[bi] = BinSummary{Start: g.bounds[bi], Records: a.records[bi], PeakConc: peaks[bi]}
 	}
@@ -354,7 +300,7 @@ func (a *binAcc) finish(g *binGrid, peaks []int) *WindowSummary {
 // handful of bins touched, and integer sums do not care how they are
 // grouped.)
 func summarizeScan(files []*File, o WindowSummaryOptions) (*WindowSummary, error) {
-	g := newBinGrid(o.Lo, o.Hi, o.Bins)
+	g := NewBinGrid(o.Lo, o.Hi, o.Bins)
 	// accs holds every accumulator not inside a map call; however many
 	// calls MapFrames runs at once, one that finds it empty makes another.
 	var mu sync.Mutex
@@ -471,7 +417,7 @@ func remAfter(rems []remSpan, t clock.Time) int {
 // summarizePyramid is the O(bins) engine; see the package comment for
 // the partition and the identity argument.
 func summarizePyramid(f *File, p *Pyramid, o WindowSummaryOptions) (*WindowSummary, error) {
-	g := newBinGrid(o.Lo, o.Hi, o.Bins)
+	g := NewBinGrid(o.Lo, o.Hi, o.Bins)
 	a := newBinAcc(o.Bins)
 	peaks := make([]int, o.Bins)
 	w := int64(p.BaseWidth)
@@ -547,7 +493,7 @@ func (p *Pyramid) coarsestCell(x, limit clock.Time) (level int, idx int64) {
 // start counts, busy overlap and top candidates at once. Nothing of a
 // frame outlives it but the clipped endpoints of its busy intervals, for
 // one concurrency sweep over the remainders after the last frame.
-func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *binGrid, o WindowSummaryOptions) (int, error) {
+func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinGrid, o WindowSummaryOptions) (int, error) {
 	if len(rems) == 0 {
 		return 0, nil
 	}

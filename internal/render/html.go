@@ -49,12 +49,13 @@ func ViewerHTML(sf *slog.File) (string, error) {
 		Kind string `json:"kind"`
 	}
 	type jsDoc struct {
-		TStart  float64     `json:"tstart"`
-		TEnd    float64     `json:"tend"`
-		States  []string    `json:"states"`
-		Preview [][]float64 `json:"preview"` // [state][bin] seconds
-		Threads []jsThread  `json:"threads"`
-		Frames  []jsFrame   `json:"frames"`
+		TStart   float64     `json:"tstart"`
+		TEnd     float64     `json:"tend"`
+		States   []string    `json:"states"`
+		Preview  [][]float64 `json:"preview"`  // [state][bin] seconds
+		BinStart []float64   `json:"binstart"` // [bin] seconds, from the bin ruler
+		Threads  []jsThread  `json:"threads"`
+		Frames   []jsFrame   `json:"frames"`
 	}
 
 	doc := jsDoc{
@@ -70,6 +71,9 @@ func ViewerHTML(sf *slog.File) (string, error) {
 			sec[i] = d.Seconds()
 		}
 		doc.Preview = append(doc.Preview, sec)
+	}
+	for b := 0; b < sf.Bins; b++ {
+		doc.BinStart = append(doc.BinStart, interval.BinEdge(sf.TStart, sf.TEnd, sf.Bins, b).Seconds())
 	}
 	for _, te := range sf.Threads {
 		doc.Threads = append(doc.Threads, jsThread{
@@ -173,7 +177,7 @@ function buildPreview() {
   for (let b = 0; b < bins; b++) {
     const bin = document.createElement("div");
     bin.className = "bin";
-    const t0 = DATA.tstart + (DATA.tend - DATA.tstart) * b / bins;
+    const t0 = DATA.binstart[b];
     bin.title = t0.toFixed(3) + "s";
     for (let s = 0; s < DATA.states.length; s++) {
       const d = DATA.preview[s][b];

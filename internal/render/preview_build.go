@@ -17,13 +17,9 @@ import (
 	"tracefw/internal/slog"
 )
 
-// DefaultPreviewBins is the histogram width used when PreviewOptions
-// leaves Bins unset — matches the SLOG builder's default.
-const DefaultPreviewBins = 50
-
 // PreviewOptions configures BuildPreview.
 type PreviewOptions struct {
-	// Bins is the number of time buckets; <= 0 means DefaultPreviewBins.
+	// Bins is the number of time buckets; <= 0 means interval.DefaultBins.
 	Bins int
 	// T0/T1 select the window; T1 <= T0 selects the whole run.
 	T0, T1 clock.Time
@@ -44,12 +40,14 @@ type PreviewResult struct {
 }
 
 // BuildPreview renders the preview histogram of a merged interval file.
-// Unlike a SLOG file's stored preview the call-count column is not
-// carried (Count stays zero); no renderer draws it.
+// Over the whole run its durations are a SLOG file's stored preview of the
+// same file, cell for cell (both bin by interval.BinGrid); unlike the
+// stored one the call-count column is not carried (Count stays zero), and
+// no renderer draws it.
 func BuildPreview(mf *interval.File, opts PreviewOptions) (*PreviewResult, error) {
 	bins := opts.Bins
 	if bins <= 0 {
-		bins = DefaultPreviewBins
+		bins = interval.DefaultBins
 	}
 	t0, t1 := opts.T0, opts.T1
 	if t1 <= t0 {

@@ -211,17 +211,23 @@ func TestWindowRestriction(t *testing.T) {
 	}
 }
 
-func TestArrowsMappedToRows(t *testing.T) {
-	raws := testutil.RunWorkload(t, shape, sppmish)
-	files := testutil.ConvertRun(t, raws, interval.WriterOptions{})
+// slogOf builds the SLOG file of mf.
+func slogOf(t *testing.T, mf *interval.File, opts slog.Options) *slog.File {
+	t.Helper()
 	sb := interval.NewSeekBuffer()
-	if _, _, err := slog.Slogmerge(files, sb, merge.Options{}, slog.Options{}); err != nil {
+	if _, err := slog.Build(mf, sb, opts); err != nil {
 		t.Fatal(err)
 	}
 	sf, err := slog.Read(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sf
+}
+
+func TestArrowsMappedToRows(t *testing.T) {
+	mf := merged(t)
+	sf := slogOf(t, mf, slog.Options{})
 	var arrows []slog.Arrow
 	for i := range sf.Index {
 		fd, _ := sf.ReadFrame(i)
@@ -230,7 +236,6 @@ func TestArrowsMappedToRows(t *testing.T) {
 	if len(arrows) == 0 {
 		t.Fatal("no arrows")
 	}
-	mf := merged(t)
 	d, err := render.BuildDiagram(mf, render.ThreadActivity, render.Options{Arrows: arrows})
 	if err != nil {
 		t.Fatal(err)
@@ -298,13 +303,7 @@ func TestASCIIView(t *testing.T) {
 }
 
 func TestPreviewRenderers(t *testing.T) {
-	raws := testutil.RunWorkload(t, shape, sppmish)
-	files := testutil.ConvertRun(t, raws, interval.WriterOptions{})
-	sb := interval.NewSeekBuffer()
-	if _, _, err := slog.Slogmerge(files, sb, merge.Options{}, slog.Options{Bins: 30}); err != nil {
-		t.Fatal(err)
-	}
-	sf, _ := slog.Read(sb)
+	sf := slogOf(t, merged(t), slog.Options{})
 	svg := render.PreviewSVG(sf.Preview)
 	if !strings.Contains(svg, "preview") || strings.Count(svg, "<rect") < 10 {
 		t.Fatal("preview svg too empty")
@@ -313,7 +312,7 @@ func TestPreviewRenderers(t *testing.T) {
 	if !strings.Contains(txt, "#") {
 		t.Fatalf("preview ascii has no bars:\n%s", txt)
 	}
-	if got := strings.Count(txt, "\n"); got != 31 { // header + 30 bins
+	if got := strings.Count(txt, "\n"); got != 1+interval.DefaultBins { // header + one line per bin
 		t.Fatalf("preview ascii lines: %d", got)
 	}
 }
@@ -391,16 +390,7 @@ func TestStateActivityView(t *testing.T) {
 }
 
 func TestViewerHTML(t *testing.T) {
-	raws := testutil.RunWorkload(t, shape, sppmish)
-	files := testutil.ConvertRun(t, raws, interval.WriterOptions{})
-	sb := interval.NewSeekBuffer()
-	if _, _, err := slog.Slogmerge(files, sb, merge.Options{}, slog.Options{FrameBytes: 2048}); err != nil {
-		t.Fatal(err)
-	}
-	sf, err := slog.Read(sb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf := slogOf(t, merged(t), slog.Options{FrameBytes: 2048})
 	html, err := render.ViewerHTML(sf)
 	if err != nil {
 		t.Fatal(err)
@@ -422,6 +412,17 @@ func TestViewerHTML(t *testing.T) {
 	}
 	if doc["frames"] == nil || doc["states"] == nil || doc["threads"] == nil {
 		t.Fatalf("embedded JSON incomplete: %v", doc)
+	}
+	// The page reads its bin starts from the ruler the preview was summed
+	// by; it computes none of its own.
+	starts, _ := doc["binstart"].([]interface{})
+	if len(starts) != sf.Bins {
+		t.Fatalf("page ships %d bin starts for %d bins", len(starts), sf.Bins)
+	}
+	for b, v := range starts {
+		if lo, _ := sf.Preview.BinBounds(b); v != lo.Seconds() {
+			t.Fatalf("bin %d starts at %v in the page, %v by the ruler", b, v, lo.Seconds())
+		}
 	}
 }
 

@@ -10,24 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"tracefw/internal/testutil"
 	"tracefw/internal/tracesvc"
 )
-
-// settleGoroutines waits for the goroutine count to fall back to before
-// — servers closed, idle connections dropped — and fails with every
-// stack when it does not within a few seconds.
-func settleGoroutines(t *testing.T, before int) {
-	t.Helper()
-	http.DefaultClient.CloseIdleConnections()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("%d goroutines before, %d after:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
 
 // TestRouterDeadline: a backend that stalls every query leg must not
 // hold a routed request past the router's request deadline. The proxied
@@ -107,5 +92,5 @@ func TestRouterDeadline(t *testing.T) {
 		ts.Close()
 		svcs[i].Close()
 	}
-	settleGoroutines(t, before)
+	testutil.SettleGoroutines(t, before)
 }

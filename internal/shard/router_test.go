@@ -123,16 +123,25 @@ type reply struct {
 
 func get(t testing.TB, base, pathQuery string) reply {
 	t.Helper()
-	resp, err := http.Get(base + pathQuery)
+	r, err := tryGet(base, pathQuery)
 	if err != nil {
 		t.Fatalf("GET %s: %v", pathQuery, err)
+	}
+	return r
+}
+
+// tryGet is get for goroutines other than the test's own.
+func tryGet(base, pathQuery string) (reply, error) {
+	resp, err := http.Get(base + pathQuery)
+	if err != nil {
+		return reply{}, err
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		t.Fatalf("GET %s: %v", pathQuery, err)
+		return reply{}, err
 	}
-	return reply{resp.StatusCode, resp.Header.Get("Content-Type"), resp.Header.Get("Retry-After"), body}
+	return reply{resp.StatusCode, resp.Header.Get("Content-Type"), resp.Header.Get("Retry-After"), body}, nil
 }
 
 func post(t testing.TB, base, pathQuery, body string) reply {

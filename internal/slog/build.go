@@ -3,7 +3,6 @@ package slog
 import (
 	"errors"
 	"io"
-	"sync"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -17,18 +16,17 @@ type Options struct {
 	// frame size is chosen so that the display of a single frame is
 	// quick".
 	FrameBytes int
-	// Bins is the preview bin count (default 50, matching the paper's
-	// statistics table granularity).
-	Bins int
 	// noCrossingCopies disables pseudo copies of frame-spanning arrows
-	// (the viewer then misses arrows in middle frames). Only this
-	// package's tests set it (export_test.go).
+	// (the viewer then misses arrows in middle frames), and bins sets the
+	// preview's bin count (0: interval.DefaultBins). Only this package's
+	// tests set them (export_test.go).
 	noCrossingCopies bool
+	bins             int
 	// Parallel is the frame-decode worker count for both build passes
 	// (<= 0 means GOMAXPROCS). The output is byte-identical for every
-	// worker count: frames decode and pre-bin concurrently, while the
-	// order-sensitive work (frame partitioning, arrow matching,
-	// serialization) runs in the engine's deterministic frame-order
+	// worker count: frames decode concurrently, while the rest —
+	// frame partitioning, arrow matching, the preview's sums and
+	// serialization — runs in the engine's deterministic frame-order
 	// reduce.
 	Parallel int
 }
@@ -40,11 +38,11 @@ func (o Options) frameBytes() int {
 	return o.FrameBytes
 }
 
-func (o Options) bins() int {
-	if o.Bins <= 0 {
-		return 50
+func (o Options) binCount() int {
+	if o.bins <= 0 {
+		return interval.DefaultBins
 	}
-	return o.Bins
+	return o.bins
 }
 
 // BuildResult summarizes a build.
@@ -169,8 +167,7 @@ func (p *Planner) Observe(b *interval.Batch) {
 // from one pass over mf, then Write.
 func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, error) {
 	p := NewPlanner(mf.Header.Threads, opts)
-	err := interval.MapFrames([]*interval.File{mf}, interval.MapOptions{Parallel: opts.Parallel},
-		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*interval.Batch, error) { return b, nil },
+	err := interval.MapFrames([]*interval.File{mf}, interval.MapOptions{Parallel: opts.Parallel}, passBatch,
 		func(_ int, _ interval.FrameEntry, b *interval.Batch) error {
 			p.Observe(b)
 			return nil
@@ -181,16 +178,10 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 	return p.Write(mf, ws, nil)
 }
 
-// previewPart is one pass-2 map result: the frame's batch (valid until
-// the frame's reduce returns, which is all the reduce needs) and a
-// preview partial. Parts are recycled through a free list, and a recycled
-// part keeps summing into the same preview matrix — integer sums do not
-// care how frames are grouped — so the partials are added up once, after
-// the run.
-type previewPart struct {
-	b     *interval.Batch
-	dur   [][]clock.Time
-	count []int64
+// passBatch is both passes' map: frames decode concurrently, and the
+// reduce, in frame order, does the rest.
+func passBatch(_ int, _ interval.FrameEntry, b *interval.Batch) (*interval.Batch, error) {
+	return b, nil
 }
 
 // Write is the SLOG build's second pass: one pass over mf — the merged
@@ -251,14 +242,14 @@ func (p *Planner) Write(mf *interval.File, ws io.WriteSeeker, tap func(*interval
 		})
 	}
 
-	// The preview's proportional bin allocation sums integer durations —
-	// associative, so partial matrices merged in any order equal the
-	// sequential result exactly. It runs in the concurrent map; the
-	// serialization runs in the frame-order reduce, encoding each row
-	// straight from its batch into the open frame's buffer. A frame's
-	// pseudo-intervals are written when it opens — the tracker has seen
-	// every earlier record by then, which is all they depend on — its
-	// interval records as they stream by, and its arrows when it closes.
+	// Everything runs in the frame-order reduce; the map only decodes. Each
+	// row is encoded straight from its batch into the open frame's buffer,
+	// and a state record's overlap with each preview bin — the ruler
+	// SummarizeWindow bins by, so the stored preview is render.BuildPreview's
+	// — is added up as it streams by. A frame's pseudo-intervals are written
+	// when it opens — the tracker has seen every earlier record by then,
+	// which is all they depend on — its interval records as they stream by,
+	// and its arrows when it closes.
 	tStart, tEnd, _, err := mf.Stats()
 	if err != nil {
 		return nil, err
@@ -266,24 +257,17 @@ func (p *Planner) Write(mf *interval.File, ws io.WriteSeeker, tap func(*interval
 	if tEnd <= tStart {
 		tEnd = tStart + 1
 	}
-	bins := p.opts.bins()
-	nstates := len(events.StateTypes)
+	grid := interval.NewBinGrid(tStart, tEnd, p.opts.binCount())
 	sidx := stateIndex()
-	bounds := binBounds(tStart, tEnd, bins)
-	newBins := func() [][]clock.Time {
-		flat := make([]clock.Time, nstates*bins)
-		d := make([][]clock.Time, nstates)
-		for i := range d {
-			d[i] = flat[i*bins : (i+1)*bins : (i+1)*bins]
-		}
-		return d
-	}
 	prev := &Preview{
 		TStart: tStart,
 		TEnd:   tEnd,
 		States: events.StateTypes,
-		Dur:    newBins(),
-		Count:  make([]int64, nstates),
+		Dur:    make([][]clock.Time, len(events.StateTypes)),
+		Count:  make([]int64, len(events.StateTypes)),
+	}
+	for si := range prev.Dur {
+		prev.Dur[si] = make([]clock.Time, grid.Bins())
 	}
 	w, err := newWriter(ws, mf, prev, len(frames))
 	if err != nil {
@@ -293,37 +277,20 @@ func (p *Planner) Write(mf *interval.File, ws io.WriteSeeker, tap func(*interval
 	fi := 0
 	var idx int64
 	frameStartStamp := tStart
-	// idle holds every part not between its map and its reduce — all of
-	// them, once the run is over.
-	var mu sync.Mutex
-	var idle []*previewPart
-	err = interval.MapFrames([]*interval.File{mf}, interval.MapOptions{Parallel: p.opts.Parallel},
-		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*previewPart, error) {
-			var pp *previewPart
-			mu.Lock()
-			if n := len(idle); n > 0 {
-				pp, idle = idle[n-1], idle[:n-1]
-			}
-			mu.Unlock()
-			if pp == nil {
-				pp = &previewPart{dur: newBins(), count: make([]int64, nstates)}
-			}
-			pp.b = b
-			for i := 0; i < b.N; i++ {
-				if si := sidx.of(b.Type[i]); si >= 0 {
-					if be := b.Bebits[i]; be == profile.Begin || be == profile.Complete {
-						pp.count[si]++
-					}
-					allocate(pp.dur[si], bounds, b.Start[i], b.End(i))
-				}
-			}
-			return pp, nil
-		},
-		func(_ int, _ interval.FrameEntry, pp *previewPart) error {
-			b := pp.b
+	err = interval.MapFrames([]*interval.File{mf}, interval.MapOptions{Parallel: p.opts.Parallel}, passBatch,
+		func(_ int, _ interval.FrameEntry, b *interval.Batch) error {
 			for ri := 0; ri < b.N; ri++ {
 				if fi >= len(frames) {
 					return errFrameCount
+				}
+				if si := sidx.of(b.Type[ri]); si >= 0 {
+					if be := b.Bebits[ri]; be == profile.Begin || be == profile.Complete {
+						prev.Count[si]++
+					}
+					row := prev.Dur[si]
+					for o := grid.Overlaps(b.Start[ri], b.End(ri)); o.Next(); {
+						row[o.Bin] += o.Dur
+					}
 				}
 				if !w.open {
 					res.Pseudo += int64(w.openFrame(trk, frameStartStamp))
@@ -348,69 +315,15 @@ func (p *Planner) Write(mf *interval.File, ws io.WriteSeeker, tap func(*interval
 			if tap != nil {
 				tap(b)
 			}
-			pp.b = nil
-			mu.Lock()
-			idle = append(idle, pp)
-			mu.Unlock()
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	for _, pp := range idle {
-		for si := range prev.Dur {
-			dst, src := prev.Dur[si], pp.dur[si]
-			for b := range dst {
-				dst[b] += src[b]
-			}
-			prev.Count[si] += pp.count[si]
-		}
-	}
 	if err := w.finish(); err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// binBounds returns the preview's bins+1 bin edges. The edges are a
-// float product truncated to nanoseconds; every consumer reads them from
-// here so they agree to the bit.
-func binBounds(tStart, tEnd clock.Time, bins int) []clock.Time {
-	binDur := float64(tEnd-tStart) / float64(bins)
-	bounds := make([]clock.Time, bins+1)
-	for b := range bounds {
-		bounds[b] = tStart + clock.Time(binDur*float64(b))
-	}
-	return bounds
-}
-
-// allocate distributes the interval [start, end) proportionally across
-// the preview bins it overlaps, adding to one state's row. The walk
-// starts at the interval's own first bin, so a short interval late in the
-// run does not pay for the bins before it.
-func allocate(row, bounds []clock.Time, start, end clock.Time) {
-	if end <= start {
-		return
-	}
-	bins := len(row)
-	// First bin whose upper edge is past start: a proportional guess,
-	// corrected against the edges.
-	b := 0
-	if span := bounds[bins] - bounds[0]; start > bounds[0] && span > 0 {
-		b = min(int(float64(start-bounds[0])/float64(span)*float64(bins)), bins-1)
-	}
-	for b > 0 && bounds[b] > start {
-		b--
-	}
-	for b < bins && bounds[b+1] <= start {
-		b++
-	}
-	for ; b < bins && bounds[b] < end; b++ {
-		olo, ohi := max(bounds[b], start), min(bounds[b+1], end)
-		if ohi > olo {
-			row[b] += ohi - olo
-		}
-	}
 }
 
 // matcherType reports whether the arrow matcher inspects records of

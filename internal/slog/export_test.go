@@ -7,3 +7,11 @@ func NoCrossingCopies(o Options) Options {
 	o.noCrossingCopies = true
 	return o
 }
+
+// WithBins returns o with a preview of n bins instead of
+// interval.DefaultBins — a setter for the tests that check the preview at
+// other widths.
+func WithBins(o Options, n int) Options {
+	o.bins = n
+	return o
+}

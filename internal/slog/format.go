@@ -111,13 +111,11 @@ type Preview struct {
 	Count []int64
 }
 
-// BinBounds returns the time range of bin b.
+// BinBounds returns the time range [lo, hi) of bin b, from the bin ruler
+// (interval.BinEdge) the preview was summed by.
 func (p *Preview) BinBounds(b int) (clock.Time, clock.Time) {
 	n := len(p.Dur[0])
-	span := p.TEnd - p.TStart
-	lo := p.TStart + clock.Time(int64(span)*int64(b)/int64(n))
-	hi := p.TStart + clock.Time(int64(span)*int64(b+1)/int64(n))
-	return lo, hi
+	return interval.BinEdge(p.TStart, p.TEnd, n, b), interval.BinEdge(p.TStart, p.TEnd, n, b+1)
 }
 
 // stateTable maps a record type to its preview row, -1 for types the

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"tracefw/internal/clock"
-	"tracefw/internal/convert"
 	"tracefw/internal/events"
 	"tracefw/internal/interval"
 	"tracefw/internal/merge"
@@ -186,13 +185,14 @@ func TestPseudoIntervalsInFrames(t *testing.T) {
 }
 
 func TestPreviewAccounting(t *testing.T) {
-	f, _ := buildSlog(t, slog.Options{FrameBytes: 4096, Bins: 40}, phased)
+	f, _ := buildSlog(t, slog.WithBins(slog.Options{FrameBytes: 4096}, 40), phased)
 	p := f.Preview
 	if len(p.Dur) != len(events.StateTypes) || len(p.Dur[0]) != 40 {
 		t.Fatalf("preview shape %dx%d", len(p.Dur), len(p.Dur[0]))
 	}
 	// Total allocated duration per state equals the sum of record
-	// durations of that state (proportional allocation conserves time).
+	// durations of that state, to the nanosecond: proportional allocation
+	// over the integer bin ruler conserves time, the last edge included.
 	mf, _ := testutil.Pipeline(t, shape, merge.Options{}, phased)
 	want := map[events.Type]clock.Time{}
 	recs, _ := mf.Scan().All()
@@ -204,13 +204,8 @@ func TestPreviewAccounting(t *testing.T) {
 		for _, d := range p.Dur[si] {
 			got += d
 		}
-		diff := got - want[ty]
-		if diff < 0 {
-			diff = -diff
-		}
-		// Rounding: one ns per bin boundary crossed per record.
-		if diff > clock.Time(len(recs)+40) {
-			t.Fatalf("state %s preview duration %v, records say %v", ty.Name(), got, want[ty])
+		if got != want[ty] {
+			t.Fatalf("state %s preview duration %d ns, records say %d ns", ty.Name(), got, want[ty])
 		}
 	}
 	// Send count: 60 sends per direction plus pieces do not inflate it.
@@ -226,23 +221,39 @@ func TestPreviewAccounting(t *testing.T) {
 	}
 }
 
+// TestSlogmerge: the paper's slogmerge — merge the per-node files and
+// convert the result to SLOG in one job (MergeFiles) — writes the SLOG
+// file slog.Build writes from the merged file, byte for byte.
 func TestSlogmerge(t *testing.T) {
-	raws := testutil.RunWorkload(t, shape, phased)
-	files := testutil.ConvertRun(t, raws, interval.WriterOptions{})
-	sb := interval.NewSeekBuffer()
-	mres, bres, err := slog.Slogmerge(files, sb, merge.Options{}, slog.Options{})
+	dir := t.TempDir()
+	paths := testutil.ConvertToDisk(t, testutil.RunWorkload(t, shape, phased), interval.WriterOptions{}, dir)
+	merged, slogPath := filepath.Join(dir, "merged.ute"), filepath.Join(dir, "trace.slog")
+	mr, err := slog.MergeFiles(paths, merged, slogPath, nil, merge.Options{}, slog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mres.Records == 0 || bres.Records == 0 {
-		t.Fatalf("empty slogmerge: %+v %+v", mres, bres)
+	if mr.Merge.Records == 0 || mr.Slog.Records == 0 {
+		t.Fatalf("empty slogmerge: %+v %+v", mr.Merge, mr.Slog)
 	}
-	f, err := slog.Read(sb)
+	f, err := slog.Open(slogPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Index) != bres.Frames {
-		t.Fatalf("frames %d vs %d", len(f.Index), bres.Frames)
+	defer f.Close()
+	if len(f.Index) != mr.Slog.Frames {
+		t.Fatalf("frames %d vs %d", len(f.Index), mr.Slog.Frames)
+	}
+	mf, err := interval.Open(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mf.Close()
+	want := interval.NewSeekBuffer()
+	if _, err := slog.Build(mf, want, slog.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(slogPath); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("slogmerge's SLOG differs from slog.Build's (%v)", err)
 	}
 }
 
@@ -251,18 +262,8 @@ func TestSlogmerge(t *testing.T) {
 // rides on the merge writer's sealed frames and the pyramid on the
 // SLOG's second pass (the three builds used to decode it three times).
 func TestMergeFilesDecodesOnce(t *testing.T) {
-	outs, _, err := convert.ConvertBuffers(testutil.RunWorkload(t, shape, phased), convert.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	var paths []string
-	for i, sb := range outs {
-		paths = append(paths, filepath.Join(dir, fmt.Sprintf("trace.%d.ute", i)))
-		if err := os.WriteFile(paths[i], sb.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	paths := testutil.ConvertToDisk(t, testutil.RunWorkload(t, shape, phased), interval.WriterOptions{}, dir)
 	merged := filepath.Join(dir, "merged.ute")
 	for _, tc := range []struct {
 		name string

@@ -8,23 +8,6 @@ import (
 	"tracefw/internal/merge"
 )
 
-// Slogmerge is the paper's slogmerge utility: merge the individual
-// interval files and convert the result to SLOG in one step. The
-// intermediate merged interval file is kept in memory.
-func Slogmerge(files []*interval.File, dst io.WriteSeeker, mopts merge.Options, sopts Options) (*merge.Result, *BuildResult, error) {
-	tmp := interval.NewSeekBuffer()
-	p, mres, err := mergePlanned(files, tmp, mopts, sopts)
-	if err != nil {
-		return nil, nil, err
-	}
-	mf, err := interval.NewFile(tmp)
-	if err != nil {
-		return mres, nil, err
-	}
-	bres, err := p.Write(mf, dst, nil)
-	return mres, bres, err
-}
-
 // mergePlanned merges files into dst with the SLOG build's first pass
 // riding on the merge: a Planner over the merged thread table (the one
 // merge.Merge writes, from the same UnionHeader) observes every frame the
@@ -58,13 +41,13 @@ type MergeResult struct {
 	FramesDecoded int64
 }
 
-// MergeFiles is utemerge -slog: it merges the interval files at paths
-// into mergedPath and builds, in the same job, the SLOG file at slogPath
-// and — when pyr is non-nil — the merged file's summary-pyramid sidecar
-// under the size rule (WritePyramidSidecar). The SLOG's first pass
-// observes the merge writer's frames as they are sealed; its second pass
-// is then the one decode of the merged file, and the pyramid builder is
-// fed from it.
+// MergeFiles is utemerge -slog, the paper's slogmerge utility: it merges
+// the interval files at paths into mergedPath and builds, in the same
+// job, the SLOG file at slogPath and — when pyr is non-nil — the merged
+// file's summary-pyramid sidecar under the size rule
+// (WritePyramidSidecar). The SLOG's first pass observes the merge
+// writer's frames as they are sealed; its second pass is then the one
+// decode of the merged file, and the pyramid builder is fed from it.
 func MergeFiles(paths []string, mergedPath, slogPath string, pyr *interval.PyramidOptions, mopts merge.Options, sopts Options) (*MergeResult, error) {
 	files := make([]*interval.File, 0, len(paths))
 	defer func() {

@@ -1,15 +1,20 @@
 package stats
 
-import "fmt"
+import (
+	"fmt"
+
+	"tracefw/internal/interval"
+)
 
 // Predefined returns the source of the pre-defined tables generated when
 // the statistics utility is given no program (paper §3.2). The first —
 // the sum of the duration of "interesting" intervals (states other than
 // the default Running state) per node and per `bins` equally sized time
-// bins — is the table visualized in the paper's Figure 6.
+// bins (<= 0: interval.DefaultBins) — is the table visualized in the
+// paper's Figure 6.
 func Predefined(bins int) string {
 	if bins <= 0 {
-		bins = 50
+		bins = interval.DefaultBins
 	}
 	return fmt.Sprintf(`
 # Figure 6: interesting (non-Running) time per node per time bin.

@@ -7,10 +7,14 @@ package testutil
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/cluster"
@@ -92,6 +96,24 @@ func ConvertRun(t testing.TB, raws [][]byte, wopts interval.WriterOptions) []*in
 		files[i] = f
 	}
 	return files
+}
+
+// ConvertToDisk converts raw traces into per-node interval files
+// dir/trace.N.ute — utemerge's inputs — and returns their paths.
+func ConvertToDisk(t testing.TB, raws [][]byte, wopts interval.WriterOptions, dir string) []string {
+	t.Helper()
+	outs, _, err := convert.ConvertBuffers(raws, convert.Options{Writer: wopts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, len(outs))
+	for i, sb := range outs {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("trace.%d.ute", i))
+		if err := os.WriteFile(paths[i], sb.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return paths
 }
 
 // MergeRun merges interval files into one (in memory).
@@ -221,4 +243,21 @@ func WaitallWork(p *mpisim.Proc) {
 		p.Waitall(rr, sr)
 	}
 	p.Barrier()
+}
+
+// SettleGoroutines waits for the goroutine count to fall back to before
+// — servers closed, idle client connections dropped — and fails with
+// every stack when it does not within a few seconds: the check that no
+// goroutine a test started outlives it.
+func SettleGoroutines(t testing.TB, before int) {
+	t.Helper()
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines before, %d after:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

@@ -23,6 +23,7 @@ import (
 	"tracefw/internal/interval"
 	"tracefw/internal/profile"
 	"tracefw/internal/stats"
+	"tracefw/internal/testutil"
 	"tracefw/internal/tracesvc"
 	"tracefw/internal/xrand"
 )
@@ -433,20 +434,6 @@ func TestStatsMemoUnderEviction(t *testing.T) {
 	}
 }
 
-// settleGoroutines waits for the goroutine count to fall back to before
-// and fails with every stack when it does not within a few seconds.
-func settleGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("%d goroutines before, %d after:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestMemoSingleflightCancel: while one caller stores a frame's partial,
 // a second caller of the same key waits for it — and, cancelled, stops
 // waiting at once, while the store completes and serves the next
@@ -512,7 +499,7 @@ func TestMemoSingleflightCancel(t *testing.T) {
 	if cs := c.Stats(); cs.PartialsStored != 1 || cs.PartialHits != 1 || cs.Hits+cs.Misses+cs.Entries != 0 {
 		t.Fatalf("counters %+v", cs)
 	}
-	settleGoroutines(t, before)
+	testutil.SettleGoroutines(t, before)
 }
 
 // TestNoGoroutineOutlivesStats: concurrent stats requests over the same
@@ -557,5 +544,5 @@ func TestNoGoroutineOutlivesStats(t *testing.T) {
 	}
 	wg.Wait()
 	s.Close()
-	settleGoroutines(t, before)
+	testutil.SettleGoroutines(t, before)
 }

@@ -39,10 +39,6 @@ type Config struct {
 	// RequestTimeout bounds each request; the deadline propagates through
 	// the map-reduce engine via MapOptions.Context (default 30s).
 	RequestTimeout time.Duration
-	// DefaultBins is the time-bin count for the predefined statistics
-	// program when the stats endpoint gets no expr (default 50, matching
-	// utestats).
-	DefaultBins int
 }
 
 func (c Config) withDefaults() Config {
@@ -54,9 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = DefaultRequestTimeout
-	}
-	if c.DefaultBins <= 0 {
-		c.DefaultBins = 50
 	}
 	return c
 }
@@ -411,7 +404,7 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 		return nil, err
 	}
 	q := r.URL.Query()
-	bins, err := parseBins(q, s.cfg.DefaultBins)
+	bins, err := parseBins(q, interval.DefaultBins)
 	if err != nil {
 		return nil, err
 	}

@@ -22,6 +22,7 @@ import (
 	"tracefw/internal/merge"
 	"tracefw/internal/profile"
 	"tracefw/internal/slog"
+	"tracefw/internal/testutil"
 	"tracefw/internal/workload"
 )
 
@@ -166,8 +167,8 @@ func checkPipelineInvariants(t *testing.T, seed uint64, run *core.Run) {
 		t.Fatalf("seed %d: %d arrows for %d messages", seed, run.SlogResult.Arrows, messages)
 	}
 
-	// Invariant 6: preview durations conserve per-state record time
-	// (within per-record rounding).
+	// Invariant 6: preview durations conserve per-state record time,
+	// exactly (the bin ruler's edges tile the run).
 	perState := map[events.Type]int64{}
 	for _, r := range recs {
 		perState[r.Type] += int64(r.Dura)
@@ -177,11 +178,7 @@ func checkPipelineInvariants(t *testing.T, seed uint64, run *core.Run) {
 		for _, d := range run.Slog.Preview.Dur[si] {
 			got += int64(d)
 		}
-		diff := got - perState[ty]
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > int64(len(recs)+run.Slog.Bins) {
+		if got != perState[ty] {
 			t.Fatalf("seed %d: preview %s duration %d vs records %d", seed, ty.Name(), got, perState[ty])
 		}
 	}
@@ -287,18 +284,8 @@ func TestSealTimeBuildsMatchReopenedFile(t *testing.T) {
 		}
 		raws := run.RawTraces
 		run.Close()
-		outs, _, err := convert.ConvertBuffers(raws, convert.Options{Writer: interval.WriterOptions{FrameBytes: 4096}})
-		if err != nil {
-			t.Fatal(err)
-		}
 		dir := t.TempDir()
-		var paths []string
-		for i, sb := range outs {
-			paths = append(paths, filepath.Join(dir, fmt.Sprintf("trace.%d.ute", i)))
-			if err := os.WriteFile(paths[i], sb.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+		paths := testutil.ConvertToDisk(t, raws, interval.WriterOptions{FrameBytes: 4096}, dir)
 		pyr := interval.PyramidOptions{BaseCells: 64, TopK: 4}
 		for _, fb := range []int{0, 600} {
 			label := fmt.Sprintf("seed %d frame bytes %d", seed, fb)
