@@ -31,7 +31,7 @@ race:
 # UteloadSmoke is one full load-generator run against a router fleet,
 # ConvertPerEvent fails above 64 bytes or 0.05 objects allocated per raw
 # event (the reader decodes in place, the converter owns its records),
-# Ingest fails above 1.3 objects per event on the live write path,
+# Ingest fails above 0.2 objects per event on the live write path,
 # SchedHotLoop pins the simulator's per-event cost, Tracegen runs whole
 # trace generations (simulator, MPI runtime, trace facility) and fails
 # above 50 bytes or 0.30 objects allocated per event, CutTraceRecord

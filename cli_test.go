@@ -891,6 +891,9 @@ func TestCLIServingTier(t *testing.T) {
 	if code, msg := runCmdFail(t, bin, "uteload", "-url", "http://127.0.0.1:1", "-mix", "stats=x"); code != 2 || !strings.Contains(msg, "bad -mix") {
 		t.Fatalf("uteload with bad -mix: exit %d, stderr %q", code, msg)
 	}
+	if code, msg := runCmdFail(t, bin, "uteload", "-url", "http://127.0.0.1:1", "-rate", "-5"); code != 2 || !strings.Contains(msg, "-rate") {
+		t.Fatalf("uteload with a negative -rate: exit %d, stderr %q", code, msg)
+	}
 
 	// start launches one daemon binary, waits for its listen line, and
 	// returns the base URL plus a stopper asserting a clean SIGINT exit.
@@ -1023,6 +1026,23 @@ func TestCLIServingTier(t *testing.T) {
 		if b.Hits+b.Misses == 0 {
 			t.Fatalf("backend %d saw no cache traffic: %s", i, out)
 		}
+	}
+	// Open loop: the same warm phase on a fixed 200/s schedule, every
+	// arrival answered or reported dropped.
+	out = runCmd(t, bin, "uteload", "-url", router, "-clients", "4", "-requests", "40", "-windows", "4", "-rate", "200", "-json")
+	var open struct {
+		Rate float64 `json:"rate"`
+		Warm struct {
+			Requests int `json:"requests"`
+			Errors   int `json:"errors"`
+			Dropped  int `json:"dropped"`
+		} `json:"warm"`
+	}
+	if err := json.Unmarshal([]byte(out), &open); err != nil {
+		t.Fatalf("uteload -rate -json output: %v\n%s", err, out)
+	}
+	if open.Rate != 200 || open.Warm.Requests != 40 || open.Warm.Errors != 0 || open.Warm.Dropped >= 40 {
+		t.Fatalf("uteload open-loop report: %s", out)
 	}
 
 	stalled()

@@ -1,16 +1,21 @@
-// Command uteload is a closed-loop load generator for the serving
-// tier: it points N concurrent clients at a utetraced or uterouter,
-// replays a weighted mix of window queries (stats, SVG previews,
-// time-resolved tables, record counts) with zipfian trace popularity,
-// and reports throughput and tail latency for a cold pass (every
-// window touched once) and a measured warm phase. With -backends it
-// also scrapes each backend's /metrics before and after the warm
-// phase and reports per-backend decoded-frame cache hit ratios.
+// Command uteload is a load generator for the serving tier: it points
+// N concurrent clients at a utetraced or uterouter, replays a weighted
+// mix of window queries (stats, SVG previews, time-resolved tables,
+// record counts) with zipfian trace popularity, and reports throughput
+// and tail latency for a cold pass (every window touched once) and a
+// measured warm phase. The warm phase is closed-loop unless -rate R
+// makes it open-loop: requests are then due at R per second whatever
+// the server does, latency runs from each request's intended send time
+// (so a stalled server's queueing shows), -clients caps the requests in
+// flight, and arrivals that find the cap reached are reported dropped.
+// With -backends it also scrapes each backend's /metrics before and
+// after the warm phase and reports per-backend decoded-frame cache hit
+// ratios.
 //
 // Usage:
 //
 //	uteload -url http://HOST:PORT [-backends URL,URL...]
-//	        [-clients N] [-requests N]
+//	        [-clients N] [-requests N] [-rate R]
 //	        [-mix stats=4,preview=2,timeresolved=1,records=3]
 //	        [-zipf S] [-seed N] [-bins N] [-windows N] [-json]
 //
@@ -24,6 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -37,7 +43,8 @@ func main() {
 	var (
 		url      = flag.String("url", "", "base URL of the service under test (required)")
 		backends = flag.String("backends", "", "comma-separated backend base URLs to scrape for cache hit ratios")
-		clients  = flag.Int("clients", 4, "concurrent clients")
+		clients  = flag.Int("clients", 4, "concurrent clients (with -rate: the in-flight cap)")
+		rate     = flag.Float64("rate", 0, "open-loop warm phase at this many requests per second (0: closed loop)")
 		requests = flag.Int("requests", 200, "measured warm-phase request count")
 		mixFlag  = flag.String("mix", "", "query mix weights, e.g. stats=4,preview=2,timeresolved=1,records=3")
 		zipfS    = flag.Float64("zipf", 1.1, "zipf exponent for trace popularity")
@@ -49,6 +56,10 @@ func main() {
 	flag.Parse()
 	if *url == "" {
 		fmt.Fprintln(os.Stderr, "uteload: -url is required")
+		os.Exit(2)
+	}
+	if *rate < 0 || math.IsNaN(*rate) || math.IsInf(*rate, 0) {
+		fmt.Fprintln(os.Stderr, "uteload: -rate must be a finite number >= 0")
 		os.Exit(2)
 	}
 	mix, err := parseMix(*mixFlag)
@@ -65,6 +76,7 @@ func main() {
 		Seed:     *seed,
 		Bins:     *bins,
 		Windows:  *windows,
+		Rate:     *rate,
 	}
 	if *backends != "" {
 		for _, u := range strings.Split(*backends, ",") {
@@ -94,6 +106,9 @@ func main() {
 	}
 	fmt.Printf("uteload: %d traces, %d clients, mix stats=%d preview=%d timeresolved=%d records=%d\n",
 		rep.Traces, rep.Clients, rep.Mix.Stats, rep.Mix.Preview, rep.Mix.TimeResolved, rep.Mix.Records)
+	if rep.Rate > 0 {
+		fmt.Printf("  warm phase open-loop at %g req/s, at most %d in flight\n", rep.Rate, rep.Clients)
+	}
 	printPhase("cold", rep.Cold)
 	printPhase("warm", rep.Warm)
 	for _, b := range rep.Backends {
@@ -106,8 +121,8 @@ func main() {
 }
 
 func printPhase(name string, p load.Phase) {
-	fmt.Printf("  %-4s %5d reqs  %4d errors  %8.1f qps  p50 %7.2fms  p95 %7.2fms  p99 %7.2fms  max %7.2fms\n",
-		name, p.Requests, p.Errors, p.QPS, p.P50Ms, p.P95Ms, p.P99Ms, p.MaxMs)
+	fmt.Printf("  %-4s %5d reqs  %4d errors  %4d dropped  %8.1f qps  p50 %7.2fms  p95 %7.2fms  p99 %7.2fms  max %7.2fms\n",
+		name, p.Requests, p.Errors, p.Dropped, p.QPS, p.P50Ms, p.P95Ms, p.P99Ms, p.MaxMs)
 }
 
 // parseMix parses "stats=4,preview=2,timeresolved=1,records=3". An

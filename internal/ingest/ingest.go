@@ -213,8 +213,10 @@ func (m *Manager) Sessions() []*Session {
 	return out
 }
 
-// Remove drops a session from the map (it stays usable by holders).
-// Completed traces removed this way keep their file on disk.
+// Remove drops a session from the map (it stays usable by holders),
+// freeing its name for a new Begin. The serving layer calls it when a
+// settled live trace is deleted; completed traces removed this way keep
+// their file on disk.
 func (m *Manager) Remove(name string) {
 	m.mu.Lock()
 	delete(m.sessions, name)

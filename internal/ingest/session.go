@@ -408,10 +408,8 @@ func (s *Session) emit(n *node, r *interval.Record) error {
 		if len(n.gate) >= s.mgr.cfg.gateRecords() {
 			return fmt.Errorf("ingest: node %d emitted %d records before its first clock sync", n.idx, len(n.gate))
 		}
-		cp := *r
-		cp.Extra = append([]uint64(nil), r.Extra...)
-		cp.Vec = append([]uint64(nil), r.Vec...)
-		n.gate = append(n.gate, cp)
+		n.gate = append(n.gate, interval.Record{})
+		r.CopyInto(&n.gate[len(n.gate)-1])
 		return nil
 	}
 	return s.push(n, r)
@@ -580,6 +578,17 @@ func (s *Session) Drain() {
 func (s *Session) Wait() error {
 	<-s.mergeDone
 	return s.Err()
+}
+
+// Settled reports, without blocking, whether the session has settled:
+// its merge has finished and its file is sealed, done or failed.
+func (s *Session) Settled() bool {
+	select {
+	case <-s.mergeDone:
+		return true
+	default:
+		return false
+	}
 }
 
 // NodeStatus summarizes one node for the status endpoint.

@@ -264,7 +264,7 @@ func (b *Batch) appendFixed(dst []byte) []byte {
 // long as the caller holds it.
 func (f *File) FrameBatch(fe FrameEntry) (*Batch, error) {
 	if f.hook != nil {
-		return f.hook(f, fe)
+		return f.hook(f, fe, nil)
 	}
 	return f.ReadFrameBatch(fe)
 }

@@ -76,6 +76,13 @@ func writeMixedFileFrames(t *testing.T, seed uint64, n int, hdrVersion uint32, f
 	return sb, recs
 }
 
+// clone returns r owning its Extra and Vec.
+func (r Record) clone() Record {
+	var c Record
+	r.CopyInto(&c)
+	return c
+}
+
 // batchRecords copies every row of b out as a self-contained record.
 func batchRecords(b *Batch) []Record {
 	recs := make([]Record, b.N)

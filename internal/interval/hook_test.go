@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -14,7 +15,7 @@ func hookFed(t *testing.T, sb *SeekBuffer) (*File, map[int64]*Batch) {
 	t.Helper()
 	f := openFile(t, sb)
 	cache := map[int64]*Batch{}
-	f.SetFrameDecoder(func(f *File, fe FrameEntry) (*Batch, error) {
+	f.SetFrameDecoder(func(f *File, fe FrameEntry, _ *Batch) (*Batch, error) {
 		if b, ok := cache[fe.Offset]; ok {
 			return b, nil
 		}
@@ -107,4 +108,57 @@ func TestHookBatchesAreShared(t *testing.T) {
 	}
 	t.Logf("warm allocs: %v over %d frames / %d records; %v over %d frames / %d records",
 		small.allocs, small.frames, small.records, big.allocs, big.frames, big.records)
+}
+
+// TestHookScratchIsLent: the map-reduce engine lends the hook a pooled
+// batch, which a hook that keeps nothing decodes into and returns, while
+// FrameBatch and the scanner lend none — what they hand out must outlive
+// the next frame. Every answer through such a hook equals the hook-less
+// one, at one worker and at four.
+func TestHookScratchIsLent(t *testing.T) {
+	sb, want := writeMixedFileFrames(t, 32, 2000, CurrentHeaderVersion, 512)
+	f := openFile(t, sb)
+	var lent, unlent atomic.Int64
+	f.SetFrameDecoder(func(f *File, fe FrameEntry, scratch *Batch) (*Batch, error) {
+		if scratch == nil {
+			unlent.Add(1)
+			return f.ReadFrameBatch(fe)
+		}
+		lent.Add(1)
+		return scratch, f.DecodeFrameBatch(fe, scratch)
+	})
+	fes, err := f.Frames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		lent.Store(0)
+		var got []Record
+		err := MapFrames([]*File{f}, MapOptions{Parallel: par},
+			func(_ int, _ FrameEntry, b *Batch) ([]Record, error) {
+				recs := make([]Record, b.N)
+				for i := range recs {
+					recs[i] = b.Row(i).clone()
+				}
+				return recs, nil
+			},
+			func(_ int, _ FrameEntry, recs []Record) error { got = append(got, recs...); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, scanAll(t, sb)) {
+			t.Fatalf("Parallel %d: records through a scratch-decoding hook differ from a direct scan", par)
+		}
+		if lent.Load() != int64(len(fes)) || unlent.Load() != 0 {
+			t.Fatalf("Parallel %d: MapFrames lent scratch on %d of %d frames, and none on %d", par, lent.Load(), len(fes), unlent.Load())
+		}
+	}
+	lent.Store(0)
+	scanned, err := f.Scan().All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scanned) != len(want) || lent.Load() != 0 || unlent.Load() != int64(len(fes)) {
+		t.Fatalf("scan: %d records of %d, scratch lent on %d frames and withheld on %d of %d", len(scanned), len(want), lent.Load(), unlent.Load(), len(fes))
+	}
 }

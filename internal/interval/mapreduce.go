@@ -61,10 +61,12 @@ var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 // shared state; reduceFn runs on one goroutine at a time in
 // deterministic order and may keep state.
 //
-// Each frame arrives as a Batch: the file's frame-decode hook's shared
-// batch when a hook is installed (a cache hit is handed over as is — no
-// read, no copy), otherwise a pooled batch filled straight from the
-// frame encoding. Either way the batch is read-only and valid until the
+// Each frame arrives as a Batch: a pooled batch filled straight from the
+// frame encoding, or — when the file has a frame-decode hook — whatever
+// the hook returns, lent that pooled batch as its scratch (a cache hit
+// is handed over as is, no read and no copy; a frame the cache does not
+// keep is decoded into the scratch). Either way the batch is read-only
+// and valid until the
 // frame's reduceFn returns: mapFn may return it, or Rows aliasing it, as
 // its value for reduceFn to read, but anything kept longer must be
 // copied out.
@@ -112,13 +114,13 @@ func MapFrames[T any](files []*File, opts MapOptions, mapFn func(file int, fe Fr
 		}
 		j := jobs[i]
 		f := files[j.file]
-		var b *Batch
+		scratch := batchPool.Get().(*Batch)
+		defer batchPool.Put(scratch)
+		b := scratch
 		var err error
 		if f.hook != nil {
-			b, err = f.hook(f, j.fe)
+			b, err = f.hook(f, j.fe, scratch)
 		} else {
-			b = batchPool.Get().(*Batch)
-			defer batchPool.Put(b)
 			err = f.DecodeFrameBatch(j.fe, b)
 		}
 		if err != nil {

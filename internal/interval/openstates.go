@@ -45,6 +45,8 @@ func threadKey(node, thread uint16) uint32 { return uint32(node)<<16 | uint32(th
 // tracker keeps its own copy, so r may alias a batch or a buffer its
 // producer reuses — and an End closes the innermost open state of its
 // type on its thread. Clock records and every other piece are ignored.
+// A closed state's slot stays past the end of its stack with its Extra
+// and Vec storage, for the next Begin on the thread to copy into.
 func (t *OpenStates) Observe(r *Record) {
 	if !movesOpenStates(r.Type, r.Bebits) {
 		return
@@ -56,7 +58,14 @@ func (t *OpenStates) Observe(r *Record) {
 			t.keys = slices.Insert(t.keys, s, k)
 			t.open = slices.Insert(t.open, s, nil)
 		}
-		t.open[s] = append(t.open[s], r.clone())
+		stack := t.open[s]
+		if len(stack) < cap(stack) {
+			stack = stack[:len(stack)+1]
+		} else {
+			stack = append(stack, Record{})
+		}
+		r.CopyInto(&stack[len(stack)-1])
+		t.open[s] = stack
 		return
 	}
 	if !listed {
@@ -65,7 +74,10 @@ func (t *OpenStates) Observe(r *Record) {
 	stack := t.open[s]
 	for i := len(stack) - 1; i >= 0; i-- {
 		if stack[i].Type == r.Type {
-			t.open[s] = slices.Delete(stack, i, i+1)
+			closed := stack[i]
+			copy(stack[i:], stack[i+1:])
+			stack[len(stack)-1] = closed
+			t.open[s] = stack[:len(stack)-1]
 			return
 		}
 	}

@@ -410,7 +410,7 @@ func TestSummarizeRemainderRouting(t *testing.T) {
 		}
 		check("nohook", nil)
 		calls := 0
-		f.SetFrameDecoder(func(f *File, fe FrameEntry) (*Batch, error) {
+		f.SetFrameDecoder(func(f *File, fe FrameEntry, _ *Batch) (*Batch, error) {
 			calls++
 			return f.ReadFrameBatch(fe)
 		})

@@ -115,12 +115,17 @@ type File struct {
 var ErrClosed = errors.New("interval: file already closed")
 
 // FrameDecoder supplies a frame's decoded batch, typically from a cache
-// shared between readers of the same file. A decoder's miss path must
-// call ReadFrameBatch (never FrameBatch, which would recurse). Batches
-// handed out by a decoder are shared and must never be recycled:
-// callers treat them, and every Row aliasing them, as read-only, and
-// may hold them past eviction.
-type FrameDecoder func(f *File, fe FrameEntry) (*Batch, error)
+// shared between readers of the same file. scratch, when non-nil, is a
+// batch the caller lends and recycles once it is done with the frame:
+// the decoder may decode into it with DecodeFrameBatch and return it (a
+// cache does so for a frame it does not keep), and must not retain it.
+// With nil scratch the caller needs a batch it may hold for as long as
+// it likes. A decoder's miss path must decode with DecodeFrameBatch or
+// ReadFrameBatch (never FrameBatch, which would recurse). Any other
+// batch a decoder hands out is shared and must never be recycled:
+// callers treat it, and every Row aliasing it, as read-only, and may
+// hold it past eviction.
+type FrameDecoder func(f *File, fe FrameEntry, scratch *Batch) (*Batch, error)
 
 // SetFrameDecoder installs (or, with nil, removes) the frame-decode
 // hook. It must be called before the File is used from multiple

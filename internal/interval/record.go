@@ -30,7 +30,6 @@ package interval
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -58,10 +57,15 @@ type Record struct {
 // End returns the record's end time, the file's sort key.
 func (r Record) End() clock.Time { return r.Start + r.Dura }
 
-// clone returns r owning its Extra and Vec.
-func (r Record) clone() Record {
-	r.Extra, r.Vec = slices.Clone(r.Extra), slices.Clone(r.Vec)
-	return r
+// CopyInto makes *dst a deep copy of r: Extra and Vec are copied into
+// dst's own backing arrays, grown only when too short, so a dst reused
+// record after record stops allocating once its slices are large enough.
+// An empty Extra or Vec copies as empty, not necessarily nil.
+func (r *Record) CopyInto(dst *Record) {
+	extra, vec := dst.Extra[:0], dst.Vec[:0]
+	*dst = *r
+	dst.Extra = append(extra, r.Extra...)
+	dst.Vec = append(vec, r.Vec...)
 }
 
 // Field returns the named extra field's value, consulting the state

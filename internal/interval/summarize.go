@@ -487,8 +487,9 @@ func (p *Pyramid) coarsestCell(x, limit clock.Time) (level int, idx int64) {
 
 // resolveRemainders answers the edge spans from frame decodes, holding
 // one frame at a time: every frame overlapping a remainder is fetched
-// once — through the file's frame-decode hook, so a serving cache absorbs
-// repeats, or else decoded into one pooled batch — and each of its
+// once — decoded into one pooled batch, or through the file's
+// frame-decode hook lent that batch, so a serving cache absorbs repeats
+// — and each of its
 // records, clipped to the window, goes to the remainders it overlaps:
 // start counts, busy overlap and top candidates at once. Nothing of a
 // frame outlives it but the clipped endpoints of its busy intervals, for
@@ -504,11 +505,8 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 	if err != nil {
 		return 0, err
 	}
-	var pooled *Batch
-	if f.hook == nil {
-		pooled = batchPool.Get().(*Batch)
-		defer batchPool.Put(pooled)
-	}
+	pooled := batchPool.Get().(*Batch)
+	defer batchPool.Put(pooled)
 	// The clipped endpoints of every busy interval reaching a remainder,
 	// each interval once however many it reaches.
 	var starts, ends []clock.Time
@@ -530,8 +528,8 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 			}
 		}
 		b := pooled
-		if b == nil {
-			b, err = f.hook(f, fe)
+		if f.hook != nil {
+			b, err = f.hook(f, fe, pooled)
 		} else {
 			err = f.DecodeFrameBatch(fe, b)
 		}

@@ -7,6 +7,14 @@
 // the decoded-frame caches). The report carries QPS, latency
 // percentiles, error rates, and — when backend URLs are given —
 // per-backend cache hit ratios scraped from /metrics.
+//
+// The warm phase is closed-loop by default: each client sends its next
+// request when the previous one answered, so a stalled server also
+// stalls the offered load and the queueing it would cause never shows
+// (coordinated omission). With a Rate it is open-loop instead: request
+// i is due at start + i/Rate whatever the server does, its latency runs
+// from that intended send time, at most Clients requests are in flight,
+// and an arrival that finds them all busy is dropped and counted.
 package load
 
 import (
@@ -62,6 +70,9 @@ type Config struct {
 	// pool is what creates the warm phase: the cold pass touches every
 	// window once, the measured pass replays them.
 	Windows int
+	// Rate, when positive, makes the warm phase open-loop at Rate
+	// requests per second, with Clients as the in-flight cap.
+	Rate float64
 }
 
 func (c Config) withDefaults() Config {
@@ -89,10 +100,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Phase is the measured result of one run phase.
+// Phase is the measured result of one run phase. Requests counts every
+// request offered, Dropped the open-loop arrivals that found the
+// in-flight cap reached and were never sent; QPS is answered requests
+// per second.
 type Phase struct {
 	Requests int     `json:"requests"`
 	Errors   int     `json:"errors"`
+	Dropped  int     `json:"dropped"`
 	Seconds  float64 `json:"seconds"`
 	QPS      float64 `json:"qps"`
 	P50Ms    float64 `json:"p50_ms"`
@@ -114,6 +129,7 @@ type BackendCache struct {
 type Report struct {
 	Traces   int            `json:"traces"`
 	Clients  int            `json:"clients"`
+	Rate     float64        `json:"rate,omitempty"`
 	Mix      Mix            `json:"mix"`
 	Cold     Phase          `json:"cold"`
 	Warm     Phase          `json:"warm"`
@@ -226,7 +242,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	before := scrapeCaches(ctx, client, cfg.BackendURLs)
-	warmPhase, err := runPhase(ctx, client, cfg, warm)
+	run := runPhase
+	if cfg.Rate > 0 {
+		run = runOpenPhase
+	}
+	warmPhase, err := run(ctx, client, cfg, warm)
 	if err != nil {
 		return nil, err
 	}
@@ -235,6 +255,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	rep := &Report{
 		Traces:  len(traces),
 		Clients: cfg.Clients,
+		Rate:    cfg.Rate,
 		Mix:     cfg.Mix,
 		Cold:    coldPhase,
 		Warm:    warmPhase,
@@ -269,96 +290,162 @@ func mixTable(m Mix) []string {
 	return t
 }
 
-// runPhase fires the queries from cfg.Clients goroutines, each pulling
-// from a shared index, and folds the latency samples into a Phase.
+// runPhase fires the queries closed-loop from cfg.Clients goroutines,
+// each pulling from a shared index and timing its request from when it
+// sent it, and folds the latency samples into a Phase.
 func runPhase(ctx context.Context, client *http.Client, cfg Config, queries []query) (Phase, error) {
 	if len(queries) == 0 {
 		return Phase{}, nil
 	}
 	var (
-		next    int64
-		nextMu  sync.Mutex
-		lats    = make([]time.Duration, 0, len(queries))
-		latMu   sync.Mutex
-		errs    int64
-		wg      sync.WaitGroup
-		ctxErr  error
-		ctxErrM sync.Mutex
+		next int
+		mu   sync.Mutex
+		wg   sync.WaitGroup
 	)
-	take := func() int {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		if int(next) >= len(queries) {
-			return -1
-		}
-		i := int(next)
-		next++
-		return i
-	}
+	tally := newTally(len(queries))
 	t0 := time.Now()
 	for c := 0; c < cfg.Clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := make([]time.Duration, 0, len(queries)/cfg.Clients+1)
-			for {
-				i := take()
-				if i < 0 || ctx.Err() != nil {
-					break
-				}
-				q := queries[i]
-				s0 := time.Now()
-				req, err := http.NewRequestWithContext(ctx, "GET", cfg.BaseURL+q.url, nil)
-				if err != nil {
-					ctxErrM.Lock()
-					if ctxErr == nil {
-						ctxErr = err
-					}
-					ctxErrM.Unlock()
+			for ctx.Err() == nil {
+				mu.Lock()
+				i := next
+				next++
+				mu.Unlock()
+				if i >= len(queries) {
 					return
 				}
-				resp, err := client.Do(req)
-				if err != nil {
-					latMu.Lock()
-					errs++
-					latMu.Unlock()
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				d := time.Since(s0)
-				local = append(local, d)
-				if resp.StatusCode != http.StatusOK {
-					latMu.Lock()
-					errs++
-					latMu.Unlock()
+				if !tally.send(ctx, client, cfg.BaseURL, queries[i], time.Now()) {
+					return
 				}
 			}
-			latMu.Lock()
-			lats = append(lats, local...)
-			latMu.Unlock()
 		}()
 	}
 	wg.Wait()
-	wall := time.Since(t0)
-	if ctxErr != nil {
-		return Phase{}, ctxErr
+	return tally.phase(ctx, len(queries), time.Since(t0))
+}
+
+// runOpenPhase fires the queries open-loop: query i is due at start +
+// i/cfg.Rate, however the earlier ones fare, and its latency runs from
+// that due time, so time a request spends queued behind a stalled
+// server counts. At most cfg.Clients requests are in flight; an arrival
+// that finds them all busy is dropped.
+func runOpenPhase(ctx context.Context, client *http.Client, cfg Config, queries []query) (Phase, error) {
+	if len(queries) == 0 {
+		return Phase{}, nil
+	}
+	var wg sync.WaitGroup
+	slots := make(chan struct{}, cfg.Clients)
+	tally := newTally(len(queries))
+	t0 := time.Now()
+	for i, q := range queries {
+		due := t0.Add(time.Duration(float64(i) * float64(time.Second) / cfg.Rate))
+		if !sleepUntil(ctx, due) {
+			break
+		}
+		select {
+		case slots <- struct{}{}:
+		default:
+			tally.drop()
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tally.send(ctx, client, cfg.BaseURL, q, due)
+			<-slots
+		}()
+	}
+	wg.Wait()
+	return tally.phase(ctx, len(queries), time.Since(t0))
+}
+
+// sleepUntil waits for t, or for ctx to end, reporting whether ctx is
+// still live.
+func sleepUntil(ctx context.Context, t time.Time) bool {
+	if d := time.Until(t); d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+		}
+	}
+	return ctx.Err() == nil
+}
+
+// tally collects one phase's latency samples, errors and drops from
+// concurrent senders.
+type tally struct {
+	mu      sync.Mutex
+	lats    []time.Duration
+	errs    int
+	dropped int
+	reqErr  error
+}
+
+func newTally(n int) *tally { return &tally{lats: make([]time.Duration, 0, n)} }
+
+// send issues q and records its latency from start; a transport failure
+// or a non-200 answer is an error. It returns false when the request
+// could not even be built, which aborts the phase.
+func (t *tally) send(ctx context.Context, client *http.Client, base string, q query, start time.Time) bool {
+	req, err := http.NewRequestWithContext(ctx, "GET", base+q.url, nil)
+	if err != nil {
+		t.mu.Lock()
+		if t.reqErr == nil {
+			t.reqErr = err
+		}
+		t.mu.Unlock()
+		return false
+	}
+	resp, err := client.Do(req)
+	if err == nil {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	d := time.Since(start)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err != nil {
+		t.errs++
+		return true
+	}
+	t.lats = append(t.lats, d)
+	if resp.StatusCode != http.StatusOK {
+		t.errs++
+	}
+	return true
+}
+
+func (t *tally) drop() {
+	t.mu.Lock()
+	t.dropped++
+	t.mu.Unlock()
+}
+
+// phase folds the samples of n offered requests over wall.
+func (t *tally) phase(ctx context.Context, n int, wall time.Duration) (Phase, error) {
+	if t.reqErr != nil {
+		return Phase{}, t.reqErr
 	}
 	if err := ctx.Err(); err != nil {
 		return Phase{}, err
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	sort.Slice(t.lats, func(i, j int) bool { return t.lats[i] < t.lats[j] })
 	ph := Phase{
-		Requests: len(queries),
-		Errors:   int(errs),
+		Requests: n,
+		Errors:   t.errs,
+		Dropped:  t.dropped,
 		Seconds:  wall.Seconds(),
-		QPS:      float64(len(queries)) / wall.Seconds(),
+		QPS:      float64(n-t.dropped) / wall.Seconds(),
 	}
-	if len(lats) > 0 {
-		ph.P50Ms = ms(percentile(lats, 0.50))
-		ph.P95Ms = ms(percentile(lats, 0.95))
-		ph.P99Ms = ms(percentile(lats, 0.99))
-		ph.MaxMs = ms(lats[len(lats)-1])
+	if len(t.lats) > 0 {
+		ph.P50Ms = ms(percentile(t.lats, 0.50))
+		ph.P95Ms = ms(percentile(t.lats, 0.95))
+		ph.P99Ms = ms(percentile(t.lats, 0.99))
+		ph.MaxMs = ms(t.lats[len(t.lats)-1])
 	}
 	return ph, nil
 }

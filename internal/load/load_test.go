@@ -2,11 +2,15 @@ package load
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -179,4 +183,65 @@ func TestZipfSkew(t *testing.T) {
 	if sum != 10000 {
 		t.Fatalf("samples lost: %v", counts)
 	}
+}
+
+// stallServer lists one trace and answers every other request at once,
+// except that every every-th request holds the whole server for stall —
+// all requests pass one lock, as behind a stop-the-world pause.
+func stallServer(t *testing.T, every int, stall time.Duration) *httptest.Server {
+	t.Helper()
+	var mu sync.Mutex
+	n := 0
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/traces" {
+			json.NewEncoder(w).Encode(tracesvc.TraceList{Traces: []tracesvc.TraceInfo{{ID: "t1", EndSec: 1}}})
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if n++; n%every == 0 {
+			time.Sleep(stall)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestOpenLoopShowsStalls: against a server that stalls for 40 ms on
+// every 200th request, a closed-loop client sends nothing while it
+// waits, so only the 2 stalled requests of 400 are slow and the p99 hides
+// the stalls; the open-loop schedule keeps arriving (1000/s) during
+// them, each arrival's latency runs from its intended send time, and
+// the ~40 requests queued behind each stall put the p99 near the stall's
+// length. With the in-flight cap below those ~40, the arrivals that find
+// it reached are dropped and counted.
+func TestOpenLoopShowsStalls(t *testing.T) {
+	const stall = 40 * time.Millisecond
+	half := float64(stall/2) / float64(time.Millisecond)
+	run := func(cfg Config) Phase {
+		t.Helper()
+		cfg.BaseURL = stallServer(t, 200, stall).URL
+		cfg.Requests, cfg.Windows, cfg.Seed = 400, 1, 5
+		rep, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Warm.Requests != 400 || rep.Warm.Errors != 0 {
+			t.Fatalf("warm phase: %+v", rep.Warm)
+		}
+		return rep.Warm
+	}
+	closed := run(Config{Clients: 1})
+	if closed.P99Ms >= half || closed.MaxMs < half || closed.Dropped != 0 {
+		t.Fatalf("closed loop: p99 %.2f ms, max %.2f ms, %d dropped; want the stalls in the max alone", closed.P99Ms, closed.MaxMs, closed.Dropped)
+	}
+	open := run(Config{Clients: 64, Rate: 1000})
+	if open.P99Ms < half || open.Dropped != 0 {
+		t.Fatalf("open loop: p99 %.2f ms, %d dropped; want the queueing behind the stalls in the p99 (closed loop: %.2f ms)", open.P99Ms, open.Dropped, closed.P99Ms)
+	}
+	capped := run(Config{Clients: 4, Rate: 1000})
+	if capped.Dropped == 0 || capped.Dropped >= capped.Requests {
+		t.Fatalf("open loop capped at 4 in flight: %d of %d arrivals dropped", capped.Dropped, capped.Requests)
+	}
+	t.Logf("p99: closed %.2f ms, open %.2f ms; capped at 4: %d dropped", closed.P99Ms, open.P99Ms, capped.Dropped)
 }

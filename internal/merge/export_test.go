@@ -16,3 +16,11 @@ func NoPseudo(o Options) Options {
 type Source = source
 
 var NewLoserTree = newLoserTree
+
+// RingLen returns how many record slots the source's queue holds,
+// queued or free.
+func (s *LiveSource) RingLen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.ring)
+}

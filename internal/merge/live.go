@@ -34,13 +34,21 @@ const defaultSourceCap = 4096
 // merge needs every source's watermark to be its head record's end
 // time, so a source that lags simply stalls the merge (correctly) until
 // its next record or CloseSend arrives.
+//
+// The queue is a ring of record slots that grows, by doubling, only
+// while every slot is taken and never past the capacity, so its memory
+// is bounded by the capacity however long the stream runs. Each slot
+// keeps the Extra/Vec storage of the records it held, and the consumer
+// copies out into buffers of its own, so once the ring and its slots
+// have grown a Push or an Advance allocates nothing.
 type LiveSource struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	queue []interval.Record
-	head  int
-	max   int
+	// ring holds n queued records from ring[head] on, wrapping.
+	ring    []interval.Record
+	head, n int
+	max     int
 
 	sendClosed bool
 	err        error
@@ -63,12 +71,12 @@ func NewLiveSource(capRecords int) *LiveSource {
 }
 
 // Push enqueues one record, blocking while the queue is full. The
-// queue takes ownership of a deep copy: the converter reuses and
-// back-patches its Extra slices (a marker's end address is written
-// into the open state after the begin piece was already emitted), so
-// a shallow copy here would let that mutation reach records already
-// queued — which the batch pipeline, encoding at emit time, never
-// sees. Push fails once the source is closed or failed.
+// queue's slot takes a deep copy: the converter reuses and back-patches
+// its Extra slices (a marker's end address is written into the open
+// state after the begin piece was already emitted), so a shallow copy
+// here would let that mutation reach records already queued — which the
+// batch pipeline, encoding at emit time, never sees. Push fails once the
+// source is closed or failed.
 func (s *LiveSource) Push(r *interval.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -79,25 +87,43 @@ func (s *LiveSource) Push(r *interval.Record) error {
 		if s.sendClosed {
 			return ErrSourceClosed
 		}
-		if len(s.queue)-s.head < s.max {
+		if s.n < s.max {
 			break
 		}
 		s.cond.Wait()
 	}
-	cp := *r
-	if len(r.Extra) > 0 {
-		cp.Extra = append([]uint64(nil), r.Extra...)
+	if s.n == len(s.ring) {
+		s.grow()
 	}
-	if len(r.Vec) > 0 {
-		cp.Vec = append([]uint64(nil), r.Vec...)
-	}
-	s.queue = append(s.queue, cp)
+	r.CopyInto(&s.ring[(s.head+s.n)%len(s.ring)])
+	s.n++
 	s.cond.Broadcast()
 	return nil
 }
 
+// slotExtras is the Extra capacity every new ring slot starts with, all
+// carved from one allocation per growth: no standard-profile record
+// carries more (MPI_Sendrecv has 9), so filling a fresh slot allocates
+// nothing either.
+const slotExtras = 9
+
+// grow doubles the full ring, up to the capacity, unwrapping its records
+// to the front. The caller holds s.mu.
+func (s *LiveSource) grow() {
+	old := len(s.ring)
+	ring := make([]interval.Record, min(max(2*old, 64), s.max))
+	k := copy(ring, s.ring[s.head:])
+	copy(ring[k:], s.ring[:s.head])
+	arena := make([]uint64, (len(ring)-old)*slotExtras)
+	for i := old; i < len(ring); i++ {
+		j := (i - old) * slotExtras
+		ring[i].Extra = arena[j : j : j+slotExtras]
+	}
+	s.ring, s.head = ring, 0
+}
+
 // Unbound lifts the queue's capacity bound: pending and future Pushes
-// stop blocking and every record stays buffered until the merge
+// stop blocking, and the ring grows to hold every record until the merge
 // consumes it. Drain paths need this — a drain finishing every source
 // from one goroutine can block in a bounded Push while the merge waits
 // on a different source that same goroutine has yet to finish, and a
@@ -140,29 +166,28 @@ func (s *LiveSource) CurrentEnd() (clock.Time, bool) { return s.end, s.done }
 // Current implements the merge record source interface.
 func (s *LiveSource) Current() *interval.Record { return &s.cur }
 
-// Advance blocks until a record, CloseSend, or Fail arrives.
+// Advance blocks until a record, CloseSend, or Fail arrives. The record
+// is copied out of its slot into the consumer's own buffers, so the slot
+// is free for the next Push at once; Current stays valid until the next
+// Advance.
 func (s *LiveSource) Advance() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if s.head < len(s.queue) {
-			s.cur = s.queue[s.head]
-			s.queue[s.head] = interval.Record{}
-			s.head++
-			if s.head == len(s.queue) {
-				s.queue = s.queue[:0]
-				s.head = 0
-			}
+		if s.n > 0 {
+			s.ring[s.head].CopyInto(&s.cur)
+			s.head = (s.head + 1) % len(s.ring)
+			s.n--
 			s.end = s.cur.End()
 			s.cond.Broadcast()
 			return nil
 		}
 		if s.err != nil || s.sendClosed {
 			// Nothing more can arrive. The session that owns this source
-			// outlives it (it stays listed for status queries), so the
-			// queue's backing array is released here, not with the source.
+			// may outlive it, so the ring is released here, not with the
+			// source.
 			s.done = true
-			s.queue = nil
+			s.ring = nil
 			return s.err
 		}
 		s.cond.Wait()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tracefw/internal/clock"
@@ -286,4 +287,68 @@ func TestLiveSourceCloseSemantics(t *testing.T) {
 		t.Fatalf("%d finished sources still hold %d KiB", n, grew>>10)
 	}
 	runtime.KeepAlive(finished)
+}
+
+// TestLiveSourceRingIsBounded: a consumer that lags behind its producer
+// — it takes the next record only once the queue is full again, so the
+// queue never drains — keeps the ring at its capacity over 100 000
+// pushes, and every record arrives intact and in order. Unbound then
+// lets the ring grow past the capacity for a drain, and the drain still
+// delivers everything.
+func TestLiveSourceRingIsBounded(t *testing.T) {
+	const capRecords, pushes = 64, 100_000
+	s := merge.NewLiveSource(capRecords)
+	var pushed atomic.Int64
+	go func() {
+		for i := 0; i < pushes; i++ {
+			r := interval.Record{Type: events.EvMPISend, Bebits: profile.Complete, Start: clock.Time(i),
+				Extra: []uint64{uint64(i), 1, 2, 3, 4, 5}}
+			if err := s.Push(&r); err != nil {
+				t.Error(err)
+				return
+			}
+			pushed.Add(1)
+		}
+	}()
+	for i := 0; i < pushes; i++ {
+		for pushed.Load() < int64(min(i+capRecords, pushes)) {
+			runtime.Gosched()
+		}
+		if err := s.Advance(); err != nil {
+			t.Fatal(err)
+		}
+		if r := s.Current(); r.Start != clock.Time(i) || len(r.Extra) != 6 || r.Extra[0] != uint64(i) {
+			t.Fatalf("record %d arrived as %v %v", i, r, r.Extra)
+		}
+		if n := s.RingLen(); n > capRecords {
+			t.Fatalf("after %d records the ring holds %d slots, capacity %d", i+1, n, capRecords)
+		}
+	}
+
+	s.Unbound()
+	const drain = 10 * capRecords
+	for i := 0; i < drain; i++ {
+		r := interval.Record{Type: events.EvRunning, Bebits: profile.Complete, Start: clock.Time(pushes + i)}
+		if err := s.Push(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.CloseSend()
+	if n := s.RingLen(); n < drain {
+		t.Fatalf("an unbounded source holds %d records in %d slots", drain, n)
+	}
+	for i := 0; ; i++ {
+		if err := s.Advance(); err != nil {
+			t.Fatal(err)
+		}
+		if _, done := s.CurrentEnd(); done {
+			if i != drain {
+				t.Fatalf("drained %d records of %d", i, drain)
+			}
+			break
+		}
+		if got := s.Current().Start; got != clock.Time(pushes+i) {
+			t.Fatalf("drained record %d has start %d", i, got)
+		}
+	}
 }

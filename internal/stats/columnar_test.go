@@ -400,7 +400,7 @@ func TestColumnarAllocsPerGroup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.SetFrameDecoder(func(_ *interval.File, fe interval.FrameEntry) (*interval.Batch, error) {
+	f.SetFrameDecoder(func(_ *interval.File, fe interval.FrameEntry, _ *interval.Batch) (*interval.Batch, error) {
 		return cache[fe.Offset], nil
 	})
 	specs, err := stats.Parse(stats.Predefined(50))

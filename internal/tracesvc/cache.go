@@ -28,12 +28,18 @@ type frameKey struct {
 
 // FrameCache is a sharded LRU cache of decoded frames — columnar
 // batches, the one decoded representation every consumer reads — keyed
-// by (file, frame offset) and bounded by a byte budget. Concurrent
-// requests for the same missing frame are collapsed into a single
-// decode (singleflight); everyone else blocks on the winner. Cached
-// batches are shared with every caller and read-only by contract (the
-// same contract interval.FrameDecoder states); eviction only drops the
+// by (file, frame offset) and bounded by a byte budget. Cached batches
+// are shared with every caller and read-only by contract (the same
+// contract interval.FrameDecoder states); eviction only drops the
 // cache's reference, so a batch a request still holds stays valid.
+//
+// One admission rule covers everything the cache holds: a value becomes
+// resident on its second use. The first leaves only a once-seen marker,
+// charged memoEntryBytes plus its key, so a frame or query nobody
+// repeats — a cold pass, a lap's one /stats on a trace deleted right
+// after — copies and keeps nothing. The one first use that stores is a
+// frame whose caller lends no scratch to decode into (Get): it needs a
+// copy of its own anyway, and the cache keeps that copy.
 //
 // The same shards, LRU, budget and singleflight hold the stats engine's
 // per-frame partials (Memo), which only the partial counters see: the
@@ -46,8 +52,14 @@ type FrameCache struct {
 	hits      promtext.Counter
 	misses    promtext.Counter
 	evictions promtext.Counter
-	bytes     promtext.Gauge
-	entries   promtext.Gauge
+	// Frame decodes that left a once-seen marker, and those whose frame
+	// became resident; together with failed decodes they are the misses.
+	admitOnce   promtext.Counter
+	admitStored promtext.Counter
+	// bytes is charged with resident frames and their once-seen markers,
+	// entries counts resident frames alone.
+	bytes   promtext.Gauge
+	entries promtext.Gauge
 	// Partial lookups answered from a stored partial, lookups that
 	// evaluated, partials stored, and the bytes memo entries are charged.
 	partHits   promtext.Counter
@@ -79,10 +91,14 @@ type cacheEntry struct {
 	// linked tracks list membership: an entry can leave the list (and
 	// the map) through invalidation while a waiter still holds it.
 	linked bool
-	// once marks a memo key evaluated once and not stored: resident
-	// with no value and no ready channel, it admits the key's next
-	// evaluation to the memo.
-	once bool
+	// once marks a key used once and not stored. Settled, it is a
+	// resident marker with no value and no ready channel that admits the
+	// key's next use. A frame's first decode is a once entry with a ready
+	// channel while it runs, outside the LRU; wanted records that
+	// another request waited on it — the frame's second use — so the
+	// decode stores a copy for the waiters.
+	once   bool
+	wanted bool
 }
 
 // memoEntryBytes is what a memo entry is charged beyond its partial: the
@@ -92,8 +108,8 @@ const memoEntryBytes = 128
 // NewFrameCache builds a cache with the given total byte budget spread
 // over nShards shards (both floored to sane minimums). The budget
 // counts each resident batch's exact column footprint
-// (interval.Batch.Footprint); load functions return right-sized batches,
-// so nothing uncounted rides along.
+// (interval.Batch.Footprint) — stored batches are right-sized copies, so
+// nothing uncounted rides along — and each once-seen marker's charge.
 func NewFrameCache(budgetBytes int64, nShards int) *FrameCache {
 	if nShards < 1 {
 		nShards = 1
@@ -123,26 +139,88 @@ func (c *FrameCache) shard(k frameKey) *cacheShard {
 	return &c.shards[h%uint64(len(c.shards))]
 }
 
-// Get returns the cached batch for key (file, off), or runs load
-// exactly once — however many callers ask concurrently — and caches its
-// result. A failed load is not cached; every waiter sees the error and
-// the next Get retries.
-func (c *FrameCache) Get(file uint64, off int64, load func() (*interval.Batch, error)) (*interval.Batch, error) {
+// Get returns the decoded frame at off of file number file under the
+// admission rule. A first use decodes into the caller's scratch and
+// keeps only a once-seen marker, so the caller gets its scratch back
+// with nothing copied; the second use decodes again and stores a
+// right-sized copy that it and every later use share. A caller that
+// lends no scratch (nil) needs a never-recycled batch of its own — the
+// very copy the cache would store — so its first use stores at once:
+// keeping it costs no copy. A request arriving while a decode still runs
+// waits for it and counts as a hit; a first use with waiters stores a
+// copy for them, so however many callers ask for a missing frame at once
+// it is decoded once (singleflight). A failed decode is not cached;
+// every waiter sees the error and the next Get retries.
+func (c *FrameCache) Get(file uint64, off int64, scratch *interval.Batch, decode func(dst *interval.Batch) error) (*interval.Batch, error) {
 	k := frameKey{file: file, off: off}
 	sh := c.shard(k)
 	sh.mu.Lock()
-	if e := sh.entries[k]; e != nil {
-		// Ready, or another goroutine is decoding it right now: a hit
+	e := sh.entries[k]
+	if e != nil && (!e.once || e.ready != nil) {
+		// Resident, being stored, or in its first decode right now: a hit
 		// either way — no second decode runs.
+		e.wanted = true
 		sh.await(context.Background(), e)
 		c.hits.Add(1)
 		b, _ := e.val.(*interval.Batch)
 		return b, e.err
 	}
-	e := &cacheEntry{key: k, ready: make(chan struct{})}
+	c.misses.Add(1)
+	if e != nil || scratch == nil {
+		if e != nil {
+			c.drop(sh, e) // the marker gives way to the stored frame
+		}
+		e = &cacheEntry{key: k, ready: make(chan struct{})}
+		sh.entries[k] = e
+		sh.mu.Unlock()
+		return c.store(sh, e, func() (*interval.Batch, error) {
+			b := scratch
+			if b == nil {
+				b = scratchPool.Get().(*interval.Batch)
+				defer scratchPool.Put(b)
+			}
+			if err := decode(b); err != nil {
+				return nil, err
+			}
+			return b.Clone(), nil
+		})
+	}
+	e = &cacheEntry{key: k, once: true, ready: make(chan struct{})}
 	sh.entries[k] = e
 	sh.mu.Unlock()
-	c.misses.Add(1)
+	err := decode(scratch)
+	sh.mu.Lock()
+	if err == nil && e.wanted {
+		sh.mu.Unlock()
+		_, err := c.store(sh, e, func() (*interval.Batch, error) { return scratch.Clone(), nil })
+		return scratch, err
+	}
+	e.err = err
+	ready := e.ready
+	if sh.entries[k] == e {
+		if err != nil {
+			delete(sh.entries, k)
+		} else {
+			// Nobody waits on e (wanted is still false), so its ready
+			// channel can go: e is a settled marker from here on.
+			c.mark(sh, e)
+		}
+	}
+	sh.mu.Unlock()
+	close(ready)
+	if err != nil {
+		return nil, err
+	}
+	c.admitOnce.Add(1)
+	return scratch, nil
+}
+
+// scratchPool holds the decode batches of stores whose caller lent none;
+// only the right-sized copy of each stays.
+var scratchPool = sync.Pool{New: func() any { return new(interval.Batch) }}
+
+// store fills e with the stored copy load makes and counts the admission.
+func (c *FrameCache) store(sh *cacheShard, e *cacheEntry, load func() (*interval.Batch, error)) (*interval.Batch, error) {
 	v, err := c.fill(sh, e, func() (any, int64, error) {
 		b, err := load()
 		if err != nil {
@@ -150,8 +228,20 @@ func (c *FrameCache) Get(file uint64, off int64, load func() (*interval.Batch, e
 		}
 		return b, b.Footprint(), nil
 	})
-	b, _ := v.(*interval.Batch)
-	return b, err
+	if err != nil {
+		return nil, err
+	}
+	c.admitStored.Add(1)
+	return v.(*interval.Batch), nil
+}
+
+// mark settles e as a once-seen marker: resident with no value and no
+// ready channel, charged memoEntryBytes plus its key. The caller holds
+// the shard lock.
+func (c *FrameCache) mark(sh *cacheShard, e *cacheEntry) {
+	e.once, e.ready, e.size = true, nil, memoEntryBytes+int64(len(e.key.memo))
+	c.link(sh, e)
+	c.evictLocked(sh)
 }
 
 // Memo is the interval.FrameMemo the registry installs for file number
@@ -180,10 +270,9 @@ func (c *FrameCache) Memo(ctx context.Context, file uint64, off int64, key strin
 	}
 	c.partMisses.Add(1)
 	if e == nil {
-		e = &cacheEntry{key: k, once: true, size: memoEntryBytes + int64(len(key))}
+		e = &cacheEntry{key: k}
 		sh.entries[k] = e
-		c.link(sh, e)
-		c.evictLocked(sh)
+		c.mark(sh, e)
 		sh.mu.Unlock()
 		v, _, err := compute(false)
 		return v, false, err
@@ -225,11 +314,13 @@ func (sh *cacheShard) await(ctx context.Context, e *cacheEntry) error {
 // fill runs load for e — in the map, not yet resident, ready still open
 // — and publishes the result: a success becomes resident unless an
 // invalidation dropped e meanwhile, a failure is not cached, and every
-// waiter is released.
+// waiter is released. A frame's first decode that a waiter wanted is
+// filled too, and stops being a once entry here.
 func (c *FrameCache) fill(sh *cacheShard, e *cacheEntry, load func() (any, int64, error)) (any, error) {
 	v, size, err := load()
 	e.val, e.err = v, err
 	sh.mu.Lock()
+	e.once = false
 	if sh.entries[e.key] == e {
 		if err != nil {
 			delete(sh.entries, e.key)
@@ -265,7 +356,9 @@ func (c *FrameCache) charge(sh *cacheShard, e *cacheEntry, sign int64) {
 	sh.bytes += sign * e.size
 	if e.key.memo == "" {
 		c.bytes.Add(sign * e.size)
-		c.entries.Add(sign)
+		if !e.once {
+			c.entries.Add(sign)
+		}
 	} else {
 		c.partBytes.Add(sign * e.size)
 	}
@@ -275,7 +368,7 @@ func (c *FrameCache) charge(sh *cacheShard, e *cacheEntry, sign int64) {
 // under its budget. The caller holds the shard lock.
 func (c *FrameCache) evictLocked(sh *cacheShard) {
 	for sh.bytes > c.shardBudget && sh.tail != nil {
-		if sh.tail.key.memo == "" {
+		if sh.tail.key.memo == "" && !sh.tail.once {
 			c.evictions.Add(1)
 		}
 		c.drop(sh, sh.tail)
@@ -314,7 +407,12 @@ func (c *FrameCache) Flush() {
 // CacheStats is a point-in-time snapshot of the cache counters.
 type CacheStats struct {
 	Hits, Misses, Evictions int64
-	Bytes, Entries          int64
+	// Frame decodes that left a once-seen marker (a first use) and those
+	// whose frame became resident (a second use, or a first use lending
+	// no scratch).
+	AdmittedOnce, AdmittedStored int64
+	// Bytes charged to resident frames and their markers; frames resident.
+	Bytes, Entries int64
 	// Stats partials (Memo): lookups reusing a stored partial, lookups
 	// that evaluated, partials stored, and bytes charged to memo entries.
 	PartialHits, PartialMisses, PartialsStored int64
@@ -327,6 +425,8 @@ func (c *FrameCache) Stats() CacheStats {
 		Hits:           c.hits.Value(),
 		Misses:         c.misses.Value(),
 		Evictions:      c.evictions.Value(),
+		AdmittedOnce:   c.admitOnce.Value(),
+		AdmittedStored: c.admitStored.Value(),
 		Bytes:          c.bytes.Value(),
 		Entries:        c.entries.Value(),
 		PartialHits:    c.partHits.Value(),

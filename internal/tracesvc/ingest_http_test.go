@@ -411,3 +411,85 @@ func TestIngestHTTPErrors(t *testing.T) {
 		t.Fatalf("unready live trace: %d %s", w.Code, w.Body)
 	}
 }
+
+// TestDeleteReleasesSettledSession: deleting a finished live trace also
+// drops its ingest session — it no longer lists, and its name can begin
+// a new session, whose file is again the same bytes — while deleting a
+// trace whose session is still gathering leaves the session running and
+// its name taken.
+func TestDeleteReleasesSettledSession(t *testing.T) {
+	raws := ingestRaws(t, 31, 2, 20)
+	s := ingestService(t, t.TempDir(), interval.WriterOptions{FrameBytes: 1024, FramesPerDir: 2})
+	defer s.Close()
+	begin := func(name string) string {
+		t.Helper()
+		w := doBytes(t, s, "POST", "/v1/ingest/"+name+"?op=begin&nodes=2", nil)
+		var began struct {
+			ID string `json:"id"`
+		}
+		if w.Code != http.StatusCreated || json.Unmarshal(w.Body.Bytes(), &began) != nil || began.ID == "" {
+			t.Fatalf("begin %s: %d %s", name, w.Code, w.Body)
+		}
+		return began.ID
+	}
+	ingestAll := func(name string) []byte {
+		t.Helper()
+		for i, raw := range raws {
+			cut := rawPreambleCut(t, raw)
+			for seq, part := range [][]byte{raw[:cut], raw[cut:]} {
+				url := fmt.Sprintf("/v1/ingest/%s?node=%d&seq=%d", name, i, seq)
+				if seq == 1 {
+					url += "&last=1"
+				}
+				if w := doBytes(t, s, "POST", url, part); w.Code != http.StatusAccepted {
+					t.Fatalf("%s node %d seq %d: %d %s", name, i, seq, w.Code, w.Body)
+				}
+			}
+		}
+		sess, ok := s.IngestManager().Get(name)
+		if !ok {
+			t.Fatalf("no session %s", name)
+		}
+		if err := sess.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(sess.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	id := begin("run")
+	first := ingestAll("run")
+	if w := doBytes(t, s, "DELETE", "/v1/traces/"+id, nil); w.Code != http.StatusNoContent {
+		t.Fatalf("delete: %d %s", w.Code, w.Body)
+	}
+	if w := doBytes(t, s, "GET", "/v1/ingest/run", nil); w.Code != http.StatusNotFound {
+		t.Fatalf("status of a deleted finished session: %d %s", w.Code, w.Body)
+	}
+	if _, ok := s.IngestManager().Get("run"); ok {
+		t.Fatal("the manager still holds a deleted finished session")
+	}
+	if id2 := begin("run"); id2 == id {
+		t.Fatalf("a new session under the same name reused trace id %s", id)
+	}
+	if again := ingestAll("run"); !bytes.Equal(again, first) {
+		t.Fatalf("the second ingest under the same name wrote %d bytes, the first %d", len(again), len(first))
+	}
+
+	// A session still gathering preambles outlives its trace's delete.
+	id = begin("live")
+	if w := doBytes(t, s, "POST", "/v1/ingest/live?node=0&seq=0", raws[0][:rawPreambleCut(t, raws[0])]); w.Code != http.StatusAccepted {
+		t.Fatalf("preamble: %d %s", w.Code, w.Body)
+	}
+	if w := doBytes(t, s, "DELETE", "/v1/traces/"+id, nil); w.Code != http.StatusNoContent {
+		t.Fatalf("delete of an active trace: %d %s", w.Code, w.Body)
+	}
+	if w := doBytes(t, s, "GET", "/v1/ingest/live", nil); w.Code != http.StatusOK {
+		t.Fatalf("status of an active session after its trace's delete: %d %s", w.Code, w.Body)
+	}
+	if w := doBytes(t, s, "POST", "/v1/ingest/live?op=begin&nodes=2", nil); w.Code != http.StatusConflict {
+		t.Fatalf("begin over an active session: %d %s", w.Code, w.Body)
+	}
+}

@@ -190,6 +190,29 @@ func (s *Service) ingestBegin(name string, r *http.Request) (*response, error) {
 	return jsonResponse(http.StatusCreated, s.sessionStatus(sess))
 }
 
+// releaseSession lets the ingest manager forget the session behind a
+// deleted live trace once the session has settled (done or failed, its
+// file sealed): the session and its per-node pipelines stop being held,
+// and the name is free for a new begin. A session still running is
+// left alone: it keeps ingesting and answering status requests.
+func (s *Service) releaseSession(id string) {
+	if s.ing == nil {
+		return
+	}
+	s.ing.mu.Lock()
+	defer s.ing.mu.Unlock()
+	for name, sid := range s.ing.ids {
+		if sid != id {
+			continue
+		}
+		if sess, ok := s.ing.mgr.Get(name); ok && sess.Settled() {
+			s.ing.mgr.Remove(name)
+			delete(s.ing.ids, name)
+		}
+		return
+	}
+}
+
 func (s *Service) ingestBatch(name string, r *http.Request) (*response, error) {
 	sess, ok := s.ing.mgr.Get(name)
 	if !ok {

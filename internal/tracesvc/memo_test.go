@@ -309,7 +309,10 @@ func metricValue(t *testing.T, s *tracesvc.Service, name string) int64 {
 // window's edges — none at all unwindowed — while a concatenation never
 // reuses. The marker-keyed program reuses too, which needs its marker
 // codes to come out the same on every run. /metrics counts the same
-// lookups, and the decoded-frame counters still count decoded frames.
+// lookups, and the decoded-frame counters still count decoded frames:
+// frames follow the same second-use rule, so every frame is decoded
+// twice — its first use leaves a once-seen marker, its second stores it
+// — and all of them end resident.
 func TestStatsMemoPlan(t *testing.T) {
 	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
 	s := tracesvc.New(tracesvc.Config{})
@@ -358,9 +361,11 @@ func TestStatsMemoPlan(t *testing.T) {
 		{`tracesvc_stats_partials_total{result="hit"}`, 2 * memoized},
 		{`tracesvc_stats_partials_total{result="miss"}`, 2 * memoized},
 		{`tracesvc_stats_partials_total{result="stored"}`, memoized},
-		{"tracesvc_cache_misses_total", int64(len(frames))},
+		{"tracesvc_cache_misses_total", 2 * int64(len(frames))},
+		{`tracesvc_cache_admissions_total{result="once"}`, int64(len(frames))},
+		{`tracesvc_cache_admissions_total{result="stored"}`, int64(len(frames))},
 		{"tracesvc_cache_frames_resident", int64(len(frames))},
-		{"tracesvc_frames_decoded_total", int64(len(frames))},
+		{"tracesvc_frames_decoded_total", 2 * int64(len(frames))},
 	} {
 		if got := metricValue(t, s, m.name); got != m.want {
 			t.Fatalf("%s = %d, want %d", m.name, got, m.want)

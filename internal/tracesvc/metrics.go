@@ -82,9 +82,12 @@ func (m *metrics) writePrometheus(w io.Writer, cache CacheStats, tracesOpen int6
 	fmt.Fprintf(w, "tracesvc_cache_hits_total %d\n", cache.Hits)
 	promtext.Header(w, "tracesvc_cache_misses_total", "counter", "Decoded-frame cache misses (each one decode).")
 	fmt.Fprintf(w, "tracesvc_cache_misses_total %d\n", cache.Misses)
+	promtext.Header(w, "tracesvc_cache_admissions_total", "counter", "Cache misses by what the decode left: a once-seen marker (a frame's first use, decoded into the caller's scratch) or a stored frame (its second use, or a first use that lent no scratch).")
+	fmt.Fprintf(w, "tracesvc_cache_admissions_total{result=\"once\"} %d\n", cache.AdmittedOnce)
+	fmt.Fprintf(w, "tracesvc_cache_admissions_total{result=\"stored\"} %d\n", cache.AdmittedStored)
 	promtext.Header(w, "tracesvc_cache_evictions_total", "counter", "Frames evicted to stay under the byte budget.")
 	fmt.Fprintf(w, "tracesvc_cache_evictions_total %d\n", cache.Evictions)
-	promtext.Header(w, "tracesvc_cache_bytes_resident", "gauge", "Bytes of decoded frame batches resident in the cache (exact column footprint).")
+	promtext.Header(w, "tracesvc_cache_bytes_resident", "gauge", "Bytes of decoded frame batches resident in the cache (exact column footprint), plus 128 per once-seen frame marker.")
 	fmt.Fprintf(w, "tracesvc_cache_bytes_resident %d\n", cache.Bytes)
 	promtext.Header(w, "tracesvc_cache_frames_resident", "gauge", "Decoded frames resident in the cache.")
 	fmt.Fprintf(w, "tracesvc_cache_frames_resident %d\n", cache.Entries)

@@ -138,13 +138,13 @@ func (r *Registry) snapshot(e *entry, path string, f *interval.File) (*Trace, er
 		return nil, err
 	}
 	num := e.num
-	f.SetFrameDecoder(func(f *interval.File, fe interval.FrameEntry) (*interval.Batch, error) {
-		return r.cache.Get(num, fe.Offset, func() (*interval.Batch, error) {
-			b, err := f.ReadFrameBatch(fe)
+	f.SetFrameDecoder(func(f *interval.File, fe interval.FrameEntry, scratch *interval.Batch) (*interval.Batch, error) {
+		return r.cache.Get(num, fe.Offset, scratch, func(dst *interval.Batch) error {
+			err := f.DecodeFrameBatch(fe, dst)
 			if err == nil {
 				r.decoded.Add(1)
 			}
-			return b, err
+			return err
 		})
 	})
 	f.SetFrameMemo(func(ctx context.Context, fe interval.FrameEntry, key string, compute func(bool) (any, int64, error)) (any, bool, error) {

@@ -321,6 +321,7 @@ func (s *Service) handleClose(r *http.Request) (*response, error) {
 	if !s.reg.Close(id) {
 		return nil, notFound(id)
 	}
+	s.releaseSession(id)
 	return &response{status: http.StatusNoContent}, nil
 }
 

@@ -357,7 +357,11 @@ func TestPreviewByteIdentical(t *testing.T) {
 
 // TestWarmCacheDecodesNoFrames is the acceptance proof for the cache: a
 // repeated window query decodes zero frames — DecodedFrames (frame
-// payload reads) stays flat while cache hits climb.
+// payload reads) stays flat while cache hits climb. A /records scan
+// lends the cache no scratch, so its first use stores every frame it
+// reads; a /stats scan lends its pooled batches, so its first use keeps
+// nothing, its second decodes the window's frames again and stores them,
+// and only the third is warm.
 func TestWarmCacheDecodesNoFrames(t *testing.T) {
 	s := tracesvc.New(tracesvc.Config{})
 	defer s.Close()
@@ -392,6 +396,31 @@ func TestWarmCacheDecodesNoFrames(t *testing.T) {
 	}
 	if got := tr.File().DecodedFrames(); got != cold {
 		t.Fatalf("warm stats decoded %d extra frames", got-cold)
+	}
+
+	// Stats first, on a fresh service: cold frames, cold frames again
+	// (now stored), then zero — and the records scan after them too.
+	s2 := tracesvc.New(tracesvc.Config{})
+	defer s2.Close()
+	id2 := openTrace(t, s2, path)
+	tr2, _ := s2.Registry().Resolve(id2)
+	for ask, want := range []int64{cold, 2 * cold, 2 * cold} {
+		if w := do(t, s2, "GET", "/v1/traces/"+id2+"/stats?window=0.05:0.2", ""); w.Code != 200 {
+			t.Fatalf("stats %d: %d %s", ask+1, w.Code, w.Body)
+		}
+		cs := s2.Cache().Stats()
+		if got := tr2.File().DecodedFrames(); got != want {
+			t.Fatalf("after stats %d: %d frames decoded, want %d", ask+1, got, want)
+		}
+		if wantRes := min(int64(ask), 1) * cold; cs.Entries != wantRes {
+			t.Fatalf("after stats %d: %d frames resident, want %d", ask+1, cs.Entries, wantRes)
+		}
+	}
+	if w := do(t, s2, "GET", "/v1/traces/"+id2+"/records?window=0.05:0.2&count=1", ""); w.Code != 200 {
+		t.Fatalf("records after stats: %d %s", w.Code, w.Body)
+	}
+	if got := tr2.File().DecodedFrames(); got != 2*cold {
+		t.Fatalf("records after two stats decoded %d frames", got-2*cold)
 	}
 }
 

@@ -26,11 +26,12 @@ func residentBytes(t *testing.T, s *tracesvc.Service) int64 {
 }
 
 // checkCacheAccounting asserts the budget is exact: the exported gauge
-// equals the sum of the resident batches' footprints, stays within the
-// budget, and every resident batch is right-sized and bit-equal to a
-// fresh hook-blind decode of its frame — so nothing uncounted is kept,
-// and no consumer wrote through a Row alias.
-func checkCacheAccounting(t *testing.T, s *tracesvc.Service, tr *tracesvc.Trace, budget int64) {
+// equals the sum of the resident batches' footprints plus the charge of
+// every once-seen frame marker, stays within the budget, and every
+// resident batch is right-sized and bit-equal to a fresh hook-blind
+// decode of its frame — so nothing uncounted is kept, and no consumer
+// wrote through a Row alias. It returns the resident frames and markers.
+func checkCacheAccounting(t *testing.T, s *tracesvc.Service, tr *tracesvc.Trace, budget int64) (frames, markers int) {
 	t.Helper()
 	byOff := map[int64]interval.FrameEntry{}
 	for _, fe := range tr.Frames() {
@@ -38,6 +39,12 @@ func checkCacheAccounting(t *testing.T, s *tracesvc.Service, tr *tracesvc.Trace,
 	}
 	var sum int64
 	for off, b := range s.Cache().Resident() {
+		if b == nil {
+			sum += tracesvc.MarkerBytes
+			markers++
+			continue
+		}
+		frames++
 		sum += b.Footprint()
 		fresh, err := tr.File().ReadFrameBatch(byOff[off])
 		if err != nil {
@@ -56,6 +63,7 @@ func checkCacheAccounting(t *testing.T, s *tracesvc.Service, tr *tracesvc.Trace,
 	if sum > budget {
 		t.Fatalf("cache holds %d bytes, budget %d", sum, budget)
 	}
+	return frames, markers
 }
 
 // TestCacheBudgetIsExact: after an eviction storm — full scans through a
