@@ -51,10 +51,12 @@ race:
 # test-only oracle in internal/stats.
 # ServeStatsWarm asks the trace service for the predefined tables over
 # one window of the ledger's sPPM 4x8 trace again and again, and fails
-# when a request from the third on evaluates more than the 2 frames
-# straddling the window's edges (the per-frame partials of the other 61
-# are memoized), or when its body differs from the first answer; before
-# the memo every request evaluated all 63 of its window's frames.
+# when a request from the third on evaluates or fetches any frame (every
+# frame's partial is memoized, the 2 straddling the window's edges under
+# the window as it cuts them), or when its body differs from the first
+# answer; before the memo every request evaluated all 63 of its window's
+# frames, and before edge partials were keyed by their cuts the 2 edge
+# frames were fetched and evaluated every time.
 bench-smoke:
 	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|SlogmergePerEventSmall|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|IntervalWriterThroughput|ServeWindow|ServeStatsWarm|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|Tracegen|CutTraceRecord|SweepCell|^BenchmarkIngest$$' -benchtime 1x .
 	$(GO) test -run xxx -bench 'StatsColumnar' -benchtime 1x ./internal/stats

@@ -777,20 +777,8 @@ func BenchmarkStatsColumnar(b *testing.B) {
 	// of run.
 	warm := func(mf *interval.File, run func(b *testing.B)) func(b *testing.B) {
 		return func(b *testing.B) {
-			fes, err := mf.Frames()
-			if err != nil {
-				b.Fatal(err)
-			}
-			cache := make(map[int64]*interval.Batch, len(fes))
-			for _, fe := range fes {
-				if cache[fe.Offset], err = mf.ReadFrameBatch(fe); err != nil {
-					b.Fatal(err)
-				}
-			}
-			mf.SetFrameDecoder(func(_ *interval.File, fe interval.FrameEntry, _ *interval.Batch) (*interval.Batch, error) {
-				return cache[fe.Offset], nil
-			})
-			defer mf.SetFrameDecoder(nil)
+			testutil.ResidentFrames(b, mf)
+			defer mf.SetFrameSource(nil)
 			run(b)
 		}
 	}
@@ -906,11 +894,11 @@ func BenchmarkServeWindowCached(b *testing.B) {
 // process: the predefined tables at 16 bins over a window of the
 // ledger's sPPM 4×8 trace, through the trace service's handler, asked
 // over and over. The first asking evaluates every frame of the window
-// and the second stores the partials of the frames wholly inside it, so
-// every timed request — the third and later — may evaluate only the
-// frames straddling the window's edges: the benchmark fails if one
-// evaluates more (its JSON form reports the count), or if a body differs
-// from the first answer.
+// and the second stores every frame's partial — those of the frames
+// straddling the window's edges under the window as it cuts them — so
+// every timed request, the third and later, evaluates and fetches no
+// frame: the benchmark fails if one does (its JSON form reports both
+// counts), or if a body differs from the first answer.
 func BenchmarkServeStatsWarm(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "sppm.ute")
 	if err := os.WriteFile(path, sppmBenchTrace(b), 0o644); err != nil {
@@ -928,13 +916,10 @@ func BenchmarkServeStatsWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var selected, edges int
+	var selected int
 	for _, fe := range tr.Frames() {
 		if fe.End >= lo && fe.Start <= hi {
 			selected++
-			if fe.Start < lo || fe.End > hi {
-				edges++
-			}
 		}
 	}
 	url := fmt.Sprintf("/v1/traces/%s/stats?bins=16&window=%s", tr.ID, window)
@@ -962,6 +947,7 @@ func BenchmarkServeStatsWarm(b *testing.B) {
 			TSV  string `json:"tsv"`
 		} `json:"tables"`
 		FramesEvaluated *int `json:"framesEvaluated"`
+		FramesFetched   *int `json:"framesFetched"`
 	}
 	if err := json.Unmarshal([]byte(serve(url+"&format=json")), &plan); err != nil {
 		b.Fatal(err)
@@ -973,13 +959,14 @@ func BenchmarkServeStatsWarm(b *testing.B) {
 	if body.String() != first {
 		b.Fatal("the JSON form's tables differ from the first answer")
 	}
-	if plan.FramesEvaluated == nil {
-		b.Fatalf("no framesEvaluated reported: every request evaluates all %d frames of its window", selected)
+	if plan.FramesEvaluated == nil || plan.FramesFetched == nil {
+		b.Fatalf("no framesEvaluated/framesFetched reported: every request may fetch and evaluate all %d frames of its window", selected)
 	}
 	b.ReportMetric(float64(*plan.FramesEvaluated), "evaluated/op")
+	b.ReportMetric(float64(*plan.FramesFetched), "fetched/op")
 	b.ReportMetric(float64(selected), "frames/op")
-	if *plan.FramesEvaluated > edges {
-		b.Fatalf("a warm request evaluated %d of its window's %d frames; only the %d straddling its edges may be", *plan.FramesEvaluated, selected, edges)
+	if *plan.FramesEvaluated != 0 || *plan.FramesFetched != 0 {
+		b.Fatalf("a warm request evaluated %d and fetched %d of its window's %d frames; it may do neither", *plan.FramesEvaluated, *plan.FramesFetched, selected)
 	}
 }
 

@@ -161,9 +161,7 @@ func dumpInterval(path string, limit int, frames bool, jobs int, window string) 
 	}
 	n := 0
 	err = interval.MapFrames([]*interval.File{f}, mopts,
-		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*interval.Batch, error) {
-			return b, nil
-		},
+		func(_ int, fr *interval.Frame) (*interval.Batch, error) { return fr.Batch() },
 		func(_ int, _ interval.FrameEntry, b *interval.Batch) error {
 			for ri := 0; ri < b.N; ri++ {
 				r := b.Row(ri)

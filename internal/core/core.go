@@ -104,8 +104,9 @@ type Run struct {
 	// VirtualEnd is the simulated completion time.
 	VirtualEnd clock.Time
 
-	// RawTraces holds the per-node raw trace bytes.
-	RawTraces [][]byte
+	// RawBytes holds the per-node raw trace sizes. The raw bytes
+	// themselves are dropped once converted; Generate returns them.
+	RawBytes []int64
 
 	// Intervals holds the per-node individual interval files.
 	Intervals []*interval.File
@@ -140,17 +141,13 @@ func Execute(cfg Config, main func(*mpisim.Proc)) (*Run, error) {
 	return run, nil
 }
 
-// ExecuteMerge runs the pipeline up to the merged interval file —
-// generate, convert, merge — and stops there: the Run has no SLOG file.
-// Callers that reduce the merged trace themselves (a sweep cell) use it
-// in place of Execute.
-func ExecuteMerge(cfg Config, main func(*mpisim.Proc)) (*Run, error) {
+// Generate runs the pipeline's first stage alone: main on the simulated
+// machine, tracing into memory. It returns every node's raw trace bytes
+// — the files tracegen writes — and the simulated completion time.
+func Generate(cfg Config, main func(*mpisim.Proc)) (raws [][]byte, end clock.Time, err error) {
 	if cfg.Nodes <= 0 || cfg.CPUsPerNode <= 0 {
-		return nil, fmt.Errorf("core: config needs nodes and cpus")
+		return nil, 0, fmt.Errorf("core: config needs nodes and cpus")
 	}
-	run := &Run{Config: cfg}
-
-	// Stage 1: trace generation on the simulated machine.
 	bufs := make([]*bytes.Buffer, cfg.Nodes)
 	writers := make([]io.Writer, cfg.Nodes)
 	for i := range bufs {
@@ -159,19 +156,40 @@ func ExecuteMerge(cfg Config, main func(*mpisim.Proc)) (*Run, error) {
 	}
 	world, err := mpisim.New(mpisim.Config{Cluster: cfg.clusterConfig(), TasksPerNode: cfg.TasksPerNode, Network: cfg.Network}, writers)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	world.Start(main)
-	if run.VirtualEnd, err = world.Run(); err != nil {
+	if end, err = world.Run(); err != nil {
+		return nil, 0, err
+	}
+	raws = make([][]byte, cfg.Nodes)
+	for i, b := range bufs {
+		raws[i] = b.Bytes()
+	}
+	return raws, end, nil
+}
+
+// ExecuteMerge runs the pipeline up to the merged interval file —
+// generate, convert, merge — and stops there: the Run has no SLOG file.
+// Callers that reduce the merged trace themselves (a sweep cell) use it
+// in place of Execute. The raw traces are garbage once converted: the
+// Run keeps only their sizes.
+func ExecuteMerge(cfg Config, main func(*mpisim.Proc)) (*Run, error) {
+	run := &Run{Config: cfg}
+
+	// Stage 1: trace generation on the simulated machine.
+	raws, end, err := Generate(cfg, main)
+	if err != nil {
 		return nil, err
 	}
-	run.RawTraces = make([][]byte, cfg.Nodes)
-	for i, b := range bufs {
-		run.RawTraces[i] = b.Bytes()
+	run.VirtualEnd = end
+	run.RawBytes = make([]int64, len(raws))
+	for i, raw := range raws {
+		run.RawBytes[i] = int64(len(raw))
 	}
 
 	// Stage 2: convert raw traces to interval files.
-	outs, results, err := convert.ConvertBuffers(run.RawTraces, convert.Options{
+	outs, results, err := convert.ConvertBuffers(raws, convert.Options{
 		Writer: cfg.Convert, Markers: convert.NewMarkerRegistry(), Tolerant: cfg.Wrap, Parallel: cfg.Parallel,
 	})
 	if err != nil {

@@ -27,8 +27,8 @@ func TestExecuteInMemory(t *testing.T) {
 	if run.VirtualEnd <= 0 {
 		t.Fatalf("virtual end %v", run.VirtualEnd)
 	}
-	if len(run.RawTraces) != 2 || len(run.Intervals) != 2 {
-		t.Fatalf("artifacts: %d raw, %d interval", len(run.RawTraces), len(run.Intervals))
+	if len(run.RawBytes) != 2 || len(run.Intervals) != 2 {
+		t.Fatalf("artifacts: %d raw, %d interval", len(run.RawBytes), len(run.Intervals))
 	}
 	if run.Merged == nil || run.Slog == nil {
 		t.Fatal("missing merged/slog artifacts")

@@ -30,7 +30,7 @@ func genRaws(t *testing.T, seed uint64, nodes, steps int) [][]byte {
 	for i := range drifts {
 		drifts[i] = float64(i-1) * 30e-6
 	}
-	run, err := core.Execute(core.Config{
+	raws, _, err := core.Generate(core.Config{
 		Nodes:        nodes,
 		CPUsPerNode:  2,
 		TasksPerNode: 2,
@@ -40,8 +40,6 @@ func genRaws(t *testing.T, seed uint64, nodes, steps int) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raws := run.RawTraces
-	run.Close()
 	return raws
 }
 

@@ -11,7 +11,7 @@ package interval
 // once its columns have grown to frame size. A Batch is the only
 // in-memory form of a frame, in both directions: the Writer accumulates
 // its open frame in one and encodes from the columns, and the map-reduce
-// engine (MapFrames), the frame-decode hook and the caches behind it,
+// engine (MapFrames), the frame source and the caches behind it,
 // every Scanner and the summary planner's edge decodes all hand out
 // batches; record-at-a-time consumers read them through Row.
 
@@ -28,8 +28,8 @@ import (
 // Vecs[VecOff[i]:VecOff[i+1]]; both offset columns hold N+1 entries so
 // the slicing needs no per-row length column.
 //
-// Every batch a reader hands out — to a MapFrames callback, from
-// FrameBatch, from a FrameDecoder — is read-only: it may be shared with
+// Every batch a reader hands out — through a MapFrames Frame, from
+// FrameBatch, from a FrameSource — is read-only: it may be shared with
 // concurrent readers (a serving cache) or recycled by the engine. How
 // long it stays valid depends on where it came from; MapFrames and
 // FrameBatch state their contracts.
@@ -258,21 +258,16 @@ func (b *Batch) appendFixed(dst []byte) []byte {
 }
 
 // FrameBatch returns fe's records as a shared read-only batch: from the
-// frame-decode hook when one is installed (a cache hit costs no read and
-// no decode), otherwise freshly decoded by ReadFrameBatch. The batch is
+// frame source when one is installed (a cache hit costs no read and no
+// decode), otherwise freshly decoded by ReadFrameBatch. The batch is
 // never recycled, so it — and any Row taken from it — stays valid for as
 // long as the caller holds it.
-func (f *File) FrameBatch(fe FrameEntry) (*Batch, error) {
-	if f.hook != nil {
-		return f.hook(f, fe, nil)
-	}
-	return f.ReadFrameBatch(fe)
-}
+func (f *File) FrameBatch(fe FrameEntry) (*Batch, error) { return f.fetch(fe, nil) }
 
 // ReadFrameBatch reads and decodes fe into a new right-sized batch,
-// bypassing the frame-decode hook — it is the miss path a FrameDecoder
-// itself must use. The decode runs in pooled scratch; only the exact
-// copy is allocated.
+// bypassing the frame source — it is the miss path a FrameSource itself
+// must use. The decode runs in pooled scratch; only the exact copy is
+// allocated.
 func (f *File) ReadFrameBatch(fe FrameEntry) (*Batch, error) {
 	b := batchPool.Get().(*Batch)
 	defer batchPool.Put(b)
@@ -283,7 +278,7 @@ func (f *File) ReadFrameBatch(fe FrameEntry) (*Batch, error) {
 }
 
 // DecodeFrameBatch reads fe and columnar-decodes it into the caller's
-// batch, reusing its column capacity and ignoring any frame-decode hook.
+// batch, reusing its column capacity and ignoring any frame source.
 // The read is positioned (never moving the file's seek offset) whenever
 // the underlying reader supports it, so concurrent calls are safe on
 // such files.

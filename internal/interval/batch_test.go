@@ -383,7 +383,11 @@ func TestMapFramesOrdering(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
 		var got []string
 		err := MapFrames(files, MapOptions{Parallel: par},
-			func(_ int, _ FrameEntry, b *Batch) (uint64, error) {
+			func(_ int, fr *Frame) (uint64, error) {
+				b, err := fr.Batch()
+				if err != nil {
+					return 0, err
+				}
 				var sum uint64
 				for i := 0; i < b.N; i++ {
 					sum += uint64(b.Start[i]) + uint64(b.Type[i])

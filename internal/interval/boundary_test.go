@@ -141,7 +141,7 @@ func TestMapFramesContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	err := MapFrames([]*File{f}, MapOptions{Context: ctx},
-		func(_ int, _ FrameEntry, b *Batch) (int, error) { return b.N, nil },
+		frameLen,
 		func(_ int, _ FrameEntry, _ int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("MapFrames under cancelled context: %v, want context.Canceled", err)
@@ -156,7 +156,7 @@ func TestMapFramesContextMidFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	frames := 0
 	err := MapFrames([]*File{f}, MapOptions{Context: ctx, Parallel: 2},
-		func(_ int, _ FrameEntry, b *Batch) (int, error) { return b.N, nil },
+		frameLen,
 		func(_ int, _ FrameEntry, _ int) error {
 			frames++
 			if frames == 2 {

@@ -143,7 +143,7 @@ func TestDamagedChainFailsEveryEntryPoint(t *testing.T) {
 			{"All", func(f *File, _ *atomic.Bool) error { _, err := f.ScanWindow(hi+1, hi+2).All(); return err }},
 			{"MapFrames", func(f *File, _ *atomic.Bool) error {
 				return MapFrames([]*File{f}, MapOptions{Parallel: 1},
-					func(int, FrameEntry, *Batch) (int, error) { return 0, nil },
+					func(_ int, fr *Frame) (int, error) { _, err := fr.Batch(); return 0, err },
 					func(int, FrameEntry, int) error { return nil })
 			}},
 			{"Validate", func(f *File, _ *atomic.Bool) error { _, err := f.Validate(nil); return err }},

@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"context"
 	"errors"
 	"io"
 	"reflect"
@@ -8,14 +9,36 @@ import (
 	"testing"
 )
 
-// hookFed opens sb with a frame-decode hook answering from a map filled
-// on first use through ReadFrameBatch — the shape of a serving cache
+// decodeOnly is a frame source that decodes through a function and
+// memoizes nothing.
+type decodeOnly func(f *File, fe FrameEntry, scratch *Batch) (*Batch, error)
+
+func (d decodeOnly) Decode(f *File, fe FrameEntry, scratch *Batch) (*Batch, error) {
+	return d(f, fe, scratch)
+}
+
+func (decodeOnly) Memo(_ context.Context, _ FrameEntry, _ string, compute func(bool) (any, int64, error)) (any, bool, error) {
+	v, _, err := compute(false)
+	return v, false, err
+}
+
+// frameLen is a map function returning a frame's record count.
+func frameLen(_ int, fr *Frame) (int, error) {
+	b, err := fr.Batch()
+	if err != nil {
+		return 0, err
+	}
+	return b.N, nil
+}
+
+// hookFed opens sb with a frame source answering from a map filled on
+// first use through ReadFrameBatch — the shape of a serving cache
 // without eviction.
 func hookFed(t *testing.T, sb *SeekBuffer) (*File, map[int64]*Batch) {
 	t.Helper()
 	f := openFile(t, sb)
 	cache := map[int64]*Batch{}
-	f.SetFrameDecoder(func(f *File, fe FrameEntry, _ *Batch) (*Batch, error) {
+	f.SetFrameSource(decodeOnly(func(f *File, fe FrameEntry, _ *Batch) (*Batch, error) {
 		if b, ok := cache[fe.Offset]; ok {
 			return b, nil
 		}
@@ -24,7 +47,7 @@ func hookFed(t *testing.T, sb *SeekBuffer) (*File, map[int64]*Batch) {
 			cache[fe.Offset] = b
 		}
 		return b, err
-	})
+	}))
 	return f, cache
 }
 
@@ -46,7 +69,7 @@ func TestHookBatchesAreShared(t *testing.T) {
 		pointers := func() []*Batch {
 			var got []*Batch
 			err := MapFrames([]*File{f}, MapOptions{Parallel: 1},
-				func(_ int, _ FrameEntry, b *Batch) (*Batch, error) { return b, nil },
+				func(_ int, fr *Frame) (*Batch, error) { return fr.Batch() },
 				func(_ int, _ FrameEntry, b *Batch) error { got = append(got, b); return nil })
 			if err != nil {
 				t.Fatal(err)
@@ -119,14 +142,14 @@ func TestHookScratchIsLent(t *testing.T) {
 	sb, want := writeMixedFileFrames(t, 32, 2000, CurrentHeaderVersion, 512)
 	f := openFile(t, sb)
 	var lent, unlent atomic.Int64
-	f.SetFrameDecoder(func(f *File, fe FrameEntry, scratch *Batch) (*Batch, error) {
+	f.SetFrameSource(decodeOnly(func(f *File, fe FrameEntry, scratch *Batch) (*Batch, error) {
 		if scratch == nil {
 			unlent.Add(1)
 			return f.ReadFrameBatch(fe)
 		}
 		lent.Add(1)
 		return scratch, f.DecodeFrameBatch(fe, scratch)
-	})
+	}))
 	fes, err := f.Frames()
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +158,11 @@ func TestHookScratchIsLent(t *testing.T) {
 		lent.Store(0)
 		var got []Record
 		err := MapFrames([]*File{f}, MapOptions{Parallel: par},
-			func(_ int, _ FrameEntry, b *Batch) ([]Record, error) {
+			func(_ int, fr *Frame) ([]Record, error) {
+				b, err := fr.Batch()
+				if err != nil {
+					return nil, err
+				}
 				recs := make([]Record, b.N)
 				for i := range recs {
 					recs[i] = b.Row(i).clone()

@@ -12,7 +12,8 @@ import (
 // tools (utestats tables, SLOG construction, diagram building) share.
 // Frames are the format's natural unit of parallelism: each one decodes
 // independently, and the directory metadata names every frame up front.
-// The engine decodes frames on a bounded worker pool (internal/par) and
+// The engine maps frames on a bounded worker pool (internal/par), each
+// decoded only when its map function asks for the records, and
 // hands the mapped values to a single reducer in strict frame order, so
 // a parallel run reduces in exactly the sequence a sequential scan
 // would — the byte-identity guarantee every consumer builds on.
@@ -53,6 +54,42 @@ func selectFrames(f *File, opts MapOptions) ([]FrameEntry, error) {
 // columnar decode allocates nothing.
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
+// Frame is one selected frame as MapFrames hands it to a map function:
+// its directory entry, and its records, fetched on the first call to
+// Batch. A map function that can answer from the entry alone — or from
+// a value the file's frame source memoized — never calls Batch, and the
+// frame is never read. A Frame belongs to one map call and is not safe
+// for concurrent use.
+type Frame struct {
+	Entry FrameEntry
+
+	f       *File
+	file    int
+	scratch *Batch // pooled, lent to the fetch; nil until Batch is called
+	b       *Batch
+	err     error
+}
+
+// Batch returns the frame's records, fetching them on the first call:
+// decoded into a pooled batch, or through the file's frame source lent
+// that pooled batch as its scratch (a cache hit is handed over as is, no
+// read and no copy; a frame the cache does not keep is decoded into the
+// scratch). Either way the batch is read-only and valid until the
+// frame's reduceFn returns: the map function may return it, or Rows
+// aliasing it, as its value for reduceFn to read, but anything kept
+// longer must be copied out. Later calls return the same batch and
+// error.
+func (fr *Frame) Batch() (*Batch, error) {
+	if fr.scratch == nil {
+		fr.scratch = batchPool.Get().(*Batch)
+		fr.b, fr.err = fr.f.fetch(fr.Entry, fr.scratch)
+	}
+	return fr.b, fr.err
+}
+
+// Fetched reports whether Batch has been called.
+func (fr *Frame) Fetched() bool { return fr.scratch != nil }
+
 // MapFrames runs mapFn over every selected frame of every file — all
 // files' frames feed one worker pool, so small files do not idle
 // workers — and calls reduceFn with the mapped values in (file, frame)
@@ -61,30 +98,20 @@ var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 // shared state; reduceFn runs on one goroutine at a time in
 // deterministic order and may keep state.
 //
-// Each frame arrives as a Batch: a pooled batch filled straight from the
-// frame encoding, or — when the file has a frame-decode hook — whatever
-// the hook returns, lent that pooled batch as its scratch (a cache hit
-// is handed over as is, no read and no copy; a frame the cache does not
-// keep is decoded into the scratch). Either way the batch is read-only
-// and valid until the
-// frame's reduceFn returns: mapFn may return it, or Rows aliasing it, as
-// its value for reduceFn to read, but anything kept longer must be
-// copied out.
+// Each frame arrives as a lazy Frame: nothing is read until mapFn calls
+// its Batch, and a failed fetch is the error Batch returns, which mapFn
+// passes on.
 //
 // At most Workers(Parallel, frames) frames are in flight, so memory
 // stays bounded no matter how large the files are. On error the engine
 // stops issuing frames and returns the lowest-ordered failure; the
 // reducer may have consumed an arbitrary prefix.
-func MapFrames[T any](files []*File, opts MapOptions, mapFn func(file int, fe FrameEntry, b *Batch) (T, error), reduceFn func(file int, fe FrameEntry, v T) error) error {
+func MapFrames[T any](files []*File, opts MapOptions, mapFn func(file int, fr *Frame) (T, error), reduceFn func(file int, fe FrameEntry, v T) error) error {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	type job struct {
-		file int
-		fe   FrameEntry
-	}
-	var jobs []job
+	var jobs []Frame
 	for fi, f := range files {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -94,7 +121,7 @@ func MapFrames[T any](files []*File, opts MapOptions, mapFn func(file int, fe Fr
 			return err
 		}
 		for _, fe := range fes {
-			jobs = append(jobs, job{fi, fe})
+			jobs = append(jobs, Frame{Entry: fe, f: f, file: fi})
 		}
 	}
 	p := par.Workers(opts.Parallel, len(jobs))
@@ -112,27 +139,19 @@ func MapFrames[T any](files []*File, opts MapOptions, mapFn func(file int, fe Fr
 			red.Abort()
 			return err
 		}
-		j := jobs[i]
-		f := files[j.file]
-		scratch := batchPool.Get().(*Batch)
-		defer batchPool.Put(scratch)
-		b := scratch
-		var err error
-		if f.hook != nil {
-			b, err = f.hook(f, j.fe, scratch)
-		} else {
-			err = f.DecodeFrameBatch(j.fe, b)
-		}
+		fr := &jobs[i]
+		defer func() {
+			if fr.scratch != nil {
+				batchPool.Put(fr.scratch)
+				fr.scratch, fr.b = nil, nil
+			}
+		}()
+		v, err := mapFn(fr.file, fr)
 		if err != nil {
 			red.Abort()
 			return err
 		}
-		v, err := mapFn(j.file, j.fe, b)
-		if err != nil {
-			red.Abort()
-			return err
-		}
-		return red.Reduce(i, func() error { return reduceFn(j.file, j.fe, v) })
+		return red.Reduce(i, func() error { return reduceFn(fr.file, fr.Entry, v) })
 	})
 }
 

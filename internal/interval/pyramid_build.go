@@ -223,7 +223,7 @@ func BuildPyramid(f *File, opts PyramidOptions) (*Pyramid, error) {
 	}
 	// One worker: the accumulation is the work, and it is sequential.
 	err = MapFrames([]*File{f}, MapOptions{Parallel: 1, Context: opts.Context},
-		func(_ int, _ FrameEntry, b *Batch) (*Batch, error) { return b, nil },
+		func(_ int, fr *Frame) (*Batch, error) { return fr.Batch() },
 		func(_ int, _ FrameEntry, b *Batch) error {
 			pb.Add(b)
 			return nil

@@ -410,10 +410,10 @@ func TestSummarizeRemainderRouting(t *testing.T) {
 		}
 		check("nohook", nil)
 		calls := 0
-		f.SetFrameDecoder(func(f *File, fe FrameEntry, _ *Batch) (*Batch, error) {
+		f.SetFrameSource(decodeOnly(func(f *File, fe FrameEntry, _ *Batch) (*Batch, error) {
 			calls++
 			return f.ReadFrameBatch(fe)
-		})
+		}))
 		check("hook", &calls)
 	}
 }

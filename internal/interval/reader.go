@@ -81,14 +81,12 @@ type File struct {
 	// tests do, to hand the decoder a damaged payload the CRC would stop.
 	// Salvage does not consult it.
 	skipSums bool
-	// hook, when non-nil, intercepts frame decodes (FrameBatch, the
-	// map-reduce engine, scanners): serving layers use it to answer from
-	// a decoded-frame cache. Set it before the File is shared between
-	// goroutines.
-	hook FrameDecoder
-	// memo, when non-nil, memoizes values derived from a frame (the stats
-	// engine's per-frame partials) in the same cache; set beside hook.
-	memo FrameMemo
+	// src, when non-nil, answers frame decodes (FrameBatch, the
+	// map-reduce engine, scanners) and memoizes values derived from a
+	// frame (the stats engine's per-frame partials): serving layers use it
+	// to answer from a shared cache. Set it before the File is shared
+	// between goroutines.
+	src FrameSource
 	// chainOnce loads the frame index (loadChain) at the first metadata
 	// call or scan: dirs is the directory chain in file order, frames
 	// every directory's entries flattened, chainErr what made the walk
@@ -114,41 +112,56 @@ type File struct {
 // can recognize the condition.
 var ErrClosed = errors.New("interval: file already closed")
 
-// FrameDecoder supplies a frame's decoded batch, typically from a cache
-// shared between readers of the same file. scratch, when non-nil, is a
-// batch the caller lends and recycles once it is done with the frame:
-// the decoder may decode into it with DecodeFrameBatch and return it (a
-// cache does so for a frame it does not keep), and must not retain it.
-// With nil scratch the caller needs a batch it may hold for as long as
-// it likes. A decoder's miss path must decode with DecodeFrameBatch or
-// ReadFrameBatch (never FrameBatch, which would recurse). Any other
-// batch a decoder hands out is shared and must never be recycled:
-// callers treat it, and every Row aliasing it, as read-only, and may
-// hold it past eviction.
-type FrameDecoder func(f *File, fe FrameEntry, scratch *Batch) (*Batch, error)
+// FrameSource answers a file's frame reads from a cache shared between
+// readers of the same file: its decoded frames, and values derived from
+// one frame that a consumer asks it to memoize.
+type FrameSource interface {
+	// Decode supplies fe's decoded batch. scratch, when non-nil, is a
+	// batch the caller lends and recycles once it is done with the frame:
+	// the source may decode into it with DecodeFrameBatch and return it (a
+	// cache does so for a frame it does not keep), and must not retain it.
+	// With nil scratch the caller needs a batch it may hold for as long as
+	// it likes. The miss path must decode with DecodeFrameBatch or
+	// ReadFrameBatch (never FrameBatch, which would recurse). Any other
+	// batch a source hands out is shared and must never be recycled:
+	// callers treat it, and every Row aliasing it, as read-only, and may
+	// hold it past eviction.
+	Decode(f *File, fe FrameEntry, scratch *Batch) (*Batch, error)
+	// Memo memoizes a value derived from fe's records under a
+	// caller-chosen key, which must name everything the value depends on
+	// besides the frame's bytes. compute(store) derives the value; store
+	// says whether the memo keeps it, so compute hands back a right-sized
+	// copy of size bytes when it does and may return scratch state when it
+	// does not. Memo returns a kept value to every later caller with the
+	// same key (reused = true) without calling compute — so a caller that
+	// fetches the frame only inside compute never fetches it on a reuse —
+	// runs compute at most once at a time per key (a caller waiting on
+	// another's compute gives up when ctx is done), and never keeps a
+	// value whose compute failed.
+	Memo(ctx context.Context, fe FrameEntry, key string, compute func(store bool) (v any, size int64, err error)) (v any, reused bool, err error)
+}
 
-// SetFrameDecoder installs (or, with nil, removes) the frame-decode
-// hook. It must be called before the File is used from multiple
-// goroutines; the field is read without synchronization.
-func (f *File) SetFrameDecoder(h FrameDecoder) { f.hook = h }
+// SetFrameSource installs (or, with nil, removes) the frame source. It
+// must be called before the File is used from multiple goroutines; the
+// field is read without synchronization.
+func (f *File) SetFrameSource(s FrameSource) { f.src = s }
 
-// FrameMemo memoizes a value derived from one frame's records under a
-// caller-chosen key, which must name everything the value depends on
-// besides the frame's bytes. compute(store) derives the value; store
-// says whether the memo keeps it, so compute hands back a right-sized
-// copy of size bytes when it does and may return scratch state when it
-// does not. A memo returns a kept value to every later caller with the
-// same key (reused = true), runs compute at most once at a time per key
-// (a caller waiting on another's compute gives up when ctx is done), and
-// never keeps a value whose compute failed.
-type FrameMemo func(ctx context.Context, fe FrameEntry, key string, compute func(store bool) (v any, size int64, err error)) (v any, reused bool, err error)
+// FrameSource returns the installed frame source, nil when there is
+// none.
+func (f *File) FrameSource() FrameSource { return f.src }
 
-// SetFrameMemo installs (or, with nil, removes) the frame memo, under
-// the same rule as SetFrameDecoder.
-func (f *File) SetFrameMemo(m FrameMemo) { f.memo = m }
-
-// FrameMemo returns the installed frame memo, nil when there is none.
-func (f *File) FrameMemo() FrameMemo { return f.memo }
+// fetch returns fe's decoded batch: the frame source's answer, lent
+// scratch, or fe decoded into scratch when no source is installed.
+// scratch is nil only for a caller that needs a batch it may keep.
+func (f *File) fetch(fe FrameEntry, scratch *Batch) (*Batch, error) {
+	if f.src != nil {
+		return f.src.Decode(f, fe, scratch)
+	}
+	if scratch == nil {
+		return f.ReadFrameBatch(fe)
+	}
+	return scratch, f.DecodeFrameBatch(fe, scratch)
+}
 
 // DecodedFrames returns how many frame payloads have been read from the
 // file so far (every ReadFrame/Scanner frame load counts once).
@@ -509,7 +522,7 @@ func (f *File) readFrameInto(fe FrameEntry, buf []byte) ([]byte, error) {
 }
 
 // FrameRecords decodes every record of a frame with a fresh read,
-// ignoring any frame-decode hook. The records' Extra/Vec alias one
+// ignoring any frame source. The records' Extra/Vec alias one
 // batch decoded for this call alone, so they may be retained.
 func (f *File) FrameRecords(fe FrameEntry) ([]Record, error) {
 	b, err := f.ReadFrameBatch(fe)
@@ -573,7 +586,7 @@ func (f *File) Stats() (first, last clock.Time, records int64, err error) {
 // (the paper's getInterval loop).
 //
 // Every frame is obtained whole, as a Batch, through File.FrameBatch:
-// the frame-decode hook's shared batch, or one decoded for this scanner
+// the frame source's shared batch, or one decoded for this scanner
 // alone. Neither is ever recycled, so records the scanner hands out stay
 // valid after further calls and after the scan; and a frame that fails
 // to decode fails at its first record, none of its records having been
@@ -683,7 +696,7 @@ func (s *Scanner) Next() ([]byte, error) {
 }
 
 // NextRecord returns the next record. Its Extra/Vec slices alias the
-// frame's batch: read-only (a hook's batch is shared with other
+// frame's batch: read-only (a frame source's batch is shared with other
 // readers), capacity-clamped so appending to one never overwrites
 // another, and valid for as long as the caller holds them — though one
 // retained record keeps its whole frame's extras resident, so long-lived

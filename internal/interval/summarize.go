@@ -293,7 +293,7 @@ func (a *binAcc) finish(g *BinGrid, peaks []int) *WindowSummary {
 
 // summarizeScan is the scan engine: every frame overlapping the window
 // goes through MapFrames — parallel at o.Parallel, cancellable, fed from
-// the files' frame-decode hooks — into whichever accumulator is idle;
+// the files' frame sources — into whichever accumulator is idle;
 // the accumulators are then added up and swept once for concurrency.
 // (One accumulator per concurrent map call rather than per frame: a
 // frame's partial would be lanes × bins words to clear and add for a
@@ -307,7 +307,11 @@ func summarizeScan(files []*File, o WindowSummaryOptions) (*WindowSummary, error
 	var accs []*binAcc
 	frames := 0
 	err := MapFrames(files, MapOptions{Parallel: o.Parallel, Window: true, Lo: o.Lo, Hi: o.Hi, Context: o.Context},
-		func(_ int, _ FrameEntry, b *Batch) (struct{}, error) {
+		func(_ int, fr *Frame) (struct{}, error) {
+			b, err := fr.Batch()
+			if err != nil {
+				return struct{}{}, err
+			}
 			var a *binAcc
 			mu.Lock()
 			if n := len(accs); n > 0 {
@@ -488,7 +492,7 @@ func (p *Pyramid) coarsestCell(x, limit clock.Time) (level int, idx int64) {
 // resolveRemainders answers the edge spans from frame decodes, holding
 // one frame at a time: every frame overlapping a remainder is fetched
 // once — decoded into one pooled batch, or through the file's
-// frame-decode hook lent that batch, so a serving cache absorbs repeats
+// frame source lent that batch, so a serving cache absorbs repeats
 // — and each of its
 // records, clipped to the window, goes to the remainders it overlaps:
 // start counts, busy overlap and top candidates at once. Nothing of a
@@ -527,12 +531,7 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 				return 0, err
 			}
 		}
-		b := pooled
-		if f.hook != nil {
-			b, err = f.hook(f, fe, pooled)
-		} else {
-			err = f.DecodeFrameBatch(fe, b)
-		}
+		b, err := f.fetch(fe, pooled)
 		if err != nil {
 			return 0, err
 		}

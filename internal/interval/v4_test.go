@@ -126,7 +126,13 @@ func TestCrossVersionRoundTrip(t *testing.T) {
 			// MapFrames must agree with the sequential scan.
 			var mapped []Record
 			err := MapFrames([]*File{openFile(t, sb)}, MapOptions{Parallel: 2},
-				func(_ int, _ FrameEntry, b *Batch) ([]Record, error) { return batchRecords(b), nil },
+				func(_ int, fr *Frame) ([]Record, error) {
+					b, err := fr.Batch()
+					if err != nil {
+						return nil, err
+					}
+					return batchRecords(b), nil
+				},
 				func(_ int, _ FrameEntry, recs []Record) error { mapped = append(mapped, recs...); return nil })
 			if err != nil {
 				t.Fatalf("seed %d v%d: MapFrames: %v", seed, v, err)

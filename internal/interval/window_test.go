@@ -385,7 +385,7 @@ func TestMapFramesMatchesScan(t *testing.T) {
 		var gotOrder []int64
 		var gotRecs []Record
 		err := MapFrames([]*File{f}, MapOptions{Parallel: workers},
-			func(_ int, _ FrameEntry, b *Batch) (*Batch, error) { return b, nil },
+			func(_ int, fr *Frame) (*Batch, error) { return fr.Batch() },
 			func(_ int, fe FrameEntry, b *Batch) error {
 				// The batch is valid through this reduce call; the rows
 				// outlive it, so they are copied out.
@@ -432,7 +432,7 @@ func TestMapFramesWindowDecodeCount(t *testing.T) {
 	f := openFile(t, sb)
 	var seen int
 	err = MapFrames([]*File{f}, MapOptions{Parallel: 4, Window: true, Lo: lo, Hi: hi},
-		func(_ int, _ FrameEntry, b *Batch) (int, error) { return b.N, nil },
+		frameLen,
 		func(_ int, _ FrameEntry, n int) error { seen += n; return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -457,8 +457,8 @@ func TestMapFramesErrors(t *testing.T) {
 		f := openFile(t, sb)
 		i := 0
 		err := MapFrames([]*File{f}, MapOptions{Parallel: workers},
-			func(_ int, fe FrameEntry, _ *Batch) (struct{}, error) {
-				return struct{}{}, fmt.Errorf("map boom at %d", fe.Offset)
+			func(_ int, fr *Frame) (struct{}, error) {
+				return struct{}{}, fmt.Errorf("map boom at %d", fr.Entry.Offset)
 			},
 			func(_ int, _ FrameEntry, _ struct{}) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), "map boom") {
@@ -467,7 +467,7 @@ func TestMapFramesErrors(t *testing.T) {
 
 		f = openFile(t, sb)
 		err = MapFrames([]*File{f}, MapOptions{Parallel: workers},
-			func(_ int, _ FrameEntry, _ *Batch) (struct{}, error) { return struct{}{}, nil },
+			func(int, *Frame) (struct{}, error) { return struct{}{}, nil },
 			func(_ int, _ FrameEntry, _ struct{}) error {
 				i++
 				if i == 2 {

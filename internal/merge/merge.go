@@ -96,7 +96,11 @@ type Result struct {
 func ExtractPairs(f *interval.File) ([]clock.Pair, error) {
 	var pairs []clock.Pair
 	err := interval.MapFrames([]*interval.File{f}, interval.MapOptions{Parallel: 1},
-		func(_ int, _ interval.FrameEntry, b *interval.Batch) ([]clock.Pair, error) {
+		func(_ int, fr *interval.Frame) ([]clock.Pair, error) {
+			b, err := fr.Batch()
+			if err != nil {
+				return nil, err
+			}
 			var ps []clock.Pair
 			for i, t := range b.Type {
 				if t != events.EvGlobalClock {

@@ -184,9 +184,7 @@ func BuildDiagram(mf *interval.File, kind ViewKind, opts Options) (*Diagram, err
 		mopts.Window, mopts.Lo, mopts.Hi = true, t0, t1
 	}
 	err := interval.MapFrames([]*interval.File{mf}, mopts,
-		func(_ int, _ interval.FrameEntry, b *interval.Batch) (*interval.Batch, error) {
-			return b, nil
-		},
+		func(_ int, fr *interval.Frame) (*interval.Batch, error) { return fr.Batch() },
 		func(_ int, _ interval.FrameEntry, b *interval.Batch) error {
 			for ri := 0; ri < b.N; ri++ {
 				r := b.Row(ri)

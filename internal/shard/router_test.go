@@ -283,11 +283,12 @@ func TestRouterByteIdentity(t *testing.T) {
 	compareReplies(t, "reopen after close", post(t, f.ref.URL, "/v1/traces", body), post(t, f.routerTS.URL, "/v1/traces", body))
 }
 
-// requestPlan matches the two fields of a JSON stats body that describe
-// the request rather than the answer: how many frames it evaluated and
-// how many per-frame partials it reused. They change when a query is
-// repeated (its partials get stored, then reused); the tables may not.
-var requestPlan = regexp.MustCompile(`"(framesEvaluated|partialsReused)": \d+`)
+// requestPlan matches the three fields of a JSON stats body that
+// describe the request rather than the answer: how many frames it
+// evaluated, how many per-frame partials it reused and how many frames
+// it fetched. They change when a query is repeated (its partials get
+// stored, then reused); the tables may not.
+var requestPlan = regexp.MustCompile(`"(framesEvaluated|partialsReused|framesFetched)": \d+`)
 
 func requestPlanless(body []byte) []byte {
 	return requestPlan.ReplaceAll(body, []byte(`"$1": 0`))

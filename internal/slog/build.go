@@ -180,8 +180,8 @@ func Build(mf *interval.File, ws io.WriteSeeker, opts Options) (*BuildResult, er
 
 // passBatch is both passes' map: frames decode concurrently, and the
 // reduce, in frame order, does the rest.
-func passBatch(_ int, _ interval.FrameEntry, b *interval.Batch) (*interval.Batch, error) {
-	return b, nil
+func passBatch(_ int, fr *interval.Frame) (*interval.Batch, error) {
+	return fr.Batch()
 }
 
 // Write is the SLOG build's second pass: one pass over mf — the merged

@@ -61,9 +61,10 @@ func (p *framePart) size() int64 {
 // frameResult carries one frame's partials to the frame-order reduce:
 // an executor's own (x, recycled after the merge) or a stored clone.
 type frameResult struct {
-	part   *framePart
-	x      *kexec
-	reused bool // answered by the frame memo, not evaluated
+	part    *framePart
+	x       *kexec
+	reused  bool // answered by the frame memo, not evaluated
+	fetched bool // the frame's records were fetched (Frame.Batch)
 }
 
 // generate evaluates the compiled program over every selected frame and
@@ -71,7 +72,9 @@ type frameResult struct {
 // executor carries its frame's partial groups to the frame-order reduce
 // and is recycled after it, so a run allocates for its distinct groups,
 // not per frame. program is the source text a frame memo keys partials
-// by ("" consults none).
+// by ("" consults none). A memoized frame is looked up before its
+// records are fetched, so a reused partial costs no read, no decode and
+// no frame-cache lookup.
 func (prog *compiledProgram) generate(program string, files []*interval.File, mopts interval.MapOptions, tStart, tEnd clock.Time) (Run, error) {
 	var dict *strDict
 	if prog.sl.markers || prog.sl.nc > 0 {
@@ -81,9 +84,13 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 	// group tables grow to the largest frame once and are reused for
 	// every frame after.
 	pool := execPool{new: func() *kexec { return prog.newExec(tStart, tEnd, dict) }}
-	eval := func(file int, fe interval.FrameEntry, b *interval.Batch) (*kexec, error) {
+	eval := func(file int, fr *interval.Frame, w window) (*kexec, error) {
+		b, err := fr.Batch()
+		if err != nil {
+			return nil, err
+		}
 		x := pool.get()
-		if err := prog.evalFrame(x, mopts, file, fe, b); err != nil {
+		if err := prog.evalFrame(x, w, file, b); err != nil {
 			pool.put(x)
 			return nil, err
 		}
@@ -98,19 +105,17 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 	skipped := make([]int64, len(prog.tables))
 	var run Run
 	err := interval.MapFrames(files, mopts,
-		func(file int, fe interval.FrameEntry, b *interval.Batch) (frameResult, error) {
-			// Only a frame whose every record is selected has partials
-			// that another query can reuse: an edge frame's depend on
-			// the window.
-			if keys == nil || keys[file] == "" || !wholeFrame(mopts, fe) {
-				x, err := eval(file, fe, b)
+		func(file int, fr *interval.Frame) (frameResult, error) {
+			w := clipWindow(mopts, fr.Entry)
+			if keys == nil || keys[file] == "" {
+				x, err := eval(file, fr, w)
 				if err != nil {
 					return frameResult{}, err
 				}
-				return frameResult{part: &x.framePart, x: x}, nil
+				return frameResult{part: &x.framePart, x: x, fetched: fr.Fetched()}, nil
 			}
-			v, hit, err := files[file].FrameMemo()(ctx, fe, keys[file], func(store bool) (any, int64, error) {
-				x, err := eval(file, fe, b)
+			v, hit, err := files[file].FrameSource().Memo(ctx, fr.Entry, w.key(keys[file]), func(store bool) (any, int64, error) {
+				x, err := eval(file, fr, w)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -125,9 +130,9 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 				return frameResult{}, err
 			}
 			if x, ok := v.(*kexec); ok {
-				return frameResult{part: &x.framePart, x: x}, nil
+				return frameResult{part: &x.framePart, x: x, fetched: fr.Fetched()}, nil
 			}
-			return frameResult{part: v.(*framePart), reused: hit}, nil
+			return frameResult{part: v.(*framePart), reused: hit, fetched: fr.Fetched()}, nil
 		},
 		func(_ int, _ interval.FrameEntry, r frameResult) error {
 			for i := range total {
@@ -141,6 +146,9 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 				run.PartialsReused++
 			} else {
 				run.FramesEvaluated++
+			}
+			if r.fetched {
+				run.FramesFetched++
 			}
 			return nil
 		})
@@ -182,21 +190,58 @@ func (p *execPool) put(x *kexec) {
 	p.mu.Unlock()
 }
 
-// wholeFrame reports whether a frame's every record is selected: the run
-// is unwindowed or the frame lies inside the window. Fully-outside
-// frames are never selected by the engine.
-func wholeFrame(mopts interval.MapOptions, fe interval.FrameEntry) bool {
-	return !mopts.Window || fe.Start >= mopts.Lo && fe.End <= mopts.Hi
+// window is the query window as one frame sees it: a row is selected
+// iff it ends at or after lo and starts at or before hi. A side the frame
+// lies inside — lo at or before its first start, hi at or after its last
+// end — selects none of its rows away, so it opens to the sentinel
+// (math.MinInt64, math.MaxInt64), as both sides of an unwindowed run do.
+// The clipped window alone decides which of the frame's rows are
+// selected, so it keys the frame's partial: two windows that cut a frame
+// at the same instants share it, and a frame inside both shares the
+// unwindowed run's.
+type window struct{ lo, hi clock.Time }
+
+func clipWindow(mopts interval.MapOptions, fe interval.FrameEntry) window {
+	w := window{math.MinInt64, math.MaxInt64}
+	if mopts.Window {
+		if mopts.Lo > fe.Start {
+			w.lo = mopts.Lo
+		}
+		if mopts.Hi < fe.End {
+			w.hi = mopts.Hi
+		}
+	}
+	return w
+}
+
+// whole reports whether every row of the frame is selected.
+func (w window) whole() bool { return w.lo == math.MinInt64 && w.hi == math.MaxInt64 }
+
+// key is a frame memo's key for the frame's partials under w: the run's
+// key (memoKeys) plus each side w cuts. A whole frame's key is the run's.
+func (w window) key(run string) string {
+	if w.whole() {
+		return run
+	}
+	k := []byte(run)
+	if w.lo != math.MinInt64 {
+		k = strconv.AppendInt(append(k, '<'), int64(w.lo), 10)
+	}
+	if w.hi != math.MaxInt64 {
+		k = strconv.AppendInt(append(k, '>'), int64(w.hi), 10)
+	}
+	return string(k)
 }
 
 // memoKeys returns, per input file, the key a frame memo stores its
-// whole frames' partials under — "" for a file with no memo — or nil
-// when the run consults none. Those partials depend on a frame's bytes
-// (the memo keys by frame) and on what the key names, each part
-// length-prefixed so no two keys run together: the program text, the
-// run bounds bin() reads (a live trace's move with every seal), and,
-// when the program codes marker names, the dictionary codes the file's
-// marker table gets.
+// whole frames' partials under — "" for a file with no frame source — or
+// nil when the run consults none (window.key extends it for a frame the
+// window cuts). Those partials depend on a frame's bytes (the memo keys
+// by frame) and on what the key names, each part length-prefixed or
+// delimited so no two keys run together: the program text, the run
+// bounds bin() reads (a live trace's move with every seal), and, when the
+// program codes marker names, the dictionary codes the file's marker
+// table gets.
 func (prog *compiledProgram) memoKeys(program string, files []*interval.File, tStart, tEnd clock.Time, dict *strDict) []string {
 	// A program with string + interns its concatenations in the order
 	// the workers happen to meet them, so its codes mean something only
@@ -206,7 +251,7 @@ func (prog *compiledProgram) memoKeys(program string, files []*interval.File, tS
 	}
 	keys := make([]string, len(files))
 	for fi, f := range files {
-		if f.FrameMemo() == nil {
+		if f.FrameSource() == nil {
 			continue
 		}
 		k := appendField(nil, program)
@@ -233,16 +278,17 @@ func appendField(k []byte, s string) []byte {
 	return append(append(k, ':'), s...)
 }
 
-// evalFrame folds one frame's batch into x's per-table partial groups.
-func (prog *compiledProgram) evalFrame(x *kexec, mopts interval.MapOptions, file int, fe interval.FrameEntry, b *interval.Batch) error {
+// evalFrame folds the rows of one frame's batch that w selects into x's
+// per-table partial groups.
+func (prog *compiledProgram) evalFrame(x *kexec, w window, file int, b *interval.Batch) error {
 	x.bind(file, b)
 	// Batch-level pruning from directory aggregates: a whole frame
 	// selects every row, so no per-row bitmap test is needed.
 	sel := x.mbuf(prog.selSlot)
-	if !wholeFrame(mopts, fe) {
+	if !w.whole() {
 		maskZero(sel)
 		for i := 0; i < b.N; i++ {
-			if b.Start[i]+b.Dura[i] >= mopts.Lo && b.Start[i] <= mopts.Hi {
+			if b.Start[i]+b.Dura[i] >= w.lo && b.Start[i] <= w.hi {
 				sel[i>>6] |= 1 << uint(i&63)
 			}
 		}

@@ -18,6 +18,7 @@ import (
 	"tracefw/internal/interval"
 	"tracefw/internal/profile"
 	"tracefw/internal/stats"
+	"tracefw/internal/testutil"
 )
 
 // reencode rewrites recs into a fresh in-memory interval file at the
@@ -394,15 +395,7 @@ func TestColumnarAllocsPerGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := make(map[int64]*interval.Batch, len(fes))
-	for _, fe := range fes {
-		if cache[fe.Offset], err = f.ReadFrameBatch(fe); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.SetFrameDecoder(func(_ *interval.File, fe interval.FrameEntry, _ *interval.Batch) (*interval.Batch, error) {
-		return cache[fe.Offset], nil
-	})
+	testutil.ResidentFrames(t, f)
 	specs, err := stats.Parse(stats.Predefined(50))
 	if err != nil {
 		t.Fatal(err)

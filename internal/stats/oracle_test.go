@@ -42,7 +42,11 @@ func runScalar(specs []*TableSpec, files []*interval.File, mopts interval.MapOpt
 	}
 	skipped := make([]int64, len(specs))
 	err := interval.MapFrames(files, mopts,
-		func(file int, _ interval.FrameEntry, b *interval.Batch) (*specPartial, error) {
+		func(file int, fr *interval.Frame) (*specPartial, error) {
+			b, err := fr.Batch()
+			if err != nil {
+				return nil, err
+			}
 			sp := &specPartial{pg: make([]map[string]*group, len(specs)), skipped: make([]int64, len(specs))}
 			for i := range sp.pg {
 				sp.pg[i] = make(map[string]*group)

@@ -28,14 +28,16 @@ type Table struct {
 	FramesDecoded int    `json:",omitempty"`
 }
 
-// Run is one program run: its tables, and how many frames it evaluated
-// and how many it merged from partials a frame memo
-// (interval.File.SetFrameMemo) had stored. The counts are observability
-// only, like Table.Engine.
+// Run is one program run: its tables, how many frames it evaluated, how
+// many it merged from partials the files' frame source
+// (interval.File.SetFrameSource) had memoized, and how many frames'
+// records it fetched — a reused partial fetches none. The counts are
+// observability only, like Table.Engine.
 type Run struct {
 	Tables          []*Table
 	FramesEvaluated int
 	PartialsReused  int
+	FramesFetched   int
 }
 
 // Row is one table row: the x tuple and the aggregated y values.

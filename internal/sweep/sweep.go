@@ -198,8 +198,8 @@ func runCell(sc Scenario, polName string, opts Options) (Cell, error) {
 		return Cell{}, err
 	}
 	cell.VirtualEnd, cell.RawEvents = run.VirtualEnd, run.TotalEvents()
-	for _, raw := range run.RawTraces {
-		cell.RawTraceBytes += int64(len(raw))
+	for _, n := range run.RawBytes {
+		cell.RawTraceBytes += n
 	}
 	cell.Records, cell.Pseudo = run.MergeResult.Records, run.MergeResult.Pseudo
 

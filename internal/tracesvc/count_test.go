@@ -1,0 +1,131 @@
+package tracesvc_test
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"tracefw/internal/clock"
+	"tracefw/internal/interval"
+	"tracefw/internal/shard"
+	"tracefw/internal/tracesvc"
+	"tracefw/internal/xrand"
+)
+
+// TestRecordsCountFromDirectory: /records?count=1 adds up the directory's
+// record counts for every frame the window does not cut and decodes only
+// the frames it does, yet counts exactly the records a full scan finds
+// overlapping the window — on random windows (one frame's exact bounds,
+// frame-aligned spans with zero-duration records on their edges, random
+// spans, none at all), asked of a cold service directly and of a router
+// whose two backends each count their own frames=lo:hi leg.
+func TestRecordsCountFromDirectory(t *testing.T) {
+	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
+	f, err := interval.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := f.Scan().All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := f.Frames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var backends []shard.Backend
+	var svcs []*tracesvc.Service
+	for i := 0; i < 2; i++ {
+		svc := tracesvc.New(tracesvc.Config{})
+		svc.SetReady()
+		ts := httptest.NewServer(svc.Handler())
+		t.Cleanup(func() { ts.Close(); svc.Close() })
+		svcs = append(svcs, svc)
+		backends = append(backends, shard.Backend{Name: fmt.Sprintf("b%d", i), URL: ts.URL})
+	}
+	rt, err := shard.NewRouter(shard.Config{Backends: backends, SplitFrames: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() { router.Close(); rt.Close() })
+	resp, err := http.Post(router.URL+"/v1/traces", "application/json", strings.NewReader(fmt.Sprintf(`{"path":%q}`, path)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("router open: %d", resp.StatusCode)
+	}
+
+	count := func(body []byte) int {
+		t.Helper()
+		var c tracesvc.RecordCount
+		if err := json.Unmarshal(body, &c); err != nil {
+			t.Fatalf("count body %q: %v", body, err)
+		}
+		return c.Count
+	}
+	rng := xrand.New(31)
+	for trial := 0; trial < 4; trial++ {
+		for _, window := range memoWindows(t, rng, frames) {
+			lo, hi := clock.Time(-1<<63), clock.Time(1<<63-1)
+			query := "/records?count=1"
+			if window != "" {
+				if lo, hi, err = clock.ParseWindow(window); err != nil {
+					t.Fatal(err)
+				}
+				query += "&window=" + window
+			}
+			want, cut := 0, 0
+			for _, r := range recs {
+				if r.End() >= lo && r.Start <= hi {
+					want++
+				}
+			}
+			for _, fe := range frames {
+				if fe.End >= lo && fe.Start <= hi && (fe.Start < lo || fe.End > hi) {
+					cut++
+				}
+			}
+
+			s := tracesvc.New(tracesvc.Config{})
+			id := openTrace(t, s, path)
+			tr, _ := s.Registry().Resolve(id)
+			w := do(t, s, "GET", "/v1/traces/"+id+query, "")
+			if w.Code != http.StatusOK || count(w.Body.Bytes()) != want {
+				t.Fatalf("window %q: %d %s, a full scan counts %d", window, w.Code, w.Body, want)
+			}
+			if got := tr.File().DecodedFrames(); got != int64(cut) {
+				t.Fatalf("window %q: the count decoded %d frames, the window cuts %d", window, got, cut)
+			}
+			s.Close()
+
+			resp, err := http.Get(router.URL + "/v1/traces/t1" + query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK || count(body) != want {
+				t.Fatalf("window %q through the router: %d %s, a full scan counts %d", window, resp.StatusCode, body, want)
+			}
+		}
+	}
+	legs := int64(0)
+	for _, svc := range svcs {
+		legs += metricValue(t, svc, "tracesvc_range_queries_total")
+	}
+	if legs == 0 {
+		t.Fatal("the router never split a count into frames=lo:hi legs")
+	}
+}

@@ -35,3 +35,19 @@ func (c *FrameCache) Waiting(file uint64, off int64) bool {
 	e := sh.entries[k]
 	return e != nil && e.wanted
 }
+
+// EvictFrames drops every decoded frame and once-seen frame marker, as
+// eviction under a tight budget would, and leaves memoized partials
+// resident.
+func (c *FrameCache) EvictFrames() {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for k, e := range sh.entries {
+			if k.memo == "" {
+				c.drop(sh, e)
+			}
+		}
+		sh.mu.Unlock()
+	}
+}

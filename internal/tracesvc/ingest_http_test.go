@@ -51,14 +51,12 @@ func ingestRaws(t testing.TB, seed uint64, nodes, steps int) [][]byte {
 	for i := range drifts {
 		drifts[i] = float64(i-1) * 25e-6
 	}
-	run, err := core.Execute(core.Config{
+	raws, _, err := core.Generate(core.Config{
 		Nodes: nodes, CPUsPerNode: 2, TasksPerNode: 2, Seed: seed, Drifts: drifts,
 	}, workload.Random{Seed: seed, Steps: steps}.Main())
 	if err != nil {
 		t.Fatal(err)
 	}
-	raws := run.RawTraces
-	run.Close()
 	return raws
 }
 

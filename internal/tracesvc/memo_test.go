@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -238,20 +239,21 @@ func checkMemoRounds(t *testing.T, s *tracesvc.Service, id string, open func() *
 type statsPlan struct {
 	FramesEvaluated *int `json:"framesEvaluated"`
 	PartialsReused  *int `json:"partialsReused"`
+	FramesFetched   *int `json:"framesFetched"`
 }
 
 // planOf asks for the JSON form of a query and returns its plan fields.
-func planOf(t *testing.T, s *tracesvc.Service, id, program, window string) (evaluated, reused int) {
+func planOf(t *testing.T, s *tracesvc.Service, id, program, window string) (evaluated, reused, fetched int) {
 	t.Helper()
 	w := do(t, s, "GET", statsURL(id, program, window, "json"), "")
 	var p statsPlan
 	if err := json.Unmarshal(w.Body.Bytes(), &p); err != nil || w.Code != http.StatusOK {
 		t.Fatalf("json stats: %d %v %s", w.Code, err, w.Body)
 	}
-	if p.FramesEvaluated == nil || p.PartialsReused == nil {
-		t.Fatalf("json stats lacks framesEvaluated/partialsReused: %s", w.Body)
+	if p.FramesEvaluated == nil || p.PartialsReused == nil || p.FramesFetched == nil {
+		t.Fatalf("json stats lacks framesEvaluated/partialsReused/framesFetched: %s", w.Body)
 	}
-	return *p.FramesEvaluated, *p.PartialsReused
+	return *p.FramesEvaluated, *p.PartialsReused, *p.FramesFetched
 }
 
 // TestStatsMemoDifferential is the memo's differential harness: random
@@ -304,15 +306,16 @@ func metricValue(t *testing.T, s *tracesvc.Service, name string) int64 {
 }
 
 // TestStatsMemoPlan: on a fresh service, the first two askings of a
-// query evaluate every frame (the second stores what the first only
-// saw), and every later one evaluates only the frames straddling the
-// window's edges — none at all unwindowed — while a concatenation never
+// query evaluate and fetch every frame (the second stores what the first
+// only saw), and every later one evaluates and fetches none, windowed or
+// not — the frames straddling the window's edges reuse the partials
+// stored under the window as it cuts them — while a concatenation never
 // reuses. The marker-keyed program reuses too, which needs its marker
 // codes to come out the same on every run. /metrics counts the same
-// lookups, and the decoded-frame counters still count decoded frames:
-// frames follow the same second-use rule, so every frame is decoded
-// twice — its first use leaves a once-seen marker, its second stores it
-// — and all of them end resident.
+// lookups and fetches, and the decoded-frame counters still count
+// decoded frames: frames follow the same second-use rule, so every frame
+// is decoded twice — its first use leaves a once-seen marker, its second
+// stores it — and all of them end resident.
 func TestStatsMemoPlan(t *testing.T) {
 	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
 	s := tracesvc.New(tracesvc.Config{})
@@ -336,24 +339,29 @@ func TestStatsMemoPlan(t *testing.T) {
 		t.Fatalf("window %s: %d edge frames, %d inside", window, edges, inside)
 	}
 	for _, tc := range []struct {
-		program, window   string
-		selected, reusing int
+		program, window string
+		selected        int
+		memoized        bool
 	}{
-		{memoPrograms[0], window, edges + inside, inside},
-		{memoPrograms[2], "", len(frames), len(frames)},
-		{memoPrograms[3], window, edges + inside, 0},
+		{memoPrograms[0], window, edges + inside, true},
+		{memoPrograms[2], "", len(frames), true},
+		{memoPrograms[3], window, edges + inside, false},
 	} {
 		for ask := 1; ask <= 4; ask++ {
 			wantEv, wantRe := tc.selected, 0
-			if ask > 2 {
-				wantEv, wantRe = tc.selected-tc.reusing, tc.reusing
+			if ask > 2 && tc.memoized {
+				wantEv, wantRe = 0, tc.selected
 			}
-			if ev, re := planOf(t, s, id, tc.program, tc.window); ev != wantEv || re != wantRe {
-				t.Fatalf("asking %d of %.40q over %q: evaluated %d, reused %d; want %d and %d", ask, tc.program, tc.window, ev, re, wantEv, wantRe)
+			ev, re, fe := planOf(t, s, id, tc.program, tc.window)
+			if ev != wantEv || re != wantRe || fe != wantEv {
+				t.Fatalf("asking %d of %.40q over %q: evaluated %d, reused %d, fetched %d; want %d, %d and %d", ask, tc.program, tc.window, ev, re, fe, wantEv, wantRe, wantEv)
 			}
 		}
 	}
-	memoized := int64(inside + len(frames))
+	memoized := int64(edges + inside + len(frames))
+	// Two fetching askings of each memoized query, four of the
+	// concatenation.
+	fetched := int64(2*(edges+inside) + 2*len(frames) + 4*(edges+inside))
 	for _, m := range []struct {
 		name string
 		want int64
@@ -361,6 +369,7 @@ func TestStatsMemoPlan(t *testing.T) {
 		{`tracesvc_stats_partials_total{result="hit"}`, 2 * memoized},
 		{`tracesvc_stats_partials_total{result="miss"}`, 2 * memoized},
 		{`tracesvc_stats_partials_total{result="stored"}`, memoized},
+		{"tracesvc_stats_frames_fetched_total", fetched},
 		{"tracesvc_cache_misses_total", 2 * int64(len(frames))},
 		{`tracesvc_cache_admissions_total{result="once"}`, int64(len(frames))},
 		{`tracesvc_cache_admissions_total{result="stored"}`, int64(len(frames))},
@@ -373,6 +382,141 @@ func TestStatsMemoPlan(t *testing.T) {
 	}
 	if got := metricValue(t, s, "tracesvc_stats_partials_bytes_resident"); got <= 0 {
 		t.Fatalf("tracesvc_stats_partials_bytes_resident = %d with %d partials stored", got, memoized)
+	}
+}
+
+// exactWindow writes [lo, hi] the way a client would and checks that it
+// survives the decimal round trip.
+func exactWindow(t *testing.T, lo, hi clock.Time) string {
+	t.Helper()
+	w := fmt.Sprintf("%.9f:%.9f", lo.Seconds(), hi.Seconds())
+	if plo, phi, err := clock.ParseWindow(w); err != nil || plo != lo || phi != hi {
+		t.Fatalf("window %q round-trips to [%v .. %v], want [%v .. %v]", w, plo, phi, lo, hi)
+	}
+	return w
+}
+
+// TestWarmStatsFetchesNoEvictedFrame: once a windowed query's partials
+// are stored its decoded frames may leave the cache — evicted, while
+// their few-KiB partials stay resident — and the warm query still reads
+// no frame: the memo answers before any frame is fetched.
+func TestWarmStatsFetchesNoEvictedFrame(t *testing.T) {
+	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
+	open := func() *interval.File {
+		f, err := interval.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	s := tracesvc.New(tracesvc.Config{})
+	defer s.Close()
+	id := openTrace(t, s, path)
+	tr, _ := s.Registry().Resolve(id)
+	frames := tr.Frames()
+	window := exactWindow(t, frames[5].Start+1, frames[15].End-1)
+	want, err := expectStats(t, open, memoPrograms[0], window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ask := 1; ask <= 2; ask++ {
+		if w := do(t, s, "GET", statsURL(id, memoPrograms[0], window, ""), ""); w.Code != http.StatusOK || w.Body.String() != want {
+			t.Fatalf("asking %d: %d, body differs from a fresh GenerateOpts", ask, w.Code)
+		}
+	}
+	s.Cache().EvictFrames()
+	if cs := s.Cache().Stats(); cs.Entries != 0 || cs.PartialsStored == 0 {
+		t.Fatalf("after the eviction: %d frames resident, %d partials stored", cs.Entries, cs.PartialsStored)
+	}
+	decoded := tr.File().DecodedFrames()
+	if w := do(t, s, "GET", statsURL(id, memoPrograms[0], window, ""), ""); w.Code != http.StatusOK || w.Body.String() != want {
+		t.Fatalf("warm asking: %d, body differs from a fresh GenerateOpts", w.Code)
+	}
+	if got := tr.File().DecodedFrames() - decoded; got != 0 {
+		t.Fatalf("a warm query over evicted frames decoded %d of them", got)
+	}
+	if ev, re, fe := planOf(t, s, id, memoPrograms[0], window); ev != 0 || fe != 0 || re == 0 {
+		t.Fatalf("warm plan: evaluated %d, reused %d, fetched %d", ev, re, fe)
+	}
+	if cs := s.Cache().Stats(); cs.Entries != 0 {
+		t.Fatalf("a warm query left %d frames resident", cs.Entries)
+	}
+}
+
+// TestStatsMemoEdgeKeys: two windows that cut the same frame at the same
+// instant on one side and at different instants on the other never share
+// that frame's partial — an edge frame's key names each cut the window
+// makes in it — and every body, asked in turn so that each window's
+// lookups meet the other's stored partials, stays byte-identical to
+// stats.GenerateOpts on a freshly opened file. The partials stored are
+// exactly one per frame and distinct cut.
+func TestStatsMemoEdgeKeys(t *testing.T) {
+	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
+	open := func() *interval.File {
+		f, err := interval.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	f := open()
+	frames, err := f.Frames()
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := frames[len(frames)/2]
+	at := func(sixths int) clock.Time { return cut.Start + (cut.End-cut.Start)*clock.Time(sixths)/6 }
+	const program = `table name=n x=("node", node) y=("n", dura, count) y=("t", dura, sum)`
+	for _, pair := range [][2][2]clock.Time{
+		{{at(1), at(3)}, {at(1), at(5)}}, // one lo, two his
+		{{at(1), at(5)}, {at(3), at(5)}}, // two los, one hi
+	} {
+		s := tracesvc.New(tracesvc.Config{})
+		id := openTrace(t, s, path)
+		var windows, wants [2]string
+		for i, w := range pair {
+			windows[i] = exactWindow(t, w[0], w[1])
+			if wants[i], err = expectStats(t, open, program, windows[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if wants[0] == wants[1] {
+			t.Fatalf("windows %q and %q select the same records: the test cannot tell their partials apart", windows[0], windows[1])
+		}
+		for round := 1; round <= 3; round++ {
+			for i, w := range windows {
+				if got := do(t, s, "GET", statsURL(id, program, w, ""), ""); got.Code != http.StatusOK || got.Body.String() != wants[i] {
+					t.Fatalf("round %d, window %q: %d, body differs from a fresh GenerateOpts\n--- got ---\n%s\n--- want ---\n%s", round, w, got.Code, got.Body, wants[i])
+				}
+			}
+		}
+		// One partial per frame and the window as it cuts that frame: a
+		// side the frame lies inside is no cut.
+		type frameCut struct {
+			off    int64
+			lo, hi clock.Time
+		}
+		cuts := map[frameCut]bool{}
+		for _, w := range pair {
+			for _, fe := range frames {
+				if fe.End < w[0] || fe.Start > w[1] {
+					continue
+				}
+				c := frameCut{fe.Offset, math.MinInt64, math.MaxInt64}
+				if w[0] > fe.Start {
+					c.lo = w[0]
+				}
+				if w[1] < fe.End {
+					c.hi = w[1]
+				}
+				cuts[c] = true
+			}
+		}
+		if got := s.Cache().Stats().PartialsStored; got != int64(len(cuts)) {
+			t.Fatalf("windows %q and %q stored %d partials, want one per frame and cut: %d", windows[0], windows[1], got, len(cuts))
+		}
+		s.Close()
 	}
 }
 

@@ -25,6 +25,9 @@ type metrics struct {
 	// excluded because an expression referenced a field they lack.
 	statsTables  promtext.Counter
 	statsSkipped promtext.Counter
+	// statsFetched counts the frames stats programs fetched the records
+	// of: evaluated frames, never those a memoized partial answered.
+	statsFetched promtext.Counter
 	// Summary-planner counters: queries answered from pyramid cells vs
 	// by the frame-scan fallback, plus what each cost.
 	summaryPyramid promtext.Counter
@@ -99,6 +102,8 @@ func (m *metrics) writePrometheus(w io.Writer, cache CacheStats, tracesOpen int6
 	fmt.Fprintf(w, "tracesvc_stats_tables_total %d\n", m.statsTables.Value())
 	promtext.Header(w, "tracesvc_stats_records_skipped_total", "counter", "Records excluded from statistics tables because an expression referenced a field their state type does not carry.")
 	fmt.Fprintf(w, "tracesvc_stats_records_skipped_total %d\n", m.statsSkipped.Value())
+	promtext.Header(w, "tracesvc_stats_frames_fetched_total", "counter", "Frames whose records statistics programs fetched (from the frame cache or a decode); a frame answered by a memoized partial is not fetched.")
+	fmt.Fprintf(w, "tracesvc_stats_frames_fetched_total %d\n", m.statsFetched.Value())
 	promtext.Header(w, "tracesvc_stats_partials_total", "counter", "Per-frame stats partial lookups: reused from the memo (hit), evaluated (miss), and evaluations stored (the second under a key).")
 	fmt.Fprintf(w, "tracesvc_stats_partials_total{result=\"hit\"} %d\n", cache.PartialHits)
 	fmt.Fprintf(w, "tracesvc_stats_partials_total{result=\"miss\"} %d\n", cache.PartialMisses)

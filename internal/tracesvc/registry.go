@@ -17,7 +17,7 @@ import (
 // and the run bounds are the file's resident index, which registration
 // has already proven loads. The *interval.File is safe for concurrent
 // window queries (frames are positioned reads) and its frame decodes go
-// through the shared cache via the decode hook.
+// through the shared cache, its frame source.
 type Trace struct {
 	ID   string
 	Path string
@@ -92,8 +92,8 @@ func (r *Registry) newEntry(prov LiveProvider) *entry {
 }
 
 // Open opens and registers the interval file at path: the directory
-// chain is read, and the cache decode hook installed, before the trace
-// becomes visible to queries. Files that cannot serve concurrent
+// chain is read, and the cache installed as its frame source, before
+// the trace becomes visible to queries. Files that cannot serve concurrent
 // (positioned) frame reads are rejected; every real file and SeekBuffer
 // can. A failed registration burns the allocated ID — IDs stay stable
 // and unrecycled either way.
@@ -124,12 +124,13 @@ func (r *Registry) AddLive(prov LiveProvider) string {
 }
 
 // snapshot makes an open file servable as e's trace: its directory
-// chain is proven to load, and every frame decode — map-reduce engine,
-// scanners, FrameBatch — and every per-frame stats partial is hooked
-// into the shared cache under e's namespace (installed before the trace
-// is published, never changed after, as SetFrameDecoder requires). The
-// namespace outlives seal generations, and so may partials: a sealed
-// frame's bytes never change, and the memo key names the run bounds.
+// chain is proven to load, and its frame source — every frame decode
+// (map-reduce engine, scanners, FrameBatch) and every per-frame stats
+// partial — is the shared cache under e's namespace (installed before
+// the trace is published, never changed after, as SetFrameSource
+// requires). The namespace outlives seal generations, and so may
+// partials: a sealed frame's bytes never change, and the memo key names
+// the run bounds.
 func (r *Registry) snapshot(e *entry, path string, f *interval.File) (*Trace, error) {
 	if !f.ConcurrentReads() {
 		return nil, fmt.Errorf("tracesvc: %s: reader does not support concurrent frame reads", path)
@@ -137,20 +138,29 @@ func (r *Registry) snapshot(e *entry, path string, f *interval.File) (*Trace, er
 	if _, err := f.Frames(); err != nil {
 		return nil, err
 	}
-	num := e.num
-	f.SetFrameDecoder(func(f *interval.File, fe interval.FrameEntry, scratch *interval.Batch) (*interval.Batch, error) {
-		return r.cache.Get(num, fe.Offset, scratch, func(dst *interval.Batch) error {
-			err := f.DecodeFrameBatch(fe, dst)
-			if err == nil {
-				r.decoded.Add(1)
-			}
-			return err
-		})
+	f.SetFrameSource(frameSource{r, e.num})
+	return &Trace{ID: e.id, Path: path, num: e.num, file: f}, nil
+}
+
+// frameSource is one trace's interval.FrameSource: the registry's shared
+// cache under the trace's namespace.
+type frameSource struct {
+	r   *Registry
+	num uint64
+}
+
+func (s frameSource) Decode(f *interval.File, fe interval.FrameEntry, scratch *interval.Batch) (*interval.Batch, error) {
+	return s.r.cache.Get(s.num, fe.Offset, scratch, func(dst *interval.Batch) error {
+		err := f.DecodeFrameBatch(fe, dst)
+		if err == nil {
+			s.r.decoded.Add(1)
+		}
+		return err
 	})
-	f.SetFrameMemo(func(ctx context.Context, fe interval.FrameEntry, key string, compute func(bool) (any, int64, error)) (any, bool, error) {
-		return r.cache.Memo(ctx, num, fe.Offset, key, compute)
-	})
-	return &Trace{ID: e.id, Path: path, num: num, file: f}, nil
+}
+
+func (s frameSource) Memo(ctx context.Context, fe interval.FrameEntry, key string, compute func(bool) (any, int64, error)) (any, bool, error) {
+	return s.r.cache.Memo(ctx, s.num, fe.Offset, key, compute)
 }
 
 // resolve returns e's current trace. With a provider it is the snapshot

@@ -106,7 +106,7 @@ func TestFramesDecodedCounterIsMonotone(t *testing.T) {
 		get("/v1/traces/" + live)
 		hold(live)
 		scrape(fmt.Sprintf("generation %d resolved", g+1))
-		get("/v1/traces/" + live + "/records?count=1")
+		get("/v1/traces/" + live + "/records?limit=1")
 		scrape(fmt.Sprintf("generation %d scanned", g+1))
 	}
 	if last == 0 {
@@ -117,7 +117,7 @@ func TestFramesDecodedCounterIsMonotone(t *testing.T) {
 
 	static := openTrace(t, s, path)
 	hold(static)
-	get("/v1/traces/" + static + "/records?count=1")
+	get("/v1/traces/" + static + "/records?limit=1")
 	scrape("static trace scanned")
 	do(t, s, "DELETE", "/v1/traces/"+static, "")
 	scrape("static trace closed")

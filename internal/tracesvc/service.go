@@ -398,7 +398,8 @@ func parseBins(q url.Values, def int) (int, error) {
 // engine that answers them: summary= is ignored, as engine= is), and
 // format=json wraps each table with the summary engine that answered
 // and its excluded-record count, and reports how many frames the program
-// evaluated and how many per-frame partials it reused from the cache.
+// evaluated, how many per-frame partials it reused from the cache, and
+// how many frames' records it fetched (a reused partial fetches none).
 func (s *Service) handleStats(r *http.Request) (*response, error) {
 	t, err := s.trace(r)
 	if err != nil {
@@ -436,6 +437,7 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 	}
 	tables := run.Tables
 	s.met.statsTables.Add(int64(len(tables)))
+	s.met.statsFetched.Add(int64(run.FramesFetched))
 	for _, tb := range tables {
 		s.met.statsSkipped.Add(tb.Skipped)
 	}
@@ -451,7 +453,8 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 			Tables          []tableJSON `json:"tables"`
 			FramesEvaluated int         `json:"framesEvaluated"`
 			PartialsReused  int         `json:"partialsReused"`
-		}{Tables: make([]tableJSON, len(tables)), FramesEvaluated: run.FramesEvaluated, PartialsReused: run.PartialsReused}
+			FramesFetched   int         `json:"framesFetched"`
+		}{Tables: make([]tableJSON, len(tables)), FramesEvaluated: run.FramesEvaluated, PartialsReused: run.PartialsReused, FramesFetched: run.FramesFetched}
 		for i, tb := range tables {
 			body.Tables[i] = tableJSON{Name: tb.Name, Engine: tb.Engine, Skipped: tb.Skipped, Rows: len(tb.Rows), TSV: tb.TSV()}
 		}
@@ -467,10 +470,13 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 // handleRecords pages through the records overlapping a window. The
 // scan walks the resident frame list, decoding only overlapping frames
 // — through the cache, so a warm repeat decodes nothing. ?count=1 skips
-// the bodies and returns the total alone. ?frames=lo:hi restricts the
-// scan to the half-open frame-index range [lo, hi) of the flattened
-// frame list — the shard router's scatter-gather legs use it so each
-// backend touches (and caches) only its own contiguous frame range.
+// the bodies and returns the total alone, counted from the directory
+// wherever it can be: every record of a frame the window does not cut
+// (any frame, unwindowed) overlaps the window, so only the frames
+// straddling its edges are decoded. ?frames=lo:hi restricts the scan to
+// the half-open frame-index range [lo, hi) of the flattened frame list —
+// the shard router's scatter-gather legs use it so each backend touches
+// (and caches) only its own contiguous frame range.
 func (s *Service) handleRecords(r *http.Request) (*response, error) {
 	t, err := s.trace(r)
 	if err != nil {
@@ -512,6 +518,10 @@ func (s *Service) handleRecords(r *http.Request) (*response, error) {
 	total := 0
 	for _, fe := range frames {
 		if windowed && (fe.End < lo || fe.Start > hi) {
+			continue
+		}
+		if countOnly && (!windowed || fe.Start >= lo && fe.End <= hi) {
+			total += int(fe.Records)
 			continue
 		}
 		if err := ctx.Err(); err != nil {

@@ -369,7 +369,7 @@ func TestWarmCacheDecodesNoFrames(t *testing.T) {
 	id := openTrace(t, s, path)
 	tr, _ := s.Registry().Resolve(id)
 
-	if w := do(t, s, "GET", "/v1/traces/"+id+"/records?window=0.05:0.2&count=1", ""); w.Code != 200 {
+	if w := do(t, s, "GET", "/v1/traces/"+id+"/records?window=0.05:0.2&limit=1", ""); w.Code != 200 {
 		t.Fatalf("cold query: %d %s", w.Code, w.Body)
 	}
 	cold := tr.File().DecodedFrames()
@@ -379,7 +379,7 @@ func TestWarmCacheDecodesNoFrames(t *testing.T) {
 	hits0 := s.Cache().Stats().Hits
 
 	for i := 0; i < 3; i++ {
-		if w := do(t, s, "GET", "/v1/traces/"+id+"/records?window=0.05:0.2&count=1", ""); w.Code != 200 {
+		if w := do(t, s, "GET", "/v1/traces/"+id+"/records?window=0.05:0.2&limit=1", ""); w.Code != 200 {
 			t.Fatalf("warm query: %d %s", w.Code, w.Body)
 		}
 	}
@@ -440,7 +440,7 @@ func TestSingleflightDecodesOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := do(t, s, "GET", "/v1/traces/"+id+"/records?count=1", "")
+			w := do(t, s, "GET", "/v1/traces/"+id+"/records?limit=1", "")
 			if w.Code != 200 {
 				t.Errorf("concurrent cold query: %d", w.Code)
 			}
@@ -512,8 +512,8 @@ func TestCacheEviction(t *testing.T) {
 	id := openTrace(t, s, path)
 
 	for i := 0; i < 2; i++ {
-		w := do(t, s, "GET", "/v1/traces/"+id+"/records?count=1", "")
-		if w.Code != 200 || !strings.Contains(w.Body.String(), `"count": 4000`) {
+		w := do(t, s, "GET", "/v1/traces/"+id+"/records?limit=1", "")
+		if w.Code != 200 || !strings.Contains(w.Body.String(), `"total": 4000`) {
 			t.Fatalf("scan %d: %d %s", i, w.Code, w.Body)
 		}
 	}

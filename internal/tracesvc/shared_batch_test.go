@@ -77,7 +77,7 @@ func TestCacheBudgetIsExact(t *testing.T) {
 		path := writeTrace(t, t.TempDir(), 4000)
 		tr, _ := s.Registry().Resolve(openTrace(t, s, path))
 		for i := 0; i < 3; i++ {
-			if w := do(t, s, "GET", "/v1/traces/"+tr.ID+"/records?count=1", ""); w.Code != 200 {
+			if w := do(t, s, "GET", "/v1/traces/"+tr.ID+"/records?limit=1", ""); w.Code != 200 {
 				t.Fatalf("scan %d: %d %s", i, w.Code, w.Body)
 			}
 			checkCacheAccounting(t, s, tr, budget)

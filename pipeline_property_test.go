@@ -194,19 +194,16 @@ func TestParallelPipelineMatchesSynchronous(t *testing.T) {
 		merge.EstimatorRMS, merge.EstimatorLastPair, merge.EstimatorPiecewise, merge.EstimatorNone,
 	}
 	for seed := uint64(1); seed <= 8; seed++ {
-		run, err := core.Execute(core.Config{
+		raws, _, err := core.Generate(core.Config{
 			Nodes:        3,
 			CPUsPerNode:  2,
 			TasksPerNode: 2,
 			Seed:         seed,
 			Drifts:       []float64{40e-6, -25e-6, 10e-6},
-			Convert:      interval.WriterOptions{FrameBytes: 4096},
 		}, workload.Random{Seed: seed, Steps: 30}.Main())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		raws := run.RawTraces
-		run.Close()
 
 		mopts := merge.Options{
 			Estimator:        estimators[int(seed)%len(estimators)],
@@ -273,7 +270,7 @@ func TestSealTimeBuildsMatchReopenedFile(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 8; seed++ {
 		sh := shapes[int(seed)%len(shapes)]
-		run, err := core.Execute(core.Config{
+		raws, _, err := core.Generate(core.Config{
 			Nodes:        sh.nodes,
 			CPUsPerNode:  sh.cpus,
 			TasksPerNode: sh.tpn,
@@ -282,8 +279,6 @@ func TestSealTimeBuildsMatchReopenedFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		raws := run.RawTraces
-		run.Close()
 		dir := t.TempDir()
 		paths := testutil.ConvertToDisk(t, raws, interval.WriterOptions{FrameBytes: 4096}, dir)
 		pyr := interval.PyramidOptions{BaseCells: 64, TopK: 4}
