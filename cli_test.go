@@ -7,9 +7,11 @@ package tracefw
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"net"
@@ -231,34 +233,42 @@ func TestCLIPyramidSidecar(t *testing.T) {
 	}
 
 	// The rendering must not depend on which engine ran.
-	for _, args := range [][]string{{"-bins", "50"}, {"-bins", "512", "-window", "3.5:12.25"}} {
-		pv := func(path, engine string) string {
-			out := runCmd(t, bin, "uteview", append([]string{"-merged", path, "-preview", "-v", "-ascii"}, args...)...)
-			if !strings.Contains(out, "preview answered by "+engine+" engine") || !strings.Contains(out, "preview:") {
-				t.Fatalf("uteview -preview %v on %s, want the %s engine:\n%s", args, path, engine, out)
-			}
-			return stripDiag(out)
+	previews := [][]string{{"-bins", "50"}, {"-bins", "512", "-window", "3.5:12.25"}}
+	pv := func(path, engine string, args []string) string {
+		out := runCmd(t, bin, "uteview", append([]string{"-merged", path, "-preview", "-v", "-ascii"}, args...)...)
+		if !strings.Contains(out, "preview answered by "+engine+" engine") || !strings.Contains(out, "preview:") {
+			t.Fatalf("uteview -preview %v on %s, want the %s engine:\n%s", args, path, engine, out)
 		}
-		if p, s := pv(merged, "pyramid"), pv(bare, "scan"); p != s {
+		return stripDiag(out)
+	}
+	pyrPreviews := make([]string, len(previews))
+	for i, args := range previews {
+		p, s := pv(merged, "pyramid", args), pv(bare, "scan", args)
+		if p != s {
 			t.Fatalf("preview %v differs between engines:\n--- pyramid:\n%s\n--- scan:\n%s", args, p, s)
 		}
+		pyrPreviews[i] = p
 	}
-	for _, args := range [][]string{{"-bins", "64"}, {"-j", "2", "-bins", "7", "-window", "3.5:12.25"}} {
-		tr := func(path, engine string) string {
-			cmd := exec.Command(filepath.Join(bin, "utestats"), append(append([]string{"-timeresolved", "-v"}, args...), path)...)
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			if err := cmd.Run(); err != nil {
-				t.Fatalf("utestats -timeresolved %v %s: %v\n%s", args, path, err, stderr.String())
-			}
-			if n := strings.Count(stderr.String(), " summary="+engine+" "); n != 3 {
-				t.Fatalf("utestats -v %v on %s names the %s engine %d times, want 3:\n%s", args, path, engine, n, stderr.String())
-			}
-			return stdout.String()
+	tables := [][]string{{"-bins", "64"}, {"-j", "2", "-bins", "7", "-window", "3.5:12.25"}}
+	tr := func(path, engine string, args []string) string {
+		cmd := exec.Command(filepath.Join(bin, "utestats"), append(append([]string{"-timeresolved", "-v"}, args...), path)...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("utestats -timeresolved %v %s: %v\n%s", args, path, err, stderr.String())
 		}
-		if p, s := tr(merged, "pyramid"), tr(bare, "scan"); p != s || !strings.Contains(p, "# table tr_concurrency") {
+		if n := strings.Count(stderr.String(), " summary="+engine+" "); n != 3 {
+			t.Fatalf("utestats -v %v on %s names the %s engine %d times, want 3:\n%s", args, path, engine, n, stderr.String())
+		}
+		return stdout.String()
+	}
+	pyrTables := make([]string, len(tables))
+	for i, args := range tables {
+		p, s := tr(merged, "pyramid", args), tr(bare, "scan", args)
+		if p != s || !strings.Contains(p, "# table tr_concurrency") {
 			t.Fatalf("time-resolved tables %v differ between engines:\n--- pyramid:\n%s\n--- scan:\n%s", args, p, s)
 		}
+		pyrTables[i] = p
 	}
 
 	if out := runCmd(t, bin, "utedump", "-n", "3", pyr); len(out) == 0 {
@@ -307,6 +317,45 @@ func TestCLIPyramidSidecar(t *testing.T) {
 	if healed, err := os.ReadFile(pyr); err != nil || !bytes.Equal(healed, pristine) {
 		t.Fatalf("the rebuilt sidecar is not the one utemerge wrote (err=%v)", err)
 	}
+
+	// A sidecar of the previous format version, whose header is otherwise
+	// sound (the 68-byte header's CRC-32C over bytes 8..64 recomputed),
+	// fails only the version check: the scan answers, byte for byte what
+	// the pyramid answered, utecheck names the cause, and -repair-pyramid
+	// rewrites it in the current version.
+	legacy := append([]byte(nil), pristine...)
+	binary.LittleEndian.PutUint32(legacy[8:], 1)
+	binary.LittleEndian.PutUint32(legacy[64:], crc32.Checksum(legacy[8:64], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(pyr, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, args := range previews {
+		if got := pv(merged, "scan", args); got != pyrPreviews[i] {
+			t.Fatalf("preview %v over a version-1 sidecar:\n%s\nwant the pyramid's:\n%s", args, got, pyrPreviews[i])
+		}
+	}
+	for i, args := range tables {
+		if got := tr(merged, "scan", args); got != pyrTables[i] {
+			t.Fatalf("time-resolved tables %v over a version-1 sidecar:\n%s\nwant the pyramid's:\n%s", args, got, pyrTables[i])
+		}
+	}
+	out = runCmd(t, bin, "utecheck", merged)
+	if !strings.Contains(out, "pyramid damaged: ") || !strings.Contains(out, "unsupported pyramid version 1 (rerun with -repair-pyramid)") {
+		t.Fatalf("utecheck on a version-1 sidecar: %s", out)
+	}
+	out = runCmd(t, bin, "utecheck", "-repair-pyramid", merged)
+	if !strings.Contains(out, "pyramid rebuilt (was: ") {
+		t.Fatalf("utecheck -repair-pyramid (version-1 sidecar): %s", out)
+	}
+	repaired, err := os.ReadFile(pyr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(repaired[8:]); v != interval.PyramidVersion || !bytes.Equal(repaired, pristine) {
+		t.Fatalf("-repair-pyramid wrote version %d, not the sidecar utemerge wrote", v)
+	}
+	pv(merged, "pyramid", previews[0])
+	tr(merged, "pyramid", tables[0])
 }
 
 // stripDiag drops uteview's stderr diagnostics from combined output so

@@ -180,7 +180,7 @@ func checkPyramid(f *interval.File, path string, rebuild bool, rep *report, json
 		}
 		return pj
 	}
-	n, err := f.VerifyPyramid(p, interval.VerifyPyramidOptions{})
+	n, err := f.VerifyPyramid(p)
 	pj.CellsChecked = n
 	if err != nil {
 		pj.Status, pj.Detail = "mismatch", err.Error()

@@ -318,8 +318,8 @@ func dumpPyramid(path string, limit int) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("pyramid: base width %v, top-%d, %d levels; source sig: %d records, %d frames, [%v .. %v], dirsum %08x\n",
-		p.BaseWidth, p.TopK, len(p.Levels), p.Sig.Records, p.Sig.Frames, p.Sig.Start, p.Sig.End, p.Sig.DirSum)
+	fmt.Printf("pyramid: base width %v, %d levels; source sig: %d records, %d frames, [%v .. %v], dirsum %08x\n",
+		p.BaseWidth, len(p.Levels), p.Sig.Records, p.Sig.Frames, p.Sig.Start, p.Sig.End, p.Sig.DirSum)
 	for li, lv := range p.Levels {
 		fmt.Printf("  level %2d: width %12v, cells [%d .. %d)\n",
 			li, lv.Width, lv.First, lv.First+int64(len(lv.Cells)))
@@ -331,7 +331,7 @@ func dumpPyramid(path string, limit int) {
 	shown := 0
 	for i := range base.Cells {
 		c := &base.Cells[i]
-		if c.Records == 0 && len(c.ByType) == 0 {
+		if len(c.ByType) == 0 {
 			continue
 		}
 		if limit != 0 && shown >= limit {
@@ -343,8 +343,8 @@ func dumpPyramid(path string, limit int) {
 			busy += tb.Busy
 		}
 		idx := base.First + int64(i)
-		fmt.Printf("  cell %6d @%v: %5d records, peak %2d, %2d types, %2d lanes, %v busy\n",
-			idx, clock.Time(idx)*base.Width, c.Records, c.MaxConc, len(c.ByType), len(c.ByLane), busy)
+		fmt.Printf("  cell %6d @%v: peak %2d, %2d types, %2d lanes, %v busy\n",
+			idx, clock.Time(idx)*base.Width, c.MaxConc, len(c.ByType), len(c.ByLane), busy)
 	}
 }
 

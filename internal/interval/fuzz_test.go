@@ -337,7 +337,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 			fmt.Sprintf("int64(%d)", mid), fmt.Sprintf("int64(%d)", last))
 		// Pyramid seeds: the real sidecar of every trace seed, so the
 		// fuzzer mutates from encodings the builder actually produces.
-		p, err := interval.BuildPyramid(fl, interval.PyramidOptions{BaseCells: 64, TopK: 4})
+		p, err := interval.BuildPyramid(fl, interval.PyramidOptions{BaseCells: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,8 +348,9 @@ func TestRegenFuzzCorpus(t *testing.T) {
 
 // TestFuzzCorpusSeedsValid guards the checked-in corpus against rot:
 // the undamaged seeds must still open as valid interval files and cover
-// every header version the reader accepts, and the cycle-* seeds must
-// still be files whose chain does not load.
+// every header version the reader accepts, the cycle-* seeds must still
+// be files whose chain does not load, and the pyramid seeds must still
+// decode.
 func TestFuzzCorpusSeedsValid(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzOpen")
 	entries, err := os.ReadDir(dir)
@@ -384,6 +385,23 @@ func TestFuzzCorpusSeedsValid(t *testing.T) {
 	for v := uint32(1); v <= interval.CurrentHeaderVersion; v++ {
 		if !versions[v] {
 			t.Fatalf("no seed with header version %d (have %v)", v, versions)
+		}
+	}
+	// Every pyramid seed is a sidecar the current decoder accepts, so a
+	// format change cannot leave the pyramid corpus failing the version
+	// check and the fuzzer mutating from rejected bytes.
+	dir = filepath.Join("testdata", "fuzz", "FuzzPyramid")
+	entries, err = os.ReadDir(dir)
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("pyramid seed corpus missing (run -regen-corpus): %v", err)
+	}
+	for _, e := range entries {
+		body, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := interval.DecodePyramid(decodeCorpusBytes(t, e.Name(), string(body))); err != nil {
+			t.Fatalf("pyramid seed %s does not decode as version %d: %v", e.Name(), interval.PyramidVersion, err)
 		}
 	}
 }

@@ -5,9 +5,8 @@ package interval
 // dyadic cells — level 0 cells are BaseWidth (a power of two)
 // nanoseconds wide and aligned to absolute time zero, every higher
 // level doubles the width — and each cell stores a small summary of the
-// records overlapping it: per-type busy time, the count of records
-// beginning in the cell, the peak concurrency of busy intervals, and
-// the top-k longest distinct busy intervals. Window queries
+// records overlapping it: busy time by type, busy time by lane, and the
+// peak concurrency of busy intervals. Window queries
 // (SummarizeWindow) answer from O(cells) summaries instead of
 // O(records) frame decodes; only window edges that fall inside a base
 // cell descend to frame decode, so aligned windows decode no frames at
@@ -29,9 +28,6 @@ package interval
 //     filter at query time. Overlap is additive over any partition of
 //     the window, which is what makes pyramid sums byte-identical to
 //     scan sums.
-//   - Records: the number of records (any type, zero-duration
-//     included) whose start time lies in [cellLo, cellHi). Counting
-//     starts rather than overlaps keeps the statistic additive.
 //   - ByLane: like ByType but summed per (node, cpu) lane and
 //     restricted to busy intervals — every type except Running and
 //     GlobalClock — matching the stats load-balance table.
@@ -39,19 +35,13 @@ package interval
 //     at any instant in [cellLo, cellHi), computed from the global
 //     event sweep. A parent's peak is the max of its children's, so
 //     this is exact at every level.
-//   - Top: the TopK longest distinct busy intervals overlapping the
-//     cell, ordered by (Dura desc, Start asc, Type, Node, CPU,
-//     Thread). Distinct means distinct as tuples: a window's top-k is
-//     the merge of its cells' top-k lists plus edge decodes.
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math/bits"
 	"os"
-	"slices"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -59,12 +49,13 @@ import (
 
 const (
 	pyrMagic = "UTEPYR1\x00"
-	// PyramidVersion is the sidecar format version written by Encode.
-	PyramidVersion = 1
+	// PyramidVersion is the sidecar format version written by Encode and
+	// the only one DecodePyramid accepts.
+	PyramidVersion = 2
 	// pyrHeaderSize is the fixed header: magic, version, flags,
-	// baseWidth, levels, topK, signature (records, frames, start, end,
-	// dirSum), headerSum.
-	pyrHeaderSize = 8 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 8 + 8 + 4 + 4
+	// baseWidth, levels, signature (records, frames, start, end, dirSum),
+	// headerSum.
+	pyrHeaderSize = 8 + 4 + 4 + 8 + 4 + 8 + 8 + 8 + 8 + 4 + 4
 	// pyrLevelHeaderSize precedes each level's cell payload: firstCell,
 	// cellCount, payload length, payload CRC.
 	pyrLevelHeaderSize = 8 + 4 + 4 + 4
@@ -72,8 +63,6 @@ const (
 	// doubling widths, 48 levels cover any int64 time axis from a
 	// one-nanosecond base.
 	pyrMaxLevels = 48
-	// pyrMaxTopK bounds the per-cell top-k list a decoder will accept.
-	pyrMaxTopK = 64
 )
 
 // Lane identifies a (node, cpu) execution lane.
@@ -96,83 +85,11 @@ type LaneBusy struct {
 	Busy clock.Time
 }
 
-// TopInterval is one entry of a cell's top-k longest busy intervals.
-type TopInterval struct {
-	Start  clock.Time
-	Dura   clock.Time
-	Type   events.Type
-	Node   uint16
-	CPU    uint16
-	Thread uint16
-}
-
-// topCmp is the canonical top-k order: longest first, then earliest,
-// then the identifying fields. It is a strict total order on distinct
-// tuples, which makes every top-k list deterministic.
-func topCmp(a, b TopInterval) int {
-	switch {
-	case a.Dura != b.Dura:
-		return cmp.Compare(b.Dura, a.Dura)
-	case a.Start != b.Start:
-		return cmp.Compare(a.Start, b.Start)
-	case a.Type != b.Type:
-		return cmp.Compare(a.Type, b.Type)
-	case a.Node != b.Node:
-		return cmp.Compare(a.Node, b.Node)
-	case a.CPU != b.CPU:
-		return cmp.Compare(a.CPU, b.CPU)
-	}
-	return cmp.Compare(a.Thread, b.Thread)
-}
-
-// topList is a canonical top-k list under construction: at every moment
-// the distinct top-k, in topCmp order, of the candidates offered so far.
-// Once it holds k entries its last one is a floor — a candidate that does
-// not beat it cannot be in the top-k of any superset — so most candidates
-// cost one comparison and are never stored, and the rest one sorted
-// insert: no candidate buffer, no sort.
-type topList []TopInterval
-
-// add offers one candidate; k must be at least 1 and the same on every
-// call.
-func (l *topList) add(ti TopInterval, k int) {
-	n := len(*l)
-	if n == k && topCmp(ti, (*l)[n-1]) >= 0 {
-		return
-	}
-	at, dup := slices.BinarySearchFunc(*l, ti, topCmp)
-	if dup {
-		return
-	}
-	if *l == nil {
-		*l = make(topList, 0, k)
-	}
-	if n == k {
-		*l = (*l)[:n-1]
-	}
-	*l = slices.Insert(*l, at, ti)
-}
-
-// addAll offers every entry of tis: merging the top-k lists of subsets
-// loses nothing, since an entry outside a subset's top-k is outside the
-// whole set's.
-func (l *topList) addAll(tis []TopInterval, k int) {
-	for _, ti := range tis {
-		l.add(ti, k)
-	}
-}
-
 // PyramidCell is one time cell's summary. Zero value = empty cell.
 type PyramidCell struct {
-	Records int64
 	MaxConc int
-	ByType  []TypeBusy    // strictly ascending Type
-	ByLane  []LaneBusy    // strictly ascending (Node, CPU)
-	Top     []TopInterval // topLess order, distinct tuples
-}
-
-func (c *PyramidCell) empty() bool {
-	return c.Records == 0 && c.MaxConc == 0 && len(c.ByType) == 0 && len(c.ByLane) == 0 && len(c.Top) == 0
+	ByType  []TypeBusy // strictly ascending Type
+	ByLane  []LaneBusy // strictly ascending (Node, CPU)
 }
 
 // PyramidLevel holds the cells of one resolution level. Cell i (an
@@ -210,7 +127,6 @@ type PyramidSig struct {
 // the finest (BaseWidth); each next level doubles the cell width.
 type Pyramid struct {
 	BaseWidth clock.Time
-	TopK      int
 	Sig       PyramidSig
 	Levels    []PyramidLevel
 }
@@ -258,7 +174,6 @@ func (p *Pyramid) Encode() []byte {
 	buf = appendU32(buf, 0) // flags
 	buf = appendU64(buf, uint64(p.BaseWidth))
 	buf = appendU32(buf, uint32(len(p.Levels)))
-	buf = appendU32(buf, uint32(p.TopK))
 	buf = appendU64(buf, p.Sig.Records)
 	buf = appendU64(buf, p.Sig.Frames)
 	buf = appendU64(buf, uint64(p.Sig.Start))
@@ -290,14 +205,13 @@ func (p *Pyramid) encodedSizeHint() int {
 	for li := range p.Levels {
 		for ci := range p.Levels[li].Cells {
 			c := &p.Levels[li].Cells[ci]
-			n += 8 + 5*len(c.ByType) + 5*len(c.ByLane) + 14*len(c.Top)
+			n += 4 + 5*len(c.ByType) + 5*len(c.ByLane)
 		}
 	}
 	return n
 }
 
 func appendCell(dst []byte, c *PyramidCell) []byte {
-	dst = binary.AppendUvarint(dst, uint64(c.Records))
 	dst = binary.AppendUvarint(dst, uint64(c.MaxConc))
 	dst = binary.AppendUvarint(dst, uint64(len(c.ByType)))
 	prevT := uint64(0)
@@ -325,15 +239,6 @@ func appendCell(dst []byte, c *PyramidCell) []byte {
 		prevL = v
 		dst = binary.AppendUvarint(dst, uint64(lb.Busy))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(c.Top)))
-	for _, ti := range c.Top {
-		dst = binary.AppendVarint(dst, int64(ti.Start))
-		dst = binary.AppendUvarint(dst, uint64(ti.Dura))
-		dst = binary.AppendUvarint(dst, uint64(ti.Type))
-		dst = binary.AppendUvarint(dst, uint64(ti.Node))
-		dst = binary.AppendUvarint(dst, uint64(ti.CPU))
-		dst = binary.AppendUvarint(dst, uint64(ti.Thread))
-	}
 	return dst
 }
 
@@ -351,41 +256,23 @@ func (c *pyrCursor) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (c *pyrCursor) varint() (int64, error) {
-	v, n := binary.Varint(c.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("interval: pyramid cell stream: bad varint")
-	}
-	c.buf = c.buf[n:]
-	return v, nil
-}
-
-// count reads a length prefix and bounds it by the remaining bytes at
-// minimum min bytes per element, so corrupt counts cannot trigger huge
-// allocations.
-func (c *pyrCursor) count(min int) (int, error) {
+// count reads a length prefix and bounds it by the remaining bytes — an
+// entry, a key and a busy time, takes at least 2 — so corrupt counts
+// cannot trigger huge allocations.
+func (c *pyrCursor) count() (int, error) {
 	v, err := c.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(len(c.buf)/min) {
+	if v > uint64(len(c.buf)/2) {
 		return 0, fmt.Errorf("interval: pyramid cell stream: count %d exceeds remaining bytes", v)
 	}
 	return int(v), nil
 }
 
-// decodeCell decodes and validates one cell. cellLo/cellHi bound the
-// cell in time: top entries must genuinely overlap the cell, so a
-// damaged pyramid cannot invent intervals outside its own geometry.
-func (c *pyrCursor) decodeCell(out *PyramidCell, topK int, cellLo, cellHi clock.Time) error {
-	recs, err := c.uvarint()
-	if err != nil {
-		return err
-	}
-	if recs > uint64(1)<<62 {
-		return fmt.Errorf("interval: pyramid cell claims %d records", recs)
-	}
-	out.Records = int64(recs)
+// decodeCell decodes and validates one cell: entries strictly ascending
+// and every busy time positive, as the encoder writes them.
+func (c *pyrCursor) decodeCell(out *PyramidCell) error {
 	mc, err := c.uvarint()
 	if err != nil {
 		return err
@@ -394,7 +281,7 @@ func (c *pyrCursor) decodeCell(out *PyramidCell, topK int, cellLo, cellHi clock.
 		return fmt.Errorf("interval: pyramid cell claims concurrency %d", mc)
 	}
 	out.MaxConc = int(mc)
-	nt, err := c.count(2)
+	nt, err := c.count()
 	if err != nil {
 		return err
 	}
@@ -424,7 +311,7 @@ func (c *pyrCursor) decodeCell(out *PyramidCell, topK int, cellLo, cellHi clock.
 		}
 		out.ByType = append(out.ByType, TypeBusy{Type: events.Type(v), Busy: clock.Time(busy)})
 	}
-	nl, err := c.count(2)
+	nl, err := c.count()
 	if err != nil {
 		return err
 	}
@@ -457,57 +344,6 @@ func (c *pyrCursor) decodeCell(out *PyramidCell, topK int, cellLo, cellHi clock.
 			Busy: clock.Time(busy),
 		})
 	}
-	ntop, err := c.count(6)
-	if err != nil {
-		return err
-	}
-	if ntop > topK {
-		return fmt.Errorf("interval: pyramid cell stores %d top entries, limit %d", ntop, topK)
-	}
-	if ntop > 0 {
-		out.Top = make([]TopInterval, 0, ntop)
-	}
-	for i := 0; i < ntop; i++ {
-		s, err := c.varint()
-		if err != nil {
-			return err
-		}
-		dura, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		typ, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		node, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		cpu, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		thr, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		if dura == 0 || dura > uint64(1)<<62 || typ > uint64(^uint16(0)) ||
-			node > uint64(^uint16(0)) || cpu > uint64(^uint16(0)) || thr > uint64(^uint16(0)) {
-			return fmt.Errorf("interval: pyramid top entry out of range")
-		}
-		ti := TopInterval{
-			Start: clock.Time(s), Dura: clock.Time(dura),
-			Type: events.Type(typ), Node: uint16(node), CPU: uint16(cpu), Thread: uint16(thr),
-		}
-		if ti.Start >= cellHi || ti.Start+ti.Dura <= cellLo || ti.Start > ti.Start+ti.Dura {
-			return fmt.Errorf("interval: pyramid top entry does not overlap its cell")
-		}
-		if i > 0 && topCmp(out.Top[i-1], ti) >= 0 {
-			return fmt.Errorf("interval: pyramid top entries out of order")
-		}
-		out.Top = append(out.Top, ti)
-	}
 	return nil
 }
 
@@ -515,7 +351,8 @@ func (c *pyrCursor) decodeCell(out *PyramidCell, topK int, cellLo, cellHi clock.
 // and payload is bounds-checked and CRC-verified before use — like the
 // frame directory, the decoder trusts nothing it has not verified, so
 // arbitrary bytes can never panic it or yield cells the encoder could
-// not have produced.
+// not have produced. Only PyramidVersion is accepted: an older sidecar
+// fails like any other damaged one, and a rebuild replaces it.
 func DecodePyramid(data []byte) (*Pyramid, error) {
 	if len(data) < pyrHeaderSize {
 		return nil, fmt.Errorf("interval: pyramid sidecar too short (%d bytes)", len(data))
@@ -529,24 +366,18 @@ func DecodePyramid(data []byte) (*Pyramid, error) {
 	if got, want := crc32.Checksum(data[8:pyrHeaderSize-4], crcTable), binary.LittleEndian.Uint32(data[pyrHeaderSize-4:]); got != want {
 		return nil, fmt.Errorf("interval: pyramid header fails checksum")
 	}
-	p := &Pyramid{
-		BaseWidth: clock.Time(binary.LittleEndian.Uint64(data[16:])),
-		TopK:      int(binary.LittleEndian.Uint32(data[28:])),
-	}
+	p := &Pyramid{BaseWidth: clock.Time(binary.LittleEndian.Uint64(data[16:]))}
 	nLevels := int(binary.LittleEndian.Uint32(data[24:]))
-	p.Sig.Records = binary.LittleEndian.Uint64(data[32:])
-	p.Sig.Frames = binary.LittleEndian.Uint64(data[40:])
-	p.Sig.Start = clock.Time(binary.LittleEndian.Uint64(data[48:]))
-	p.Sig.End = clock.Time(binary.LittleEndian.Uint64(data[56:]))
-	p.Sig.DirSum = binary.LittleEndian.Uint32(data[64:])
+	p.Sig.Records = binary.LittleEndian.Uint64(data[28:])
+	p.Sig.Frames = binary.LittleEndian.Uint64(data[36:])
+	p.Sig.Start = clock.Time(binary.LittleEndian.Uint64(data[44:]))
+	p.Sig.End = clock.Time(binary.LittleEndian.Uint64(data[52:]))
+	p.Sig.DirSum = binary.LittleEndian.Uint32(data[60:])
 	if p.BaseWidth <= 0 || bits.OnesCount64(uint64(p.BaseWidth)) != 1 {
 		return nil, fmt.Errorf("interval: pyramid base width %d is not a positive power of two", p.BaseWidth)
 	}
 	if nLevels > pyrMaxLevels || int64(nLevels)+int64(bits.TrailingZeros64(uint64(p.BaseWidth))) > 62 {
 		return nil, fmt.Errorf("interval: pyramid claims %d levels over base width %d", nLevels, p.BaseWidth)
-	}
-	if p.TopK < 0 || p.TopK > pyrMaxTopK {
-		return nil, fmt.Errorf("interval: pyramid top-k %d out of range", p.TopK)
 	}
 	off := pyrHeaderSize
 	if nLevels > 0 {
@@ -564,9 +395,9 @@ func DecodePyramid(data []byte) (*Pyramid, error) {
 		if int64(payLen) > int64(len(data)-off) {
 			return nil, fmt.Errorf("interval: pyramid level %d claims %d payload bytes beyond sidecar size", li, payLen)
 		}
-		// Every cell takes at least 5 bytes, so the count is bounded by
+		// Every cell takes at least 3 bytes, so the count is bounded by
 		// the payload length before any allocation happens.
-		if count > payLen/5+1 || (count > 0 && payLen == 0) {
+		if count > payLen/3+1 || (count > 0 && payLen == 0) {
 			return nil, fmt.Errorf("interval: pyramid level %d claims %d cells in %d bytes", li, count, payLen)
 		}
 		width := p.BaseWidth << uint(li)
@@ -581,9 +412,8 @@ func DecodePyramid(data []byte) (*Pyramid, error) {
 		}
 		lvl := PyramidLevel{Width: width, First: first, Cells: make([]PyramidCell, count)}
 		cur := pyrCursor{buf: pay}
-		for ci := int64(0); ci < int64(count); ci++ {
-			lo := (first + ci) * int64(width)
-			if err := cur.decodeCell(&lvl.Cells[ci], p.TopK, clock.Time(lo), clock.Time(lo)+width); err != nil {
+		for ci := range lvl.Cells {
+			if err := cur.decodeCell(&lvl.Cells[ci]); err != nil {
 				return nil, fmt.Errorf("interval: pyramid level %d cell %d: %w", li, ci, err)
 			}
 		}

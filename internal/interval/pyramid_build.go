@@ -1,18 +1,17 @@
 package interval
 
 // Pyramid construction: one pass over the file's frames, as batches,
-// accumulates the base level (busy histograms, start counts, top-k
-// candidates, and the endpoints of a global concurrency sweep), and every
-// higher level folds pairs of children. All accumulation is integer
-// nanoseconds, so the result is a pure function of the record set — the
-// property the differential suite and utecheck's cell recomputation rely
-// on. The pass reads each batch's columns in place and keeps nothing of
-// a batch but values (endpoints, TopInterval tuples), so it holds to
-// MapFrames' batch-lifetime contract with no copies.
+// accumulates the base level (busy histograms and the endpoints of a
+// global concurrency sweep), and every higher level folds pairs of
+// children. All accumulation is integer nanoseconds, so the result is a
+// pure function of the record set — the property the differential suite
+// and utecheck's cell recomputation rely on. The pass reads each batch's
+// columns in place and keeps nothing of a batch but values (interval
+// endpoints), so it holds to MapFrames' batch-lifetime contract with no
+// copies.
 
 import (
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -29,16 +28,11 @@ type PyramidOptions struct {
 	// is the smallest power of two covering the run in at most
 	// BaseCells cells. <= 0 means 4096.
 	BaseCells int
-	// TopK is the per-cell top-interval list length. <= 0 means 8;
-	// capped at pyrMaxTopK.
-	TopK int
-	// Context, when non-nil, aborts the build between frames.
-	Context context.Context
 }
 
 // busyType reports whether a record type counts as a busy interval for
-// lane time, concurrency, and top-k: everything except the synthetic
-// Running background state and clock records.
+// lane time and concurrency: everything except the synthetic Running
+// background state and clock records.
 func busyType(t events.Type) bool {
 	return t != events.EvRunning && t != events.EvGlobalClock
 }
@@ -48,10 +42,8 @@ func busyType(t events.Type) bool {
 // linearly; lanes can run to hundreds per cell on a wide machine, where a
 // dense row per cell would dwarf the trace, so byLane stays a map.
 type pyrAcc struct {
-	records int64
-	byType  []TypeBusy
-	byLane  map[uint32]clock.Time
-	top     topList
+	byType []TypeBusy
+	byLane map[uint32]clock.Time
 }
 
 func (a *pyrAcc) addType(t events.Type, ov clock.Time) {
@@ -66,7 +58,7 @@ func (a *pyrAcc) addType(t events.Type, ov clock.Time) {
 
 // seal converts accumulation state into the canonical cell form.
 func (a *pyrAcc) seal(maxConc int) PyramidCell {
-	c := PyramidCell{Records: a.records, MaxConc: maxConc, ByType: a.byType, Top: a.top}
+	c := PyramidCell{MaxConc: maxConc, ByType: a.byType}
 	slices.SortFunc(c.ByType, func(x, y TypeBusy) int { return cmp.Compare(x.Type, y.Type) })
 	if len(a.byLane) > 0 {
 		c.ByLane = make([]LaneBusy, 0, len(a.byLane))
@@ -98,13 +90,6 @@ func NewPyramidBuilder(f *File, opts PyramidOptions) (*PyramidBuilder, error) {
 	if baseCells <= 0 {
 		baseCells = 4096
 	}
-	topK := opts.TopK
-	if topK <= 0 {
-		topK = 8
-	}
-	if topK > pyrMaxTopK {
-		topK = pyrMaxTopK
-	}
 	sig, err := f.Signature()
 	if err != nil {
 		return nil, err
@@ -113,7 +98,7 @@ func NewPyramidBuilder(f *File, opts PyramidOptions) (*PyramidBuilder, error) {
 	if err != nil {
 		return nil, err
 	}
-	pb := &PyramidBuilder{p: &Pyramid{BaseWidth: 1, TopK: topK, Sig: sig}}
+	pb := &PyramidBuilder{p: &Pyramid{BaseWidth: 1, Sig: sig}}
 	if nrec == 0 {
 		return pb, nil
 	}
@@ -143,22 +128,15 @@ func NewPyramidBuilder(f *File, opts PyramidOptions) (*PyramidBuilder, error) {
 // keeps nothing of it but values, so the batch may be recycled as soon
 // as Add returns.
 func (pb *PyramidBuilder) Add(b *Batch) {
-	w, topK := pb.p.BaseWidth, pb.p.TopK
+	w := pb.p.BaseWidth
 	firstCell, count := pb.firstCell, int64(len(pb.accs))
 	lastCell := firstCell + count - 1
 	for i := 0; i < b.N; i++ {
 		dura := b.Dura[i]
-		if dura < 0 {
-			// A negative duration cannot come from the writer; skip the
-			// record entirely, exactly as every clipped consumer does.
-			continue
-		}
 		s, e := b.Start[i], b.Start[i]+dura
-		lo := floorDivTime(s, w)
-		if ci := lo - firstCell; ci >= 0 && ci < count {
-			pb.accs[ci].records++
-		}
-		if e <= s {
+		// A negative duration cannot come from the writer; such a record
+		// is skipped, exactly as every clipped consumer skips it.
+		if dura < 0 || e <= s {
 			continue
 		}
 		typ := b.Type[i]
@@ -167,8 +145,7 @@ func (pb *PyramidBuilder) Add(b *Batch) {
 			pb.starts, pb.ends = append(pb.starts, s), append(pb.ends, e)
 		}
 		lane := Lane{Node: b.Node[i], CPU: b.CPU[i]}.key()
-		ti := TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[i], CPU: b.CPU[i], Thread: b.Thread[i]}
-		hi := floorDivTime(e-1, w)
+		lo, hi := floorDivTime(s, w), floorDivTime(e-1, w)
 		for ci := max(lo, firstCell); ci <= min(hi, lastCell); ci++ {
 			a := &pb.accs[ci-firstCell]
 			cLo := clock.Time(ci) * w
@@ -179,7 +156,6 @@ func (pb *PyramidBuilder) Add(b *Batch) {
 					a.byLane = map[uint32]clock.Time{}
 				}
 				a.byLane[lane] += ov
-				a.top.add(ti, topK)
 			}
 		}
 	}
@@ -207,8 +183,15 @@ func (pb *PyramidBuilder) Pyramid() *Pyramid {
 		base.Cells[i] = pb.accs[i].seal(peaks[i])
 	}
 	p.Levels = []PyramidLevel{base}
-	for len(p.Levels[len(p.Levels)-1].Cells) > 1 && len(p.Levels) < pyrMaxLevels {
-		p.Levels = append(p.Levels, foldLevel(&p.Levels[len(p.Levels)-1], p.TopK))
+	for len(p.Levels) < pyrMaxLevels {
+		top := &p.Levels[len(p.Levels)-1]
+		// One cell is the root. The two cells either side of time zero are
+		// a root too: on a grid anchored at zero no cell holds both, so
+		// folding them would only repeat them at twice the width.
+		if len(top.Cells) == 1 || top.First == -1 && len(top.Cells) == 2 {
+			break
+		}
+		p.Levels = append(p.Levels, foldLevel(top))
 	}
 	return p
 }
@@ -222,7 +205,7 @@ func BuildPyramid(f *File, opts PyramidOptions) (*Pyramid, error) {
 		return nil, err
 	}
 	// One worker: the accumulation is the work, and it is sequential.
-	err = MapFrames([]*File{f}, MapOptions{Parallel: 1, Context: opts.Context},
+	err = MapFrames([]*File{f}, MapOptions{Parallel: 1},
 		func(_ int, fr *Frame) (*Batch, error) { return fr.Batch() },
 		func(_ int, _ FrameEntry, b *Batch) error {
 			pb.Add(b)
@@ -235,10 +218,9 @@ func BuildPyramid(f *File, opts PyramidOptions) (*Pyramid, error) {
 }
 
 // foldLevel builds the next-coarser level: parent cell i merges
-// children 2i and 2i+1 (absolute indices). Sums stay sums, the peak is
-// the max of the children's peaks, and the distinct top-k merge is
-// exact because a parent's top interval overlaps one of its children.
-func foldLevel(child *PyramidLevel, topK int) PyramidLevel {
+// children 2i and 2i+1 (absolute indices). Sums stay sums and the peak
+// is the max of the children's peaks.
+func foldLevel(child *PyramidLevel) PyramidLevel {
 	// Arithmetic shift is floor division, so negative indices pair up
 	// correctly too.
 	pf := child.First >> 1
@@ -246,14 +228,12 @@ func foldLevel(child *PyramidLevel, topK int) PyramidLevel {
 	out := PyramidLevel{Width: child.Width * 2, First: pf, Cells: make([]PyramidCell, pl-pf+1)}
 	for i := range out.Cells {
 		pi := pf + int64(i)
-		a := child.Cell(2 * pi)
-		b := child.Cell(2*pi + 1)
-		out.Cells[i] = mergeCells(a, b, topK)
+		out.Cells[i] = mergeCells(child.Cell(2*pi), child.Cell(2*pi+1))
 	}
 	return out
 }
 
-func mergeCells(a, b *PyramidCell, topK int) PyramidCell {
+func mergeCells(a, b *PyramidCell) PyramidCell {
 	if a == nil && b == nil {
 		return PyramidCell{}
 	}
@@ -263,21 +243,17 @@ func mergeCells(a, b *PyramidCell, topK int) PyramidCell {
 	if a == nil {
 		return copyCell(b)
 	}
-	c := PyramidCell{Records: a.Records + b.Records, MaxConc: max(a.MaxConc, b.MaxConc)}
-	c.ByType = mergeTypeBusy(a.ByType, b.ByType)
-	c.ByLane = mergeLaneBusy(a.ByLane, b.ByLane)
-	var top topList
-	top.addAll(a.Top, topK)
-	top.addAll(b.Top, topK)
-	c.Top = top
-	return c
+	return PyramidCell{
+		MaxConc: max(a.MaxConc, b.MaxConc),
+		ByType:  mergeTypeBusy(a.ByType, b.ByType),
+		ByLane:  mergeLaneBusy(a.ByLane, b.ByLane),
+	}
 }
 
 func copyCell(a *PyramidCell) PyramidCell {
 	c := *a
 	c.ByType = append([]TypeBusy(nil), a.ByType...)
 	c.ByLane = append([]LaneBusy(nil), a.ByLane...)
-	c.Top = append([]TopInterval(nil), a.Top...)
 	return c
 }
 

@@ -1,7 +1,9 @@
 // The pyramid build's bytes, pinned: the SHA-256 of Pyramid.Encode() for
-// the traces the SLOG hash pins use (internal/slog), recorded from the
-// record-at-a-time build (Scan + per-cell maps + sort.Slice sweep) that
-// the batch-column build replaced. External test package so the fixtures
+// the traces the SLOG hash pins use (internal/slog). The cells were first
+// pinned from the record-at-a-time build (Scan + per-cell maps +
+// sort.Slice sweep) that the batch-column build replaced; the version-2
+// pins are that build's cells written without the top-k lists and start
+// counts version 1 also stored. External test package so the fixtures
 // come out of the real pipeline.
 package interval_test
 
@@ -30,20 +32,20 @@ func TestPyramidBuildHashPinned(t *testing.T) {
 		pins  []pin
 	}{
 		{"phased", narrow, testutil.PhasedWork, []pin{
-			{interval.PyramidOptions{}, 342629, "0f31b9223b1219348bdfddd9e35b5482d3dd77ebfd50025a66f7c777f9dcda64"},
-			{interval.PyramidOptions{BaseCells: 64, TopK: 3}, 7629, "f3c89c5e42a069462182b8e4118747b9f0fc3b4f7cd16f30dbef9c13580c0e30"},
+			{interval.PyramidOptions{}, 134626, "f11f5ab2802f4f723a3b5587d53b2787371e84986ecaafc1bb064a8207bca61d"},
+			{interval.PyramidOptions{BaseCells: 64}, 3329, "0dcc81ca860385d14d67e774618494b62d494069e6ddbfce5c63a6e9a7c5d9c8"},
 		}},
 		{"waitall", narrow, testutil.WaitallWork, []pin{
-			{interval.PyramidOptions{}, 77036, "55d4f1402c56ceb4eafc7c308f6983c7b331f5c42c8efd50621b40639ef92142"},
-			{interval.PyramidOptions{BaseCells: 64, TopK: 3}, 4426, "de3e9cb48e355ab99277e14268f8d717f2fffb5cb7343abf907431bc52300dd3"},
+			{interval.PyramidOptions{}, 51413, "5f9833a64833c7a59dd67276b37ba375254ea16fd200d8ade6bd07d872d5f734"},
+			{interval.PyramidOptions{BaseCells: 64}, 2181, "c880ac579b64750fdcd77882d7ff8c39796270d33ffbb7c77bd49f2e9a93c077"},
 		}},
 		{"nested", narrow, testutil.NestedWork(40), []pin{
-			{interval.PyramidOptions{}, 166115, "7774e41dd1b5582a2b1077f052824bd4c9266717c5cdcf2ae0fbbc5a78409029"},
-			{interval.PyramidOptions{BaseCells: 64, TopK: 3}, 5797, "e844d8de62b26277b8fb4419647f4bd7ecb160cd14e67ec8e6f9e406d12682d3"},
+			{interval.PyramidOptions{}, 66590, "0b13ad8209f10c6455fff6b3aa8e47731dc265e62536928ede846ff2e8af63df"},
+			{interval.PyramidOptions{BaseCells: 64}, 2520, "05df28a1ab41f94c197f90471829beff54276444b0d0f1b7b6c89ba05624be28"},
 		}},
 		{"wide", testutil.WideShape, testutil.NestedWork(6), []pin{
-			{interval.PyramidOptions{}, 1590928, "149bca6e753c6c4b94456b83b8d8841d5fb5cf2be0562e7814af084790efe327"},
-			{interval.PyramidOptions{BaseCells: 64, TopK: 3}, 30502, "5f77f49b48a3590271277f4c2006af1fe1fa1a64eb214108a73ea5e9fb65fa3c"},
+			{interval.PyramidOptions{}, 1091936, "9dbeb6882e620e2c484d2b7ab82a74804e486b0cd9dc91d2f41827fb6d6b4ae5"},
+			{interval.PyramidOptions{BaseCells: 64}, 26744, "ac2f72e1e9cced74bcca4d62ef3e2f4b1903916afaedf47f099589429e466b77"},
 		}},
 	} {
 		mf, _ := testutil.Pipeline(t, tc.shape, merge.Options{}, tc.work)
@@ -55,8 +57,8 @@ func TestPyramidBuildHashPinned(t *testing.T) {
 			data := p.Encode()
 			sum := sha256.Sum256(data)
 			if got := hex.EncodeToString(sum[:]); len(data) != pn.size || got != pn.sha {
-				t.Errorf("%s pyramid (base cells %d, top-k %d): %d bytes, sha256 %s; pinned %d bytes, sha256 %s",
-					tc.name, pn.opts.BaseCells, pn.opts.TopK, len(data), got, pn.size, pn.sha)
+				t.Errorf("%s pyramid (base cells %d): %d bytes, sha256 %s; pinned %d bytes, sha256 %s",
+					tc.name, pn.opts.BaseCells, len(data), got, pn.size, pn.sha)
 			}
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // writePyrFile is writeRandomFile with a type mix that exercises every
 // pyramid code path: busy MPI/IO states, the non-busy Running background
 // and GlobalClock records, markers, zero-duration records, and exact
-// duplicate tuples (the distinct-top-k dedup case).
+// duplicate tuples.
 func writePyrFile(t *testing.T, seed uint64, n int, hdrVersion uint32) (*SeekBuffer, []Record) {
 	t.Helper()
 	rng := xrand.New(seed)
@@ -146,9 +146,6 @@ func assertSummariesEqual(t *testing.T, label string, pyr, scan *WindowSummary) 
 	if !reflect.DeepEqual(p.Lanes, s.Lanes) {
 		t.Errorf("%s: lanes differ: pyramid %v scan %v", label, p.Lanes, s.Lanes)
 	}
-	if !reflect.DeepEqual(p.Top, s.Top) {
-		t.Errorf("%s: top differs:\n  pyramid %v\n  scan    %v", label, p.Top, s.Top)
-	}
 	t.Fatalf("%s: pyramid and scan summaries differ", label)
 }
 
@@ -156,7 +153,7 @@ func TestPyramidEncodeDecodeRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 50, 1200} {
 		sb, _ := writePyrFile(t, uint64(n)+3, n, CurrentHeaderVersion)
 		f := openFile(t, sb)
-		p, err := BuildPyramid(f, PyramidOptions{BaseCells: 64, TopK: 4})
+		p, err := BuildPyramid(f, PyramidOptions{BaseCells: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +170,7 @@ func TestPyramidEncodeDecodeRoundTrip(t *testing.T) {
 func TestPyramidLevelGeometry(t *testing.T) {
 	sb, _ := writePyrFile(t, 11, 2000, CurrentHeaderVersion)
 	f := openFile(t, sb)
-	p, err := BuildPyramid(f, PyramidOptions{BaseCells: 256, TopK: 8})
+	p, err := BuildPyramid(f, PyramidOptions{BaseCells: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +193,35 @@ func TestPyramidLevelGeometry(t *testing.T) {
 	}
 }
 
+// TestPyramidStraddlesTimeZero: a converted trace can start before time
+// zero. Its levels fold down to the two cells either side of zero, which
+// no cell of a grid anchored there holds, and its sidecar loads and
+// answers like any other.
+func TestPyramidStraddlesTimeZero(t *testing.T) {
+	_, recs := writePyrFile(t, 19, 1200, CurrentHeaderVersion)
+	for i := range recs {
+		recs[i].Start -= 50 * clock.Millisecond
+	}
+	f, bare := openPair(t, writePyrRecords(t, recs, CurrentHeaderVersion), PyramidOptions{BaseCells: 64})
+	p := f.Pyramid()
+	top := p.Levels[len(p.Levels)-1]
+	if top.First != -1 || len(top.Cells) != 2 {
+		t.Fatalf("top level holds cells [%d .. %d), want the two either side of zero", top.First, top.First+int64(len(top.Cells)))
+	}
+	first, last, _, err := f.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []WindowSummaryOptions{
+		{Bins: 1, Lo: first, Hi: last},
+		{Bins: 7, Lo: first + 3, Hi: last - 5},
+		{Bins: 2, Lo: -top.Width, Hi: top.Width},
+	} {
+		label := fmt.Sprintf("[%v, %v)/%d", o.Lo, o.Hi, o.Bins)
+		assertSummariesEqual(t, label, summarize(t, label, f, o, "pyramid"), summarize(t, label, bare, o, "scan"))
+	}
+}
+
 // TestSummarizeDifferential is the byte-identity suite: the pyramid
 // engine must answer exactly what the scan engine answers, for every
 // header version (v1-v4 pyramids are backfilled by a scan build), over
@@ -207,7 +233,7 @@ func TestSummarizeDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("v%d", hv), func(t *testing.T) {
 			for _, seed := range []uint64{1, 7, 42} {
 				sb, _ := writePyrFile(t, seed, 1500, hv)
-				f, bare := openPair(t, sb, PyramidOptions{BaseCells: 128, TopK: 8})
+				f, bare := openPair(t, sb, PyramidOptions{BaseCells: 128})
 				first, last, _, err := f.Stats()
 				if err != nil {
 					t.Fatal(err)
@@ -228,7 +254,7 @@ func TestSummarizeDifferential(t *testing.T) {
 				for _, win := range windows {
 					for _, bins := range []int{1, 3, 7, 64, 250} {
 						label := fmt.Sprintf("v%d/seed%d/%s/bins%d", hv, seed, win.name, bins)
-						o := WindowSummaryOptions{Bins: bins, Lo: win.lo, Hi: win.hi, TopK: 5}
+						o := WindowSummaryOptions{Bins: bins, Lo: win.lo, Hi: win.hi}
 						scan := summarize(t, label, bare, o, "scan")
 						assertSummariesEqual(t, label, summarize(t, label, f, o, "pyramid"), scan)
 						// The scan is the same summary at any width.
@@ -247,7 +273,7 @@ func TestSummarizeDifferential(t *testing.T) {
 // answers byte-identically.
 func TestSummarizeAlignedDecodesNoFrames(t *testing.T) {
 	sb, _ := writePyrFile(t, 5, 2500, CurrentHeaderVersion)
-	f, bare := openPair(t, sb, PyramidOptions{BaseCells: 128, TopK: 8})
+	f, bare := openPair(t, sb, PyramidOptions{BaseCells: 128})
 	p := f.Pyramid()
 	first, last, _, err := f.Stats()
 	if err != nil {
@@ -258,7 +284,7 @@ func TestSummarizeAlignedDecodesNoFrames(t *testing.T) {
 		lo := clock.Time(floorDivTime(first, w)) * w
 		per := (clock.Time(floorDivTime(last, w))*w + w - lo) / (clock.Time(bins) * w)
 		hi := lo + clock.Time(bins)*w*(per+1)
-		o := WindowSummaryOptions{Bins: bins, Lo: lo, Hi: hi, TopK: 3}
+		o := WindowSummaryOptions{Bins: bins, Lo: lo, Hi: hi}
 		scan := summarize(t, "aligned", bare, o, "scan")
 		pyr := summarize(t, "aligned", f, o, "pyramid")
 		if pyr.FramesDecoded != 0 {
@@ -324,8 +350,8 @@ func remainderFrames(t *testing.T, f *File, rems [][2]clock.Time) int {
 // record to the remainders it overlaps: bins narrower than the base
 // width (every bin all remainders), outer states spanning hundreds of
 // remainders, zero-duration records exactly on remainder bounds, windows
-// clipping records at Lo and Hi, a top-k that one long record enters
-// from many remainders, and all of it again through a frame-decode hook.
+// clipping records at Lo and Hi, and all of it again through a
+// frame-decode hook.
 // Every case must match the scan and decode exactly the frames that
 // overlap a remainder.
 func TestSummarizeRemainderRouting(t *testing.T) {
@@ -341,7 +367,7 @@ func TestSummarizeRemainderRouting(t *testing.T) {
 				Extra: []uint64{1, 2, 3, 0, 0, 0},
 			})
 		}
-		opts := PyramidOptions{BaseCells: 64, TopK: 8}
+		opts := PyramidOptions{BaseCells: 64}
 		probe, _ := openPair(t, writePyrRecords(t, recs, hv), opts)
 		p := probe.Pyramid()
 		first, last, _, err := probe.Stats()
@@ -353,11 +379,11 @@ func TestSummarizeRemainderRouting(t *testing.T) {
 			name string
 			o    WindowSummaryOptions
 		}{
-			{"sub-base", WindowSummaryOptions{Bins: int(4*span/w) + 3, Lo: first, Hi: last, TopK: 8}},
-			{"hundreds", WindowSummaryOptions{Bins: 300, Lo: first, Hi: last, TopK: 8}},
-			{"mixed", WindowSummaryOptions{Bins: 13, Lo: first + 7, Hi: last - 11, TopK: 8}},
-			{"clipped", WindowSummaryOptions{Bins: 50, Lo: first + span/3 + 7, Hi: first + 2*span/3 - 11, TopK: 8}},
-			{"clipped-sub-base", WindowSummaryOptions{Bins: 64, Lo: first + span/2 + 3, Hi: first + span/2 + 3*w - 5, TopK: 3}},
+			{"sub-base", WindowSummaryOptions{Bins: int(4*span/w) + 3, Lo: first, Hi: last}},
+			{"hundreds", WindowSummaryOptions{Bins: 300, Lo: first, Hi: last}},
+			{"mixed", WindowSummaryOptions{Bins: 13, Lo: first + 7, Hi: last - 11}},
+			{"clipped", WindowSummaryOptions{Bins: 50, Lo: first + span/3 + 7, Hi: first + 2*span/3 - 11}},
+			{"clipped-sub-base", WindowSummaryOptions{Bins: 64, Lo: first + span/2 + 3, Hi: first + span/2 + 3*w - 5}},
 		}
 		// Zero-duration records exactly at every remainder bound of the
 		// mixed case, busy and not; the run's bounds, and so the
@@ -402,9 +428,6 @@ func TestSummarizeRemainderRouting(t *testing.T) {
 					if pyr.FramesDecoded != scan.FramesDecoded {
 						t.Fatalf("%s: remainders tile the window but decoded %d frames of the scan's %d", label, pyr.FramesDecoded, scan.FramesDecoded)
 					}
-					if pyr.Top[0].Dura < 95*clock.Millisecond {
-						t.Fatalf("%s: top-k misses the outer states: %v", label, pyr.Top)
-					}
 				}
 			}
 		}
@@ -420,7 +443,7 @@ func TestSummarizeRemainderRouting(t *testing.T) {
 
 func TestSummarizeDegenerateWindowFallsBack(t *testing.T) {
 	sb, _ := writePyrFile(t, 9, 400, CurrentHeaderVersion)
-	f, bare := openPair(t, sb, PyramidOptions{BaseCells: 32, TopK: 4})
+	f, bare := openPair(t, sb, PyramidOptions{BaseCells: 32})
 	first, last, _, err := f.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -436,10 +459,10 @@ func TestSummarizeDegenerateWindowFallsBack(t *testing.T) {
 		o      WindowSummaryOptions
 		engine string
 	}{
-		{"span<bins", WindowSummaryOptions{Bins: 50, Lo: first, Hi: first + 10, TopK: 2}, "scan"},
+		{"span<bins", WindowSummaryOptions{Bins: 50, Lo: first, Hi: first + 10}, "scan"},
 		{"zero-span", WindowSummaryOptions{Bins: 1, Lo: first + 5, Hi: first + 5}, "scan"},
-		{"zero-span-many-bins", WindowSummaryOptions{Bins: 7, Lo: first + 5, Hi: first + 5, TopK: 2}, "scan"},
-		{"beyond-run", WindowSummaryOptions{Bins: 4, Lo: last + 1000, Hi: last + 5000, TopK: 2}, "pyramid"},
+		{"zero-span-many-bins", WindowSummaryOptions{Bins: 7, Lo: first + 5, Hi: first + 5}, "scan"},
+		{"beyond-run", WindowSummaryOptions{Bins: 4, Lo: last + 1000, Hi: last + 5000}, "pyramid"},
 	} {
 		got := summarize(t, tc.name, f, tc.o, tc.engine)
 		if len(got.Bins) != tc.o.Bins {
@@ -449,7 +472,7 @@ func TestSummarizeDegenerateWindowFallsBack(t *testing.T) {
 	}
 	beyond := summarize(t, "beyond-run", bare, WindowSummaryOptions{Bins: 4, Lo: last + 1000, Hi: last + 5000}, "scan")
 	for i, b := range beyond.Bins {
-		if b.Records != 0 || b.PeakConc != 0 || b.BusyByType != nil || b.BusyByLane != nil {
+		if b.PeakConc != 0 || b.BusyByType != nil || b.BusyByLane != nil {
 			t.Fatalf("beyond-run bin %d is not empty: %+v", i, b)
 		}
 	}
@@ -457,7 +480,7 @@ func TestSummarizeDegenerateWindowFallsBack(t *testing.T) {
 
 func TestSummarizeValidation(t *testing.T) {
 	sb, _ := writePyrFile(t, 2, 300, CurrentHeaderVersion)
-	f, _ := openPair(t, sb, PyramidOptions{BaseCells: 16, TopK: 4})
+	f, _ := openPair(t, sb, PyramidOptions{BaseCells: 16})
 	for _, files := range [][]*File{{f}, {f, f}} {
 		if _, err := SummarizeWindow(files, WindowSummaryOptions{Bins: 0, Lo: 0, Hi: 10}); err == nil {
 			t.Fatal("accepted 0 bins")
@@ -465,14 +488,7 @@ func TestSummarizeValidation(t *testing.T) {
 		if _, err := SummarizeWindow(files, WindowSummaryOptions{Bins: 1, Lo: 10, Hi: 0}); err == nil {
 			t.Fatal("accepted inverted window")
 		}
-		if _, err := SummarizeWindow(files, WindowSummaryOptions{Bins: 1, Lo: 0, Hi: 10, TopK: -1}); err == nil {
-			t.Fatal("accepted negative top-k")
-		}
 	}
-	// A top-k the stored cells cannot answer is the scan's.
-	k := f.Pyramid().TopK
-	summarize(t, "stored k", f, WindowSummaryOptions{Bins: 1, Lo: 0, Hi: 1 << 20, TopK: k}, "pyramid")
-	summarize(t, "k+1", f, WindowSummaryOptions{Bins: 1, Lo: 0, Hi: 1 << 20, TopK: k + 1}, "scan")
 }
 
 // TestSummarizeFileList: the scan takes the file list MapFrames takes —
@@ -482,7 +498,7 @@ func TestSummarizeValidation(t *testing.T) {
 // every peak.
 func TestSummarizeFileList(t *testing.T) {
 	sb, _ := writePyrFile(t, 6, 900, CurrentHeaderVersion)
-	f, bare := openPair(t, sb, PyramidOptions{BaseCells: 64, TopK: 4})
+	f, bare := openPair(t, sb, PyramidOptions{BaseCells: 64})
 	first, last, _, err := f.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -502,7 +518,7 @@ func TestSummarizeFileList(t *testing.T) {
 			t.Fatalf("two files: lanes %v, one file %v", two.Lanes, one.Lanes)
 		}
 		for i, b := range one.Bins {
-			want := BinSummary{Start: b.Start, Records: 2 * b.Records, PeakConc: 2 * b.PeakConc}
+			want := BinSummary{Start: b.Start, PeakConc: 2 * b.PeakConc}
 			for ty, v := range b.BusyByType {
 				if want.BusyByType == nil {
 					want.BusyByType = map[events.Type]clock.Time{}
@@ -546,7 +562,7 @@ func writeTraceOnDisk(t *testing.T, dir string, seed uint64, n int, hv uint32) s
 func TestOpenAutoLoadsSidecar(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTraceOnDisk(t, dir, 4, 600, CurrentHeaderVersion)
-	if _, err := BuildPyramidSidecar(path, PyramidOptions{BaseCells: 64, TopK: 4}); err != nil {
+	if _, err := BuildPyramidSidecar(path, PyramidOptions{BaseCells: 64}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := Open(path)
@@ -570,7 +586,7 @@ func TestOpenAutoLoadsSidecar(t *testing.T) {
 func TestPyramidStaleSidecarIgnored(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTraceOnDisk(t, dir, 4, 600, CurrentHeaderVersion)
-	if _, err := BuildPyramidSidecar(path, PyramidOptions{BaseCells: 64, TopK: 4}); err != nil {
+	if _, err := BuildPyramidSidecar(path, PyramidOptions{BaseCells: 64}); err != nil {
 		t.Fatal(err)
 	}
 	// Rewrite the trace with different contents; the sidecar is now
@@ -601,7 +617,7 @@ func TestPyramidStaleSidecarIgnored(t *testing.T) {
 func TestPyramidSidecarFaults(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTraceOnDisk(t, dir, 21, 1000, CurrentHeaderVersion)
-	if _, err := BuildPyramidSidecar(path, PyramidOptions{BaseCells: 128, TopK: 4}); err != nil {
+	if _, err := BuildPyramidSidecar(path, PyramidOptions{BaseCells: 128}); err != nil {
 		t.Fatal(err)
 	}
 	pristine, err := os.ReadFile(PyramidPath(path))
@@ -654,7 +670,7 @@ func checkDamagedSidecar(t *testing.T, path string, sidecar []byte, label string
 	defer bare.Close()
 	span := last - first
 	for _, bins := range []int{1, 16} {
-		o := WindowSummaryOptions{Bins: bins, Lo: first + span/5, Hi: last - span/5, TopK: 3}
+		o := WindowSummaryOptions{Bins: bins, Lo: first + span/5, Hi: last - span/5}
 		got, err := SummarizeWindow([]*File{f}, o)
 		if err != nil {
 			t.Fatalf("%s: query failed: %v", label, err)
@@ -663,30 +679,49 @@ func checkDamagedSidecar(t *testing.T, path string, sidecar []byte, label string
 	}
 }
 
-// TestSummarizeScanMatchesDirect cross-checks the scan engine itself
+// TestSummarizeScanMatchesRecords cross-checks the scan engine itself
 // against a from-records reference on the raw record slice, so the
 // differential suite is anchored to something other than the code under
-// test.
-func TestSummarizeScanRecordCounts(t *testing.T) {
+// test: summed over the bins, busy time by type and by lane is each
+// record's overlap with the window.
+func TestSummarizeScanMatchesRecords(t *testing.T) {
 	sb, recs := writePyrFile(t, 13, 800, CurrentHeaderVersion)
 	f := openFile(t, sb)
 	first, last, _, err := f.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := summarize(t, "counts", f, WindowSummaryOptions{Bins: 9, Lo: first, Hi: last}, "scan")
-	var want int64
+	lo, hi := first+(last-first)/7, last-(last-first)/5
+	ws := summarize(t, "records", f, WindowSummaryOptions{Bins: 9, Lo: lo, Hi: hi}, "scan")
+	wantType, wantLane := map[events.Type]clock.Time{}, map[Lane]clock.Time{}
 	for i := range recs {
-		if s := recs[i].Start; s >= first && s < last {
-			want++
+		r := &recs[i]
+		ov := min(r.Start+r.Dura, hi) - max(r.Start, lo)
+		if r.Dura < 0 || ov <= 0 {
+			continue
+		}
+		wantType[r.Type] += ov
+		if busyType(r.Type) {
+			wantLane[Lane{Node: r.Node, CPU: r.CPU}] += ov
 		}
 	}
-	var got int64
+	gotType, gotLane := map[events.Type]clock.Time{}, map[Lane]clock.Time{}
 	for i := range ws.Bins {
-		got += ws.Bins[i].Records
+		for ty, v := range ws.Bins[i].BusyByType {
+			gotType[ty] += v
+		}
+		for l, v := range ws.Bins[i].BusyByLane {
+			gotLane[l] += v
+		}
 	}
-	if got != want {
-		t.Fatalf("scan counted %d records in window, raw records say %d", got, want)
+	if len(wantType) == 0 || len(wantLane) == 0 {
+		t.Fatal("window holds no busy time: the check is vacuous")
+	}
+	if !reflect.DeepEqual(gotType, wantType) {
+		t.Fatalf("busy by type:\n scan    %v\n records %v", gotType, wantType)
+	}
+	if !reflect.DeepEqual(gotLane, wantLane) {
+		t.Fatalf("busy by lane:\n scan    %v\n records %v", gotLane, wantLane)
 	}
 }
 

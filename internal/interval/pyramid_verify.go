@@ -10,45 +10,32 @@ package interval
 // down for arbitrary windows).
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 
 	"tracefw/internal/clock"
 )
 
-// VerifyPyramidOptions configures VerifyPyramid.
-type VerifyPyramidOptions struct {
-	// MaxCells bounds the sample size; <= 0 means 16. Base cells are
-	// sampled evenly across the stored range.
-	MaxCells int
-	// Context, when non-nil, aborts the recomputes between frames.
-	Context context.Context
-}
+// verifyCells is the sample size VerifyPyramid aims at: base cells are
+// sampled evenly across the stored range.
+const verifyCells = 16
 
 // VerifyPyramid cross-validates p against f's frames on a sample of
 // base cells and returns how many cells it checked. An error means the
 // stored summaries diverge from a frame recompute (or the frames could
 // not be read) — callers should treat the sidecar as damaged and
 // rebuild it.
-func (f *File) VerifyPyramid(p *Pyramid, opts VerifyPyramidOptions) (int, error) {
-	maxCells := opts.MaxCells
-	if maxCells <= 0 {
-		maxCells = 16
-	}
+func (f *File) VerifyPyramid(p *Pyramid) (int, error) {
 	if len(p.Levels) == 0 {
 		return 0, nil
 	}
 	base := p.Levels[0]
-	step := 1
-	if len(base.Cells) > maxCells {
-		step = len(base.Cells) / maxCells
-	}
+	step := max(1, len(base.Cells)/verifyCells)
 	checked := 0
 	for i := 0; i < len(base.Cells); i += step {
 		c := base.First + int64(i)
 		lo := clock.Time(c) * base.Width
-		if err := f.compareCellWindow(p, lo, lo+base.Width, opts.Context); err != nil {
+		if err := f.compareCellWindow(p, lo, lo+base.Width); err != nil {
 			return checked, fmt.Errorf("interval: pyramid cell %d [%v .. %v): %w", c, lo, lo+base.Width, err)
 		}
 		checked++
@@ -58,8 +45,8 @@ func (f *File) VerifyPyramid(p *Pyramid, opts VerifyPyramidOptions) (int, error)
 
 // compareCellWindow summarizes one cell-aligned window on both engines
 // and compares everything but the engine metadata.
-func (f *File) compareCellWindow(p *Pyramid, lo, hi clock.Time, ctx context.Context) error {
-	o := WindowSummaryOptions{Bins: 1, Lo: lo, Hi: hi, TopK: p.TopK, Context: ctx}
+func (f *File) compareCellWindow(p *Pyramid, lo, hi clock.Time) error {
+	o := WindowSummaryOptions{Bins: 1, Lo: lo, Hi: hi}
 	pyr, err := summarizePyramid(f, p, o)
 	if err != nil {
 		return err

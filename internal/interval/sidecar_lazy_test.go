@@ -26,7 +26,7 @@ func countSidecarReads(t *testing.T) *atomic.Int64 {
 func TestSidecarLoadsOnFirstSummary(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTraceOnDisk(t, dir, 4, 600, CurrentHeaderVersion)
-	if _, err := BuildPyramidSidecar(path, PyramidOptions{BaseCells: 64, TopK: 4}); err != nil {
+	if _, err := BuildPyramidSidecar(path, PyramidOptions{BaseCells: 64}); err != nil {
 		t.Fatal(err)
 	}
 	reads := countSidecarReads(t)
@@ -97,7 +97,7 @@ func TestSidecarLoadsOnFirstSummary(t *testing.T) {
 func TestCorruptSidecarCostsNothingUntilAsked(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTraceOnDisk(t, dir, 4, 600, CurrentHeaderVersion)
-	if _, err := BuildPyramidSidecar(path, PyramidOptions{BaseCells: 64, TopK: 4}); err != nil {
+	if _, err := BuildPyramidSidecar(path, PyramidOptions{BaseCells: 64}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(PyramidPath(path))

@@ -1,10 +1,10 @@
 package interval
 
 // SummarizeWindow answers a binned window query — per-bin busy time by
-// type and by lane, start counts, peak concurrency, plus a window-wide
-// top-k and lane list. It is the only implementation of that reduction
-// (the statistics tables and the preview are formatters over it) and it
-// has two engines, proven byte-identical on every input:
+// type and by lane and peak concurrency, plus the window's lane list. It
+// is the only implementation of that reduction (the statistics tables
+// and the preview are formatters over it) and it has two engines, proven
+// byte-identical on every input:
 //
 //   - scan: decode every frame overlapping the window through MapFrames
 //     and accumulate (O(records in window)); answers any file list.
@@ -19,15 +19,13 @@ package interval
 // pyramid that would cost more to load than the scan it replaces is
 // never built or attached (SidecarOutweighs).
 //
-// Identity argument, in brief: busy overlap and start counts are
-// additive over any partition of a bin; the peak concurrency of a bin
-// is the supremum of the (right-continuous) concurrency step function
-// over the bin, which is the max of the suprema over the partition's
-// parts — cell MaxConc for whole cells, a local sweep over the edge
-// frames for remainders; and a distinct interval in the window's top-k
-// must be in the top-k of every cell it overlaps. Degenerate bins
-// (window span < bin count) have boundary semantics the partition
-// cannot reproduce, so they are the scan's.
+// Identity argument, in brief: busy overlap is additive over any
+// partition of a bin, and the peak concurrency of a bin is the supremum
+// of the (right-continuous) concurrency step function over the bin,
+// which is the max of the suprema over the partition's parts — cell
+// MaxConc for whole cells, a local sweep over the edge frames for
+// remainders. Degenerate bins (window span < bin count) have boundary
+// semantics the partition cannot reproduce, so they are the scan's.
 
 import (
 	"context"
@@ -48,10 +46,6 @@ type WindowSummaryOptions struct {
 	// effective coverage is the half-open [Lo, Hi). Hi < Lo is an
 	// error; callers clamp to run bounds first.
 	Lo, Hi clock.Time
-	// TopK asks for the window's k longest distinct busy intervals;
-	// 0 disables the top list. The pyramid engine can only answer
-	// TopK up to the pyramid's stored per-cell k.
-	TopK int
 	// Parallel is the scan engine's worker count, as MapOptions.Parallel.
 	// The summary is identical at every value.
 	Parallel int
@@ -67,9 +61,6 @@ type WindowSummaryOptions struct {
 type BinSummary struct {
 	// Start is the bucket's left bound.
 	Start clock.Time
-	// Records counts the records (any type, zero-duration included)
-	// whose start time lies in the bucket.
-	Records int64
 	// PeakConc is the peak number of busy intervals simultaneously
 	// open at any instant in the bucket.
 	PeakConc int
@@ -87,9 +78,6 @@ type WindowSummary struct {
 	// Lanes lists every lane with busy time anywhere in the window,
 	// sorted by (node, cpu).
 	Lanes []Lane
-	// Top is the window's k longest distinct busy intervals (empty
-	// when TopK was 0).
-	Top []TopInterval
 	// Engine reports which engine answered: "pyramid" or "scan".
 	Engine string
 	// CellsUsed counts pyramid cells consulted (0 on the scan engine).
@@ -112,9 +100,6 @@ func SummarizeWindow(files []*File, o WindowSummaryOptions) (*WindowSummary, err
 	if o.Hi < o.Lo {
 		return nil, fmt.Errorf("interval: summarize window [%d, %d] is inverted", o.Lo, o.Hi)
 	}
-	if o.TopK < 0 {
-		return nil, fmt.Errorf("interval: summarize top-k %d is negative", o.TopK)
-	}
 	if len(files) == 1 {
 		if p := files[0].Pyramid(); p.usable(o) {
 			return summarizePyramid(files[0], p, o)
@@ -125,10 +110,9 @@ func SummarizeWindow(files []*File, o WindowSummaryOptions) (*WindowSummary, err
 
 // usable reports whether the pyramid engine can answer o. Degenerate
 // windows (span < bins means some buckets are empty; their boundary
-// semantics depend on event positions, not ranges) and over-long top-k
-// requests are the scan's.
+// semantics depend on event positions, not ranges) are the scan's.
 func (p *Pyramid) usable(o WindowSummaryOptions) bool {
-	return p != nil && len(p.Levels) > 0 && int64(o.Hi-o.Lo) >= int64(o.Bins) && o.TopK <= p.TopK
+	return p != nil && len(p.Levels) > 0 && int64(o.Hi-o.Lo) >= int64(o.Bins)
 }
 
 // binAcc holds a window's per-bin integer sums: what a scan worker
@@ -137,9 +121,9 @@ func (p *Pyramid) usable(o WindowSummaryOptions) bool {
 // the order and grouping in which frames reach an accumulator cannot
 // show in the summary.
 type binAcc struct {
-	records []int64
-	byType  map[events.Type][]clock.Time // one row of bins per type
-	byLane  map[uint32][]clock.Time      // one row of bins per Lane.key()
+	bins   int
+	byType map[events.Type][]clock.Time // one row of bins per type
+	byLane map[uint32][]clock.Time      // one row of bins per Lane.key()
 	// across is the set of (type, zero-width bin) pairs an interval
 	// reached across without overlap; only a window narrower than its bin
 	// count has such bins.
@@ -147,7 +131,6 @@ type binAcc struct {
 	// starts/ends are the clipped endpoints of every busy interval, for
 	// the scan engine's concurrency sweep.
 	starts, ends []clock.Time
-	tops         topList
 }
 
 type typeBin struct {
@@ -157,17 +140,17 @@ type typeBin struct {
 
 func newBinAcc(bins int) *binAcc {
 	return &binAcc{
-		records: make([]int64, bins),
-		byType:  map[events.Type][]clock.Time{},
-		byLane:  map[uint32][]clock.Time{},
-		across:  map[typeBin]struct{}{},
+		bins:   bins,
+		byType: map[events.Type][]clock.Time{},
+		byLane: map[uint32][]clock.Time{},
+		across: map[typeBin]struct{}{},
 	}
 }
 
 func (a *binAcc) typeRow(t events.Type) []clock.Time {
 	row := a.byType[t]
 	if row == nil {
-		row = make([]clock.Time, len(a.records))
+		row = make([]clock.Time, a.bins)
 		a.byType[t] = row
 	}
 	return row
@@ -176,25 +159,21 @@ func (a *binAcc) typeRow(t events.Type) []clock.Time {
 func (a *binAcc) laneRow(key uint32) []clock.Time {
 	row := a.byLane[key]
 	if row == nil {
-		row = make([]clock.Time, len(a.records))
+		row = make([]clock.Time, a.bins)
 		a.byLane[key] = row
 	}
 	return row
 }
 
-// addBatch applies every record of one frame: its start count, its busy
-// overlap with each bin it crosses, its clipped endpoints and its top
-// candidacy.
-func (a *binAcc) addBatch(b *Batch, g *BinGrid, topK int) {
+// addBatch applies every record of one frame: its busy overlap with each
+// bin it crosses and its clipped endpoints.
+func (a *binAcc) addBatch(b *Batch, g *BinGrid) {
 	for i := 0; i < b.N; i++ {
 		dura := b.Dura[i]
 		if dura < 0 {
 			continue
 		}
 		s, e := b.Start[i], b.Start[i]+dura
-		if s >= g.lo && s < g.hi {
-			a.records[g.BinOf(s)]++
-		}
 		cs, ce := max(s, g.lo), min(e, g.hi)
 		if cs >= ce {
 			continue
@@ -205,9 +184,6 @@ func (a *binAcc) addBatch(b *Batch, g *BinGrid, topK int) {
 		if busyType(typ) {
 			lrow = a.laneRow(Lane{Node: b.Node[i], CPU: b.CPU[i]}.key())
 			a.starts, a.ends = append(a.starts, cs), append(a.ends, ce)
-			if topK > 0 {
-				a.tops.add(TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[i], CPU: b.CPU[i], Thread: b.Thread[i]}, topK)
-			}
 		}
 		for o := g.Overlaps(cs, ce); o.Next(); {
 			if o.Dur == 0 {
@@ -223,10 +199,7 @@ func (a *binAcc) addBatch(b *Batch, g *BinGrid, topK int) {
 }
 
 // merge adds b into a.
-func (a *binAcc) merge(b *binAcc, topK int) {
-	for i, n := range b.records {
-		a.records[i] += n
-	}
+func (a *binAcc) merge(b *binAcc) {
 	for t, row := range b.byType {
 		dst := a.typeRow(t)
 		for i, v := range row {
@@ -243,16 +216,14 @@ func (a *binAcc) merge(b *binAcc, topK int) {
 		a.across[k] = struct{}{}
 	}
 	a.starts, a.ends = append(a.starts, b.starts...), append(a.ends, b.ends...)
-	a.tops.addAll(b.tops, topK)
 }
 
 // finish turns the sums into the public summary: positive entries and
-// the zero-width bins reached across, the window-wide lane list, and
-// the top-k.
+// the zero-width bins reached across, and the window-wide lane list.
 func (a *binAcc) finish(g *BinGrid, peaks []int) *WindowSummary {
-	ws := &WindowSummary{Lo: g.lo, Hi: g.hi, Bins: make([]BinSummary, g.Bins()), Top: a.tops}
+	ws := &WindowSummary{Lo: g.lo, Hi: g.hi, Bins: make([]BinSummary, g.Bins())}
 	for bi := range ws.Bins {
-		ws.Bins[bi] = BinSummary{Start: g.bounds[bi], Records: a.records[bi], PeakConc: peaks[bi]}
+		ws.Bins[bi] = BinSummary{Start: g.bounds[bi], PeakConc: peaks[bi]}
 	}
 	setType := func(bi int, t events.Type, v clock.Time) {
 		b := &ws.Bins[bi]
@@ -321,7 +292,7 @@ func summarizeScan(files []*File, o WindowSummaryOptions) (*WindowSummary, error
 			if a == nil {
 				a = newBinAcc(o.Bins)
 			}
-			a.addBatch(b, g, o.TopK)
+			a.addBatch(b, g)
 			mu.Lock()
 			accs = append(accs, a)
 			mu.Unlock()
@@ -340,7 +311,7 @@ func summarizeScan(files []*File, o WindowSummaryOptions) (*WindowSummary, error
 	if len(accs) > 0 {
 		total = accs[0]
 		for _, a := range accs[1:] {
-			total.merge(a, o.TopK)
+			total.merge(a)
 		}
 	}
 	ws := total.finish(g, sweepPeaks(g.bounds, total.starts, total.ends))
@@ -447,16 +418,12 @@ func summarizePyramid(f *File, p *Pyramid, o WindowSummaryOptions) (*WindowSumma
 			lvl, idx := p.coarsestCell(x, ib)
 			cellsUsed++
 			if c := p.Levels[lvl].Cell(idx); c != nil {
-				a.records[bi] += c.Records
 				peaks[bi] = max(peaks[bi], c.MaxConc)
 				for _, tb := range c.ByType {
 					a.typeRow(tb.Type)[bi] += tb.Busy
 				}
 				for _, lb := range c.ByLane {
 					a.laneRow(lb.Lane.key())[bi] += lb.Busy
-				}
-				if o.TopK > 0 {
-					a.tops.addAll(c.Top, o.TopK)
 				}
 			}
 			x += p.Levels[lvl].Width
@@ -493,11 +460,10 @@ func (p *Pyramid) coarsestCell(x, limit clock.Time) (level int, idx int64) {
 // one frame at a time: every frame overlapping a remainder is fetched
 // once — decoded into one pooled batch, or through the file's
 // frame source lent that batch, so a serving cache absorbs repeats
-// — and each of its
-// records, clipped to the window, goes to the remainders it overlaps:
-// start counts, busy overlap and top candidates at once. Nothing of a
-// frame outlives it but the clipped endpoints of its busy intervals, for
-// one concurrency sweep over the remainders after the last frame.
+// — and each of its records, clipped to the window, adds its busy
+// overlap to the remainders it overlaps. Nothing of a frame outlives it
+// but the clipped endpoints of its busy intervals, for one concurrency
+// sweep over the remainders after the last frame.
 func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinGrid, o WindowSummaryOptions) (int, error) {
 	if len(rems) == 0 {
 		return 0, nil
@@ -542,14 +508,14 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 				continue
 			}
 			s, e := b.Start[ri], b.Start[ri]+dura
-			// Every remainder lies inside the window, so the one holding s
-			// (if any) is the first ending after the clipped start.
 			cs, ce := max(s, g.lo), min(e, g.hi)
-			k := remAfter(near, cs)
-			if k < len(near) && near[k].r0 <= s {
-				a.records[near[k].bin]++
+			if cs >= ce {
+				continue
 			}
-			if cs >= ce || k == len(near) || near[k].r0 >= ce {
+			// The first remainder the clipped interval can reach is the
+			// first ending after its clipped start.
+			k := remAfter(near, cs)
+			if k == len(near) || near[k].r0 >= ce {
 				continue
 			}
 			busy := busyType(typ)
@@ -558,9 +524,6 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 			if busy {
 				lrow = a.laneRow(Lane{Node: b.Node[ri], CPU: b.CPU[ri]}.key())
 				starts, ends = append(starts, cs), append(ends, ce)
-				if o.TopK > 0 {
-					a.tops.add(TopInterval{Start: s, Dura: dura, Type: typ, Node: b.Node[ri], CPU: b.CPU[ri], Thread: b.Thread[ri]}, o.TopK)
-				}
 			}
 			for ; k < len(near) && near[k].r0 < ce; k++ {
 				rs := &near[k]

@@ -396,13 +396,10 @@ func TestColumnarAllocsPerGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	testutil.ResidentFrames(t, f)
-	specs, err := stats.Parse(stats.Predefined(50))
-	if err != nil {
-		t.Fatal(err)
-	}
+	program := stats.Predefined(50)
 	groups := 0
 	allocs := testing.AllocsPerRun(5, func() {
-		tables, err := stats.GenerateSpecsOpts(specs, []*interval.File{f}, interval.MapOptions{Parallel: 1})
+		tables, err := stats.GenerateOpts(program, []*interval.File{f}, interval.MapOptions{Parallel: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -121,7 +121,7 @@ func FuzzCompile(f *testing.F) {
 		}
 		files := []*interval.File{mf}
 		st, sErr := stats.GenerateSpecsScalar(specs, files, interval.MapOptions{})
-		ct, cErr := stats.GenerateSpecsOpts(specs, files, interval.MapOptions{})
+		ct, cErr := stats.GenerateOpts(program, files, interval.MapOptions{})
 		if (sErr == nil) != (cErr == nil) {
 			t.Fatalf("engines disagree on error for %q:\n  scalar:   %v\n  columnar: %v", program, sErr, cErr)
 		}

@@ -68,28 +68,13 @@ func GenerateOpts(program string, files []*interval.File, opts interval.MapOptio
 }
 
 // GenerateRun is GenerateOpts that also reports the run's frame counts.
+// A whole frame's partials are looked up in, and stored to, the file's
+// frame memo under the program text.
 func GenerateRun(program string, files []*interval.File, opts interval.MapOptions) (Run, error) {
 	specs, err := Parse(program)
 	if err != nil {
 		return Run{}, err
 	}
-	return generateSpecs(program, specs, files, opts)
-}
-
-// GenerateSpecsOpts runs parsed table specs over the interval files on
-// the per-frame map-reduce engine: frames arrive as columnar batches,
-// the compiled kernels evaluate them concurrently into partial groups,
-// and the partials merge into the global groups in frame order. With no
-// program text to key them by, it consults no frame memo.
-func GenerateSpecsOpts(specs []*TableSpec, files []*interval.File, opts interval.MapOptions) ([]*Table, error) {
-	run, err := generateSpecs("", specs, files, opts)
-	return run.Tables, err
-}
-
-// generateSpecs is the one entry point under both: a whole frame's
-// partials are looked up in, and stored to, the file's frame memo under
-// the program text.
-func generateSpecs(program string, specs []*TableSpec, files []*interval.File, opts interval.MapOptions) (Run, error) {
 	tStart, tEnd, err := runBounds(files)
 	if err != nil {
 		return Run{}, err

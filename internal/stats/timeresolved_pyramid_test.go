@@ -33,7 +33,7 @@ func pyramidPair(t *testing.T) (with, without *interval.File) {
 	})
 	files := testutil.ConvertRun(t, raws, interval.WriterOptions{})
 	path := testutil.MergeToDisk(t, files, merge.Options{Writer: interval.WriterOptions{FrameBytes: 2048}})
-	return testutil.OpenSidecarPair(t, path, interval.PyramidOptions{BaseCells: 128, TopK: 8})
+	return testutil.OpenSidecarPair(t, path, interval.PyramidOptions{BaseCells: 128})
 }
 
 // timeResolved runs TimeResolved and requires every table to report
@@ -108,7 +108,7 @@ func TestTimeResolvedRemainderRouting(t *testing.T) {
 	})
 	files := testutil.ConvertRun(t, raws, interval.WriterOptions{})
 	path := testutil.MergeToDisk(t, files, merge.Options{Writer: interval.WriterOptions{FrameBytes: 2048}})
-	mf, bare := testutil.OpenSidecarPair(t, path, interval.PyramidOptions{BaseCells: 128, TopK: 8})
+	mf, bare := testutil.OpenSidecarPair(t, path, interval.PyramidOptions{BaseCells: 128})
 	t0, t1, _, err := mf.Stats()
 	if err != nil {
 		t.Fatal(err)

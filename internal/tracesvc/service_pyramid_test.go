@@ -24,7 +24,7 @@ import (
 func writePyramidTrace(t *testing.T, n int) string {
 	t.Helper()
 	path := writeTrace(t, t.TempDir(), n)
-	b, err := interval.BuildPyramidSidecar(path, interval.PyramidOptions{BaseCells: 128, TopK: 8})
+	b, err := interval.BuildPyramidSidecar(path, interval.PyramidOptions{BaseCells: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

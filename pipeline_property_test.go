@@ -281,7 +281,7 @@ func TestSealTimeBuildsMatchReopenedFile(t *testing.T) {
 		}
 		dir := t.TempDir()
 		paths := testutil.ConvertToDisk(t, raws, interval.WriterOptions{FrameBytes: 4096}, dir)
-		pyr := interval.PyramidOptions{BaseCells: 64, TopK: 4}
+		pyr := interval.PyramidOptions{BaseCells: 64}
 		for _, fb := range []int{0, 600} {
 			label := fmt.Sprintf("seed %d frame bytes %d", seed, fb)
 			sopts := slog.Options{FrameBytes: fb}
