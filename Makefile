@@ -57,6 +57,12 @@ race:
 # answer; before the memo every request evaluated all 63 of its window's
 # frames, and before edge partials were keyed by their cuts the 2 edge
 # frames were fetched and evaluated every time.
+# ServePreview's pyramid-warm rung asks a window that lands on no
+# base-cell bound twice as a preview and once as a time-resolved table,
+# then fails when any later asking reads a frame (every edge-remainder
+# frame's contribution is memoized, and the two kinds share them), when
+# a decoded frame is resident (a frame read only to fill a memo is never
+# admitted), or when a body differs from the first answer.
 bench-smoke:
 	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|SlogmergePerEventSmall|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|IntervalWriterThroughput|ServeWindow|ServeStatsWarm|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|Tracegen|CutTraceRecord|SweepCell|^BenchmarkIngest$$' -benchtime 1x .
 	$(GO) test -run xxx -bench 'StatsColumnar' -benchtime 1x ./internal/stats

@@ -996,17 +996,16 @@ func pyramidTrace(b *testing.B, n int) (path, bare string, p *interval.Pyramid) 
 }
 
 // servePreviewBench registers a trace with its sidecar (engine
-// "pyramid") or without (engine "scan") and returns a preview URL for a
-// window aligned to base-cell boundaries with bins dividing the cell
-// span — the geometry under which the pyramid engine needs zero frame
-// decodes.
-func servePreviewBench(b *testing.B, n int, engine string) (*tracesvc.Service, *tracesvc.Trace, string) {
+// "pyramid") or without (engine "scan") and returns a window aligned to
+// base-cell boundaries and a bin count dividing the cell span — the
+// geometry under which the pyramid engine needs zero frame decodes.
+func servePreviewBench(b *testing.B, n int, engine string) (svc *tracesvc.Service, tr *tracesvc.Trace, bins int, lo, hi clock.Time) {
 	b.Helper()
 	path, bare, p := pyramidTrace(b, n)
 	if engine == "scan" {
 		path = bare
 	}
-	svc := tracesvc.New(tracesvc.Config{})
+	svc = tracesvc.New(tracesvc.Config{})
 	tr, err := svc.Registry().Open(path)
 	if err != nil {
 		b.Fatal(err)
@@ -1015,21 +1014,28 @@ func servePreviewBench(b *testing.B, n int, engine string) (*tracesvc.Service, *
 		b.Fatalf("engine %s: pyramid attached: %v", engine, tr.File().Pyramid() != nil)
 	}
 	base := p.Levels[0]
-	bins := 16
+	bins = 16
 	cells := len(base.Cells) / bins * bins
 	if cells == 0 {
 		bins, cells = 1, len(base.Cells)
 	}
-	lo := clock.Time(base.First) * base.Width
-	hi := lo + clock.Time(cells)*base.Width
+	lo = clock.Time(base.First) * base.Width
+	hi = lo + clock.Time(cells)*base.Width
+	return svc, tr, bins, lo, hi
+}
+
+// previewWindow is the window query parameter for [lo, hi]. The URL
+// carries it in seconds; the bounds must survive the decimal round
+// trip, or a rung asserting zero decodes on aligned bounds would
+// silently measure edge remainders instead, and one asserting unaligned
+// bounds would not.
+func previewWindow(b *testing.B, lo, hi clock.Time) string {
+	b.Helper()
 	window := fmt.Sprintf("%.9f:%.9f", lo.Seconds(), hi.Seconds())
-	// The URL carries the window in seconds; the aligned bounds must
-	// survive the decimal round-trip, or the zero-decode assertion
-	// below would silently measure edge remainders instead.
 	if plo, phi, err := clock.ParseWindow(window); err != nil || plo != lo || phi != hi {
 		b.Fatalf("window %q round-trips to [%v .. %v], want [%v .. %v]", window, plo, phi, lo, hi)
 	}
-	return svc, tr, fmt.Sprintf("/v1/traces/%s/preview.svg?view=preview&bins=%d&window=%s", tr.ID, bins, window)
+	return window
 }
 
 // BenchmarkServePreview compares the preview endpoint's engines on the
@@ -1039,8 +1045,9 @@ func servePreviewBench(b *testing.B, n int, engine string) (*tracesvc.Service, *
 // decodes a single frame, cache or no cache.
 func BenchmarkServePreview(b *testing.B) {
 	run := func(b *testing.B, engine string, flush, wantZero bool) {
-		svc, tr, url := servePreviewBench(b, 20000, engine)
+		svc, tr, bins, lo, hi := servePreviewBench(b, 20000, engine)
 		defer svc.Close()
+		url := fmt.Sprintf("/v1/traces/%s/preview.svg?view=preview&bins=%d&window=%s", tr.ID, bins, previewWindow(b, lo, hi))
 		// Two askings warm the cache: the preview's frame decodes lend
 		// the cache their pooled batches, so a frame becomes resident on
 		// its second use.
@@ -1067,6 +1074,57 @@ func BenchmarkServePreview(b *testing.B) {
 	b.Run("cold", func(b *testing.B) { run(b, "scan", true, false) })
 	b.Run("scan", func(b *testing.B) { run(b, "scan", false, false) })
 	b.Run("pyramid", func(b *testing.B) { run(b, "pyramid", true, true) })
+	// pyramid-warm narrows the aligned window by a third of a base cell
+	// at each end, so every asking has edge remainders. Asked twice as a
+	// preview and once as a time-resolved table — which shares the
+	// preview's remainder contributions — the window is warm: from then on
+	// the rung fails when any asking reads a frame, when a decoded frame
+	// is resident, or when a body differs from the first answer.
+	b.Run("pyramid-warm", func(b *testing.B) {
+		svc, tr, bins, lo, hi := servePreviewBench(b, 20000, "pyramid")
+		defer svc.Close()
+		base := tr.File().Pyramid().Levels[0].Width
+		lo, hi = lo+base/3, hi-base/3
+		if lo%base == 0 || hi%base == 0 {
+			b.Fatalf("window [%v .. %v] lands on a base-cell bound", lo, hi)
+		}
+		window := previewWindow(b, lo, hi)
+		preview := fmt.Sprintf("/v1/traces/%s/preview.svg?view=preview&bins=%d&window=%s", tr.ID, bins, window)
+		table := fmt.Sprintf("/v1/traces/%s/stats?timeresolved=1&bins=%d&window=%s", tr.ID, bins, window)
+		serve := func(url string) string {
+			w := httptest.NewRecorder()
+			svc.Handler().ServeHTTP(w, httptest.NewRequest("GET", url, nil))
+			if w.Code != 200 {
+				b.Fatalf("GET %s: %d %s", url, w.Code, w.Body)
+			}
+			return w.Body.String()
+		}
+		firstPreview := serve(preview)
+		serve(preview)
+		firstTable := serve(table)
+		runtime.GC()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, ask := range []struct{ url, first string }{{preview, firstPreview}, {table, firstTable}} {
+				decoded := tr.File().DecodedFrames()
+				if serve(ask.url) != ask.first {
+					b.Fatalf("%s: body differs from the first answer", ask.url)
+				}
+				if got := tr.File().DecodedFrames() - decoded; got != 0 {
+					b.Fatalf("%s: a warm asking read %d frames", ask.url, got)
+				}
+				if cs := svc.Cache().Stats(); cs.Entries != 0 {
+					b.Fatalf("%s: %d decoded frames resident", ask.url, cs.Entries)
+				}
+			}
+		}
+		b.StopTimer()
+		var plan struct{ PartialsReused int }
+		if err := json.Unmarshal([]byte(serve(table+"&format=json")), &plan); err != nil || plan.PartialsReused == 0 {
+			b.Fatalf("the warm window reused no remainder contribution (%v)", err)
+		}
+		b.ReportMetric(float64(plan.PartialsReused), "reused/op")
+	})
 }
 
 // BenchmarkPreviewZoom drives a zoom ladder — ten nested windows, each

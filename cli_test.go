@@ -1001,13 +1001,34 @@ func TestCLIServingTier(t *testing.T) {
 		return resp.StatusCode, string(b)
 	}
 
-	b0, stop0 := start("utetraced", "-addr", "127.0.0.1:0")
+	b0, stop0 := start("utetraced", "-addr", "127.0.0.1:0", "-pprof")
 	b1, stop1 := start("utetraced", "-addr", "127.0.0.1:0")
 	// -split-frames 1 forces the trace into per-backend segments even at
 	// this test's size, so scatter-gather actually runs.
 	router, stopRouter := start("uterouter",
-		"-addr", "127.0.0.1:0", "-backends", b0+","+b1, "-split-frames", "1", tracePath)
+		"-addr", "127.0.0.1:0", "-backends", b0+","+b1, "-split-frames", "1", "-pprof", tracePath)
 	stalled := stallHeaders(t, router)
+
+	// -pprof mounts the runtime profiles on the daemon's own listener;
+	// without it they are not there. The router serves its own process's
+	// profiles — a router without -pprof has none, though its backend
+	// does, so nothing under /debug/pprof/ is ever proxied.
+	bare, stopBare := start("uterouter", "-addr", "127.0.0.1:0", "-backends", b0)
+	for _, c := range []struct {
+		base, daemon string
+		want         int
+	}{{b0, "utetraced", 200}, {b1, "", 404}, {router, "uterouter", 200}, {bare, "", 404}} {
+		if code, body := get(c.base, "/debug/pprof/heap?debug=1"); code != c.want || c.want == 200 && !strings.Contains(body, "heap profile") {
+			t.Fatalf("%s/debug/pprof/heap?debug=1: %d, want %d\n%.200s", c.base, code, c.want, body)
+		}
+		if c.daemon == "" {
+			continue
+		}
+		if code, cmdline := get(c.base, "/debug/pprof/cmdline"); code != 200 || !strings.Contains(cmdline, c.daemon) || !strings.Contains(cmdline, "-pprof") {
+			t.Fatalf("%s/debug/pprof/cmdline: %d %q, want %s's own command line", c.base, code, cmdline, c.daemon)
+		}
+	}
+	stopBare()
 
 	if code, body := get(router, "/healthz"); code != 200 || body != "ok\n" {
 		t.Fatalf("router healthz: %d %q", code, body)

@@ -13,13 +13,14 @@
 //
 //	uterouter -backends URL[,URL...] [-addr HOST:PORT] [-vnodes N]
 //	          [-split-frames N] [-inflight N] [-hedge-after DUR]
-//	          [-health-interval DUR] [trace.ute ...]
+//	          [-health-interval DUR] [-pprof] [trace.ute ...]
 //
 // The backends must share a filesystem with the router: every backend
 // opens the same trace files. Trace files on the command line are
 // opened across the fleet before the router starts listening. The
 // endpoints mirror utetraced's read API (/v1/traces...), plus
-// /metrics, /healthz, and /readyz.
+// /metrics, /healthz, and /readyz; with -pprof, /debug/pprof/ serves the
+// router's own runtime profiles (never a backend's).
 //
 // The router prints one "listening on" line once the socket is bound
 // and shuts down cleanly on SIGINT/SIGTERM.
@@ -51,6 +52,7 @@ func main() {
 		inflight = flag.Int("inflight", 32, "max concurrent requests per backend")
 		hedge    = flag.Duration("hedge-after", 0, "duplicate a slow leg onto the next backend after this long (0 = off)")
 		health   = flag.Duration("health-interval", 500*time.Millisecond, "backend /readyz poll period")
+		pprof    = flag.Bool("pprof", false, "serve the router's own net/http/pprof profiles under /debug/pprof/")
 	)
 	flag.Parse()
 	if *backends == "" {
@@ -94,7 +96,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: tracesvc.ReadHeaderTimeout}
+	handler := rt.Handler()
+	if *pprof {
+		handler = tracesvc.WithPprof(handler)
+	}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: tracesvc.ReadHeaderTimeout}
 	fmt.Printf("uterouter: listening on http://%s\n", ln.Addr())
 
 	done := make(chan error, 1)

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	utetraced [-addr HOST:PORT] [-cache-mb N] [-shards N] [-timeout DUR]
-//	          [-ingest-dir DIR] [-ingest-max-batch N] [trace.ute ...]
+//	          [-ingest-dir DIR] [-ingest-max-batch N] [-pprof] [trace.ute ...]
 //
 // Any interval files on the command line are opened before the server
 // starts listening. Endpoints:
@@ -27,6 +27,7 @@
 //	                                    identical to uteview);
 //	                                    ?view= ?window= ?connected=1
 //	GET    /metrics                     Prometheus text format
+//	GET    /debug/pprof/...             runtime profiles (with -pprof only)
 //
 // With -ingest-dir the streaming write path is enabled (403 otherwise):
 //
@@ -72,6 +73,7 @@ func main() {
 		timeout   = flag.Duration("timeout", tracesvc.DefaultRequestTimeout, "per-request deadline")
 		ingestDir = flag.String("ingest-dir", "", "enable streaming ingest; live trace files are written here")
 		ingestMax = flag.Int64("ingest-max-batch", 8<<20, "largest accepted ingest batch, bytes")
+		pprof     = flag.Bool("pprof", false, "serve the net/http/pprof profiles under /debug/pprof/")
 	)
 	flag.Parse()
 	if *ingestMax <= 0 {
@@ -106,7 +108,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: tracesvc.ReadHeaderTimeout}
+	handler := svc.Handler()
+	if *pprof {
+		handler = tracesvc.WithPprof(handler)
+	}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: tracesvc.ReadHeaderTimeout}
 	fmt.Printf("utetraced: listening on http://%s\n", ln.Addr())
 
 	done := make(chan error, 1)

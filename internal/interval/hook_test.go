@@ -10,15 +10,20 @@ import (
 )
 
 // decodeOnly is a frame source that decodes through a function and
-// memoizes nothing.
+// memoizes nothing: a memo compute gets the frame through the function
+// too.
 type decodeOnly func(f *File, fe FrameEntry, scratch *Batch) (*Batch, error)
 
 func (d decodeOnly) Decode(f *File, fe FrameEntry, scratch *Batch) (*Batch, error) {
 	return d(f, fe, scratch)
 }
 
-func (decodeOnly) Memo(_ context.Context, _ FrameEntry, _ string, compute func(bool) (any, int64, error)) (any, bool, error) {
-	v, _, err := compute(false)
+func (d decodeOnly) Memo(_ context.Context, f *File, fe FrameEntry, _ string, compute func(*Batch, bool) (any, int64, error)) (any, bool, error) {
+	b, err := d(f, fe, nil)
+	if err != nil {
+		return nil, false, err
+	}
+	v, _, err := compute(b, false)
 	return v, false, err
 }
 

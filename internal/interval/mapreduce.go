@@ -56,10 +56,10 @@ var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
 // Frame is one selected frame as MapFrames hands it to a map function:
 // its directory entry, and its records, fetched on the first call to
-// Batch. A map function that can answer from the entry alone — or from
-// a value the file's frame source memoized — never calls Batch, and the
-// frame is never read. A Frame belongs to one map call and is not safe
-// for concurrent use.
+// Batch. A map function that can answer from the entry alone — or
+// through the file's frame source's Memo, which fetches the frame
+// itself only on a miss — never calls Batch. A Frame belongs to one map
+// call and is not safe for concurrent use.
 type Frame struct {
 	Entry FrameEntry
 
@@ -87,9 +87,6 @@ func (fr *Frame) Batch() (*Batch, error) {
 	return fr.b, fr.err
 }
 
-// Fetched reports whether Batch has been called.
-func (fr *Frame) Fetched() bool { return fr.scratch != nil }
-
 // MapFrames runs mapFn over every selected frame of every file — all
 // files' frames feed one worker pool, so small files do not idle
 // workers — and calls reduceFn with the mapped values in (file, frame)
@@ -111,7 +108,8 @@ func MapFrames[T any](files []*File, opts MapOptions, mapFn func(file int, fr *F
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var jobs []Frame
+	selected := make([][]FrameEntry, len(files))
+	n := 0
 	for fi, f := range files {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -120,8 +118,13 @@ func MapFrames[T any](files []*File, opts MapOptions, mapFn func(file int, fr *F
 		if err != nil {
 			return err
 		}
+		selected[fi] = fes
+		n += len(fes)
+	}
+	jobs := make([]Frame, 0, n)
+	for fi, fes := range selected {
 		for _, fe := range fes {
-			jobs = append(jobs, Frame{Entry: fe, f: f, file: fi})
+			jobs = append(jobs, Frame{Entry: fe, f: files[fi], file: fi})
 		}
 	}
 	p := par.Workers(opts.Parallel, len(jobs))

@@ -129,16 +129,23 @@ type FrameSource interface {
 	Decode(f *File, fe FrameEntry, scratch *Batch) (*Batch, error)
 	// Memo memoizes a value derived from fe's records under a
 	// caller-chosen key, which must name everything the value depends on
-	// besides the frame's bytes. compute(store) derives the value; store
-	// says whether the memo keeps it, so compute hands back a right-sized
-	// copy of size bytes when it does and may return scratch state when it
-	// does not. Memo returns a kept value to every later caller with the
-	// same key (reused = true) without calling compute — so a caller that
-	// fetches the frame only inside compute never fetches it on a reuse —
-	// runs compute at most once at a time per key (a caller waiting on
-	// another's compute gives up when ctx is done), and never keeps a
-	// value whose compute failed.
-	Memo(ctx context.Context, fe FrameEntry, key string, compute func(store bool) (v any, size int64, err error)) (v any, reused bool, err error)
+	// besides the frame's bytes; keys are the consumers' own and never
+	// collide across them (the stats engine's begin with a digit, the
+	// summary's edge remainders' with 'r', the trace service's record
+	// counts with 'n'). The key is looked up before anything is fetched:
+	// a kept value is returned to every later caller (reused = true)
+	// without calling compute and without touching the frame. On a miss
+	// the source fetches fe itself and calls compute(b, store) with its
+	// records — a frame it holds resident as is, any other decoded into
+	// scratch of its own and admitted nowhere: the memo keeps what the
+	// frame contributed, not the frame. b is valid only until compute
+	// returns. store says whether the memo keeps the value, so compute
+	// hands back a right-sized copy of size bytes when it does, and may
+	// return scratch state of its own (never anything aliasing b) when it
+	// does not. Memo runs compute at most once at a time per key (a caller
+	// waiting on another's compute gives up when ctx is done) and never
+	// keeps a value whose compute failed.
+	Memo(ctx context.Context, f *File, fe FrameEntry, key string, compute func(b *Batch, store bool) (v any, size int64, err error)) (v any, reused bool, err error)
 }
 
 // SetFrameSource installs (or, with nil, removes) the frame source. It
@@ -430,14 +437,27 @@ func (f *File) FramesInWindow(lo, hi clock.Time) ([]FrameEntry, error) {
 	if err := f.loadChain(); err != nil {
 		return nil, err
 	}
-	var out []FrameEntry
+	// Two passes, so the list is allocated once at its size.
+	n := 0
 	for _, d := range f.dirs {
-		if !d.Overlaps(lo, hi) {
-			continue
+		if d.Overlaps(lo, hi) {
+			for _, fe := range d.Entries {
+				if fe.End >= lo && fe.Start <= hi {
+					n++
+				}
+			}
 		}
-		for _, fe := range d.Entries {
-			if fe.End >= lo && fe.Start <= hi {
-				out = append(out, fe)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]FrameEntry, 0, n)
+	for _, d := range f.dirs {
+		if d.Overlaps(lo, hi) {
+			for _, fe := range d.Entries {
+				if fe.End >= lo && fe.Start <= hi {
+					out = append(out, fe)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package render
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"tracefw/internal/clock"
@@ -44,6 +45,23 @@ func PreviewSVG(p *slog.Preview) string {
 		return sb.String()
 	}
 	bw := w / float64(bins)
+	colors := make([]string, len(keys))
+	for s := range keys {
+		colors[s] = colorFor(keys, keys[s])
+	}
+	// One <rect> per nonzero (bin, state), each appended into one reused
+	// buffer — the bytes fmt's %.2f, %d and clock.Time's %.6fs would
+	// print — and written to a builder sized for all of them up front.
+	rects := 0
+	for s := range p.Dur {
+		for _, d := range p.Dur[s] {
+			if d != 0 {
+				rects++
+			}
+		}
+	}
+	sb.Grow(rects*160 + 4096)
+	var line []byte
 	for b := 0; b < bins; b++ {
 		y := h + 20
 		for s := range p.Dur {
@@ -53,8 +71,15 @@ func PreviewSVG(p *slog.Preview) string {
 			}
 			hh := float64(d) / float64(peak) * h
 			y -= hh
-			fmt.Fprintf(&sb, `<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s"><title>%s bin %d: %v</title></rect>`+"\n",
-				left+float64(b)*bw, y, bw-0.5, hh, colorFor(keys, keys[s]), keys[s], b, d)
+			line = strconv.AppendFloat(append(line[:0], `<rect x="`...), left+float64(b)*bw, 'f', 2, 64)
+			line = strconv.AppendFloat(append(line, `" y="`...), y, 'f', 2, 64)
+			line = strconv.AppendFloat(append(line, `" width="`...), bw-0.5, 'f', 2, 64)
+			line = strconv.AppendFloat(append(line, `" height="`...), hh, 'f', 2, 64)
+			line = append(append(append(line, `" fill="`...), colors[s]...), `"><title>`...)
+			line = strconv.AppendInt(append(append(line, keys[s]...), " bin "...), int64(b), 10)
+			line = strconv.AppendFloat(append(line, ": "...), d.Seconds(), 'f', 6, 64)
+			line = append(line, "s</title></rect>\n"...)
+			sb.Write(line)
 		}
 	}
 	// Axis: run time across bins. Legend only for states that appear.

@@ -35,8 +35,10 @@ type PreviewResult struct {
 	Engine string
 	// CellsUsed counts pyramid cells consulted (0 on the scan engine).
 	CellsUsed int
-	// FramesDecoded counts the frames the query materialized.
-	FramesDecoded int
+	// FramesDecoded counts the frames the query fetched, PartialsReused
+	// the edge-remainder frames a memoized contribution answered instead.
+	FramesDecoded  int
+	PartialsReused int
 }
 
 // BuildPreview renders the preview histogram of a merged interval file.
@@ -84,9 +86,10 @@ func BuildPreview(mf *interval.File, opts PreviewOptions) (*PreviewResult, error
 		p.Dur[si] = row
 	}
 	return &PreviewResult{
-		Preview:       p,
-		Engine:        ws.Engine,
-		CellsUsed:     ws.CellsUsed,
-		FramesDecoded: ws.FramesDecoded,
+		Preview:        p,
+		Engine:         ws.Engine,
+		CellsUsed:      ws.CellsUsed,
+		FramesDecoded:  ws.FramesDecoded,
+		PartialsReused: ws.PartialsReused,
 	}, nil
 }

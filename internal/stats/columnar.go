@@ -64,7 +64,7 @@ type frameResult struct {
 	part    *framePart
 	x       *kexec
 	reused  bool // answered by the frame memo, not evaluated
-	fetched bool // the frame's records were fetched (Frame.Batch)
+	fetched bool // the frame's records were fetched
 }
 
 // generate evaluates the compiled program over every selected frame and
@@ -84,11 +84,7 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 	// group tables grow to the largest frame once and are reused for
 	// every frame after.
 	pool := execPool{new: func() *kexec { return prog.newExec(tStart, tEnd, dict) }}
-	eval := func(file int, fr *interval.Frame, w window) (*kexec, error) {
-		b, err := fr.Batch()
-		if err != nil {
-			return nil, err
-		}
+	eval := func(file int, b *interval.Batch, w window) (*kexec, error) {
 		x := pool.get()
 		if err := prog.evalFrame(x, w, file, b); err != nil {
 			pool.put(x)
@@ -108,14 +104,23 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 		func(file int, fr *interval.Frame) (frameResult, error) {
 			w := clipWindow(mopts, fr.Entry)
 			if keys == nil || keys[file] == "" {
-				x, err := eval(file, fr, w)
+				b, err := fr.Batch()
 				if err != nil {
 					return frameResult{}, err
 				}
-				return frameResult{part: &x.framePart, x: x, fetched: fr.Fetched()}, nil
+				x, err := eval(file, b, w)
+				if err != nil {
+					return frameResult{}, err
+				}
+				return frameResult{part: &x.framePart, x: x, fetched: true}, nil
 			}
-			v, hit, err := files[file].FrameSource().Memo(ctx, fr.Entry, w.key(keys[file]), func(store bool) (any, int64, error) {
-				x, err := eval(file, fr, w)
+			// On a miss the source hands compute the frame; the partial
+			// is a function of its group keys and cells, which alias
+			// nothing of the batch, so the executor outlives it.
+			fetched := false
+			v, hit, err := files[file].FrameSource().Memo(ctx, files[file], fr.Entry, w.key(keys[file]), func(b *interval.Batch, store bool) (any, int64, error) {
+				fetched = true
+				x, err := eval(file, b, w)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -130,9 +135,9 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 				return frameResult{}, err
 			}
 			if x, ok := v.(*kexec); ok {
-				return frameResult{part: &x.framePart, x: x, fetched: fr.Fetched()}, nil
+				return frameResult{part: &x.framePart, x: x, fetched: fetched}, nil
 			}
-			return frameResult{part: v.(*framePart), reused: hit, fetched: fr.Fetched()}, nil
+			return frameResult{part: v.(*framePart), reused: hit, fetched: fetched}, nil
 		},
 		func(_ int, _ interval.FrameEntry, r frameResult) error {
 			for i := range total {

@@ -205,8 +205,8 @@ func (r residentFrames) Decode(_ *interval.File, fe interval.FrameEntry, _ *inte
 	return r[fe.Offset], nil
 }
 
-func (residentFrames) Memo(_ context.Context, _ interval.FrameEntry, _ string, compute func(bool) (any, int64, error)) (any, bool, error) {
-	v, _, err := compute(false)
+func (r residentFrames) Memo(_ context.Context, _ *interval.File, fe interval.FrameEntry, _ string, compute func(*interval.Batch, bool) (any, int64, error)) (any, bool, error) {
+	v, _, err := compute(r[fe.Offset], false)
 	return v, false, err
 }
 

@@ -1,6 +1,7 @@
 package tracesvc_test
 
 import (
+	"net/url"
 	"reflect"
 	"runtime"
 	"testing"
@@ -9,45 +10,63 @@ import (
 	"tracefw/internal/tracesvc"
 )
 
-// TestFirstScanKeepsNoFrame: a whole-trace stats scan lends the cache its
-// pooled batches, so it leaves no decoded frame resident — only a
-// once-seen marker per frame, charged MarkerBytes each; the second scan
-// decodes every frame again and stores it, and the third decodes none —
-// its per-frame stats partials are memoized, so it fetches no frame and
-// is no cache hit either. /metrics splits the misses by what they left.
+// TestFirstScanKeepsNoFrame: a whole-trace stats scan never leaves a
+// decoded frame it did not need twice. The predefined tables memoize a
+// partial per frame, so their scans read frames only to compute
+// partials: the first two decode every frame and admit none of them —
+// not even a once-seen marker — and the third, its partials stored,
+// fetches no frame and is no cache hit either. A concatenation memoizes
+// nothing, so its scans fall under the second-use rule: the first lends
+// the cache its pooled batches and leaves only a once-seen marker per
+// frame, charged MarkerBytes each, the second decodes every frame again
+// and stores it, and the third is all hits. /metrics splits the misses
+// by what they left.
 func TestFirstScanKeepsNoFrame(t *testing.T) {
-	s := tracesvc.New(tracesvc.Config{})
-	defer s.Close()
-	path := writeTrace(t, t.TempDir(), 2000)
-	id := openTrace(t, s, path)
-	tr, _ := s.Registry().Resolve(id)
-	n := len(tr.Frames())
-	for scan, want := range []struct {
-		decoded, frames, markers int
-	}{{n, 0, n}, {2 * n, n, 0}, {2 * n, n, 0}} {
-		if w := do(t, s, "GET", "/v1/traces/"+id+"/stats?bins=8", ""); w.Code != 200 {
-			t.Fatalf("scan %d: %d %s", scan+1, w.Code, w.Body)
-		}
-		if got := metricValue(t, s, "tracesvc_frames_decoded_total"); got != int64(want.decoded) {
-			t.Fatalf("after scan %d: %d frames decoded, want %d", scan+1, got, want.decoded)
-		}
-		frames, markers := checkCacheAccounting(t, s, tr, 256<<20)
-		if frames != want.frames || markers != want.markers {
-			t.Fatalf("after scan %d: %d frames and %d markers resident, want %d and %d", scan+1, frames, markers, want.frames, want.markers)
-		}
-	}
-	for _, m := range []struct {
-		name string
-		want int64
+	for _, tc := range []struct {
+		name, query string
+		// After each scan, in multiples of the frame count: frames
+		// decoded so far, frames resident, markers resident.
+		scans [3][3]int
+		// Admissions that left a marker, a stored frame and nothing, and
+		// hits, in multiples of the frame count.
+		once, stored, none, hits int64
 	}{
-		{`tracesvc_cache_admissions_total{result="once"}`, int64(n)},
-		{`tracesvc_cache_admissions_total{result="stored"}`, int64(n)},
-		{"tracesvc_cache_misses_total", 2 * int64(n)},
-		{"tracesvc_cache_hits_total", 0},
+		{"memoized", "bins=8", [3][3]int{{1, 0, 0}, {2, 0, 0}, {2, 0, 0}}, 0, 0, 2, 0},
+		{"concatenation", "expr=" + url.QueryEscape(`table name=c x=("c", state + "!") y=("n", dura, count)`),
+			[3][3]int{{1, 0, 1}, {2, 1, 0}, {2, 1, 0}}, 1, 1, 0, 1},
 	} {
-		if got := metricValue(t, s, m.name); got != m.want {
-			t.Fatalf("%s = %d, want %d", m.name, got, m.want)
+		s := tracesvc.New(tracesvc.Config{})
+		path := writeTrace(t, t.TempDir(), 2000)
+		id := openTrace(t, s, path)
+		tr, _ := s.Registry().Resolve(id)
+		n := len(tr.Frames())
+		for scan, want := range tc.scans {
+			if w := do(t, s, "GET", "/v1/traces/"+id+"/stats?"+tc.query, ""); w.Code != 200 {
+				t.Fatalf("%s scan %d: %d %s", tc.name, scan+1, w.Code, w.Body)
+			}
+			if got := metricValue(t, s, "tracesvc_frames_decoded_total"); got != int64(want[0]*n) {
+				t.Fatalf("%s: after scan %d: %d frames decoded, want %d", tc.name, scan+1, got, want[0]*n)
+			}
+			frames, markers := checkCacheAccounting(t, s, tr, 256<<20)
+			if frames != want[1]*n || markers != want[2]*n {
+				t.Fatalf("%s: after scan %d: %d frames and %d markers resident, want %d and %d", tc.name, scan+1, frames, markers, want[1]*n, want[2]*n)
+			}
 		}
+		for _, m := range []struct {
+			name string
+			want int64
+		}{
+			{`tracesvc_cache_admissions_total{result="once"}`, tc.once},
+			{`tracesvc_cache_admissions_total{result="stored"}`, tc.stored},
+			{`tracesvc_cache_admissions_total{result="none"}`, tc.none},
+			{"tracesvc_cache_misses_total", 2},
+			{"tracesvc_cache_hits_total", tc.hits},
+		} {
+			if got := metricValue(t, s, m.name); got != m.want*int64(n) {
+				t.Fatalf("%s: %s = %d, want %d", tc.name, m.name, got, m.want*int64(n))
+			}
+		}
+		s.Close()
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 
 // frameKey identifies one cache entry: the registry-assigned file
 // number, the frame's byte offset (unique within a file), and — for a
-// stats partial memoized from that frame — the memo key; "" is the
+// value memoized from that frame (a stats partial, a summary's edge
+// remainder contribution, a record count) — the memo key; "" is the
 // decoded frame itself.
 type frameKey struct {
 	file uint64
@@ -41,9 +42,12 @@ type frameKey struct {
 // frame whose caller lends no scratch to decode into (Get): it needs a
 // copy of its own anyway, and the cache keeps that copy.
 //
-// The same shards, LRU, budget and singleflight hold the stats engine's
-// per-frame partials (Memo), which only the partial counters see: the
-// decoded-frame counters count decoded frames alone.
+// The same shards, LRU, budget and singleflight hold the values
+// memoized per frame (Memo) — stats partials, summary edge remainders,
+// record counts — which only the partial counters see. A frame read
+// only to compute such a value is never a use of the frame: a resident
+// frame serves the compute as a hit, any other is decoded into scratch
+// and admitted nowhere, neither marked nor stored.
 type FrameCache struct {
 	shards      []cacheShard
 	shardBudget int64
@@ -52,16 +56,18 @@ type FrameCache struct {
 	hits      promtext.Counter
 	misses    promtext.Counter
 	evictions promtext.Counter
-	// Frame decodes that left a once-seen marker, and those whose frame
-	// became resident; together with failed decodes they are the misses.
+	// Frame decodes that left a once-seen marker, those whose frame
+	// became resident, and those that fed a memo compute and left
+	// nothing; together with failed decodes they are the misses.
 	admitOnce   promtext.Counter
 	admitStored promtext.Counter
+	admitNone   promtext.Counter
 	// bytes is charged with resident frames and their once-seen markers,
 	// entries counts resident frames alone.
 	bytes   promtext.Gauge
 	entries promtext.Gauge
-	// Partial lookups answered from a stored partial, lookups that
-	// evaluated, partials stored, and the bytes memo entries are charged.
+	// Memo lookups answered from a stored value, lookups that
+	// evaluated, values stored, and the bytes memo entries are charged.
 	partHits   promtext.Counter
 	partMisses promtext.Counter
 	partStored promtext.Counter
@@ -80,7 +86,7 @@ type cacheShard struct {
 
 type cacheEntry struct {
 	key frameKey
-	// val is the decoded *interval.Batch or the stored partial.
+	// val is the decoded *interval.Batch or the stored memo value.
 	val        any
 	size       int64
 	prev, next *cacheEntry
@@ -101,7 +107,7 @@ type cacheEntry struct {
 	wanted bool
 }
 
-// memoEntryBytes is what a memo entry is charged beyond its partial: the
+// memoEntryBytes is what a memo entry is charged beyond its value: the
 // entry itself plus its key, charged by length (a client chooses it).
 const memoEntryBytes = 128
 
@@ -130,8 +136,8 @@ func NewFrameCache(budgetBytes int64, nShards int) *FrameCache {
 func (c *FrameCache) shard(k frameKey) *cacheShard {
 	// Frame offsets are distinct multiples of small sizes; fold both key
 	// halves through a 64-bit mix (splitmix64 finalizer) so shard
-	// assignment is uniform regardless of alignment. A frame's partials
-	// share its shard.
+	// assignment is uniform regardless of alignment. A frame's memo
+	// entries share its shard.
 	h := k.file*0x9e3779b97f4a7c15 + uint64(k.off)
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -244,14 +250,16 @@ func (c *FrameCache) mark(sh *cacheShard, e *cacheEntry) {
 	c.evictLocked(sh)
 }
 
-// Memo is the interval.FrameMemo the registry installs for file number
-// file, over the frame at off. Admission is on the second evaluation
-// under a key: the first leaves only a once-seen record (charged
-// memoEntryBytes plus the key), so a query nobody repeats stores and
-// copies nothing; the second stores its partial, and every later lookup
-// reuses it. Concurrent lookups of a partial being stored wait for it
-// (singleflight) unless ctx ends first; the store carries on either way.
-func (c *FrameCache) Memo(ctx context.Context, file uint64, off int64, key string, compute func(store bool) (any, int64, error)) (any, bool, error) {
+// Memo answers the value memoized under key from the frame at off of
+// file number file — the registry's interval.FrameSource Memo. Admission
+// is on the second evaluation under a key: the first leaves only a
+// once-seen record (charged memoEntryBytes plus the key), so a query
+// nobody repeats stores and copies nothing; the second stores its value,
+// and every later lookup reuses it. Concurrent lookups of a value being
+// stored wait for it (singleflight) unless ctx ends first; the store
+// carries on either way. An evaluation gets the frame from lend, so it
+// leaves no frame behind.
+func (c *FrameCache) Memo(ctx context.Context, file uint64, off int64, key string, decode func(dst *interval.Batch) error, compute func(b *interval.Batch, store bool) (any, int64, error)) (any, bool, error) {
 	k := frameKey{file, off, key}
 	sh := c.shard(k)
 	sh.mu.Lock()
@@ -261,8 +269,8 @@ func (c *FrameCache) Memo(ctx context.Context, file uint64, off int64, key strin
 			return nil, false, err
 		}
 		if e.err != nil {
-			// Evaluation is deterministic: the stored-to-be partial's
-			// error is this caller's too.
+			// Evaluation is deterministic: the stored-to-be value's error
+			// is this caller's too.
 			return nil, false, e.err
 		}
 		c.partHits.Add(1)
@@ -274,7 +282,7 @@ func (c *FrameCache) Memo(ctx context.Context, file uint64, off int64, key strin
 		sh.entries[k] = e
 		c.mark(sh, e)
 		sh.mu.Unlock()
-		v, _, err := compute(false)
+		v, _, err := c.lend(file, off, decode, func(b *interval.Batch) (any, int64, error) { return compute(b, false) })
 		return v, false, err
 	}
 	c.drop(sh, e)
@@ -282,13 +290,44 @@ func (c *FrameCache) Memo(ctx context.Context, file uint64, off int64, key strin
 	sh.entries[k] = e
 	sh.mu.Unlock()
 	v, err := c.fill(sh, e, func() (any, int64, error) {
-		v, size, err := compute(true)
+		v, size, err := c.lend(file, off, decode, func(b *interval.Batch) (any, int64, error) { return compute(b, true) })
 		return v, memoEntryBytes + int64(len(key)) + size, err
 	})
 	if err == nil {
 		c.partStored.Add(1)
 	}
 	return v, false, err
+}
+
+// lend runs fn over the frame at off of file number file without making
+// it a use of the frame: a frame resident (or being stored) is handed
+// over as is, a hit; any other is decoded into pooled scratch that fn
+// must not hold on to, a miss that leaves the cache neither a marker nor
+// a copy. A frame in its first decode for a Get is decoded again rather
+// than waited on: a waiter would make that decode store. A frame being
+// stored is waited on whatever the caller's context: lend runs inside
+// Memo's stores, which carry on when their request ends.
+func (c *FrameCache) lend(file uint64, off int64, decode func(dst *interval.Batch) error, fn func(b *interval.Batch) (any, int64, error)) (any, int64, error) {
+	k := frameKey{file: file, off: off}
+	sh := c.shard(k)
+	sh.mu.Lock()
+	if e := sh.entries[k]; e != nil && !e.once {
+		sh.await(context.Background(), e)
+		c.hits.Add(1)
+		if e.err != nil {
+			return nil, 0, e.err
+		}
+		return fn(e.val.(*interval.Batch))
+	}
+	sh.mu.Unlock()
+	c.misses.Add(1)
+	b := scratchPool.Get().(*interval.Batch)
+	defer scratchPool.Put(b)
+	if err := decode(b); err != nil {
+		return nil, 0, err
+	}
+	c.admitNone.Add(1)
+	return fn(b)
 }
 
 // await returns once e's load has finished, bumping a ready entry to the
@@ -375,9 +414,9 @@ func (c *FrameCache) evictLocked(sh *cacheShard) {
 	}
 }
 
-// InvalidateFile removes every cached frame and partial of the given
-// file; the registry calls it when a trace is closed so a later reopen
-// can never see stale entries.
+// InvalidateFile removes every cached frame and memoized value of the
+// given file; the registry calls it when a trace is closed so a later
+// reopen can never see stale entries.
 func (c *FrameCache) InvalidateFile(file uint64) {
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -391,8 +430,8 @@ func (c *FrameCache) InvalidateFile(file uint64) {
 	}
 }
 
-// Flush empties the cache entirely, partials included (benchmarks use
-// it to measure the cold path).
+// Flush empties the cache entirely, memoized values included
+// (benchmarks use it to measure the cold path).
 func (c *FrameCache) Flush() {
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -407,14 +446,14 @@ func (c *FrameCache) Flush() {
 // CacheStats is a point-in-time snapshot of the cache counters.
 type CacheStats struct {
 	Hits, Misses, Evictions int64
-	// Frame decodes that left a once-seen marker (a first use) and those
+	// Frame decodes that left a once-seen marker (a first use), those
 	// whose frame became resident (a second use, or a first use lending
-	// no scratch).
-	AdmittedOnce, AdmittedStored int64
+	// no scratch), and those that fed a memo compute and left nothing.
+	AdmittedOnce, AdmittedStored, AdmittedNone int64
 	// Bytes charged to resident frames and their markers; frames resident.
 	Bytes, Entries int64
-	// Stats partials (Memo): lookups reusing a stored partial, lookups
-	// that evaluated, partials stored, and bytes charged to memo entries.
+	// Memoized values (Memo): lookups reusing a stored value, lookups
+	// that evaluated, values stored, and bytes charged to memo entries.
 	PartialHits, PartialMisses, PartialsStored int64
 	PartialBytes                               int64
 }
@@ -427,6 +466,7 @@ func (c *FrameCache) Stats() CacheStats {
 		Evictions:      c.evictions.Value(),
 		AdmittedOnce:   c.admitOnce.Value(),
 		AdmittedStored: c.admitStored.Value(),
+		AdmittedNone:   c.admitNone.Value(),
 		Bytes:          c.bytes.Value(),
 		Entries:        c.entries.Value(),
 		PartialHits:    c.partHits.Value(),

@@ -313,9 +313,11 @@ func metricValue(t *testing.T, s *tracesvc.Service, name string) int64 {
 // reuses. The marker-keyed program reuses too, which needs its marker
 // codes to come out the same on every run. /metrics counts the same
 // lookups and fetches, and the decoded-frame counters still count
-// decoded frames: frames follow the same second-use rule, so every frame
-// is decoded twice — its first use leaves a once-seen marker, its second
-// stores it — and all of them end resident.
+// decoded frames: a frame read only to compute a partial is admitted
+// nowhere, so each memoized query decodes its frames in its first two
+// askings and leaves none of them resident, while the concatenation's
+// frames follow the second-use rule — its first asking leaves once-seen
+// markers, its second stores the frames, and the last two are hits.
 func TestStatsMemoPlan(t *testing.T) {
 	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
 	s := tracesvc.New(tracesvc.Config{})
@@ -362,6 +364,9 @@ func TestStatsMemoPlan(t *testing.T) {
 	// Two fetching askings of each memoized query, four of the
 	// concatenation.
 	fetched := int64(2*(edges+inside) + 2*len(frames) + 4*(edges+inside))
+	// The memoized queries' two fetching askings decode, and so do the
+	// concatenation's first two.
+	decoded := 2*memoized + 2*int64(edges+inside)
 	for _, m := range []struct {
 		name string
 		want int64
@@ -370,11 +375,13 @@ func TestStatsMemoPlan(t *testing.T) {
 		{`tracesvc_stats_partials_total{result="miss"}`, 2 * memoized},
 		{`tracesvc_stats_partials_total{result="stored"}`, memoized},
 		{"tracesvc_stats_frames_fetched_total", fetched},
-		{"tracesvc_cache_misses_total", 2 * int64(len(frames))},
-		{`tracesvc_cache_admissions_total{result="once"}`, int64(len(frames))},
-		{`tracesvc_cache_admissions_total{result="stored"}`, int64(len(frames))},
-		{"tracesvc_cache_frames_resident", int64(len(frames))},
-		{"tracesvc_frames_decoded_total", 2 * int64(len(frames))},
+		{"tracesvc_cache_misses_total", decoded},
+		{`tracesvc_cache_admissions_total{result="once"}`, int64(edges + inside)},
+		{`tracesvc_cache_admissions_total{result="stored"}`, int64(edges + inside)},
+		{`tracesvc_cache_admissions_total{result="none"}`, 2 * memoized},
+		{"tracesvc_cache_hits_total", 2 * int64(edges+inside)},
+		{"tracesvc_cache_frames_resident", int64(edges + inside)},
+		{"tracesvc_frames_decoded_total", decoded},
 	} {
 		if got := metricValue(t, s, m.name); got != m.want {
 			t.Fatalf("%s = %d, want %d", m.name, got, m.want)
@@ -592,8 +599,9 @@ func TestMemoSingleflightCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c := tracesvc.NewFrameCache(1<<20, 1)
 	const key = "k"
-	value := func(store bool) (any, int64, error) { return "partial", 8, nil }
-	if _, reused, err := c.Memo(context.Background(), 1, 0, key, value); reused || err != nil {
+	decode := func(*interval.Batch) error { return nil }
+	value := func(*interval.Batch, bool) (any, int64, error) { return "partial", 8, nil }
+	if _, reused, err := c.Memo(context.Background(), 1, 0, key, decode, value); reused || err != nil {
 		t.Fatalf("first lookup: reused %v, %v", reused, err)
 	}
 
@@ -601,13 +609,13 @@ func TestMemoSingleflightCancel(t *testing.T) {
 	storer, storerCancel := context.WithCancel(context.Background())
 	stored := make(chan error, 1)
 	go func() {
-		_, _, err := c.Memo(storer, 1, 0, key, func(store bool) (any, int64, error) {
+		_, _, err := c.Memo(storer, 1, 0, key, decode, func(b *interval.Batch, store bool) (any, int64, error) {
 			if !store {
 				return nil, 0, errors.New("the second evaluation must store")
 			}
 			close(computing)
 			<-release
-			return value(store)
+			return value(b, store)
 		})
 		stored <- err
 	}()
@@ -616,7 +624,7 @@ func TestMemoSingleflightCancel(t *testing.T) {
 	waiter, waiterCancel := context.WithCancel(context.Background())
 	waited := make(chan error, 1)
 	go func() {
-		_, _, err := c.Memo(waiter, 1, 0, key, func(bool) (any, int64, error) {
+		_, _, err := c.Memo(waiter, 1, 0, key, decode, func(*interval.Batch, bool) (any, int64, error) {
 			return nil, 0, errors.New("a waiter evaluated")
 		})
 		waited <- err
@@ -639,13 +647,15 @@ func TestMemoSingleflightCancel(t *testing.T) {
 	if err := <-stored; err != nil {
 		t.Fatalf("storer: %v", err)
 	}
-	v, reused, err := c.Memo(context.Background(), 1, 0, key, func(bool) (any, int64, error) {
+	v, reused, err := c.Memo(context.Background(), 1, 0, key, decode, func(*interval.Batch, bool) (any, int64, error) {
 		return nil, 0, errors.New("a stored partial was evaluated again")
 	})
 	if v != "partial" || !reused || err != nil {
 		t.Fatalf("after the store: %v, reused %v, %v", v, reused, err)
 	}
-	if cs := c.Stats(); cs.PartialsStored != 1 || cs.PartialHits != 1 || cs.Hits+cs.Misses+cs.Entries != 0 {
+	// Each of the two evaluations decoded the frame and admitted it
+	// nowhere.
+	if cs := c.Stats(); cs.PartialsStored != 1 || cs.PartialHits != 1 || cs.Misses != 2 || cs.AdmittedNone != 2 || cs.Hits+cs.Entries+cs.AdmittedOnce+cs.AdmittedStored != 0 {
 		t.Fatalf("counters %+v", cs)
 	}
 	testutil.SettleGoroutines(t, before)

@@ -34,6 +34,7 @@ type metrics struct {
 	summaryScan    promtext.Counter
 	summaryCells   promtext.Counter
 	summaryFrames  promtext.Counter
+	summaryReused  promtext.Counter
 	// rangeQueries counts requests that restricted their scan to an
 	// explicit frame-index range (?frames=lo:hi) — the shard router's
 	// scatter-gather legs, so a backend can tell fan-out traffic from
@@ -43,8 +44,9 @@ type metrics struct {
 
 // observeSummary records one summary-planner query (a preview build or
 // a time-resolved stats run): the engine that answered it, the pyramid
-// cells it consulted, and the frames it decoded.
-func (m *metrics) observeSummary(engine string, cells, frames int) {
+// cells it consulted, the frames it fetched, and the edge-remainder
+// contributions it reused instead.
+func (m *metrics) observeSummary(engine string, cells, frames, reused int) {
 	if engine == "pyramid" {
 		m.summaryPyramid.Add(1)
 	} else {
@@ -52,6 +54,7 @@ func (m *metrics) observeSummary(engine string, cells, frames int) {
 	}
 	m.summaryCells.Add(int64(cells))
 	m.summaryFrames.Add(int64(frames))
+	m.summaryReused.Add(int64(reused))
 }
 
 type endpointMetrics struct {
@@ -85,9 +88,10 @@ func (m *metrics) writePrometheus(w io.Writer, cache CacheStats, tracesOpen int6
 	fmt.Fprintf(w, "tracesvc_cache_hits_total %d\n", cache.Hits)
 	promtext.Header(w, "tracesvc_cache_misses_total", "counter", "Decoded-frame cache misses (each one decode).")
 	fmt.Fprintf(w, "tracesvc_cache_misses_total %d\n", cache.Misses)
-	promtext.Header(w, "tracesvc_cache_admissions_total", "counter", "Cache misses by what the decode left: a once-seen marker (a frame's first use, decoded into the caller's scratch) or a stored frame (its second use, or a first use that lent no scratch).")
+	promtext.Header(w, "tracesvc_cache_admissions_total", "counter", "Cache misses by what the decode left: a once-seen marker (a frame's first use, decoded into the caller's scratch), a stored frame (its second use, or a first use that lent no scratch), or nothing (a frame read only to compute a memoized value).")
 	fmt.Fprintf(w, "tracesvc_cache_admissions_total{result=\"once\"} %d\n", cache.AdmittedOnce)
 	fmt.Fprintf(w, "tracesvc_cache_admissions_total{result=\"stored\"} %d\n", cache.AdmittedStored)
+	fmt.Fprintf(w, "tracesvc_cache_admissions_total{result=\"none\"} %d\n", cache.AdmittedNone)
 	promtext.Header(w, "tracesvc_cache_evictions_total", "counter", "Frames evicted to stay under the byte budget.")
 	fmt.Fprintf(w, "tracesvc_cache_evictions_total %d\n", cache.Evictions)
 	promtext.Header(w, "tracesvc_cache_bytes_resident", "gauge", "Bytes of decoded frame batches resident in the cache (exact column footprint), plus 128 per once-seen frame marker.")
@@ -104,19 +108,21 @@ func (m *metrics) writePrometheus(w io.Writer, cache CacheStats, tracesOpen int6
 	fmt.Fprintf(w, "tracesvc_stats_records_skipped_total %d\n", m.statsSkipped.Value())
 	promtext.Header(w, "tracesvc_stats_frames_fetched_total", "counter", "Frames whose records statistics programs fetched (from the frame cache or a decode); a frame answered by a memoized partial is not fetched.")
 	fmt.Fprintf(w, "tracesvc_stats_frames_fetched_total %d\n", m.statsFetched.Value())
-	promtext.Header(w, "tracesvc_stats_partials_total", "counter", "Per-frame stats partial lookups: reused from the memo (hit), evaluated (miss), and evaluations stored (the second under a key).")
+	promtext.Header(w, "tracesvc_stats_partials_total", "counter", "Per-frame memo lookups (stats partials, summary edge remainders, record counts): reused from the memo (hit), evaluated (miss), and evaluations stored (the second under a key).")
 	fmt.Fprintf(w, "tracesvc_stats_partials_total{result=\"hit\"} %d\n", cache.PartialHits)
 	fmt.Fprintf(w, "tracesvc_stats_partials_total{result=\"miss\"} %d\n", cache.PartialMisses)
 	fmt.Fprintf(w, "tracesvc_stats_partials_total{result=\"stored\"} %d\n", cache.PartialsStored)
-	promtext.Header(w, "tracesvc_stats_partials_bytes_resident", "gauge", "Bytes of the cache budget charged to stored stats partials and once-seen memo keys.")
+	promtext.Header(w, "tracesvc_stats_partials_bytes_resident", "gauge", "Bytes of the cache budget charged to stored memo values (stats partials, summary edge remainders, record counts) and once-seen memo keys.")
 	fmt.Fprintf(w, "tracesvc_stats_partials_bytes_resident %d\n", cache.PartialBytes)
 	promtext.Header(w, "tracesvc_summary_queries_total", "counter", "Summary-planner queries (previews, time-resolved tables), by answering engine.")
 	fmt.Fprintf(w, "tracesvc_summary_queries_total{engine=\"pyramid\"} %d\n", m.summaryPyramid.Value())
 	fmt.Fprintf(w, "tracesvc_summary_queries_total{engine=\"scan\"} %d\n", m.summaryScan.Value())
 	promtext.Header(w, "tracesvc_summary_pyramid_cells_total", "counter", "Pyramid cells consulted by summary-planner queries.")
 	fmt.Fprintf(w, "tracesvc_summary_pyramid_cells_total %d\n", m.summaryCells.Value())
-	promtext.Header(w, "tracesvc_summary_frames_decoded_total", "counter", "Frames decoded by summary-planner queries (scan fallbacks and pyramid window edges).")
+	promtext.Header(w, "tracesvc_summary_frames_decoded_total", "counter", "Frames fetched by summary-planner queries (scan fallbacks and pyramid window edges).")
 	fmt.Fprintf(w, "tracesvc_summary_frames_decoded_total %d\n", m.summaryFrames.Value())
+	promtext.Header(w, "tracesvc_summary_partials_reused_total", "counter", "Pyramid window-edge frames whose memoized remainder contribution answered a summary-planner query instead of a fetch.")
+	fmt.Fprintf(w, "tracesvc_summary_partials_reused_total %d\n", m.summaryReused.Value())
 	promtext.Header(w, "tracesvc_range_queries_total", "counter", "Requests restricted to an explicit frame-index range (?frames=lo:hi) — the shard router's scatter-gather legs.")
 	fmt.Fprintf(w, "tracesvc_range_queries_total %d\n", m.rangeQueries.Value())
 

@@ -125,12 +125,13 @@ func (r *Registry) AddLive(prov LiveProvider) string {
 
 // snapshot makes an open file servable as e's trace: its directory
 // chain is proven to load, and its frame source — every frame decode
-// (map-reduce engine, scanners, FrameBatch) and every per-frame stats
-// partial — is the shared cache under e's namespace (installed before
-// the trace is published, never changed after, as SetFrameSource
-// requires). The namespace outlives seal generations, and so may
-// partials: a sealed frame's bytes never change, and the memo key names
-// the run bounds.
+// (map-reduce engine, scanners, FrameBatch) and every value memoized per
+// frame (stats partials, summary edge remainders, record counts) — is
+// the shared cache under e's namespace (installed before the trace is
+// published, never changed after, as SetFrameSource requires). The
+// namespace outlives seal generations, and so may memoized values: a
+// sealed frame's bytes never change, and each memo key names whatever
+// else its value depends on (the stats keys, the run bounds).
 func (r *Registry) snapshot(e *entry, path string, f *interval.File) (*Trace, error) {
 	if !f.ConcurrentReads() {
 		return nil, fmt.Errorf("tracesvc: %s: reader does not support concurrent frame reads", path)
@@ -150,17 +151,22 @@ type frameSource struct {
 }
 
 func (s frameSource) Decode(f *interval.File, fe interval.FrameEntry, scratch *interval.Batch) (*interval.Batch, error) {
-	return s.r.cache.Get(s.num, fe.Offset, scratch, func(dst *interval.Batch) error {
+	return s.r.cache.Get(s.num, fe.Offset, scratch, s.decoder(f, fe))
+}
+
+func (s frameSource) Memo(ctx context.Context, f *interval.File, fe interval.FrameEntry, key string, compute func(*interval.Batch, bool) (any, int64, error)) (any, bool, error) {
+	return s.r.cache.Memo(ctx, s.num, fe.Offset, key, s.decoder(f, fe), compute)
+}
+
+// decoder reads fe of f into a batch, counting the read.
+func (s frameSource) decoder(f *interval.File, fe interval.FrameEntry) func(dst *interval.Batch) error {
+	return func(dst *interval.Batch) error {
 		err := f.DecodeFrameBatch(fe, dst)
 		if err == nil {
 			s.r.decoded.Add(1)
 		}
 		return err
-	})
-}
-
-func (s frameSource) Memo(ctx context.Context, fe interval.FrameEntry, key string, compute func(bool) (any, int64, error)) (any, bool, error) {
-	return s.r.cache.Memo(ctx, s.num, fe.Offset, key, compute)
+	}
 }
 
 // resolve returns e's current trace. With a provider it is the snapshot

@@ -399,7 +399,10 @@ func parseBins(q url.Values, def int) (int, error) {
 // format=json wraps each table with the summary engine that answered
 // and its excluded-record count, and reports how many frames the program
 // evaluated, how many per-frame partials it reused from the cache, and
-// how many frames' records it fetched (a reused partial fetches none).
+// how many frames' records it fetched (a reused partial fetches none) —
+// or, on a time-resolved request, how many edge-remainder contributions
+// the summary reused (partialsReused) and how many frames it fetched
+// (framesDecoded).
 func (s *Service) handleStats(r *http.Request) (*response, error) {
 	t, err := s.trace(r)
 	if err != nil {
@@ -417,13 +420,18 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 		opts.Window, opts.Lo, opts.Hi = true, lo, hi
 	}
 	var run stats.Run
+	// summaryDecoded is the frames the summary fetched, on a
+	// time-resolved request only.
+	var summaryDecoded *int
 	if q.Get("timeresolved") == "1" {
 		if q.Get("expr") != "" {
 			return nil, badRequest("timeresolved=1 does not take an expr")
 		}
 		run.Tables, err = stats.TimeResolved([]*interval.File{t.file}, bins, opts)
 		if err == nil && len(run.Tables) > 0 {
-			s.met.observeSummary(run.Tables[0].Engine, run.Tables[0].CellsUsed, run.Tables[0].FramesDecoded)
+			tb := run.Tables[0]
+			s.met.observeSummary(tb.Engine, tb.CellsUsed, tb.FramesDecoded, tb.PartialsReused)
+			run.PartialsReused, summaryDecoded = tb.PartialsReused, &tb.FramesDecoded
 		}
 	} else {
 		program := q.Get("expr")
@@ -454,17 +462,25 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 			FramesEvaluated int         `json:"framesEvaluated"`
 			PartialsReused  int         `json:"partialsReused"`
 			FramesFetched   int         `json:"framesFetched"`
-		}{Tables: make([]tableJSON, len(tables)), FramesEvaluated: run.FramesEvaluated, PartialsReused: run.PartialsReused, FramesFetched: run.FramesFetched}
+			FramesDecoded   *int        `json:"framesDecoded,omitempty"`
+		}{Tables: make([]tableJSON, len(tables)), FramesEvaluated: run.FramesEvaluated, PartialsReused: run.PartialsReused, FramesFetched: run.FramesFetched, FramesDecoded: summaryDecoded}
 		for i, tb := range tables {
 			body.Tables[i] = tableJSON{Name: tb.Name, Engine: tb.Engine, Skipped: tb.Skipped, Rows: len(tb.Rows), TSV: tb.TSV()}
 		}
 		return jsonResponse(http.StatusOK, body)
 	}
-	var b bytes.Buffer
-	for _, tb := range tables {
-		fmt.Fprintf(&b, "# table %s\n%s\n", tb.Name, tb.TSV())
+	// utestats's output loop, into a body allocated once at its size.
+	tsvs, size := make([]string, len(tables)), 0
+	for i, tb := range tables {
+		tsvs[i] = tb.TSV()
+		size += len("# table \n\n") + len(tb.Name) + len(tsvs[i])
 	}
-	return &response{status: http.StatusOK, contentType: "text/tab-separated-values; charset=utf-8", body: b.Bytes()}, nil
+	body := make([]byte, 0, size)
+	for i, tb := range tables {
+		body = append(append(append(body, "# table "...), tb.Name...), '\n')
+		body = append(append(body, tsvs[i]...), '\n')
+	}
+	return &response{status: http.StatusOK, contentType: "text/tab-separated-values; charset=utf-8", body: body}, nil
 }
 
 // handleRecords pages through the records overlapping a window. The
@@ -472,11 +488,13 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 // — through the cache, so a warm repeat decodes nothing. ?count=1 skips
 // the bodies and returns the total alone, counted from the directory
 // wherever it can be: every record of a frame the window does not cut
-// (any frame, unwindowed) overlaps the window, so only the frames
-// straddling its edges are decoded. ?frames=lo:hi restricts the scan to
-// the half-open frame-index range [lo, hi) of the flattened frame list —
-// the shard router's scatter-gather legs use it so each backend touches
-// (and caches) only its own contiguous frame range.
+// (any frame, unwindowed) overlaps the window. A frame straddling its
+// edges is counted once per cut: the count is memoized under the window
+// as it cuts the frame (countKey), so only a cut's first two askings
+// read the frame. ?frames=lo:hi restricts the scan to the half-open
+// frame-index range [lo, hi) of the flattened frame list — the shard
+// router's scatter-gather legs use it so each backend touches (and
+// caches) only its own contiguous frame range.
 func (s *Service) handleRecords(r *http.Request) (*response, error) {
 	t, err := s.trace(r)
 	if err != nil {
@@ -527,6 +545,22 @@ func (s *Service) handleRecords(r *http.Request) (*response, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		if countOnly {
+			v, _, err := t.file.FrameSource().Memo(ctx, t.file, fe, countKey(fe, lo, hi), func(b *interval.Batch, _ bool) (any, int64, error) {
+				n := 0
+				for i := 0; i < b.N; i++ {
+					if b.End(i) >= lo && b.Start[i] <= hi {
+						n++
+					}
+				}
+				return n, 8, nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			total += v.(int)
+			continue
+		}
 		b, err := t.file.FrameBatch(fe)
 		if err != nil {
 			return nil, err
@@ -538,7 +572,7 @@ func (s *Service) handleRecords(r *http.Request) (*response, error) {
 			n := total
 			total++
 			// n-offset, not offset+limit: the sum overflows for a huge limit.
-			if countOnly || n < offset || n-offset >= limit {
+			if n < offset || n-offset >= limit {
 				continue
 			}
 			rec := b.Row(i)
@@ -560,6 +594,20 @@ func (s *Service) handleRecords(r *http.Request) (*response, error) {
 		return jsonResponse(http.StatusOK, RecordCount{Count: total})
 	}
 	return jsonResponse(http.StatusOK, RecordsPage{Total: total, Offset: offset, Records: out})
+}
+
+// countKey is the memo key of the number of fe's records overlapping
+// [lo, hi]: 'n' and the window as it cuts the frame — each side the
+// frame does not lie inside, the rule every per-frame memo keys by.
+func countKey(fe interval.FrameEntry, lo, hi clock.Time) string {
+	k := []byte{'n'}
+	if lo > fe.Start {
+		k = strconv.AppendInt(append(k, '<'), int64(lo), 10)
+	}
+	if hi < fe.End {
+		k = strconv.AppendInt(append(k, '>'), int64(hi), 10)
+	}
+	return string(k)
 }
 
 // parseFrameRange parses a "lo:hi" half-open frame-index range against a
@@ -628,7 +676,7 @@ func (s *Service) handlePreview(r *http.Request) (*response, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.met.observeSummary(res.Engine, res.CellsUsed, res.FramesDecoded)
+		s.met.observeSummary(res.Engine, res.CellsUsed, res.FramesDecoded, res.PartialsReused)
 		return &response{status: http.StatusOK, contentType: "image/svg+xml", body: []byte(render.PreviewSVG(res.Preview))}, nil
 	}
 	kind, err := render.ParseView(q.Get("view"))

@@ -100,6 +100,16 @@ func TestServicePreviewHistogram(t *testing.T) {
 		t.Fatalf("summary counters moved by %v, want 4 pyramid and 2 scan queries, cells and frames", d)
 	}
 
+	// Asked again and again, the windowed preview is answered from
+	// memoized edge remainders, and still matches the scan.
+	for ask := 2; ask <= 4; ask++ {
+		for _, q := range []string{"&window=0.01:0.09&bins=20", "&window=0.0123457:0.0876543&bins=7"} {
+			if get(with, q) != get(bare, q) {
+				t.Fatalf("asking %d of preview%s: engines render different documents", ask, q)
+			}
+		}
+	}
+
 	for _, q := range []string{"&bins=0", "&bins=x"} {
 		if w := do(t, s, "GET", "/v1/traces/"+with+"/preview.svg?view=preview"+q, ""); w.Code != http.StatusBadRequest {
 			t.Fatalf("preview%s: %d, want 400", q, w.Code)
@@ -167,11 +177,15 @@ func TestStatsTimeResolvedSummaryEngine(t *testing.T) {
 		return out.Tables
 	}
 
-	for _, q := range []string{"", "&window=0.01:0.09"} {
-		pyr, scan := get(with, q, "pyramid"), get(bare, q, "scan")
-		for i := range pyr {
-			if pyr[i].TSV != scan[i].TSV {
-				t.Fatalf("table %s differs between engines:\npyramid:\n%s\nscan:\n%s", pyr[i].Name, pyr[i].TSV, scan[i].TSV)
+	// Three askings: the pyramid's edge remainders are computed, then
+	// stored, then reused, and every asking matches the scan.
+	for ask := 1; ask <= 3; ask++ {
+		for _, q := range []string{"", "&window=0.01:0.09", "&window=0.0123457:0.0876543"} {
+			pyr, scan := get(with, q, "pyramid"), get(bare, q, "scan")
+			for i := range pyr {
+				if pyr[i].TSV != scan[i].TSV {
+					t.Fatalf("asking %d: table %s differs between engines:\npyramid:\n%s\nscan:\n%s", ask, pyr[i].Name, pyr[i].TSV, scan[i].TSV)
+				}
 			}
 		}
 	}

@@ -359,9 +359,12 @@ func TestPreviewByteIdentical(t *testing.T) {
 // repeated window query decodes zero frames — DecodedFrames (frame
 // payload reads) stays flat while cache hits climb. A /records scan
 // lends the cache no scratch, so its first use stores every frame it
-// reads; a /stats scan lends its pooled batches, so its first use keeps
-// nothing, its second decodes the window's frames again and stores them,
-// and only the third is warm.
+// reads, and a /stats over resident frames computes its partials from
+// them. A /stats on a fresh service reads frames only to compute its
+// per-frame partials, so it keeps no frame: its first asking decodes the
+// window's frames, its second decodes them again and stores the
+// partials, and only the third is warm; a /records?count=1 after it
+// reads only the frames the window cuts, on the same schedule.
 func TestWarmCacheDecodesNoFrames(t *testing.T) {
 	s := tracesvc.New(tracesvc.Config{})
 	defer s.Close()
@@ -399,7 +402,9 @@ func TestWarmCacheDecodesNoFrames(t *testing.T) {
 	}
 
 	// Stats first, on a fresh service: cold frames, cold frames again
-	// (now stored), then zero — and the records scan after them too.
+	// (now their partials are stored), then zero, with no frame resident
+	// throughout — and the count after them decodes the cut frames twice,
+	// then never again.
 	s2 := tracesvc.New(tracesvc.Config{})
 	defer s2.Close()
 	id2 := openTrace(t, s2, path)
@@ -412,15 +417,33 @@ func TestWarmCacheDecodesNoFrames(t *testing.T) {
 		if got := tr2.File().DecodedFrames(); got != want {
 			t.Fatalf("after stats %d: %d frames decoded, want %d", ask+1, got, want)
 		}
-		if wantRes := min(int64(ask), 1) * cold; cs.Entries != wantRes {
-			t.Fatalf("after stats %d: %d frames resident, want %d", ask+1, cs.Entries, wantRes)
+		if cs.Entries != 0 {
+			t.Fatalf("after stats %d: %d frames resident, want 0", ask+1, cs.Entries)
 		}
 	}
-	if w := do(t, s2, "GET", "/v1/traces/"+id2+"/records?window=0.05:0.2&count=1", ""); w.Code != 200 {
-		t.Fatalf("records after stats: %d %s", w.Code, w.Body)
+	lo, hi, err := clock.ParseWindow("0.05:0.2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := tr2.File().DecodedFrames(); got != 2*cold {
-		t.Fatalf("records after two stats decoded %d frames", got-2*cold)
+	cut := int64(0)
+	for _, fe := range tr2.Frames() {
+		if fe.End >= lo && fe.Start <= hi && (fe.Start < lo || fe.End > hi) {
+			cut++
+		}
+	}
+	if cut == 0 {
+		t.Fatal("the window cuts no frame")
+	}
+	for ask, want := range []int64{2*cold + cut, 2*cold + 2*cut, 2*cold + 2*cut} {
+		if w := do(t, s2, "GET", "/v1/traces/"+id2+"/records?window=0.05:0.2&count=1", ""); w.Code != 200 {
+			t.Fatalf("count %d after stats: %d %s", ask+1, w.Code, w.Body)
+		}
+		if got := tr2.File().DecodedFrames(); got != want {
+			t.Fatalf("after count %d: %d frames decoded, want %d", ask+1, got, want)
+		}
+		if cs := s2.Cache().Stats(); cs.Entries != 0 {
+			t.Fatalf("after count %d: %d frames resident, want 0", ask+1, cs.Entries)
+		}
 	}
 }
 
