@@ -51,18 +51,20 @@ race:
 # test-only oracle in internal/stats.
 # ServeStatsWarm asks the trace service for the predefined tables over
 # one window of the ledger's sPPM 4x8 trace again and again, and fails
-# when a request from the third on evaluates or fetches any frame (every
+# unless every request from the third on is an answer hit (the whole
+# TSV body is memoized from its second asking: the hit count must move by
+# exactly b.N), when its body differs from the first answer, or when the
+# JSON form — never memoized whole — evaluates or fetches any frame (every
 # frame's partial is memoized, the 2 straddling the window's edges under
-# the window as it cuts them), or when its body differs from the first
-# answer; before the memo every request evaluated all 63 of its window's
-# frames, and before edge partials were keyed by their cuts the 2 edge
-# frames were fetched and evaluated every time.
+# the window as it cuts them); before the partials every request
+# evaluated all 63 of its window's frames.
 # ServePreview's pyramid-warm rung asks a window that lands on no
-# base-cell bound twice as a preview and once as a time-resolved table,
-# then fails when any later asking reads a frame (every edge-remainder
-# frame's contribution is memoized, and the two kinds share them), when
-# a decoded frame is resident (a frame read only to fill a memo is never
-# admitted), or when a body differs from the first answer.
+# base-cell bound twice as a preview and twice as a time-resolved table,
+# then fails unless every later asking (two per op) is an answer hit, when
+# any reads a frame (every edge-remainder frame's contribution is
+# memoized, and the two kinds share them), when a decoded frame is
+# resident (a frame read only to fill a memo is never admitted), or when
+# a body differs from the first answer.
 bench-smoke:
 	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|SlogmergePerEventSmall|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|IntervalWriterThroughput|ServeWindow|ServeStatsWarm|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|Tracegen|CutTraceRecord|SweepCell|^BenchmarkIngest$$' -benchtime 1x .
 	$(GO) test -run xxx -bench 'StatsColumnar' -benchtime 1x ./internal/stats

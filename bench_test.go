@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -895,10 +896,11 @@ func BenchmarkServeWindowCached(b *testing.B) {
 // ledger's sPPM 4×8 trace, through the trace service's handler, asked
 // over and over. The first asking evaluates every frame of the window
 // and the second stores every frame's partial — those of the frames
-// straddling the window's edges under the window as it cuts them — so
-// every timed request, the third and later, evaluates and fetches no
-// frame: the benchmark fails if one does (its JSON form reports both
-// counts), or if a body differs from the first answer.
+// straddling the window's edges under the window as it cuts them — and
+// the whole answer, so every timed request, the third and later, is a
+// stored answer: the benchmark fails unless the answer hits advance by
+// exactly b.N, if a body differs from the first answer, or if the JSON
+// form (which is never memoized whole) evaluates or fetches a frame.
 func BenchmarkServeStatsWarm(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "sppm.ute")
 	if err := os.WriteFile(path, sppmBenchTrace(b), 0o644); err != nil {
@@ -934,6 +936,7 @@ func BenchmarkServeStatsWarm(b *testing.B) {
 	first := serve(url)
 	serve(url)
 	runtime.GC()
+	hits := svc.Cache().Stats().AnswerHits
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if serve(url) != first {
@@ -941,6 +944,9 @@ func BenchmarkServeStatsWarm(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	if got := svc.Cache().Stats().AnswerHits - hits; got != int64(b.N) {
+		b.Fatalf("%d of %d warm requests were answer hits", got, b.N)
+	}
 	var plan struct {
 		Tables []struct {
 			Name string `json:"name"`
@@ -1040,9 +1046,10 @@ func previewWindow(b *testing.B, lo, hi clock.Time) string {
 
 // BenchmarkServePreview compares the preview endpoint's engines on the
 // same aligned window: cold scan (decoded-frame cache flushed before
-// every request), warm scan (all frames resident), and pyramid — which
-// answers from O(bins) stored cells and fails the benchmark if it
-// decodes a single frame, cache or no cache.
+// every request), warm scan (all frames resident; each request under a
+// fresh answer key, so the scan runs rather than a stored answer), and
+// pyramid — which answers from O(bins) stored cells and fails the
+// benchmark if it decodes a single frame, cache or no cache.
 func BenchmarkServePreview(b *testing.B) {
 	run := func(b *testing.B, engine string, flush, wantZero bool) {
 		svc, tr, bins, lo, hi := servePreviewBench(b, 20000, engine)
@@ -1062,8 +1069,10 @@ func BenchmarkServePreview(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if flush {
 				svc.Cache().Flush()
+				serveOnce(b, svc, url)
+			} else {
+				serveOnce(b, svc, url+"&op="+strconv.Itoa(i))
 			}
-			serveOnce(b, svc, url)
 		}
 		decoded := tr.File().DecodedFrames() - start
 		b.ReportMetric(float64(decoded)/float64(b.N), "frames/op")
@@ -1076,10 +1085,11 @@ func BenchmarkServePreview(b *testing.B) {
 	b.Run("pyramid", func(b *testing.B) { run(b, "pyramid", true, true) })
 	// pyramid-warm narrows the aligned window by a third of a base cell
 	// at each end, so every asking has edge remainders. Asked twice as a
-	// preview and once as a time-resolved table — which shares the
-	// preview's remainder contributions — the window is warm: from then on
-	// the rung fails when any asking reads a frame, when a decoded frame
-	// is resident, or when a body differs from the first answer.
+	// preview and twice as a time-resolved table — the first table asking
+	// shares the preview's remainder contributions — the window is warm:
+	// from then on the rung fails unless every asking, two per op, is an
+	// answer hit, when any asking reads a frame, when a decoded frame is
+	// resident, or when a body differs from the first answer.
 	b.Run("pyramid-warm", func(b *testing.B) {
 		svc, tr, bins, lo, hi := servePreviewBench(b, 20000, "pyramid")
 		defer svc.Close()
@@ -1102,7 +1112,9 @@ func BenchmarkServePreview(b *testing.B) {
 		firstPreview := serve(preview)
 		serve(preview)
 		firstTable := serve(table)
+		serve(table)
 		runtime.GC()
+		hits := svc.Cache().Stats().AnswerHits
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, ask := range []struct{ url, first string }{{preview, firstPreview}, {table, firstTable}} {
@@ -1119,6 +1131,9 @@ func BenchmarkServePreview(b *testing.B) {
 			}
 		}
 		b.StopTimer()
+		if got := svc.Cache().Stats().AnswerHits - hits; got != 2*int64(b.N) {
+			b.Fatalf("%d of %d warm askings were answer hits", got, 2*b.N)
+		}
 		var plan struct{ PartialsReused int }
 		if err := json.Unmarshal([]byte(serve(table+"&format=json")), &plan); err != nil || plan.PartialsReused == 0 {
 			b.Fatalf("the warm window reused no remainder contribution (%v)", err)

@@ -820,6 +820,41 @@ func stallHeaders(t *testing.T, base string) (check func()) {
 	}
 }
 
+// idleKeepAlive opens a raw connection to a daemon, has one keep-alive
+// request answered on it and leaves it idle. The returned check fails
+// unless the server has closed the connection within its idle timeout.
+func idleKeepAlive(t *testing.T, base string) (check func()) {
+	t.Helper()
+	addr := strings.TrimPrefix(base, "http://")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: "+addr+"\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Close {
+		t.Fatalf("keep-alive /healthz on %s: %d, close %v", base, resp.StatusCode, resp.Close)
+	}
+	idle := time.Now()
+	return func() {
+		t.Helper()
+		conn.SetReadDeadline(idle.Add(tracesvc.IdleTimeout + 5*time.Second))
+		if _, err := io.Copy(io.Discard, br); err != nil {
+			t.Fatalf("%s kept an idle keep-alive connection open for %v (limit %v): %v",
+				base, time.Since(idle).Round(time.Millisecond), tracesvc.IdleTimeout, err)
+		}
+	}
+}
+
 func TestCLITraceDaemon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
@@ -853,6 +888,7 @@ func TestCLITraceDaemon(t *testing.T) {
 		t.Fatalf("no listen line; daemon output ended: %v", sc.Err())
 	}
 	stalled := stallHeaders(t, base)
+	idled := idleKeepAlive(t, base)
 
 	get := func(path string) (int, string) {
 		resp, err := http.Get(base + path)
@@ -898,6 +934,7 @@ func TestCLITraceDaemon(t *testing.T) {
 		t.Fatalf("metrics: %d %.200s", code, body)
 	}
 	stalled()
+	idled()
 
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
@@ -1008,6 +1045,7 @@ func TestCLIServingTier(t *testing.T) {
 	router, stopRouter := start("uterouter",
 		"-addr", "127.0.0.1:0", "-backends", b0+","+b1, "-split-frames", "1", "-pprof", tracePath)
 	stalled := stallHeaders(t, router)
+	idled := idleKeepAlive(t, router)
 
 	// -pprof mounts the runtime profiles on the daemon's own listener;
 	// without it they are not there. The router serves its own process's
@@ -1116,6 +1154,7 @@ func TestCLIServingTier(t *testing.T) {
 	}
 
 	stalled()
+	idled()
 	stopRouter()
 	stop1()
 	stop0()

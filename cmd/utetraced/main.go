@@ -112,7 +112,7 @@ func main() {
 	if *pprof {
 		handler = tracesvc.WithPprof(handler)
 	}
-	srv := &http.Server{Handler: handler, ReadHeaderTimeout: tracesvc.ReadHeaderTimeout}
+	srv := tracesvc.NewServer(handler)
 	fmt.Printf("utetraced: listening on http://%s\n", ln.Addr())
 
 	done := make(chan error, 1)

@@ -3,6 +3,8 @@ package shard
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -114,6 +116,10 @@ type Router struct {
 	order  []*traceEntry
 	nextID uint64
 
+	// Minted request IDs are idPrefix, random per router, and a count.
+	idPrefix string
+	idSeq    atomic.Uint64
+
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -132,13 +138,18 @@ func NewRouter(cfg Config) (*Router, error) {
 		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        len(cfg.Backends) * cfg.MaxInflight,
 			MaxIdleConnsPerHost: cfg.MaxInflight,
-			IdleConnTimeout:     90 * time.Second,
+			// Below the backends' own idle timeout: the router drops an
+			// idle connection before a backend would.
+			IdleConnTimeout: tracesvc.IdleTimeout / 2,
 		}},
 		mux:     http.NewServeMux(),
 		timeout: tracesvc.DefaultRequestTimeout,
 		traces:  make(map[string]*traceEntry),
 		stop:    make(chan struct{}),
 	}
+	var seed [6]byte
+	rand.Read(seed[:])
+	rt.idPrefix = hex.EncodeToString(seed[:]) + "-"
 	for i, b := range cfg.Backends {
 		names[i] = b.Name
 		if names[i] == "" {
@@ -167,8 +178,28 @@ func NewRouter(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Handler returns the root handler.
-func (rt *Router) Handler() http.Handler { return rt.mux }
+// Handler returns the root handler. Every request carries an ID: the
+// client's X-Request-ID when it sends a usable one, else one the router
+// mints. The ID goes out on every backend leg the request starts and
+// back to the client on the response.
+func (rt *Router) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := r.Header.Get(tracesvc.RequestIDHeader)
+		if id == "" || len(id) > maxRequestID {
+			id = rt.idPrefix + strconv.FormatUint(rt.idSeq.Add(1), 10)
+		}
+		w.Header().Set(tracesvc.RequestIDHeader, id)
+		rt.mux.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
+	})
+}
+
+// requestIDKey is the context key of a routed request's ID.
+type requestIDKey struct{}
+
+// maxRequestID is the longest client request ID the router keeps; a
+// longer one is replaced by a minted ID rather than copied onto every
+// leg.
+const maxRequestID = 128
 
 // routed runs a handler that talks to backends under the request
 // deadline, so every leg it starts inherits it.
@@ -513,8 +544,13 @@ func (rt *Router) handleClose(w http.ResponseWriter, r *http.Request) {
 
 // --- backend I/O --------------------------------------------------------
 
+// maxPrealloc bounds the body buffer doBackend sizes from a response's
+// Content-Length up front; a longer body grows as it is read.
+const maxPrealloc = 16 << 20
+
 // doBackend performs one request against one backend under its
-// in-flight limit. A non-2xx status is a response, not an error.
+// in-flight limit, carrying the routed request's ID. A non-2xx status is
+// a response, not an error.
 func (rt *Router) doBackend(ctx context.Context, bi int, method, pathQuery string, body []byte) (status int, header http.Header, respBody []byte, err error) {
 	b := rt.backends[bi]
 	select {
@@ -534,13 +570,21 @@ func (rt *Router) doBackend(ctx context.Context, bi int, method, pathQuery strin
 		rt.met.errors[bi].Add(1)
 		return 0, nil, nil, err
 	}
+	if id, ok := ctx.Value(requestIDKey{}).(string); ok {
+		req.Header.Set(tracesvc.RequestIDHeader, id)
+	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		rt.met.errors[bi].Add(1)
 		rt.met.latency[bi].Observe(time.Since(t0))
 		return 0, nil, nil, err
 	}
-	respBody, err = io.ReadAll(resp.Body)
+	if n := resp.ContentLength; n >= 0 && n <= maxPrealloc {
+		respBody = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, respBody)
+	} else {
+		respBody, err = io.ReadAll(resp.Body)
+	}
 	resp.Body.Close()
 	rt.met.latency[bi].Observe(time.Since(t0))
 	if err != nil {
@@ -571,10 +615,30 @@ func (rt *Router) candidates(te *traceEntry, pref int) []int {
 
 // fetch runs one logical leg with retry-on-transport-error across the
 // candidate backends and optional hedging. mkPath renders the
-// backend-specific path (local trace IDs differ per backend).
+// backend-specific path (local trace IDs differ per backend). Without
+// hedging the candidates are tried in order on the calling goroutine.
 func (rt *Router) fetch(ctx context.Context, cands []int, mkPath func(bi int) string) (status int, header http.Header, body []byte, err error) {
 	if len(cands) == 0 {
 		return 0, nil, nil, fmt.Errorf("no backend holds this trace")
+	}
+	if rt.cfg.HedgeAfter <= 0 || len(cands) == 1 {
+		var firstErr error
+		for i, bi := range cands {
+			if i > 0 {
+				if ctx.Err() != nil {
+					break
+				}
+				rt.met.retries.Add(1)
+			}
+			st, h, b, err := rt.doBackend(ctx, bi, "GET", mkPath(bi), nil)
+			if err == nil {
+				return st, h, b, nil
+			}
+			if firstErr == nil {
+				firstErr = err
+			}
+		}
+		return 0, nil, nil, firstErr
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -595,12 +659,9 @@ func (rt *Router) fetch(ctx context.Context, cands []int, mkPath func(bi int) st
 	launch(cands[0])
 	next, outstanding := 1, 1
 
-	var hedgeC <-chan time.Time
-	if rt.cfg.HedgeAfter > 0 && len(cands) > 1 {
-		t := time.NewTimer(rt.cfg.HedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
+	t := time.NewTimer(rt.cfg.HedgeAfter)
+	defer t.Stop()
+	hedgeC := t.C
 	var firstErr error
 	for {
 		select {
@@ -819,56 +880,64 @@ func (rt *Router) handleRecords(w http.ResponseWriter, r *http.Request) {
 		errMu.Unlock()
 		red.Abort()
 	}
-	for i, s := range legs {
-		wg.Add(1)
-		go func(i int, s segment) {
-			defer wg.Done()
-			qs := legQuery(s)
-			st, _, body, err := rt.fetch(r.Context(), rt.candidates(te, s.owner), func(bi int) string {
-				return "/v1/traces/" + te.localIDs[bi] + "/records?" + qs
-			})
-			if err != nil {
-				fail(fmt.Errorf("segment %d:%d: %v", s.lo, s.hi, err))
-				return
-			}
-			if st != http.StatusOK {
-				fail(fmt.Errorf("segment %d:%d: backend answered %d: %s", s.lo, s.hi, st, bytes.TrimSpace(body)))
-				return
-			}
-			if countOnly {
-				var c tracesvc.RecordCount
-				if err := json.Unmarshal(body, &c); err != nil {
-					fail(fmt.Errorf("segment %d:%d: %v", s.lo, s.hi, err))
-					return
-				}
-				red.Reduce(i, func() error {
-					total += c.Count
-					return nil
-				})
-				return
-			}
-			var page tracesvc.RecordsPage
-			if err := json.Unmarshal(body, &page); err != nil {
+	leg := func(i int, s segment) {
+		qs := legQuery(s)
+		st, _, body, err := rt.fetch(r.Context(), rt.candidates(te, s.owner), func(bi int) string {
+			return "/v1/traces/" + te.localIDs[bi] + "/records?" + qs
+		})
+		if err != nil {
+			fail(fmt.Errorf("segment %d:%d: %v", s.lo, s.hi, err))
+			return
+		}
+		if st != http.StatusOK {
+			fail(fmt.Errorf("segment %d:%d: backend answered %d: %s", s.lo, s.hi, st, bytes.TrimSpace(body)))
+			return
+		}
+		if countOnly {
+			var c tracesvc.RecordCount
+			if err := json.Unmarshal(body, &c); err != nil {
 				fail(fmt.Errorf("segment %d:%d: %v", s.lo, s.hi, err))
 				return
 			}
 			red.Reduce(i, func() error {
-				total += page.Total
-				recs := page.Records
-				if skip >= len(recs) {
-					skip -= len(recs)
-					return nil
-				}
-				recs = recs[skip:]
-				skip = 0
-				if len(recs) > need {
-					recs = recs[:need]
-				}
-				merged = append(merged, recs...)
-				need -= len(recs)
+				total += c.Count
 				return nil
 			})
-		}(i, s)
+			return
+		}
+		var page tracesvc.RecordsPage
+		if err := json.Unmarshal(body, &page); err != nil {
+			fail(fmt.Errorf("segment %d:%d: %v", s.lo, s.hi, err))
+			return
+		}
+		red.Reduce(i, func() error {
+			total += page.Total
+			recs := page.Records
+			if skip >= len(recs) {
+				skip -= len(recs)
+				return nil
+			}
+			recs = recs[skip:]
+			skip = 0
+			if len(recs) > need {
+				recs = recs[:need]
+			}
+			merged = append(merged, recs...)
+			need -= len(recs)
+			return nil
+		})
+	}
+	// Every leg but the last runs on a goroutine of its own; the last
+	// runs on the handler's.
+	for i := 0; i < len(legs)-1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			leg(i, legs[i])
+		}()
+	}
+	if n := len(legs); n > 0 {
+		leg(n-1, legs[n-1])
 	}
 	wg.Wait()
 	errMu.Lock()

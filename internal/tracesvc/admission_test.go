@@ -20,7 +20,8 @@ import (
 // the cache its pooled batches and leaves only a once-seen marker per
 // frame, charged MarkerBytes each, the second decodes every frame again
 // and stores it, and the third is all hits. /metrics splits the misses
-// by what they left.
+// by what they left. Each scan has a fresh answer key: a stored whole
+// answer would read no frame at all.
 func TestFirstScanKeepsNoFrame(t *testing.T) {
 	for _, tc := range []struct {
 		name, query string
@@ -41,7 +42,7 @@ func TestFirstScanKeepsNoFrame(t *testing.T) {
 		tr, _ := s.Registry().Resolve(id)
 		n := len(tr.Frames())
 		for scan, want := range tc.scans {
-			if w := do(t, s, "GET", "/v1/traces/"+id+"/stats?"+tc.query, ""); w.Code != 200 {
+			if w := do(t, s, "GET", fresh("/v1/traces/"+id+"/stats?"+tc.query), ""); w.Code != 200 {
 				t.Fatalf("%s scan %d: %d %s", tc.name, scan+1, w.Code, w.Body)
 			}
 			if got := metricValue(t, s, "tracesvc_frames_decoded_total"); got != int64(want[0]*n) {

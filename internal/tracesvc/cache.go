@@ -10,6 +10,8 @@ package tracesvc
 
 import (
 	"context"
+	"errors"
+	"hash/maphash"
 	"sync"
 
 	"tracefw/internal/interval"
@@ -20,12 +22,19 @@ import (
 // number, the frame's byte offset (unique within a file), and — for a
 // value memoized from that frame (a stats partial, a summary's edge
 // remainder contribution, a record count) — the memo key; "" is the
-// decoded frame itself.
+// decoded frame itself. A whole answer (Answer) is a frame-less entry:
+// offset answerOff, its answer key as the memo key.
 type frameKey struct {
 	file uint64
 	off  int64
 	memo string
 }
+
+// answerOff is the offset of a frame-less entry, a memoized answer.
+const answerOff = -1
+
+// answerSeed spreads one trace's answers over the shards by their keys.
+var answerSeed = maphash.MakeSeed()
 
 // FrameCache is a sharded LRU cache of decoded frames — columnar
 // batches, the one decoded representation every consumer reads — keyed
@@ -47,7 +56,9 @@ type frameKey struct {
 // record counts — which only the partial counters see. A frame read
 // only to compute such a value is never a use of the frame: a resident
 // frame serves the compute as a hit, any other is decoded into scratch
-// and admitted nowhere, neither marked nor stored.
+// and admitted nowhere, neither marked nor stored. Whole answers
+// (Answer) are one more memo kind under the same rules, with counters
+// of their own.
 type FrameCache struct {
 	shards      []cacheShard
 	shardBudget int64
@@ -72,6 +83,13 @@ type FrameCache struct {
 	partMisses promtext.Counter
 	partStored promtext.Counter
 	partBytes  promtext.Gauge
+	// Answer lookups answered from a stored answer, those that computed
+	// and left a once-seen marker, answers stored, and the bytes answer
+	// entries are charged.
+	ansHits   promtext.Counter
+	ansOnce   promtext.Counter
+	ansStored promtext.Counter
+	ansBytes  promtext.Gauge
 }
 
 type cacheShard struct {
@@ -137,8 +155,11 @@ func (c *FrameCache) shard(k frameKey) *cacheShard {
 	// Frame offsets are distinct multiples of small sizes; fold both key
 	// halves through a 64-bit mix (splitmix64 finalizer) so shard
 	// assignment is uniform regardless of alignment. A frame's memo
-	// entries share its shard.
+	// entries share its shard; answers spread by their keys.
 	h := k.file*0x9e3779b97f4a7c15 + uint64(k.off)
+	if k.off == answerOff {
+		h += maphash.String(answerSeed, k.memo)
+	}
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -299,6 +320,66 @@ func (c *FrameCache) Memo(ctx context.Context, file uint64, off int64, key strin
 	return v, false, err
 }
 
+// errLate marks an answer computed after its request ended: the caller
+// gets it, the cache keeps nothing.
+var errLate = errors.New("tracesvc: answer computed after its request ended")
+
+// Answer returns the answer memoized under key in the namespace of file
+// number file — a frame-less entry — computing it when none is stored.
+// Answers follow Memo's rules: the first computation under a key leaves
+// only a once-seen marker (charged memoEntryBytes plus the key), the
+// second stores its answer (charged memoEntryBytes, the key and the
+// size compute reports), and every later lookup reuses it; lookups of an
+// answer being stored wait for it (singleflight) unless ctx ends first.
+// A computation that fails, or ends after ctx did, stores nothing — a
+// waiter on it then looks up afresh — so no error, cancelled or
+// timed-out answer is ever served from the cache.
+func (c *FrameCache) Answer(ctx context.Context, file uint64, key string, compute func() (any, int64, error)) (any, error) {
+	k := frameKey{file, answerOff, key}
+	sh := c.shard(k)
+	for {
+		sh.mu.Lock()
+		e := sh.entries[k]
+		if e != nil && !e.once {
+			if err := sh.await(ctx, e); err != nil {
+				return nil, err
+			}
+			if e.err != nil {
+				continue // the store failed: its error is not this caller's
+			}
+			c.ansHits.Add(1)
+			return e.val, nil
+		}
+		if e == nil {
+			e = &cacheEntry{key: k}
+			sh.entries[k] = e
+			c.mark(sh, e)
+			sh.mu.Unlock()
+			c.ansOnce.Add(1)
+			v, _, err := compute()
+			return v, err
+		}
+		c.drop(sh, e)
+		e = &cacheEntry{key: k, ready: make(chan struct{})}
+		sh.entries[k] = e
+		sh.mu.Unlock()
+		v, err := c.fill(sh, e, func() (any, int64, error) {
+			v, size, err := compute()
+			if err == nil && ctx.Err() != nil {
+				err = errLate
+			}
+			return v, memoEntryBytes + int64(len(key)) + size, err
+		})
+		switch err {
+		case nil:
+			c.ansStored.Add(1)
+		case errLate:
+			err = nil
+		}
+		return v, err
+	}
+}
+
 // lend runs fn over the frame at off of file number file without making
 // it a use of the frame: a frame resident (or being stored) is handed
 // over as is, a hit; any other is decoded into pooled scratch that fn
@@ -393,12 +474,15 @@ func (c *FrameCache) drop(sh *cacheShard, e *cacheEntry) {
 
 func (c *FrameCache) charge(sh *cacheShard, e *cacheEntry, sign int64) {
 	sh.bytes += sign * e.size
-	if e.key.memo == "" {
+	switch {
+	case e.key.memo == "":
 		c.bytes.Add(sign * e.size)
 		if !e.once {
 			c.entries.Add(sign)
 		}
-	} else {
+	case e.key.off == answerOff:
+		c.ansBytes.Add(sign * e.size)
+	default:
 		c.partBytes.Add(sign * e.size)
 	}
 }
@@ -456,6 +540,11 @@ type CacheStats struct {
 	// that evaluated, values stored, and bytes charged to memo entries.
 	PartialHits, PartialMisses, PartialsStored int64
 	PartialBytes                               int64
+	// Whole answers (Answer): lookups reusing a stored answer, those that
+	// computed and left a once-seen marker, answers stored, and bytes
+	// charged to answer entries.
+	AnswerHits, AnswersOnce, AnswersStored int64
+	AnswerBytes                            int64
 }
 
 // Stats snapshots the counters (approximate under concurrency).
@@ -473,6 +562,10 @@ func (c *FrameCache) Stats() CacheStats {
 		PartialMisses:  c.partMisses.Value(),
 		PartialsStored: c.partStored.Value(),
 		PartialBytes:   c.partBytes.Value(),
+		AnswerHits:     c.ansHits.Value(),
+		AnswersOnce:    c.ansOnce.Value(),
+		AnswersStored:  c.ansStored.Value(),
+		AnswerBytes:    c.ansBytes.Value(),
 	}
 }
 

@@ -25,7 +25,8 @@ import (
 // spans, none at all), asked three times of a cold service directly and
 // of a router whose two backends each count their own frames=lo:hi leg.
 // A cut frame's count is memoized: the first two askings decode the cut
-// frames, and from the third asking on the count decodes none.
+// frames, and from the third asking on the count decodes none (each
+// asking under a fresh answer key, so the memoized counts answer it).
 func TestRecordsCountFromDirectory(t *testing.T) {
 	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
 	f, err := interval.Open(path)
@@ -102,7 +103,7 @@ func TestRecordsCountFromDirectory(t *testing.T) {
 			id := openTrace(t, s, path)
 			tr, _ := s.Registry().Resolve(id)
 			for ask, decoded := range []int{cut, 2 * cut, 2 * cut} {
-				w := do(t, s, "GET", "/v1/traces/"+id+query, "")
+				w := do(t, s, "GET", fresh("/v1/traces/"+id+query), "")
 				if w.Code != http.StatusOK || count(w.Body.Bytes()) != want {
 					t.Fatalf("window %q, asking %d: %d %s, a full scan counts %d", window, ask+1, w.Code, w.Body, want)
 				}
@@ -179,7 +180,7 @@ func TestRecordsCountMemoKeys(t *testing.T) {
 		}
 		for round := 1; round <= 3; round++ {
 			for i, w := range windows {
-				got := do(t, s, "GET", "/v1/traces/"+id+"/records?count=1&window="+w, "")
+				got := do(t, s, "GET", fresh("/v1/traces/"+id+"/records?count=1&window="+w), "")
 				var c tracesvc.RecordCount
 				if err := json.Unmarshal(got.Body.Bytes(), &c); got.Code != http.StatusOK || err != nil || c.Count != wants[i] {
 					t.Fatalf("round %d, window %q: %d %s, a full scan counts %d", round, w, got.Code, got.Body, wants[i])

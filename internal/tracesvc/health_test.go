@@ -11,6 +11,21 @@ import (
 	"tracefw/internal/tracesvc"
 )
 
+// TestNewServer: the server both daemons build bounds how long a client
+// may take over its request headers and how long a keep-alive connection
+// may sit idle, so neither a slow nor an idle client holds a connection
+// for ever.
+func TestNewServer(t *testing.T) {
+	h := http.NotFoundHandler()
+	srv := tracesvc.NewServer(h)
+	if srv.Handler == nil || srv.ReadHeaderTimeout != tracesvc.ReadHeaderTimeout || srv.IdleTimeout != tracesvc.IdleTimeout {
+		t.Fatalf("server: handler set %v, header timeout %v, idle timeout %v", srv.Handler != nil, srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if tracesvc.ReadHeaderTimeout <= 0 || tracesvc.IdleTimeout <= 0 {
+		t.Fatalf("header timeout %v, idle timeout %v: both must be set", tracesvc.ReadHeaderTimeout, tracesvc.IdleTimeout)
+	}
+}
+
 // TestHealthReadyLifecycle pins the liveness/readiness contract:
 // /healthz is always 200, /readyz is 503 until SetReady, 200 after,
 // and 503 again once Close begins draining.

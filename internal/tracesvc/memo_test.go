@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,10 +195,19 @@ func statsURL(id, program, window, format string) string {
 	return "/v1/traces/" + id + "/stats?" + q.Encode()
 }
 
+// fresh gives u an answer key never asked before — a parameter no
+// handler reads — so that the asking reaches the per-frame memos rather
+// than the whole answer the service stores from a key's second asking.
+func fresh(u string) string { return u + "&ask=" + strconv.FormatInt(askSeq.Add(1), 10) }
+
+var askSeq atomic.Int64
+
 // checkMemoRounds queries every program over every window three times —
 // an evaluation, a store, a reuse — and holds every body to the
 // reference byte for byte; the runtime-error program must answer the
-// same 500 every time and store nothing.
+// same 500 every time and store nothing. Each round asks under a fresh
+// answer key, so it is the per-frame memos that answer, never a whole
+// stored answer.
 func checkMemoRounds(t *testing.T, s *tracesvc.Service, id string, open func() *interval.File, windows []string) {
 	t.Helper()
 	type query struct {
@@ -217,22 +227,26 @@ func checkMemoRounds(t *testing.T, s *tracesvc.Service, id string, open func() *
 	if wantErr == nil {
 		t.Fatal("the runtime-error program ran clean")
 	}
+	answerHits := s.Cache().Stats().AnswerHits
 	for round := 0; round < 3; round++ {
 		for _, q := range qs {
-			w := do(t, s, "GET", statsURL(id, q.program, q.window, ""), "")
+			w := do(t, s, "GET", fresh(statsURL(id, q.program, q.window, "")), "")
 			if w.Code != http.StatusOK || w.Body.String() != q.want {
 				t.Fatalf("round %d, window %q, program %.60q: %d, body differs from a fresh GenerateOpts\n--- got ---\n%.600s\n--- want ---\n%.600s",
 					round, q.window, q.program, w.Code, w.Body, q.want)
 			}
 		}
 		stored := s.Cache().Stats().PartialsStored
-		w := do(t, s, "GET", statsURL(id, errProgram, windows[0], ""), "")
+		w := do(t, s, "GET", fresh(statsURL(id, errProgram, windows[0], "")), "")
 		if w.Code != http.StatusInternalServerError || w.Body.String() != wantErr.Error()+"\n" {
 			t.Fatalf("round %d: runtime-error program answered %d %q, want 500 %q", round, w.Code, w.Body, wantErr)
 		}
 		if got := s.Cache().Stats().PartialsStored; got != stored {
 			t.Fatalf("round %d: a failing program stored %d partials", round, got-stored)
 		}
+	}
+	if got := s.Cache().Stats().AnswerHits; got != answerHits {
+		t.Fatalf("%d stored answers stood in for the per-frame memos", got-answerHits)
 	}
 }
 
@@ -436,7 +450,7 @@ func TestWarmStatsFetchesNoEvictedFrame(t *testing.T) {
 		t.Fatalf("after the eviction: %d frames resident, %d partials stored", cs.Entries, cs.PartialsStored)
 	}
 	decoded := tr.File().DecodedFrames()
-	if w := do(t, s, "GET", statsURL(id, memoPrograms[0], window, ""), ""); w.Code != http.StatusOK || w.Body.String() != want {
+	if w := do(t, s, "GET", fresh(statsURL(id, memoPrograms[0], window, "")), ""); w.Code != http.StatusOK || w.Body.String() != want {
 		t.Fatalf("warm asking: %d, body differs from a fresh GenerateOpts", w.Code)
 	}
 	if got := tr.File().DecodedFrames() - decoded; got != 0 {
@@ -493,7 +507,7 @@ func TestStatsMemoEdgeKeys(t *testing.T) {
 		}
 		for round := 1; round <= 3; round++ {
 			for i, w := range windows {
-				if got := do(t, s, "GET", statsURL(id, program, w, ""), ""); got.Code != http.StatusOK || got.Body.String() != wants[i] {
+				if got := do(t, s, "GET", fresh(statsURL(id, program, w, "")), ""); got.Code != http.StatusOK || got.Body.String() != wants[i] {
 					t.Fatalf("round %d, window %q: %d, body differs from a fresh GenerateOpts\n--- got ---\n%s\n--- want ---\n%s", round, w, got.Code, got.Body, wants[i])
 				}
 			}

@@ -40,6 +40,9 @@ type metrics struct {
 	// scatter-gather legs, so a backend can tell fan-out traffic from
 	// whole-trace queries.
 	rangeQueries promtext.Counter
+	// answersBypass counts requests to an endpoint that memoizes answers
+	// whose own answer is not memoized (a JSON /stats, a /records page).
+	answersBypass promtext.Counter
 }
 
 // observeSummary records one summary-planner query (a preview build or
@@ -114,6 +117,13 @@ func (m *metrics) writePrometheus(w io.Writer, cache CacheStats, tracesOpen int6
 	fmt.Fprintf(w, "tracesvc_stats_partials_total{result=\"stored\"} %d\n", cache.PartialsStored)
 	promtext.Header(w, "tracesvc_stats_partials_bytes_resident", "gauge", "Bytes of the cache budget charged to stored memo values (stats partials, summary edge remainders, record counts) and once-seen memo keys.")
 	fmt.Fprintf(w, "tracesvc_stats_partials_bytes_resident %d\n", cache.PartialBytes)
+	promtext.Header(w, "tracesvc_answers_total", "counter", "Requests to the answer-memoizing endpoints (/stats, /preview.svg, /records?count=1): answered by a stored answer (hit), computed leaving a once-seen marker (once), computed and stored (stored, the second asking), and not memoized at all (bypass: a JSON /stats, a /records page).")
+	fmt.Fprintf(w, "tracesvc_answers_total{result=\"hit\"} %d\n", cache.AnswerHits)
+	fmt.Fprintf(w, "tracesvc_answers_total{result=\"once\"} %d\n", cache.AnswersOnce)
+	fmt.Fprintf(w, "tracesvc_answers_total{result=\"stored\"} %d\n", cache.AnswersStored)
+	fmt.Fprintf(w, "tracesvc_answers_total{result=\"bypass\"} %d\n", m.answersBypass.Value())
+	promtext.Header(w, "tracesvc_answers_bytes_resident", "gauge", "Bytes of the cache budget charged to stored answers and once-seen answer keys.")
+	fmt.Fprintf(w, "tracesvc_answers_bytes_resident %d\n", cache.AnswerBytes)
 	promtext.Header(w, "tracesvc_summary_queries_total", "counter", "Summary-planner queries (previews, time-resolved tables), by answering engine.")
 	fmt.Fprintf(w, "tracesvc_summary_queries_total{engine=\"pyramid\"} %d\n", m.summaryPyramid.Value())
 	fmt.Fprintf(w, "tracesvc_summary_queries_total{engine=\"scan\"} %d\n", m.summaryScan.Value())

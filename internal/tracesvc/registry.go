@@ -23,7 +23,10 @@ type Trace struct {
 	Path string
 	// num is the cache key namespace for this registration; a reopened
 	// path gets a fresh number, so stale cache entries can never serve.
-	num  uint64
+	num uint64
+	// gen is the seal generation a live trace's snapshot shows, 0 for a
+	// static trace: with num it names everything an answer depends on.
+	gen  uint64
 	file *interval.File
 }
 
@@ -208,6 +211,7 @@ func (e *entry) resolve(r *Registry) (*Trace, error) {
 		f.Close()
 		return nil, err
 	}
+	t.gen = gen
 	if e.cur != nil {
 		e.retired = append(e.retired, e.cur.file)
 		if len(e.retired) > liveRetireRing {

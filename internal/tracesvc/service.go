@@ -26,6 +26,22 @@ import (
 // different value, and request bodies (ingest batches) are not covered.
 const ReadHeaderTimeout = 5 * time.Second
 
+// IdleTimeout is how long the daemons keep a keep-alive connection open
+// with no request on it, so an idle client cannot hold one for ever. A
+// constant like ReadHeaderTimeout.
+const IdleTimeout = 15 * time.Second
+
+// NewServer is the http.Server both daemons serve h on, with the
+// header and idle timeouts set.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
+// RequestIDHeader carries a request's ID: the router keeps a client's or
+// mints one and sends it on every backend leg, and both daemons echo it
+// on the response.
+const RequestIDHeader = "X-Request-ID"
+
 // DefaultRequestTimeout is the request deadline of utetraced and of the
 // router in front of it when none is configured.
 const DefaultRequestTimeout = 30 * time.Second
@@ -87,12 +103,15 @@ func New(cfg Config) *Service {
 
 	s.handle("GET /v1/traces", "list", s.handleList)
 	s.handle("POST /v1/traces", "open", s.handleOpen)
-	s.handle("GET /v1/traces/{id}", "get", s.handleGet)
+	s.query("GET /v1/traces/{id}", "get", nil, s.handleGet)
 	s.handle("DELETE /v1/traces/{id}", "close", s.handleClose)
-	s.handle("GET /v1/traces/{id}/frames", "frames", s.handleFrames)
-	s.handle("GET /v1/traces/{id}/stats", "stats", s.handleStats)
-	s.handle("GET /v1/traces/{id}/records", "records", s.handleRecords)
-	s.handle("GET /v1/traces/{id}/preview.svg", "preview", s.handlePreview)
+	s.query("GET /v1/traces/{id}/frames", "frames", nil, s.handleFrames)
+	// Every /stats answer is memoized whole but the JSON form's: its
+	// plan counts change from one asking to the next.
+	s.query("GET /v1/traces/{id}/stats", "stats", func(q url.Values) bool { return q.Get("format") != "json" }, s.handleStats)
+	// Of /records, only counts (a page is a scan the frame cache serves).
+	s.query("GET /v1/traces/{id}/records", "records", func(q url.Values) bool { return q.Get("count") == "1" }, s.handleRecords)
+	s.query("GET /v1/traces/{id}/preview.svg", "preview", func(url.Values) bool { return true }, s.handlePreview)
 	s.handle("GET /metrics", "metrics", s.handleMetrics)
 	// Liveness and readiness stay outside the metrics/deadline wrapper:
 	// health pollers hit them every couple of seconds and would drown
@@ -133,8 +152,16 @@ func (s *Service) Registry() *Registry { return s.reg }
 // the cold path).
 func (s *Service) Cache() *FrameCache { return s.cache }
 
-// Handler returns the root handler.
-func (s *Service) Handler() http.Handler { return s.mux }
+// Handler returns the root handler. A request's X-Request-ID, when it
+// has one, is echoed on the response.
+func (s *Service) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if id := r.Header.Get(RequestIDHeader); id != "" {
+			w.Header().Set(RequestIDHeader, id)
+		}
+		s.mux.ServeHTTP(w, r)
+	})
+}
 
 // SetReady marks startup registration complete: /readyz starts
 // answering 200. The daemon calls it after preloading its command-line
@@ -256,6 +283,44 @@ func (s *Service) handleWrapped(pattern, name string, fn func(r *http.Request) (
 	})
 }
 
+// query registers an endpoint over one trace: the wrapper resolves the
+// {id} path segment — a live trace to a snapshot of its newest seal
+// generation, so every query observes the live tail as of its own start
+// — and hands the handler the trace. When memo (nil for never) says a
+// request's answer is memoized, the answer is looked up in the frame
+// cache first: keyed by the snapshot's seal generation, the endpoint and
+// the raw query, which hold every input a handler reads, and computed by
+// the handler only when none is stored.
+func (s *Service) query(pattern, name string, memo func(url.Values) bool, fn func(r *http.Request, t *Trace) (*response, error)) {
+	s.handle(pattern, name, func(r *http.Request) (*response, error) {
+		t, err := s.reg.Resolve(r.PathValue("id"))
+		if err != nil {
+			return nil, err
+		}
+		if memo == nil {
+			return fn(r, t)
+		}
+		if !memo(r.URL.Query()) {
+			s.met.answersBypass.Add(1)
+			return fn(r, t)
+		}
+		key := make([]byte, 0, 22+len(name)+len(r.URL.RawQuery))
+		key = append(strconv.AppendUint(key, t.gen, 10), ' ')
+		key = append(append(append(key, name...), '?'), r.URL.RawQuery...)
+		v, err := s.cache.Answer(r.Context(), t.num, string(key), func() (any, int64, error) {
+			resp, err := fn(r, t)
+			if err != nil {
+				return nil, 0, err
+			}
+			return resp, int64(len(resp.body)), nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		return v.(*response), nil
+	})
+}
+
 func infoOf(t *Trace) TraceInfo {
 	start, end, recs := t.Bounds()
 	dirs, _ := t.file.Dirs() // resident, as in Bounds
@@ -301,18 +366,7 @@ func (s *Service) handleOpen(r *http.Request) (*response, error) {
 	return jsonResponse(http.StatusCreated, infoOf(t))
 }
 
-// trace resolves the {id} path segment. Live traces resolve to a
-// snapshot of their newest seal generation, so every query observes the
-// live tail as of its own start.
-func (s *Service) trace(r *http.Request) (*Trace, error) {
-	return s.reg.Resolve(r.PathValue("id"))
-}
-
-func (s *Service) handleGet(r *http.Request) (*response, error) {
-	t, err := s.trace(r)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) handleGet(_ *http.Request, t *Trace) (*response, error) {
 	return jsonResponse(http.StatusOK, infoOf(t))
 }
 
@@ -325,11 +379,7 @@ func (s *Service) handleClose(r *http.Request) (*response, error) {
 	return &response{status: http.StatusNoContent}, nil
 }
 
-func (s *Service) handleFrames(r *http.Request) (*response, error) {
-	t, err := s.trace(r)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) handleFrames(_ *http.Request, t *Trace) (*response, error) {
 	frames := t.Frames()
 	fis := make([]FrameInfo, len(frames))
 	for i, fe := range frames {
@@ -403,11 +453,7 @@ func parseBins(q url.Values, def int) (int, error) {
 // or, on a time-resolved request, how many edge-remainder contributions
 // the summary reused (partialsReused) and how many frames it fetched
 // (framesDecoded).
-func (s *Service) handleStats(r *http.Request) (*response, error) {
-	t, err := s.trace(r)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) handleStats(r *http.Request, t *Trace) (*response, error) {
 	q := r.URL.Query()
 	bins, err := parseBins(q, interval.DefaultBins)
 	if err != nil {
@@ -495,12 +541,9 @@ func (s *Service) handleStats(r *http.Request) (*response, error) {
 // frame-index range [lo, hi) of the flattened frame list — the shard
 // router's scatter-gather legs use it so each backend touches (and
 // caches) only its own contiguous frame range.
-func (s *Service) handleRecords(r *http.Request) (*response, error) {
-	t, err := s.trace(r)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) handleRecords(r *http.Request, t *Trace) (*response, error) {
 	q := r.URL.Query()
+	var err error
 	limit := 1000
 	if ls := q.Get("limit"); ls != "" {
 		if limit, err = strconv.Atoi(ls); err != nil || limit < 1 {
@@ -637,11 +680,7 @@ func parseFrameRange(s string, n int) (lo, hi int, ok bool) {
 // planner (?bins=N; an engine= parameter is ignored). The SVG is
 // byte-identical to `uteview -merged <path>` with the same flags: the
 // same parse, the same open-ended-window resolution, the same build.
-func (s *Service) handlePreview(r *http.Request) (*response, error) {
-	t, err := s.trace(r)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) handlePreview(r *http.Request, t *Trace) (*response, error) {
 	q := r.URL.Query()
 	lo, hi, windowed, err := parseWindow(r)
 	if err != nil {

@@ -364,7 +364,8 @@ func TestPreviewByteIdentical(t *testing.T) {
 // per-frame partials, so it keeps no frame: its first asking decodes the
 // window's frames, its second decodes them again and stores the
 // partials, and only the third is warm; a /records?count=1 after it
-// reads only the frames the window cuts, on the same schedule.
+// reads only the frames the window cuts, on the same schedule. Each
+// asking has a fresh answer key, so no stored answer stands in for them.
 func TestWarmCacheDecodesNoFrames(t *testing.T) {
 	s := tracesvc.New(tracesvc.Config{})
 	defer s.Close()
@@ -410,7 +411,7 @@ func TestWarmCacheDecodesNoFrames(t *testing.T) {
 	id2 := openTrace(t, s2, path)
 	tr2, _ := s2.Registry().Resolve(id2)
 	for ask, want := range []int64{cold, 2 * cold, 2 * cold} {
-		if w := do(t, s2, "GET", "/v1/traces/"+id2+"/stats?window=0.05:0.2", ""); w.Code != 200 {
+		if w := do(t, s2, "GET", fresh("/v1/traces/"+id2+"/stats?window=0.05:0.2"), ""); w.Code != 200 {
 			t.Fatalf("stats %d: %d %s", ask+1, w.Code, w.Body)
 		}
 		cs := s2.Cache().Stats()
@@ -435,7 +436,7 @@ func TestWarmCacheDecodesNoFrames(t *testing.T) {
 		t.Fatal("the window cuts no frame")
 	}
 	for ask, want := range []int64{2*cold + cut, 2*cold + 2*cut, 2*cold + 2*cut} {
-		if w := do(t, s2, "GET", "/v1/traces/"+id2+"/records?window=0.05:0.2&count=1", ""); w.Code != 200 {
+		if w := do(t, s2, "GET", fresh("/v1/traces/"+id2+"/records?window=0.05:0.2&count=1"), ""); w.Code != 200 {
 			t.Fatalf("count %d after stats: %d %s", ask+1, w.Code, w.Body)
 		}
 		if got := tr2.File().DecodedFrames(); got != want {
