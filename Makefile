@@ -53,18 +53,19 @@ race:
 # one window of the ledger's sPPM 4x8 trace again and again, and fails
 # unless every request from the third on is an answer hit (the whole
 # TSV body is memoized from its second asking: the hit count must move by
-# exactly b.N), when its body differs from the first answer, or when the
-# JSON form — never memoized whole — evaluates or fetches any frame (every
-# frame's partial is memoized, the 2 straddling the window's edges under
-# the window as it cuts them); before the partials every request
-# evaluated all 63 of its window's frames.
+# exactly b.N), when its body differs from the first answer, or unless the
+# JSON form — never memoized whole — evaluates and fetches exactly the 2
+# frames straddling the window's edges (a cut frame's partial is never
+# memoized) and reuses the other 61 frames' partials; before the partials
+# every request evaluated all 63 of its window's frames.
 # ServePreview's pyramid-warm rung asks a window that lands on no
 # base-cell bound twice as a preview and twice as a time-resolved table,
 # then fails unless every later asking (two per op) is an answer hit, when
-# any reads a frame (every edge-remainder frame's contribution is
-# memoized, and the two kinds share them), when a decoded frame is
-# resident (a frame read only to fill a memo is never admitted), or when
-# a body differs from the first answer.
+# any reads a frame, when a decoded frame is resident (a frame read only
+# to compute something is never admitted), or when a body differs from
+# the first answer; the table's JSON form must fetch exactly the frames
+# overlapping the window's edge remainders (counted by the test from the
+# bin edges and the base width) and leave none of them resident.
 bench-smoke:
 	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|SlogmergePerEventSmall|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|IntervalWriterThroughput|ServeWindow|ServeStatsWarm|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|Tracegen|CutTraceRecord|SweepCell|^BenchmarkIngest$$' -benchtime 1x .
 	$(GO) test -run xxx -bench 'StatsColumnar' -benchtime 1x ./internal/stats

@@ -895,12 +895,13 @@ func BenchmarkServeWindowCached(b *testing.B) {
 // process: the predefined tables at 16 bins over a window of the
 // ledger's sPPM 4×8 trace, through the trace service's handler, asked
 // over and over. The first asking evaluates every frame of the window
-// and the second stores every frame's partial — those of the frames
-// straddling the window's edges under the window as it cuts them — and
-// the whole answer, so every timed request, the third and later, is a
+// and the second stores the partial of every frame inside it and the
+// whole answer, so every timed request, the third and later, is a
 // stored answer: the benchmark fails unless the answer hits advance by
-// exactly b.N, if a body differs from the first answer, or if the JSON
-// form (which is never memoized whole) evaluates or fetches a frame.
+// exactly b.N, if a body differs from the first answer, or unless the
+// JSON form (which is never memoized whole) evaluates and fetches
+// exactly the frames the window cuts, whose partials are never memoized,
+// and reuses the partials of all the others.
 func BenchmarkServeStatsWarm(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "sppm.ute")
 	if err := os.WriteFile(path, sppmBenchTrace(b), 0o644); err != nil {
@@ -918,10 +919,13 @@ func BenchmarkServeStatsWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var selected int
+	var selected, cut int
 	for _, fe := range tr.Frames() {
 		if fe.End >= lo && fe.Start <= hi {
 			selected++
+			if fe.Start < lo || fe.End > hi {
+				cut++
+			}
 		}
 	}
 	url := fmt.Sprintf("/v1/traces/%s/stats?bins=16&window=%s", tr.ID, window)
@@ -953,6 +957,7 @@ func BenchmarkServeStatsWarm(b *testing.B) {
 			TSV  string `json:"tsv"`
 		} `json:"tables"`
 		FramesEvaluated *int `json:"framesEvaluated"`
+		PartialsReused  *int `json:"partialsReused"`
 		FramesFetched   *int `json:"framesFetched"`
 	}
 	if err := json.Unmarshal([]byte(serve(url+"&format=json")), &plan); err != nil {
@@ -965,14 +970,15 @@ func BenchmarkServeStatsWarm(b *testing.B) {
 	if body.String() != first {
 		b.Fatal("the JSON form's tables differ from the first answer")
 	}
-	if plan.FramesEvaluated == nil || plan.FramesFetched == nil {
-		b.Fatalf("no framesEvaluated/framesFetched reported: every request may fetch and evaluate all %d frames of its window", selected)
+	if plan.FramesEvaluated == nil || plan.PartialsReused == nil || plan.FramesFetched == nil {
+		b.Fatalf("no framesEvaluated/partialsReused/framesFetched reported: every request may fetch and evaluate all %d frames of its window", selected)
 	}
 	b.ReportMetric(float64(*plan.FramesEvaluated), "evaluated/op")
 	b.ReportMetric(float64(*plan.FramesFetched), "fetched/op")
 	b.ReportMetric(float64(selected), "frames/op")
-	if *plan.FramesEvaluated != 0 || *plan.FramesFetched != 0 {
-		b.Fatalf("a warm request evaluated %d and fetched %d of its window's %d frames; it may do neither", *plan.FramesEvaluated, *plan.FramesFetched, selected)
+	if *plan.FramesEvaluated != cut || *plan.FramesFetched != cut || *plan.PartialsReused != selected-cut {
+		b.Fatalf("a warm request evaluated %d, fetched %d and reused %d of its window's %d frames; want the %d it cuts evaluated and fetched, the other %d reused",
+			*plan.FramesEvaluated, *plan.FramesFetched, *plan.PartialsReused, selected, cut, selected-cut)
 	}
 }
 
@@ -1085,11 +1091,12 @@ func BenchmarkServePreview(b *testing.B) {
 	b.Run("pyramid", func(b *testing.B) { run(b, "pyramid", true, true) })
 	// pyramid-warm narrows the aligned window by a third of a base cell
 	// at each end, so every asking has edge remainders. Asked twice as a
-	// preview and twice as a time-resolved table — the first table asking
-	// shares the preview's remainder contributions — the window is warm:
-	// from then on the rung fails unless every asking, two per op, is an
-	// answer hit, when any asking reads a frame, when a decoded frame is
-	// resident, or when a body differs from the first answer.
+	// preview and twice as a time-resolved table, the window is warm: from
+	// then on the rung fails unless every asking, two per op, is an answer
+	// hit, when any asking reads a frame, when a decoded frame is
+	// resident, or when a body differs from the first answer. The table's
+	// JSON form, never memoized whole, must fetch exactly the frames
+	// overlapping the edge remainders and leave none of them resident.
 	b.Run("pyramid-warm", func(b *testing.B) {
 		svc, tr, bins, lo, hi := servePreviewBench(b, 20000, "pyramid")
 		defer svc.Close()
@@ -1134,11 +1141,15 @@ func BenchmarkServePreview(b *testing.B) {
 		if got := svc.Cache().Stats().AnswerHits - hits; got != 2*int64(b.N) {
 			b.Fatalf("%d of %d warm askings were answer hits", got, 2*b.N)
 		}
-		var plan struct{ PartialsReused int }
-		if err := json.Unmarshal([]byte(serve(table+"&format=json")), &plan); err != nil || plan.PartialsReused == 0 {
-			b.Fatalf("the warm window reused no remainder contribution (%v)", err)
+		want := testutil.RemainderFrames(b, tr.File(), lo, hi, bins)
+		var plan struct{ FramesDecoded *int }
+		if err := json.Unmarshal([]byte(serve(table+"&format=json")), &plan); err != nil || plan.FramesDecoded == nil || *plan.FramesDecoded != want {
+			b.Fatalf("the JSON table fetched %v frames, want the %d overlapping its edge remainders (%v)", plan.FramesDecoded, want, err)
 		}
-		b.ReportMetric(float64(plan.PartialsReused), "reused/op")
+		if cs := svc.Cache().Stats(); cs.Entries != 0 {
+			b.Fatalf("the JSON table left %d decoded frames resident", cs.Entries)
+		}
+		b.ReportMetric(float64(want), "remainder-frames")
 	})
 }
 

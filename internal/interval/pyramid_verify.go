@@ -56,7 +56,7 @@ func (f *File) compareCellWindow(p *Pyramid, lo, hi clock.Time) error {
 		return err
 	}
 	for _, ws := range []*WindowSummary{pyr, scan} {
-		ws.Engine, ws.CellsUsed, ws.FramesDecoded, ws.PartialsReused = "", 0, 0, 0
+		ws.Engine, ws.CellsUsed, ws.FramesDecoded = "", 0, 0
 	}
 	if !reflect.DeepEqual(pyr, scan) {
 		return fmt.Errorf("stored cells disagree with frame recompute")

@@ -83,7 +83,7 @@ type File struct {
 	skipSums bool
 	// src, when non-nil, answers frame decodes (FrameBatch, the
 	// map-reduce engine, scanners) and memoizes values derived from a
-	// frame (the stats engine's per-frame partials): serving layers use it
+	// frame (the stats engine's whole-frame partials): serving layers use it
 	// to answer from a shared cache. Set it before the File is shared
 	// between goroutines.
 	src FrameSource
@@ -129,22 +129,22 @@ type FrameSource interface {
 	Decode(f *File, fe FrameEntry, scratch *Batch) (*Batch, error)
 	// Memo memoizes a value derived from fe's records under a
 	// caller-chosen key, which must name everything the value depends on
-	// besides the frame's bytes; keys are the consumers' own and never
-	// collide across them (the stats engine's begin with a digit, the
-	// summary's edge remainders' with 'r', the trace service's record
-	// counts with 'n'). The key is looked up before anything is fetched:
-	// a kept value is returned to every later caller (reused = true)
-	// without calling compute and without touching the frame. On a miss
-	// the source fetches fe itself and calls compute(b, store) with its
-	// records — a frame it holds resident as is, any other decoded into
-	// scratch of its own and admitted nowhere: the memo keeps what the
+	// besides the frame's bytes. The key is looked up before anything is
+	// fetched: a kept value is returned to every later caller (reused =
+	// true) without calling compute and without touching the frame. On a
+	// miss the source fetches fe itself and calls compute(b, store) with
+	// its records — a frame it holds resident as is, any other decoded
+	// into scratch of its own and admitted nowhere: the memo keeps what the
 	// frame contributed, not the frame. b is valid only until compute
 	// returns. store says whether the memo keeps the value, so compute
 	// hands back a right-sized copy of size bytes when it does, and may
 	// return scratch state of its own (never anything aliasing b) when it
 	// does not. Memo runs compute at most once at a time per key (a caller
 	// waiting on another's compute gives up when ctx is done) and never
-	// keeps a value whose compute failed.
+	// keeps a value whose compute failed. The empty key memoizes nothing:
+	// compute(b, false) runs over a frame fetched that same way on every
+	// call, and the source keeps neither a value nor a marker — the read
+	// for a frame whose value no later query is likely to share.
 	Memo(ctx context.Context, f *File, fe FrameEntry, key string, compute func(b *Batch, store bool) (v any, size int64, err error)) (v any, reused bool, err error)
 }
 

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 
 	"tracefw/internal/clock"
@@ -85,14 +84,9 @@ type WindowSummary struct {
 	// CellsUsed counts pyramid cells consulted (0 on the scan engine).
 	CellsUsed int
 	// FramesDecoded counts frames this query fetched: all overlapping
-	// frames on the scan engine, on the pyramid engine only the
-	// edge-remainder frames whose contribution the file's frame source
-	// had not memoized.
+	// frames on the scan engine, the edge-remainder frames on the
+	// pyramid engine.
 	FramesDecoded int
-	// PartialsReused counts edge-remainder frames answered by a
-	// contribution the frame source had memoized (pyramid engine only):
-	// those frames are not fetched.
-	PartialsReused int
 }
 
 // SummarizeWindow computes the window summary over files (the list
@@ -436,14 +430,14 @@ func summarizePyramid(f *File, p *Pyramid, o WindowSummaryOptions) (*WindowSumma
 			x += p.Levels[lvl].Width
 		}
 	}
-	fetched, reused, err := f.resolveRemainders(a, peaks, rems, g, o)
+	fetched, err := f.resolveRemainders(a, peaks, rems, g, o)
 	if err != nil {
 		return nil, err
 	}
 	ws := a.finish(g, peaks)
 	ws.Engine = "pyramid"
 	ws.CellsUsed = cellsUsed
-	ws.FramesDecoded, ws.PartialsReused = fetched, reused
+	ws.FramesDecoded = fetched
 	return ws, nil
 }
 
@@ -464,29 +458,24 @@ func (p *Pyramid) coarsestCell(x, limit clock.Time) (level int, idx int64) {
 }
 
 // resolveRemainders answers the edge spans one frame at a time: every
-// frame overlapping a remainder contributes, per remainder it overlaps,
-// the busy overlap of its records clipped to the window, plus the
-// clipped endpoints of its busy intervals reaching any of those
-// remainders, for one concurrency sweep over the remainders after the
-// last frame. A frame's contribution (remPart) is looked up in the
-// file's frame source before the frame is fetched, under a key naming
-// the window as it cuts the frame and the remainders the frame overlaps
-// — so a preview and a time-resolved table over the same window share
-// it — and is computed from the frame only on a miss; a file with no
-// frame source decodes every such frame into one pooled batch. Either
-// way nothing of a frame outlives its turn but its contribution. It
-// returns how many frames were fetched and how many contributions were
-// reused.
-func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinGrid, o WindowSummaryOptions) (fetched, reused int, err error) {
+// frame overlapping a remainder is fetched once — through the file's
+// frame source under the empty memo key, so a serving cache lends a
+// resident frame and admits no other, or decoded into one pooled batch
+// — and each of its records, clipped to the window, adds its busy
+// overlap to the remainders it overlaps. Nothing of a frame outlives its
+// turn but the clipped endpoints of its busy intervals, for one
+// concurrency sweep over the remainders after the last frame. It returns
+// how many frames were fetched.
+func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinGrid, o WindowSummaryOptions) (int, error) {
 	if len(rems) == 0 {
-		return 0, 0, nil
+		return 0, nil
 	}
 	// The frames overlapping the remainders' hull, filtered with
 	// FramesInWindow's exact predicate per remainder (the window is
 	// closed; [r0, r1) needs End >= r0 and Start <= r1-1).
 	hull, err := f.FramesInWindow(rems[0].r0, rems[len(rems)-1].r1-1)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	ctx := o.Context
 	if ctx == nil {
@@ -497,17 +486,6 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 		pooled = batchPool.Get().(*Batch)
 		defer batchPool.Put(pooled)
 	}
-	var acc remAcc
-	var near []remSpan // the frame being resolved's remainders
-	compute := func(b *Batch, store bool) (any, int64, error) {
-		fetched++
-		p := acc.frame(b, g, near)
-		if !store {
-			return p, 0, nil
-		}
-		p = p.clone()
-		return p, p.size(), nil
-	}
 	// The clipped endpoints of every busy interval reaching a remainder,
 	// each interval once however many it reaches, in buffers a warm query
 	// reuses.
@@ -515,6 +493,43 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 	defer endpointPool.Put(eps)
 	starts, ends := eps.starts[:0], eps.ends[:0]
 	defer func() { eps.starts, eps.ends = starts, ends }()
+	var near []remSpan // the frame being resolved's remainders
+	add := func(b *Batch, _ bool) (any, int64, error) {
+		for ri := 0; ri < b.N; ri++ {
+			typ, dura := b.Type[ri], b.Dura[ri]
+			if dura < 0 {
+				continue
+			}
+			s, e := b.Start[ri], b.Start[ri]+dura
+			cs, ce := max(s, g.lo), min(e, g.hi)
+			if cs >= ce {
+				continue
+			}
+			// The first remainder the clipped interval can reach is the
+			// first ending after its clipped start.
+			k := remAfter(near, cs)
+			if k == len(near) || near[k].r0 >= ce {
+				continue
+			}
+			busy := busyType(typ)
+			trow := a.typeRow(typ)
+			var lrow []clock.Time
+			if busy {
+				lrow = a.laneRow(Lane{Node: b.Node[ri], CPU: b.CPU[ri]}.key())
+				starts, ends = append(starts, cs), append(ends, ce)
+			}
+			for ; k < len(near) && near[k].r0 < ce; k++ {
+				rs := &near[k]
+				ov := min(ce, rs.r1) - max(cs, rs.r0)
+				trow[rs.bin] += ov
+				if busy {
+					lrow[rs.bin] += ov
+				}
+			}
+		}
+		return nil, 0, nil
+	}
+	frames := 0
 	for _, fe := range hull {
 		// The remainders the frame overlaps are rems[lo:hi]; its records
 		// go to those alone.
@@ -527,35 +542,17 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 		}
 		near = rems[lo:hi]
 		if err := ctx.Err(); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-		var v any
-		var hit bool
 		if f.src != nil {
-			v, hit, err = f.src.Memo(ctx, f, fe, remKey(fe, g, near), compute)
+			_, _, err = f.src.Memo(ctx, f, fe, "", add)
 		} else if err = f.DecodeFrameBatch(fe, pooled); err == nil {
-			v, _, err = compute(pooled, false)
+			_, _, err = add(pooled, false)
 		}
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-		if hit {
-			reused++
-		}
-		p, n := v.(*remPart), len(near)
-		for i, t := range p.types {
-			row := a.typeRow(t)
-			for k, busy := range p.typeBusy[i*n : (i+1)*n] {
-				row[near[k].bin] += busy
-			}
-		}
-		for i, l := range p.lanes {
-			row := a.laneRow(l)
-			for k, busy := range p.laneBusy[i*n : (i+1)*n] {
-				row[near[k].bin] += busy
-			}
-		}
-		starts, ends = append(starts, p.starts...), append(ends, p.ends...)
+		frames++
 	}
 	// One concurrency sweep over all the remainders: every busy interval
 	// open at an instant of a remainder reaches it, so its endpoints are
@@ -577,135 +574,10 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 	for k, rs := range rems {
 		peaks[rs.bin] = max(peaks[rs.bin], pks[remBin[k]])
 	}
-	return fetched, reused, nil
+	return frames, nil
 }
 
 // endpoints holds a remainder query's endpoint buffers between queries.
 type endpoints struct{ starts, ends []clock.Time }
 
 var endpointPool = sync.Pool{New: func() any { return new(endpoints) }}
-
-// remKey is the memo key of a frame's remainder contribution: 'r', the
-// window as it cuts the frame — each side the frame does not lie inside,
-// the rule stats' per-frame partials key by — and the bounds of every
-// remainder the frame overlaps, in order. The contribution is a function
-// of these and the frame's bytes alone: which remainder is whose bin is
-// applied afterwards, so any bin layout with the same remainders shares
-// it.
-func remKey(fe FrameEntry, g *BinGrid, near []remSpan) string {
-	k := make([]byte, 0, 48+24*len(near))
-	k = append(k, 'r')
-	if g.lo > fe.Start {
-		k = strconv.AppendInt(append(k, '<'), int64(g.lo), 10)
-	}
-	if g.hi < fe.End {
-		k = strconv.AppendInt(append(k, '>'), int64(g.hi), 10)
-	}
-	for _, rs := range near {
-		k = strconv.AppendInt(append(k, ' '), int64(rs.r0), 10)
-		k = strconv.AppendInt(append(k, ':'), int64(rs.r1), 10)
-	}
-	return string(k)
-}
-
-// remPart is one frame's contribution to the remainders it overlaps
-// (near): a row of len(near) busy sums per type and per lane its records
-// reach a remainder with, in the order the records first reach one, and
-// the clipped endpoints of its busy intervals reaching any of them.
-// Applying it adds exactly the integers and appends exactly the
-// endpoints a pass over the frame's records would.
-type remPart struct {
-	types        []events.Type
-	lanes        []uint32 // Lane.key()
-	typeBusy     []clock.Time
-	laneBusy     []clock.Time
-	starts, ends []clock.Time
-}
-
-// clone copies p into right-sized slices that share nothing with it.
-func (p *remPart) clone() *remPart {
-	return &remPart{types: exact(p.types), lanes: exact(p.lanes), typeBusy: exact(p.typeBusy), laneBusy: exact(p.laneBusy),
-		starts: exact(p.starts), ends: exact(p.ends)}
-}
-
-// exact returns a copy of s with no spare capacity, nil when s is empty.
-func exact[T any](s []T) []T {
-	if len(s) == 0 {
-		return nil
-	}
-	c := make([]T, len(s))
-	copy(c, s)
-	return c
-}
-
-// size is what a cloned part holds, in bytes.
-func (p *remPart) size() int64 {
-	return 144 + 2*int64(len(p.types)) + 4*int64(len(p.lanes)) + 8*int64(len(p.typeBusy)+len(p.laneBusy)+len(p.starts)+len(p.ends))
-}
-
-// remAcc computes frames' remainder contributions into scratch reused
-// from one frame to the next, finding a type's or a lane's row through a
-// map as binAcc does.
-type remAcc struct {
-	typeRow map[events.Type]int // type → its row's offset in part.typeBusy
-	laneRow map[uint32]int      // Lane.key() → its row's offset in part.laneBusy
-	part    remPart
-}
-
-// frame returns b's contribution to near under g's window, valid until
-// the next call.
-func (r *remAcc) frame(b *Batch, g *BinGrid, near []remSpan) *remPart {
-	if r.typeRow == nil {
-		r.typeRow, r.laneRow = map[events.Type]int{}, map[uint32]int{}
-	}
-	clear(r.typeRow)
-	clear(r.laneRow)
-	p := &r.part
-	p.types, p.lanes, p.typeBusy, p.laneBusy = p.types[:0], p.lanes[:0], p.typeBusy[:0], p.laneBusy[:0]
-	p.starts, p.ends = p.starts[:0], p.ends[:0]
-	n := len(near)
-	for ri := 0; ri < b.N; ri++ {
-		typ, dura := b.Type[ri], b.Dura[ri]
-		if dura < 0 {
-			continue
-		}
-		s, e := b.Start[ri], b.Start[ri]+dura
-		cs, ce := max(s, g.lo), min(e, g.hi)
-		if cs >= ce {
-			continue
-		}
-		// The first remainder the clipped interval can reach is the
-		// first ending after its clipped start.
-		k := remAfter(near, cs)
-		if k == n || near[k].r0 >= ce {
-			continue
-		}
-		to, ok := r.typeRow[typ]
-		if !ok {
-			to = len(p.typeBusy)
-			r.typeRow[typ] = to
-			p.types = append(p.types, typ)
-			p.typeBusy = append(p.typeBusy, make([]clock.Time, n)...)
-		}
-		lo := -1
-		if busyType(typ) {
-			lane := Lane{Node: b.Node[ri], CPU: b.CPU[ri]}.key()
-			if lo, ok = r.laneRow[lane]; !ok {
-				lo = len(p.laneBusy)
-				r.laneRow[lane] = lo
-				p.lanes = append(p.lanes, lane)
-				p.laneBusy = append(p.laneBusy, make([]clock.Time, n)...)
-			}
-			p.starts, p.ends = append(p.starts, cs), append(p.ends, ce)
-		}
-		for ; k < n && near[k].r0 < ce; k++ {
-			rs := &near[k]
-			ov := min(ce, rs.r1) - max(cs, rs.r0)
-			p.typeBusy[to+k] += ov
-			if lo >= 0 {
-				p.laneBusy[lo+k] += ov
-			}
-		}
-	}
-	return p
-}

@@ -35,10 +35,8 @@ type PreviewResult struct {
 	Engine string
 	// CellsUsed counts pyramid cells consulted (0 on the scan engine).
 	CellsUsed int
-	// FramesDecoded counts the frames the query fetched, PartialsReused
-	// the edge-remainder frames a memoized contribution answered instead.
-	FramesDecoded  int
-	PartialsReused int
+	// FramesDecoded counts the frames the query fetched.
+	FramesDecoded int
 }
 
 // BuildPreview renders the preview histogram of a merged interval file.
@@ -86,10 +84,9 @@ func BuildPreview(mf *interval.File, opts PreviewOptions) (*PreviewResult, error
 		p.Dur[si] = row
 	}
 	return &PreviewResult{
-		Preview:        p,
-		Engine:         ws.Engine,
-		CellsUsed:      ws.CellsUsed,
-		FramesDecoded:  ws.FramesDecoded,
-		PartialsReused: ws.PartialsReused,
+		Preview:       p,
+		Engine:        ws.Engine,
+		CellsUsed:     ws.CellsUsed,
+		FramesDecoded: ws.FramesDecoded,
 	}, nil
 }

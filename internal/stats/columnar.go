@@ -114,11 +114,19 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 				}
 				return frameResult{part: &x.framePart, x: x, fetched: true}, nil
 			}
-			// On a miss the source hands compute the frame; the partial
-			// is a function of its group keys and cells, which alias
-			// nothing of the batch, so the executor outlives it.
+			// A whole frame's partial is memoized under the run's key; a
+			// frame the window cuts is read under the empty key, which
+			// memoizes nothing — another window rarely cuts it at the
+			// same instants. On a miss the source hands compute the
+			// frame; the partial is a function of its group keys and
+			// cells, which alias nothing of the batch, so the executor
+			// outlives it.
+			key := keys[file]
+			if !w.whole() {
+				key = ""
+			}
 			fetched := false
-			v, hit, err := files[file].FrameSource().Memo(ctx, files[file], fr.Entry, w.key(keys[file]), func(b *interval.Batch, store bool) (any, int64, error) {
+			v, hit, err := files[file].FrameSource().Memo(ctx, files[file], fr.Entry, key, func(b *interval.Batch, store bool) (any, int64, error) {
 				fetched = true
 				x, err := eval(file, b, w)
 				if err != nil {
@@ -200,10 +208,8 @@ func (p *execPool) put(x *kexec) {
 // lies inside — lo at or before its first start, hi at or after its last
 // end — selects none of its rows away, so it opens to the sentinel
 // (math.MinInt64, math.MaxInt64), as both sides of an unwindowed run do.
-// The clipped window alone decides which of the frame's rows are
-// selected, so it keys the frame's partial: two windows that cut a frame
-// at the same instants share it, and a frame inside both shares the
-// unwindowed run's.
+// A frame inside the window is whole, so its partial is the unwindowed
+// run's and is shared by every window holding it.
 type window struct{ lo, hi clock.Time }
 
 func clipWindow(mopts interval.MapOptions, fe interval.FrameEntry) window {
@@ -222,31 +228,14 @@ func clipWindow(mopts interval.MapOptions, fe interval.FrameEntry) window {
 // whole reports whether every row of the frame is selected.
 func (w window) whole() bool { return w.lo == math.MinInt64 && w.hi == math.MaxInt64 }
 
-// key is a frame memo's key for the frame's partials under w: the run's
-// key (memoKeys) plus each side w cuts. A whole frame's key is the run's.
-func (w window) key(run string) string {
-	if w.whole() {
-		return run
-	}
-	k := []byte(run)
-	if w.lo != math.MinInt64 {
-		k = strconv.AppendInt(append(k, '<'), int64(w.lo), 10)
-	}
-	if w.hi != math.MaxInt64 {
-		k = strconv.AppendInt(append(k, '>'), int64(w.hi), 10)
-	}
-	return string(k)
-}
-
 // memoKeys returns, per input file, the key a frame memo stores its
 // whole frames' partials under — "" for a file with no frame source — or
-// nil when the run consults none (window.key extends it for a frame the
-// window cuts). Those partials depend on a frame's bytes (the memo keys
-// by frame) and on what the key names, each part length-prefixed or
-// delimited so no two keys run together: the program text, the run
-// bounds bin() reads (a live trace's move with every seal), and, when the
-// program codes marker names, the dictionary codes the file's marker
-// table gets.
+// nil when the run consults none. Those partials depend on a frame's
+// bytes (the memo keys by frame) and on what the key names, each part
+// length-prefixed or delimited so no two keys run together: the program
+// text, the run bounds bin() reads (a live trace's move with every seal),
+// and, when the program codes marker names, the dictionary codes the
+// file's marker table gets.
 func (prog *compiledProgram) memoKeys(program string, files []*interval.File, tStart, tEnd clock.Time, dict *strDict) []string {
 	// A program with string + interns its concatenations in the order
 	// the workers happen to meet them, so its codes mean something only

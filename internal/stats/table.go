@@ -20,13 +20,12 @@ type Table struct {
 	Skipped int64
 	// Engine reports which summary engine answered a time-resolved
 	// table ("pyramid" or "scan", interval.SummarizeWindow's choice) and
-	// CellsUsed/FramesDecoded/PartialsReused what it consulted. Zero for
-	// spec-driven tables. Output is byte-identical either way; the fields
-	// are observability only (they are not part of TSV).
-	Engine         string `json:",omitempty"`
-	CellsUsed      int    `json:",omitempty"`
-	FramesDecoded  int    `json:",omitempty"`
-	PartialsReused int    `json:",omitempty"`
+	// CellsUsed/FramesDecoded what it consulted. Zero for spec-driven
+	// tables. Output is byte-identical either way; the fields are
+	// observability only (they are not part of TSV).
+	Engine        string `json:",omitempty"`
+	CellsUsed     int    `json:",omitempty"`
+	FramesDecoded int    `json:",omitempty"`
 }
 
 // Run is one program run: its tables, how many frames it evaluated, how

@@ -43,7 +43,7 @@ func TimeResolved(files []*interval.File, bins int, opts interval.MapOptions) ([
 	}
 	tabs := []*Table{busyTable(ws), laneTable(ws), concurrencyRows(ws)}
 	for _, t := range tabs {
-		t.Engine, t.CellsUsed, t.FramesDecoded, t.PartialsReused = ws.Engine, ws.CellsUsed, ws.FramesDecoded, ws.PartialsReused
+		t.Engine, t.CellsUsed, t.FramesDecoded = ws.Engine, ws.CellsUsed, ws.FramesDecoded
 	}
 	return tabs, nil
 }

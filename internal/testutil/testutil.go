@@ -210,6 +210,59 @@ func (r residentFrames) Memo(_ context.Context, _ *interval.File, fe interval.Fr
 	return v, false, err
 }
 
+// RemainderFrames counts the frames a time-resolved table of bins bins
+// over [lo, hi] — clamped to f's run, as stats.TimeResolved clamps it —
+// fetches on the pyramid engine: the frames overlapping an edge
+// remainder, a bin's span outside the base cells of f's pyramid it
+// covers whole (the whole bin when it covers none). It works from the
+// pyramid's base width and interval.BinEdge alone, independently of the
+// engine.
+func RemainderFrames(t testing.TB, f *interval.File, lo, hi clock.Time, bins int) int {
+	t.Helper()
+	first, last, _, err := f.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fes, err := f.Frames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi = max(lo, first), min(hi, last)
+	w := f.Pyramid().BaseWidth
+	floor := func(x clock.Time) clock.Time {
+		q := x / w
+		if x%w < 0 {
+			q--
+		}
+		return q * w
+	}
+	var rems [][2]clock.Time // [r0, r1)
+	for i := 0; i < bins; i++ {
+		b0, b1 := interval.BinEdge(lo, hi, bins, i), interval.BinEdge(lo, hi, bins, i+1)
+		ia, ib := floor(b0+w-1), floor(b1)
+		if ia >= ib {
+			rems = append(rems, [2]clock.Time{b0, b1})
+			continue
+		}
+		if b0 < ia {
+			rems = append(rems, [2]clock.Time{b0, ia})
+		}
+		if ib < b1 {
+			rems = append(rems, [2]clock.Time{ib, b1})
+		}
+	}
+	n := 0
+	for _, fe := range fes {
+		for _, r := range rems {
+			if fe.End >= r[0] && fe.Start < r[1] {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
 // Pipeline runs workload → convert → merge and returns the merged file.
 func Pipeline(t testing.TB, sh Shape, mopts merge.Options, main func(*mpisim.Proc)) (*interval.File, *merge.Result) {
 	t.Helper()

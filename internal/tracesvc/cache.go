@@ -20,10 +20,9 @@ import (
 
 // frameKey identifies one cache entry: the registry-assigned file
 // number, the frame's byte offset (unique within a file), and — for a
-// value memoized from that frame (a stats partial, a summary's edge
-// remainder contribution, a record count) — the memo key; "" is the
-// decoded frame itself. A whole answer (Answer) is a frame-less entry:
-// offset answerOff, its answer key as the memo key.
+// value memoized from that frame (a whole frame's stats partial) — the
+// memo key; "" is the decoded frame itself. A whole answer (Answer) is a
+// frame-less entry: offset answerOff, its answer key as the memo key.
 type frameKey struct {
 	file uint64
 	off  int64
@@ -51,14 +50,15 @@ var answerSeed = maphash.MakeSeed()
 // frame whose caller lends no scratch to decode into (Get): it needs a
 // copy of its own anyway, and the cache keeps that copy.
 //
-// The same shards, LRU, budget and singleflight hold the values
-// memoized per frame (Memo) — stats partials, summary edge remainders,
-// record counts — which only the partial counters see. A frame read
-// only to compute such a value is never a use of the frame: a resident
-// frame serves the compute as a hit, any other is decoded into scratch
-// and admitted nowhere, neither marked nor stored. Whole answers
-// (Answer) are one more memo kind under the same rules, with counters
-// of their own.
+// The same shards, LRU, budget and singleflight hold two memo kinds
+// under one memo path (memo), each with counters of its own: the values
+// memoized per frame (Memo) — whole frames' stats partials — and whole
+// answers (Answer). A frame read only to compute a per-frame value is
+// never a use of the frame: a resident frame serves the compute as a
+// hit, any other is decoded into scratch and admitted nowhere, neither
+// marked nor stored. Memo's empty key reads a frame that way and
+// memoizes nothing: that is how a frame a window cuts, whose value no
+// later query is likely to share, is read.
 type FrameCache struct {
 	shards      []cacheShard
 	shardBudget int64
@@ -77,20 +77,17 @@ type FrameCache struct {
 	// entries counts resident frames alone.
 	bytes   promtext.Gauge
 	entries promtext.Gauge
-	// Memo lookups answered from a stored value, lookups that
-	// evaluated, values stored, and the bytes memo entries are charged.
-	partHits   promtext.Counter
-	partMisses promtext.Counter
-	partStored promtext.Counter
-	partBytes  promtext.Gauge
-	// Answer lookups answered from a stored answer, those that computed
-	// and left a once-seen marker, answers stored, and the bytes answer
-	// entries are charged.
-	ansHits   promtext.Counter
-	ansOnce   promtext.Counter
-	ansStored promtext.Counter
+	// The two memo kinds' lookups (Memo's per-frame values, Answer's
+	// whole answers) and the bytes their entries are charged.
+	partials  memoCounters
+	partBytes promtext.Gauge
+	answers   memoCounters
 	ansBytes  promtext.Gauge
 }
+
+// memoCounters counts one memo kind's lookups: answered from a stored
+// value, computed leaving a once-seen marker, and computed and stored.
+type memoCounters struct{ hits, once, stored promtext.Counter }
 
 type cacheShard struct {
 	mu      sync.Mutex
@@ -279,45 +276,18 @@ func (c *FrameCache) mark(sh *cacheShard, e *cacheEntry) {
 // and every later lookup reuses it. Concurrent lookups of a value being
 // stored wait for it (singleflight) unless ctx ends first; the store
 // carries on either way. An evaluation gets the frame from lend, so it
-// leaves no frame behind.
+// leaves no frame behind. The empty key memoizes nothing: compute runs
+// over a lent frame on every call, and the cache keeps neither a value
+// nor a marker.
 func (c *FrameCache) Memo(ctx context.Context, file uint64, off int64, key string, decode func(dst *interval.Batch) error, compute func(b *interval.Batch, store bool) (any, int64, error)) (any, bool, error) {
-	k := frameKey{file, off, key}
-	sh := c.shard(k)
-	sh.mu.Lock()
-	e := sh.entries[k]
-	if e != nil && !e.once {
-		if err := sh.await(ctx, e); err != nil {
-			return nil, false, err
-		}
-		if e.err != nil {
-			// Evaluation is deterministic: the stored-to-be value's error
-			// is this caller's too.
-			return nil, false, e.err
-		}
-		c.partHits.Add(1)
-		return e.val, true, nil
+	lent := func(store bool) (any, int64, error) {
+		return c.lend(file, off, decode, func(b *interval.Batch) (any, int64, error) { return compute(b, store) })
 	}
-	c.partMisses.Add(1)
-	if e == nil {
-		e = &cacheEntry{key: k}
-		sh.entries[k] = e
-		c.mark(sh, e)
-		sh.mu.Unlock()
-		v, _, err := c.lend(file, off, decode, func(b *interval.Batch) (any, int64, error) { return compute(b, false) })
+	if key == "" {
+		v, _, err := lent(false)
 		return v, false, err
 	}
-	c.drop(sh, e)
-	e = &cacheEntry{key: k, ready: make(chan struct{})}
-	sh.entries[k] = e
-	sh.mu.Unlock()
-	v, err := c.fill(sh, e, func() (any, int64, error) {
-		v, size, err := c.lend(file, off, decode, func(b *interval.Batch) (any, int64, error) { return compute(b, true) })
-		return v, memoEntryBytes + int64(len(key)) + size, err
-	})
-	if err == nil {
-		c.partStored.Add(1)
-	}
-	return v, false, err
+	return c.memo(ctx, frameKey{file, off, key}, &c.partials, lent)
 }
 
 // errLate marks an answer computed after its request ended: the caller
@@ -325,58 +295,70 @@ func (c *FrameCache) Memo(ctx context.Context, file uint64, off int64, key strin
 var errLate = errors.New("tracesvc: answer computed after its request ended")
 
 // Answer returns the answer memoized under key in the namespace of file
-// number file — a frame-less entry — computing it when none is stored.
-// Answers follow Memo's rules: the first computation under a key leaves
-// only a once-seen marker (charged memoEntryBytes plus the key), the
-// second stores its answer (charged memoEntryBytes, the key and the
-// size compute reports), and every later lookup reuses it; lookups of an
-// answer being stored wait for it (singleflight) unless ctx ends first.
-// A computation that fails, or ends after ctx did, stores nothing — a
-// waiter on it then looks up afresh — so no error, cancelled or
-// timed-out answer is ever served from the cache.
+// number file — a frame-less entry — computing it when none is stored,
+// under Memo's rules. Unlike a per-frame store, a storing computation
+// that ends after ctx did keeps nothing: its caller still gets the
+// answer, but no cancelled or timed-out answer is ever served from the
+// cache.
 func (c *FrameCache) Answer(ctx context.Context, file uint64, key string, compute func() (any, int64, error)) (any, error) {
-	k := frameKey{file, answerOff, key}
+	v, _, err := c.memo(ctx, frameKey{file, answerOff, key}, &c.answers, func(store bool) (any, int64, error) {
+		v, size, err := compute()
+		if store && err == nil && ctx.Err() != nil {
+			err = errLate
+		}
+		return v, size, err
+	})
+	if err == errLate {
+		err = nil
+	}
+	return v, err
+}
+
+// memo is the one memo path, for per-frame values and whole answers
+// alike: the value stored under k, or compute's. The first computation
+// under k leaves only a once-seen marker (charged memoEntryBytes plus the
+// key) and runs compute(false); the second runs compute(true) and stores
+// its value, charged memoEntryBytes, the key and the size compute
+// reports; every later lookup reuses it (reused = true). Lookups of a
+// value being stored wait for it (singleflight) unless ctx ends first. A
+// computation that fails stores nothing, and a waiter on it looks up
+// afresh. n counts the lookups by outcome.
+func (c *FrameCache) memo(ctx context.Context, k frameKey, n *memoCounters, compute func(store bool) (any, int64, error)) (any, bool, error) {
 	sh := c.shard(k)
 	for {
 		sh.mu.Lock()
 		e := sh.entries[k]
 		if e != nil && !e.once {
 			if err := sh.await(ctx, e); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			if e.err != nil {
 				continue // the store failed: its error is not this caller's
 			}
-			c.ansHits.Add(1)
-			return e.val, nil
+			n.hits.Add(1)
+			return e.val, true, nil
 		}
 		if e == nil {
 			e = &cacheEntry{key: k}
 			sh.entries[k] = e
 			c.mark(sh, e)
 			sh.mu.Unlock()
-			c.ansOnce.Add(1)
-			v, _, err := compute()
-			return v, err
+			n.once.Add(1)
+			v, _, err := compute(false)
+			return v, false, err
 		}
 		c.drop(sh, e)
 		e = &cacheEntry{key: k, ready: make(chan struct{})}
 		sh.entries[k] = e
 		sh.mu.Unlock()
 		v, err := c.fill(sh, e, func() (any, int64, error) {
-			v, size, err := compute()
-			if err == nil && ctx.Err() != nil {
-				err = errLate
-			}
-			return v, memoEntryBytes + int64(len(key)) + size, err
+			v, size, err := compute(true)
+			return v, memoEntryBytes + int64(len(k.memo)) + size, err
 		})
-		switch err {
-		case nil:
-			c.ansStored.Add(1)
-		case errLate:
-			err = nil
+		if err == nil {
+			n.stored.Add(1)
 		}
-		return v, err
+		return v, false, err
 	}
 }
 
@@ -536,8 +518,9 @@ type CacheStats struct {
 	AdmittedOnce, AdmittedStored, AdmittedNone int64
 	// Bytes charged to resident frames and their markers; frames resident.
 	Bytes, Entries int64
-	// Memoized values (Memo): lookups reusing a stored value, lookups
-	// that evaluated, values stored, and bytes charged to memo entries.
+	// Memoized values (Memo, under a non-empty key): lookups reusing a
+	// stored value, lookups that evaluated (leaving a marker or storing),
+	// values stored, and bytes charged to memo entries.
 	PartialHits, PartialMisses, PartialsStored int64
 	PartialBytes                               int64
 	// Whole answers (Answer): lookups reusing a stored answer, those that
@@ -558,13 +541,13 @@ func (c *FrameCache) Stats() CacheStats {
 		AdmittedNone:   c.admitNone.Value(),
 		Bytes:          c.bytes.Value(),
 		Entries:        c.entries.Value(),
-		PartialHits:    c.partHits.Value(),
-		PartialMisses:  c.partMisses.Value(),
-		PartialsStored: c.partStored.Value(),
+		PartialHits:    c.partials.hits.Value(),
+		PartialMisses:  c.partials.once.Value() + c.partials.stored.Value(),
+		PartialsStored: c.partials.stored.Value(),
 		PartialBytes:   c.partBytes.Value(),
-		AnswerHits:     c.ansHits.Value(),
-		AnswersOnce:    c.ansOnce.Value(),
-		AnswersStored:  c.ansStored.Value(),
+		AnswerHits:     c.answers.hits.Value(),
+		AnswersOnce:    c.answers.once.Value(),
+		AnswersStored:  c.answers.stored.Value(),
 		AnswerBytes:    c.ansBytes.Value(),
 	}
 }

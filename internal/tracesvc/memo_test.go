@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -321,17 +320,18 @@ func metricValue(t *testing.T, s *tracesvc.Service, name string) int64 {
 
 // TestStatsMemoPlan: on a fresh service, the first two askings of a
 // query evaluate and fetch every frame (the second stores what the first
-// only saw), and every later one evaluates and fetches none, windowed or
-// not — the frames straddling the window's edges reuse the partials
-// stored under the window as it cuts them — while a concatenation never
-// reuses. The marker-keyed program reuses too, which needs its marker
-// codes to come out the same on every run. /metrics counts the same
-// lookups and fetches, and the decoded-frame counters still count
-// decoded frames: a frame read only to compute a partial is admitted
-// nowhere, so each memoized query decodes its frames in its first two
-// askings and leaves none of them resident, while the concatenation's
-// frames follow the second-use rule — its first asking leaves once-seen
-// markers, its second stores the frames, and the last two are hits.
+// only saw), and every later one evaluates and fetches only the frames
+// the window cuts — a whole frame's partial is memoized, a cut frame's
+// never — and reuses the partials of the frames inside it, while a
+// concatenation never reuses. The marker-keyed program reuses too, which
+// needs its marker codes to come out the same on every run. /metrics
+// counts the same lookups and fetches, and the decoded-frame counters
+// still count decoded frames: a frame read only to compute a partial is
+// admitted nowhere, so each memoized query decodes its whole frames in
+// its first two askings and its cut frames in every asking, and leaves
+// none of them resident, while the concatenation's frames follow the
+// second-use rule — its first asking leaves once-seen markers, its second
+// stores the frames, and the last two are hits.
 func TestStatsMemoPlan(t *testing.T) {
 	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
 	s := tracesvc.New(tracesvc.Config{})
@@ -356,17 +356,17 @@ func TestStatsMemoPlan(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		program, window string
-		selected        int
+		cut, whole      int
 		memoized        bool
 	}{
-		{memoPrograms[0], window, edges + inside, true},
-		{memoPrograms[2], "", len(frames), true},
-		{memoPrograms[3], window, edges + inside, false},
+		{memoPrograms[0], window, edges, inside, true},
+		{memoPrograms[2], "", 0, len(frames), true},
+		{memoPrograms[3], window, edges, inside, false},
 	} {
 		for ask := 1; ask <= 4; ask++ {
-			wantEv, wantRe := tc.selected, 0
+			wantEv, wantRe := tc.cut+tc.whole, 0
 			if ask > 2 && tc.memoized {
-				wantEv, wantRe = 0, tc.selected
+				wantEv, wantRe = tc.cut, tc.whole
 			}
 			ev, re, fe := planOf(t, s, id, tc.program, tc.window)
 			if ev != wantEv || re != wantRe || fe != wantEv {
@@ -374,13 +374,13 @@ func TestStatsMemoPlan(t *testing.T) {
 			}
 		}
 	}
-	memoized := int64(edges + inside + len(frames))
-	// Two fetching askings of each memoized query, four of the
-	// concatenation.
-	fetched := int64(2*(edges+inside) + 2*len(frames) + 4*(edges+inside))
-	// The memoized queries' two fetching askings decode, and so do the
-	// concatenation's first two.
-	decoded := 2*memoized + 2*int64(edges+inside)
+	memoized := int64(inside + len(frames))
+	// Two fetching askings of each memoized partial, four of each cut
+	// frame and of the concatenation.
+	fetched := 2*memoized + int64(4*edges+4*(edges+inside))
+	// The memoized partials' two fetching askings decode, every asking
+	// of a cut frame, and the concatenation's first two.
+	decoded := 2*memoized + int64(4*edges+2*(edges+inside))
 	for _, m := range []struct {
 		name string
 		want int64
@@ -392,7 +392,7 @@ func TestStatsMemoPlan(t *testing.T) {
 		{"tracesvc_cache_misses_total", decoded},
 		{`tracesvc_cache_admissions_total{result="once"}`, int64(edges + inside)},
 		{`tracesvc_cache_admissions_total{result="stored"}`, int64(edges + inside)},
-		{`tracesvc_cache_admissions_total{result="none"}`, 2 * memoized},
+		{`tracesvc_cache_admissions_total{result="none"}`, 2*memoized + int64(4*edges)},
 		{"tracesvc_cache_hits_total", 2 * int64(edges+inside)},
 		{"tracesvc_cache_frames_resident", int64(edges + inside)},
 		{"tracesvc_frames_decoded_total", decoded},
@@ -420,7 +420,9 @@ func exactWindow(t *testing.T, lo, hi clock.Time) string {
 // TestWarmStatsFetchesNoEvictedFrame: once a windowed query's partials
 // are stored its decoded frames may leave the cache — evicted, while
 // their few-KiB partials stay resident — and the warm query still reads
-// no frame: the memo answers before any frame is fetched.
+// no frame inside the window: the memo answers before any frame is
+// fetched. It reads only the frames the window cuts, whose partials are
+// never memoized.
 func TestWarmStatsFetchesNoEvictedFrame(t *testing.T) {
 	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
 	open := func() *interval.File {
@@ -435,7 +437,17 @@ func TestWarmStatsFetchesNoEvictedFrame(t *testing.T) {
 	id := openTrace(t, s, path)
 	tr, _ := s.Registry().Resolve(id)
 	frames := tr.Frames()
-	window := exactWindow(t, frames[5].Start+1, frames[15].End-1)
+	lo, hi := frames[5].Start+1, frames[15].End-1
+	window := exactWindow(t, lo, hi)
+	cut := 0
+	for _, fe := range frames {
+		if fe.End >= lo && fe.Start <= hi && (fe.Start < lo || fe.End > hi) {
+			cut++
+		}
+	}
+	if cut == 0 {
+		t.Fatalf("window %s cuts no frame", window)
+	}
 	want, err := expectStats(t, open, memoPrograms[0], window)
 	if err != nil {
 		t.Fatal(err)
@@ -453,91 +465,14 @@ func TestWarmStatsFetchesNoEvictedFrame(t *testing.T) {
 	if w := do(t, s, "GET", fresh(statsURL(id, memoPrograms[0], window, "")), ""); w.Code != http.StatusOK || w.Body.String() != want {
 		t.Fatalf("warm asking: %d, body differs from a fresh GenerateOpts", w.Code)
 	}
-	if got := tr.File().DecodedFrames() - decoded; got != 0 {
-		t.Fatalf("a warm query over evicted frames decoded %d of them", got)
+	if got := tr.File().DecodedFrames() - decoded; got != int64(cut) {
+		t.Fatalf("a warm query over evicted frames decoded %d of them, want the %d the window cuts", got, cut)
 	}
-	if ev, re, fe := planOf(t, s, id, memoPrograms[0], window); ev != 0 || fe != 0 || re == 0 {
-		t.Fatalf("warm plan: evaluated %d, reused %d, fetched %d", ev, re, fe)
+	if ev, re, fe := planOf(t, s, id, memoPrograms[0], window); ev != cut || fe != cut || re == 0 {
+		t.Fatalf("warm plan: evaluated %d, reused %d, fetched %d; want %d cut frames evaluated and fetched", ev, re, fe, cut)
 	}
 	if cs := s.Cache().Stats(); cs.Entries != 0 {
 		t.Fatalf("a warm query left %d frames resident", cs.Entries)
-	}
-}
-
-// TestStatsMemoEdgeKeys: two windows that cut the same frame at the same
-// instant on one side and at different instants on the other never share
-// that frame's partial — an edge frame's key names each cut the window
-// makes in it — and every body, asked in turn so that each window's
-// lookups meet the other's stored partials, stays byte-identical to
-// stats.GenerateOpts on a freshly opened file. The partials stored are
-// exactly one per frame and distinct cut.
-func TestStatsMemoEdgeKeys(t *testing.T) {
-	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
-	open := func() *interval.File {
-		f, err := interval.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	f := open()
-	frames, err := f.Frames()
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := frames[len(frames)/2]
-	at := func(sixths int) clock.Time { return cut.Start + (cut.End-cut.Start)*clock.Time(sixths)/6 }
-	const program = `table name=n x=("node", node) y=("n", dura, count) y=("t", dura, sum)`
-	for _, pair := range [][2][2]clock.Time{
-		{{at(1), at(3)}, {at(1), at(5)}}, // one lo, two his
-		{{at(1), at(5)}, {at(3), at(5)}}, // two los, one hi
-	} {
-		s := tracesvc.New(tracesvc.Config{})
-		id := openTrace(t, s, path)
-		var windows, wants [2]string
-		for i, w := range pair {
-			windows[i] = exactWindow(t, w[0], w[1])
-			if wants[i], err = expectStats(t, open, program, windows[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if wants[0] == wants[1] {
-			t.Fatalf("windows %q and %q select the same records: the test cannot tell their partials apart", windows[0], windows[1])
-		}
-		for round := 1; round <= 3; round++ {
-			for i, w := range windows {
-				if got := do(t, s, "GET", fresh(statsURL(id, program, w, "")), ""); got.Code != http.StatusOK || got.Body.String() != wants[i] {
-					t.Fatalf("round %d, window %q: %d, body differs from a fresh GenerateOpts\n--- got ---\n%s\n--- want ---\n%s", round, w, got.Code, got.Body, wants[i])
-				}
-			}
-		}
-		// One partial per frame and the window as it cuts that frame: a
-		// side the frame lies inside is no cut.
-		type frameCut struct {
-			off    int64
-			lo, hi clock.Time
-		}
-		cuts := map[frameCut]bool{}
-		for _, w := range pair {
-			for _, fe := range frames {
-				if fe.End < w[0] || fe.Start > w[1] {
-					continue
-				}
-				c := frameCut{fe.Offset, math.MinInt64, math.MaxInt64}
-				if w[0] > fe.Start {
-					c.lo = w[0]
-				}
-				if w[1] < fe.End {
-					c.hi = w[1]
-				}
-				cuts[c] = true
-			}
-		}
-		if got := s.Cache().Stats().PartialsStored; got != int64(len(cuts)) {
-			t.Fatalf("windows %q and %q stored %d partials, want one per frame and cut: %d", windows[0], windows[1], got, len(cuts))
-		}
-		s.Close()
 	}
 }
 
@@ -673,6 +608,77 @@ func TestMemoSingleflightCancel(t *testing.T) {
 		t.Fatalf("counters %+v", cs)
 	}
 	testutil.SettleGoroutines(t, before)
+}
+
+// TestMemoEmptyKeyStoresNothing: Memo under the empty key memoizes
+// nothing. Eight concurrent callers, each asking a resident frame and a
+// frame the cache does not hold in turn, get compute's value every time,
+// computed on every call with store false and never reported reused; the
+// resident frame counts as a hit and the other as a decode admitted
+// nowhere, and the cache's bytes, memo bytes and resident frames are
+// what they were before. (An empty key taken for a memo key would name
+// the frame itself, and a store would wait on its own entry: the callers
+// get a deadline.)
+func TestMemoEmptyKeyStoresNothing(t *testing.T) {
+	const callers, calls = 8, 20
+	c := tracesvc.NewFrameCache(1<<20, 1)
+	decode := func(*interval.Batch) error { return nil }
+	const resident, absent = 0, 4096
+	if _, err := c.Get(1, resident, nil, decode); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	if before.Entries != 1 {
+		t.Fatalf("%d frames resident, want 1", before.Entries)
+	}
+	var computed, stored atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				off := int64(resident)
+				if i%2 == 1 {
+					off = absent
+				}
+				v, reused, err := c.Memo(context.Background(), 1, off, "", decode, func(b *interval.Batch, store bool) (any, int64, error) {
+					computed.Add(1)
+					if store {
+						stored.Add(1)
+					}
+					return "value", 8, nil
+				})
+				if v != "value" || reused || err != nil {
+					t.Errorf("frame at %d: %v, reused %v, %v", off, v, reused, err)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the callers are still blocked after 10 s")
+	}
+	const n = callers * calls
+	if computed.Load() != n || stored.Load() != 0 {
+		t.Fatalf("%d calls computed %d times, %d of them storing", n, computed.Load(), stored.Load())
+	}
+	after := c.Stats()
+	if got := after.Hits - before.Hits; got != n/2 {
+		t.Fatalf("%d hits on the resident frame, want %d", got, n/2)
+	}
+	if got := after.AdmittedNone - before.AdmittedNone; got != n/2 {
+		t.Fatalf("%d decodes admitted nowhere, want %d", got, n/2)
+	}
+	if after.Bytes != before.Bytes || after.PartialBytes != before.PartialBytes || after.Entries != before.Entries {
+		t.Fatalf("the cache changed: before %+v, after %+v", before, after)
+	}
+	if after.PartialHits+after.PartialMisses+after.PartialsStored+after.AdmittedOnce != 0 || after.AdmittedStored != before.AdmittedStored {
+		t.Fatalf("memo or admission counters moved: %+v", after)
+	}
 }
 
 // TestNoGoroutineOutlivesStats: concurrent stats requests over the same

@@ -34,7 +34,6 @@ type metrics struct {
 	summaryScan    promtext.Counter
 	summaryCells   promtext.Counter
 	summaryFrames  promtext.Counter
-	summaryReused  promtext.Counter
 	// rangeQueries counts requests that restricted their scan to an
 	// explicit frame-index range (?frames=lo:hi) — the shard router's
 	// scatter-gather legs, so a backend can tell fan-out traffic from
@@ -47,9 +46,8 @@ type metrics struct {
 
 // observeSummary records one summary-planner query (a preview build or
 // a time-resolved stats run): the engine that answered it, the pyramid
-// cells it consulted, the frames it fetched, and the edge-remainder
-// contributions it reused instead.
-func (m *metrics) observeSummary(engine string, cells, frames, reused int) {
+// cells it consulted and the frames it fetched.
+func (m *metrics) observeSummary(engine string, cells, frames int) {
 	if engine == "pyramid" {
 		m.summaryPyramid.Add(1)
 	} else {
@@ -57,7 +55,6 @@ func (m *metrics) observeSummary(engine string, cells, frames, reused int) {
 	}
 	m.summaryCells.Add(int64(cells))
 	m.summaryFrames.Add(int64(frames))
-	m.summaryReused.Add(int64(reused))
 }
 
 type endpointMetrics struct {
@@ -111,11 +108,11 @@ func (m *metrics) writePrometheus(w io.Writer, cache CacheStats, tracesOpen int6
 	fmt.Fprintf(w, "tracesvc_stats_records_skipped_total %d\n", m.statsSkipped.Value())
 	promtext.Header(w, "tracesvc_stats_frames_fetched_total", "counter", "Frames whose records statistics programs fetched (from the frame cache or a decode); a frame answered by a memoized partial is not fetched.")
 	fmt.Fprintf(w, "tracesvc_stats_frames_fetched_total %d\n", m.statsFetched.Value())
-	promtext.Header(w, "tracesvc_stats_partials_total", "counter", "Per-frame memo lookups (stats partials, summary edge remainders, record counts): reused from the memo (hit), evaluated (miss), and evaluations stored (the second under a key).")
+	promtext.Header(w, "tracesvc_stats_partials_total", "counter", "Memo lookups of whole-frame stats partials: reused from the memo (hit), evaluated (miss), and evaluations stored (the second under a key).")
 	fmt.Fprintf(w, "tracesvc_stats_partials_total{result=\"hit\"} %d\n", cache.PartialHits)
 	fmt.Fprintf(w, "tracesvc_stats_partials_total{result=\"miss\"} %d\n", cache.PartialMisses)
 	fmt.Fprintf(w, "tracesvc_stats_partials_total{result=\"stored\"} %d\n", cache.PartialsStored)
-	promtext.Header(w, "tracesvc_stats_partials_bytes_resident", "gauge", "Bytes of the cache budget charged to stored memo values (stats partials, summary edge remainders, record counts) and once-seen memo keys.")
+	promtext.Header(w, "tracesvc_stats_partials_bytes_resident", "gauge", "Bytes of the cache budget charged to stored whole-frame stats partials and their once-seen memo keys.")
 	fmt.Fprintf(w, "tracesvc_stats_partials_bytes_resident %d\n", cache.PartialBytes)
 	promtext.Header(w, "tracesvc_answers_total", "counter", "Requests to the answer-memoizing endpoints (/stats, /preview.svg, /records?count=1): answered by a stored answer (hit), computed leaving a once-seen marker (once), computed and stored (stored, the second asking), and not memoized at all (bypass: a JSON /stats, a /records page).")
 	fmt.Fprintf(w, "tracesvc_answers_total{result=\"hit\"} %d\n", cache.AnswerHits)
@@ -131,8 +128,6 @@ func (m *metrics) writePrometheus(w io.Writer, cache CacheStats, tracesOpen int6
 	fmt.Fprintf(w, "tracesvc_summary_pyramid_cells_total %d\n", m.summaryCells.Value())
 	promtext.Header(w, "tracesvc_summary_frames_decoded_total", "counter", "Frames fetched by summary-planner queries (scan fallbacks and pyramid window edges).")
 	fmt.Fprintf(w, "tracesvc_summary_frames_decoded_total %d\n", m.summaryFrames.Value())
-	promtext.Header(w, "tracesvc_summary_partials_reused_total", "counter", "Pyramid window-edge frames whose memoized remainder contribution answered a summary-planner query instead of a fetch.")
-	fmt.Fprintf(w, "tracesvc_summary_partials_reused_total %d\n", m.summaryReused.Value())
 	promtext.Header(w, "tracesvc_range_queries_total", "counter", "Requests restricted to an explicit frame-index range (?frames=lo:hi) — the shard router's scatter-gather legs.")
 	fmt.Fprintf(w, "tracesvc_range_queries_total %d\n", m.rangeQueries.Value())
 

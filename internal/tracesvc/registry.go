@@ -129,10 +129,9 @@ func (r *Registry) AddLive(prov LiveProvider) string {
 // snapshot makes an open file servable as e's trace: its directory
 // chain is proven to load, and its frame source — every frame decode
 // (map-reduce engine, scanners, FrameBatch) and every value memoized per
-// frame (stats partials, summary edge remainders, record counts) — is
-// the shared cache under e's namespace (installed before the trace is
-// published, never changed after, as SetFrameSource requires). The
-// namespace outlives seal generations, and so may memoized values: a
+// frame (whole frames' stats partials) — is the shared cache under e's
+// namespace (installed before the trace is published, never changed
+// after, as SetFrameSource requires). The namespace outlives seal generations, and so may memoized values: a
 // sealed frame's bytes never change, and each memo key names whatever
 // else its value depends on (the stats keys, the run bounds).
 func (r *Registry) snapshot(e *entry, path string, f *interval.File) (*Trace, error) {

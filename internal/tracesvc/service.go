@@ -448,11 +448,10 @@ func parseBins(q url.Values, def int) (int, error) {
 // engine that answers them: summary= is ignored, as engine= is), and
 // format=json wraps each table with the summary engine that answered
 // and its excluded-record count, and reports how many frames the program
-// evaluated, how many per-frame partials it reused from the cache, and
+// evaluated, how many whole-frame partials it reused from the cache, and
 // how many frames' records it fetched (a reused partial fetches none) —
-// or, on a time-resolved request, how many edge-remainder contributions
-// the summary reused (partialsReused) and how many frames it fetched
-// (framesDecoded).
+// or, on a time-resolved request, how many frames the summary fetched
+// (framesDecoded; framesEvaluated and partialsReused are 0).
 func (s *Service) handleStats(r *http.Request, t *Trace) (*response, error) {
 	q := r.URL.Query()
 	bins, err := parseBins(q, interval.DefaultBins)
@@ -476,8 +475,8 @@ func (s *Service) handleStats(r *http.Request, t *Trace) (*response, error) {
 		run.Tables, err = stats.TimeResolved([]*interval.File{t.file}, bins, opts)
 		if err == nil && len(run.Tables) > 0 {
 			tb := run.Tables[0]
-			s.met.observeSummary(tb.Engine, tb.CellsUsed, tb.FramesDecoded, tb.PartialsReused)
-			run.PartialsReused, summaryDecoded = tb.PartialsReused, &tb.FramesDecoded
+			s.met.observeSummary(tb.Engine, tb.CellsUsed, tb.FramesDecoded)
+			summaryDecoded = &tb.FramesDecoded
 		}
 	} else {
 		program := q.Get("expr")
@@ -535,12 +534,12 @@ func (s *Service) handleStats(r *http.Request, t *Trace) (*response, error) {
 // the bodies and returns the total alone, counted from the directory
 // wherever it can be: every record of a frame the window does not cut
 // (any frame, unwindowed) overlaps the window. A frame straddling its
-// edges is counted once per cut: the count is memoized under the window
-// as it cuts the frame (countKey), so only a cut's first two askings
-// read the frame. ?frames=lo:hi restricts the scan to the half-open
-// frame-index range [lo, hi) of the flattened frame list — the shard
-// router's scatter-gather legs use it so each backend touches (and
-// caches) only its own contiguous frame range.
+// edges is read under the frame source's empty memo key — lent if
+// resident, never admitted — and its overlapping records counted; a
+// re-asked count is a whole stored answer. ?frames=lo:hi restricts the
+// scan to the half-open frame-index range [lo, hi) of the flattened
+// frame list — the shard router's scatter-gather legs use it so each
+// backend touches (and caches) only its own contiguous frame range.
 func (s *Service) handleRecords(r *http.Request, t *Trace) (*response, error) {
 	q := r.URL.Query()
 	var err error
@@ -589,19 +588,17 @@ func (s *Service) handleRecords(r *http.Request, t *Trace) (*response, error) {
 			return nil, err
 		}
 		if countOnly {
-			v, _, err := t.file.FrameSource().Memo(ctx, t.file, fe, countKey(fe, lo, hi), func(b *interval.Batch, _ bool) (any, int64, error) {
-				n := 0
+			_, _, err := t.file.FrameSource().Memo(ctx, t.file, fe, "", func(b *interval.Batch, _ bool) (any, int64, error) {
 				for i := 0; i < b.N; i++ {
 					if b.End(i) >= lo && b.Start[i] <= hi {
-						n++
+						total++
 					}
 				}
-				return n, 8, nil
+				return nil, 0, nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			total += v.(int)
 			continue
 		}
 		b, err := t.file.FrameBatch(fe)
@@ -637,20 +634,6 @@ func (s *Service) handleRecords(r *http.Request, t *Trace) (*response, error) {
 		return jsonResponse(http.StatusOK, RecordCount{Count: total})
 	}
 	return jsonResponse(http.StatusOK, RecordsPage{Total: total, Offset: offset, Records: out})
-}
-
-// countKey is the memo key of the number of fe's records overlapping
-// [lo, hi]: 'n' and the window as it cuts the frame — each side the
-// frame does not lie inside, the rule every per-frame memo keys by.
-func countKey(fe interval.FrameEntry, lo, hi clock.Time) string {
-	k := []byte{'n'}
-	if lo > fe.Start {
-		k = strconv.AppendInt(append(k, '<'), int64(lo), 10)
-	}
-	if hi < fe.End {
-		k = strconv.AppendInt(append(k, '>'), int64(hi), 10)
-	}
-	return string(k)
 }
 
 // parseFrameRange parses a "lo:hi" half-open frame-index range against a
@@ -715,7 +698,7 @@ func (s *Service) handlePreview(r *http.Request, t *Trace) (*response, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.met.observeSummary(res.Engine, res.CellsUsed, res.FramesDecoded, res.PartialsReused)
+		s.met.observeSummary(res.Engine, res.CellsUsed, res.FramesDecoded)
 		return &response{status: http.StatusOK, contentType: "image/svg+xml", body: []byte(render.PreviewSVG(res.Preview))}, nil
 	}
 	kind, err := render.ParseView(q.Get("view"))

@@ -100,9 +100,9 @@ func TestServicePreviewHistogram(t *testing.T) {
 		t.Fatalf("summary counters moved by %v, want 4 pyramid and 2 scan queries, cells and frames", d)
 	}
 
-	// Asked again and again, the windowed preview is answered from
-	// memoized edge remainders, and still matches the scan (each asking
-	// under a fresh answer key, so no stored answer stands in for them).
+	// Asked again and again, the windowed preview still matches the scan
+	// (each asking under a fresh answer key, so no stored answer stands in
+	// for it).
 	for ask := 2; ask <= 4; ask++ {
 		for _, q := range []string{"&window=0.01:0.09&bins=20", "&window=0.0123457:0.0876543&bins=7"} {
 			if get(with, fresh(q)) != get(bare, fresh(q)) {
@@ -178,8 +178,8 @@ func TestStatsTimeResolvedSummaryEngine(t *testing.T) {
 		return out.Tables
 	}
 
-	// Three askings: the pyramid's edge remainders are computed, then
-	// stored, then reused, and every asking matches the scan.
+	// Three askings, the last two under a whole answer's once-seen marker
+	// and then its stored copy, each matching the scan.
 	for ask := 1; ask <= 3; ask++ {
 		for _, q := range []string{"", "&window=0.01:0.09", "&window=0.0123457:0.0876543"} {
 			pyr, scan := get(with, q, "pyramid"), get(bare, q, "scan")

@@ -10,6 +10,8 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -362,10 +364,11 @@ func TestPreviewByteIdentical(t *testing.T) {
 // reads, and a /stats over resident frames computes its partials from
 // them. A /stats on a fresh service reads frames only to compute its
 // per-frame partials, so it keeps no frame: its first asking decodes the
-// window's frames, its second decodes them again and stores the
-// partials, and only the third is warm; a /records?count=1 after it
-// reads only the frames the window cuts, on the same schedule. Each
-// asking has a fresh answer key, so no stored answer stands in for them.
+// window's frames, its second decodes them again and stores the whole
+// frames' partials, and the third decodes only the frames the window
+// cuts, whose partials are never memoized; a /records?count=1 after it
+// reads the cut frames alone, in every asking. Each asking has a fresh
+// answer key, so no stored answer stands in for them.
 func TestWarmCacheDecodesNoFrames(t *testing.T) {
 	s := tracesvc.New(tracesvc.Config{})
 	defer s.Close()
@@ -403,25 +406,13 @@ func TestWarmCacheDecodesNoFrames(t *testing.T) {
 	}
 
 	// Stats first, on a fresh service: cold frames, cold frames again
-	// (now their partials are stored), then zero, with no frame resident
-	// throughout — and the count after them decodes the cut frames twice,
-	// then never again.
+	// (now the whole frames' partials are stored), then the cut frames
+	// alone, with no frame resident throughout — and the count after them
+	// decodes the cut frames in every asking.
 	s2 := tracesvc.New(tracesvc.Config{})
 	defer s2.Close()
 	id2 := openTrace(t, s2, path)
 	tr2, _ := s2.Registry().Resolve(id2)
-	for ask, want := range []int64{cold, 2 * cold, 2 * cold} {
-		if w := do(t, s2, "GET", fresh("/v1/traces/"+id2+"/stats?window=0.05:0.2"), ""); w.Code != 200 {
-			t.Fatalf("stats %d: %d %s", ask+1, w.Code, w.Body)
-		}
-		cs := s2.Cache().Stats()
-		if got := tr2.File().DecodedFrames(); got != want {
-			t.Fatalf("after stats %d: %d frames decoded, want %d", ask+1, got, want)
-		}
-		if cs.Entries != 0 {
-			t.Fatalf("after stats %d: %d frames resident, want 0", ask+1, cs.Entries)
-		}
-	}
 	lo, hi, err := clock.ParseWindow("0.05:0.2")
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +426,19 @@ func TestWarmCacheDecodesNoFrames(t *testing.T) {
 	if cut == 0 {
 		t.Fatal("the window cuts no frame")
 	}
-	for ask, want := range []int64{2*cold + cut, 2*cold + 2*cut, 2*cold + 2*cut} {
+	for ask, want := range []int64{cold, 2 * cold, 2*cold + cut} {
+		if w := do(t, s2, "GET", fresh("/v1/traces/"+id2+"/stats?window=0.05:0.2"), ""); w.Code != 200 {
+			t.Fatalf("stats %d: %d %s", ask+1, w.Code, w.Body)
+		}
+		cs := s2.Cache().Stats()
+		if got := tr2.File().DecodedFrames(); got != want {
+			t.Fatalf("after stats %d: %d frames decoded, want %d", ask+1, got, want)
+		}
+		if cs.Entries != 0 {
+			t.Fatalf("after stats %d: %d frames resident, want 0", ask+1, cs.Entries)
+		}
+	}
+	for ask, want := range []int64{2*cold + 2*cut, 2*cold + 3*cut, 2*cold + 4*cut} {
 		if w := do(t, s2, "GET", fresh("/v1/traces/"+id2+"/records?window=0.05:0.2&count=1"), ""); w.Code != 200 {
 			t.Fatalf("count %d after stats: %d %s", ask+1, w.Code, w.Body)
 		}
@@ -609,6 +612,70 @@ func TestMetricsEndpoint(t *testing.T) {
 	body = do(t, s, "GET", "/metrics", "").Body.String()
 	if !strings.Contains(body, `tracesvc_request_errors_total{endpoint="get"} 1`) {
 		t.Fatalf("404 not counted as an error:\n%s", body)
+	}
+}
+
+// TestMetricsSeries pins every series a query-only daemon's /metrics
+// exposes, by name and labels (a histogram's le aside) and in order.
+// tracesvc_summary_partials_reused_total is gone with the summary's
+// memoized edge remainders; nothing else was renamed, relabelled or
+// dropped with it.
+func TestMetricsSeries(t *testing.T) {
+	s := tracesvc.New(tracesvc.Config{})
+	defer s.Close()
+	want := []string{
+		"tracesvc_cache_hits_total",
+		"tracesvc_cache_misses_total",
+		`tracesvc_cache_admissions_total{result="once"}`,
+		`tracesvc_cache_admissions_total{result="stored"}`,
+		`tracesvc_cache_admissions_total{result="none"}`,
+		"tracesvc_cache_evictions_total",
+		"tracesvc_cache_bytes_resident",
+		"tracesvc_cache_frames_resident",
+		"tracesvc_traces_open",
+		"tracesvc_frames_decoded_total",
+		"tracesvc_stats_tables_total",
+		"tracesvc_stats_records_skipped_total",
+		"tracesvc_stats_frames_fetched_total",
+		`tracesvc_stats_partials_total{result="hit"}`,
+		`tracesvc_stats_partials_total{result="miss"}`,
+		`tracesvc_stats_partials_total{result="stored"}`,
+		"tracesvc_stats_partials_bytes_resident",
+		`tracesvc_answers_total{result="hit"}`,
+		`tracesvc_answers_total{result="once"}`,
+		`tracesvc_answers_total{result="stored"}`,
+		`tracesvc_answers_total{result="bypass"}`,
+		"tracesvc_answers_bytes_resident",
+		`tracesvc_summary_queries_total{engine="pyramid"}`,
+		`tracesvc_summary_queries_total{engine="scan"}`,
+		"tracesvc_summary_pyramid_cells_total",
+		"tracesvc_summary_frames_decoded_total",
+		"tracesvc_range_queries_total",
+	}
+	endpoints := []string{"close", "frames", "get", "ingest", "ingest-list", "ingest-status", "list", "metrics", "open", "preview", "records", "stats"}
+	for _, family := range []string{"tracesvc_requests_total", "tracesvc_request_errors_total"} {
+		for _, ep := range endpoints {
+			want = append(want, fmt.Sprintf("%s{endpoint=%q}", family, ep))
+		}
+	}
+	for _, ep := range endpoints {
+		for _, series := range []string{"bucket", "sum", "count"} {
+			want = append(want, fmt.Sprintf("tracesvc_request_seconds_%s{endpoint=%q}", series, ep))
+		}
+	}
+	le := regexp.MustCompile(`,?le="[^"]*"`)
+	var got []string
+	for _, line := range strings.Split(do(t, s, "GET", "/metrics", "").Body.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series := le.ReplaceAllString(line[:strings.LastIndexByte(line, ' ')], "")
+		if len(got) == 0 || got[len(got)-1] != series {
+			got = append(got, series)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("/metrics series:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

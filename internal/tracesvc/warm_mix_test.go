@@ -11,6 +11,7 @@ import (
 	"tracefw/internal/interval"
 	"tracefw/internal/render"
 	"tracefw/internal/stats"
+	"tracefw/internal/testutil"
 	"tracefw/internal/tracesvc"
 	"tracefw/internal/xrand"
 )
@@ -21,10 +22,10 @@ import (
 // base-cell bound of a trace with a sidecar, asked three times in a
 // shuffled order. Every body is byte-identical to what a freshly opened
 // file with no frame source answers, at Parallel 1 and 4 wherever a run
-// takes a worker count. No decoded frame is ever resident — every class
-// of request is answered from values memoized per frame, and a frame read
-// only to compute one is admitted nowhere — and from the third asking on
-// no request reads a frame at all.
+// takes a worker count. No decoded frame is ever resident — a frame read
+// only to compute a memoized value, or to be counted or summarized at a
+// window's edge, is admitted nowhere — and from the third asking on no
+// request reads a frame at all: each is a stored answer.
 func TestServeWarmMixHoldsNoFrame(t *testing.T) {
 	const bins = 16
 	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
@@ -56,6 +57,12 @@ func TestServeWarmMixHoldsNoFrame(t *testing.T) {
 	}
 	type query struct{ url, want string }
 	var qs []query
+	// The time-resolved queries' windows, for the JSON asking at the end.
+	type trQuery struct {
+		url    string
+		lo, hi clock.Time
+	}
+	var trs []trQuery
 	rng := xrand.New(43)
 	for k := 0; k < 6; k++ {
 		lo := first + clock.Time(rng.Int63n(int64(last-first)/2))
@@ -89,7 +96,9 @@ func TestServeWarmMixHoldsNoFrame(t *testing.T) {
 		if trBodies[0] != trBodies[1] {
 			t.Fatalf("window %s: time-resolved tables differ between Parallel 1 and 4", window)
 		}
-		qs = append(qs, query{fmt.Sprintf("/v1/traces/%s/stats?timeresolved=1&bins=%d&window=%s", id, bins, window), trBodies[0]})
+		trURL := fmt.Sprintf("/v1/traces/%s/stats?timeresolved=1&bins=%d&window=%s", id, bins, window)
+		qs = append(qs, query{trURL, trBodies[0]})
+		trs = append(trs, trQuery{trURL, lo, hi})
 
 		pv, err := render.BuildPreview(ref, render.PreviewOptions{Bins: bins, T0: lo, T1: hi})
 		if err != nil {
@@ -127,25 +136,26 @@ func TestServeWarmMixHoldsNoFrame(t *testing.T) {
 		}
 	}
 
-	// The time-resolved plan says so too: nothing fetched, every edge
-	// remainder frame's contribution reused.
-	var plan struct {
-		PartialsReused *int `json:"partialsReused"`
-		FramesDecoded  *int `json:"framesDecoded"`
-	}
-	for _, q := range qs {
-		if !bytes.Contains([]byte(q.url), []byte("timeresolved=1")) {
-			continue
+	// The JSON form is never memoized whole: its summary fetches exactly
+	// the frames overlapping the window's edge remainders, whose reads
+	// are memoized nowhere, and still keeps no frame resident.
+	for _, q := range trs {
+		want := testutil.RemainderFrames(t, tr.File(), q.lo, q.hi, bins)
+		if want == 0 {
+			t.Fatalf("%s: the window has no edge remainder", q.url)
+		}
+		var plan struct {
+			FramesDecoded *int `json:"framesDecoded"`
 		}
 		w := do(t, s, "GET", q.url+"&format=json", "")
 		if err := json.Unmarshal(w.Body.Bytes(), &plan); err != nil || w.Code != http.StatusOK {
 			t.Fatalf("%s&format=json: %d %v", q.url, w.Code, err)
 		}
-		if plan.FramesDecoded == nil || plan.PartialsReused == nil || *plan.FramesDecoded != 0 || *plan.PartialsReused == 0 {
-			t.Fatalf("%s&format=json: plan %s", q.url, w.Body)
+		if plan.FramesDecoded == nil || *plan.FramesDecoded != want {
+			t.Fatalf("%s&format=json: the summary fetched %v frames, want the %d overlapping its edge remainders", q.url, plan.FramesDecoded, want)
 		}
-	}
-	if got := metricValue(t, s, "tracesvc_summary_partials_reused_total"); got == 0 {
-		t.Fatal("tracesvc_summary_partials_reused_total did not move")
+		if cs := s.Cache().Stats(); cs.Entries != 0 {
+			t.Fatalf("%s&format=json: %d decoded frames resident", q.url, cs.Entries)
+		}
 	}
 }
