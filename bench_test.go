@@ -737,7 +737,8 @@ func BenchmarkStatsParallel(b *testing.B) {
 // measures: BenchmarkStatsColumnar/scalar in internal/stats.
 // predefined-sppm is what the ledger's read-side workloads spend their
 // time in — the predefined tables over the 4×8 sPPM trace — and concat
-// groups by a string concatenation over the storm trace. Every case
+// groups by a string concatenation over the storm trace, and hash by a
+// duration, a key the dense group-by never takes. Every case
 // carries the deterministic half of that claim: it fails when a run
 // allocates more than statsAllocsPerRecord, which any per-record or
 // per-group-per-frame allocation in the group-by, or a string built per
@@ -791,6 +792,8 @@ table name=sends condition=(msgSizeSent > 0) x=("node", node) y=("bytes", msgSiz
 	b.Run("columnar-cold", storm)
 	b.Run("columnar-warm", warm(stormFile, storm))
 	b.Run("concat", bench(stormFile, `table name=concat x=("s", state + bebits) y=("t", dura, sum) y=("n", dura, count)`))
+	// A float key: no dense index, every row finds its group by hash.
+	b.Run("hash", bench(stormFile, `table name=hash x=("d", dura) x=("n", node) y=("t", dura, sum) y=("n", dura, count)`))
 	b.Run("predefined-sppm", func(b *testing.B) {
 		mf := sppmBenchFile(b)
 		sppm := bench(mf, stats.Predefined(50))

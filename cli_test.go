@@ -1113,8 +1113,14 @@ func TestCLIServingTier(t *testing.T) {
 			P99Ms    float64 `json:"p99_ms"`
 		} `json:"warm"`
 		Backends []struct {
-			Hits   int64 `json:"hits"`
-			Misses int64 `json:"misses"`
+			Hits            int64   `json:"hits"`
+			Misses          int64   `json:"misses"`
+			AnswerHits      int64   `json:"answer_hits"`
+			Answers         int64   `json:"answers"`
+			AnswerHitRatio  float64 `json:"answer_hit_ratio"`
+			PartialHits     int64   `json:"partial_hits"`
+			PartialMisses   int64   `json:"partial_misses"`
+			PartialHitRatio float64 `json:"partial_hit_ratio"`
 		} `json:"backends"`
 	}
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
@@ -1130,10 +1136,30 @@ func TestCLIServingTier(t *testing.T) {
 		t.Fatalf("uteload scraped %d backends, want 2: %s", len(rep.Backends), out)
 	}
 	// The split means both backends serve frames for this one trace.
+	// Beside the frame cache, each backend reports its answer memo and
+	// its stats-partial memo, each ratio its hits over what was asked.
+	var answers int64
 	for i, b := range rep.Backends {
 		if b.Hits+b.Misses == 0 {
 			t.Fatalf("backend %d saw no cache traffic: %s", i, out)
 		}
+		answers += b.Answers
+		if b.AnswerHits > b.Answers || b.Answers > 0 && b.AnswerHitRatio != float64(b.AnswerHits)/float64(b.Answers) ||
+			b.Answers == 0 && b.AnswerHitRatio != 0 {
+			t.Fatalf("backend %d answer hit ratio: %s", i, out)
+		}
+		if asked := b.PartialHits + b.PartialMisses; asked > 0 && b.PartialHitRatio != float64(b.PartialHits)/float64(asked) ||
+			asked == 0 && b.PartialHitRatio != 0 {
+			t.Fatalf("backend %d partial hit ratio: %s", i, out)
+		}
+	}
+	if answers == 0 {
+		t.Fatalf("no backend counted an answer-memo asking: %s", out)
+	}
+	out = runCmd(t, bin, "uteload", "-url", router, "-backends", b0+","+b1,
+		"-clients", "2", "-requests", "20", "-windows", "4")
+	if n := strings.Count(out, "), answers +"); n != 2 || strings.Count(out, "), partials +") != 2 {
+		t.Fatalf("uteload text report lacks per-backend answer and partial hit ratios:\n%s", out)
 	}
 	// Open loop: the same warm phase on a fixed 200/s schedule, every
 	// arrival answered or reported dropped.

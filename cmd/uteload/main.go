@@ -9,8 +9,9 @@
 // (so a stalled server's queueing shows), -clients caps the requests in
 // flight, and arrivals that find the cap reached are reported dropped.
 // With -backends it also scrapes each backend's /metrics before and
-// after the warm phase and reports per-backend decoded-frame cache hit
-// ratios.
+// after the warm phase and reports per-backend hit ratios: the
+// decoded-frame cache's, the whole-answer memo's and the whole-frame
+// stats-partial memo's.
 //
 // Usage:
 //
@@ -42,7 +43,7 @@ import (
 func main() {
 	var (
 		url      = flag.String("url", "", "base URL of the service under test (required)")
-		backends = flag.String("backends", "", "comma-separated backend base URLs to scrape for cache hit ratios")
+		backends = flag.String("backends", "", "comma-separated backend base URLs to scrape for cache and memo hit ratios")
 		clients  = flag.Int("clients", 4, "concurrent clients (with -rate: the in-flight cap)")
 		rate     = flag.Float64("rate", 0, "open-loop warm phase at this many requests per second (0: closed loop)")
 		requests = flag.Int("requests", 200, "measured warm-phase request count")
@@ -112,8 +113,8 @@ func main() {
 	printPhase("cold", rep.Cold)
 	printPhase("warm", rep.Warm)
 	for _, b := range rep.Backends {
-		fmt.Printf("  backend %s: cache +%d hits / +%d misses (hit ratio %.3f)\n",
-			b.URL, b.Hits, b.Misses, b.HitRatio)
+		fmt.Printf("  backend %s: cache +%d hits / +%d misses (hit ratio %.3f), answers +%d hits / +%d asked (hit ratio %.3f), partials +%d hits / +%d misses (hit ratio %.3f)\n",
+			b.URL, b.Hits, b.Misses, b.HitRatio, b.AnswerHits, b.Answers, b.AnswerHitRatio, b.PartialHits, b.PartialMisses, b.PartialHitRatio)
 	}
 	if rep.Warm.Errors > 0 || rep.Cold.Errors > 0 {
 		os.Exit(1)

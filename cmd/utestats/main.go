@@ -107,21 +107,31 @@ func main() {
 		}
 		tables, err = stats.TimeResolved(files, *bins, opts)
 	} else {
-		tables, err = stats.GenerateOpts(program, files, opts)
+		var run stats.Run
+		run, err = stats.GenerateRun(program, files, opts)
+		tables = run.Tables
+		if err == nil && *verbose {
+			fmt.Fprintf(os.Stderr, "utestats: shared kernels saved %d evaluations\n", run.SharedSaved)
+		}
 	}
 	if err != nil {
 		fatal(err)
 	}
 	for _, tb := range tables {
 		if *verbose {
-			sum := ""
-			if tb.Engine != "" {
+			how := ""
+			switch {
+			case tb.Engine != "":
 				// Time-resolved tables report which summary engine
 				// answered them: O(bins) pyramid cells or a frame scan.
-				sum = " summary=" + tb.Engine
+				how = " summary=" + tb.Engine
+			case tb.Group != "":
+				// Spec-driven tables report which group-by folded their
+				// rows: a direct index, a hash, or each on some frames.
+				how = " group=" + tb.Group
 			}
 			fmt.Fprintf(os.Stderr, "utestats: table %s:%s skipped=%d rows=%d\n",
-				tb.Name, sum, tb.Skipped, len(tb.Rows))
+				tb.Name, how, tb.Skipped, len(tb.Rows))
 		}
 		if *outDir == "" {
 			fmt.Printf("# table %s\n%s\n", tb.Name, tb.TSV())

@@ -116,13 +116,22 @@ type Phase struct {
 	MaxMs    float64 `json:"max_ms"`
 }
 
-// BackendCache is one backend's decoded-frame cache movement over the
-// measured phase.
+// BackendCache is one backend's cache movement over the measured phase:
+// the decoded-frame cache (Hits, Misses), the whole-answer memo
+// (tracesvc_answers_total: AnswerHits of Answers asked) and the
+// whole-frame stats-partial memo (tracesvc_stats_partials_total). Each
+// ratio is 0 when nothing moved.
 type BackendCache struct {
-	URL      string  `json:"url"`
-	Hits     int64   `json:"hits"`
-	Misses   int64   `json:"misses"`
-	HitRatio float64 `json:"hit_ratio"`
+	URL             string  `json:"url"`
+	Hits            int64   `json:"hits"`
+	Misses          int64   `json:"misses"`
+	HitRatio        float64 `json:"hit_ratio"`
+	AnswerHits      int64   `json:"answer_hits"`
+	Answers         int64   `json:"answers"`
+	AnswerHitRatio  float64 `json:"answer_hit_ratio"`
+	PartialHits     int64   `json:"partial_hits"`
+	PartialMisses   int64   `json:"partial_misses"`
+	PartialHitRatio float64 `json:"partial_hit_ratio"`
 }
 
 // Report is the full run result.
@@ -261,15 +270,22 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Warm:    warmPhase,
 	}
 	for i, url := range cfg.BackendURLs {
-		hits := after[i].hits - before[i].hits
-		misses := after[i].misses - before[i].misses
-		bc := BackendCache{URL: url, Hits: hits, Misses: misses}
-		if hits+misses > 0 {
-			bc.HitRatio = float64(hits) / float64(hits+misses)
-		}
-		rep.Backends = append(rep.Backends, bc)
+		d := after[i].minus(before[i])
+		rep.Backends = append(rep.Backends, BackendCache{
+			URL: url, Hits: d.hits, Misses: d.misses, HitRatio: ratio(d.hits, d.hits+d.misses),
+			AnswerHits: d.answerHits, Answers: d.answers, AnswerHitRatio: ratio(d.answerHits, d.answers),
+			PartialHits: d.partialHits, PartialMisses: d.partialMisses, PartialHitRatio: ratio(d.partialHits, d.partialHits+d.partialMisses),
+		})
 	}
 	return rep, nil
+}
+
+// ratio is n/of, 0 when of is.
+func ratio(n, of int64) float64 {
+	if of == 0 {
+		return 0
+	}
+	return float64(n) / float64(of)
 }
 
 // mixTable expands the mix weights into a lookup table of kinds.
@@ -480,10 +496,25 @@ func listTraces(ctx context.Context, client *http.Client, base string) ([]traces
 	return tl.Traces, nil
 }
 
-// cacheCounters is one scrape of a backend's frame-cache counters.
-type cacheCounters struct{ hits, misses int64 }
+// cacheCounters is one scrape of a backend's cache counters: the
+// decoded-frame cache, the answer memo (every result summed into
+// answers) and the stats-partial memo.
+type cacheCounters struct {
+	hits, misses               int64
+	answerHits, answers        int64
+	partialHits, partialMisses int64
+}
 
-// scrapeCaches reads tracesvc_cache_{hits,misses}_total from each
+func (c cacheCounters) minus(o cacheCounters) cacheCounters {
+	return cacheCounters{
+		c.hits - o.hits, c.misses - o.misses,
+		c.answerHits - o.answerHits, c.answers - o.answers,
+		c.partialHits - o.partialHits, c.partialMisses - o.partialMisses,
+	}
+}
+
+// scrapeCaches reads tracesvc_cache_{hits,misses}_total,
+// tracesvc_answers_total and tracesvc_stats_partials_total from each
 // backend's /metrics; unreachable backends read as zero (the delta then
 // reports 0/0, not an error — the load run itself is the result).
 func scrapeCaches(ctx context.Context, client *http.Client, urls []string) []cacheCounters {
@@ -508,6 +539,20 @@ func scrapeCaches(ctx context.Context, client *http.Client, urls []string) []cac
 			}
 			if v, ok := strings.CutPrefix(line, "tracesvc_cache_misses_total "); ok {
 				out[i].misses, _ = strconv.ParseInt(strings.TrimSpace(v), 10, 64)
+			}
+			if v, ok := strings.CutPrefix(line, "tracesvc_answers_total{result=\""); ok {
+				result, n, _ := strings.Cut(v, "\"} ")
+				c, _ := strconv.ParseInt(strings.TrimSpace(n), 10, 64)
+				out[i].answers += c
+				if result == "hit" {
+					out[i].answerHits += c
+				}
+			}
+			if v, ok := strings.CutPrefix(line, "tracesvc_stats_partials_total{result=\"hit\"} "); ok {
+				out[i].partialHits, _ = strconv.ParseInt(strings.TrimSpace(v), 10, 64)
+			}
+			if v, ok := strings.CutPrefix(line, "tracesvc_stats_partials_total{result=\"miss\"} "); ok {
+				out[i].partialMisses, _ = strconv.ParseInt(strings.TrimSpace(v), 10, 64)
 			}
 		}
 	}

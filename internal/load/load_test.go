@@ -124,6 +124,11 @@ func TestRunAgainstService(t *testing.T) {
 	if bc.Hits <= 0 || bc.HitRatio <= 0 {
 		t.Fatalf("warm phase produced no cache hits: %+v", bc)
 	}
+	// The warm phase re-asks the cold pass's windows: from a query's
+	// third asking its whole answer is a hit.
+	if bc.AnswerHits <= 0 || bc.Answers < bc.AnswerHits || bc.AnswerHitRatio != float64(bc.AnswerHits)/float64(bc.Answers) {
+		t.Fatalf("warm phase answer memo: %+v", bc)
+	}
 }
 
 // TestRunReproducible: same seed, same request sequence — the two runs

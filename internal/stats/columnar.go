@@ -171,18 +171,42 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 	run.Tables = make([]*Table, len(prog.tables))
 	for i, ct := range prog.tables {
 		run.Tables[i] = ct.finish(&total[i], skipped[i], dict)
+		var dense, hashed int64
+		for _, x := range pool.all {
+			dense += x.paths[i][0]
+			hashed += x.paths[i][1]
+		}
+		run.Tables[i].Group = groupPath(dense, hashed)
+	}
+	for _, x := range pool.all {
+		run.SharedSaved += x.saved
 	}
 	return run, nil
+}
+
+// groupPath names which group-by answered a table over a run's frames.
+func groupPath(dense, hashed int64) string {
+	switch {
+	case dense > 0 && hashed > 0:
+		return "mixed"
+	case dense > 0:
+		return "dense"
+	case hashed > 0:
+		return "hash"
+	}
+	return ""
 }
 
 // execPool recycles one run's executors. It holds at most one per
 // worker, and they become garbage when the run returns: a sync.Pool
 // would stay registered with the runtime, its executors' frame-sized
 // scratch buffers live, until a later collection — per request, in a
-// server.
+// server. all is every executor the run made, whose counters the run
+// reports.
 type execPool struct {
 	mu   sync.Mutex
 	free []*kexec
+	all  []*kexec
 	new  func() *kexec
 }
 
@@ -194,7 +218,9 @@ func (p *execPool) get() *kexec {
 		p.free = p.free[:n-1]
 		return x
 	}
-	return p.new()
+	x := p.new()
+	p.all = append(p.all, x)
+	return x
 }
 
 func (p *execPool) put(x *kexec) {
@@ -291,7 +317,7 @@ func (prog *compiledProgram) evalFrame(x *kexec, w window, file int, b *interval
 	}
 	for si, ct := range prog.tables {
 		x.groups[si].reset()
-		sk, err := ct.run(x, sel, &x.groups[si])
+		sk, err := ct.run(x, si, sel)
 		if err != nil {
 			return err
 		}
@@ -538,11 +564,12 @@ func (ct *compiledTable) finish(gt *groupTable, skipped int64, dict *strDict) *T
 	return t
 }
 
-// run accumulates one frame's selected rows into the table's partial
+// run accumulates one frame's selected rows into table ti's partial
 // groups, returning how many selected records were excluded by skip
-// bitmaps. Row iteration is in record
-// order, so float accumulation order matches a sequential scan exactly.
-func (ct *compiledTable) run(x *kexec, sel []uint64, gt *groupTable) (int64, error) {
+// bitmaps. Row iteration is in record order, so float accumulation
+// order matches a sequential scan exactly.
+func (ct *compiledTable) run(x *kexec, ti int, sel []uint64) (int64, error) {
+	gt := &x.groups[ti]
 	mask := x.mbuf(ct.maskSlot)
 	copy(mask, sel)
 	var skipped int64
@@ -561,7 +588,7 @@ func (ct *compiledTable) run(x *kexec, sel []uint64, gt *groupTable) (int64, err
 			}
 		} else {
 			for w := 0; w < x.nw; w++ {
-				mask[w] &= truthWord(&res, w, x.n)
+				mask[w] &= res.truthBits(w, x.n)
 			}
 		}
 		if !maskAny(mask) {
@@ -599,6 +626,14 @@ func (ct *compiledTable) run(x *kexec, sel []uint64, gt *groupTable) (int64, err
 		}
 		x.yres[yi] = res
 	}
+	if !maskAny(mask) {
+		return skipped, nil
+	}
+	if ct.dense != nil && x.groupDense(ct, mask, gt) {
+		x.paths[ti][0]++
+		return skipped, nil
+	}
+	x.paths[ti][1]++
 	key := x.key[:len(ct.x)]
 	for w := 0; w < x.nw; w++ {
 		m := mask[w]
@@ -608,20 +643,241 @@ func (ct *compiledTable) run(x *kexec, sel []uint64, gt *groupTable) (int64, err
 			for xi := range key {
 				key[xi] = x.keyWord(&x.xres[xi], i)
 			}
-			cells := gt.row(gt.find(key))
-			for yi := range cells {
-				v := (&x.yres[yi]).fAt(i)
-				c := &cells[yi]
-				c.sum += v
-				c.n++
-				if v < c.min {
-					c.min = v
-				}
-				if v > c.max {
-					c.max = v
-				}
-			}
+			x.fold(gt.row(gt.find(key)), i)
 		}
 	}
 	return skipped, nil
+}
+
+// fold accumulates row i's y values into a group's cells.
+func (x *kexec) fold(cells []cell, i int) {
+	for yi := range cells {
+		v := (&x.yres[yi]).fAt(i)
+		c := &cells[yi]
+		c.sum += v
+		c.n++
+		if v < c.min {
+			c.min = v
+		}
+		if v > c.max {
+			c.max = v
+		}
+	}
+}
+
+// denseSlots bounds the dense group-by: a frame in which a table's x
+// columns' ranges over the selected rows multiply to at most this many
+// slots finds each row's group by direct index. An executor's slot array
+// grows to the most slots a frame has spanned (64 KiB at most), and only
+// the slots a frame's groups land on are touched.
+const denseSlots = 1 << 14
+
+// dsrc is where a dense x column's integer comes from. Each is an
+// integer by construction — a coded column, a small-integer field, or
+// bin() by a constant — so no row's value is ever checked.
+type dsrc uint8
+
+const (
+	dsConst  dsrc = iota // a constant: one value, no dimension
+	dsType               // the Type column: state, type
+	dsBebits             // the Bebits column: bebits, iscall
+	dsNode
+	dsCPU
+	dsThread
+	dsDict // the column's own ckDict codes: markername, concatenations
+	dsBin  // bin(t, n), 1 <= n <= 2^31 constant: its value, in [0, n-1]
+)
+
+// denseSource reports where x column k's integer comes from; ok is
+// false unless k is integer-valued by construction. Two rows on one
+// slot always share their key words: the key is a function of the
+// integer (bebits past Complete share a code, so one group may own
+// several slots — find keeps it one group).
+func denseSource(k kernel) (src dsrc, ok bool) {
+	switch k := unshare(k).(type) {
+	case kConstNum, kConstStr:
+		return dsConst, true
+	case kFieldStr:
+		if k.kind == ckState {
+			return dsType, true
+		}
+		return dsBebits, true
+	case kField:
+		switch k.code {
+		case fcType:
+			return dsType, true
+		case fcIsCall:
+			return dsBebits, true
+		case fcNode:
+			return dsNode, true
+		case fcCPU:
+			return dsCPU, true
+		case fcThread:
+			return dsThread, true
+		}
+	case kExtra:
+		return dsDict, k.marker
+	case kConcat:
+		return dsDict, true
+	case kBin:
+		if n, ok := k.n.(kConstNum); ok && n.v >= 1 && n.v <= 1<<31 {
+			return dsBin, true
+		}
+	}
+	return 0, false
+}
+
+// denseScratch is an executor's dense group-by state.
+type denseScratch struct {
+	lo, stride []uint32 // per x column, this frame's; stride 0: no dimension
+	idx        []uint32 // per row, its slot
+	slot       []int32  // per slot, its group + 1; 0 untouched
+	touched    []int32  // the slots to clear after the frame
+}
+
+// groupDense folds the rows mask selects into gt by direct index into
+// the slot array, calling find once per slot a frame touches, and
+// reports true — or reports false, having folded nothing, when the x
+// columns' ranges over those rows multiply past denseSlots. A group
+// still enters gt at its first row and every row folds in record order,
+// so the partial is the hash path's.
+func (x *kexec) groupDense(ct *compiledTable, mask []uint64, gt *groupTable) bool {
+	// The ranges over all rows bound those over the selected rows and
+	// take a straight loop, not a walk of the selection: try them first.
+	slots := x.denseDims(ct, nil)
+	if slots == 0 {
+		if slots = x.denseDims(ct, mask); slots == 0 {
+			return false
+		}
+	}
+	d := &x.dense
+	if cap(d.idx) < x.n {
+		d.idx = make([]uint32, x.n)
+	}
+	idx := d.idx[:x.n]
+	op := opIndexFirst
+	for xi, src := range ct.dense {
+		if d.stride[xi] != 0 {
+			x.denseCol(op, src, xi, nil, idx, d.lo[xi], d.stride[xi])
+			op = opIndex
+		}
+	}
+	if op == opIndexFirst {
+		clear(idx) // no dimension: every row is slot 0
+	}
+	if len(d.slot) < slots {
+		d.slot = make([]int32, slots)
+	}
+	key := x.key[:len(ct.x)]
+	for w, m := range mask {
+		for m != 0 {
+			i := w<<6 + bits.TrailingZeros64(m)
+			m &= m - 1
+			s := idx[i]
+			g := d.slot[s]
+			if g == 0 {
+				for xi := range key {
+					key[xi] = x.keyWord(&x.xres[xi], i)
+				}
+				g = int32(gt.find(key)) + 1
+				d.slot[s] = g
+				d.touched = append(d.touched, int32(s))
+			}
+			x.fold(gt.row(int(g-1)), i)
+		}
+	}
+	for _, s := range d.touched {
+		d.slot[s] = 0
+	}
+	d.touched = d.touched[:0]
+	return true
+}
+
+// denseDims sets each x column's lo and stride from its range over the
+// rows mask selects (nil: all rows) and returns the ranges' product, the
+// slots they span, or 0 when it passes denseSlots. Values at rows outside
+// the selection are still integers in their column's domain, so any
+// row's index computed from these dimensions is well defined; only
+// selected rows read theirs.
+func (x *kexec) denseDims(ct *compiledTable, mask []uint64) int {
+	d := &x.dense
+	span := uint64(1)
+	for xi, src := range ct.dense {
+		d.stride[xi] = 0
+		// A batch column an earlier x column reads already fixes this
+		// one's key (state beside type, iscall beside bebits).
+		if src == dsConst || x.xres[xi].konst || src <= dsThread && slices.Contains(ct.dense[:xi], src) {
+			continue
+		}
+		op := opRange
+		if mask != nil {
+			op = opRangeSel
+		}
+		lo, hi := x.denseCol(op, src, xi, mask, nil, 0, 0)
+		d.lo[xi], d.stride[xi] = lo, uint32(span)
+		if span *= uint64(hi-lo) + 1; span > denseSlots {
+			return 0
+		}
+	}
+	return int(span)
+}
+
+// denseCol operations.
+const (
+	opRange      = iota // the range of every row's integer
+	opRangeSel          // the range over the rows mask selects
+	opIndexFirst        // idx[i] = (v - lo) * stride, every row
+	opIndex             // idx[i] += (v - lo) * stride, every row
+)
+
+// denseCol applies op to x column xi's integers.
+func (x *kexec) denseCol(op int, src dsrc, xi int, mask []uint64, idx []uint32, lo, stride uint32) (uint32, uint32) {
+	b, n := x.b, x.n
+	switch src {
+	case dsType:
+		return colOp(op, b.Type[:n], mask, idx, lo, stride)
+	case dsBebits:
+		return colOp(op, b.Bebits[:n], mask, idx, lo, stride)
+	case dsNode:
+		return colOp(op, b.Node[:n], mask, idx, lo, stride)
+	case dsCPU:
+		return colOp(op, b.CPU[:n], mask, idx, lo, stride)
+	case dsThread:
+		return colOp(op, b.Thread[:n], mask, idx, lo, stride)
+	case dsDict:
+		return colOp(op, x.xres[xi].dc[:n], mask, idx, lo, stride)
+	}
+	return colOp(op, x.xres[xi].f[:n], mask, idx, lo, stride)
+}
+
+func colOp[C ~uint8 | ~uint16 | ~uint32 | ~float64](op int, col []C, mask []uint64, idx []uint32, lo, stride uint32) (uint32, uint32) {
+	switch op {
+	case opIndexFirst:
+		idx = idx[:len(col)]
+		for i, v := range col {
+			idx[i] = (uint32(v) - lo) * stride
+		}
+	case opIndex:
+		idx = idx[:len(col)]
+		for i, v := range col {
+			idx[i] += (uint32(v) - lo) * stride
+		}
+	case opRange:
+		lo, hi := uint32(math.MaxUint32), uint32(0)
+		for _, v := range col {
+			lo, hi = min(lo, uint32(v)), max(hi, uint32(v))
+		}
+		return lo, hi
+	case opRangeSel:
+		lo, hi := uint32(math.MaxUint32), uint32(0)
+		for w, m := range mask {
+			for m != 0 {
+				v := uint32(col[w<<6+bits.TrailingZeros64(m)])
+				m &= m - 1
+				lo, hi = min(lo, v), max(hi, v)
+			}
+		}
+		return lo, hi
+	}
+	return 0, 0
 }

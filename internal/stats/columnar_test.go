@@ -657,3 +657,180 @@ func TestColumnarGrammarSampledDifferential(t *testing.T) {
 	}
 	t.Logf("%d runs failed, %d succeeded", failed, ran)
 }
+
+// sharedPrograms are multi-table programs whose tables share pure
+// subtrees — fields, skipping extras, comparisons, coded predicates and
+// the logic over them — under different conditions, so each table reads
+// a result another table's selection computed.
+var sharedPrograms = []string{
+	stats.Predefined(7),
+	`table name=a condition=(msgSizeSent > 0) x=("p", peer) y=("b", msgSizeSent, sum) y=("d", dura, max)
+table name=b condition=(peer == 1 || msgSizeSent > 100) x=("n", node) y=("b", msgSizeSent, avg)
+table name=c x=("p", peer) x=("s", state != "Running") y=("b", msgSizeSent, count)
+table name=d condition=(!(msgSizeSent > 0)) y=("n", dura, count)`,
+	`table name=a condition=(state != "Running" && state != "MPI_Send") x=("s", state) y=("t", dura * 2, sum)
+table name=b condition=(state != "Running" && node > 0) x=("v", (state != "Running" && state != "MPI_Send") + 1) y=("t", dura * 2, sum)
+table name=c condition=(bebits == "begin" || !(state != "Running")) x=("b", bebits) x=("ic", iscall) y=("n", -(state == "Running"), sum)
+table name=d x=("v", state == "Running") x=("w", !(state == "Running")) y=("t", dura * 2, min)`,
+	`table name=a condition=(markername < state || !markername) x=("m", markername) y=("n", dura, count)
+table name=b condition=(markername == "Phase A" || !markername) x=("m", markername) x=("b", bin(start, 9)) y=("t", dura, sum)
+table name=c x=("b", bin(start, 9)) x=("c", markername + "/" + state) y=("t", dura, sum)
+table name=d condition=(markername + "/" + state != "") y=("t", dura, sum)`,
+}
+
+// TestColumnarSharedKernels: tables that share subexpressions answer as
+// the oracle does, table by table — rows and Skipped — serial, parallel
+// and windowed, and the sharing is not vacuous.
+func TestColumnarSharedKernels(t *testing.T) {
+	fixtures := versionFixtures(t)
+	f := fixtures[interval.CurrentHeaderVersion]
+	fs, fe, _, err := f.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coded := codedFixtures(t)
+	for _, program := range sharedPrograms {
+		for _, files := range [][]*interval.File{{fixtures[1]}, {f}, coded} {
+			diffProgram(t, program, files, interval.MapOptions{})
+			diffProgram(t, program, files, interval.MapOptions{Parallel: 4})
+		}
+		diffProgram(t, program, []*interval.File{f}, interval.MapOptions{Window: true, Lo: fs + (fe-fs)/5, Hi: fs + (fe-fs)/2})
+		run, err := stats.GenerateRun(program, coded, interval.MapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.SharedSaved == 0 {
+			t.Fatalf("no shared evaluation saved on %q", program)
+		}
+	}
+}
+
+// TestColumnarSharedImpure: an expression that can raise is never shared.
+// dura / (node - 1) under two tables' different guards divides by zero
+// only where table b reaches node 1, and both engines say so in the same
+// words; guarded away everywhere, both answer the same tables.
+func TestColumnarSharedImpure(t *testing.T) {
+	coded := codedFixtures(t)
+	merged := []*interval.File{mergedFile(t)}
+	for _, tc := range []struct{ program, want string }{
+		{`table name=a condition=(node != 1) y=("r", dura / (node - 1), sum)
+table name=b condition=(node == 1) x=("c", cpu) y=("r", dura / (node - 1), sum)`, `table "b": stats: division by zero`},
+		{`table name=a condition=(node != 1) y=("r", dura / (node - 1), sum)
+table name=b condition=(node == 1 && cpu > 1000000) y=("r", dura / (node - 1), sum)
+table name=c condition=(node != 1 && msgSizeSent >= 0) x=("n", node) y=("r", dura / (node - 1), avg)`, ""},
+	} {
+		for _, files := range [][]*interval.File{merged, coded} {
+			for _, par := range []int{1, 4} {
+				s, c, serr, cerr := runBoth(tc.program, files, interval.MapOptions{Parallel: par})
+				if fmt.Sprint(serr) != fmt.Sprint(cerr) || s != c {
+					t.Fatalf("production differs from the oracle on %q:\n  scalar:   %v\n%s  columnar: %v\n%s", tc.program, serr, s, cerr, c)
+				}
+				if got := fmt.Sprint(cerr); (tc.want == "") != (cerr == nil) || !strings.Contains(got, tc.want) {
+					t.Fatalf("%q: error %v, want %q", tc.program, cerr, tc.want)
+				}
+			}
+		}
+	}
+}
+
+// denseFixture is a file built to put the dense group-by's edges in
+// reach: its first half is packed into 8 ms and its second spread over
+// seconds (so bin(start, n) spans a few slots in one frame
+// and many thousands in another), every fourth record has a type far
+// from the others (so the type column's range over all rows passes the
+// slot bound while a condition's selection does not), and markers,
+// bebits past Complete and both iscall values all occur.
+func denseFixture(t *testing.T) *interval.File {
+	t.Helper()
+	hdr := mergedFile(t).Header
+	hdr.Markers = map[uint64]string{1: "alpha", 2: "beta", 3: ""}
+	var recs []interval.Record
+	start := clock.Time(0)
+	for i := 0; i < 1600; i++ {
+		if i < 800 {
+			start += 10 * clock.Microsecond
+		} else {
+			start += 7 * clock.Millisecond
+		}
+		r := interval.Record{
+			Bebits: profile.Bebits(i % 6),
+			Start:  start,
+			Dura:   clock.Time(1+i%9) * clock.Microsecond,
+			CPU:    uint16(i % 3),
+			Node:   uint16(i / 7 % 4),
+			Thread: uint16(i % 5),
+		}
+		switch i % 4 {
+		case 0:
+			r.Type = events.Type(0x7000 + i%3)
+		case 1:
+			r.Type = events.EvMarkerState
+			r.Extra = []uint64{uint64(i % 5), uint64(i), uint64(i + 1)}
+		case 2:
+			r.Type = events.EvRunning
+		default:
+			r.Type = events.EvMPISend
+			r.Extra = []uint64{uint64(i % 3), uint64(i), uint64(10 * i), uint64(i), 1, 0}
+		}
+		recs = append(recs, r)
+	}
+	return reencode(t, hdr, recs, interval.CurrentHeaderVersion)
+}
+
+// TestColumnarDenseEdges holds the dense group-by to the oracle where its
+// rules bite — -0 beside +0, negative and fractional keys, ranges past
+// the slot bound in every frame or only in some, a selection narrower
+// than the frame, marker and concatenation codes, constant columns — and
+// checks each table took the group path its keys call for.
+func TestColumnarDenseEdges(t *testing.T) {
+	f := denseFixture(t)
+	fs, fe, _, err := f.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fes, err := f.Frames(); err != nil || len(fes) < 8 {
+		t.Fatalf("%d frames, %v: the fixture needs many", len(fes), err)
+	}
+	for _, tc := range []struct{ program, group string }{
+		{`table name=zero x=("n", node) x=("z", (iscall - 1) * 0) y=("n", dura, count) y=("t", dura, sum)`, "hash"},
+		{`table name=neg x=("n", -(node)) y=("n", dura, count)`, "hash"},
+		{`table name=frac x=("h", node / 2) x=("c", cpu) y=("t", dura, sum)`, "hash"},
+		{`table name=bin x=("b", bin(start, 5000)) x=("n", node) y=("t", dura, sum) y=("n", dura, count)`, "dense"},
+		{`table name=binwide x=("b", bin(start, 1000000)) y=("t", dura, sum) y=("m", dura, max)`, "mixed"},
+		{`table name=binhuge x=("b", bin(start, 2147483648)) y=("n", dura, count)`, "hash"},
+		{`table name=binpast x=("b", bin(start, 2147483649)) y=("n", dura, count)`, "hash"},
+		{`table name=types x=("t", type) x=("th", thread) x=("s", state) y=("n", dura, count)`, "hash"},
+		{`table name=typesel condition=(type < 4096) x=("t", type) x=("th", thread) x=("s", state) y=("n", dura, count)`, "dense"},
+		{`table name=wide condition=(type < 4096) x=("th", thread) x=("s", state) x=("t", type) x=("b", bebits) x=("ic", iscall) y=("t", dura, sum)`, "dense"},
+		{`table name=widest condition=(type < 4096) x=("n", node) x=("c", cpu) x=("th", thread) x=("s", state) x=("b", bebits) y=("t", dura, sum)`, "hash"},
+		{`table name=marks x=("m", markername) x=("b", bebits) x=("ic", iscall) y=("n", dura, count) y=("t", dura, sum)`, "dense"},
+		{`table name=cat x=("c", state + "/" + bebits) x=("n", node) y=("n", dura, count)`, "dense"},
+		{`table name=consts condition=(state != "Type(0x7001)" && type < 4096) x=("c", "lit") x=("k", 7) x=("s", state) x=("e", "") y=("n", dura, count)`, "dense"},
+		{`table name=nox condition=(msgSizeSent > 0) y=("b", msgSizeSent, sum) y=("n", dura, count)`, "dense"},
+		{`table name=skipx x=("p", peer) x=("n", node) y=("b", msgSizeSent, sum)`, "hash"},
+	} {
+		run, err := stats.GenerateRun(tc.program, []*interval.File{f}, interval.MapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := run.Tables[0].Group; got != tc.group {
+			t.Errorf("%q: group path %q, want %q", tc.program, got, tc.group)
+		}
+		for _, opts := range []interval.MapOptions{
+			{},
+			{Parallel: 4},
+			{Window: true, Lo: fs + (fe-fs)/7, Hi: fs + (fe-fs)*3/5},
+			{Window: true, Lo: fs + 300*clock.Microsecond, Hi: fs + 700*clock.Microsecond, Parallel: 3},
+		} {
+			diffProgram(t, tc.program, []*interval.File{f}, opts)
+		}
+	}
+	// Both zeros group apart and print alike.
+	tables, err := stats.GenerateOpts(`table name=zero x=("z", (iscall - 1) * 0) y=("n", dura, count)`, []*interval.File{f}, interval.MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := tables[0].Rows; len(rows) != 2 || rows[0].X[0].Text() != rows[1].X[0].Text() {
+		t.Fatalf("-0 and +0 rows: %+v", rows)
+	}
+}

@@ -28,12 +28,22 @@ package stats
 // columns — a small integer per row plus a dictionary consulted once per
 // distinct code — and the kernels that consume them (comparison,
 // truthiness, the group-by in columnar.go) work on the codes.
+//
+// A program is compiled as a whole. A pure subtree — one that never
+// raises, so neither its values nor its skip bitmap depend on the
+// selection it is evaluated under — is hash-consed across every table
+// (kShared) and runs at most once per frame per executor. A pure
+// subtree whose only column is state or bebits is a coded predicate
+// (kCodePred): evaluated once per distinct code and answered per row
+// by lookup. Logical results carry their truth as a bitmap, and a float
+// column only where a consumer reads values.
 
 import (
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -46,6 +56,7 @@ import (
 // evaluation never allocates once the buffers have grown to frame size.
 type kslots struct {
 	nf, nu, nm, nt, nc int
+	ns, ncp            int  // shared kernels, coded-predicate tables
 	markers            bool // some expression reads markername
 }
 
@@ -54,6 +65,7 @@ func (s *kslots) u() int  { s.nu++; return s.nu - 1 }
 func (s *kslots) m() int  { s.nm++; return s.nm - 1 }
 func (s *kslots) tt() int { s.nt++; return s.nt - 1 }
 func (s *kslots) c() int  { s.nc++; return s.nc - 1 }
+func (s *kslots) cp() int { s.ncp++; return s.ncp - 1 }
 
 // codeKind names the dictionary a coded column's codes index.
 type codeKind uint8
@@ -69,7 +81,9 @@ const (
 // skip bitmap marking rows that lack a referenced field. Values at
 // skipped rows are undefined (codes stay valid dictionary indices). Skip
 // bitmaps cover all rows of the frame, not just selected ones; consumers
-// intersect with their selection.
+// intersect with their selection. A logical result carries its truth as
+// the bitmap tm, and its float column only when the compiler marked a
+// consumer that reads values (vals).
 type kres struct {
 	konst bool
 	str   bool
@@ -77,6 +91,7 @@ type kres struct {
 	cf    float64
 	cs    string
 	f     []float64
+	tm    []uint64 // truth bits, when the kernel computes them; zero past the last row
 	dc    []uint32 // ckDict codes; state and bebits read the batch's own columns
 	skip  []uint64
 }
@@ -88,9 +103,24 @@ func (r *kres) fAt(i int) float64 {
 	return r.f[i]
 }
 
-// truthAt is a numeric result's truthiness; string-valued operands reach
-// the logical kernels through kTruth.
+// truthAt is a constant numeric result's truthiness; string-valued
+// operands reach the logical kernels through kTruth.
 func (r *kres) truthAt(i int) bool { return r.fAt(i) != 0 }
+
+// truthBits is word w of a numeric result's truthiness over all rows:
+// its truth bitmap when it carries one, else computed from its values.
+func (r *kres) truthBits(w, n int) uint64 {
+	switch {
+	case r.tm != nil:
+		return r.tm[w]
+	case r.konst:
+		if r.cf == 0 {
+			return 0
+		}
+		return wordMask(w, n)
+	}
+	return truthWord(r, w, n)
+}
 
 // kernel is one compiled expression node.
 type kernel interface {
@@ -118,11 +148,22 @@ type kexec struct {
 	u         [][]uint32
 	m         [][]uint64
 	tt        [][]uint8           // per-code verdict tables; a code never changes its string, so they outlive frames
+	cp        []codeTable         // per kCodePred: its value per code, for the executor's lifetime
 	memo      []map[uint64]uint32 // per kConcat: result code by (left code, right code), for the executor's lifetime
+	gen       uint64              // the bound frame's number; shared results of an older one are stale
+	sres      []kres              // per kShared: its result on frame sgen
+	sgen      []uint64
 	xres      []kres
 	yres      []kres
 	key       []uint64
+	dense     denseScratch
 	framePart // the bound frame's partials
+
+	// Observability, summed over a run's executors: kShared evaluations
+	// answered by a result the frame already had, and per table the
+	// frames grouped by direct index and by hash.
+	saved int64
+	paths [][2]int64
 }
 
 func (p *compiledProgram) newExec(tStart, tEnd clock.Time, dict *strDict) *kexec {
@@ -132,11 +173,16 @@ func (p *compiledProgram) newExec(tStart, tEnd clock.Time, dict *strDict) *kexec
 		u:         make([][]uint32, p.sl.nu),
 		m:         make([][]uint64, p.sl.nm),
 		tt:        make([][]uint8, p.sl.nt),
+		cp:        make([]codeTable, p.sl.ncp),
 		memo:      make([]map[uint64]uint32, p.sl.nc),
+		sres:      make([]kres, p.sl.ns),
+		sgen:      make([]uint64, p.sl.ns),
 		xres:      make([]kres, p.maxX),
 		yres:      make([]kres, p.maxY),
 		key:       make([]uint64, p.maxX),
+		dense:     denseScratch{lo: make([]uint32, p.maxX), stride: make([]uint32, p.maxX)},
 		framePart: framePart{groups: p.newGroupTables(), skipped: make([]int64, len(p.tables))},
+		paths:     make([][2]int64, len(p.tables)),
 	}
 }
 
@@ -155,6 +201,7 @@ func (x *kexec) bind(file int, b *interval.Batch) {
 	x.b = b
 	x.n = b.N
 	x.nw = (b.N + 63) >> 6
+	x.gen++
 }
 
 func (x *kexec) fbuf(slot int) []float64 {
@@ -200,6 +247,14 @@ func maskOnes(m []uint64, n int) {
 	if n&63 != 0 && len(m) > 0 {
 		m[len(m)-1] = (uint64(1) << uint(n&63)) - 1
 	}
+}
+
+// wordMask is the bits of word w that stand for one of n rows.
+func wordMask(w, n int) uint64 {
+	if lim := n - w<<6; lim < 64 {
+		return uint64(1)<<uint(lim) - 1
+	}
+	return ^uint64(0)
 }
 
 func maskAny(m []uint64) bool {
@@ -401,37 +456,28 @@ func (p codePred) of(name string) bool {
 	return cmpStr(p.op, name, p.c) != 0
 }
 
-// codeVerdicts writes pred's 0/1 verdict on every row of a coded column
-// into out. The predicate runs once per distinct code: the slot's table
-// remembers verdicts (0 unknown, 1 false, 2 true) for the executor's
-// lifetime, and rows are answered by lookup.
+// codeVerdicts writes pred's 0/1 verdict on every row of a ckDict coded
+// column (markername, a concatenation) into out; a predicate over state
+// or bebits alone is a kCodePred. The predicate runs once per distinct
+// code: the slot's table remembers verdicts (0 unknown, 1 false, 2 true)
+// for the executor's lifetime, and rows are answered by lookup.
 func (x *kexec) codeVerdicts(out []float64, r *kres, ttSlot int, pred codePred) {
-	switch r.kind {
-	case ckState:
-		x.tt[ttSlot] = lookupVerdicts(out, x.b.Type, r.kind, x.dict, x.tt[ttSlot], pred)
-	case ckBebits:
-		x.tt[ttSlot] = lookupVerdicts(out, x.b.Bebits, r.kind, x.dict, x.tt[ttSlot], pred)
-	default:
-		x.tt[ttSlot] = lookupVerdicts(out, r.dc, r.kind, x.dict, x.tt[ttSlot], pred)
-	}
-}
-
-func lookupVerdicts[C ~uint8 | ~uint16 | ~uint32](out []float64, col []C, kind codeKind, d *strDict, tt []uint8, pred codePred) []uint8 {
-	for i, c := range col[:len(out)] {
+	tt := x.tt[ttSlot]
+	for i, c := range r.dc[:len(out)] {
 		if int(c) >= len(tt) {
 			tt = append(tt, make([]uint8, int(c)+1-len(tt))...)
 		}
 		v := tt[c]
 		if v == 0 {
 			v = 1
-			if pred.of(codeName(kind, uint32(c), d)) {
+			if pred.of(x.dict.name(c)) {
 				v = 2
 			}
 			tt[c] = v
 		}
 		out[i] = float64(v - 1)
 	}
-	return tt
+	x.tt[ttSlot] = tt
 }
 
 // kTruth is a string operand's truthiness (non-empty) as a 0/1 column.
@@ -460,11 +506,13 @@ func (k kTruth) eval(x *kexec, sel []uint64) (kres, error) {
 // whose type does not carry it. With marker set it is markername: the
 // field is the marker id, and the result is the coded column of the
 // names the file's marker table gives those ids (slot then indexes the
-// uint32 buffers).
+// uint32 buffers). Where a type keeps the field is looked up once per
+// type for the executor's lifetime (ttSlot: 0 unknown, 1 absent, else
+// the field's index + 2; a type has a handful of extras).
 type kExtra struct {
-	name           string
-	marker         bool
-	slot, skipSlot int
+	name                   string
+	marker                 bool
+	slot, skipSlot, ttSlot int
 }
 
 func (k kExtra) isStr() bool { return k.marker }
@@ -480,18 +528,19 @@ func (k kExtra) eval(x *kexec, _ []uint64) (kres, error) {
 	}
 	b := x.b
 	var skip []uint64
-	var lastT events.Type
-	lastIdx := -1
-	have := false
-	for i := 0; i < x.n; i++ {
-		t := b.Type[i]
-		if !have || t != lastT {
-			lastT, have = t, true
-			lastIdx = extraIndex(t, k.name)
+	at := x.tt[k.ttSlot]
+	for i, t := range b.Type[:x.n] {
+		if int(t) >= len(at) {
+			at = append(at, make([]uint8, int(t)+1-len(at))...)
+		}
+		e := at[t]
+		if e == 0 {
+			e = uint8(extraIndex(t, k.name) + 2)
+			at[t] = e
 		}
 		off := b.ExtraOff[i]
-		if lastIdx >= 0 && uint32(lastIdx) < b.ExtraOff[i+1]-off {
-			v := b.Extras[off+uint32(lastIdx)]
+		if e > 1 && uint32(e-2) < b.ExtraOff[i+1]-off {
+			v := b.Extras[off+uint32(e-2)]
 			if k.marker {
 				mk[i] = codes[v] // an id the table lacks names "", code 0
 			} else {
@@ -508,6 +557,7 @@ func (k kExtra) eval(x *kexec, _ []uint64) (kres, error) {
 			skip[i>>6] |= 1 << uint(i&63)
 		}
 	}
+	x.tt[k.ttSlot] = at
 	return kres{str: k.marker, kind: ckDict, f: out, dc: mk, skip: skip}, nil
 }
 
@@ -543,13 +593,16 @@ func (k kNeg) eval(x *kexec, sel []uint64) (kres, error) {
 	return kres{f: out, skip: r.skip}, nil
 }
 
+// kNot is logical negation. Its truth is a bitmap; vals also spells it
+// out as a 0/1 float column.
 type kNot struct {
-	x    kernel
-	slot int
+	x            kernel
+	vals         bool
+	slot, tmSlot int
 }
 
-func (kNot) isStr() bool { return false }
-func (k kNot) eval(x *kexec, sel []uint64) (kres, error) {
+func (*kNot) isStr() bool { return false }
+func (k *kNot) eval(x *kexec, sel []uint64) (kres, error) {
 	r, err := k.x.eval(x, sel)
 	if err != nil {
 		return kres{}, err
@@ -557,11 +610,25 @@ func (k kNot) eval(x *kexec, sel []uint64) (kres, error) {
 	if r.konst {
 		return kres{konst: true, cf: b2f(!(&r).truthAt(0))}, nil
 	}
-	out := x.fbuf(k.slot)
-	for i := range out {
-		out[i] = b2f(r.f[i] == 0)
+	tm := x.mbuf(k.tmSlot)
+	for w := range tm {
+		tm[w] = ^r.truthBits(w, x.n) & wordMask(w, x.n)
 	}
-	return kres{f: out, skip: r.skip}, nil
+	return x.boolRes(k.vals, k.slot, tm, r.skip), nil
+}
+
+// boolRes is a logical result: its truth bitmap, and with vals the same
+// truth as a 0/1 float column in the slot buffer.
+func (x *kexec) boolRes(vals bool, slot int, tm, skip []uint64) kres {
+	r := kres{tm: tm, skip: skip}
+	if vals {
+		out := x.fbuf(slot)
+		for i := range out {
+			out[i] = float64(tm[i>>6] >> uint(i&63) & 1)
+		}
+		r.f = out
+	}
+	return r
 }
 
 // ---- binary kernels ----
@@ -895,19 +962,23 @@ func (k kTypeErr) eval(x *kexec, sel []uint64) (kres, error) {
 
 // kLogic is short-circuit && / ||: the right operand is evaluated with
 // a selection restricted to rows the oracle would evaluate it for, so
-// errors and skips on the right surface for exactly those rows.
+// errors and skips on the right surface for exactly those rows. Its
+// truth is a bitmap (the left side's where it decides, the right side's
+// elsewhere); vals also spells it out as a 0/1 float column.
 type kLogic struct {
 	and                             bool
+	vals                            bool
 	l, r                            kernel
 	slot, selSlot, tmSlot, skipSlot int
 }
 
-func (kLogic) isStr() bool { return false }
-func (k kLogic) eval(x *kexec, sel []uint64) (kres, error) {
+func (*kLogic) isStr() bool { return false }
+func (k *kLogic) eval(x *kexec, sel []uint64) (kres, error) {
 	rl, err := k.l.eval(x, sel)
 	if err != nil {
 		return kres{}, err
 	}
+	tm := x.mbuf(k.tmSlot)
 	if rl.konst {
 		lt := (&rl).truthAt(0)
 		// A constant deciding operand short-circuits for every record:
@@ -926,21 +997,16 @@ func (k kLogic) eval(x *kexec, sel []uint64) (kres, error) {
 		if rr.konst {
 			return kres{konst: true, cf: b2f((&rr).truthAt(0))}, nil
 		}
-		out := x.fbuf(k.slot)
-		for i := range out {
-			out[i] = b2f(rr.f[i] != 0)
+		for w := range tm {
+			tm[w] = rr.truthBits(w, x.n)
 		}
-		return kres{f: out, skip: rr.skip}, nil
+		return x.boolRes(k.vals, k.slot, tm, rr.skip), nil
 	}
-	// Variable left operand: compute its truthiness for every row
-	// (row-static), derive the right side's selection, then stitch the
-	// result and skip bitmaps together.
-	tm := x.mbuf(k.tmSlot)
+	// Variable left operand: take its truthiness for every row
+	// (row-static) and derive the right side's selection from it.
 	selR := x.mbuf(k.selSlot)
-	out := x.fbuf(k.slot)
-	short := b2f(!k.and) // result where the left side decides
 	for w := 0; w < x.nw; w++ {
-		t := truthWord(&rl, w, x.n)
+		t := rl.truthBits(w, x.n)
 		tm[w] = t
 		m := sel[w]
 		if rl.skip != nil {
@@ -952,59 +1018,43 @@ func (k kLogic) eval(x *kexec, sel []uint64) (kres, error) {
 			selR[w] = m &^ t
 		}
 	}
-	for i := range out {
-		out[i] = short
-	}
 	rr, err := k.r.eval(x, selR)
 	if err != nil {
 		return kres{}, err
 	}
-	// Rows where the left side decides keep `short`; the rest take the
-	// right side's truthiness. For &&, deciding means falsy (tm clear);
-	// for ||, deciding means truthy (tm set).
-	for w := 0; w < x.nw; w++ {
-		m := tm[w]
-		if !k.and {
-			base := w << 6
-			lim := x.n - base
-			if lim > 64 {
-				lim = 64
-			}
-			m = ^m
-			if lim < 64 {
-				m &= (uint64(1) << uint(lim)) - 1
-			}
-		}
-		for m != 0 {
-			i := w<<6 + bits.TrailingZeros64(m)
-			m &= m - 1
-			out[i] = b2f((&rr).truthAt(i))
-		}
+	// Rows where the left side decides keep its verdict; the rest take
+	// the right side's truthiness. For &&, deciding means falsy (tm
+	// clear); for ||, deciding means truthy (tm set). The right side's
+	// skips count only where it was reached.
+	var skip []uint64
+	if rl.skip != nil || rr.skip != nil {
+		skip = x.mbuf(k.skipSlot)
 	}
-	if rl.skip == nil && rr.skip == nil {
-		return kres{f: out}, nil
-	}
-	skip := x.mbuf(k.skipSlot)
 	for w := 0; w < x.nw; w++ {
-		var s uint64
-		if rl.skip != nil {
-			s = rl.skip[w]
-		}
-		if rr.skip != nil {
-			rs := rr.skip[w]
-			if k.and {
-				rs &= tm[w]
-			} else {
-				rs &^= tm[w]
-			}
+		lt, rt := tm[w], rr.truthBits(w, x.n)
+		if skip != nil {
+			var s uint64
 			if rl.skip != nil {
-				rs &^= rl.skip[w]
+				s = rl.skip[w]
 			}
-			s |= rs
+			if rr.skip != nil {
+				rs := rr.skip[w]
+				if k.and {
+					rs &= lt
+				} else {
+					rs &^= lt
+				}
+				s |= rs
+			}
+			skip[w] = s
 		}
-		skip[w] = s
+		if k.and {
+			tm[w] = lt & rt
+		} else {
+			tm[w] = lt | rt
+		}
 	}
-	return kres{f: out, skip: skip}, nil
+	return x.boolRes(k.vals, k.slot, tm, skip), nil
 }
 
 // ---- call kernels ----
@@ -1120,6 +1170,177 @@ func (k kFloorAbs) eval(x *kexec, sel []uint64) (kres, error) {
 	return kres{f: out}, nil
 }
 
+// ---- shared kernels ----
+
+// kShared is a pure subtree, hash-consed across a program's tables: it
+// runs at most once per frame per executor, and every later use in the
+// frame reads that result. Pure means it never raises, and its values
+// and skip bitmap are computed for all rows whatever the selection, so
+// the first use's selection is as good as any.
+type kShared struct {
+	k  kernel
+	id int
+}
+
+func (k kShared) isStr() bool { return k.k.isStr() }
+func (k kShared) eval(x *kexec, sel []uint64) (kres, error) {
+	if x.sgen[k.id] == x.gen {
+		x.saved++
+		return x.sres[k.id], nil
+	}
+	r, err := k.k.eval(x, sel)
+	if err != nil {
+		return kres{}, err
+	}
+	x.sres[k.id], x.sgen[k.id] = r, x.gen
+	return r, nil
+}
+
+// kCodePred is a pure numeric subtree whose only column is one coded
+// column, state or bebits (state != "Running" && state != "GlobalClock",
+// say): a function of the row's code. It runs once per distinct code
+// for the executor's lifetime — a code never changes its string — and
+// answers each row by lookup, as a truth bitmap and, with vals, as the
+// subtree's values.
+type kCodePred struct {
+	fn           kernel // the subtree, evaluated per code by codeValue
+	kind         codeKind
+	vals         bool
+	slot, tmSlot int
+	cpSlot       int
+}
+
+// codeTable is one kCodePred's answers by code: verdict 0 unknown, 1
+// falsy, 2 truthy; val the subtree's value.
+type codeTable struct {
+	verdict []uint8
+	val     []float64
+}
+
+func (*kCodePred) isStr() bool { return false }
+func (k *kCodePred) eval(x *kexec, _ []uint64) (kres, error) {
+	tm := x.mbuf(k.tmSlot)
+	var out []float64
+	if k.vals {
+		out = x.fbuf(k.slot)
+	}
+	t := &x.cp[k.cpSlot]
+	if k.kind == ckState {
+		codeRows(k, t, tm, out, x.b.Type[:x.n])
+	} else {
+		codeRows(k, t, tm, out, x.b.Bebits[:x.n])
+	}
+	return kres{f: out, tm: tm}, nil
+}
+
+func codeRows[C ~uint8 | ~uint16](k *kCodePred, t *codeTable, tm []uint64, out []float64, col []C) {
+	verdict := t.verdict
+	for w := range tm {
+		var bm uint64
+		for j, c := range col[w<<6 : min(w<<6+64, len(col))] {
+			if int(c) >= len(verdict) {
+				verdict = append(verdict, make([]uint8, int(c)+1-len(verdict))...)
+				t.val = append(t.val, make([]float64, int(c)+1-len(t.val))...)
+			}
+			v := verdict[c]
+			if v == 0 {
+				// Bebits values past Complete all name "bebits?", like
+				// codeAt's shared code.
+				f, _ := codeValue(k.fn, uint32(c))
+				v = 1
+				if f != 0 {
+					v = 2
+				}
+				verdict[c], t.val[c] = v, f
+			}
+			bm |= uint64(v>>1) << uint(j)
+		}
+		tm[w] = bm
+	}
+	t.verdict = verdict
+	if out != nil {
+		val := t.val
+		for i, c := range col {
+			out[i] = val[c]
+		}
+	}
+}
+
+// codeValue evaluates a coded predicate's subtree on one code: the
+// number it yields, or the string for a string-valued node. It mirrors
+// the kernels' per-row arithmetic operation for operation.
+func codeValue(k kernel, c uint32) (float64, string) {
+	switch k := k.(type) {
+	case kShared:
+		return codeValue(k.k, c)
+	case *kCodePred:
+		return codeValue(k.fn, c)
+	case kConstNum:
+		return k.v, ""
+	case kConstStr:
+		return 0, k.v
+	case kFieldStr:
+		return 0, codeName(k.kind, c, nil)
+	case kTruth:
+		_, s := codeValue(k.x, c)
+		return b2f(s != ""), ""
+	case *kNot:
+		f, _ := codeValue(k.x, c)
+		return b2f(f == 0), ""
+	case kNeg:
+		f, _ := codeValue(k.x, c)
+		return -f, ""
+	case kArith:
+		l, _ := codeValue(k.l, c)
+		r, _ := codeValue(k.r, c)
+		return arith(k.op, l, r), ""
+	case kCmpStr:
+		_, l := codeValue(k.l, c)
+		_, r := codeValue(k.r, c)
+		return cmpStr(k.op, l, r), ""
+	case *kLogic:
+		l, _ := codeValue(k.l, c)
+		if k.and != (l != 0) {
+			return b2f(l != 0), ""
+		}
+		r, _ := codeValue(k.r, c)
+		return b2f(r != 0), ""
+	}
+	panic(fmt.Sprintf("stats: %T in a coded predicate", k))
+}
+
+// otherLeaf marks, in leaves' result, a column other than state and
+// bebits.
+const otherLeaf = 1 << 7
+
+// leaves is the set of columns a pure kernel reads: bit 1<<kind per
+// coded column state or bebits, otherLeaf for any other.
+func leaves(k kernel) uint8 {
+	switch k := k.(type) {
+	case kShared:
+		return leaves(k.k)
+	case *kCodePred:
+		return 1 << k.kind
+	case kConstNum, kConstStr:
+		return 0
+	case kFieldStr:
+		return 1 << k.kind
+	case kTruth:
+		return leaves(k.x)
+	case *kNot:
+		return leaves(k.x)
+	case kNeg:
+		return leaves(k.x)
+	case kArith:
+		return leaves(k.l) | leaves(k.r)
+	case kCmpStr:
+		return leaves(k.l) | leaves(k.r)
+	case *kLogic:
+		return leaves(k.l) | leaves(k.r)
+	}
+	return otherLeaf
+}
+
 // ---- compilation ----
 
 // compiledTable is one table spec lowered to kernels.
@@ -1128,6 +1349,7 @@ type compiledTable struct {
 	cond     kernel
 	x, y     []kernel
 	xcol     []xcol // how each x column's group-key word decodes
+	dense    []dsrc // per x column, where its integer comes from; nil: the hash path only
 	maskSlot int    // working row mask during accumulation
 }
 
@@ -1150,12 +1372,13 @@ type compiledProgram struct {
 	maxX, maxY int
 }
 
-// compileProgram lowers every spec.
+// compileProgram lowers every spec, sharing pure subtrees across them.
 func compileProgram(specs []*TableSpec) *compiledProgram {
 	p := &compiledProgram{}
 	p.selSlot = p.sl.m()
+	c := &compiler{sl: &p.sl, pure: make(map[string]kernel)}
 	for _, spec := range specs {
-		ct := compileSpec(spec, &p.sl)
+		ct := c.spec(spec)
 		p.tables = append(p.tables, ct)
 		p.maxX = max(p.maxX, len(ct.x))
 		p.maxY = max(p.maxY, len(ct.y))
@@ -1163,16 +1386,27 @@ func compileProgram(specs []*TableSpec) *compiledProgram {
 	return p
 }
 
-func compileSpec(spec *TableSpec, sl *kslots) *compiledTable {
+// compiler lowers one program's expressions. pure maps each pure
+// subtree's canonical key — its node and its children's keys — to the
+// program's one kernel for it.
+type compiler struct {
+	sl   *kslots
+	pure map[string]kernel
+}
+
+func (c *compiler) spec(spec *TableSpec) *compiledTable {
+	sl := c.sl
 	ct := &compiledTable{spec: spec, maskSlot: sl.m()}
 	if spec.Condition != nil {
-		ct.cond = truthy(lowerExpr(spec.Condition, sl), sl)
+		ct.cond = c.truthy(c.lower(spec.Condition))
 	}
+	ct.dense = make([]dsrc, 0, len(spec.X))
+	dense := true
 	for _, ax := range spec.X {
-		k := lowerExpr(ax.Expr, sl)
+		k := vals(c.lower(ax.Expr))
 		ct.x = append(ct.x, k)
 		var xc xcol
-		switch k := k.(type) {
+		switch k := unshare(k).(type) {
 		case kConstStr:
 			xc = xcol{str: true, konst: true, cs: k.v}
 		case kFieldStr:
@@ -1183,86 +1417,177 @@ func compileSpec(spec *TableSpec, sl *kslots) *compiledTable {
 			xc = xcol{str: true, kind: ckDict}
 		}
 		ct.xcol = append(ct.xcol, xc)
+		src, ok := denseSource(k)
+		ct.dense = append(ct.dense, src)
+		dense = dense && ok
+	}
+	if !dense {
+		ct.dense = nil
 	}
 	for _, ay := range spec.Y {
-		ct.y = append(ct.y, lowerExpr(ay.Expr, sl))
+		ct.y = append(ct.y, vals(c.lower(ay.Expr)))
 	}
 	return ct
 }
 
-// truthy adapts a kernel for a consumer that wants its truthiness.
-func truthy(k kernel, sl *kslots) kernel {
-	if k.isStr() {
-		return kTruth{k, sl.f(), sl.tt()}
+// share returns the program's kernel for the pure node named key,
+// building it with mk the first time. A numeric node reading no column
+// but one of state and bebits becomes a coded predicate.
+func (c *compiler) share(key string, mk func() kernel) kernel {
+	if k, ok := c.pure[key]; ok {
+		return k
+	}
+	k := mk()
+	if m := leaves(k); !k.isStr() && (m == 1<<ckState || m == 1<<ckBebits) {
+		k = &kCodePred{fn: k, kind: codeKind(bits.TrailingZeros8(m)), slot: c.sl.f(), tmSlot: c.sl.m(), cpSlot: c.sl.cp()}
+	}
+	s := kShared{k, c.sl.ns}
+	c.sl.ns++
+	c.pure[key] = s
+	return s
+}
+
+// node is share for a node op over children, which is pure when they all
+// are: otherwise every use gets its own kernel from mk.
+func (c *compiler) node(op string, mk func() kernel, children ...kernel) kernel {
+	key := op + "("
+	for i, ch := range children {
+		ck, ok := pureKey(ch)
+		if !ok {
+			return mk()
+		}
+		if i > 0 {
+			key += ","
+		}
+		key += ck
+	}
+	return c.share(key+")", mk)
+}
+
+// pureKey is a pure kernel's canonical key; ok is false for any other.
+func pureKey(k kernel) (string, bool) {
+	switch k := k.(type) {
+	case kShared:
+		return "#" + strconv.Itoa(k.id), true
+	case kConstNum:
+		return "n" + strconv.FormatUint(math.Float64bits(k.v), 16), true
+	case kConstStr:
+		return strconv.Quote(k.v), true
+	case kFieldStr:
+		return "s" + strconv.Itoa(int(k.kind)), true
+	}
+	return "", false
+}
+
+// unshare is the kernel behind a shared one.
+func unshare(k kernel) kernel {
+	if s, ok := k.(kShared); ok {
+		return s.k
 	}
 	return k
 }
 
-// lowerExpr lowers one expression node. A node the language rejects by
+// vals marks a logical kernel as read for its values, not only its
+// truth, and returns it.
+func vals(k kernel) kernel {
+	switch k := unshare(k).(type) {
+	case *kLogic:
+		k.vals = true
+	case *kNot:
+		k.vals = true
+	case *kCodePred:
+		k.vals = true
+	}
+	return k
+}
+
+// truthy adapts a kernel for a consumer that wants its truthiness.
+func (c *compiler) truthy(k kernel) kernel {
+	if k.isStr() {
+		return c.node("t", func() kernel { return kTruth{k, c.sl.f(), c.sl.tt()} }, k)
+	}
+	return k
+}
+
+// lower lowers one expression node. A node the language rejects by
 // type lowers to kTypeErr with the message its evaluation raises, so
 // the error stays as lazy as the scalar semantics make it.
-func lowerExpr(e expr, sl *kslots) kernel {
+func (c *compiler) lower(e expr) kernel {
+	sl := c.sl
 	switch n := e.(type) {
 	case numLit:
 		return kConstNum{n.v}
 	case strLit:
 		return kConstStr{n.v}
 	case fieldRef:
+		field := func(code int) kernel {
+			return c.share("f"+strconv.Itoa(code), func() kernel { return kField{code, sl.f()} })
+		}
 		switch n.name {
 		case events.FieldStart:
-			return kField{fcStart, sl.f()}
+			return field(fcStart)
 		case events.FieldDura, "duration":
-			return kField{fcDura, sl.f()}
+			return field(fcDura)
 		case "end":
-			return kField{fcEnd, sl.f()}
+			return field(fcEnd)
 		case events.FieldNode:
-			return kField{fcNode, sl.f()}
+			return field(fcNode)
 		case events.FieldCPU, "processor":
-			return kField{fcCPU, sl.f()}
+			return field(fcCPU)
 		case events.FieldThread:
-			return kField{fcThread, sl.f()}
+			return field(fcThread)
 		case events.FieldType:
-			return kField{fcType, sl.f()}
+			return field(fcType)
 		case "iscall":
-			return kField{fcIsCall, sl.f()}
+			return field(fcIsCall)
 		case "state":
 			return kFieldStr{ckState}
 		case events.FieldBebits:
 			return kFieldStr{ckBebits}
 		case "markername":
 			sl.markers = true
-			return kExtra{events.FieldMarker, true, sl.u(), sl.m()}
+			return c.share("m", func() kernel { return kExtra{events.FieldMarker, true, sl.u(), sl.m(), sl.tt()} })
 		}
-		return kExtra{n.name, false, sl.f(), sl.m()}
+		return c.share("e"+n.name, func() kernel { return kExtra{n.name, false, sl.f(), sl.m(), sl.tt()} })
 	case unary:
-		c := lowerExpr(n.x, sl)
+		ch := c.lower(n.x)
 		switch {
 		case n.op == "!":
-			return kNot{truthy(c, sl), sl.f()}
-		case c.isStr():
-			return typeErr(sl, "stats: unary - on string", c)
+			t := c.truthy(ch)
+			return c.node("!", func() kernel { return &kNot{x: t, slot: sl.f(), tmSlot: sl.m()} }, t)
+		case ch.isStr():
+			return typeErr(sl, "stats: unary - on string", ch)
 		}
-		return kNeg{c, sl.f()}
+		ch = vals(ch)
+		return c.node("-", func() kernel { return kNeg{ch, sl.f()} }, ch)
 	case binary:
-		l, r := lowerExpr(n.l, sl), lowerExpr(n.r, sl)
+		l, r := c.lower(n.l), c.lower(n.r)
 		switch {
 		case n.op == "&&" || n.op == "||":
-			return kLogic{n.op == "&&", truthy(l, sl), truthy(r, sl), sl.f(), sl.m(), sl.m(), sl.m()}
+			l, r = c.truthy(l), c.truthy(r)
+			return c.node(n.op, func() kernel {
+				return &kLogic{and: n.op == "&&", l: l, r: r, slot: sl.f(), selSlot: sl.m(), tmSlot: sl.m(), skipSlot: sl.m()}
+			}, l, r)
 		case l.isStr() != r.isStr():
 			return typeErr(sl, fmt.Sprintf("stats: cannot compare string with number (%s)", n.op), l, r)
 		case !l.isStr():
-			return kArith{n.op, l, r, sl.f(), sl.f(), sl.f(), sl.m(), sl.m()}
+			l, r = vals(l), vals(r)
+			mk := func() kernel { return kArith{n.op, l, r, sl.f(), sl.f(), sl.f(), sl.m(), sl.m()} }
+			if n.op == "/" || n.op == "%" {
+				return mk() // raises, lazily in the selection
+			}
+			return c.node(n.op, mk, l, r)
 		}
 		switch n.op {
 		case "==", "!=", "<", "<=", ">", ">=":
-			return kCmpStr{n.op, l, r, sl.f(), sl.tt(), sl.m(), sl.m()}
+			return c.node("s"+n.op, func() kernel { return kCmpStr{n.op, l, r, sl.f(), sl.tt(), sl.m(), sl.m()} }, l, r)
 		case "+":
 			lc, lok := l.(kConstStr)
 			rc, rok := r.(kConstStr)
 			if lok && rok {
 				return kConstStr{lc.v + rc.v}
 			}
-			return kConcat{l, r, sl.u(), sl.c(), sl.m()}
+			return c.node("s+", func() kernel { return kConcat{l, r, sl.u(), sl.c(), sl.m()} }, l, r)
 		}
 		return typeErr(sl, fmt.Sprintf("stats: operator %q not defined on strings", n.op), l, r)
 	case call:
@@ -1271,21 +1596,26 @@ func lowerExpr(e expr, sl *kslots) kernel {
 			if len(n.args) != 2 {
 				return typeErr(sl, "stats: bin() takes (time, nbins)")
 			}
-			t, nb := lowerExpr(n.args[0], sl), lowerExpr(n.args[1], sl)
+			t, nb := c.lower(n.args[0]), c.lower(n.args[1])
 			if t.isStr() || nb.isStr() {
 				return typeErr(sl, "stats: bin() needs numeric arguments", t, nb)
 			}
-			return kBin{t, nb, sl.f(), sl.m(), sl.m()}
+			t, nb = vals(t), vals(nb)
+			mk := func() kernel { return kBin{t, nb, sl.f(), sl.m(), sl.m()} }
+			if nc, ok := nb.(kConstNum); ok && nc.v >= 1 {
+				return c.node("bin", mk, t, nb) // a constant bin count raises nowhere
+			}
+			return mk()
 		case "floor", "abs":
 			if len(n.args) != 1 {
 				return typeErr(sl, fmt.Sprintf("stats: %s() takes one argument", n.fn))
 			}
-			c := lowerExpr(n.args[0], sl)
-			if c.isStr() {
+			ch := c.lower(n.args[0])
+			if ch.isStr() {
 				// kFloorAbs replaces the message with its own.
-				c = typeErr(sl, fmt.Sprintf("stats: %s() needs a number", n.fn), c)
+				ch = typeErr(sl, fmt.Sprintf("stats: %s() needs a number", n.fn), ch)
 			}
-			return kFloorAbs{n.fn == "floor", c, sl.f()}
+			return kFloorAbs{n.fn == "floor", vals(ch), sl.f()}
 		}
 		return typeErr(sl, fmt.Sprintf("stats: unknown function %q", n.fn))
 	}

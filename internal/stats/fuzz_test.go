@@ -107,6 +107,15 @@ func FuzzCompile(f *testing.F) {
 	f.Add(`table name=t condition=(msgSizeSent > 1000000000 && -state) y=("n", dura, count)`)
 	f.Add(`table name=t condition=(0 && nosuchfn(1)) y=("n", dura, count)`)
 	f.Add(stats.Predefined(4))
+	// Several tables sharing subexpressions: skipping extras, coded
+	// predicates, the logic over them, and a division each table guards
+	// differently (never shared: it raises).
+	f.Add(`table name=a condition=(msgSizeSent > 0) x=("p", peer) y=("b", msgSizeSent, sum)
+table name=b condition=(peer == 1 || msgSizeSent > 100) x=("n", node) y=("b", msgSizeSent, avg)`)
+	f.Add(`table name=a condition=(state != "Running" && state != "MPI_Send") x=("s", state) y=("t", dura * 2, sum)
+table name=b condition=(!(state != "Running") || bebits == "complete") x=("v", state == "Running") x=("ic", iscall) y=("t", dura * 2, max)`)
+	f.Add(`table name=a condition=(node != 1) y=("r", dura / (node - 1), sum)
+table name=b condition=(node == 1 && cpu > 1) x=("b", bin(start, 8)) x=("t", thread) y=("r", dura / (node - 1), sum)`)
 	f.Fuzz(func(t *testing.T, program string) {
 		if len(program) > 4096 {
 			return

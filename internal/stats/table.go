@@ -26,18 +26,25 @@ type Table struct {
 	Engine        string `json:",omitempty"`
 	CellsUsed     int    `json:",omitempty"`
 	FramesDecoded int    `json:",omitempty"`
+	// Group reports which group-by folded a spec-driven table's rows
+	// over the frames the run evaluated: "dense" (direct index), "hash",
+	// or "mixed"; empty when no evaluated frame had a row for it.
+	// Observability only, like Engine.
+	Group string `json:",omitempty"`
 }
 
 // Run is one program run: its tables, how many frames it evaluated, how
 // many it merged from partials the files' frame source
-// (interval.File.SetFrameSource) had memoized, and how many frames'
-// records it fetched — a reused partial fetches none. The counts are
-// observability only, like Table.Engine.
+// (interval.File.SetFrameSource) had memoized, how many frames' records
+// it fetched — a reused partial fetches none — and how many evaluations
+// of a subexpression the tables share were answered by the frame's one
+// result. The counts are observability only, like Table.Engine.
 type Run struct {
 	Tables          []*Table
 	FramesEvaluated int
 	PartialsReused  int
 	FramesFetched   int
+	SharedSaved     int64
 }
 
 // Row is one table row: the x tuple and the aggregated y values.
