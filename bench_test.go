@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -1262,6 +1263,26 @@ func ingestPreambleCut(b *testing.B, raw []byte) int {
 	return cut
 }
 
+// ingestBatches cuts each node's raw stream as a poster does: the
+// preamble, then 64 KiB batches that ignore record boundaries. It also
+// returns the streams' total size.
+func ingestBatches(b *testing.B, raws [][]byte) ([][][]byte, int64) {
+	var total int64
+	batches := make([][][]byte, len(raws))
+	for n, raw := range raws {
+		total += int64(len(raw))
+		cut := ingestPreambleCut(b, raw)
+		bs := [][]byte{raw[:cut]}
+		const chunk = 64 << 10
+		for rest := raw[cut:]; len(rest) > 0; {
+			c := min(chunk, len(rest))
+			bs, rest = append(bs, rest[:c]), rest[c:]
+		}
+		batches[n] = bs
+	}
+	return batches, total
+}
+
 // benchIngest drives complete ingest sessions end to end — per-node raw
 // streams posted as sequence-numbered batches, incrementally converted,
 // clock-adjusted, live-merged, and sealed to an on-disk v4 file — and
@@ -1269,22 +1290,7 @@ func ingestPreambleCut(b *testing.B, raw []byte) int {
 func benchIngest(b *testing.B, nodes int) {
 	raws := stormRawsN(b, nodes, 120)
 	ev := rawEventCount(b, raws)
-	var total int64
-	batches := make([][][]byte, nodes)
-	for n, raw := range raws {
-		total += int64(len(raw))
-		cut := ingestPreambleCut(b, raw)
-		bs := [][]byte{raw[:cut]}
-		const chunk = 64 << 10
-		for rest := raw[cut:]; len(rest) > 0; {
-			c := chunk
-			if c > len(rest) {
-				c = len(rest)
-			}
-			bs, rest = append(bs, rest[:c]), rest[c:]
-		}
-		batches[n] = bs
-	}
+	batches, total := ingestBatches(b, raws)
 	dir := b.TempDir()
 	b.SetBytes(total)
 	runtime.GC()
@@ -1353,4 +1359,120 @@ const ingestAllocsPerEvent = 0.2
 func BenchmarkIngest(b *testing.B) {
 	b.Run("nodes1", func(b *testing.B) { benchIngest(b, 1) })
 	b.Run("nodes4", func(b *testing.B) { benchIngest(b, 4) })
+}
+
+// ingestHTTPBytesPerEvent is the ceiling on bytes allocated per raw
+// event by a live ingest over HTTP, posters and server together, in a
+// one-iteration smoke run. Each 64 KiB batch used to be grown by
+// io.ReadAll and copied again by the sequencer: 300–306 B per event.
+// Read into a pooled buffer and converted where it lies, a batch costs
+// 108–113, most of it per session (the sources' chunks, the writer's
+// frame buffers) or per request (the client's 32 KiB copy buffer), not
+// per byte; the ceiling leaves room for a collection emptying the pool.
+const ingestHTTPBytesPerEvent = 180
+
+// BenchmarkIngestHTTP is BenchmarkIngest's two-node case through the
+// daemon's HTTP surface, as the ledger's live-ingest workload drives it:
+// a server on a loopback port, a begin, the preambles, then one poster
+// per node streaming 64 KiB batches in order, and a DELETE once the
+// trace seals. It reports raw events per second and what the process —
+// posters and server — allocates per event, and fails above
+// ingestHTTPBytesPerEvent.
+func BenchmarkIngestHTTP(b *testing.B) {
+	const nodes = 2
+	raws := stormRawsN(b, nodes, 1500)
+	ev := rawEventCount(b, raws)
+	batches, total := ingestBatches(b, raws)
+	m, err := ingest.NewManager(ingest.Config{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := tracesvc.New(tracesvc.Config{})
+	defer svc.Close()
+	svc.EnableIngest(m)
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	client := srv.Client()
+	do := func(method, url string, body []byte, want int) ([]byte, error) {
+		req, err := http.NewRequest(method, srv.URL+url, bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return nil, err
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil && resp.StatusCode != want {
+			err = fmt.Errorf("%s %s: %d %s", method, url, resp.StatusCode, data)
+		}
+		return data, err
+	}
+
+	b.SetBytes(total)
+	runtime.GC()
+	var before runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		name := fmt.Sprintf("bench-%d", i)
+		data, err := do("POST", fmt.Sprintf("/v1/ingest/%s?op=begin&nodes=%d", name, nodes), nil, http.StatusCreated)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var began struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(data, &began); err != nil {
+			b.Fatal(err)
+		}
+		for n := range batches {
+			if _, err := do("POST", fmt.Sprintf("/v1/ingest/%s?node=%d&seq=0", name, n), batches[n][0], http.StatusAccepted); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, nodes)
+		for n := range batches {
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				for seq := 1; seq < len(batches[n]); seq++ {
+					url := fmt.Sprintf("/v1/ingest/%s?node=%d&seq=%d", name, n, seq)
+					if seq == len(batches[n])-1 {
+						url += "&last=1"
+					}
+					if _, err := do("POST", url, batches[n][seq], http.StatusAccepted); err != nil {
+						errs[n] = err
+						return
+					}
+				}
+			}(n)
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			b.Fatal(err)
+		}
+		sess, ok := m.Get(name)
+		if !ok {
+			b.Fatalf("no session %s", name)
+		}
+		if err := sess.Wait(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := do("DELETE", "/v1/traces/"+began.ID, nil, http.StatusNoContent); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	bytes, allocs := allocatedSince(&before, float64(ev)*float64(b.N))
+	b.ReportMetric(float64(ev)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(allocs, "allocs/event")
+	b.ReportMetric(bytes, "B/event")
+	if bytes > ingestHTTPBytesPerEvent {
+		b.Fatalf("%.1f B/event, ceiling %v: a batch body is copied or grown per request again",
+			bytes, ingestHTTPBytesPerEvent)
+	}
 }

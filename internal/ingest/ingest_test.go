@@ -510,3 +510,90 @@ func TestIngestBadPreamble(t *testing.T) {
 		t.Fatal("garbage preamble accepted")
 	}
 }
+
+// TestBatchKeepsNoBytes: Session.Batch keeps no byte of the buffer it is
+// handed. Each node posts every batch from one reused buffer and
+// overwrites it with junk after each call, through a two-batch window:
+// in order, every batch from the second on is converted straight from
+// the buffer (the window holds batch 2 back until the barrier replay has
+// taken batch 1); with adjacent batches swapped, every other one is
+// stashed. The sealed file must still be byte-identical to
+// convert→merge.
+func TestBatchKeepsNoBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		swap bool
+	}{
+		{"in-order", false},
+		{"stashed", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raws := genRaws(t, 17, 2, 40)
+			wopts := interval.WriterOptions{FrameBytes: 2048, FramesPerDir: 2}
+			want := referenceMerge(t, raws, wopts)
+			m, err := ingest.NewManager(ingest.Config{
+				Dir:            t.TempDir(),
+				Writer:         wopts,
+				QueueRecords:   64,
+				PendingBatches: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := m.Begin("reuse", len(raws), interval.WriterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for i := range raws {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					batches := splitBatches(t, xrand.New(uint64(40+i)), raws[i])
+					order := make([]int, len(batches))
+					for k := range order {
+						order[k] = k
+					}
+					for k := 1; tc.swap && k+1 < len(order); k += 2 {
+						order[k], order[k+1] = order[k+1], order[k]
+					}
+					buf := make([]byte, len(raws[i]))
+					post := func(seq int) error {
+						for {
+							b := buf[:copy(buf, batches[seq])]
+							err := s.Batch(i, uint64(seq), seq == len(batches)-1, b)
+							for k := range b {
+								b[k] = 0xA5
+							}
+							if !errors.Is(err, ingest.ErrWindow) {
+								return err
+							}
+							time.Sleep(100 * time.Microsecond) // the window has not moved yet
+						}
+					}
+					if err := post(0); err != nil {
+						t.Errorf("node %d preamble: %v", i, err)
+						return
+					}
+					for _, seq := range order[1:] {
+						if err := post(seq); err != nil {
+							t.Errorf("node %d batch %d: %v", i, seq, err)
+							return
+						}
+					}
+				}(i)
+			}
+			wg.Wait()
+			if err := s.Wait(); err != nil {
+				t.Fatalf("session: %v", err)
+			}
+			got, err := os.ReadFile(s.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("ingest from a reused buffer differs from the batch pipeline (%d vs %d bytes)", len(got), len(want))
+			}
+		})
+	}
+}

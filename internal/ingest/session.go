@@ -160,6 +160,14 @@ func (s *Session) publishSeal(si interval.SealInfo) {
 // Batch ingests one sequence-numbered batch for a node. last marks the
 // node's final batch (its body may be empty). Batches may arrive out of
 // order within the configured window; each is applied exactly once.
+//
+// Batch keeps no byte of data once it returns, so a caller may reuse the
+// buffer for its next batch: the batch that is next in line is converted
+// straight from data, and only what must wait — the preamble, held to
+// the header barrier, and a batch ahead of a gap — is copied. And every
+// record the batch yields is handed to the merge before Batch returns
+// (LiveSource.Flush), so the merge never waits on a record a node holds
+// while the node waits for its next POST.
 func (s *Session) Batch(nodeIdx int, seq uint64, last bool, data []byte) error {
 	if int64(len(data)) > s.mgr.cfg.maxBatchBytes() {
 		return countErr(s.mgr, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(data)))
@@ -189,12 +197,20 @@ func (s *Session) Batch(nodeIdx int, seq uint64, last bool, data []byte) error {
 	if seq >= n.next+uint64(s.mgr.cfg.pendingBatches()) {
 		return countErr(s.mgr, fmt.Errorf("%w: node %d sequence %d, window starts at %d", ErrWindow, nodeIdx, seq, n.next))
 	}
-	n.pending[seq] = append([]byte(nil), data...)
 	if last {
 		n.lastSeq = seq + 1
 	}
 	s.mgr.batches.Add(1)
 	s.mgr.bytes.Add(int64(len(data)))
+	if seq == n.next && n.started {
+		n.next++
+		if err := s.feedLocked(n, data); err != nil {
+			s.fail(err)
+			return err
+		}
+	} else {
+		n.pending[seq] = append([]byte(nil), data...)
+	}
 	return s.drainNodeLocked(n)
 }
 
@@ -381,12 +397,19 @@ func (s *Session) ensureStartedLocked(n *node) error {
 }
 
 // feedLocked pushes one batch's bytes through the node's decoder and
-// converter. Caller holds n.mu.
+// converter and publishes the records it yields to the merge. Caller
+// holds n.mu.
 func (s *Session) feedLocked(n *node, data []byte) error {
-	return n.dec.Feed(data, func(rec *trace.Record) error {
-		s.mgr.records.Add(1)
+	var raw int64
+	err := n.dec.Feed(data, func(rec *trace.Record) error {
+		raw++
 		return n.stream.Event(rec)
 	})
+	s.mgr.records.Add(raw)
+	if err != nil {
+		return err
+	}
+	return n.src.Flush()
 }
 
 // emit is the converter sink: the batch merge's stream stage — extract

@@ -17,10 +17,25 @@ type Source = source
 
 var NewLoserTree = newLoserTree
 
-// RingLen returns how many record slots the source's queue holds,
-// queued or free.
-func (s *LiveSource) RingLen() int {
+// Published returns how many records the source's published chunks
+// hold, the one the consumer is reading included.
+func (s *LiveSource) Published() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.ring)
+	n := len(s.cur)
+	for _, c := range s.queue[s.head:] {
+		n += len(c)
+	}
+	return n
 }
+
+// Slots returns how many record slots the source's chunks hold, queued,
+// open, being read or free.
+func (s *LiveSource) Slots() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.chunks * s.size
+}
+
+// ChunkLen returns how many records one of the source's chunks holds.
+func (s *LiveSource) ChunkLen() int { return s.size }

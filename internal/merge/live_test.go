@@ -3,10 +3,12 @@ package merge_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -212,7 +214,8 @@ func TestLiveMergeFailurePropagates(t *testing.T) {
 // address into the open state's extra slice after the begin piece was
 // already emitted; if Push aliased that slice, records queued during
 // the marker would diverge from the batch pipeline, which encodes at
-// emit time.
+// emit time. The record is mutated while its chunk is still the
+// producer's and again after the chunk is published.
 func TestLiveSourcePushCopiesSlices(t *testing.T) {
 	s := merge.NewLiveSource(4)
 	r := interval.Record{
@@ -225,13 +228,18 @@ func TestLiveSourcePushCopiesSlices(t *testing.T) {
 	if err := s.Push(&r); err != nil {
 		t.Fatal(err)
 	}
-	r.Extra[2] = 99 // the converter's endAddr back-patch
+	r.Extra[2] = 99 // the converter's endAddr back-patch, chunk still open
 	r.Vec[0] = 99
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r.Extra[1] = 98 // and after the chunk is published
+	r.Vec[0] = 98
 	if err := s.Advance(); err != nil {
 		t.Fatal(err)
 	}
 	got := s.Current()
-	if got.Extra[2] != 0 {
+	if got.Extra[1] != 42 || got.Extra[2] != 0 {
 		t.Fatalf("queued record saw post-push Extra mutation: extras=%v", got.Extra)
 	}
 	if got.Vec[0] != 5 {
@@ -239,8 +247,25 @@ func TestLiveSourcePushCopiesSlices(t *testing.T) {
 	}
 }
 
+// advanceAll reads a source to its end and returns the starts of the
+// records it delivered, or the error that ended it.
+func advanceAll(s *merge.LiveSource) ([]clock.Time, error) {
+	var starts []clock.Time
+	for {
+		if err := s.Advance(); err != nil {
+			return starts, err
+		}
+		if _, done := s.CurrentEnd(); done {
+			return starts, nil
+		}
+		starts = append(starts, s.Current().Start)
+	}
+}
+
 // TestLiveSourceCloseSemantics: pushes after CloseSend fail and an
-// empty closed source reads as immediately done.
+// empty closed source reads as immediately done; CloseSend publishes a
+// partial chunk; Fail mid-chunk delivers the records already published,
+// then the error, and drops the ones still in the open chunk.
 func TestLiveSourceCloseSemantics(t *testing.T) {
 	s := merge.NewLiveSource(2)
 	s.CloseSend()
@@ -255,9 +280,58 @@ func TestLiveSourceCloseSemantics(t *testing.T) {
 		t.Fatal("closed empty source not done")
 	}
 
-	// A drained source gives its queue back: ingest sessions stay listed
-	// after they finish and hold their sources, so a queue that lived as
-	// long as its source would pin ~0.4 MB per node per session forever.
+	// CloseSend publishes what the open chunk holds.
+	s = merge.NewLiveSource(0)
+	for i := 0; i < 3; i++ {
+		r.Start = clock.Time(i)
+		if err := s.Push(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.ChunkLen() <= 3 {
+		t.Fatalf("chunks of %d records: three pushes fill one", s.ChunkLen())
+	}
+	s.CloseSend()
+	if got, err := advanceAll(s); err != nil || len(got) != 3 || got[2] != 2 {
+		t.Fatalf("closed partial chunk delivered %v, %v; want 3 records", got, err)
+	}
+
+	// Fail mid-chunk: one record published by Flush, two more open.
+	boom := errors.New("node crashed")
+	s = merge.NewLiveSource(0)
+	r.Start = 10
+	if err := s.Push(&r); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 11; i < 13; i++ {
+		r.Start = clock.Time(i)
+		if err := s.Push(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Fail(boom)
+	if err := s.Push(&r); !errors.Is(err, boom) {
+		t.Fatalf("push after Fail: %v", err)
+	}
+	if err := s.Flush(); !errors.Is(err, boom) {
+		t.Fatalf("flush after Fail: %v", err)
+	}
+	if got, err := advanceAll(s); !errors.Is(err, boom) || len(got) != 1 || got[0] != 10 {
+		t.Fatalf("failed source delivered %v, %v; want the published record, then %v", got, err, boom)
+	}
+	if _, done := s.CurrentEnd(); !done {
+		t.Fatal("failed source not done")
+	}
+	s.CloseSend() // a producer finishing after the failure: no effect
+
+	// A drained source gives every chunk back, the empty one its last
+	// publish handed the producer included: a session that finishes
+	// holds its sources until it is deleted, so a queue that lived as
+	// long as its source would pin ~0.6 MB per node per session, and a
+	// chunk kept back ~40 KB.
 	heap := func() uint64 {
 		var ms runtime.MemStats
 		runtime.GC()
@@ -283,23 +357,81 @@ func TestLiveSourceCloseSemantics(t *testing.T) {
 		}
 		finished[i] = src
 	}
-	if grew := int64(heap()) - int64(before); grew > 4<<20 {
+	if grew := int64(heap()) - int64(before); grew > 1<<20 {
 		t.Fatalf("%d finished sources still hold %d KiB", n, grew>>10)
 	}
 	runtime.KeepAlive(finished)
 }
 
+// TestLiveSourceWakesOnPartialChunk: a consumer blocked in Advance wakes
+// when the producer publishes fewer records than a chunk holds — what an
+// ingest node does at the end of every batch — and again at CloseSend.
+func TestLiveSourceWakesOnPartialChunk(t *testing.T) {
+	s := merge.NewLiveSource(0)
+	got := make(chan []clock.Time, 1)
+	errc := make(chan error, 1)
+	go func() {
+		var starts []clock.Time
+		for len(starts) < 2 {
+			if err := s.Advance(); err != nil {
+				errc <- err
+				return
+			}
+			starts = append(starts, s.Current().Start)
+		}
+		got <- starts
+		rest, err := advanceAll(s)
+		if err == nil && len(rest) != 0 {
+			err = fmt.Errorf("%d records after CloseSend", len(rest))
+		}
+		errc <- err
+	}()
+	for i := 1; i <= 2; i++ {
+		r := interval.Record{Type: events.EvRunning, Bebits: profile.Complete, Start: clock.Time(i)}
+		if err := s.Push(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case starts := <-got:
+		if starts[0] != 1 || starts[1] != 2 {
+			t.Fatalf("records arrived as %v", starts)
+		}
+	case err := <-errc:
+		t.Fatal(err)
+	case <-time.After(10 * time.Second):
+		t.Fatalf("consumer still blocked after a %d-record chunk of %d was published", 2, s.ChunkLen())
+	}
+	s.CloseSend()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("consumer still blocked after CloseSend")
+	}
+}
+
 // TestLiveSourceRingIsBounded: a consumer that lags behind its producer
-// — it takes the next record only once the queue is full again, so the
-// queue never drains — keeps the ring at its capacity over 100 000
-// pushes, and every record arrives intact and in order. Unbound then
-// lets the ring grow past the capacity for a drain, and the drain still
-// delivers everything.
+// — it takes the next record only once the producer is capacity-1
+// records ahead, as far as the bound lets it get while the consumer
+// holds a chunk, so the queue never drains — sees at most the capacity in
+// published records and at most the capacity plus one chunk in record
+// slots over 100 000 pushes, and every record arrives intact and in
+// order. Unbound then lets the queue grow past the capacity for a drain,
+// and the drain still delivers everything.
 func TestLiveSourceRingIsBounded(t *testing.T) {
 	const capRecords, pushes = 64, 100_000
 	s := merge.NewLiveSource(capRecords)
+	bound := capRecords + s.ChunkLen()
 	var pushed atomic.Int64
+	produced := make(chan struct{})
 	go func() {
+		defer close(produced)
 		for i := 0; i < pushes; i++ {
 			r := interval.Record{Type: events.EvMPISend, Bebits: profile.Complete, Start: clock.Time(i),
 				Extra: []uint64{uint64(i), 1, 2, 3, 4, 5}}
@@ -309,9 +441,12 @@ func TestLiveSourceRingIsBounded(t *testing.T) {
 			}
 			pushed.Add(1)
 		}
+		if err := s.Flush(); err != nil {
+			t.Error(err)
+		}
 	}()
 	for i := 0; i < pushes; i++ {
-		for pushed.Load() < int64(min(i+capRecords, pushes)) {
+		for pushed.Load() < int64(min(i+capRecords-1, pushes)) {
 			runtime.Gosched()
 		}
 		if err := s.Advance(); err != nil {
@@ -320,11 +455,16 @@ func TestLiveSourceRingIsBounded(t *testing.T) {
 		if r := s.Current(); r.Start != clock.Time(i) || len(r.Extra) != 6 || r.Extra[0] != uint64(i) {
 			t.Fatalf("record %d arrived as %v %v", i, r, r.Extra)
 		}
-		if n := s.RingLen(); n > capRecords {
-			t.Fatalf("after %d records the ring holds %d slots, capacity %d", i+1, n, capRecords)
+		if n := s.Published(); n > capRecords {
+			t.Fatalf("after %d records %d are published, capacity %d", i+1, n, capRecords)
+		}
+		if n := s.Slots(); n > bound {
+			t.Fatalf("after %d records the chunks hold %d slots, capacity %d plus a %d-record chunk",
+				i+1, n, capRecords, s.ChunkLen())
 		}
 	}
 
+	<-produced // one producer at a time: this goroutine takes over
 	s.Unbound()
 	const drain = 10 * capRecords
 	for i := 0; i < drain; i++ {
@@ -334,8 +474,8 @@ func TestLiveSourceRingIsBounded(t *testing.T) {
 		}
 	}
 	s.CloseSend()
-	if n := s.RingLen(); n < drain {
-		t.Fatalf("an unbounded source holds %d records in %d slots", drain, n)
+	if n := s.Published(); n < drain {
+		t.Fatalf("an unbounded source publishes %d records of %d", n, drain)
 	}
 	for i := 0; ; i++ {
 		if err := s.Advance(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -489,5 +490,116 @@ func TestDeleteReleasesSettledSession(t *testing.T) {
 	}
 	if w := doBytes(t, s, "POST", "/v1/ingest/live?op=begin&nodes=2", nil); w.Code != http.StatusConflict {
 		t.Fatalf("begin over an active session: %d %s", w.Code, w.Body)
+	}
+}
+
+// countingBody is a request body that counts the bytes read from it.
+type countingBody struct {
+	r    io.Reader
+	read int
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.read += n
+	return n, err
+}
+
+func (b *countingBody) Close() error { return nil }
+
+// TestIngestHTTPOversizeBatch: a batch whose declared Content-Length is
+// over the limit is refused with 413 before a byte of it is read; one
+// sent chunked is refused once its limit+1st byte arrives, having read
+// no further; neither touches the session, which goes on to accept every
+// batch of its stream, declared and chunked, into a file byte-identical
+// to convert→merge.
+func TestIngestHTTPOversizeBatch(t *testing.T) {
+	const limit = 4096
+	raws := ingestRaws(t, 37, 1, 30)
+	wopts := interval.WriterOptions{FrameBytes: 1024, FramesPerDir: 2}
+	outs, _, err := convert.ConvertBuffers(raws, convert.Options{Writer: interval.WriterOptions{FrameBytes: 4096}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := interval.NewFile(outs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := interval.NewSeekBuffer()
+	if _, err := merge.Merge([]*interval.File{in}, ref, merge.Options{
+		Estimator: merge.EstimatorNone, Writer: wopts, Parallel: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := ingest.NewManager(ingest.Config{Dir: t.TempDir(), MaxBatchBytes: limit, Writer: wopts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tracesvc.New(tracesvc.Config{})
+	defer s.Close()
+	s.EnableIngest(m)
+	if w := doBytes(t, s, "POST", "/v1/ingest/big?op=begin&nodes=1", nil); w.Code != http.StatusCreated {
+		t.Fatalf("begin: %d %s", w.Code, w.Body)
+	}
+	post := func(url string, body []byte, declared int64) (int, int) {
+		t.Helper()
+		b := &countingBody{r: bytes.NewReader(body)}
+		r := httptest.NewRequest("POST", url, b)
+		r.ContentLength = declared
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, r)
+		return w.Code, b.read
+	}
+
+	raw := raws[0]
+	cut := rawPreambleCut(t, raw)
+	batches := [][]byte{raw[:cut]}
+	for rest := raw[cut:]; len(rest) > 0; {
+		n := min(len(rest), 3000)
+		batches, rest = append(batches, rest[:n]), rest[n:]
+	}
+	if len(batches) < 4 {
+		t.Fatalf("only %d batches", len(batches))
+	}
+	junk := make([]byte, 3*limit)
+	for seq, b := range batches {
+		url := fmt.Sprintf("/v1/ingest/big?node=0&seq=%d", seq)
+		if seq == len(batches)-1 {
+			url += "&last=1"
+		}
+		if seq%2 == 0 {
+			if code, read := post(url, junk, int64(len(junk))); code != http.StatusRequestEntityTooLarge || read != 0 {
+				t.Fatalf("seq %d: declared %d bytes: %d after reading %d bytes", seq, len(junk), code, read)
+			}
+		} else {
+			if code, read := post(url, junk, -1); code != http.StatusRequestEntityTooLarge || read > limit+1 {
+				t.Fatalf("seq %d: chunked %d bytes: %d after reading %d bytes", seq, len(junk), code, read)
+			}
+		}
+		declared := int64(len(b))
+		if seq%3 == 1 {
+			declared = -1 // sent chunked
+		}
+		if code, read := post(url, b, declared); code != http.StatusAccepted || read != len(b) {
+			t.Fatalf("seq %d: %d bytes: %d after reading %d", seq, len(b), code, read)
+		}
+	}
+	sess, ok := s.IngestManager().Get("big")
+	if !ok {
+		t.Fatal("no session")
+	}
+	if err := sess.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(sess.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, ref.Bytes()) {
+		t.Fatalf("ingested file differs from convert→merge (%d vs %d bytes)", len(got), ref.Len())
+	}
+	if st := m.Stats(); st.Batches != int64(len(batches)) {
+		t.Fatalf("%d batches counted, %d accepted", st.Batches, len(batches))
 	}
 }

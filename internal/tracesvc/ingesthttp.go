@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -227,13 +228,22 @@ func (s *Service) ingestBatch(name string, r *http.Request) (*response, error) {
 	if err != nil {
 		return nil, badRequest("bad seq %q", q.Get("seq"))
 	}
-	max := s.ing.mgr.MaxBatchBytes()
-	data, err := io.ReadAll(io.LimitReader(r.Body, max+1))
+	limit := s.ing.mgr.MaxBatchBytes()
+	if r.ContentLength > limit {
+		return nil, ingestErrStatus(fmt.Errorf("%w: %d bytes declared, limit %d", ingest.ErrTooLarge, r.ContentLength, limit))
+	}
+	// The body is read into a pooled buffer and converted from there:
+	// Session.Batch keeps no byte of it, so the buffer serves the next
+	// request once Batch returns.
+	buf := batchBufs.Get().(*[]byte)
+	defer batchBufs.Put(buf)
+	data, err := readBatch(r, *buf, limit)
+	*buf = data[:0]
 	if err != nil {
 		return nil, badRequest("reading batch body: %v", err)
 	}
-	if int64(len(data)) > max {
-		return nil, ingestErrStatus(fmt.Errorf("%w: over %d bytes", ingest.ErrTooLarge, max))
+	if int64(len(data)) > limit {
+		return nil, ingestErrStatus(fmt.Errorf("%w: over %d bytes", ingest.ErrTooLarge, limit))
 	}
 	if err := sess.Batch(node, seq, q.Get("last") == "1", data); err != nil {
 		return nil, ingestErrStatus(err)
@@ -243,4 +253,34 @@ func (s *Service) ingestBatch(name string, r *http.Request) (*response, error) {
 		Node  int    `json:"node"`
 		Seq   uint64 `json:"seq"`
 	}{name, node, seq})
+}
+
+// batchBufs holds the buffers batch bodies are read into.
+var batchBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBatch reads a batch body into buf, growing it as needed but never
+// past limit+1 bytes: a body of declared length (at most limit; the
+// caller checks) exactly, one sent chunked until it ends or shows itself
+// oversized by its limit+1st byte.
+func readBatch(r *http.Request, buf []byte, limit int64) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 {
+		buf = slices.Grow(buf[:0], int(n))[:n]
+		_, err := io.ReadFull(r.Body, buf)
+		return buf, err
+	}
+	buf = buf[:0]
+	end := int(limit) + 1
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(max(len(buf), 4096), end-len(buf)))
+		}
+		k, err := r.Body.Read(buf[len(buf):min(cap(buf), end)])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF || len(buf) == end {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
