@@ -830,6 +830,56 @@ func sppmBenchFile(b *testing.B) *interval.File {
 	return mf
 }
 
+// BenchmarkSummarizeWide is the ledger's sweep_wide query at toy size:
+// the imbalance workload on a 64 × 4 machine with 4 tasks a node (256
+// lanes; no sidecar, so the scan engine answers), built in process and
+// run through stats.TimeResolved at 64 bins. It reports ns/record and
+// allocs/record, and fails above summarizeWideAllocs objects per query.
+// The three tables allocate about 950 of them here (two slices a row)
+// and the summary about 210, its lane rows dense: a lane map per bin
+// cost the summary about 1 100 more.
+func BenchmarkSummarizeWide(b *testing.B) {
+	const summarizeWideAllocs = 1600
+	main, err := workload.Build("imbalance", workload.Params{"iters": 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sb := interval.NewSeekBuffer()
+	if _, err := merge.Merge(convertedFiles(b, simRaws(b, 64, 4, 4, 12, main)), sb, merge.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	mf, err := interval.NewFile(sb)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, _, records, err := mf.Stats()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tabs, err := stats.TimeResolved([]*interval.File{mf}, 64, interval.MapOptions{Parallel: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tabs[0].Engine != "scan" || tabs[0].Lanes != 256 {
+			b.Fatalf("summary answered by %q over %d lanes, want the scan over 256", tabs[0].Engine, tabs[0].Lanes)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	work := float64(b.N) * float64(records)
+	perQuery := float64(after.Mallocs-before.Mallocs) / float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/work, "ns/record")
+	b.ReportMetric(perQuery/float64(records), "allocs/record")
+	if perQuery > summarizeWideAllocs {
+		b.Fatalf("%.0f allocs per query, ceiling %d: the summary allocates per lane or per bin", perQuery, summarizeWideAllocs)
+	}
+}
+
 // --- trace query service (utetraced's serving layer) -------------------
 
 // serveBench builds a service with one registered on-disk trace and

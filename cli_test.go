@@ -260,6 +260,11 @@ func TestCLIPyramidSidecar(t *testing.T) {
 		if n := strings.Count(stderr.String(), " summary="+engine+" "); n != 3 {
 			t.Fatalf("utestats -v %v on %s names the %s engine %d times, want 3:\n%s", args, path, engine, n, stderr.String())
 		}
+		// Each table also names the frames the summary fetched and the
+		// window's lanes: sPPM 2×4 runs one task per node.
+		if n := len(regexp.MustCompile(` summary=`+engine+` frames=\d+ lanes=2 `).FindAllString(stderr.String(), -1)); n != 3 {
+			t.Fatalf("utestats -v %v on %s: %d tables report frames and 2 lanes, want 3:\n%s", args, path, n, stderr.String())
+		}
 		return stdout.String()
 	}
 	pyrTables := make([]string, len(tables))
@@ -394,6 +399,47 @@ func TestCLIWrapTolerant(t *testing.T) {
 	}
 	runCmd(t, bin, "utemerge", "-o", filepath.Join(dir, "merged.ute"),
 		filepath.Join(dir, "trace.0.ute"), filepath.Join(dir, "trace.1.ute"))
+}
+
+// TestCLISummaryBudget: on a machine wide enough that the most bins a
+// time-resolved table may have cost more than interval.MaxSummaryCells
+// (96 lanes plus the types, at 65536 bins), utestats -timeresolved
+// exits 1 with a one-line diagnostic naming the budget, while the same
+// trace at 64 bins answers and utestats -v explains it. uteview's
+// preview at those bins answers: it keeps no lane rows.
+func TestCLISummaryBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	bin := buildCmds(t)
+	dir := t.TempDir()
+	runCmd(t, bin, "tracegen", "-out", dir, "-workload", "imbalance", "-params", "iters=1",
+		"-nodes", "24", "-cpus", "4", "-tasks-per-node", "4", "-seed", "3")
+	raws, _ := filepath.Glob(filepath.Join(dir, "raw.*"))
+	runCmd(t, bin, "uteconvert", append([]string{"-out-dir", dir}, raws...)...)
+	utes, _ := filepath.Glob(filepath.Join(dir, "trace.*.ute"))
+	merged := filepath.Join(dir, "merged.ute")
+	runCmd(t, bin, "utemerge", append([]string{"-o", merged}, utes...)...)
+
+	cmd := exec.Command(filepath.Join(bin, "utestats"), "-v", "-timeresolved", "-bins", "64", merged)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("utestats -timeresolved -bins 64: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "table tr_load_balance: summary=scan frames=") ||
+		!strings.Contains(stderr.String(), " lanes=96 ") {
+		t.Fatalf("utestats -v does not explain the table:\n%s", stderr.String())
+	}
+	code, msg := runCmdFail(t, bin, "utestats", "-timeresolved", "-bins", "65536", merged)
+	if code != 1 || !strings.Contains(msg, "cell budget") || strings.Count(strings.TrimSpace(msg), "\n") != 0 {
+		t.Errorf("utestats -timeresolved -bins 65536: exit %d, stderr %q; want 1 and one line naming the cell budget", code, msg)
+	}
+	svg := filepath.Join(dir, "p.svg")
+	runCmd(t, bin, "uteview", "-merged", merged, "-preview", "-bins", "65536", "-o", svg)
+	if b, err := os.ReadFile(svg); err != nil || !bytes.Contains(b, []byte("<svg")) {
+		t.Fatalf("uteview -preview -bins 65536 wrote no SVG: %v", err)
+	}
 }
 
 // runCmdFail runs a command expecting failure and returns its exit code

@@ -44,7 +44,7 @@ func main() {
 		checkVer = flag.Bool("check-profile", false, "verify the inputs' profile version against profile.ute next to each input")
 		jobs     = flag.Int("j", 0, "frame-decode workers across all inputs (0 = GOMAXPROCS)")
 		window   = flag.String("window", "", "restrict tables to records overlapping lo:hi (seconds)")
-		verbose  = flag.Bool("v", false, "report per-table summary engine and excluded-record counts on stderr")
+		verbose  = flag.Bool("v", false, "report per-table summary engine, frames and lanes, and excluded-record counts on stderr")
 		timeRes  = flag.Bool("timeresolved", false, "generate the time-resolved metric tables (-bins buckets) instead of a program")
 	)
 	flag.Parse()
@@ -123,8 +123,10 @@ func main() {
 			switch {
 			case tb.Engine != "":
 				// Time-resolved tables report which summary engine
-				// answered them: O(bins) pyramid cells or a frame scan.
-				how = " summary=" + tb.Engine
+				// answered them — O(bins) pyramid cells or a frame scan —
+				// how many frames it fetched, and how many lanes wide
+				// the window is (each lane is a row of bins).
+				how = fmt.Sprintf(" summary=%s frames=%d lanes=%d", tb.Engine, tb.FramesDecoded, tb.Lanes)
 			case tb.Group != "":
 				// Spec-driven tables report which group-by folded their
 				// rows: a direct index, a hash, or each on some frames.

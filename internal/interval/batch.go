@@ -48,7 +48,10 @@ type Batch struct {
 	VecOff   []uint32
 	Vecs     []uint64
 
-	dict []dictEntry // v4 decode dictionary scratch, reused across frames
+	// v4 decode dictionary scratch, reused across frames: the entries and
+	// whether each one's type carries a vector field.
+	dict    []dictEntry
+	dictVec []bool
 }
 
 // reset empties the batch, keeping every column's capacity.

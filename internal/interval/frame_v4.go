@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -176,16 +177,6 @@ func (b *Batch) appendV4(dst []byte, st *v4EncState) []byte {
 // errVarint reports a varint that runs past the frame or past 64 bits.
 var errVarint = errors.New("interval: truncated or oversized varint")
 
-// uvarint reads one varint off the front of s (the frame-header fields;
-// the row loop in decodeV4 inlines its own).
-func uvarint(s []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(s)
-	if n <= 0 {
-		return 0, s, errVarint
-	}
-	return v, s[n:], nil
-}
-
 // decodeV4 is the v4 decoder: it parses and validates the frame's
 // dictionary and base start, then fills the columns straight from the
 // varint stream. An empty buffer is an empty frame.
@@ -193,24 +184,42 @@ func uvarint(s []byte) (uint64, []byte, error) {
 // Every count read from the stream is bounded against the bytes that
 // remain before anything is appended, so a corrupt or adversarial frame
 // fails with an error instead of a huge allocation.
+//
+// Both loops hand-inline the one-byte varint fast path against a local
+// slice, and a two-byte one where values usually need it (types are
+// 0x200 and up; dictionary indexes pass 127 on a wide machine): a wide
+// machine's frames carry nearly one dictionary entry per record, so the
+// dictionary is as hot as the rows, and at ~9 stream values per record
+// it pays to keep the per-value cost at a bounds check and a compare.
+// Whether a type carries the vector field is looked up once per
+// dictionary entry, not per record.
 func (b *Batch) decodeV4(s []byte) error {
 	if len(s) == 0 {
 		return nil
 	}
-	nd, s, err := uvarint(s)
-	if err != nil {
-		return err
+	nd, n := binary.Uvarint(s)
+	if n <= 0 {
+		return errVarint
 	}
+	s = s[n:]
 	if nd == 0 || nd > uint64(len(s)/minV4DictEntry) {
 		return fmt.Errorf("interval: v4 frame dictionary of %d entries cannot fit in %d bytes", nd, len(s))
 	}
-	dict := b.dict[:0]
+	dict, vec := slices.Grow(b.dict[:0], int(nd))[:nd], slices.Grow(b.dictVec[:0], int(nd))[:nd]
+	var v uint64
 	for i := 0; i < int(nd); i++ {
 		var f [6]uint64 // type, bebits, cpu, node, thread, nExtras
 		for k := range f {
-			if f[k], s, err = uvarint(s); err != nil {
-				return err
+			if len(s) != 0 && s[0] < 0x80 {
+				v, s = uint64(s[0]), s[1:]
+			} else if len(s) > 1 && s[1] < 0x80 {
+				v, s = uint64(s[0]&0x7f)|uint64(s[1])<<7, s[2:]
+			} else if v, n = binary.Uvarint(s); n > 0 {
+				s = s[n:]
+			} else {
+				return errVarint
 			}
+			f[k] = v
 		}
 		if f[0] > 0xffff || f[1] > 0xff || f[2] > 0xffff || f[3] > 0xffff || f[4] > 0xffff {
 			return fmt.Errorf("interval: v4 dictionary entry %d field out of range", i)
@@ -220,16 +229,18 @@ func (b *Batch) decodeV4(s []byte) error {
 		if nx := f[5]; nx > uint64(len(s)) || profile.CommonSize+8*nx > maxPayload {
 			return fmt.Errorf("interval: v4 dictionary entry %d claims %d extras", i, nx)
 		}
-		dict = append(dict, dictEntry{
-			typ:    events.Type(f[0]),
+		typ := events.Type(f[0])
+		dict[i] = dictEntry{
+			typ:    typ,
 			bebits: profile.Bebits(f[1]),
 			cpu:    uint16(f[2]),
 			node:   uint16(f[3]),
 			thread: uint16(f[4]),
 			nx:     int(f[5]),
-		})
+		}
+		vec[i] = events.VectorField(typ) != ""
 	}
-	b.dict = dict
+	b.dict, b.dictVec = dict, vec
 	bv, n := binary.Varint(s)
 	if n <= 0 {
 		return errVarint
@@ -239,15 +250,12 @@ func (b *Batch) decodeV4(s []byte) error {
 	if len(s) == 0 {
 		return fmt.Errorf("interval: v4 frame has a dictionary but no records")
 	}
-	// The row loop hand-inlines the one-byte varint fast path against a
-	// local slice — at ~9 stream values per record this is the decode hot
-	// path, so it pays to keep the per-value cost at a bounds check and a
-	// compare.
-	var v uint64
 	for len(s) > 0 {
 		// Dictionary index.
 		if s[0] < 0x80 {
 			v, s = uint64(s[0]), s[1:]
+		} else if len(s) > 1 && s[1] < 0x80 {
+			v, s = uint64(s[0]&0x7f)|uint64(s[1])<<7, s[2:]
 		} else if v, n = binary.Uvarint(s); n > 0 {
 			s = s[n:]
 		} else {
@@ -256,7 +264,7 @@ func (b *Batch) decodeV4(s []byte) error {
 		if v >= uint64(len(dict)) {
 			return fmt.Errorf("interval: v4 record dictionary index %d out of range (%d entries)", v, len(dict))
 		}
-		d := dict[v]
+		d, dv := dict[v], vec[v]
 		// Start delta.
 		if len(s) != 0 && s[0] < 0x80 {
 			v, s = uint64(s[0]), s[1:]
@@ -275,6 +283,7 @@ func (b *Batch) decodeV4(s []byte) error {
 			return errVarint
 		}
 		b.pushCommon(d.typ, d.bebits, start, clock.Time(int64(v>>1)^-int64(v&1)), d.cpu, d.node, d.thread)
+		x := b.Extras
 		for i := 0; i < d.nx; i++ {
 			if len(s) != 0 && s[0] < 0x80 {
 				v, s = uint64(s[0]), s[1:]
@@ -283,9 +292,10 @@ func (b *Batch) decodeV4(s []byte) error {
 			} else {
 				return errVarint
 			}
-			b.Extras = append(b.Extras, v)
+			x = append(x, v)
 		}
-		if events.VectorField(d.typ) != "" {
+		b.Extras = x
+		if dv {
 			if len(s) != 0 && s[0] < 0x80 {
 				v, s = uint64(s[0]), s[1:]
 			} else if v, n = binary.Uvarint(s); n > 0 {

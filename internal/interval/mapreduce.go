@@ -104,21 +104,42 @@ func (fr *Frame) Batch() (*Batch, error) {
 // stops issuing frames and returns the lowest-ordered failure; the
 // reducer may have consumed an arbitrary prefix.
 func MapFrames[T any](files []*File, opts MapOptions, mapFn func(file int, fr *Frame) (T, error), reduceFn func(file int, fe FrameEntry, v T) error) error {
+	selected, err := selectAll(files, opts)
+	if err != nil {
+		return err
+	}
+	return mapSelected(files, selected, opts, mapFn, reduceFn)
+}
+
+// selectAll lists the frames opts selects in each of files.
+func selectAll(files []*File, opts MapOptions) ([][]FrameEntry, error) {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	selected := make([][]FrameEntry, len(files))
-	n := 0
 	for fi, f := range files {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		fes, err := selectFrames(f, opts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		selected[fi] = fes
+	}
+	return selected, nil
+}
+
+// mapSelected is MapFrames over frames already selected: selected[fi]
+// are files[fi]'s, as selectAll lists them.
+func mapSelected[T any](files []*File, selected [][]FrameEntry, opts MapOptions, mapFn func(file int, fr *Frame) (T, error), reduceFn func(file int, fe FrameEntry, v T) error) error {
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	n := 0
+	for _, fes := range selected {
 		n += len(fes)
 	}
 	jobs := make([]Frame, 0, n)

@@ -1,11 +1,15 @@
 package interval
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"tracefw/internal/clock"
@@ -267,6 +271,232 @@ func TestSummarizeDifferential(t *testing.T) {
 	}
 }
 
+// writeWideFile is writePyrFile's type mix on a wide machine: nodes ×
+// cpus lanes, each record on a random one, so a cell and a bin see
+// hundreds of lanes.
+func writeWideFile(t *testing.T, seed uint64, n, nodes, cpus int) *SeekBuffer {
+	t.Helper()
+	rng := xrand.New(seed)
+	types := []events.Type{
+		events.EvRunning, events.EvGlobalClock, events.EvMarkerState,
+		events.EvMPISend, events.EvMPIRecv, events.EvMPIAllreduce, events.EvIORead,
+	}
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{
+			Type:   types[rng.Intn(len(types))],
+			Bebits: profile.Complete,
+			Start:  clock.Time(rng.Int63n(int64(100 * clock.Millisecond))),
+			Dura:   clock.Time(rng.Int63n(int64(3 * clock.Millisecond))),
+			CPU:    uint16(rng.Intn(cpus)),
+			Node:   uint16(rng.Intn(nodes)),
+			Extra:  []uint64{uint64(i), 7, 0},
+		}
+	}
+	return writePyrRecords(t, recs, CurrentHeaderVersion)
+}
+
+// TestSummarizeDifferentialManyLanes is the differential on a machine
+// of 160 lanes, where the summary's lane rows dominate its state:
+// windows and bins on base-cell bounds and off them, each answered the
+// same by both engines and by the scan at any width, and with NoLanes
+// the same summary less its lanes — and a bin count that passes
+// MaxSummaryCells refused by both engines in the same words.
+func TestSummarizeDifferentialManyLanes(t *testing.T) {
+	const nodes, cpus = 40, 4
+	f, bare := openPair(t, writeWideFile(t, 3, 4000, nodes, cpus), PyramidOptions{BaseCells: 16})
+	p := f.Pyramid()
+	first, last, _, err := f.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	span, w := last-first, p.BaseWidth
+	alo := clock.Time(floorDivTime(first, w)) * w
+	windows := []struct {
+		name   string
+		lo, hi clock.Time
+		bins   []int
+	}{
+		{"full", first, last, []int{1, 7, 64, 250}},
+		{"odd", first + 7, first + 2*span/3 + 13, []int{1, 3, 64}},
+		{"overhang", first - span/3, last + span/5, []int{5, 64}},
+		// Window and every bin bound on base cells: no frame is read.
+		{"aligned", alo, alo + 16*w, []int{1, 2, 4, 8, 16}},
+	}
+	for _, win := range windows {
+		for _, bins := range win.bins {
+			label := fmt.Sprintf("%s/bins%d", win.name, bins)
+			o := WindowSummaryOptions{Bins: bins, Lo: win.lo, Hi: win.hi}
+			scan := summarize(t, label, bare, o, "scan")
+			pyr := summarize(t, label, f, o, "pyramid")
+			if len(scan.Lanes) < 128 {
+				t.Fatalf("%s: %d lanes: the fixture is not wide", label, len(scan.Lanes))
+			}
+			if win.name == "aligned" && pyr.FramesDecoded != 0 {
+				t.Fatalf("%s: aligned window decoded %d frames", label, pyr.FramesDecoded)
+			}
+			assertSummariesEqual(t, label, pyr, scan)
+			o.Parallel = 4
+			assertSummariesEqual(t, label+"/j4", summarize(t, label, bare, o, "scan"), scan)
+
+			o.NoLanes = true
+			typesOnly := stripMeta(scan)
+			typesOnly.Lanes = nil
+			typesOnly.Bins = slices.Clone(typesOnly.Bins)
+			for bi := range typesOnly.Bins {
+				typesOnly.Bins[bi].BusyByLane = nil
+			}
+			for _, got := range []*WindowSummary{summarize(t, label, bare, o, "scan"), summarize(t, label, f, o, "pyramid")} {
+				if !reflect.DeepEqual(stripMeta(got), typesOnly) {
+					t.Fatalf("%s: the %s engine's NoLanes summary is not the summary less its lanes", label, got.Engine)
+				}
+			}
+		}
+	}
+	// 160 lanes and the types at 65536 bins pass the budget: both
+	// engines refuse, at every width, with the same error.
+	o := WindowSummaryOptions{Bins: 1 << 16, Lo: first, Hi: last}
+	var msgs []string
+	for _, tc := range []struct {
+		f   *File
+		par int
+	}{{f, 1}, {bare, 1}, {bare, 4}} {
+		o.Parallel = tc.par
+		ws, err := SummarizeWindow([]*File{tc.f}, o)
+		if !errors.Is(err, ErrSummaryBudget) {
+			t.Fatalf("over budget (pyramid attached: %v, j%d): summary %v, error %v", tc.f.Pyramid() != nil, tc.par, ws != nil, err)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] || msgs[1] != msgs[2] {
+		t.Fatalf("engines refuse differently:\n%s", strings.Join(msgs, "\n"))
+	}
+}
+
+// TestSummarizeScanShares: on a machine of more than 1024 lanes at -j 4,
+// every scan accumulator is held to a quarter of MaxSummaryCells. A
+// window within budget whose accumulators pass their shares is read
+// again into one accumulator and answers as at -j 1; a window over
+// budget is refused in the words of -j 1, having allocated no more than
+// two -j 1 refusals.
+func TestSummarizeScanShares(t *testing.T) {
+	const nodes, cpus = 1100, 4 // 4400 lanes
+	f := openFile(t, writeWideFile(t, 5, 40000, nodes, cpus))
+	first, last, _, err := f.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []*File{f}
+
+	// 512 bins: 4400 lanes are half the budget, and four times a
+	// quarter's 2048 rows.
+	o := WindowSummaryOptions{Bins: 512, Lo: first, Hi: last, Parallel: 1}
+	one := summarize(t, "j1", f, o, "scan")
+	if len(one.Lanes) <= 2048 {
+		t.Fatalf("%d lanes: the fixture is not wide", len(one.Lanes))
+	}
+	o.Parallel = 4
+	mo := MapOptions{Parallel: 4, Window: true, Lo: o.Lo, Hi: o.Hi}
+	selected, err := selectAll(files, mo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := scanInto(files, selected, mo, NewBinGrid(o.Lo, o.Hi, o.Bins), o, 4); !errors.Is(err, errShare) {
+		t.Fatalf("four accumulators over 4400 lanes at 512 bins: %v, want errShare", err)
+	}
+	if four := summarize(t, "j4", f, o, "scan"); !reflect.DeepEqual(four, one) {
+		t.Fatal("j4 summary read again into one accumulator differs from j1")
+	}
+
+	// 1024 bins: the lanes alone pass the budget. -j 1 reads the window
+	// once into one accumulator; -j 4 may read it twice, but never holds
+	// more than one budget a pass.
+	o.Bins = 1024
+	var msgs []string
+	var allocs []uint64
+	for _, par := range []int{1, 4} {
+		o.Parallel = par
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ws, err := SummarizeWindow(files, o)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrSummaryBudget) {
+			t.Fatalf("j%d over budget: summary %v, error %v", par, ws != nil, err)
+		}
+		msgs = append(msgs, err.Error())
+		allocs = append(allocs, after.TotalAlloc-before.TotalAlloc)
+		t.Logf("j%d over budget: %d bytes allocated", par, allocs[len(allocs)-1])
+	}
+	const budget = MaxSummaryCells * 8 // bytes
+	if allocs[1] > 2*allocs[0]+budget/4 {
+		t.Fatalf("j4 over budget allocated %d bytes, j1 %d: more than two passes", allocs[1], allocs[0])
+	}
+	if msgs[0] != msgs[1] {
+		t.Fatalf("j1 and j4 refuse differently:\n%s", strings.Join(msgs, "\n"))
+	}
+}
+
+// TestSummarizeRemainderReserve: the pyramid engine reads only the
+// frames its edge remainders reach, and reserves endpoint room for
+// those alone — a whole-run summary whose bins all have remainders does
+// not allocate with the window's records.
+func TestSummarizeRemainderReserve(t *testing.T) {
+	// Short intervals in large frames: each frame covers a sliver of the
+	// run, and its records' endpoints outweigh its directory entry.
+	rng := xrand.New(11)
+	recs := make([]Record, 60000)
+	for i := range recs {
+		recs[i] = Record{
+			Type: events.EvMPISend, Bebits: profile.Complete,
+			Start: clock.Time(rng.Int63n(int64(100 * clock.Millisecond))),
+			Dura:  clock.Time(rng.Int63n(int64(20 * clock.Microsecond))),
+			CPU:   uint16(rng.Intn(4)), Node: uint16(rng.Intn(2)),
+			Extra: []uint64{uint64(i), 7, 0, 0, 0, 0},
+		}
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].End() < recs[j].End() })
+	sb := NewSeekBuffer()
+	w, err := NewWriter(sb, testHeader(), WriterOptions{FrameBytes: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		if err := w.Add(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, _ := openPair(t, sb, PyramidOptions{})
+	first, last, _, err := f.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := f.Frames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := WindowSummaryOptions{Bins: 3, Lo: first + 1, Hi: last}
+	summarize(t, "warm", f, o, "pyramid") // loads the directory
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // empties the endpoint pool
+	runtime.ReadMemStats(&before)
+	ws := summarize(t, "whole", f, o, "pyramid")
+	runtime.ReadMemStats(&after)
+	if ws.FramesDecoded == 0 || 4*ws.FramesDecoded > len(frames) {
+		t.Fatalf("read %d of %d frames: the window is not wide, or not off cell bounds", ws.FramesDecoded, len(frames))
+	}
+	endpoints := uint64(len(recs)) * 16 // two endpoints a record
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("read %d of %d frames, allocated %d bytes", ws.FramesDecoded, len(frames), got)
+	if got > endpoints/2 {
+		t.Fatalf("summary allocated %d bytes; every record's endpoints are %d", got, endpoints)
+	}
+}
+
 // TestSummarizeAlignedDecodesNoFrames pins the headline property: when
 // the window and every bin bound land on base-cell boundaries, the
 // pyramid engine answers without decoding a single frame — and still
@@ -525,11 +755,8 @@ func TestSummarizeFileList(t *testing.T) {
 				}
 				want.BusyByType[ty] = 2 * v
 			}
-			for l, v := range b.BusyByLane {
-				if want.BusyByLane == nil {
-					want.BusyByLane = map[Lane]clock.Time{}
-				}
-				want.BusyByLane[l] = 2 * v
+			for _, v := range b.BusyByLane {
+				want.BusyByLane = append(want.BusyByLane, 2*v)
 			}
 			if !reflect.DeepEqual(two.Bins[i], want) {
 				t.Fatalf("j%d bin %d:\n got %+v\nwant %+v", par, i, two.Bins[i], want)
@@ -711,7 +938,7 @@ func TestSummarizeScanMatchesRecords(t *testing.T) {
 			gotType[ty] += v
 		}
 		for l, v := range ws.Bins[i].BusyByLane {
-			gotLane[l] += v
+			gotLane[ws.Lanes[l]] += v
 		}
 	}
 	if len(wantType) == 0 || len(wantLane) == 0 {

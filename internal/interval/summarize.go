@@ -29,14 +29,17 @@ package interval
 // semantics the partition cannot reproduce, so they are the scan's.
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
+	"tracefw/internal/par"
 )
 
 // WindowSummaryOptions configures SummarizeWindow.
@@ -52,13 +55,18 @@ type WindowSummaryOptions struct {
 	Parallel int
 	// Context, when non-nil, aborts the query between frames.
 	Context context.Context
+	// NoLanes keeps no per-lane rows: Lanes and every BusyByLane stay
+	// empty, and lanes cost the summary nothing against
+	// MaxSummaryCells. A caller that reads only BusyByType and PeakConc
+	// (the preview) sets it.
+	NoLanes bool
 }
 
-// BinSummary is one time bucket of a window summary. The maps hold
+// BinSummary is one time bucket of a window summary. BusyByType holds
 // only strictly positive entries — plus, in a window narrower than its
-// bin count, a zero BusyByType entry for every zero-width bucket an
-// interval of that type reaches across (the busy table prints those as
-// rows) — so two summaries are comparable with reflect.DeepEqual.
+// bin count, a zero entry for every zero-width bucket an interval of
+// that type reaches across (the busy table prints those as rows) — so
+// two summaries are comparable with reflect.DeepEqual.
 type BinSummary struct {
 	// Start is the bucket's left bound.
 	Start clock.Time
@@ -68,8 +76,11 @@ type BinSummary struct {
 	// BusyByType sums each type's overlap with the bucket (all types,
 	// Running included — consumers filter).
 	BusyByType map[events.Type]clock.Time
-	// BusyByLane sums busy-interval overlap per (node, cpu) lane.
-	BusyByLane map[Lane]clock.Time
+	// BusyByLane sums busy-interval overlap per (node, cpu) lane, one
+	// entry per WindowSummary.Lanes entry in the same order, zero for a
+	// lane idle in this bucket; nil when the window has no lanes. Every
+	// bucket's row is a slice of one backing array.
+	BusyByLane []clock.Time
 }
 
 // WindowSummary is the result of SummarizeWindow.
@@ -116,18 +127,60 @@ func (p *Pyramid) usable(o WindowSummaryOptions) bool {
 	return p != nil && len(p.Levels) > 0 && int64(o.Hi-o.Lo) >= int64(o.Bins)
 }
 
+// MaxSummaryCells bounds the per-bin state one window summary may hold:
+// bins times the rows it keeps, one per type seen and one per busy
+// (node, cpu) lane. stats.MaxBins caps the bins a caller names; this caps
+// what those bins cost on the trace at hand, since every row is bins
+// wide. It is checked as each accumulator allocates a row, and the scan
+// engine's accumulators share it (summarizeScan), so a summary over
+// budget fails with ErrSummaryBudget having held at most two budgets at
+// any worker count. A
+// 216×4 sweep cell at 64 bins (864 lanes, 6 types) uses 1.3% of it;
+// sPPM 4×8 at stats.MaxBins (4 lanes, 7 types) 17%.
+const MaxSummaryCells = 1 << 22
+
+// scanAccRows is the row count the scan engine sizes its accumulators
+// for (a wide machine's lanes, about): summarizeScan keeps no more
+// accumulators than give each a share of MaxSummaryCells this many rows
+// wide.
+const scanAccRows = 1024
+
+// ErrSummaryBudget is the error SummarizeWindow wraps when a summary
+// would pass MaxSummaryCells: a request too large for the trace, which a
+// caller can fix by asking for fewer bins.
+var ErrSummaryBudget = errors.New("interval: summary over its cell budget")
+
+// budgetErr is the error of a summary at bins whose rows pass
+// MaxSummaryCells. It names bins alone, so every engine and worker
+// count refuses a request in the same words.
+func budgetErr(bins int) error {
+	return fmt.Errorf("%w: %d bins × more than %d type and lane rows pass %d cells (ask for fewer bins)",
+		ErrSummaryBudget, bins, MaxSummaryCells/bins, MaxSummaryCells)
+}
+
+// errShare is a scan accumulator passing its share of MaxSummaryCells.
+// It is not the window's failure: summarizeScan answers it.
+var errShare = errors.New("interval: summary accumulator over its share")
+
 // binAcc holds a window's per-bin integer sums: what a scan worker
 // accumulates its frames into, and the total either engine finishes
 // from. Every field merges by addition, concatenation or set union, so
 // the order and grouping in which frames reach an accumulator cannot
 // show in the summary.
 type binAcc struct {
-	bins   int
-	byType map[events.Type][]clock.Time // one row of bins per type
-	byLane map[uint32][]clock.Time      // one row of bins per Lane.key()
+	bins int
+	// limit is the cells the accumulator may hold: MaxSummaryCells, or a
+	// scan accumulator's share of it.
+	limit int
+	// noLanes is WindowSummaryOptions.NoLanes: no lane rows are kept.
+	noLanes bool
+	types   rowSet // one row of bins per type, keyed by events.Type
+	lanes   rowSet // one row of bins per busy lane, keyed by Lane.key()
+	// slab holds the cells the next rows are cut from.
+	slab []clock.Time
 	// across is the set of (type, zero-width bin) pairs an interval
 	// reached across without overlap; only a window narrower than its bin
-	// count has such bins.
+	// count has such bins (nil until one does).
 	across map[typeBin]struct{}
 	// starts/ends are the clipped endpoints of every busy interval, for
 	// the scan engine's concurrency sweep.
@@ -139,56 +192,113 @@ type typeBin struct {
 	bin int
 }
 
-func newBinAcc(bins int) *binAcc {
-	return &binAcc{
-		bins:   bins,
-		byType: map[events.Type][]clock.Time{},
-		byLane: map[uint32][]clock.Time{},
-		across: map[typeBin]struct{}{},
-	}
+// rowSet is a set of rows found by key through an open-addressing index,
+// not a map: the scan looks a lane row up for every busy record.
+type rowSet struct {
+	keys []uint32
+	rows [][]clock.Time
+	// slots holds row index+1 at a key's probe position (0 = empty); its
+	// length is a power of two and it is kept at most half full.
+	slots []int32
 }
 
-func (a *binAcc) typeRow(t events.Type) []clock.Time {
-	row := a.byType[t]
-	if row == nil {
-		row = make([]clock.Time, a.bins)
-		a.byType[t] = row
-	}
-	return row
+func newBinAcc(o WindowSummaryOptions, limit int) *binAcc {
+	return &binAcc{bins: o.Bins, limit: limit, noLanes: o.NoLanes,
+		types: rowSet{slots: make([]int32, 16)}, lanes: rowSet{slots: make([]int32, 16)}}
 }
 
-func (a *binAcc) laneRow(key uint32) []clock.Time {
-	row := a.byLane[key]
-	if row == nil {
-		row = make([]clock.Time, a.bins)
-		a.byLane[key] = row
+// slot returns key's first probe position.
+func (s *rowSet) slot(key uint32) int {
+	h := key * 0x9e3779b1
+	return int((h ^ h>>15) & uint32(len(s.slots)-1))
+}
+
+// row returns the row for key in set s (a.types or a.lanes), allocating
+// it zeroed on first sight unless that would pass the accumulator's
+// limit.
+func (a *binAcc) row(s *rowSet, key uint32) ([]clock.Time, error) {
+	mask := len(s.slots) - 1
+	i := s.slot(key)
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		if r := s.slots[i] - 1; s.keys[r] == key {
+			return s.rows[r], nil
+		}
 	}
-	return row
+	n := len(a.types.rows) + len(a.lanes.rows)
+	if (n+1)*a.bins > a.limit {
+		if a.limit < MaxSummaryCells {
+			return nil, errShare
+		}
+		return nil, budgetErr(a.bins)
+	}
+	// Rows are cut from slabs that grow with the rows allocated so far,
+	// up to slabCells: a handful of allocations per accumulator.
+	const slabCells = 4096
+	if len(a.slab) < a.bins {
+		a.slab = make([]clock.Time, max(1, min(n, slabCells/a.bins))*a.bins)
+	}
+	row := a.slab[:a.bins:a.bins]
+	a.slab = a.slab[a.bins:]
+	s.keys, s.rows = append(s.keys, key), append(s.rows, row)
+	s.slots[i] = int32(len(s.rows))
+	if 2*len(s.rows) > len(s.slots) {
+		s.slots = make([]int32, 2*len(s.slots))
+		for r, k := range s.keys {
+			j := s.slot(k)
+			for s.slots[j] != 0 {
+				j = (j + 1) & (len(s.slots) - 1)
+			}
+			s.slots[j] = int32(r + 1)
+		}
+	}
+	return row, nil
 }
 
 // addBatch applies every record of one frame: its busy overlap with each
 // bin it crosses and its clipped endpoints.
-func (a *binAcc) addBatch(b *Batch, g *BinGrid) {
-	for i := 0; i < b.N; i++ {
-		dura := b.Dura[i]
+func (a *binAcc) addBatch(b *Batch, g *BinGrid) error {
+	n := b.N
+	// Room for every record's endpoints, checked once per frame (the scan
+	// reserves it up front). On an error the accumulator is abandoned
+	// with the query, so only success stores the new lengths back.
+	starts, ends := slices.Grow(a.starts, n), slices.Grow(a.ends, n)
+	k := len(starts)
+	starts, ends = starts[:k+n], ends[:k+n]
+	lo, hi := g.lo, g.hi
+	// The last type seen and its row: consecutive records share types far
+	// more often than lanes.
+	var ltyp events.Type
+	var trow []clock.Time
+	var err error
+	for i, dura := range b.Dura[:n] {
 		if dura < 0 {
 			continue
 		}
-		s, e := b.Start[i], b.Start[i]+dura
-		cs, ce := max(s, g.lo), min(e, g.hi)
+		s := b.Start[i]
+		cs, ce := max(s, lo), min(s+dura, hi)
 		if cs >= ce {
 			continue
 		}
 		typ := b.Type[i]
-		trow := a.typeRow(typ)
+		if trow == nil || typ != ltyp {
+			if trow, err = a.row(&a.types, uint32(typ)); err != nil {
+				return err
+			}
+			ltyp = typ
+		}
 		var lrow []clock.Time
 		if busyType(typ) {
-			lrow = a.laneRow(Lane{Node: b.Node[i], CPU: b.CPU[i]}.key())
-			a.starts, a.ends = append(a.starts, cs), append(a.ends, ce)
+			if !a.noLanes {
+				if lrow, err = a.row(&a.lanes, Lane{Node: b.Node[i], CPU: b.CPU[i]}.key()); err != nil {
+					return err
+				}
+			}
+			starts[k], ends[k] = cs, ce
+			k++
 		}
 		for o := g.Overlaps(cs, ce); o.Next(); {
 			if o.Dur == 0 {
-				a.across[typeBin{typ, o.Bin}] = struct{}{}
+				a.addAcross(typ, o.Bin)
 				continue
 			}
 			trow[o.Bin] += o.Dur
@@ -197,30 +307,43 @@ func (a *binAcc) addBatch(b *Batch, g *BinGrid) {
 			}
 		}
 	}
+	a.starts, a.ends = starts[:k], ends[:k]
+	return nil
+}
+
+// addAcross records that an interval of typ reached across zero-width
+// bin bin.
+func (a *binAcc) addAcross(typ events.Type, bin int) {
+	if a.across == nil {
+		a.across = map[typeBin]struct{}{}
+	}
+	a.across[typeBin{typ, bin}] = struct{}{}
 }
 
 // merge adds b into a.
-func (a *binAcc) merge(b *binAcc) {
-	for t, row := range b.byType {
-		dst := a.typeRow(t)
-		for i, v := range row {
-			dst[i] += v
-		}
-	}
-	for l, row := range b.byLane {
-		dst := a.laneRow(l)
-		for i, v := range row {
-			dst[i] += v
+func (a *binAcc) merge(b *binAcc) error {
+	for _, set := range []struct{ dst, src *rowSet }{{&a.types, &b.types}, {&a.lanes, &b.lanes}} {
+		for r, key := range set.src.keys {
+			dst, err := a.row(set.dst, key)
+			if err != nil {
+				return err
+			}
+			for i, v := range set.src.rows[r] {
+				dst[i] += v
+			}
 		}
 	}
 	for k := range b.across {
-		a.across[k] = struct{}{}
+		a.addAcross(k.typ, k.bin)
 	}
 	a.starts, a.ends = append(a.starts, b.starts...), append(a.ends, b.ends...)
+	return nil
 }
 
-// finish turns the sums into the public summary: positive entries and
-// the zero-width bins reached across, and the window-wide lane list.
+// finish turns the sums into the public summary: positive type entries
+// and the zero-width bins reached across, and the lanes with busy time
+// anywhere in the window, sorted, with their rows laid out bin by bin in
+// one array.
 func (a *binAcc) finish(g *BinGrid, peaks []int) *WindowSummary {
 	ws := &WindowSummary{Lo: g.lo, Hi: g.hi, Bins: make([]BinSummary, g.Bins())}
 	for bi := range ws.Bins {
@@ -233,33 +356,40 @@ func (a *binAcc) finish(g *BinGrid, peaks []int) *WindowSummary {
 		}
 		b.BusyByType[t] = v
 	}
-	for t, row := range a.byType {
-		for bi, v := range row {
+	for r, key := range a.types.keys {
+		for bi, v := range a.types.rows[r] {
 			if v > 0 {
-				setType(bi, t, v)
+				setType(bi, events.Type(key), v)
 			}
 		}
 	}
 	for k := range a.across {
 		setType(k.bin, k.typ, 0)
 	}
-	for key, row := range a.byLane {
-		lane, any := Lane{Node: uint16(key >> 16), CPU: uint16(key)}, false
-		for bi, v := range row {
-			if v > 0 {
-				b := &ws.Bins[bi]
-				if b.BusyByLane == nil {
-					b.BusyByLane = map[Lane]clock.Time{}
-				}
-				b.BusyByLane[lane] = v
-				any = true
-			}
-		}
-		if any {
-			ws.Lanes = append(ws.Lanes, lane)
+	// The lane rows to keep, by key.
+	var busy []int
+	for r, row := range a.lanes.rows {
+		if slices.ContainsFunc(row, func(v clock.Time) bool { return v > 0 }) {
+			busy = append(busy, r)
 		}
 	}
-	sort.Slice(ws.Lanes, func(i, j int) bool { return ws.Lanes[i].key() < ws.Lanes[j].key() })
+	if len(busy) == 0 {
+		return ws
+	}
+	slices.SortFunc(busy, func(x, y int) int { return cmp.Compare(a.lanes.keys[x], a.lanes.keys[y]) })
+	nl := len(busy)
+	ws.Lanes = make([]Lane, nl)
+	cells := make([]clock.Time, nl*len(ws.Bins))
+	for j, r := range busy {
+		key := a.lanes.keys[r]
+		ws.Lanes[j] = Lane{Node: uint16(key >> 16), CPU: uint16(key)}
+		for bi, v := range a.lanes.rows[r] {
+			cells[bi*nl+j] = v
+		}
+	}
+	for bi := range ws.Bins {
+		ws.Bins[bi].BusyByLane = cells[bi*nl : (bi+1)*nl : (bi+1)*nl]
+	}
 	return ws
 }
 
@@ -271,33 +401,85 @@ func (a *binAcc) finish(g *BinGrid, peaks []int) *WindowSummary {
 // frame's partial would be lanes × bins words to clear and add for a
 // handful of bins touched, and integer sums do not care how they are
 // grouped.)
+//
+// The accumulators share MaxSummaryCells. There are n of them — one per
+// worker at the usual bin counts, down to a single shared one at
+// thousands of bins (decoding stays parallel; only the adds queue) —
+// each holding at most a 1/n share, at least scanAccRows rows wide. One
+// that would pass its share stops the scan, and the window is read
+// again into one accumulator holding the whole budget, which fails if
+// the window's rows pass it. So the accumulators of one pass hold at
+// most one budget between them, whatever the worker count and the
+// window's width, and a request at most two; whether it fails is the
+// window's property, the same at every width.
 func summarizeScan(files []*File, o WindowSummaryOptions) (*WindowSummary, error) {
 	g := NewBinGrid(o.Lo, o.Hi, o.Bins)
-	// accs holds every accumulator not inside a map call; however many
-	// calls MapFrames runs at once, one that finds it empty makes another.
-	var mu sync.Mutex
-	var accs []*binAcc
+	mo := MapOptions{Parallel: o.Parallel, Window: true, Lo: o.Lo, Hi: o.Hi, Context: o.Context}
+	selected, err := selectAll(files, mo)
+	if err != nil {
+		return nil, err
+	}
+	n := max(1, min(par.Workers(o.Parallel, math.MaxInt), MaxSummaryCells/scanAccRows/o.Bins))
+	accs, frames, err := scanInto(files, selected, mo, g, o, n)
+	if errors.Is(err, errShare) {
+		accs, frames, err = scanInto(files, selected, mo, g, o, 1)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(accs) == 0 {
+		accs = append(accs, newBinAcc(o, MaxSummaryCells))
+	}
+	total := accs[0]
+	total.limit = MaxSummaryCells
+	for _, a := range accs[1:] {
+		if err := total.merge(a); err != nil {
+			return nil, err
+		}
+	}
+	ws := total.finish(g, sweepPeaks(g.bounds, total.starts, total.ends))
+	ws.Engine = "scan"
+	ws.FramesDecoded = frames
+	return ws, nil
+}
+
+// scanInto maps the selected frames into at most n accumulators of a
+// 1/n share of MaxSummaryCells each (n = 1: the whole budget) and
+// returns the ones it made, with the number of frames mapped.
+func scanInto(files []*File, selected [][]FrameEntry, mo MapOptions, g *BinGrid, o WindowSummaryOptions, n int) ([]*binAcc, int, error) {
+	// The endpoints of the window's busy intervals are at most the records
+	// of the frames it selects (counts the directory holds, bounded by the
+	// file's size): each accumulator starts with room for its share, so
+	// the adds do not regrow the endpoint columns — a lone accumulator
+	// never does.
+	records := 0
+	for _, fes := range selected {
+		for _, fe := range fes {
+			records += int(fe.Records)
+		}
+	}
+	share := (records + n - 1) / n
+	// accs holds every accumulator not inside a map call, and nil for
+	// each one not made yet; a map call waits for one.
+	accs := make(chan *binAcc, n)
+	for range n {
+		accs <- nil
+	}
 	frames := 0
-	err := MapFrames(files, MapOptions{Parallel: o.Parallel, Window: true, Lo: o.Lo, Hi: o.Hi, Context: o.Context},
+	err := mapSelected(files, selected, mo,
 		func(_ int, fr *Frame) (struct{}, error) {
 			b, err := fr.Batch()
 			if err != nil {
 				return struct{}{}, err
 			}
-			var a *binAcc
-			mu.Lock()
-			if n := len(accs); n > 0 {
-				a, accs = accs[n-1], accs[:n-1]
-			}
-			mu.Unlock()
+			a := <-accs
 			if a == nil {
-				a = newBinAcc(o.Bins)
+				a = newBinAcc(o, MaxSummaryCells/n)
+				a.starts, a.ends = make([]clock.Time, 0, share), make([]clock.Time, 0, share)
 			}
-			a.addBatch(b, g)
-			mu.Lock()
-			accs = append(accs, a)
-			mu.Unlock()
-			return struct{}{}, nil
+			err = a.addBatch(b, g)
+			accs <- a
+			return struct{}{}, err
 		},
 		func(int, FrameEntry, struct{}) error {
 			// Counted from the selection, so the number does not depend
@@ -306,19 +488,16 @@ func summarizeScan(files []*File, o WindowSummaryOptions) (*WindowSummary, error
 			return nil
 		})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	total := newBinAcc(o.Bins)
-	if len(accs) > 0 {
-		total = accs[0]
-		for _, a := range accs[1:] {
-			total.merge(a)
+	close(accs)
+	var made []*binAcc
+	for a := range accs {
+		if a != nil {
+			made = append(made, a)
 		}
 	}
-	ws := total.finish(g, sweepPeaks(g.bounds, total.starts, total.ends))
-	ws.Engine = "scan"
-	ws.FramesDecoded = frames
-	return ws, nil
+	return made, frames, nil
 }
 
 // sweepPeaks returns the peak concurrency in each bin [bounds[i],
@@ -394,7 +573,7 @@ func remAfter(rems []remSpan, t clock.Time) int {
 // the partition and the identity argument.
 func summarizePyramid(f *File, p *Pyramid, o WindowSummaryOptions) (*WindowSummary, error) {
 	g := NewBinGrid(o.Lo, o.Hi, o.Bins)
-	a := newBinAcc(o.Bins)
+	a := newBinAcc(o, MaxSummaryCells)
 	peaks := make([]int, o.Bins)
 	w := int64(p.BaseWidth)
 	cellsUsed := 0
@@ -421,10 +600,21 @@ func summarizePyramid(f *File, p *Pyramid, o WindowSummaryOptions) (*WindowSumma
 			if c := p.Levels[lvl].Cell(idx); c != nil {
 				peaks[bi] = max(peaks[bi], c.MaxConc)
 				for _, tb := range c.ByType {
-					a.typeRow(tb.Type)[bi] += tb.Busy
+					row, err := a.row(&a.types, uint32(tb.Type))
+					if err != nil {
+						return nil, err
+					}
+					row[bi] += tb.Busy
 				}
 				for _, lb := range c.ByLane {
-					a.laneRow(lb.Lane.key())[bi] += lb.Busy
+					if a.noLanes {
+						break // no lane rows kept
+					}
+					row, err := a.row(&a.lanes, lb.Lane.key())
+					if err != nil {
+						return nil, err
+					}
+					row[bi] += lb.Busy
 				}
 			}
 			x += p.Levels[lvl].Width
@@ -486,12 +676,31 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 		pooled = batchPool.Get().(*Batch)
 		defer batchPool.Put(pooled)
 	}
+	// reach returns the remainders a frame overlaps, rems[lo:hi]: the
+	// frame is fetched when there are any, and its records go to those
+	// alone. The hull's other frames lie between remainders — the
+	// interior of a window whose first and last bins have one is all of
+	// them.
+	reach := func(fe FrameEntry) (lo, hi int) {
+		lo, hi = remAfter(rems, fe.Start), remAfter(rems, fe.End)
+		if hi < len(rems) && rems[hi].r0 <= fe.End {
+			hi++
+		}
+		return lo, hi
+	}
+	records := 0
+	for _, fe := range hull {
+		if lo, hi := reach(fe); hi > lo {
+			records += int(fe.Records)
+		}
+	}
 	// The clipped endpoints of every busy interval reaching a remainder,
 	// each interval once however many it reaches, in buffers a warm query
-	// reuses.
+	// reuses — with room for every record of the fetched frames made once,
+	// as the scan makes it, so the appends never regrow them.
 	eps := endpointPool.Get().(*endpoints)
 	defer endpointPool.Put(eps)
-	starts, ends := eps.starts[:0], eps.ends[:0]
+	starts, ends := slices.Grow(eps.starts[:0], records), slices.Grow(eps.ends[:0], records)
 	defer func() { eps.starts, eps.ends = starts, ends }()
 	var near []remSpan // the frame being resolved's remainders
 	add := func(b *Batch, _ bool) (any, int64, error) {
@@ -512,17 +721,24 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 				continue
 			}
 			busy := busyType(typ)
-			trow := a.typeRow(typ)
+			trow, err := a.row(&a.types, uint32(typ))
+			if err != nil {
+				return nil, 0, err
+			}
 			var lrow []clock.Time
 			if busy {
-				lrow = a.laneRow(Lane{Node: b.Node[ri], CPU: b.CPU[ri]}.key())
+				if !a.noLanes {
+					if lrow, err = a.row(&a.lanes, Lane{Node: b.Node[ri], CPU: b.CPU[ri]}.key()); err != nil {
+						return nil, 0, err
+					}
+				}
 				starts, ends = append(starts, cs), append(ends, ce)
 			}
 			for ; k < len(near) && near[k].r0 < ce; k++ {
 				rs := &near[k]
 				ov := min(ce, rs.r1) - max(cs, rs.r0)
 				trow[rs.bin] += ov
-				if busy {
+				if lrow != nil {
 					lrow[rs.bin] += ov
 				}
 			}
@@ -531,12 +747,7 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 	}
 	frames := 0
 	for _, fe := range hull {
-		// The remainders the frame overlaps are rems[lo:hi]; its records
-		// go to those alone.
-		lo, hi := remAfter(rems, fe.Start), remAfter(rems, fe.End)
-		if hi < len(rems) && rems[hi].r0 <= fe.End {
-			hi++
-		}
+		lo, hi := reach(fe)
 		if hi <= lo {
 			continue
 		}

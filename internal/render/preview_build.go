@@ -65,6 +65,9 @@ func BuildPreview(mf *interval.File, opts PreviewOptions) (*PreviewResult, error
 		Lo:      t0,
 		Hi:      t1,
 		Context: opts.Context,
+		// Only the type rows are drawn: a wide machine's lanes cost the
+		// preview nothing.
+		NoLanes: true,
 	})
 	if err != nil {
 		return nil, err

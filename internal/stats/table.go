@@ -19,13 +19,16 @@ type Table struct {
 	// expression referenced a field their state type does not carry.
 	Skipped int64
 	// Engine reports which summary engine answered a time-resolved
-	// table ("pyramid" or "scan", interval.SummarizeWindow's choice) and
-	// CellsUsed/FramesDecoded what it consulted. Zero for spec-driven
-	// tables. Output is byte-identical either way; the fields are
-	// observability only (they are not part of TSV).
+	// table ("pyramid" or "scan", interval.SummarizeWindow's choice),
+	// CellsUsed/FramesDecoded what it consulted and Lanes how many busy
+	// (node, cpu) lanes the window holds — each costs the summary a row
+	// of bins. Zero for spec-driven tables. Output is byte-identical
+	// either way; the fields are observability only (they are not part
+	// of TSV).
 	Engine        string `json:",omitempty"`
 	CellsUsed     int    `json:",omitempty"`
 	FramesDecoded int    `json:",omitempty"`
+	Lanes         int    `json:",omitempty"`
 	// Group reports which group-by folded a spec-driven table's rows
 	// over the frames the run evaluated: "dense" (direct index), "hash",
 	// or "mixed"; empty when no evaluated frame had a row for it.

@@ -43,7 +43,7 @@ func TimeResolved(files []*interval.File, bins int, opts interval.MapOptions) ([
 	}
 	tabs := []*Table{busyTable(ws), laneTable(ws), concurrencyRows(ws)}
 	for _, t := range tabs {
-		t.Engine, t.CellsUsed, t.FramesDecoded = ws.Engine, ws.CellsUsed, ws.FramesDecoded
+		t.Engine, t.CellsUsed, t.FramesDecoded, t.Lanes = ws.Engine, ws.CellsUsed, ws.FramesDecoded, len(ws.Lanes)
 	}
 	return tabs, nil
 }
@@ -51,7 +51,10 @@ func TimeResolved(files []*interval.File, bins int, opts interval.MapOptions) ([
 // MaxBins is the most time bins a statistics request may ask for:
 // per-bin state is allocated up front, so the count a caller names has
 // to be bounded by something other than the caller. utestats and the
-// trace service's /stats reject larger values outright.
+// trace service's /stats reject larger values outright. What the bins
+// cost on a given trace — a row per type and per busy lane, each bins
+// wide — is bounded beside it by interval.MaxSummaryCells: a time-
+// resolved summary past that fails with interval.ErrSummaryBudget.
 const MaxBins = 1 << 16
 
 // busyTable: one row per (bucket, state type) with any busy time, in

@@ -8,6 +8,7 @@ package stats_test
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -88,6 +89,63 @@ func TestTimeResolvedPyramidMatchesScan(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTimeResolvedManyLanes is the differential on a 40 × 4 machine
+// running 4 tasks a node (160 lanes): the sidecar kept under the trace's
+// size by few base cells, windows and bins on cell bounds and off them,
+// the three tables byte-identical from both engines and from the scan
+// at any width — and a bin count whose lane rows pass the summary's cell
+// budget refused by both engines with the same error.
+func TestTimeResolvedManyLanes(t *testing.T) {
+	raws := testutil.RunWorkload(t, testutil.Shape{Nodes: 40, TasksPerNode: 4, CPUs: 4, Seed: 7}, testutil.NestedWork(3))
+	files := testutil.ConvertRun(t, raws, interval.WriterOptions{})
+	path := testutil.MergeToDisk(t, files, merge.Options{Writer: interval.WriterOptions{FrameBytes: 4096}})
+	mf, bare := testutil.OpenSidecarPair(t, path, interval.PyramidOptions{BaseCells: 16})
+	t0, t1, _, err := mf.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	span, w := t1-t0, mf.Pyramid().BaseWidth
+	alo := (t0 + w - 1) / w * w // the first cell bound in the run
+	for _, tc := range []struct {
+		name string
+		bins int
+		opts interval.MapOptions
+	}{
+		{"full-1", 1, interval.MapOptions{}},
+		{"full-64", 64, interval.MapOptions{}},
+		{"odd-window", 13, interval.MapOptions{Window: true, Lo: t0 + 7, Hi: t1 - span/5}},
+		{"aligned-4", 4, interval.MapOptions{Window: true, Lo: alo, Hi: alo + 8*w}},
+		{"aligned-8", 8, interval.MapOptions{Window: true, Lo: alo, Hi: alo + 8*w}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pyr := timeResolved(t, []*interval.File{mf}, tc.bins, tc.opts, "pyramid")
+			scan := timeResolved(t, []*interval.File{bare}, tc.bins, tc.opts, "scan")
+			tc.opts.Parallel = 4
+			par := timeResolved(t, []*interval.File{bare}, tc.bins, tc.opts, "scan")
+			if scan[0].Lanes < 128 || pyr[0].Lanes != scan[0].Lanes {
+				t.Fatalf("lanes: pyramid %d, scan %d; want the same, at least 128", pyr[0].Lanes, scan[0].Lanes)
+			}
+			if got, want := renderTables(pyr), renderTables(scan); got != want {
+				t.Fatalf("tables differ between engines:\npyramid:\n%s\nscan:\n%s", got, want)
+			}
+			if renderTables(par) != renderTables(scan) {
+				t.Fatal("tables differ between Parallel 1 and 4")
+			}
+		})
+	}
+	var msgs []string
+	for _, f := range []*interval.File{mf, bare} {
+		_, err := stats.TimeResolved([]*interval.File{f}, stats.MaxBins, interval.MapOptions{})
+		if !errors.Is(err, interval.ErrSummaryBudget) {
+			t.Fatalf("%d bins over 160 lanes (sidecar attached: %v): error %v, want the cell budget's", stats.MaxBins, f.Pyramid() != nil, err)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] {
+		t.Fatalf("engines refuse differently:\n%s\n%s", msgs[0], msgs[1])
 	}
 }
 

@@ -424,9 +424,10 @@ func parseWindow(r *http.Request) (lo, hi clock.Time, ok bool, err error) {
 	return lo, hi, true, nil
 }
 
-// parseBins reads ?bins=N, def when absent. Per-bin state is allocated
-// before any record is read, so N is capped at stats.MaxBins: one GET
-// cannot ask for gigabytes.
+// parseBins reads ?bins=N, def when absent, capped at stats.MaxBins.
+// That alone does not bound a request: every type and busy lane a
+// summary meets costs a row N bins wide, so the summary itself stops at
+// interval.MaxSummaryCells and the request answers 400 (summaryErr).
 func parseBins(q url.Values, def int) (int, error) {
 	bs := q.Get("bins")
 	if bs == "" {
@@ -437,6 +438,15 @@ func parseBins(q url.Values, def int) (int, error) {
 		return 0, badRequest("bad bins %q (1 to %d)", bs, stats.MaxBins)
 	}
 	return bins, nil
+}
+
+// summaryErr turns a window summary over its cell budget into a 400:
+// the request named more bins than this trace's types and lanes allow.
+func summaryErr(err error) error {
+	if errors.Is(err, interval.ErrSummaryBudget) {
+		return badRequest("%v", err)
+	}
+	return err
 }
 
 // handleStats runs a statistics program over the trace. The default
@@ -473,6 +483,7 @@ func (s *Service) handleStats(r *http.Request, t *Trace) (*response, error) {
 			return nil, badRequest("timeresolved=1 does not take an expr")
 		}
 		run.Tables, err = stats.TimeResolved([]*interval.File{t.file}, bins, opts)
+		err = summaryErr(err)
 		if err == nil && len(run.Tables) > 0 {
 			tb := run.Tables[0]
 			s.met.observeSummary(tb.Engine, tb.CellsUsed, tb.FramesDecoded)
@@ -696,7 +707,7 @@ func (s *Service) handlePreview(r *http.Request, t *Trace) (*response, error) {
 		}
 		res, err := render.BuildPreview(t.file, popts)
 		if err != nil {
-			return nil, err
+			return nil, summaryErr(err)
 		}
 		s.met.observeSummary(res.Engine, res.CellsUsed, res.FramesDecoded)
 		return &response{status: http.StatusOK, contentType: "image/svg+xml", body: []byte(render.PreviewSVG(res.Preview))}, nil
