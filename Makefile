@@ -48,7 +48,7 @@ race:
 # 1 160 with dense lane rows; a lane map per bin made it about 2 260).
 # SlogmergePerEventSmall is utemerge -slog's merge and SLOG build
 # (slog.MergeFiles) over a small storm trace.
-# StatsColumnar's columnar-cold/-warm, concat and predefined-sppm cases
+# StatsColumnar's columnar-cold, concat, hash and predefined-sppm cases
 # live in the root package and fail when a run allocates more than a
 # fixed number of objects per record (the stats path must not allocate
 # per record or per group per frame, and a string concatenation must not
@@ -66,13 +66,16 @@ race:
 # ServePreview's pyramid-warm rung asks a window that lands on no
 # base-cell bound twice as a preview and twice as a time-resolved table,
 # then fails unless every later asking (two per op) is an answer hit, when
-# any reads a frame, when a decoded frame is resident (a frame read only
-# to compute something is never admitted), or when a body differs from
-# the first answer; the table's JSON form must fetch exactly the frames
-# overlapping the window's edge remainders (counted by the test from the
-# bin edges and the base width) and leave none of them resident.
+# any reads a frame, or when a body differs from the first answer; the
+# table's JSON form must fetch exactly the frames overlapping the window's
+# edge remainders (counted by the test from the bin edges and the base
+# width).
+# ServeRecordsPage reads one /records page spanning several frames, cold
+# and re-read, and ServeScanPoll re-asks a time-resolved table the scan
+# engine answers at a fresh key, a live poll's shape; both report
+# frames/op and fail when a body differs from the first.
 bench-smoke:
-	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|SlogmergePerEventSmall|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|IntervalWriterThroughput|ServeWindow|ServeStatsWarm|ServePreview|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|Tracegen|CutTraceRecord|SweepCell|SummarizeWide|^BenchmarkIngest$$|IngestHTTP' -benchtime 1x .
+	$(GO) test -run xxx -bench 'ConvertPerEvent|ConvertParallel|SlogmergePerEventSmall|StatsWindow|StatsParallel|StatsColumnar|IntervalEncodeV4|IntervalScanV4|IntervalWriterThroughput|ServeWindow|ServeStatsWarm|ServePreview|ServeRecordsPage|ServeScanPoll|PreviewZoom|RouterWindow|UteloadSmoke|SchedHotLoop|Tracegen|CutTraceRecord|SweepCell|SummarizeWide|^BenchmarkIngest$$|IngestHTTP' -benchtime 1x .
 	$(GO) test -run xxx -bench 'StatsColumnar' -benchtime 1x ./internal/stats
 
 # A short fuzz of every target, one at a time (the fuzz engine allows a

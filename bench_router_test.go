@@ -1,13 +1,14 @@
 package tracefw
 
 // Benchmarks for the horizontal serving tier (internal/shard): the
-// router's scatter-gather window path, and the cache-capacity scaling
+// router's scatter-gather window path, and the memo-capacity scaling
 // argument behind running N backends at all. On a single-CPU machine
-// adding backends cannot add compute, but it does add aggregate
-// decoded-frame cache: the router splits a trace's frame ranges across
-// the fleet, so each backend's working set shrinks with N. When one
-// backend's cache cannot hold the whole trace, a fleet whose combined
-// cache can turns every warm query from a decode back into a lookup.
+// adding backends cannot add compute, but it does add memo capacity: the
+// router splits a trace's frame ranges across the fleet and sends each
+// window's aggregations to one owner, so each backend's share of the
+// stored answers and partials shrinks with N. When one backend's memo
+// cannot hold a lap's working set, a fleet whose combined memo can turns
+// every warm query from a recomputation back into a lookup.
 
 import (
 	"context"
@@ -33,7 +34,7 @@ type routerFleet struct {
 	windows  []string
 }
 
-// benchRouterFleet builds a fleet whose per-backend cache budget is
+// benchRouterFleet builds a fleet whose per-backend memo budget is
 // cacheBytes (0 = default 256 MiB) over one trace of n records, split
 // across the backends from the first frame directory on.
 func benchRouterFleet(b *testing.B, nBackends int, cacheBytes int64, n int) *routerFleet {
@@ -64,8 +65,8 @@ func benchRouterFleet(b *testing.B, nBackends int, cacheBytes int64, n int) *rou
 	f.id = info.ID
 
 	// Eight windows tiling the whole run: cycling through them sweeps
-	// every frame, which is the cache's worst case when it cannot hold
-	// the trace and its best case when it can.
+	// every frame, which is the memo's worst case when it cannot hold a
+	// lap's working set and its best case when it can.
 	const nw = 8
 	span := float64(info.EndNs-info.StartNs) / 1e9
 	lo := float64(info.StartNs) / 1e9
@@ -76,9 +77,24 @@ func benchRouterFleet(b *testing.B, nBackends int, cacheBytes int64, n int) *rou
 	return f
 }
 
+// query counts the records of window i (modulo the windows) through
+// the router.
 func (f *routerFleet) query(b *testing.B, i int) {
+	f.get(b, fmt.Sprintf("/v1/traces/%s/records?window=%s&count=1", f.id, f.windows[i%len(f.windows)]))
+}
+
+// lapQuery is request i of the lap cycle: the predefined stats tables
+// (even i) and a record count (odd i) of each window in turn.
+func (f *routerFleet) lapQuery(b *testing.B, i int) {
+	if i%2 == 1 {
+		f.query(b, i/2)
+		return
+	}
+	f.get(b, fmt.Sprintf("/v1/traces/%s/stats?bins=16&window=%s", f.id, f.windows[i/2%len(f.windows)]))
+}
+
+func (f *routerFleet) get(b *testing.B, url string) {
 	b.Helper()
-	url := fmt.Sprintf("/v1/traces/%s/records?window=%s&count=1", f.id, f.windows[i%len(f.windows)])
 	w := httptest.NewRecorder()
 	f.router.Handler().ServeHTTP(w, httptest.NewRequest("GET", url, nil))
 	if w.Code != http.StatusOK {
@@ -86,15 +102,19 @@ func (f *routerFleet) query(b *testing.B, i int) {
 	}
 }
 
-// decodedBytes sums the backends' decoded-frame cache occupancy.
-func (f *routerFleet) cacheStats() (bytes, hits, misses int64) {
+// memoStats sums the backends' memo counters.
+func (f *routerFleet) memoStats() (sum tracesvc.CacheStats) {
 	for _, svc := range f.backends {
 		st := svc.Cache().Stats()
-		bytes += st.Bytes
-		hits += st.Hits
-		misses += st.Misses
+		sum.PartialHits += st.PartialHits
+		sum.PartialMisses += st.PartialMisses
+		sum.PartialBytes += st.PartialBytes
+		sum.AnswerHits += st.AnswerHits
+		sum.AnswersOnce += st.AnswersOnce
+		sum.AnswersStored += st.AnswersStored
+		sum.AnswerBytes += st.AnswerBytes
 	}
-	return
+	return sum
 }
 
 // BenchmarkRouterWindow measures one warm scatter-gathered window count
@@ -134,42 +154,54 @@ func BenchmarkUteloadSmoke(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterScaling is the capacity argument measured: the same
-// window sweep against 1, 2, and 4 backends whose per-backend cache
-// holds ~60% of the trace's decoded frames. One backend evicts on every
-// lap (a cyclic sweep is LRU's worst case) and pays the decode price
-// per query; two backends each own roughly half the frame ranges, fit
-// them, and serve every warm query from cache. hitratio is printed per
-// op so the mechanism is visible next to the time.
+// BenchmarkRouterScaling is the capacity argument measured: the same lap
+// — the predefined stats tables and a record count over each of eight
+// windows tiling the run — against 1, 2 and 4 backends whose per-backend
+// memo budget holds ~60% of one lap's stored answers and partials. The
+// router sends a window's stats whole to the backend owning its midpoint
+// and each count leg to the backend owning its frames, so a backend's
+// share of the working set shrinks with N. One backend evicts on every
+// lap (a cyclic sweep is LRU's worst case) and recomputes every query;
+// two or more hold their shares and answer from the memo. The answer and
+// partial hit ratios are printed per op so the mechanism is visible next
+// to the time.
 func BenchmarkRouterScaling(b *testing.B) {
 	const records = 20000
-	// Probe the decoded working set with an uncapped single backend.
+	// Probe a lap's working set with an uncapped single backend: two laps
+	// store every answer and partial.
 	probe := benchRouterFleet(b, 1, 0, records)
-	for i := range probe.windows {
-		probe.query(b, i)
+	lap := 2 * len(probe.windows)
+	for i := 0; i < 2*lap; i++ {
+		probe.lapQuery(b, i)
 	}
-	working, _, _ := probe.cacheStats()
-	if working == 0 {
-		b.Fatal("probe decoded nothing")
+	ps := probe.memoStats()
+	working := ps.AnswerBytes + ps.PartialBytes
+	if ps.AnswersStored == 0 || ps.PartialBytes == 0 {
+		b.Fatalf("probe stored nothing: %+v", ps)
 	}
 	perBackend := working * 6 / 10
 
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("backends-%d", n), func(b *testing.B) {
 			f := benchRouterFleet(b, n, perBackend, records)
-			for i := range f.windows { // warm lap
-				f.query(b, i)
+			for i := 0; i < 2*lap; i++ { // two warm laps
+				f.lapQuery(b, i)
 			}
-			_, h0, m0 := f.cacheStats()
+			s0 := f.memoStats()
 			runtime.GC()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.query(b, i)
+				f.lapQuery(b, i)
 			}
 			b.StopTimer()
-			_, h1, m1 := f.cacheStats()
-			if dh, dm := h1-h0, m1-m0; dh+dm > 0 {
-				b.ReportMetric(float64(dh)/float64(dh+dm), "hitratio")
+			s1 := f.memoStats()
+			hits, asked := s1.AnswerHits-s0.AnswerHits, s1.AnswerHits+s1.AnswersOnce+s1.AnswersStored-s0.AnswerHits-s0.AnswersOnce-s0.AnswersStored
+			if asked > 0 {
+				b.ReportMetric(float64(hits)/float64(asked), "answer-hitratio")
+			}
+			hits, asked = s1.PartialHits-s0.PartialHits, s1.PartialHits+s1.PartialMisses-s0.PartialHits-s0.PartialMisses
+			if asked > 0 {
+				b.ReportMetric(float64(hits)/float64(asked), "partial-hitratio")
 			}
 		})
 	}

@@ -731,11 +731,9 @@ func BenchmarkStatsParallel(b *testing.B) {
 
 // BenchmarkStatsColumnar is the columnar-engine headline: one
 // multi-table program through the vectorized kernels decoding v4 frames
-// straight into pooled batches (columnar-cold), and through the kernels
-// handed cached batches by a frame-decode hook the way the trace service
-// runs them (columnar-warm: no read, no decode, no copy). The scalar
-// baseline over the same trace and program sits beside the oracle it
-// measures: BenchmarkStatsColumnar/scalar in internal/stats.
+// straight into pooled batches (columnar-cold). The scalar baseline over
+// the same trace and program sits beside the oracle it measures:
+// BenchmarkStatsColumnar/scalar in internal/stats.
 // predefined-sppm is what the ledger's read-side workloads spend their
 // time in — the predefined tables over the 4×8 sPPM trace — and concat
 // groups by a string concatenation over the storm trace, and hash by a
@@ -776,31 +774,15 @@ func BenchmarkStatsColumnar(b *testing.B) {
 			}
 		}
 	}
-	// warm serves every frame from a decoded-batch cache for the length
-	// of run.
-	warm := func(mf *interval.File, run func(b *testing.B)) func(b *testing.B) {
-		return func(b *testing.B) {
-			testutil.ResidentFrames(b, mf)
-			defer mf.SetFrameSource(nil)
-			run(b)
-		}
-	}
-
 	stormFile := windowBenchFile(b)
 	storm := bench(stormFile, `table name=busy x=("state", state) y=("t", dura, sum) y=("n", dura, count)
 table name=bynode x=("node", node) x=("bin", bin(start, 50)) y=("t", dura, sum)
 table name=sends condition=(msgSizeSent > 0) x=("node", node) y=("bytes", msgSizeSent, sum)`)
 	b.Run("columnar-cold", storm)
-	b.Run("columnar-warm", warm(stormFile, storm))
 	b.Run("concat", bench(stormFile, `table name=concat x=("s", state + bebits) y=("t", dura, sum) y=("n", dura, count)`))
 	// A float key: no dense index, every row finds its group by hash.
 	b.Run("hash", bench(stormFile, `table name=hash x=("d", dura) x=("n", node) y=("t", dura, sum) y=("n", dura, count)`))
-	b.Run("predefined-sppm", func(b *testing.B) {
-		mf := sppmBenchFile(b)
-		sppm := bench(mf, stats.Predefined(50))
-		b.Run("cold", sppm)
-		b.Run("warm", warm(mf, sppm))
-	})
+	b.Run("predefined-sppm", bench(sppmBenchFile(b), stats.Predefined(50)))
 }
 
 // sppmBenchTrace is the ledger's pipeline_sppm_4x8 trace built in
@@ -1036,6 +1018,126 @@ func BenchmarkServeStatsWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkServeRecordsPage reads one /records page through the trace
+// service's handler: 200 records from an offset inside a window over the
+// middle half of the run, a page spanning at least 4 frames. A page is
+// never memoized whole. cold flushes the cache before every request;
+// reread asks the page at a fresh answer key after two warm-up askings.
+// It reports frames/op, the frame payloads one request read, and fails
+// when a body differs from the first.
+func BenchmarkServeRecordsPage(b *testing.B) {
+	for _, rung := range []struct {
+		name  string
+		flush bool
+	}{{"cold", true}, {"reread", false}} {
+		b.Run(rung.name, func(b *testing.B) {
+			svc, tr, _ := serveBench(b, 20000)
+			defer svc.Close()
+			start, end, _ := tr.Bounds()
+			window := fmt.Sprintf("%.9f:%.9f", (start + (end-start)/4).Seconds(), (start + (end-start)*3/4).Seconds())
+			const offset, limit = 1000, 200
+			url := fmt.Sprintf("/v1/traces/%s/records?window=%s&offset=%d&limit=%d", tr.ID, window, offset, limit)
+			if spans := pageFrames(b, tr, window, offset, limit); spans < 4 {
+				b.Fatalf("the page spans %d frames, want at least 4", spans)
+			}
+			serve := func(u string) string {
+				w := httptest.NewRecorder()
+				svc.Handler().ServeHTTP(w, httptest.NewRequest("GET", u, nil))
+				if w.Code != 200 {
+					b.Fatalf("GET %s: %d %s", u, w.Code, w.Body)
+				}
+				return w.Body.String()
+			}
+			first := serve(url)
+			serve(url + "&ask=0")
+			runtime.GC()
+			b.ResetTimer()
+			decoded := tr.File().DecodedFrames()
+			for i := 0; i < b.N; i++ {
+				if rung.flush {
+					svc.Cache().Flush()
+				}
+				if serve(url+"&ask="+strconv.Itoa(i+1)) != first {
+					b.Fatalf("asking %d: the page differs from the first", i+3)
+				}
+			}
+			b.ReportMetric(float64(tr.File().DecodedFrames()-decoded)/float64(b.N), "frames/op")
+		})
+	}
+}
+
+// pageFrames counts the frames holding records of the page [offset,
+// offset+limit) of window, from fresh decodes of the frames.
+func pageFrames(b *testing.B, tr *tracesvc.Trace, window string, offset, limit int) int {
+	b.Helper()
+	lo, hi, err := clock.ParseWindow(window)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, spans := 0, 0
+	for _, fe := range tr.Frames() {
+		if fe.End < lo || fe.Start > hi {
+			continue
+		}
+		fb, err := tr.File().ReadFrameBatch(fe)
+		if err != nil {
+			b.Fatal(err)
+		}
+		first := n
+		for i := 0; i < fb.N; i++ {
+			if fb.End(i) >= lo && fb.Start[i] <= hi {
+				n++
+			}
+		}
+		if n > offset && first < offset+limit {
+			spans++
+		}
+	}
+	return spans
+}
+
+// BenchmarkServeScanPoll is a live dashboard's poll in process: the
+// time-resolved tables at 64 bins over the ledger's sPPM 4×8 trace,
+// opened without a sidecar so the scan engine answers, through the trace
+// service's handler, asked again and again at a fresh answer key (a live
+// trace's next seal generation is a fresh key too). It reports
+// frames/op, the frame payloads one poll read, and fails when a body
+// differs from the first or another engine answers.
+func BenchmarkServeScanPoll(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "sppm.ute")
+	if err := os.WriteFile(path, sppmBenchTrace(b), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	svc := tracesvc.New(tracesvc.Config{})
+	defer svc.Close()
+	tr, err := svc.Registry().Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	url := fmt.Sprintf("/v1/traces/%s/stats?timeresolved=1&bins=64", tr.ID)
+	serve := func(u string) string {
+		w := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(w, httptest.NewRequest("GET", u, nil))
+		if w.Code != 200 {
+			b.Fatalf("GET %s: %d %s", u, w.Code, w.Body)
+		}
+		return w.Body.String()
+	}
+	if plan := serve(url + "&format=json"); !strings.Contains(plan, `"engine": "scan"`) {
+		b.Fatalf("the time-resolved tables were not answered by the scan engine: %.200s", plan)
+	}
+	first := serve(url)
+	runtime.GC()
+	b.ResetTimer()
+	decoded := tr.File().DecodedFrames()
+	for i := 0; i < b.N; i++ {
+		if serve(url+"&ask="+strconv.Itoa(i)) != first {
+			b.Fatalf("poll %d: body differs from the first", i+1)
+		}
+	}
+	b.ReportMetric(float64(tr.File().DecodedFrames()-decoded)/float64(b.N), "frames/op")
+}
+
 // --- summary-pyramid preview (the O(pixels) pan/zoom path) -------------
 
 // pyramidTrace writes an n-record trace with its .pyr sidecar beside it
@@ -1105,19 +1207,17 @@ func previewWindow(b *testing.B, lo, hi clock.Time) string {
 }
 
 // BenchmarkServePreview compares the preview endpoint's engines on the
-// same aligned window: cold scan (decoded-frame cache flushed before
-// every request), warm scan (all frames resident; each request under a
-// fresh answer key, so the scan runs rather than a stored answer), and
-// pyramid — which answers from O(bins) stored cells and fails the
-// benchmark if it decodes a single frame, cache or no cache.
+// same aligned window: cold scan (cache flushed before every request),
+// scan (each request under a fresh answer key, so the scan runs rather
+// than a stored answer), and pyramid — which answers from O(bins) stored
+// cells and fails the benchmark if it decodes a single frame, cache or
+// no cache.
 func BenchmarkServePreview(b *testing.B) {
 	run := func(b *testing.B, engine string, flush, wantZero bool) {
 		svc, tr, bins, lo, hi := servePreviewBench(b, 20000, engine)
 		defer svc.Close()
 		url := fmt.Sprintf("/v1/traces/%s/preview.svg?view=preview&bins=%d&window=%s", tr.ID, bins, previewWindow(b, lo, hi))
-		// Two askings warm the cache: the preview's frame decodes lend
-		// the cache their pooled batches, so a frame becomes resident on
-		// its second use.
+		// Two askings store the answer; the scan rung asks past it.
 		serveOnce(b, svc, url)
 		serveOnce(b, svc, url)
 		if flush {
@@ -1147,10 +1247,9 @@ func BenchmarkServePreview(b *testing.B) {
 	// at each end, so every asking has edge remainders. Asked twice as a
 	// preview and twice as a time-resolved table, the window is warm: from
 	// then on the rung fails unless every asking, two per op, is an answer
-	// hit, when any asking reads a frame, when a decoded frame is
-	// resident, or when a body differs from the first answer. The table's
-	// JSON form, never memoized whole, must fetch exactly the frames
-	// overlapping the edge remainders and leave none of them resident.
+	// hit, when any asking reads a frame, or when a body differs from the
+	// first answer. The table's JSON form, never memoized whole, must
+	// fetch exactly the frames overlapping the edge remainders.
 	b.Run("pyramid-warm", func(b *testing.B) {
 		svc, tr, bins, lo, hi := servePreviewBench(b, 20000, "pyramid")
 		defer svc.Close()
@@ -1186,9 +1285,6 @@ func BenchmarkServePreview(b *testing.B) {
 				if got := tr.File().DecodedFrames() - decoded; got != 0 {
 					b.Fatalf("%s: a warm asking read %d frames", ask.url, got)
 				}
-				if cs := svc.Cache().Stats(); cs.Entries != 0 {
-					b.Fatalf("%s: %d decoded frames resident", ask.url, cs.Entries)
-				}
 			}
 		}
 		b.StopTimer()
@@ -1199,9 +1295,6 @@ func BenchmarkServePreview(b *testing.B) {
 		var plan struct{ FramesDecoded *int }
 		if err := json.Unmarshal([]byte(serve(table+"&format=json")), &plan); err != nil || plan.FramesDecoded == nil || *plan.FramesDecoded != want {
 			b.Fatalf("the JSON table fetched %v frames, want the %d overlapping its edge remainders (%v)", plan.FramesDecoded, want, err)
-		}
-		if cs := svc.Cache().Stats(); cs.Entries != 0 {
-			b.Fatalf("the JSON table left %d decoded frames resident", cs.Entries)
 		}
 		b.ReportMetric(float64(want), "remainder-frames")
 	})

@@ -1159,14 +1159,14 @@ func TestCLIServingTier(t *testing.T) {
 			P99Ms    float64 `json:"p99_ms"`
 		} `json:"warm"`
 		Backends []struct {
-			Hits            int64   `json:"hits"`
-			Misses          int64   `json:"misses"`
-			AnswerHits      int64   `json:"answer_hits"`
-			Answers         int64   `json:"answers"`
-			AnswerHitRatio  float64 `json:"answer_hit_ratio"`
-			PartialHits     int64   `json:"partial_hits"`
-			PartialMisses   int64   `json:"partial_misses"`
-			PartialHitRatio float64 `json:"partial_hit_ratio"`
+			FramesDecoded    int64   `json:"frames_decoded"`
+			FramesPerRequest float64 `json:"frames_per_request"`
+			AnswerHits       int64   `json:"answer_hits"`
+			Answers          int64   `json:"answers"`
+			AnswerHitRatio   float64 `json:"answer_hit_ratio"`
+			PartialHits      int64   `json:"partial_hits"`
+			PartialMisses    int64   `json:"partial_misses"`
+			PartialHitRatio  float64 `json:"partial_hit_ratio"`
 		} `json:"backends"`
 	}
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
@@ -1181,13 +1181,17 @@ func TestCLIServingTier(t *testing.T) {
 	if len(rep.Backends) != 2 {
 		t.Fatalf("uteload scraped %d backends, want 2: %s", len(rep.Backends), out)
 	}
-	// The split means both backends serve frames for this one trace.
-	// Beside the frame cache, each backend reports its answer memo and
-	// its stats-partial memo, each ratio its hits over what was asked.
+	// The split means both backends serve count legs for this one trace.
+	// Each backend reports the frames it decoded per measured request,
+	// its answer memo and its stats-partial memo, each ratio its hits
+	// over what was asked.
 	var answers int64
 	for i, b := range rep.Backends {
-		if b.Hits+b.Misses == 0 {
-			t.Fatalf("backend %d saw no cache traffic: %s", i, out)
+		if b.Answers == 0 {
+			t.Fatalf("backend %d saw no memo traffic: %s", i, out)
+		}
+		if b.FramesDecoded < 0 || b.FramesPerRequest != float64(b.FramesDecoded)/float64(rep.Warm.Requests) {
+			t.Fatalf("backend %d frames per request: %s", i, out)
 		}
 		answers += b.Answers
 		if b.AnswerHits > b.Answers || b.Answers > 0 && b.AnswerHitRatio != float64(b.AnswerHits)/float64(b.Answers) ||

@@ -9,9 +9,9 @@
 // (so a stalled server's queueing shows), -clients caps the requests in
 // flight, and arrivals that find the cap reached are reported dropped.
 // With -backends it also scrapes each backend's /metrics before and
-// after the warm phase and reports per-backend hit ratios: the
-// decoded-frame cache's, the whole-answer memo's and the whole-frame
-// stats-partial memo's.
+// after the warm phase and reports, per backend, the frames it decoded
+// per measured request and the hit ratios of the whole-answer memo and
+// the whole-frame stats-partial memo.
 //
 // Usage:
 //
@@ -113,8 +113,8 @@ func main() {
 	printPhase("cold", rep.Cold)
 	printPhase("warm", rep.Warm)
 	for _, b := range rep.Backends {
-		fmt.Printf("  backend %s: cache +%d hits / +%d misses (hit ratio %.3f), answers +%d hits / +%d asked (hit ratio %.3f), partials +%d hits / +%d misses (hit ratio %.3f)\n",
-			b.URL, b.Hits, b.Misses, b.HitRatio, b.AnswerHits, b.Answers, b.AnswerHitRatio, b.PartialHits, b.PartialMisses, b.PartialHitRatio)
+		fmt.Printf("  backend %s: frames +%d decoded (%.3f per request), answers +%d hits / +%d asked (hit ratio %.3f), partials +%d hits / +%d misses (hit ratio %.3f)\n",
+			b.URL, b.FramesDecoded, b.FramesPerRequest, b.AnswerHits, b.Answers, b.AnswerHitRatio, b.PartialHits, b.PartialMisses, b.PartialHitRatio)
 	}
 	if rep.Warm.Errors > 0 || rep.Cold.Errors > 0 {
 		os.Exit(1)

@@ -2,8 +2,8 @@
 // consistent-hash router over N utetraced backends. Traces are placed
 // on the ring by path; a single huge trace is additionally split into
 // contiguous frame-range segments at frame-directory boundaries, one
-// per backend, so each backend's decoded-frame cache holds only its
-// share. Decomposable queries (records, counts) scatter-gather across
+// per backend, so each backend's memo holds only its share of the
+// partials and answers. Decomposable queries (records, counts) scatter-gather across
 // the segments and merge in frame order; aggregations (stats,
 // previews, time-resolved tables) route whole to a deterministic
 // window-affinity owner. Every response body is byte-identical to what

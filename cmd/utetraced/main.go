@@ -1,9 +1,10 @@
 // Command utetraced is the long-running trace query daemon: it keeps a
 // registry of opened interval files behind JSON/SVG endpoints, with a
-// sharded LRU cache of decoded frames underneath, so repeated window
-// queries against the same trace stop re-reading the file (the
-// VampirServer / Jumpshot preview-then-drill-down model, serving the
-// same bytes the one-shot utilities print).
+// sharded LRU memo of whole answers and whole frames' stats partials
+// underneath, so a repeated window query is a lookup and a fresh one
+// over known frames reads only the frames it cuts (the VampirServer /
+// Jumpshot preview-then-drill-down model, serving the same bytes the
+// one-shot utilities print).
 //
 // Usage:
 //
@@ -68,7 +69,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7464", "listen address (port 0 = pick a free port)")
-		cacheMB   = flag.Int64("cache-mb", 256, "decoded-frame cache budget, MiB")
+		cacheMB   = flag.Int64("cache-mb", 256, "memo budget for stats partials and whole answers, MiB")
 		shards    = flag.Int("shards", 16, "cache shard count")
 		timeout   = flag.Duration("timeout", tracesvc.DefaultRequestTimeout, "per-request deadline")
 		ingestDir = flag.String("ingest-dir", "", "enable streaming ingest; live trace files are written here")

@@ -11,9 +11,9 @@ package interval
 // once its columns have grown to frame size. A Batch is the only
 // in-memory form of a frame, in both directions: the Writer accumulates
 // its open frame in one and encodes from the columns, and the map-reduce
-// engine (MapFrames), the frame source and the caches behind it,
-// every Scanner and the summary planner's edge decodes all hand out
-// batches; record-at-a-time consumers read them through Row.
+// engine (MapFrames), the frame source, every Scanner and the summary
+// planner's edge decodes all hand out batches; record-at-a-time
+// consumers read them through Row.
 
 import (
 	"fmt"
@@ -28,11 +28,10 @@ import (
 // Vecs[VecOff[i]:VecOff[i+1]]; both offset columns hold N+1 entries so
 // the slicing needs no per-row length column.
 //
-// Every batch a reader hands out — through a MapFrames Frame, from
-// FrameBatch, from a FrameSource — is read-only: it may be shared with
-// concurrent readers (a serving cache) or recycled by the engine. How
-// long it stays valid depends on where it came from; MapFrames and
-// FrameBatch state their contracts.
+// Every batch a reader hands out — through a MapFrames Frame or a
+// FrameSource's compute — is read-only and recycled by the engine once
+// its frame is done; ReadFrameBatch returns a batch of the caller's own.
+// MapFrames and FrameSource state how long theirs stay valid.
 type Batch struct {
 	N      int
 	Start  []clock.Time
@@ -170,8 +169,8 @@ func (b *Batch) push(r *Record) {
 }
 
 // Clone returns a right-sized deep copy: every column's capacity equals
-// its length and no decode scratch is carried over, so the copy's
-// Footprint is exactly what it keeps resident. Caches store clones of
+// its length and no decode scratch is carried over, so the copy keeps
+// nothing resident beyond its records. ReadFrameBatch returns clones of
 // pooled decode batches.
 func (b *Batch) Clone() *Batch {
 	return &Batch{
@@ -196,15 +195,6 @@ func cloneExact[T any](s []T) []T {
 	c := make([]T, len(s))
 	copy(c, s)
 	return c
-}
-
-// Footprint returns the bytes the batch's columns keep resident: the sum
-// of column capacities times element size. It is exact for a Clone.
-func (b *Batch) Footprint() int64 {
-	return int64(cap(b.Start)+cap(b.Dura)+cap(b.Extras)+cap(b.Vecs))*8 +
-		int64(cap(b.ExtraOff)+cap(b.VecOff))*4 +
-		int64(cap(b.Type)+cap(b.CPU)+cap(b.Node)+cap(b.Thread))*2 +
-		int64(cap(b.Bebits))
 }
 
 // Decode fills the batch from a frame's raw (checksum-verified) payload
@@ -260,17 +250,14 @@ func (b *Batch) appendFixed(dst []byte) []byte {
 	return dst
 }
 
-// FrameBatch returns fe's records as a shared read-only batch: from the
-// frame source when one is installed (a cache hit costs no read and no
-// decode), otherwise freshly decoded by ReadFrameBatch. The batch is
-// never recycled, so it — and any Row taken from it — stays valid for as
-// long as the caller holds it.
-func (f *File) FrameBatch(fe FrameEntry) (*Batch, error) { return f.fetch(fe, nil) }
+// FrameBatch is ReadFrameBatch: fe's records in a batch of the caller's
+// own.
+func (f *File) FrameBatch(fe FrameEntry) (*Batch, error) { return f.ReadFrameBatch(fe) }
 
-// ReadFrameBatch reads and decodes fe into a new right-sized batch,
-// bypassing the frame source — it is the miss path a FrameSource itself
-// must use. The decode runs in pooled scratch; only the exact copy is
-// allocated.
+// ReadFrameBatch reads and decodes fe into a new right-sized batch that
+// is never recycled, so it — and any Row taken from it — stays valid for
+// as long as the caller holds it. The decode runs in pooled scratch; only
+// the exact copy is allocated.
 func (f *File) ReadFrameBatch(fe FrameEntry) (*Batch, error) {
 	b := batchPool.Get().(*Batch)
 	defer batchPool.Put(b)
@@ -281,7 +268,7 @@ func (f *File) ReadFrameBatch(fe FrameEntry) (*Batch, error) {
 }
 
 // DecodeFrameBatch reads fe and columnar-decodes it into the caller's
-// batch, reusing its column capacity and ignoring any frame source.
+// batch, reusing its column capacity.
 // The read is positioned (never moving the file's seek offset) whenever
 // the underlying reader supports it, so concurrent calls are safe on
 // such files.

@@ -65,26 +65,24 @@ type Frame struct {
 
 	f       *File
 	file    int
-	scratch *Batch // pooled, lent to the fetch; nil until Batch is called
-	b       *Batch
+	scratch *Batch // pooled; nil until Batch is called
 	err     error
 }
 
-// Batch returns the frame's records, fetching them on the first call:
-// decoded into a pooled batch, or through the file's frame source lent
-// that pooled batch as its scratch (a cache hit is handed over as is, no
-// read and no copy; a frame the cache does not keep is decoded into the
-// scratch). Either way the batch is read-only and valid until the
-// frame's reduceFn returns: the map function may return it, or Rows
-// aliasing it, as its value for reduceFn to read, but anything kept
-// longer must be copied out. Later calls return the same batch and
-// error.
+// Batch returns the frame's records, decoding them into a pooled batch
+// on the first call. The batch is read-only and valid until the frame's
+// reduceFn returns: the map function may return it, or Rows aliasing it,
+// as its value for reduceFn to read, but anything kept longer must be
+// copied out. Later calls return the same batch and error.
 func (fr *Frame) Batch() (*Batch, error) {
 	if fr.scratch == nil {
 		fr.scratch = batchPool.Get().(*Batch)
-		fr.b, fr.err = fr.f.fetch(fr.Entry, fr.scratch)
+		fr.err = fr.f.DecodeFrameBatch(fr.Entry, fr.scratch)
 	}
-	return fr.b, fr.err
+	if fr.err != nil {
+		return nil, fr.err
+	}
+	return fr.scratch, nil
 }
 
 // MapFrames runs mapFn over every selected frame of every file — all
@@ -167,7 +165,7 @@ func mapSelected[T any](files []*File, selected [][]FrameEntry, opts MapOptions,
 		defer func() {
 			if fr.scratch != nil {
 				batchPool.Put(fr.scratch)
-				fr.scratch, fr.b = nil, nil
+				fr.scratch = nil
 			}
 		}()
 		v, err := mapFn(fr.file, fr)

@@ -81,11 +81,10 @@ type File struct {
 	// tests do, to hand the decoder a damaged payload the CRC would stop.
 	// Salvage does not consult it.
 	skipSums bool
-	// src, when non-nil, answers frame decodes (FrameBatch, the
-	// map-reduce engine, scanners) and memoizes values derived from a
-	// frame (the stats engine's whole-frame partials): serving layers use it
-	// to answer from a shared cache. Set it before the File is shared
-	// between goroutines.
+	// src, when non-nil, memoizes values derived from a frame (the stats
+	// engine's whole-frame partials): serving layers use it to answer
+	// from a shared cache. Set it before the File is shared between
+	// goroutines.
 	src FrameSource
 	// chainOnce loads the frame index (loadChain) at the first metadata
 	// call or scan: dirs is the directory chain in file order, frames
@@ -112,37 +111,25 @@ type File struct {
 // can recognize the condition.
 var ErrClosed = errors.New("interval: file already closed")
 
-// FrameSource answers a file's frame reads from a cache shared between
-// readers of the same file: its decoded frames, and values derived from
-// one frame that a consumer asks it to memoize.
+// FrameSource memoizes values derived from one frame of a file in a
+// cache shared between readers of the same file. It holds values, not
+// frames: every frame read decodes on its own.
 type FrameSource interface {
-	// Decode supplies fe's decoded batch. scratch, when non-nil, is a
-	// batch the caller lends and recycles once it is done with the frame:
-	// the source may decode into it with DecodeFrameBatch and return it (a
-	// cache does so for a frame it does not keep), and must not retain it.
-	// With nil scratch the caller needs a batch it may hold for as long as
-	// it likes. The miss path must decode with DecodeFrameBatch or
-	// ReadFrameBatch (never FrameBatch, which would recurse). Any other
-	// batch a source hands out is shared and must never be recycled:
-	// callers treat it, and every Row aliasing it, as read-only, and may
-	// hold it past eviction.
-	Decode(f *File, fe FrameEntry, scratch *Batch) (*Batch, error)
 	// Memo memoizes a value derived from fe's records under a
 	// caller-chosen key, which must name everything the value depends on
 	// besides the frame's bytes. The key is looked up before anything is
 	// fetched: a kept value is returned to every later caller (reused =
 	// true) without calling compute and without touching the frame. On a
-	// miss the source fetches fe itself and calls compute(b, store) with
-	// its records — a frame it holds resident as is, any other decoded
-	// into scratch of its own and admitted nowhere: the memo keeps what the
-	// frame contributed, not the frame. b is valid only until compute
-	// returns. store says whether the memo keeps the value, so compute
-	// hands back a right-sized copy of size bytes when it does, and may
-	// return scratch state of its own (never anything aliasing b) when it
-	// does not. Memo runs compute at most once at a time per key (a caller
+	// miss the source decodes fe into scratch of its own with
+	// DecodeFrameBatch and calls compute(b, store) with its records: the
+	// memo keeps what the frame contributed, not the frame. b is valid
+	// only until compute returns. store says whether the memo keeps the
+	// value, so compute hands back a right-sized copy of size bytes when
+	// it does, and may return scratch state of its own (never anything
+	// aliasing b) when it does not. Memo runs compute at most once at a time per key (a caller
 	// waiting on another's compute gives up when ctx is done) and never
 	// keeps a value whose compute failed. The empty key memoizes nothing:
-	// compute(b, false) runs over a frame fetched that same way on every
+	// compute(b, false) runs over a frame decoded that same way on every
 	// call, and the source keeps neither a value nor a marker — the read
 	// for a frame whose value no later query is likely to share.
 	Memo(ctx context.Context, f *File, fe FrameEntry, key string, compute func(b *Batch, store bool) (v any, size int64, err error)) (v any, reused bool, err error)
@@ -156,19 +143,6 @@ func (f *File) SetFrameSource(s FrameSource) { f.src = s }
 // FrameSource returns the installed frame source, nil when there is
 // none.
 func (f *File) FrameSource() FrameSource { return f.src }
-
-// fetch returns fe's decoded batch: the frame source's answer, lent
-// scratch, or fe decoded into scratch when no source is installed.
-// scratch is nil only for a caller that needs a batch it may keep.
-func (f *File) fetch(fe FrameEntry, scratch *Batch) (*Batch, error) {
-	if f.src != nil {
-		return f.src.Decode(f, fe, scratch)
-	}
-	if scratch == nil {
-		return f.ReadFrameBatch(fe)
-	}
-	return scratch, f.DecodeFrameBatch(fe, scratch)
-}
 
 // DecodedFrames returns how many frame payloads have been read from the
 // file so far (every ReadFrame/Scanner frame load counts once).
@@ -605,12 +579,12 @@ func (f *File) Stats() (first, last clock.Time, records int64, err error) {
 // when it was made — all of them, or a window's — hiding the structure
 // (the paper's getInterval loop).
 //
-// Every frame is obtained whole, as a Batch, through File.FrameBatch:
-// the frame source's shared batch, or one decoded for this scanner
-// alone. Neither is ever recycled, so records the scanner hands out stay
-// valid after further calls and after the scan; and a frame that fails
-// to decode fails at its first record, none of its records having been
-// produced — the frame-granular contract MapFrames consumers have.
+// Every frame is obtained whole, as a Batch decoded for this scanner
+// alone by ReadFrameBatch. It is never recycled, so records the scanner
+// hands out stay valid after further calls and after the scan; and a
+// frame that fails to decode fails at its first record, none of its
+// records having been produced — the frame-granular contract MapFrames
+// consumers have.
 type Scanner struct {
 	f *File
 	// frames is the selection (selectFrames) and next the index of the
@@ -689,7 +663,7 @@ func (s *Scanner) nextRow() (int, error) {
 		} else if s.ctx != nil && s.ctx.Err() != nil {
 			s.err = s.ctx.Err()
 		} else {
-			s.batch, s.err = s.f.FrameBatch(s.frames[s.next])
+			s.batch, s.err = s.f.ReadFrameBatch(s.frames[s.next])
 			s.next++
 		}
 	}
@@ -716,11 +690,10 @@ func (s *Scanner) Next() ([]byte, error) {
 }
 
 // NextRecord returns the next record. Its Extra/Vec slices alias the
-// frame's batch: read-only (a frame source's batch is shared with other
-// readers), capacity-clamped so appending to one never overwrites
-// another, and valid for as long as the caller holds them — though one
-// retained record keeps its whole frame's extras resident, so long-lived
-// holders copy.
+// frame's batch: read-only, capacity-clamped so appending to one never
+// overwrites another, and valid for as long as the caller holds them —
+// though one retained record keeps its whole frame's extras resident, so
+// long-lived holders copy.
 func (s *Scanner) NextRecord() (Record, error) {
 	i, err := s.nextRow()
 	if err != nil {

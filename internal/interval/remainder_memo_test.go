@@ -21,13 +21,6 @@ type lendingSource struct {
 	lookups int
 }
 
-func (l *lendingSource) Decode(f *File, fe FrameEntry, scratch *Batch) (*Batch, error) {
-	if scratch == nil {
-		return f.ReadFrameBatch(fe)
-	}
-	return scratch, f.DecodeFrameBatch(fe, scratch)
-}
-
 func (l *lendingSource) Memo(_ context.Context, f *File, fe FrameEntry, key string, compute func(*Batch, bool) (any, int64, error)) (any, bool, error) {
 	if key != "" {
 		l.t.Errorf("frame at %d looked up under the key %q", fe.Offset, key)

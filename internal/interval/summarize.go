@@ -482,8 +482,7 @@ func scanInto(files []*File, selected [][]FrameEntry, mo MapOptions, g *BinGrid,
 			return struct{}{}, err
 		},
 		func(int, FrameEntry, struct{}) error {
-			// Counted from the selection, so the number does not depend
-			// on how many decodes a shared cache absorbed.
+			// Counted from the selection: every selected frame is read.
 			frames++
 			return nil
 		})
@@ -649,9 +648,8 @@ func (p *Pyramid) coarsestCell(x, limit clock.Time) (level int, idx int64) {
 
 // resolveRemainders answers the edge spans one frame at a time: every
 // frame overlapping a remainder is fetched once — through the file's
-// frame source under the empty memo key, so a serving cache lends a
-// resident frame and admits no other, or decoded into one pooled batch
-// — and each of its records, clipped to the window, adds its busy
+// frame source under the empty memo key, which memoizes nothing, or
+// decoded into one pooled batch — and each of its records, clipped to the window, adds its busy
 // overlap to the remainders it overlaps. Nothing of a frame outlives its
 // turn but the clipped endpoints of its busy intervals, for one
 // concurrency sweep over the remainders after the last frame. It returns

@@ -4,9 +4,9 @@
 // or uterouter endpoint, with zipfian trace popularity and a bounded
 // per-trace window pool so the run has a natural cold phase (first
 // touch of each window decodes frames) and a warm phase (repeats hit
-// the decoded-frame caches). The report carries QPS, latency
-// percentiles, error rates, and — when backend URLs are given —
-// per-backend cache hit ratios scraped from /metrics.
+// the backends' memos). The report carries QPS, latency percentiles,
+// error rates, and — when backend URLs are given — per-backend memo hit
+// ratios and frames decoded per request, scraped from /metrics.
 //
 // The warm phase is closed-loop by default: each client sends its next
 // request when the previous one answered, so a stalled server also
@@ -49,8 +49,8 @@ func (m Mix) total() int { return m.Stats + m.Preview + m.TimeResolved + m.Recor
 type Config struct {
 	// BaseURL is the service under test (a utetraced or uterouter).
 	BaseURL string
-	// BackendURLs, when set, are scraped for decoded-frame cache hit
-	// ratios before and after the measured phase.
+	// BackendURLs, when set, are scraped for memo hit ratios and frames
+	// decoded before and after the measured phase.
 	BackendURLs []string
 	// Clients is the concurrent client count (default 4).
 	Clients int
@@ -116,22 +116,21 @@ type Phase struct {
 	MaxMs    float64 `json:"max_ms"`
 }
 
-// BackendCache is one backend's cache movement over the measured phase:
-// the decoded-frame cache (Hits, Misses), the whole-answer memo
-// (tracesvc_answers_total: AnswerHits of Answers asked) and the
-// whole-frame stats-partial memo (tracesvc_stats_partials_total). Each
-// ratio is 0 when nothing moved.
+// BackendCache is one backend's movement over the measured phase: the
+// frame payloads it read (tracesvc_frames_decoded_total), also per
+// measured request, the whole-answer memo (tracesvc_answers_total:
+// AnswerHits of Answers asked) and the whole-frame stats-partial memo
+// (tracesvc_stats_partials_total). Each ratio is 0 when nothing moved.
 type BackendCache struct {
-	URL             string  `json:"url"`
-	Hits            int64   `json:"hits"`
-	Misses          int64   `json:"misses"`
-	HitRatio        float64 `json:"hit_ratio"`
-	AnswerHits      int64   `json:"answer_hits"`
-	Answers         int64   `json:"answers"`
-	AnswerHitRatio  float64 `json:"answer_hit_ratio"`
-	PartialHits     int64   `json:"partial_hits"`
-	PartialMisses   int64   `json:"partial_misses"`
-	PartialHitRatio float64 `json:"partial_hit_ratio"`
+	URL              string  `json:"url"`
+	FramesDecoded    int64   `json:"frames_decoded"`
+	FramesPerRequest float64 `json:"frames_per_request"`
+	AnswerHits       int64   `json:"answer_hits"`
+	Answers          int64   `json:"answers"`
+	AnswerHitRatio   float64 `json:"answer_hit_ratio"`
+	PartialHits      int64   `json:"partial_hits"`
+	PartialMisses    int64   `json:"partial_misses"`
+	PartialHitRatio  float64 `json:"partial_hit_ratio"`
 }
 
 // Report is the full run result.
@@ -272,7 +271,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	for i, url := range cfg.BackendURLs {
 		d := after[i].minus(before[i])
 		rep.Backends = append(rep.Backends, BackendCache{
-			URL: url, Hits: d.hits, Misses: d.misses, HitRatio: ratio(d.hits, d.hits+d.misses),
+			URL: url, FramesDecoded: d.frames, FramesPerRequest: ratio(d.frames, int64(warmPhase.Requests)),
 			AnswerHits: d.answerHits, Answers: d.answers, AnswerHitRatio: ratio(d.answerHits, d.answers),
 			PartialHits: d.partialHits, PartialMisses: d.partialMisses, PartialHitRatio: ratio(d.partialHits, d.partialHits+d.partialMisses),
 		})
@@ -496,24 +495,24 @@ func listTraces(ctx context.Context, client *http.Client, base string) ([]traces
 	return tl.Traces, nil
 }
 
-// cacheCounters is one scrape of a backend's cache counters: the
-// decoded-frame cache, the answer memo (every result summed into
-// answers) and the stats-partial memo.
+// cacheCounters is one scrape of a backend's counters: the frames it
+// decoded, the answer memo (every result summed into answers) and the
+// stats-partial memo.
 type cacheCounters struct {
-	hits, misses               int64
+	frames                     int64
 	answerHits, answers        int64
 	partialHits, partialMisses int64
 }
 
 func (c cacheCounters) minus(o cacheCounters) cacheCounters {
 	return cacheCounters{
-		c.hits - o.hits, c.misses - o.misses,
+		c.frames - o.frames,
 		c.answerHits - o.answerHits, c.answers - o.answers,
 		c.partialHits - o.partialHits, c.partialMisses - o.partialMisses,
 	}
 }
 
-// scrapeCaches reads tracesvc_cache_{hits,misses}_total,
+// scrapeCaches reads tracesvc_frames_decoded_total,
 // tracesvc_answers_total and tracesvc_stats_partials_total from each
 // backend's /metrics; unreachable backends read as zero (the delta then
 // reports 0/0, not an error — the load run itself is the result).
@@ -534,11 +533,8 @@ func scrapeCaches(ctx context.Context, client *http.Client, urls []string) []cac
 			continue
 		}
 		for _, line := range strings.Split(string(body), "\n") {
-			if v, ok := strings.CutPrefix(line, "tracesvc_cache_hits_total "); ok {
-				out[i].hits, _ = strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-			}
-			if v, ok := strings.CutPrefix(line, "tracesvc_cache_misses_total "); ok {
-				out[i].misses, _ = strconv.ParseInt(strings.TrimSpace(v), 10, 64)
+			if v, ok := strings.CutPrefix(line, "tracesvc_frames_decoded_total "); ok {
+				out[i].frames, _ = strconv.ParseInt(strings.TrimSpace(v), 10, 64)
 			}
 			if v, ok := strings.CutPrefix(line, "tracesvc_answers_total{result=\""); ok {
 				result, n, _ := strings.Cut(v, "\"} ")

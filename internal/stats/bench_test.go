@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkStatsColumnar/scalar is the baseline of the root package's
-// BenchmarkStatsColumnar (columnar-cold, columnar-warm): the same storm
+// BenchmarkStatsColumnar (columnar-cold): the same storm
 // trace (4 nodes × 8000 iterations, 8 KiB frames) and the same program
 // through the record-at-a-time oracle (oracle_test.go), which production
 // never runs.

@@ -73,8 +73,7 @@ type frameResult struct {
 // and is recycled after it, so a run allocates for its distinct groups,
 // not per frame. program is the source text a frame memo keys partials
 // by ("" consults none). A memoized frame is looked up before its
-// records are fetched, so a reused partial costs no read, no decode and
-// no frame-cache lookup.
+// records are fetched, so a reused partial costs no read and no decode.
 func (prog *compiledProgram) generate(program string, files []*interval.File, mopts interval.MapOptions, tStart, tEnd clock.Time) (Run, error) {
 	var dict *strDict
 	if prog.sl.markers || prog.sl.nc > 0 {

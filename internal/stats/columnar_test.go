@@ -18,7 +18,6 @@ import (
 	"tracefw/internal/interval"
 	"tracefw/internal/profile"
 	"tracefw/internal/stats"
-	"tracefw/internal/testutil"
 )
 
 // reencode rewrites recs into a fresh in-memory interval file at the
@@ -367,10 +366,9 @@ func TestColumnarWindowedDifferential(t *testing.T) {
 }
 
 // TestColumnarAllocsPerGroup guards the group-by's allocation shape: a
-// warm whole run over hook-supplied batches (what the trace service's
-// cache hands over) allocates for its distinct groups — their text keys
-// and row headers at finalization — plus the engine's per-frame
-// bookkeeping, never per group per frame.
+// whole run over pooled decode batches allocates for its distinct groups
+// — their text keys and row headers at finalization — plus the engine's
+// per-frame bookkeeping, never per group per frame.
 func TestColumnarAllocsPerGroup(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops executors at random under the race detector")
@@ -395,7 +393,6 @@ func TestColumnarAllocsPerGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	testutil.ResidentFrames(t, f)
 	program := stats.Predefined(50)
 	groups := 0
 	allocs := testing.AllocsPerRun(5, func() {

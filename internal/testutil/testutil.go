@@ -7,7 +7,6 @@ package testutil
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -179,35 +178,6 @@ func OpenSidecarPair(t testing.TB, path string, opts interval.PyramidOptions) (w
 		t.Fatalf("sidecar attached: with=%v without=%v", with.Pyramid() != nil, without.Pyramid() != nil)
 	}
 	return with, without
-}
-
-// ResidentFrames installs on f a frame source that answers every frame
-// from a batch decoded up front — a serving cache with the whole trace
-// resident — and memoizes nothing.
-func ResidentFrames(t testing.TB, f *interval.File) {
-	t.Helper()
-	fes, err := f.Frames()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := residentFrames(make(map[int64]*interval.Batch, len(fes)))
-	for _, fe := range fes {
-		if src[fe.Offset], err = f.ReadFrameBatch(fe); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.SetFrameSource(src)
-}
-
-type residentFrames map[int64]*interval.Batch
-
-func (r residentFrames) Decode(_ *interval.File, fe interval.FrameEntry, _ *interval.Batch) (*interval.Batch, error) {
-	return r[fe.Offset], nil
-}
-
-func (r residentFrames) Memo(_ context.Context, _ *interval.File, fe interval.FrameEntry, _ string, compute func(*interval.Batch, bool) (any, int64, error)) (any, bool, error) {
-	v, _, err := compute(r[fe.Offset], false)
-	return v, false, err
 }
 
 // RemainderFrames counts the frames a time-resolved table of bins bins

@@ -215,7 +215,7 @@ func askAnswers(t *testing.T, s *tracesvc.Service, qs []answerQuery, rng *xrand.
 // byte-identically to a freshly opened file with no frame source — over
 // a static trace with a sidecar, across a live trace's seal generations
 // (each generation's answers are its own), and through a budget so small
-// that answers, partials and frames evict one another all the time.
+// that answers and partials evict one another all the time.
 func TestAnswerMemoDifferential(t *testing.T) {
 	var sizes []int64
 	path := writeMemoTrace(t, t.TempDir(), 3000, func(si interval.SealInfo) {
@@ -307,8 +307,8 @@ func TestAnswerMemoDifferential(t *testing.T) {
 		if cs.AnswersOnce <= int64(len(qs)) || cs.AnswersStored == 0 {
 			t.Fatalf("no answer was evicted, or none stored, under a %d-byte budget: %+v", budget, cs)
 		}
-		if cs.Bytes+cs.PartialBytes+cs.AnswerBytes > budget {
-			t.Fatalf("cache holds %d frame, %d partial and %d answer bytes, budget %d", cs.Bytes, cs.PartialBytes, cs.AnswerBytes, budget)
+		if cs.PartialBytes+cs.AnswerBytes > budget {
+			t.Fatalf("cache holds %d partial and %d answer bytes, budget %d", cs.PartialBytes, cs.AnswerBytes, budget)
 		}
 	})
 }

@@ -9,10 +9,11 @@ package tracesvc
 //
 // Cache coherence across seals needs no invalidation: the writer's
 // steady state is append-only, so a sealed frame's bytes at a given
-// offset never change, and decoded-frame cache entries keyed by the
-// entry's stable namespace number stay valid across generations — a
-// query against generation g+1 reuses every frame generation g already
-// decoded. Only closing the live trace invalidates its namespace.
+// offset never change, and whole-frame partials keyed by the entry's
+// stable namespace number stay valid across generations: each key names
+// whatever else its value depends on (the run bounds among them), and a
+// whole answer's names the generation. Only closing the live trace
+// invalidates its namespace.
 
 // LiveProvider is what the registry needs from an ingest session; it is
 // structural so the ingest package does not import the serving layer.

@@ -318,6 +318,43 @@ func metricValue(t *testing.T, s *tracesvc.Service, name string) int64 {
 	return 0
 }
 
+// TestFirstScanKeepsNoFrame: a whole-trace stats scan keeps no decoded
+// frame. The predefined tables memoize a partial per frame, so their
+// scans read frames only to compute partials: the first two decode every
+// frame, and the third, its partials stored, reads none. A concatenation
+// memoizes nothing, so each of its scans decodes every frame again and
+// charges the memo no partial byte. Each scan has a fresh answer key: a
+// stored whole answer would read no frame at all.
+func TestFirstScanKeepsNoFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name, query string
+		// Frames decoded after each scan, in multiples of the frame count.
+		scans    [3]int
+		memoized bool
+	}{
+		{"memoized", "bins=8", [3]int{1, 2, 2}, true},
+		{"concatenation", "expr=" + url.QueryEscape(`table name=c x=("c", state + "!") y=("n", dura, count)`), [3]int{1, 2, 3}, false},
+	} {
+		s := tracesvc.New(tracesvc.Config{})
+		path := writeTrace(t, t.TempDir(), 2000)
+		id := openTrace(t, s, path)
+		tr, _ := s.Registry().Resolve(id)
+		n := len(tr.Frames())
+		for scan, want := range tc.scans {
+			if w := do(t, s, "GET", fresh("/v1/traces/"+id+"/stats?"+tc.query), ""); w.Code != 200 {
+				t.Fatalf("%s scan %d: %d %s", tc.name, scan+1, w.Code, w.Body)
+			}
+			if got := metricValue(t, s, "tracesvc_frames_decoded_total"); got != int64(want*n) {
+				t.Fatalf("%s: after scan %d: %d frames decoded, want %d", tc.name, scan+1, got, want*n)
+			}
+		}
+		if got := metricValue(t, s, "tracesvc_stats_partials_bytes_resident"); (got > 0) != tc.memoized {
+			t.Fatalf("%s: %d partial bytes charged", tc.name, got)
+		}
+		s.Close()
+	}
+}
+
 // TestStatsMemoPlan: on a fresh service, the first two askings of a
 // query evaluate and fetch every frame (the second stores what the first
 // only saw), and every later one evaluates and fetches only the frames
@@ -325,13 +362,11 @@ func metricValue(t *testing.T, s *tracesvc.Service, name string) int64 {
 // never — and reuses the partials of the frames inside it, while a
 // concatenation never reuses. The marker-keyed program reuses too, which
 // needs its marker codes to come out the same on every run. /metrics
-// counts the same lookups and fetches, and the decoded-frame counters
-// still count decoded frames: a frame read only to compute a partial is
-// admitted nowhere, so each memoized query decodes its whole frames in
-// its first two askings and its cut frames in every asking, and leaves
-// none of them resident, while the concatenation's frames follow the
-// second-use rule — its first asking leaves once-seen markers, its second
-// stores the frames, and the last two are hits.
+// counts the same lookups and fetches, and tracesvc_frames_decoded_total
+// the frames decoded: every fetch is a decode, so each memoized query
+// decodes its whole frames in its first two askings and its cut frames
+// in every asking, and the concatenation decodes its frames in every
+// asking.
 func TestStatsMemoPlan(t *testing.T) {
 	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
 	s := tracesvc.New(tracesvc.Config{})
@@ -378,9 +413,6 @@ func TestStatsMemoPlan(t *testing.T) {
 	// Two fetching askings of each memoized partial, four of each cut
 	// frame and of the concatenation.
 	fetched := 2*memoized + int64(4*edges+4*(edges+inside))
-	// The memoized partials' two fetching askings decode, every asking
-	// of a cut frame, and the concatenation's first two.
-	decoded := 2*memoized + int64(4*edges+2*(edges+inside))
 	for _, m := range []struct {
 		name string
 		want int64
@@ -389,13 +421,7 @@ func TestStatsMemoPlan(t *testing.T) {
 		{`tracesvc_stats_partials_total{result="miss"}`, 2 * memoized},
 		{`tracesvc_stats_partials_total{result="stored"}`, memoized},
 		{"tracesvc_stats_frames_fetched_total", fetched},
-		{"tracesvc_cache_misses_total", decoded},
-		{`tracesvc_cache_admissions_total{result="once"}`, int64(edges + inside)},
-		{`tracesvc_cache_admissions_total{result="stored"}`, int64(edges + inside)},
-		{`tracesvc_cache_admissions_total{result="none"}`, 2*memoized + int64(4*edges)},
-		{"tracesvc_cache_hits_total", 2 * int64(edges+inside)},
-		{"tracesvc_cache_frames_resident", int64(edges + inside)},
-		{"tracesvc_frames_decoded_total", decoded},
+		{"tracesvc_frames_decoded_total", fetched},
 	} {
 		if got := metricValue(t, s, m.name); got != m.want {
 			t.Fatalf("%s = %d, want %d", m.name, got, m.want)
@@ -418,11 +444,10 @@ func exactWindow(t *testing.T, lo, hi clock.Time) string {
 }
 
 // TestWarmStatsFetchesNoEvictedFrame: once a windowed query's partials
-// are stored its decoded frames may leave the cache — evicted, while
-// their few-KiB partials stay resident — and the warm query still reads
-// no frame inside the window: the memo answers before any frame is
-// fetched. It reads only the frames the window cuts, whose partials are
-// never memoized.
+// are stored — the cache keeps no decoded frame, only the few-KiB
+// partials — the warm query reads no frame inside the window: the memo
+// answers before any frame is fetched. It reads only the frames the
+// window cuts, whose partials are never memoized.
 func TestWarmStatsFetchesNoEvictedFrame(t *testing.T) {
 	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
 	open := func() *interval.File {
@@ -457,9 +482,8 @@ func TestWarmStatsFetchesNoEvictedFrame(t *testing.T) {
 			t.Fatalf("asking %d: %d, body differs from a fresh GenerateOpts", ask, w.Code)
 		}
 	}
-	s.Cache().EvictFrames()
-	if cs := s.Cache().Stats(); cs.Entries != 0 || cs.PartialsStored == 0 {
-		t.Fatalf("after the eviction: %d frames resident, %d partials stored", cs.Entries, cs.PartialsStored)
+	if cs := s.Cache().Stats(); cs.PartialsStored == 0 {
+		t.Fatal("no partial stored after two askings")
 	}
 	decoded := tr.File().DecodedFrames()
 	if w := do(t, s, "GET", fresh(statsURL(id, memoPrograms[0], window, "")), ""); w.Code != http.StatusOK || w.Body.String() != want {
@@ -470,9 +494,6 @@ func TestWarmStatsFetchesNoEvictedFrame(t *testing.T) {
 	}
 	if ev, re, fe := planOf(t, s, id, memoPrograms[0], window); ev != cut || fe != cut || re == 0 {
 		t.Fatalf("warm plan: evaluated %d, reused %d, fetched %d; want %d cut frames evaluated and fetched", ev, re, fe, cut)
-	}
-	if cs := s.Cache().Stats(); cs.Entries != 0 {
-		t.Fatalf("a warm query left %d frames resident", cs.Entries)
 	}
 }
 
@@ -513,8 +534,8 @@ func TestStatsMemoLiveGenerations(t *testing.T) {
 }
 
 // TestStatsMemoUnderEviction runs the harness through a cache far
-// smaller than the decoded trace: partials and frames evict one another
-// all the time, and every body still matches.
+// smaller than the partials and answers it asks for: they evict one
+// another all the time, and every body still matches.
 func TestStatsMemoUnderEviction(t *testing.T) {
 	const budget = 1 << 16
 	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
@@ -534,8 +555,8 @@ func TestStatsMemoUnderEviction(t *testing.T) {
 	if cs.PartialsStored == 0 || cs.Evictions == 0 {
 		t.Fatalf("no partial stored or no eviction under a %d-byte budget: %+v", budget, cs)
 	}
-	if cs.Bytes+cs.PartialBytes > budget {
-		t.Fatalf("cache holds %d frame and %d partial bytes, budget %d", cs.Bytes, cs.PartialBytes, budget)
+	if cs.PartialBytes+cs.AnswerBytes > budget {
+		t.Fatalf("cache holds %d partial and %d answer bytes, budget %d", cs.PartialBytes, cs.AnswerBytes, budget)
 	}
 }
 
@@ -548,7 +569,8 @@ func TestMemoSingleflightCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c := tracesvc.NewFrameCache(1<<20, 1)
 	const key = "k"
-	decode := func(*interval.Batch) error { return nil }
+	var decodes atomic.Int64
+	decode := func(*interval.Batch) error { decodes.Add(1); return nil }
 	value := func(*interval.Batch, bool) (any, int64, error) { return "partial", 8, nil }
 	if _, reused, err := c.Memo(context.Background(), 1, 0, key, decode, value); reused || err != nil {
 		t.Fatalf("first lookup: reused %v, %v", reused, err)
@@ -602,35 +624,26 @@ func TestMemoSingleflightCancel(t *testing.T) {
 	if v != "partial" || !reused || err != nil {
 		t.Fatalf("after the store: %v, reused %v, %v", v, reused, err)
 	}
-	// Each of the two evaluations decoded the frame and admitted it
-	// nowhere.
-	if cs := c.Stats(); cs.PartialsStored != 1 || cs.PartialHits != 1 || cs.Misses != 2 || cs.AdmittedNone != 2 || cs.Hits+cs.Entries+cs.AdmittedOnce+cs.AdmittedStored != 0 {
-		t.Fatalf("counters %+v", cs)
+	// Each of the two evaluations decoded the frame.
+	if cs := c.Stats(); cs.PartialsStored != 1 || cs.PartialHits != 1 || decodes.Load() != 2 {
+		t.Fatalf("%d decodes, counters %+v", decodes.Load(), cs)
 	}
 	testutil.SettleGoroutines(t, before)
 }
 
 // TestMemoEmptyKeyStoresNothing: Memo under the empty key memoizes
-// nothing. Eight concurrent callers, each asking a resident frame and a
-// frame the cache does not hold in turn, get compute's value every time,
-// computed on every call with store false and never reported reused; the
-// resident frame counts as a hit and the other as a decode admitted
-// nowhere, and the cache's bytes, memo bytes and resident frames are
-// what they were before. (An empty key taken for a memo key would name
-// the frame itself, and a store would wait on its own entry: the callers
-// get a deadline.)
+// nothing. Eight concurrent callers, each asking two frames in turn, get
+// compute's value every time, computed over a fresh decode on every call
+// with store false and never reported reused, and the cache's memo bytes
+// and counters do not move. (An empty key taken for a memo key would be
+// marked on the first call and stored on the second: the callers get a
+// deadline.)
 func TestMemoEmptyKeyStoresNothing(t *testing.T) {
 	const callers, calls = 8, 20
 	c := tracesvc.NewFrameCache(1<<20, 1)
-	decode := func(*interval.Batch) error { return nil }
-	const resident, absent = 0, 4096
-	if _, err := c.Get(1, resident, nil, decode); err != nil {
-		t.Fatal(err)
-	}
-	before := c.Stats()
-	if before.Entries != 1 {
-		t.Fatalf("%d frames resident, want 1", before.Entries)
-	}
+	var decodes atomic.Int64
+	decode := func(*interval.Batch) error { decodes.Add(1); return nil }
+	const first, second = 0, 4096
 	var computed, stored atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < callers; g++ {
@@ -638,9 +651,9 @@ func TestMemoEmptyKeyStoresNothing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < calls; i++ {
-				off := int64(resident)
+				off := int64(first)
 				if i%2 == 1 {
-					off = absent
+					off = second
 				}
 				v, reused, err := c.Memo(context.Background(), 1, off, "", decode, func(b *interval.Batch, store bool) (any, int64, error) {
 					computed.Add(1)
@@ -663,21 +676,11 @@ func TestMemoEmptyKeyStoresNothing(t *testing.T) {
 		t.Fatal("the callers are still blocked after 10 s")
 	}
 	const n = callers * calls
-	if computed.Load() != n || stored.Load() != 0 {
-		t.Fatalf("%d calls computed %d times, %d of them storing", n, computed.Load(), stored.Load())
+	if computed.Load() != n || stored.Load() != 0 || decodes.Load() != n {
+		t.Fatalf("%d calls computed %d times, %d of them storing, over %d decodes", n, computed.Load(), stored.Load(), decodes.Load())
 	}
-	after := c.Stats()
-	if got := after.Hits - before.Hits; got != n/2 {
-		t.Fatalf("%d hits on the resident frame, want %d", got, n/2)
-	}
-	if got := after.AdmittedNone - before.AdmittedNone; got != n/2 {
-		t.Fatalf("%d decodes admitted nowhere, want %d", got, n/2)
-	}
-	if after.Bytes != before.Bytes || after.PartialBytes != before.PartialBytes || after.Entries != before.Entries {
-		t.Fatalf("the cache changed: before %+v, after %+v", before, after)
-	}
-	if after.PartialHits+after.PartialMisses+after.PartialsStored+after.AdmittedOnce != 0 || after.AdmittedStored != before.AdmittedStored {
-		t.Fatalf("memo or admission counters moved: %+v", after)
+	if cs := c.Stats(); cs != (tracesvc.CacheStats{}) {
+		t.Fatalf("the cache changed: %+v", cs)
 	}
 }
 

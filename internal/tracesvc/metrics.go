@@ -84,29 +84,17 @@ func (m *metrics) endpoint(name string) *endpointMetrics {
 // writePrometheus renders every metric in Prometheus text exposition
 // format.
 func (m *metrics) writePrometheus(w io.Writer, cache CacheStats, tracesOpen int64, framesDecoded int64) {
-	promtext.Header(w, "tracesvc_cache_hits_total", "counter", "Decoded-frame cache hits (including singleflight waiters).")
-	fmt.Fprintf(w, "tracesvc_cache_hits_total %d\n", cache.Hits)
-	promtext.Header(w, "tracesvc_cache_misses_total", "counter", "Decoded-frame cache misses (each one decode).")
-	fmt.Fprintf(w, "tracesvc_cache_misses_total %d\n", cache.Misses)
-	promtext.Header(w, "tracesvc_cache_admissions_total", "counter", "Cache misses by what the decode left: a once-seen marker (a frame's first use, decoded into the caller's scratch), a stored frame (its second use, or a first use that lent no scratch), or nothing (a frame read only to compute a memoized value).")
-	fmt.Fprintf(w, "tracesvc_cache_admissions_total{result=\"once\"} %d\n", cache.AdmittedOnce)
-	fmt.Fprintf(w, "tracesvc_cache_admissions_total{result=\"stored\"} %d\n", cache.AdmittedStored)
-	fmt.Fprintf(w, "tracesvc_cache_admissions_total{result=\"none\"} %d\n", cache.AdmittedNone)
-	promtext.Header(w, "tracesvc_cache_evictions_total", "counter", "Frames evicted to stay under the byte budget.")
+	promtext.Header(w, "tracesvc_cache_evictions_total", "counter", "Cache entries (stored partials and answers, and once-seen memo keys) evicted to stay under the byte budget.")
 	fmt.Fprintf(w, "tracesvc_cache_evictions_total %d\n", cache.Evictions)
-	promtext.Header(w, "tracesvc_cache_bytes_resident", "gauge", "Bytes of decoded frame batches resident in the cache (exact column footprint), plus 128 per once-seen frame marker.")
-	fmt.Fprintf(w, "tracesvc_cache_bytes_resident %d\n", cache.Bytes)
-	promtext.Header(w, "tracesvc_cache_frames_resident", "gauge", "Decoded frames resident in the cache.")
-	fmt.Fprintf(w, "tracesvc_cache_frames_resident %d\n", cache.Entries)
 	promtext.Header(w, "tracesvc_traces_open", "gauge", "Trace files currently registered.")
 	fmt.Fprintf(w, "tracesvc_traces_open %d\n", tracesOpen)
-	promtext.Header(w, "tracesvc_frames_decoded_total", "counter", "Frame payload reads across all registered traces.")
+	promtext.Header(w, "tracesvc_frames_decoded_total", "counter", "Frame payload reads across all traces ever registered.")
 	fmt.Fprintf(w, "tracesvc_frames_decoded_total %d\n", framesDecoded)
 	promtext.Header(w, "tracesvc_stats_tables_total", "counter", "Statistics tables produced.")
 	fmt.Fprintf(w, "tracesvc_stats_tables_total %d\n", m.statsTables.Value())
 	promtext.Header(w, "tracesvc_stats_records_skipped_total", "counter", "Records excluded from statistics tables because an expression referenced a field their state type does not carry.")
 	fmt.Fprintf(w, "tracesvc_stats_records_skipped_total %d\n", m.statsSkipped.Value())
-	promtext.Header(w, "tracesvc_stats_frames_fetched_total", "counter", "Frames whose records statistics programs fetched (from the frame cache or a decode); a frame answered by a memoized partial is not fetched.")
+	promtext.Header(w, "tracesvc_stats_frames_fetched_total", "counter", "Frames whose records statistics programs decoded; a frame answered by a memoized partial is not fetched.")
 	fmt.Fprintf(w, "tracesvc_stats_frames_fetched_total %d\n", m.statsFetched.Value())
 	promtext.Header(w, "tracesvc_stats_partials_total", "counter", "Memo lookups of whole-frame stats partials: reused from the memo (hit), evaluated (miss), and evaluations stored (the second under a key).")
 	fmt.Fprintf(w, "tracesvc_stats_partials_total{result=\"hit\"} %d\n", cache.PartialHits)

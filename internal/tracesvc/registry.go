@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/interval"
@@ -16,8 +15,8 @@ import (
 // it. It keeps no metadata of its own: the frame list, the directories
 // and the run bounds are the file's resident index, which registration
 // has already proven loads. The *interval.File is safe for concurrent
-// window queries (frames are positioned reads) and its frame decodes go
-// through the shared cache, its frame source.
+// window queries (frames are positioned reads), and the values memoized
+// from its frames go to the shared cache, its frame source.
 type Trace struct {
 	ID   string
 	Path string
@@ -52,11 +51,12 @@ func (t *Trace) Bounds() (clock.Time, clock.Time, int64) {
 // never recycles the cache namespace.
 type Registry struct {
 	cache *FrameCache
-	// decoded counts the frame payloads read on behalf of every trace
-	// ever registered — the warm/cold proof counter exported via
-	// /metrics. It is bumped where a cache miss loads a frame, so closing
-	// a trace or moving a live one to its next snapshot cannot lower it.
-	decoded atomic.Int64
+	// files is every open snapshot file and closedReads the frame
+	// payloads read from the files closed so far: together, the frames
+	// decoded on behalf of every trace ever registered (FramesDecoded).
+	filesMu     sync.Mutex
+	files       map[*interval.File]struct{}
+	closedReads int64
 
 	mu     sync.RWMutex
 	byID   map[string]*entry
@@ -79,10 +79,10 @@ type entry struct {
 	retired []*interval.File
 }
 
-// NewRegistry builds an empty registry whose traces decode frames
-// through the given cache.
+// NewRegistry builds an empty registry whose traces memoize through the
+// given cache.
 func NewRegistry(cache *FrameCache) *Registry {
-	return &Registry{cache: cache, byID: make(map[string]*entry)}
+	return &Registry{cache: cache, files: make(map[*interval.File]struct{}), byID: make(map[string]*entry)}
 }
 
 // newEntry allocates the next ID and cache namespace. The entry is not
@@ -127,13 +127,14 @@ func (r *Registry) AddLive(prov LiveProvider) string {
 }
 
 // snapshot makes an open file servable as e's trace: its directory
-// chain is proven to load, and its frame source — every frame decode
-// (map-reduce engine, scanners, FrameBatch) and every value memoized per
-// frame (whole frames' stats partials) — is the shared cache under e's
-// namespace (installed before the trace is published, never changed
-// after, as SetFrameSource requires). The namespace outlives seal generations, and so may memoized values: a
-// sealed frame's bytes never change, and each memo key names whatever
-// else its value depends on (the stats keys, the run bounds).
+// chain is proven to load, and its frame source — every value memoized
+// per frame (whole frames' stats partials) — is the shared cache under
+// e's namespace (installed before the trace is published, never changed
+// after, as SetFrameSource requires). The namespace outlives seal
+// generations, and so may memoized values: a sealed frame's bytes never
+// change, and each memo key names whatever else its value depends on
+// (the stats keys, the run bounds). The file joins the ones
+// FramesDecoded counts.
 func (r *Registry) snapshot(e *entry, path string, f *interval.File) (*Trace, error) {
 	if !f.ConcurrentReads() {
 		return nil, fmt.Errorf("tracesvc: %s: reader does not support concurrent frame reads", path)
@@ -141,34 +142,45 @@ func (r *Registry) snapshot(e *entry, path string, f *interval.File) (*Trace, er
 	if _, err := f.Frames(); err != nil {
 		return nil, err
 	}
-	f.SetFrameSource(frameSource{r, e.num})
+	f.SetFrameSource(frameSource{r.cache, e.num})
+	r.filesMu.Lock()
+	r.files[f] = struct{}{}
+	r.filesMu.Unlock()
 	return &Trace{ID: e.id, Path: path, num: e.num, file: f}, nil
+}
+
+// closeFile closes a snapshot file and carries its frame reads over to
+// closedReads, so FramesDecoded never goes down.
+func (r *Registry) closeFile(f *interval.File) {
+	f.Close()
+	r.filesMu.Lock()
+	delete(r.files, f)
+	r.closedReads += f.DecodedFrames()
+	r.filesMu.Unlock()
+}
+
+// FramesDecoded returns how many frame payloads have been read from the
+// files of every trace ever registered: the open snapshots' reads plus
+// those of every file closed before. It never goes down.
+func (r *Registry) FramesDecoded() int64 {
+	r.filesMu.Lock()
+	defer r.filesMu.Unlock()
+	n := r.closedReads
+	for f := range r.files {
+		n += f.DecodedFrames()
+	}
+	return n
 }
 
 // frameSource is one trace's interval.FrameSource: the registry's shared
 // cache under the trace's namespace.
 type frameSource struct {
-	r   *Registry
-	num uint64
-}
-
-func (s frameSource) Decode(f *interval.File, fe interval.FrameEntry, scratch *interval.Batch) (*interval.Batch, error) {
-	return s.r.cache.Get(s.num, fe.Offset, scratch, s.decoder(f, fe))
+	cache *FrameCache
+	num   uint64
 }
 
 func (s frameSource) Memo(ctx context.Context, f *interval.File, fe interval.FrameEntry, key string, compute func(*interval.Batch, bool) (any, int64, error)) (any, bool, error) {
-	return s.r.cache.Memo(ctx, s.num, fe.Offset, key, s.decoder(f, fe), compute)
-}
-
-// decoder reads fe of f into a batch, counting the read.
-func (s frameSource) decoder(f *interval.File, fe interval.FrameEntry) func(dst *interval.Batch) error {
-	return func(dst *interval.Batch) error {
-		err := f.DecodeFrameBatch(fe, dst)
-		if err == nil {
-			s.r.decoded.Add(1)
-		}
-		return err
-	}
+	return s.cache.Memo(ctx, s.num, fe.Offset, key, func(dst *interval.Batch) error { return f.DecodeFrameBatch(fe, dst) }, compute)
 }
 
 // resolve returns e's current trace. With a provider it is the snapshot
@@ -214,7 +226,7 @@ func (e *entry) resolve(r *Registry) (*Trace, error) {
 	if e.cur != nil {
 		e.retired = append(e.retired, e.cur.file)
 		if len(e.retired) > liveRetireRing {
-			e.retired[0].Close()
+			r.closeFile(e.retired[0])
 			e.retired = e.retired[1:]
 		}
 	}
@@ -224,15 +236,15 @@ func (e *entry) resolve(r *Registry) (*Trace, error) {
 
 // close shuts the current snapshot and every retired one; a query that
 // looked e up before it left the registry finds it gone.
-func (e *entry) close() {
+func (e *entry) close(r *Registry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.closed = true
 	if e.cur != nil {
-		e.cur.file.Close()
+		r.closeFile(e.cur.file)
 	}
 	for _, f := range e.retired {
-		f.Close()
+		r.closeFile(f)
 	}
 	e.retired = nil
 }
@@ -281,8 +293,8 @@ func (r *Registry) Len() int {
 	return len(r.byID)
 }
 
-// Close unregisters a trace, closes its files, and drops its cached
-// frames. In-flight queries against it fail with interval.ErrClosed —
+// Close unregisters a trace, closes its files, and drops its memoized
+// values and answers. In-flight queries against it fail with interval.ErrClosed —
 // promptly and safely, never with a crash — which handlers map to 503.
 func (r *Registry) Close(id string) bool {
 	r.mu.Lock()
@@ -292,7 +304,7 @@ func (r *Registry) Close(id string) bool {
 	if !ok {
 		return false
 	}
-	e.close()
+	e.close(r)
 	r.cache.InvalidateFile(e.num)
 	return true
 }

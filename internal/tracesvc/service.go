@@ -48,7 +48,9 @@ const DefaultRequestTimeout = 30 * time.Second
 
 // Config tunes the service; zero values select the defaults.
 type Config struct {
-	// CacheBytes is the decoded-frame cache budget (default 256 MiB).
+	// CacheBytes is the memo budget (default 256 MiB): the bytes of
+	// stored whole-frame stats partials and whole answers, and of the
+	// once-seen keys that admit them. No decoded frame is kept.
 	CacheBytes int64
 	// CacheShards is the cache shard count (default 16).
 	CacheShards int
@@ -109,7 +111,8 @@ func New(cfg Config) *Service {
 	// Every /stats answer is memoized whole but the JSON form's: its
 	// plan counts change from one asking to the next.
 	s.query("GET /v1/traces/{id}/stats", "stats", func(q url.Values) bool { return q.Get("format") != "json" }, s.handleStats)
-	// Of /records, only counts (a page is a scan the frame cache serves).
+	// Of /records, only counts: a page reads at most its own frames and
+	// the window's cut frames, so keeping it buys little.
 	s.query("GET /v1/traces/{id}/records", "records", func(q url.Values) bool { return q.Get("count") == "1" }, s.handleRecords)
 	s.query("GET /v1/traces/{id}/preview.svg", "preview", func(url.Values) bool { return true }, s.handlePreview)
 	s.handle("GET /metrics", "metrics", s.handleMetrics)
@@ -148,8 +151,8 @@ func New(cfg Config) *Service {
 // its command line; tests register in-memory traces).
 func (s *Service) Registry() *Registry { return s.reg }
 
-// Cache exposes the decoded-frame cache (benchmarks Flush it to measure
-// the cold path).
+// Cache exposes the memo of partials and answers (benchmarks Flush it to
+// measure the cold path).
 func (s *Service) Cache() *FrameCache { return s.cache }
 
 // Handler returns the root handler. A request's X-Request-ID, when it
@@ -540,17 +543,18 @@ func (s *Service) handleStats(r *http.Request, t *Trace) (*response, error) {
 }
 
 // handleRecords pages through the records overlapping a window. The
-// scan walks the resident frame list, decoding only overlapping frames
-// — through the cache, so a warm repeat decodes nothing. ?count=1 skips
-// the bodies and returns the total alone, counted from the directory
-// wherever it can be: every record of a frame the window does not cut
-// (any frame, unwindowed) overlaps the window. A frame straddling its
-// edges is read under the frame source's empty memo key — lent if
-// resident, never admitted — and its overlapping records counted; a
-// re-asked count is a whole stored answer. ?frames=lo:hi restricts the
-// scan to the half-open frame-index range [lo, hi) of the flattened
-// frame list — the shard router's scatter-gather legs use it so each
-// backend touches (and caches) only its own contiguous frame range.
+// total is counted from the directory wherever it can be: every record
+// of a frame the window does not cut (any frame, unwindowed) overlaps
+// the window. So the scan decodes only the frames holding the page's
+// records and the frames the window cuts, each into a batch of the
+// page's own: a record's extras and vector alias its frame's batch.
+// ?count=1 skips the bodies and returns the total alone; a frame the
+// window cuts is read under the frame source's empty memo key, which
+// keeps nothing, and its overlapping records counted; a re-asked count
+// is a whole stored answer. ?frames=lo:hi restricts the scan to the
+// half-open frame-index range [lo, hi) of the flattened frame list — the
+// shard router's scatter-gather legs use it so each backend touches only
+// its own contiguous frame range.
 func (s *Service) handleRecords(r *http.Request, t *Trace) (*response, error) {
 	q := r.URL.Query()
 	var err error
@@ -591,7 +595,8 @@ func (s *Service) handleRecords(r *http.Request, t *Trace) (*response, error) {
 		if windowed && (fe.End < lo || fe.Start > hi) {
 			continue
 		}
-		if countOnly && (!windowed || fe.Start >= lo && fe.End <= hi) {
+		if (!windowed || fe.Start >= lo && fe.End <= hi) &&
+			(countOnly || total+int(fe.Records) <= offset || total-offset >= limit) {
 			total += int(fe.Records)
 			continue
 		}
@@ -612,7 +617,7 @@ func (s *Service) handleRecords(r *http.Request, t *Trace) (*response, error) {
 			}
 			continue
 		}
-		b, err := t.file.FrameBatch(fe)
+		b, err := t.file.ReadFrameBatch(fe)
 		if err != nil {
 			return nil, err
 		}
@@ -732,7 +737,7 @@ func (s *Service) handlePreview(r *http.Request, t *Trace) (*response, error) {
 
 func (s *Service) handleMetrics(*http.Request) (*response, error) {
 	var b bytes.Buffer
-	s.met.writePrometheus(&b, s.cache.Stats(), int64(s.reg.Len()), s.reg.decoded.Load())
+	s.met.writePrometheus(&b, s.cache.Stats(), int64(s.reg.Len()), s.reg.FramesDecoded())
 	if s.ing != nil {
 		writeIngestMetrics(&b, s.ing.mgr.Stats())
 	}

@@ -357,125 +357,51 @@ func TestPreviewByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmCacheDecodesNoFrames is the acceptance proof for the cache: a
-// repeated window query decodes zero frames — DecodedFrames (frame
-// payload reads) stays flat while cache hits climb. A /records scan
-// lends the cache no scratch, so its first use stores every frame it
-// reads, and a /stats over resident frames computes its partials from
-// them. A /stats on a fresh service reads frames only to compute its
-// per-frame partials, so it keeps no frame: its first asking decodes the
-// window's frames, its second decodes them again and stores the whole
-// frames' partials, and the third decodes only the frames the window
-// cuts, whose partials are never memoized; a /records?count=1 after it
-// reads the cut frames alone, in every asking. Each asking has a fresh
-// answer key, so no stored answer stands in for them.
+// TestWarmCacheDecodesNoFrames is the acceptance proof for the memo: a
+// /stats reads frames only to compute its per-frame partials and keeps
+// no frame. Its first asking decodes the window's frames, its second
+// decodes them again and stores the whole frames' partials, and the
+// third decodes only the frames the window cuts, whose partials are
+// never memoized; a /records?count=1 after it reads the cut frames
+// alone, in every asking. Each asking has a fresh answer key, so no
+// stored answer stands in for them.
 func TestWarmCacheDecodesNoFrames(t *testing.T) {
+	path := writeTrace(t, t.TempDir(), 500)
 	s := tracesvc.New(tracesvc.Config{})
 	defer s.Close()
-	path := writeTrace(t, t.TempDir(), 500)
 	id := openTrace(t, s, path)
 	tr, _ := s.Registry().Resolve(id)
-
-	if w := do(t, s, "GET", "/v1/traces/"+id+"/records?window=0.05:0.2&limit=1", ""); w.Code != 200 {
-		t.Fatalf("cold query: %d %s", w.Code, w.Body)
-	}
-	cold := tr.File().DecodedFrames()
-	if cold == 0 {
-		t.Fatal("cold query decoded nothing")
-	}
-	hits0 := s.Cache().Stats().Hits
-
-	for i := 0; i < 3; i++ {
-		if w := do(t, s, "GET", "/v1/traces/"+id+"/records?window=0.05:0.2&limit=1", ""); w.Code != 200 {
-			t.Fatalf("warm query: %d %s", w.Code, w.Body)
-		}
-	}
-	if got := tr.File().DecodedFrames(); got != cold {
-		t.Fatalf("warm queries decoded %d frames (total %d, cold %d): cache not serving", got-cold, got, cold)
-	}
-	if hits := s.Cache().Stats().Hits; hits <= hits0 {
-		t.Fatalf("cache hits did not grow: %d -> %d", hits0, hits)
-	}
-
-	// Stats over the same window also rides the cache: still no decodes.
-	if w := do(t, s, "GET", "/v1/traces/"+id+"/stats?window=0.05:0.2", ""); w.Code != 200 {
-		t.Fatalf("warm stats: %d %s", w.Code, w.Body)
-	}
-	if got := tr.File().DecodedFrames(); got != cold {
-		t.Fatalf("warm stats decoded %d extra frames", got-cold)
-	}
-
-	// Stats first, on a fresh service: cold frames, cold frames again
-	// (now the whole frames' partials are stored), then the cut frames
-	// alone, with no frame resident throughout — and the count after them
-	// decodes the cut frames in every asking.
-	s2 := tracesvc.New(tracesvc.Config{})
-	defer s2.Close()
-	id2 := openTrace(t, s2, path)
-	tr2, _ := s2.Registry().Resolve(id2)
 	lo, hi, err := clock.ParseWindow("0.05:0.2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := int64(0)
-	for _, fe := range tr2.Frames() {
-		if fe.End >= lo && fe.Start <= hi && (fe.Start < lo || fe.End > hi) {
-			cut++
+	cold, cut := int64(0), int64(0)
+	for _, fe := range tr.Frames() {
+		if fe.End >= lo && fe.Start <= hi {
+			cold++
+			if fe.Start < lo || fe.End > hi {
+				cut++
+			}
 		}
 	}
 	if cut == 0 {
 		t.Fatal("the window cuts no frame")
 	}
 	for ask, want := range []int64{cold, 2 * cold, 2*cold + cut} {
-		if w := do(t, s2, "GET", fresh("/v1/traces/"+id2+"/stats?window=0.05:0.2"), ""); w.Code != 200 {
+		if w := do(t, s, "GET", fresh("/v1/traces/"+id+"/stats?window=0.05:0.2"), ""); w.Code != 200 {
 			t.Fatalf("stats %d: %d %s", ask+1, w.Code, w.Body)
 		}
-		cs := s2.Cache().Stats()
-		if got := tr2.File().DecodedFrames(); got != want {
+		if got := tr.File().DecodedFrames(); got != want {
 			t.Fatalf("after stats %d: %d frames decoded, want %d", ask+1, got, want)
-		}
-		if cs.Entries != 0 {
-			t.Fatalf("after stats %d: %d frames resident, want 0", ask+1, cs.Entries)
 		}
 	}
 	for ask, want := range []int64{2*cold + 2*cut, 2*cold + 3*cut, 2*cold + 4*cut} {
-		if w := do(t, s2, "GET", fresh("/v1/traces/"+id2+"/records?window=0.05:0.2&count=1"), ""); w.Code != 200 {
+		if w := do(t, s, "GET", fresh("/v1/traces/"+id+"/records?window=0.05:0.2&count=1"), ""); w.Code != 200 {
 			t.Fatalf("count %d after stats: %d %s", ask+1, w.Code, w.Body)
 		}
-		if got := tr2.File().DecodedFrames(); got != want {
+		if got := tr.File().DecodedFrames(); got != want {
 			t.Fatalf("after count %d: %d frames decoded, want %d", ask+1, got, want)
 		}
-		if cs := s2.Cache().Stats(); cs.Entries != 0 {
-			t.Fatalf("after count %d: %d frames resident, want 0", ask+1, cs.Entries)
-		}
-	}
-}
-
-// TestSingleflightDecodesOnce: N concurrent cold queries over the same
-// window must decode every frame exactly once — the singleflight
-// collapses the duplicate loads.
-func TestSingleflightDecodesOnce(t *testing.T) {
-	s := tracesvc.New(tracesvc.Config{})
-	defer s.Close()
-	path := writeTrace(t, t.TempDir(), 500)
-	id := openTrace(t, s, path)
-	tr, _ := s.Registry().Resolve(id)
-	nframes := int64(len(tr.Frames()))
-
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := do(t, s, "GET", "/v1/traces/"+id+"/records?limit=1", "")
-			if w.Code != 200 {
-				t.Errorf("concurrent cold query: %d", w.Code)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := tr.File().DecodedFrames(); got != nframes {
-		t.Fatalf("8 concurrent cold full scans decoded %d frames, file has %d: singleflight failed", got, nframes)
 	}
 }
 
@@ -530,29 +456,50 @@ func TestConcurrentQueriesWithClose(t *testing.T) {
 	}
 }
 
-// TestCacheEviction: a cache far smaller than the decoded trace must
-// evict and stay under budget, while queries keep answering correctly.
+// TestCacheEviction: a memo budget below one lap's answers and partials
+// evicts — and tracesvc_cache_evictions_total counts it, stored values
+// and once-seen keys alike — and stays under budget, while every answer,
+// in every lap, stays byte-identical to a roomy service's.
 func TestCacheEviction(t *testing.T) {
-	s := tracesvc.New(tracesvc.Config{CacheBytes: 1 << 16, CacheShards: 1})
-	defer s.Close()
+	const budget = 1 << 16
 	path := writeTrace(t, t.TempDir(), 4000)
-	id := openTrace(t, s, path)
-
-	for i := 0; i < 2; i++ {
-		w := do(t, s, "GET", "/v1/traces/"+id+"/records?limit=1", "")
-		if w.Code != 200 || !strings.Contains(w.Body.String(), `"total": 4000`) {
-			t.Fatalf("scan %d: %d %s", i, w.Code, w.Body)
+	var urls []string
+	for i := 0; i < 16; i++ {
+		window := fmt.Sprintf("%.2f:%.2f", 0.1*float64(i), 0.1*float64(i)+0.3)
+		urls = append(urls, "/preview.svg?view=preview&bins=64&window="+window, "/stats?bins=16&window="+window)
+	}
+	roomy, small := tracesvc.New(tracesvc.Config{}), tracesvc.New(tracesvc.Config{CacheBytes: budget, CacheShards: 1})
+	defer roomy.Close()
+	defer small.Close()
+	ids := []string{openTrace(t, roomy, path), openTrace(t, small, path)}
+	want := map[string]string{}
+	for lap := 0; lap < 2; lap++ {
+		for _, u := range urls {
+			// Asked twice in a row, so the second asking stores.
+			for ask := 0; ask < 2; ask++ {
+				for i, s := range []*tracesvc.Service{roomy, small} {
+					w := do(t, s, "GET", "/v1/traces/"+ids[i]+u, "")
+					if w.Code != 200 {
+						t.Fatalf("lap %d, GET %s: %d %s", lap, u, w.Code, w.Body)
+					}
+					if _, ok := want[u]; !ok {
+						want[u] = w.Body.String()
+					} else if w.Body.String() != want[u] {
+						t.Fatalf("lap %d, GET %s: the body differs from the first roomy answer", lap, u)
+					}
+				}
+			}
 		}
 	}
-	cs := s.Cache().Stats()
-	if cs.Evictions == 0 {
-		t.Fatal("no evictions despite a 64KiB budget")
+	if rs := roomy.Cache().Stats(); rs.AnswerBytes+rs.PartialBytes <= budget || rs.Evictions != 0 {
+		t.Fatalf("a lap stores %d answer and %d partial bytes with %d evictions; the test needs more than %d and none", rs.AnswerBytes, rs.PartialBytes, rs.Evictions, budget)
 	}
-	if cs.Bytes > 1<<16 {
-		t.Fatalf("cache holds %d bytes, budget %d", cs.Bytes, 1<<16)
+	cs := small.Cache().Stats()
+	if got := metricValue(t, small, "tracesvc_cache_evictions_total"); got == 0 || got != cs.Evictions {
+		t.Fatalf("tracesvc_cache_evictions_total = %d (stats %d) under a %d-byte budget", got, cs.Evictions, budget)
 	}
-	if cs.Bytes < 0 || cs.Entries < 0 {
-		t.Fatalf("negative accounting: %+v", cs)
+	if cs.AnswersStored == 0 || cs.PartialBytes+cs.AnswerBytes > budget {
+		t.Fatalf("cache stored %d answers and holds %d partial and %d answer bytes, budget %d", cs.AnswersStored, cs.PartialBytes, cs.AnswerBytes, budget)
 	}
 }
 
@@ -593,9 +540,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	body := w.Body.String()
 	for _, want := range []string{
-		"tracesvc_cache_hits_total ",
-		"tracesvc_cache_misses_total ",
-		"tracesvc_cache_bytes_resident ",
+		"tracesvc_cache_evictions_total ",
+		"tracesvc_answers_bytes_resident ",
 		"tracesvc_traces_open 1",
 		"tracesvc_frames_decoded_total ",
 		`tracesvc_requests_total{endpoint="records"} 2`,
@@ -617,21 +563,11 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestMetricsSeries pins every series a query-only daemon's /metrics
 // exposes, by name and labels (a histogram's le aside) and in order.
-// tracesvc_summary_partials_reused_total is gone with the summary's
-// memoized edge remainders; nothing else was renamed, relabelled or
-// dropped with it.
 func TestMetricsSeries(t *testing.T) {
 	s := tracesvc.New(tracesvc.Config{})
 	defer s.Close()
 	want := []string{
-		"tracesvc_cache_hits_total",
-		"tracesvc_cache_misses_total",
-		`tracesvc_cache_admissions_total{result="once"}`,
-		`tracesvc_cache_admissions_total{result="stored"}`,
-		`tracesvc_cache_admissions_total{result="none"}`,
 		"tracesvc_cache_evictions_total",
-		"tracesvc_cache_bytes_resident",
-		"tracesvc_cache_frames_resident",
 		"tracesvc_traces_open",
 		"tracesvc_frames_decoded_total",
 		"tracesvc_stats_tables_total",
