@@ -91,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzParseWindow$$' -fuzztime $(FUZZTIME) ./internal/clock
 	$(GO) test -run xxx -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run xxx -fuzz '^FuzzIngestBatch$$' -fuzztime $(FUZZTIME) ./internal/ingest
+	$(GO) test -run xxx -fuzz '^FuzzQuery$$' -fuzztime $(FUZZTIME) ./internal/tracesvc
 	$(GO) test -run xxx -fuzz '^FuzzRawReader$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 # The benchmark ledger (utebench/, declared in BENCHMARK.json): a

@@ -1022,7 +1022,7 @@ func BenchmarkServeStatsWarm(b *testing.B) {
 // service's handler: 200 records from an offset inside a window over the
 // middle half of the run, a page spanning at least 4 frames. A page is
 // never memoized whole. cold flushes the cache before every request;
-// reread asks the page at a fresh answer key after two warm-up askings.
+// reread asks the page again after two warm-up askings.
 // It reports frames/op, the frame payloads one request read, and fails
 // when a body differs from the first.
 func BenchmarkServeRecordsPage(b *testing.B) {
@@ -1049,7 +1049,7 @@ func BenchmarkServeRecordsPage(b *testing.B) {
 				return w.Body.String()
 			}
 			first := serve(url)
-			serve(url + "&ask=0")
+			serve(url)
 			runtime.GC()
 			b.ResetTimer()
 			decoded := tr.File().DecodedFrames()
@@ -1057,7 +1057,7 @@ func BenchmarkServeRecordsPage(b *testing.B) {
 				if rung.flush {
 					svc.Cache().Flush()
 				}
-				if serve(url+"&ask="+strconv.Itoa(i+1)) != first {
+				if serve(url) != first {
 					b.Fatalf("asking %d: the page differs from the first", i+3)
 				}
 			}
@@ -1099,8 +1099,9 @@ func pageFrames(b *testing.B, tr *tracesvc.Trace, window string, offset, limit i
 // BenchmarkServeScanPoll is a live dashboard's poll in process: the
 // time-resolved tables at 64 bins over the ledger's sPPM 4×8 trace,
 // opened without a sidecar so the scan engine answers, through the trace
-// service's handler, asked again and again at a fresh answer key (a live
-// trace's next seal generation is a fresh key too). It reports
+// service's handler, asked again and again with the memo flushed first,
+// so no stored answer stands in (a live trace's next seal generation is a
+// fresh key too; the scan engine stores no partials). It reports
 // frames/op, the frame payloads one poll read, and fails when a body
 // differs from the first or another engine answers.
 func BenchmarkServeScanPoll(b *testing.B) {
@@ -1131,7 +1132,8 @@ func BenchmarkServeScanPoll(b *testing.B) {
 	b.ResetTimer()
 	decoded := tr.File().DecodedFrames()
 	for i := 0; i < b.N; i++ {
-		if serve(url+"&ask="+strconv.Itoa(i)) != first {
+		svc.Cache().Flush()
+		if serve(url) != first {
 			b.Fatalf("poll %d: body differs from the first", i+1)
 		}
 	}

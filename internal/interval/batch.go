@@ -250,10 +250,6 @@ func (b *Batch) appendFixed(dst []byte) []byte {
 	return dst
 }
 
-// FrameBatch is ReadFrameBatch: fe's records in a batch of the caller's
-// own.
-func (f *File) FrameBatch(fe FrameEntry) (*Batch, error) { return f.ReadFrameBatch(fe) }
-
 // ReadFrameBatch reads and decodes fe into a new right-sized batch that
 // is never recycled, so it — and any Row taken from it — stays valid for
 // as long as the caller holds it. The decode runs in pooled scratch; only

@@ -226,7 +226,7 @@ func TestBatchMatchesRecordDecode(t *testing.T) {
 				if err := f.DecodeFrameBatch(fe, &b); err != nil {
 					t.Fatal(err)
 				}
-				shared, err := f.FrameBatch(fe)
+				shared, err := f.ReadFrameBatch(fe)
 				if err != nil {
 					t.Fatal(err)
 				}

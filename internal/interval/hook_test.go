@@ -6,7 +6,7 @@ import "context"
 // gets the frame through the function.
 type decodeOnly func(f *File, fe FrameEntry, scratch *Batch) (*Batch, error)
 
-func (d decodeOnly) Memo(_ context.Context, f *File, fe FrameEntry, _ string, compute func(*Batch, bool) (any, int64, error)) (any, bool, error) {
+func (d decodeOnly) Memo(_ context.Context, f *File, fe FrameEntry, _ MemoKey, compute func(*Batch, bool) (any, int64, error)) (any, bool, error) {
 	b, err := d(f, fe, nil)
 	if err != nil {
 		return nil, false, err

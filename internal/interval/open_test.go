@@ -87,7 +87,7 @@ func TestPayloadChecksumAlwaysVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.FrameBatch(frames[0]); err == nil {
+	if _, err := f.ReadFrameBatch(frames[0]); err == nil {
 		t.Fatal("open decoded a frame with a bad payload checksum")
 	}
 	if f.Salvage().Report.Clean() {

@@ -2,6 +2,7 @@ package interval
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -111,6 +112,17 @@ type File struct {
 // can recognize the condition.
 var ErrClosed = errors.New("interval: file already closed")
 
+// MemoKey names a memoized value: the first 16 bytes of the SHA-256 of
+// everything the value depends on besides the frame it came from. The
+// zero key names nothing.
+type MemoKey [16]byte
+
+// NewMemoKey is the key of the value described by b.
+func NewMemoKey(b []byte) MemoKey {
+	sum := sha256.Sum256(b)
+	return MemoKey(sum[:16])
+}
+
 // FrameSource memoizes values derived from one frame of a file in a
 // cache shared between readers of the same file. It holds values, not
 // frames: every frame read decodes on its own.
@@ -128,11 +140,11 @@ type FrameSource interface {
 	// it does, and may return scratch state of its own (never anything
 	// aliasing b) when it does not. Memo runs compute at most once at a time per key (a caller
 	// waiting on another's compute gives up when ctx is done) and never
-	// keeps a value whose compute failed. The empty key memoizes nothing:
+	// keeps a value whose compute failed. The zero key memoizes nothing:
 	// compute(b, false) runs over a frame decoded that same way on every
 	// call, and the source keeps neither a value nor a marker — the read
 	// for a frame whose value no later query is likely to share.
-	Memo(ctx context.Context, f *File, fe FrameEntry, key string, compute func(b *Batch, store bool) (v any, size int64, err error)) (v any, reused bool, err error)
+	Memo(ctx context.Context, f *File, fe FrameEntry, key MemoKey, compute func(b *Batch, store bool) (v any, size int64, err error)) (v any, reused bool, err error)
 }
 
 // SetFrameSource installs (or, with nil, removes) the frame source. It

@@ -13,7 +13,7 @@ import (
 // decodes its frame into one scratch batch, reused from one lookup to the
 // next, and lends it to compute with store false — what a serving cache
 // does for a frame it does not keep. The pyramid engine reads its edge
-// remainders under the empty key, so a lookup under any other fails the
+// remainders under the zero key, so a lookup under any other fails the
 // test.
 type lendingSource struct {
 	t       *testing.T
@@ -21,9 +21,9 @@ type lendingSource struct {
 	lookups int
 }
 
-func (l *lendingSource) Memo(_ context.Context, f *File, fe FrameEntry, key string, compute func(*Batch, bool) (any, int64, error)) (any, bool, error) {
-	if key != "" {
-		l.t.Errorf("frame at %d looked up under the key %q", fe.Offset, key)
+func (l *lendingSource) Memo(_ context.Context, f *File, fe FrameEntry, key MemoKey, compute func(*Batch, bool) (any, int64, error)) (any, bool, error) {
+	if key != (MemoKey{}) {
+		l.t.Errorf("frame at %d looked up under the key %x", fe.Offset, key)
 	}
 	l.lookups++
 	if err := f.DecodeFrameBatch(fe, &l.scratch); err != nil {
@@ -38,7 +38,7 @@ func (l *lendingSource) Memo(_ context.Context, f *File, fe FrameEntry, key stri
 // the scan: random unaligned windows and bin counts — each window at two
 // bin counts, which share the frames cut at its ends — over a file with
 // a sidecar, every summary equal to the sidecar-less file's, and every
-// frame the engine fetched a lookup under the empty key.
+// frame the engine fetched a lookup under the zero key.
 func TestRemainderMemoKeys(t *testing.T) {
 	f, bare := openPair(t, func() *SeekBuffer { sb, _ := writePyrFile(t, 33, 1500, CurrentHeaderVersion); return sb }(), PyramidOptions{BaseCells: 64})
 	src := &lendingSource{t: t}

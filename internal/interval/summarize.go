@@ -648,7 +648,7 @@ func (p *Pyramid) coarsestCell(x, limit clock.Time) (level int, idx int64) {
 
 // resolveRemainders answers the edge spans one frame at a time: every
 // frame overlapping a remainder is fetched once — through the file's
-// frame source under the empty memo key, which memoizes nothing, or
+// frame source under the zero memo key, which memoizes nothing, or
 // decoded into one pooled batch — and each of its records, clipped to the window, adds its busy
 // overlap to the remainders it overlaps. Nothing of a frame outlives its
 // turn but the clipped endpoints of its busy intervals, for one
@@ -754,7 +754,7 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 			return 0, err
 		}
 		if f.src != nil {
-			_, _, err = f.src.Memo(ctx, f, fe, "", add)
+			_, _, err = f.src.Memo(ctx, f, fe, MemoKey{}, add)
 		} else if err = f.DecodeFrameBatch(fe, pooled); err == nil {
 			_, _, err = add(pooled, false)
 		}

@@ -10,14 +10,12 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"tracefw/internal/clock"
 	"tracefw/internal/par"
 	"tracefw/internal/tracesvc"
 )
@@ -165,10 +163,10 @@ func NewRouter(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("POST /v1/traces", rt.routed(rt.handleOpen))
 	rt.mux.HandleFunc("GET /v1/traces/{id}", rt.handleGet)
 	rt.mux.HandleFunc("DELETE /v1/traces/{id}", rt.routed(rt.handleClose))
-	rt.mux.HandleFunc("GET /v1/traces/{id}/frames", rt.routed(rt.handleFrames))
-	rt.mux.HandleFunc("GET /v1/traces/{id}/stats", rt.routed(rt.handleStats))
+	rt.mux.HandleFunc("GET /v1/traces/{id}/frames", rt.routed(rt.windowed("frames")))
+	rt.mux.HandleFunc("GET /v1/traces/{id}/stats", rt.routed(rt.windowed("stats")))
 	rt.mux.HandleFunc("GET /v1/traces/{id}/records", rt.routed(rt.handleRecords))
-	rt.mux.HandleFunc("GET /v1/traces/{id}/preview.svg", rt.routed(rt.handlePreview))
+	rt.mux.HandleFunc("GET /v1/traces/{id}/preview.svg", rt.routed(rt.windowed("preview")))
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -725,17 +723,14 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, te *traceEntry, 
 
 // windowOwner picks the segment whose time range contains the window
 // midpoint — deterministic, so repeated pans over the same region keep
-// hitting the same backend's warm cache.
-func (rt *Router) windowOwner(te *traceEntry, rawWindow string) int {
-	if rawWindow == "" || len(te.segs) == 1 {
+// hitting the same backend's warm cache. A malformed request goes to the
+// segment-0 owner, which renders the canonical 400 body.
+func (rt *Router) windowOwner(te *traceEntry, endpoint string, r *http.Request) int {
+	q, err := tracesvc.ParseQuery(endpoint, r.URL.Query())
+	if err != nil || !q.Window || len(te.segs) == 1 {
 		return te.segs[0].owner
 	}
-	lo, hi, err := clock.ParseWindow(rawWindow)
-	if err != nil {
-		// Let the segment-0 owner render the canonical 400 body.
-		return te.segs[0].owner
-	}
-	l, h := int64(lo), int64(hi)
+	l, h := int64(q.Lo), int64(q.Hi)
 	if l == math.MinInt64 {
 		l = te.info.StartNs
 	}
@@ -756,31 +751,17 @@ func (rt *Router) windowOwner(te *traceEntry, rawWindow string) int {
 	return te.segs[len(te.segs)-1].owner
 }
 
-func (rt *Router) handleFrames(w http.ResponseWriter, r *http.Request) {
-	te := rt.lookupTrace(r.PathValue("id"))
-	if te == nil {
-		notFound(w, r.PathValue("id"))
-		return
+// windowed routes an endpoint's requests whole to their window's owner
+// (the segment-0 owner's without one).
+func (rt *Router) windowed(endpoint string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		te := rt.lookupTrace(r.PathValue("id"))
+		if te == nil {
+			notFound(w, r.PathValue("id"))
+			return
+		}
+		rt.proxy(w, r, te, rt.windowOwner(te, endpoint, r))
 	}
-	rt.proxy(w, r, te, te.segs[0].owner)
-}
-
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	te := rt.lookupTrace(r.PathValue("id"))
-	if te == nil {
-		notFound(w, r.PathValue("id"))
-		return
-	}
-	rt.proxy(w, r, te, rt.windowOwner(te, r.URL.Query().Get("window")))
-}
-
-func (rt *Router) handlePreview(w http.ResponseWriter, r *http.Request) {
-	te := rt.lookupTrace(r.PathValue("id"))
-	if te == nil {
-		notFound(w, r.PathValue("id"))
-		return
-	}
-	rt.proxy(w, r, te, rt.windowOwner(te, r.URL.Query().Get("window")))
 }
 
 // --- records scatter-gather --------------------------------------------
@@ -799,72 +780,27 @@ func (rt *Router) handleRecords(w http.ResponseWriter, r *http.Request) {
 		notFound(w, r.PathValue("id"))
 		return
 	}
-	q := r.URL.Query()
-	if len(te.segs) == 1 || q.Get("frames") != "" {
-		// Single segment, or the caller already targeted a frame range:
+	q, err := tracesvc.ParseQuery("records", r.URL.Query())
+	if err != nil || len(te.segs) == 1 || q.Frames {
+		// Malformed (the segment-0 owner renders the canonical 400), a
+		// single segment, or the caller already targeted a frame range:
 		// route whole.
 		rt.proxy(w, r, te, te.segs[0].owner)
 		return
 	}
-	limit, offset := 1000, 0
-	var err error
-	if ls := q.Get("limit"); ls != "" {
-		if limit, err = strconv.Atoi(ls); err != nil || limit < 1 {
-			rt.proxy(w, r, te, te.segs[0].owner) // canonical 400
-			return
-		}
-	}
-	if os := q.Get("offset"); os != "" {
-		if offset, err = strconv.Atoi(os); err != nil || offset < 0 {
-			rt.proxy(w, r, te, te.segs[0].owner)
-			return
-		}
-	}
-	rawWindow := q.Get("window")
-	var wlo, whi int64
-	windowed := rawWindow != ""
-	if windowed {
-		l, h, err := clock.ParseWindow(rawWindow)
-		if err != nil {
-			rt.proxy(w, r, te, te.segs[0].owner)
-			return
-		}
-		wlo, whi = int64(l), int64(h)
-	}
-	countOnly := q.Get("count") == "1"
 
 	// Segments whose time bounds miss the window cannot contribute: the
 	// handler's own frame-level skip would reject every frame in them.
 	legs := make([]segment, 0, len(te.segs))
 	for _, s := range te.segs {
-		if windowed && (s.endNs < wlo || s.startNs > whi) {
-			continue
+		if !q.Window || s.endNs >= int64(q.Lo) && s.startNs <= int64(q.Hi) {
+			legs = append(legs, s)
 		}
-		legs = append(legs, s)
 	}
 	rt.met.scatter.Add(1)
 
-	// Each leg asks for the first offset+limit matching records of its
-	// range: a record's index within its segment is never greater than
-	// its global index, so the global page [offset, offset+limit) is
-	// fully contained in the concatenation of the per-leg prefixes.
-	legQuery := func(s segment) string {
-		v := url.Values{}
-		v.Set("frames", fmt.Sprintf("%d:%d", s.lo, s.hi))
-		if windowed {
-			v.Set("window", rawWindow)
-		}
-		if countOnly {
-			v.Set("count", "1")
-		} else {
-			v.Set("offset", "0")
-			v.Set("limit", strconv.Itoa(offset+limit))
-		}
-		return v.Encode()
-	}
-
 	total := 0
-	skip, need := offset, limit
+	skip, need := q.Offset, q.Limit
 	merged := []tracesvc.RecordJSON{}
 	red := par.NewOrderedReducer()
 	var (
@@ -881,7 +817,17 @@ func (rt *Router) handleRecords(w http.ResponseWriter, r *http.Request) {
 		red.Abort()
 	}
 	leg := func(i int, s segment) {
-		qs := legQuery(s)
+		// Each leg asks for the first offset+limit matching records of
+		// its range (saturating: a huge limit must not wrap): a record's
+		// index within its segment is never greater than its global
+		// index, so the global page [offset, offset+limit) is fully
+		// contained in the concatenation of the per-leg prefixes.
+		lq := q
+		lq.Frames, lq.FrameLo, lq.FrameHi = true, s.lo, s.hi
+		if !q.Count {
+			lq.Offset, lq.Limit = 0, q.Offset+min(q.Limit, math.MaxInt-q.Offset)
+		}
+		qs := lq.Encode()
 		st, _, body, err := rt.fetch(r.Context(), rt.candidates(te, s.owner), func(bi int) string {
 			return "/v1/traces/" + te.localIDs[bi] + "/records?" + qs
 		})
@@ -893,25 +839,17 @@ func (rt *Router) handleRecords(w http.ResponseWriter, r *http.Request) {
 			fail(fmt.Errorf("segment %d:%d: backend answered %d: %s", s.lo, s.hi, st, bytes.TrimSpace(body)))
 			return
 		}
-		if countOnly {
-			var c tracesvc.RecordCount
-			if err := json.Unmarshal(body, &c); err != nil {
-				fail(fmt.Errorf("segment %d:%d: %v", s.lo, s.hi, err))
-				return
-			}
-			red.Reduce(i, func() error {
-				total += c.Count
-				return nil
-			})
-			return
+		// A count leg answers a RecordCount, a page leg a RecordsPage.
+		var page struct {
+			tracesvc.RecordsPage
+			tracesvc.RecordCount
 		}
-		var page tracesvc.RecordsPage
 		if err := json.Unmarshal(body, &page); err != nil {
 			fail(fmt.Errorf("segment %d:%d: %v", s.lo, s.hi, err))
 			return
 		}
 		red.Reduce(i, func() error {
-			total += page.Total
+			total += page.Total + page.Count
 			recs := page.Records
 			if skip >= len(recs) {
 				skip -= len(recs)
@@ -950,9 +888,9 @@ func (rt *Router) handleRecords(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("router: scatter-gather failed: %v", err), legsFailed(r.Context()))
 		return
 	}
-	if countOnly {
+	if q.Count {
 		writeJSON(w, http.StatusOK, tracesvc.RecordCount{Count: total})
 		return
 	}
-	writeJSON(w, http.StatusOK, tracesvc.RecordsPage{Total: total, Offset: offset, Records: merged})
+	writeJSON(w, http.StatusOK, tracesvc.RecordsPage{Total: total, Offset: q.Offset, Records: merged})
 }

@@ -203,6 +203,8 @@ func differentialQueries(id string) []string {
 		p + "/records?window=0.3:&limit=5000",
 		p + "/records?limit=100000",
 		p + "/records?offset=99999",
+		// offset+limit overflows: each leg's limit must saturate.
+		p + "/records?offset=1&limit=9223372036854775807",
 		p + "/records?frames=0:5",
 		p + "/records?frames=0:5&count=1",
 		p + "/preview.svg",

@@ -102,7 +102,7 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 	err := interval.MapFrames(files, mopts,
 		func(file int, fr *interval.Frame) (frameResult, error) {
 			w := clipWindow(mopts, fr.Entry)
-			if keys == nil || keys[file] == "" {
+			if keys == nil || keys[file] == (interval.MemoKey{}) {
 				b, err := fr.Batch()
 				if err != nil {
 					return frameResult{}, err
@@ -114,7 +114,7 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 				return frameResult{part: &x.framePart, x: x, fetched: true}, nil
 			}
 			// A whole frame's partial is memoized under the run's key; a
-			// frame the window cuts is read under the empty key, which
+			// frame the window cuts is read under the zero key, which
 			// memoizes nothing — another window rarely cuts it at the
 			// same instants. On a miss the source hands compute the
 			// frame; the partial is a function of its group keys and
@@ -122,7 +122,7 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 			// outlives it.
 			key := keys[file]
 			if !w.whole() {
-				key = ""
+				key = interval.MemoKey{}
 			}
 			fetched := false
 			v, hit, err := files[file].FrameSource().Memo(ctx, files[file], fr.Entry, key, func(b *interval.Batch, store bool) (any, int64, error) {
@@ -254,21 +254,21 @@ func clipWindow(mopts interval.MapOptions, fe interval.FrameEntry) window {
 func (w window) whole() bool { return w.lo == math.MinInt64 && w.hi == math.MaxInt64 }
 
 // memoKeys returns, per input file, the key a frame memo stores its
-// whole frames' partials under — "" for a file with no frame source — or
-// nil when the run consults none. Those partials depend on a frame's
-// bytes (the memo keys by frame) and on what the key names, each part
-// length-prefixed or delimited so no two keys run together: the program
-// text, the run bounds bin() reads (a live trace's move with every seal),
-// and, when the program codes marker names, the dictionary codes the
-// file's marker table gets.
-func (prog *compiledProgram) memoKeys(program string, files []*interval.File, tStart, tEnd clock.Time, dict *strDict) []string {
+// whole frames' partials under — the zero key for a file with no frame
+// source — or nil when the run consults none. Those partials depend on a
+// frame's bytes (the memo keys by frame) and on what the key digests,
+// each part length-prefixed or delimited so no two descriptions run
+// together: the program text, the run bounds bin() reads (a live trace's
+// move with every seal), and, when the program codes marker names, the
+// dictionary codes the file's marker table gets.
+func (prog *compiledProgram) memoKeys(program string, files []*interval.File, tStart, tEnd clock.Time, dict *strDict) []interval.MemoKey {
 	// A program with string + interns its concatenations in the order
 	// the workers happen to meet them, so its codes mean something only
 	// within the run that made them: it bypasses the memo.
 	if program == "" || prog.sl.nc > 0 {
 		return nil
 	}
-	keys := make([]string, len(files))
+	keys := make([]interval.MemoKey, len(files))
 	for fi, f := range files {
 		if f.FrameSource() == nil {
 			continue
@@ -286,7 +286,7 @@ func (prog *compiledProgram) memoKeys(program string, files []*interval.File, tS
 				k = appendField(append(k, '='), f.Header.Markers[id])
 			}
 		}
-		keys[fi] = string(k)
+		keys[fi] = interval.NewMemoKey(k)
 	}
 	return keys
 }

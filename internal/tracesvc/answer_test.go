@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,23 +23,47 @@ import (
 	"tracefw/internal/xrand"
 )
 
-// answerQuery is one request of the answer harness and the reference
-// reply: the status and body a freshly opened file with no frame source
-// gives.
+// answerQuery is one answer of the harness, the spellings of the request
+// that must all be given it, and the reference reply: the status and body
+// a freshly opened file with no frame source gives.
 type answerQuery struct {
-	url  string
+	urls []string
 	code int
 	want string
+}
+
+// spellings writes the request for v to endpoint four ways that must
+// share one answer: as url.Values encodes it, with its parameters in the
+// reverse order, with a trailing zero on each of its window's bounds
+// (when it has a window), and with a parameter nothing reads appended.
+func spellings(endpoint string, v url.Values) []string {
+	canonical := endpoint + "?" + v.Encode()
+	var reversed []string
+	for k := range v {
+		reversed = append(reversed, url.QueryEscape(k)+"="+url.QueryEscape(v.Get(k)))
+	}
+	sort.Sort(sort.Reverse(sort.StringSlice(reversed)))
+	urls := []string{canonical, endpoint + "?" + strings.Join(reversed, "&")}
+	if lo, hi, ok := strings.Cut(v.Get("window"), ":"); ok {
+		w := url.Values{}
+		for k := range v {
+			w.Set(k, v.Get(k))
+		}
+		w.Set("window", lo+"0:"+hi+"0")
+		urls = append(urls, endpoint+"?"+w.Encode())
+	}
+	return append(urls, canonical+"&junk=1")
 }
 
 // answerQueries draws the harness's requests over the snapshot open
 // returns: for every memoWindows window, each memoPrograms program, the
 // predefined tables, the time-resolved tables and a preview at a random
-// bin count, a record count and one frames=lo:hi count leg; plus, under
-// raw queries identical across endpoints, a /stats that is asked what a
-// preview and a count are, and a runtime-error program and a bad bin
-// count, which must never be stored. Every reference that takes a worker
-// count is the same at Parallel 1 and 4.
+// bin count, a record count and one frames=lo:hi count leg, each spelt
+// several ways; plus, under raw queries identical across endpoints, a
+// /stats that is asked what a preview is (the predefined tables' answer,
+// since /stats reads no view) and what a count is, and a runtime-error
+// program and a bad bin count, which must never be stored. Every
+// reference that takes a worker count is the same at Parallel 1 and 4.
 func answerQueries(t *testing.T, id string, open func() *interval.File, rng *xrand.Rand) []answerQuery {
 	t.Helper()
 	ref := open()
@@ -52,8 +78,8 @@ func answerQueries(t *testing.T, id string, open func() *interval.File, rng *xra
 	}
 	base := "/v1/traces/" + id
 	var qs []answerQuery
-	add := func(endpoint string, v url.Values, want string) {
-		qs = append(qs, answerQuery{base + endpoint + "?" + v.Encode(), http.StatusOK, want})
+	add := func(endpoint string, v url.Values, want string, more ...string) {
+		qs = append(qs, answerQuery{append(spellings(base+endpoint, v), more...), http.StatusOK, want})
 	}
 	countBody := func(n int) string {
 		b, err := json.MarshalIndent(tracesvc.RecordCount{Count: n}, "", "  ")
@@ -98,7 +124,8 @@ func answerQueries(t *testing.T, id string, open func() *interval.File, rng *xra
 			}
 			add("/stats", values("expr", p), want)
 		}
-		add("/stats", values("bins", b), predefined(bins, window))
+		add("/stats", values("bins", b), predefined(bins, window),
+			base+"/stats?"+values("view", "preview", "bins", b).Encode())
 
 		var tables [2]string
 		for i, par := range []int{1, 4} {
@@ -127,7 +154,6 @@ func answerQueries(t *testing.T, id string, open func() *interval.File, rng *xra
 			t.Fatal(err)
 		}
 		add("/preview.svg", values("view", "preview", "bins", b), render.PreviewSVG(pv.Preview))
-		add("/stats", values("view", "preview", "bins", b), predefined(bins, window))
 
 		n := 0
 		for _, r := range recs {
@@ -142,7 +168,7 @@ func answerQueries(t *testing.T, id string, open func() *interval.File, rng *xra
 		fhi := flo + 1 + rng.Intn(len(frames)-flo)
 		n = 0
 		for _, fe := range frames[flo:fhi] {
-			b, err := ref.FrameBatch(fe)
+			b, err := ref.ReadFrameBatch(fe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,23 +185,25 @@ func answerQueries(t *testing.T, id string, open func() *interval.File, rng *xra
 		t.Fatal("the runtime-error program ran clean")
 	}
 	qs = append(qs,
-		answerQuery{statsURL(id, errProgram, "", ""), http.StatusInternalServerError, err.Error() + "\n"},
-		answerQuery{base + "/stats?bins=0", http.StatusBadRequest, fmt.Sprintf("bad bins %q (1 to %d)\n", "0", stats.MaxBins)})
+		answerQuery{[]string{statsURL(id, errProgram, "", "")}, http.StatusInternalServerError, err.Error() + "\n"},
+		answerQuery{[]string{base + "/stats?bins=0"}, http.StatusBadRequest, fmt.Sprintf("bad bins %q (1 to %d)\n", "0", stats.MaxBins)})
 	return qs
 }
 
-// askAnswers asks every query four times, all askings in one shuffled
-// order, and holds every reply to its reference byte for byte. With
-// schedule set (a budget nothing is evicted from) it also holds every
-// asking to the answer memo's schedule: a query's first asking computes
-// and leaves a marker, its second computes and stores, every later one is
-// a hit — and an error answer is never stored nor served from the cache.
+// askAnswers asks every query at least four times, all askings in one
+// shuffled order, and holds every reply to its reference byte for byte.
+// A query's first two askings use its first spelling and each later one
+// the next spelling in turn, so every spelling is asked once the answer
+// is stored. With schedule set (a budget nothing is evicted from) it also
+// holds every asking to the answer memo's schedule: a query's first
+// asking computes and leaves a marker, its second computes and stores,
+// every later one, whatever its spelling, is a hit — and an error answer
+// is never stored nor served from the cache.
 func askAnswers(t *testing.T, s *tracesvc.Service, qs []answerQuery, rng *xrand.Rand, schedule bool) {
 	t.Helper()
-	const askings = 4
-	order := make([]int, 0, askings*len(qs))
-	for i := range qs {
-		for k := 0; k < askings; k++ {
+	var order []int
+	for i, q := range qs {
+		for k := 0; k < max(4, 2+len(q.urls)); k++ {
 			order = append(order, i)
 		}
 	}
@@ -183,10 +211,11 @@ func askAnswers(t *testing.T, s *tracesvc.Service, qs []answerQuery, rng *xrand.
 	asked := make([]int, len(qs))
 	for _, i := range order {
 		q := qs[i]
+		u := q.urls[max(0, asked[i]-2)%len(q.urls)]
 		before := s.Cache().Stats()
-		w := do(t, s, "GET", q.url, "")
+		w := do(t, s, "GET", u, "")
 		if w.Code != q.code || w.Body.String() != q.want {
-			t.Fatalf("asking %d of %s: %d, reply differs from a fresh file's (%d)\n--- got ---\n%.600s\n--- want ---\n%.600s", asked[i]+1, q.url, w.Code, q.code, w.Body, q.want)
+			t.Fatalf("asking %d of %s: %d, reply differs from a fresh file's (%d)\n--- got ---\n%.600s\n--- want ---\n%.600s", asked[i]+1, u, w.Code, q.code, w.Body, q.want)
 		}
 		after := s.Cache().Stats()
 		moved := [3]int64{after.AnswersOnce - before.AnswersOnce, after.AnswersStored - before.AnswersStored, after.AnswerHits - before.AnswerHits}
@@ -194,7 +223,7 @@ func askAnswers(t *testing.T, s *tracesvc.Service, qs []answerQuery, rng *xrand.
 		switch {
 		case q.code != http.StatusOK:
 			if moved[1] != 0 || moved[2] != 0 {
-				t.Fatalf("asking %d of %s: a %d answer was stored or served from the cache (once, stored, hit moved by %v)", asked[i], q.url, q.code, moved)
+				t.Fatalf("asking %d of %s: a %d answer was stored or served from the cache (once, stored, hit moved by %v)", asked[i], u, q.code, moved)
 			}
 		case !schedule:
 		default:
@@ -203,7 +232,7 @@ func askAnswers(t *testing.T, s *tracesvc.Service, qs []answerQuery, rng *xrand.
 				want[asked[i]-1], want[2] = 1, 0
 			}
 			if moved != want {
-				t.Fatalf("asking %d of %s: once, stored, hit moved by %v, want %v", asked[i], q.url, moved, want)
+				t.Fatalf("asking %d of %s: once, stored, hit moved by %v, want %v", asked[i], u, moved, want)
 			}
 		}
 	}
@@ -256,7 +285,7 @@ func TestAnswerMemoDifferential(t *testing.T) {
 				t.Fatalf("tracesvc_answers_total{result=%q} = %d, want %d", result, got, want)
 			}
 		}
-		do(t, s, "GET", qs[0].url+"&format=json", "")
+		do(t, s, "GET", qs[0].urls[0]+"&format=json", "")
 		if got := metricValue(t, s, `tracesvc_answers_total{result="bypass"}`); got != 1 {
 			t.Fatalf("a JSON /stats moved the bypass count by %d", got)
 		}
@@ -291,8 +320,8 @@ func TestAnswerMemoDifferential(t *testing.T) {
 		// The same requests, drawn by the same seed over each generation,
 		// answer differently as the trace grows: a key without the
 		// generation would serve the last one's answers.
-		if gens[0][0].url != gens[1][0].url || gens[0][0].want == gens[1][0].want {
-			t.Fatalf("the generations' first requests differ (%q, %q) or share an answer", gens[0][0].url, gens[1][0].url)
+		if gens[0][0].urls[0] != gens[1][0].urls[0] || gens[0][0].want == gens[1][0].want {
+			t.Fatalf("the generations' first requests differ (%q, %q) or share an answer", gens[0][0].urls[0], gens[1][0].urls[0])
 		}
 	})
 
@@ -373,5 +402,27 @@ func TestAnswerNeverStoresCancelled(t *testing.T) {
 	wg.Wait()
 	if cs := s.Cache().Stats(); cs.AnswersStored != 2 || cs.AnswerHits != 8 {
 		t.Fatalf("8 concurrent second askings: %d stored, %d hits; want 2 and 8", cs.AnswersStored, cs.AnswerHits)
+	}
+}
+
+// TestJunkParametersShareOneAnswer: a parameter no handler reads names no
+// new answer. One /stats query asked 100 times, each time twice under a
+// junk parameter of its own, answers its body every time and stores one
+// answer, so a client cannot fill the memo with copies of it.
+func TestJunkParametersShareOneAnswer(t *testing.T) {
+	s := tracesvc.New(tracesvc.Config{})
+	defer s.Close()
+	id := openTrace(t, s, writeMemoTrace(t, t.TempDir(), 3000, nil))
+	u := "/v1/traces/" + id + "/stats?bins=9&window=0.1:0.4"
+	want := do(t, s, "GET", u, "").Body.String()
+	for n := 0; n < 100; n++ {
+		for k := 0; k < 2; k++ {
+			if w := do(t, s, "GET", u+"&junk="+strconv.Itoa(n), ""); w.Code != http.StatusOK || w.Body.String() != want {
+				t.Fatalf("junk=%d, asking %d: %d, body differs from the first answer", n, k+1, w.Code)
+			}
+		}
+	}
+	if cs := s.Cache().Stats(); cs.AnswersStored != 1 {
+		t.Fatalf("%d answers stored for one query, want 1 (%+v)", cs.AnswersStored, cs)
 	}
 }

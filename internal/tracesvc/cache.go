@@ -8,37 +8,38 @@
 // is a lookup and a fresh one over known frames reads only the frames it
 // cuts (the VampirServer / Jumpshot preview-then-drill-down model). No
 // decoded frame is kept: every frame read decodes into a batch of its
-// reader's own.
+// reader's own. A request is parsed once, into a Query (ParseQuery, which
+// the shard router shares); handlers read only the Query, and an answer
+// is keyed by a digest of the Query's one spelling, so a question spelt
+// another way, or with a parameter nothing reads, is the same answer.
+// Every memo entry has a fixed 16-byte key (interval.MemoKey) and is
+// charged the same whatever its key describes.
 package tracesvc
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
-	"hash/maphash"
 	"sync"
 
 	"tracefw/internal/interval"
 	"tracefw/internal/promtext"
 )
 
-// frameKey identifies one cache entry: the registry-assigned file
+// memoKey identifies one cache entry: the registry-assigned file
 // number, the byte offset (unique within a file) of the frame a value
-// was memoized from (a whole frame's stats partial), and the memo key. A
-// whole answer (Answer) is a frame-less entry: offset answerOff, its
-// answer key as the memo key.
-type frameKey struct {
+// was memoized from (a whole frame's stats partial), and the value's
+// key. A whole answer (Answer) is a frame-less entry: offset answerOff.
+type memoKey struct {
 	file uint64
 	off  int64
-	memo string
+	key  interval.MemoKey
 }
 
 // answerOff is the offset of a frame-less entry, a memoized answer.
 const answerOff = -1
 
-// answerSeed spreads one trace's answers over the shards by their keys.
-var answerSeed = maphash.MakeSeed()
-
-// FrameCache is a sharded LRU memo of values computed from a trace's
+// MemoCache is a sharded LRU memo of values computed from a trace's
 // frames, bounded by a byte budget: the values memoized per frame (Memo)
 // — whole frames' stats partials — and whole answers (Answer), two kinds
 // under one memo path (memo), each with counters of its own. It holds no
@@ -47,12 +48,11 @@ var answerSeed = maphash.MakeSeed()
 //
 // One admission rule covers everything the cache holds: a value becomes
 // resident on its second use. The first leaves only a once-seen marker,
-// charged memoEntryBytes plus its key, so a query nobody repeats — a
-// cold pass, a lap's one /stats on a trace deleted right after — copies
-// and keeps nothing. Memo's empty key memoizes nothing: that is how a
-// frame a window cuts, whose value no later query is likely to share, is
-// read.
-type FrameCache struct {
+// charged memoEntryBytes, so a query nobody repeats — a cold pass, a
+// lap's one /stats on a trace deleted right after — copies and keeps
+// nothing. Memo's zero key memoizes nothing: that is how a frame a window
+// cuts, whose value no later query is likely to share, is read.
+type MemoCache struct {
 	shards      []cacheShard
 	shardBudget int64
 
@@ -74,7 +74,7 @@ type memoCounters struct{ hits, once, stored promtext.Counter }
 
 type cacheShard struct {
 	mu      sync.Mutex
-	entries map[frameKey]*cacheEntry
+	entries map[memoKey]*cacheEntry
 	// LRU list of ready entries: head is most recent, tail the next
 	// victim. In-flight entries sit in the map but not in the list, so
 	// eviction can never pick a value that is still being stored.
@@ -83,7 +83,7 @@ type cacheShard struct {
 }
 
 type cacheEntry struct {
-	key frameKey
+	key memoKey
 	// val is the stored value.
 	val        any
 	size       int64
@@ -101,39 +101,36 @@ type cacheEntry struct {
 }
 
 // memoEntryBytes is what a memo entry is charged beyond its value: the
-// entry itself plus its key, charged by length (a client chooses it).
+// entry itself with its fixed-size key.
 const memoEntryBytes = 128
 
-// NewFrameCache builds a cache with the given total byte budget spread
+// NewMemoCache builds a cache with the given total byte budget spread
 // over nShards shards (both floored to sane minimums). The budget counts
-// each stored value at the size its compute reports plus
-// memoEntryBytes and its key, and each once-seen marker's charge.
-func NewFrameCache(budgetBytes int64, nShards int) *FrameCache {
+// each stored value at the size its compute reports plus memoEntryBytes,
+// and each once-seen marker at memoEntryBytes.
+func NewMemoCache(budgetBytes int64, nShards int) *MemoCache {
 	if nShards < 1 {
 		nShards = 1
 	}
 	if budgetBytes < 1<<16 {
 		budgetBytes = 1 << 16
 	}
-	c := &FrameCache{
+	c := &MemoCache{
 		shards:      make([]cacheShard, nShards),
 		shardBudget: budgetBytes / int64(nShards),
 	}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[frameKey]*cacheEntry)
+		c.shards[i].entries = make(map[memoKey]*cacheEntry)
 	}
 	return c
 }
 
-func (c *FrameCache) shard(k frameKey) *cacheShard {
-	// Frame offsets are distinct multiples of small sizes; fold both key
-	// halves through a 64-bit mix (splitmix64 finalizer) so shard
-	// assignment is uniform regardless of alignment. A frame's memo
-	// entries share a shard; answers spread by their keys.
-	h := k.file*0x9e3779b97f4a7c15 + uint64(k.off)
-	if k.off == answerOff {
-		h += maphash.String(answerSeed, k.memo)
-	}
+func (c *MemoCache) shard(k memoKey) *cacheShard {
+	// Frame offsets are distinct multiples of small sizes; fold them, the
+	// file and the key's first word (a digest already) through a 64-bit
+	// mix (splitmix64 finalizer) so shard assignment is uniform regardless
+	// of alignment.
+	h := k.file*0x9e3779b97f4a7c15 + uint64(k.off) + binary.LittleEndian.Uint64(k.key[:8])
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -143,16 +140,15 @@ func (c *FrameCache) shard(k frameKey) *cacheShard {
 // Memo answers the value memoized under key from the frame at off of
 // file number file — the registry's interval.FrameSource Memo. Admission
 // is on the second evaluation under a key: the first leaves only a
-// once-seen record (charged memoEntryBytes plus the key), so a query
-// nobody repeats stores and copies nothing; the second stores its value,
-// and every later lookup reuses it. Concurrent lookups of a value being
-// stored wait for it (singleflight) unless ctx ends first; the store
-// carries on either way. An evaluation decodes the frame into pooled
-// scratch that compute must not hold on to, so it leaves no frame
-// behind. The empty key memoizes nothing: compute runs over a frame
-// decoded that way on every call, and the cache keeps neither a value
-// nor a marker.
-func (c *FrameCache) Memo(ctx context.Context, file uint64, off int64, key string, decode func(dst *interval.Batch) error, compute func(b *interval.Batch, store bool) (any, int64, error)) (any, bool, error) {
+// once-seen record (charged memoEntryBytes), so a query nobody repeats
+// stores and copies nothing; the second stores its value, and every
+// later lookup reuses it. Concurrent lookups of a value being stored wait
+// for it (singleflight) unless ctx ends first; the store carries on
+// either way. An evaluation decodes the frame into pooled scratch that
+// compute must not hold on to, so it leaves no frame behind. The zero
+// key memoizes nothing: compute runs over a frame decoded that way on
+// every call, and the cache keeps neither a value nor a marker.
+func (c *MemoCache) Memo(ctx context.Context, file uint64, off int64, key interval.MemoKey, decode func(dst *interval.Batch) error, compute func(b *interval.Batch, store bool) (any, int64, error)) (any, bool, error) {
 	lent := func(store bool) (any, int64, error) {
 		b := scratchPool.Get().(*interval.Batch)
 		defer scratchPool.Put(b)
@@ -161,11 +157,11 @@ func (c *FrameCache) Memo(ctx context.Context, file uint64, off int64, key strin
 		}
 		return compute(b, store)
 	}
-	if key == "" {
+	if key == (interval.MemoKey{}) {
 		v, _, err := lent(false)
 		return v, false, err
 	}
-	return c.memo(ctx, frameKey{file, off, key}, &c.partials, lent)
+	return c.memo(ctx, memoKey{file, off, key}, &c.partials, lent)
 }
 
 // errLate marks an answer computed after its request ended: the caller
@@ -178,8 +174,8 @@ var errLate = errors.New("tracesvc: answer computed after its request ended")
 // that ends after ctx did keeps nothing: its caller still gets the
 // answer, but no cancelled or timed-out answer is ever served from the
 // cache.
-func (c *FrameCache) Answer(ctx context.Context, file uint64, key string, compute func() (any, int64, error)) (any, error) {
-	v, _, err := c.memo(ctx, frameKey{file, answerOff, key}, &c.answers, func(store bool) (any, int64, error) {
+func (c *MemoCache) Answer(ctx context.Context, file uint64, key interval.MemoKey, compute func() (any, int64, error)) (any, error) {
+	v, _, err := c.memo(ctx, memoKey{file, answerOff, key}, &c.answers, func(store bool) (any, int64, error) {
 		v, size, err := compute()
 		if store && err == nil && ctx.Err() != nil {
 			err = errLate
@@ -194,14 +190,14 @@ func (c *FrameCache) Answer(ctx context.Context, file uint64, key string, comput
 
 // memo is the one memo path, for per-frame values and whole answers
 // alike: the value stored under k, or compute's. The first computation
-// under k leaves only a once-seen marker (charged memoEntryBytes plus the
-// key) and runs compute(false); the second runs compute(true) and stores
-// its value, charged memoEntryBytes, the key and the size compute
-// reports; every later lookup reuses it (reused = true). Lookups of a
-// value being stored wait for it (singleflight) unless ctx ends first. A
-// computation that fails stores nothing, and a waiter on it looks up
-// afresh. n counts the lookups by outcome.
-func (c *FrameCache) memo(ctx context.Context, k frameKey, n *memoCounters, compute func(store bool) (any, int64, error)) (any, bool, error) {
+// under k leaves only a once-seen marker (charged memoEntryBytes) and
+// runs compute(false); the second runs compute(true) and stores its
+// value, charged memoEntryBytes and the size compute reports; every later
+// lookup reuses it (reused = true). Lookups of a value being stored wait
+// for it (singleflight) unless ctx ends first. A computation that fails
+// stores nothing, and a waiter on it looks up afresh. n counts the
+// lookups by outcome.
+func (c *MemoCache) memo(ctx context.Context, k memoKey, n *memoCounters, compute func(store bool) (any, int64, error)) (any, bool, error) {
 	sh := c.shard(k)
 	for {
 		sh.mu.Lock()
@@ -217,7 +213,7 @@ func (c *FrameCache) memo(ctx context.Context, k frameKey, n *memoCounters, comp
 			return e.val, true, nil
 		}
 		if e == nil {
-			e = &cacheEntry{key: k, once: true, size: memoEntryBytes + int64(len(k.memo))}
+			e = &cacheEntry{key: k, once: true, size: memoEntryBytes}
 			sh.entries[k] = e
 			c.link(sh, e)
 			c.evictLocked(sh)
@@ -232,7 +228,7 @@ func (c *FrameCache) memo(ctx context.Context, k frameKey, n *memoCounters, comp
 		sh.mu.Unlock()
 		v, err := c.fill(sh, e, func() (any, int64, error) {
 			v, size, err := compute(true)
-			return v, memoEntryBytes + int64(len(k.memo)) + size, err
+			return v, memoEntryBytes + size, err
 		})
 		if err == nil {
 			n.stored.Add(1)
@@ -268,7 +264,7 @@ func (sh *cacheShard) await(ctx context.Context, e *cacheEntry) error {
 // — and publishes the result: a success becomes resident unless an
 // invalidation dropped e meanwhile, a failure is not cached, and every
 // waiter is released.
-func (c *FrameCache) fill(sh *cacheShard, e *cacheEntry, load func() (any, int64, error)) (any, error) {
+func (c *MemoCache) fill(sh *cacheShard, e *cacheEntry, load func() (any, int64, error)) (any, error) {
 	v, size, err := load()
 	e.val, e.err = v, err
 	sh.mu.Lock()
@@ -288,14 +284,14 @@ func (c *FrameCache) fill(sh *cacheShard, e *cacheEntry, load func() (any, int64
 
 // link makes an entry resident: at the LRU front, charged to the shard's
 // budget and its kind's gauge. The caller holds the shard lock.
-func (c *FrameCache) link(sh *cacheShard, e *cacheEntry) {
+func (c *MemoCache) link(sh *cacheShard, e *cacheEntry) {
 	sh.linkFront(e)
 	c.charge(sh, e, 1)
 }
 
 // drop removes an entry from the map and, when resident, from the LRU
 // and the budget. The caller holds the shard lock.
-func (c *FrameCache) drop(sh *cacheShard, e *cacheEntry) {
+func (c *MemoCache) drop(sh *cacheShard, e *cacheEntry) {
 	delete(sh.entries, e.key)
 	if e.linked {
 		sh.unlink(e)
@@ -303,7 +299,7 @@ func (c *FrameCache) drop(sh *cacheShard, e *cacheEntry) {
 	}
 }
 
-func (c *FrameCache) charge(sh *cacheShard, e *cacheEntry, sign int64) {
+func (c *MemoCache) charge(sh *cacheShard, e *cacheEntry, sign int64) {
 	sh.bytes += sign * e.size
 	if e.key.off == answerOff {
 		c.ansBytes.Add(sign * e.size)
@@ -314,7 +310,7 @@ func (c *FrameCache) charge(sh *cacheShard, e *cacheEntry, sign int64) {
 
 // evictLocked drops least-recently-used entries until the shard is back
 // under its budget. The caller holds the shard lock.
-func (c *FrameCache) evictLocked(sh *cacheShard) {
+func (c *MemoCache) evictLocked(sh *cacheShard) {
 	for sh.bytes > c.shardBudget && sh.tail != nil {
 		c.evictions.Add(1)
 		c.drop(sh, sh.tail)
@@ -324,26 +320,22 @@ func (c *FrameCache) evictLocked(sh *cacheShard) {
 // InvalidateFile removes every memoized value and answer of the given
 // file; the registry calls it when a trace is closed so a later
 // reopen can never see stale entries.
-func (c *FrameCache) InvalidateFile(file uint64) {
+func (c *MemoCache) InvalidateFile(file uint64) {
+	c.dropIf(func(k memoKey) bool { return k.file == file })
+}
+
+// Flush empties the cache (benchmarks use it to measure the cold path).
+func (c *MemoCache) Flush() { c.dropIf(func(memoKey) bool { return true }) }
+
+// dropIf removes every entry whose key match reports.
+func (c *MemoCache) dropIf(match func(memoKey) bool) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		for k, e := range sh.entries {
-			if k.file == file {
+			if match(k) {
 				c.drop(sh, e)
 			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// Flush empties the cache (benchmarks use it to measure the cold path).
-func (c *FrameCache) Flush() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			c.drop(sh, e)
 		}
 		sh.mu.Unlock()
 	}
@@ -354,7 +346,7 @@ type CacheStats struct {
 	// Entries of either kind, values and markers, evicted to stay under
 	// the budget.
 	Evictions int64
-	// Memoized values (Memo, under a non-empty key): lookups reusing a
+	// Memoized values (Memo, under a non-zero key): lookups reusing a
 	// stored value, lookups that evaluated (leaving a marker or storing),
 	// values stored, and bytes charged to memo entries.
 	PartialHits, PartialMisses, PartialsStored int64
@@ -367,7 +359,7 @@ type CacheStats struct {
 }
 
 // Stats snapshots the counters (approximate under concurrency).
-func (c *FrameCache) Stats() CacheStats {
+func (c *MemoCache) Stats() CacheStats {
 	return CacheStats{
 		Evictions:      c.evictions.Value(),
 		PartialHits:    c.partials.hits.Value(),

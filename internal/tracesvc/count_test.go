@@ -102,7 +102,7 @@ func TestRecordsCountFromDirectory(t *testing.T) {
 			id := openTrace(t, s, path)
 			tr, _ := s.Registry().Resolve(id)
 			for ask, decoded := range []int{cut, 2 * cut, 3 * cut} {
-				w := do(t, s, "GET", fresh("/v1/traces/"+id+query), "")
+				w := do(t, s, "GET", fresh(s, "/v1/traces/"+id+query), "")
 				if w.Code != http.StatusOK || count(w.Body.Bytes()) != want {
 					t.Fatalf("window %q, asking %d: %d %s, a full scan counts %d", window, ask+1, w.Code, w.Body, want)
 				}

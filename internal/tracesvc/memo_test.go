@@ -194,19 +194,20 @@ func statsURL(id, program, window, format string) string {
 	return "/v1/traces/" + id + "/stats?" + q.Encode()
 }
 
-// fresh gives u an answer key never asked before — a parameter no
-// handler reads — so that the asking reaches the per-frame memos rather
-// than the whole answer the service stores from a key's second asking.
-func fresh(u string) string { return u + "&ask=" + strconv.FormatInt(askSeq.Add(1), 10) }
-
-var askSeq atomic.Int64
+// fresh drops every answer s holds and returns u, so that asking u
+// reaches the per-frame memos rather than the whole answer the service
+// stores from a query's second asking.
+func fresh(s *tracesvc.Service, u string) string {
+	tracesvc.DropAnswers(s)
+	return u
+}
 
 // checkMemoRounds queries every program over every window three times —
 // an evaluation, a store, a reuse — and holds every body to the
 // reference byte for byte; the runtime-error program must answer the
-// same 500 every time and store nothing. Each round asks under a fresh
-// answer key, so it is the per-frame memos that answer, never a whole
-// stored answer.
+// same 500 every time and store nothing. Each round asks with the
+// service's answers dropped, so it is the per-frame memos that answer,
+// never a whole stored answer.
 func checkMemoRounds(t *testing.T, s *tracesvc.Service, id string, open func() *interval.File, windows []string) {
 	t.Helper()
 	type query struct {
@@ -229,14 +230,14 @@ func checkMemoRounds(t *testing.T, s *tracesvc.Service, id string, open func() *
 	answerHits := s.Cache().Stats().AnswerHits
 	for round := 0; round < 3; round++ {
 		for _, q := range qs {
-			w := do(t, s, "GET", fresh(statsURL(id, q.program, q.window, "")), "")
+			w := do(t, s, "GET", fresh(s, statsURL(id, q.program, q.window, "")), "")
 			if w.Code != http.StatusOK || w.Body.String() != q.want {
 				t.Fatalf("round %d, window %q, program %.60q: %d, body differs from a fresh GenerateOpts\n--- got ---\n%.600s\n--- want ---\n%.600s",
 					round, q.window, q.program, w.Code, w.Body, q.want)
 			}
 		}
 		stored := s.Cache().Stats().PartialsStored
-		w := do(t, s, "GET", fresh(statsURL(id, errProgram, windows[0], "")), "")
+		w := do(t, s, "GET", fresh(s, statsURL(id, errProgram, windows[0], "")), "")
 		if w.Code != http.StatusInternalServerError || w.Body.String() != wantErr.Error()+"\n" {
 			t.Fatalf("round %d: runtime-error program answered %d %q, want 500 %q", round, w.Code, w.Body, wantErr)
 		}
@@ -323,8 +324,8 @@ func metricValue(t *testing.T, s *tracesvc.Service, name string) int64 {
 // scans read frames only to compute partials: the first two decode every
 // frame, and the third, its partials stored, reads none. A concatenation
 // memoizes nothing, so each of its scans decodes every frame again and
-// charges the memo no partial byte. Each scan has a fresh answer key: a
-// stored whole answer would read no frame at all.
+// charges the memo no partial byte. Each scan drops the service's
+// answers first: a stored whole answer would read no frame at all.
 func TestFirstScanKeepsNoFrame(t *testing.T) {
 	for _, tc := range []struct {
 		name, query string
@@ -341,7 +342,7 @@ func TestFirstScanKeepsNoFrame(t *testing.T) {
 		tr, _ := s.Registry().Resolve(id)
 		n := len(tr.Frames())
 		for scan, want := range tc.scans {
-			if w := do(t, s, "GET", fresh("/v1/traces/"+id+"/stats?"+tc.query), ""); w.Code != 200 {
+			if w := do(t, s, "GET", fresh(s, "/v1/traces/"+id+"/stats?"+tc.query), ""); w.Code != 200 {
 				t.Fatalf("%s scan %d: %d %s", tc.name, scan+1, w.Code, w.Body)
 			}
 			if got := metricValue(t, s, "tracesvc_frames_decoded_total"); got != int64(want*n) {
@@ -486,7 +487,7 @@ func TestWarmStatsFetchesNoEvictedFrame(t *testing.T) {
 		t.Fatal("no partial stored after two askings")
 	}
 	decoded := tr.File().DecodedFrames()
-	if w := do(t, s, "GET", fresh(statsURL(id, memoPrograms[0], window, "")), ""); w.Code != http.StatusOK || w.Body.String() != want {
+	if w := do(t, s, "GET", fresh(s, statsURL(id, memoPrograms[0], window, "")), ""); w.Code != http.StatusOK || w.Body.String() != want {
 		t.Fatalf("warm asking: %d, body differs from a fresh GenerateOpts", w.Code)
 	}
 	if got := tr.File().DecodedFrames() - decoded; got != int64(cut) {
@@ -567,8 +568,8 @@ func TestStatsMemoUnderEviction(t *testing.T) {
 // goroutine outlives either.
 func TestMemoSingleflightCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
-	c := tracesvc.NewFrameCache(1<<20, 1)
-	const key = "k"
+	c := tracesvc.NewMemoCache(1<<20, 1)
+	key := interval.NewMemoKey([]byte("k"))
 	var decodes atomic.Int64
 	decode := func(*interval.Batch) error { decodes.Add(1); return nil }
 	value := func(*interval.Batch, bool) (any, int64, error) { return "partial", 8, nil }
@@ -631,16 +632,16 @@ func TestMemoSingleflightCancel(t *testing.T) {
 	testutil.SettleGoroutines(t, before)
 }
 
-// TestMemoEmptyKeyStoresNothing: Memo under the empty key memoizes
+// TestMemoEmptyKeyStoresNothing: Memo under the zero key memoizes
 // nothing. Eight concurrent callers, each asking two frames in turn, get
 // compute's value every time, computed over a fresh decode on every call
 // with store false and never reported reused, and the cache's memo bytes
-// and counters do not move. (An empty key taken for a memo key would be
+// and counters do not move. (A zero key taken for a memo key would be
 // marked on the first call and stored on the second: the callers get a
 // deadline.)
 func TestMemoEmptyKeyStoresNothing(t *testing.T) {
 	const callers, calls = 8, 20
-	c := tracesvc.NewFrameCache(1<<20, 1)
+	c := tracesvc.NewMemoCache(1<<20, 1)
 	var decodes atomic.Int64
 	decode := func(*interval.Batch) error { decodes.Add(1); return nil }
 	const first, second = 0, 4096
@@ -655,7 +656,7 @@ func TestMemoEmptyKeyStoresNothing(t *testing.T) {
 				if i%2 == 1 {
 					off = second
 				}
-				v, reused, err := c.Memo(context.Background(), 1, off, "", decode, func(b *interval.Batch, store bool) (any, int64, error) {
+				v, reused, err := c.Memo(context.Background(), 1, off, interval.MemoKey{}, decode, func(b *interval.Batch, store bool) (any, int64, error) {
 					computed.Add(1)
 					if store {
 						stored.Add(1)
@@ -727,4 +728,26 @@ func TestNoGoroutineOutlivesStats(t *testing.T) {
 	wg.Wait()
 	s.Close()
 	testutil.SettleGoroutines(t, before)
+}
+
+// TestMemoChargeIgnoresKeyLength: every memo entry is charged the same
+// whatever its key describes. One asking of a program with a table name
+// of 4 KiB and one of the same program with a one-letter name, each on a
+// fresh service, leave the same once-seen markers charged the same bytes.
+func TestMemoChargeIgnoresKeyLength(t *testing.T) {
+	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
+	var charged [2]tracesvc.CacheStats
+	for i, name := range []string{"n", strings.Repeat("n", 4096)} {
+		s := tracesvc.New(tracesvc.Config{})
+		id := openTrace(t, s, path)
+		if w := do(t, s, "GET", statsURL(id, `table name=`+name+` x=("node", node) y=("n", dura, count)`, "", ""), ""); w.Code != http.StatusOK {
+			t.Fatalf("table name of %d bytes: %d %.200s", len(name), w.Code, w.Body)
+		}
+		charged[i] = s.Cache().Stats()
+		s.Close()
+	}
+	if charged[0].PartialBytes == 0 || charged[0].PartialBytes != charged[1].PartialBytes || charged[0].AnswerBytes != charged[1].AnswerBytes {
+		t.Fatalf("one asking charged %d partial and %d answer bytes under a short program, %d and %d under a long one",
+			charged[0].PartialBytes, charged[0].AnswerBytes, charged[1].PartialBytes, charged[1].AnswerBytes)
+	}
 }

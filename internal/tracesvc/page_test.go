@@ -128,7 +128,7 @@ func TestRecordsPageAcrossFrames(t *testing.T) {
 		}
 		want = append(want, '\n')
 		for ask := 1; ask <= 3; ask++ {
-			w := do(t, s, "GET", fresh("/v1/traces/"+id+"/records?"+q), "")
+			w := do(t, s, "GET", fresh(s, "/v1/traces/"+id+"/records?"+q), "")
 			if w.Code != 200 || w.Body.String() != string(want) {
 				t.Fatalf("%s, asking %d: %d, the page differs from the ReadFrameBatch reference:\n%.400s\nwant\n%.400s", q, ask, w.Code, w.Body, want)
 			}

@@ -50,7 +50,7 @@ func (t *Trace) Bounds() (clock.Time, clock.Time, int64) {
 // "t2", …) in registration order; closing a trace frees its slot but
 // never recycles the cache namespace.
 type Registry struct {
-	cache *FrameCache
+	cache *MemoCache
 	// files is every open snapshot file and closedReads the frame
 	// payloads read from the files closed so far: together, the frames
 	// decoded on behalf of every trace ever registered (FramesDecoded).
@@ -81,7 +81,7 @@ type entry struct {
 
 // NewRegistry builds an empty registry whose traces memoize through the
 // given cache.
-func NewRegistry(cache *FrameCache) *Registry {
+func NewRegistry(cache *MemoCache) *Registry {
 	return &Registry{cache: cache, files: make(map[*interval.File]struct{}), byID: make(map[string]*entry)}
 }
 
@@ -175,11 +175,11 @@ func (r *Registry) FramesDecoded() int64 {
 // frameSource is one trace's interval.FrameSource: the registry's shared
 // cache under the trace's namespace.
 type frameSource struct {
-	cache *FrameCache
+	cache *MemoCache
 	num   uint64
 }
 
-func (s frameSource) Memo(ctx context.Context, f *interval.File, fe interval.FrameEntry, key string, compute func(*interval.Batch, bool) (any, int64, error)) (any, bool, error) {
+func (s frameSource) Memo(ctx context.Context, f *interval.File, fe interval.FrameEntry, key interval.MemoKey, compute func(*interval.Batch, bool) (any, int64, error)) (any, bool, error) {
 	return s.cache.Memo(ctx, s.num, fe.Offset, key, func(dst *interval.Batch) error { return f.DecodeFrameBatch(fe, dst) }, compute)
 }
 

@@ -187,7 +187,7 @@ func TestRegistryOneEntryPath(t *testing.T) {
 	if _, err := reg.Resolve(static.ID); err == nil {
 		t.Fatal("closed static trace still resolves")
 	}
-	if _, err := static.File().FrameBatch(static.Frames()[0]); err != interval.ErrClosed {
+	if _, err := static.File().ReadFrameBatch(static.Frames()[0]); err != interval.ErrClosed {
 		t.Fatalf("frame read on a closed trace: %v, want ErrClosed", err)
 	}
 
@@ -195,7 +195,7 @@ func TestRegistryOneEntryPath(t *testing.T) {
 	if reg.Len() != 0 {
 		t.Fatalf("Len after CloseAll = %d (live %s, unsealed %s)", reg.Len(), live, unsealed)
 	}
-	if _, err := lt.File().FrameBatch(lt.Frames()[0]); err != interval.ErrClosed {
+	if _, err := lt.File().ReadFrameBatch(lt.Frames()[0]); err != interval.ErrClosed {
 		t.Fatalf("frame read on a closed live snapshot: %v, want ErrClosed", err)
 	}
 }

@@ -8,12 +8,10 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync/atomic"
 	"time"
 
-	"tracefw/internal/clock"
 	"tracefw/internal/interval"
 	"tracefw/internal/render"
 	"tracefw/internal/stats"
@@ -77,7 +75,7 @@ func (c Config) withDefaults() Config {
 // state it touches is concurrency-safe.
 type Service struct {
 	cfg   Config
-	cache *FrameCache
+	cache *MemoCache
 	reg   *Registry
 	met   *metrics
 	mux   *http.ServeMux
@@ -97,7 +95,7 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:   cfg,
-		cache: NewFrameCache(cfg.CacheBytes, cfg.CacheShards),
+		cache: NewMemoCache(cfg.CacheBytes, cfg.CacheShards),
 		met:   newMetrics(),
 		mux:   http.NewServeMux(),
 	}
@@ -105,16 +103,12 @@ func New(cfg Config) *Service {
 
 	s.handle("GET /v1/traces", "list", s.handleList)
 	s.handle("POST /v1/traces", "open", s.handleOpen)
-	s.query("GET /v1/traces/{id}", "get", nil, s.handleGet)
+	s.query("GET /v1/traces/{id}", "get", s.handleGet)
 	s.handle("DELETE /v1/traces/{id}", "close", s.handleClose)
-	s.query("GET /v1/traces/{id}/frames", "frames", nil, s.handleFrames)
-	// Every /stats answer is memoized whole but the JSON form's: its
-	// plan counts change from one asking to the next.
-	s.query("GET /v1/traces/{id}/stats", "stats", func(q url.Values) bool { return q.Get("format") != "json" }, s.handleStats)
-	// Of /records, only counts: a page reads at most its own frames and
-	// the window's cut frames, so keeping it buys little.
-	s.query("GET /v1/traces/{id}/records", "records", func(q url.Values) bool { return q.Get("count") == "1" }, s.handleRecords)
-	s.query("GET /v1/traces/{id}/preview.svg", "preview", func(url.Values) bool { return true }, s.handlePreview)
+	s.query("GET /v1/traces/{id}/frames", "frames", s.handleFrames)
+	s.query("GET /v1/traces/{id}/stats", "stats", s.handleStats)
+	s.query("GET /v1/traces/{id}/records", "records", s.handleRecords)
+	s.query("GET /v1/traces/{id}/preview.svg", "preview", s.handlePreview)
 	s.handle("GET /metrics", "metrics", s.handleMetrics)
 	// Liveness and readiness stay outside the metrics/deadline wrapper:
 	// health pollers hit them every couple of seconds and would drown
@@ -153,7 +147,7 @@ func (s *Service) Registry() *Registry { return s.reg }
 
 // Cache exposes the memo of partials and answers (benchmarks Flush it to
 // measure the cold path).
-func (s *Service) Cache() *FrameCache { return s.cache }
+func (s *Service) Cache() *MemoCache { return s.cache }
 
 // Handler returns the root handler. A request's X-Request-ID, when it
 // has one, is echoed on the response.
@@ -289,29 +283,30 @@ func (s *Service) handleWrapped(pattern, name string, fn func(r *http.Request) (
 // query registers an endpoint over one trace: the wrapper resolves the
 // {id} path segment — a live trace to a snapshot of its newest seal
 // generation, so every query observes the live tail as of its own start
-// — and hands the handler the trace. When memo (nil for never) says a
-// request's answer is memoized, the answer is looked up in the frame
-// cache first: keyed by the snapshot's seal generation, the endpoint and
-// the raw query, which hold every input a handler reads, and computed by
-// the handler only when none is stored.
-func (s *Service) query(pattern, name string, memo func(url.Values) bool, fn func(r *http.Request, t *Trace) (*response, error)) {
+// — parses the request into the endpoint's Query, and hands the handler
+// both. When the Query says its answer is memoized, the answer is looked
+// up in the cache first: keyed by the snapshot's seal generation and the
+// Query, which hold every input a handler reads, and computed by the
+// handler only when none is stored.
+func (s *Service) query(pattern, name string, fn func(ctx context.Context, q Query, t *Trace) (*response, error)) {
 	s.handle(pattern, name, func(r *http.Request) (*response, error) {
 		t, err := s.reg.Resolve(r.PathValue("id"))
 		if err != nil {
 			return nil, err
 		}
-		if memo == nil {
-			return fn(r, t)
+		q, err := ParseQuery(name, r.URL.Query())
+		if err != nil {
+			return nil, err
 		}
-		if !memo(r.URL.Query()) {
-			s.met.answersBypass.Add(1)
-			return fn(r, t)
+		ctx := r.Context()
+		if memo, bypass := q.answerMemo(); !memo {
+			if bypass {
+				s.met.answersBypass.Add(1)
+			}
+			return fn(ctx, q, t)
 		}
-		key := make([]byte, 0, 22+len(name)+len(r.URL.RawQuery))
-		key = append(strconv.AppendUint(key, t.gen, 10), ' ')
-		key = append(append(append(key, name...), '?'), r.URL.RawQuery...)
-		v, err := s.cache.Answer(r.Context(), t.num, string(key), func() (any, int64, error) {
-			resp, err := fn(r, t)
+		v, err := s.cache.Answer(ctx, t.num, q.key(t.gen), func() (any, int64, error) {
+			resp, err := fn(ctx, q, t)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -369,7 +364,7 @@ func (s *Service) handleOpen(r *http.Request) (*response, error) {
 	return jsonResponse(http.StatusCreated, infoOf(t))
 }
 
-func (s *Service) handleGet(_ *http.Request, t *Trace) (*response, error) {
+func (s *Service) handleGet(_ context.Context, _ Query, t *Trace) (*response, error) {
 	return jsonResponse(http.StatusOK, infoOf(t))
 }
 
@@ -382,7 +377,7 @@ func (s *Service) handleClose(r *http.Request) (*response, error) {
 	return &response{status: http.StatusNoContent}, nil
 }
 
-func (s *Service) handleFrames(_ *http.Request, t *Trace) (*response, error) {
+func (s *Service) handleFrames(_ context.Context, _ Query, t *Trace) (*response, error) {
 	frames := t.Frames()
 	fis := make([]FrameInfo, len(frames))
 	for i, fe := range frames {
@@ -413,36 +408,6 @@ func (s *Service) handleFrames(_ *http.Request, t *Trace) (*response, error) {
 	return jsonResponse(http.StatusOK, FrameList{Frames: fis, Dirs: dis})
 }
 
-// parseWindow reads the optional ?window=lo:hi query parameter (seconds,
-// either side may be empty — the same syntax the CLIs accept).
-func parseWindow(r *http.Request) (lo, hi clock.Time, ok bool, err error) {
-	w := r.URL.Query().Get("window")
-	if w == "" {
-		return 0, 0, false, nil
-	}
-	lo, hi, err = clock.ParseWindow(w)
-	if err != nil {
-		return 0, 0, false, badRequest("bad window: %v", err)
-	}
-	return lo, hi, true, nil
-}
-
-// parseBins reads ?bins=N, def when absent, capped at stats.MaxBins.
-// That alone does not bound a request: every type and busy lane a
-// summary meets costs a row N bins wide, so the summary itself stops at
-// interval.MaxSummaryCells and the request answers 400 (summaryErr).
-func parseBins(q url.Values, def int) (int, error) {
-	bs := q.Get("bins")
-	if bs == "" {
-		return def, nil
-	}
-	bins, err := strconv.Atoi(bs)
-	if err != nil || bins < 1 || bins > stats.MaxBins {
-		return 0, badRequest("bad bins %q (1 to %d)", bs, stats.MaxBins)
-	}
-	return bins, nil
-}
-
 // summaryErr turns a window summary over its cell budget into a 400:
 // the request named more bins than this trace's types and lanes allow.
 func summaryErr(err error) error {
@@ -465,27 +430,15 @@ func summaryErr(err error) error {
 // how many frames' records it fetched (a reused partial fetches none) —
 // or, on a time-resolved request, how many frames the summary fetched
 // (framesDecoded; framesEvaluated and partialsReused are 0).
-func (s *Service) handleStats(r *http.Request, t *Trace) (*response, error) {
-	q := r.URL.Query()
-	bins, err := parseBins(q, interval.DefaultBins)
-	if err != nil {
-		return nil, err
-	}
-	opts := interval.MapOptions{Context: r.Context()}
-	if lo, hi, ok, err := parseWindow(r); err != nil {
-		return nil, err
-	} else if ok {
-		opts.Window, opts.Lo, opts.Hi = true, lo, hi
-	}
+func (s *Service) handleStats(ctx context.Context, q Query, t *Trace) (*response, error) {
+	opts := interval.MapOptions{Context: ctx, Window: q.Window, Lo: q.Lo, Hi: q.Hi}
 	var run stats.Run
+	var err error
 	// summaryDecoded is the frames the summary fetched, on a
 	// time-resolved request only.
 	var summaryDecoded *int
-	if q.Get("timeresolved") == "1" {
-		if q.Get("expr") != "" {
-			return nil, badRequest("timeresolved=1 does not take an expr")
-		}
-		run.Tables, err = stats.TimeResolved([]*interval.File{t.file}, bins, opts)
+	if q.TimeResolved {
+		run.Tables, err = stats.TimeResolved([]*interval.File{t.file}, q.Bins, opts)
 		err = summaryErr(err)
 		if err == nil && len(run.Tables) > 0 {
 			tb := run.Tables[0]
@@ -493,9 +446,9 @@ func (s *Service) handleStats(r *http.Request, t *Trace) (*response, error) {
 			summaryDecoded = &tb.FramesDecoded
 		}
 	} else {
-		program := q.Get("expr")
+		program := q.Program
 		if program == "" {
-			program = stats.Predefined(bins)
+			program = stats.Predefined(q.Bins)
 		}
 		run, err = stats.GenerateRun(program, []*interval.File{t.file}, opts)
 	}
@@ -508,7 +461,7 @@ func (s *Service) handleStats(r *http.Request, t *Trace) (*response, error) {
 	for _, tb := range tables {
 		s.met.statsSkipped.Add(tb.Skipped)
 	}
-	if q.Get("format") == "json" {
+	if q.JSON {
 		type tableJSON struct {
 			Name    string `json:"name"`
 			Engine  string `json:"engine,omitempty"`
@@ -549,64 +502,43 @@ func (s *Service) handleStats(r *http.Request, t *Trace) (*response, error) {
 // records and the frames the window cuts, each into a batch of the
 // page's own: a record's extras and vector alias its frame's batch.
 // ?count=1 skips the bodies and returns the total alone; a frame the
-// window cuts is read under the frame source's empty memo key, which
+// window cuts is read under the frame source's zero memo key, which
 // keeps nothing, and its overlapping records counted; a re-asked count
 // is a whole stored answer. ?frames=lo:hi restricts the scan to the
 // half-open frame-index range [lo, hi) of the flattened frame list — the
 // shard router's scatter-gather legs use it so each backend touches only
 // its own contiguous frame range.
-func (s *Service) handleRecords(r *http.Request, t *Trace) (*response, error) {
-	q := r.URL.Query()
-	var err error
-	limit := 1000
-	if ls := q.Get("limit"); ls != "" {
-		if limit, err = strconv.Atoi(ls); err != nil || limit < 1 {
-			return nil, badRequest("bad limit %q", ls)
-		}
-	}
-	offset := 0
-	if os := q.Get("offset"); os != "" {
-		if offset, err = strconv.Atoi(os); err != nil || offset < 0 {
-			return nil, badRequest("bad offset %q", os)
-		}
-	}
-	countOnly := q.Get("count") == "1"
-	lo, hi, windowed, err := parseWindow(r)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) handleRecords(ctx context.Context, q Query, t *Trace) (*response, error) {
 	frames := t.Frames()
-	if fr := q.Get("frames"); fr != "" {
-		flo, fhi, ok := parseFrameRange(fr, len(frames))
-		if !ok {
-			return nil, badRequest("bad frames %q", fr)
+	if q.Frames {
+		if q.FrameHi > len(frames) {
+			return nil, badRequest("bad frames %q", strconv.Itoa(q.FrameLo)+":"+strconv.Itoa(q.FrameHi))
 		}
-		frames = frames[flo:fhi]
+		frames = frames[q.FrameLo:q.FrameHi]
 		s.met.rangeQueries.Add(1)
 	}
 
-	ctx := r.Context()
 	var out []RecordJSON
-	if !countOnly {
-		out = make([]RecordJSON, 0, min(limit, 4096))
+	if !q.Count {
+		out = make([]RecordJSON, 0, min(q.Limit, 4096))
 	}
 	total := 0
 	for _, fe := range frames {
-		if windowed && (fe.End < lo || fe.Start > hi) {
+		if q.Window && (fe.End < q.Lo || fe.Start > q.Hi) {
 			continue
 		}
-		if (!windowed || fe.Start >= lo && fe.End <= hi) &&
-			(countOnly || total+int(fe.Records) <= offset || total-offset >= limit) {
+		if (!q.Window || fe.Start >= q.Lo && fe.End <= q.Hi) &&
+			(q.Count || total+int(fe.Records) <= q.Offset || total-q.Offset >= q.Limit) {
 			total += int(fe.Records)
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if countOnly {
-			_, _, err := t.file.FrameSource().Memo(ctx, t.file, fe, "", func(b *interval.Batch, _ bool) (any, int64, error) {
+		if q.Count {
+			_, _, err := t.file.FrameSource().Memo(ctx, t.file, fe, interval.MemoKey{}, func(b *interval.Batch, _ bool) (any, int64, error) {
 				for i := 0; i < b.N; i++ {
-					if b.End(i) >= lo && b.Start[i] <= hi {
+					if b.End(i) >= q.Lo && b.Start[i] <= q.Hi {
 						total++
 					}
 				}
@@ -622,13 +554,13 @@ func (s *Service) handleRecords(r *http.Request, t *Trace) (*response, error) {
 			return nil, err
 		}
 		for i := 0; i < b.N; i++ {
-			if windowed && (b.End(i) < lo || b.Start[i] > hi) {
+			if q.Window && (b.End(i) < q.Lo || b.Start[i] > q.Hi) {
 				continue
 			}
 			n := total
 			total++
 			// n-offset, not offset+limit: the sum overflows for a huge limit.
-			if n < offset || n-offset >= limit {
+			if n < q.Offset || n-q.Offset >= q.Limit {
 				continue
 			}
 			rec := b.Row(i)
@@ -646,32 +578,10 @@ func (s *Service) handleRecords(r *http.Request, t *Trace) (*response, error) {
 			})
 		}
 	}
-	if countOnly {
+	if q.Count {
 		return jsonResponse(http.StatusOK, RecordCount{Count: total})
 	}
-	return jsonResponse(http.StatusOK, RecordsPage{Total: total, Offset: offset, Records: out})
-}
-
-// parseFrameRange parses a "lo:hi" half-open frame-index range against a
-// trace with n frames. Both bounds are required; the range may be empty
-// (lo == hi) but never inverted or out of bounds.
-func parseFrameRange(s string, n int) (lo, hi int, ok bool) {
-	i := -1
-	for j := 0; j < len(s); j++ {
-		if s[j] == ':' {
-			i = j
-			break
-		}
-	}
-	if i < 0 {
-		return 0, 0, false
-	}
-	lo, err1 := strconv.Atoi(s[:i])
-	hi, err2 := strconv.Atoi(s[i+1:])
-	if err1 != nil || err2 != nil || lo < 0 || hi < lo || hi > n {
-		return 0, 0, false
-	}
-	return lo, hi, true
+	return jsonResponse(http.StatusOK, RecordsPage{Total: total, Offset: q.Offset, Records: out})
 }
 
 // handlePreview renders a time-space diagram of the trace, or — with
@@ -679,12 +589,8 @@ func parseFrameRange(s string, n int) (lo, hi int, ok bool) {
 // planner (?bins=N; an engine= parameter is ignored). The SVG is
 // byte-identical to `uteview -merged <path>` with the same flags: the
 // same parse, the same open-ended-window resolution, the same build.
-func (s *Service) handlePreview(r *http.Request, t *Trace) (*response, error) {
-	q := r.URL.Query()
-	lo, hi, windowed, err := parseWindow(r)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) handlePreview(ctx context.Context, q Query, t *Trace) (*response, error) {
+	lo, hi, windowed := q.Lo, q.Hi, q.Window
 	if windowed {
 		// Open-ended sides resolve to the run bounds; explicit bounds are
 		// kept even when they fall outside the run, so a window that
@@ -701,12 +607,8 @@ func (s *Service) handlePreview(r *http.Request, t *Trace) (*response, error) {
 			hi = lo + 1
 		}
 	}
-	if q.Get("view") == "preview" {
-		bins, err := parseBins(q, 0)
-		if err != nil {
-			return nil, err
-		}
-		popts := render.PreviewOptions{Bins: bins, Context: r.Context()}
+	if q.Preview {
+		popts := render.PreviewOptions{Bins: q.Bins, Context: ctx}
 		if windowed {
 			popts.T0, popts.T1 = lo, hi
 		}
@@ -717,18 +619,11 @@ func (s *Service) handlePreview(r *http.Request, t *Trace) (*response, error) {
 		s.met.observeSummary(res.Engine, res.CellsUsed, res.FramesDecoded)
 		return &response{status: http.StatusOK, contentType: "image/svg+xml", body: []byte(render.PreviewSVG(res.Preview))}, nil
 	}
-	kind, err := render.ParseView(q.Get("view"))
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	opts := render.Options{
-		Connected: q.Get("connected") == "1",
-		Context:   r.Context(),
-	}
+	opts := render.Options{Connected: q.Connected, Context: ctx}
 	if windowed {
 		opts.T0, opts.T1 = lo, hi
 	}
-	d, err := render.BuildDiagram(t.file, kind, opts)
+	d, err := render.BuildDiagram(t.file, q.View, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -89,7 +89,7 @@ func TestServicePreviewHistogram(t *testing.T) {
 	// Nobody picks the engine: the parameter that used to is ignored,
 	// whatever it says.
 	for _, q := range []string{"&engine=scan", "&engine=nope"} {
-		if get(with, q) != pyr {
+		if get(with, fresh(s, q)) != pyr {
 			t.Fatalf("preview%s is not the default document", q)
 		}
 	}
@@ -105,7 +105,7 @@ func TestServicePreviewHistogram(t *testing.T) {
 	// for it).
 	for ask := 2; ask <= 4; ask++ {
 		for _, q := range []string{"&window=0.01:0.09&bins=20", "&window=0.0123457:0.0876543&bins=7"} {
-			if get(with, fresh(q)) != get(bare, fresh(q)) {
+			if get(with, fresh(s, q)) != get(bare, fresh(s, q)) {
 				t.Fatalf("asking %d of preview%s: engines render different documents", ask, q)
 			}
 		}

@@ -388,7 +388,7 @@ func TestWarmCacheDecodesNoFrames(t *testing.T) {
 		t.Fatal("the window cuts no frame")
 	}
 	for ask, want := range []int64{cold, 2 * cold, 2*cold + cut} {
-		if w := do(t, s, "GET", fresh("/v1/traces/"+id+"/stats?window=0.05:0.2"), ""); w.Code != 200 {
+		if w := do(t, s, "GET", fresh(s, "/v1/traces/"+id+"/stats?window=0.05:0.2"), ""); w.Code != 200 {
 			t.Fatalf("stats %d: %d %s", ask+1, w.Code, w.Body)
 		}
 		if got := tr.File().DecodedFrames(); got != want {
@@ -396,7 +396,7 @@ func TestWarmCacheDecodesNoFrames(t *testing.T) {
 		}
 	}
 	for ask, want := range []int64{2*cold + 2*cut, 2*cold + 3*cut, 2*cold + 4*cut} {
-		if w := do(t, s, "GET", fresh("/v1/traces/"+id+"/records?window=0.05:0.2&count=1"), ""); w.Code != 200 {
+		if w := do(t, s, "GET", fresh(s, "/v1/traces/"+id+"/records?window=0.05:0.2&count=1"), ""); w.Code != 200 {
 			t.Fatalf("count %d after stats: %d %s", ask+1, w.Code, w.Body)
 		}
 		if got := tr.File().DecodedFrames(); got != want {
@@ -662,7 +662,7 @@ func TestStatsEngineAndJSON(t *testing.T) {
 		t.Fatalf("stats: %d %s", base.Code, base.Body)
 	}
 	for _, e := range []string{"scalar", "columnar", "nope"} {
-		w := do(t, s, "GET", "/v1/traces/"+id+"/stats?engine="+e, "")
+		w := do(t, s, "GET", fresh(s, "/v1/traces/"+id+"/stats?engine="+e), "")
 		if w.Code != 200 || w.Body.String() != base.Body.String() {
 			t.Fatalf("engine=%s is not ignored: %d", e, w.Code)
 		}
