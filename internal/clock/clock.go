@@ -12,8 +12,10 @@
 package clock
 
 import (
+	"encoding/hex"
 	"fmt"
 	"math"
+	"math/big"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,11 +70,13 @@ func ParseWindow(s string) (lo, hi Time, err error) {
 	return lo, hi, nil
 }
 
-// parseWindowBound parses one side of a window. ParseFloat accepts
-// "NaN" and "Inf", which would turn into nonsense Time values (the
-// float-to-int conversion of a non-finite or out-of-range value is not
-// specified), so both are rejected here along with any magnitude the
-// Time range cannot hold.
+// parseWindowBound parses one side of a window. The spelling is
+// strconv.ParseFloat's — decimal or hexadecimal, signed, with an
+// exponent, underscores between digits — and so are the syntax errors;
+// "NaN" and "Inf", which it also accepts, are rejected here. The value
+// is read exactly, never through a float64: the bound is the seconds
+// times 10⁹, rounded half away from zero as FromSeconds rounds, and a
+// bound the Time range cannot hold overflows.
 func parseWindowBound(side, s string) (Time, error) {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
@@ -81,10 +85,94 @@ func parseWindowBound(side, s string) (Time, error) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("clock: window %s %q is not finite", side, s)
 	}
-	if math.Abs(v) > math.MaxInt64/float64(Second) {
+	t, ok := exactNanos(s)
+	if !ok {
 		return 0, fmt.Errorf("clock: window %s %q overflows the time range", side, s)
 	}
-	return FromSeconds(v), nil
+	return t, nil
+}
+
+// exactNanos is the Time a well-formed ParseFloat spelling of a finite
+// number of seconds names; ok is false past the Time range. It reads the
+// mantissa's digits and the exponent of the last one (a power of ten, or
+// of two after "0x"), and scales by 10⁹ in integers.
+func exactNanos(s string) (t Time, ok bool) {
+	neg := s[0] == '-'
+	s = strings.TrimLeft(s, "+-")
+	hexa := len(s) > 1 && s[1]|0x20 == 'x'
+	mark, step := "eE", -1
+	if hexa {
+		s, mark, step = s[2:], "pP", -4
+	}
+	exp := 0
+	if i := strings.IndexAny(s, mark); i >= 0 {
+		e, _ := strconv.Atoi(strings.ReplaceAll(s[i+1:], "_", "")) // saturates
+		s, exp = s[:i], max(-1<<30, min(e, 1<<30))
+	}
+	s = strings.ReplaceAll(s, "_", "")
+	if i := strings.IndexByte(s, '.'); i >= 0 {
+		s, exp = s[:i]+s[i+1:], exp+step*(len(s)-i-1)
+	}
+	mant := strings.TrimLeft(s, "0")
+	var mag uint64
+	switch {
+	case mant == "":
+	case !hexa:
+		// The nanoseconds' integer is the first k digits; the next one
+		// decides the rounding (at 5 or more the rest is at least half).
+		k := len(mant) + exp + 9
+		if k > 19 {
+			return 0, false
+		}
+		if k > 0 {
+			mag, _ = strconv.ParseUint((mant + strings.Repeat("0", k))[:k], 10, 64)
+		}
+		if k >= 0 && k < len(mant) && mant[k] >= '5' {
+			mag++
+		}
+	default:
+		// mantissa × 10⁹ × 2^exp; the first bit shifted out rounds.
+		packed, _ := hex.DecodeString(strings.Repeat("0", len(mant)%2) + mant)
+		m := new(big.Int).SetBytes(packed)
+		m.Mul(m, big.NewInt(int64(Second)))
+		switch {
+		case exp > 64:
+			return 0, false
+		case exp >= 0:
+			m.Lsh(m, uint(exp))
+		case -exp <= m.BitLen():
+			half := m.Bit(-exp - 1)
+			m.Rsh(m, uint(-exp)).Add(m, big.NewInt(int64(half)))
+		default:
+			m.SetUint64(0) // under half a nanosecond
+		}
+		if !m.IsUint64() {
+			return 0, false
+		}
+		mag = m.Uint64()
+	}
+	if neg {
+		return Time(-mag), mag <= 1<<63 // two's complement: -(1<<63) is MinInt64
+	}
+	return Time(mag), mag <= math.MaxInt64
+}
+
+// FormatWindow spells [lo, hi] as ParseWindow reads it back: a side at
+// its open extreme empty, any other as exact decimal seconds with no
+// trailing zeros.
+func FormatWindow(lo, hi Time) string {
+	return formatBound(lo, math.MinInt64) + ":" + formatBound(hi, math.MaxInt64)
+}
+
+func formatBound(t, open Time) string {
+	if t == open {
+		return ""
+	}
+	mag, sign := uint64(t), ""
+	if t < 0 {
+		mag, sign = -mag, "-"
+	}
+	return strings.TrimSuffix(strings.TrimRight(fmt.Sprintf("%s%d.%09d", sign, mag/uint64(Second), mag%uint64(Second)), "0"), ".")
 }
 
 // Local is a simulated local clock. The clock reading at true time t is

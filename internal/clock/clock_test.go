@@ -365,6 +365,21 @@ func TestParseWindow(t *testing.T) {
 		{"1:+Inf", 0, 0, false},
 		{"1e300:2e300", 0, 0, false},
 		{"-1e300:", 0, 0, false},
+		// Bounds are read exactly, not through a float64: the end of the
+		// Time range is a bound (a float rounds it to 2^63, which wraps),
+		// and so is any nanosecond past 2^53.
+		{"0:9223372036.854775807", 0, math.MaxInt64, true},
+		{"9223372036.854775807:", math.MaxInt64, math.MaxInt64, true},
+		{"9007199.254740993:", 9007199254740993, math.MaxInt64, true},
+		{"100000000.000000001:100000000.000000003", 100000000000000001, 100000000000000003, true},
+		{"-9223372036.854775808:0", math.MinInt64, 0, true},
+		{"9223372036.8547758075:", 0, 0, false},
+		{"-9223372036.8547758085:", 0, 0, false},
+		// Sub-nanosecond digits round half away from zero.
+		{"0.0000000015:0.0000000024999", 2, 2, true},
+		{"-0.0000000025:0.0000000025", -3, 3, true},
+		{"0x1p-31:0x1p-30", 0, 1, true},
+		{"0x1.8p-30:1_0.5e-1", 1, 1050000000, true},
 	}
 	for _, tc := range cases {
 		lo, hi, err := ParseWindow(tc.in)

@@ -322,11 +322,9 @@ func checkRightSized(t *testing.T, b *Batch) {
 	t.Helper()
 	for name, c := range map[string][2]int{
 		"Start": {len(b.Start), cap(b.Start)}, "Dura": {len(b.Dura), cap(b.Dura)},
-		"Type": {len(b.Type), cap(b.Type)}, "Bebits": {len(b.Bebits), cap(b.Bebits)},
-		"CPU": {len(b.CPU), cap(b.CPU)}, "Node": {len(b.Node), cap(b.Node)},
-		"Thread": {len(b.Thread), cap(b.Thread)}, "ExtraOff": {len(b.ExtraOff), cap(b.ExtraOff)},
-		"Extras": {len(b.Extras), cap(b.Extras)}, "VecOff": {len(b.VecOff), cap(b.VecOff)},
-		"Vecs": {len(b.Vecs), cap(b.Vecs)},
+		"Code": {len(b.Code), cap(b.Code)}, "Dict": {len(b.Dict), cap(b.Dict)},
+		"ExtraOff": {len(b.ExtraOff), cap(b.ExtraOff)}, "Extras": {len(b.Extras), cap(b.Extras)},
+		"VecOff": {len(b.VecOff), cap(b.VecOff)}, "Vecs": {len(b.Vecs), cap(b.Vecs)},
 	} {
 		if c[0] != c[1] {
 			t.Fatalf("column %s: len %d, cap %d — a batch of the caller's own must be right-sized", name, c[0], c[1])
@@ -385,7 +383,7 @@ func TestMapFramesOrdering(t *testing.T) {
 				}
 				var sum uint64
 				for i := 0; i < b.N; i++ {
-					sum += uint64(b.Start[i]) + uint64(b.Type[i])
+					sum += uint64(b.Start[i]) + uint64(b.Key(i).Type)
 					for _, e := range b.ExtraRow(i) {
 						sum += e
 					}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tracefw/internal/events"
+	"tracefw/internal/profile"
 )
 
 // v4Frame assembles a hand-built v4 frame body from varint fields, each
@@ -41,11 +42,17 @@ func padded(v uint64, n int) []byte {
 	return b
 }
 
-// batchColumns prints every column of b, so a decode is pinned as one
-// string.
+// batchColumns prints every column of b, with each row's key fields
+// materialized from the dictionary, so a decode is pinned as one string.
 func batchColumns(b *Batch) string {
+	typ, be := make([]events.Type, b.N), make([]profile.Bebits, b.N)
+	cpu, node, thread := make([]uint16, b.N), make([]uint16, b.N), make([]uint16, b.N)
+	for i := range b.N {
+		k := b.Key(i)
+		typ[i], be[i], cpu[i], node[i], thread[i] = k.Type, k.Bebits, k.CPU, k.Node, k.Thread
+	}
 	return fmt.Sprintf("N=%d start=%d dura=%d type=%d bebits=%d cpu=%d node=%d thread=%d extraOff=%d extras=%d vecOff=%d vecs=%d",
-		b.N, b.Start, b.Dura, b.Type, b.Bebits, b.CPU, b.Node, b.Thread, b.ExtraOff, b.Extras, b.VecOff, b.Vecs)
+		b.N, b.Start, b.Dura, typ, be, cpu, node, thread, b.ExtraOff, b.Extras, b.VecOff, b.Vecs)
 }
 
 // TestV4DecodeParity pins what the v4 decoder makes of hand-built
@@ -113,6 +120,23 @@ func TestV4DecodeParity(t *testing.T) {
 				0, 5, 10, 42, 3, 7, 8, padded(9, 2),
 				1, 6, 2, 1, 2,
 				0, 7, 0, 0, 0),
+			records: 3,
+			want:    "N=3 start=[5 6 7] dura=[5 1 0] type=[518 513 518] bebits=[3 3 3] cpu=[1 1 1] node=[2 2 2] thread=[0 0 0] extraOff=[0 1 3 4] extras=[42 1 2 0] vecOff=[0 3 3 3] vecs=[7 8 9]",
+		},
+		{
+			// The same frame with the vector type's entry stored twice
+			// and its last row coded to the copy: the writer never stores
+			// an entry twice, but a frame that does decodes to its
+			// deduplicated twin's rows (codes are frame-local).
+			name: "vector-and-scalar-repeated-entry",
+			frame: v4Frame(3,
+				waitall, 3, 1, 2, 0, 1,
+				send, 3, 1, 2, 0, 2,
+				waitall, 3, 1, 2, 0, 1,
+				0,
+				0, 5, 10, 42, 3, 7, 8, padded(9, 2),
+				1, 6, 2, 1, 2,
+				2, 7, 0, 0, 0),
 			records: 3,
 			want:    "N=3 start=[5 6 7] dura=[5 1 0] type=[518 513 518] bebits=[3 3 3] cpu=[1 1 1] node=[2 2 2] thread=[0 0 0] extraOff=[0 1 3 4] extras=[42 1 2 0] vecOff=[0 3 3 3] vecs=[7 8 9]",
 		},

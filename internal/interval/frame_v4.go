@@ -23,6 +23,13 @@ package interval
 // need not be the smallest. Keeping the base frame-local means window
 // seeks, the parallel map-reduce engine, and salvage resync never need
 // context outside one frame.
+//
+// In memory the dictionary is the batch's own (Batch.Dict) and dictIdx
+// is the row's code: the decoder keeps the dictionary as stored and each
+// index as read, and the encoder writes the dictionary the batch built
+// while its rows were pushed, as it stands. The writer never stores an
+// entry twice or one no row uses; a decoded frame may hold either, which
+// is why codes are frame-local and never compared as keys.
 
 import (
 	"encoding/binary"
@@ -34,18 +41,6 @@ import (
 	"tracefw/internal/events"
 	"tracefw/internal/profile"
 )
-
-// dictEntry is one row of a v4 frame dictionary, and doubles as the
-// writer's deduplication key (it is comparable, and hashes from its
-// fields packed into two words).
-type dictEntry struct {
-	typ    events.Type
-	bebits profile.Bebits
-	cpu    uint16
-	node   uint16
-	thread uint16
-	nx     int // scalar extras count
-}
 
 const (
 	// minV4Record bounds the smallest encoded v4 record: dictionary
@@ -69,101 +64,33 @@ func minRecordBytes(version uint32) int64 {
 	return minFramedRecord
 }
 
-// v4EncState is the writer's per-frame encode scratch, reused across
-// frames so steady-state encoding allocates nothing.
-type v4EncState struct {
-	dict []dictEntry
-	// slots is the dictionary's probe table: open addressing over a
-	// power-of-two array of dictionary index+1 (0 = empty), cleared per
-	// frame and kept at most half full.
-	slots []uint32
-	idx   []uint32 // per-row dictionary index
-}
-
-// hash mixes the entry's fields, packed into two words; the multiply
-// leaves the entropy in the high bits, so they are folded down for
-// callers that mask off the low ones.
-func (d *dictEntry) hash() uint64 {
-	w0 := uint64(d.typ)<<48 | uint64(d.cpu)<<32 | uint64(d.node)<<16 | uint64(d.thread)
-	w1 := uint64(d.nx)<<8 | uint64(d.bebits)
-	h := (w0 ^ w1*0x9e3779b97f4a7c15) * 0xff51afd7ed558ccd
-	return h ^ h>>32
-}
-
-// lookup returns key's dictionary index, appending key to the
-// dictionary on first appearance.
-func (st *v4EncState) lookup(key *dictEntry) uint32 {
-	mask := uint64(len(st.slots) - 1)
-	i := key.hash() & mask
-	for ; st.slots[i] != 0; i = (i + 1) & mask {
-		if di := st.slots[i] - 1; st.dict[di] == *key {
-			return di
-		}
-	}
-	st.dict = append(st.dict, *key)
-	st.slots[i] = uint32(len(st.dict))
-	if 2*len(st.dict) > len(st.slots) {
-		st.rehash(2 * len(st.slots))
-	}
-	return uint32(len(st.dict) - 1)
-}
-
-// rehash makes the probe table size slots wide (a power of two) and
-// re-enters the dictionary.
-func (st *v4EncState) rehash(size int) {
-	st.slots = make([]uint32, size)
-	mask := uint64(size - 1)
-	for di := range st.dict {
-		i := st.dict[di].hash() & mask
-		for st.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		st.slots[i] = uint32(di + 1)
-	}
-}
-
 // appendV4 is the v4 encoder: it appends the batch's rows to dst as one
-// compact frame. One walk over the columns builds the dictionary (in
-// first-appearance order) and finds the base start, a second emits the
-// rows. An empty batch encodes to nothing.
-func (b *Batch) appendV4(dst []byte, st *v4EncState) []byte {
+// compact frame — the batch's dictionary as it stands, the base start,
+// then each row's code, times, extras and, where its entry says so, its
+// vector. An empty batch encodes to nothing.
+func (b *Batch) appendV4(dst []byte) []byte {
 	if b.N == 0 {
 		return dst
 	}
-	st.dict = st.dict[:0]
-	st.idx = st.idx[:0]
-	if st.slots == nil {
-		st.rehash(64)
-	} else {
-		clear(st.slots)
-	}
 	base := b.Start[0]
-	for i := 0; i < b.N; i++ {
-		key := dictEntry{b.Type[i], b.Bebits[i], b.CPU[i], b.Node[i], b.Thread[i],
-			int(b.ExtraOff[i+1] - b.ExtraOff[i])}
-		st.idx = append(st.idx, st.lookup(&key))
-		if b.Start[i] < base {
-			base = b.Start[i]
+	for _, s := range b.Start[1:b.N] {
+		base = min(base, s)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(b.Dict)))
+	for _, k := range b.Dict {
+		for _, v := range [...]uint64{uint64(k.Type), uint64(k.Bebits), uint64(k.CPU), uint64(k.Node), uint64(k.Thread), uint64(k.NX)} {
+			dst = binary.AppendUvarint(dst, v)
 		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(st.dict)))
-	for _, d := range st.dict {
-		dst = binary.AppendUvarint(dst, uint64(d.typ))
-		dst = binary.AppendUvarint(dst, uint64(d.bebits))
-		dst = binary.AppendUvarint(dst, uint64(d.cpu))
-		dst = binary.AppendUvarint(dst, uint64(d.node))
-		dst = binary.AppendUvarint(dst, uint64(d.thread))
-		dst = binary.AppendUvarint(dst, uint64(d.nx))
-	}
 	dst = binary.AppendVarint(dst, int64(base))
-	for i := 0; i < b.N; i++ {
-		dst = binary.AppendUvarint(dst, uint64(st.idx[i]))
+	for i, c := range b.Code[:b.N] {
+		dst = binary.AppendUvarint(dst, uint64(c))
 		dst = binary.AppendUvarint(dst, uint64(b.Start[i]-base))
 		dst = binary.AppendVarint(dst, int64(b.Dura[i]))
 		for _, e := range b.ExtraRow(i) {
 			dst = binary.AppendUvarint(dst, e)
 		}
-		if events.VectorField(b.Type[i]) != "" {
+		if b.Dict[c].Vec {
 			vec := b.VecRow(i)
 			dst = binary.AppendUvarint(dst, uint64(len(vec)))
 			for _, e := range vec {
@@ -178,8 +105,9 @@ func (b *Batch) appendV4(dst []byte, st *v4EncState) []byte {
 var errVarint = errors.New("interval: truncated or oversized varint")
 
 // decodeV4 is the v4 decoder: it parses and validates the frame's
-// dictionary and base start, then fills the columns straight from the
-// varint stream. An empty buffer is an empty frame.
+// dictionary into the batch's, as stored, and the base start, then fills
+// the columns straight from the varint stream, each row's code as read.
+// An empty buffer is an empty frame.
 //
 // Every count read from the stream is bounded against the bytes that
 // remain before anything is appended, so a corrupt or adversarial frame
@@ -192,7 +120,7 @@ var errVarint = errors.New("interval: truncated or oversized varint")
 // dictionary is as hot as the rows, and at ~9 stream values per record
 // it pays to keep the per-value cost at a bounds check and a compare.
 // Whether a type carries the vector field is looked up once per
-// dictionary entry, not per record.
+// dictionary entry (Key.Vec), not per record.
 func (b *Batch) decodeV4(s []byte) error {
 	if len(s) == 0 {
 		return nil
@@ -205,7 +133,7 @@ func (b *Batch) decodeV4(s []byte) error {
 	if nd == 0 || nd > uint64(len(s)/minV4DictEntry) {
 		return fmt.Errorf("interval: v4 frame dictionary of %d entries cannot fit in %d bytes", nd, len(s))
 	}
-	dict, vec := slices.Grow(b.dict[:0], int(nd))[:nd], slices.Grow(b.dictVec[:0], int(nd))[:nd]
+	dict := slices.Grow(b.Dict[:0], int(nd))[:nd]
 	var v uint64
 	for i := 0; i < int(nd); i++ {
 		var f [6]uint64 // type, bebits, cpu, node, thread, nExtras
@@ -230,17 +158,9 @@ func (b *Batch) decodeV4(s []byte) error {
 			return fmt.Errorf("interval: v4 dictionary entry %d claims %d extras", i, nx)
 		}
 		typ := events.Type(f[0])
-		dict[i] = dictEntry{
-			typ:    typ,
-			bebits: profile.Bebits(f[1]),
-			cpu:    uint16(f[2]),
-			node:   uint16(f[3]),
-			thread: uint16(f[4]),
-			nx:     int(f[5]),
-		}
-		vec[i] = events.VectorField(typ) != ""
+		dict[i] = Key{typ, profile.Bebits(f[1]), uint16(f[2]), uint16(f[3]), uint16(f[4]), uint16(f[5]), events.VectorField(typ) != ""}
 	}
-	b.dict, b.dictVec = dict, vec
+	b.Dict = dict
 	bv, n := binary.Varint(s)
 	if n <= 0 {
 		return errVarint
@@ -264,7 +184,7 @@ func (b *Batch) decodeV4(s []byte) error {
 		if v >= uint64(len(dict)) {
 			return fmt.Errorf("interval: v4 record dictionary index %d out of range (%d entries)", v, len(dict))
 		}
-		d, dv := dict[v], vec[v]
+		code, nx, dv := uint32(v), int(dict[v].NX), dict[v].Vec
 		// Start delta.
 		if len(s) != 0 && s[0] < 0x80 {
 			v, s = uint64(s[0]), s[1:]
@@ -282,9 +202,9 @@ func (b *Batch) decodeV4(s []byte) error {
 		} else {
 			return errVarint
 		}
-		b.pushCommon(d.typ, d.bebits, start, clock.Time(int64(v>>1)^-int64(v&1)), d.cpu, d.node, d.thread)
+		b.pushRow(start, clock.Time(int64(v>>1)^-int64(v&1)), code)
 		x := b.Extras
-		for i := 0; i < d.nx; i++ {
+		for i := 0; i < nx; i++ {
 			if len(s) != 0 && s[0] < 0x80 {
 				v, s = uint64(s[0]), s[1:]
 			} else if v, n = binary.Uvarint(s); n > 0 {
@@ -303,7 +223,7 @@ func (b *Batch) decodeV4(s []byte) error {
 			} else {
 				return errVarint
 			}
-			if v > uint64(len(s)) || profile.CommonSize+8*uint64(d.nx)+2+8*v > maxPayload {
+			if v > uint64(len(s)) || profile.CommonSize+8*uint64(nx)+2+8*v > maxPayload {
 				return fmt.Errorf("interval: v4 record claims a %d-element vector", v)
 			}
 			for nv := int(v); nv > 0; nv-- {

@@ -196,8 +196,9 @@ func FuzzPyramid(f *testing.F) {
 var regenCorpus = flag.Bool("regen-corpus", false, "regenerate the checked-in fuzz seed corpus from tracegen output")
 
 // corpusSeeds builds the canonical seed files: a real pipeline output
-// for every header version, an empty file, and a single-frame file —
-// and, second, the damaged ones: the link cycles a walk must refuse
+// for every header version, an empty file, a single-frame file, a v4
+// file whose frames repeat dictionary entries and a v1 frame of 300
+// distinct keys — and, second, the damaged ones: the link cycles a walk must refuse
 // (interval.ChainDamages), with and without checksummed directories.
 func corpusSeeds(t *testing.T) (seeds, damaged map[string][]byte) {
 	t.Helper()
@@ -277,6 +278,13 @@ func corpusSeeds(t *testing.T) (seeds, damaged map[string][]byte) {
 			damaged[fmt.Sprintf("cycle-%s-v%d", dmg.Name, v)] = dmg.Apply(t, chain)
 		}
 	}
+	// One fixed-width frame of more distinct keys than the decoder's
+	// first probe table holds, so its interning grows the table.
+	wide := make([]interval.Record, 300)
+	for i := range wide {
+		wide[i] = interval.Record{Type: events.EvRunning, Bebits: 3, Start: clock.Time(i), Dura: 1,
+			CPU: uint16(i % 4), Node: uint16(i / 4), Thread: uint16(i % 3)}
+	}
 	return map[string][]byte{
 		fmt.Sprintf("v%d-pipeline", interval.CurrentHeaderVersion): current,
 		"v1-small":     reencode(1, recs[:n], small),
@@ -284,6 +292,10 @@ func corpusSeeds(t *testing.T) (seeds, damaged map[string][]byte) {
 		"v3-small":     reencode(3, recs[:n], small),
 		"empty":        reencode(interval.CurrentHeaderVersion, nil, interval.WriterOptions{}),
 		"single-frame": reencode(interval.CurrentHeaderVersion, recs[:4], interval.WriterOptions{}),
+		// v4 frames storing every dictionary entry twice, which the
+		// writer never does and the reader accepts.
+		"v4-repeated-entry":  interval.RepeatDictionary(t, reencode(interval.CurrentHeaderVersion, recs[:n], small)),
+		"v1-wide-dictionary": reencode(1, wide, interval.WriterOptions{FrameBytes: 1 << 20}),
 	}, damaged
 }
 

@@ -48,7 +48,7 @@ func threadKey(node, thread uint16) uint32 { return uint32(node)<<16 | uint32(th
 // A closed state's slot stays past the end of its stack with its Extra
 // and Vec storage, for the next Begin on the thread to copy into.
 func (t *OpenStates) Observe(r *Record) {
-	if !movesOpenStates(r.Type, r.Bebits) {
+	if !(&Key{Type: r.Type, Bebits: r.Bebits}).MovesOpenStates() {
 		return
 	}
 	k := threadKey(r.Node, r.Thread)
@@ -83,19 +83,13 @@ func (t *OpenStates) Observe(r *Record) {
 	}
 }
 
-// ObserveRow is Observe of row i of b; it copies the row out of the
-// columns only when the row moves the tracker.
-func (t *OpenStates) ObserveRow(b *Batch, i int) {
-	if movesOpenStates(b.Type[i], b.Bebits[i]) {
-		r := b.Row(i)
-		t.Observe(&r)
-	}
-}
-
-// movesOpenStates reports whether a record opens or closes a state:
-// Begin and End pieces of anything but a clock record.
-func movesOpenStates(typ events.Type, be profile.Bebits) bool {
-	return typ != events.EvGlobalClock && (be == profile.Begin || be == profile.End)
+// MovesOpenStates reports whether rows with key k open or close a state
+// (Begin and End pieces of anything but a clock record): the test
+// Observe makes of every record. A caller walking a batch resolves it
+// once per dictionary entry and copies out and observes only the rows
+// whose entry says so.
+func (k *Key) MovesOpenStates() bool {
+	return k.Type != events.EvGlobalClock && (k.Bebits == profile.Begin || k.Bebits == profile.End)
 }
 
 // Pseudos returns a zero-duration continuation record stamped at for

@@ -80,6 +80,9 @@ type PyramidBuilder struct {
 	accs      []pyrAcc
 	// The endpoints of every busy interval, for the concurrency sweep.
 	starts, ends []clock.Time
+	// lanes is, per entry of the frame being added's dictionary, the
+	// lane key its rows' busy time goes to, or -1 for a type not busy.
+	lanes []int64
 }
 
 // NewPyramidBuilder fixes the pyramid's geometry and signature from f's
@@ -131,6 +134,12 @@ func (pb *PyramidBuilder) Add(b *Batch) {
 	w := pb.p.BaseWidth
 	firstCell, count := pb.firstCell, int64(len(pb.accs))
 	lastCell := firstCell + count - 1
+	pb.lanes = PerEntry(pb.lanes, b, func(k *Key) int64 {
+		if !busyType(k.Type) {
+			return -1
+		}
+		return int64(Lane{Node: k.Node, CPU: k.CPU}.key())
+	})
 	for i := 0; i < b.N; i++ {
 		dura := b.Dura[i]
 		s, e := b.Start[i], b.Start[i]+dura
@@ -139,23 +148,21 @@ func (pb *PyramidBuilder) Add(b *Batch) {
 		if dura < 0 || e <= s {
 			continue
 		}
-		typ := b.Type[i]
-		busy := busyType(typ)
-		if busy {
+		typ, lane := b.Key(i).Type, pb.lanes[b.Code[i]]
+		if lane >= 0 {
 			pb.starts, pb.ends = append(pb.starts, s), append(pb.ends, e)
 		}
-		lane := Lane{Node: b.Node[i], CPU: b.CPU[i]}.key()
 		lo, hi := floorDivTime(s, w), floorDivTime(e-1, w)
 		for ci := max(lo, firstCell); ci <= min(hi, lastCell); ci++ {
 			a := &pb.accs[ci-firstCell]
 			cLo := clock.Time(ci) * w
 			ov := min(e, cLo+w) - max(s, cLo)
 			a.addType(typ, ov)
-			if busy {
+			if lane >= 0 {
 				if a.byLane == nil {
 					a.byLane = map[uint32]clock.Time{}
 				}
-				a.byLane[lane] += ov
+				a.byLane[uint32(lane)] += ov
 			}
 		}
 	}

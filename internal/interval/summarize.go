@@ -185,6 +185,36 @@ type binAcc struct {
 	// starts/ends are the clipped endpoints of every busy interval, for
 	// the scan engine's concurrency sweep.
 	starts, ends []clock.Time
+	// ent is the frame being added's rows by dictionary entry.
+	ent []entryRows
+}
+
+// entryRows is what a frame's records of one dictionary entry add to:
+// the entry's type row and, for a busy type while lane rows are kept,
+// its lane row (nil rows: not resolved yet).
+type entryRows struct {
+	busy       bool
+	trow, lrow []clock.Time
+}
+
+// rows returns the rows row i of b adds to, resolving its entry's on
+// the first use, so a row is still allocated by the first record the
+// window keeps and the cell budget refuses what it refused per record.
+// a.ent holds the frame's entries, cleared.
+func (a *binAcc) rows(b *Batch, i int) (e *entryRows, err error) {
+	if e = &a.ent[b.Code[i]]; e.trow != nil {
+		return e, nil
+	}
+	k := b.Key(i)
+	if e.trow, err = a.row(&a.types, uint32(k.Type)); err != nil {
+		return nil, err
+	}
+	if e.busy = busyType(k.Type); e.busy && !a.noLanes {
+		if e.lrow, err = a.row(&a.lanes, Lane{Node: k.Node, CPU: k.CPU}.key()); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
 }
 
 type typeBin struct {
@@ -265,11 +295,8 @@ func (a *binAcc) addBatch(b *Batch, g *BinGrid) error {
 	k := len(starts)
 	starts, ends = starts[:k+n], ends[:k+n]
 	lo, hi := g.lo, g.hi
-	// The last type seen and its row: consecutive records share types far
-	// more often than lanes.
-	var ltyp events.Type
-	var trow []clock.Time
-	var err error
+	a.ent = slices.Grow(a.ent[:0], len(b.Dict))[:len(b.Dict)]
+	clear(a.ent)
 	for i, dura := range b.Dura[:n] {
 		if dura < 0 {
 			continue
@@ -279,31 +306,22 @@ func (a *binAcc) addBatch(b *Batch, g *BinGrid) error {
 		if cs >= ce {
 			continue
 		}
-		typ := b.Type[i]
-		if trow == nil || typ != ltyp {
-			if trow, err = a.row(&a.types, uint32(typ)); err != nil {
-				return err
-			}
-			ltyp = typ
+		e, err := a.rows(b, i)
+		if err != nil {
+			return err
 		}
-		var lrow []clock.Time
-		if busyType(typ) {
-			if !a.noLanes {
-				if lrow, err = a.row(&a.lanes, Lane{Node: b.Node[i], CPU: b.CPU[i]}.key()); err != nil {
-					return err
-				}
-			}
+		if e.busy {
 			starts[k], ends[k] = cs, ce
 			k++
 		}
 		for o := g.Overlaps(cs, ce); o.Next(); {
 			if o.Dur == 0 {
-				a.addAcross(typ, o.Bin)
+				a.addAcross(b.Key(i).Type, o.Bin)
 				continue
 			}
-			trow[o.Bin] += o.Dur
-			if lrow != nil {
-				lrow[o.Bin] += o.Dur
+			e.trow[o.Bin] += o.Dur
+			if e.lrow != nil {
+				e.lrow[o.Bin] += o.Dur
 			}
 		}
 	}
@@ -702,8 +720,10 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 	defer func() { eps.starts, eps.ends = starts, ends }()
 	var near []remSpan // the frame being resolved's remainders
 	add := func(b *Batch, _ bool) (any, int64, error) {
+		a.ent = slices.Grow(a.ent[:0], len(b.Dict))[:len(b.Dict)]
+		clear(a.ent)
 		for ri := 0; ri < b.N; ri++ {
-			typ, dura := b.Type[ri], b.Dura[ri]
+			dura := b.Dura[ri]
 			if dura < 0 {
 				continue
 			}
@@ -718,26 +738,19 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 			if k == len(near) || near[k].r0 >= ce {
 				continue
 			}
-			busy := busyType(typ)
-			trow, err := a.row(&a.types, uint32(typ))
+			er, err := a.rows(b, ri)
 			if err != nil {
 				return nil, 0, err
 			}
-			var lrow []clock.Time
-			if busy {
-				if !a.noLanes {
-					if lrow, err = a.row(&a.lanes, Lane{Node: b.Node[ri], CPU: b.CPU[ri]}.key()); err != nil {
-						return nil, 0, err
-					}
-				}
+			if er.busy {
 				starts, ends = append(starts, cs), append(ends, ce)
 			}
 			for ; k < len(near) && near[k].r0 < ce; k++ {
 				rs := &near[k]
 				ov := min(ce, rs.r1) - max(cs, rs.r0)
-				trow[rs.bin] += ov
-				if lrow != nil {
-					lrow[rs.bin] += ov
+				er.trow[rs.bin] += ov
+				if er.lrow != nil {
+					er.lrow[rs.bin] += ov
 				}
 			}
 		}

@@ -221,7 +221,6 @@ type Writer struct {
 	sealedFrames int    // frames flushed to directories so far
 	sealedDirs   int    // directories written so far
 	sealedEnd    clock.Time
-	enc          v4EncState
 	closed       bool
 	err          error
 	// prologueBytes/prologueRecords measure the FramePrologue records
@@ -380,7 +379,7 @@ func (w *Writer) closeFrame() {
 	}
 	mark := len(w.groupBytes)
 	if w.version >= 4 {
-		w.groupBytes = w.fb.appendV4(w.groupBytes, &w.enc)
+		w.groupBytes = w.fb.appendV4(w.groupBytes)
 	} else {
 		w.groupBytes = w.fb.appendFixed(w.groupBytes)
 	}

@@ -92,7 +92,7 @@ type Result struct {
 }
 
 // ExtractPairs collects an individual interval file's global-clock pair
-// records, frame by frame off the Type and Extras columns.
+// records, frame by frame off the key codes and the Extras column.
 func ExtractPairs(f *interval.File) ([]clock.Pair, error) {
 	var pairs []clock.Pair
 	err := interval.MapFrames([]*interval.File{f}, interval.MapOptions{Parallel: 1},
@@ -102,8 +102,8 @@ func ExtractPairs(f *interval.File) ([]clock.Pair, error) {
 				return nil, err
 			}
 			var ps []clock.Pair
-			for i, t := range b.Type {
-				if t != events.EvGlobalClock {
+			for i, c := range b.Code[:b.N] {
+				if b.Dict[c].Type != events.EvGlobalClock {
 					continue
 				}
 				if x := b.ExtraRow(i); len(x) > 0 {

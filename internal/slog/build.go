@@ -120,6 +120,9 @@ type Planner struct {
 	cur    frameInfo
 	m      *matcher
 	idx    int64 // records observed
+	// arrow is, per entry of the observed batch's dictionary, whether
+	// its rows are final pieces the matcher takes.
+	arrow []bool
 }
 
 // openFrameInfo is the frameInfo of a frame no record has reached yet.
@@ -144,10 +147,13 @@ func NewPlanner(threads []interval.ThreadEntry, opts Options) *Planner {
 // in place — the matcher keeps only the halves it waits on — so the batch
 // may be recycled as soon as Observe returns.
 func (p *Planner) Observe(b *interval.Batch) {
+	p.arrow = interval.PerEntry(p.arrow, b, func(k *interval.Key) bool {
+		return (k.Bebits == profile.Complete || k.Bebits == profile.End) && matcherType(k.Type)
+	})
 	for i := 0; i < b.N; i++ {
 		// Arrow matching on final pieces of p2p and wait operations, at
 		// exactly the position a record-at-a-time pass would see them.
-		if be := b.Bebits[i]; (be == profile.Complete || be == profile.End) && matcherType(b.Type[i]) {
+		if p.arrow[b.Code[i]] {
 			r := b.Row(i)
 			p.m.observe(&r)
 		}
@@ -277,14 +283,19 @@ func (p *Planner) Write(mf *interval.File, ws io.WriteSeeker, tap func(*interval
 	fi := 0
 	var idx int64
 	frameStartStamp := tStart
+	var ent []rowEntry
 	err = interval.MapFrames([]*interval.File{mf}, interval.MapOptions{Parallel: p.opts.Parallel}, passBatch,
 		func(_ int, _ interval.FrameEntry, b *interval.Batch) error {
+			ent = interval.PerEntry(ent, b, func(k *interval.Key) rowEntry {
+				return rowEntry{sidx.of(k.Type), k.Bebits == profile.Begin || k.Bebits == profile.Complete, k.MovesOpenStates()}
+			})
 			for ri := 0; ri < b.N; ri++ {
 				if fi >= len(frames) {
 					return errFrameCount
 				}
-				if si := sidx.of(b.Type[ri]); si >= 0 {
-					if be := b.Bebits[ri]; be == profile.Begin || be == profile.Complete {
+				e := ent[b.Code[ri]]
+				if si := e.state; si >= 0 {
+					if e.starts {
 						prev.Count[si]++
 					}
 					row := prev.Dur[si]
@@ -296,7 +307,10 @@ func (p *Planner) Write(mf *interval.File, ws io.WriteSeeker, tap func(*interval
 					res.Pseudo += int64(w.openFrame(trk, frameStartStamp))
 				}
 				w.addRow(b, ri)
-				trk.ObserveRow(b, ri)
+				if e.moves {
+					r := b.Row(ri)
+					trk.Observe(&r)
+				}
 				if idx == frames[fi].lastIdx {
 					firstArrow := 0
 					if fi > 0 {
@@ -329,6 +343,15 @@ func (p *Planner) Write(mf *interval.File, ws io.WriteSeeker, tap func(*interval
 // matcherType reports whether the arrow matcher inspects records of
 // this type (the types m.observe switches on). Pass 1 only shows it
 // records of these types.
+// rowEntry is what the SLOG's second pass reads of one dictionary entry
+// of a merged frame, resolved once per entry: the preview state its rows
+// add to (-1 none), whether a row starts one (a Begin or Complete piece,
+// which the preview counts), and whether it opens or closes a state.
+type rowEntry struct {
+	state         int
+	starts, moves bool
+}
+
 func matcherType(t events.Type) bool {
 	switch t {
 	case events.EvMPISend, events.EvMPIIsend, events.EvMPISendrecv,

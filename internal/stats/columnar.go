@@ -501,7 +501,7 @@ func (x *kexec) keyWord(r *kres, i int) uint64 {
 		if r.konst {
 			return 0
 		}
-		return uint64(x.codeAt(r, i))
+		return uint64(r.dc[i])
 	}
 	v := r.fAt(i)
 	if v != v {
@@ -672,66 +672,63 @@ func (x *kexec) fold(cells []cell, i int) {
 const denseSlots = 1 << 14
 
 // dsrc is where a dense x column's integer comes from. Each is an
-// integer by construction — a coded column, a small-integer field, or
-// bin() by a constant — so no row's value is ever checked.
+// integer by construction — a key field, a coded column, or bin() by a
+// constant — so no row's value is ever checked.
 type dsrc uint8
 
 const (
-	dsConst  dsrc = iota // a constant: one value, no dimension
-	dsType               // the Type column: state, type
-	dsBebits             // the Bebits column: bebits, iscall
-	dsNode
-	dsCPU
-	dsThread
-	dsDict // the column's own ckDict codes: markername, concatenations
-	dsBin  // bin(t, n), 1 <= n <= 2^31 constant: its value, in [0, n-1]
+	dsConst dsrc = iota // a constant: one value, no dimension
+	dsKey               // a key field (keyInts): resolved per dictionary entry
+	dsDict              // the column's own ckDict codes: markername, concatenations
+	dsBin               // bin(t, n), 1 <= n <= 2^31 constant: its value, in [0, n-1]
 )
 
-// denseSource reports where x column k's integer comes from; ok is
-// false unless k is integer-valued by construction. Two rows on one
-// slot always share their key words: the key is a function of the
-// integer (bebits past Complete share a code, so one group may own
-// several slots — find keeps it one group).
-func denseSource(k kernel) (src dsrc, ok bool) {
+// keyInts is a key's fields as integers, indexed by kField code minus
+// fcNode: node, cpu, thread, type, and last the bebits (which iscall
+// reads). State reads the type, bebits the bebits.
+func keyInts(k *interval.Key) [5]uint32 {
+	return [5]uint32{uint32(k.Node), uint32(k.CPU), uint32(k.Thread), uint32(k.Type), uint32(k.Bebits)}
+}
+
+// denseSource reports where x column k's integer comes from, and for a
+// dsKey column the key field; ok is false unless k is integer-valued by
+// construction. Two rows on one slot always share their key words: the
+// key is a function of the integer (bebits past Complete share a code,
+// so one group may own several slots — find keeps it one group).
+func denseSource(k kernel) (src dsrc, field int, ok bool) {
 	switch k := unshare(k).(type) {
 	case kConstNum, kConstStr:
-		return dsConst, true
+		return dsConst, 0, true
 	case kFieldStr:
-		if k.kind == ckState {
-			return dsType, true
-		}
-		return dsBebits, true
+		return dsKey, fcType - fcNode + int(k.kind), true
 	case kField:
-		switch k.code {
-		case fcType:
-			return dsType, true
-		case fcIsCall:
-			return dsBebits, true
-		case fcNode:
-			return dsNode, true
-		case fcCPU:
-			return dsCPU, true
-		case fcThread:
-			return dsThread, true
+		if k.code >= fcNode {
+			return dsKey, k.code - fcNode, true
 		}
 	case kExtra:
-		return dsDict, k.marker
+		return dsDict, 0, k.marker
 	case kConcat:
-		return dsDict, true
+		return dsDict, 0, true
 	case kBin:
 		if n, ok := k.n.(kConstNum); ok && n.v >= 1 && n.v <= 1<<31 {
-			return dsBin, true
+			return dsBin, 0, true
 		}
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // denseScratch is an executor's dense group-by state.
 type denseScratch struct {
 	lo, stride []uint32 // per x column, this frame's; stride 0: no dimension
-	idx        []uint32 // per row, its slot
-	slot       []int32  // per slot, its group + 1; 0 untouched
-	touched    []int32  // the slots to clear after the frame
+	// Per key field, this frame's; the key fields are one source: every
+	// dsKey column reading a field shares its dimension (state beside
+	// type, iscall beside bebits add none).
+	klo, kstride [5]uint32
+	used         []bool   // per dictionary entry, whether a selected row has it
+	eoff         []uint32 // per dictionary entry, its key fields' slot offset
+	idx          []uint32 // per row, its slot
+	slot         []int32  // per slot, its group + 1; 0 untouched
+	touched      []int32  // the slots to clear after the frame
 }
 
 // groupDense folds the rows mask selects into gt by direct index into
@@ -755,9 +752,22 @@ func (x *kexec) groupDense(ct *compiledTable, mask []uint64, gt *groupTable) boo
 	}
 	idx := d.idx[:x.n]
 	op := opIndexFirst
-	for xi, src := range ct.dense {
+	if ct.keys != 0 {
+		// The key fields' offset, once per entry, gathered once per row.
+		d.eoff = interval.PerEntry(d.eoff, x.b, func(k *interval.Key) (off uint32) {
+			for f, v := range keyInts(k) {
+				off += (v - d.klo[f]) * d.kstride[f]
+			}
+			return off
+		})
+		for i, c := range x.b.Code[:x.n] {
+			idx[i] = d.eoff[c]
+		}
+		op = opIndex
+	}
+	for xi := range ct.dense {
 		if d.stride[xi] != 0 {
-			x.denseCol(op, src, xi, nil, idx, d.lo[xi], d.stride[xi])
+			x.denseCol(op, xi, nil, idx, d.lo[xi], d.stride[xi])
 			op = opIndex
 		}
 	}
@@ -792,27 +802,51 @@ func (x *kexec) groupDense(ct *compiledTable, mask []uint64, gt *groupTable) boo
 	return true
 }
 
-// denseDims sets each x column's lo and stride from its range over the
+// denseDims sets each dimension's lo and stride from its range over the
 // rows mask selects (nil: all rows) and returns the ranges' product, the
-// slots they span, or 0 when it passes denseSlots. Values at rows outside
+// slots they span, or 0 when it passes denseSlots. A key field's range
+// is over the dictionary entries those rows have. Values at rows outside
 // the selection are still integers in their column's domain, so any
 // row's index computed from these dimensions is well defined; only
 // selected rows read theirs.
 func (x *kexec) denseDims(ct *compiledTable, mask []uint64) int {
 	d := &x.dense
 	span := uint64(1)
+	if ct.keys != 0 {
+		b := x.b
+		d.used = interval.PerEntry(d.used, b, func(*interval.Key) bool { return mask == nil })
+		for w, m := range mask {
+			for ; m != 0; m &= m - 1 {
+				d.used[b.Code[w<<6+bits.TrailingZeros64(m)]] = true
+			}
+		}
+		for f := range d.klo {
+			d.klo[f], d.kstride[f] = 0, 0 // no dimension
+			if ct.keys&(1<<f) == 0 {
+				continue
+			}
+			lo, hi := uint32(math.MaxUint32), uint32(0)
+			for e := range b.Dict {
+				if v := keyInts(&b.Dict[e])[f]; d.used[e] {
+					lo, hi = min(lo, v), max(hi, v)
+				}
+			}
+			d.klo[f], d.kstride[f] = lo, uint32(span)
+			if span *= uint64(hi-lo) + 1; span > denseSlots {
+				return 0
+			}
+		}
+	}
 	for xi, src := range ct.dense {
 		d.stride[xi] = 0
-		// A batch column an earlier x column reads already fixes this
-		// one's key (state beside type, iscall beside bebits).
-		if src == dsConst || x.xres[xi].konst || src <= dsThread && slices.Contains(ct.dense[:xi], src) {
+		if src == dsConst || src == dsKey || x.xres[xi].konst {
 			continue
 		}
 		op := opRange
 		if mask != nil {
 			op = opRangeSel
 		}
-		lo, hi := x.denseCol(op, src, xi, mask, nil, 0, 0)
+		lo, hi := x.denseCol(op, xi, mask, nil, 0, 0)
 		d.lo[xi], d.stride[xi] = lo, uint32(span)
 		if span *= uint64(hi-lo) + 1; span > denseSlots {
 			return 0
@@ -829,27 +863,16 @@ const (
 	opIndex             // idx[i] += (v - lo) * stride, every row
 )
 
-// denseCol applies op to x column xi's integers.
-func (x *kexec) denseCol(op int, src dsrc, xi int, mask []uint64, idx []uint32, lo, stride uint32) (uint32, uint32) {
-	b, n := x.b, x.n
-	switch src {
-	case dsType:
-		return colOp(op, b.Type[:n], mask, idx, lo, stride)
-	case dsBebits:
-		return colOp(op, b.Bebits[:n], mask, idx, lo, stride)
-	case dsNode:
-		return colOp(op, b.Node[:n], mask, idx, lo, stride)
-	case dsCPU:
-		return colOp(op, b.CPU[:n], mask, idx, lo, stride)
-	case dsThread:
-		return colOp(op, b.Thread[:n], mask, idx, lo, stride)
-	case dsDict:
-		return colOp(op, x.xres[xi].dc[:n], mask, idx, lo, stride)
+// denseCol applies op to x column xi's integers: its codes, or its
+// values.
+func (x *kexec) denseCol(op int, xi int, mask []uint64, idx []uint32, lo, stride uint32) (uint32, uint32) {
+	if r := &x.xres[xi]; r.dc != nil {
+		return colOp(op, r.dc[:x.n], mask, idx, lo, stride)
 	}
-	return colOp(op, x.xres[xi].f[:n], mask, idx, lo, stride)
+	return colOp(op, x.xres[xi].f[:x.n], mask, idx, lo, stride)
 }
 
-func colOp[C ~uint8 | ~uint16 | ~uint32 | ~float64](op int, col []C, mask []uint64, idx []uint32, lo, stride uint32) (uint32, uint32) {
+func colOp[C ~uint32 | ~float64](op int, col []C, mask []uint64, idx []uint32, lo, stride uint32) (uint32, uint32) {
 	switch op {
 	case opIndexFirst:
 		idx = idx[:len(col)]

@@ -196,6 +196,16 @@ table name=multi3 condition=(msgSizeSent > 0) x=("x", peer) y=("b", msgSizeSent,
 	`table name=catconst x=("c", "a" + "b") x=("d", "" + "") x=("e", ("a" + "b") + state) y=("n", dura, count)`,
 	`table name=catmulti x=("a", state + "!") y=("n", dura, count)
 table name=catmulti2 x=("b", markername + state) y=("t", dura, sum)`,
+	// Subtrees over key fields alone run once per dictionary entry and
+	// reach rows by code: a condition over node and cpu, an integer
+	// built from two of them, a logical value, a sum mixing a per-row
+	// remainder with a coded comparison, and a key field beside an extra,
+	// which stays per row.
+	`table name=keycond condition=(node > 0 && cpu < 1 || node == 0 && cpu == 1) x=("s", state) y=("t", dura, sum)`,
+	`table name=keylane x=("l", node * 4 + cpu) y=("n", dura, count) y=("t", dura, sum)`,
+	`table name=keylogic x=("v", iscall && thread == 0) y=("v", iscall && thread == 0, sum) y=("n", dura, count)`,
+	`table name=keymix x=("b", bebits) y=("v", (type % 7) + (state == "MPI_Send"), sum) y=("m", (type % 7) + (state == "MPI_Send"), max)`,
+	`table name=keyextra x=("k", node + msgSizeSent) y=("n", dura, count) y=("v", node + msgSizeSent, sum)`,
 	// Type errors the rows reaching them never raise: a constant or
 	// selective short circuit, or an operand's skip.
 	`table name=shortconst condition=(0 && nosuchfn(1)) y=("n", dura, count)`,
@@ -656,9 +666,10 @@ func TestColumnarGrammarSampledDifferential(t *testing.T) {
 }
 
 // sharedPrograms are multi-table programs whose tables share pure
-// subtrees — fields, skipping extras, comparisons, coded predicates and
-// the logic over them — under different conditions, so each table reads
-// a result another table's selection computed.
+// subtrees — fields, skipping extras, comparisons, subtrees over key
+// fields alone run per dictionary entry, and the logic over them — under
+// different conditions, so each table reads a result another table's
+// selection computed.
 var sharedPrograms = []string{
 	stats.Predefined(7),
 	`table name=a condition=(msgSizeSent > 0) x=("p", peer) y=("b", msgSizeSent, sum) y=("d", dura, max)
@@ -673,6 +684,10 @@ table name=d x=("v", state == "Running") x=("w", !(state == "Running")) y=("t", 
 table name=b condition=(markername == "Phase A" || !markername) x=("m", markername) x=("b", bin(start, 9)) y=("t", dura, sum)
 table name=c x=("b", bin(start, 9)) x=("c", markername + "/" + state) y=("t", dura, sum)
 table name=d condition=(markername + "/" + state != "") y=("t", dura, sum)`,
+	`table name=a condition=(node > 0 && cpu < 1) x=("l", node * 4 + cpu) y=("t", dura, sum)
+table name=b condition=(!(node > 0 && cpu < 1)) x=("v", iscall && thread == 0) y=("v", (type % 7) + (state == "MPI_Send"), sum)
+table name=c condition=(iscall && thread == 0) x=("l", node * 4 + cpu) x=("k", node + msgSizeSent) y=("n", dura, count)
+table name=d x=("n", node) x=("c", cpu) y=("v", node * 4 + cpu, max) y=("w", (type % 7) + (state == "MPI_Send"), sum)`,
 }
 
 // TestColumnarSharedKernels: tables that share subexpressions answer as

@@ -32,11 +32,13 @@ package stats
 // A program is compiled as a whole. A pure subtree — one that never
 // raises, so neither its values nor its skip bitmap depend on the
 // selection it is evaluated under — is hash-consed across every table
-// (kShared) and runs at most once per frame per executor. A pure
-// subtree whose only column is state or bebits is a coded predicate
-// (kCodePred): evaluated once per distinct code and answered per row
-// by lookup. Logical results carry their truth as a bitmap, and a float
-// column only where a consumer reads values.
+// (kShared) and runs at most once per frame per executor. One rule
+// covers every pure subtree that reads nothing of a row but its key —
+// state, bebits, type, iscall, node, cpu, thread, and constants: it is
+// a kEntry, run through the same kernels once per entry of the frame's
+// dictionary (interval.Batch.Dict, viewed as a batch) and gathered to
+// the rows by code. Logical results carry their truth as a bitmap, and
+// a float column only where a consumer reads values.
 
 import (
 	"errors"
@@ -56,7 +58,7 @@ import (
 // evaluation never allocates once the buffers have grown to frame size.
 type kslots struct {
 	nf, nu, nm, nt, nc int
-	ns, ncp            int  // shared kernels, coded-predicate tables
+	ns                 int  // shared kernels
 	markers            bool // some expression reads markername
 }
 
@@ -65,23 +67,22 @@ func (s *kslots) u() int  { s.nu++; return s.nu - 1 }
 func (s *kslots) m() int  { s.nm++; return s.nm - 1 }
 func (s *kslots) tt() int { s.nt++; return s.nt - 1 }
 func (s *kslots) c() int  { s.nc++; return s.nc - 1 }
-func (s *kslots) cp() int { s.ncp++; return s.ncp - 1 }
 
 // codeKind names the dictionary a coded column's codes index.
 type codeKind uint8
 
 const (
-	ckState  codeKind = iota // codes are the batch's Type column; names are Type.Name
-	ckBebits                 // codes are the batch's Bebits column; names are Bebits.String
+	ckState  codeKind = iota // codes are the key's type; names are Type.Name
+	ckBebits                 // codes are the key's bebits; names are Bebits.String
 	ckDict                   // codes are run-global ids in the run's string dictionary (strDict)
 )
 
 // kres is one kernel's result for a frame: a constant, a float column,
-// or (str && !konst) a coded column of the given kind, plus an optional
-// skip bitmap marking rows that lack a referenced field. Values at
-// skipped rows are undefined (codes stay valid dictionary indices). Skip
-// bitmaps cover all rows of the frame, not just selected ones; consumers
-// intersect with their selection. A logical result carries its truth as
+// or (str && !konst) a coded column of the given kind (dc, one code per
+// row), plus an optional skip bitmap marking rows that lack a referenced
+// field. Values at skipped rows are undefined (codes stay valid
+// dictionary indices). Skip bitmaps cover all rows of the frame, not
+// just selected ones; consumers intersect with their selection. A logical result carries its truth as
 // the bitmap tm, and its float column only when the compiler marked a
 // consumer that reads values (vals).
 type kres struct {
@@ -92,7 +93,7 @@ type kres struct {
 	cs    string
 	f     []float64
 	tm    []uint64 // truth bits, when the kernel computes them; zero past the last row
-	dc    []uint32 // ckDict codes; state and bebits read the batch's own columns
+	dc    []uint32 // codes, of the result's kind
 	skip  []uint64
 }
 
@@ -148,7 +149,6 @@ type kexec struct {
 	u         [][]uint32
 	m         [][]uint64
 	tt        [][]uint8           // per-code verdict tables; a code never changes its string, so they outlive frames
-	cp        []codeTable         // per kCodePred: its value per code, for the executor's lifetime
 	memo      []map[uint64]uint32 // per kConcat: result code by (left code, right code), for the executor's lifetime
 	gen       uint64              // the bound frame's number; shared results of an older one are stale
 	sres      []kres              // per kShared: its result on frame sgen
@@ -158,6 +158,15 @@ type kexec struct {
 	key       []uint64
 	dense     denseScratch
 	framePart // the bound frame's partials
+
+	// The bound frame's dictionary viewed as a batch, for kEntry: eb's
+	// rows are the entries, row i's code i (ecode is 0, 1, 2, ...).
+	// While x.b is &eb, kernels run over it.
+	eb       interval.Batch
+	ecode    []uint32
+	eselSlot int
+	// xpos is kExtra's per-entry field position, reused across kernels.
+	xpos []uint8
 
 	// Observability, summed over a run's executors: kShared evaluations
 	// answered by a result the frame already had, and per table the
@@ -173,7 +182,6 @@ func (p *compiledProgram) newExec(tStart, tEnd clock.Time, dict *strDict) *kexec
 		u:         make([][]uint32, p.sl.nu),
 		m:         make([][]uint64, p.sl.nm),
 		tt:        make([][]uint8, p.sl.nt),
-		cp:        make([]codeTable, p.sl.ncp),
 		memo:      make([]map[uint64]uint32, p.sl.nc),
 		sres:      make([]kres, p.sl.ns),
 		sgen:      make([]uint64, p.sl.ns),
@@ -183,6 +191,7 @@ func (p *compiledProgram) newExec(tStart, tEnd clock.Time, dict *strDict) *kexec
 		dense:     denseScratch{lo: make([]uint32, p.maxX), stride: make([]uint32, p.maxX)},
 		framePart: framePart{groups: p.newGroupTables(), skipped: make([]int64, len(p.tables))},
 		paths:     make([][2]int64, len(p.tables)),
+		eselSlot:  p.eselSlot,
 	}
 }
 
@@ -355,7 +364,8 @@ func (k kConstStr) eval(*kexec, []uint64) (kres, error) {
 	return kres{konst: true, str: true, cs: k.v}, nil
 }
 
-// Numeric built-in field codes.
+// Numeric built-in field codes. From fcNode on, a field reads the row's
+// key.
 const (
 	fcStart = iota
 	fcDura
@@ -386,51 +396,40 @@ func (k kField) eval(x *kexec, _ []uint64) (kres, error) {
 		for i := range out {
 			out[i] = (b.Start[i] + b.Dura[i]).Seconds()
 		}
-	case fcNode:
-		for i := range out {
-			out[i] = float64(b.Node[i])
-		}
-	case fcCPU:
-		for i := range out {
-			out[i] = float64(b.CPU[i])
-		}
-	case fcThread:
-		for i := range out {
-			out[i] = float64(b.Thread[i])
-		}
-	case fcType:
-		for i := range out {
-			out[i] = float64(b.Type[i])
-		}
 	case fcIsCall:
 		for i := range out {
-			out[i] = b2f(b.Bebits[i] == 2 || b.Bebits[i] == 3)
+			be := b.Key(i).Bebits
+			out[i] = b2f(be == 2 || be == 3)
+		}
+	default: // node, cpu, thread, type: a key field
+		for i := range out {
+			out[i] = float64(keyInts(b.Key(i))[k.code-fcNode])
 		}
 	}
 	return kres{f: out}, nil
 }
 
-// kFieldStr is a string built-in as a coded column: state is the
-// batch's Type column, bebits its Bebits column. Nothing is computed
-// per row; consumers read the column through codeAt.
-type kFieldStr struct{ kind codeKind }
-
-func (kFieldStr) isStr() bool { return true }
-func (k kFieldStr) eval(*kexec, []uint64) (kres, error) {
-	return kres{str: true, kind: k.kind}, nil
+// kFieldStr is a string built-in as a coded column: state's codes are
+// the key's type, bebits' the key's bebits. Bebits values past Complete
+// all render "bebits?", so they share one code: within a kind, distinct
+// codes always have distinct names. It reads only the key, so it runs
+// per entry (kEntry) and reaches rows gathered.
+type kFieldStr struct {
+	kind codeKind
+	slot int
 }
 
-// codeAt returns row i's code in a coded column. Bebits values past
-// Complete all render "bebits?", so they share one code: within a kind,
-// distinct codes always have distinct names.
-func (x *kexec) codeAt(r *kres, i int) uint32 {
-	switch r.kind {
-	case ckState:
-		return uint32(x.b.Type[i])
-	case ckBebits:
-		return min(uint32(x.b.Bebits[i]), uint32(profile.Complete)+1)
+func (kFieldStr) isStr() bool { return true }
+func (k kFieldStr) eval(x *kexec, _ []uint64) (kres, error) {
+	out := x.ubuf(k.slot)
+	lim := uint32(math.MaxUint32)
+	if k.kind == ckBebits {
+		lim = uint32(profile.Complete) + 1
 	}
-	return r.dc[i]
+	for i := range out {
+		out[i] = min(keyInts(x.b.Key(i))[fcType-fcNode+int(k.kind)], lim)
+	}
+	return kres{str: true, kind: k.kind, dc: out}, nil
 }
 
 // codeName is the dictionary: the string a code of the given kind
@@ -456,11 +455,10 @@ func (p codePred) of(name string) bool {
 	return cmpStr(p.op, name, p.c) != 0
 }
 
-// codeVerdicts writes pred's 0/1 verdict on every row of a ckDict coded
-// column (markername, a concatenation) into out; a predicate over state
-// or bebits alone is a kCodePred. The predicate runs once per distinct
-// code: the slot's table remembers verdicts (0 unknown, 1 false, 2 true)
-// for the executor's lifetime, and rows are answered by lookup.
+// codeVerdicts writes pred's 0/1 verdict on every row of a coded column
+// into out. The predicate runs once per distinct code: the slot's table
+// remembers verdicts (0 unknown, 1 false, 2 true) for the executor's
+// lifetime, and rows are answered by lookup.
 func (x *kexec) codeVerdicts(out []float64, r *kres, ttSlot int, pred codePred) {
 	tt := x.tt[ttSlot]
 	for i, c := range r.dc[:len(out)] {
@@ -470,7 +468,7 @@ func (x *kexec) codeVerdicts(out []float64, r *kres, ttSlot int, pred codePred) 
 		v := tt[c]
 		if v == 0 {
 			v = 1
-			if pred.of(x.dict.name(c)) {
+			if pred.of(codeName(r.kind, c, x.dict)) {
 				v = 2
 			}
 			tt[c] = v
@@ -506,13 +504,12 @@ func (k kTruth) eval(x *kexec, sel []uint64) (kres, error) {
 // whose type does not carry it. With marker set it is markername: the
 // field is the marker id, and the result is the coded column of the
 // names the file's marker table gives those ids (slot then indexes the
-// uint32 buffers). Where a type keeps the field is looked up once per
-// type for the executor's lifetime (ttSlot: 0 unknown, 1 absent, else
-// the field's index + 2; a type has a handful of extras).
+// uint32 buffers). Where a row keeps the field is a function of its key,
+// found once per dictionary entry.
 type kExtra struct {
-	name                   string
-	marker                 bool
-	slot, skipSlot, ttSlot int
+	name           string
+	marker         bool
+	slot, skipSlot int
 }
 
 func (k kExtra) isStr() bool { return k.marker }
@@ -528,19 +525,16 @@ func (k kExtra) eval(x *kexec, _ []uint64) (kres, error) {
 	}
 	b := x.b
 	var skip []uint64
-	at := x.tt[k.ttSlot]
-	for i, t := range b.Type[:x.n] {
-		if int(t) >= len(at) {
-			at = append(at, make([]uint8, int(t)+1-len(at))...)
+	// The field's index + 1 among an entry's extras, 0 where it has none.
+	x.xpos = interval.PerEntry(x.xpos, b, func(e *interval.Key) uint8 {
+		if i := extraIndex(e.Type, k.name); i >= 0 && i < int(e.NX) {
+			return uint8(i + 1)
 		}
-		e := at[t]
-		if e == 0 {
-			e = uint8(extraIndex(t, k.name) + 2)
-			at[t] = e
-		}
-		off := b.ExtraOff[i]
-		if e > 1 && uint32(e-2) < b.ExtraOff[i+1]-off {
-			v := b.Extras[off+uint32(e-2)]
+		return 0
+	})
+	for i, c := range b.Code[:x.n] {
+		if p := x.xpos[c]; p > 0 {
+			v := b.Extras[b.ExtraOff[i]+uint32(p)-1]
 			if k.marker {
 				mk[i] = codes[v] // an id the table lacks names "", code 0
 			} else {
@@ -557,7 +551,6 @@ func (k kExtra) eval(x *kexec, _ []uint64) (kres, error) {
 			skip[i>>6] |= 1 << uint(i&63)
 		}
 	}
-	x.tt[k.ttSlot] = at
 	return kres{str: k.marker, kind: ckDict, f: out, dc: mk, skip: skip}, nil
 }
 
@@ -817,7 +810,7 @@ func (k kCmpStr) eval(x *kexec, sel []uint64) (kres, error) {
 		var lastL, lastR uint32
 		var last float64
 		for i := range out {
-			lc, rc := x.codeAt(&rl, i), x.codeAt(&rr, i)
+			lc, rc := rl.dc[i], rr.dc[i]
 			if i == 0 || lc != lastL || rc != lastR {
 				lastL, lastR = lc, rc
 				last = cmpStr(k.op, codeName(rl.kind, lc, x.dict), codeName(rr.kind, rc, x.dict))
@@ -893,10 +886,10 @@ func (k kConcat) eval(x *kexec, sel []uint64) (kres, error) {
 	for i := range out {
 		var lc, rc uint32 // a constant operand's code is 0; its text is cs
 		if !rl.konst {
-			lc = x.codeAt(&rl, i)
+			lc = rl.dc[i]
 		}
 		if !rr.konst {
-			rc = x.codeAt(&rr, i)
+			rc = rr.dc[i]
 		}
 		key := uint64(lc)<<32 | uint64(rc)
 		if i == 0 || key != lastKey {
@@ -1184,6 +1177,11 @@ type kShared struct {
 
 func (k kShared) isStr() bool { return k.k.isStr() }
 func (k kShared) eval(x *kexec, sel []uint64) (kres, error) {
+	if x.b == &x.eb {
+		// Over the dictionary nothing is kept: the results cached are
+		// the frame's rows'.
+		return k.k.eval(x, sel)
+	}
 	if x.sgen[k.id] == x.gen {
 		x.saved++
 		return x.sres[k.id], nil
@@ -1196,149 +1194,69 @@ func (k kShared) eval(x *kexec, sel []uint64) (kres, error) {
 	return r, nil
 }
 
-// kCodePred is a pure numeric subtree whose only column is one coded
-// column, state or bebits (state != "Running" && state != "GlobalClock",
-// say): a function of the row's code. It runs once per distinct code
-// for the executor's lifetime — a code never changes its string — and
-// answers each row by lookup, as a truth bitmap and, with vals, as the
-// subtree's values.
-type kCodePred struct {
-	fn           kernel // the subtree, evaluated per code by codeValue
-	kind         codeKind
-	vals         bool
-	slot, tmSlot int
-	cpSlot       int
+// kEntry is a pure subtree that reads nothing of a row but its key
+// (state, bebits, type, iscall, node, cpu, thread, and constants). It
+// runs through the same kernels once per entry of the frame's
+// dictionary, viewed as a batch whose rows are the entries, and each
+// row takes its entry's result by code: its values where the subtree
+// computes them, its truth bits where it computes those, its codes for
+// a string. Key fields are never missing, so no result skips. Inside a
+// kEntry's run every nested one is just its subtree.
+type kEntry struct {
+	fn                  kernel
+	slot, tmSlot, uSlot int
 }
 
-// codeTable is one kCodePred's answers by code: verdict 0 unknown, 1
-// falsy, 2 truthy; val the subtree's value.
-type codeTable struct {
-	verdict []uint8
-	val     []float64
-}
-
-func (*kCodePred) isStr() bool { return false }
-func (k *kCodePred) eval(x *kexec, _ []uint64) (kres, error) {
-	tm := x.mbuf(k.tmSlot)
-	var out []float64
-	if k.vals {
-		out = x.fbuf(k.slot)
+func (k *kEntry) isStr() bool { return k.fn.isStr() }
+func (k *kEntry) eval(x *kexec, sel []uint64) (kres, error) {
+	if x.b == &x.eb {
+		return k.fn.eval(x, sel)
 	}
-	t := &x.cp[k.cpSlot]
-	if k.kind == ckState {
-		codeRows(k, t, tm, out, x.b.Type[:x.n])
-	} else {
-		codeRows(k, t, tm, out, x.b.Bebits[:x.n])
+	r, err := x.perEntry(k.fn)
+	if err != nil || r.konst {
+		return r, err
 	}
-	return kres{f: out, tm: tm}, nil
-}
-
-func codeRows[C ~uint8 | ~uint16](k *kCodePred, t *codeTable, tm []uint64, out []float64, col []C) {
-	verdict := t.verdict
-	for w := range tm {
-		var bm uint64
-		for j, c := range col[w<<6 : min(w<<6+64, len(col))] {
-			if int(c) >= len(verdict) {
-				verdict = append(verdict, make([]uint8, int(c)+1-len(verdict))...)
-				t.val = append(t.val, make([]float64, int(c)+1-len(t.val))...)
+	code := x.b.Code[:x.n]
+	out := kres{str: r.str, kind: r.kind}
+	if r.dc != nil {
+		out.dc = x.ubuf(k.uSlot)
+		for i, c := range code {
+			out.dc[i] = r.dc[c]
+		}
+	}
+	if r.f != nil {
+		out.f = x.fbuf(k.slot)
+		for i, c := range code {
+			out.f[i] = r.f[c]
+		}
+	}
+	if r.tm != nil {
+		out.tm = x.mbuf(k.tmSlot)
+		for w := range out.tm {
+			var bm uint64
+			for j, c := range code[w<<6 : min(w<<6+64, len(code))] {
+				bm |= (r.tm[c>>6] >> (c & 63) & 1) << uint(j)
 			}
-			v := verdict[c]
-			if v == 0 {
-				// Bebits values past Complete all name "bebits?", like
-				// codeAt's shared code.
-				f, _ := codeValue(k.fn, uint32(c))
-				v = 1
-				if f != 0 {
-					v = 2
-				}
-				verdict[c], t.val[c] = v, f
-			}
-			bm |= uint64(v>>1) << uint(j)
-		}
-		tm[w] = bm
-	}
-	t.verdict = verdict
-	if out != nil {
-		val := t.val
-		for i, c := range col {
-			out[i] = val[c]
+			out.tm[w] = bm
 		}
 	}
+	return out, nil
 }
 
-// codeValue evaluates a coded predicate's subtree on one code: the
-// number it yields, or the string for a string-valued node. It mirrors
-// the kernels' per-row arithmetic operation for operation.
-func codeValue(k kernel, c uint32) (float64, string) {
-	switch k := k.(type) {
-	case kShared:
-		return codeValue(k.k, c)
-	case *kCodePred:
-		return codeValue(k.fn, c)
-	case kConstNum:
-		return k.v, ""
-	case kConstStr:
-		return 0, k.v
-	case kFieldStr:
-		return 0, codeName(k.kind, c, nil)
-	case kTruth:
-		_, s := codeValue(k.x, c)
-		return b2f(s != ""), ""
-	case *kNot:
-		f, _ := codeValue(k.x, c)
-		return b2f(f == 0), ""
-	case kNeg:
-		f, _ := codeValue(k.x, c)
-		return -f, ""
-	case kArith:
-		l, _ := codeValue(k.l, c)
-		r, _ := codeValue(k.r, c)
-		return arith(k.op, l, r), ""
-	case kCmpStr:
-		_, l := codeValue(k.l, c)
-		_, r := codeValue(k.r, c)
-		return cmpStr(k.op, l, r), ""
-	case *kLogic:
-		l, _ := codeValue(k.l, c)
-		if k.and != (l != 0) {
-			return b2f(l != 0), ""
-		}
-		r, _ := codeValue(k.r, c)
-		return b2f(r != 0), ""
+// perEntry runs fn over the bound frame's dictionary viewed as a batch.
+func (x *kexec) perEntry(fn kernel) (kres, error) {
+	b, n, nw := x.b, x.n, x.nw
+	ne := len(b.Dict)
+	for len(x.ecode) < ne {
+		x.ecode = append(x.ecode, uint32(len(x.ecode)))
 	}
-	panic(fmt.Sprintf("stats: %T in a coded predicate", k))
-}
-
-// otherLeaf marks, in leaves' result, a column other than state and
-// bebits.
-const otherLeaf = 1 << 7
-
-// leaves is the set of columns a pure kernel reads: bit 1<<kind per
-// coded column state or bebits, otherLeaf for any other.
-func leaves(k kernel) uint8 {
-	switch k := k.(type) {
-	case kShared:
-		return leaves(k.k)
-	case *kCodePred:
-		return 1 << k.kind
-	case kConstNum, kConstStr:
-		return 0
-	case kFieldStr:
-		return 1 << k.kind
-	case kTruth:
-		return leaves(k.x)
-	case *kNot:
-		return leaves(k.x)
-	case kNeg:
-		return leaves(k.x)
-	case kArith:
-		return leaves(k.l) | leaves(k.r)
-	case kCmpStr:
-		return leaves(k.l) | leaves(k.r)
-	case *kLogic:
-		return leaves(k.l) | leaves(k.r)
-	}
-	return otherLeaf
+	x.eb.N, x.eb.Code, x.eb.Dict = ne, x.ecode[:ne], b.Dict
+	x.b, x.n, x.nw = &x.eb, ne, (ne+63)>>6
+	sel := x.mbuf(x.eselSlot)
+	maskOnes(sel, ne)
+	r, err := fn.eval(x, sel)
+	x.b, x.n, x.nw = b, n, nw
+	return r, err
 }
 
 // ---- compilation ----
@@ -1350,6 +1268,7 @@ type compiledTable struct {
 	x, y     []kernel
 	xcol     []xcol // how each x column's group-key word decodes
 	dense    []dsrc // per x column, where its integer comes from; nil: the hash path only
+	keys     uint8  // the key fields its dsKey columns read, bit 1<<field
 	maskSlot int    // working row mask during accumulation
 }
 
@@ -1369,13 +1288,14 @@ type compiledProgram struct {
 	tables     []*compiledTable
 	sl         kslots
 	selSlot    int // frame-level (window) selection mask
+	eselSlot   int // the all-entries selection a kEntry runs under
 	maxX, maxY int
 }
 
 // compileProgram lowers every spec, sharing pure subtrees across them.
 func compileProgram(specs []*TableSpec) *compiledProgram {
 	p := &compiledProgram{}
-	p.selSlot = p.sl.m()
+	p.selSlot, p.eselSlot = p.sl.m(), p.sl.m()
 	c := &compiler{sl: &p.sl, pure: make(map[string]kernel)}
 	for _, spec := range specs {
 		ct := c.spec(spec)
@@ -1417,12 +1337,15 @@ func (c *compiler) spec(spec *TableSpec) *compiledTable {
 			xc = xcol{str: true, kind: ckDict}
 		}
 		ct.xcol = append(ct.xcol, xc)
-		src, ok := denseSource(k)
+		src, field, ok := denseSource(k)
 		ct.dense = append(ct.dense, src)
+		if src == dsKey {
+			ct.keys |= 1 << field
+		}
 		dense = dense && ok
 	}
 	if !dense {
-		ct.dense = nil
+		ct.dense, ct.keys = nil, 0
 	}
 	for _, ay := range spec.Y {
 		ct.y = append(ct.y, vals(c.lower(ay.Expr)))
@@ -1431,15 +1354,15 @@ func (c *compiler) spec(spec *TableSpec) *compiledTable {
 }
 
 // share returns the program's kernel for the pure node named key,
-// building it with mk the first time. A numeric node reading no column
-// but one of state and bebits becomes a coded predicate.
-func (c *compiler) share(key string, mk func() kernel) kernel {
+// building it with mk the first time. A node that reads nothing of a
+// row but its key (keyed) runs per dictionary entry.
+func (c *compiler) share(key string, keyed bool, mk func() kernel) kernel {
 	if k, ok := c.pure[key]; ok {
 		return k
 	}
 	k := mk()
-	if m := leaves(k); !k.isStr() && (m == 1<<ckState || m == 1<<ckBebits) {
-		k = &kCodePred{fn: k, kind: codeKind(bits.TrailingZeros8(m)), slot: c.sl.f(), tmSlot: c.sl.m(), cpSlot: c.sl.cp()}
+	if keyed {
+		k = &kEntry{fn: k, slot: c.sl.f(), tmSlot: c.sl.m(), uSlot: c.sl.u()}
 	}
 	s := kShared{k, c.sl.ns}
 	c.sl.ns++
@@ -1448,9 +1371,11 @@ func (c *compiler) share(key string, mk func() kernel) kernel {
 }
 
 // node is share for a node op over children, which is pure when they all
-// are: otherwise every use gets its own kernel from mk.
+// are: otherwise every use gets its own kernel from mk. It reads only the
+// key when some child does (a kEntry) and the rest are constants.
 func (c *compiler) node(op string, mk func() kernel, children ...kernel) kernel {
 	key := op + "("
+	keyed, other := false, false
 	for i, ch := range children {
 		ck, ok := pureKey(ch)
 		if !ok {
@@ -1460,8 +1385,12 @@ func (c *compiler) node(op string, mk func() kernel, children ...kernel) kernel 
 			key += ","
 		}
 		key += ck
+		if s, ok := ch.(kShared); ok {
+			_, e := s.k.(*kEntry)
+			keyed, other = keyed || e, other || !e
+		}
 	}
-	return c.share(key+")", mk)
+	return c.share(key+")", keyed && !other, mk)
 }
 
 // pureKey is a pure kernel's canonical key; ok is false for any other.
@@ -1473,16 +1402,18 @@ func pureKey(k kernel) (string, bool) {
 		return "n" + strconv.FormatUint(math.Float64bits(k.v), 16), true
 	case kConstStr:
 		return strconv.Quote(k.v), true
-	case kFieldStr:
-		return "s" + strconv.Itoa(int(k.kind)), true
 	}
 	return "", false
 }
 
-// unshare is the kernel behind a shared one.
+// unshare is the kernel behind a shared one, and behind its per-entry
+// run.
 func unshare(k kernel) kernel {
 	if s, ok := k.(kShared); ok {
-		return s.k
+		k = s.k
+	}
+	if e, ok := k.(*kEntry); ok {
+		return e.fn
 	}
 	return k
 }
@@ -1494,8 +1425,6 @@ func vals(k kernel) kernel {
 	case *kLogic:
 		k.vals = true
 	case *kNot:
-		k.vals = true
-	case *kCodePred:
 		k.vals = true
 	}
 	return k
@@ -1521,7 +1450,7 @@ func (c *compiler) lower(e expr) kernel {
 		return kConstStr{n.v}
 	case fieldRef:
 		field := func(code int) kernel {
-			return c.share("f"+strconv.Itoa(code), func() kernel { return kField{code, sl.f()} })
+			return c.share("f"+strconv.Itoa(code), code >= fcNode, func() kernel { return kField{code, sl.f()} })
 		}
 		switch n.name {
 		case events.FieldStart:
@@ -1541,14 +1470,14 @@ func (c *compiler) lower(e expr) kernel {
 		case "iscall":
 			return field(fcIsCall)
 		case "state":
-			return kFieldStr{ckState}
+			return c.share("s0", true, func() kernel { return kFieldStr{ckState, sl.u()} })
 		case events.FieldBebits:
-			return kFieldStr{ckBebits}
+			return c.share("s1", true, func() kernel { return kFieldStr{ckBebits, sl.u()} })
 		case "markername":
 			sl.markers = true
-			return c.share("m", func() kernel { return kExtra{events.FieldMarker, true, sl.u(), sl.m(), sl.tt()} })
+			return c.share("m", false, func() kernel { return kExtra{events.FieldMarker, true, sl.u(), sl.m()} })
 		}
-		return c.share("e"+n.name, func() kernel { return kExtra{n.name, false, sl.f(), sl.m(), sl.tt()} })
+		return c.share("e"+n.name, false, func() kernel { return kExtra{n.name, false, sl.f(), sl.m()} })
 	case unary:
 		ch := c.lower(n.x)
 		switch {

@@ -1,8 +1,6 @@
 package tracesvc
 
 import (
-	"cmp"
-	"math"
 	"net/url"
 	"strconv"
 	"strings"
@@ -173,24 +171,9 @@ func (q Query) appendEncoded(b []byte) []byte {
 	set(q.Preview, "view", "preview")
 	set(q.Endpoint == "preview" && !q.Preview, "view", q.View.String())
 	if q.Window {
-		set(true, "window", windowBound(q.Lo, math.MinInt64)+":"+windowBound(q.Hi, math.MaxInt64))
+		set(true, "window", clock.FormatWindow(q.Lo, q.Hi))
 	}
 	return b
-}
-
-// windowBound writes one side of a window: empty for the open side's
-// extreme, else the shortest seconds clock.ParseWindow reads back as t.
-// A bound it parsed came from such a float, a few steps from t's own
-// quotient, so the walk toward it is short.
-func windowBound(t, open clock.Time) string {
-	if t == open {
-		return ""
-	}
-	s := float64(t) / float64(clock.Second)
-	for i := 0; i < 64 && clock.FromSeconds(s) != t; i++ {
-		s = math.Nextafter(s, math.Inf(cmp.Compare(t, clock.FromSeconds(s))))
-	}
-	return strconv.FormatFloat(s, 'f', -1, 64)
 }
 
 // key is the answer memo's key of q over seal generation gen: what the
