@@ -28,6 +28,7 @@ import (
 	"tracefw/internal/events"
 	"tracefw/internal/interval"
 	"tracefw/internal/profile"
+	"tracefw/internal/slog"
 	"tracefw/internal/tracesvc"
 	"tracefw/internal/xrand"
 )
@@ -155,6 +156,22 @@ func TestCLIPipeline(t *testing.T) {
 	out = runCmd(t, bin, "uteview", "-slog", slogPath, "-frame-at", "0.01")
 	if !strings.Contains(out, "frame ") {
 		t.Fatalf("frame fetch output:\n%s", out)
+	}
+	// -frame-at reads its seconds exactly: a hair under half a nanosecond
+	// past the run's last end rounds down onto it, a hair over rounds up
+	// past it. A float64 cannot tell the two spellings apart.
+	sf, err := slog.Open(slogPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, end := len(sf.Index)-1, sf.Index[len(sf.Index)-1].End
+	sf.Close()
+	at := fmt.Sprintf("%d.%09d", end/clock.Second, end%clock.Second)
+	if out := runCmd(t, bin, "uteview", "-slog", slogPath, "-frame-at", at+"4999999999999999"); !strings.HasPrefix(out, fmt.Sprintf("frame %d ", last)) {
+		t.Fatalf("-frame-at %s4999999999999999, the last frame's end, fetched:\n%s", at, out)
+	}
+	if code, msg := runCmdFail(t, bin, "uteview", "-slog", slogPath, "-frame-at", at+"5000000000000001"); code != 1 || !strings.Contains(msg, "no frame contains") {
+		t.Fatalf("-frame-at %s5000000000000001, past the run: exit %d\n%s", at, code, msg)
 	}
 	out = runCmd(t, bin, "uteview", "-merged", merged, "-slog", slogPath, "-arrows", "-ascii")
 	if !strings.Contains(out, "legend:") {
@@ -614,6 +631,8 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"uteview", []string{"-merged", garbage}, 1},
 		{"uteview", []string{"-j", "-1", "-merged", good}, 2},
 		{"uteview", []string{"-t0", "2", "-t1", "1", "-merged", good}, 2},
+		// 1e10 s is past the time range: rejected, not read as the run.
+		{"uteview", []string{"-merged", good, "-preview", "-bins", "8", "-t0", "0.01", "-t1", "1e10", "-ascii"}, 2},
 		{"uteview", []string{"-merged", good, "-preview", "-engine", "x"}, 2},
 		{"uteview", []string{"-merged", good, "-preview", "-engine", "scan"}, 2},
 		{"uteview", []string{"-merged", good, "-preview", "-bins", "-1"}, 2},

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/interval"
@@ -26,12 +27,14 @@ import (
 )
 
 func main() {
+	t0, t1, frameAt := seconds(0), seconds(0), seconds(-clock.Second)
+	flag.Var(&t0, "t0", "window start, `seconds`")
+	flag.Var(&t1, "t1", "window end, `seconds` (0 = full run)")
+	flag.Var(&frameAt, "frame-at", "print the SLOG frame containing this time (`seconds`)")
 	var (
 		mergedPath = flag.String("merged", "", "merged interval file")
 		slogPath   = flag.String("slog", "", "SLOG file (preview, arrows, frame fetch)")
 		viewName   = flag.String("view", "thread-activity", "time-space diagram kind")
-		t0         = flag.Float64("t0", 0, "window start, seconds")
-		t1         = flag.Float64("t1", 0, "window end, seconds (0 = full run)")
 		window     = flag.String("window", "", "diagram window as lo:hi seconds (shorthand for -t0/-t1)")
 		jobs       = flag.Int("j", 0, "frame-decode workers for diagram construction (0 = GOMAXPROCS)")
 		connected  = flag.Bool("connected", false, "connect interval pieces per call")
@@ -41,7 +44,6 @@ func main() {
 		preview    = flag.Bool("preview", false, "render the preview histogram instead of a diagram (from -slog, or computed from -merged)")
 		bins       = flag.Int("bins", 0, "preview bins when computing from -merged (0 = default)")
 		verbose    = flag.Bool("v", false, "report which engine answered and what it cost (stderr)")
-		frameAt    = flag.Float64("frame-at", -1, "print the SLOG frame containing this time (seconds)")
 		arrows     = flag.Bool("arrows", false, "overlay message arrows from the SLOG file")
 		htmlOut    = flag.String("html", "", "write a self-contained interactive HTML viewer (needs -slog)")
 	)
@@ -54,7 +56,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "uteview: -bins must be 0 to %d\n", stats.MaxBins)
 		os.Exit(2)
 	}
-	if *t1 != 0 && *t1 < *t0 {
+	if t1 != 0 && t1 < t0 {
 		fmt.Fprintln(os.Stderr, "uteview: -t1 is before -t0")
 		os.Exit(2)
 	}
@@ -80,13 +82,13 @@ func main() {
 		emit(*htmlOut, page)
 		return
 
-	case *frameAt >= 0:
+	case frameAt >= 0:
 		if sf == nil {
 			fatal(fmt.Errorf("-frame-at needs -slog"))
 		}
-		i, ok := sf.FrameAt(clock.FromSeconds(*frameAt))
+		i, ok := sf.FrameAt(clock.Time(frameAt))
 		if !ok {
-			fatal(fmt.Errorf("no frame contains %gs", *frameAt))
+			fatal(fmt.Errorf("no frame contains %gs", clock.Time(frameAt).Seconds()))
 		}
 		fd, err := sf.ReadFrame(i)
 		if err != nil {
@@ -130,7 +132,7 @@ func main() {
 
 	if *preview {
 		popts := render.PreviewOptions{Bins: *bins}
-		popts.T0, popts.T1 = clock.FromSeconds(*t0), clock.FromSeconds(*t1)
+		popts.T0, popts.T1 = clock.Time(t0), clock.Time(t1)
 		if *window != "" {
 			popts.T0, popts.T1 = resolveWindow(mf, *window)
 		}
@@ -155,8 +157,8 @@ func main() {
 		fatal(err)
 	}
 	opts := render.Options{
-		T0:        clock.FromSeconds(*t0),
-		T1:        clock.FromSeconds(*t1),
+		T0:        clock.Time(t0),
+		T1:        clock.Time(t1),
 		Connected: *connected,
 		Parallel:  *jobs,
 	}
@@ -227,4 +229,19 @@ func emit(path, doc string) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "uteview:", err)
 	os.Exit(1)
+}
+
+// seconds is a time flag given in seconds, read exactly by
+// clock.ParseSeconds: a value the time range cannot hold is a usage
+// error.
+type seconds clock.Time
+
+func (s *seconds) Set(v string) error {
+	t, err := clock.ParseSeconds(v)
+	*s = seconds(t)
+	return err
+}
+
+func (s *seconds) String() string {
+	return strconv.FormatFloat(clock.Time(*s).Seconds(), 'g', -1, 64)
 }

@@ -38,9 +38,6 @@ const (
 // Seconds converts t to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// FromSeconds converts floating-point seconds to Time.
-func FromSeconds(s float64) Time { return Time(math.Round(s * float64(Second))) }
-
 // String formats the time in seconds with microsecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 
@@ -55,13 +52,13 @@ func ParseWindow(s string) (lo, hi Time, err error) {
 	}
 	lo, hi = math.MinInt64, math.MaxInt64
 	if left := s[:i]; left != "" {
-		if lo, err = parseWindowBound("start", left); err != nil {
-			return 0, 0, err
+		if lo, err = ParseSeconds(left); err != nil {
+			return 0, 0, fmt.Errorf("clock: window start %w", err)
 		}
 	}
 	if right := s[i+1:]; right != "" {
-		if hi, err = parseWindowBound("end", right); err != nil {
-			return 0, 0, err
+		if hi, err = ParseSeconds(right); err != nil {
+			return 0, 0, fmt.Errorf("clock: window end %w", err)
 		}
 	}
 	if lo > hi {
@@ -70,24 +67,25 @@ func ParseWindow(s string) (lo, hi Time, err error) {
 	return lo, hi, nil
 }
 
-// parseWindowBound parses one side of a window. The spelling is
-// strconv.ParseFloat's — decimal or hexadecimal, signed, with an
-// exponent, underscores between digits — and so are the syntax errors;
-// "NaN" and "Inf", which it also accepts, are rejected here. The value
-// is read exactly, never through a float64: the bound is the seconds
-// times 10⁹, rounded half away from zero as FromSeconds rounds, and a
-// bound the Time range cannot hold overflows.
-func parseWindowBound(side, s string) (Time, error) {
+// ParseSeconds reads a time given in seconds — a window bound, a
+// command's time flag. The spelling is strconv.ParseFloat's — decimal or
+// hexadecimal, signed, with an exponent, underscores between digits —
+// and so are the syntax errors; "NaN" and "Inf", which it also accepts,
+// are rejected here. The value is read exactly, never through a
+// float64: the Time is the seconds times 10⁹, rounded half away from
+// zero, and a value the Time range cannot hold overflows. An error
+// starts with s quoted; callers put what s was in front of it.
+func ParseSeconds(s string) (Time, error) {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
-		return 0, fmt.Errorf("clock: window %s %q: %w", side, s, err)
+		return 0, fmt.Errorf("%q: %w", s, err)
 	}
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("clock: window %s %q is not finite", side, s)
+		return 0, fmt.Errorf("%q is not finite", s)
 	}
 	t, ok := exactNanos(s)
 	if !ok {
-		return 0, fmt.Errorf("clock: window %s %q overflows the time range", side, s)
+		return 0, fmt.Errorf("%q overflows the time range", s)
 	}
 	return t, nil
 }

@@ -349,9 +349,9 @@ func TestParseWindow(t *testing.T) {
 		lo, hi Time
 		ok     bool
 	}{
-		{"0.5:2", FromSeconds(0.5), 2 * Second, true},
+		{"0.5:2", Second / 2, 2 * Second, true},
 		{":2", math.MinInt64, 2 * Second, true},
-		{"0.5:", FromSeconds(0.5), math.MaxInt64, true},
+		{"0.5:", Second / 2, math.MaxInt64, true},
 		{":", math.MinInt64, math.MaxInt64, true},
 		{"2:1", 0, 0, false},
 		{"nope", 0, 0, false},

@@ -42,7 +42,7 @@ func FuzzParseWindow(f *testing.F) {
 				}
 				continue
 			}
-			got, berr := parseWindowBound("end", side)
+			got, berr := ParseSeconds(side)
 			want, ok := oracleNanos(side)
 			switch {
 			case !ok:

@@ -3,8 +3,8 @@
 // derives every fault from a seeded PRNG, so any failing scenario is
 // reproducible from its seed alone. The package also provides I/O
 // wrappers that model media- and process-level failures: unreadable
-// byte ranges (BadSectorFile), partial reads (ShortReadSeeker), and a
-// writer killed before its tail reached disk (TornWriter).
+// byte ranges (BadSectorFile) and a writer killed before its tail
+// reached disk (TornWriter).
 //
 // Injector methods never mutate their input: each returns a damaged
 // copy plus a Fault describing exactly which bytes were touched, so a
@@ -151,8 +151,8 @@ var ErrBadSector = errors.New("faultfs: unreadable sector")
 // BadSectorFile is an in-memory file whose poisoned byte ranges fail to
 // read, the way a disk with bad sectors fails: the data is the right
 // length, but reads intersecting a bad range return an error. It
-// implements io.ReadSeeker and io.ReaderAt, the two access paths the
-// interval reader uses.
+// implements io.ReaderAt and io.Seeker, what the interval reader reads
+// through, and io.Reader.
 type BadSectorFile struct {
 	data []byte
 	bad  []Range
@@ -220,40 +220,6 @@ func (f *BadSectorFile) Seek(offset int64, whence int) (int64, error) {
 	}
 	f.pos = base + offset
 	return f.pos, nil
-}
-
-// ShortReadSeeker wraps an io.ReadSeeker so every Read returns at most
-// a random 1..max bytes, exercising callers' handling of partial reads.
-// The byte stream itself is unmodified; well-behaved callers (using
-// io.ReadFull or looping) must observe identical data.
-type ShortReadSeeker struct {
-	rs  io.ReadSeeker
-	rng *xrand.Rand
-	max int
-}
-
-// NewShortReader wraps rs with deterministic short reads of at most max
-// bytes each (max < 1 is treated as 1).
-func NewShortReader(rs io.ReadSeeker, seed uint64, max int) *ShortReadSeeker {
-	if max < 1 {
-		max = 1
-	}
-	return &ShortReadSeeker{rs: rs, rng: xrand.New(seed), max: max}
-}
-
-func (s *ShortReadSeeker) Read(p []byte) (int, error) {
-	if len(p) == 0 {
-		return s.rs.Read(p)
-	}
-	n := 1 + s.rng.Intn(s.max)
-	if n > len(p) {
-		n = len(p)
-	}
-	return s.rs.Read(p[:n])
-}
-
-func (s *ShortReadSeeker) Seek(offset int64, whence int) (int64, error) {
-	return s.rs.Seek(offset, whence)
 }
 
 // TornWriter is an in-memory io.WriteSeeker that models a writer killed

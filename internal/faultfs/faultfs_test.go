@@ -151,23 +151,6 @@ func TestBadSectorFile(t *testing.T) {
 	}
 }
 
-// TestShortReaderBehaviorIdentity: reading through ShortReadSeeker with
-// io.ReadFull must observe exactly the underlying bytes.
-func TestShortReaderBehaviorIdentity(t *testing.T) {
-	data := testData(4 << 10)
-	sr := NewShortReader(bytes.NewReader(data), 99, 7)
-	got := make([]byte, len(data))
-	if _, err := io.ReadFull(sr, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("short reads corrupted the stream")
-	}
-	if n, err := sr.Read(got[:1]); n != 0 || err != io.EOF {
-		t.Fatalf("after EOF: n=%d err=%v", n, err)
-	}
-}
-
 // TestTornWriter: bytes below the horizon land (including backward
 // patches), bytes at or beyond it vanish while Write reports success.
 func TestTornWriter(t *testing.T) {

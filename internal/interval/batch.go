@@ -338,20 +338,12 @@ func (f *File) ReadFrameBatch(fe FrameEntry) (*Batch, error) {
 }
 
 // DecodeFrameBatch reads fe and columnar-decodes it into the caller's
-// batch, reusing its column capacity.
-// The read is positioned (never moving the file's seek offset) whenever
-// the underlying reader supports it, so concurrent calls are safe on
-// such files.
+// batch, reusing its column capacity — the one frame decode every read
+// path shares. Concurrent calls are safe.
 func (f *File) DecodeFrameBatch(fe FrameEntry, b *Batch) error {
 	pb := getBuf()
 	defer putBuf(pb)
-	var buf []byte
-	var err error
-	if f.ra != nil {
-		buf, err = f.ReadFrameAt(fe, *pb)
-	} else {
-		buf, err = f.readFrameInto(fe, *pb)
-	}
+	buf, err := f.ReadFrame(fe, *pb)
 	if err != nil {
 		return err
 	}

@@ -133,6 +133,15 @@ func checkFramesInWindow(t *testing.T, f *File, frames []FrameEntry, lo, hi cloc
 	}
 }
 
+// frameLen is a map function returning a frame's record count.
+func frameLen(_ int, fr *Frame) (int, error) {
+	b, err := fr.Batch()
+	if err != nil {
+		return 0, err
+	}
+	return b.N, nil
+}
+
 // TestMapFramesContextCancelled: a cancelled context aborts the
 // map-reduce engine with the context's error.
 func TestMapFramesContextCancelled(t *testing.T) {
@@ -167,35 +176,5 @@ func TestMapFramesContextMidFlight(t *testing.T) {
 	cancel()
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-flight cancel: %v, want context.Canceled or nil", err)
-	}
-}
-
-// TestScanWindowCtxCancelled: a scanner with a cancelled context stops
-// at the next frame boundary with the context's error.
-func TestScanWindowCtxCancelled(t *testing.T) {
-	sb, recs := writeRandomFile(t, 23, 500, CurrentHeaderVersion)
-	f := openFile(t, sb)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s := f.ScanWindowCtx(ctx, 0, recs[len(recs)-1].End())
-	if _, err := s.NextRecord(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("NextRecord under cancelled context: %v, want context.Canceled", err)
-	}
-
-	// SetContext on a plain scanner behaves identically.
-	s2 := f.Scan()
-	s2.SetContext(ctx)
-	if _, err := s2.NextRecord(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("NextRecord after SetContext(cancelled): %v, want context.Canceled", err)
-	}
-
-	// And an un-cancelled context changes nothing about the results.
-	s3 := f.ScanWindowCtx(context.Background(), 0, recs[len(recs)-1].End())
-	all, err := s3.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(recs) {
-		t.Fatalf("ScanWindowCtx(Background) yields %d records, want %d", len(all), len(recs))
 	}
 }

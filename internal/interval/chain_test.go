@@ -136,13 +136,15 @@ func TestDamagedChainFailsEveryEntryPoint(t *testing.T) {
 			{"Scan", func(f *File, stop *atomic.Bool) error { return drain(f.Scan(), records, stop) }},
 			{"ScanWindow/overlapping", func(f *File, stop *atomic.Bool) error { return drain(f.ScanWindow(lo, mid), records, stop) }},
 			{"ScanWindow/disjoint", func(f *File, stop *atomic.Bool) error { return drain(f.ScanWindow(hi+1, hi+2), records, stop) }},
-			{"ScanWindowCtx", func(f *File, stop *atomic.Bool) error {
-				return drain(f.ScanWindowCtx(context.Background(), hi+1, hi+2), records, stop)
-			}},
 			{"SeekTime", func(f *File, _ *atomic.Bool) error { return f.Scan().SeekTime(hi + 1) }},
 			{"All", func(f *File, _ *atomic.Bool) error { _, err := f.ScanWindow(hi+1, hi+2).All(); return err }},
 			{"MapFrames", func(f *File, _ *atomic.Bool) error {
 				return MapFrames([]*File{f}, MapOptions{Parallel: 1},
+					func(_ int, fr *Frame) (int, error) { _, err := fr.Batch(); return 0, err },
+					func(int, FrameEntry, int) error { return nil })
+			}},
+			{"MapFrames/Context", func(f *File, _ *atomic.Bool) error {
+				return MapFrames([]*File{f}, MapOptions{Window: true, Lo: hi + 1, Hi: hi + 2, Context: context.Background()},
 					func(_ int, fr *Frame) (int, error) { _, err := fr.Batch(); return 0, err },
 					func(int, FrameEntry, int) error { return nil })
 			}},
@@ -181,11 +183,11 @@ func TestDamagedChainFailsEveryEntryPoint(t *testing.T) {
 				t.Fatalf("v%d/%s: salvage recovered %d frames, the pristine file has %d", version, dmg.Name, len(sv.Frames), len(frames))
 			}
 			for _, fe := range frames {
-				got, err := f.ReadFrame(fe)
+				got, err := f.ReadFrame(fe, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := pristine.ReadFrame(fe)
+				want, err := pristine.ReadFrame(fe, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,25 +199,19 @@ func TestDamagedChainFailsEveryEntryPoint(t *testing.T) {
 	}
 }
 
-// dirReads counts, per file offset, the reads that start there, through
-// a reader with no ReadAt so every access is a Seek and a Read.
+// dirReads counts, per file offset, the positioned reads that start
+// there.
 type dirReads struct {
-	sb     *SeekBuffer
-	at     int64
+	*SeekBuffer
+	mu     sync.Mutex
 	starts map[int64]int
 }
 
-func (c *dirReads) Seek(off int64, whence int) (int64, error) {
-	at, err := c.sb.Seek(off, whence)
-	c.at = at
-	return at, err
-}
-
-func (c *dirReads) Read(p []byte) (int, error) {
-	c.starts[c.at]++
-	n, err := c.sb.Read(p)
-	c.at += int64(n)
-	return n, err
+func (c *dirReads) ReadAt(p []byte, off int64) (int, error) {
+	c.mu.Lock()
+	c.starts[off]++
+	c.mu.Unlock()
+	return c.SeekBuffer.ReadAt(p, off)
 }
 
 // TestChainReadOnce pins the loader: however many metadata calls and
@@ -291,7 +287,7 @@ func TestChainReadOnce(t *testing.T) {
 			}
 		}
 
-		c := &dirReads{sb: NewSeekBufferFrom(sb.Bytes()), starts: map[int64]int{}}
+		c := &dirReads{SeekBuffer: NewSeekBufferFrom(sb.Bytes()), starts: map[int64]int{}}
 		f, err := NewFile(c)
 		if err != nil {
 			t.Fatal(err)
@@ -302,7 +298,7 @@ func TestChainReadOnce(t *testing.T) {
 		// The same bytes — the file as it is now — through the seal a
 		// reader was told about while it was still growing.
 		seal := seals[len(seals)/2]
-		c = &dirReads{sb: NewSeekBufferFrom(sb.Bytes()), starts: map[int64]int{}}
+		c = &dirReads{SeekBuffer: NewSeekBufferFrom(sb.Bytes()), starts: map[int64]int{}}
 		lf, err := NewFile(c, WithLiveTail(seal.Size))
 		if err != nil {
 			t.Fatal(err)
@@ -320,7 +316,7 @@ func TestChainReadOnce(t *testing.T) {
 func TestChainFirstCallsRace(t *testing.T) {
 	sb, _ := writeRandomFile(t, 62, 700, CurrentHeaderVersion)
 	dirs, _ := chainOf(t, sb.Bytes())
-	c := &dirReads{sb: NewSeekBufferFrom(sb.Bytes()), starts: map[int64]int{}}
+	c := &dirReads{SeekBuffer: NewSeekBufferFrom(sb.Bytes()), starts: map[int64]int{}}
 	f, err := NewFile(c)
 	if err != nil {
 		t.Fatal(err)

@@ -20,10 +20,7 @@ import (
 
 // MapOptions selects frames and sets the worker count for MapFrames.
 type MapOptions struct {
-	// Parallel is the worker count; <= 0 means GOMAXPROCS. Frames are
-	// decoded concurrently only when every file supports positioned
-	// reads (ConcurrentReads); otherwise the engine falls back to one
-	// worker.
+	// Parallel is the worker count; <= 0 means GOMAXPROCS.
 	Parallel int
 	// Window restricts the run to frames overlapping [Lo, Hi]. Records
 	// inside a selected frame are all delivered, including any spilling
@@ -35,8 +32,9 @@ type MapOptions struct {
 	// Context, when non-nil, aborts the run once it is cancelled: no
 	// new frames are issued and the engine returns the context's error.
 	// Cancellation is checked per frame, so a long run stops within one
-	// frame's worth of work. Servers set it to the request context;
-	// batch callers leave it nil (context.Background()).
+	// frame's worth of work. It is the package's one way to cancel a
+	// read: servers set it to the request context; batch callers leave
+	// it nil (context.Background()).
 	Context context.Context
 }
 
@@ -146,17 +144,8 @@ func mapSelected[T any](files []*File, selected [][]FrameEntry, opts MapOptions,
 			jobs = append(jobs, Frame{Entry: fe, f: files[fi], file: fi})
 		}
 	}
-	p := par.Workers(opts.Parallel, len(jobs))
-	if p > 1 {
-		for _, f := range files {
-			if !f.ConcurrentReads() {
-				p = 1
-				break
-			}
-		}
-	}
 	red := par.NewOrderedReducer()
-	return par.Do(len(jobs), p, func(i int) error {
+	return par.Do(len(jobs), par.Workers(opts.Parallel, len(jobs)), func(i int) error {
 		if err := ctx.Err(); err != nil {
 			red.Abort()
 			return err

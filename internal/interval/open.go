@@ -82,17 +82,19 @@ func Open(path string, opts ...Option) (*File, error) {
 }
 
 // NewFile parses the header, thread table, and marker table from r (the
-// paper's readHeader), leaving r positioned at the first frame
-// directory. It accepts the same options as Open. When r implements
-// io.Closer the returned File owns it and Close closes it; when r
-// implements io.ReaderAt frames can be read concurrently
-// (ConcurrentReads).
-func NewFile(r io.ReadSeeker, opts ...Option) (*File, error) {
+// paper's readHeader). It accepts the same options as Open. Every read
+// of r is positioned (ReadAt), so the File may be shared by concurrent
+// readers; Seek only measures r's size. When r implements io.Closer
+// the returned File owns it and Close closes it.
+func NewFile(r interface {
+	io.ReaderAt
+	io.Seeker
+}, opts ...Option) (*File, error) {
 	o := defaultOpenOptions()
 	for _, opt := range opts {
 		opt(&o)
 	}
-	f, err := readFileHeader(r)
+	f, err := readFileHeader(r, r)
 	if err != nil {
 		return nil, err
 	}

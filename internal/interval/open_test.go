@@ -125,11 +125,8 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Fatalf("third Close: %v", err)
 	}
 
-	if _, err := f.ReadFrame(frames[0]); !errors.Is(err, ErrClosed) {
+	if _, err := f.ReadFrame(frames[0], nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ReadFrame after Close: %v, want ErrClosed", err)
-	}
-	if _, err := f.ReadFrameAt(frames[0], nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ReadFrameAt after Close: %v, want ErrClosed", err)
 	}
 	if _, err := f.ReadFrameBatch(frames[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ReadFrameBatch after Close: %v, want ErrClosed", err)

@@ -580,8 +580,8 @@ func remainderFrames(t *testing.T, f *File, rems [][2]clock.Time) int {
 // record to the remainders it overlaps: bins narrower than the base
 // width (every bin all remainders), outer states spanning hundreds of
 // remainders, zero-duration records exactly on remainder bounds, windows
-// clipping records at Lo and Hi, and all of it again through a
-// frame-decode hook.
+// clipping records at Lo and Hi, and all of it again over a file with a
+// frame source, which the remainders never consult.
 // Every case must match the scan and decode exactly the frames that
 // overlap a remainder.
 func TestSummarizeRemainderRouting(t *testing.T) {
@@ -629,24 +629,16 @@ func TestSummarizeRemainderRouting(t *testing.T) {
 		if f.Pyramid().BaseWidth != w {
 			t.Fatalf("v%d: planting moved the base width %v -> %v", hv, w, f.Pyramid().BaseWidth)
 		}
-		// calls, when non-nil, counts the hook's calls.
-		check := func(label string, calls *int) {
+		check := func(label string) {
 			for _, tc := range cases {
 				label := fmt.Sprintf("v%d/%s/%s", hv, label, tc.name)
 				rems := remainderSpans(f.Pyramid(), tc.o)
 				before := f.DecodedFrames()
-				if calls != nil {
-					before = int64(*calls)
-				}
 				pyr := summarize(t, label, f, tc.o, "pyramid")
 				if got, want := pyr.FramesDecoded, remainderFrames(t, f, rems); got != want || want == 0 {
 					t.Fatalf("%s: decoded %d frames, %d overlap a remainder", label, got, want)
 				}
-				after := f.DecodedFrames()
-				if calls != nil {
-					after = int64(*calls)
-				}
-				if after-before != int64(pyr.FramesDecoded) {
+				if after := f.DecodedFrames(); after-before != int64(pyr.FramesDecoded) {
 					t.Fatalf("%s: %d frames fetched for %d reported", label, after-before, pyr.FramesDecoded)
 				}
 				scan := summarize(t, label, bare, tc.o, "scan")
@@ -661,13 +653,9 @@ func TestSummarizeRemainderRouting(t *testing.T) {
 				}
 			}
 		}
-		check("nohook", nil)
-		calls := 0
-		f.SetFrameSource(decodeOnly(func(f *File, fe FrameEntry, _ *Batch) (*Batch, error) {
-			calls++
-			return f.ReadFrameBatch(fe)
-		}))
-		check("hook", &calls)
+		check("nosource")
+		f.SetFrameSource(refusingSource{t})
+		check("source")
 	}
 }
 

@@ -70,8 +70,9 @@ type File struct {
 	// has been patched to 0.
 	live bool
 
-	r      io.ReadSeeker
-	ra     io.ReaderAt // non-nil when r supports ReadAt (concurrent frame reads)
+	// ra is the file's bytes: every read is positioned, so concurrent
+	// reads need no lock and share no offset.
+	ra     io.ReaderAt
 	closer io.Closer
 	// closed flips once on the first Close; every read path checks it so
 	// a closed File fails with ErrClosed instead of an os-level error
@@ -91,7 +92,7 @@ type File struct {
 	// call or scan: dirs is the directory chain in file order, frames
 	// every directory's entries flattened, chainErr what made the walk
 	// fail. All three are read-only afterwards, so metadata calls need
-	// no further synchronization and touch neither r nor its seek offset.
+	// no further synchronization.
 	chainOnce sync.Once
 	dirs      []*FrameDir
 	frames    []FrameEntry
@@ -113,8 +114,7 @@ type File struct {
 var ErrClosed = errors.New("interval: file already closed")
 
 // MemoKey names a memoized value: the first 16 bytes of the SHA-256 of
-// everything the value depends on besides the frame it came from. The
-// zero key names nothing.
+// everything the value depends on besides the frame it came from.
 type MemoKey [16]byte
 
 // NewMemoKey is the key of the value described by b.
@@ -138,12 +138,11 @@ type FrameSource interface {
 	// only until compute returns. store says whether the memo keeps the
 	// value, so compute hands back a right-sized copy of size bytes when
 	// it does, and may return scratch state of its own (never anything
-	// aliasing b) when it does not. Memo runs compute at most once at a time per key (a caller
-	// waiting on another's compute gives up when ctx is done) and never
-	// keeps a value whose compute failed. The zero key memoizes nothing:
-	// compute(b, false) runs over a frame decoded that same way on every
-	// call, and the source keeps neither a value nor a marker — the read
-	// for a frame whose value no later query is likely to share.
+	// aliasing b) when it does not. Memo runs compute at most once at a
+	// time per key (a caller waiting on another's compute gives up when
+	// ctx is done) and never keeps a value whose compute failed. A frame
+	// whose value no later query is likely to share is not looked up: its
+	// reader decodes it with DecodeFrameBatch.
 	Memo(ctx context.Context, f *File, fe FrameEntry, key MemoKey, compute func(b *Batch, store bool) (v any, size int64, err error)) (v any, reused bool, err error)
 }
 
@@ -157,28 +156,27 @@ func (f *File) SetFrameSource(s FrameSource) { f.src = s }
 func (f *File) FrameSource() FrameSource { return f.src }
 
 // DecodedFrames returns how many frame payloads have been read from the
-// file so far (every ReadFrame/Scanner frame load counts once).
+// file so far (every ReadFrame, and so every frame decode, counts once).
 func (f *File) DecodedFrames() int64 { return f.decoded.Load() }
 
 // readFileHeader parses the header, thread table, and marker table (the
-// paper's readHeader), leaving the file positioned at the first frame
-// directory. NewFile and Open wrap it with option handling.
-func readFileHeader(r io.ReadSeeker) (*File, error) {
-	size, err := r.Seek(0, io.SeekEnd)
+// paper's readHeader) with positioned reads; the first frame directory
+// follows them. The reader's Seek only measures its size. NewFile and
+// Open wrap it with option handling.
+func readFileHeader(ra io.ReaderAt, sk io.Seeker) (*File, error) {
+	size, err := sk.Seek(0, io.SeekEnd)
 	if err != nil {
 		return nil, err
 	}
+	r := io.NewSectionReader(ra, 0, size)
 	var fixed [fixedHeaderSize]byte
-	if _, err := r.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return nil, fmt.Errorf("interval: reading header: %w", err)
 	}
 	if string(fixed[:8]) != fileMagic {
 		return nil, fmt.Errorf("interval: bad magic %q", fixed[:8])
 	}
-	f := &File{r: r, Size: size}
+	f := &File{ra: ra, Size: size}
 	f.Header.ProfileVersion = binary.LittleEndian.Uint32(fixed[8:])
 	f.Header.HeaderVersion = binary.LittleEndian.Uint32(fixed[12:])
 	nThreads := binary.LittleEndian.Uint32(fixed[16:])
@@ -226,15 +224,8 @@ func readFileHeader(r io.ReadSeeker) (*File, error) {
 		}
 		f.Header.Markers[id] = string(s)
 	}
-	pos, err := r.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return nil, err
-	}
-	f.FirstDir = pos
-	if ra, ok := r.(io.ReaderAt); ok {
-		f.ra = ra
-	}
-	if c, ok := r.(io.Closer); ok {
+	f.FirstDir, _ = r.Seek(0, io.SeekCurrent)
+	if c, ok := ra.(io.Closer); ok {
 		f.closer = c
 	}
 	return f, nil
@@ -289,12 +280,9 @@ func (f *File) ReadFrameDir(offset int64) (*FrameDir, error) {
 	}
 	ver := f.Header.HeaderVersion
 	hdrSize, esz := dirHeaderSize(ver), entrySize(ver)
-	if _, err := f.r.Seek(offset, io.SeekStart); err != nil {
-		return nil, f.closedErr(err)
-	}
 	var hb [dirHeaderV3Size]byte
 	h := hb[:hdrSize]
-	if _, err := io.ReadFull(f.r, h); err != nil {
+	if err := f.readAt(h, offset); err != nil {
 		return nil, f.closedErr(fmt.Errorf("interval: reading frame directory at %d: %w", offset, err))
 	}
 	d := &FrameDir{
@@ -327,7 +315,7 @@ func (f *File) ReadFrameDir(offset int64) (*FrameDir, error) {
 	}
 	// The entry table lies directly behind the header.
 	eb := make([]byte, n*esz)
-	if _, err := io.ReadFull(f.r, eb); err != nil {
+	if err := f.readAt(eb, offset+int64(hdrSize)); err != nil {
 		return nil, f.closedErr(fmt.Errorf("interval: reading %d frame entries: %w", n, err))
 	}
 	if ver >= 3 && dirChecksum(uint32(n), d.Start, d.End, uint64(d.Records), eb) != binary.LittleEndian.Uint32(h[48:]) {
@@ -450,20 +438,11 @@ func (f *File) FramesInWindow(lo, hi clock.Time) ([]FrameEntry, error) {
 	return out, nil
 }
 
-// ReadFrame loads a frame's raw record bytes.
-func (f *File) ReadFrame(fe FrameEntry) ([]byte, error) {
-	return f.readFrameInto(fe, nil)
-}
-
-// ReadFrameAt loads a frame's raw record bytes with a positioned read,
-// never touching the file's seek offset — safe for concurrent use from
-// multiple goroutines. It requires the underlying reader to implement
-// io.ReaderAt (os.File and SeekBuffer both do); callers that need a
-// fallback should check ConcurrentReads first.
-func (f *File) ReadFrameAt(fe FrameEntry, buf []byte) ([]byte, error) {
-	if f.ra == nil {
-		return nil, errors.New("interval: underlying reader does not support ReadAt")
-	}
+// ReadFrame loads a frame's raw record bytes into buf's backing array
+// when it is large enough, allocating otherwise, and verifies them
+// against the frame's stored checksum. The read is positioned, so
+// concurrent calls are safe.
+func (f *File) ReadFrame(fe FrameEntry, buf []byte) ([]byte, error) {
 	if f.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -475,56 +454,29 @@ func (f *File) ReadFrameAt(fe FrameEntry, buf []byte) ([]byte, error) {
 	} else {
 		buf = buf[:fe.Bytes]
 	}
-	if _, err := f.ra.ReadAt(buf, fe.Offset); err != nil {
+	if err := f.readAt(buf, fe.Offset); err != nil {
 		return nil, f.closedErr(fmt.Errorf("interval: reading frame at %d: %w", fe.Offset, err))
 	}
-	if err := f.checkFrameSum(fe, buf); err != nil {
-		return nil, err
-	}
-	f.decoded.Add(1)
-	return buf, nil
-}
-
-// checkFrameSum verifies a frame's stored payload checksum on version-3
-// files; older versions store none (Salvage runs its own check).
-func (f *File) checkFrameSum(fe FrameEntry, buf []byte) error {
+	// Versions before 3 store no payload checksum (Salvage runs its own).
 	if !f.skipSums && f.Header.HeaderVersion >= 3 && crc32.Checksum(buf, crcTable) != fe.Sum {
-		return fmt.Errorf("interval: frame at %d fails payload checksum", fe.Offset)
-	}
-	return nil
-}
-
-// ConcurrentReads reports whether the file supports ReadFrameAt, i.e.
-// whether the parallel map-reduce engine can decode frames from worker
-// goroutines.
-func (f *File) ConcurrentReads() bool { return f.ra != nil }
-
-// readFrameInto loads a frame's raw record bytes into buf's backing
-// array when it is large enough, allocating otherwise; it is ReadFrameAt
-// for readers without positioned reads.
-func (f *File) readFrameInto(fe FrameEntry, buf []byte) ([]byte, error) {
-	if f.closed.Load() {
-		return nil, ErrClosed
-	}
-	if fe.Offset < 0 || int64(fe.Bytes) > f.Size || fe.Offset+int64(fe.Bytes) > f.Size {
-		return nil, fmt.Errorf("interval: frame at %d (%d bytes) exceeds file size %d", fe.Offset, fe.Bytes, f.Size)
-	}
-	if _, err := f.r.Seek(fe.Offset, io.SeekStart); err != nil {
-		return nil, f.closedErr(err)
-	}
-	if cap(buf) < int(fe.Bytes) {
-		buf = make([]byte, fe.Bytes)
-	} else {
-		buf = buf[:fe.Bytes]
-	}
-	if _, err := io.ReadFull(f.r, buf); err != nil {
-		return nil, f.closedErr(fmt.Errorf("interval: reading frame at %d: %w", fe.Offset, err))
-	}
-	if err := f.checkFrameSum(fe, buf); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("interval: frame at %d fails payload checksum", fe.Offset)
 	}
 	f.decoded.Add(1)
 	return buf, nil
+}
+
+// readAt fills p from off with one positioned read, failing as
+// io.ReadFull does: io.EOF when nothing was read, io.ErrUnexpectedEOF
+// when only part was.
+func (f *File) readAt(p []byte, off int64) error {
+	n, err := f.ra.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == io.EOF && n > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // FrameRecords decodes every record of a frame with a fresh read,
@@ -604,11 +556,6 @@ type Scanner struct {
 	frames []FrameEntry
 	next   int
 	err    error
-	// ctx, when non-nil, aborts the scan between frames once it is
-	// cancelled (SetContext / ScanWindowCtx). Cancellation is checked
-	// per frame, not per record, so a cancelled long scan stops within
-	// one frame's worth of records.
-	ctx context.Context
 	// batch is the current frame and row the next record to produce.
 	batch *Batch
 	row   int
@@ -620,7 +567,7 @@ type Scanner struct {
 // that does not load is the scanner's sticky error.
 func (f *File) scan(opts MapOptions) *Scanner {
 	fes, err := selectFrames(f, opts)
-	return &Scanner{f: f, frames: fes, err: err, ctx: opts.Context}
+	return &Scanner{f: f, frames: fes, err: err}
 }
 
 // Scan returns a sequential record scanner positioned before the first
@@ -635,18 +582,6 @@ func (f *File) Scan() *Scanner { return f.scan(MapOptions{}) }
 func (f *File) ScanWindow(lo, hi clock.Time) *Scanner {
 	return f.scan(MapOptions{Window: true, Lo: lo, Hi: hi})
 }
-
-// ScanWindowCtx is ScanWindow with a context: the scan fails with the
-// context's error at the next frame boundary after cancellation.
-// Servers use it to honor request deadlines; batch callers pass
-// context.Background() (or just use ScanWindow).
-func (f *File) ScanWindowCtx(ctx context.Context, lo, hi clock.Time) *Scanner {
-	return f.scan(MapOptions{Window: true, Lo: lo, Hi: hi, Context: ctx})
-}
-
-// SetContext attaches a cancellation context to the scanner; see
-// ScanWindowCtx. It must be called before scanning starts.
-func (s *Scanner) SetContext(ctx context.Context) { s.ctx = ctx }
 
 // SeekTime repositions the scanner immediately before the first
 // selected frame whose end time is at or after t, using only directory
@@ -672,8 +607,6 @@ func (s *Scanner) nextRow() (int, error) {
 		s.batch, s.row = nil, 0
 		if s.next == len(s.frames) {
 			s.err = io.EOF
-		} else if s.ctx != nil && s.ctx.Err() != nil {
-			s.err = s.ctx.Err()
 		} else {
 			s.batch, s.err = s.f.ReadFrameBatch(s.frames[s.next])
 			s.next++

@@ -9,22 +9,20 @@
 //
 // # Opening files
 //
-// Open (a path) and NewFile (an io.ReadSeeker) are the package's entry
-// points, configured by functional options (WithPyramid, WithLiveTail).
-// Frame payload checksums are always verified; File.Salvage is the
-// best-effort recovery pass over an opened file and returns what it
-// recovered.
+// Open (a path) and NewFile (a reader with ReadAt and Seek) are the
+// package's entry points, configured by functional options
+// (WithPyramid, WithLiveTail). Frame payload checksums are always
+// verified; File.Salvage is the best-effort recovery pass over an opened
+// file and returns what it recovered.
 //
-// A File may be shared by concurrent readers when ConcurrentReads
-// reports true (the underlying reader implements io.ReaderAt): frame
-// reads are positioned, and the directory chain is read once, by
-// whichever metadata call or scan comes first, and answered from memory
-// from then on. A damaged directory therefore fails every metadata call
-// and every scan with the same error; Salvage reads around damage.
-// Close is idempotent and safe under concurrency;
-// operations on a closed file fail with ErrClosed. Long-running callers
-// cancel work mid-scan through MapOptions.Context, ScanWindowCtx, or
-// Scanner.SetContext — cancellation is checked at frame granularity.
+// A File may be shared by concurrent readers: every read is positioned,
+// and the directory chain is read once, by whichever metadata call or
+// scan comes first, and answered from memory from then on. A damaged
+// directory therefore fails every metadata call and every scan with the
+// same error; Salvage reads around damage. Close is idempotent and safe
+// under concurrency; operations on a closed file fail with ErrClosed.
+// Long-running callers cancel work through MapOptions.Context, checked
+// at frame granularity; a Scanner is not cancellable.
 package interval
 
 import (

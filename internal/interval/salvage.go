@@ -519,22 +519,11 @@ func (f *File) plausibleDirHeader(cand int64, h []byte) bool {
 	return int64(binary.LittleEndian.Uint64(e0[:])) == cand+hdrSize+n*esz
 }
 
-// readRaw reads len(p) bytes at off through the file's reader,
-// reporting success instead of an error — salvage treats any read
-// failure (truncation, bad sector) as damage.
+// readRaw reads len(p) bytes at off, reporting success instead of an
+// error — salvage treats any read failure (truncation, bad sector) as
+// damage.
 func (f *File) readRaw(off int64, p []byte) bool {
-	if off < 0 || off+int64(len(p)) > f.Size {
-		return false
-	}
-	if f.ra != nil {
-		_, err := f.ra.ReadAt(p, off)
-		return err == nil
-	}
-	if _, err := f.r.Seek(off, io.SeekStart); err != nil {
-		return false
-	}
-	_, err := io.ReadFull(f.r, p)
-	return err == nil
+	return off >= 0 && off+int64(len(p)) <= f.Size && f.readAt(p, off) == nil
 }
 
 // readRawSparse fills p from off, bisecting around media errors and

@@ -304,28 +304,3 @@ func TestSalvageBadSectors(t *testing.T) {
 		}
 	}
 }
-
-// TestScannerThroughShortReads: the sequential read path must be
-// byte-for-byte identical through a pathologically short-reading
-// transport (the io.Reader contract allows partial reads).
-func TestScannerThroughShortReads(t *testing.T) {
-	sb, recs := writeRandomFile(t, 88, 400, CurrentHeaderVersion)
-	f, err := NewFile(faultfs.NewShortReader(NewSeekBufferFrom(sb.Bytes()), 5, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.Scan().All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("short-read scan yields %d records, want %d", len(got), len(recs))
-	}
-	want, err := openFile(t, sb).Scan().All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("short reads changed scan output")
-	}
-}

@@ -665,9 +665,9 @@ func (p *Pyramid) coarsestCell(x, limit clock.Time) (level int, idx int64) {
 }
 
 // resolveRemainders answers the edge spans one frame at a time: every
-// frame overlapping a remainder is fetched once — through the file's
-// frame source under the zero memo key, which memoizes nothing, or
-// decoded into one pooled batch — and each of its records, clipped to the window, adds its busy
+// frame overlapping a remainder is decoded once, into one pooled batch,
+// never through the file's frame source — its value is this window's
+// alone — and each of its records, clipped to the window, adds its busy
 // overlap to the remainders it overlaps. Nothing of a frame outlives its
 // turn but the clipped endpoints of its busy intervals, for one
 // concurrency sweep over the remainders after the last frame. It returns
@@ -687,11 +687,8 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var pooled *Batch
-	if f.src == nil {
-		pooled = batchPool.Get().(*Batch)
-		defer batchPool.Put(pooled)
-	}
+	b := batchPool.Get().(*Batch)
+	defer batchPool.Put(b)
 	// reach returns the remainders a frame overlaps, rems[lo:hi]: the
 	// frame is fetched when there are any, and its records go to those
 	// alone. The hull's other frames lie between remainders — the
@@ -718,8 +715,19 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 	defer endpointPool.Put(eps)
 	starts, ends := slices.Grow(eps.starts[:0], records), slices.Grow(eps.ends[:0], records)
 	defer func() { eps.starts, eps.ends = starts, ends }()
-	var near []remSpan // the frame being resolved's remainders
-	add := func(b *Batch, _ bool) (any, int64, error) {
+	frames := 0
+	for _, fe := range hull {
+		lo, hi := reach(fe)
+		if hi <= lo {
+			continue
+		}
+		near := rems[lo:hi]
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		if err := f.DecodeFrameBatch(fe, b); err != nil {
+			return 0, err
+		}
 		a.ent = slices.Grow(a.ent[:0], len(b.Dict))[:len(b.Dict)]
 		clear(a.ent)
 		for ri := 0; ri < b.N; ri++ {
@@ -740,7 +748,7 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 			}
 			er, err := a.rows(b, ri)
 			if err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 			if er.busy {
 				starts, ends = append(starts, cs), append(ends, ce)
@@ -753,26 +761,6 @@ func (f *File) resolveRemainders(a *binAcc, peaks []int, rems []remSpan, g *BinG
 					er.lrow[rs.bin] += ov
 				}
 			}
-		}
-		return nil, 0, nil
-	}
-	frames := 0
-	for _, fe := range hull {
-		lo, hi := reach(fe)
-		if hi <= lo {
-			continue
-		}
-		near = rems[lo:hi]
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		if f.src != nil {
-			_, _, err = f.src.Memo(ctx, f, fe, MemoKey{}, add)
-		} else if err = f.DecodeFrameBatch(fe, pooled); err == nil {
-			_, _, err = add(pooled, false)
-		}
-		if err != nil {
-			return 0, err
 		}
 		frames++
 	}

@@ -70,12 +70,12 @@ func (f *File) Validate(p *profile.Profile) (*ValidationReport, error) {
 
 	lastEnd := clock.Time(-1 << 62)
 	var (
-		b    Batch
-		pbuf []byte
+		b         Batch
+		buf, pbuf []byte
 	)
 	for _, d := range dirs {
 		for fi, fe := range d.Entries {
-			buf, err := f.ReadFrame(fe)
+			buf, err = f.ReadFrame(fe, buf)
 			if err != nil {
 				return nil, err
 			}

@@ -101,8 +101,11 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 	var run Run
 	err := interval.MapFrames(files, mopts,
 		func(file int, fr *interval.Frame) (frameResult, error) {
+			// A whole frame's partial is memoized under the run's key; a
+			// frame the window cuts is read and evaluated without the
+			// memo — another window rarely cuts it at the same instants.
 			w := clipWindow(mopts, fr.Entry)
-			if keys == nil || keys[file] == (interval.MemoKey{}) {
+			if keys == nil || files[file].FrameSource() == nil || !w.whole() {
 				b, err := fr.Batch()
 				if err != nil {
 					return frameResult{}, err
@@ -113,19 +116,11 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 				}
 				return frameResult{part: &x.framePart, x: x, fetched: true}, nil
 			}
-			// A whole frame's partial is memoized under the run's key; a
-			// frame the window cuts is read under the zero key, which
-			// memoizes nothing — another window rarely cuts it at the
-			// same instants. On a miss the source hands compute the
-			// frame; the partial is a function of its group keys and
-			// cells, which alias nothing of the batch, so the executor
-			// outlives it.
-			key := keys[file]
-			if !w.whole() {
-				key = interval.MemoKey{}
-			}
+			// On a miss the source hands compute the frame; the partial
+			// is a function of its group keys and cells, which alias
+			// nothing of the batch, so the executor outlives it.
 			fetched := false
-			v, hit, err := files[file].FrameSource().Memo(ctx, files[file], fr.Entry, key, func(b *interval.Batch, store bool) (any, int64, error) {
+			v, hit, err := files[file].FrameSource().Memo(ctx, files[file], fr.Entry, keys[file], func(b *interval.Batch, store bool) (any, int64, error) {
 				fetched = true
 				x, err := eval(file, b, w)
 				if err != nil {
@@ -254,13 +249,13 @@ func clipWindow(mopts interval.MapOptions, fe interval.FrameEntry) window {
 func (w window) whole() bool { return w.lo == math.MinInt64 && w.hi == math.MaxInt64 }
 
 // memoKeys returns, per input file, the key a frame memo stores its
-// whole frames' partials under — the zero key for a file with no frame
-// source — or nil when the run consults none. Those partials depend on a
-// frame's bytes (the memo keys by frame) and on what the key digests,
-// each part length-prefixed or delimited so no two descriptions run
-// together: the program text, the run bounds bin() reads (a live trace's
-// move with every seal), and, when the program codes marker names, the
-// dictionary codes the file's marker table gets.
+// whole frames' partials under — none for a file with no frame source,
+// which is never looked up — or nil when the run consults none. Those
+// partials depend on a frame's bytes (the memo keys by frame) and on
+// what the key digests, each part length-prefixed or delimited so no two
+// descriptions run together: the program text, the run bounds bin()
+// reads (a live trace's move with every seal), and, when the program
+// codes marker names, the dictionary codes the file's marker table gets.
 func (prog *compiledProgram) memoKeys(program string, files []*interval.File, tStart, tEnd clock.Time, dict *strDict) []interval.MemoKey {
 	// A program with string + interns its concatenations in the order
 	// the workers happen to meet them, so its codes mean something only

@@ -50,8 +50,8 @@ const answerOff = -1
 // resident on its second use. The first leaves only a once-seen marker,
 // charged memoEntryBytes, so a query nobody repeats — a cold pass, a
 // lap's one /stats on a trace deleted right after — copies and keeps
-// nothing. Memo's zero key memoizes nothing: that is how a frame a window
-// cuts, whose value no later query is likely to share, is read.
+// nothing. A frame a window cuts, whose value no later query is likely
+// to share, is never looked up: its reader decodes it itself.
 type MemoCache struct {
 	shards      []cacheShard
 	shardBudget int64
@@ -145,23 +145,16 @@ func (c *MemoCache) shard(k memoKey) *cacheShard {
 // later lookup reuses it. Concurrent lookups of a value being stored wait
 // for it (singleflight) unless ctx ends first; the store carries on
 // either way. An evaluation decodes the frame into pooled scratch that
-// compute must not hold on to, so it leaves no frame behind. The zero
-// key memoizes nothing: compute runs over a frame decoded that way on
-// every call, and the cache keeps neither a value nor a marker.
+// compute must not hold on to, so it leaves no frame behind.
 func (c *MemoCache) Memo(ctx context.Context, file uint64, off int64, key interval.MemoKey, decode func(dst *interval.Batch) error, compute func(b *interval.Batch, store bool) (any, int64, error)) (any, bool, error) {
-	lent := func(store bool) (any, int64, error) {
+	return c.memo(ctx, memoKey{file, off, key}, &c.partials, func(store bool) (any, int64, error) {
 		b := scratchPool.Get().(*interval.Batch)
 		defer scratchPool.Put(b)
 		if err := decode(b); err != nil {
 			return nil, 0, err
 		}
 		return compute(b, store)
-	}
-	if key == (interval.MemoKey{}) {
-		v, _, err := lent(false)
-		return v, false, err
-	}
-	return c.memo(ctx, memoKey{file, off, key}, &c.partials, lent)
+	})
 }
 
 // errLate marks an answer computed after its request ended: the caller
@@ -237,7 +230,8 @@ func (c *MemoCache) memo(ctx context.Context, k memoKey, n *memoCounters, comput
 	}
 }
 
-// scratchPool holds the batches Memo decodes frames into.
+// scratchPool holds the batches Memo and /records?count=1 decode frames
+// into.
 var scratchPool = sync.Pool{New: func() any { return new(interval.Batch) }}
 
 // await returns once e's load has finished, bumping a ready entry to the
@@ -346,7 +340,7 @@ type CacheStats struct {
 	// Entries of either kind, values and markers, evicted to stay under
 	// the budget.
 	Evictions int64
-	// Memoized values (Memo, under a non-zero key): lookups reusing a
+	// Memoized values (Memo): lookups reusing a
 	// stored value, lookups that evaluated (leaving a marker or storing),
 	// values stored, and bytes charged to memo entries.
 	PartialHits, PartialMisses, PartialsStored int64

@@ -134,3 +134,66 @@ func TestRecordsCountFromDirectory(t *testing.T) {
 		t.Fatal("the router never split a count into frames=lo:hi legs")
 	}
 }
+
+// TestRecordsCountTouchesNoMemo: a /records?count=1 whose window cuts
+// frames reads each cut frame itself. With every frame's stats partial
+// stored beforehand, each asking leaves every per-frame memo counter and
+// gauge as it was, moves the answer memo only by the count's own
+// once-seen marker, and advances Registry.FramesDecoded by exactly the
+// frames the window cuts.
+func TestRecordsCountTouchesNoMemo(t *testing.T) {
+	path := writeMemoTrace(t, t.TempDir(), 3000, nil)
+	s := tracesvc.New(tracesvc.Config{})
+	t.Cleanup(func() { s.Close() })
+	id := openTrace(t, s, path)
+	tr, err := s.Registry().Resolve(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ask := 0; ask < 2; ask++ {
+		if w := do(t, s, "GET", "/v1/traces/"+id+"/stats?format=json", ""); w.Code != http.StatusOK {
+			t.Fatalf("stats: %d %s", w.Code, w.Body)
+		}
+	}
+	if cs := s.Cache().Stats(); cs.PartialsStored == 0 {
+		t.Fatalf("no stats partial stored: %+v", cs)
+	}
+	frames := tr.Frames()
+	rng := xrand.New(41)
+	asked := 0
+	for trial := 0; trial < 4; trial++ {
+		for _, window := range memoWindows(t, rng, frames)[1:] {
+			lo, hi, err := clock.ParseWindow(window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := 0
+			for _, fe := range frames {
+				if fe.End >= lo && fe.Start <= hi && (fe.Start < lo || fe.End > hi) {
+					cut++
+				}
+			}
+			if cut == 0 {
+				continue
+			}
+			tracesvc.DropAnswers(s)
+			before, reads := s.Cache().Stats(), s.Registry().FramesDecoded()
+			if w := do(t, s, "GET", "/v1/traces/"+id+"/records?count=1&window="+window, ""); w.Code != http.StatusOK {
+				t.Fatalf("window %q: %d %s", window, w.Code, w.Body)
+			}
+			want := before
+			want.AnswersOnce++
+			want.AnswerBytes += tracesvc.MemoEntryBytes
+			if got := s.Cache().Stats(); got != want {
+				t.Fatalf("window %q: the count moved the memo\n got %+v\nwant %+v", window, got, want)
+			}
+			if got := s.Registry().FramesDecoded() - reads; got != int64(cut) {
+				t.Fatalf("window %q: the count read %d frames, the window cuts %d", window, got, cut)
+			}
+			asked++
+		}
+	}
+	if asked == 0 {
+		t.Fatal("no window cut a frame")
+	}
+}

@@ -1,7 +1,6 @@
 package tracesvc_test
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -60,7 +59,7 @@ func TestCacheBudgetIsExact(t *testing.T) {
 
 // TestSharedBatchesUnderEviction runs every batch consumer at once —
 // stats tables, time-resolved tables, the histogram preview, a diagram,
-// /records pages and a ScanWindowCtx scanner — against one trace whose
+// /records pages and a window scanner — against one trace whose
 // memo is small enough to evict mid-request. Every answer must equal the
 // one a cold, roomy service gives, and the memo must both evict and
 // answer from what it kept, within its budget. Run under -race.
@@ -125,7 +124,7 @@ func TestSharedBatchesUnderEviction(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := tr.File().ScanWindowCtx(context.Background(), lo, hi).All()
+			got, err := tr.File().ScanWindow(lo, hi).All()
 			if err != nil || !reflect.DeepEqual(got, wantRecs) {
 				t.Errorf("window scan under eviction: %v, %d records, want %d", err, len(got), len(wantRecs))
 			}

@@ -7,3 +7,6 @@ package tracesvc
 func DropAnswers(s *Service) {
 	s.cache.dropIf(func(k memoKey) bool { return k.off == answerOff })
 }
+
+// MemoEntryBytes is what a memo entry is charged beyond its value.
+const MemoEntryBytes = memoEntryBytes

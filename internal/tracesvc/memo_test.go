@@ -632,59 +632,6 @@ func TestMemoSingleflightCancel(t *testing.T) {
 	testutil.SettleGoroutines(t, before)
 }
 
-// TestMemoEmptyKeyStoresNothing: Memo under the zero key memoizes
-// nothing. Eight concurrent callers, each asking two frames in turn, get
-// compute's value every time, computed over a fresh decode on every call
-// with store false and never reported reused, and the cache's memo bytes
-// and counters do not move. (A zero key taken for a memo key would be
-// marked on the first call and stored on the second: the callers get a
-// deadline.)
-func TestMemoEmptyKeyStoresNothing(t *testing.T) {
-	const callers, calls = 8, 20
-	c := tracesvc.NewMemoCache(1<<20, 1)
-	var decodes atomic.Int64
-	decode := func(*interval.Batch) error { decodes.Add(1); return nil }
-	const first, second = 0, 4096
-	var computed, stored atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < calls; i++ {
-				off := int64(first)
-				if i%2 == 1 {
-					off = second
-				}
-				v, reused, err := c.Memo(context.Background(), 1, off, interval.MemoKey{}, decode, func(b *interval.Batch, store bool) (any, int64, error) {
-					computed.Add(1)
-					if store {
-						stored.Add(1)
-					}
-					return "value", 8, nil
-				})
-				if v != "value" || reused || err != nil {
-					t.Errorf("frame at %d: %v, reused %v, %v", off, v, reused, err)
-				}
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the callers are still blocked after 10 s")
-	}
-	const n = callers * calls
-	if computed.Load() != n || stored.Load() != 0 || decodes.Load() != n {
-		t.Fatalf("%d calls computed %d times, %d of them storing, over %d decodes", n, computed.Load(), stored.Load(), decodes.Load())
-	}
-	if cs := c.Stats(); cs != (tracesvc.CacheStats{}) {
-		t.Fatalf("the cache changed: %+v", cs)
-	}
-}
-
 // TestNoGoroutineOutlivesStats: concurrent stats requests over the same
 // windows — so they meet on the same frames' partials — some cut off by
 // their own deadlines mid-run, answer either the right body or a clean

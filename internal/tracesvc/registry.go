@@ -136,9 +136,6 @@ func (r *Registry) AddLive(prov LiveProvider) string {
 // (the stats keys, the run bounds). The file joins the ones
 // FramesDecoded counts.
 func (r *Registry) snapshot(e *entry, path string, f *interval.File) (*Trace, error) {
-	if !f.ConcurrentReads() {
-		return nil, fmt.Errorf("tracesvc: %s: reader does not support concurrent frame reads", path)
-	}
 	if _, err := f.Frames(); err != nil {
 		return nil, err
 	}

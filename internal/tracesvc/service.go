@@ -502,9 +502,9 @@ func (s *Service) handleStats(ctx context.Context, q Query, t *Trace) (*response
 // records and the frames the window cuts, each into a batch of the
 // page's own: a record's extras and vector alias its frame's batch.
 // ?count=1 skips the bodies and returns the total alone; a frame the
-// window cuts is read under the frame source's zero memo key, which
-// keeps nothing, and its overlapping records counted; a re-asked count
-// is a whole stored answer. ?frames=lo:hi restricts the scan to the
+// window cuts is decoded into a pooled batch, touching no memo entry,
+// and its overlapping records counted; a re-asked count is a whole
+// stored answer. ?frames=lo:hi restricts the scan to the
 // half-open frame-index range [lo, hi) of the flattened frame list — the
 // shard router's scatter-gather legs use it so each backend touches only
 // its own contiguous frame range.
@@ -536,14 +536,14 @@ func (s *Service) handleRecords(ctx context.Context, q Query, t *Trace) (*respon
 			return nil, err
 		}
 		if q.Count {
-			_, _, err := t.file.FrameSource().Memo(ctx, t.file, fe, interval.MemoKey{}, func(b *interval.Batch, _ bool) (any, int64, error) {
-				for i := 0; i < b.N; i++ {
-					if b.End(i) >= q.Lo && b.Start[i] <= q.Hi {
-						total++
-					}
+			b := scratchPool.Get().(*interval.Batch)
+			err := t.file.DecodeFrameBatch(fe, b)
+			for i := 0; err == nil && i < b.N; i++ {
+				if b.End(i) >= q.Lo && b.Start[i] <= q.Hi {
+					total++
 				}
-				return nil, 0, nil
-			})
+			}
+			scratchPool.Put(b)
 			if err != nil {
 				return nil, err
 			}
