@@ -127,10 +127,15 @@ func main() {
 				// how many frames it fetched, and how many lanes wide
 				// the window is (each lane is a row of bins).
 				how = fmt.Sprintf(" summary=%s frames=%d lanes=%d", tb.Engine, tb.FramesDecoded, tb.Lanes)
-			case tb.Group != "":
+			default:
 				// Spec-driven tables report which group-by folded their
-				// rows: a direct index, a hash, or each on some frames.
-				how = " group=" + tb.Group
+				// rows — once per dictionary entry, a direct index, a
+				// hash, or the last two each on some frames — and how
+				// many of their y columns accumulate exactly.
+				if tb.Group != "" {
+					how = " group=" + tb.Group
+				}
+				how += fmt.Sprintf(" exact=%d/%d", tb.Exact, len(tb.YLabels))
 			}
 			fmt.Fprintf(os.Stderr, "utestats: table %s:%s skipped=%d rows=%d\n",
 				tb.Name, how, tb.Skipped, len(tb.Rows))

@@ -8,6 +8,7 @@ package tracefw
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -336,5 +337,45 @@ func TestEmptyWorkloadPipeline(t *testing.T) {
 	}
 	if len(tables) == 0 {
 		t.Fatal("no tables")
+	}
+}
+
+// TestPredefinedGroupPathsSPPM pins how the predefined tables fold on
+// the paper's sPPM 4×8 machine. The three whose condition and x columns
+// read only the key, and whose y columns are all exact, fold once per
+// dictionary entry; the Figure 6 table, keyed by bin(start, 50), by
+// direct index; bytes_by_pair, keyed by the peer extra, by hash, its
+// float msgSizeSent column the one y column not accumulated exactly.
+func TestPredefinedGroupPathsSPPM(t *testing.T) {
+	main, err := workload.Build("sppm", workload.Params{"iters": 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := interval.NewSeekBuffer()
+	if _, err := merge.Merge(convertedFiles(t, simRaws(t, 4, 8, 1, 12, main)), sb, merge.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	mf, err := interval.NewFile(sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := stats.GenerateRun(stats.Predefined(50), []*interval.File{mf}, interval.MapOptions{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"interesting_by_node_bin": "dense 1/1",
+		"duration_by_state":       "entry 4/4",
+		"bytes_by_pair":           "hash 1/2",
+		"busy_by_cpu":             "entry 1/1",
+		"thread_state_time":       "entry 2/2",
+	}
+	for _, tb := range run.Tables {
+		if got := fmt.Sprintf("%s %d/%d", tb.Group, tb.Exact, len(tb.YLabels)); got != want[tb.Name] || len(tb.Rows) == 0 {
+			t.Errorf("table %s: group and exact %q over %d rows, want %q", tb.Name, got, len(tb.Rows), want[tb.Name])
+		}
+	}
+	if len(run.Tables) != len(want) {
+		t.Fatalf("%d tables, want %d", len(run.Tables), len(want))
 	}
 }

@@ -22,38 +22,45 @@ import (
 	"tracefw/internal/interval"
 )
 
-// framePart is one frame's evaluation: per table, its partial groups and
-// the count of selected records a skip bitmap excluded.
+// framePart is one frame's evaluation: per table, its partial groups,
+// the count of selected records a skip bitmap excluded, and the group-by
+// path that folded them (a path bit, 0 when the frame had no row for it).
 type framePart struct {
 	groups  []groupTable
 	skipped []int64
+	paths   []uint8
 }
 
 // clone copies the partials into right-sized slabs — one holding every
-// table's key words, one every table's cells — and no group index: a
-// stored partial is only ever merged, which reads it through key and row.
+// table's key words, one every table's float cells, one every table's
+// exact cells — and no group index: a stored partial is only ever
+// merged, which reads it through key, row and xrow.
 func (p *framePart) clone() *framePart {
-	nk, nc := 0, 0
+	nk, nc, ne := 0, 0, 0
 	for i := range p.groups {
 		nk += len(p.groups[i].keys)
 		nc += len(p.groups[i].cells)
+		ne += len(p.groups[i].xcells)
 	}
-	keys, cells := make([]uint64, 0, nk), make([]cell, 0, nc)
-	c := &framePart{groups: make([]groupTable, len(p.groups)), skipped: slices.Clone(p.skipped)}
+	keys, cells, xcells := make([]uint64, 0, nk), make([]cell, 0, nc), make([]xcell, 0, ne)
+	c := &framePart{groups: make([]groupTable, len(p.groups)), skipped: slices.Clone(p.skipped), paths: slices.Clone(p.paths)}
 	for i, g := range p.groups {
-		k0, c0 := len(keys), len(cells)
+		k0, c0, e0 := len(keys), len(cells), len(xcells)
 		keys = append(keys, g.keys...)
 		cells = append(cells, g.cells...)
-		c.groups[i] = groupTable{nx: g.nx, ny: g.ny, n: g.n, keys: keys[k0:len(keys):len(keys)], cells: cells[c0:len(cells):len(cells)]}
+		xcells = append(xcells, g.xcells...)
+		c.groups[i] = groupTable{nx: g.nx, nf: g.nf, ne: g.ne, n: g.n,
+			keys: keys[k0:len(keys):len(keys)], cells: cells[c0:len(cells):len(cells)], xcells: xcells[e0:len(xcells):len(xcells)]}
 	}
 	return c
 }
 
 // size is what a cloned partial holds, in bytes.
 func (p *framePart) size() int64 {
-	n := int64(len(p.groups))*int64(unsafe.Sizeof(groupTable{})) + 8*int64(len(p.skipped))
+	n := int64(len(p.groups))*int64(unsafe.Sizeof(groupTable{})) + 8*int64(len(p.skipped)) + int64(len(p.paths))
 	for i := range p.groups {
-		n += 8*int64(len(p.groups[i].keys)) + int64(unsafe.Sizeof(cell{}))*int64(len(p.groups[i].cells))
+		g := &p.groups[i]
+		n += 8*int64(len(g.keys)) + int64(unsafe.Sizeof(cell{}))*int64(len(g.cells)) + int64(unsafe.Sizeof(xcell{}))*int64(len(g.xcells))
 	}
 	return n
 }
@@ -98,6 +105,7 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 	}
 	total := prog.newGroupTables()
 	skipped := make([]int64, len(prog.tables))
+	paths := make([]uint8, len(prog.tables))
 	var run Run
 	err := interval.MapFrames(files, mopts,
 		func(file int, fr *interval.Frame) (frameResult, error) {
@@ -145,6 +153,7 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 			for i := range total {
 				total[i].merge(&r.part.groups[i])
 				skipped[i] += r.part.skipped[i]
+				paths[i] |= r.part.paths[i]
 			}
 			if r.x != nil {
 				pool.put(r.x)
@@ -165,12 +174,7 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 	run.Tables = make([]*Table, len(prog.tables))
 	for i, ct := range prog.tables {
 		run.Tables[i] = ct.finish(&total[i], skipped[i], dict)
-		var dense, hashed int64
-		for _, x := range pool.all {
-			dense += x.paths[i][0]
-			hashed += x.paths[i][1]
-		}
-		run.Tables[i].Group = groupPath(dense, hashed)
+		run.Tables[i].Group = groupPath(paths[i])
 	}
 	for _, x := range pool.all {
 		run.SharedSaved += x.saved
@@ -178,17 +182,28 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 	return run, nil
 }
 
-// groupPath names which group-by answered a table over a run's frames.
-func groupPath(dense, hashed int64) string {
-	switch {
-	case dense > 0 && hashed > 0:
-		return "mixed"
-	case dense > 0:
+// Group-by paths, one bit each: what folded a table's rows in a frame.
+const (
+	pathDense uint8 = 1 << iota // direct index into a slot array
+	pathHash                    // a hash of the key words
+	pathEntry                   // once per dictionary entry
+)
+
+// groupPath names the group-by paths that folded a table over a run's
+// frames — memoized partials included, which carry theirs, so the name
+// does not depend on which frames a request evaluated.
+func groupPath(paths uint8) string {
+	switch paths {
+	case 0:
+		return ""
+	case pathDense:
 		return "dense"
-	case hashed > 0:
+	case pathHash:
 		return "hash"
+	case pathEntry:
+		return "entry"
 	}
-	return ""
+	return "mixed"
 }
 
 // execPool recycles one run's executors. It holds at most one per
@@ -309,15 +324,144 @@ func (prog *compiledProgram) evalFrame(x *kexec, w window, file int, b *interval
 	} else {
 		maskOnes(sel, b.N)
 	}
+	if prog.entry {
+		x.accumulateEntries(prog.entryTimes, sel, w.whole())
+	}
 	for si, ct := range prog.tables {
-		x.groups[si].reset()
-		sk, err := ct.run(x, si, sel)
-		if err != nil {
-			return err
+		gt := &x.groups[si]
+		gt.reset()
+		var sk int64
+		var path uint8
+		var err error
+		if ct.entry {
+			path, err = ct.runEntry(x, gt)
+		} else {
+			sk, path, err = ct.run(x, gt, sel)
 		}
-		x.skipped[si] = sk
+		if err != nil {
+			return fmt.Errorf("table %q: %w", ct.spec.Name, err)
+		}
+		x.skipped[si], x.paths[si] = sk, path
 	}
 	return nil
+}
+
+// entryAcc is one pass over a frame's selected rows, summed per
+// dictionary entry, that every per-entry table reads: per entry its row
+// count and, per time field such a table reads (indexed fcStart, fcDura,
+// fcEnd), the exact sum and extremes of its rows' values.
+type entryAcc struct {
+	n []int64
+	t [3][]xcell
+	// A cut frame's selected rows, gathered.
+	code        []uint32
+	start, dura []clock.Time
+}
+
+// accumulateEntries fills x.eacc from the rows sel marks (every row when
+// whole), for the time fields whose bit (1<<fcStart, ...) times sets.
+func (x *kexec) accumulateEntries(times uint8, sel []uint64, whole bool) {
+	b, a := x.b, &x.eacc
+	ne := len(b.Dict)
+	a.n = slices.Grow(a.n[:0], ne)[:ne]
+	clear(a.n)
+	for f := range a.t {
+		a.t[f] = a.t[f][:0]
+		if times&(1<<f) != 0 {
+			a.t[f] = slices.Grow(a.t[f], ne)[:ne]
+			for e := range a.t[f] {
+				a.t[f][e] = newXcell()
+			}
+		}
+	}
+	code, start, dura := b.Code[:x.n], b.Start[:x.n], b.Dura[:x.n]
+	if !whole {
+		// A window cuts the frame: gather the rows it selects.
+		a.code, a.start, a.dura = a.code[:0], a.start[:0], a.dura[:0]
+		for w, m := range sel {
+			for ; m != 0; m &= m - 1 {
+				i := w<<6 + bits.TrailingZeros64(m)
+				a.code, a.start, a.dura = append(a.code, code[i]), append(a.start, start[i]), append(a.dura, dura[i])
+			}
+		}
+		code, start, dura = a.code, a.start, a.dura
+	}
+	for _, c := range code {
+		a.n[c]++
+	}
+	if t := a.t[fcStart]; len(t) != 0 {
+		for i, c := range code {
+			t[c].add(int64(start[i]))
+		}
+	}
+	if t := a.t[fcDura]; len(t) != 0 {
+		for i, c := range code {
+			t[c].add(int64(dura[i]))
+		}
+	}
+	if t := a.t[fcEnd]; len(t) != 0 {
+		for i, c := range code {
+			t[c].add(int64(start[i] + dura[i]))
+		}
+	}
+}
+
+// runEntry folds table ct, whose condition and x columns read only the
+// key and whose y columns are all exact, once per dictionary entry: the
+// condition and x columns run over the entries, never over the rows,
+// each entry a selected row has and the condition keeps finds its group
+// once, and the group takes the entry's sums from the frame's one pass
+// (accumulateEntries). Integer sums do not depend on the order rows are
+// added in, so the partial is the row paths' to the bit. It reports
+// pathEntry, or 0 when no entry reached a group.
+func (ct *compiledTable) runEntry(x *kexec, gt *groupTable) (uint8, error) {
+	ne := len(x.b.Dict)
+	var cond kres
+	if ct.econd != nil {
+		var err error
+		if cond, err = x.perEntry(ct.econd); err != nil {
+			return 0, err
+		}
+	}
+	for xi, fn := range ct.ex {
+		r, err := x.perEntry(fn)
+		if err != nil {
+			return 0, err
+		}
+		x.xres[xi] = r
+	}
+	a := &x.eacc
+	key := x.key[:len(ct.x)]
+	var path uint8
+	for w := 0; w < (ne+63)>>6; w++ {
+		m := wordMask(w, ne)
+		if ct.econd != nil {
+			m &= cond.truthBits(w, ne)
+		}
+		for ; m != 0; m &= m - 1 {
+			e := w<<6 + bits.TrailingZeros64(m)
+			n := a.n[e]
+			if n == 0 {
+				continue
+			}
+			for xi := range key {
+				key[xi] = x.keyWord(&x.xres[xi], e)
+			}
+			xc := gt.xrow(gt.find(key))
+			for j := range ct.xys {
+				switch ey := &ct.xys[j]; {
+				case ey.seconds():
+					xc[j].merge(&a.t[ey.field][e])
+				case ey.field == fcConst:
+					xc[j].addN(ey.c, n)
+				default:
+					xc[j].addN(keyValue(&x.b.Dict[e], ey.field), n)
+				}
+			}
+			path = pathEntry
+		}
+	}
+	return path, nil
 }
 
 // strDict is the run's one string dictionary: every coded string that
@@ -384,28 +528,31 @@ func (d *strDict) name(c uint32) string {
 }
 
 // groupTable is a group-by over fixed-width keys: every group is nx key
-// words and ny accumulator cells in two flat slabs, found through an
-// open-addressing index with a last-key memo in front of it. Groups
-// keep insertion order. The same type holds one frame's partial groups
-// (reset per frame, capacity kept) and a run's merged groups.
+// words, nf float cells and ne exact cells in three flat slabs, found
+// through an open-addressing index with a last-key memo in front of it.
+// Groups keep insertion order. The same type holds one frame's partial
+// groups (reset per frame, capacity kept) and a run's merged groups.
 type groupTable struct {
-	nx, ny int
-	n      int
-	keys   []uint64 // n*nx
-	cells  []cell   // n*ny
-	idx    []int32  // group+1 per slot, 0 empty; len is a power of two
-	last   int      // the group the previous find returned
+	nx, nf, ne int
+	n          int
+	keys       []uint64 // n*nx
+	cells      []cell   // n*nf
+	xcells     []xcell  // n*ne
+	idx        []int32  // group+1 per slot, 0 empty; len is a power of two
+	last       int      // the group the previous find returned
 }
 
 func (t *groupTable) reset() {
 	t.n = 0
 	t.keys = t.keys[:0]
 	t.cells = t.cells[:0]
+	t.xcells = t.xcells[:0]
 	clear(t.idx)
 }
 
 func (t *groupTable) key(g int) []uint64 { return t.keys[g*t.nx : (g+1)*t.nx] }
-func (t *groupTable) row(g int) []cell   { return t.cells[g*t.ny : (g+1)*t.ny] }
+func (t *groupTable) row(g int) []cell   { return t.cells[g*t.nf : (g+1)*t.nf] }
+func (t *groupTable) xrow(g int) []xcell { return t.xcells[g*t.ne : (g+1)*t.ne] }
 
 func hashWords(key []uint64) uint64 {
 	h := uint64(len(key))
@@ -443,8 +590,11 @@ func (t *groupTable) find(key []uint64) int {
 		if e == 0 {
 			t.idx[s] = int32(t.n + 1)
 			t.keys = append(t.keys, key...)
-			for i := 0; i < t.ny; i++ {
+			for i := 0; i < t.nf; i++ {
 				t.cells = append(t.cells, cell{min: math.Inf(1), max: math.Inf(-1)})
+			}
+			for i := 0; i < t.ne; i++ {
+				t.xcells = append(t.xcells, newXcell())
 			}
 			t.last = t.n
 			t.n++
@@ -472,16 +622,19 @@ func (t *groupTable) grow() {
 
 // merge folds one frame's partial groups into the running totals. Each
 // key's cells combine commutatively except for the float sum, whose
-// order is fixed by the reducer's frame ordering.
+// order is fixed by the reducer's frame ordering; exact cells combine in
+// any order.
 func (t *groupTable) merge(src *groupTable) {
 	for g := 0; g < src.n; g++ {
 		n := t.n
-		d := t.row(t.find(src.key(g)))
+		d := t.find(src.key(g))
 		if t.n > n {
-			copy(d, src.row(g))
+			copy(t.row(d), src.row(g))
+			copy(t.xrow(d), src.xrow(g))
 			continue
 		}
-		mergeCells(d, src.row(g))
+		mergeCells(t.row(d), src.row(g))
+		mergeXcells(t.xrow(d), src.xrow(g))
 	}
 }
 
@@ -513,7 +666,7 @@ func (x *kexec) keyWord(r *kres, i int) uint64 {
 // scalar semantics cannot tell them apart either, so they become one
 // row, merged in insertion order.
 func (ct *compiledTable) finish(gt *groupTable, skipped int64, dict *strDict) *Table {
-	t := &Table{Name: ct.spec.Name, Skipped: skipped}
+	t := &Table{Name: ct.spec.Name, Skipped: skipped, Exact: len(ct.xys)}
 	for _, x := range ct.spec.X {
 		t.XLabels = append(t.XLabels, x.Label)
 	}
@@ -542,14 +695,19 @@ func (ct *compiledTable) finish(gt *groupTable, skipped int64, dict *strDict) *T
 	}
 	sort.SliceStable(ks, func(i, j int) bool { return ks[i].text < ks[j].text })
 	for i := 0; i < len(ks); {
-		cells := gt.row(ks[i].g)
+		cells, xcells := gt.row(ks[i].g), gt.xrow(ks[i].g)
 		j := i + 1
 		for ; j < len(ks) && ks[j].text == ks[i].text; j++ {
 			mergeCells(cells, gt.row(ks[j].g))
+			mergeXcells(xcells, gt.xrow(ks[j].g))
 		}
-		row := Row{X: ks[i].xs}
-		for yi, y := range ct.spec.Y {
-			row.Y = append(row.Y, finalize(y.Agg, cells[yi]))
+		row := Row{X: ks[i].xs, Y: make([]float64, len(ct.spec.Y))}
+		for k, yi := range ct.fys {
+			row.Y[yi] = finalize(ct.spec.Y[yi].Agg, cells[k])
+		}
+		for k := range ct.xys {
+			ey := &ct.xys[k]
+			row.Y[ey.yi] = finalize(ct.spec.Y[ey.yi].Agg, xcells[k].cell(ey.seconds()))
 		}
 		t.Rows = append(t.Rows, row)
 		i = j
@@ -558,19 +716,19 @@ func (ct *compiledTable) finish(gt *groupTable, skipped int64, dict *strDict) *T
 	return t
 }
 
-// run accumulates one frame's selected rows into table ti's partial
-// groups, returning how many selected records were excluded by skip
-// bitmaps. Row iteration is in record order, so float accumulation
-// order matches a sequential scan exactly.
-func (ct *compiledTable) run(x *kexec, ti int, sel []uint64) (int64, error) {
-	gt := &x.groups[ti]
+// run accumulates one frame's selected rows into table ct's partial
+// groups gt, returning how many selected records were excluded by skip
+// bitmaps and the group-by path that folded them. Row iteration is in
+// record order, so float accumulation order matches a sequential scan
+// exactly.
+func (ct *compiledTable) run(x *kexec, gt *groupTable, sel []uint64) (int64, uint8, error) {
 	mask := x.mbuf(ct.maskSlot)
 	copy(mask, sel)
 	var skipped int64
 	if ct.cond != nil {
 		res, err := ct.cond.eval(x, mask)
 		if err != nil {
-			return skipped, fmt.Errorf("table %q: %w", ct.spec.Name, err)
+			return skipped, 0, err
 		}
 		if res.skip != nil {
 			skipped += popAnd(mask, res.skip)
@@ -578,7 +736,7 @@ func (ct *compiledTable) run(x *kexec, ti int, sel []uint64) (int64, error) {
 		}
 		if res.konst {
 			if !(&res).truthAt(0) {
-				return skipped, nil
+				return skipped, 0, nil
 			}
 		} else {
 			for w := 0; w < x.nw; w++ {
@@ -586,48 +744,49 @@ func (ct *compiledTable) run(x *kexec, ti int, sel []uint64) (int64, error) {
 			}
 		}
 		if !maskAny(mask) {
-			return skipped, nil
+			return skipped, 0, nil
 		}
 	}
 	for xi, k := range ct.x {
 		res, err := k.eval(x, mask)
 		if err != nil {
-			return skipped, fmt.Errorf("table %q: %w", ct.spec.Name, err)
+			return skipped, 0, err
 		}
 		if res.skip != nil {
 			skipped += popAnd(mask, res.skip)
 			andNotIn(mask, res.skip)
 			if !maskAny(mask) {
-				return skipped, nil
+				return skipped, 0, nil
 			}
 		}
 		x.xres[xi] = res
 	}
-	for yi, k := range ct.y {
+	// An exact y column reads its integers from the batch (exactY.at),
+	// and never skips or raises: only the float ones run.
+	for _, yi := range ct.fys {
+		k := ct.y[yi]
 		res, err := k.eval(x, mask)
 		if err != nil {
-			return skipped, fmt.Errorf("table %q: %w", ct.spec.Name, err)
+			return skipped, 0, err
 		}
 		if res.skip != nil {
 			skipped += popAnd(mask, res.skip)
 			andNotIn(mask, res.skip)
 			if !maskAny(mask) {
-				return skipped, nil
+				return skipped, 0, nil
 			}
 		}
 		if k.isStr() && maskAny(mask) {
-			return skipped, fmt.Errorf("table %q: y expression %q produced a string", ct.spec.Name, ct.spec.Y[yi].Label)
+			return skipped, 0, fmt.Errorf("y expression %q produced a string", ct.spec.Y[yi].Label)
 		}
 		x.yres[yi] = res
 	}
 	if !maskAny(mask) {
-		return skipped, nil
+		return skipped, 0, nil
 	}
 	if ct.dense != nil && x.groupDense(ct, mask, gt) {
-		x.paths[ti][0]++
-		return skipped, nil
+		return skipped, pathDense, nil
 	}
-	x.paths[ti][1]++
 	key := x.key[:len(ct.x)]
 	for w := 0; w < x.nw; w++ {
 		m := mask[w]
@@ -637,17 +796,19 @@ func (ct *compiledTable) run(x *kexec, ti int, sel []uint64) (int64, error) {
 			for xi := range key {
 				key[xi] = x.keyWord(&x.xres[xi], i)
 			}
-			x.fold(gt.row(gt.find(key)), i)
+			x.fold(ct, gt, gt.find(key), i)
 		}
 	}
-	return skipped, nil
+	return skipped, pathHash, nil
 }
 
-// fold accumulates row i's y values into a group's cells.
-func (x *kexec) fold(cells []cell, i int) {
-	for yi := range cells {
+// fold accumulates row i's y values into group g's cells: a float
+// column's value as its kernel computed it, an exact column's integer.
+func (x *kexec) fold(ct *compiledTable, gt *groupTable, g, i int) {
+	cells := gt.row(g)
+	for j, yi := range ct.fys {
 		v := (&x.yres[yi]).fAt(i)
-		c := &cells[yi]
+		c := &cells[j]
 		c.sum += v
 		c.n++
 		if v < c.min {
@@ -656,6 +817,10 @@ func (x *kexec) fold(cells []cell, i int) {
 		if v > c.max {
 			c.max = v
 		}
+	}
+	xcells := gt.xrow(g)
+	for j := range ct.xys {
+		xcells[j].add(ct.xys[j].at(x.b, i))
 	}
 }
 
@@ -787,7 +952,7 @@ func (x *kexec) groupDense(ct *compiledTable, mask []uint64, gt *groupTable) boo
 				d.slot[s] = g
 				d.touched = append(d.touched, int32(s))
 			}
-			x.fold(gt.row(int(g-1)), i)
+			x.fold(ct, gt, int(g-1), i)
 		}
 	}
 	for _, s := range d.touched {

@@ -804,22 +804,31 @@ func TestColumnarDenseEdges(t *testing.T) {
 		t.Fatalf("%d frames, %v: the fixture needs many", len(fes), err)
 	}
 	for _, tc := range []struct{ program, group string }{
-		{`table name=zero x=("n", node) x=("z", (iscall - 1) * 0) y=("n", dura, count) y=("t", dura, sum)`, "hash"},
-		{`table name=neg x=("n", -(node)) y=("n", dura, count)`, "hash"},
+		{`table name=zero x=("n", node) x=("z", (iscall - 1) * 0) y=("n", dura, count) y=("t", dura, sum)`, "entry"},
+		{`table name=neg x=("n", -(node)) y=("n", dura, count)`, "entry"},
 		{`table name=frac x=("h", node / 2) x=("c", cpu) y=("t", dura, sum)`, "hash"},
 		{`table name=bin x=("b", bin(start, 5000)) x=("n", node) y=("t", dura, sum) y=("n", dura, count)`, "dense"},
 		{`table name=binwide x=("b", bin(start, 1000000)) y=("t", dura, sum) y=("m", dura, max)`, "mixed"},
 		{`table name=binhuge x=("b", bin(start, 2147483648)) y=("n", dura, count)`, "hash"},
 		{`table name=binpast x=("b", bin(start, 2147483649)) y=("n", dura, count)`, "hash"},
-		{`table name=types x=("t", type) x=("th", thread) x=("s", state) y=("n", dura, count)`, "hash"},
-		{`table name=typesel condition=(type < 4096) x=("t", type) x=("th", thread) x=("s", state) y=("n", dura, count)`, "dense"},
-		{`table name=wide condition=(type < 4096) x=("th", thread) x=("s", state) x=("t", type) x=("b", bebits) x=("ic", iscall) y=("t", dura, sum)`, "dense"},
-		{`table name=widest condition=(type < 4096) x=("n", node) x=("c", cpu) x=("th", thread) x=("s", state) x=("b", bebits) y=("t", dura, sum)`, "hash"},
+		{`table name=types x=("t", type) x=("th", thread) x=("s", state) y=("n", dura, count)`, "entry"},
+		{`table name=typesel condition=(type < 4096) x=("t", type) x=("th", thread) x=("s", state) y=("n", dura, count)`, "entry"},
+		{`table name=wide condition=(type < 4096) x=("th", thread) x=("s", state) x=("t", type) x=("b", bebits) x=("ic", iscall) y=("t", dura, sum)`, "entry"},
+		{`table name=widest condition=(type < 4096) x=("n", node) x=("c", cpu) x=("th", thread) x=("s", state) x=("b", bebits) y=("t", dura, sum)`, "entry"},
 		{`table name=marks x=("m", markername) x=("b", bebits) x=("ic", iscall) y=("n", dura, count) y=("t", dura, sum)`, "dense"},
-		{`table name=cat x=("c", state + "/" + bebits) x=("n", node) y=("n", dura, count)`, "dense"},
-		{`table name=consts condition=(state != "Type(0x7001)" && type < 4096) x=("c", "lit") x=("k", 7) x=("s", state) x=("e", "") y=("n", dura, count)`, "dense"},
+		{`table name=cat x=("c", state + "/" + bebits) x=("n", node) y=("n", dura, count)`, "entry"},
+		{`table name=consts condition=(state != "Type(0x7001)" && type < 4096) x=("c", "lit") x=("k", 7) x=("s", state) x=("e", "") y=("n", dura, count)`, "entry"},
 		{`table name=nox condition=(msgSizeSent > 0) y=("b", msgSizeSent, sum) y=("n", dura, count)`, "dense"},
 		{`table name=skipx x=("p", peer) x=("n", node) y=("b", msgSizeSent, sum)`, "hash"},
+		// The key-only tables above again with a float y column, which
+		// keeps them on the row paths.
+		{`table name=zerof x=("n", node) x=("z", (iscall - 1) * 0) y=("t", dura * 2, sum)`, "hash"},
+		{`table name=typesf x=("t", type) x=("th", thread) x=("s", state) y=("t", dura * 2, sum)`, "hash"},
+		{`table name=typeself condition=(type < 4096) x=("t", type) x=("th", thread) x=("s", state) y=("t", dura * 2, sum)`, "dense"},
+		{`table name=widef condition=(type < 4096) x=("th", thread) x=("s", state) x=("t", type) x=("b", bebits) x=("ic", iscall) y=("t", dura * 2, sum)`, "dense"},
+		{`table name=widestf condition=(type < 4096) x=("n", node) x=("c", cpu) x=("th", thread) x=("s", state) x=("b", bebits) y=("t", dura * 2, sum)`, "hash"},
+		{`table name=catf x=("c", state + "/" + bebits) x=("n", node) y=("n", dura, count) y=("t", dura * 2, max)`, "dense"},
+		{`table name=constsf condition=(state != "Type(0x7001)" && type < 4096) x=("c", "lit") x=("k", 7) x=("s", state) x=("e", "") y=("t", dura * 2, sum)`, "dense"},
 	} {
 		run, err := stats.GenerateRun(tc.program, []*interval.File{f}, interval.MapOptions{})
 		if err != nil {

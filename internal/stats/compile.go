@@ -13,6 +13,7 @@ package stats
 //
 //   - Values are computed with the same float64 operations in the same
 //     per-record order, so sums, keys, and TSV text match bit for bit.
+//     An exact y column (exact.go) sums integers, in both.
 //   - Runtime errors (division by zero, bin() argument checks, floor()
 //     on a skip, and every type error — kTypeErr) stay lazy: a kernel
 //     raises them only for rows the scalar semantics would actually
@@ -168,11 +169,13 @@ type kexec struct {
 	// xpos is kExtra's per-entry field position, reused across kernels.
 	xpos []uint8
 
+	// eacc is the bound frame's rows summed per dictionary entry, for the
+	// tables that fold per entry.
+	eacc entryAcc
+
 	// Observability, summed over a run's executors: kShared evaluations
-	// answered by a result the frame already had, and per table the
-	// frames grouped by direct index and by hash.
+	// answered by a result the frame already had.
 	saved int64
-	paths [][2]int64
 }
 
 func (p *compiledProgram) newExec(tStart, tEnd clock.Time, dict *strDict) *kexec {
@@ -189,8 +192,7 @@ func (p *compiledProgram) newExec(tStart, tEnd clock.Time, dict *strDict) *kexec
 		yres:      make([]kres, p.maxY),
 		key:       make([]uint64, p.maxX),
 		dense:     denseScratch{lo: make([]uint32, p.maxX), stride: make([]uint32, p.maxX)},
-		framePart: framePart{groups: p.newGroupTables(), skipped: make([]int64, len(p.tables))},
-		paths:     make([][2]int64, len(p.tables)),
+		framePart: framePart{groups: p.newGroupTables(), skipped: make([]int64, len(p.tables)), paths: make([]uint8, len(p.tables))},
 		eselSlot:  p.eselSlot,
 	}
 }
@@ -199,7 +201,7 @@ func (p *compiledProgram) newExec(tStart, tEnd clock.Time, dict *strDict) *kexec
 func (p *compiledProgram) newGroupTables() []groupTable {
 	gts := make([]groupTable, len(p.tables))
 	for i, ct := range p.tables {
-		gts[i] = groupTable{nx: len(ct.x), ny: len(ct.y)}
+		gts[i] = groupTable{nx: len(ct.x), nf: len(ct.fys), ne: len(ct.xys)}
 	}
 	return gts
 }
@@ -1266,10 +1268,20 @@ type compiledTable struct {
 	spec     *TableSpec
 	cond     kernel
 	x, y     []kernel
-	xcol     []xcol // how each x column's group-key word decodes
-	dense    []dsrc // per x column, where its integer comes from; nil: the hash path only
-	keys     uint8  // the key fields its dsKey columns read, bit 1<<field
-	maskSlot int    // working row mask during accumulation
+	xcol     []xcol   // how each x column's group-key word decodes
+	dense    []dsrc   // per x column, where its integer comes from; nil: the hash path only
+	keys     uint8    // the key fields its dsKey columns read, bit 1<<field
+	fys      []int    // the y columns folded in float64, in y order: a group's cells
+	xys      []exactY // the exact y columns, in y order: a group's xcells
+	maskSlot int      // working row mask during accumulation
+
+	// entry: the condition and every x column read only the key and
+	// every y column is exact, so the table folds once per dictionary
+	// entry (runEntry) with econd and ex, the kernels those columns run
+	// over the entries.
+	entry bool
+	econd kernel
+	ex    []kernel
 }
 
 // xcol describes one x column's group-key words: the bits of a float64,
@@ -1290,6 +1302,10 @@ type compiledProgram struct {
 	selSlot    int // frame-level (window) selection mask
 	eselSlot   int // the all-entries selection a kEntry runs under
 	maxX, maxY int
+	// entry: some table folds per dictionary entry; entryTimes the time
+	// fields those tables sum, bit 1<<fcStart, 1<<fcDura, 1<<fcEnd.
+	entry      bool
+	entryTimes uint8
 }
 
 // compileProgram lowers every spec, sharing pure subtrees across them.
@@ -1302,6 +1318,14 @@ func compileProgram(specs []*TableSpec) *compiledProgram {
 		p.tables = append(p.tables, ct)
 		p.maxX = max(p.maxX, len(ct.x))
 		p.maxY = max(p.maxY, len(ct.y))
+		if ct.entry {
+			p.entry = true
+			for _, ey := range ct.xys {
+				if ey.seconds() {
+					p.entryTimes |= 1 << ey.field
+				}
+			}
+		}
 	}
 	return p
 }
@@ -1347,10 +1371,44 @@ func (c *compiler) spec(spec *TableSpec) *compiledTable {
 	if !dense {
 		ct.dense, ct.keys = nil, 0
 	}
-	for _, ay := range spec.Y {
-		ct.y = append(ct.y, vals(c.lower(ay.Expr)))
+	for yi, ay := range spec.Y {
+		k := vals(c.lower(ay.Expr))
+		ct.y = append(ct.y, k)
+		if ey, ok := exactOf(yi, k); ok {
+			ct.xys = append(ct.xys, ey)
+		} else {
+			ct.fys = append(ct.fys, yi)
+		}
+	}
+	ct.entry = len(ct.fys) == 0
+	if ct.cond != nil {
+		ct.econd = entryFn(ct.cond)
+		ct.entry = ct.entry && ct.econd != nil
+	}
+	for _, k := range ct.x {
+		fn := entryFn(k)
+		ct.ex = append(ct.ex, fn)
+		ct.entry = ct.entry && fn != nil
+	}
+	if !ct.entry {
+		ct.econd, ct.ex = nil, nil
 	}
 	return ct
+}
+
+// entryFn is what kernel k runs over a frame's dictionary entries when
+// it reads only the key — a kEntry's subtree, or a constant itself —
+// and nil when it reads more of a row.
+func entryFn(k kernel) kernel {
+	switch k := k.(type) {
+	case kConstNum, kConstStr:
+		return k
+	case kShared:
+		if e, ok := k.k.(*kEntry); ok {
+			return e.fn
+		}
+	}
+	return nil
 }
 
 // share returns the program's kernel for the pure node named key,

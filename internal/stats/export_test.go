@@ -16,3 +16,60 @@ func GenerateSpecsScalar(specs []*TableSpec, files []*interval.File, opts interv
 	}
 	return buildTables(specs, groups, skipped), nil
 }
+
+// GenerateReordered runs program as GenerateOpts does at Parallel 1,
+// then merges its whole-frame partials in the order perm gives (perm(n)
+// is a permutation of the n frames' indices) and finishes the tables.
+// Every other frame's partial is its clone — the form the frame memo
+// stores — and the rest are their executors' own.
+func GenerateReordered(program string, files []*interval.File, perm func(n int) []int) ([]*Table, error) {
+	specs, err := Parse(program)
+	if err != nil {
+		return nil, err
+	}
+	tStart, tEnd, err := runBounds(files)
+	if err != nil {
+		return nil, err
+	}
+	prog := compileProgram(specs)
+	var dict *strDict
+	if prog.sl.markers || prog.sl.nc > 0 {
+		dict = newStrDict(files, prog.sl.nc > 0)
+	}
+	var parts []*framePart
+	err = interval.MapFrames(files, interval.MapOptions{Parallel: 1},
+		func(file int, fr *interval.Frame) (*framePart, error) {
+			b, err := fr.Batch()
+			if err != nil {
+				return nil, err
+			}
+			x := prog.newExec(tStart, tEnd, dict)
+			if err := prog.evalFrame(x, clipWindow(interval.MapOptions{}, fr.Entry), file, b); err != nil {
+				return nil, err
+			}
+			return &x.framePart, nil
+		},
+		func(i int, _ interval.FrameEntry, p *framePart) error {
+			if len(parts)%2 == 0 {
+				p = p.clone()
+			}
+			parts = append(parts, p)
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	total := prog.newGroupTables()
+	skipped := make([]int64, len(prog.tables))
+	for _, i := range perm(len(parts)) {
+		for ti := range total {
+			total[ti].merge(&parts[i].groups[ti])
+			skipped[ti] += parts[i].skipped[ti]
+		}
+	}
+	tables := make([]*Table, len(prog.tables))
+	for ti, ct := range prog.tables {
+		tables[ti] = ct.finish(&total[ti], skipped[ti], dict)
+	}
+	return tables, nil
+}

@@ -6,7 +6,8 @@ package stats
 // parse tree once per record over the same batches' rows, keys groups
 // by per-record text and finalizes through its own map; with production
 // it shares only the parser, the run bounds and the output helpers
-// (Value, cell, finalize, groupKey, sortRows).
+// (Value, cell, xcell, finalize, groupKey, sortRows). Which y columns
+// accumulate exactly it decides for itself (exactRule).
 
 import (
 	"errors"
@@ -21,7 +22,62 @@ import (
 
 type group struct {
 	x []Value
-	y []cell
+	y []cell  // per y column: a float column's accumulator
+	e []xcell // per y column: an exact column's accumulator
+}
+
+// exactRule is the oracle's statement of which y columns are exact: an
+// integer field of the record — start, dura/duration and end in
+// nanoseconds, shown in seconds; node, cpu/processor, thread, type and
+// iscall as they are — or a numeric literal that is a whole number below
+// 2⁶³ (a literal is never negative: - is an operator). get is nil for any
+// other y, which folds in float64.
+type exactRule struct {
+	get     func(r *interval.Record) int64
+	seconds bool
+}
+
+func exactRuleOf(e expr) exactRule {
+	switch n := e.(type) {
+	case numLit:
+		if n.v == math.Trunc(n.v) && n.v >= 0 && n.v < 1<<63 {
+			c := int64(n.v)
+			return exactRule{get: func(*interval.Record) int64 { return c }}
+		}
+	case fieldRef:
+		switch n.name {
+		case events.FieldStart:
+			return exactRule{func(r *interval.Record) int64 { return int64(r.Start) }, true}
+		case events.FieldDura, "duration":
+			return exactRule{func(r *interval.Record) int64 { return int64(r.Dura) }, true}
+		case "end":
+			return exactRule{func(r *interval.Record) int64 { return int64(r.End()) }, true}
+		case events.FieldNode:
+			return exactRule{get: func(r *interval.Record) int64 { return int64(r.Node) }}
+		case events.FieldCPU, "processor":
+			return exactRule{get: func(r *interval.Record) int64 { return int64(r.CPU) }}
+		case events.FieldThread:
+			return exactRule{get: func(r *interval.Record) int64 { return int64(r.Thread) }}
+		case events.FieldType:
+			return exactRule{get: func(r *interval.Record) int64 { return int64(r.Type) }}
+		case "iscall":
+			return exactRule{get: func(r *interval.Record) int64 {
+				if r.Bebits == 2 || r.Bebits == 3 {
+					return 1
+				}
+				return 0
+			}}
+		}
+	}
+	return exactRule{}
+}
+
+func exactRules(spec *TableSpec) []exactRule {
+	rules := make([]exactRule, len(spec.Y))
+	for i, y := range spec.Y {
+		rules[i] = exactRuleOf(y.Expr)
+	}
+	return rules
 }
 
 // specPartial is one frame's contribution on the scalar evaluator:
@@ -41,6 +97,10 @@ func runScalar(specs []*TableSpec, files []*interval.File, mopts interval.MapOpt
 		groups[i] = make(map[string]*group)
 	}
 	skipped := make([]int64, len(specs))
+	rules := make([][]exactRule, len(specs))
+	for si, spec := range specs {
+		rules[si] = exactRules(spec)
+	}
 	err := interval.MapFrames(files, mopts,
 		func(file int, fr *interval.Frame) (*specPartial, error) {
 			b, err := fr.Batch()
@@ -61,7 +121,7 @@ func runScalar(specs []*TableSpec, files []*interval.File, mopts interval.MapOpt
 				}
 				rec = b.Row(ri)
 				for si, spec := range specs {
-					skip, err := accumulate(spec, ctx, sp.pg[si])
+					skip, err := accumulate(spec, rules[si], ctx, sp.pg[si])
 					if err != nil {
 						return nil, err
 					}
@@ -86,6 +146,7 @@ func runScalar(specs []*TableSpec, files []*interval.File, mopts interval.MapOpt
 func buildTables(specs []*TableSpec, groups []map[string]*group, skipped []int64) []*Table {
 	tables := make([]*Table, len(specs))
 	for si, spec := range specs {
+		rules := exactRules(spec)
 		t := &Table{Name: spec.Name, Skipped: skipped[si]}
 		for _, x := range spec.X {
 			t.XLabels = append(t.XLabels, x.Label)
@@ -102,7 +163,11 @@ func buildTables(specs []*TableSpec, groups []map[string]*group, skipped []int64
 			g := groups[si][k]
 			row := Row{X: g.x}
 			for yi, y := range spec.Y {
-				row.Y = append(row.Y, finalize(y.Agg, g.y[yi]))
+				c := g.y[yi]
+				if rules[yi].get != nil {
+					c = g.e[yi].cell(rules[yi].seconds)
+				}
+				row.Y = append(row.Y, finalize(y.Agg, c))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -124,6 +189,7 @@ func mergeGroups(dst, src map[string]*group) {
 			continue
 		}
 		mergeCells(d.y, g.y)
+		mergeXcells(d.e, g.e)
 	}
 }
 
@@ -131,7 +197,7 @@ func mergeGroups(dst, src map[string]*group) {
 // reports that the record was excluded because an expression referenced
 // a field its state type lacks (errSkip); condition-false records are
 // not skips, they are simply unselected.
-func accumulate(spec *TableSpec, ctx *evalCtx, groups map[string]*group) (skipped bool, err error) {
+func accumulate(spec *TableSpec, rules []exactRule, ctx *evalCtx, groups map[string]*group) (skipped bool, err error) {
 	if spec.Condition != nil {
 		v, err := eval(spec.Condition, ctx)
 		if errors.Is(err, errSkip) {
@@ -172,14 +238,19 @@ func accumulate(spec *TableSpec, ctx *evalCtx, groups map[string]*group) (skippe
 	key := groupKey(xs)
 	g := groups[key]
 	if g == nil {
-		g = &group{x: xs, y: make([]cell, len(spec.Y))}
+		g = &group{x: xs, y: make([]cell, len(spec.Y)), e: make([]xcell, len(spec.Y))}
 		for i := range g.y {
 			g.y[i].min = math.Inf(1)
 			g.y[i].max = math.Inf(-1)
+			g.e[i] = newXcell()
 		}
 		groups[key] = g
 	}
 	for i, v := range ys {
+		if rules[i].get != nil {
+			g.e[i].add(rules[i].get(ctx.rec))
+			continue
+		}
 		c := &g.y[i]
 		c.sum += v
 		c.n++

@@ -30,10 +30,13 @@ type Table struct {
 	FramesDecoded int    `json:",omitempty"`
 	Lanes         int    `json:",omitempty"`
 	// Group reports which group-by folded a spec-driven table's rows
-	// over the frames the run evaluated: "dense" (direct index), "hash",
-	// or "mixed"; empty when no evaluated frame had a row for it.
-	// Observability only, like Engine.
+	// over the run's frames, memoized partials included: "entry" (once
+	// per dictionary entry), "dense" (direct index), "hash", or "mixed"
+	// (dense in some frames, hash in others); empty when no frame had a
+	// row for it. Exact is how many of its y columns accumulate exactly
+	// in integers (exact.go). Observability only, like Engine.
 	Group string `json:",omitempty"`
+	Exact int    `json:",omitempty"`
 }
 
 // Run is one program run: its tables, how many frames it evaluated, how

@@ -668,8 +668,8 @@ func TestStatsEngineAndJSON(t *testing.T) {
 		}
 	}
 
-	// JSON format carries the excluded-record count, and no evaluator
-	// flag.
+	// JSON format carries the excluded-record count, the group-by path and
+	// the exact y columns, and no evaluator flag.
 	w := do(t, s, "GET", "/v1/traces/"+id+"/stats?format=json&expr="+
 		"table+name%3Dt+y%3D%28%22n%22%2C+dura%2C+count%29", "")
 	if w.Code != 200 {
@@ -681,6 +681,8 @@ func TestStatsEngineAndJSON(t *testing.T) {
 	var got struct {
 		Tables []struct {
 			Name    string `json:"name"`
+			Group   string `json:"group"`
+			Exact   string `json:"exact"`
 			Skipped int64  `json:"skipped"`
 			Rows    int    `json:"rows"`
 			TSV     string `json:"tsv"`
@@ -691,6 +693,9 @@ func TestStatsEngineAndJSON(t *testing.T) {
 	}
 	if len(got.Tables) != 1 || got.Tables[0].Name != "t" || got.Tables[0].TSV == "" {
 		t.Fatalf("unexpected json stats payload: %+v", got)
+	}
+	if tb := got.Tables[0]; tb.Group != "entry" || tb.Exact != "1/1" {
+		t.Fatalf("json stats table folded by %q with %q y columns exact, want entry and 1/1", tb.Group, tb.Exact)
 	}
 
 	// Time-resolved tables: three of them, with the expected names.
@@ -708,6 +713,9 @@ func TestStatsEngineAndJSON(t *testing.T) {
 	}
 	if fmt.Sprint(names) != "[tr_busy_by_type tr_load_balance tr_concurrency]" {
 		t.Fatalf("timeresolved tables = %v", names)
+	}
+	if strings.Contains(w.Body.String(), `"group"`) || strings.Contains(w.Body.String(), `"exact"`) {
+		t.Fatalf("time-resolved tables carry a group-by path or exact count: %s", w.Body)
 	}
 	if w := do(t, s, "GET", "/v1/traces/"+id+"/stats?timeresolved=1&expr=x", ""); w.Code != 400 {
 		t.Fatalf("timeresolved with expr: %d", w.Code)
