@@ -1452,7 +1452,7 @@ func benchIngest(b *testing.B, nodes int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sess, err := m.Begin(fmt.Sprintf("bench-%d", i), nodes, interval.WriterOptions{})
+		sess, err := m.Begin(fmt.Sprintf("bench-%d", i), nodes)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"hash/crc32"
 	"io"
 	"io/fs"
@@ -20,6 +22,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -66,7 +69,7 @@ func TestCLIPipeline(t *testing.T) {
 
 	// tracegen: small sppm run.
 	out := runCmd(t, bin, "tracegen",
-		"-out", dir, "-workload", "sppm", "-nodes", "2", "-cpus", "4", "-iters", "4", "-seed", "5")
+		"-out", dir, "-workload", "sppm", "-nodes", "2", "-cpus", "4", "-params", "iters=4", "-seed", "5")
 	if !strings.Contains(out, "events") {
 		t.Fatalf("tracegen output: %s", out)
 	}
@@ -188,7 +191,7 @@ func TestCLIPipeline(t *testing.T) {
 	if !strings.Contains(out, "state-activity view") {
 		t.Fatalf("state view output:\n%s", out)
 	}
-	out = runCmd(t, bin, "uteview", "-merged", merged, "-t0", "0.001", "-t1", "0.01", "-connected", "-ascii")
+	out = runCmd(t, bin, "uteview", "-merged", merged, "-window", "0.001:0.01", "-connected", "-ascii")
 	if !strings.Contains(out, "0.001000s .. 0.010000s") {
 		t.Fatalf("windowed view output:\n%s", out)
 	}
@@ -233,7 +236,7 @@ func TestCLIPyramidSidecar(t *testing.T) {
 	}
 	bin := buildCmds(t)
 	dir := t.TempDir()
-	runCmd(t, bin, "tracegen", "-out", dir, "-workload", "sppm", "-nodes", "2", "-cpus", "4", "-iters", "3000", "-seed", "5")
+	runCmd(t, bin, "tracegen", "-out", dir, "-workload", "sppm", "-nodes", "2", "-cpus", "4", "-params", "iters=3000", "-seed", "5")
 	runCmd(t, bin, "uteconvert", "-out-dir", dir, filepath.Join(dir, "raw.0"), filepath.Join(dir, "raw.1"))
 	merged, bare := filepath.Join(dir, "merged.ute"), filepath.Join(dir, "bare.ute")
 	out := runCmd(t, bin, "utemerge", "-o", merged, "-pyramid",
@@ -401,7 +404,7 @@ func TestCLIWrapTolerant(t *testing.T) {
 	dir := t.TempDir()
 	runCmd(t, bin, "tracegen",
 		"-out", dir, "-workload", "ring", "-nodes", "2", "-cpus", "1",
-		"-iters", "200", "-bytes", "128", "-wrap", "-buffer", "8192")
+		"-params", "iters=200,bytes=128", "-wrap", "-buffer", "8192")
 	// Strict conversion must fail on the mid-stream trace...
 	cmd := exec.Command(filepath.Join(bin, "uteconvert"), "-out-dir", dir,
 		filepath.Join(dir, "raw.0"), filepath.Join(dir, "raw.1"))
@@ -576,7 +579,9 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"tracegen", []string{"-out", dir, "-workload", "nope"}, 2},
 		{"tracegen", []string{"-out", dir, "-workload", "ring", "-params", "wat=1"}, 2},
 		{"tracegen", []string{"-out", dir, "-workload", "ring", "-params", "iters=0"}, 2},
-		{"tracegen", []string{"-out", dir, "-workload", "ring", "-threads", "2"}, 2},
+		{"tracegen", []string{"-out", dir, "-workload", "ring", "-params", "threads=2"}, 2},
+		// Retired shorthands are unknown flags: -params is the one spelling.
+		{"tracegen", []string{"-out", dir, "-iters", "4"}, 2},
 		{"tracegen", []string{"-out", dir, "-policy", "nope"}, 2},
 		{"tracegen", []string{"-out", dir, "-policy", "oversub:1"}, 2},
 		{"tracegen", []string{"-out", dir, "-outlier-prob", "1.5"}, 2},
@@ -600,6 +605,7 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"utemerge", []string{"-j", "-2", "-o", filepath.Join(dir, "out.ute"), good}, 2},
 		// Retired knobs are unknown flags, not silently accepted.
 		{"utemerge", []string{"-columnar", "-o", filepath.Join(dir, "out.ute"), good}, 2},
+		{"utemerge", []string{"-keep-clock", "-o", filepath.Join(dir, "out.ute"), good}, 2},
 
 		{"utestats", nil, 2},
 		{"utestats", []string{missing}, 1},
@@ -630,9 +636,10 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"uteview", []string{"-merged", missing}, 1},
 		{"uteview", []string{"-merged", garbage}, 1},
 		{"uteview", []string{"-j", "-1", "-merged", good}, 2},
-		{"uteview", []string{"-t0", "2", "-t1", "1", "-merged", good}, 2},
 		// 1e10 s is past the time range: rejected, not read as the run.
-		{"uteview", []string{"-merged", good, "-preview", "-bins", "8", "-t0", "0.01", "-t1", "1e10", "-ascii"}, 2},
+		{"uteview", []string{"-merged", good, "-preview", "-bins", "8", "-window", "0.01:1e10", "-ascii"}, 1},
+		// -window is the one spelling of a window.
+		{"uteview", []string{"-merged", good, "-t0", "0.001", "-t1", "0.01", "-ascii"}, 2},
 		{"uteview", []string{"-merged", good, "-preview", "-engine", "x"}, 2},
 		{"uteview", []string{"-merged", good, "-preview", "-engine", "scan"}, 2},
 		{"uteview", []string{"-merged", good, "-preview", "-bins", "-1"}, 2},
@@ -668,6 +675,84 @@ func TestCLIErrorPaths(t *testing.T) {
 	if out := runCmd(t, bin, "utedump", "-sizes", good); !strings.Contains(out, "B/record") {
 		t.Fatalf("utedump -sizes output missing statistics:\n%s", out)
 	}
+}
+
+// TestUsageNamesEveryFlag holds each command's package doc to its flag
+// set: the -flag names in the doc's Usage block must be exactly the
+// flags the binary's -h prints, so a flag added, renamed or retired
+// without its usage line (or the reverse) fails here.
+func TestUsageNamesEveryFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./cmd/...").CombinedOutput(); err != nil {
+		t.Fatalf("building ./cmd/...: %v\n%s", err, out)
+	}
+	cmds, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	helpFlag := regexp.MustCompile(`(?m)^  -([a-zA-Z0-9][a-zA-Z0-9-]*)`)
+	usageFlag := regexp.MustCompile(`(?:^|[\s\[|(])-([a-zA-Z][a-zA-Z0-9-]*)`)
+	for _, c := range cmds {
+		if !c.IsDir() {
+			continue
+		}
+		name := c.Name()
+		// -h exits 0 for most commands and 3 for utecheck; only the
+		// listing matters.
+		help, _ := exec.Command(filepath.Join(bin, name), "-h").CombinedOutput()
+		var printed []string
+		for _, m := range helpFlag.FindAllStringSubmatch(string(help), -1) {
+			printed = append(printed, m[1])
+		}
+		var documented []string
+		for _, m := range usageFlag.FindAllStringSubmatch(usageBlock(t, filepath.Join("cmd", name)), -1) {
+			documented = append(documented, m[1])
+		}
+		slices.Sort(printed)
+		slices.Sort(documented)
+		printed, documented = slices.Compact(printed), slices.Compact(documented)
+		if len(printed) == 0 {
+			t.Errorf("%s -h listed no flags:\n%s", name, help)
+		}
+		if !slices.Equal(printed, documented) {
+			t.Errorf("%s: -h lists %v, the Usage block names %v", name, printed, documented)
+		}
+	}
+}
+
+// usageBlock returns the indented lines under "Usage:" in the package
+// doc of the command in dir.
+func usageBlock(t *testing.T, dir string) string {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			if f.Doc != nil {
+				text += f.Doc.Text()
+			}
+		}
+	}
+	_, after, ok := strings.Cut(text, "Usage:\n")
+	if !ok {
+		t.Fatalf("%s: package doc has no Usage block", dir)
+	}
+	var block strings.Builder
+	for _, line := range strings.Split(strings.TrimLeft(after, "\n"), "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			break
+		}
+		block.WriteString(line + "\n")
+	}
+	return block.String()
 }
 
 // corruptFirstFrame flips one byte inside the first frame's encoded

@@ -12,9 +12,6 @@
 //	         [-nodes N] [-tasks-per-node T] [-cpus C] [-seed S]
 //	         [-outlier-prob P] [-wrap] [-buffer BYTES]
 //	tracegen -list-workloads
-//
-// The -iters/-bytes/-threads shorthands remain as sugar for the
-// matching registry parameters of the selected workload.
 package main
 
 import (
@@ -47,9 +44,6 @@ func main() {
 		tpn     = flag.Int("tasks-per-node", 1, "MPI tasks per node")
 		cpus    = flag.Int("cpus", 2, "CPUs per node")
 		seed    = flag.Uint64("seed", 1, "simulation seed")
-		iters   = flag.Int("iters", 0, "shorthand for the workload's iters/steps parameter")
-		bytes   = flag.Int("bytes", 0, "shorthand for the workload's bytes parameter")
-		threads = flag.Int("threads", 0, "shorthand for the workload's threads parameter")
 		outlier = flag.Float64("outlier-prob", 0, "probability of a de-scheduled clock sample")
 		wrap    = flag.Bool("wrap", false, "circular trace buffer: keep only the newest -buffer bytes of records")
 		bufSize = flag.Int("buffer", 0, "trace buffer size in bytes (0 = 1 MiB)")
@@ -83,15 +77,11 @@ func main() {
 	if err != nil {
 		usageErr(err.Error())
 	}
-	spec, ok := workload.Lookup(*wl)
-	if !ok {
+	if _, ok := workload.Lookup(*wl); !ok {
 		usageErr(fmt.Sprintf("unknown workload %q; run tracegen -list-workloads", *wl))
 	}
 	wp, err := workload.ParseParams(*params)
 	if err != nil {
-		usageErr(err.Error())
-	}
-	if err := applySugar(spec, wp, *iters, *bytes, *threads); err != nil {
 		usageErr(err.Error())
 	}
 	main_, err := workload.Build(*wl, wp)
@@ -134,41 +124,6 @@ func main() {
 	}
 	fmt.Printf("tracegen: %s under %s on %d nodes × %d tasks × %d cpus: %v virtual time, %d events, files %s.0..%d\n",
 		*wl, pol.Name(), *nodes, *tpn, *cpus, end, cut, cfg.Cluster.TraceOpts.Prefix, *nodes-1)
-}
-
-// applySugar maps the explicitly-set legacy shorthand flags onto the
-// workload's canonical registry parameters. An explicit -params entry
-// wins over the shorthand; a shorthand for a parameter the workload
-// does not have is an error.
-func applySugar(spec *workload.Spec, wp workload.Params, iters, bytes, threads int) error {
-	set := map[string]int64{}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "iters":
-			set["iters"] = int64(iters)
-		case "bytes":
-			set["bytes"] = int64(bytes)
-		case "threads":
-			set["threads"] = int64(threads)
-		}
-	})
-	for name, v := range set {
-		canonical := name
-		if name == "iters" {
-			if _, ok := spec.Param("iters"); !ok {
-				if _, ok := spec.Param("steps"); ok {
-					canonical = "steps"
-				}
-			}
-		}
-		if _, ok := spec.Param(canonical); !ok {
-			return fmt.Errorf("workload %s has no %s parameter (usage: %s)", spec.Name, canonical, spec.Usage())
-		}
-		if _, explicit := wp[canonical]; !explicit {
-			wp[canonical] = v
-		}
-	}
-	return nil
 }
 
 func listWorkloads() {

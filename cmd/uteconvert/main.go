@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	uteconvert [-out-dir DIR] [-frame-bytes N] [-j N] raw.0 raw.1 ...
+//	uteconvert [-out-dir DIR] [-frame-bytes N] [-j N] [-tolerant] raw.0 raw.1 ...
 //
 // raw.N becomes DIR/trace.N.ute; the profile goes to DIR/profile.ute.
 package main

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	utedump [-n LIMIT] [-frames] [-sizes] [-j N] [-window lo:hi] FILE
+//	utedump [-n LIMIT] [-frames] [-sizes] [-validate] [-j N] [-window lo:hi] FILE
 //
 // For interval files, -window lo:hi (seconds; either side may be empty)
 // dumps only records overlapping the window — frames, and on

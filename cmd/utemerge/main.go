@@ -22,7 +22,7 @@
 //
 //	utemerge [-o merged.ute] [-slog trace.slog] [-pyramid]
 //	         [-estimator rms|lastpair|piecewise|none]
-//	         [-outlier-tol T] [-keep-clock] [-frame-bytes N] [-j N]
+//	         [-outlier-tol T] [-frame-bytes N] [-j N]
 //	         trace.0.ute trace.1.ute ...
 package main
 
@@ -43,7 +43,6 @@ func main() {
 		slogOut    = flag.String("slog", "", "also write an SLOG file here")
 		estimator  = flag.String("estimator", "rms", "clock ratio estimator: rms, lastpair, piecewise, none")
 		outlierTol = flag.Float64("outlier-tol", 1e-3, "clock-pair outlier tolerance (0 disables filtering)")
-		keepClock  = flag.Bool("keep-clock", false, "keep adjusted global-clock records in the output")
 		frameBytes = flag.Int("frame-bytes", 0, "target frame payload size (0 = 64 KiB)")
 		jobs       = flag.Int("j", 0, "clock-pair extraction and SLOG build workers (0 = GOMAXPROCS)")
 		pyramid    = flag.Bool("pyramid", false, "also build the merged file's summary-pyramid sidecar (<out>.pyr), unless it would outweigh the trace")
@@ -62,11 +61,10 @@ func main() {
 		fatal(err)
 	}
 	opts := merge.Options{
-		Writer:           interval.WriterOptions{FrameBytes: *frameBytes},
-		Estimator:        est,
-		OutlierTol:       *outlierTol,
-		KeepClockRecords: *keepClock,
-		Parallel:         *jobs,
+		Writer:     interval.WriterOptions{FrameBytes: *frameBytes},
+		Estimator:  est,
+		OutlierTol: *outlierTol,
+		Parallel:   *jobs,
 	}
 	var pyr *interval.PyramidOptions
 	if *pyramid {

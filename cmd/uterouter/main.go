@@ -11,9 +11,8 @@
 //
 // Usage:
 //
-//	uterouter -backends URL[,URL...] [-addr HOST:PORT] [-vnodes N]
-//	          [-split-frames N] [-inflight N] [-hedge-after DUR]
-//	          [-health-interval DUR] [-pprof] [trace.ute ...]
+//	uterouter -backends URL[,URL...] [-addr HOST:PORT] [-split-frames N]
+//	          [-pprof] [trace.ute ...]
 //
 // The backends must share a filesystem with the router: every backend
 // opens the same trace files. Trace files on the command line are
@@ -47,11 +46,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7470", "listen address (port 0 = pick a free port)")
 		backends = flag.String("backends", "", "comma-separated utetraced base URLs (required)")
-		vnodes   = flag.Int("vnodes", 64, "virtual nodes per backend on the hash ring")
 		split    = flag.Int("split-frames", 4096, "frame count above which a trace splits into per-backend segments")
-		inflight = flag.Int("inflight", 32, "max concurrent requests per backend")
-		hedge    = flag.Duration("hedge-after", 0, "duplicate a slow leg onto the next backend after this long (0 = off)")
-		health   = flag.Duration("health-interval", 500*time.Millisecond, "backend /readyz poll period")
 		pprof    = flag.Bool("pprof", false, "serve the router's own net/http/pprof profiles under /debug/pprof/")
 	)
 	flag.Parse()
@@ -69,14 +64,7 @@ func main() {
 		bs = append(bs, shard.Backend{Name: fmt.Sprintf("b%d", i), URL: u})
 	}
 
-	rt, err := shard.NewRouter(shard.Config{
-		Backends:       bs,
-		VNodes:         *vnodes,
-		SplitFrames:    *split,
-		MaxInflight:    *inflight,
-		HedgeAfter:     *hedge,
-		HealthInterval: *health,
-	})
+	rt, err := shard.NewRouter(shard.Config{Backends: bs, SplitFrames: *split})
 	if err != nil {
 		fatal(err)
 	}

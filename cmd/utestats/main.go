@@ -13,8 +13,9 @@
 //
 // Usage:
 //
-//	utestats [-e PROGRAM | -f program.st] [-bins N] [-out DIR] [-svg]
-//	         [-j N] [-window lo:hi] merged.ute [more.ute ...]
+//	utestats [-e PROGRAM | -f program.st | -timeresolved] [-bins N]
+//	         [-out DIR] [-svg] [-j N] [-window lo:hi] [-v] [-check-profile]
+//	         merged.ute [more.ute ...]
 //
 // All input files share one frame-decode worker pool (-j workers), and
 // -window lo:hi (seconds; either side may be empty) restricts the tables

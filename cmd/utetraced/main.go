@@ -8,8 +8,8 @@
 //
 // Usage:
 //
-//	utetraced [-addr HOST:PORT] [-cache-mb N] [-shards N] [-timeout DUR]
-//	          [-ingest-dir DIR] [-ingest-max-batch N] [-pprof] [trace.ute ...]
+//	utetraced [-addr HOST:PORT] [-cache-mb N] [-ingest-dir DIR]
+//	          [-ingest-max-batch N] [-pprof] [trace.ute ...]
 //
 // Any interval files on the command line are opened before the server
 // starts listening. Endpoints:
@@ -70,8 +70,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7464", "listen address (port 0 = pick a free port)")
 		cacheMB   = flag.Int64("cache-mb", 256, "memo budget for stats partials and whole answers, MiB")
-		shards    = flag.Int("shards", 16, "cache shard count")
-		timeout   = flag.Duration("timeout", tracesvc.DefaultRequestTimeout, "per-request deadline")
 		ingestDir = flag.String("ingest-dir", "", "enable streaming ingest; live trace files are written here")
 		ingestMax = flag.Int64("ingest-max-batch", 8<<20, "largest accepted ingest batch, bytes")
 		pprof     = flag.Bool("pprof", false, "serve the net/http/pprof profiles under /debug/pprof/")
@@ -82,11 +80,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	svc := tracesvc.New(tracesvc.Config{
-		CacheBytes:     *cacheMB << 20,
-		CacheShards:    *shards,
-		RequestTimeout: *timeout,
-	})
+	svc := tracesvc.New(tracesvc.Config{CacheBytes: *cacheMB << 20})
 	if *ingestDir != "" {
 		m, err := ingest.NewManager(ingest.Config{Dir: *ingestDir, MaxBatchBytes: *ingestMax})
 		if err != nil {

@@ -4,12 +4,14 @@
 //
 // Usage:
 //
-//	uteview -merged merged.ute [-slog trace.slog]
+//	uteview -merged merged.ute [-slog trace.slog [-arrows]]
 //	        [-view thread-activity|processor-activity|thread-processor|processor-thread]
-//	        [-t0 S] [-t1 S] [-window lo:hi] [-j N]
-//	        [-connected] [-ascii] [-width N] [-o out.svg]
+//	        [-window lo:hi] [-j N] [-connected] [-ascii] [-width N] [-o out.svg]
+//	uteview -merged merged.ute -preview [-bins N] [-window lo:hi] [-v]
+//	        [-ascii] [-width N] [-o preview.svg]
 //	uteview -slog trace.slog -preview [-ascii] [-o preview.svg]
 //	uteview -slog trace.slog -frame-at S        # fetch the frame containing time S
+//	uteview -slog trace.slog -html viewer.html  # self-contained interactive viewer
 package main
 
 import (
@@ -27,15 +29,13 @@ import (
 )
 
 func main() {
-	t0, t1, frameAt := seconds(0), seconds(0), seconds(-clock.Second)
-	flag.Var(&t0, "t0", "window start, `seconds`")
-	flag.Var(&t1, "t1", "window end, `seconds` (0 = full run)")
+	frameAt := seconds(-clock.Second)
 	flag.Var(&frameAt, "frame-at", "print the SLOG frame containing this time (`seconds`)")
 	var (
 		mergedPath = flag.String("merged", "", "merged interval file")
 		slogPath   = flag.String("slog", "", "SLOG file (preview, arrows, frame fetch)")
 		viewName   = flag.String("view", "thread-activity", "time-space diagram kind")
-		window     = flag.String("window", "", "diagram window as lo:hi seconds (shorthand for -t0/-t1)")
+		window     = flag.String("window", "", "window as lo:hi seconds (either side may be empty; default the whole run)")
 		jobs       = flag.Int("j", 0, "frame-decode workers for diagram construction (0 = GOMAXPROCS)")
 		connected  = flag.Bool("connected", false, "connect interval pieces per call")
 		ascii      = flag.Bool("ascii", false, "render ASCII to stdout instead of SVG")
@@ -54,10 +54,6 @@ func main() {
 	}
 	if *bins < 0 || *bins > stats.MaxBins {
 		fmt.Fprintf(os.Stderr, "uteview: -bins must be 0 to %d\n", stats.MaxBins)
-		os.Exit(2)
-	}
-	if t1 != 0 && t1 < t0 {
-		fmt.Fprintln(os.Stderr, "uteview: -t1 is before -t0")
 		os.Exit(2)
 	}
 
@@ -132,7 +128,6 @@ func main() {
 
 	if *preview {
 		popts := render.PreviewOptions{Bins: *bins}
-		popts.T0, popts.T1 = clock.Time(t0), clock.Time(t1)
 		if *window != "" {
 			popts.T0, popts.T1 = resolveWindow(mf, *window)
 		}
@@ -157,8 +152,6 @@ func main() {
 		fatal(err)
 	}
 	opts := render.Options{
-		T0:        clock.Time(t0),
-		T1:        clock.Time(t1),
 		Connected: *connected,
 		Parallel:  *jobs,
 	}

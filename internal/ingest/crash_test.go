@@ -285,7 +285,7 @@ func TestIngestCrashDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := m.Begin("crash", nodes, interval.WriterOptions{})
+	sess, err := m.Begin("crash", nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

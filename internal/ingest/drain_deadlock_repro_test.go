@@ -21,7 +21,7 @@ func TestDrainDeadlockRepro(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.Begin("dl", 2, interval.WriterOptions{})
+	s, err := m.Begin("dl", 2)
 	if err != nil {
 		t.Fatal(err)
 	}

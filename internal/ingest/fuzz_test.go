@@ -75,7 +75,7 @@ func ingestOne(t *testing.T, dir string, data []byte, cut int) (error, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := m.Begin("fuzz", 1, interval.WriterOptions{})
+	sess, err := m.Begin("fuzz", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

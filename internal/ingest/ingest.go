@@ -62,8 +62,7 @@ type Config struct {
 	// GateRecords bounds how many records a node may emit before its
 	// first global-clock pair fixes the clock offset (default 1<<20).
 	GateRecords int
-	// Writer is the default frame sizing for live traces; a begin
-	// request may override FrameBytes/FramesPerDir per trace.
+	// Writer is the frame sizing of every live trace.
 	Writer interval.WriterOptions
 	// Create opens a live trace's file for writing; nil means
 	// os.Create. The crash harness injects fault writers here.
@@ -164,22 +163,14 @@ func NewManager(cfg Config) (*Manager, error) {
 // MaxBatchBytes exposes the batch size limit for the HTTP layer.
 func (m *Manager) MaxBatchBytes() int64 { return m.cfg.maxBatchBytes() }
 
-// Begin creates a live trace with the given node count. The optional
-// writer options override the manager's frame sizing (zero fields keep
-// the defaults).
-func (m *Manager) Begin(name string, nodes int, wopts interval.WriterOptions) (*Session, error) {
+// Begin creates a live trace with the given node count, its frames
+// sized by the manager's Config.Writer.
+func (m *Manager) Begin(name string, nodes int) (*Session, error) {
 	if !ValidName(name) {
 		return nil, fmt.Errorf("%w: %q", ErrBadName, name)
 	}
 	if nodes <= 0 || nodes > 1<<16 {
 		return nil, fmt.Errorf("ingest: node count %d out of range", nodes)
-	}
-	w := m.cfg.Writer
-	if wopts.FrameBytes > 0 {
-		w.FrameBytes = wopts.FrameBytes
-	}
-	if wopts.FramesPerDir > 0 {
-		w.FramesPerDir = wopts.FramesPerDir
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -189,7 +180,7 @@ func (m *Manager) Begin(name string, nodes int, wopts interval.WriterOptions) (*
 	if _, ok := m.sessions[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	s := newSession(m, name, filepath.Join(m.cfg.Dir, name+".ute"), nodes, w)
+	s := newSession(m, name, filepath.Join(m.cfg.Dir, name+".ute"), nodes, m.cfg.Writer)
 	m.sessions[name] = s
 	return s, nil
 }

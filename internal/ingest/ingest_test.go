@@ -145,7 +145,7 @@ func TestIngestSingleBatchPerNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.Begin("oneshot", len(raws), interval.WriterOptions{})
+	s, err := m.Begin("oneshot", len(raws))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestIngestMatchesBatchPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := m.Begin(fmt.Sprintf("trace%d", seed), nodes, interval.WriterOptions{})
+		s, err := m.Begin(fmt.Sprintf("trace%d", seed), nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestIngestLiveTailQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.Begin("live", nodes, interval.WriterOptions{})
+	s, err := m.Begin("live", nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestIngestDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.Begin("drainme", nodes, interval.WriterOptions{})
+	s, err := m.Begin("drainme", nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestIngestDrain(t *testing.T) {
 		t.Fatalf("drained file scan: %v", err)
 	}
 	// New sessions are refused while draining.
-	if _, err := m.Begin("later", 1, interval.WriterOptions{}); !errors.Is(err, ingest.ErrDraining) {
+	if _, err := m.Begin("later", 1); !errors.Is(err, ingest.ErrDraining) {
 		t.Fatalf("Begin while draining: %v", err)
 	}
 }
@@ -388,7 +388,7 @@ func TestIngestSequencer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.Begin("seq", 1, interval.WriterOptions{})
+	s, err := m.Begin("seq", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,18 +431,18 @@ func TestIngestManager(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []string{"", ".hidden", "a/b", "../x", "a b", string(make([]byte, 200))} {
-		if _, err := m.Begin(bad, 1, interval.WriterOptions{}); !errors.Is(err, ingest.ErrBadName) {
+		if _, err := m.Begin(bad, 1); !errors.Is(err, ingest.ErrBadName) {
 			t.Fatalf("Begin(%q): %v", bad, err)
 		}
 	}
-	if _, err := m.Begin("ok", 0, interval.WriterOptions{}); err == nil {
+	if _, err := m.Begin("ok", 0); err == nil {
 		t.Fatal("Begin with zero nodes succeeded")
 	}
-	s, err := m.Begin("ok", 2, interval.WriterOptions{})
+	s, err := m.Begin("ok", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Begin("ok", 2, interval.WriterOptions{}); !errors.Is(err, ingest.ErrExists) {
+	if _, err := m.Begin("ok", 2); !errors.Is(err, ingest.ErrExists) {
 		t.Fatalf("duplicate Begin: %v", err)
 	}
 	if got, okk := m.Get("ok"); !okk || got != s {
@@ -479,7 +479,7 @@ func TestIngestBadPreamble(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := m.Begin("bad", 2, interval.WriterOptions{})
+		s, err := m.Begin("bad", 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -540,7 +540,7 @@ func TestBatchKeepsNoBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := m.Begin("reuse", len(raws), interval.WriterOptions{})
+			s, err := m.Begin("reuse", len(raws))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,7 +35,7 @@ func TestNoGoroutineOutlivesSession(t *testing.T) {
 	// blocked begins a session in that state and returns it with one
 	// channel per blocked poster, carrying what its Batch returned.
 	blocked := func(name string) (*ingest.Session, []chan error) {
-		s, err := m.Begin(name, nodes, interval.WriterOptions{})
+		s, err := m.Begin(name, nodes)
 		if err != nil {
 			t.Fatal(err)
 		}

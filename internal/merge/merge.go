@@ -69,9 +69,6 @@ type Options struct {
 	Writer     interval.WriterOptions
 	Estimator  Estimator
 	OutlierTol float64 // clock-pair outlier filter tolerance; 0 disables
-	// KeepClockRecords copies (adjusted) global-clock records into the
-	// merged file instead of dropping them.
-	KeepClockRecords bool
 	// noPseudo disables pseudo-interval planting. Only this package's
 	// tests and ablation benchmarks set it (export_test.go): they compare
 	// against the prologue-free stream.
@@ -153,12 +150,11 @@ type recordSource interface {
 	Current() *interval.Record
 }
 
-// stream adapts one input file to the merge: it decodes, drops or keeps
-// clock records, and adjusts timestamps into the global timebase.
+// stream adapts one input file to the merge: it decodes, drops clock
+// records, and adjusts timestamps into the global timebase.
 type stream struct {
-	sc        *interval.Scanner
-	adj       clock.Adjuster
-	keepClock bool
+	sc  *interval.Scanner
+	adj clock.Adjuster
 
 	cur  interval.Record
 	end  clock.Time
@@ -184,7 +180,7 @@ func (s *stream) Advance() error {
 			return err
 		}
 		r := &s.cur
-		if r.Type == events.EvGlobalClock && !s.keepClock {
+		if r.Type == events.EvGlobalClock {
 			continue
 		}
 		s.end = Adjust(s.adj, r)
@@ -256,7 +252,7 @@ func Merge(files []*interval.File, dst io.WriteSeeker, opts Options) (*Result, e
 
 	srcs := make([]recordSource, len(files))
 	for i, f := range files {
-		srcs[i] = &stream{sc: f.Scan(), adj: adjs[i], keepClock: opts.KeepClockRecords}
+		srcs[i] = &stream{sc: f.Scan(), adj: adjs[i]}
 	}
 	if err := ms.run(w, srcs); err != nil {
 		return nil, err

@@ -173,19 +173,6 @@ func TestClockRecordsDroppedByDefault(t *testing.T) {
 			t.Fatal("clock record leaked into merged file")
 		}
 	}
-
-	files2 := testutil.ConvertRun(t, raws, interval.WriterOptions{})
-	mf2, _ := testutil.MergeRun(t, files2, merge.Options{KeepClockRecords: true})
-	recs2, _ := mf2.Scan().All()
-	kept := 0
-	for _, r := range recs2 {
-		if r.Type == events.EvGlobalClock {
-			kept++
-		}
-	}
-	if kept == 0 {
-		t.Fatal("KeepClockRecords kept nothing")
-	}
 }
 
 func TestThreadTableUnionSorted(t *testing.T) {

@@ -16,7 +16,6 @@ type routerMetrics struct {
 	requests []promtext.Counter
 	errors   []promtext.Counter
 	latency  []promtext.Histogram
-	hedges   promtext.Counter
 	retries  promtext.Counter
 	scatter  promtext.Counter
 	affinity promtext.Counter
@@ -63,8 +62,6 @@ func (m *routerMetrics) writePrometheus(w io.Writer, up []bool) {
 	fmt.Fprintf(w, "uterouter_scatter_queries_total %d\n", m.scatter.Value())
 	promtext.Header(w, "uterouter_affinity_queries_total", "counter", "Queries routed whole to one deterministic segment owner (aggregations, whose float folds must not be reassociated).")
 	fmt.Fprintf(w, "uterouter_affinity_queries_total %d\n", m.affinity.Value())
-	promtext.Header(w, "uterouter_hedges_total", "counter", "Duplicate legs launched because the primary exceeded the hedge threshold.")
-	fmt.Fprintf(w, "uterouter_hedges_total %d\n", m.hedges.Value())
 	promtext.Header(w, "uterouter_retries_total", "counter", "Legs re-sent to another backend after a transport failure.")
 	fmt.Fprintf(w, "uterouter_retries_total %d\n", m.retries.Value())
 }

@@ -10,7 +10,7 @@
 // trace files, so a "segment" is a routing and cache-affinity
 // assignment, not a data partition: any backend holding a trace can
 // answer any query over it authoritatively. That is what makes
-// failover and hedging safe — a leg re-sent to a different backend
+// failover safe — a leg re-sent to a different backend
 // returns the same bytes.
 package shard
 

@@ -29,41 +29,23 @@ type Backend struct {
 // Config tunes the router; zero values select the defaults.
 type Config struct {
 	Backends []Backend
-	// VNodes is the virtual-node count per backend on the hash ring
-	// (default 64).
-	VNodes int
 	// SplitFrames is the frame count at which a single trace stops being
 	// placed whole and is split into per-backend contiguous frame-range
 	// segments at frame-directory boundaries (default 4096; traces below
 	// it are owned by one backend chosen by the ring).
 	SplitFrames int
-	// MaxInflight bounds concurrent requests per backend (default 32);
-	// excess legs queue on the router side instead of piling onto a
-	// saturated backend.
-	MaxInflight int
-	// HedgeAfter, when positive, launches a duplicate leg on the next
-	// candidate backend if the primary has not answered within it.
-	// Safe because every backend holding a trace answers identically.
-	HedgeAfter time.Duration
-	// HealthInterval is the /readyz poll period (default 500ms).
-	HealthInterval time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.SplitFrames <= 0 {
-		c.SplitFrames = 4096
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 32
-	}
-	if c.HealthInterval <= 0 {
-		c.HealthInterval = 500 * time.Millisecond
-	}
-	return c
-}
+const (
+	// vnodes is the virtual-node count per backend on the hash ring.
+	vnodes = 64
+	// maxInflight bounds concurrent requests per backend; excess legs
+	// queue on the router side instead of piling onto a saturated
+	// backend.
+	maxInflight = 32
+	// healthInterval is the /readyz poll period.
+	healthInterval = 500 * time.Millisecond
+)
 
 // segment is one contiguous frame-index range of a trace with its time
 // bounds and preferred owner. Segments are routing assignments, not
@@ -125,17 +107,19 @@ type Router struct {
 // NewRouter builds a router over the configured backends. Call
 // CheckBackends (or Start, which polls) before routing traffic.
 func NewRouter(cfg Config) (*Router, error) {
-	cfg = cfg.withDefaults()
+	if cfg.SplitFrames <= 0 {
+		cfg.SplitFrames = 4096
+	}
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("shard: no backends configured")
 	}
 	names := make([]string, len(cfg.Backends))
 	rt := &Router{
 		cfg:  cfg,
-		ring: newRing(len(cfg.Backends), cfg.VNodes),
+		ring: newRing(len(cfg.Backends), vnodes),
 		client: &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        len(cfg.Backends) * cfg.MaxInflight,
-			MaxIdleConnsPerHost: cfg.MaxInflight,
+			MaxIdleConns:        len(cfg.Backends) * maxInflight,
+			MaxIdleConnsPerHost: maxInflight,
 			// Below the backends' own idle timeout: the router drops an
 			// idle connection before a backend would.
 			IdleConnTimeout: tracesvc.IdleTimeout / 2,
@@ -153,7 +137,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		if names[i] == "" {
 			names[i] = b.URL
 		}
-		bs := &backendState{name: names[i], url: b.URL, sem: make(chan struct{}, cfg.MaxInflight)}
+		bs := &backendState{name: names[i], url: b.URL, sem: make(chan struct{}, maxInflight)}
 		bs.up.Store(true) // optimistic until the first poll says otherwise
 		rt.backends = append(rt.backends, bs)
 	}
@@ -223,7 +207,7 @@ func (rt *Router) Start() {
 	rt.wg.Add(1)
 	go func() {
 		defer rt.wg.Done()
-		t := time.NewTicker(rt.cfg.HealthInterval)
+		t := time.NewTicker(healthInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -380,7 +364,7 @@ func (rt *Router) OpenTrace(ctx context.Context, path string) (tracesvc.TraceInf
 
 // open places one trace: open on the ring owner, read its frame
 // directory, replicate the open to every other backend (same shared
-// file — the basis of failover and hedging), split into segments, and
+// file — the basis of failover), split into segments, and
 // register under a router-assigned ID.
 func (rt *Router) open(ctx context.Context, path string) (*traceEntry, *openError) {
 	owner := rt.ring.lookup(path)
@@ -611,86 +595,31 @@ func (rt *Router) candidates(te *traceEntry, pref int) []int {
 	return ordered
 }
 
-// fetch runs one logical leg with retry-on-transport-error across the
-// candidate backends and optional hedging. mkPath renders the
-// backend-specific path (local trace IDs differ per backend). Without
-// hedging the candidates are tried in order on the calling goroutine.
+// fetch runs one logical leg on the calling goroutine, trying the
+// candidate backends in order and moving to the next only on a transport
+// error. mkPath renders the backend-specific path (local trace IDs
+// differ per backend).
 func (rt *Router) fetch(ctx context.Context, cands []int, mkPath func(bi int) string) (status int, header http.Header, body []byte, err error) {
 	if len(cands) == 0 {
 		return 0, nil, nil, fmt.Errorf("no backend holds this trace")
 	}
-	if rt.cfg.HedgeAfter <= 0 || len(cands) == 1 {
-		var firstErr error
-		for i, bi := range cands {
-			if i > 0 {
-				if ctx.Err() != nil {
-					break
-				}
-				rt.met.retries.Add(1)
-			}
-			st, h, b, err := rt.doBackend(ctx, bi, "GET", mkPath(bi), nil)
-			if err == nil {
-				return st, h, b, nil
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		return 0, nil, nil, firstErr
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type out struct {
-		status int
-		header http.Header
-		body   []byte
-		err    error
-	}
-	resCh := make(chan out, len(cands))
-	launch := func(bi int) {
-		go func() {
-			st, h, b, err := rt.doBackend(ctx, bi, "GET", mkPath(bi), nil)
-			resCh <- out{st, h, b, err}
-		}()
-	}
-	launch(cands[0])
-	next, outstanding := 1, 1
-
-	t := time.NewTimer(rt.cfg.HedgeAfter)
-	defer t.Stop()
-	hedgeC := t.C
 	var firstErr error
-	for {
-		select {
-		case o := <-resCh:
-			outstanding--
-			if o.err == nil {
-				return o.status, o.header, o.body, nil
+	for i, bi := range cands {
+		if i > 0 {
+			if ctx.Err() != nil {
+				break
 			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if next < len(cands) && ctx.Err() == nil {
-				rt.met.retries.Add(1)
-				launch(cands[next])
-				next++
-				outstanding++
-			} else if outstanding == 0 {
-				return 0, nil, nil, firstErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if next < len(cands) {
-				rt.met.hedges.Add(1)
-				launch(cands[next])
-				next++
-				outstanding++
-			}
-		case <-ctx.Done():
-			return 0, nil, nil, ctx.Err()
+			rt.met.retries.Add(1)
+		}
+		st, h, b, err := rt.doBackend(ctx, bi, "GET", mkPath(bi), nil)
+		if err == nil {
+			return st, h, b, nil
+		}
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
+	return 0, nil, nil, firstErr
 }
 
 // proxy routes the request whole to one preferred backend and relays

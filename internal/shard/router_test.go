@@ -12,9 +12,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"tracefw/internal/clock"
 	"tracefw/internal/events"
@@ -247,8 +245,7 @@ func openBoth(t testing.TB, f *fleet, path string) string {
 // bodies, status codes, content types.
 func TestRouterByteIdentity(t *testing.T) {
 	path := writeTrace(t, t.TempDir(), 400)
-	// SplitFrames 8 forces the segment split; VNodes kept small only to
-	// shrink ring build time in the test.
+	// SplitFrames 8 forces the segment split.
 	f := newFleet(t, 2, Config{SplitFrames: 8})
 	id := openBoth(t, f, path)
 
@@ -384,64 +381,5 @@ func TestRouterCleanErrorOnTotalFailure(t *testing.T) {
 	got = get(t, f.routerTS.URL, "/v1/traces/"+id+"/stats?bins=4")
 	if got.status != http.StatusBadGateway {
 		t.Fatalf("affinity query after total failure: %d, want 502", got.status)
-	}
-}
-
-// TestRouterHedge wires a deliberately slow primary: the hedge fires,
-// the fast replica answers, the bytes still match the reference, and
-// the hedge counter moves.
-func TestRouterHedge(t *testing.T) {
-	path := writeTrace(t, t.TempDir(), 120)
-
-	refSvc := tracesvc.New(tracesvc.Config{})
-	refSvc.SetReady()
-	ref := httptest.NewServer(refSvc.Handler())
-	defer func() { ref.Close(); refSvc.Close() }()
-
-	var slowName atomic.Value // backend name to slow down
-	slowName.Store("")
-	mkBackend := func(name string) (*tracesvc.Service, *httptest.Server) {
-		svc := tracesvc.New(tracesvc.Config{})
-		svc.SetReady()
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if slowName.Load() == name && strings.HasPrefix(r.URL.Path, "/v1/traces/") {
-				time.Sleep(300 * time.Millisecond)
-			}
-			svc.Handler().ServeHTTP(w, r)
-		}))
-		return svc, ts
-	}
-	s0, ts0 := mkBackend("b0")
-	defer func() { ts0.Close(); s0.Close() }()
-	s1, ts1 := mkBackend("b1")
-	defer func() { ts1.Close(); s1.Close() }()
-
-	rt, err := NewRouter(Config{
-		Backends:    []Backend{{Name: "b0", URL: ts0.URL}, {Name: "b1", URL: ts1.URL}},
-		SplitFrames: 1 << 30, // keep the trace whole: one owner, one hedge target
-		HedgeAfter:  20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	router := httptest.NewServer(rt.Handler())
-	defer func() { router.Close(); rt.Close() }()
-
-	body := fmt.Sprintf(`{"path":%q}`, path)
-	refOpen := post(t, ref.URL, "/v1/traces", body)
-	gotOpen := post(t, router.URL, "/v1/traces", body)
-	compareReplies(t, "open", refOpen, gotOpen)
-
-	// Slow down whichever backend owns the trace, so the primary leg
-	// stalls and the hedge must win.
-	te := rt.lookupTrace("t1")
-	slowName.Store(rt.backends[te.segs[0].owner].name)
-
-	q := "/v1/traces/t1/records?limit=100000"
-	refR := get(t, ref.URL, q)
-	gotR := get(t, router.URL, q)
-	compareReplies(t, q+" (hedged)", refR, gotR)
-	if rt.met.hedges.Value() == 0 {
-		t.Fatal("slow primary never triggered a hedge")
 	}
 }

@@ -166,6 +166,9 @@ type kexec struct {
 	eb       interval.Batch
 	ecode    []uint32
 	eselSlot int
+	// etm is a kEntry's per-entry truth, one 0/1 byte per entry, reused
+	// across kernels.
+	etm []uint8
 	// xpos is kExtra's per-entry field position, reused across kernels.
 	xpos []uint8
 
@@ -1233,11 +1236,24 @@ func (k *kEntry) eval(x *kexec, sel []uint64) (kres, error) {
 		}
 	}
 	if r.tm != nil {
+		// The entries' truth bits, one 0/1 byte per entry, so each row's
+		// bit is a byte load by its code.
+		ne := len(x.b.Dict)
+		if cap(x.etm) < ne {
+			x.etm = make([]uint8, ne)
+		}
+		et := x.etm[:ne]
+		for w, bits := range r.tm {
+			e := et[w<<6 : min(w<<6+64, ne)]
+			for j := range e {
+				e[j] = uint8(bits >> j & 1)
+			}
+		}
 		out.tm = x.mbuf(k.tmSlot)
 		for w := range out.tm {
 			var bm uint64
 			for j, c := range code[w<<6 : min(w<<6+64, len(code))] {
-				bm |= (r.tm[c>>6] >> (c & 63) & 1) << uint(j)
+				bm |= uint64(et[c]) << j
 			}
 			out.tm[w] = bm
 		}

@@ -375,7 +375,6 @@ func TestIngestHTTPErrors(t *testing.T) {
 		{"POST", "/v1/ingest/.hidden?op=begin&nodes=1", nil, http.StatusBadRequest},
 		{"POST", "/v1/ingest/ok?op=begin&nodes=0", nil, http.StatusBadRequest},
 		{"POST", "/v1/ingest/ok?op=begin&nodes=junk", nil, http.StatusBadRequest},
-		{"POST", "/v1/ingest/ok?op=begin&nodes=1&framebytes=-1", nil, http.StatusBadRequest},
 		{"POST", "/v1/ingest/ok?op=begin&nodes=1", nil, http.StatusCreated},
 		{"POST", "/v1/ingest/ok?op=begin&nodes=1", nil, http.StatusConflict},
 		{"POST", "/v1/ingest/ok?op=weird", nil, http.StatusBadRequest},

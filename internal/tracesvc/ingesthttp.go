@@ -10,12 +10,11 @@ import (
 	"sync"
 
 	"tracefw/internal/ingest"
-	"tracefw/internal/interval"
 )
 
 // Streaming ingest endpoints. All under /v1/ingest/{trace}:
 //
-//	POST ?op=begin&nodes=N [&framebytes=B&framesperdir=D]  start a live trace
+//	POST ?op=begin&nodes=N        start a live trace
 //	POST ?node=I&seq=S[&last=1]   one raw batch (body = bytes)
 //	POST ?op=abort                cancel; the sealed prefix stays valid
 //	GET  /v1/ingest               all sessions (JSON)
@@ -169,18 +168,7 @@ func (s *Service) ingestBegin(name string, r *http.Request) (*response, error) {
 	if err != nil {
 		return nil, badRequest("bad nodes %q", q.Get("nodes"))
 	}
-	var wopts interval.WriterOptions
-	if fb := q.Get("framebytes"); fb != "" {
-		if wopts.FrameBytes, err = strconv.Atoi(fb); err != nil || wopts.FrameBytes < 1 {
-			return nil, badRequest("bad framebytes %q", fb)
-		}
-	}
-	if fd := q.Get("framesperdir"); fd != "" {
-		if wopts.FramesPerDir, err = strconv.Atoi(fd); err != nil || wopts.FramesPerDir < 1 {
-			return nil, badRequest("bad framesperdir %q", fd)
-		}
-	}
-	sess, err := s.ing.mgr.Begin(name, nodes, wopts)
+	sess, err := s.ing.mgr.Begin(name, nodes)
 	if err != nil {
 		return nil, ingestErrStatus(err)
 	}

@@ -40,8 +40,9 @@ func NewServer(h http.Handler) *http.Server {
 // on the response.
 const RequestIDHeader = "X-Request-ID"
 
-// DefaultRequestTimeout is the request deadline of utetraced and of the
-// router in front of it when none is configured.
+// DefaultRequestTimeout is the request deadline of every service and of
+// the router in front of it; the deadline propagates through the
+// map-reduce engine via MapOptions.Context.
 const DefaultRequestTimeout = 30 * time.Second
 
 // Config tunes the service; zero values select the defaults.
@@ -52,9 +53,6 @@ type Config struct {
 	CacheBytes int64
 	// CacheShards is the cache shard count (default 16).
 	CacheShards int
-	// RequestTimeout bounds each request; the deadline propagates through
-	// the map-reduce engine via MapOptions.Context (default 30s).
-	RequestTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -64,9 +62,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheShards <= 0 {
 		c.CacheShards = 16
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = DefaultRequestTimeout
-	}
 	return c
 }
 
@@ -74,7 +69,6 @@ func (c Config) withDefaults() Config {
 // the handler mux. One Service serves many concurrent requests; all
 // state it touches is concurrency-safe.
 type Service struct {
-	cfg   Config
 	cache *MemoCache
 	reg   *Registry
 	met   *metrics
@@ -94,7 +88,6 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:   cfg,
 		cache: NewMemoCache(cfg.CacheBytes, cfg.CacheShards),
 		met:   newMetrics(),
 		mux:   http.NewServeMux(),
@@ -252,7 +245,7 @@ func (s *Service) handleWrapped(pattern, name string, fn func(r *http.Request) (
 		var resp *response
 		var err error
 		if deadline {
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+			ctx, cancel := context.WithTimeout(r.Context(), DefaultRequestTimeout)
 			resp, err = fn(r.WithContext(ctx))
 			cancel()
 		} else {

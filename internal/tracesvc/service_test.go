@@ -2,6 +2,7 @@ package tracesvc_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -503,10 +504,12 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestRequestTimeout: an unmeetable deadline surfaces as 504, routed
-// through the map-reduce engine's context check.
+// TestRequestTimeout: a request whose deadline has already passed
+// surfaces as 504, routed through the map-reduce engine's context check.
+// The service's own deadline, DefaultRequestTimeout, derives from the
+// request's context, so an expired one is the unmeetable deadline.
 func TestRequestTimeout(t *testing.T) {
-	s := tracesvc.New(tracesvc.Config{RequestTimeout: time.Nanosecond})
+	s := tracesvc.New(tracesvc.Config{})
 	defer s.Close()
 	path := writeTrace(t, t.TempDir(), 300)
 
@@ -516,13 +519,15 @@ func TestRequestTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := do(t, s, "GET", "/v1/traces/"+tr.ID+"/stats", "")
-	if w.Code != http.StatusGatewayTimeout {
-		t.Fatalf("stats under 1ns deadline: %d %s", w.Code, w.Body)
-	}
-	w = do(t, s, "GET", "/v1/traces/"+tr.ID+"/records", "")
-	if w.Code != http.StatusGatewayTimeout {
-		t.Fatalf("records under 1ns deadline: %d %s", w.Code, w.Body)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, ep := range []string{"stats", "records"} {
+		r := httptest.NewRequest("GET", "/v1/traces/"+tr.ID+"/"+ep, nil).WithContext(ctx)
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, r)
+		if w.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s under an expired deadline: %d %s", ep, w.Code, w.Body)
+		}
 	}
 }
 

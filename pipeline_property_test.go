@@ -187,8 +187,7 @@ func checkPipelineInvariants(t *testing.T, seed uint64, run *core.Run) {
 // TestParallelPipelineMatchesSynchronous: over random workloads with
 // drifting clocks, the parallel pipeline (worker-pool convert, merge at
 // width 4) emits convert outputs and a merged record stream
-// byte-identical to the fully synchronous pipeline, across estimators
-// and clock-record retention.
+// byte-identical to the fully synchronous pipeline, across estimators.
 func TestParallelPipelineMatchesSynchronous(t *testing.T) {
 	estimators := []merge.Estimator{
 		merge.EstimatorRMS, merge.EstimatorLastPair, merge.EstimatorPiecewise, merge.EstimatorNone,
@@ -205,10 +204,7 @@ func TestParallelPipelineMatchesSynchronous(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 
-		mopts := merge.Options{
-			Estimator:        estimators[int(seed)%len(estimators)],
-			KeepClockRecords: seed%2 == 0,
-		}
+		mopts := merge.Options{Estimator: estimators[int(seed)%len(estimators)]}
 		pipeline := func(parallel int) (convOuts [][]byte, merged []byte) {
 			t.Helper()
 			outs, _, err := convert.ConvertBuffers(raws, convert.Options{
