@@ -50,8 +50,11 @@ race:
 # 1 160 with dense lane rows; a lane map per bin made it about 2 260).
 # SlogmergePerEventSmall is utemerge -slog's merge and SLOG build
 # (slog.MergeFiles) over a small storm trace.
-# StatsColumnar's columnar-cold, concat, hash, predefined-sppm and predefined-storm cases
-# live in the root package and fail when a run allocates more than a
+# StatsColumnar's columnar-cold, concat, dense-coded (the dense
+# group-by over materialized x columns), hash, predefined-sppm,
+# predefined-storm and rows-storm (the two predefined tables that fold
+# per row, alone) cases live in the root package and fail when a run
+# allocates more than a
 # fixed number of objects per record (the stats path must not allocate
 # per record or per group per frame, and a string concatenation must not
 # build a string per record); its scalar baseline sits beside the

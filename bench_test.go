@@ -780,6 +780,9 @@ table name=bynode x=("node", node) x=("bin", bin(start, 50)) y=("t", dura, sum)
 table name=sends condition=(msgSizeSent > 0) x=("node", node) y=("bytes", msgSizeSent, sum)`)
 	b.Run("columnar-cold", storm)
 	b.Run("concat", bench(stormFile, `table name=concat x=("s", state + bebits) y=("t", dura, sum) y=("n", dura, count)`))
+	// A coded x beside a bin and a float y: the dense group-by over the
+	// x columns' materialized values (groupDense), not the one-pass fold.
+	b.Run("dense-coded", bench(stormFile, `table name=coded x=("s", state + bebits) x=("bin", bin(start, 50)) y=("t", dura / 2, sum)`))
 	// A float key: no dense index, every row finds its group by hash.
 	b.Run("hash", bench(stormFile, `table name=hash x=("d", dura) x=("n", node) y=("t", dura, sum) y=("n", dura, count)`))
 	b.Run("predefined-sppm", bench(sppmBenchFile(b), stats.Predefined(50)))
@@ -787,6 +790,23 @@ table name=sends condition=(msgSizeSent > 0) x=("node", node) y=("bytes", msgSiz
 	// entry per ten records): the per-entry tables' scratch is held to
 	// the same ceiling there.
 	b.Run("predefined-storm", bench(stormFile, stats.Predefined(50)))
+	// The two predefined tables that fold per row — the Figure 6 table
+	// by direct index, bytes_by_pair by hash — alone.
+	b.Run("rows-storm", bench(stormFile, predefinedTables(50, "interesting_by_node_bin", "bytes_by_pair")))
+}
+
+// predefinedTables is the predefined program cut down to the named
+// tables, in its order.
+func predefinedTables(bins int, names ...string) string {
+	var b strings.Builder
+	for _, block := range strings.Split(stats.Predefined(bins), "\n\n") {
+		for _, name := range names {
+			if strings.Contains(block, "table name="+name+"\n") {
+				b.WriteString(block + "\n\n")
+			}
+		}
+	}
+	return b.String()
 }
 
 // sppmBenchTrace is the ledger's pipeline_sppm_4x8 trace built in

@@ -217,7 +217,7 @@ func runSeekScale(e *env) error {
 		sizes = append(sizes, 320)
 	}
 	var b strings.Builder
-	b.WriteString("flash_iters\tslog_frames\tfetch_us\n")
+	b.WriteString("flash_iters\tslog_frames\tfetch_us\tfetch_bytes\n")
 	for _, iters := range sizes {
 		run, err := flashRun(iters)
 		if err != nil {
@@ -225,8 +225,10 @@ func runSeekScale(e *env) error {
 		}
 		sf := run.Slog
 		mid := (sf.TStart + sf.TEnd) / 2
-		// Average several fetches for a stable number.
+		// Average several fetches for a stable number. The bytes a
+		// fetch reads are its frame's, whatever the file's size.
 		const reps = 50
+		var bytes int64
 		start := time.Now()
 		for i := 0; i < reps; i++ {
 			fi, ok := sf.FrameAt(mid + clock.Time(i)*clock.Microsecond)
@@ -238,10 +240,11 @@ func runSeekScale(e *env) error {
 				run.Close()
 				return err
 			}
+			bytes += int64(sf.Index[fi].Bytes)
 		}
 		perFetch := time.Since(start).Seconds() / reps * 1e6
-		fmt.Fprintf(&b, "%d\t%d\t%.1f\n", iters, len(sf.Index), perFetch)
-		e.logf("  %4d iterations -> %4d frames: %.1f µs per frame fetch", iters, len(sf.Index), perFetch)
+		fmt.Fprintf(&b, "%d\t%d\t%.1f\t%d\n", iters, len(sf.Index), perFetch, bytes/reps)
+		e.logf("  %4d iterations -> %4d frames: %.1f µs, %d bytes per frame fetch", iters, len(sf.Index), perFetch, bytes/reps)
 		run.Close()
 	}
 	return e.write("seekscale.tsv", b.String())

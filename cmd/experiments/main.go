@@ -59,7 +59,14 @@ func main() {
 		quick = flag.Bool("quick", false, "smaller problem sizes (Table 1 sweep capped)")
 	)
 	flag.Parse()
+	if err := regenerate(*out, *only, *quick); err != nil {
+		fatal(err)
+	}
+}
 
+// regenerate runs the experiments only names (every one when it is
+// empty) into the directory out, with -quick's sizes when quick is set.
+func regenerate(out, only string, quick bool) error {
 	experiments := []experiment{
 		{"fig1", "clock discrepancies among 4 local clocks (~140s)", runFig1},
 		{"table1", "utility speed: sec/event of convert and slogmerge", runTable1},
@@ -72,27 +79,25 @@ func main() {
 	}
 
 	selected := map[string]bool{}
-	if *only != "" {
-		for _, n := range strings.Split(*only, ",") {
+	if only != "" {
+		for _, n := range strings.Split(only, ",") {
 			selected[strings.TrimSpace(n)] = true
 		}
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
+	if err := os.MkdirAll(out, 0o755); err != nil {
+		return err
 	}
-	e := &env{out: *out, quick: *quick, summary: &strings.Builder{}}
+	e := &env{out: out, quick: quick, summary: &strings.Builder{}}
 	for _, ex := range experiments {
 		if len(selected) > 0 && !selected[ex.name] {
 			continue
 		}
 		e.logf("== %s: %s", ex.name, ex.desc)
 		if err := ex.run(e); err != nil {
-			fatal(fmt.Errorf("%s: %w", ex.name, err))
+			return fmt.Errorf("%s: %w", ex.name, err)
 		}
 	}
-	if err := os.WriteFile(filepath.Join(*out, "SUMMARY.txt"), []byte(e.summary.String()), 0o644); err != nil {
-		fatal(err)
-	}
+	return os.WriteFile(filepath.Join(out, "SUMMARY.txt"), []byte(e.summary.String()), 0o644)
 }
 
 func fatal(err error) {

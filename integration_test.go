@@ -347,18 +347,7 @@ func TestEmptyWorkloadPipeline(t *testing.T) {
 // direct index; bytes_by_pair, keyed by the peer extra, by hash, its
 // float msgSizeSent column the one y column not accumulated exactly.
 func TestPredefinedGroupPathsSPPM(t *testing.T) {
-	main, err := workload.Build("sppm", workload.Params{"iters": 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb := interval.NewSeekBuffer()
-	if _, err := merge.Merge(convertedFiles(t, simRaws(t, 4, 8, 1, 12, main)), sb, merge.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	mf, err := interval.NewFile(sb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mf := predefinedSPPMFile(t)
 	run, err := stats.GenerateRun(stats.Predefined(50), []*interval.File{mf}, interval.MapOptions{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -377,5 +366,63 @@ func TestPredefinedGroupPathsSPPM(t *testing.T) {
 	}
 	if len(run.Tables) != len(want) {
 		t.Fatalf("%d tables, want %d", len(run.Tables), len(want))
+	}
+}
+
+// predefinedSPPMFile is the paper's sPPM 4×8 machine at 40 iterations,
+// merged in memory.
+func predefinedSPPMFile(t *testing.T) *interval.File {
+	t.Helper()
+	main, err := workload.Build("sppm", workload.Params{"iters": 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := interval.NewSeekBuffer()
+	if _, err := merge.Merge(convertedFiles(t, simRaws(t, 4, 8, 1, 12, main)), sb, merge.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	mf, err := interval.NewFile(sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mf
+}
+
+// TestPredefinedEvaluatedSPPM pins how many rows the predefined row
+// tables' row kernels visit on TestPredefinedGroupPathsSPPM's trace: the
+// rows whose dictionary entries pass their conditions' key-only leading
+// conjuncts, counted here from the records' states. bytes_by_pair's
+// msgSizeSent > 0 runs over its send-type rows alone, and the Figure 6
+// table visits the rows neither Running nor GlobalClock. The tables
+// folded per dictionary entry visit none.
+func TestPredefinedEvaluatedSPPM(t *testing.T) {
+	mf := predefinedSPPMFile(t)
+	recs, err := mf.Scan().All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{}
+	for _, r := range recs {
+		switch r.Type.Name() {
+		case "MPI_Send", "MPI_Isend", "MPI_Sendrecv":
+			want["bytes_by_pair"]++
+		}
+		if n := r.Type.Name(); n != "Running" && n != "GlobalClock" {
+			want["interesting_by_node_bin"]++
+		}
+	}
+	if want["bytes_by_pair"] == 0 || want["bytes_by_pair"] >= want["interesting_by_node_bin"] {
+		t.Fatalf("%d send-type rows of %d interesting: the trace does not tell the tables apart", want["bytes_by_pair"], want["interesting_by_node_bin"])
+	}
+	for _, par := range []int{1, 4} {
+		run, err := stats.GenerateRun(stats.Predefined(50), []*interval.File{mf}, interval.MapOptions{Parallel: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tb := range run.Tables {
+			if tb.Evaluated != want[tb.Name] {
+				t.Errorf("-j %d: table %s evaluated %d rows, want %d", par, tb.Name, tb.Evaluated, want[tb.Name])
+			}
+		}
 	}
 }

@@ -178,6 +178,9 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 	}
 	for _, x := range pool.all {
 		run.SharedSaved += x.saved
+		for i, n := range x.evaluated {
+			run.Tables[i].Evaluated += n
+		}
 	}
 	return run, nil
 }
@@ -330,18 +333,19 @@ func (prog *compiledProgram) evalFrame(x *kexec, w window, file int, b *interval
 	for si, ct := range prog.tables {
 		gt := &x.groups[si]
 		gt.reset()
-		var sk int64
+		var visited, sk int64
 		var path uint8
 		var err error
 		if ct.entry {
 			path, err = ct.runEntry(x, gt)
 		} else {
-			sk, path, err = ct.run(x, gt, sel)
+			visited, sk, path, err = ct.run(x, gt, sel)
 		}
 		if err != nil {
 			return fmt.Errorf("table %q: %w", ct.spec.Name, err)
 		}
 		x.skipped[si], x.paths[si] = sk, path
+		x.evaluated[si] += visited
 	}
 	return nil
 }
@@ -415,51 +419,35 @@ func (x *kexec) accumulateEntries(times uint8, sel []uint64, whole bool) {
 // added in, so the partial is the row paths' to the bit. It reports
 // pathEntry, or 0 when no entry reached a group.
 func (ct *compiledTable) runEntry(x *kexec, gt *groupTable) (uint8, error) {
-	ne := len(x.b.Dict)
-	var cond kres
-	if ct.econd != nil {
-		var err error
-		if cond, err = x.perEntry(ct.econd); err != nil {
-			return 0, err
-		}
+	ev, none, err := x.entryVerdicts(ct)
+	if err != nil || none {
+		return 0, err
 	}
-	for xi, fn := range ct.ex {
-		r, err := x.perEntry(fn)
-		if err != nil {
-			return 0, err
-		}
-		x.xres[xi] = r
+	if err := x.entryKeys(ct); err != nil {
+		return 0, err
 	}
 	a := &x.eacc
 	key := x.key[:len(ct.x)]
 	var path uint8
-	for w := 0; w < (ne+63)>>6; w++ {
-		m := wordMask(w, ne)
-		if ct.econd != nil {
-			m &= cond.truthBits(w, ne)
+	for e, n := range a.n {
+		if n == 0 || ev != nil && ev[e] == 0 {
+			continue
 		}
-		for ; m != 0; m &= m - 1 {
-			e := w<<6 + bits.TrailingZeros64(m)
-			n := a.n[e]
-			if n == 0 {
-				continue
-			}
-			for xi := range key {
-				key[xi] = x.keyWord(&x.xres[xi], e)
-			}
-			xc := gt.xrow(gt.find(key))
-			for j := range ct.xys {
-				switch ey := &ct.xys[j]; {
-				case ey.seconds():
-					xc[j].merge(&a.t[ey.field][e])
-				case ey.field == fcConst:
-					xc[j].addN(ey.c, n)
-				default:
-					xc[j].addN(keyValue(&x.b.Dict[e], ey.field), n)
-				}
-			}
-			path = pathEntry
+		for xi := range key {
+			key[xi] = x.keyWord(&x.eres[xi], e)
 		}
+		xc := gt.xrow(gt.find(key))
+		for j := range ct.xys {
+			switch ey := &ct.xys[j]; {
+			case ey.seconds():
+				xc[j].merge(&a.t[ey.field][e])
+			case ey.field == fcConst:
+				xc[j].addN(ey.c, n)
+			default:
+				xc[j].addN(keyValue(&x.b.Dict[e], ey.field), n)
+			}
+		}
+		path = pathEntry
 	}
 	return path, nil
 }
@@ -716,19 +704,40 @@ func (ct *compiledTable) finish(gt *groupTable, skipped int64, dict *strDict) *T
 	return t
 }
 
-// run accumulates one frame's selected rows into table ct's partial
-// groups gt, returning how many selected records were excluded by skip
-// bitmaps and the group-by path that folded them. Row iteration is in
-// record order, so float accumulation order matches a sequential scan
-// exactly.
-func (ct *compiledTable) run(x *kexec, gt *groupTable, sel []uint64) (int64, uint8, error) {
+// run folds the rows sel selects that table ct's condition keeps into
+// its partial groups gt. It returns how many rows its row stage visited
+// — the selected rows whose entries pass the key-only conjuncts (econd)
+// — how many of them skip bitmaps excluded, and the group-by path that
+// folded the rest. Rows fold in record order, so float accumulation
+// order matches a sequential scan exactly.
+func (ct *compiledTable) run(x *kexec, gt *groupTable, sel []uint64) (visited, skipped int64, path uint8, err error) {
+	ev, none, err := x.entryVerdicts(ct)
+	if err != nil || none {
+		return 0, 0, 0, err
+	}
+	if err := x.entryKeys(ct); err != nil {
+		return 0, 0, 0, err
+	}
+	slots := 0
+	if ct.onePass {
+		slots = x.onePassSlots(ct)
+	}
+	if slots > 0 && ct.cond == nil && len(ct.fys) == 0 {
+		// No row kernel: the fold walks the selection and gates it by
+		// the entries' verdicts itself.
+		if visited = x.foldOnePass(ct, gt, sel, ev, slots); visited > 0 {
+			path = pathDense
+		}
+		return visited, 0, path, nil
+	}
 	mask := x.mbuf(ct.maskSlot)
-	copy(mask, sel)
-	var skipped int64
+	if visited = x.gate(mask, sel, ev); visited == 0 {
+		return 0, 0, 0, nil
+	}
 	if ct.cond != nil {
 		res, err := ct.cond.eval(x, mask)
 		if err != nil {
-			return skipped, 0, err
+			return visited, skipped, 0, err
 		}
 		if res.skip != nil {
 			skipped += popAnd(mask, res.skip)
@@ -736,27 +745,30 @@ func (ct *compiledTable) run(x *kexec, gt *groupTable, sel []uint64) (int64, uin
 		}
 		if res.konst {
 			if !(&res).truthAt(0) {
-				return skipped, 0, nil
+				return visited, skipped, 0, nil
 			}
 		} else {
-			for w := 0; w < x.nw; w++ {
-				mask[w] &= res.truthBits(w, x.n)
+			for w, m := range mask {
+				mask[w] = res.truthBits(w, x.n) & m
 			}
 		}
 		if !maskAny(mask) {
-			return skipped, 0, nil
+			return visited, skipped, 0, nil
 		}
 	}
 	for xi, k := range ct.x {
+		if slots > 0 || ct.ex[xi] != nil {
+			continue // folded from its entry's result or computed in the fold
+		}
 		res, err := k.eval(x, mask)
 		if err != nil {
-			return skipped, 0, err
+			return visited, skipped, 0, err
 		}
 		if res.skip != nil {
 			skipped += popAnd(mask, res.skip)
 			andNotIn(mask, res.skip)
 			if !maskAny(mask) {
-				return skipped, 0, nil
+				return visited, skipped, 0, nil
 			}
 		}
 		x.xres[xi] = res
@@ -767,25 +779,29 @@ func (ct *compiledTable) run(x *kexec, gt *groupTable, sel []uint64) (int64, uin
 		k := ct.y[yi]
 		res, err := k.eval(x, mask)
 		if err != nil {
-			return skipped, 0, err
+			return visited, skipped, 0, err
 		}
 		if res.skip != nil {
 			skipped += popAnd(mask, res.skip)
 			andNotIn(mask, res.skip)
 			if !maskAny(mask) {
-				return skipped, 0, nil
+				return visited, skipped, 0, nil
 			}
 		}
 		if k.isStr() && maskAny(mask) {
-			return skipped, 0, fmt.Errorf("y expression %q produced a string", ct.spec.Y[yi].Label)
+			return visited, skipped, 0, fmt.Errorf("y expression %q produced a string", ct.spec.Y[yi].Label)
 		}
 		x.yres[yi] = res
 	}
 	if !maskAny(mask) {
-		return skipped, 0, nil
+		return visited, skipped, 0, nil
 	}
-	if ct.dense != nil && x.groupDense(ct, mask, gt) {
-		return skipped, pathDense, nil
+	switch {
+	case slots > 0:
+		x.foldOnePass(ct, gt, mask, nil, slots)
+		return visited, skipped, pathDense, nil
+	case ct.dense != nil && x.groupDense(ct, mask, gt):
+		return visited, skipped, pathDense, nil
 	}
 	key := x.key[:len(ct.x)]
 	for w := 0; w < x.nw; w++ {
@@ -793,13 +809,107 @@ func (ct *compiledTable) run(x *kexec, gt *groupTable, sel []uint64) (int64, uin
 		for m != 0 {
 			i := w<<6 + bits.TrailingZeros64(m)
 			m &= m - 1
-			for xi := range key {
-				key[xi] = x.keyWord(&x.xres[xi], i)
-			}
+			x.rowKey(ct, key, i)
 			x.fold(ct, gt, gt.find(key), i)
 		}
 	}
-	return skipped, pathHash, nil
+	return visited, skipped, pathHash, nil
+}
+
+// entryVerdicts runs table ct's key-only conjuncts over the bound
+// frame's dictionary entries. ev holds each entry's verdict (1 kept, 0
+// not), or is nil when the table has none; none reports that no entry
+// is kept by a constant verdict. Conjuncts that read only the type are
+// answered from the verdicts per type the executor has seen (evSlot),
+// and run only on a frame with a type it has not.
+func (x *kexec) entryVerdicts(ct *compiledTable) (ev []uint8, none bool, err error) {
+	if ct.econd == nil {
+		return nil, false, nil
+	}
+	dict := x.b.Dict
+	if ct.evSlot >= 0 {
+		tt := x.tt[ct.evSlot]
+		ev = slices.Grow(x.ev[:0], len(dict))[:len(dict)]
+		x.ev = ev
+		for e := range dict {
+			t := int(dict[e].Type)
+			if t >= len(tt) || tt[t] == 0 {
+				ev = nil
+				break
+			}
+			ev[e] = tt[t] - 1
+		}
+		if ev != nil {
+			return ev, false, nil
+		}
+	}
+	r, err := x.perEntry(ct.econd)
+	if err != nil {
+		return nil, false, err
+	}
+	if r.konst {
+		return nil, !(&r).truthAt(0), nil
+	}
+	x.ev = truthBytes(x.ev, &r, len(dict))
+	if ct.evSlot >= 0 {
+		tt := x.tt[ct.evSlot]
+		for e := range dict {
+			t := int(dict[e].Type)
+			if t >= len(tt) {
+				tt = append(tt, make([]uint8, t+1-len(tt))...)
+			}
+			tt[t] = x.ev[e] + 1
+		}
+		x.tt[ct.evSlot] = tt
+	}
+	return x.ev, false, nil
+}
+
+// entryKeys runs table ct's key-only x columns over the bound frame's
+// dictionary entries, into x.eres.
+func (x *kexec) entryKeys(ct *compiledTable) error {
+	for xi, fn := range ct.ex {
+		if fn == nil {
+			continue
+		}
+		r, err := x.perEntry(fn)
+		if err != nil {
+			return err
+		}
+		x.eres[xi] = r
+	}
+	return nil
+}
+
+// gate marks in mask the rows sel marks whose entries ev keeps (every
+// one when ev is nil) and returns how many it marked.
+func (x *kexec) gate(mask, sel []uint64, ev []uint8) int64 {
+	code := x.b.Code[:x.n]
+	var n int64
+	for w, m := range sel {
+		if ev != nil && m != 0 {
+			var kept uint64
+			for j, c := range code[w<<6 : min(w<<6+64, len(code))] {
+				kept |= uint64(ev[c]) << j
+			}
+			m &= kept
+		}
+		mask[w] = m
+		n += int64(bits.OnesCount64(m))
+	}
+	return n
+}
+
+// rowKey fills key with row i's group-key words: a key-only column's
+// from its entry's result, any other's from its row's.
+func (x *kexec) rowKey(ct *compiledTable, key []uint64, i int) {
+	for xi := range key {
+		if ct.ex[xi] != nil {
+			key[xi] = x.keyWord(&x.eres[xi], int(x.b.Code[i]))
+		} else {
+			key[xi] = x.keyWord(&x.xres[xi], i)
+		}
+	}
 }
 
 // fold accumulates row i's y values into group g's cells: a float
@@ -887,8 +997,156 @@ type denseScratch struct {
 	used         []bool   // per dictionary entry, whether a selected row has it
 	eoff         []uint32 // per dictionary entry, its key fields' slot offset
 	idx          []uint32 // per row, its slot
+	vary         []binDim // a one-pass table's bins that vary over the frame's rows
 	slot         []int32  // per slot, its group + 1; 0 untouched
 	touched      []int32  // the slots to clear after the frame
+}
+
+// onePassSlots sets a onePass table's dimensions for the bound frame —
+// the key fields' ranges over every dictionary entry, and each bin's
+// whole range 0 … n-1 — with each entry's offset, and returns the slots
+// they span, or 0 when that passes denseSlots (the materialized path
+// then finds the ranges over the selected rows).
+func (x *kexec) onePassSlots(ct *compiledTable) int {
+	span := x.keyDims(ct, nil)
+	if span == 0 {
+		return 0
+	}
+	for _, bd := range ct.bins {
+		x.dense.stride[bd.xi] = uint32(span)
+		if span *= uint64(bd.n); span > denseSlots {
+			return 0
+		}
+	}
+	x.entryOffsets(ct)
+	return int(span)
+}
+
+// foldOnePass folds the rows rows marks — those whose entries ev keeps,
+// when it is set — into gt by direct index, each row's slot computed in
+// the pass that folds it: its entry's offset plus each bin's value times
+// the bin's stride, the value by binIndex from the batch's times as
+// kBin computes it. A bin every row of the frame falls in (frameBin) is
+// one offset for the frame. A group still enters gt at its first row and
+// every row folds in record order, so the partial is the hash path's. It
+// returns how many rows it folded.
+func (x *kexec) foldOnePass(ct *compiledTable, gt *groupTable, rows []uint64, ev []uint8, slots int) int64 {
+	d := &x.dense
+	if len(d.slot) < slots {
+		d.slot = make([]int32, slots)
+	}
+	// Everything the row loop reads, hoisted: the stores into the cells
+	// would otherwise reload each through its pointer per row.
+	b := x.b
+	code, start, dura := b.Code[:x.n], b.Start[:x.n], b.Dura[:x.n]
+	eoff, slot, stride, xcells := d.eoff, d.slot, d.stride, gt.xcells
+	// One exact time column, the predefined tables' shape, folds without
+	// fold's loops over the y columns.
+	time1 := len(ct.fys) == 0 && len(ct.xys) == 1 && ct.xys[0].seconds()
+	tf := fcStart
+	if time1 {
+		tf = ct.xys[0].field
+	}
+	ts, span := x.tStart.Seconds(), (x.tEnd - x.tStart).Seconds()
+	var base uint32
+	vary := d.vary[:0]
+	for _, bd := range ct.bins {
+		if v, ok := frameBin(bd, start, dura, ts, span); ok {
+			base += uint32(v) * stride[bd.xi]
+		} else {
+			vary = append(vary, bd)
+		}
+	}
+	d.vary = vary
+	key := x.key[:len(ct.x)]
+	var n int64
+	for w, m := range rows {
+		for ; m != 0; m &= m - 1 {
+			i := w<<6 + bits.TrailingZeros64(m)
+			c := code[i]
+			if ev != nil && ev[c] == 0 {
+				continue
+			}
+			n++
+			s := eoff[c] + base
+			for _, bd := range vary {
+				s += uint32(binIndex(timeSeconds(bd.field, start[i], dura[i]), bd.n, ts, span)) * stride[bd.xi]
+			}
+			g := slot[s]
+			if g == 0 {
+				for xi, fn := range ct.ex {
+					if fn != nil {
+						key[xi] = x.keyWord(&x.eres[xi], int(c))
+					}
+				}
+				for _, bd := range ct.bins {
+					key[bd.xi] = math.Float64bits(float64(binIndex(timeSeconds(bd.field, start[i], dura[i]), bd.n, ts, span)))
+				}
+				g = int32(gt.find(key)) + 1
+				slot[s] = g
+				d.touched = append(d.touched, int32(s))
+				xcells = gt.xcells
+			}
+			if time1 {
+				xcells[g-1].add(timeNanos(tf, start[i], dura[i]))
+				continue
+			}
+			x.fold(ct, gt, int(g-1), i)
+		}
+	}
+	d.clearSlots()
+	return n
+}
+
+// frameBin reports the bin of bd every row of a batch falls in, when
+// there is one: the bins of the field's least and greatest value agree,
+// and binIndex's float value stays inside int's range between them.
+// Every float operation binIndex makes is monotone in the time, and so
+// is int conversion inside that range, so each row's bin lies between
+// the two.
+func frameBin(bd binDim, start, dura []clock.Time, ts, span float64) (int, bool) {
+	if span <= 0 {
+		return 0, true
+	}
+	if len(start) == 0 {
+		return 0, false
+	}
+	lo, hi := timeNanos(bd.field, start[0], dura[0]), timeNanos(bd.field, start[0], dura[0])
+	for i := range start {
+		t := timeNanos(bd.field, start[i], dura[i])
+		lo, hi = min(lo, t), max(hi, t)
+	}
+	for _, t := range [2]int64{lo, hi} {
+		if v := (clock.Time(t).Seconds() - ts) / span * float64(bd.n); !(v > -1<<62 && v < 1<<62) {
+			return 0, false
+		}
+	}
+	b := binIndex(clock.Time(lo).Seconds(), bd.n, ts, span)
+	return b, b == binIndex(clock.Time(hi).Seconds(), bd.n, ts, span)
+}
+
+// timeSeconds is a time field's value in seconds, as kField computes it.
+func timeSeconds(field int, start, dura clock.Time) float64 {
+	return clock.Time(timeNanos(field, start, dura)).Seconds()
+}
+
+// timeNanos is a time field's integer: start, dura or end.
+func timeNanos(field int, start, dura clock.Time) int64 {
+	switch field {
+	case fcStart:
+		return int64(start)
+	case fcDura:
+		return int64(dura)
+	}
+	return int64(start + dura)
+}
+
+// clearSlots empties the slots a frame touched.
+func (d *denseScratch) clearSlots() {
+	for _, s := range d.touched {
+		d.slot[s] = 0
+	}
+	d.touched = d.touched[:0]
 }
 
 // groupDense folds the rows mask selects into gt by direct index into
@@ -898,13 +1156,15 @@ type denseScratch struct {
 // still enters gt at its first row and every row folds in record order,
 // so the partial is the hash path's.
 func (x *kexec) groupDense(ct *compiledTable, mask []uint64, gt *groupTable) bool {
-	// The ranges over all rows bound those over the selected rows and
-	// take a straight loop, not a walk of the selection: try them first.
-	slots := x.denseDims(ct, nil)
+	// The key fields' ranges over every entry bound those over the
+	// entries the selected rows have, and take no walk of the selection:
+	// try them first.
+	slots := x.denseDims(ct, mask, false)
+	if slots == 0 && ct.keys != 0 {
+		slots = x.denseDims(ct, mask, true)
+	}
 	if slots == 0 {
-		if slots = x.denseDims(ct, mask); slots == 0 {
-			return false
-		}
+		return false
 	}
 	d := &x.dense
 	if cap(d.idx) < x.n {
@@ -914,12 +1174,7 @@ func (x *kexec) groupDense(ct *compiledTable, mask []uint64, gt *groupTable) boo
 	op := opIndexFirst
 	if ct.keys != 0 {
 		// The key fields' offset, once per entry, gathered once per row.
-		d.eoff = interval.PerEntry(d.eoff, x.b, func(k *interval.Key) (off uint32) {
-			for f, v := range keyInts(k) {
-				off += (v - d.klo[f]) * d.kstride[f]
-			}
-			return off
-		})
+		x.entryOffsets(ct)
 		for i, c := range x.b.Code[:x.n] {
 			idx[i] = d.eoff[c]
 		}
@@ -945,9 +1200,7 @@ func (x *kexec) groupDense(ct *compiledTable, mask []uint64, gt *groupTable) boo
 			s := idx[i]
 			g := d.slot[s]
 			if g == 0 {
-				for xi := range key {
-					key[xi] = x.keyWord(&x.xres[xi], i)
-				}
+				x.rowKey(ct, key, i)
 				g = int32(gt.find(key)) + 1
 				d.slot[s] = g
 				d.touched = append(d.touched, int32(s))
@@ -955,58 +1208,39 @@ func (x *kexec) groupDense(ct *compiledTable, mask []uint64, gt *groupTable) boo
 			x.fold(ct, gt, int(g-1), i)
 		}
 	}
-	for _, s := range d.touched {
-		d.slot[s] = 0
-	}
-	d.touched = d.touched[:0]
+	d.clearSlots()
 	return true
 }
 
 // denseDims sets each dimension's lo and stride from its range over the
-// rows mask selects (nil: all rows) and returns the ranges' product, the
-// slots they span, or 0 when it passes denseSlots. A key field's range
-// is over the dictionary entries those rows have. Values at rows outside
-// the selection are still integers in their column's domain, so any
-// row's index computed from these dimensions is well defined; only
-// selected rows read theirs.
-func (x *kexec) denseDims(ct *compiledTable, mask []uint64) int {
+// rows mask selects — a key field's over the dictionary entries, every
+// one or (used) those the selected rows have — and returns the ranges'
+// product, the slots they span, or 0 when it passes denseSlots. Values
+// at rows outside the selection are junk, so an index computed for one
+// is too; only selected rows read theirs.
+func (x *kexec) denseDims(ct *compiledTable, mask []uint64, used bool) int {
 	d := &x.dense
-	span := uint64(1)
-	if ct.keys != 0 {
+	var u []bool
+	if used {
 		b := x.b
-		d.used = interval.PerEntry(d.used, b, func(*interval.Key) bool { return mask == nil })
+		d.used = interval.PerEntry(d.used, b, func(*interval.Key) bool { return false })
 		for w, m := range mask {
 			for ; m != 0; m &= m - 1 {
 				d.used[b.Code[w<<6+bits.TrailingZeros64(m)]] = true
 			}
 		}
-		for f := range d.klo {
-			d.klo[f], d.kstride[f] = 0, 0 // no dimension
-			if ct.keys&(1<<f) == 0 {
-				continue
-			}
-			lo, hi := uint32(math.MaxUint32), uint32(0)
-			for e := range b.Dict {
-				if v := keyInts(&b.Dict[e])[f]; d.used[e] {
-					lo, hi = min(lo, v), max(hi, v)
-				}
-			}
-			d.klo[f], d.kstride[f] = lo, uint32(span)
-			if span *= uint64(hi-lo) + 1; span > denseSlots {
-				return 0
-			}
-		}
+		u = d.used
+	}
+	span := x.keyDims(ct, u)
+	if span == 0 {
+		return 0
 	}
 	for xi, src := range ct.dense {
 		d.stride[xi] = 0
 		if src == dsConst || src == dsKey || x.xres[xi].konst {
 			continue
 		}
-		op := opRange
-		if mask != nil {
-			op = opRangeSel
-		}
-		lo, hi := x.denseCol(op, xi, mask, nil, 0, 0)
+		lo, hi := x.denseCol(opRangeSel, xi, mask, nil, 0, 0)
 		d.lo[xi], d.stride[xi] = lo, uint32(span)
 		if span *= uint64(hi-lo) + 1; span > denseSlots {
 			return 0
@@ -1015,10 +1249,53 @@ func (x *kexec) denseDims(ct *compiledTable, mask []uint64) int {
 	return int(span)
 }
 
+// keyDims sets the key fields' dimensions from their ranges over the
+// bound frame's dictionary entries — those used marks, or every one when
+// used is nil — and returns the slots they span, or 0 when that passes
+// denseSlots.
+func (x *kexec) keyDims(ct *compiledTable, used []bool) uint64 {
+	d := &x.dense
+	span := uint64(1)
+	for f := range d.klo {
+		d.klo[f], d.kstride[f] = 0, 0 // no dimension
+		if ct.keys&(1<<f) == 0 {
+			continue
+		}
+		lo, hi := uint32(math.MaxUint32), uint32(0)
+		for e := range x.b.Dict {
+			if used == nil || used[e] {
+				v := keyInts(&x.b.Dict[e])[f]
+				lo, hi = min(lo, v), max(hi, v)
+			}
+		}
+		d.klo[f], d.kstride[f] = lo, uint32(span)
+		if span *= uint64(hi-lo) + 1; span > denseSlots {
+			return 0
+		}
+	}
+	return span
+}
+
+// entryOffsets sets each dictionary entry's slot offset over table ct's
+// key fields from the dimensions keyDims set.
+func (x *kexec) entryOffsets(ct *compiledTable) {
+	d, dict := &x.dense, x.b.Dict
+	eoff := slices.Grow(d.eoff[:0], len(dict))[:len(dict)]
+	clear(eoff)
+	for f, lo := range d.klo {
+		if ct.keys&(1<<f) == 0 {
+			continue
+		}
+		for e := range dict {
+			eoff[e] += (keyInts(&dict[e])[f] - lo) * d.kstride[f]
+		}
+	}
+	d.eoff = eoff
+}
+
 // denseCol operations.
 const (
-	opRange      = iota // the range of every row's integer
-	opRangeSel          // the range over the rows mask selects
+	opRangeSel   = iota // the range over the rows mask selects
 	opIndexFirst        // idx[i] = (v - lo) * stride, every row
 	opIndex             // idx[i] += (v - lo) * stride, every row
 )
@@ -1044,12 +1321,6 @@ func colOp[C ~uint32 | ~float64](op int, col []C, mask []uint64, idx []uint32, l
 		for i, v := range col {
 			idx[i] += (uint32(v) - lo) * stride
 		}
-	case opRange:
-		lo, hi := uint32(math.MaxUint32), uint32(0)
-		for _, v := range col {
-			lo, hi = min(lo, uint32(v)), max(hi, uint32(v))
-		}
-		return lo, hi
 	case opRangeSel:
 		lo, hi := uint32(math.MaxUint32), uint32(0)
 		for w, m := range mask {

@@ -717,6 +717,69 @@ func TestColumnarSharedKernels(t *testing.T) {
 	}
 }
 
+// selectionPairs pair a sparse use of a shared subexpression — behind a
+// key-only leading conjunct, so it runs over the rows of a few
+// dictionary entries, or inside a logical operator over the entries,
+// which narrows the entries its right side sees — with a wider use in
+// another table. A kernel computes only the rows its selection marks,
+// so whichever table runs first, the wider use must not read the
+// sparse result.
+var selectionPairs = [][2]string{
+	{`table name=sparse condition=(state == "MPI_Send" && msgSizeSent > 0) x=("p", peer) y=("b", msgSizeSent, sum)`,
+		`table name=wide x=("n", node) y=("b", msgSizeSent, sum) y=("c", msgSizeSent, count)`},
+	{`table name=sparse condition=(state == "MPI_Recv" && bin(start, 7) < 3) y=("b", bin(start, 7), sum)`,
+		`table name=wide x=("n", node) y=("b", bin(start, 7), sum) y=("m", bin(start, 7), max)`},
+	{`table name=sparse condition=(state == "MPI_Send" && cpu < 1) y=("t", dura * 2, sum)`,
+		`table name=wide x=("c", cpu) x=("l", cpu < 1) y=("t", dura * 2, sum)`},
+}
+
+// TestColumnarSharedSelections: each pair of selectionPairs, in both
+// table orders, answers as the oracle does on every header version,
+// serial and parallel, and its sparse table's row stage visits fewer
+// rows than its wide one's.
+func TestColumnarSharedSelections(t *testing.T) {
+	fixtures := versionFixtures(t)
+	for _, pair := range selectionPairs {
+		for _, program := range []string{pair[0] + "\n" + pair[1], pair[1] + "\n" + pair[0]} {
+			for v := uint32(1); v <= interval.CurrentHeaderVersion; v++ {
+				for _, par := range []int{1, 4} {
+					diffProgram(t, program, []*interval.File{fixtures[v]}, interval.MapOptions{Parallel: par})
+				}
+			}
+		}
+		run, err := stats.GenerateRun(pair[0]+"\n"+pair[1], []*interval.File{fixtures[interval.CurrentHeaderVersion]}, interval.MapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sparse, wide := run.Tables[0].Evaluated, run.Tables[1].Evaluated; sparse == 0 || sparse >= wide {
+			t.Fatalf("%q: the sparse table visited %d rows and the wide one %d", pair, sparse, wide)
+		}
+	}
+}
+
+// TestFrameBin: a frame's rows share one bin(start, n) only when its
+// least and greatest start do, and not when bin()'s float value leaves
+// int's range between them — there int conversion is not monotone, and
+// a row between two that clamp to bin 0 may fall in another bin.
+func TestFrameBin(t *testing.T) {
+	for _, tc := range []struct {
+		starts []clock.Time
+		tEnd   clock.Time
+		want   int
+		one    bool
+	}{
+		{starts: []clock.Time{300e6, 310e6, 305e6}, tEnd: clock.Second, want: 15, one: true},
+		{starts: []clock.Time{300e6, 330e6}, tEnd: clock.Second},
+		{starts: []clock.Time{5, 5}, tEnd: 0, want: 0, one: true}, // an empty run: every bin is 0
+		{starts: []clock.Time{-1 << 62, 1, 1 << 62}, tEnd: 1},
+	} {
+		got, one := stats.FrameBin(tc.starts, 50, 0, tc.tEnd)
+		if one != tc.one || one && got != tc.want {
+			t.Errorf("starts %v over (0, %v): bin %d, one %v; want %d, %v", tc.starts, tc.tEnd, got, one, tc.want, tc.one)
+		}
+	}
+}
+
 // TestColumnarSharedImpure: an expression that can raise is never shared.
 // dura / (node - 1) under two tables' different guards divides by zero
 // only where table b reaches node 1, and both engines say so in the same

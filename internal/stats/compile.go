@@ -30,10 +30,14 @@ package stats
 // distinct code — and the kernels that consume them (comparison,
 // truthiness, the group-by in columnar.go) work on the codes.
 //
-// A program is compiled as a whole. A pure subtree — one that never
-// raises, so neither its values nor its skip bitmap depend on the
-// selection it is evaluated under — is hash-consed across every table
-// (kShared) and runs at most once per frame per executor. One rule
+// A kernel computes its values and its skip bitmap only for the rows its
+// selection marks — over a compacted row list when they are few — so a
+// row no consumer reads costs nothing. A program is compiled as a whole.
+// A pure subtree — one that never raises, so its values and skip bits at
+// a row do not depend on the selection it is evaluated under — is
+// hash-consed across every table (kShared): within a frame a later use
+// whose selection lies inside an earlier one's reads that result, and
+// any other use evaluates it again. One rule
 // covers every pure subtree that reads nothing of a row but its key —
 // state, bebits, type, iscall, node, cpu, thread, and constants: it is
 // a kEntry, run through the same kernels once per entry of the frame's
@@ -46,6 +50,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 
 	"tracefw/internal/clock"
@@ -81,10 +86,11 @@ const (
 // kres is one kernel's result for a frame: a constant, a float column,
 // or (str && !konst) a coded column of the given kind (dc, one code per
 // row), plus an optional skip bitmap marking rows that lack a referenced
-// field. Values at skipped rows are undefined (codes stay valid
-// dictionary indices). Skip bitmaps cover all rows of the frame, not
-// just selected ones; consumers intersect with their selection. A logical result carries its truth as
-// the bitmap tm, and its float column only when the compiler marked a
+// field. Values and skip bits are defined at the rows the kernel's
+// selection marked; elsewhere values are undefined (codes stay valid
+// dictionary indices) and skip bits clear, so consumers read only rows
+// inside their selection. A logical result carries its truth as the
+// bitmap tm, and its float column only when the compiler marked a
 // consumer that reads values (vals).
 type kres struct {
 	konst bool
@@ -129,9 +135,9 @@ type kernel interface {
 	isStr() bool
 	// eval computes the node over the frame bound to x. sel marks the
 	// rows the oracle would reach; it gates runtime error checks and
-	// short-circuit laziness, but value columns may be computed for
-	// all rows (junk at unreached rows is harmless — those
-	// rows are never consumed).
+	// short-circuit laziness, and the leaf, arithmetic and comparison
+	// kernels compute values at those rows only (what other rows hold
+	// is junk no consumer reads).
 	eval(x *kexec, sel []uint64) (kres, error)
 }
 
@@ -152,10 +158,13 @@ type kexec struct {
 	tt        [][]uint8           // per-code verdict tables; a code never changes its string, so they outlive frames
 	memo      []map[uint64]uint32 // per kConcat: result code by (left code, right code), for the executor's lifetime
 	gen       uint64              // the bound frame's number; shared results of an older one are stale
-	sres      []kres              // per kShared: its result on frame sgen
-	sgen      []uint64
+	shared    sharedResults       // kShared results over the bound frame's rows
+	eshared   sharedResults       // and over its dictionary entries
+	rows      []int32             // a sparse selection's rows (sparse), reused by every kernel
 	xres      []kres
 	yres      []kres
+	eres      []kres  // per key-only x column, its result per dictionary entry
+	ev        []uint8 // per dictionary entry, a row table's key-only conjuncts' verdict
 	key       []uint64
 	dense     denseScratch
 	framePart // the bound frame's partials
@@ -177,8 +186,10 @@ type kexec struct {
 	eacc entryAcc
 
 	// Observability, summed over a run's executors: kShared evaluations
-	// answered by a result the frame already had.
-	saved int64
+	// answered by a result the frame already had, and per table the rows
+	// its row stage visited.
+	saved     int64
+	evaluated []int64
 }
 
 func (p *compiledProgram) newExec(tStart, tEnd clock.Time, dict *strDict) *kexec {
@@ -189,10 +200,12 @@ func (p *compiledProgram) newExec(tStart, tEnd clock.Time, dict *strDict) *kexec
 		m:         make([][]uint64, p.sl.nm),
 		tt:        make([][]uint8, p.sl.nt),
 		memo:      make([]map[uint64]uint32, p.sl.nc),
-		sres:      make([]kres, p.sl.ns),
-		sgen:      make([]uint64, p.sl.ns),
+		shared:    newSharedResults(p.sl.ns),
+		eshared:   newSharedResults(p.sl.ns),
 		xres:      make([]kres, p.maxX),
 		yres:      make([]kres, p.maxY),
+		eres:      make([]kres, p.maxX),
+		evaluated: make([]int64, len(p.tables)),
 		key:       make([]uint64, p.maxX),
 		dense:     denseScratch{lo: make([]uint32, p.maxX), stride: make([]uint32, p.maxX)},
 		framePart: framePart{groups: p.newGroupTables(), skipped: make([]int64, len(p.tables)), paths: make([]uint8, len(p.tables))},
@@ -296,6 +309,55 @@ func andNotIn(a, b []uint64) {
 	}
 }
 
+// isSubset reports whether every bit of a is set in b.
+func isSubset(a, b []uint64) bool {
+	for i, w := range a {
+		if w&^b[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// sparse returns the rows sel marks as a list when they are under a
+// quarter of the frame, and nil otherwise: a kernel then walks the list,
+// or every row. The list is the executor's one scratch, so a kernel
+// takes it after its operands are evaluated and drops it before it
+// returns.
+func (x *kexec) sparse(sel []uint64) []int32 {
+	n := 0
+	for _, w := range sel {
+		n += bits.OnesCount64(w)
+	}
+	if 4*n >= x.n {
+		return nil
+	}
+	rows := x.rows[:0]
+	for w, m := range sel {
+		for ; m != 0; m &= m - 1 {
+			rows = append(rows, int32(w<<6+bits.TrailingZeros64(m)))
+		}
+	}
+	x.rows = rows
+	return rows
+}
+
+// row is the j-th row a kernel visits: rows[j], or j when rows is nil.
+func row(rows []int32, j int) int {
+	if rows != nil {
+		return int(rows[j])
+	}
+	return j
+}
+
+// visits is how many rows a kernel visits: len(rows), or all n.
+func visits(rows []int32, n int) int {
+	if rows != nil {
+		return len(rows)
+	}
+	return n
+}
+
 // selMinus returns sel with skip removed, writing into the slot buffer
 // when skip is non-nil, aliasing sel otherwise.
 func (x *kexec) selMinus(slot int, sel, skip []uint64) []uint64 {
@@ -327,9 +389,8 @@ func (x *kexec) unionSkip(slot int, a, b []uint64) []uint64 {
 }
 
 // truthWord computes the truthiness bits of rows [w*64, w*64+64) of a
-// kernel result, over all rows regardless of selection (values at
-// non-skipped rows are row-static, which keeps derived skip bitmaps
-// row-static too).
+// kernel result from its values, junk at rows it did not compute
+// included: consumers mask them off.
 func truthWord(r *kres, w, n int) uint64 {
 	base := w << 6
 	lim := n - base
@@ -385,9 +446,15 @@ const (
 type kField struct{ code, slot int }
 
 func (kField) isStr() bool { return false }
-func (k kField) eval(x *kexec, _ []uint64) (kres, error) {
+func (k kField) eval(x *kexec, sel []uint64) (kres, error) {
 	out := x.fbuf(k.slot)
 	b := x.b
+	if rows := x.sparse(sel); rows != nil {
+		for _, i := range rows {
+			out[i] = fieldValue(b, k.code, int(i))
+		}
+		return kres{f: out}, nil
+	}
 	switch k.code {
 	case fcStart:
 		for i := range out {
@@ -412,6 +479,19 @@ func (k kField) eval(x *kexec, _ []uint64) (kres, error) {
 		}
 	}
 	return kres{f: out}, nil
+}
+
+// fieldValue is built-in field code's value at row i, as kField's
+// loops compute it.
+func fieldValue(b *interval.Batch, code, i int) float64 {
+	switch {
+	case code <= fcEnd:
+		return timeSeconds(code, b.Start[i], b.Dura[i])
+	case code == fcIsCall:
+		be := b.Key(i).Bebits
+		return b2f(be == 2 || be == 3)
+	}
+	return float64(keyInts(b.Key(i))[code-fcNode])
 }
 
 // kFieldStr is a string built-in as a coded column: state's codes are
@@ -460,13 +540,16 @@ func (p codePred) of(name string) bool {
 	return cmpStr(p.op, name, p.c) != 0
 }
 
-// codeVerdicts writes pred's 0/1 verdict on every row of a coded column
-// into out. The predicate runs once per distinct code: the slot's table
-// remembers verdicts (0 unknown, 1 false, 2 true) for the executor's
-// lifetime, and rows are answered by lookup.
-func (x *kexec) codeVerdicts(out []float64, r *kres, ttSlot int, pred codePred) {
+// codeVerdicts writes pred's 0/1 verdict on the rows sel marks of a
+// coded column into out. The predicate runs once per distinct code: the
+// slot's table remembers verdicts (0 unknown, 1 false, 2 true) for the
+// executor's lifetime, and rows are answered by lookup.
+func (x *kexec) codeVerdicts(out []float64, r *kres, sel []uint64, ttSlot int, pred codePred) {
 	tt := x.tt[ttSlot]
-	for i, c := range r.dc[:len(out)] {
+	rows := x.sparse(sel)
+	for j := range visits(rows, len(out)) {
+		i := row(rows, j)
+		c := r.dc[i]
 		if int(c) >= len(tt) {
 			tt = append(tt, make([]uint8, int(c)+1-len(tt))...)
 		}
@@ -501,7 +584,7 @@ func (k kTruth) eval(x *kexec, sel []uint64) (kres, error) {
 		return kres{konst: true, cf: b2f(r.cs != "")}, nil
 	}
 	out := x.fbuf(k.slot)
-	x.codeVerdicts(out, &r, k.ttSlot, codePred{})
+	x.codeVerdicts(out, &r, sel, k.ttSlot, codePred{})
 	return kres{f: out, skip: r.skip}, nil
 }
 
@@ -518,7 +601,7 @@ type kExtra struct {
 }
 
 func (k kExtra) isStr() bool { return k.marker }
-func (k kExtra) eval(x *kexec, _ []uint64) (kres, error) {
+func (k kExtra) eval(x *kexec, sel []uint64) (kres, error) {
 	var out []float64
 	var mk []uint32
 	var codes map[uint64]uint32
@@ -537,8 +620,10 @@ func (k kExtra) eval(x *kexec, _ []uint64) (kres, error) {
 		}
 		return 0
 	})
-	for i, c := range b.Code[:x.n] {
-		if p := x.xpos[c]; p > 0 {
+	rows := x.sparse(sel)
+	for j := range visits(rows, x.n) {
+		i := row(rows, j)
+		if p := x.xpos[b.Code[i]]; p > 0 {
 			v := b.Extras[b.ExtraOff[i]+uint32(p)-1]
 			if k.marker {
 				mk[i] = codes[v] // an id the table lacks names "", code 0
@@ -610,7 +695,7 @@ func (k *kNot) eval(x *kexec, sel []uint64) (kres, error) {
 	}
 	tm := x.mbuf(k.tmSlot)
 	for w := range tm {
-		tm[w] = ^r.truthBits(w, x.n) & wordMask(w, x.n)
+		tm[w] = sel[w] &^ r.truthBits(w, x.n)
 	}
 	return x.boolRes(k.vals, k.slot, tm, r.skip), nil
 }
@@ -681,6 +766,13 @@ func (k kArith) eval(x *kexec, sel []uint64) (kres, error) {
 	if rl.konst && rr.konst {
 		return kres{konst: true, cf: arith(k.op, rl.cf, rr.cf)}, nil
 	}
+	out := x.fbuf(k.slot)
+	if rows := x.sparse(sel); rows != nil {
+		for _, i := range rows {
+			out[i] = arith(k.op, rl.fAt(int(i)), rr.fAt(int(i)))
+		}
+		return kres{f: out, skip: skip}, nil
+	}
 	lf := rl.f
 	if rl.konst {
 		lf = x.fbuf(k.lslot)
@@ -695,7 +787,6 @@ func (k kArith) eval(x *kexec, sel []uint64) (kres, error) {
 			rf[i] = rr.cf
 		}
 	}
-	out := x.fbuf(k.slot)
 	switch k.op {
 	case "+":
 		for i := range out {
@@ -808,15 +899,17 @@ func (k kCmpStr) eval(x *kexec, sel []uint64) (kres, error) {
 	out := x.fbuf(k.slot)
 	switch {
 	case rr.konst:
-		x.codeVerdicts(out, &rl, k.ttSlot, codePred{k.op, rr.cs})
+		x.codeVerdicts(out, &rl, sel, k.ttSlot, codePred{k.op, rr.cs})
 	case rl.konst:
-		x.codeVerdicts(out, &rr, k.ttSlot, codePred{flipCmp(k.op), rl.cs})
+		x.codeVerdicts(out, &rr, sel, k.ttSlot, codePred{flipCmp(k.op), rl.cs})
 	default:
 		var lastL, lastR uint32
 		var last float64
-		for i := range out {
+		rows := x.sparse(sel)
+		for j := range visits(rows, len(out)) {
+			i := row(rows, j)
 			lc, rc := rl.dc[i], rr.dc[i]
-			if i == 0 || lc != lastL || rc != lastR {
+			if j == 0 || lc != lastL || rc != lastR {
 				lastL, lastR = lc, rc
 				last = cmpStr(k.op, codeName(rl.kind, lc, x.dict), codeName(rr.kind, rc, x.dict))
 			}
@@ -888,7 +981,9 @@ func (k kConcat) eval(x *kexec, sel []uint64) (kres, error) {
 	out := x.ubuf(k.slot)
 	var lastKey uint64
 	var last uint32
-	for i := range out {
+	rows := x.sparse(sel)
+	for j := range visits(rows, len(out)) {
+		i := row(rows, j)
 		var lc, rc uint32 // a constant operand's code is 0; its text is cs
 		if !rl.konst {
 			lc = rl.dc[i]
@@ -897,7 +992,7 @@ func (k kConcat) eval(x *kexec, sel []uint64) (kres, error) {
 			rc = rr.dc[i]
 		}
 		key := uint64(lc)<<32 | uint64(rc)
-		if i == 0 || key != lastKey {
+		if j == 0 || key != lastKey {
 			c, ok := memo[key]
 			if !ok {
 				c = x.dict.intern(x.text(&rl, lc) + x.text(&rr, rc))
@@ -996,15 +1091,15 @@ func (k *kLogic) eval(x *kexec, sel []uint64) (kres, error) {
 			return kres{konst: true, cf: b2f((&rr).truthAt(0))}, nil
 		}
 		for w := range tm {
-			tm[w] = rr.truthBits(w, x.n)
+			tm[w] = rr.truthBits(w, x.n) & sel[w]
 		}
 		return x.boolRes(k.vals, k.slot, tm, rr.skip), nil
 	}
-	// Variable left operand: take its truthiness for every row
-	// (row-static) and derive the right side's selection from it.
+	// Variable left operand: take its truthiness at the selected rows
+	// and derive the right side's selection from it.
 	selR := x.mbuf(k.selSlot)
 	for w := 0; w < x.nw; w++ {
-		t := rl.truthBits(w, x.n)
+		t := rl.truthBits(w, x.n) & sel[w]
 		tm[w] = t
 		m := sel[w]
 		if rl.skip != nil {
@@ -1029,7 +1124,7 @@ func (k *kLogic) eval(x *kexec, sel []uint64) (kres, error) {
 		skip = x.mbuf(k.skipSlot)
 	}
 	for w := 0; w < x.nw; w++ {
-		lt, rt := tm[w], rr.truthBits(w, x.n)
+		lt, rt := tm[w], rr.truthBits(w, x.n)&selR[w]
 		if skip != nil {
 			var s uint64
 			if rl.skip != nil {
@@ -1104,7 +1199,9 @@ func (k kBin) eval(x *kexec, sel []uint64) (kres, error) {
 		return kres{konst: true, cf: binValue(rt.cf, rn.cf, ts, span)}, nil
 	}
 	out := x.fbuf(k.slot)
-	for i := range out {
+	rows := x.sparse(sel)
+	for j := range visits(rows, len(out)) {
+		i := row(rows, j)
 		out[i] = binValue(rt.fAt(i), rn.fAt(i), ts, span)
 	}
 	return kres{f: out, skip: skip}, nil
@@ -1113,10 +1210,14 @@ func (k kBin) eval(x *kexec, sel []uint64) (kres, error) {
 // binValue replicates the oracle's bin() arithmetic exactly: int
 // truncation of (t - tStart) / span * n, clamped to [0, n-1].
 func binValue(tv, nv, ts, span float64) float64 {
+	return float64(binIndex(tv, int(nv), ts, span))
+}
+
+// binIndex is binValue with the bin count already truncated to n.
+func binIndex(tv float64, n int, ts, span float64) int {
 	if span <= 0 {
 		return 0
 	}
-	n := int(nv)
 	b := int((tv - ts) / span * float64(n))
 	if b < 0 {
 		b = 0
@@ -1124,7 +1225,7 @@ func binValue(tv, nv, ts, span float64) float64 {
 	if b >= n {
 		b = n - 1
 	}
-	return float64(b)
+	return b
 }
 
 // kFloorAbs is floor() / abs(). The scalar semantics turn any child
@@ -1170,11 +1271,15 @@ func (k kFloorAbs) eval(x *kexec, sel []uint64) (kres, error) {
 
 // ---- shared kernels ----
 
-// kShared is a pure subtree, hash-consed across a program's tables: it
-// runs at most once per frame per executor, and every later use in the
-// frame reads that result. Pure means it never raises, and its values
-// and skip bitmap are computed for all rows whatever the selection, so
-// the first use's selection is as good as any.
+// kShared is a pure subtree, hash-consed across a program's tables. A
+// use in a frame whose selection lies inside the selection of the
+// result the executor holds for that frame reads it; any other use
+// evaluates the subtree again, under its own selection. Pure means it
+// never raises, so the result's values and skip bits at a row do not
+// depend on the selection, but a result holds them only at the rows its
+// selection marked. Results over the frame's dictionary entries (a
+// kEntry's run) are held apart from those over its rows, under the same
+// rule: a logical operator narrows the entries its right side sees.
 type kShared struct {
 	k  kernel
 	id int
@@ -1182,21 +1287,32 @@ type kShared struct {
 
 func (k kShared) isStr() bool { return k.k.isStr() }
 func (k kShared) eval(x *kexec, sel []uint64) (kres, error) {
+	c := &x.shared
 	if x.b == &x.eb {
-		// Over the dictionary nothing is kept: the results cached are
-		// the frame's rows'.
-		return k.k.eval(x, sel)
+		c = &x.eshared // a result over the dictionary's entries, not the rows
 	}
-	if x.sgen[k.id] == x.gen {
+	if c.gen[k.id] == x.gen && isSubset(sel, c.sel[k.id]) {
 		x.saved++
-		return x.sres[k.id], nil
+		return c.res[k.id], nil
 	}
 	r, err := k.k.eval(x, sel)
 	if err != nil {
 		return kres{}, err
 	}
-	x.sres[k.id], x.sgen[k.id] = r, x.gen
+	c.res[k.id], c.gen[k.id], c.sel[k.id] = r, x.gen, append(c.sel[k.id][:0], sel...)
 	return r, nil
+}
+
+// sharedResults is, per kShared, the result an executor holds for the
+// bound frame (gen) and the selection it was computed under.
+type sharedResults struct {
+	res []kres
+	gen []uint64
+	sel [][]uint64
+}
+
+func newSharedResults(n int) sharedResults {
+	return sharedResults{make([]kres, n), make([]uint64, n), make([][]uint64, n)}
 }
 
 // kEntry is a pure subtree that reads nothing of a row but its key
@@ -1209,8 +1325,12 @@ func (k kShared) eval(x *kexec, sel []uint64) (kres, error) {
 // kEntry's run every nested one is just its subtree.
 type kEntry struct {
 	fn                  kernel
+	reads               uint8 // the key fields fn reads, bit 1<<f of keyInts' index f
 	slot, tmSlot, uSlot int
 }
+
+// keyType is kEntry.reads for a subtree that reads only the type (state).
+const keyType = 1 << (fcType - fcNode)
 
 func (k *kEntry) isStr() bool { return k.fn.isStr() }
 func (k *kEntry) eval(x *kexec, sel []uint64) (kres, error) {
@@ -1238,17 +1358,8 @@ func (k *kEntry) eval(x *kexec, sel []uint64) (kres, error) {
 	if r.tm != nil {
 		// The entries' truth bits, one 0/1 byte per entry, so each row's
 		// bit is a byte load by its code.
-		ne := len(x.b.Dict)
-		if cap(x.etm) < ne {
-			x.etm = make([]uint8, ne)
-		}
-		et := x.etm[:ne]
-		for w, bits := range r.tm {
-			e := et[w<<6 : min(w<<6+64, ne)]
-			for j := range e {
-				e[j] = uint8(bits >> j & 1)
-			}
-		}
+		x.etm = truthBytes(x.etm, &r, len(x.b.Dict))
+		et := x.etm
 		out.tm = x.mbuf(k.tmSlot)
 		for w := range out.tm {
 			var bm uint64
@@ -1259,6 +1370,19 @@ func (k *kEntry) eval(x *kexec, sel []uint64) (kres, error) {
 		}
 	}
 	return out, nil
+}
+
+// truthBytes spells a result's truth over n rows out as one 0/1 byte
+// per row, into dst's storage.
+func truthBytes(dst []uint8, r *kres, n int) []uint8 {
+	dst = slices.Grow(dst[:0], n)[:n]
+	for w := 0; w < (n+63)>>6; w++ {
+		tm := r.truthBits(w, n)
+		for j := range dst[w<<6 : min(w<<6+64, n)] {
+			dst[w<<6+j] = uint8(tm >> j & 1)
+		}
+	}
+	return dst
 }
 
 // perEntry runs fn over the bound frame's dictionary viewed as a batch.
@@ -1281,24 +1405,40 @@ func (x *kexec) perEntry(fn kernel) (kres, error) {
 
 // compiledTable is one table spec lowered to kernels.
 type compiledTable struct {
-	spec     *TableSpec
-	cond     kernel
-	x, y     []kernel
-	xcol     []xcol   // how each x column's group-key word decodes
-	dense    []dsrc   // per x column, where its integer comes from; nil: the hash path only
-	keys     uint8    // the key fields its dsKey columns read, bit 1<<field
+	spec *TableSpec
+	// The condition is econd && cond: econd its leading conjuncts that
+	// read only the key, run over the frame's dictionary entries (nil:
+	// none), and cond the rest, run over the rows those entries' verdicts
+	// keep (nil: none).
+	econd, cond kernel
+	// evSlot: when econd reads only the type, the tt slot remembering
+	// its verdict per type for the executor's lifetime (0 unknown, else
+	// verdict + 1); -1 otherwise.
+	evSlot int
+	x, y   []kernel
+	ex     []kernel // per x column, what it runs over the entries when it reads only the key and keys its groups per entry; else nil
+	xcol   []xcol   // how each x column's group-key word decodes
+	dense  []dsrc   // per x column, where its integer comes from; nil: the hash path only
+	keys   uint8    // the key fields its dsKey columns read, bit 1<<field
+	// bins are the bin(field, n) x columns of a batch time field and a
+	// constant n. When every other x column reads only the key (onePass),
+	// the dense group-by computes each row's slot in the pass that folds
+	// it (foldOnePass), reading no x column per row.
+	bins     []binDim
+	onePass  bool
 	fys      []int    // the y columns folded in float64, in y order: a group's cells
 	xys      []exactY // the exact y columns, in y order: a group's xcells
 	maskSlot int      // working row mask during accumulation
 
 	// entry: the condition and every x column read only the key and
 	// every y column is exact, so the table folds once per dictionary
-	// entry (runEntry) with econd and ex, the kernels those columns run
-	// over the entries.
+	// entry (runEntry).
 	entry bool
-	econd kernel
-	ex    []kernel
 }
+
+// binDim is a bin(field, n) x column: which, its time field (fcStart,
+// fcDura, fcEnd) and its bin count, whose values are 0 … n-1.
+type binDim struct{ xi, field, n int }
 
 // xcol describes one x column's group-key words: the bits of a float64,
 // or (str) a code of the given kind — or nothing at all for a string
@@ -1356,15 +1496,22 @@ type compiler struct {
 
 func (c *compiler) spec(spec *TableSpec) *compiledTable {
 	sl := c.sl
-	ct := &compiledTable{spec: spec, maskSlot: sl.m()}
+	ct := &compiledTable{spec: spec, maskSlot: sl.m(), evSlot: -1}
 	if spec.Condition != nil {
-		ct.cond = c.truthy(c.lower(spec.Condition))
+		ct.econd, ct.cond = c.splitCond(c.truthy(c.lower(spec.Condition)))
+		if s, ok := ct.econd.(kShared); ok && s.k.(*kEntry).reads == keyType {
+			ct.evSlot = sl.tt()
+		}
 	}
 	ct.dense = make([]dsrc, 0, len(spec.X))
-	dense := true
-	for _, ax := range spec.X {
+	dense, keyed := true, true
+	ct.onePass = true
+	for xi, ax := range spec.X {
 		k := vals(c.lower(ax.Expr))
 		ct.x = append(ct.x, k)
+		fn := entryFn(k)
+		ct.ex = append(ct.ex, fn)
+		keyed = keyed && fn != nil
 		var xc xcol
 		switch k := unshare(k).(type) {
 		case kConstStr:
@@ -1383,6 +1530,11 @@ func (c *compiler) spec(spec *TableSpec) *compiledTable {
 			ct.keys |= 1 << field
 		}
 		dense = dense && ok
+		bd, bin := binOf(xi, k)
+		if bin {
+			ct.bins = append(ct.bins, bd)
+		}
+		ct.onePass = ct.onePass && (bin || ok && (src == dsKey || src == dsConst))
 	}
 	if !dense {
 		ct.dense, ct.keys = nil, 0
@@ -1396,32 +1548,72 @@ func (c *compiler) spec(spec *TableSpec) *compiledTable {
 			ct.fys = append(ct.fys, yi)
 		}
 	}
-	ct.entry = len(ct.fys) == 0
-	if ct.cond != nil {
-		ct.econd = entryFn(ct.cond)
-		ct.entry = ct.entry && ct.econd != nil
-	}
-	for _, k := range ct.x {
-		fn := entryFn(k)
-		ct.ex = append(ct.ex, fn)
-		ct.entry = ct.entry && fn != nil
-	}
-	if !ct.entry {
-		ct.econd, ct.ex = nil, nil
+	ct.entry = len(ct.fys) == 0 && ct.cond == nil && keyed
+	if !ct.entry && ct.dense != nil {
+		// The dense group-by indexes by a coded or bin() column's values
+		// per row, so such a column runs over the rows, not the entries.
+		for xi, src := range ct.dense {
+			if src == dsDict || src == dsBin {
+				ct.ex[xi] = nil
+			}
+		}
 	}
 	return ct
 }
 
+// splitCond splits a condition into its leading conjuncts that read only
+// the key, as one kernel run over the entries (nil: none), and the rest
+// (nil: none). Only a leading run may move: the oracle evaluates a
+// conjunct after a row-reading one only where that one holds, and the
+// split keeps every conjunct's reach. A key-only conjunct never raises or
+// skips, so running it over the entries first leaves the rest its reach.
+func (c *compiler) splitCond(k kernel) (entry, rest kernel) {
+	if fn := entryFn(k); fn != nil {
+		return fn, nil
+	}
+	l, ok := unshare(k).(*kLogic)
+	if !ok || !l.and {
+		return nil, k
+	}
+	entry, rest = c.splitCond(l.l)
+	switch {
+	case entry == nil:
+		return nil, k
+	case rest == nil:
+		return entry, l.r
+	}
+	r := l.r
+	return entry, c.node("&&", func() kernel {
+		return &kLogic{and: true, l: rest, r: r, slot: c.sl.f(), selSlot: c.sl.m(), tmSlot: c.sl.m(), skipSlot: c.sl.m()}
+	}, rest, r)
+}
+
+// binOf reports whether x column k is bin(field, n) of a batch time
+// field and a constant n in [1, 2³¹], and which.
+func binOf(xi int, k kernel) (binDim, bool) {
+	b, ok := unshare(k).(kBin)
+	if !ok {
+		return binDim{}, false
+	}
+	f, ok := unshare(b.t).(kField)
+	n, nok := b.n.(kConstNum)
+	if !ok || !nok || f.code > fcEnd || n.v < 1 || n.v > 1<<31 {
+		return binDim{}, false
+	}
+	return binDim{xi: xi, field: f.code, n: int(n.v)}, true
+}
+
 // entryFn is what kernel k runs over a frame's dictionary entries when
-// it reads only the key — a kEntry's subtree, or a constant itself —
-// and nil when it reads more of a row.
+// it reads only the key — a kEntry (shared, so every table's use in a
+// frame reads one result), or a constant itself — and nil when it reads
+// more of a row.
 func entryFn(k kernel) kernel {
 	switch k := k.(type) {
 	case kConstNum, kConstStr:
 		return k
 	case kShared:
-		if e, ok := k.k.(*kEntry); ok {
-			return e.fn
+		if _, ok := k.k.(*kEntry); ok {
+			return k
 		}
 	}
 	return nil
@@ -1429,14 +1621,15 @@ func entryFn(k kernel) kernel {
 
 // share returns the program's kernel for the pure node named key,
 // building it with mk the first time. A node that reads nothing of a
-// row but its key (keyed) runs per dictionary entry.
-func (c *compiler) share(key string, keyed bool, mk func() kernel) kernel {
+// row but the key fields reads marks (bit 1<<f of keyInts' index f)
+// runs per dictionary entry.
+func (c *compiler) share(key string, reads uint8, mk func() kernel) kernel {
 	if k, ok := c.pure[key]; ok {
 		return k
 	}
 	k := mk()
-	if keyed {
-		k = &kEntry{fn: k, slot: c.sl.f(), tmSlot: c.sl.m(), uSlot: c.sl.u()}
+	if reads != 0 {
+		k = &kEntry{fn: k, reads: reads, slot: c.sl.f(), tmSlot: c.sl.m(), uSlot: c.sl.u()}
 	}
 	s := kShared{k, c.sl.ns}
 	c.sl.ns++
@@ -1446,10 +1639,12 @@ func (c *compiler) share(key string, keyed bool, mk func() kernel) kernel {
 
 // node is share for a node op over children, which is pure when they all
 // are: otherwise every use gets its own kernel from mk. It reads only the
-// key when some child does (a kEntry) and the rest are constants.
+// key fields its children read when some child does (a kEntry) and the
+// rest are constants.
 func (c *compiler) node(op string, mk func() kernel, children ...kernel) kernel {
 	key := op + "("
-	keyed, other := false, false
+	var reads uint8
+	other := false
 	for i, ch := range children {
 		ck, ok := pureKey(ch)
 		if !ok {
@@ -1460,11 +1655,17 @@ func (c *compiler) node(op string, mk func() kernel, children ...kernel) kernel 
 		}
 		key += ck
 		if s, ok := ch.(kShared); ok {
-			_, e := s.k.(*kEntry)
-			keyed, other = keyed || e, other || !e
+			if e, ok := s.k.(*kEntry); ok {
+				reads |= e.reads
+			} else {
+				other = true
+			}
 		}
 	}
-	return c.share(key+")", keyed && !other, mk)
+	if other {
+		reads = 0
+	}
+	return c.share(key+")", reads, mk)
 }
 
 // pureKey is a pure kernel's canonical key; ok is false for any other.
@@ -1524,7 +1725,11 @@ func (c *compiler) lower(e expr) kernel {
 		return kConstStr{n.v}
 	case fieldRef:
 		field := func(code int) kernel {
-			return c.share("f"+strconv.Itoa(code), code >= fcNode, func() kernel { return kField{code, sl.f()} })
+			var reads uint8
+			if code >= fcNode {
+				reads = 1 << (code - fcNode)
+			}
+			return c.share("f"+strconv.Itoa(code), reads, func() kernel { return kField{code, sl.f()} })
 		}
 		switch n.name {
 		case events.FieldStart:
@@ -1544,14 +1749,14 @@ func (c *compiler) lower(e expr) kernel {
 		case "iscall":
 			return field(fcIsCall)
 		case "state":
-			return c.share("s0", true, func() kernel { return kFieldStr{ckState, sl.u()} })
+			return c.share("s0", keyType, func() kernel { return kFieldStr{ckState, sl.u()} })
 		case events.FieldBebits:
-			return c.share("s1", true, func() kernel { return kFieldStr{ckBebits, sl.u()} })
+			return c.share("s1", 1<<(fcIsCall-fcNode), func() kernel { return kFieldStr{ckBebits, sl.u()} })
 		case "markername":
 			sl.markers = true
-			return c.share("m", false, func() kernel { return kExtra{events.FieldMarker, true, sl.u(), sl.m()} })
+			return c.share("m", 0, func() kernel { return kExtra{events.FieldMarker, true, sl.u(), sl.m()} })
 		}
-		return c.share("e"+n.name, false, func() kernel { return kExtra{n.name, false, sl.f(), sl.m()} })
+		return c.share("e"+n.name, 0, func() kernel { return kExtra{n.name, false, sl.f(), sl.m()} })
 	case unary:
 		ch := c.lower(n.x)
 		switch {

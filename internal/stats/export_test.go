@@ -1,6 +1,9 @@
 package stats
 
-import "tracefw/internal/interval"
+import (
+	"tracefw/internal/clock"
+	"tracefw/internal/interval"
+)
 
 // GenerateSpecsScalar runs specs on the record-at-a-time oracle
 // (oracle_test.go). It is what the differential suite and FuzzCompile
@@ -72,4 +75,10 @@ func GenerateReordered(program string, files []*interval.File, perm func(n int) 
 		tables[ti] = ct.finish(&total[ti], skipped[ti], dict)
 	}
 	return tables, nil
+}
+
+// FrameBin is frameBin for bin(start, n) over a batch whose start column
+// is starts, in a run from tStart to tEnd.
+func FrameBin(starts []clock.Time, n int, tStart, tEnd clock.Time) (int, bool) {
+	return frameBin(binDim{field: fcStart, n: n}, starts, make([]clock.Time, len(starts)), tStart.Seconds(), (tEnd - tStart).Seconds())
 }

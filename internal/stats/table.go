@@ -37,6 +37,12 @@ type Table struct {
 	// in integers (exact.go). Observability only, like Engine.
 	Group string `json:",omitempty"`
 	Exact int    `json:",omitempty"`
+	// Evaluated is how many rows the table's row kernels visited over
+	// the frames the run evaluated: the selected rows whose dictionary
+	// entries pass the condition's key-only leading conjuncts; 0 for a
+	// table folded per entry. It depends on which frames a request found
+	// memoized, so unlike Group it is never part of an answer.
+	Evaluated int64 `json:"-"`
 }
 
 // Run is one program run: its tables, how many frames it evaluated, how
