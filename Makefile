@@ -51,12 +51,14 @@ race:
 # SlogmergePerEventSmall is utemerge -slog's merge and SLOG build
 # (slog.MergeFiles) over a small storm trace.
 # StatsColumnar's columnar-cold, concat, dense-coded (the dense
-# group-by over materialized x columns), hash, predefined-sppm,
+# group-by over materialized x columns), hash, frac-hash (a fraction in
+# every group's sum), predefined-sppm,
 # predefined-storm and rows-storm (the two predefined tables that fold
 # per row, alone) cases live in the root package and fail when a run
 # allocates more than a
 # fixed number of objects per record (the stats path must not allocate
-# per record or per group per frame, and a string concatenation must not
+# per record or per group per frame — a fraction accumulator included —
+# and a string concatenation must not
 # build a string per record); its scalar baseline sits beside the
 # test-only oracle in internal/stats.
 # ServeStatsWarm asks the trace service for the predefined tables over

@@ -780,11 +780,14 @@ table name=bynode x=("node", node) x=("bin", bin(start, 50)) y=("t", dura, sum)
 table name=sends condition=(msgSizeSent > 0) x=("node", node) y=("bytes", msgSizeSent, sum)`)
 	b.Run("columnar-cold", storm)
 	b.Run("concat", bench(stormFile, `table name=concat x=("s", state + bebits) y=("t", dura, sum) y=("n", dura, count)`))
-	// A coded x beside a bin and a float y: the dense group-by over the
+	// A coded x beside a bin and a fractional y: the dense group-by over the
 	// x columns' materialized values (groupDense), not the one-pass fold.
 	b.Run("dense-coded", bench(stormFile, `table name=coded x=("s", state + bebits) x=("bin", bin(start, 50)) y=("t", dura / 2, sum)`))
 	// A float key: no dense index, every row finds its group by hash.
 	b.Run("hash", bench(stormFile, `table name=hash x=("d", dura) x=("n", node) y=("t", dura, sum) y=("n", dura, count)`))
+	// The same key with a fraction in every group: each group's sum is
+	// exact through a fraction accumulator in its table's slab.
+	b.Run("frac-hash", bench(stormFile, `table name=frac x=("d", dura) y=("t", dura / 3, sum)`))
 	b.Run("predefined-sppm", bench(sppmBenchFile(b), stats.Predefined(50)))
 	// The storm trace's dictionaries are denser than sPPM's (about one
 	// entry per ten records): the per-entry tables' scratch is held to

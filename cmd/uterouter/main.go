@@ -6,8 +6,10 @@
 // partials and answers. Decomposable queries (records, counts) scatter-gather across
 // the segments and merge in frame order; aggregations (stats,
 // previews, time-resolved tables) route whole to a deterministic
-// window-affinity owner. Every response body is byte-identical to what
-// a single utetraced would have produced for the same trace.
+// window-affinity owner, because the router has no merge for their
+// partials yet and a time-resolved table's peak concurrency is not a
+// sum of per-segment peaks. Every response body is byte-identical to
+// what a single utetraced would have produced for the same trace.
 //
 // Usage:
 //

@@ -131,13 +131,13 @@ func main() {
 			default:
 				// Spec-driven tables report which group-by folded their
 				// rows — once per dictionary entry, a direct index, a
-				// hash, or the last two each on some frames — how many
-				// of their y columns accumulate exactly, and how many
-				// rows their row kernels visited (0 folded per entry).
+				// hash, or the last two each on some frames — and how
+				// many rows their row kernels visited (0 folded per
+				// entry).
 				if tb.Group != "" {
 					how = " group=" + tb.Group
 				}
-				how += fmt.Sprintf(" exact=%d/%d evaluated=%d", tb.Exact, len(tb.YLabels), tb.Evaluated)
+				how += fmt.Sprintf(" evaluated=%d", tb.Evaluated)
 			}
 			fmt.Fprintf(os.Stderr, "utestats: table %s:%s skipped=%d rows=%d\n",
 				tb.Name, how, tb.Skipped, len(tb.Rows))

@@ -8,7 +8,6 @@ package tracefw
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -342,10 +341,9 @@ func TestEmptyWorkloadPipeline(t *testing.T) {
 
 // TestPredefinedGroupPathsSPPM pins how the predefined tables fold on
 // the paper's sPPM 4×8 machine. The three whose condition and x columns
-// read only the key, and whose y columns are all exact, fold once per
-// dictionary entry; the Figure 6 table, keyed by bin(start, 50), by
-// direct index; bytes_by_pair, keyed by the peer extra, by hash, its
-// float msgSizeSent column the one y column not accumulated exactly.
+// read only the key, and whose y columns are all integer sources, fold
+// once per dictionary entry; the Figure 6 table, keyed by bin(start, 50),
+// by direct index; bytes_by_pair, keyed by the peer extra, by hash.
 func TestPredefinedGroupPathsSPPM(t *testing.T) {
 	mf := predefinedSPPMFile(t)
 	run, err := stats.GenerateRun(stats.Predefined(50), []*interval.File{mf}, interval.MapOptions{Parallel: 1})
@@ -353,15 +351,15 @@ func TestPredefinedGroupPathsSPPM(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		"interesting_by_node_bin": "dense 1/1",
-		"duration_by_state":       "entry 4/4",
-		"bytes_by_pair":           "hash 1/2",
-		"busy_by_cpu":             "entry 1/1",
-		"thread_state_time":       "entry 2/2",
+		"interesting_by_node_bin": "dense",
+		"duration_by_state":       "entry",
+		"bytes_by_pair":           "hash",
+		"busy_by_cpu":             "entry",
+		"thread_state_time":       "entry",
 	}
 	for _, tb := range run.Tables {
-		if got := fmt.Sprintf("%s %d/%d", tb.Group, tb.Exact, len(tb.YLabels)); got != want[tb.Name] || len(tb.Rows) == 0 {
-			t.Errorf("table %s: group and exact %q over %d rows, want %q", tb.Name, got, len(tb.Rows), want[tb.Name])
+		if tb.Group != want[tb.Name] || len(tb.Rows) == 0 {
+			t.Errorf("table %s: group %q over %d rows, want %q", tb.Name, tb.Group, len(tb.Rows), want[tb.Name])
 		}
 	}
 	if len(run.Tables) != len(want) {

@@ -60,7 +60,7 @@ func (m *routerMetrics) writePrometheus(w io.Writer, up []bool) {
 	}
 	promtext.Header(w, "uterouter_scatter_queries_total", "counter", "Queries answered by scatter-gathering segment legs and merging in frame order.")
 	fmt.Fprintf(w, "uterouter_scatter_queries_total %d\n", m.scatter.Value())
-	promtext.Header(w, "uterouter_affinity_queries_total", "counter", "Queries routed whole to one deterministic segment owner (aggregations, whose float folds must not be reassociated).")
+	promtext.Header(w, "uterouter_affinity_queries_total", "counter", "Queries routed whole to one deterministic segment owner (aggregations: the router has no partial merge for them yet, and peak concurrency is not a sum of per-segment peaks).")
 	fmt.Fprintf(w, "uterouter_affinity_queries_total %d\n", m.affinity.Value())
 	promtext.Header(w, "uterouter_retries_total", "counter", "Legs re-sent to another backend after a transport failure.")
 	fmt.Fprintf(w, "uterouter_retries_total %d\n", m.retries.Value())

@@ -624,7 +624,7 @@ func (rt *Router) fetch(ctx context.Context, cands []int, mkPath func(bi int) st
 
 // proxy routes the request whole to one preferred backend and relays
 // status, content type, and body untouched — the affinity path for
-// queries that must not be decomposed.
+// queries the router does not decompose.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, te *traceEntry, pref int) {
 	rt.met.affinity.Add(1)
 	localPath := func(bi int) string {

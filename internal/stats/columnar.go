@@ -32,25 +32,26 @@ type framePart struct {
 }
 
 // clone copies the partials into right-sized slabs — one holding every
-// table's key words, one every table's float cells, one every table's
-// exact cells — and no group index: a stored partial is only ever
-// merged, which reads it through key, row and xrow.
+// table's key words, one every table's accumulators, one every table's
+// fraction accumulators, which each table's accumulators index within its
+// own part — and no group index: a stored partial is only ever merged,
+// which reads it through key and row.
 func (p *framePart) clone() *framePart {
-	nk, nc, ne := 0, 0, 0
+	nk, na, nf := 0, 0, 0
 	for i := range p.groups {
 		nk += len(p.groups[i].keys)
-		nc += len(p.groups[i].cells)
-		ne += len(p.groups[i].xcells)
+		na += len(p.groups[i].accs)
+		nf += len(p.groups[i].fracs)
 	}
-	keys, cells, xcells := make([]uint64, 0, nk), make([]cell, 0, nc), make([]xcell, 0, ne)
+	keys, accs, fracs := make([]uint64, 0, nk), make([]acc, 0, na), make([]frac, 0, nf)
 	c := &framePart{groups: make([]groupTable, len(p.groups)), skipped: slices.Clone(p.skipped), paths: slices.Clone(p.paths)}
 	for i, g := range p.groups {
-		k0, c0, e0 := len(keys), len(cells), len(xcells)
+		k0, a0, f0 := len(keys), len(accs), len(fracs)
 		keys = append(keys, g.keys...)
-		cells = append(cells, g.cells...)
-		xcells = append(xcells, g.xcells...)
-		c.groups[i] = groupTable{nx: g.nx, nf: g.nf, ne: g.ne, n: g.n,
-			keys: keys[k0:len(keys):len(keys)], cells: cells[c0:len(cells):len(cells)], xcells: xcells[e0:len(xcells):len(xcells)]}
+		accs = append(accs, g.accs...)
+		fracs = append(fracs, g.fracs...)
+		c.groups[i] = groupTable{nx: g.nx, ny: g.ny, n: g.n,
+			keys: keys[k0:len(keys):len(keys)], accs: accs[a0:len(accs):len(accs)], fracs: fracs[f0:len(fracs):len(fracs)]}
 	}
 	return c
 }
@@ -60,7 +61,7 @@ func (p *framePart) size() int64 {
 	n := int64(len(p.groups))*int64(unsafe.Sizeof(groupTable{})) + 8*int64(len(p.skipped)) + int64(len(p.paths))
 	for i := range p.groups {
 		g := &p.groups[i]
-		n += 8*int64(len(g.keys)) + int64(unsafe.Sizeof(cell{}))*int64(len(g.cells)) + int64(unsafe.Sizeof(xcell{}))*int64(len(g.xcells))
+		n += 8*int64(len(g.keys)) + int64(unsafe.Sizeof(acc{}))*int64(len(g.accs)) + int64(unsafe.Sizeof(frac{}))*int64(len(g.fracs))
 	}
 	return n
 }
@@ -125,7 +126,7 @@ func (prog *compiledProgram) generate(program string, files []*interval.File, mo
 				return frameResult{part: &x.framePart, x: x, fetched: true}, nil
 			}
 			// On a miss the source hands compute the frame; the partial
-			// is a function of its group keys and cells, which alias
+			// is a function of its group keys and accumulators, which alias
 			// nothing of the batch, so the executor outlives it.
 			fetched := false
 			v, hit, err := files[file].FrameSource().Memo(ctx, files[file], fr.Entry, keys[file], func(b *interval.Batch, store bool) (any, int64, error) {
@@ -356,7 +357,7 @@ func (prog *compiledProgram) evalFrame(x *kexec, w window, file int, b *interval
 // fcEnd), the exact sum and extremes of its rows' values.
 type entryAcc struct {
 	n []int64
-	t [3][]xcell
+	t [3][]acc
 	// A cut frame's selected rows, gathered.
 	code        []uint32
 	start, dura []clock.Time
@@ -374,7 +375,7 @@ func (x *kexec) accumulateEntries(times uint8, sel []uint64, whole bool) {
 		if times&(1<<f) != 0 {
 			a.t[f] = slices.Grow(a.t[f], ne)[:ne]
 			for e := range a.t[f] {
-				a.t[f][e] = newXcell()
+				a.t[f][e] = newAcc()
 			}
 		}
 	}
@@ -395,27 +396,27 @@ func (x *kexec) accumulateEntries(times uint8, sel []uint64, whole bool) {
 	}
 	if t := a.t[fcStart]; len(t) != 0 {
 		for i, c := range code {
-			t[c].add(int64(start[i]))
+			t[c].addInt(int64(start[i]))
 		}
 	}
 	if t := a.t[fcDura]; len(t) != 0 {
 		for i, c := range code {
-			t[c].add(int64(dura[i]))
+			t[c].addInt(int64(dura[i]))
 		}
 	}
 	if t := a.t[fcEnd]; len(t) != 0 {
 		for i, c := range code {
-			t[c].add(int64(start[i] + dura[i]))
+			t[c].addInt(int64(start[i] + dura[i]))
 		}
 	}
 }
 
 // runEntry folds table ct, whose condition and x columns read only the
-// key and whose y columns are all exact, once per dictionary entry: the
-// condition and x columns run over the entries, never over the rows,
-// each entry a selected row has and the condition keeps finds its group
-// once, and the group takes the entry's sums from the frame's one pass
-// (accumulateEntries). Integer sums do not depend on the order rows are
+// key and whose y columns are all integer sources, once per dictionary
+// entry: the condition and x columns run over the entries, never over the
+// rows, each entry a selected row has and the condition keeps finds its
+// group once, and the group takes the entry's sums from the frame's one
+// pass (accumulateEntries). Sums do not depend on the order rows are
 // added in, so the partial is the row paths' to the bit. It reports
 // pathEntry, or 0 when no entry reached a group.
 func (ct *compiledTable) runEntry(x *kexec, gt *groupTable) (uint8, error) {
@@ -436,15 +437,15 @@ func (ct *compiledTable) runEntry(x *kexec, gt *groupTable) (uint8, error) {
 		for xi := range key {
 			key[xi] = x.keyWord(&x.eres[xi], e)
 		}
-		xc := gt.xrow(gt.find(key))
-		for j := range ct.xys {
-			switch ey := &ct.xys[j]; {
-			case ey.seconds():
-				xc[j].merge(&a.t[ey.field][e])
-			case ey.field == fcConst:
-				xc[j].addN(ey.c, n)
+		accs := gt.row(gt.find(key))
+		for j := range accs {
+			switch ys := &ct.ys[j]; {
+			case ys.seconds():
+				accs[j].merge(&a.t[ys.field][e])
+			case ys.field == fcConst:
+				accs[j].addN(ys.c, n)
 			default:
-				xc[j].addN(keyValue(&x.b.Dict[e], ey.field), n)
+				accs[j].addN(keyValue(&x.b.Dict[e], ys.field), n)
 			}
 		}
 		path = pathEntry
@@ -516,31 +517,32 @@ func (d *strDict) name(c uint32) string {
 }
 
 // groupTable is a group-by over fixed-width keys: every group is nx key
-// words, nf float cells and ne exact cells in three flat slabs, found
+// words and ny accumulators, one per y column, in two flat slabs, found
 // through an open-addressing index with a last-key memo in front of it.
+// A third slab holds the fraction accumulators of those accumulators that
+// took a value that is not an integer; no group owns a heap object.
 // Groups keep insertion order. The same type holds one frame's partial
 // groups (reset per frame, capacity kept) and a run's merged groups.
 type groupTable struct {
-	nx, nf, ne int
-	n          int
-	keys       []uint64 // n*nx
-	cells      []cell   // n*nf
-	xcells     []xcell  // n*ne
-	idx        []int32  // group+1 per slot, 0 empty; len is a power of two
-	last       int      // the group the previous find returned
+	nx, ny int
+	n      int
+	keys   []uint64 // n*nx
+	accs   []acc    // n*ny
+	fracs  []frac   // indexed by acc.f-1
+	idx    []int32  // group+1 per slot, 0 empty; len is a power of two
+	last   int      // the group the previous find returned
 }
 
 func (t *groupTable) reset() {
 	t.n = 0
 	t.keys = t.keys[:0]
-	t.cells = t.cells[:0]
-	t.xcells = t.xcells[:0]
+	t.accs = t.accs[:0]
+	t.fracs = t.fracs[:0]
 	clear(t.idx)
 }
 
 func (t *groupTable) key(g int) []uint64 { return t.keys[g*t.nx : (g+1)*t.nx] }
-func (t *groupTable) row(g int) []cell   { return t.cells[g*t.nf : (g+1)*t.nf] }
-func (t *groupTable) xrow(g int) []xcell { return t.xcells[g*t.ne : (g+1)*t.ne] }
+func (t *groupTable) row(g int) []acc    { return t.accs[g*t.ny : (g+1)*t.ny] }
 
 func hashWords(key []uint64) uint64 {
 	h := uint64(len(key))
@@ -564,7 +566,8 @@ func wordsEqual(a, b []uint64) bool {
 	return true
 }
 
-// find returns key's group, adding it with identity cells if absent.
+// find returns key's group, adding it with identity accumulators if
+// absent.
 func (t *groupTable) find(key []uint64) int {
 	if t.n > 0 && wordsEqual(key, t.key(t.last)) {
 		return t.last
@@ -578,11 +581,8 @@ func (t *groupTable) find(key []uint64) int {
 		if e == 0 {
 			t.idx[s] = int32(t.n + 1)
 			t.keys = append(t.keys, key...)
-			for i := 0; i < t.nf; i++ {
-				t.cells = append(t.cells, cell{min: math.Inf(1), max: math.Inf(-1)})
-			}
-			for i := 0; i < t.ne; i++ {
-				t.xcells = append(t.xcells, newXcell())
+			for i := 0; i < t.ny; i++ {
+				t.accs = append(t.accs, newAcc())
 			}
 			t.last = t.n
 			t.n++
@@ -608,21 +608,15 @@ func (t *groupTable) grow() {
 	}
 }
 
-// merge folds one frame's partial groups into the running totals. Each
-// key's cells combine commutatively except for the float sum, whose
-// order is fixed by the reducer's frame ordering; exact cells combine in
-// any order.
+// merge folds one frame's partial groups into the running totals. Every
+// accumulator combines exactly, so partials merge in any order; src is
+// only read, so a stored partial can be merged again and again.
 func (t *groupTable) merge(src *groupTable) {
 	for g := 0; g < src.n; g++ {
-		n := t.n
-		d := t.find(src.key(g))
-		if t.n > n {
-			copy(t.row(d), src.row(g))
-			copy(t.xrow(d), src.xrow(g))
-			continue
+		d, s := t.row(t.find(src.key(g))), src.row(g)
+		for j := range s {
+			t.mergeAcc(&d[j], &s[j], src.fracs)
 		}
-		mergeCells(t.row(d), src.row(g))
-		mergeXcells(t.xrow(d), src.xrow(g))
 	}
 }
 
@@ -652,9 +646,9 @@ func (x *kexec) keyWord(r *kres, i int) uint64 {
 // values compare equal (-0 and +0) by that order. Two groups share a
 // text key only when NULs inside strings make the text ambiguous; the
 // scalar semantics cannot tell them apart either, so they become one
-// row, merged in insertion order.
+// row.
 func (ct *compiledTable) finish(gt *groupTable, skipped int64, dict *strDict) *Table {
-	t := &Table{Name: ct.spec.Name, Skipped: skipped, Exact: len(ct.xys)}
+	t := &Table{Name: ct.spec.Name, Skipped: skipped}
 	for _, x := range ct.spec.X {
 		t.XLabels = append(t.XLabels, x.Label)
 	}
@@ -683,19 +677,16 @@ func (ct *compiledTable) finish(gt *groupTable, skipped int64, dict *strDict) *T
 	}
 	sort.SliceStable(ks, func(i, j int) bool { return ks[i].text < ks[j].text })
 	for i := 0; i < len(ks); {
-		cells, xcells := gt.row(ks[i].g), gt.xrow(ks[i].g)
+		accs := gt.row(ks[i].g)
 		j := i + 1
 		for ; j < len(ks) && ks[j].text == ks[i].text; j++ {
-			mergeCells(cells, gt.row(ks[j].g))
-			mergeXcells(xcells, gt.xrow(ks[j].g))
+			for k, a := range gt.row(ks[j].g) {
+				gt.mergeAcc(&accs[k], &a, gt.fracs)
+			}
 		}
-		row := Row{X: ks[i].xs, Y: make([]float64, len(ct.spec.Y))}
-		for k, yi := range ct.fys {
-			row.Y[yi] = finalize(ct.spec.Y[yi].Agg, cells[k])
-		}
-		for k := range ct.xys {
-			ey := &ct.xys[k]
-			row.Y[ey.yi] = finalize(ct.spec.Y[ey.yi].Agg, xcells[k].cell(ey.seconds()))
+		row := Row{X: ks[i].xs, Y: make([]float64, len(accs))}
+		for k := range accs {
+			row.Y[k] = gt.value(&accs[k], ct.spec.Y[k].Agg, &ct.ys[k])
 		}
 		t.Rows = append(t.Rows, row)
 		i = j
@@ -708,8 +699,7 @@ func (ct *compiledTable) finish(gt *groupTable, skipped int64, dict *strDict) *T
 // its partial groups gt. It returns how many rows its row stage visited
 // — the selected rows whose entries pass the key-only conjuncts (econd)
 // — how many of them skip bitmaps excluded, and the group-by path that
-// folded the rest. Rows fold in record order, so float accumulation
-// order matches a sequential scan exactly.
+// folded the rest.
 func (ct *compiledTable) run(x *kexec, gt *groupTable, sel []uint64) (visited, skipped int64, path uint8, err error) {
 	ev, none, err := x.entryVerdicts(ct)
 	if err != nil || none {
@@ -722,7 +712,7 @@ func (ct *compiledTable) run(x *kexec, gt *groupTable, sel []uint64) (visited, s
 	if ct.onePass {
 		slots = x.onePassSlots(ct)
 	}
-	if slots > 0 && ct.cond == nil && len(ct.fys) == 0 {
+	if slots > 0 && ct.cond == nil && ct.intY {
 		// No row kernel: the fold walks the selection and gates it by
 		// the entries' verdicts itself.
 		if visited = x.foldOnePass(ct, gt, sel, ev, slots); visited > 0 {
@@ -773,10 +763,12 @@ func (ct *compiledTable) run(x *kexec, gt *groupTable, sel []uint64) (visited, s
 		}
 		x.xres[xi] = res
 	}
-	// An exact y column reads its integers from the batch (exactY.at),
-	// and never skips or raises: only the float ones run.
-	for _, yi := range ct.fys {
-		k := ct.y[yi]
+	// An integer-source y column reads its integers from the batch
+	// (ysrc.at), and never skips or raises: only the kernel ones run.
+	for yi, k := range ct.y {
+		if ct.ys[yi].integer() {
+			continue
+		}
 		res, err := k.eval(x, mask)
 		if err != nil {
 			return visited, skipped, 0, err
@@ -912,25 +904,16 @@ func (x *kexec) rowKey(ct *compiledTable, key []uint64, i int) {
 	}
 }
 
-// fold accumulates row i's y values into group g's cells: a float
-// column's value as its kernel computed it, an exact column's integer.
+// fold accumulates row i's y values into group g: an integer source's
+// integer, any other column's value as its kernel computed it.
 func (x *kexec) fold(ct *compiledTable, gt *groupTable, g, i int) {
-	cells := gt.row(g)
-	for j, yi := range ct.fys {
-		v := (&x.yres[yi]).fAt(i)
-		c := &cells[j]
-		c.sum += v
-		c.n++
-		if v < c.min {
-			c.min = v
+	accs := gt.row(g)
+	for j := range accs {
+		if ys := &ct.ys[j]; ys.integer() {
+			accs[j].addInt(ys.at(x.b, i))
+		} else {
+			gt.add(&accs[j], (&x.yres[j]).fAt(i))
 		}
-		if v > c.max {
-			c.max = v
-		}
-	}
-	xcells := gt.xrow(g)
-	for j := range ct.xys {
-		xcells[j].add(ct.xys[j].at(x.b, i))
 	}
 }
 
@@ -1027,25 +1010,24 @@ func (x *kexec) onePassSlots(ct *compiledTable) int {
 // the pass that folds it: its entry's offset plus each bin's value times
 // the bin's stride, the value by binIndex from the batch's times as
 // kBin computes it. A bin every row of the frame falls in (frameBin) is
-// one offset for the frame. A group still enters gt at its first row and
-// every row folds in record order, so the partial is the hash path's. It
-// returns how many rows it folded.
+// one offset for the frame. A group still enters gt at its first row, so
+// the partial is the hash path's. It returns how many rows it folded.
 func (x *kexec) foldOnePass(ct *compiledTable, gt *groupTable, rows []uint64, ev []uint8, slots int) int64 {
 	d := &x.dense
 	if len(d.slot) < slots {
 		d.slot = make([]int32, slots)
 	}
-	// Everything the row loop reads, hoisted: the stores into the cells
+	// Everything the row loop reads, hoisted: the stores into the accumulators
 	// would otherwise reload each through its pointer per row.
 	b := x.b
 	code, start, dura := b.Code[:x.n], b.Start[:x.n], b.Dura[:x.n]
-	eoff, slot, stride, xcells := d.eoff, d.slot, d.stride, gt.xcells
-	// One exact time column, the predefined tables' shape, folds without
-	// fold's loops over the y columns.
-	time1 := len(ct.fys) == 0 && len(ct.xys) == 1 && ct.xys[0].seconds()
+	eoff, slot, stride, accs := d.eoff, d.slot, d.stride, gt.accs
+	// One time column, the predefined tables' shape, folds without fold's
+	// loop over the y columns.
+	time1 := len(ct.ys) == 1 && ct.ys[0].seconds()
 	tf := fcStart
 	if time1 {
-		tf = ct.xys[0].field
+		tf = ct.ys[0].field
 	}
 	ts, span := x.tStart.Seconds(), (x.tEnd - x.tStart).Seconds()
 	var base uint32
@@ -1085,10 +1067,10 @@ func (x *kexec) foldOnePass(ct *compiledTable, gt *groupTable, rows []uint64, ev
 				g = int32(gt.find(key)) + 1
 				slot[s] = g
 				d.touched = append(d.touched, int32(s))
-				xcells = gt.xcells
+				accs = gt.accs
 			}
 			if time1 {
-				xcells[g-1].add(timeNanos(tf, start[i], dura[i]))
+				accs[g-1].addInt(timeNanos(tf, start[i], dura[i]))
 				continue
 			}
 			x.fold(ct, gt, int(g-1), i)
@@ -1153,8 +1135,7 @@ func (d *denseScratch) clearSlots() {
 // the slot array, calling find once per slot a frame touches, and
 // reports true — or reports false, having folded nothing, when the x
 // columns' ranges over those rows multiply past denseSlots. A group
-// still enters gt at its first row and every row folds in record order,
-// so the partial is the hash path's.
+// still enters gt at its first row, so the partial is the hash path's.
 func (x *kexec) groupDense(ct *compiledTable, mask []uint64, gt *groupTable) bool {
 	// The key fields' ranges over every entry bound those over the
 	// entries the selected rows have, and take no walk of the selection:

@@ -9,6 +9,7 @@ package stats_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -74,6 +75,22 @@ func renderTables(tables []*stats.Table) string {
 	return b.String()
 }
 
+// renderBits is renderTables followed by the bits of every y value, which
+// tell apart what TSV prints alike (-0 and 0, NaN payloads).
+func renderBits(tables []*stats.Table) string {
+	var b strings.Builder
+	b.WriteString(renderTables(tables))
+	for _, tb := range tables {
+		for _, r := range tb.Rows {
+			for _, y := range r.Y {
+				fmt.Fprintf(&b, " %x", math.Float64bits(y))
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
 // generateScalar runs program on the scalar oracle.
 func generateScalar(program string, files []*interval.File, opts interval.MapOptions) ([]*stats.Table, error) {
 	specs, err := stats.Parse(program)
@@ -88,7 +105,7 @@ func generateScalar(program string, files []*interval.File, opts interval.MapOpt
 func runBoth(program string, files []*interval.File, opts interval.MapOptions) (scalar, columnar string, serr, cerr error) {
 	st, serr := generateScalar(program, files, opts)
 	ct, cerr := stats.GenerateOpts(program, files, opts)
-	return renderTables(st), renderTables(ct), serr, cerr
+	return renderBits(st), renderBits(ct), serr, cerr
 }
 
 // diffProgram asserts the two evaluators agree on program: same
@@ -168,6 +185,8 @@ var differentialPrograms = []string{ // (big is 1e200, spelled out: the lexer ha
 	`table name=e15 x=("x", (node + 1) * 500000000000000) x=("y", (cpu + 1) * 1000000000000000) y=("n", dura, count)`,
 	`table name=e21 x=("x", (node + 1) * 500000000000000 * 1000000) x=("y", 0 - (cpu + 1) * 1000000000000000 * 1000000) y=("n", dura, count)`,
 	`table name=infnan x=("inf", (node * 2 - 1) * ` + big + ` * ` + big + `) x=("nan", (node + 1) * ` + big + ` * ` + big + ` - (cpu + 1) * ` + big + ` * ` + big + `) y=("n", dura, count)`,
+	// The same edges on the y side (yEdgePrograms).
+	signedZeroY, infNaNY, cancelY, mixedY,
 	`table name=constx x=("c", 7) y=("n", dura, count)`,
 	`table name=constsx x=("c", "lit") x=("n", node) x=("d", "") y=("n", dura, count)`,
 	`table name=wide x=("n", node) x=("c", cpu) x=("t", thread) x=("s", state) x=("b", bebits) x=("ty", type) x=("ic", iscall) y=("t", dura, sum) y=("n", dura, count)`,
@@ -231,6 +250,21 @@ table name=catmulti2 x=("b", markername + state) y=("t", dura, sum)`,
 }
 
 var big = "1" + strings.Repeat("0", 200)
+
+// yEdgePrograms hold the one aggregation rule (exact.go) where it bites,
+// and seed FuzzCompile. signedZeroY mixes -0 (cpu 0) and +0: min takes -0
+// and max +0, in any order. infNaNY reaches +Inf, -Inf and NaN through
+// big * big, alone and together, and sums integers past 2⁶³. cancelY adds
+// ±1e308 in runs of two (iscall's pattern on the coded fixtures), whose
+// exact sum per 20 ms bucket there is 0 but whose sum in record order
+// overflows. mixedY puts an integral kernel value beside fractional ones.
+var (
+	signedZeroY = `table name=signedzero x=("n", node) y=("lo", (cpu - 1) * 0, min) y=("hi", (cpu - 1) * 0, max) y=("s", (cpu - 1) * 0, sum)`
+	infNaNY     = `table name=infnany x=("c", cpu) y=("s", (cpu - 1) * ` + big + ` * ` + big + `, sum) y=("a", (node - cpu) * ` + big + ` * ` + big + `, avg) y=("lo", (node - cpu) * ` + big + ` * ` + big + `, min) y=("hi", (node - cpu) * ` + big + ` * ` + big + `, max) y=("nan", (cpu - cpu) * (` + big + ` * ` + big + `), sum) y=("nanlo", (cpu - cpu) * (` + big + ` * ` + big + `), min) y=("b", (node + 1) * ` + big + `, sum) y=("i", (thread + 1) * 4611686018427387904, sum)`
+	cancelY     = `table name=cancel x=("b", floor(start * 50)) y=("s", (iscall * 2 - 1) * ` + big308 + `, sum) y=("a", (iscall * 2 - 1) * ` + big308 + `, avg)`
+	mixedY      = `table name=mixedy condition=(msgSizeSent >= 0) x=("p", peer) y=("b", msgSizeSent * 3, sum) y=("t", dura / 3, sum) y=("a", dura / 3, avg) y=("m", dura / 3, max)`
+	big308      = "1" + strings.Repeat("0", 308)
+)
 
 // codedFixtures builds two small files the pipeline cannot produce:
 // different marker tables (one name under two ids, one id under two
@@ -403,25 +437,30 @@ func TestColumnarAllocsPerGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	program := stats.Predefined(50)
-	groups := 0
-	allocs := testing.AllocsPerRun(5, func() {
-		tables, err := stats.GenerateOpts(program, []*interval.File{f}, interval.MapOptions{Parallel: 1})
-		if err != nil {
-			t.Fatal(err)
+	// frac's every group takes a fraction in every frame: a fraction
+	// accumulator lives in its table's slab, never in a heap object of
+	// its own.
+	for _, program := range []string{stats.Predefined(50),
+		`table name=frac x=("n", node) x=("s", state) y=("r", dura / 3, sum)`} {
+		groups := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			tables, err := stats.GenerateOpts(program, []*interval.File{f}, interval.MapOptions{Parallel: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups = 0
+			for _, tb := range tables {
+				groups += len(tb.Rows)
+			}
+		})
+		if len(fes) < 4*groups {
+			t.Fatalf("%d frames against %d groups: the bound below would not tell per-frame growth apart", len(fes), groups)
 		}
-		groups = 0
-		for _, tb := range tables {
-			groups += len(tb.Rows)
+		if limit := float64(16*groups + 4*len(fes) + 512); allocs > limit {
+			t.Fatalf("%q: %.0f allocs for %d groups over %d frames (limit %.0f): the group-by allocates per frame", program, allocs, groups, len(fes), limit)
 		}
-	})
-	if len(fes) < 4*groups {
-		t.Fatalf("%d frames against %d groups: the bound below would not tell per-frame growth apart", len(fes), groups)
+		t.Logf("%.0f allocs, %d groups, %d frames", allocs, groups, len(fes))
 	}
-	if limit := float64(16*groups + 4*len(fes) + 512); allocs > limit {
-		t.Fatalf("%.0f allocs for %d groups over %d frames (limit %.0f): the group-by allocates per frame", allocs, groups, len(fes), limit)
-	}
-	t.Logf("%.0f allocs, %d groups, %d frames", allocs, groups, len(fes))
 }
 
 func TestColumnarSkippedCountSurfaced(t *testing.T) {
@@ -883,7 +922,7 @@ func TestColumnarDenseEdges(t *testing.T) {
 		{`table name=consts condition=(state != "Type(0x7001)" && type < 4096) x=("c", "lit") x=("k", 7) x=("s", state) x=("e", "") y=("n", dura, count)`, "entry"},
 		{`table name=nox condition=(msgSizeSent > 0) y=("b", msgSizeSent, sum) y=("n", dura, count)`, "dense"},
 		{`table name=skipx x=("p", peer) x=("n", node) y=("b", msgSizeSent, sum)`, "hash"},
-		// The key-only tables above again with a float y column, which
+		// The key-only tables above again with a kernel y column, which
 		// keeps them on the row paths.
 		{`table name=zerof x=("n", node) x=("z", (iscall - 1) * 0) y=("t", dura * 2, sum)`, "hash"},
 		{`table name=typesf x=("t", type) x=("th", thread) x=("s", state) y=("t", dura * 2, sum)`, "hash"},

@@ -11,9 +11,9 @@ package stats
 // with the record-at-a-time semantics, which the test-only oracle
 // (oracle_test.go) implements by walking the parse tree per record:
 //
-//   - Values are computed with the same float64 operations in the same
-//     per-record order, so sums, keys, and TSV text match bit for bit.
-//     An exact y column (exact.go) sums integers, in both.
+//   - Values are computed with the same float64 operations, so keys and
+//     TSV text match bit for bit. Every y column sums exactly (exact.go),
+//     in both, so no sum depends on the order records are added in.
 //   - Runtime errors (division by zero, bin() argument checks, floor()
 //     on a skip, and every type error — kTypeErr) stay lazy: a kernel
 //     raises them only for rows the scalar semantics would actually
@@ -217,7 +217,7 @@ func (p *compiledProgram) newExec(tStart, tEnd clock.Time, dict *strDict) *kexec
 func (p *compiledProgram) newGroupTables() []groupTable {
 	gts := make([]groupTable, len(p.tables))
 	for i, ct := range p.tables {
-		gts[i] = groupTable{nx: len(ct.x), nf: len(ct.fys), ne: len(ct.xys)}
+		gts[i] = groupTable{nx: len(ct.x), ny: len(ct.y)}
 	}
 	return gts
 }
@@ -1426,13 +1426,13 @@ type compiledTable struct {
 	// it (foldOnePass), reading no x column per row.
 	bins     []binDim
 	onePass  bool
-	fys      []int    // the y columns folded in float64, in y order: a group's cells
-	xys      []exactY // the exact y columns, in y order: a group's xcells
-	maskSlot int      // working row mask during accumulation
+	ys       []ysrc // per y column, where its values come from
+	intY     bool   // every y column is an integer source: no y kernel runs
+	maskSlot int    // working row mask during accumulation
 
 	// entry: the condition and every x column read only the key and
-	// every y column is exact, so the table folds once per dictionary
-	// entry (runEntry).
+	// every y column is an integer source, so the table folds once per
+	// dictionary entry (runEntry).
 	entry bool
 }
 
@@ -1476,9 +1476,9 @@ func compileProgram(specs []*TableSpec) *compiledProgram {
 		p.maxY = max(p.maxY, len(ct.y))
 		if ct.entry {
 			p.entry = true
-			for _, ey := range ct.xys {
-				if ey.seconds() {
-					p.entryTimes |= 1 << ey.field
+			for _, ys := range ct.ys {
+				if ys.seconds() {
+					p.entryTimes |= 1 << ys.field
 				}
 			}
 		}
@@ -1539,16 +1539,14 @@ func (c *compiler) spec(spec *TableSpec) *compiledTable {
 	if !dense {
 		ct.dense, ct.keys = nil, 0
 	}
-	for yi, ay := range spec.Y {
+	ct.intY = true
+	for _, ay := range spec.Y {
 		k := vals(c.lower(ay.Expr))
 		ct.y = append(ct.y, k)
-		if ey, ok := exactOf(yi, k); ok {
-			ct.xys = append(ct.xys, ey)
-		} else {
-			ct.fys = append(ct.fys, yi)
-		}
+		ct.ys = append(ct.ys, ysrcOf(k))
+		ct.intY = ct.intY && ct.ys[len(ct.ys)-1].integer()
 	}
-	ct.entry = len(ct.fys) == 0 && ct.cond == nil && keyed
+	ct.entry = ct.intY && ct.cond == nil && keyed
 	if !ct.entry && ct.dense != nil {
 		// The dense group-by indexes by a coded or bin() column's values
 		// per row, so such a column runs over the rows, not the entries.

@@ -82,3 +82,26 @@ func GenerateReordered(program string, files []*interval.File, perm func(n int) 
 func FrameBin(starts []clock.Time, n int, tStart, tEnd clock.Time) (int, bool) {
 	return frameBin(binDim{field: fcStart, n: n}, starts, make([]clock.Time, len(starts)), tStart.Seconds(), (tEnd - tStart).Seconds())
 }
+
+// SumExact adds values[i] to the accumulator of part i%parts, each part
+// a group of its own table, propagating a part's carries after every
+// normEvery of its fractional adds (0: never); then it merges the parts
+// into one more table's group, in order, and returns that group's sum.
+func SumExact(values []float64, parts, normEvery int) float64 {
+	ts := make([]groupTable, parts)
+	for i := range ts {
+		ts[i] = groupTable{ny: 1, accs: []acc{newAcc()}}
+	}
+	for i, v := range values {
+		t := &ts[i%parts]
+		t.add(&t.accs[0], v)
+		if f := t.accs[0].f; f != 0 && normEvery > 0 && t.fracs[f-1].adds%int32(normEvery) == 0 {
+			t.fracs[f-1].norm()
+		}
+	}
+	total := groupTable{ny: 1, accs: []acc{newAcc()}}
+	for i := range ts {
+		total.mergeAcc(&total.accs[0], &ts[i].accs[0], ts[i].fracs)
+	}
+	return total.value(&total.accs[0], AggSum, &ysrc{field: fcKernel})
+}

@@ -107,6 +107,9 @@ func FuzzCompile(f *testing.F) {
 	f.Add(`table name=t condition=(msgSizeSent > 1000000000 && -state) y=("n", dura, count)`)
 	f.Add(`table name=t condition=(0 && nosuchfn(1)) y=("n", dura, count)`)
 	f.Add(stats.Predefined(4))
+	for _, p := range []string{signedZeroY, infNaNY, cancelY, mixedY} {
+		f.Add(p)
+	}
 	// Several tables sharing subexpressions: skipping extras, coded
 	// predicates, the logic over them, and a division each table guards
 	// differently (never shared: it raises).
@@ -137,7 +140,7 @@ table name=b condition=(node == 1 && cpu > 1) x=("b", bin(start, 8)) x=("t", thr
 		if sErr != nil {
 			return
 		}
-		if renderTables(st) != renderTables(ct) {
+		if renderBits(st) != renderBits(ct) {
 			t.Fatalf("engines diverge for %q", program)
 		}
 	})

@@ -6,13 +6,14 @@ package stats
 // parse tree once per record over the same batches' rows, keys groups
 // by per-record text and finalizes through its own map; with production
 // it shares only the parser, the run bounds and the output helpers
-// (Value, cell, xcell, finalize, groupKey, sortRows). Which y columns
-// accumulate exactly it decides for itself (exactRule).
+// (Value, groupKey, sortRows). It states the aggregation rule on its own
+// (ysum).
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"sort"
 
 	"tracefw/internal/clock"
@@ -22,62 +23,121 @@ import (
 
 type group struct {
 	x []Value
-	y []cell  // per y column: a float column's accumulator
-	e []xcell // per y column: an exact column's accumulator
+	y []*ysum // per y column
 }
 
-// exactRule is the oracle's statement of which y columns are exact: an
-// integer field of the record — start, dura/duration and end in
-// nanoseconds, shown in seconds; node, cpu/processor, thread, type and
-// iscall as they are — or a numeric literal that is a whole number below
-// 2⁶³ (a literal is never negative: - is an operator). get is nil for any
-// other y, which folds in float64.
-type exactRule struct {
-	get     func(r *interval.Record) int64
-	seconds bool
+// ysum is the oracle's statement of one y column's aggregate. Its sum is
+// exact: a big.Float wide enough that no add of a finite float64 ever
+// rounds, with the infinities and NaN added kept as flags, rounded to the
+// nearest float64 once, at the end — NaN if a NaN or both infinities were
+// added, else the infinity added, and +0 for a zero total. A bare time
+// field (start, dura/duration, end) sums its integer nanoseconds and
+// converts the rounded total to seconds. min and max skip NaN (every
+// value NaN: NaN); between -0 and +0, min takes -0 and max +0.
+type ysum struct {
+	ns       func(r *interval.Record) int64 // a time field's nanoseconds, else nil
+	sum      *big.Float
+	inf      [2]bool // +Inf, -Inf added
+	nan      bool    // a NaN added
+	n        int64
+	min, max float64
+	some     bool // a value other than NaN was added
 }
 
-func exactRuleOf(e expr) exactRule {
-	switch n := e.(type) {
-	case numLit:
-		if n.v == math.Trunc(n.v) && n.v >= 0 && n.v < 1<<63 {
-			c := int64(n.v)
-			return exactRule{get: func(*interval.Record) int64 { return c }}
-		}
-	case fieldRef:
-		switch n.name {
+// ysumPrec holds any sum of float64s exactly: their bits span 2⁻¹⁰⁷⁴ to
+// 2¹⁰²⁴, and a count below 2⁶⁴ adds 64 more.
+const ysumPrec = 1074 + 1024 + 64 + 1
+
+func newYsum(e expr) *ysum {
+	s := &ysum{sum: new(big.Float).SetPrec(ysumPrec), min: math.Inf(1), max: math.Inf(-1)}
+	if f, ok := e.(fieldRef); ok {
+		switch f.name {
 		case events.FieldStart:
-			return exactRule{func(r *interval.Record) int64 { return int64(r.Start) }, true}
+			s.ns = func(r *interval.Record) int64 { return int64(r.Start) }
 		case events.FieldDura, "duration":
-			return exactRule{func(r *interval.Record) int64 { return int64(r.Dura) }, true}
+			s.ns = func(r *interval.Record) int64 { return int64(r.Dura) }
 		case "end":
-			return exactRule{func(r *interval.Record) int64 { return int64(r.End()) }, true}
-		case events.FieldNode:
-			return exactRule{get: func(r *interval.Record) int64 { return int64(r.Node) }}
-		case events.FieldCPU, "processor":
-			return exactRule{get: func(r *interval.Record) int64 { return int64(r.CPU) }}
-		case events.FieldThread:
-			return exactRule{get: func(r *interval.Record) int64 { return int64(r.Thread) }}
-		case events.FieldType:
-			return exactRule{get: func(r *interval.Record) int64 { return int64(r.Type) }}
-		case "iscall":
-			return exactRule{get: func(r *interval.Record) int64 {
-				if r.Bebits == 2 || r.Bebits == 3 {
-					return 1
-				}
-				return 0
-			}}
+			s.ns = func(r *interval.Record) int64 { return int64(r.End()) }
 		}
 	}
-	return exactRule{}
+	return s
 }
 
-func exactRules(spec *TableSpec) []exactRule {
-	rules := make([]exactRule, len(spec.Y))
-	for i, y := range spec.Y {
-		rules[i] = exactRuleOf(y.Expr)
+// add folds one record's value v.
+func (s *ysum) add(r *interval.Record, v float64) {
+	s.n++
+	switch {
+	case s.ns != nil:
+		s.sum.Add(s.sum, new(big.Float).SetInt64(s.ns(r)))
+	case math.IsNaN(v):
+		s.nan = true
+		return
+	case math.IsInf(v, 1):
+		s.inf[0] = true
+	case math.IsInf(v, -1):
+		s.inf[1] = true
+	default:
+		s.sum.Add(s.sum, big.NewFloat(v))
 	}
-	return rules
+	s.extremes(v, v)
+}
+
+func (s *ysum) extremes(lo, hi float64) {
+	s.some = true
+	if lo < s.min || lo == 0 && s.min == 0 && math.Signbit(lo) {
+		s.min = lo
+	}
+	if hi > s.max || hi == 0 && s.max == 0 && !math.Signbit(hi) {
+		s.max = hi
+	}
+}
+
+// merge folds another partial's aggregate of the same column.
+func (s *ysum) merge(o *ysum) {
+	s.sum.Add(s.sum, o.sum)
+	s.n += o.n
+	s.inf[0], s.inf[1], s.nan = s.inf[0] || o.inf[0], s.inf[1] || o.inf[1], s.nan || o.nan
+	if o.some {
+		s.extremes(o.min, o.max)
+	}
+}
+
+func (s *ysum) value(agg Agg) float64 {
+	total := func() float64 {
+		switch {
+		case s.nan || s.inf[0] && s.inf[1]:
+			return math.NaN()
+		case s.inf[0]:
+			return math.Inf(1)
+		case s.inf[1]:
+			return math.Inf(-1)
+		}
+		f, _ := s.sum.Float64()
+		if f == 0 {
+			return 0
+		}
+		if s.ns != nil {
+			return f / 1e9
+		}
+		return f
+	}
+	switch {
+	case agg == AggCount:
+		return float64(s.n)
+	case agg == AggSum:
+		return total()
+	case s.n == 0:
+		return 0
+	case agg == AggAvg:
+		return total() / float64(s.n)
+	case !s.some:
+		return math.NaN()
+	case agg == AggMin:
+		return s.min
+	case agg == AggMax:
+		return s.max
+	}
+	return 0
 }
 
 // specPartial is one frame's contribution on the scalar evaluator:
@@ -97,10 +157,6 @@ func runScalar(specs []*TableSpec, files []*interval.File, mopts interval.MapOpt
 		groups[i] = make(map[string]*group)
 	}
 	skipped := make([]int64, len(specs))
-	rules := make([][]exactRule, len(specs))
-	for si, spec := range specs {
-		rules[si] = exactRules(spec)
-	}
 	err := interval.MapFrames(files, mopts,
 		func(file int, fr *interval.Frame) (*specPartial, error) {
 			b, err := fr.Batch()
@@ -121,7 +177,7 @@ func runScalar(specs []*TableSpec, files []*interval.File, mopts interval.MapOpt
 				}
 				rec = b.Row(ri)
 				for si, spec := range specs {
-					skip, err := accumulate(spec, rules[si], ctx, sp.pg[si])
+					skip, err := accumulate(spec, ctx, sp.pg[si])
 					if err != nil {
 						return nil, err
 					}
@@ -146,7 +202,6 @@ func runScalar(specs []*TableSpec, files []*interval.File, mopts interval.MapOpt
 func buildTables(specs []*TableSpec, groups []map[string]*group, skipped []int64) []*Table {
 	tables := make([]*Table, len(specs))
 	for si, spec := range specs {
-		rules := exactRules(spec)
 		t := &Table{Name: spec.Name, Skipped: skipped[si]}
 		for _, x := range spec.X {
 			t.XLabels = append(t.XLabels, x.Label)
@@ -163,11 +218,7 @@ func buildTables(specs []*TableSpec, groups []map[string]*group, skipped []int64
 			g := groups[si][k]
 			row := Row{X: g.x}
 			for yi, y := range spec.Y {
-				c := g.y[yi]
-				if rules[yi].get != nil {
-					c = g.e[yi].cell(rules[yi].seconds)
-				}
-				row.Y = append(row.Y, finalize(y.Agg, c))
+				row.Y = append(row.Y, g.y[yi].value(y.Agg))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -178,9 +229,7 @@ func buildTables(specs []*TableSpec, groups []map[string]*group, skipped []int64
 }
 
 // mergeGroups folds one frame's partial groups into the running global
-// groups. Each key's cells combine commutatively except for the float
-// sum, whose order is fixed by the reducer's frame ordering — the merge
-// itself is per-key independent, so map iteration order is harmless.
+// groups. Every aggregate combines exactly, so no order matters.
 func mergeGroups(dst, src map[string]*group) {
 	for k, g := range src {
 		d := dst[k]
@@ -188,8 +237,9 @@ func mergeGroups(dst, src map[string]*group) {
 			dst[k] = g
 			continue
 		}
-		mergeCells(d.y, g.y)
-		mergeXcells(d.e, g.e)
+		for yi := range d.y {
+			d.y[yi].merge(g.y[yi])
+		}
 	}
 }
 
@@ -197,7 +247,7 @@ func mergeGroups(dst, src map[string]*group) {
 // reports that the record was excluded because an expression referenced
 // a field its state type lacks (errSkip); condition-false records are
 // not skips, they are simply unselected.
-func accumulate(spec *TableSpec, rules []exactRule, ctx *evalCtx, groups map[string]*group) (skipped bool, err error) {
+func accumulate(spec *TableSpec, ctx *evalCtx, groups map[string]*group) (skipped bool, err error) {
 	if spec.Condition != nil {
 		v, err := eval(spec.Condition, ctx)
 		if errors.Is(err, errSkip) {
@@ -238,28 +288,14 @@ func accumulate(spec *TableSpec, rules []exactRule, ctx *evalCtx, groups map[str
 	key := groupKey(xs)
 	g := groups[key]
 	if g == nil {
-		g = &group{x: xs, y: make([]cell, len(spec.Y)), e: make([]xcell, len(spec.Y))}
-		for i := range g.y {
-			g.y[i].min = math.Inf(1)
-			g.y[i].max = math.Inf(-1)
-			g.e[i] = newXcell()
+		g = &group{x: xs, y: make([]*ysum, len(spec.Y))}
+		for i, y := range spec.Y {
+			g.y[i] = newYsum(y.Expr)
 		}
 		groups[key] = g
 	}
 	for i, v := range ys {
-		if rules[i].get != nil {
-			g.e[i].add(rules[i].get(ctx.rec))
-			continue
-		}
-		c := &g.y[i]
-		c.sum += v
-		c.n++
-		if v < c.min {
-			c.min = v
-		}
-		if v > c.max {
-			c.max = v
-		}
+		g.y[i].add(ctx.rec, v)
 	}
 	return false, nil
 }

@@ -33,10 +33,8 @@ type Table struct {
 	// over the run's frames, memoized partials included: "entry" (once
 	// per dictionary entry), "dense" (direct index), "hash", or "mixed"
 	// (dense in some frames, hash in others); empty when no frame had a
-	// row for it. Exact is how many of its y columns accumulate exactly
-	// in integers (exact.go). Observability only, like Engine.
+	// row for it. Observability only, like Engine.
 	Group string `json:",omitempty"`
-	Exact int    `json:",omitempty"`
 	// Evaluated is how many rows the table's row kernels visited over
 	// the frames the run evaluated: the selected rows whose dictionary
 	// entries pass the condition's key-only leading conjuncts; 0 for a
@@ -65,19 +63,14 @@ type Row struct {
 	Y []float64
 }
 
-type cell struct {
-	sum, min, max float64
-	n             int64
-}
-
 // Generate runs every table of the program over the interval files.
 func Generate(program string, files []*interval.File) ([]*Table, error) {
 	return GenerateOpts(program, files, interval.MapOptions{})
 }
 
 // GenerateOpts is Generate with explicit map-reduce options. Tables are
-// byte-identical at every opts.Parallel: per-frame partials merge in
-// frame order, so float summation order never depends on scheduling.
+// byte-identical at every opts.Parallel: every sum is exact (exact.go),
+// so per-frame partials merge in any order to the same bits.
 // With opts.Window only records overlapping [Lo, Hi] count, and frames
 // outside it are never decoded; bin() keeps full-run bounds, so bin
 // numbers mean the same thing windowed or not.
@@ -121,45 +114,6 @@ func runBounds(files []*interval.File) (tStart, tEnd clock.Time, err error) {
 		firstStats = false
 	}
 	return tStart, tEnd, nil
-}
-
-func mergeCells(dst, src []cell) {
-	for i := range src {
-		c, s := &dst[i], &src[i]
-		c.sum += s.sum
-		c.n += s.n
-		if s.min < c.min {
-			c.min = s.min
-		}
-		if s.max > c.max {
-			c.max = s.max
-		}
-	}
-}
-
-func finalize(a Agg, c cell) float64 {
-	switch a {
-	case AggSum:
-		return c.sum
-	case AggAvg:
-		if c.n == 0 {
-			return 0
-		}
-		return c.sum / float64(c.n)
-	case AggMin:
-		if c.n == 0 {
-			return 0
-		}
-		return c.min
-	case AggMax:
-		if c.n == 0 {
-			return 0
-		}
-		return c.max
-	case AggCount:
-		return float64(c.n)
-	}
-	return 0
 }
 
 func groupKey(xs []Value) string {

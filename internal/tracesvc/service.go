@@ -459,7 +459,6 @@ func (s *Service) handleStats(ctx context.Context, q Query, t *Trace) (*response
 			Name    string `json:"name"`
 			Engine  string `json:"engine,omitempty"`
 			Group   string `json:"group,omitempty"`
-			Exact   string `json:"exact,omitempty"`
 			Skipped int64  `json:"skipped"`
 			Rows    int    `json:"rows"`
 			TSV     string `json:"tsv"`
@@ -473,9 +472,6 @@ func (s *Service) handleStats(ctx context.Context, q Query, t *Trace) (*response
 		}{Tables: make([]tableJSON, len(tables)), FramesEvaluated: run.FramesEvaluated, PartialsReused: run.PartialsReused, FramesFetched: run.FramesFetched, FramesDecoded: summaryDecoded}
 		for i, tb := range tables {
 			body.Tables[i] = tableJSON{Name: tb.Name, Engine: tb.Engine, Group: tb.Group, Skipped: tb.Skipped, Rows: len(tb.Rows), TSV: tb.TSV()}
-			if !q.TimeResolved {
-				body.Tables[i].Exact = fmt.Sprintf("%d/%d", tb.Exact, len(tb.YLabels))
-			}
 		}
 		return jsonResponse(http.StatusOK, body)
 	}

@@ -673,8 +673,8 @@ func TestStatsEngineAndJSON(t *testing.T) {
 		}
 	}
 
-	// JSON format carries the excluded-record count, the group-by path and
-	// the exact y columns, and no evaluator flag.
+	// JSON format carries the excluded-record count and the group-by path,
+	// and no evaluator flag.
 	w := do(t, s, "GET", "/v1/traces/"+id+"/stats?format=json&expr="+
 		"table+name%3Dt+y%3D%28%22n%22%2C+dura%2C+count%29", "")
 	if w.Code != 200 {
@@ -687,7 +687,6 @@ func TestStatsEngineAndJSON(t *testing.T) {
 		Tables []struct {
 			Name    string `json:"name"`
 			Group   string `json:"group"`
-			Exact   string `json:"exact"`
 			Skipped int64  `json:"skipped"`
 			Rows    int    `json:"rows"`
 			TSV     string `json:"tsv"`
@@ -699,8 +698,11 @@ func TestStatsEngineAndJSON(t *testing.T) {
 	if len(got.Tables) != 1 || got.Tables[0].Name != "t" || got.Tables[0].TSV == "" {
 		t.Fatalf("unexpected json stats payload: %+v", got)
 	}
-	if tb := got.Tables[0]; tb.Group != "entry" || tb.Exact != "1/1" {
-		t.Fatalf("json stats table folded by %q with %q y columns exact, want entry and 1/1", tb.Group, tb.Exact)
+	if tb := got.Tables[0]; tb.Group != "entry" {
+		t.Fatalf("json stats table folded by %q, want entry", tb.Group)
+	}
+	if strings.Contains(w.Body.String(), `"exact"`) {
+		t.Fatalf("json stats still counts exact y columns: %s", w.Body)
 	}
 
 	// Time-resolved tables: three of them, with the expected names.
@@ -719,8 +721,8 @@ func TestStatsEngineAndJSON(t *testing.T) {
 	if fmt.Sprint(names) != "[tr_busy_by_type tr_load_balance tr_concurrency]" {
 		t.Fatalf("timeresolved tables = %v", names)
 	}
-	if strings.Contains(w.Body.String(), `"group"`) || strings.Contains(w.Body.String(), `"exact"`) {
-		t.Fatalf("time-resolved tables carry a group-by path or exact count: %s", w.Body)
+	if strings.Contains(w.Body.String(), `"group"`) {
+		t.Fatalf("time-resolved tables carry a group-by path: %s", w.Body)
 	}
 	if w := do(t, s, "GET", "/v1/traces/"+id+"/stats?timeresolved=1&expr=x", ""); w.Code != 400 {
 		t.Fatalf("timeresolved with expr: %d", w.Code)
