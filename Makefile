@@ -50,8 +50,9 @@ race:
 # 1 160 with dense lane rows; a lane map per bin made it about 2 260).
 # SlogmergePerEventSmall is utemerge -slog's merge and SLOG build
 # (slog.MergeFiles) over a small storm trace.
-# StatsColumnar's columnar-cold, concat, dense-coded (the dense
-# group-by over materialized x columns), hash, frac-hash (a fraction in
+# StatsColumnar's columnar-cold, concat, dense-coded (a hash group-by
+# over a coded column keyed per entry beside bin(start, 50)), hash,
+# frac-hash (a fraction in
 # every group's sum), predefined-sppm,
 # predefined-storm and rows-storm (the two predefined tables that fold
 # per row, alone) cases live in the root package and fail when a run

@@ -737,7 +737,7 @@ func BenchmarkStatsParallel(b *testing.B) {
 // predefined-sppm is what the ledger's read-side workloads spend their
 // time in — the predefined tables over the 4×8 sPPM trace — and concat
 // groups by a string concatenation over the storm trace, and hash by a
-// duration, a key the dense group-by never takes. Every case
+// duration, a key the direct index never takes. Every case
 // carries the deterministic half of that claim: it fails when a run
 // allocates more than statsAllocsPerRecord, which any per-record or
 // per-group-per-frame allocation in the group-by, or a string built per
@@ -780,8 +780,8 @@ table name=bynode x=("node", node) x=("bin", bin(start, 50)) y=("t", dura, sum)
 table name=sends condition=(msgSizeSent > 0) x=("node", node) y=("bytes", msgSizeSent, sum)`)
 	b.Run("columnar-cold", storm)
 	b.Run("concat", bench(stormFile, `table name=concat x=("s", state + bebits) y=("t", dura, sum) y=("n", dura, count)`))
-	// A coded x beside a bin and a fractional y: the dense group-by over the
-	// x columns' materialized values (groupDense), not the one-pass fold.
+	// A coded x beside a bin and a fractional y: a hash group-by, the coded
+	// column keyed per dictionary entry and the bin computed per row.
 	b.Run("dense-coded", bench(stormFile, `table name=coded x=("s", state + bebits) x=("bin", bin(start, 50)) y=("t", dura / 2, sum)`))
 	// A float key: no dense index, every row finds its group by hash.
 	b.Run("hash", bench(stormFile, `table name=hash x=("d", dura) x=("n", node) y=("t", dura, sum) y=("n", dura, count)`))

@@ -145,27 +145,50 @@ func runFig8(e *env) error {
 	if err := e.write("fig8.txt", d.ASCII(110)); err != nil {
 		return err
 	}
-	// The paper's observations: MPI activity on one thread per task; one
-	// idle thread per task.
-	busy := d.BusyFraction()
-	idle := 0
-	for _, f := range busy {
+	idle, mpi := threadActivity(d)
+	e.logf("  %d thread timelines; %d idle threads (paper: one idle thread per task)", len(d.Rows), idle)
+	mpiRows := 0
+	for _, n := range mpi {
+		mpiRows += n
+	}
+	e.logf("  threads with MPI activity: %d (paper: one per task = 4)", mpiRows)
+	return nil
+}
+
+// threadActivity reads the paper's Figure 8 observations off a
+// thread-activity view: how many threads are idle (busy under 5 % of the
+// view), and per node (one task each) how many threads show MPI
+// activity.
+func threadActivity(d *render.Diagram) (idle int, mpi map[string]int) {
+	for _, f := range d.BusyFraction() {
 		if f < 0.05 {
 			idle++
 		}
 	}
-	e.logf("  %d thread timelines; %d idle threads (paper: one idle thread per task)", len(d.Rows), idle)
-	mpiRows := 0
+	mpi = map[string]int{}
 	for _, row := range d.Rows {
 		for _, s := range row.Segs {
 			if strings.HasPrefix(s.Key, "MPI_") {
-				mpiRows++
+				node, _, _ := strings.Cut(row.Label, "/")
+				mpi[node]++
 				break
 			}
 		}
 	}
-	e.logf("  threads with MPI activity: %d (paper: one per task = 4)", mpiRows)
-	return nil
+	return idle, mpi
+}
+
+// migrated counts the threads of a thread-processor view that visited
+// more than one CPU (the paper's Figure 9: MPI threads jump between
+// CPUs).
+func migrated(tp *render.Diagram) int {
+	moved := 0
+	for _, n := range tp.DistinctKeysPerRow() {
+		if n > 1 {
+			moved++
+		}
+	}
+	return moved
 }
 
 func runFig9(e *env) error {
@@ -198,13 +221,7 @@ func runFig9(e *env) error {
 	if err != nil {
 		return err
 	}
-	moved := 0
-	for _, n := range tp.DistinctKeysPerRow() {
-		if n > 1 {
-			moved++
-		}
-	}
-	e.logf("  threads that visited more than one CPU: %d (paper: MPI threads jump between CPUs)", moved)
+	e.logf("  threads that visited more than one CPU: %d (paper: MPI threads jump between CPUs)", migrated(tp))
 	return nil
 }
 

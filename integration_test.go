@@ -7,8 +7,11 @@ package tracefw
 // version check, and agreement between independently computed artifacts.
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,6 +29,7 @@ import (
 	"tracefw/internal/slog"
 	"tracefw/internal/stats"
 	"tracefw/internal/trace"
+	"tracefw/internal/tracesvc"
 	"tracefw/internal/workload"
 )
 
@@ -339,37 +343,133 @@ func TestEmptyWorkloadPipeline(t *testing.T) {
 	}
 }
 
-// TestPredefinedGroupPathsSPPM pins how the predefined tables fold on
-// the paper's sPPM 4×8 machine. The three whose condition and x columns
+// predefinedGroupPaths is how the predefined tables fold on the traces
+// the benchmark ledger queries. The three whose condition and x columns
 // read only the key, and whose y columns are all integer sources, fold
-// once per dictionary entry; the Figure 6 table, keyed by bin(start, 50),
-// by direct index; bytes_by_pair, keyed by the peer extra, by hash.
+// once per dictionary entry; the Figure 6 table, keyed by node and
+// bin(start, n), by direct index; bytes_by_pair, keyed by the peer
+// extra, by hash.
+var predefinedGroupPaths = map[string]string{
+	"interesting_by_node_bin": "dense",
+	"duration_by_state":       "entry",
+	"bytes_by_pair":           "hash",
+	"busy_by_cpu":             "entry",
+	"thread_state_time":       "entry",
+}
+
+// checkPredefinedGroups holds one answer's predefined tables, by name
+// to group path and row count, to predefinedGroupPaths.
+func checkPredefinedGroups(t *testing.T, trace string, names, groups []string, rows []int) {
+	t.Helper()
+	for i, name := range names {
+		if want := predefinedGroupPaths[name]; groups[i] != want || rows[i] == 0 {
+			t.Errorf("%s: table %s: group %q over %d rows, want %q", trace, name, groups[i], rows[i], want)
+		}
+	}
+	if len(names) != len(predefinedGroupPaths) {
+		t.Fatalf("%s: %d tables, want %d", trace, len(names), len(predefinedGroupPaths))
+	}
+}
+
+// runGroups is a run's tables as checkPredefinedGroups takes them.
+func runGroups(tables []*stats.Table) (names, groups []string, rows []int) {
+	for _, tb := range tables {
+		names, groups, rows = append(names, tb.Name), append(groups, tb.Group), append(rows, len(tb.Rows))
+	}
+	return names, groups, rows
+}
+
+// TestPredefinedGroupPathsSPPM pins how the predefined tables fold on
+// the paper's sPPM 4×8 machine (pipeline_sppm_4x8's shape).
 func TestPredefinedGroupPathsSPPM(t *testing.T) {
-	mf := predefinedSPPMFile(t)
-	run, err := stats.GenerateRun(stats.Predefined(50), []*interval.File{mf}, interval.MapOptions{Parallel: 1})
+	run, err := stats.GenerateRun(stats.Predefined(50), []*interval.File{predefinedSPPMFile(t)}, interval.MapOptions{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{
-		"interesting_by_node_bin": "dense",
-		"duration_by_state":       "entry",
-		"bytes_by_pair":           "hash",
-		"busy_by_cpu":             "entry",
-		"thread_state_time":       "entry",
+	names, groups, rows := runGroups(run.Tables)
+	checkPredefinedGroups(t, "sppm 4x8", names, groups, rows)
+}
+
+// TestPredefinedGroupPathsStorm pins the same on the storm workload over
+// 2 nodes of 4 CPUs with 2 tasks each, ingest_live_2x4's shape.
+func TestPredefinedGroupPathsStorm(t *testing.T) {
+	main, err := workload.Build("storm", workload.Params{"iters": 300})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tb := range run.Tables {
-		if tb.Group != want[tb.Name] || len(tb.Rows) == 0 {
-			t.Errorf("table %s: group %q over %d rows, want %q", tb.Name, tb.Group, len(tb.Rows), want[tb.Name])
+	sb := interval.NewSeekBuffer()
+	if _, err := merge.Merge(convertedFiles(t, simRaws(t, 2, 4, 2, 7, main)), sb, merge.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	mf, err := interval.NewFile(sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		run, err := stats.GenerateRun(stats.Predefined(50), []*interval.File{mf}, interval.MapOptions{Parallel: par})
+		if err != nil {
+			t.Fatal(err)
 		}
+		names, groups, rows := runGroups(run.Tables)
+		checkPredefinedGroups(t, fmt.Sprintf("storm 2x4 -j %d", par), names, groups, rows)
 	}
-	if len(run.Tables) != len(want) {
-		t.Fatalf("%d tables, want %d", len(run.Tables), len(want))
+}
+
+// TestPredefinedGroupPathsServe pins the same on serve_zoom_warm's
+// request: /stats at 16 bins over a window of the sPPM 4×8 trace,
+// answered by the trace service in JSON, asked twice (the second asking
+// merges the first's memoized frame partials).
+func TestPredefinedGroupPathsServe(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sppm.ute")
+	if err := os.WriteFile(path, predefinedSPPMTrace(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc := tracesvc.New(tracesvc.Config{})
+	defer svc.Close()
+	tr, err := svc.Registry().Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, end, _ := tr.Bounds()
+	url := fmt.Sprintf("/v1/traces/%s/stats?format=json&bins=16&window=%.9f:%.9f", tr.ID, (start + (end-start)*3/10).Seconds(), (start + (end-start)*6/10).Seconds())
+	for asking := 1; asking <= 2; asking++ {
+		w := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(w, httptest.NewRequest("GET", url, nil))
+		if w.Code != 200 {
+			t.Fatalf("GET %s: %d %s", url, w.Code, w.Body)
+		}
+		var answer struct {
+			Tables []struct {
+				Name  string `json:"name"`
+				Group string `json:"group"`
+				Rows  int    `json:"rows"`
+			} `json:"tables"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &answer); err != nil {
+			t.Fatal(err)
+		}
+		var names, groups []string
+		var rows []int
+		for _, tb := range answer.Tables {
+			names, groups, rows = append(names, tb.Name), append(groups, tb.Group), append(rows, tb.Rows)
+		}
+		checkPredefinedGroups(t, fmt.Sprintf("/stats asking %d", asking), names, groups, rows)
 	}
 }
 
 // predefinedSPPMFile is the paper's sPPM 4×8 machine at 40 iterations,
 // merged in memory.
 func predefinedSPPMFile(t *testing.T) *interval.File {
+	t.Helper()
+	mf, err := interval.NewFile(interval.NewSeekBufferFrom(predefinedSPPMTrace(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mf
+}
+
+// predefinedSPPMTrace is predefinedSPPMFile's bytes.
+func predefinedSPPMTrace(t *testing.T) []byte {
 	t.Helper()
 	main, err := workload.Build("sppm", workload.Params{"iters": 40})
 	if err != nil {
@@ -379,11 +479,7 @@ func predefinedSPPMFile(t *testing.T) *interval.File {
 	if _, err := merge.Merge(convertedFiles(t, simRaws(t, 4, 8, 1, 12, main)), sb, merge.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	mf, err := interval.NewFile(sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mf
+	return sb.Bytes()
 }
 
 // TestPredefinedEvaluatedSPPM pins how many rows the predefined row

@@ -710,7 +710,7 @@ func (ct *compiledTable) run(x *kexec, gt *groupTable, sel []uint64) (visited, s
 	}
 	slots := 0
 	if ct.onePass {
-		slots = x.onePassSlots(ct)
+		slots = x.onePassSlots(ct, ev)
 	}
 	if slots > 0 && ct.cond == nil && ct.intY {
 		// No row kernel: the fold walks the selection and gates it by
@@ -788,11 +788,8 @@ func (ct *compiledTable) run(x *kexec, gt *groupTable, sel []uint64) (visited, s
 	if !maskAny(mask) {
 		return visited, skipped, 0, nil
 	}
-	switch {
-	case slots > 0:
+	if slots > 0 {
 		x.foldOnePass(ct, gt, mask, nil, slots)
-		return visited, skipped, pathDense, nil
-	case ct.dense != nil && x.groupDense(ct, mask, gt):
 		return visited, skipped, pathDense, nil
 	}
 	key := x.key[:len(ct.x)]
@@ -917,24 +914,14 @@ func (x *kexec) fold(ct *compiledTable, gt *groupTable, g, i int) {
 	}
 }
 
-// denseSlots bounds the dense group-by: a frame in which a table's x
-// columns' ranges over the selected rows multiply to at most this many
-// slots finds each row's group by direct index. An executor's slot array
-// grows to the most slots a frame has spanned (64 KiB at most), and only
-// the slots a frame's groups land on are touched.
+// denseSlots bounds the direct-index group-by: a frame in which a
+// onePass table's key fields, over the entries its key-only conjuncts
+// keep, and its bins, over the frame's rows, span at most this many
+// slots finds each row's group by direct index (foldOnePass); a wider
+// one folds by hash. An executor's slot array grows to the most slots a
+// frame has spanned (64 KiB at most), and only the slots a frame's
+// groups land on are touched.
 const denseSlots = 1 << 14
-
-// dsrc is where a dense x column's integer comes from. Each is an
-// integer by construction — a key field, a coded column, or bin() by a
-// constant — so no row's value is ever checked.
-type dsrc uint8
-
-const (
-	dsConst dsrc = iota // a constant: one value, no dimension
-	dsKey               // a key field (keyInts): resolved per dictionary entry
-	dsDict              // the column's own ckDict codes: markername, concatenations
-	dsBin               // bin(t, n), 1 <= n <= 2^31 constant: its value, in [0, n-1]
-)
 
 // keyInts is a key's fields as integers, indexed by kField code minus
 // fcNode: node, cpu, thread, type, and last the bebits (which iscall
@@ -943,75 +930,84 @@ func keyInts(k *interval.Key) [5]uint32 {
 	return [5]uint32{uint32(k.Node), uint32(k.CPU), uint32(k.Thread), uint32(k.Type), uint32(k.Bebits)}
 }
 
-// denseSource reports where x column k's integer comes from, and for a
-// dsKey column the key field; ok is false unless k is integer-valued by
-// construction. Two rows on one slot always share their key words: the
-// key is a function of the integer (bebits past Complete share a code,
-// so one group may own several slots — find keeps it one group).
-func denseSource(k kernel) (src dsrc, field int, ok bool) {
-	switch k := unshare(k).(type) {
-	case kConstNum, kConstStr:
-		return dsConst, 0, true
-	case kFieldStr:
-		return dsKey, fcType - fcNode + int(k.kind), true
-	case kField:
-		if k.code >= fcNode {
-			return dsKey, k.code - fcNode, true
-		}
-	case kExtra:
-		return dsDict, 0, k.marker
-	case kConcat:
-		return dsDict, 0, true
-	case kBin:
-		if n, ok := k.n.(kConstNum); ok && n.v >= 1 && n.v <= 1<<31 {
-			return dsBin, 0, true
-		}
-	}
-	return 0, 0, false
+// denseScratch is an executor's direct-index group-by state.
+type denseScratch struct {
+	eoff    []uint32  // per dictionary entry, its key fields' slot offset
+	vary    []binSpan // a onePass table's bins that vary over the frame's rows
+	slot    []int32   // per slot, its group + 1; 0 untouched
+	touched []int32   // the slots to clear after the frame
 }
 
-// denseScratch is an executor's dense group-by state.
-type denseScratch struct {
-	lo, stride []uint32 // per x column, this frame's; stride 0: no dimension
-	// Per key field, this frame's; the key fields are one source: every
-	// dsKey column reading a field shares its dimension (state beside
-	// type, iscall beside bebits add none).
-	klo, kstride [5]uint32
-	used         []bool   // per dictionary entry, whether a selected row has it
-	eoff         []uint32 // per dictionary entry, its key fields' slot offset
-	idx          []uint32 // per row, its slot
-	vary         []binDim // a one-pass table's bins that vary over the frame's rows
-	slot         []int32  // per slot, its group + 1; 0 untouched
-	touched      []int32  // the slots to clear after the frame
+// binSpan is a bin that varies over a frame's rows: its least bin there
+// and its stride.
+type binSpan struct {
+	binDim
+	lo     int
+	stride uint32
 }
 
 // onePassSlots sets a onePass table's dimensions for the bound frame —
-// the key fields' ranges over every dictionary entry, and each bin's
-// whole range 0 … n-1 — with each entry's offset, and returns the slots
-// they span, or 0 when that passes denseSlots (the materialized path
-// then finds the ranges over the selected rows).
-func (x *kexec) onePassSlots(ct *compiledTable) int {
-	span := x.keyDims(ct, nil)
-	if span == 0 {
-		return 0
-	}
-	for _, bd := range ct.bins {
-		x.dense.stride[bd.xi] = uint32(span)
-		if span *= uint64(bd.n); span > denseSlots {
+// the key fields' ranges over the dictionary entries ev keeps (every one
+// when ev is nil), and each bin's range over the frame's rows (frameBins)
+// — with each entry's offset, and returns the slots they span, or 0 when
+// that passes denseSlots (the table then folds the frame by hash). Every
+// x column reading a key field shares its dimension (state beside type,
+// iscall beside bebits add none), and a bin every row falls in adds none.
+func (x *kexec) onePassSlots(ct *compiledTable, ev []uint8) int {
+	d, dict := &x.dense, x.b.Dict
+	var klo, kstride [5]uint32 // per key field; stride 0: no dimension
+	span := uint64(1)
+	for f := range klo {
+		if ct.keys&(1<<f) == 0 {
+			continue
+		}
+		lo, hi := uint32(math.MaxUint32), uint32(0)
+		for e := range dict {
+			if ev == nil || ev[e] != 0 {
+				v := keyInts(&dict[e])[f]
+				lo, hi = min(lo, v), max(hi, v)
+			}
+		}
+		lo = min(lo, hi) // no entry kept: one slot, never read
+		klo[f], kstride[f] = lo, uint32(span)
+		if span *= uint64(hi-lo) + 1; span > denseSlots {
 			return 0
 		}
 	}
-	x.entryOffsets(ct)
+	ts, tspan := x.tStart.Seconds(), (x.tEnd - x.tStart).Seconds()
+	d.vary = d.vary[:0]
+	for _, bd := range ct.bins {
+		lo, hi := frameBins(bd, x.b.Start[:x.n], x.b.Dura[:x.n], ts, tspan)
+		if lo == hi {
+			continue
+		}
+		d.vary = append(d.vary, binSpan{bd, lo, uint32(span)})
+		if span *= uint64(hi-lo) + 1; span > denseSlots {
+			return 0
+		}
+	}
+	// Only a kept entry's offset is ever read.
+	eoff := slices.Grow(d.eoff[:0], len(dict))[:len(dict)]
+	clear(eoff)
+	for f, stride := range kstride {
+		if stride == 0 {
+			continue
+		}
+		for e := range dict {
+			eoff[e] += (keyInts(&dict[e])[f] - klo[f]) * stride
+		}
+	}
+	d.eoff = eoff
 	return int(span)
 }
 
 // foldOnePass folds the rows rows marks — those whose entries ev keeps,
 // when it is set — into gt by direct index, each row's slot computed in
-// the pass that folds it: its entry's offset plus each bin's value times
-// the bin's stride, the value by binIndex from the batch's times as
-// kBin computes it. A bin every row of the frame falls in (frameBin) is
-// one offset for the frame. A group still enters gt at its first row, so
-// the partial is the hash path's. It returns how many rows it folded.
+// the pass that folds it: its entry's offset plus, for each bin that
+// varies over the frame, its value less the bin's least times the bin's
+// stride, the value by binIndex from the batch's times as kBin computes
+// it. A group still enters gt at its first row, so the partial is the
+// hash path's. It returns how many rows it folded.
 func (x *kexec) foldOnePass(ct *compiledTable, gt *groupTable, rows []uint64, ev []uint8, slots int) int64 {
 	d := &x.dense
 	if len(d.slot) < slots {
@@ -1021,7 +1017,7 @@ func (x *kexec) foldOnePass(ct *compiledTable, gt *groupTable, rows []uint64, ev
 	// would otherwise reload each through its pointer per row.
 	b := x.b
 	code, start, dura := b.Code[:x.n], b.Start[:x.n], b.Dura[:x.n]
-	eoff, slot, stride, accs := d.eoff, d.slot, d.stride, gt.accs
+	eoff, slot, vary, accs := d.eoff, d.slot, d.vary, gt.accs
 	// One time column, the predefined tables' shape, folds without fold's
 	// loop over the y columns.
 	time1 := len(ct.ys) == 1 && ct.ys[0].seconds()
@@ -1030,16 +1026,6 @@ func (x *kexec) foldOnePass(ct *compiledTable, gt *groupTable, rows []uint64, ev
 		tf = ct.ys[0].field
 	}
 	ts, span := x.tStart.Seconds(), (x.tEnd - x.tStart).Seconds()
-	var base uint32
-	vary := d.vary[:0]
-	for _, bd := range ct.bins {
-		if v, ok := frameBin(bd, start, dura, ts, span); ok {
-			base += uint32(v) * stride[bd.xi]
-		} else {
-			vary = append(vary, bd)
-		}
-	}
-	d.vary = vary
 	key := x.key[:len(ct.x)]
 	var n int64
 	for w, m := range rows {
@@ -1050,9 +1036,9 @@ func (x *kexec) foldOnePass(ct *compiledTable, gt *groupTable, rows []uint64, ev
 				continue
 			}
 			n++
-			s := eoff[c] + base
-			for _, bd := range vary {
-				s += uint32(binIndex(timeSeconds(bd.field, start[i], dura[i]), bd.n, ts, span)) * stride[bd.xi]
+			s := eoff[c]
+			for _, bs := range vary {
+				s += uint32(binIndex(timeSeconds(bs.field, start[i], dura[i]), bs.n, ts, span)-bs.lo) * bs.stride
 			}
 			g := slot[s]
 			if g == 0 {
@@ -1076,35 +1062,37 @@ func (x *kexec) foldOnePass(ct *compiledTable, gt *groupTable, rows []uint64, ev
 			x.fold(ct, gt, int(g-1), i)
 		}
 	}
-	d.clearSlots()
+	for _, s := range d.touched {
+		slot[s] = 0
+	}
+	d.touched = d.touched[:0]
 	return n
 }
 
-// frameBin reports the bin of bd every row of a batch falls in, when
-// there is one: the bins of the field's least and greatest value agree,
-// and binIndex's float value stays inside int's range between them.
-// Every float operation binIndex makes is monotone in the time, and so
-// is int conversion inside that range, so each row's bin lies between
-// the two.
-func frameBin(bd binDim, start, dura []clock.Time, ts, span float64) (int, bool) {
+// frameBins reports the least and greatest bin of bd a batch's rows fall
+// in: the bins of the field's least and greatest value, when binIndex's
+// float value stays inside int's range between them. Every float
+// operation binIndex makes is monotone in the time, and so is int
+// conversion inside that range, so each row's bin lies between the two.
+// Outside it, or over no rows, it reports every bin, 0 … n-1.
+func frameBins(bd binDim, start, dura []clock.Time, ts, span float64) (lo, hi int) {
 	if span <= 0 {
-		return 0, true
+		return 0, 0
 	}
 	if len(start) == 0 {
-		return 0, false
+		return 0, bd.n - 1
 	}
-	lo, hi := timeNanos(bd.field, start[0], dura[0]), timeNanos(bd.field, start[0], dura[0])
+	tlo, thi := int64(math.MaxInt64), int64(math.MinInt64)
 	for i := range start {
 		t := timeNanos(bd.field, start[i], dura[i])
-		lo, hi = min(lo, t), max(hi, t)
+		tlo, thi = min(tlo, t), max(thi, t)
 	}
-	for _, t := range [2]int64{lo, hi} {
+	for _, t := range [2]int64{tlo, thi} {
 		if v := (clock.Time(t).Seconds() - ts) / span * float64(bd.n); !(v > -1<<62 && v < 1<<62) {
-			return 0, false
+			return 0, bd.n - 1
 		}
 	}
-	b := binIndex(clock.Time(lo).Seconds(), bd.n, ts, span)
-	return b, b == binIndex(clock.Time(hi).Seconds(), bd.n, ts, span)
+	return binIndex(clock.Time(tlo).Seconds(), bd.n, ts, span), binIndex(clock.Time(thi).Seconds(), bd.n, ts, span)
 }
 
 // timeSeconds is a time field's value in seconds, as kField computes it.
@@ -1121,197 +1109,4 @@ func timeNanos(field int, start, dura clock.Time) int64 {
 		return int64(dura)
 	}
 	return int64(start + dura)
-}
-
-// clearSlots empties the slots a frame touched.
-func (d *denseScratch) clearSlots() {
-	for _, s := range d.touched {
-		d.slot[s] = 0
-	}
-	d.touched = d.touched[:0]
-}
-
-// groupDense folds the rows mask selects into gt by direct index into
-// the slot array, calling find once per slot a frame touches, and
-// reports true — or reports false, having folded nothing, when the x
-// columns' ranges over those rows multiply past denseSlots. A group
-// still enters gt at its first row, so the partial is the hash path's.
-func (x *kexec) groupDense(ct *compiledTable, mask []uint64, gt *groupTable) bool {
-	// The key fields' ranges over every entry bound those over the
-	// entries the selected rows have, and take no walk of the selection:
-	// try them first.
-	slots := x.denseDims(ct, mask, false)
-	if slots == 0 && ct.keys != 0 {
-		slots = x.denseDims(ct, mask, true)
-	}
-	if slots == 0 {
-		return false
-	}
-	d := &x.dense
-	if cap(d.idx) < x.n {
-		d.idx = make([]uint32, x.n)
-	}
-	idx := d.idx[:x.n]
-	op := opIndexFirst
-	if ct.keys != 0 {
-		// The key fields' offset, once per entry, gathered once per row.
-		x.entryOffsets(ct)
-		for i, c := range x.b.Code[:x.n] {
-			idx[i] = d.eoff[c]
-		}
-		op = opIndex
-	}
-	for xi := range ct.dense {
-		if d.stride[xi] != 0 {
-			x.denseCol(op, xi, nil, idx, d.lo[xi], d.stride[xi])
-			op = opIndex
-		}
-	}
-	if op == opIndexFirst {
-		clear(idx) // no dimension: every row is slot 0
-	}
-	if len(d.slot) < slots {
-		d.slot = make([]int32, slots)
-	}
-	key := x.key[:len(ct.x)]
-	for w, m := range mask {
-		for m != 0 {
-			i := w<<6 + bits.TrailingZeros64(m)
-			m &= m - 1
-			s := idx[i]
-			g := d.slot[s]
-			if g == 0 {
-				x.rowKey(ct, key, i)
-				g = int32(gt.find(key)) + 1
-				d.slot[s] = g
-				d.touched = append(d.touched, int32(s))
-			}
-			x.fold(ct, gt, int(g-1), i)
-		}
-	}
-	d.clearSlots()
-	return true
-}
-
-// denseDims sets each dimension's lo and stride from its range over the
-// rows mask selects — a key field's over the dictionary entries, every
-// one or (used) those the selected rows have — and returns the ranges'
-// product, the slots they span, or 0 when it passes denseSlots. Values
-// at rows outside the selection are junk, so an index computed for one
-// is too; only selected rows read theirs.
-func (x *kexec) denseDims(ct *compiledTable, mask []uint64, used bool) int {
-	d := &x.dense
-	var u []bool
-	if used {
-		b := x.b
-		d.used = interval.PerEntry(d.used, b, func(*interval.Key) bool { return false })
-		for w, m := range mask {
-			for ; m != 0; m &= m - 1 {
-				d.used[b.Code[w<<6+bits.TrailingZeros64(m)]] = true
-			}
-		}
-		u = d.used
-	}
-	span := x.keyDims(ct, u)
-	if span == 0 {
-		return 0
-	}
-	for xi, src := range ct.dense {
-		d.stride[xi] = 0
-		if src == dsConst || src == dsKey || x.xres[xi].konst {
-			continue
-		}
-		lo, hi := x.denseCol(opRangeSel, xi, mask, nil, 0, 0)
-		d.lo[xi], d.stride[xi] = lo, uint32(span)
-		if span *= uint64(hi-lo) + 1; span > denseSlots {
-			return 0
-		}
-	}
-	return int(span)
-}
-
-// keyDims sets the key fields' dimensions from their ranges over the
-// bound frame's dictionary entries — those used marks, or every one when
-// used is nil — and returns the slots they span, or 0 when that passes
-// denseSlots.
-func (x *kexec) keyDims(ct *compiledTable, used []bool) uint64 {
-	d := &x.dense
-	span := uint64(1)
-	for f := range d.klo {
-		d.klo[f], d.kstride[f] = 0, 0 // no dimension
-		if ct.keys&(1<<f) == 0 {
-			continue
-		}
-		lo, hi := uint32(math.MaxUint32), uint32(0)
-		for e := range x.b.Dict {
-			if used == nil || used[e] {
-				v := keyInts(&x.b.Dict[e])[f]
-				lo, hi = min(lo, v), max(hi, v)
-			}
-		}
-		d.klo[f], d.kstride[f] = lo, uint32(span)
-		if span *= uint64(hi-lo) + 1; span > denseSlots {
-			return 0
-		}
-	}
-	return span
-}
-
-// entryOffsets sets each dictionary entry's slot offset over table ct's
-// key fields from the dimensions keyDims set.
-func (x *kexec) entryOffsets(ct *compiledTable) {
-	d, dict := &x.dense, x.b.Dict
-	eoff := slices.Grow(d.eoff[:0], len(dict))[:len(dict)]
-	clear(eoff)
-	for f, lo := range d.klo {
-		if ct.keys&(1<<f) == 0 {
-			continue
-		}
-		for e := range dict {
-			eoff[e] += (keyInts(&dict[e])[f] - lo) * d.kstride[f]
-		}
-	}
-	d.eoff = eoff
-}
-
-// denseCol operations.
-const (
-	opRangeSel   = iota // the range over the rows mask selects
-	opIndexFirst        // idx[i] = (v - lo) * stride, every row
-	opIndex             // idx[i] += (v - lo) * stride, every row
-)
-
-// denseCol applies op to x column xi's integers: its codes, or its
-// values.
-func (x *kexec) denseCol(op int, xi int, mask []uint64, idx []uint32, lo, stride uint32) (uint32, uint32) {
-	if r := &x.xres[xi]; r.dc != nil {
-		return colOp(op, r.dc[:x.n], mask, idx, lo, stride)
-	}
-	return colOp(op, x.xres[xi].f[:x.n], mask, idx, lo, stride)
-}
-
-func colOp[C ~uint32 | ~float64](op int, col []C, mask []uint64, idx []uint32, lo, stride uint32) (uint32, uint32) {
-	switch op {
-	case opIndexFirst:
-		idx = idx[:len(col)]
-		for i, v := range col {
-			idx[i] = (uint32(v) - lo) * stride
-		}
-	case opIndex:
-		idx = idx[:len(col)]
-		for i, v := range col {
-			idx[i] += (uint32(v) - lo) * stride
-		}
-	case opRangeSel:
-		lo, hi := uint32(math.MaxUint32), uint32(0)
-		for w, m := range mask {
-			for m != 0 {
-				v := uint32(col[w<<6+bits.TrailingZeros64(m)])
-				m &= m - 1
-				lo, hi = min(lo, v), max(hi, v)
-			}
-		}
-		return lo, hi
-	}
-	return 0, 0
 }

@@ -796,25 +796,25 @@ func TestColumnarSharedSelections(t *testing.T) {
 	}
 }
 
-// TestFrameBin: a frame's rows share one bin(start, n) only when its
-// least and greatest start do, and not when bin()'s float value leaves
-// int's range between them — there int conversion is not monotone, and
-// a row between two that clamp to bin 0 may fall in another bin.
+// TestFrameBin: a frame's rows span the bin(start, n) values of its
+// least and greatest start, and every bin, 0 … n-1, when bin()'s float
+// value leaves int's range between them — there int conversion is not
+// monotone, and a row between two that clamp to bin 0 may fall in
+// another bin — or when the frame has no rows.
 func TestFrameBin(t *testing.T) {
 	for _, tc := range []struct {
 		starts []clock.Time
 		tEnd   clock.Time
-		want   int
-		one    bool
+		lo, hi int
 	}{
-		{starts: []clock.Time{300e6, 310e6, 305e6}, tEnd: clock.Second, want: 15, one: true},
-		{starts: []clock.Time{300e6, 330e6}, tEnd: clock.Second},
-		{starts: []clock.Time{5, 5}, tEnd: 0, want: 0, one: true}, // an empty run: every bin is 0
-		{starts: []clock.Time{-1 << 62, 1, 1 << 62}, tEnd: 1},
+		{starts: []clock.Time{300e6, 310e6, 305e6}, tEnd: clock.Second, lo: 15, hi: 15},
+		{starts: []clock.Time{330e6, 300e6, 410e6, 399e6}, tEnd: clock.Second, lo: 15, hi: 20},
+		{starts: []clock.Time{5, 5}, tEnd: 0, lo: 0, hi: 0}, // an empty run: every bin is 0
+		{starts: nil, tEnd: clock.Second, lo: 0, hi: 49},
+		{starts: []clock.Time{-1 << 62, 1, 1 << 62}, tEnd: 1, lo: 0, hi: 49},
 	} {
-		got, one := stats.FrameBin(tc.starts, 50, 0, tc.tEnd)
-		if one != tc.one || one && got != tc.want {
-			t.Errorf("starts %v over (0, %v): bin %d, one %v; want %d, %v", tc.starts, tc.tEnd, got, one, tc.want, tc.one)
+		if lo, hi := stats.FrameBin(tc.starts, 50, 0, tc.tEnd); lo != tc.lo || hi != tc.hi {
+			t.Errorf("starts %v over (0, %v): bins %d … %d, want %d … %d", tc.starts, tc.tEnd, lo, hi, tc.lo, tc.hi)
 		}
 	}
 }
@@ -851,8 +851,9 @@ table name=c condition=(node != 1 && msgSizeSent >= 0) x=("n", node) y=("r", dur
 // reach: its first half is packed into 8 ms and its second spread over
 // seconds (so bin(start, n) spans a few slots in one frame
 // and many thousands in another), every fourth record has a type far
-// from the others (so the type column's range over all rows passes the
-// slot bound while a condition's selection does not), and markers,
+// from the others (so the type column's range over every entry passes
+// the slot bound while over the entries a condition keeps it does not),
+// and markers,
 // bebits past Complete and both iscall values all occur.
 func denseFixture(t *testing.T) *interval.File {
 	t.Helper()
@@ -917,9 +918,16 @@ func TestColumnarDenseEdges(t *testing.T) {
 		{`table name=typesel condition=(type < 4096) x=("t", type) x=("th", thread) x=("s", state) y=("n", dura, count)`, "entry"},
 		{`table name=wide condition=(type < 4096) x=("th", thread) x=("s", state) x=("t", type) x=("b", bebits) x=("ic", iscall) y=("t", dura, sum)`, "entry"},
 		{`table name=widest condition=(type < 4096) x=("n", node) x=("c", cpu) x=("th", thread) x=("s", state) x=("b", bebits) y=("t", dura, sum)`, "entry"},
-		{`table name=marks x=("m", markername) x=("b", bebits) x=("ic", iscall) y=("n", dura, count) y=("t", dura, sum)`, "dense"},
+		{`table name=marks x=("m", markername) x=("b", bebits) x=("ic", iscall) y=("n", dura, count) y=("t", dura, sum)`, "hash"},
 		{`table name=cat x=("c", state + "/" + bebits) x=("n", node) y=("n", dura, count)`, "entry"},
 		{`table name=consts condition=(state != "Type(0x7001)" && type < 4096) x=("c", "lit") x=("k", 7) x=("s", state) x=("e", "") y=("n", dura, count)`, "entry"},
+		// Bins span their range over each frame's rows, key fields theirs
+		// over the entries the key-only conjuncts keep: bin(end, 20000)
+		// varies inside frames (a second-half frame spans about 600 bins,
+		// 12 000 slots beside node and thread), and the Figure 6 shape's
+		// nodes × n passes the slot bound.
+		{`table name=binend condition=(type < 4096) x=("b", bin(end, 20000)) x=("n", node) x=("th", thread) y=("t", dura * 2, sum)`, "dense"},
+		{`table name=fig6 condition=(state != "Running" && state != "GlobalClock") x=("n", node) x=("b", bin(start, 5000)) y=("t", dura, sum)`, "dense"},
 		{`table name=nox condition=(msgSizeSent > 0) y=("b", msgSizeSent, sum) y=("n", dura, count)`, "dense"},
 		{`table name=skipx x=("p", peer) x=("n", node) y=("b", msgSizeSent, sum)`, "hash"},
 		// The key-only tables above again with a kernel y column, which
@@ -929,7 +937,7 @@ func TestColumnarDenseEdges(t *testing.T) {
 		{`table name=typeself condition=(type < 4096) x=("t", type) x=("th", thread) x=("s", state) y=("t", dura * 2, sum)`, "dense"},
 		{`table name=widef condition=(type < 4096) x=("th", thread) x=("s", state) x=("t", type) x=("b", bebits) x=("ic", iscall) y=("t", dura * 2, sum)`, "dense"},
 		{`table name=widestf condition=(type < 4096) x=("n", node) x=("c", cpu) x=("th", thread) x=("s", state) x=("b", bebits) y=("t", dura * 2, sum)`, "hash"},
-		{`table name=catf x=("c", state + "/" + bebits) x=("n", node) y=("n", dura, count) y=("t", dura * 2, max)`, "dense"},
+		{`table name=catf x=("c", state + "/" + bebits) x=("n", node) y=("n", dura, count) y=("t", dura * 2, max)`, "hash"},
 		{`table name=constsf condition=(state != "Type(0x7001)" && type < 4096) x=("c", "lit") x=("k", 7) x=("s", state) x=("e", "") y=("t", dura * 2, sum)`, "dense"},
 	} {
 		run, err := stats.GenerateRun(tc.program, []*interval.File{f}, interval.MapOptions{})

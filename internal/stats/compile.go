@@ -207,7 +207,6 @@ func (p *compiledProgram) newExec(tStart, tEnd clock.Time, dict *strDict) *kexec
 		eres:      make([]kres, p.maxX),
 		evaluated: make([]int64, len(p.tables)),
 		key:       make([]uint64, p.maxX),
-		dense:     denseScratch{lo: make([]uint32, p.maxX), stride: make([]uint32, p.maxX)},
 		framePart: framePart{groups: p.newGroupTables(), skipped: make([]int64, len(p.tables)), paths: make([]uint8, len(p.tables))},
 		eselSlot:  p.eselSlot,
 	}
@@ -1418,12 +1417,11 @@ type compiledTable struct {
 	x, y   []kernel
 	ex     []kernel // per x column, what it runs over the entries when it reads only the key and keys its groups per entry; else nil
 	xcol   []xcol   // how each x column's group-key word decodes
-	dense  []dsrc   // per x column, where its integer comes from; nil: the hash path only
-	keys   uint8    // the key fields its dsKey columns read, bit 1<<field
+	keys   uint8    // the key fields its x columns are, bit 1<<field (keyInts' index)
 	// bins are the bin(field, n) x columns of a batch time field and a
-	// constant n. When every other x column reads only the key (onePass),
-	// the dense group-by computes each row's slot in the pass that folds
-	// it (foldOnePass), reading no x column per row.
+	// constant n. When every other x column is a key field or a constant
+	// (onePass), the table folds by direct index, each row's slot computed
+	// in the pass that folds it (foldOnePass), reading no x column per row.
 	bins     []binDim
 	onePass  bool
 	ys       []ysrc // per y column, where its values come from
@@ -1503,8 +1501,7 @@ func (c *compiler) spec(spec *TableSpec) *compiledTable {
 			ct.evSlot = sl.tt()
 		}
 	}
-	ct.dense = make([]dsrc, 0, len(spec.X))
-	dense, keyed := true, true
+	keyed := true
 	ct.onePass = true
 	for xi, ax := range spec.X {
 		k := vals(c.lower(ax.Expr))
@@ -1524,20 +1521,15 @@ func (c *compiler) spec(spec *TableSpec) *compiledTable {
 			xc = xcol{str: true, kind: ckDict}
 		}
 		ct.xcol = append(ct.xcol, xc)
-		src, field, ok := denseSource(k)
-		ct.dense = append(ct.dense, src)
-		if src == dsKey {
+		field, key := keyField(k)
+		if key && field >= 0 {
 			ct.keys |= 1 << field
 		}
-		dense = dense && ok
 		bd, bin := binOf(xi, k)
 		if bin {
 			ct.bins = append(ct.bins, bd)
 		}
-		ct.onePass = ct.onePass && (bin || ok && (src == dsKey || src == dsConst))
-	}
-	if !dense {
-		ct.dense, ct.keys = nil, 0
+		ct.onePass = ct.onePass && (bin || key)
 	}
 	ct.intY = true
 	for _, ay := range spec.Y {
@@ -1547,15 +1539,6 @@ func (c *compiler) spec(spec *TableSpec) *compiledTable {
 		ct.intY = ct.intY && ct.ys[len(ct.ys)-1].integer()
 	}
 	ct.entry = ct.intY && ct.cond == nil && keyed
-	if !ct.entry && ct.dense != nil {
-		// The dense group-by indexes by a coded or bin() column's values
-		// per row, so such a column runs over the rows, not the entries.
-		for xi, src := range ct.dense {
-			if src == dsDict || src == dsBin {
-				ct.ex[xi] = nil
-			}
-		}
-	}
 	return ct
 }
 
@@ -1584,6 +1567,24 @@ func (c *compiler) splitCond(k kernel) (entry, rest kernel) {
 	return entry, c.node("&&", func() kernel {
 		return &kLogic{and: true, l: rest, r: r, slot: c.sl.f(), selSlot: c.sl.m(), tmSlot: c.sl.m(), skipSlot: c.sl.m()}
 	}, rest, r)
+}
+
+// keyField reports whether x column k is a constant (field -1) or a key
+// field, and which: its index in keyInts. Two rows with one value of the
+// field always share their key words (bebits past Complete share a
+// code, so one group may own several slots — find keeps it one group).
+func keyField(k kernel) (field int, ok bool) {
+	switch k := unshare(k).(type) {
+	case kConstNum, kConstStr:
+		return -1, true
+	case kFieldStr:
+		return fcType - fcNode + int(k.kind), true
+	case kField:
+		if k.code >= fcNode {
+			return k.code - fcNode, true
+		}
+	}
+	return 0, false
 }
 
 // binOf reports whether x column k is bin(field, n) of a batch time

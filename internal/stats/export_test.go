@@ -77,10 +77,11 @@ func GenerateReordered(program string, files []*interval.File, perm func(n int) 
 	return tables, nil
 }
 
-// FrameBin is frameBin for bin(start, n) over a batch whose start column
-// is starts, in a run from tStart to tEnd.
-func FrameBin(starts []clock.Time, n int, tStart, tEnd clock.Time) (int, bool) {
-	return frameBin(binDim{field: fcStart, n: n}, starts, make([]clock.Time, len(starts)), tStart.Seconds(), (tEnd - tStart).Seconds())
+// FrameBin is frameBins for bin(start, n) over a batch whose start
+// column is starts, in a run from tStart to tEnd: the least and greatest
+// bin the batch's rows fall in.
+func FrameBin(starts []clock.Time, n int, tStart, tEnd clock.Time) (lo, hi int) {
+	return frameBins(binDim{field: fcStart, n: n}, starts, make([]clock.Time, len(starts)), tStart.Seconds(), (tEnd - tStart).Seconds())
 }
 
 // SumExact adds values[i] to the accumulator of part i%parts, each part

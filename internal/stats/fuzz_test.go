@@ -107,6 +107,13 @@ func FuzzCompile(f *testing.F) {
 	f.Add(`table name=t condition=(msgSizeSent > 1000000000 && -state) y=("n", dura, count)`)
 	f.Add(`table name=t condition=(0 && nosuchfn(1)) y=("n", dura, count)`)
 	f.Add(stats.Predefined(4))
+	// The direct-index fold's ranges: a bin varying inside frames beside
+	// key fields under a key-only conjunct, the Figure 6 shape with
+	// nodes × n past the slot bound, and a coded column beside a bin,
+	// which folds by hash.
+	f.Add(`table name=t condition=(type < 4096) x=("b", bin(end, 20000)) x=("n", node) x=("th", thread) y=("t", dura * 2, sum)`)
+	f.Add(`table name=t condition=(state != "Running" && state != "GlobalClock") x=("n", node) x=("b", bin(start, 16384)) y=("t", dura, sum)`)
+	f.Add(`table name=t x=("m", markername) x=("b", bin(start, 8)) y=("n", dura, count) y=("t", dura, sum)`)
 	for _, p := range []string{signedZeroY, infNaNY, cancelY, mixedY} {
 		f.Add(p)
 	}
